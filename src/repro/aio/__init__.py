@@ -1,21 +1,10 @@
-"""Asyncio substrate for the event-loop serving core.
+"""Asyncio substrate of the event-loop front door (docs/async.md).
 
-Small, dependency-free primitives shared by every async tier
-(docs/async.md):
-
-* :class:`~repro.aio.gate.AsyncGate` -- a counting gate with a
-  non-blocking ``try_acquire`` (needed for wait-count parity with the
-  threaded ``threading.Semaphore`` paths).
-* :class:`~repro.aio.gate.LoopLocal` -- per-event-loop lazily built
-  values, how "one bounded connection pool per event loop" is spelled.
-* :mod:`repro.aio.bridge` -- the sync-shim contract: a persistent
-  private event loop per OS thread, ``run_sync`` for coroutines and
-  ``drive`` for async generators.
-* :mod:`repro.aio.stream` -- async twins of the chunk/record streaming
-  helpers (quote-aware record framing over async chunk iterators).
+One primitive: :class:`~repro.aio.gate.AsyncGate`, a counting gate with
+a non-blocking ``try_acquire`` (needed for wait-count parity with the
+threaded ``threading.Semaphore`` paths).
 """
 
-from repro.aio.bridge import drive, run_sync, thread_loop
-from repro.aio.gate import AsyncGate, LoopLocal
+from repro.aio.gate import AsyncGate
 
-__all__ = ["AsyncGate", "LoopLocal", "drive", "run_sync", "thread_loop"]
+__all__ = ["AsyncGate"]

@@ -1,32 +1,26 @@
-"""Concurrency gates for the event-loop serving core.
+"""The concurrency gate of the event-loop front door.
 
 ``asyncio.Semaphore`` offers no non-blocking acquire, which the
 threaded tiers rely on to count contention (``pool_waits``,
 ``proxy_queue_waits``): a slot is first tried without waiting, and only
 a failed try counts as a wait.  :class:`AsyncGate` reproduces exactly
-that protocol for coroutines.  :class:`LoopLocal` scopes a value (a
-gate, a pool) to the running event loop, so every loop gets its own
-bounded pool and no loop ever touches another loop's futures.
+that protocol for coroutines.
 """
 
 from __future__ import annotations
 
 import asyncio
-import weakref
 from collections import deque
-from typing import Callable, Deque, Generic, TypeVar
-
-T = TypeVar("T")
+from typing import Deque
 
 
 class AsyncGate:
     """A counting gate bounding coroutine concurrency on one loop.
 
-    Single-loop by construction (create it per loop via
-    :class:`LoopLocal`); methods must only be called from that loop's
-    thread, so no locking is needed.  ``release`` hands the freed slot
-    directly to the oldest live waiter, giving the same FIFO fairness as
-    ``threading.Semaphore`` under contention.
+    Single-loop by construction: methods must only be called from one
+    loop's thread, so no locking is needed.  ``release`` hands the freed
+    slot directly to the oldest live waiter, giving the same FIFO
+    fairness as ``threading.Semaphore`` under contention.
     """
 
     def __init__(self, limit: int):
@@ -91,31 +85,3 @@ class AsyncGate:
         if self._value >= self._limit:
             raise RuntimeError("AsyncGate released more times than acquired")
         self._value += 1
-
-
-class LoopLocal(Generic[T]):
-    """A value built lazily once per event loop.
-
-    The map is keyed by the *running* loop through a weak reference, so
-    short-lived loops (one per worker thread under the sync shims) never
-    accumulate: when a loop is garbage collected its pool goes with it.
-    """
-
-    def __init__(self, factory: Callable[[], T]):
-        self._factory = factory
-        self._values: "weakref.WeakKeyDictionary[asyncio.AbstractEventLoop, T]"
-        self._values = weakref.WeakKeyDictionary()
-
-    def get(self) -> T:
-        """Return this loop's value, building it on first use.
-
-        Must be called from coroutine context (there must be a running
-        loop -- that loop is the scope key).
-        """
-        loop = asyncio.get_running_loop()
-        try:
-            return self._values[loop]
-        except KeyError:
-            value = self._factory()
-            self._values[loop] = value
-            return value

@@ -243,16 +243,6 @@ def _add_resilience_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--async",
-        dest="async_mode",
-        action="store_true",
-        help=(
-            "multiplex partition tasks as coroutines on one event loop "
-            "instead of threads (also: REPRO_ASYNC=1); results are "
-            "identical in either mode"
-        ),
-    )
-    parser.add_argument(
         "--skipping",
         action="store_true",
         help=(
@@ -372,10 +362,8 @@ def _resilience_context(args, **context_kwargs):
         qos=qos,
         tenant=tenant,
         sleeper=sleeper,
-        # --async forces the event-loop mode; without it the REPRO_ASYNC
-        # env default still applies (async_mode=None).
-        async_mode=True if getattr(args, "async_mode", False) else None,
-        # Same pattern for --skipping and REPRO_SKIPPING.
+        # --skipping forces the catalog on; without it the
+        # REPRO_SKIPPING env default still applies (skipping=None).
         skipping=True if getattr(args, "skipping", False) else None,
         # And for --placement and REPRO_PLACEMENT (None = engine off).
         placement=getattr(args, "placement", None),

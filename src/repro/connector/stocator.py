@@ -5,11 +5,8 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from contextlib import aclosing
 from dataclasses import dataclass, field
 from typing import (
-    AsyncIterable,
-    AsyncIterator,
     Dict,
     Iterable,
     Iterator,
@@ -19,7 +16,6 @@ from typing import (
     Tuple,
 )
 
-from repro.aio.stream import aowned_lines
 from repro.catalog import ObjectCatalog, decode_catalog
 from repro.columnar.layout import ColumnarFooter, StripeMeta, footer_from_tail
 from repro.core.pushdown import PushdownTask
@@ -29,18 +25,11 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import TRACE_HEADER, Span, get_collector
 from repro.storlets.api import StorletFailure, StorletInputStream
 from repro.storlets.engine import StorletRequestHeaders
-from repro.swift.aclient import AsyncSwiftClient
 from repro.swift.client import SwiftClient
 from repro.swift.exceptions import RangeNotSatisfiable, SwiftError
-from repro.swift.http import HeaderDict, aclose_body, close_body
+from repro.swift.http import HeaderDict, close_body
 
 logger = logging.getLogger("repro.connector")
-
-
-async def _empty_chunks() -> AsyncIterator[bytes]:
-    """Async twin of ``iter(())`` for empty (unsatisfiable-range) reads."""
-    return
-    yield b""  # pragma: no cover - makes this an async generator
 
 
 class PushdownError(SwiftError):
@@ -229,10 +218,6 @@ class StocatorConnector:
                 f"range_lookahead must be positive: {range_lookahead}"
             )
         self.client = client
-        #: Async twin bound by :meth:`bind_async_client`; while unset the
-        #: coroutine read path is unavailable and async consumers bridge
-        #: through the sync client inline.
-        self.async_client: Optional[AsyncSwiftClient] = None
         self.chunk_size = chunk_size
         # Bytes fetched past a split to finish its last record when the
         # connector (not the storlet) performs record alignment; must be
@@ -544,48 +529,22 @@ class StocatorConnector:
                 pieces.extend(b"" for _member in members)
                 continue
             span, extra = self._segment_span(split, start, end)
-            response = self.client.get_object_stream(
-                split.container,
-                split.name,
-                byte_range=(start, end - 1),
-                headers=extra,
-            )
+            try:
+                response = self.client.get_object_stream(
+                    split.container,
+                    split.name,
+                    byte_range=(start, end - 1),
+                    headers=extra,
+                )
+            except BaseException:
+                # No stream was opened, so _metered() will never finish
+                # the span: close it or it stays on this thread's stack.
+                get_collector().finish(span, status="error")
+                raise
             self.metrics.record_request(end - start, pushdown=False)
             data = b"".join(
                 self._metered(response.iter_body(), split, None, span)
             )
-            for offset, length in members:
-                pieces.append(data[offset - start : offset - start + length])
-        return pieces
-
-    async def aread_byte_ranges(
-        self, split: ObjectSplit, ranges: Sequence[Tuple[int, int]]
-    ) -> List[bytes]:
-        """Coroutine twin of :meth:`read_byte_ranges`: same coalescing,
-        spans and metering through the async client."""
-        if self.async_client is None:
-            raise RuntimeError(
-                "no async client bound: call bind_async_client() first"
-            )
-        pieces: List[bytes] = []
-        for start, end, members in self._coalesce_ranges(ranges):
-            if end == start:
-                pieces.extend(b"" for _member in members)
-                continue
-            span, extra = self._segment_span(split, start, end)
-            response = await self.async_client.get_object_stream(
-                split.container,
-                split.name,
-                byte_range=(start, end - 1),
-                headers=extra,
-            )
-            self.metrics.record_request(end - start, pushdown=False)
-            chunks = []
-            async for chunk in self._ametered(
-                response.aiter_body(), split, None, span
-            ):
-                chunks.append(chunk)
-            data = b"".join(chunks)
             for offset, length in members:
                 pieces.append(data[offset - start : offset - start + length])
         return pieces
@@ -706,87 +665,18 @@ class StocatorConnector:
         except PushdownError as error:
             tracer.finish(span, status="error", reason=error.reason)
             raise
-
-    async def aopen_split_stream(
-        self, split: ObjectSplit, task: Optional[PushdownTask] = None
-    ) -> Tuple[HeaderDict, AsyncIterator[bytes]]:
-        """Coroutine twin of :meth:`open_split_stream`.
-
-        Identical span shape, error translation, metering and
-        degradation contract; the stream is an async chunk iterator
-        whose slot/span teardown happens on exhaustion or ``aclose``.
-        Requires :meth:`bind_async_client` to have been called.
-        """
-        if self.async_client is None:
-            raise RuntimeError(
-                "no async client bound: call bind_async_client() first"
-            )
-        tracer = get_collector()
-        pushdown = task is not None and not task.is_noop()
-        trace_id = tracer.new_trace_id() if tracer.enabled else ""
-        span = tracer.start(
-            "connector",
-            "pushdown_get" if pushdown else "plain_get",
-            trace_id=trace_id,
-            container=split.container,
-            object=split.name,
-            split_index=split.index,
-            range_start=split.start,
-            range_length=split.length,
-            pushdown=pushdown,
-        )
-        try:
-            if pushdown:
-                headers: Dict[str, str] = {}
-                task.apply_to_headers(headers)
-                headers[StorletRequestHeaders.RANGE] = (
-                    f"bytes={split.start}-{split.end}"
-                )
-                if trace_id:
-                    headers[TRACE_HEADER] = trace_id
-                try:
-                    response = await self.async_client.get_object_stream(
-                        split.container, split.name, headers=headers
-                    )
-                except SwiftError as error:
-                    raise self._pushdown_open_error(
-                        error, split, task
-                    ) from error
-                if StorletRequestHeaders.INVOKED not in response.headers:
-                    raise self._not_executed_error(split, task)
-                self.metrics.record_request(split.length, pushdown=True)
-                return response.headers, self._ametered(
-                    response.aiter_body(), split, task, span
-                )
-
-            end = min(split.end + self.range_lookahead, split.object_size - 1)
-            extra: Dict[str, str] = (
-                {TRACE_HEADER: trace_id} if trace_id else {}
-            )
-            try:
-                response = await self.async_client.get_object_stream(
-                    split.container,
-                    split.name,
-                    byte_range=(split.start, end),
-                    headers=extra,
-                )
-            except RangeNotSatisfiable:
-                self.metrics.record_request(split.length, pushdown=False)
-                tracer.finish(span, status="range-not-satisfiable")
-                return HeaderDict(), _empty_chunks()
-            self.metrics.record_request(split.length, pushdown=False)
-            return response.headers, self._ametered(
-                response.aiter_body(), split, None, span
-            )
-        except PushdownError as error:
-            tracer.finish(span, status="error", reason=error.reason)
+        except BaseException:
+            # Same for any other open-time failure (e.g. the object was
+            # deleted after discovery): no stream was handed out, so
+            # _metered() will never finish the span.
+            tracer.finish(span, status="error")
             raise
 
     def _pushdown_open_error(
         self, error: SwiftError, split: ObjectSplit, task: PushdownTask
     ) -> PushdownError:
         """Translate an open-time store error into a typed
-        :class:`PushdownError` (shared by both read paths)."""
+        :class:`PushdownError`."""
         failure_reason = (getattr(error, "headers", None) or {}).get(
             StorletRequestHeaders.FAILURE
         )
@@ -825,7 +715,7 @@ class StocatorConnector:
         """Nothing intercepted the request: the store has no storlet
         engine (or the filter is not deployed).  Parsing raw data with
         the pruned schema would silently corrupt results, so this is
-        loud and non-degradable (shared by both read paths)."""
+        loud and non-degradable."""
         return PushdownError(
             f"pushdown task {task.storlet!r} was not executed "
             f"by the object store for "
@@ -844,7 +734,7 @@ class StocatorConnector:
         self, failure: StorletFailure, split: ObjectSplit, storlet: str
     ) -> PushdownError:
         """Translate a mid-stream sandbox failure into the degradable
-        :class:`PushdownError` (shared by both metered paths)."""
+        :class:`PushdownError`."""
         return PushdownError(
             f"pushdown storlet {storlet!r} failed mid-stream "
             f"({failure.reason}) for /{split.container}/{split.name} "
@@ -903,39 +793,6 @@ class StocatorConnector:
                     span, status=None if status == "ok" else status
                 )
 
-    async def _ametered(
-        self,
-        chunks: AsyncIterable[bytes],
-        split: ObjectSplit,
-        task: Optional[PushdownTask],
-        span: Optional[Span] = None,
-    ) -> AsyncIterator[bytes]:
-        """Async twin of :meth:`_metered`: same per-chunk byte charging,
-        same mid-stream degradation translation, same span finalization
-        carrying exactly the consumed bytes -- the stream source is
-        awaited and teardown runs through ``aclose_body``."""
-        storlet = task.storlet if task is not None else ""
-        consumed = 0
-        status = "ok"
-        try:
-            async for chunk in chunks:
-                consumed += len(chunk)
-                self.metrics.record_bytes(len(chunk))
-                yield chunk
-        except StorletFailure as failure:
-            status = "error"
-            raise self._midstream_error(failure, split, storlet) from failure
-        except BaseException:
-            status = "error"
-            raise
-        finally:
-            await aclose_body(chunks)
-            if span is not None:
-                span.bytes_out = consumed
-                get_collector().finish(
-                    span, status=None if status == "ok" else status
-                )
-
     def read_split_raw(
         self, split: ObjectSplit, task: Optional[PushdownTask] = None
     ) -> bytes:
@@ -961,32 +818,6 @@ class StocatorConnector:
 
         _headers, chunks = self.open_split_stream(split, task=None)
         return _owned_lines(StorletInputStream(chunks), split.start, split.length)
-
-    async def aread_split_records(
-        self, split: ObjectSplit
-    ) -> AsyncIterator[bytes]:
-        """Coroutine twin of :meth:`read_split_records`.
-
-        The quote-aware framing and Hadoop ownership rules are
-        single-sourced (:func:`repro.aio.stream.aowned_lines` reuses the
-        sync scanner), so both paths yield byte-identical records.
-        """
-        _headers, chunks = await self.aopen_split_stream(split, task=None)
-        async with aclosing(
-            aowned_lines(chunks, split.start, split.length)
-        ) as lines:
-            async for line in lines:
-                yield line
-
-    # -- async wiring ------------------------------------------------------
-
-    def bind_async_client(self, client: AsyncSwiftClient) -> None:
-        """Attach the coroutine client powering :meth:`aopen_split_stream`.
-
-        Kept as an explicit post-construction step so sync-only stacks
-        never pay for (or accidentally exercise) the async path.
-        """
-        self.async_client = client
 
     # -- uploads -----------------------------------------------------------------
 

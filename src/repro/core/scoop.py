@@ -31,8 +31,7 @@ from repro.obs.trace import TraceCollector, set_collector
 from repro.placement.engine import engine_from_environment
 from repro.spark.csv_source import CsvRelation
 from repro.spark.dataframe import DataFrame
-from repro.spark.scheduler import SparkContext, default_execution_mode
-from repro.swift.aclient import AsyncSwiftClient
+from repro.spark.scheduler import SparkContext
 from repro.spark.session import SparkSession
 from repro.sql.types import Schema
 from repro.spark.columnar_source import ColumnarRelation
@@ -97,6 +96,9 @@ class ScoopContext:
         qos_clock=None,
         tenant: Optional[str] = None,
         sleeper: Optional[Callable[[float], None]] = None,
+        # Accepted and ignored: there is one query path
+        # (docs/concurrency.md); the keyword survives only because
+        # benchmarks/hotpath/workloads.py passes it.
         async_mode: Optional[bool] = None,
         skipping: Optional[bool] = None,
         placement: Optional[str] = None,
@@ -107,12 +109,6 @@ class ScoopContext:
         if parallelism is None:
             parallelism = int(os.environ.get("REPRO_PARALLELISM", "1"))
         self.parallelism = parallelism
-        # Execution mode: ``async_mode=None`` defers to the REPRO_ASYNC
-        # env var (the CI async job runs the whole suite on the event
-        # loop); True/False force it.
-        if async_mode is None:
-            async_mode = default_execution_mode() == "async"
-        self.execution_mode = "async" if async_mode else "threads"
         # Observability: each context installs a fresh span collector
         # and metrics registry so counters and traces never bleed
         # between stacks built in the same process (every tier resolves
@@ -153,29 +149,11 @@ class ScoopContext:
         # Pin the connector's mirror target so this context's boundary
         # counters survive a later context replacing the global registry.
         self.connector.metrics.registry = self.registry
-        self.async_client: Optional[AsyncSwiftClient] = None
-        if self.execution_mode == "async":
-            # Coroutine twin of the sync client, sharing one accounting
-            # ledger (requests/retries/pool_waits land in the same
-            # ClientStats) and the same pool bound per event loop.
-            self.async_client = AsyncSwiftClient(
-                self.cluster,
-                account,
-                retry_policy=retry_policy,
-                max_connections=max(4, parallelism * 2),
-                tenant=tenant,
-                sleeper=sleeper,
-                stats=self.client.stats,
-                stats_lock=self.client._stats_lock,
-                ensure_account=False,
-            )
-            self.connector.bind_async_client(self.async_client)
         self.spark_context = SparkContext(
             "scoop",
             num_workers=num_workers,
             max_task_attempts=max_task_attempts,
             parallelism=parallelism,
-            execution_mode=self.execution_mode,
         )
         self.session = SparkSession(self.spark_context)
         self.controller = controller
@@ -599,7 +577,6 @@ class ScoopContext:
         """
         return {
             "parallelism": self.parallelism,
-            "execution_mode": self.execution_mode,
             "client_pool_waits": self.client.stats.pool_waits,
             "proxy_queue_waits": self.cluster.counters["proxy_queue_waits"],
             "proxy_peak_inflight": self.cluster.counters[

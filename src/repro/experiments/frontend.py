@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List
 
-from repro.aio.bridge import run_sync
 from repro.aio.gate import AsyncGate
 from repro.obs.trace import TraceCollector, get_collector, set_collector
 from repro.swift.aclient import AsyncSwiftClient
@@ -131,7 +130,7 @@ def replay_workday_frontend(
                 cluster, account, payload, queries, inflight_limit,
                 rtt_seconds,
             )
-        return run_sync(
+        return asyncio.run(
             _adrain(
                 cluster, account, payload, queries, inflight_limit,
                 rtt_seconds,
@@ -211,8 +210,7 @@ async def _adrain(
 ) -> FrontendSweepResult:
     """Event-loop serving core: coroutine-per-query on one loop."""
     client = AsyncSwiftClient(
-        cluster, account, max_connections=inflight_limit,
-        ensure_account=False,
+        SwiftClient(cluster, account), max_connections=inflight_limit
     )
     gate = AsyncGate(inflight_limit)
     inflight = 0

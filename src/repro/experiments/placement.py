@@ -16,7 +16,7 @@ Two halves, mirroring how the placement engine itself is split:
   stacks run the same queries under every placement mode (including
   GROUP-BY pushdown, which only the placement work made plannable) and
   must return byte-identical rows; the GROUP-BY path is additionally
-  checked under every named fault plan in serial, threaded and async
+  checked under every named fault plan in serial and threaded
   execution.  Placement may move work between tiers; it may never
   change an answer.
 """
@@ -41,11 +41,11 @@ CODE_BAND = 1000
 #: The placement modes every functional point runs under.
 PLACEMENT_MODES = ("adaptive", "object", "proxy", "compute")
 
-#: Execution modes the GROUP-BY fault differential covers.
-EXECUTION_MODES: Tuple[Tuple[str, Optional[int], Optional[bool]], ...] = (
-    ("serial", None, None),
-    ("threads-16", 16, False),
-    ("async-16", 16, True),
+#: Execution modes (label, parallelism) the GROUP-BY fault differential
+#: covers.
+EXECUTION_MODES: Tuple[Tuple[str, Optional[int]], ...] = (
+    ("serial", None),
+    ("threads-16", 16),
 )
 
 
@@ -155,7 +155,6 @@ def _build_context(
     placement: Optional[str] = None,
     plan: Optional[str] = None,
     parallelism: Optional[int] = None,
-    async_mode: Optional[bool] = None,
     agg_pushdown: Optional[bool] = None,
 ) -> ScoopContext:
     ctx = ScoopContext(
@@ -165,7 +164,6 @@ def _build_context(
             named_plan(plan, seed=7) if plan and plan != "none" else None
         ),
         parallelism=parallelism,
-        async_mode=async_mode,
     )
     for number in range(objects):
         ctx.upload_csv(
@@ -251,11 +249,11 @@ def groupby_fault_identity(
 
     The oracle is a fault-free context with aggregation pushdown off --
     the executor's ordinary hash aggregation over scan rows.  Every
-    named fault plan then runs with pushdown on, in serial, threaded
-    and async execution; all results must be byte-identical (same
-    values, same types, same order).  ``max_groups`` forces the
-    bounded-table spill path when set.  Returns the per-cell results
-    plus the oracle row count (guarding against a vacuous identity).
+    named fault plan then runs with pushdown on, in serial and threaded
+    execution; all results must be byte-identical (same values, same
+    types, same order).  ``max_groups`` forces the bounded-table spill
+    path when set.  Returns the per-cell results plus the oracle row
+    count (guarding against a vacuous identity).
     """
     threshold = CODE_BAND // 2
     sql = GROUPBY_QUERY.format(threshold=threshold)
@@ -263,13 +261,12 @@ def groupby_fault_identity(
     oracle = oracle_ctx.sql(sql).collect()
     results = []
     for plan in plans:
-        for label, parallelism, async_mode in EXECUTION_MODES:
+        for label, parallelism in EXECUTION_MODES:
             ctx = _build_context(
                 objects,
                 rows_per_object,
                 plan=plan,
                 parallelism=parallelism,
-                async_mode=async_mode,
                 agg_pushdown=True,
             )
             if max_groups is not None:

@@ -4,8 +4,8 @@ The legacy :class:`~repro.core.agg_pushdown.AggregationPushdownRunner`
 looped over splits serially outside the scheduler; this RDD puts the
 same storlet work on the normal partition-task path, so aggregation
 pushdown inherits everything scans already have: bounded thread pools,
-the async event loop, task retry with mid-stream resume, and graceful
-degradation to compute-side work when a storlet fails at runtime.
+task retry with mid-stream resume, and graceful degradation to
+compute-side work when a storlet fails at runtime.
 
 Each partition yields *tagged records* (not rows): typed partial group
 states and spill-to-compute raw rows, in the deterministic order
@@ -22,8 +22,7 @@ the scheduler's skip-``emitted`` resume arithmetic sound here too.
 
 from __future__ import annotations
 
-from contextlib import aclosing
-from typing import AsyncIterator, Iterator, List
+from typing import Iterator, List
 
 from repro.connector.stocator import (
     ObjectSplit,
@@ -42,7 +41,6 @@ from repro.storlets.agg_storlet import (
 )
 from repro.storlets.api import StorletInputStream
 from repro.storlets.csv_storlet import _owned_lines
-from repro.aio.stream import aowned_lines
 
 
 class AggregationScanRDD(RDD):
@@ -115,40 +113,6 @@ class AggregationScanRDD(RDD):
                 continue
             yield record
 
-    async def acompute(self, split_index: int) -> AsyncIterator[tuple]:
-        """Coroutine twin of :meth:`compute`, same degradation contract."""
-        if self.connector.async_client is None:
-            for record in self.compute(split_index):
-                yield record
-            return
-        split = self.splits[split_index]
-        emitted = 0
-        try:
-            async with aclosing(self._apushdown_records(split)) as records:
-                async for record in records:
-                    emitted += 1
-                    yield record
-            return
-        except PushdownError as error:
-            if not error.degradable:
-                raise
-            degrade_reason = error.reason
-        self.connector.metrics.record_fallback()
-        get_collector().record_event(
-            "connector",
-            "agg_pushdown_degraded",
-            split_index=split.index,
-            reason=degrade_reason,
-            records_before_failure=emitted,
-        )
-        skipped = 0
-        async with aclosing(self._afallback_records(split)) as records:
-            async for record in records:
-                if skipped < emitted:
-                    skipped += 1
-                    continue
-                yield record
-
     # -- pushdown: the storlet streams tagged JSON lines -------------------
 
     def _pushdown_records(self, split: ObjectSplit) -> Iterator[tuple]:
@@ -157,39 +121,10 @@ class AggregationScanRDD(RDD):
             if raw_line.strip():
                 yield decode_tagged_line(raw_line, split.index)
 
-    async def _apushdown_records(
-        self, split: ObjectSplit
-    ) -> AsyncIterator[tuple]:
-        _headers, chunks = await self.connector.aopen_split_stream(
-            split, self.task
-        )
-        async with aclosing(aowned_lines(chunks, 0, None)) as lines:
-            async for raw_line in lines:
-                if raw_line.strip():
-                    yield decode_tagged_line(raw_line, split.index)
-
     # -- degradation: same aggregation, computed from plain reads ----------
 
     def _fallback_records(self, split: ObjectSplit) -> Iterator[tuple]:
         rows = self._fallback._plain_rows(split, apply_task_filters=True)
-        for record in tagged_partial_aggregate(
-            rows, self.plan.spec, self.full_schema, max_groups=self.max_groups
-        ):
-            yield self._stamp(record, split.index)
-
-    async def _afallback_records(
-        self, split: ObjectSplit
-    ) -> AsyncIterator[tuple]:
-        # The bounded hash aggregation must see the full row stream
-        # before emitting partials anyway, so the async fallback drains
-        # the plain rows through the coroutine reader first and runs the
-        # (pure-CPU) generator inline on the loop.
-        rows: List[tuple] = []
-        async with aclosing(
-            self._fallback._aplain_rows(split, apply_task_filters=True)
-        ) as plain:
-            async for row in plain:
-                rows.append(row)
         for record in tagged_partial_aggregate(
             rows, self.plan.spec, self.full_schema, max_groups=self.max_groups
         ):

@@ -13,7 +13,7 @@ O(batch_rows x pipeline depth) regardless of dataset size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AsyncIterable, AsyncIterator, Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 DEFAULT_BATCH_ROWS = 1024
 
@@ -50,31 +50,6 @@ def batched(
             pending = []
     if pending:
         yield RecordBatch(tuple(pending))
-
-
-async def abatched(
-    rows: AsyncIterable[tuple], batch_rows: int = DEFAULT_BATCH_ROWS
-) -> AsyncIterator[RecordBatch]:
-    """Async twin of :func:`batched`: identical chunking arithmetic over
-    an awaited row source, so both modes emit the same batch boundaries
-    for the same row stream."""
-    if batch_rows <= 0:
-        raise ValueError(f"batch_rows must be positive: {batch_rows}")
-    pending: List[tuple] = []
-    try:
-        async for row in rows:
-            pending.append(row)
-            if len(pending) >= batch_rows:
-                yield RecordBatch(tuple(pending))
-                pending = []
-        if pending:
-            yield RecordBatch(tuple(pending))
-    finally:
-        # Deterministic teardown when the batch stream is abandoned
-        # early (LIMIT): close the row source now, not at GC time.
-        aclose = getattr(rows, "aclose", None)
-        if aclose is not None:
-            await aclose()
 
 
 def rows_from_batches(batches: Iterable[RecordBatch]) -> Iterator[tuple]:

@@ -30,14 +30,11 @@ without ever materializing per-row tuples until the plan's edge.
 from __future__ import annotations
 
 import json
-from contextlib import aclosing
 from dataclasses import replace
-from typing import AsyncIterator, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.aio.stream import adecompress_chunks
 from repro.columnar.batch import ColumnBatch
 from repro.columnar.layout import (
-    BlockStreamDecoder,
     StripeMeta,
     decode_block_stream,
     decode_segment,
@@ -117,14 +114,6 @@ class ColumnarScanRDD(RDD[Row]):
         for batch in self._batches(split_index):
             yield from batch.rows
 
-    async def acompute(self, split_index: int) -> AsyncIterator[Row]:
-        """Coroutine twin of :meth:`compute` (see
-        :meth:`acompute_batches` for the batch-native surface)."""
-        async with aclosing(self._abatches(split_index)) as batches:
-            async for batch in batches:
-                for row in batch.rows:
-                    yield row
-
     # -- batch views --------------------------------------------------------
 
     def compute_batches(
@@ -136,22 +125,6 @@ class ColumnarScanRDD(RDD[Row]):
         if self._cache is not None:
             return batched(self.iterator(split_index), batch_rows)
         return self._batches(split_index)
-
-    async def acompute_batches(
-        self, split_index: int, batch_rows: int = DEFAULT_BATCH_ROWS
-    ) -> AsyncIterator[ColumnBatch]:
-        """Coroutine twin of :meth:`compute_batches`.
-
-        Without a bound async client (or with a cached partition) the
-        sync path runs inline on the loop, like the CSV scan.
-        """
-        if self._cache is not None or self.connector.async_client is None:
-            for batch in self.compute_batches(split_index, batch_rows):
-                yield batch
-            return
-        async with aclosing(self._abatches(split_index)) as batches:
-            async for batch in batches:
-                yield batch
 
     # -- the scan ----------------------------------------------------------
 
@@ -189,42 +162,6 @@ class ColumnarScanRDD(RDD[Row]):
         yield from self._plain_batches(
             columnar, stripes, apply_task_filters=True, skip_rows=emitted
         )
-
-    async def _abatches(self, split_index: int) -> AsyncIterator[ColumnBatch]:
-        """Coroutine twin of :meth:`_batches`: same pruning, degradation
-        contract, resume arithmetic, metrics and trace events."""
-        columnar = self.splits[split_index]
-        stripes = self._pruned_stripes(columnar)
-        if not stripes:
-            return
-        if self.task is None or self.task.is_noop():
-            async with aclosing(
-                self._aplain_batches(columnar, stripes)
-            ) as batches:
-                async for batch in batches:
-                    yield batch
-            return
-        emitted = 0
-        try:
-            async with aclosing(
-                self._apushdown_batches(columnar, stripes)
-            ) as batches:
-                async for batch in batches:
-                    emitted += len(batch)
-                    yield batch
-            return
-        except PushdownError as error:
-            if not error.degradable:
-                raise
-            degrade_reason = error.reason
-        self._record_degradation(columnar, degrade_reason, emitted)
-        async with aclosing(
-            self._aplain_batches(
-                columnar, stripes, apply_task_filters=True, skip_rows=emitted
-            )
-        ) as batches:
-            async for batch in batches:
-                yield batch
 
     def _record_degradation(
         self, columnar: ColumnarSplit, reason: str, emitted: int
@@ -285,24 +222,6 @@ class ColumnarScanRDD(RDD[Row]):
         for batch in decode_block_stream(chunks):
             yield self._reorder(batch)
 
-    async def _apushdown_batches(
-        self, columnar: ColumnarSplit, stripes: Sequence[StripeMeta]
-    ) -> AsyncIterator[ColumnBatch]:
-        """Coroutine twin of :meth:`_pushdown_batches` (single-sourced
-        block parsing via :class:`BlockStreamDecoder`)."""
-        task = self._split_task(stripes)
-        _headers, chunks = await self.connector.aopen_split_stream(
-            columnar.split, task
-        )
-        if task.compress:
-            chunks = adecompress_chunks(chunks)
-        decoder = BlockStreamDecoder()
-        async with aclosing(chunks) as stream:
-            async for chunk in stream:
-                for batch in decoder.push(chunk):
-                    yield self._reorder(batch)
-        decoder.finish()
-
     # -- plain (segment-granular) path -------------------------------------
 
     def _stripe_ranges(
@@ -321,8 +240,7 @@ class ColumnarScanRDD(RDD[Row]):
         apply_task_filters: bool,
     ) -> Optional[ColumnBatch]:
         """Decode fetched segments into an output batch (None = all rows
-        filtered out).  Shared by both scan modes so the degradation
-        resume arithmetic sees identical batch streams."""
+        filtered out)."""
         vectors: List[Optional[list]] = [None] * len(self.full_schema)
         for index, data in zip(needed, pieces):
             vectors[index] = decode_segment(
@@ -376,28 +294,6 @@ class ColumnarScanRDD(RDD[Row]):
         )
         for stripe in stripes:
             pieces = self.connector.read_byte_ranges(
-                columnar.split, self._stripe_ranges(stripe, needed)
-            )
-            batch = self._assemble(stripe, needed, pieces, apply_task_filters)
-            if batch is None:
-                continue
-            batch, skip_rows = self._resume_slice(batch, skip_rows)
-            if batch is not None and len(batch):
-                yield batch
-
-    async def _aplain_batches(
-        self,
-        columnar: ColumnarSplit,
-        stripes: Sequence[StripeMeta],
-        apply_task_filters: bool = False,
-        skip_rows: int = 0,
-    ) -> AsyncIterator[ColumnBatch]:
-        """Coroutine twin of :meth:`_plain_batches`."""
-        needed = (
-            self._needed_with_filters if apply_task_filters else self._project
-        )
-        for stripe in stripes:
-            pieces = await self.connector.aread_byte_ranges(
                 columnar.split, self._stripe_ranges(stripe, needed)
             )
             batch = self._assemble(stripe, needed, pieces, apply_task_filters)

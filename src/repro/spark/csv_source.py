@@ -11,12 +11,10 @@ happens in the compute cluster (classic ingest-then-compute).
 
 from __future__ import annotations
 
-from contextlib import aclosing
-from typing import AsyncIterator, Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import zlib
 
-from repro.aio.stream import adecompress_chunks, aowned_lines
 from repro.connector.stocator import (
     ObjectSplit,
     PushdownError,
@@ -99,59 +97,9 @@ class CsvScanRDD(RDD[Row]):
                 continue
             yield row
 
-    async def acompute(self, split_index: int) -> AsyncIterator[Row]:
-        """Coroutine twin of :meth:`compute`.
-
-        Same degradation contract, same resume arithmetic (rows emitted
-        before a mid-stream failure are skipped, not duplicated), same
-        metrics and trace events -- the per-line logic is single-sourced
-        with the sync path (:meth:`_parse_pushdown_line`,
-        :meth:`_plain_line_mapper`), which is what makes the two modes
-        byte-identical by construction.  When no async client is bound
-        the sync path runs inline on the loop.
-        """
-        if self.connector.async_client is None:
-            for row in self.compute(split_index):
-                yield row
-            return
-        split = self.splits[split_index]
-        if self.task is None or self.task.is_noop():
-            async with aclosing(self._aplain_rows(split)) as rows:
-                async for row in rows:
-                    yield row
-            return
-        emitted = 0
-        try:
-            async with aclosing(self._apushdown_rows(split)) as rows:
-                async for row in rows:
-                    emitted += 1
-                    yield row
-            return
-        except PushdownError as error:
-            if not error.degradable:
-                raise
-            degrade_reason = error.reason
-        self.connector.metrics.record_fallback()
-        get_collector().record_event(
-            "connector",
-            "pushdown_degraded",
-            split_index=split.index,
-            reason=degrade_reason,
-            rows_before_failure=emitted,
-        )
-        skipped = 0
-        async with aclosing(
-            self._aplain_rows(split, apply_task_filters=True)
-        ) as rows:
-            async for row in rows:
-                if skipped < emitted:
-                    skipped += 1
-                    continue
-                yield row
-
     def _parse_pushdown_line(self, raw_line: bytes) -> Optional[Row]:
         """Type one storlet-produced record (output schema; ``None``
-        drops it under ``drop_malformed``).  Shared by both scan modes."""
+        drops it under ``drop_malformed``)."""
         fields = _parse_record(raw_line, self.delimiter)
         if fields is None or len(fields) != len(self.output_schema):
             if self.drop_malformed:
@@ -171,8 +119,7 @@ class CsvScanRDD(RDD[Row]):
 
         Captures header-skip state, the optional compute-side task
         predicate and the projection once per split; returns ``None``
-        for skipped lines.  Shared by both scan modes so the
-        degradation resume arithmetic sees identical row streams.
+        for skipped lines.
         """
         skip_header = self.has_header and split.is_first
         predicate = None
@@ -229,20 +176,6 @@ class CsvScanRDD(RDD[Row]):
             if row is not None:
                 yield row
 
-    async def _apushdown_rows(self, split: ObjectSplit) -> AsyncIterator[Row]:
-        """Coroutine twin of :meth:`_pushdown_rows`."""
-        assert self.task is not None
-        _headers, chunks = await self.connector.aopen_split_stream(
-            split, self.task
-        )
-        if self.task.compress:
-            chunks = adecompress_chunks(chunks)
-        async with aclosing(aowned_lines(chunks, 0, None)) as lines:
-            async for raw_line in lines:
-                row = self._parse_pushdown_line(raw_line)
-                if row is not None:
-                    yield row
-
     def _plain_rows(
         self, split: ObjectSplit, apply_task_filters: bool = False
     ) -> Iterator[Row]:
@@ -263,19 +196,6 @@ class CsvScanRDD(RDD[Row]):
             row = map_line(raw_line)
             if row is not None:
                 yield row
-
-    async def _aplain_rows(
-        self, split: ObjectSplit, apply_task_filters: bool = False
-    ) -> AsyncIterator[Row]:
-        """Coroutine twin of :meth:`_plain_rows`."""
-        map_line = self._plain_line_mapper(split, apply_task_filters)
-        async with aclosing(
-            self.connector.aread_split_records(split)
-        ) as lines:
-            async for raw_line in lines:
-                row = map_line(raw_line)
-                if row is not None:
-                    yield row
 
 
 def _decompress_chunks(chunks: Iterator[bytes]) -> Iterator[bytes]:

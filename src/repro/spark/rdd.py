@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import aclosing
 from typing import (
     Any,
-    AsyncIterator,
     Callable,
     Dict,
     Generic,
@@ -27,7 +25,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.spark.batch import DEFAULT_BATCH_ROWS, RecordBatch, abatched, batched
+from repro.spark.batch import DEFAULT_BATCH_ROWS, RecordBatch, batched
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -88,20 +86,6 @@ class RDD(Generic[T]):
         """Produce the rows of one partition (called by tasks)."""
         raise NotImplementedError
 
-    async def acompute(self, split: int) -> AsyncIterator[T]:
-        """Coroutine twin of :meth:`compute`.
-
-        The default runs the sync ``compute`` inline on the event loop
-        -- correct for every RDD in this codebase whose compute is pure
-        CPU (map/filter/shuffle merges), since nothing in the simulated
-        stack blocks an OS thread.  RDDs that *stream from the store*
-        (:class:`~repro.spark.csv_source.CsvScanRDD`) override this to
-        await at chunk boundaries so thousands of partitions can be in
-        flight on one loop.
-        """
-        for item in self.compute(split):
-            yield item
-
     # -- caching -----------------------------------------------------------
 
     def cache(self) -> "RDD[T]":
@@ -135,46 +119,6 @@ class RDD(Generic[T]):
             return iter(cached)
         return self.compute(split)
 
-    async def aiterator(self, split: int) -> AsyncIterator[T]:
-        """Coroutine twin of :meth:`iterator`: compute or read-from-cache.
-
-        Cache slots are shared with the sync path (same double-checked
-        locking discipline), so mixed-mode jobs over a cached RDD compute
-        each partition once regardless of which mode got there first.
-
-        A sync-only customization -- an instance-level ``iterator``
-        patch, or a subclass overriding :meth:`iterator` without
-        providing an async twin -- is honored by delegating to it
-        inline (partition computes are pure CPU, so running them on the
-        loop is correct; see docs/async.md).
-        """
-        sync_only = "iterator" in self.__dict__ or (
-            type(self).iterator is not RDD.iterator
-            and type(self).acompute is RDD.acompute
-        )
-        if sync_only:
-            for item in self.iterator(split):
-                yield item
-            return
-        if self._cache is not None:
-            with self._cache_lock:
-                while len(self._cache) < self.num_partitions():
-                    self._cache.append(None)  # type: ignore[arg-type]
-                cached = self._cache[split]
-            if cached is None:
-                async with aclosing(self.acompute(split)) as rows:
-                    computed = [item async for item in rows]
-                with self._cache_lock:
-                    if self._cache[split] is None:
-                        self._cache[split] = computed
-                    cached = self._cache[split]
-            for item in cached:
-                yield item
-            return
-        async with aclosing(self.acompute(split)) as rows:
-            async for item in rows:
-                yield item
-
     def compute_batches(
         self, split: int, batch_rows: int = DEFAULT_BATCH_ROWS
     ) -> Iterator[RecordBatch]:
@@ -187,13 +131,6 @@ class RDD(Generic[T]):
         the underlying GET) mid-partition.
         """
         return batched(self.iterator(split), batch_rows)
-
-    def acompute_batches(
-        self, split: int, batch_rows: int = DEFAULT_BATCH_ROWS
-    ) -> AsyncIterator[RecordBatch]:
-        """Coroutine twin of :meth:`compute_batches` -- same batch
-        boundaries (single-sourced chunking arithmetic), awaited pulls."""
-        return abatched(self.aiterator(split), batch_rows)
 
     # -- transformations (lazy) -----------------------------------------------
 
@@ -328,11 +265,6 @@ class MappedRDD(RDD[U]):
     def compute(self, split: int) -> Iterator[U]:
         return (self.function(item) for item in self.parent.iterator(split))
 
-    async def acompute(self, split: int) -> AsyncIterator[U]:
-        async with aclosing(self.parent.aiterator(split)) as rows:
-            async for item in rows:
-                yield self.function(item)
-
 
 class FilteredRDD(RDD[T]):
     def __init__(self, parent: RDD[T], predicate: Callable[[T], bool]):
@@ -349,12 +281,6 @@ class FilteredRDD(RDD[T]):
             item for item in self.parent.iterator(split) if self.predicate(item)
         )
 
-    async def acompute(self, split: int) -> AsyncIterator[T]:
-        async with aclosing(self.parent.aiterator(split)) as rows:
-            async for item in rows:
-                if self.predicate(item):
-                    yield item
-
 
 class FlatMappedRDD(RDD[U]):
     def __init__(self, parent: RDD[T], function: Callable[[T], Iterable[U]]):
@@ -369,12 +295,6 @@ class FlatMappedRDD(RDD[U]):
     def compute(self, split: int) -> Iterator[U]:
         for item in self.parent.iterator(split):
             yield from self.function(item)
-
-    async def acompute(self, split: int) -> AsyncIterator[U]:
-        async with aclosing(self.parent.aiterator(split)) as rows:
-            async for item in rows:
-                for result in self.function(item):
-                    yield result
 
 
 class MapPartitionsRDD(RDD[U]):
@@ -406,16 +326,6 @@ class UnionRDD(RDD[T]):
         for parent in self.parents:
             if split < parent.num_partitions():
                 return parent.iterator(split)
-            split -= parent.num_partitions()
-        raise IndexError("partition index out of range")
-
-    async def acompute(self, split: int) -> AsyncIterator[T]:
-        for parent in self.parents:
-            if split < parent.num_partitions():
-                async with aclosing(parent.aiterator(split)) as rows:
-                    async for item in rows:
-                        yield item
-                return
             split -= parent.num_partitions()
         raise IndexError("partition index out of range")
 

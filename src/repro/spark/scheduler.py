@@ -25,19 +25,15 @@ inside a query).
 
 from __future__ import annotations
 
-import asyncio
 import itertools
-import os
 import queue as queue_module
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import aclosing
 from dataclasses import dataclass
 from typing import (
     Any,
-    AsyncIterator,
     Callable,
     Dict,
     Iterator,
@@ -46,8 +42,6 @@ from typing import (
     Tuple,
 )
 
-from repro.aio.bridge import drive, run_sync
-from repro.aio.gate import AsyncGate
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_collector
 from repro.swift.exceptions import TooManyRequests
@@ -58,18 +52,6 @@ from repro.spark.rdd import (
     RDD,
     ShuffleDependency,
 )
-
-#: Environment switch flipping schedulers (and the workday bench) onto
-#: the event-loop execution path; any non-empty value other than "0"
-#: counts as enabled.
-ASYNC_ENV_VAR = "REPRO_ASYNC"
-
-
-def default_execution_mode() -> str:
-    """Resolve the process-wide default execution mode from the
-    :data:`ASYNC_ENV_VAR` environment switch."""
-    value = os.environ.get(ASYNC_ENV_VAR, "")
-    return "async" if value and value != "0" else "threads"
 
 
 @dataclass
@@ -110,7 +92,6 @@ class SparkContext:
         max_task_attempts: int = 3,
         blacklist_after: int = 2,
         parallelism: int = 1,
-        execution_mode: Optional[str] = None,
     ):
         if num_workers < 1:
             raise ValueError("need at least one worker")
@@ -118,18 +99,6 @@ class SparkContext:
             raise ValueError("need at least one task attempt")
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1: {parallelism}")
-        if execution_mode is None:
-            execution_mode = default_execution_mode()
-        if execution_mode not in ("threads", "async"):
-            raise ValueError(
-                f"execution_mode must be 'threads' or 'async': "
-                f"{execution_mode!r}"
-            )
-        #: How stage tasks run concurrently: ``threads`` places them on a
-        #: bounded :class:`ThreadPoolExecutor`; ``async`` multiplexes
-        #: them as coroutines on this thread's event loop (same
-        #: ``parallelism`` bound, same partition-ordered results).
-        self.execution_mode = execution_mode
         self.app_name = app_name
         self.workers = [f"worker{i}" for i in range(num_workers)]
         # Bounded retry: a task is re-run on a different worker up to
@@ -199,8 +168,6 @@ class SparkContext:
         function: Callable[[Iterator[Any]], Any],
     ) -> List[Any]:
         """Run one stage's tasks, serially or on the bounded pool."""
-        if self.execution_mode == "async":
-            return run_sync(self._arun_stage(stage_id, rdd, targets, function))
         if self.parallelism <= 1 or len(targets) <= 1:
             return [
                 self._run_task(stage_id, rdd, split, function)
@@ -222,102 +189,6 @@ class SparkContext:
             for index, future in enumerate(futures):
                 results[index] = future.result()
         return results
-
-    async def _arun_stage(
-        self,
-        stage_id: int,
-        rdd: RDD,
-        targets: List[int],
-        function: Callable[[Iterator[Any]], Any],
-    ) -> List[Any]:
-        """Coroutine twin of the stage body: partition tasks multiplex
-        on this loop, bounded by :attr:`parallelism` through an
-        :class:`AsyncGate` instead of a thread pool.
-
-        Results come back in partition order and a failing stage raises
-        the error of its *lowest-numbered* failing partition -- the same
-        determinism contract as the threaded path.
-        """
-        if self.parallelism <= 1 or len(targets) <= 1:
-            return [
-                await self._arun_task(stage_id, rdd, split, function)
-                for split in targets
-            ]
-        gate = AsyncGate(min(self.parallelism, len(targets)))
-
-        async def bounded(split: int) -> Any:
-            await gate.acquire()
-            try:
-                return await self._arun_task(stage_id, rdd, split, function)
-            finally:
-                gate.release()
-
-        tasks = [
-            asyncio.ensure_future(bounded(split)) for split in targets
-        ]
-        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return list(outcomes)
-
-    async def _arun_task(
-        self,
-        stage_id: int,
-        rdd: RDD,
-        split: int,
-        function: Callable[[Iterator[Any]], Any],
-    ) -> Any:
-        """Coroutine twin of :meth:`_run_task`: identical retry,
-        blacklist and task-log behaviour; the partition is streamed
-        through the RDD's async iterator, then handed to ``function`` as
-        a plain iterator."""
-        task_id = self._next_task_id()
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, self.max_task_attempts + 1):
-            worker = self._next_worker()
-            started = time.perf_counter()
-            try:
-                async with aclosing(rdd.aiterator(split)) as stream:
-                    materialized = [item async for item in stream]
-                output = function(iter(materialized))
-            except Exception as error:
-                duration = time.perf_counter() - started
-                last_error = error
-                self._record_failure(worker, error)
-                self._log_task(
-                    TaskMetrics(
-                        stage_id=stage_id,
-                        task_id=task_id,
-                        partition=split,
-                        worker=worker,
-                        rows=-1,
-                        duration_seconds=duration,
-                        rdd_name=rdd.name,
-                        attempt=attempt,
-                        status="failed",
-                    )
-                )
-                continue
-            duration = time.perf_counter() - started
-            rows = output if isinstance(output, int) else (
-                len(output) if hasattr(output, "__len__") else -1
-            )
-            self._log_task(
-                TaskMetrics(
-                    stage_id=stage_id,
-                    task_id=task_id,
-                    partition=split,
-                    worker=worker,
-                    rows=rows,
-                    duration_seconds=duration,
-                    rdd_name=rdd.name,
-                    attempt=attempt,
-                )
-            )
-            return output
-        assert last_error is not None
-        raise last_error
 
     def iter_batches(
         self,
@@ -346,14 +217,6 @@ class SparkContext:
         )
         with self._log_lock:
             self.stage_log.append(StageInfo(stage_id, rdd.name, len(targets)))
-        if self.execution_mode == "async":
-            # Sync shim: pump the async merge on this thread's loop.
-            # Closing this generator early (a satisfied LIMIT) closes
-            # the async generator, cancelling the producer tasks.
-            yield from drive(
-                self._aiter_batches(stage_id, rdd, targets, batch_rows)
-            )
-            return
         if self.parallelism <= 1 or len(targets) <= 1:
             for split in targets:
                 yield from self._stream_task(stage_id, rdd, split, batch_rows)
@@ -440,148 +303,6 @@ class SparkContext:
         finally:
             cancel.set()
             pool.shutdown(wait=True)
-
-    async def _aiter_batches(
-        self,
-        stage_id: int,
-        rdd: RDD,
-        targets: List[int],
-        batch_rows: int,
-    ) -> AsyncIterator[RecordBatch]:
-        """Coroutine twin of the batch-streaming stage body.
-
-        Serial (``parallelism <= 1``) partitions stream one after
-        another; otherwise a sliding window of producer *tasks* fills
-        per-partition bounded ``asyncio.Queue``s and the consumer drains
-        them strictly in partition order -- the same merge protocol as
-        :meth:`_iter_batches_parallel` with coroutines in place of
-        threads.  Closing this generator cancels the in-flight producers
-        (unwinding their streams and abandoned GETs deterministically).
-        """
-        if self.parallelism <= 1 or len(targets) <= 1:
-            for split in targets:
-                async with aclosing(
-                    self._astream_task(stage_id, rdd, split, batch_rows)
-                ) as stream:
-                    async for batch in stream:
-                        yield batch
-            return
-
-        window = min(self.parallelism, len(targets))
-        queues: "deque[asyncio.Queue]" = deque()
-        producers: List[asyncio.Task] = []
-        next_target = 0
-
-        async def produce(split: int, out_queue: asyncio.Queue) -> None:
-            try:
-                async with aclosing(
-                    self._astream_task(stage_id, rdd, split, batch_rows)
-                ) as stream:
-                    async for batch in stream:
-                        await out_queue.put(("batch", batch))
-            except asyncio.CancelledError:
-                raise  # consumer left; no message to relay
-            except BaseException as error:  # noqa: BLE001 - relayed below
-                await out_queue.put(("error", error))
-                return
-            await out_queue.put(("done", None))
-
-        def launch() -> None:
-            nonlocal next_target
-            out_queue: asyncio.Queue = asyncio.Queue(
-                maxsize=self.prefetch_batches
-            )
-            producers.append(
-                asyncio.ensure_future(produce(targets[next_target], out_queue))
-            )
-            queues.append(out_queue)
-            next_target += 1
-
-        try:
-            for _ in range(window):
-                launch()
-            while queues:
-                out_queue = queues.popleft()
-                while True:
-                    kind, payload = await out_queue.get()
-                    if kind == "batch":
-                        yield payload
-                    elif kind == "done":
-                        break
-                    else:
-                        raise payload
-                if next_target < len(targets):
-                    launch()
-        finally:
-            for producer in producers:
-                producer.cancel()
-            await asyncio.gather(*producers, return_exceptions=True)
-
-    async def _astream_task(
-        self, stage_id: int, rdd: RDD, split: int, batch_rows: int
-    ) -> AsyncIterator[RecordBatch]:
-        """Coroutine twin of :meth:`_stream_task`: identical
-        resume-by-skipping-``emitted``-rows retry semantics and task
-        logging over the RDD's async batch stream."""
-        task_id = self._next_task_id()
-        emitted = 0
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, self.max_task_attempts + 1):
-            worker = self._next_worker()
-            started = time.perf_counter()
-            try:
-                position = 0
-                async with aclosing(
-                    rdd.acompute_batches(split, batch_rows)
-                ) as batches:
-                    async for batch in batches:
-                        rows = batch.rows
-                        start = position
-                        position += len(rows)
-                        if position <= emitted:
-                            continue  # replayed rows, pre-failure batch
-                        if start < emitted:
-                            rows = rows[emitted - start:]
-                        emitted = position
-                        yield (
-                            RecordBatch(rows)
-                            if len(rows) != len(batch)
-                            else batch
-                        )
-            except Exception as error:
-                duration = time.perf_counter() - started
-                last_error = error
-                self._record_failure(worker, error)
-                self._log_task(
-                    TaskMetrics(
-                        stage_id=stage_id,
-                        task_id=task_id,
-                        partition=split,
-                        worker=worker,
-                        rows=-1,
-                        duration_seconds=duration,
-                        rdd_name=rdd.name,
-                        attempt=attempt,
-                        status="failed",
-                    )
-                )
-                continue
-            duration = time.perf_counter() - started
-            self._log_task(
-                TaskMetrics(
-                    stage_id=stage_id,
-                    task_id=task_id,
-                    partition=split,
-                    worker=worker,
-                    rows=emitted,
-                    duration_seconds=duration,
-                    rdd_name=rdd.name,
-                    attempt=attempt,
-                )
-            )
-            return
-        assert last_error is not None
-        raise last_error
 
     def iter_rows(
         self, rdd: RDD, batch_rows: int = DEFAULT_BATCH_ROWS

@@ -1,383 +1,120 @@
-"""Async-native client facade over the event-loop request path.
+"""Front-door shim: many in-flight GETs multiplexed on one event loop.
 
-:class:`AsyncSwiftClient` is the coroutine twin of
-:class:`repro.swift.client.SwiftClient`: same account/token handling,
-same retry policy semantics (Retry-After pacing winning over computed
-backoff), same typed exceptions, and the same ``pool_waits``/retry
-accounting -- optionally into a *shared* :class:`ClientStats` so a
-context running both clients reports one coherent ledger.
-
-The bounded connection pool is one :class:`~repro.aio.gate.AsyncGate`
-per event loop (``LoopLocal``): a saturated pool suspends the calling
-coroutine instead of blocking an OS thread, which is what lets
-thousands of in-flight requests multiplex over one loop.  Streaming GET
-bodies hold their pool slot until the stream is exhausted or closed,
-mirroring the sync client's ``_PooledBody`` contract.
+The query path is synchronous (docs/concurrency.md); the event loop keeps
+the one job it measurably wins, holding thousands of front-end requests
+in flight while each waits out a round trip (docs/async.md).  This shim
+owns only what is genuinely asynchronous -- the pool slot, the backoff
+sleep, a streamed body's slot lifetime -- and takes the rest from the
+wrapped :class:`SwiftClient`; the in-process tiers never block, so
+``cluster.handle_request`` runs inline.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
-import threading
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Callable, Tuple
 
-from repro.aio.gate import AsyncGate, LoopLocal
-from repro.obs.metrics import get_registry
-from repro.obs.trace import TRACE_HEADER, get_collector
-from repro.swift.client import _STATUS_EXCEPTIONS
-from repro.swift.exceptions import SwiftError
-from repro.swift.http import (
-    HeaderDict,
-    Request,
-    Response,
-    acollect_body,
-    close_body,
-)
-from repro.swift.proxy import SwiftCluster
-from repro.swift.retry import ClientStats, RetryPolicy
+from repro.aio.gate import AsyncGate
+from repro.swift.client import SwiftClient, _PooledBody
+from repro.swift.http import HeaderDict, Request, Response
 
 
-class _AsyncPooledBody:
-    """A streaming response body pinning one async pool slot.
-
-    Pulls chunks from the store's (non-blocking) sync iterator with a
-    cooperative yield to the event loop *before* each pull -- the
-    chunk-boundary cancellation point documented in ``docs/async.md``:
-    cancellation can never lose a chunk that was already read.  The
-    slot frees exactly on exhaustion, error, or close.
-    """
+class _AsyncPooledBody(_PooledBody):
+    """A streamed body pinning one gate slot until it is exhausted,
+    fails or is closed (the sync :class:`_PooledBody` contract).
+    ``async for`` yields to the loop *before* each pull from the store's
+    non-blocking sync iterator, so a cancelled consumer stops at a chunk
+    boundary -- no chunk already read is lost -- and frees its slot."""
 
     def __init__(self, chunks, release: Callable[[], None]):
-        self._chunks = chunks
+        super().__init__(chunks, release)
         self._iterator = iter(chunks)
-        self._release: Optional[Callable[[], None]] = release
 
     def __aiter__(self) -> "_AsyncPooledBody":
         return self
 
     async def __anext__(self) -> bytes:
-        await asyncio.sleep(0)
         try:
-            while True:
-                chunk = next(self._iterator)
+            await asyncio.sleep(0)
+            for chunk in self._iterator:
                 if chunk:
                     return chunk
-        except StopIteration:
-            self.close()
-            raise StopAsyncIteration from None
         except BaseException:
             self.close()
             raise
-
-    def close(self) -> None:
-        """Close the underlying stream and free the pool slot (once)."""
-        release, self._release = self._release, None
-        if release is not None:
-            try:
-                close_body(self._chunks)
-            finally:
-                release()
-
-    def aclose(self) -> None:
-        """Close hook for ``aclose_body``; synchronous under the hood
-        (releasing a gate slot never waits)."""
         self.close()
-
-    def __del__(self):  # pragma: no cover - GC backstop only
-        self.close()
+        raise StopAsyncIteration
 
 
 class AsyncSwiftClient:
-    """Coroutine client for one account; see the module docstring.
+    """Coroutine GETs with ``client``'s account, retry policy and stats,
+    at most ``max_connections`` in flight, for use from one event loop;
+    ``sleeper`` (``asyncio.sleep``) makes retry backoff real."""
 
-    Constructed from sync code (no loop required); the per-loop pool
-    materializes lazily on first use inside each loop.  Pass
-    ``stats``/``stats_lock`` from an existing :class:`SwiftClient` to
-    share one accounting ledger, and ``ensure_account=False`` when that
-    client already created the account.
-    """
-
-    def __init__(
-        self,
-        cluster: SwiftCluster,
-        account: str = "AUTH_test",
-        retry_policy: Optional[RetryPolicy] = None,
-        sleeper: Optional[Callable[[float], object]] = None,
-        max_connections: Optional[int] = None,
-        tenant: Optional[str] = None,
-        stats: Optional[ClientStats] = None,
-        stats_lock: Optional[threading.Lock] = None,
-        ensure_account: bool = True,
-    ):
-        self.cluster = cluster
-        self.account = account
-        self.tenant = tenant
-        self.retry_policy = retry_policy or RetryPolicy()
+    def __init__(self, client: SwiftClient, max_connections: int, sleeper=None):
+        self._sync = client
+        self.stats = client.stats
+        self._gate = AsyncGate(max_connections)
         self._sleeper = sleeper
-        self.stats = stats if stats is not None else ClientStats()
-        self._stats_lock = (
-            stats_lock if stats_lock is not None else threading.Lock()
-        )
-        self.max_connections = max_connections
-        self._pools: Optional[LoopLocal[AsyncGate]] = (
-            LoopLocal(lambda: AsyncGate(max_connections))
-            if max_connections is not None
-            else None
-        )
-        self._needs_account = ensure_account
-
-    # -- raw access --------------------------------------------------------
 
     async def request(
-        self,
-        method: str,
-        path: str,
-        headers: Optional[Dict[str, str]] = None,
-        body: Union[bytes, Iterable[bytes], None] = None,
-        params: Optional[Dict[str, str]] = None,
+        self, method: str, path: str, headers=None, body=None, params=None
     ) -> Response:
-        """Issue one request under the retry policy (async twin of
-        :meth:`SwiftClient.request`, attempt for attempt)."""
-        if self._needs_account:
-            # Lazy account bootstrap: the constructor runs in sync code
-            # where nothing can be awaited.  Clear the flag first so the
-            # bootstrap request does not recurse.
-            self._needs_account = False
-            await self.put_account()
-        policy = self.retry_policy
-        merged = HeaderDict(headers or {})
-        merged.setdefault("x-auth-token", f"token-{self.account}")
-        if self.tenant:
-            merged.setdefault("x-scoop-tenant", self.tenant)
-        if policy.request_timeout is not None:
-            merged.setdefault(
-                "x-request-timeout", str(policy.request_timeout)
-            )
-        # A retry must be able to resend the body; materialize iterators.
-        if body is not None and not isinstance(body, bytes):
-            body = await acollect_body(body)
-
-        tracer = get_collector()
-        registry = get_registry()
-        span = tracer.start(
-            "client",
-            f"{method} {path}",
-            trace_id=merged.get(TRACE_HEADER, ""),
-        )
-        attempts = 0
-        response: Optional[Response] = None
+        """:meth:`SwiftClient.request` with its two waits awaited."""
+        sync = self._sync
+        merged, body = sync._prepare(headers, body)
+        span = sync._start_span(method, path, merged)
+        attempts, response = 0, None
         try:
-            for attempt in range(policy.max_attempts):
+            for attempt in range(sync.retry_policy.max_attempts):
                 request = Request(method, path, merged.copy(), body, params)
                 response = await self._dispatch(request)
                 attempts = attempt + 1
-                with self._stats_lock:
-                    self.stats.requests += 1
-                registry.inc("client.requests", method=method)
-                if not policy.retryable(response.status):
-                    return response
-                if attempt + 1 >= policy.max_attempts:
-                    with self._stats_lock:
-                        self.stats.exhausted += 1
-                    registry.inc("client.exhausted")
-                    return response
-                close_body(response.body)
-                pacing = policy.server_pacing(
-                    response.headers.get("retry-after")
-                )
-                delay = pacing if pacing is not None else policy.delay(attempt)
-                with self._stats_lock:
-                    self.stats.retries += 1
-                    self.stats.backoff_seconds += delay
-                    self.stats.delays.append(delay)
-                    if pacing is not None:
-                        self.stats.retry_after_honored += 1
-                if pacing is not None:
-                    registry.inc("client.retry_after_honored")
-                registry.inc("client.retries")
-                registry.inc("client.backoff_seconds", delay)
+                delay = sync._after_attempt(method, attempt, response)
+                if delay is None:
+                    break
                 if self._sleeper is not None:
-                    result = self._sleeper(delay)
-                    if inspect.isawaitable(result):
-                        await result
-            assert response is not None  # max_attempts >= 1
+                    await self._sleeper(delay)
             return response
         finally:
-            status = response.status if response is not None else 0
-            tracer.finish(
-                span,
-                status="ok" if 0 < status < 400 else "error",
-                attempts=attempts,
-                http_status=status,
-            )
+            sync._finish_span(span, attempts, response)
 
     async def _dispatch(self, request: Request) -> Response:
-        """Send one attempt through this loop's bounded pool.
-
-        Same slot lifetime as the sync client: materialized bodies
-        release on return, streamed bodies when exhausted or closed
-        (:class:`_AsyncPooledBody`).  A failed non-waiting acquire
-        counts as a ``pool_wait`` before suspending, keeping contention
-        accounting identical across modes.
-        """
-        if self._pools is None:
-            return await self.cluster.handle_request_async(request)
-        gate = self._pools.get()
+        """One attempt through the pool: a saturated gate suspends this
+        coroutine (one ``pool_wait``) instead of blocking a thread."""
+        gate = self._gate
         if not gate.try_acquire():
-            with self._stats_lock:
-                self.stats.pool_waits += 1
-            get_registry().inc("client.pool_waits")
+            self._sync._count_pool_wait()
             await gate.acquire()
         try:
-            response = await self.cluster.handle_request_async(request)
+            response = self._sync.cluster.handle_request(request)
         except BaseException:
             gate.release()
             raise
         if response.body is None or isinstance(response.body, (bytes, str)):
             gate.release()
-            return response
-        response.body = _AsyncPooledBody(response.body, gate.release)
+        else:
+            response.body = _AsyncPooledBody(response.body, gate.release)
         return response
 
-    async def _checked(
-        self, response: Response, allowed=(200, 201, 202, 204, 206)
+    async def get_object_stream(
+        self, container: str, obj: str, headers=None, byte_range=None
     ) -> Response:
-        """Raise the typed exception for a non-allowed status (async
-        twin of :meth:`SwiftClient._checked`)."""
-        if response.status not in allowed:
-            body = await response.aread()
-            error_cls = _STATUS_EXCEPTIONS.get(response.status, SwiftError)
-            error = error_cls(
-                f"{response.status} {response.reason}: {body[:200]!r}"
-            )
-            error.status = response.status
-            error.headers = response.headers
-            raise error
-        return response
-
-    def _path(self, container: str = "", obj: str = "") -> str:
-        path = f"/{self.account}"
-        if container:
-            path += f"/{container}"
-        if obj:
-            path += f"/{obj}"
-        return path
-
-    # -- account -----------------------------------------------------------
-
-    async def put_account(self) -> None:
-        """Create (idempotently) this client's account."""
-        await self._checked(await self.request("PUT", self._path()))
-
-    async def list_containers(self) -> List[str]:
-        """List the account's containers."""
-        response = await self._checked(await self.request("GET", self._path()))
-        text = (await response.aread()).decode("utf-8")
-        return text.split("\n") if text else []
-
-    # -- containers --------------------------------------------------------
-
-    async def put_container(
-        self, container: str, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        """Create a container."""
-        await self._checked(
-            await self.request("PUT", self._path(container), headers)
-        )
-
-    async def list_objects(
-        self,
-        container: str,
-        prefix: str = "",
-        marker: str = "",
-        limit: int = 10000,
-    ) -> List[str]:
-        """List object names in a container."""
-        response = await self._checked(
-            await self.request(
-                "GET",
-                self._path(container),
-                params={
-                    "prefix": prefix,
-                    "marker": marker,
-                    "limit": str(limit),
-                },
-            )
-        )
-        text = (await response.aread()).decode("utf-8")
-        return text.split("\n") if text else []
-
-    # -- objects -----------------------------------------------------------
-
-    async def put_object(
-        self,
-        container: str,
-        obj: str,
-        data: Union[bytes, str, Iterable[bytes]],
-        headers: Optional[Dict[str, str]] = None,
-        content_type: str = "application/octet-stream",
-    ) -> str:
-        """Store an object; returns its etag."""
-        merged = HeaderDict(headers or {})
-        merged.setdefault("content-type", content_type)
-        tracer = get_collector()
-        if tracer.enabled and not merged.get(TRACE_HEADER):
-            merged[TRACE_HEADER] = tracer.new_trace_id()
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        response = await self._checked(
-            await self.request("PUT", self._path(container, obj), merged, data)
-        )
-        return response.headers.get("etag", "")
+        """:meth:`SwiftClient.get_object_stream`; ``async for`` streams
+        ``response.body`` (plain ``bytes`` when the store sent it whole)."""
+        sync = self._sync
+        path = sync._path(container, obj)
+        merged = sync._range_headers(headers, byte_range)
+        return sync._checked(await self.request("GET", path, merged))
 
     async def get_object(
-        self,
-        container: str,
-        obj: str,
-        headers: Optional[Dict[str, str]] = None,
-        byte_range: Optional[Tuple[int, int]] = None,
+        self, container: str, obj: str, headers=None, byte_range=None
     ) -> Tuple[HeaderDict, bytes]:
-        """Fetch an object (optionally a byte range); headers + body."""
+        """:meth:`SwiftClient.get_object`: headers + materialized body."""
         response = await self.get_object_stream(
             container, obj, headers, byte_range
         )
-        return response.headers, await response.aread()
-
-    async def get_object_stream(
-        self,
-        container: str,
-        obj: str,
-        headers: Optional[Dict[str, str]] = None,
-        byte_range: Optional[Tuple[int, int]] = None,
-    ) -> Response:
-        """Fetch an object without materializing its body;
-        ``response.aiter_body()`` / ``async for`` streams it."""
-        merged = HeaderDict(headers or {})
-        if byte_range is not None:
-            start, end = byte_range
-            merged["range"] = f"bytes={start}-{end}"
-        return await self._checked(
-            await self.request("GET", self._path(container, obj), merged)
-        )
-
-    async def head_object(self, container: str, obj: str) -> HeaderDict:
-        """Fetch an object's headers."""
-        response = await self._checked(
-            await self.request("HEAD", self._path(container, obj))
-        )
-        return response.headers
-
-    async def delete_object(self, container: str, obj: str) -> None:
-        """Delete an object."""
-        await self._checked(
-            await self.request("DELETE", self._path(container, obj))
-        )
+        body = response.body
+        if isinstance(body, _AsyncPooledBody):
+            body = b"".join([chunk async for chunk in body])
+        return response.headers, body

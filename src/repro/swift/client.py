@@ -140,76 +140,114 @@ class SwiftClient:
         body: Union[bytes, Iterable[bytes], None] = None,
         params: Optional[Dict[str, str]] = None,
     ) -> Response:
-        policy = self.retry_policy
-        merged = HeaderDict(headers or {})
-        merged.setdefault("x-auth-token", f"token-{self.account}")
-        if self.tenant:
-            merged.setdefault("x-scoop-tenant", self.tenant)
-        if policy.request_timeout is not None:
-            merged.setdefault(
-                "x-request-timeout", str(policy.request_timeout)
-            )
-        # A retry must be able to resend the body; materialize iterators.
-        if body is not None and not isinstance(body, bytes):
-            body = collect_body(body)
-
-        tracer = get_collector()
-        registry = get_registry()
-        span = tracer.start(
-            "client",
-            f"{method} {path}",
-            trace_id=merged.get(TRACE_HEADER, ""),
-        )
+        merged, body = self._prepare(headers, body)
+        span = self._start_span(method, path, merged)
         attempts = 0
         response: Optional[Response] = None
         try:
-            for attempt in range(policy.max_attempts):
+            for attempt in range(self.retry_policy.max_attempts):
                 request = Request(method, path, merged.copy(), body, params)
                 response = self._dispatch(request)
                 attempts = attempt + 1
-                with self._stats_lock:
-                    self.stats.requests += 1
-                registry.inc("client.requests", method=method)
-                if not policy.retryable(response.status):
-                    return response
-                if attempt + 1 >= policy.max_attempts:
-                    with self._stats_lock:
-                        self.stats.exhausted += 1
-                    registry.inc("client.exhausted")
-                    return response
-                # A retryable response is about to be abandoned; if it
-                # carried a streamed body, free its pool slot before the
-                # next attempt competes for one.
-                close_body(response.body)
-                # The server knows when the shed condition clears
-                # (token-bucket refill, queue drain); its Retry-After
-                # wins over the computed backoff, clamped to the cap.
-                pacing = policy.server_pacing(
-                    response.headers.get("retry-after")
-                )
-                delay = pacing if pacing is not None else policy.delay(attempt)
-                with self._stats_lock:
-                    self.stats.retries += 1
-                    self.stats.backoff_seconds += delay
-                    self.stats.delays.append(delay)
-                    if pacing is not None:
-                        self.stats.retry_after_honored += 1
-                if pacing is not None:
-                    registry.inc("client.retry_after_honored")
-                registry.inc("client.retries")
-                registry.inc("client.backoff_seconds", delay)
+                delay = self._after_attempt(method, attempt, response)
+                if delay is None:
+                    break
                 if self._sleeper is not None:
                     self._sleeper(delay)
             assert response is not None  # max_attempts >= 1
             return response
         finally:
-            status = response.status if response is not None else 0
-            tracer.finish(
-                span,
-                status="ok" if 0 < status < 400 else "error",
-                attempts=attempts,
-                http_status=status,
+            self._finish_span(span, attempts, response)
+
+    # The helpers below are the request path minus its two waits (pool
+    # slot, backoff sleep): the front-door shim (repro.swift.aclient)
+    # awaits those and calls these, so nothing here is written twice.
+
+    def _prepare(
+        self,
+        headers: Optional[Dict[str, str]],
+        body: Union[bytes, Iterable[bytes], None],
+    ) -> Tuple[HeaderDict, Optional[bytes]]:
+        """Account token, tenant and deadline headers; a resendable body."""
+        merged = HeaderDict(headers or {})
+        merged.setdefault("x-auth-token", f"token-{self.account}")
+        if self.tenant:
+            merged.setdefault("x-scoop-tenant", self.tenant)
+        if self.retry_policy.request_timeout is not None:
+            merged.setdefault(
+                "x-request-timeout", str(self.retry_policy.request_timeout)
             )
+        # A retry must be able to resend the body; materialize iterators.
+        if body is not None and not isinstance(body, bytes):
+            body = collect_body(body)
+        return merged, body
+
+    def _start_span(self, method: str, path: str, merged: HeaderDict):
+        return get_collector().start(
+            "client",
+            f"{method} {path}",
+            trace_id=merged.get(TRACE_HEADER, ""),
+        )
+
+    @staticmethod
+    def _finish_span(
+        span, attempts: int, response: Optional[Response]
+    ) -> None:
+        status = response.status if response is not None else 0
+        get_collector().finish(
+            span,
+            status="ok" if 0 < status < 400 else "error",
+            attempts=attempts,
+            http_status=status,
+        )
+
+    def _after_attempt(
+        self, method: str, attempt: int, response: Response
+    ) -> Optional[float]:
+        """Account for one attempt and classify its response.
+
+        Returns ``None`` when ``response`` is final (not retryable, or
+        the attempts are exhausted), otherwise the seconds to back off
+        before the next attempt -- the abandoned response is closed and
+        the retry counted here.
+        """
+        policy = self.retry_policy
+        registry = get_registry()
+        with self._stats_lock:
+            self.stats.requests += 1
+        registry.inc("client.requests", method=method)
+        if not policy.retryable(response.status):
+            return None
+        if attempt + 1 >= policy.max_attempts:
+            with self._stats_lock:
+                self.stats.exhausted += 1
+            registry.inc("client.exhausted")
+            return None
+        # A retryable response is about to be abandoned; if it carried
+        # a streamed body, free its pool slot before the next attempt
+        # competes for one.
+        close_body(response.body)
+        # The server knows when the shed condition clears (token-bucket
+        # refill, queue drain); its Retry-After wins over the computed
+        # backoff, clamped to the cap.
+        pacing = policy.server_pacing(response.headers.get("retry-after"))
+        delay = pacing if pacing is not None else policy.delay(attempt)
+        with self._stats_lock:
+            self.stats.retries += 1
+            self.stats.backoff_seconds += delay
+            self.stats.delays.append(delay)
+            if pacing is not None:
+                self.stats.retry_after_honored += 1
+        if pacing is not None:
+            registry.inc("client.retry_after_honored")
+        registry.inc("client.retries")
+        registry.inc("client.backoff_seconds", delay)
+        return delay
+
+    def _count_pool_wait(self) -> None:
+        with self._stats_lock:
+            self.stats.pool_waits += 1
+        get_registry().inc("client.pool_waits")
 
     def _dispatch(self, request: Request) -> Response:
         """Send one attempt through the bounded connection pool.
@@ -223,9 +261,7 @@ class SwiftClient:
         if self._pool is None:
             return self.cluster.handle_request(request)
         if not self._pool.acquire(blocking=False):
-            with self._stats_lock:
-                self.stats.pool_waits += 1
-            get_registry().inc("client.pool_waits")
+            self._count_pool_wait()
             self._pool.acquire()
         try:
             response = self.cluster.handle_request(request)
@@ -332,6 +368,17 @@ class SwiftClient:
         )
         return response.headers.get("etag", "")
 
+    @staticmethod
+    def _range_headers(
+        headers: Optional[Dict[str, str]],
+        byte_range: Optional[Tuple[int, int]],
+    ) -> HeaderDict:
+        merged = HeaderDict(headers or {})
+        if byte_range is not None:
+            start, end = byte_range
+            merged["range"] = f"bytes={start}-{end}"
+        return merged
+
     def get_object(
         self,
         container: str,
@@ -340,12 +387,12 @@ class SwiftClient:
         byte_range: Optional[Tuple[int, int]] = None,
     ) -> Tuple[HeaderDict, bytes]:
         """Fetch an object (optionally a byte range); returns headers+body."""
-        merged = HeaderDict(headers or {})
-        if byte_range is not None:
-            start, end = byte_range
-            merged["range"] = f"bytes={start}-{end}"
         response = self._checked(
-            self.request("GET", self._path(container, obj), merged)
+            self.request(
+                "GET",
+                self._path(container, obj),
+                self._range_headers(headers, byte_range),
+            )
         )
         return response.headers, response.read()
 
@@ -358,12 +405,12 @@ class SwiftClient:
     ) -> Response:
         """Fetch an object (optionally a byte range) without
         materializing its body; ``response.iter_body()`` streams it."""
-        merged = HeaderDict(headers or {})
-        if byte_range is not None:
-            start, end = byte_range
-            merged["range"] = f"bytes={start}-{end}"
         return self._checked(
-            self.request("GET", self._path(container, obj), merged)
+            self.request(
+                "GET",
+                self._path(container, obj),
+                self._range_headers(headers, byte_range),
+            )
         )
 
     def head_object(self, container: str, obj: str) -> HeaderDict:

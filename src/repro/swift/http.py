@@ -11,17 +11,12 @@ noticing.
 
 from __future__ import annotations
 
-import asyncio
-import inspect
 import re
 from typing import (
     Any,
-    AsyncIterable,
-    AsyncIterator,
     Dict,
     Iterable,
     Iterator,
-    List,
     Optional,
     Tuple,
     Union,
@@ -29,7 +24,7 @@ from typing import (
 
 from repro.swift.exceptions import BadRequest, RequestTimeout, STATUS_REASONS
 
-Body = Union[bytes, Iterable[bytes], AsyncIterable[bytes], None]
+Body = Union[bytes, Iterable[bytes], None]
 
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
@@ -226,13 +221,6 @@ class Request:
         self.body = data
         return data
 
-    async def abody_bytes(self) -> bytes:
-        """Async twin of :meth:`body_bytes`; also accepts async-iterator
-        bodies, which the sync accessor refuses."""
-        data = await acollect_body(self.body)
-        self.body = data
-        return data
-
     def copy(self) -> "Request":
         if self.body is not None and not isinstance(self.body, (bytes, str)):
             # A chunk-iterator body is consumable exactly once; two
@@ -283,13 +271,6 @@ class Response:
         self.body = data
         return data
 
-    async def aread(self) -> bytes:
-        """Async twin of :meth:`read`; also drains async-iterator
-        bodies, caching the bytes for repeated reads."""
-        data = await acollect_body(self.body)
-        self.body = data
-        return data
-
     def iter_body(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[bytes]:
         """Stream the body as chunks without materializing it twice.
 
@@ -306,54 +287,12 @@ class Response:
             for offset in range(0, len(body), chunk_size):
                 yield body[offset : offset + chunk_size]
             return
-        if hasattr(body, "__aiter__"):
-            raise TypeError(
-                "response body is an async iterator: use aiter_body()"
-            )
         try:
             for chunk in body:
                 if chunk:
                     yield chunk
         finally:
             close_body(body)
-
-    async def aiter_body(
-        self, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> AsyncIterator[bytes]:
-        """Async twin of :meth:`iter_body`.
-
-        Sync-iterable bodies are driven inline (the simulated store
-        never blocks) with a cooperative yield to the event loop after
-        every chunk, which is the cancellation boundary documented in
-        ``docs/async.md``.  Closing the returned async generator closes
-        the underlying body.
-        """
-        body = self.body
-        if body is None:
-            return
-        if isinstance(body, bytes):
-            for offset in range(0, len(body), chunk_size):
-                yield body[offset : offset + chunk_size]
-            return
-        if hasattr(body, "__aiter__"):
-            try:
-                async for chunk in body:
-                    if chunk:
-                        yield chunk
-            finally:
-                await aclose_body(body)
-            return
-        try:
-            for chunk in body:
-                if chunk:
-                    yield chunk
-                    await asyncio.sleep(0)
-        finally:
-            close_body(body)
-
-    def __aiter__(self) -> AsyncIterator[bytes]:
-        """Async chunk iteration -- ``async for chunk in response``."""
-        return self.aiter_body()
 
     def __repr__(self) -> str:
         return f"<Response {self.status} {self.reason}>"
@@ -366,25 +305,6 @@ def collect_body(body: Body) -> bytes:
         return body
     if isinstance(body, str):
         return body.encode("utf-8")
-    if hasattr(body, "__aiter__"):
-        raise TypeError("async body: use acollect_body()/aread()")
-    return b"".join(body)
-
-
-async def acollect_body(body: Body) -> bytes:
-    """Materialize any body shape -- bytes, sync iterator, or async
-    iterator -- from coroutine context."""
-    if body is None or isinstance(body, (bytes, str)):
-        return collect_body(body)
-    if hasattr(body, "__aiter__"):
-        parts = []
-        try:
-            async for chunk in body:
-                if chunk:
-                    parts.append(chunk)
-        finally:
-            await aclose_body(body)
-        return b"".join(parts)
     return b"".join(body)
 
 
@@ -393,18 +313,6 @@ def close_body(body: Any) -> None:
     close = getattr(body, "close", None)
     if close is not None:
         close()
-
-
-async def aclose_body(body: Any) -> None:
-    """Close a body via ``aclose`` (awaited) or ``close``, whichever it
-    offers; tolerates plain iterables with neither."""
-    aclose = getattr(body, "aclose", None)
-    if aclose is not None:
-        result = aclose()
-        if inspect.isawaitable(result):
-            await result
-        return
-    close_body(body)
 
 
 def chunk_bytes(data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[bytes]:

@@ -6,57 +6,21 @@ III-B).  A middleware here is any callable factory ``factory(app) ->
 app`` where an *app* is ``callable(Request) -> Response``.  The Storlets
 engine installs its interception middleware on both tiers through this
 mechanism, without the store knowing anything about pushdown filters.
-
-Pipelines are coroutine-composable: every :class:`BaseMiddleware` also
-exposes ``ahandle``, and :func:`invoke_app_async` dispatches through a
-middleware's native async path when it has one, falling back to running
-the sync ``handle`` inline.  Running sync middleware inline inside a
-coroutine is sound here because the whole simulated stack is
-non-blocking CPU work -- the only real waits live at admission gates and
-connection pools, which the async entry points await natively (see
-``docs/async.md``).
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Awaitable, Callable, List, Sequence, Union
+from typing import Callable, List, Sequence
 
 from repro.swift.exceptions import SwiftError
 from repro.swift.http import Request, Response
 
 App = Callable[[Request], Response]
-#: A coroutine-flavoured app: ``await app(request) -> Response``.
-AsyncApp = Callable[[Request], Awaitable[Response]]
-AnyApp = Union[App, AsyncApp]
 MiddlewareFactory = Callable[[App], App]
 
 
-async def invoke_app_async(app: AnyApp, request: Request) -> Response:
-    """Call ``app`` from coroutine context, preferring its async path.
-
-    Resolution order: a bound ``ahandle`` coroutine method (async-aware
-    middleware), then a plain call whose result is awaited if it turns
-    out to be awaitable (native ``AsyncApp``), else the sync result is
-    returned as-is (plain middleware/app executed inline).
-    """
-    ahandle = getattr(app, "ahandle", None)
-    if ahandle is not None:
-        return await ahandle(request)
-    result = app(request)
-    if inspect.isawaitable(result):
-        return await result
-    return result
-
-
 class BaseMiddleware:
-    """Convenience base: subclass and override :meth:`handle`.
-
-    Subclasses with an await point of their own additionally override
-    :meth:`ahandle`; the default runs the (possibly overridden) sync
-    ``handle`` inline, which preserves subclass behaviour for
-    middlewares that never learned about coroutines.
-    """
+    """Convenience base: subclass and override :meth:`handle`."""
 
     def __init__(self, app: App):
         self.app = app
@@ -67,11 +31,6 @@ class BaseMiddleware:
     def handle(self, request: Request) -> Response:
         return self.app(request)
 
-    async def ahandle(self, request: Request) -> Response:
-        """Async entry point; defaults to the sync :meth:`handle` run
-        inline (sound: the simulated tiers never block)."""
-        return self.handle(request)
-
 
 def build_pipeline(app: App, factories: Sequence[MiddlewareFactory]) -> App:
     """Wrap ``app`` with ``factories`` so the *first* factory listed is the
@@ -80,24 +39,6 @@ def build_pipeline(app: App, factories: Sequence[MiddlewareFactory]) -> App:
     for factory in reversed(list(factories)):
         wrapped = factory(wrapped)
     return wrapped
-
-
-def build_async_pipeline(
-    app: AnyApp, factories: Sequence[MiddlewareFactory]
-) -> AsyncApp:
-    """Build the same pipeline shape as :func:`build_pipeline` but
-    return an :data:`AsyncApp` entry point.
-
-    The factories are the ordinary sync factories; async-aware
-    middlewares (anything exposing ``ahandle``) are awaited natively,
-    everything else runs inline via :func:`invoke_app_async`.
-    """
-    wrapped = build_pipeline(app, factories)  # type: ignore[arg-type]
-
-    async def entry(request: Request) -> Response:
-        return await invoke_app_async(wrapped, request)
-
-    return entry
 
 
 class CatchErrors(BaseMiddleware):
@@ -110,16 +51,6 @@ class CatchErrors(BaseMiddleware):
     def handle(self, request: Request) -> Response:
         try:
             return self.app(request)
-        except SwiftError as error:
-            return self._translate(error)
-        except Exception as error:  # noqa: BLE001 - boundary translation
-            return Response(500, body=str(error).encode("utf-8"))
-
-    async def ahandle(self, request: Request) -> Response:
-        """Same translation with the inner app awaited, so errors raised
-        from coroutine middlewares are caught at the same boundary."""
-        try:
-            return await invoke_app_async(self.app, request)
         except SwiftError as error:
             return self._translate(error)
         except Exception as error:  # noqa: BLE001 - boundary translation
@@ -158,11 +89,6 @@ class DeadlineBudget(BaseMiddleware):
         request.charge_timeout(self.overhead_seconds, self.tier)
         return self.app(request)
 
-    async def ahandle(self, request: Request) -> Response:
-        """Charge the tier overhead, then await the inner app."""
-        request.charge_timeout(self.overhead_seconds, self.tier)
-        return await invoke_app_async(self.app, request)
-
     @classmethod
     def factory(cls, tier: str, overhead_seconds: float) -> MiddlewareFactory:
         def make(app: App) -> App:
@@ -183,12 +109,6 @@ class RequestLogger(BaseMiddleware):
         self.log.append((request.method, request.path, response.status))
         return response
 
-    async def ahandle(self, request: Request) -> Response:
-        """Await the inner app, recording the same log tuple."""
-        response = await invoke_app_async(self.app, request)
-        self.log.append((request.method, request.path, response.status))
-        return response
-
     @classmethod
     def factory(cls, log: List[tuple]) -> MiddlewareFactory:
         def make(app: App) -> App:
@@ -199,13 +119,9 @@ class RequestLogger(BaseMiddleware):
 
 __all__ = [
     "App",
-    "AsyncApp",
-    "AnyApp",
     "MiddlewareFactory",
     "BaseMiddleware",
     "build_pipeline",
-    "build_async_pipeline",
-    "invoke_app_async",
     "CatchErrors",
     "DeadlineBudget",
     "RequestLogger",

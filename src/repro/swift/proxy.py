@@ -37,7 +37,6 @@ from repro.swift.exceptions import (
     RequestTimeout,
     ServiceUnavailable,
 )
-from repro.aio.gate import AsyncGate, LoopLocal
 from repro.swift.http import HeaderDict, Request, Response, parse_path
 from repro.swift.middleware import (
     App,
@@ -45,7 +44,6 @@ from repro.swift.middleware import (
     DeadlineBudget,
     MiddlewareFactory,
     build_pipeline,
-    invoke_app_async,
 )
 
 #: Header naming the tenant a request bills against (set by the client
@@ -62,20 +60,12 @@ class AuthMiddleware:
         self.enabled = enabled
 
     def __call__(self, request: Request) -> Response:
-        self._check(request)
-        return self.app(request)
-
-    async def ahandle(self, request: Request) -> Response:
-        """Async entry: same token check, inner app awaited."""
-        self._check(request)
-        return await invoke_app_async(self.app, request)
-
-    def _check(self, request: Request) -> None:
         if self.enabled:
             account, _container, _obj = parse_path(request.path)
             token = request.headers.get("x-auth-token")
             if token != f"token-{account}":
                 raise AuthError(f"bad token for account {account!r}")
+        return self.app(request)
 
 
 class ProxyApp:
@@ -301,18 +291,6 @@ class ProxyServer:
         request.environ.setdefault("swift.execution_tier", "proxy")
         return self.pipeline(request)
 
-    async def handle_async(self, request: Request) -> Response:
-        """Coroutine entry into the same pipeline instance.
-
-        Async-aware middlewares (``CatchErrors``, auth, deadline
-        budgets) are awaited natively; everything below the first
-        middleware without an ``ahandle`` runs inline, which is sound
-        because the simulated tiers never block (docs/async.md).
-        """
-        request.environ["swift.proxy"] = self.name
-        request.environ.setdefault("swift.execution_tier", "proxy")
-        return await invoke_app_async(self.pipeline, request)
-
 
 class SwiftCluster:
     """The assembled object store.
@@ -436,22 +414,6 @@ class SwiftCluster:
             threading.Semaphore(limit) if limit is not None else None
             for _ in self.proxies
         ]
-        # The coroutine path gets its own admission gates, one set per
-        # event loop (loops never share waiter futures); the in-flight
-        # and peak counters below stay shared with the threaded path so
-        # observability sees one cluster, however requests arrive.
-        proxy_count = len(self.proxies)
-
-        def make_gates() -> List[Optional[AsyncGate]]:
-            cap = self.proxy_concurrency
-            return [
-                AsyncGate(cap) if cap is not None else None
-                for _ in range(proxy_count)
-            ]
-
-        self._async_admission: LoopLocal[List[Optional[AsyncGate]]] = (
-            LoopLocal(make_gates)
-        )
         self._inflight: List[int] = [0 for _ in self.proxies]
         self._queue_depth: List[int] = [0 for _ in self.proxies]
 
@@ -490,42 +452,8 @@ class SwiftCluster:
                 span, status=status, http_status=http_status
             )
 
-    async def handle_request_async(self, request: Request) -> Response:
-        """Coroutine twin of :meth:`handle_request`.
-
-        Identical semantics -- same counters, span shape, quota
-        admission and queue-shed behaviour -- but saturation suspends
-        the calling coroutine on this loop's :class:`AsyncGate` instead
-        of blocking an OS thread, so thousands of requests multiplex
-        over one loop.  Gates are per event loop (the
-        ``proxy_concurrency`` cap bounds each loop); the in-flight and
-        peak counters are shared with the threaded path.
-        """
-        index, span, shed = self._begin_request(request)
-        if shed is not None:
-            return shed
-        admitted, gate = await self._acquire_slot_async(index, span)
-        if not admitted:
-            return self._queue_shed(request, span)
-        status = "error"
-        http_status = 0
-        try:
-            self._enter_inflight(index)
-            response = await self.proxies[index].handle_async(request)
-            http_status = response.status
-            status = "ok" if response.status < 400 else "error"
-            return response
-        finally:
-            with self._counter_lock:
-                self._inflight[index] -= 1
-            if gate is not None:
-                gate.release()
-            get_collector().finish(
-                span, status=status, http_status=http_status
-            )
-
     def _begin_request(self, request: Request):
-        """Shared front half of both entry points: request counters,
+        """Front half of :meth:`handle_request`: request counters,
         round-robin proxy choice, stream-cost environ, the proxy span
         and QoS quota admission.  Returns ``(index, span, shed)`` where
         a non-``None`` shed response means the request was rejected
@@ -625,36 +553,6 @@ class SwiftCluster:
                     self._queue_depth[index] -= 1
         span.attributes["admission_wait"] = time.perf_counter() - wait_start
         return True
-
-    async def _acquire_slot_async(self, index: int, span):
-        """Coroutine twin of :meth:`_acquire_slot` over this loop's
-        per-proxy :class:`AsyncGate`.  Returns ``(admitted, gate)``;
-        the queue-depth cap and wait counters are shared with the
-        threaded path."""
-        gates = self._async_admission.get()
-        gate = gates[index]
-        if gate is None or gate.try_acquire():
-            return True, gate
-        depth_cap = (
-            self.qos.max_queue_depth if self.qos is not None else None
-        )
-        if depth_cap is not None:
-            with self._counter_lock:
-                if self._queue_depth[index] >= depth_cap:
-                    return False, None
-                self._queue_depth[index] += 1
-        with self._counter_lock:
-            self.counters["proxy_queue_waits"] += 1
-        get_registry().inc("cluster.proxy_queue_waits")
-        wait_start = time.perf_counter()
-        try:
-            await gate.acquire()
-        finally:
-            if depth_cap is not None:
-                with self._counter_lock:
-                    self._queue_depth[index] -= 1
-        span.attributes["admission_wait"] = time.perf_counter() - wait_start
-        return True, gate
 
     @staticmethod
     def _payload_estimate(request: Request) -> int:

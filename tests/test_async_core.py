@@ -1,43 +1,30 @@
-"""Async serving core: event-loop primitives, pooled-body slot
-lifetimes, sync/async byte identity, and the three-mode execution
-matrix.
-
-Acceptance criteria for the asyncio refactor (docs/async.md):
+"""The event-loop front door: ``AsyncGate``, pooled-body slot
+lifetimes, and the ``AsyncSwiftClient`` shim (docs/async.md).
 
 * ``AsyncGate`` reproduces the threading.Semaphore contention protocol
   (non-blocking try first, FIFO handoff, cancellation-safe grants);
 * a streamed GET holds exactly one pool slot until the body is
   exhausted, closed, or its consumer is *cancelled* -- never until GC;
-* the async line splitter frames quoted newlines byte-for-byte like
-  the sync storlet splitter;
-* serial (p=1), threaded (p=16) and async (p=16) execution return
-  byte-identical query results under every named fault plan, including
-  ``overload``;
-* ``REPRO_ASYNC=1`` flips the default execution mode without touching
-  call sites.
+* the shim returns what ``SwiftClient`` returns and counts contention
+  into the same ``pool_waits``;
+* ``ScoopContext(async_mode=...)`` is accepted and inert: the query
+  path is the sync generator stack either way.
 """
 
 import asyncio
-import threading
 
 import pytest
 
-from repro.aio.bridge import drive, run_sync
-from repro.aio.gate import AsyncGate, LoopLocal
-from repro.aio.stream import aowned_lines
+from repro.aio.gate import AsyncGate
 from repro.core import ScoopContext
-from repro.faults import named_plan
 from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
-from repro.spark.scheduler import default_execution_mode
-from repro.storlets.csv_storlet import StorletInputStream, _owned_lines
 from repro.swift import SwiftClient, SwiftCluster
 from repro.swift.aclient import AsyncSwiftClient
 from repro.swift.http import close_body
-from repro.swift.retry import RetryPolicy
 
 
 # --------------------------------------------------------------------------
-# AsyncGate / LoopLocal
+# AsyncGate
 # --------------------------------------------------------------------------
 
 
@@ -113,77 +100,6 @@ class TestAsyncGate:
         with pytest.raises(ValueError):
             AsyncGate(0)
 
-    def test_loop_local_scopes_values_per_loop(self):
-        built = []
-        slot = LoopLocal(lambda: built.append(1) or object())
-
-        async def grab():
-            first = slot.get()
-            assert slot.get() is first  # cached within the loop
-            return first
-
-        a = asyncio.run(grab())
-        b = asyncio.run(grab())
-        assert a is not b  # fresh loop, fresh value
-        assert len(built) == 2
-
-
-# --------------------------------------------------------------------------
-# Sync shims
-# --------------------------------------------------------------------------
-
-
-class TestBridge:
-    def test_run_sync_returns_the_coroutine_result(self):
-        async def answer():
-            await asyncio.sleep(0)
-            return 42
-
-        assert run_sync(answer()) == 42
-
-    def test_run_sync_rejects_reentrant_calls(self):
-        async def outer():
-            async def inner():
-                return 1
-
-            coro = inner()
-            try:
-                with pytest.raises(RuntimeError):
-                    run_sync(coro)
-            finally:
-                coro.close()
-
-        run_sync(outer())
-
-    def test_run_sync_reuses_one_loop_per_thread(self):
-        async def current_loop():
-            return asyncio.get_running_loop()
-
-        assert run_sync(current_loop()) is run_sync(current_loop())
-
-    def test_drive_pumps_an_async_generator(self):
-        async def numbers():
-            for i in range(5):
-                await asyncio.sleep(0)
-                yield i
-
-        assert list(drive(numbers())) == [0, 1, 2, 3, 4]
-
-    def test_drive_closes_the_generator_on_early_exit(self):
-        closed = []
-
-        async def numbers():
-            try:
-                for i in range(100):
-                    yield i
-            finally:
-                closed.append(True)
-
-        pump = drive(numbers())
-        assert next(pump) == 0
-        pump.close()
-        assert closed == [True]
-
 
 # --------------------------------------------------------------------------
 # Pool slot lifetime (sync client)
@@ -247,8 +163,7 @@ class TestAsyncClient:
         _h, expected = sync_client.get_object("c", "o")
 
         async def fetch():
-            client = AsyncSwiftClient(small_store, "AUTH_pool",
-                                      ensure_account=False)
+            client = AsyncSwiftClient(sync_client, max_connections=4)
             _headers, body = await client.get_object("c", "o")
             return body
 
@@ -256,9 +171,9 @@ class TestAsyncClient:
 
     def test_contended_pool_counts_waits(self, small_store):
         async def scenario():
-            client = AsyncSwiftClient(small_store, "AUTH_pool",
-                                      max_connections=1,
-                                      ensure_account=False)
+            client = AsyncSwiftClient(
+                SwiftClient(small_store, "AUTH_pool"), max_connections=1
+            )
             streamed = await client.get_object_stream("c", "o")
             task = asyncio.ensure_future(client.get_object("c", "o"))
             # Let the second request hit the saturated pool and suspend.
@@ -266,7 +181,8 @@ class TestAsyncClient:
                 await asyncio.sleep(0)
             assert not task.done()
             waits = client.stats.pool_waits
-            await streamed.aread()  # exhausts the body, frees the slot
+            # Exhausting the body frees the slot.
+            assert [c async for c in streamed.body]
             await task
             return waits
 
@@ -277,14 +193,14 @@ class TestAsyncClient:
         strand its pool slot until GC."""
 
         async def scenario():
-            client = AsyncSwiftClient(small_store, "AUTH_pool",
-                                      max_connections=1,
-                                      ensure_account=False)
+            client = AsyncSwiftClient(
+                SwiftClient(small_store, "AUTH_pool"), max_connections=1
+            )
             response = await client.get_object_stream("c", "o")
             seen = []
 
             async def consume():
-                async for chunk in response.aiter_body():
+                async for chunk in response.body:
                     seen.append(len(chunk))
 
             task = asyncio.ensure_future(consume())
@@ -302,188 +218,29 @@ class TestAsyncClient:
 
 
 # --------------------------------------------------------------------------
-# Line-splitter identity
+# The inert ``async_mode`` keyword
 # --------------------------------------------------------------------------
 
 
-QUOTED_CSV = (
-    b'a,"line with\nembedded newline",1\n'
-    b"b,plain,2\n"
-    b'c,"quote "" inside",3\n'
-    b'd,"trailing\nsplit\nrecord",4\n'
-    b"e,last,5\n"
-)
+class TestAsyncModeKeyword:
+    def test_async_mode_is_inert(self):
+        """``benchmarks/hotpath`` still passes ``async_mode``; it must
+        select nothing -- same rows, same REST operations."""
 
-
-class TestAownedLinesIdentity:
-    @pytest.mark.parametrize("range_start,range_len", [
-        (0, None),
-        (0, 10),
-        (7, 30),
-        (25, len(QUOTED_CSV) - 25),
-    ])
-    def test_matches_sync_splitter(self, range_start, range_len):
-        def sync_lines():
-            stream = StorletInputStream(iter([QUOTED_CSV]))
-            return list(_owned_lines(stream, range_start, range_len))
-
-        async def async_lines():
-            async def chunks():
-                # Awkward chunking on purpose: framing must not depend
-                # on chunk boundaries.
-                for i in range(0, len(QUOTED_CSV), 7):
-                    yield QUOTED_CSV[i:i + 7]
-
-            return [
-                line
-                async for line in aowned_lines(
-                    chunks(), range_start, range_len
-                )
-            ]
-
-        assert asyncio.run(async_lines()) == sync_lines()
-
-
-# --------------------------------------------------------------------------
-# Execution-mode selection
-# --------------------------------------------------------------------------
-
-
-class TestExecutionModeSelection:
-    def test_env_var_flips_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC", raising=False)
-        assert default_execution_mode() == "threads"
-        monkeypatch.setenv("REPRO_ASYNC", "1")
-        assert default_execution_mode() == "async"
-        monkeypatch.setenv("REPRO_ASYNC", "0")
-        assert default_execution_mode() == "threads"
-
-    def test_context_binds_an_async_client_in_async_mode(self):
-        ctx = ScoopContext(async_mode=True)
-        assert ctx.execution_mode == "async"
-        assert ctx.async_client is not None
-        assert ctx.connector.async_client is ctx.async_client
-        # One shared ledger: async requests land in the same stats.
-        assert ctx.async_client.stats is ctx.client.stats
-
-    def test_sync_default_has_no_async_client(self):
-        ctx = ScoopContext(async_mode=False)
-        assert ctx.execution_mode == "threads"
-        assert ctx.async_client is None
-
-    def test_invalid_execution_mode_rejected(self):
-        from repro.spark.scheduler import SparkContext
-
-        with pytest.raises(ValueError):
-            SparkContext(execution_mode="fibers")
-
-
-# --------------------------------------------------------------------------
-# Three-mode byte identity under every named fault plan
-# --------------------------------------------------------------------------
-
-
-MATRIX_SEED = 20170417
-MATRIX_SPEC = DatasetSpec(meters=8, intervals=48, objects=3)
-MATRIX_QUERIES = {
-    "scan": "SELECT * FROM largeMeter",
-    "limit": "SELECT vid, date, index FROM largeMeter LIMIT 100",
-    "filtered_agg": (
-        "SELECT vid, sum(index) as total FROM largeMeter "
-        "WHERE date LIKE '2015-01%' GROUP BY vid ORDER BY vid"
-    ),
-}
-FAULT_PLANS = (None, "device-loss", "flaky-object", "storlet-crash",
-               "overload")
-
-
-def _run_matrix_workload(plan_name, parallelism, async_mode):
-    ctx = ScoopContext(
-        chunk_size=48 * 1024,
-        retry_policy=RetryPolicy(seed=MATRIX_SEED),
-        fault_plan=(
-            named_plan(plan_name, seed=MATRIX_SEED) if plan_name else None
-        ),
-        parallelism=parallelism,
-        async_mode=async_mode,
-    )
-    upload_dataset(ctx.client, "meters", MATRIX_SPEC)
-    ctx.register_csv_table("largeMeter", "meters", schema=METER_SCHEMA)
-    results = {}
-    for name, sql in MATRIX_QUERIES.items():
-        frame, _report = ctx.run_query(sql)
-        results[name] = frame.collect()
-    return results
-
-
-class TestThreeModeByteIdentity:
-    @pytest.mark.parametrize("plan_name", FAULT_PLANS)
-    def test_serial_threaded_async_identical(self, plan_name):
-        serial = _run_matrix_workload(plan_name, 1, False)
-        threaded = _run_matrix_workload(plan_name, 16, False)
-        async_rows = _run_matrix_workload(plan_name, 16, True)
-        assert serial == threaded
-        assert threaded == async_rows
-
-    def test_parallel_16_pushdown_scan_bytes_identical(self):
-        """Raw connector-level identity: the async split reader streams
-        the same bytes, record for record, as the threaded reader."""
-        ctx = ScoopContext(chunk_size=32 * 1024, parallelism=16,
-                           async_mode=True)
-        upload_dataset(ctx.client, "meters", MATRIX_SPEC)
-        splits = ctx.connector.discover_partitions("meters")
-        assert len(splits) > 1
-        sync_records = [
-            list(ctx.connector.read_split_records(split))
-            for split in splits
-        ]
-
-        async def read_async(split):
-            return [
-                record
-                async for record in ctx.connector.aread_split_records(split)
-            ]
-
-        async_records = [run_sync(read_async(split)) for split in splits]
-        assert async_records == sync_records
-
-
-# --------------------------------------------------------------------------
-# Async scheduler streaming
-# --------------------------------------------------------------------------
-
-
-class TestAsyncSchedulerStreaming:
-    #: Big enough that one object spans many chunks, so a LIMIT that
-    #: stops early genuinely saves transfers.
-    STREAM_SPEC = DatasetSpec(meters=24, intervals=200, objects=3)
-
-    def test_limit_stops_early_and_transfers_fewer_bytes(self):
-        def run(async_mode, sql):
-            ctx = ScoopContext(chunk_size=16 * 1024, parallelism=8,
+        def run(async_mode):
+            ctx = ScoopContext(chunk_size=32 * 1024, parallelism=4,
                                async_mode=async_mode)
-            upload_dataset(ctx.client, "meters", self.STREAM_SPEC)
+            upload_dataset(ctx.client, "meters",
+                           DatasetSpec(meters=8, intervals=48, objects=3))
             ctx.register_csv_table("largeMeter", "meters",
                                    schema=METER_SCHEMA)
-            frame, _report = ctx.run_query(sql)
-            return frame.collect(), ctx.connector.metrics.bytes_transferred
+            frame, _report = ctx.run_query(
+                "SELECT vid, sum(index) as total FROM largeMeter "
+                "WHERE date LIKE '2015-01%' GROUP BY vid ORDER BY vid"
+            )
+            return frame.collect(), ctx.client.stats.requests
 
-        limited = "SELECT * FROM largeMeter LIMIT 50"
-        sync_rows, _sync_bytes = run(False, limited)
-        async_rows, async_bytes = run(True, limited)
-        assert async_rows == sync_rows
-
-        full_rows, full_bytes = run(True, "SELECT * FROM largeMeter")
-        assert len(full_rows) > 50
-        assert async_bytes < full_bytes
-
-    def test_async_mode_multiplexes_on_one_loop(self, small_store):
-        """The async stage runs its partitions as coroutines on the
-        calling thread's loop -- no per-partition worker threads."""
-        ctx = ScoopContext(parallelism=8, async_mode=True)
-        upload_dataset(ctx.client, "meters", MATRIX_SPEC)
-        ctx.register_csv_table("largeMeter", "meters", schema=METER_SCHEMA)
-        before = threading.active_count()
-        frame, _report = ctx.run_query("SELECT vid FROM largeMeter")
-        assert frame.collect()
-        assert threading.active_count() == before
+        rows_on, requests_on = run(True)
+        rows_off, requests_off = run(False)
+        assert rows_on and rows_on == rows_off
+        assert requests_on == requests_off

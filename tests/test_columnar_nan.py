@@ -170,18 +170,12 @@ def row_baseline():
 class TestNanByteIdentity:
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize(
-        "parallelism,async_mode",
-        [(1, False), (16, False), (16, True)],
-        ids=["serial", "threads-16", "async-16"],
+        "parallelism", [1, 16], ids=["serial", "threads-16"]
     )
     def test_columnar_matches_row_path(
-        self, row_baseline, ordering, parallelism, async_mode
+        self, row_baseline, ordering, parallelism
     ):
-        ctx = ScoopContext(
-            chunk_size=16 * 1024,
-            parallelism=parallelism,
-            async_mode=async_mode,
-        )
+        ctx = ScoopContext(chunk_size=16 * 1024, parallelism=parallelism)
         ctx.upload_csv("data", "part-000.csv", _csv_body(ORDERINGS[ordering]))
         ctx.register_csv_table("t", "data", schema=SCHEMA, format="columnar")
         for sql, expected in row_baseline[ordering].items():

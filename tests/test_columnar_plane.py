@@ -2,10 +2,10 @@
 
 The governing contract: a query over the columnar fast path returns
 *byte-identical* rows to the same query over the row-oriented CSV path
--- at any parallelism, in sync and async execution, and under every
-named fault plan.  On top of identity, the columnar plane must earn its
-keep: segment-granular reads below object size without pushdown, stripe
-stats pruning, and trace totals that still reconcile exactly.
+-- at any parallelism and under every named fault plan.  On top of
+identity, the columnar plane must earn its keep: segment-granular reads
+below object size without pushdown, stripe stats pruning, and trace
+totals that still reconcile exactly.
 """
 
 import pytest
@@ -35,11 +35,10 @@ def _csv_body(tag="city"):
     ) + "\n"
 
 
-def _context(fmt, plan=None, parallelism=1, async_mode=False, **kwargs):
+def _context(fmt, plan=None, parallelism=1, **kwargs):
     ctx = ScoopContext(
         chunk_size=16 * 1024,
         parallelism=parallelism,
-        async_mode=async_mode,
         retry_policy=RetryPolicy(seed=7),
         fault_plan=named_plan(plan, seed=7) if plan else None,
         **kwargs,
@@ -59,19 +58,10 @@ def row_baseline():
 class TestByteIdentity:
     @pytest.mark.parametrize("plan", NAMED_PLANS)
     @pytest.mark.parametrize(
-        "parallelism,async_mode",
-        [(1, False), (16, False), (16, True)],
-        ids=["serial", "threads-16", "async-16"],
+        "parallelism", [1, 16], ids=["serial", "threads-16"]
     )
-    def test_columnar_matches_row_path(
-        self, row_baseline, plan, parallelism, async_mode
-    ):
-        ctx = _context(
-            "columnar",
-            plan=plan,
-            parallelism=parallelism,
-            async_mode=async_mode,
-        )
+    def test_columnar_matches_row_path(self, row_baseline, plan, parallelism):
+        ctx = _context("columnar", plan=plan, parallelism=parallelism)
         for sql, expected in row_baseline.items():
             assert ctx.sql(sql).collect() == expected, (sql, plan)
 

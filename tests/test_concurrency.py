@@ -52,12 +52,8 @@ class TestSchedulerParallelism:
 
     def test_tasks_really_run_concurrently(self):
         # All 8 tasks must be in flight at once to pass the barrier; a
-        # secretly serial scheduler breaks it and the job raises.  The
-        # barrier rendezvous needs real threads, so the threaded mode
-        # is pinned (under REPRO_ASYNC the default would be coroutines,
-        # which interleave at await points instead of rendezvousing).
-        sc = SparkContext(parallelism=8, max_task_attempts=1,
-                          execution_mode="threads")
+        # secretly serial scheduler breaks it and the job raises.
+        sc = SparkContext(parallelism=8, max_task_attempts=1)
         barrier = threading.Barrier(8)
 
         def rendezvous(iterator):

@@ -197,13 +197,9 @@ class TestDegradation:
         "SELECT vid, COUNT(*), SUM(index) FROM m GROUP BY vid ORDER BY vid"
     )
 
-    # These tests monkeypatch the *sync* split-stream entry point, so
-    # the context pins threaded execution (a REPRO_ASYNC=1 CI run would
-    # otherwise route around the injected failure).
-
     def test_failure_at_open_degrades_identically(self):
         oracle = build_context(False).run_query(self.SQL)[0].collect()
-        ctx = build_context(True, async_mode=False)
+        ctx = build_context(True)
         original = ctx.connector.open_split_stream
 
         def failing(split, task=None):
@@ -220,7 +216,7 @@ class TestDegradation:
 
     def test_mid_stream_failure_resumes_identically(self):
         oracle = build_context(False).run_query(self.SQL)[0].collect()
-        ctx = build_context(True, async_mode=False)
+        ctx = build_context(True)
         original = ctx.connector.open_split_stream
 
         def midstream(split, task=None):
@@ -244,7 +240,7 @@ class TestDegradation:
         assert report.pushdown_fallbacks == 1
 
     def test_non_degradable_error_propagates(self):
-        ctx = build_context(True, async_mode=False)
+        ctx = build_context(True)
 
         def fatal(split, task=None):
             raise PushdownError("gone", degradable=False, reason="fatal")
@@ -270,18 +266,6 @@ class TestFaultPlans:
             named_plan(plan_name, seed=7) if plan_name != "none" else None
         )
         ctx = build_context(True, fault_plan=plan, parallelism=16)
-        assert_identical(
-            ctx.run_query(self.SQL)[0].collect(), oracle_rows
-        )
-
-    @pytest.mark.parametrize("plan_name", ["none", "storlet-crash"])
-    def test_identical_under_plan_async(self, plan_name, oracle_rows):
-        plan = (
-            named_plan(plan_name, seed=7) if plan_name != "none" else None
-        )
-        ctx = build_context(
-            True, fault_plan=plan, parallelism=16, async_mode=True
-        )
         assert_identical(
             ctx.run_query(self.SQL)[0].collect(), oracle_rows
         )

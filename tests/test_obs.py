@@ -11,6 +11,7 @@ from repro.core import ScoopContext
 from repro.faults import named_plan
 from repro.obs import MetricsRegistry, TraceCollector
 from repro.sql import Schema
+from repro.swift.exceptions import NotFound
 
 
 class TestTraceCollector:
@@ -399,6 +400,32 @@ class TestAcceptanceReconciliation:
             s.bytes_out for s in spans if s.tier == "connector"
         )
         assert connector_bytes == metrics.bytes_transferred
+
+    @pytest.mark.parametrize("read", ["plain_get", "segment_get"])
+    def test_failed_open_finishes_the_connector_span(self, read):
+        """An object deleted after discovery makes the GET raise before
+        any chunk iterator is handed out, so no stream teardown will
+        ever finish the connector span: the connector must close it
+        itself, or it stays on the thread's span stack and mis-parents
+        every later span there."""
+        context = ScoopContext(trace=True, chunk_size=16 * 1024)
+        context.upload_csv("meters", "data.csv", _meter_rows(300))
+        split = context.connector.discover_partitions("meters")[0]
+        context.client.delete_object("meters", "data.csv")
+        tracer = context.tracer
+        tracer.reset()
+        with pytest.raises(NotFound):
+            if read == "plain_get":
+                context.connector.open_split_stream(split, None)
+            else:
+                context.connector.read_byte_ranges(split, [(0, 10)])
+        assert tracer._stack() == []
+        connector_spans = [
+            (s.operation, s.status)
+            for s in tracer.snapshot()
+            if s.tier == "connector"
+        ]
+        assert connector_spans == [(read, "error")]
 
     def test_json_export_round_trips(self, traced_scoop):
         traced_scoop.run_query("SELECT vid FROM meters WHERE index > 100")

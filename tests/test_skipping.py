@@ -41,11 +41,10 @@ def _csv_body(tag="city", offset=0):
     ) + "\n"
 
 
-def _context(fmt, plan=None, parallelism=1, async_mode=False, **kwargs):
+def _context(fmt, plan=None, parallelism=1, **kwargs):
     ctx = ScoopContext(
         chunk_size=16 * 1024,
         parallelism=parallelism,
-        async_mode=async_mode,
         retry_policy=RetryPolicy(seed=7),
         fault_plan=named_plan(plan, seed=7) if plan else None,
         **kwargs,
@@ -141,20 +140,9 @@ class TestByteIdentity:
         for sql, expected in baseline.items():
             assert ctx.sql(sql).collect() == expected, (sql, fmt, plan)
 
-    @pytest.mark.parametrize(
-        "parallelism,async_mode",
-        [(16, False), (16, True)],
-        ids=["threads-16", "async-16"],
-    )
-    def test_armed_matches_disabled_parallel(
-        self, baseline, parallelism, async_mode
-    ):
-        ctx = _context(
-            "columnar",
-            parallelism=parallelism,
-            async_mode=async_mode,
-            skipping=True,
-        )
+    @pytest.mark.parametrize("parallelism", [16], ids=["threads-16"])
+    def test_armed_matches_disabled_parallel(self, baseline, parallelism):
+        ctx = _context("columnar", parallelism=parallelism, skipping=True)
         for sql, expected in baseline.items():
             assert ctx.sql(sql).collect() == expected, sql
 
