@@ -21,6 +21,8 @@ import pytest
 from repro.core.pushdown import PushdownTask
 from repro.core.scoop import ScoopContext
 from repro.sql import GreaterThan, Schema
+from repro.storlets import CsvStorlet
+from repro.storlets.api import StorletInputStream, StorletLogger
 from repro.swift.http import DEFAULT_CHUNK_SIZE
 
 SCHEMA = Schema.from_header("vid:string,index:int,city:string")
@@ -91,6 +93,28 @@ class TestStreamingPeakMemory:
             _headers, chunks = scoop.connector.open_split_stream(split, task)
             assert consume(chunks) > 0
 
+        assert traced_peak(drain) < PEAK_CEILING
+
+    def test_whole_object_chunk_is_o_block_size(self):
+        """The CSV reader caps its blocks, so even an object handed over
+        as one chunk never becomes an object-sized list of records."""
+        data = b"".join(
+            b"vid-%07d,%d,Paris\n" % (index, index)
+            for index in range(OBJECT_BYTES // 20)
+        )
+        parameters = PushdownTask(
+            schema=SCHEMA,
+            columns=["vid"],
+            filters=[GreaterThan("index", 10.0)],
+        ).to_parameters()
+
+        def drain():
+            output = CsvStorlet().process(
+                StorletInputStream([data]), parameters, StorletLogger("m"), {}
+            )
+            assert consume(output) > 0
+
+        # ``data`` predates the trace, so the peak is the storlet's own.
         assert traced_peak(drain) < PEAK_CEILING
 
     def test_two_storlet_pipeline_is_o_chunk_size(self, scoop):

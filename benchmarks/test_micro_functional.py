@@ -22,6 +22,7 @@ from repro.storlets import (
     StorletLogger,
     StorletOutputStream,
 )
+from repro.swift.http import DEFAULT_CHUNK_SIZE, chunk_bytes
 from repro.swift.ring import RingBuilder
 
 
@@ -37,8 +38,20 @@ def meter_rows():
     return list(generator.rows())
 
 
-def test_bench_csv_storlet_filter_throughput(benchmark, meter_csv):
-    """Bytes/second through the pushdown filter (selection+projection)."""
+@pytest.mark.parametrize(
+    "chunk_size",
+    [DEFAULT_CHUNK_SIZE, None],
+    ids=["64KiB-chunks", "one-chunk"],
+)
+def test_bench_csv_storlet_filter_throughput(benchmark, meter_csv, chunk_size):
+    """Bytes/second through the pushdown filter (selection+projection),
+    fed as the object backend feeds it and as one whole-object chunk --
+    the reader's cost must not depend on which."""
+    chunks = (
+        [meter_csv]
+        if chunk_size is None
+        else list(chunk_bytes(meter_csv, chunk_size))
+    )
     parameters = {
         "schema": METER_SCHEMA.to_header(),
         "columns": json.dumps(["vid", "date", "index"]),
@@ -50,7 +63,7 @@ def test_bench_csv_storlet_filter_throughput(benchmark, meter_csv):
     def run():
         out = StorletOutputStream()
         CsvStorlet().invoke(
-            [StorletInputStream([meter_csv])],
+            [StorletInputStream(chunks)],
             [out],
             dict(parameters),
             StorletLogger("bench"),

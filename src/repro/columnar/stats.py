@@ -106,7 +106,7 @@ def canonical_bloom_key(value: Any) -> Optional[bytes]:
         return b"s" + value.encode("utf-8")
     if isinstance(value, (bool, int, float)):
         try:
-            image = float(value)
+            image = float(value) + 0.0  # -0.0 == 0.0, so one image for both
         except OverflowError:
             # An integer too large for float cannot equal any finite
             # float, so the decimal string is a sound key on both sides.

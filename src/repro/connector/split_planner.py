@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.storlets.csv_storlet import _find_record_end
+from repro.csvscan import find_record_end
 
 
 def plan_quote_safe_starts(
@@ -57,7 +57,7 @@ def plan_quote_safe_starts(
             continue
         # Inside a quoted field: slide forward to the next record start,
         # where a scanner starting with in_quotes=False is correct.
-        newline, _pos, _quotes = _find_record_end(data, target, True)
+        newline, _pos, _quotes = find_record_end(data, target, True)
         if newline < 0:
             return None
         boundary = newline + 1

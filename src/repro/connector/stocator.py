@@ -19,11 +19,12 @@ from typing import (
 from repro.catalog import ObjectCatalog, decode_catalog
 from repro.columnar.layout import ColumnarFooter, StripeMeta, footer_from_tail
 from repro.core.pushdown import PushdownTask
+from repro.csvscan import owned_records
 from repro.sql.filters import Filter
 from repro.sql.types import Schema
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import TRACE_HEADER, Span, get_collector
-from repro.storlets.api import StorletFailure, StorletInputStream
+from repro.storlets.api import StorletFailure
 from repro.storlets.engine import StorletRequestHeaders
 from repro.swift.client import SwiftClient
 from repro.swift.exceptions import RangeNotSatisfiable, SwiftError
@@ -597,7 +598,8 @@ class StocatorConnector:
         With a pushdown task: one storlet GET streams the already
         filtered, record-aligned data for the split.  Without: the raw
         byte range (plus lookahead) streams through and the caller
-        aligns records client-side via :meth:`read_split_records`.
+        aligns records client-side with :mod:`repro.csvscan`
+        (:meth:`read_split_records` for raw records).
 
         Configuration and replica-exhaustion failures surface *at open
         time* (the proxy tries every replica before answering), so
@@ -807,17 +809,16 @@ class StocatorConnector:
     def read_split_records(self, split: ObjectSplit) -> Iterator[bytes]:
         """Plain (no pushdown) read yielding the records the split owns.
 
-        Implements the same Hadoop split ownership rule as the storlet:
-        skip the partial first record unless the split starts the object;
-        own every record starting before the split end; finish the last
-        owned record from the lookahead bytes.  Chunks are pulled from
-        the store on demand: once the last owned record completes, no
+        The line-level view of :mod:`repro.csvscan`, so the Hadoop split
+        ownership rule is the storlet's own: skip the partial first
+        record unless the split starts the object; own every record
+        starting before the split end; finish the last owned record
+        from the lookahead bytes.  Chunks are pulled from the store on
+        demand: once the first record past the split completes, no
         further lookahead bytes cross the wire.
         """
-        from repro.storlets.csv_storlet import _owned_lines
-
         _headers, chunks = self.open_split_stream(split, task=None)
-        return _owned_lines(StorletInputStream(chunks), split.start, split.length)
+        return owned_records(chunks, split.start, split.length)
 
     # -- uploads -----------------------------------------------------------------
 

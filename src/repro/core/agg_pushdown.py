@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.connector.stocator import StocatorConnector
+from repro.csvscan import owned_records, parse_record
 from repro.sql.catalyst import (
     expression_to_filter,
     fold_constants,
@@ -41,8 +42,6 @@ from repro.storlets.agg_storlet import (
     _PartialState,
     merge_partials,
 )
-from repro.storlets.csv_storlet import _owned_lines, _parse_record
-from repro.storlets.api import StorletInputStream
 from repro.storlets.engine import StorletRequestHeaders
 
 
@@ -253,9 +252,8 @@ class AggregationPushdownRunner:
             self.connector.metrics.record(
                 len(body), split.length, pushdown=True
             )
-            stream = StorletInputStream([body] if body else [])
-            for raw_line in _owned_lines(stream, 0, None):
-                record = _parse_record(raw_line, self.delimiter)
+            for raw_line in owned_records([body] if body else []):
+                record = parse_record(raw_line, self.delimiter)
                 if record is not None:
                     partial_records.append(record)
 

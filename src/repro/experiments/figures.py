@@ -219,7 +219,7 @@ def fig8_kernel_microbench(
     from repro.sql.executor import execute_plan, execute_plan_batches
     from repro.sql.parser import parse_query
     from repro.sql.types import Schema
-    from repro.storlets.csv_storlet import _parse_record
+    from repro.csvscan import parse_record
 
     schema = Schema.of("vid", "date", "index:float", "code:int", "city")
     table = [
@@ -241,7 +241,7 @@ def fig8_kernel_microbench(
 
     def row_source():
         for line in csv_bytes.splitlines():
-            yield schema.parse_row(_parse_record(line, ","))
+            yield schema.parse_row(parse_record(line, ","))
 
     def best_of(run):
         seconds, result = float("inf"), None

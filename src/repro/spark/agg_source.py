@@ -31,6 +31,7 @@ from repro.connector.stocator import (
 )
 from repro.core.agg_pushdown import AggregationPlan, decode_tagged_line
 from repro.core.pushdown import PushdownTask
+from repro.csvscan import owned_records
 from repro.obs.trace import get_collector
 from repro.sql.types import Schema
 from repro.spark.csv_source import CsvScanRDD
@@ -39,8 +40,6 @@ from repro.storlets.agg_storlet import (
     DEFAULT_MAX_GROUPS,
     tagged_partial_aggregate,
 )
-from repro.storlets.api import StorletInputStream
-from repro.storlets.csv_storlet import _owned_lines
 
 
 class AggregationScanRDD(RDD):
@@ -70,7 +69,7 @@ class AggregationScanRDD(RDD):
         self.max_groups = max_groups
         # The degradation twin: a plain CSV scan over the same splits
         # with the task's filters applied compute-side.  Reusing
-        # CsvScanRDD's line mapper keeps the fallback's typed filtered
+        # CsvScanRDD's plain reader keeps the fallback's typed filtered
         # row stream single-sourced with every other degradation path.
         self._fallback = CsvScanRDD(
             context,
@@ -117,7 +116,7 @@ class AggregationScanRDD(RDD):
 
     def _pushdown_records(self, split: ObjectSplit) -> Iterator[tuple]:
         _headers, chunks = self.connector.open_split_stream(split, self.task)
-        for raw_line in _owned_lines(StorletInputStream(chunks), 0, None):
+        for raw_line in owned_records(chunks):
             if raw_line.strip():
                 yield decode_tagged_line(raw_line, split.index)
 

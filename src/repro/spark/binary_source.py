@@ -14,10 +14,10 @@ import json
 from typing import Iterator, List, Optional, Sequence
 
 from repro.connector.stocator import StocatorConnector
+from repro.csvscan import parse_record
 from repro.sql.types import DataType, Field, Row, Schema
 from repro.spark.datasources import PrunedScan
 from repro.spark.rdd import RDD
-from repro.storlets.csv_storlet import _parse_record
 from repro.storlets.engine import StorletRequestHeaders
 from repro.swift.exceptions import SwiftError
 
@@ -82,7 +82,7 @@ class MetadataScanRDD(RDD[Row]):
         self.connector.metrics.record(len(body), object_size, pushdown=True)
 
         line = body.rstrip(b"\n")
-        fields = _parse_record(line, ",") if line else None
+        fields = parse_record(line, ",") if line else None
         if fields is None:
             return iter(())
         values: List[object] = [object_name]

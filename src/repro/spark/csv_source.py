@@ -11,7 +11,7 @@ happens in the compute cluster (classic ingest-then-compute).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import zlib
 
@@ -21,15 +21,14 @@ from repro.connector.stocator import (
     StocatorConnector,
 )
 from repro.core.pushdown import PushdownTask
+from repro.csvscan import CsvScan, parse_record
 from repro.obs.trace import get_collector
 from repro.placement.engine import task_signature
-from repro.sql.filters import Filter, conjunction_predicate
+from repro.sql.filters import Filter
 from repro.sql.types import DataType, Field, Row, Schema
 from repro.spark.datasources import PrunedFilteredScan
 from repro.spark.rdd import RDD
 from repro.storlets.agg_storlet import DEFAULT_MAX_GROUPS
-from repro.storlets.api import StorletInputStream
-from repro.storlets.csv_storlet import _owned_lines, _parse_record
 
 
 class CsvScanRDD(RDD[Row]):
@@ -45,7 +44,6 @@ class CsvScanRDD(RDD[Row]):
         task: Optional[PushdownTask],
         has_header: bool,
         delimiter: str,
-        drop_malformed: bool = True,
     ):
         super().__init__(context)
         self.name = "CsvScan"
@@ -56,7 +54,6 @@ class CsvScanRDD(RDD[Row]):
         self.task = task
         self.has_header = has_header
         self.delimiter = delimiter
-        self.drop_malformed = drop_malformed
 
     def num_partitions(self) -> int:
         return len(self.splits)
@@ -97,68 +94,6 @@ class CsvScanRDD(RDD[Row]):
                 continue
             yield row
 
-    def _parse_pushdown_line(self, raw_line: bytes) -> Optional[Row]:
-        """Type one storlet-produced record (output schema; ``None``
-        drops it under ``drop_malformed``)."""
-        fields = _parse_record(raw_line, self.delimiter)
-        if fields is None or len(fields) != len(self.output_schema):
-            if self.drop_malformed:
-                return None
-            raise ValueError(f"malformed CSV record: {raw_line[:120]!r}")
-        try:
-            return self.output_schema.parse_row(fields)
-        except (ValueError, TypeError):
-            if self.drop_malformed:
-                return None
-            raise
-
-    def _plain_line_mapper(
-        self, split: ObjectSplit, apply_task_filters: bool
-    ) -> Callable[[bytes], Optional[Row]]:
-        """Build the stateful line->row mapper for plain reads.
-
-        Captures header-skip state, the optional compute-side task
-        predicate and the projection once per split; returns ``None``
-        for skipped lines.
-        """
-        skip_header = self.has_header and split.is_first
-        predicate = None
-        if apply_task_filters and self.task is not None and self.task.filters:
-            predicate = conjunction_predicate(
-                self.task.filters, self.full_schema
-            )
-        if len(self.output_schema) != len(self.full_schema):
-            projection = [
-                self.full_schema.index_of(name)
-                for name in self.output_schema.names
-            ]
-        else:
-            projection = None
-
-        def map_line(raw_line: bytes) -> Optional[Row]:
-            nonlocal skip_header
-            if skip_header:
-                skip_header = False
-                return None
-            fields = _parse_record(raw_line, self.delimiter)
-            if fields is None or len(fields) != len(self.full_schema):
-                if self.drop_malformed:
-                    return None
-                raise ValueError(f"malformed CSV record: {raw_line[:120]!r}")
-            try:
-                row = self.full_schema.parse_row(fields)
-            except (ValueError, TypeError):
-                if self.drop_malformed:
-                    return None
-                raise
-            if predicate is not None and not predicate(row):
-                return None
-            if projection is not None:
-                row = tuple(row[index] for index in projection)
-            return row
-
-        return map_line
-
     def _pushdown_rows(self, split: ObjectSplit) -> Iterator[Row]:
         """Stream a split through the pushdown storlet, chunk by chunk.
 
@@ -170,11 +105,7 @@ class CsvScanRDD(RDD[Row]):
         _headers, chunks = self.connector.open_split_stream(split, self.task)
         if self.task.compress:
             chunks = _decompress_chunks(chunks)
-        lines = _owned_lines(StorletInputStream(chunks), 0, None)
-        for raw_line in lines:
-            row = self._parse_pushdown_line(raw_line)
-            if row is not None:
-                yield row
+        yield from CsvScan(chunks, self.output_schema, self.delimiter).rows()
 
     def _plain_rows(
         self, split: ObjectSplit, apply_task_filters: bool = False
@@ -191,11 +122,25 @@ class CsvScanRDD(RDD[Row]):
         pushdown stream exactly (required for mid-stream resume); the
         executor's re-applied filters are idempotent over it.
         """
-        map_line = self._plain_line_mapper(split, apply_task_filters)
-        for raw_line in self.connector.read_split_records(split):
-            row = map_line(raw_line)
-            if row is not None:
-                yield row
+        filters: Sequence[Filter] = ()
+        if apply_task_filters and self.task is not None:
+            filters = self.task.filters
+        projection = None
+        if len(self.output_schema) != len(self.full_schema):
+            projection = [
+                self.full_schema.index_of(name)
+                for name in self.output_schema.names
+            ]
+        _headers, chunks = self.connector.open_split_stream(split, task=None)
+        yield from CsvScan(
+            chunks,
+            self.full_schema,
+            self.delimiter,
+            range_start=split.start,
+            range_len=split.length,
+            skip_header=self.has_header and split.is_first,
+            filters=filters,
+        ).rows(projection)
 
 
 def _decompress_chunks(chunks: Iterator[bytes]) -> Iterator[bytes]:
@@ -445,7 +390,7 @@ def infer_csv_schema(
     )
     lines = head.split(b"\n")
     records = [
-        _parse_record(line, delimiter)
+        parse_record(line, delimiter)
         for line in lines[: sample_rows + 1]
         if line.strip()
     ]

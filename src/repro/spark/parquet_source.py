@@ -25,6 +25,7 @@ import zlib
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.connector.stocator import ObjectSplit, StocatorConnector
+from repro.csvscan import CsvScan
 from repro.sql.types import Row, Schema
 from repro.spark.datasources import PrunedScan
 from repro.spark.rdd import RDD
@@ -227,27 +228,13 @@ def convert_csv_container(
     row_group_size: int = 50_000,
 ) -> List[str]:
     """Re-encode every CSV object of a container as a parquet object."""
-    from repro.storlets.api import StorletInputStream
-    from repro.storlets.csv_storlet import _owned_lines, _parse_record
-
     connector.client.put_container(target_container)
     written = []
     for name in connector.client.list_objects(source_container):
         _headers, data = connector.client.get_object(source_container, name)
-        rows = []
-        first = True
-        for raw_line in _owned_lines(StorletInputStream([data]), 0, None):
-            if first and has_header:
-                first = False
-                continue
-            first = False
-            fields = _parse_record(raw_line, delimiter)
-            if fields is None or len(fields) != len(schema):
-                continue
-            try:
-                rows.append(schema.parse_row(fields))
-            except (ValueError, TypeError):
-                continue
+        rows = list(
+            CsvScan([data], schema, delimiter, skip_header=has_header).rows()
+        )
         target_name = name.rsplit(".", 1)[0] + ".parquet"
         connector.client.put_object(
             target_container,

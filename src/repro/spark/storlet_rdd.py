@@ -24,12 +24,11 @@ import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.connector.stocator import ObjectSplit, StocatorConnector
+from repro.csvscan import owned_records, typed_record
 from repro.sql.filters import Filter, filters_to_json
 from repro.sql.types import Row, Schema
 from repro.spark.datasources import PrunedFilteredScan
 from repro.spark.rdd import RDD
-from repro.storlets.api import StorletInputStream
-from repro.storlets.csv_storlet import _owned_lines, _parse_record
 from repro.storlets.engine import StorletRequestHeaders
 from repro.swift.exceptions import SwiftError
 
@@ -141,8 +140,7 @@ class StorletRDD(RDD[bytes]):
                 f"/{split.container}/{split.name}"
             )
         self.connector.metrics.record(len(body), split.length, pushdown=True)
-        stream = StorletInputStream([body] if body else [])
-        return _owned_lines(stream, 0, None)
+        return owned_records([body] if body else [])
 
 
 class StorletCsvRelation(PrunedFilteredScan):
@@ -224,12 +222,9 @@ class StorletCsvRelation(PrunedFilteredScan):
         delimiter = self.delimiter
 
         def parse(raw_line: bytes) -> Optional[Row]:
-            fields = _parse_record(raw_line, delimiter)
-            if fields is None or len(fields) != len(output_schema):
-                return None
             try:
-                return output_schema.parse_row(fields)
-            except (ValueError, TypeError):
+                return typed_record(raw_line, output_schema, delimiter)[1]
+            except ValueError:
                 return None
 
         return raw.map(parse).filter(lambda row: row is not None)

@@ -29,10 +29,11 @@ last_value     flag(0/1), value  (two fields)
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.csvscan import CsvScan, render_record
 from repro.sql.expressions import Aggregate, Star
-from repro.sql.filters import conjunction_predicate, filters_from_json
+from repro.sql.filters import filters_from_json
 from repro.sql.functions import make_accumulator
 from repro.sql.parser import parse_expression
 from repro.sql.types import DataType, Row, Schema
@@ -42,11 +43,6 @@ from repro.storlets.api import (
     StorletInputStream,
     StorletLogger,
     StorletOutputStream,
-)
-from repro.storlets.csv_storlet import (
-    _owned_lines,
-    _parse_record,
-    _render_record,
 )
 
 MERGEABLE_AGGREGATES = (
@@ -413,29 +409,29 @@ class AggregatingStorlet(IStorlet):
         key_evals, input_evals = spec.bind(schema)
         delimiter = parameters.get("delimiter", ",")
 
-        predicate = None
-        if parameters.get("filters"):
-            predicate = conjunction_predicate(
-                filters_from_json(parameters["filters"]), schema
-            )
-
         range_start = int(parameters.get("range_start", 0))
         range_len_text = parameters.get("range_len")
-        range_len = int(range_len_text) if range_len_text else None
         has_header = parameters.get("has_header", "false") == "true"
+        filters = ()
+        if parameters.get("filters"):
+            filters = filters_from_json(parameters["filters"])
+        rows = CsvScan(
+            in_stream.iter_chunks(),
+            schema,
+            delimiter,
+            range_start=range_start,
+            range_len=int(range_len_text) if range_len_text else None,
+            skip_header=has_header and range_start == 0,
+            filters=filters,
+        ).rows()
 
         if parameters.get("partials") == "json":
             self._invoke_tagged(
-                in_stream,
+                rows,
                 out_stream,
                 logger,
                 spec=spec,
                 schema=schema,
-                predicate=predicate,
-                delimiter=delimiter,
-                range_start=range_start,
-                range_len=range_len,
-                has_header=has_header,
                 max_groups=int(
                     parameters.get("max_groups", DEFAULT_MAX_GROUPS)
                 ),
@@ -445,21 +441,7 @@ class AggregatingStorlet(IStorlet):
         groups: Dict[Tuple, _PartialState] = {}
         order: List[Tuple] = []
         rows_in = 0
-        first = True
-        for raw_line in _owned_lines(in_stream, range_start, range_len):
-            if first:
-                first = False
-                if range_start == 0 and has_header:
-                    continue
-            fields = _parse_record(raw_line, delimiter)
-            if fields is None or len(fields) != len(schema):
-                continue
-            try:
-                row = schema.parse_row(fields)
-            except (ValueError, TypeError):
-                continue
-            if predicate is not None and not predicate(row):
-                continue
+        for row in rows:
             rows_in += 1
             key = tuple(evaluate(row) for evaluate in key_evals)
             state = groups.get(key)
@@ -472,7 +454,7 @@ class AggregatingStorlet(IStorlet):
         for key in order:
             key_fields = [encode_partial_value(part) for part in key]
             out_stream.write(
-                _render_record(
+                render_record(
                     key_fields + groups[key].fields(), delimiter
                 )
             )
@@ -489,43 +471,20 @@ class AggregatingStorlet(IStorlet):
 
     def _invoke_tagged(
         self,
-        in_stream: StorletInputStream,
+        rows: Iterator[Row],
         out_stream: StorletOutputStream,
         logger: StorletLogger,
         *,
         spec: AggregationSpec,
         schema: Schema,
-        predicate,
-        delimiter: str,
-        range_start: int,
-        range_len: Optional[int],
-        has_header: bool,
         max_groups: int,
     ) -> None:
-        """The v2 path: stream tagged JSON records for this byte range."""
-
-        def typed_rows():
-            first = True
-            for raw_line in _owned_lines(in_stream, range_start, range_len):
-                if first:
-                    first = False
-                    if range_start == 0 and has_header:
-                        continue
-                fields = _parse_record(raw_line, delimiter)
-                if fields is None or len(fields) != len(schema):
-                    continue
-                try:
-                    row = schema.parse_row(fields)
-                except (ValueError, TypeError):
-                    continue
-                if predicate is not None and not predicate(row):
-                    continue
-                yield row
-
+        """The v2 path: stream tagged JSON records for the range's
+        typed, filtered ``rows``."""
         partials = 0
         spilled = 0
         for record in tagged_partial_aggregate(
-            typed_rows(), spec, schema, max_groups=max_groups
+            rows, spec, schema, max_groups=max_groups
         ):
             if record[0] == "p":
                 partials += 1

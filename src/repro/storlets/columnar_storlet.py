@@ -13,15 +13,15 @@ Two storlets live here:
   (:func:`repro.columnar.layout.encode_block`).  Non-referenced column
   segments are never even decoded.
 * :class:`CsvToColumnarStorlet` is the PUT-path ETL converter: it parses
-  a CSV stream with the same drop rules as the CSV scan path (malformed,
-  wrong-width and untypable records are dropped) and re-encodes it as a
+  a CSV stream through :class:`repro.csvscan.CsvScan` -- so with the drop
+  rule of every CSV scan path -- and re-encodes it as a
   streaming RCF1 object, O(stripe) memory.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 from repro.catalog import CatalogBuilder
 from repro.columnar.batch import ColumnBatch
@@ -31,16 +31,16 @@ from repro.columnar.layout import (
     encode_block,
     encode_stream,
 )
+from repro.csvscan import CsvScan
 from repro.sql.filters import filters_from_json
 from repro.sql.kernels import compile_filters
-from repro.sql.types import Schema
+from repro.sql.types import Row, Schema
 from repro.storlets.api import (
     IStorlet,
     StorletException,
     StorletInputStream,
     StorletLogger,
 )
-from repro.storlets.csv_storlet import _owned_lines, _parse_record
 
 #: Upper bound on rows per emitted block.  Stripes are sized for scan
 #: throughput (hundreds of KiB), but the *response* must stream at a
@@ -224,10 +224,10 @@ class CsvToColumnarStorlet(IStorlet):
         discovery over the result yields splits comparable to the
         row-oriented path.
 
-    Drop rules match the CSV scan path exactly (malformed, wrong-width
-    and untypable records are logged and dropped), so a query over the
-    converted object returns byte-identical rows to the same query over
-    the original CSV.
+    The drop rule is the CSV scan path's own (:mod:`repro.csvscan`:
+    unframeable, wrong-width and untypable records are logged and
+    dropped), so a query over the converted object returns
+    byte-identical rows to the same query over the original CSV.
     """
 
     name = "csv2columnar"
@@ -254,50 +254,33 @@ class CsvToColumnarStorlet(IStorlet):
             if parameters.get("stripe_bytes")
             else None
         )
-        counters = {"kept": 0, "dropped": 0}
+        scan = CsvScan(
+            in_stream.iter_chunks(),
+            schema,
+            delimiter,
+            skip_header=has_header,
+            log=logger.emit,
+        )
         # The data-skipping catalog is computed over exactly the rows
         # that make it into the stored object, so a later skip decision
         # can never disagree with the bytes on disk.
         catalog = CatalogBuilder(schema)
 
-        def typed_rows() -> Iterator[Tuple]:
-            first = True
-            for raw_line in _owned_lines(in_stream, 0, None):
-                if first:
-                    first = False
-                    if has_header:
-                        continue
-                fields = _parse_record(raw_line, delimiter)
-                if fields is None or len(fields) != len(schema):
-                    counters["dropped"] += 1
-                    logger.emit(
-                        f"csv2columnar: dropping malformed record "
-                        f"{raw_line[:80]!r}"
-                    )
-                    continue
-                try:
-                    row = schema.parse_row(fields)
-                except (ValueError, TypeError):
-                    counters["dropped"] += 1
-                    logger.emit(
-                        f"csv2columnar: dropping untypable record "
-                        f"{raw_line[:80]!r}"
-                    )
-                    continue
-                counters["kept"] += 1
+        def typed_rows() -> Iterator[Row]:
+            for row in scan.rows():
                 catalog.observe(row)
                 yield row
 
         yield from encode_stream(schema, typed_rows(), stripe_rows, stripe_bytes)
+        kept = scan.records_in - scan.dropped
         metadata.update(
             {
-                "x-object-meta-columnar-rows": str(counters["kept"]),
-                "x-object-meta-columnar-dropped": str(counters["dropped"]),
+                "x-object-meta-columnar-rows": str(kept),
+                "x-object-meta-columnar-dropped": str(scan.dropped),
                 "x-object-meta-columnar-format": "RCF1",
             }
         )
         metadata.update(catalog.to_metadata())
         logger.emit(
-            f"csv2columnar: {counters['kept']} rows encoded, "
-            f"{counters['dropped']} dropped"
+            f"csv2columnar: {kept} rows encoded, {scan.dropped} dropped"
         )

@@ -5,34 +5,19 @@ This is the proof-of-concept filter the paper contributes (Section V-A):
 with the projection and selection filters as extracted by Catalyst, and
 outputs the filtered data."
 
-Byte-range semantics follow Hadoop's split rules so that parallel Spark
-tasks cover every record exactly once:
-
-* a record belongs to the range if it *starts* before the range end;
-* a task whose range starts mid-record skips forward to the first record
-  boundary (the previous task finishes that record);
-* the middleware supplies lookahead bytes past the range end so the last
-  owned record can be completed.
-
-Record framing is quote-aware (RFC 4180): a newline inside a quoted
-field does *not* terminate the record, so fields with embedded newlines
-parse as one record -- framing and :func:`_parse_record` agree.  Chunk
-boundaries (within one range read) inside quoted fields are fully
-supported -- the quote state carries across buffer refills.  Split
-boundaries never land inside a quoted field either: partition discovery
-plans them quote-aware (:mod:`repro.connector.split_planner`), sliding
-any boundary that would bisect a quoted field to the next record start,
-so the scanner's ``in_quotes = False`` entry assumption always holds.
+Record framing, Hadoop byte-range ownership (so that parallel Spark
+tasks cover every record exactly once), typing and the drop rule are
+:mod:`repro.csvscan`'s; this module selects, projects and renders what
+the scan keeps, a block at a time.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
-from repro.sql.filters import conjunction_predicate, filters_from_json
+from repro.csvscan import CsvScan, RecordBlock, render_record
+from repro.sql.filters import filters_from_json
 from repro.sql.types import Schema
 from repro.storlets.api import (
     IStorlet,
@@ -91,78 +76,83 @@ class CsvStorlet(IStorlet):
             # order the request listed them in.
             columns = sorted(schema.index_of(name) for name in names)
 
-        predicate = None
+        filters = ()
         if parameters.get("filters"):
             filters = filters_from_json(parameters["filters"])
-            predicate = conjunction_predicate(filters, schema)
 
         range_start = int(parameters.get("range_start", 0))
         range_len_text = parameters.get("range_len")
         range_len = int(range_len_text) if range_len_text is not None else None
         has_header = parameters.get("has_header", "false").lower() == "true"
         emit_header = parameters.get("emit_header", "false").lower() == "true"
-        covers_start = range_start == 0
+        skip_header = has_header and range_start == 0
 
-        counters = {"rows_in": 0, "rows_out": 0}
+        scan = CsvScan(
+            in_stream.iter_chunks(),
+            schema,
+            delimiter,
+            range_start=range_start,
+            range_len=range_len,
+            skip_header=skip_header,
+            filters=filters,
+            log=logger.emit,
+        )
+        rows_out = 0
 
-        def output_lines() -> Iterator[bytes]:
-            first_data_line = True
-            for raw_line in _owned_lines(in_stream, range_start, range_len):
-                if first_data_line:
-                    first_data_line = False
-                    if covers_start and has_header:
-                        if emit_header:
-                            header_fields = schema.names
-                            if columns is not None:
-                                header_fields = [
-                                    schema.names[index] for index in columns
-                                ]
-                            yield (
-                                delimiter.join(header_fields).encode("utf-8")
-                                + b"\n"
-                            )
-                        continue
-                counters["rows_in"] += 1
-                fields = _parse_record(raw_line, delimiter)
-                if fields is None:
-                    logger.emit(
-                        f"skipping malformed record: {raw_line[:80]!r}"
-                    )
-                    continue
-                if len(fields) != len(schema):
-                    logger.emit(
-                        f"skipping record of {len(fields)} fields "
-                        f"(schema has {len(schema)})"
-                    )
-                    continue
-                if predicate is not None:
-                    try:
-                        typed = schema.parse_row(fields)
-                    except (ValueError, TypeError):
-                        logger.emit(
-                            f"skipping untypable record: {raw_line[:80]!r}"
-                        )
-                        continue
-                    if not predicate(typed):
-                        continue
-                if columns is not None:
-                    selected = [fields[index] for index in columns]
-                    yield _render_record(selected, delimiter)
-                else:
-                    yield raw_line + b"\n"
-                counters["rows_out"] += 1
+        def output_blocks() -> Iterator[bytes]:
+            nonlocal rows_out
+            header_pending = skip_header and emit_header
+            for block in scan.blocks():
+                if header_pending:
+                    # The first block exists because a first record --
+                    # the header -- did.
+                    header_pending = False
+                    names = schema.names
+                    if columns is not None:
+                        names = [names[index] for index in columns]
+                    yield (delimiter.join(names) + "\n").encode("utf-8")
+                picked = scan.select(block)
+                kept = block.count if picked is None else len(picked)
+                if kept:
+                    rows_out += kept
+                    yield _render_block(block, picked, columns, delimiter)
 
-        yield from _coalesce(output_lines(), self.OUTPUT_CHUNK)
+        yield from _coalesce(output_blocks(), self.OUTPUT_CHUNK)
         metadata.update(
             {
-                "x-object-meta-storlet-rows-in": str(counters["rows_in"]),
-                "x-object-meta-storlet-rows-out": str(counters["rows_out"]),
+                "x-object-meta-storlet-rows-in": str(scan.records_in),
+                "x-object-meta-storlet-rows-out": str(rows_out),
+                "x-object-meta-storlet-rows-dropped": str(scan.dropped),
             }
         )
         logger.emit(
-            f"csvstorlet: {counters['rows_in']} rows in, "
-            f"{counters['rows_out']} rows out"
+            f"csvstorlet: {scan.records_in} rows in, {rows_out} rows out, "
+            f"{scan.dropped} dropped"
         )
+
+
+def _render_block(
+    block: RecordBlock,
+    picked: Optional[List[int]],
+    columns: Optional[List[int]],
+    delimiter: str,
+) -> bytes:
+    """Serialize the picked records (all, when ``picked`` is None; never
+    none) of a block, projected to ``columns`` (verbatim, when None)."""
+    if columns is None:
+        lines = block.lines
+        if picked is not None:
+            lines = [lines[i] for i in picked]
+    else:
+        texts = [block.texts[index] for index in columns]
+        if picked is not None:
+            texts = [[column[i] for i in picked] for column in texts]
+        if not block.regular:
+            return b"".join(
+                render_record(fields, delimiter) for fields in zip(*texts)
+            )
+        lines = map(delimiter.join, zip(*texts))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _coalesce(lines: Iterator[bytes], chunk_size: int) -> Iterator[bytes]:
@@ -183,155 +173,3 @@ def _coalesce(lines: Iterator[bytes], chunk_size: int) -> Iterator[bytes]:
             pending_size = 0
     if pending:
         yield b"".join(pending)
-
-
-def _owned_lines(
-    in_stream: StorletInputStream,
-    range_start: int,
-    range_len: Optional[int],
-) -> Iterator[bytes]:
-    """Yield the records this invocation owns, without trailing newlines.
-
-    The stream's first byte sits at object offset ``range_start``; the
-    logical range covers stream offsets ``[0, range_len)`` (everything,
-    when ``range_len`` is None).  Ownership follows Hadoop's
-    LineRecordReader rules exactly:
-
-    * a range with ``range_start > 0`` unconditionally discards its
-      first line -- it cannot know whether it starts on a boundary, and
-      the previous range reads through to finish that record;
-    * consequently a range also owns a record starting *exactly at its
-      end boundary* (stream offset == range_len), because the next
-      range will discard it (Hadoop's ``pos <= end`` loop).
-
-    Together these guarantee each record is owned by exactly one range.
-
-    Framing is quote-aware (RFC 4180): a ``\\n`` between an odd number
-    of double quotes is *inside* a quoted field and does not terminate
-    the record.  The quote parity carries across chunk refills, so a
-    quoted field may straddle any number of stream chunks.  (Range
-    boundaries are planned quote-safe at discovery time -- see the
-    module docstring -- so starting a scan with ``in_quotes = False``
-    is always correct.)
-    """
-    buffer = b""
-    offset = 0  # stream offset of buffer[0]
-    skipping_first = range_start > 0
-    chunks = in_stream.iter_chunks()
-    exhausted = False
-    # Quote-scan state, relative to the current buffer: everything
-    # before scan_pos has been classified, and in_quotes says whether
-    # scan_pos currently sits inside a quoted field.
-    scan_pos = 0
-    in_quotes = False
-
-    while True:
-        newline, scan_pos, in_quotes = _find_record_end(
-            buffer, scan_pos, in_quotes
-        )
-        while newline < 0 and not exhausted:
-            try:
-                buffer += next(chunks)
-            except StopIteration:
-                exhausted = True
-                break
-            newline, scan_pos, in_quotes = _find_record_end(
-                buffer, scan_pos, in_quotes
-            )
-
-        if newline < 0:
-            # Trailing record without newline at end of object.
-            if buffer and not skipping_first:
-                if range_len is None or offset <= range_len:
-                    yield buffer
-            return
-
-        line, buffer = buffer[:newline], buffer[newline + 1 :]
-        line_start = offset
-        offset = line_start + newline + 1
-        # The scanner consumed exactly up to the record boundary; a new
-        # record always starts outside quotes.
-        scan_pos = 0
-        in_quotes = False
-
-        if skipping_first:
-            # Everything up to the first record boundary belongs to the
-            # previous range (it finishes this record via its lookahead).
-            skipping_first = False
-            continue
-        if range_len is not None and line_start > range_len:
-            return
-        yield line.rstrip(b"\r")
-
-
-def _find_record_end(
-    buffer: bytes, pos: int, in_quotes: bool
-) -> Tuple[int, int, bool]:
-    """Locate the next record-terminating newline at or after ``pos``.
-
-    Returns ``(newline_index, next_pos, in_quotes)``.  ``newline_index``
-    is ``-1`` when the buffer ends before a record boundary, in which
-    case ``next_pos``/``in_quotes`` capture the scan state to resume
-    from after more bytes arrive.  The scan jumps between ``find()``
-    calls instead of walking bytes: outside quotes the next interesting
-    byte is ``min(next '\\n', next '\"')``; inside quotes only the
-    closing quote matters.  RFC 4180's ``\"\"`` escape needs no special
-    case -- it toggles the parity twice.
-    """
-    while True:
-        if in_quotes:
-            quote = buffer.find(b'"', pos)
-            if quote < 0:
-                return -1, len(buffer), True
-            pos = quote + 1
-            in_quotes = False
-            continue
-        newline = buffer.find(b"\n", pos)
-        if newline < 0:
-            quote = buffer.find(b'"', pos)
-            if quote < 0:
-                return -1, len(buffer), False
-            pos = quote + 1
-            in_quotes = True
-            continue
-        quote = buffer.find(b'"', pos, newline)
-        if quote < 0:
-            return newline, newline, False
-        pos = quote + 1
-        in_quotes = True
-
-
-def _parse_record(raw_line: bytes, delimiter: str) -> Optional[List[str]]:
-    """Parse one CSV record; fast path for unquoted data."""
-    try:
-        text = raw_line.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if '"' not in text:
-        return text.split(delimiter)
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    try:
-        return next(reader)
-    except (csv.Error, StopIteration):
-        return None
-
-
-def _render_record(fields: List[str], delimiter: str) -> bytes:
-    """Serialize fields, quoting only when necessary.
-
-    A field containing a newline (or carriage return) must be re-quoted
-    too, else the emitted record is unframeable downstream.
-    """
-    if any(
-        delimiter in field
-        or '"' in field
-        or "\n" in field
-        or "\r" in field
-        for field in fields
-    ):
-        sink = io.StringIO()
-        csv.writer(sink, delimiter=delimiter, lineterminator="\n").writerow(
-            fields
-        )
-        return sink.getvalue().encode("utf-8")
-    return (delimiter.join(fields) + "\n").encode("utf-8")

@@ -13,6 +13,7 @@ import json
 from typing import Dict, Iterator, List, Optional
 
 from repro.catalog import CatalogBuilder
+from repro.csvscan import owned_records, parse_record, render_record
 from repro.sql.types import Schema
 from repro.storlets.api import (
     IStorlet,
@@ -20,12 +21,7 @@ from repro.storlets.api import (
     StorletInputStream,
     StorletLogger,
 )
-from repro.storlets.csv_storlet import (
-    _coalesce,
-    _owned_lines,
-    _parse_record,
-    _render_record,
-)
+from repro.storlets.csv_storlet import _coalesce
 
 
 class CleansingStorlet(IStorlet):
@@ -73,13 +69,13 @@ class CleansingStorlet(IStorlet):
 
         def output_lines() -> Iterator[bytes]:
             first = True
-            for raw_line in _owned_lines(in_stream, 0, None):
+            for raw_line in owned_records(in_stream.iter_chunks()):
                 if first and has_header:
                     first = False
                     yield raw_line + b"\n"
                     continue
                 first = False
-                fields = _parse_record(raw_line, delimiter)
+                fields = parse_record(raw_line, delimiter)
                 if fields is None or len(fields) != len(schema):
                     counters["dropped"] += 1
                     continue
@@ -94,7 +90,7 @@ class CleansingStorlet(IStorlet):
                     counters["dropped"] += 1
                     continue
                 catalog.observe(typed)
-                yield _render_record(fields, delimiter)
+                yield render_record(fields, delimiter)
                 counters["kept"] += 1
 
         yield from _coalesce(output_lines(), self.OUTPUT_CHUNK)
@@ -162,8 +158,8 @@ class ColumnSplitStorlet(IStorlet):
 
         def output_lines() -> Iterator[bytes]:
             first = True
-            for raw_line in _owned_lines(in_stream, 0, None):
-                fields = _parse_record(raw_line, delimiter)
+            for raw_line in owned_records(in_stream.iter_chunks()):
+                fields = parse_record(raw_line, delimiter)
                 if fields is None or column >= len(fields):
                     yield raw_line + b"\n"
                     continue
@@ -173,7 +169,7 @@ class ColumnSplitStorlet(IStorlet):
                         f"{fields[column]}_{i}" for i in range(parts)
                     ]
                     fields[column : column + 1] = replacement
-                    yield _render_record(fields, delimiter)
+                    yield render_record(fields, delimiter)
                     continue
                 first = False
                 pieces = fields[column].split(separator)
@@ -184,7 +180,7 @@ class ColumnSplitStorlet(IStorlet):
                         separator.join(pieces[parts - 1 :])
                     ]
                 fields[column : column + 1] = pieces
-                yield _render_record(fields, delimiter)
+                yield render_record(fields, delimiter)
                 counters["count"] += 1
 
         yield from _coalesce(output_lines(), self.OUTPUT_CHUNK)

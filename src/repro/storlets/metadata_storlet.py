@@ -27,6 +27,7 @@ import json
 import struct
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.csvscan import render_record
 from repro.storlets.api import (
     IStorlet,
     StorletException,
@@ -34,7 +35,6 @@ from repro.storlets.api import (
     StorletLogger,
     StorletOutputStream,
 )
-from repro.storlets.csv_storlet import _render_record
 
 MAGIC = b"IMG1"
 MAX_TAGS = 512
@@ -136,6 +136,6 @@ class MetadataExtractorStorlet(IStorlet):
             for chunk in in_stream.iter_chunks():
                 remaining += len(chunk)
             fields.append(str(remaining))
-        out_stream.write(_render_record(fields, ","))
+        out_stream.write(render_record(fields, ","))
         logger.emit(f"metaextract: {len(wanted)} tags extracted")
         out_stream.close()

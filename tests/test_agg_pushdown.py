@@ -23,7 +23,7 @@ from repro.storlets.agg_storlet import (
     AggregationSpec,
     merge_partials,
 )
-from repro.storlets.csv_storlet import _parse_record
+from repro.csvscan import parse_record
 from repro.sql.types import DataType
 
 SCHEMA = Schema.of("vid", "date", "index:float", "city")
@@ -47,7 +47,7 @@ def run_agg(data, spec, extra=None, chunk=33):
         [StorletInputStream(chunks)], [out], parameters, StorletLogger("t")
     )
     return [
-        _parse_record(line, ",")
+        parse_record(line, ",")
         for line in out.getvalue().splitlines()
     ]
 
@@ -182,7 +182,7 @@ class TestMergePartials:
                 StorletLogger("t"),
             )
             return [
-                _parse_record(line, ",")
+                parse_record(line, ",")
                 for line in out.getvalue().splitlines()
             ]
 

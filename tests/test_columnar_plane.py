@@ -205,3 +205,32 @@ class TestConversion:
         assert relation.schema().names == SCHEMA.names
         rows = ctx.sql("SELECT COUNT(*) FROM t").collect()
         assert rows == [(400,)]
+
+
+class TestOneDropRule:
+    """A record untypable in *any* schema column is dropped on every
+    path, filter or no filter: the reader owns the rule, so CSV
+    pushdown, plain CSV and columnar cannot disagree."""
+
+    BODY = "a,1,1.5\nb,2,oops\nc,3,2.5\n"  # b's float column is untypable
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        ctx = ScoopContext()
+        ctx.upload_csv("drop", "part.csv", self.BODY)
+        schema = Schema.of("vid", "n:int", "x:float")
+        for table, options in {
+            "pushdown": dict(pushdown=True, format="csv"),
+            "plain": dict(pushdown=False, format="csv"),
+            "columnar": dict(format="columnar"),
+        }.items():
+            ctx.register_csv_table(table, "drop", schema=schema, **options)
+        return ctx
+
+    @pytest.mark.parametrize("table", ["pushdown", "plain", "columnar"])
+    @pytest.mark.parametrize(
+        "where", ["", " WHERE n >= 1"], ids=["no-filter", "filter"]
+    )
+    def test_untypable_record_dropped_everywhere(self, ctx, table, where):
+        rows = ctx.sql(f"SELECT vid FROM {table}{where}").collect()
+        assert rows == [("a",), ("c",)]

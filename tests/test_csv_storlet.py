@@ -20,7 +20,7 @@ from repro.storlets import (
     StorletLogger,
     StorletOutputStream,
 )
-from repro.storlets.csv_storlet import _owned_lines
+from repro.csvscan import owned_records
 
 SCHEMA = Schema.of("vid", "date", "index:float", "city")
 
@@ -119,6 +119,22 @@ class TestProjectionSelection:
         result = invoke(data, {"filters": filters})
         assert result.count(b"\n") == 4
 
+    def test_untypable_rows_dropped_without_filter_and_counted(self):
+        # The drop rule does not depend on a filter being present, and
+        # the storlet publishes how many records it cost.
+        data = b"m1,2015-01-01,notanumber,Rotterdam\nbroken,row\n" + SAMPLE
+        out = StorletOutputStream()
+        CsvStorlet().invoke(
+            [StorletInputStream([data])],
+            [out],
+            {"schema": SCHEMA.to_header(), "columns": json.dumps(["vid"])},
+            StorletLogger("test"),
+        )
+        assert out.getvalue() == b"m1\nm2\nm3\nm4\n"
+        assert out.metadata["x-object-meta-storlet-rows-in"] == "6"
+        assert out.metadata["x-object-meta-storlet-rows-out"] == "4"
+        assert out.metadata["x-object-meta-storlet-rows-dropped"] == "2"
+
     def test_quoted_fields_parsed(self):
         data = b'm1,2015-01-01,1.0,"Rotter,dam"\n'
         filters = filters_to_json([EqualTo("city", "Rotter,dam")])
@@ -126,6 +142,15 @@ class TestProjectionSelection:
         assert result.count(b"\n") == 1
         # Output re-quotes the field containing the delimiter.
         assert b'"Rotter,dam"' in result
+
+    def test_multi_character_delimiter(self):
+        # A delimiter longer than one character may straddle where the
+        # block path joins records; such input is read record by record.
+        data = b"m1||2015-01-01||1.0||x|\nm2||2015-01-02||2.0||y\n"
+        result = invoke(
+            data, {"delimiter": "||", "columns": json.dumps(["vid", "city"])}
+        )
+        assert result == b"m1||x|\nm2||y\n"
 
     def test_final_line_without_newline_processed(self):
         data = SAMPLE + b"m5,2015-03-01,7.0,Nice"  # no trailing newline
@@ -236,7 +261,7 @@ class TestQuotedNewlines:
         # The projected multiline field is re-quoted, so re-framing the
         # output yields the same 4 records.
         reparsed = list(
-            _owned_lines(StorletInputStream([result]), 0, None)
+            owned_records([result])
         )
         assert len(reparsed) == 4
         assert reparsed[0] == b'm1,"Rotter\ndam"'
@@ -395,7 +420,6 @@ class TestCoverageProperty:
     @settings(max_examples=30, deadline=None)
     @given(data=st.binary(max_size=400), start=st.integers(0, 400))
     def test_owned_lines_never_crashes_on_garbage(self, data, start):
-        stream = StorletInputStream([data] if data else [])
-        lines = list(_owned_lines(stream, start, None))
+        lines = list(owned_records([data] if data else [], start))
         for line in lines:
             assert b"\n" not in line

@@ -17,7 +17,7 @@ from repro.connector.split_planner import plan_quote_safe_starts
 from repro.core.scoop import ScoopContext
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.types import Schema
-from repro.storlets.csv_storlet import _parse_record
+from repro.csvscan import parse_record
 
 
 def _quoted_csv(rows):
@@ -89,8 +89,7 @@ class TestPlanner:
         data = _quoted_csv(rows)
         starts = plan_quote_safe_starts(data, chunk)
         assert starts is not None  # _quoted_csv always closes its quotes
-        from repro.storlets.api import StorletInputStream
-        from repro.storlets.csv_storlet import _owned_lines
+        from repro.csvscan import owned_records
 
         bounds = starts + [len(data)]
         recovered = []
@@ -98,9 +97,10 @@ class TestPlanner:
             # The real ranged GET streams from the split start to end of
             # object (the tail past range_len is the lookahead that
             # finishes a straddling record).
-            stream = StorletInputStream([data[start:]])
-            recovered.extend(_owned_lines(stream, start, end - start))
-        parsed = [tuple(_parse_record(line, ",")) for line in recovered]
+            recovered.extend(
+                owned_records([data[start:]], start, end - start)
+            )
+        parsed = [tuple(parse_record(line, ",")) for line in recovered]
         assert parsed == [tuple(row) for row in rows]
 
 
