@@ -132,3 +132,34 @@ class TestStreamingPeakMemory:
             assert consume(chunks) > 0
 
         assert traced_peak(drain) < PEAK_CEILING
+
+
+class TestDroppedContextsDoNotPileUp:
+    """A dropped context must not be cyclic garbage (docs/data_plane.md):
+    its store holds every replica of every object, so benchmarks and
+    test suites that build contexts back to back would otherwise carry
+    the dead stores until a full collection happened to run."""
+
+    def _build_and_drop(self, contexts: int) -> int:
+        def drain():
+            for _ in range(contexts):
+                context = ScoopContext(trace=False)
+                # ~1 MB built inside the trace, so a pinned store shows.
+                context.upload_csv(
+                    "bench", "data.csv", b"vid-0000001,1,Paris\n" * 50_000
+                )
+                del context
+
+        return traced_peak(drain)
+
+    def test_five_contexts_peak_like_one(self):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            one = self._build_and_drop(1)
+            five = self._build_and_drop(5)
+        finally:
+            gc.enable()
+        assert five < 1.5 * one, (one, five)

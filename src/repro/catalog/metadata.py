@@ -32,8 +32,8 @@ from repro.columnar.stats import (
     BloomFilter,
     ColumnStats,
     canonical_bloom_key,
+    column_stats,
     filters_may_match,
-    is_non_finite,
 )
 from repro.sql.filters import Filter
 from repro.sql.types import Schema
@@ -44,13 +44,15 @@ CATALOG_HEADER = "x-object-meta-scoop-catalog"
 #: Bump on any change a decoder of this version could misread.
 CATALOG_VERSION = 1
 
-#: Distinct-key cap per column: past this the bloom would saturate into
-#: uselessness anyway, so the builder drops it and keeps only min/max.
+#: Distinct-key cap per column: the bloom is kept iff the column holds
+#: at most this many distinct canonical keys (and no unkeyable value);
+#: past it the bloom would saturate into uselessness anyway.
 MAX_BLOOM_KEYS = 256
 
 
 class _ColumnAccumulator:
-    """Streaming per-column stats: finite min/max, nulls, NaN flag, keys."""
+    """One column's running catalog entry: the merge of the statistics
+    of every vector folded so far, plus its distinct bloom keys."""
 
     def __init__(self) -> None:
         self.nulls = 0
@@ -58,49 +60,43 @@ class _ColumnAccumulator:
         self.max_value: Any = None
         self.has_nan = False
         #: Distinct canonical keys, or ``None`` once the bloom is off
-        #: (cap exceeded or an unkeyable value was seen).
+        #: (more than the cap, or an unkeyable value was seen).
         self.keys: Optional[Set[bytes]] = set()
-        self._bounds_ok = True
 
-    def observe(self, value: Any) -> None:
-        """Fold one value into the running statistics."""
-        if value is None:
-            self.nulls += 1
+    def merge(self, stats: Any, values: Sequence[Any]) -> None:
+        """Fold one vector given its statistics (anything carrying
+        ``nulls`` / ``min_value`` / ``max_value`` / ``has_nan``)."""
+        self.nulls += stats.nulls
+        self.has_nan = self.has_nan or stats.has_nan
+        if stats.min_value is not None:
+            if self.min_value is None or stats.min_value < self.min_value:
+                self.min_value = stats.min_value
+            if self.max_value is None or stats.max_value > self.max_value:
+                self.max_value = stats.max_value
+        if self.keys is None:
             return
-        if self.keys is not None:
+        # Keyed from the value *set*: whether the bloom survives depends
+        # on the column's content, never on its row order.
+        distinct = set(values)
+        distinct.discard(None)
+        for value in distinct:
             key = canonical_bloom_key(value)
-            if key is None or len(self.keys) >= MAX_BLOOM_KEYS:
-                self.keys = None
-            else:
+            if key is not None:
                 self.keys.add(key)
-        if is_non_finite(value):
-            self.has_nan = True
-            return
-        if not self._bounds_ok:
-            return
-        try:
-            if self.min_value is None:
-                self.min_value = self.max_value = value
-            else:
-                if value < self.min_value:
-                    self.min_value = value
-                if value > self.max_value:
-                    self.max_value = value
-        except TypeError:
-            # Mixed incomparable types: bounds prove nothing, drop them.
-            self.min_value = self.max_value = None
-            self._bounds_ok = False
+            if key is None or len(self.keys) > MAX_BLOOM_KEYS:
+                self.keys = None
+                return
 
     def to_payload(self) -> dict:
         """This column's catalog document fragment."""
         entry: dict = {
-            "min": self.min_value if self._bounds_ok else None,
-            "max": self.max_value if self._bounds_ok else None,
+            "min": self.min_value,
+            "max": self.max_value,
             "nulls": self.nulls,
         }
         if self.has_nan:
             entry["nan"] = True
-        if self.keys is not None and self.keys:
+        if self.keys:
             bloom = BloomFilter()
             for key in sorted(self.keys):
                 bloom.add_key(key)
@@ -111,7 +107,7 @@ class _ColumnAccumulator:
 
 
 class CatalogBuilder:
-    """Accumulates a catalog entry while typed rows stream past.
+    """Accumulates a catalog entry from column vectors of typed rows.
 
     The PUT-path storlets feed every row they emit (post-cleansing, so
     the catalog describes exactly the stored content) and merge
@@ -121,20 +117,29 @@ class CatalogBuilder:
 
     def __init__(self, schema: Schema):
         """Track one accumulator per schema column (lowercased names)."""
-        self._names = [fld.name.lower() for fld in schema.fields]
+        self._schema = schema
         self._columns = [_ColumnAccumulator() for _ in schema.fields]
         self._rows = 0
 
-    def observe(self, row: Sequence[Any]) -> None:
-        """Fold one typed row (one value per schema column)."""
-        self._rows += 1
-        for accumulator, value in zip(self._columns, row):
-            accumulator.observe(value)
+    def add_columns(
+        self,
+        columns: Sequence[Sequence[Any]],
+        stats: Optional[Sequence[Any]] = None,
+    ) -> None:
+        """Fold a run of rows, one schema-typed value vector per column.
 
-    @property
-    def rows(self) -> int:
-        """Rows observed so far."""
-        return self._rows
+        ``stats`` are these vectors' per-column statistics when the
+        caller already has them (the RCF1 encoder's segment metadata, so
+        footer and catalog cannot disagree); else they are computed here.
+        """
+        if stats is None:
+            stats = [
+                column_stats(column, fld.dtype)
+                for fld, column in zip(self._schema.fields, columns)
+            ]
+        self._rows += len(columns[0])
+        for accumulator, entry, column in zip(self._columns, stats, columns):
+            accumulator.merge(entry, column)
 
     def to_payload(self) -> dict:
         """The complete catalog JSON document."""
@@ -142,8 +147,8 @@ class CatalogBuilder:
             "v": CATALOG_VERSION,
             "rows": self._rows,
             "cols": {
-                name: accumulator.to_payload()
-                for name, accumulator in zip(self._names, self._columns)
+                fld.name.lower(): accumulator.to_payload()
+                for fld, accumulator in zip(self._schema.fields, self._columns)
             },
         }
 

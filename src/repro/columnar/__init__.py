@@ -21,6 +21,7 @@ from repro.columnar.layout import (
     decode_segment,
     decode_stripe,
     encode_block,
+    encode_column_stream,
     encode_columnar,
     encode_segment,
     encode_stream,
@@ -33,7 +34,6 @@ from repro.columnar.stats import (
     ColumnStats,
     filter_may_match,
     filters_may_match,
-    finite_min_max,
 )
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "ColumnStats",
     "filter_may_match",
     "filters_may_match",
-    "finite_min_max",
     "MAGIC",
     "BlockStreamDecoder",
     "ColumnBatch",
@@ -53,6 +52,7 @@ __all__ = [
     "decode_segment",
     "decode_stripe",
     "encode_block",
+    "encode_column_stream",
     "encode_columnar",
     "encode_segment",
     "encode_stream",

@@ -26,14 +26,15 @@ body without any footer.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.columnar.batch import ColumnBatch
-from repro.columnar.stats import finite_min_max
+from repro.columnar.stats import column_bounds
 from repro.sql.types import DataType, Schema
 
 MAGIC = b"RCF1"
@@ -43,9 +44,6 @@ ENC_INT64 = 0
 ENC_FLOAT64 = 1
 ENC_TEXT = 2
 ENC_BOOL = 3
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 # MAGIC prefix + 8-ASCII footer length + trailing MAGIC.
 _FRAME_OVERHEAD = len(MAGIC) + 8 + len(MAGIC)
@@ -153,19 +151,19 @@ class ColumnarFooter:
         )
 
 
-def _split_nulls(values: Sequence[Any]) -> Tuple[bytes, int, List[Any]]:
-    """Build the null bitmap (bit set = NULL) and the non-null run."""
+def _split_nulls(values: Sequence[Any]) -> Tuple[bytes, Sequence[Any]]:
+    """The null bitmap (bit set = NULL) and the non-null run of a column."""
     n = len(values)
+    if not values.count(None):
+        return bytes((n + 7) // 8), values
     bitmap = bytearray((n + 7) // 8)
     non_null: List[Any] = []
-    nulls = 0
     for i, value in enumerate(values):
         if value is None:
             bitmap[i >> 3] |= 1 << (i & 7)
-            nulls += 1
         else:
             non_null.append(value)
-    return bytes(bitmap), nulls, non_null
+    return bytes(bitmap), non_null
 
 
 def _pack_bits(values: Sequence[bool]) -> bytes:
@@ -179,9 +177,34 @@ def _pack_bits(values: Sequence[bool]) -> bytes:
 
 def _encode_text(texts: Sequence[str]) -> bytes:
     """u32 length array followed by concatenated UTF-8 payloads."""
-    raw = [text.encode("utf-8") for text in texts]
-    lengths = struct.pack(f"<{len(raw)}I", *[len(item) for item in raw])
-    return lengths + b"".join(raw)
+    joined = "".join(texts)
+    blob = joined.encode("utf-8")
+    if len(blob) == len(joined):  # ASCII: byte lengths are str lengths
+        lengths: Iterable[int] = map(len, texts)
+    else:
+        lengths = [len(text.encode("utf-8")) for text in texts]
+    return struct.pack(f"<{len(texts)}I", *lengths) + blob
+
+
+def _encode_values(
+    values: Sequence[Any], dtype: DataType
+) -> Tuple[bytes, Sequence[Any]]:
+    """One column's segment bytes (tag byte, null bitmap, payload) and
+    its non-null run -- encoding only, no statistics."""
+    bitmap, non_null = _split_nulls(values)
+    if dtype is DataType.INT:
+        try:
+            tag, payload = ENC_INT64, struct.pack(f"<{len(non_null)}q", *non_null)
+        except struct.error:  # beyond int64: arbitrary-precision escape hatch
+            tag = ENC_TEXT
+            payload = _encode_text([format(v, "d") for v in non_null])
+    elif dtype is DataType.FLOAT:
+        tag, payload = ENC_FLOAT64, struct.pack(f"<{len(non_null)}d", *non_null)
+    elif dtype is DataType.BOOL:
+        tag, payload = ENC_BOOL, _pack_bits(non_null)
+    else:
+        tag, payload = ENC_TEXT, _encode_text(non_null)
+    return bytes((tag,)) + bitmap + payload, non_null
 
 
 def encode_segment(
@@ -197,21 +220,8 @@ def encode_segment(
     reported through ``has_nan`` instead, which tells the pruner the
     bounds are incomplete.
     """
-    bitmap, nulls, non_null = _split_nulls(values)
-    if dtype is DataType.INT:
-        if all(_INT64_MIN <= v <= _INT64_MAX for v in non_null):
-            tag, payload = ENC_INT64, struct.pack(f"<{len(non_null)}q", *non_null)
-        else:  # arbitrary-precision escape hatch
-            tag, payload = ENC_TEXT, _encode_text([str(v) for v in non_null])
-    elif dtype is DataType.FLOAT:
-        tag = ENC_FLOAT64
-        payload = struct.pack(f"<{len(non_null)}d", *[float(v) for v in non_null])
-    elif dtype is DataType.BOOL:
-        tag, payload = ENC_BOOL, _pack_bits([bool(v) for v in non_null])
-    else:
-        tag, payload = ENC_TEXT, _encode_text([str(v) for v in non_null])
-    min_value, max_value, has_nan = finite_min_max(non_null)
-    return bytes((tag,)) + bitmap + payload, nulls, min_value, max_value, has_nan
+    data, non_null = _encode_values(values, dtype)
+    return (data, len(values) - len(non_null)) + column_bounds(non_null, dtype)
 
 
 #: Per-byte popcount table: counting set bitmap bits byte-wise is 8x
@@ -271,76 +281,59 @@ def decode_segment(data: bytes, dtype: DataType, rows: int) -> List[Any]:
     return out
 
 
-def _encode_stripe(
-    schema: Schema, rows: Sequence[tuple], position: int
-) -> Tuple[bytes, StripeMeta]:
-    """Encode one stripe starting at ``position``; returns bytes + meta."""
-    columns = (
-        [list(values) for values in zip(*rows)]
-        if rows
-        else [[] for _ in schema.fields]
-    )
-    parts: List[bytes] = []
-    segments: List[SegmentMeta] = []
-    offset = position
-    for fld, vector in zip(schema.fields, columns):
-        data, nulls, min_value, max_value, has_nan = encode_segment(
-            vector, fld.dtype
-        )
-        segments.append(
-            SegmentMeta(
-                offset=offset,
-                length=len(data),
-                min_value=min_value,
-                max_value=max_value,
-                nulls=nulls,
-                has_nan=has_nan,
-            )
-        )
-        parts.append(data)
-        offset += len(data)
-    return b"".join(parts), StripeMeta(rows=len(rows), columns=segments)
+def _row_costs(schema: Schema, columns: Sequence[Sequence[Any]]) -> List[int]:
+    """Approximate encoded size of each row of a block, column-wise.
 
-
-def _row_cost(row: tuple) -> int:
-    """Approximate encoded size of one row, for stripe byte budgeting.
-
-    Mirrors the segment encodings closely enough to size stripes (8
-    bytes per numeric, length prefix plus UTF-8 payload per string, one
-    bit per bool/null); exactness does not matter, only that stripes
-    land near the requested budget.
+    A row costs 1 (null-bitmap + framing amortization) plus, per
+    non-NULL cell, 8 in an INT or FLOAT column, 1 in a BOOL column and
+    4 + the text length in a STRING column: near enough to size stripes
+    by, and -- deciding where they are cut -- part of the output.
     """
-    cost = 1  # null-bitmap + framing amortization
-    for value in row:
-        if value is None:
-            continue
-        if isinstance(value, str):
-            cost += 4 + len(value)
-        elif isinstance(value, bool):
-            cost += 1
+    fixed = 1  # what every row costs: the 1 plus the NULL-free columns
+    varying: List[Iterable[int]] = []
+    for fld, column in zip(schema.fields, columns):
+        text = fld.dtype is DataType.STRING
+        width = 4 if text else 1 if fld.dtype is DataType.BOOL else 8
+        if None in column:
+            varying.append(
+                [0 if v is None else width + (len(v) if text else 0) for v in column]
+            )
         else:
-            cost += 8
-    return cost
+            fixed += width
+            if text:
+                varying.append(map(len, column))
+    if not varying:
+        return [fixed] * len(columns[0])
+    return [fixed + cost for cost in map(sum, zip(*varying))]
 
 
-def encode_stream(
+StripeObserver = Callable[[Sequence[Sequence[Any]], List[SegmentMeta]], None]
+
+
+def encode_column_stream(
     schema: Schema,
-    rows: Iterable[tuple],
+    blocks: Iterable[Sequence[Sequence[Any]]],
     stripe_rows: int = DEFAULT_STRIPE_ROWS,
     stripe_bytes: Optional[int] = None,
+    on_stripe: Optional[StripeObserver] = None,
 ) -> Iterator[bytes]:
-    """Stream-encode rows into RCF1 chunks (one chunk per stripe).
+    """Stream-encode column blocks into RCF1 chunks (one per stripe).
 
-    Memory stays O(stripe) regardless of input size, which is what lets
-    the CSV-to-columnar ETL storlet convert objects at PUT time without
-    materializing them.
+    A block is one value vector per schema column, all of one length;
+    blocks are concatenated and re-cut into stripes, so the output does
+    not depend on how the input was blocked.  Memory stays O(stripe)
+    regardless of input size, which is what lets the CSV-to-columnar ETL
+    storlet convert objects at PUT time without materializing them.
 
-    ``stripe_bytes`` adds a byte budget on top of the row cap: a stripe
-    is flushed as soon as its estimated encoded size reaches the budget.
-    Writers size stripes to the reader's split granule this way, so
-    partition discovery over the footer yields splits comparable to the
-    row-oriented path and the scheduler's speculation window covers the
-    same byte budget either way.
+    A stripe ends after ``stripe_rows`` rows or, with ``stripe_bytes``,
+    with the first row at which its summed row cost (:func:`_row_costs`)
+    reaches the budget.  Writers size stripes to the reader's split
+    granule this way, so partition discovery over the footer yields
+    splits comparable to the row-oriented path and the scheduler's
+    speculation window covers the same byte budget either way.
+
+    ``on_stripe`` is called with each stripe's column vectors and the
+    segment statistics just computed from them.
     """
     if stripe_rows <= 0:
         raise ValueError(f"stripe_rows must be positive: {stripe_rows}")
@@ -349,31 +342,55 @@ def encode_stream(
     yield MAGIC
     position = len(MAGIC)
     stripes: List[StripeMeta] = []
-    total_rows = 0
-    buffer: List[tuple] = []
-    buffered_cost = 0
-    for row in rows:
-        buffer.append(row)
-        if stripe_bytes is not None:
-            buffered_cost += _row_cost(row)
-        if len(buffer) >= stripe_rows or (
-            stripe_bytes is not None and buffered_cost >= stripe_bytes
-        ):
-            data, meta = _encode_stripe(schema, buffer, position)
-            stripes.append(meta)
-            total_rows += len(buffer)
+    pending: List[List[Any]] = [[] for _ in schema.fields]
+    # Under a byte budget: the running row-cost total after each pending
+    # row, and that total at the start of the pending rows.
+    totals: List[int] = []
+    spent = 0
+
+    def cut(end: int) -> bytes:
+        """Encode the first ``end`` pending rows as the next stripe."""
+        nonlocal position
+        columns = [vector[:end] for vector in pending]
+        parts: List[bytes] = []
+        segments: List[SegmentMeta] = []
+        for fld, vector in zip(schema.fields, columns):
+            data, nulls, low, high, has_nan = encode_segment(vector, fld.dtype)
+            segments.append(
+                SegmentMeta(position, len(data), low, high, nulls, has_nan)
+            )
+            parts.append(data)
             position += len(data)
-            buffer = []
-            buffered_cost = 0
-            yield data
-    if buffer:
-        data, meta = _encode_stripe(schema, buffer, position)
-        stripes.append(meta)
-        total_rows += len(buffer)
-        position += len(data)
-        yield data
+        stripes.append(StripeMeta(rows=end, columns=segments))
+        if on_stripe is not None:
+            on_stripe(columns, segments)
+        return b"".join(parts)
+
+    for block in blocks:
+        if not len(block[0]):
+            continue
+        for vector, column in zip(pending, block):
+            vector.extend(column)
+        if stripe_bytes is not None:
+            costs = _row_costs(schema, block)
+            costs[0] += totals[-1] if totals else spent
+            totals.extend(itertools.accumulate(costs))
+        while True:
+            end = stripe_rows
+            if stripe_bytes is not None:
+                end = min(end, bisect.bisect_left(totals, spent + stripe_bytes) + 1)
+            if end > len(pending[0]):
+                break
+            yield cut(end)
+            for vector in pending:
+                del vector[:end]
+            if totals:
+                spent = totals[end - 1]
+                del totals[:end]
+    if pending[0]:
+        yield cut(len(pending[0]))
     footer = ColumnarFooter(
-        schema=schema, rows=total_rows, stripes=stripes, data_end=position
+        schema, sum(stripe.rows for stripe in stripes), stripes, position
     )
     # allow_nan=False: the min/max fields hold only finite values by
     # construction now (non-finite data raises the "nan" flag instead),
@@ -383,6 +400,23 @@ def encode_stream(
         footer.to_payload(), separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
     yield payload + f"{len(payload):08d}".encode("ascii") + MAGIC
+
+
+def encode_stream(
+    schema: Schema,
+    rows: Iterable[tuple],
+    stripe_rows: int = DEFAULT_STRIPE_ROWS,
+    stripe_bytes: Optional[int] = None,
+) -> Iterator[bytes]:
+    """:func:`encode_column_stream` over rows: they are transposed a
+    stripe's worth at a time, nothing else happens here."""
+
+    def blocks() -> Iterator[Sequence[Sequence[Any]]]:
+        remaining = iter(rows)
+        while block := list(itertools.islice(remaining, stripe_rows)):
+            yield list(zip(*block))
+
+    return encode_column_stream(schema, blocks(), stripe_rows, stripe_bytes)
 
 
 def encode_columnar(
@@ -481,7 +515,7 @@ def encode_block(batch: ColumnBatch) -> bytes:
     segments = []
     lengths = []
     for fld, vector in zip(batch.schema.fields, batch.columns):
-        data, _nulls, _mn, _mx, _nan = encode_segment(vector, fld.dtype)
+        data, _non_null = _encode_values(vector, fld.dtype)
         segments.append(data)
         lengths.append(len(data))
     header = json.dumps(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.sql.filters import (
     And,
@@ -50,6 +50,7 @@ from repro.sql.filters import (
     Or,
     StringStartsWith,
 )
+from repro.sql.types import DataType
 
 #: Default bloom sizing: 1024 bits / 4 hashes keeps the false-positive
 #: rate under ~2.5% up to ~100 distinct values, and a saturated bloom is
@@ -63,23 +64,33 @@ def is_non_finite(value: Any) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
-def finite_min_max(values: Iterable[Any]) -> Tuple[Any, Any, bool]:
-    """``(min, max, has_nan)`` over the finite members of ``values``.
+def column_bounds(
+    non_null: Sequence[Any], dtype: DataType
+) -> Tuple[Any, Any, bool]:
+    """``(min, max, has_nan)`` over the finite members of one
+    schema-typed column's non-null run.
 
     ``has_nan`` reports that at least one non-finite float was excluded,
     in which case the returned bounds are *incomplete* and any bounds-
     based refutation over them must be suppressed (non-finite values can
     still satisfy range filters: ``Inf > x`` is True).  All-non-finite
     input yields ``(None, None, True)``.
+
+    Only a FLOAT column can hold non-finite values and a finite sum
+    proves it holds none; builtin ``min`` / ``max`` then give what the
+    loop gives, first among equals included (``-0.0`` vs ``0.0``).
     """
+    if not non_null:
+        return None, None, False
+    if dtype is not DataType.FLOAT or math.isfinite(sum(non_null)):
+        return min(non_null), max(non_null), False
     lo: Any = None
     hi: Any = None
     has_nan = False
-    for value in values:
+    for value in non_null:
         if is_non_finite(value):
             has_nan = True
-            continue
-        if lo is None:
+        elif lo is None:
             lo = hi = value
         else:
             if value < lo:
@@ -191,6 +202,14 @@ class ColumnStats:
     has_nan: bool = False
     #: Optional equality evidence (object catalog only).
     bloom: Optional[BloomFilter] = None
+
+
+def column_stats(values: Sequence[Any], dtype: DataType) -> ColumnStats:
+    """The statistics of one schema-typed column vector (no bloom)."""
+    nulls = values.count(None)
+    non_null = [v for v in values if v is not None] if nulls else values
+    lo, hi, has_nan = column_bounds(non_null, dtype)
+    return ColumnStats(len(values), nulls, lo, hi, has_nan)
 
 
 #: Resolves a filter attribute to its stats; ``None`` = no evidence.

@@ -263,11 +263,12 @@ class ScoopContext:
         """Convert every CSV object of a container to RCF1 via the ETL path.
 
         Installs the ``csv2columnar`` storlet as a PUT policy on the
-        target container, then re-PUTs each source object through it --
-        the paper's "compute at ingestion" move applied to format
-        conversion: the store itself parses, types and re-encodes the
-        data while it is written, so the compute cluster never sees the
-        row-oriented bytes.
+        target container, then has the store copy each source object
+        through it (one server-side copy request per object) -- the
+        paper's "compute at ingestion" move applied to format
+        conversion: the store itself reads, parses, types and re-encodes
+        the data while it is written, so no object body crosses the link
+        to the compute cluster.
 
         ``stripe_bytes`` defaults to the connector's chunk size: stripes
         sized to the split granule give the scheduler as many columnar
@@ -300,9 +301,17 @@ class ScoopContext:
         for name in self.client.list_objects(
             source_container, prefix=prefix
         ):
-            _headers, data = self.client.get_object(source_container, name)
             target_name = name.rsplit(".", 1)[0] + ".rcf"
-            self.client.put_object(target_container, target_name, data)
+            # Fresh metadata: the source's own catalog and ETL counters
+            # describe the CSV, not the object being written.
+            self.client.copy_object(
+                source_container,
+                name,
+                target_container,
+                target_name,
+                headers={"content-type": "application/octet-stream"},
+                fresh_metadata=True,
+            )
             written.append(target_name)
         return written
 

@@ -14,8 +14,8 @@ Two storlets live here:
   segments are never even decoded.
 * :class:`CsvToColumnarStorlet` is the PUT-path ETL converter: it parses
   a CSV stream through :class:`repro.csvscan.CsvScan` -- so with the drop
-  rule of every CSV scan path -- and re-encodes it as a
-  streaming RCF1 object, O(stripe) memory.
+  rule of every CSV scan path -- and re-encodes its column blocks as a
+  streaming RCF1 object, O(stripe) memory, no row tuple in between.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from repro.columnar.layout import (
     DEFAULT_STRIPE_ROWS,
     decode_segment,
     encode_block,
-    encode_stream,
+    encode_column_stream,
 )
 from repro.csvscan import CsvScan
 from repro.sql.filters import filters_from_json
 from repro.sql.kernels import compile_filters
-from repro.sql.types import Row, Schema
+from repro.sql.types import Schema
 from repro.storlets.api import (
     IStorlet,
     StorletException,
@@ -261,17 +261,17 @@ class CsvToColumnarStorlet(IStorlet):
             skip_header=has_header,
             log=logger.emit,
         )
-        # The data-skipping catalog is computed over exactly the rows
-        # that make it into the stored object, so a later skip decision
-        # can never disagree with the bytes on disk.
+        # The data-skipping catalog is the merge of the statistics of
+        # exactly the stripes that make it into the stored object, so a
+        # later skip decision can never disagree with the bytes on disk.
         catalog = CatalogBuilder(schema)
-
-        def typed_rows() -> Iterator[Row]:
-            for row in scan.rows():
-                catalog.observe(row)
-                yield row
-
-        yield from encode_stream(schema, typed_rows(), stripe_rows, stripe_bytes)
+        yield from encode_column_stream(
+            schema,
+            (block.columns for block in scan.blocks()),
+            stripe_rows,
+            stripe_bytes,
+            on_stripe=catalog.add_columns,
+        )
         kept = scan.records_in - scan.dropped
         metadata.update(
             {

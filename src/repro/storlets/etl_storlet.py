@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.catalog import CatalogBuilder
 from repro.csvscan import owned_records, parse_record, render_record
-from repro.sql.types import Schema
+from repro.sql.types import Row, Schema
 from repro.storlets.api import (
     IStorlet,
     StorletException,
@@ -45,6 +45,7 @@ class CleansingStorlet(IStorlet):
     name = "etl-cleanse"
 
     OUTPUT_CHUNK = 64 * 1024
+    CATALOG_BATCH_ROWS = 1024
 
     def process(
         self,
@@ -64,8 +65,15 @@ class CleansingStorlet(IStorlet):
 
         counters = {"kept": 0, "dropped": 0}
         # Per-object skipping stats over the typed image of exactly the
-        # records kept, so the catalog always describes the stored CSV.
+        # records kept, so the catalog always describes the stored CSV;
+        # folded a batch of rows at a time, column-wise.
         catalog = CatalogBuilder(schema)
+        batch: List[Row] = []
+
+        def fold_batch() -> None:
+            if batch:
+                catalog.add_columns(list(zip(*batch)))
+                batch.clear()
 
         def output_lines() -> Iterator[bytes]:
             first = True
@@ -89,11 +97,14 @@ class CleansingStorlet(IStorlet):
                 except (ValueError, TypeError):
                     counters["dropped"] += 1
                     continue
-                catalog.observe(typed)
+                batch.append(typed)
+                if len(batch) >= self.CATALOG_BATCH_ROWS:
+                    fold_batch()
                 yield render_record(fields, delimiter)
                 counters["kept"] += 1
 
         yield from _coalesce(output_lines(), self.OUTPUT_CHUNK)
+        fold_batch()
         logger.emit(
             f"etl-cleanse: kept {counters['kept']}, "
             f"dropped {counters['dropped']}"

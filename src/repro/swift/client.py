@@ -349,11 +349,12 @@ class SwiftClient:
         obj: str,
         data: Union[bytes, str, Iterable[bytes]],
         headers: Optional[Dict[str, str]] = None,
-        content_type: str = "application/octet-stream",
+        content_type: Optional[str] = "application/octet-stream",
     ) -> str:
         """Store an object; returns its etag."""
         merged = HeaderDict(headers or {})
-        merged.setdefault("content-type", content_type)
+        if content_type is not None:
+            merged.setdefault("content-type", content_type)
         # Uploads enter the system here (the connector only mints trace
         # ids for the GET path), so give each PUT its own trace id; the
         # proxy, ETL storlet sandbox and object tiers all read it from
@@ -367,6 +368,25 @@ class SwiftClient:
             self.request("PUT", self._path(container, obj), merged, data)
         )
         return response.headers.get("etag", "")
+
+    def copy_object(
+        self,
+        source_container: str,
+        source_obj: str,
+        container: str,
+        obj: str,
+        headers: Optional[Dict[str, str]] = None,
+        fresh_metadata: bool = False,
+    ) -> str:
+        """Server-side copy within the account (one request, no object
+        body on the link; the destination's PUT policies apply); returns
+        the new etag.  ``fresh_metadata`` drops the source's user metadata."""
+        merged = HeaderDict(headers or {})
+        merged["x-copy-from"] = f"{source_container}/{source_obj}"
+        if fresh_metadata:
+            merged["x-fresh-metadata"] = "true"
+        # No content type of its own: the source's, unless ``headers`` has one.
+        return self.put_object(container, obj, b"", merged, content_type=None)
 
     @staticmethod
     def _range_headers(

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from repro.swift.exceptions import SwiftError
-from repro.swift.http import Request, Response
+from repro.obs.trace import TRACE_HEADER
+from repro.swift.exceptions import BadRequest, SwiftError
+from repro.swift.http import TIMEOUT_HEADER, Request, Response, parse_path
 
 App = Callable[[Request], Response]
 MiddlewareFactory = Callable[[App], App]
@@ -66,6 +67,46 @@ class CatchErrors(BaseMiddleware):
             headers=error.headers,
             body=str(error).encode("utf-8"),
         )
+
+
+class ServerSideCopy(BaseMiddleware):
+    """Swift's server-side copy: ``PUT`` + ``X-Copy-From: container/object``.
+
+    The proxy GETs the source (same account) and streams it in as the
+    PUT's body, so no object body crosses the client link.  Sitting left
+    of every middleware that acts on a PUT body, it lets a storlet PUT
+    policy on the destination see the source as it would an upload.  An
+    unreadable source is the response (404, or a faulted read's 503/504)
+    and nothing is written.  Content type and user metadata come along
+    unless the request sets its own; ``X-Fresh-Metadata: true`` leaves
+    the user metadata behind.
+    """
+
+    def handle(self, request: Request) -> Response:
+        if request.method != "PUT" or "x-copy-from" not in request.headers:
+            return self.app(request)
+        source = request.headers.pop("x-copy-from")
+        fresh = request.headers.pop("x-fresh-metadata", "").lower() == "true"
+        account, _container, obj = parse_path(request.path)
+        container, _sep, name = source.lstrip("/").partition("/")
+        if obj is None or not container or not name:
+            raise BadRequest(f"x-copy-from must name container/object: {source!r}")
+        read = Request("GET", f"/{account}/{container}/{name}", environ=request.environ)
+        for header in (TRACE_HEADER, TIMEOUT_HEADER):  # same trace, same deadline
+            if header in request.headers:
+                read.headers[header] = request.headers[header]
+        found = self.app(read)
+        if not found.ok:
+            return found
+        for header, value in found.headers.items():
+            if header == "content-type" or (
+                not fresh and header.startswith("x-object-meta-")
+            ):
+                request.headers.setdefault(header, value)
+        request.body = found.iter_body()
+        response = self.app(request)
+        response.headers["x-copied-from"] = f"{container}/{name}"
+        return response
 
 
 class DeadlineBudget(BaseMiddleware):
@@ -123,6 +164,7 @@ __all__ = [
     "BaseMiddleware",
     "build_pipeline",
     "CatchErrors",
+    "ServerSideCopy",
     "DeadlineBudget",
     "RequestLogger",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.obs.metrics import get_registry
@@ -43,6 +44,7 @@ from repro.swift.middleware import (
     CatchErrors,
     DeadlineBudget,
     MiddlewareFactory,
+    ServerSideCopy,
     build_pipeline,
 )
 
@@ -72,7 +74,10 @@ class ProxyApp:
     """The innermost proxy application: routing and replication."""
 
     def __init__(self, cluster: "SwiftCluster"):
-        self.cluster = cluster
+        # Weak: the cluster owns its proxies.  A strong back-pointer makes
+        # every dropped store a reference cycle that pins all replicas of
+        # all its objects until a full collection happens to run.
+        self._cluster = weakref.ref(cluster)
 
     def __call__(self, request: Request) -> Response:
         account, container, obj = parse_path(request.path)
@@ -87,7 +92,7 @@ class ProxyApp:
     def _object_request(
         self, request: Request, account: str, container: str, obj: str
     ) -> Response:
-        cluster = self.cluster
+        cluster = self._cluster()
         if not cluster.containers.exists(account, container):
             raise NotFound(f"container not found: /{account}/{container}")
         part, devices = cluster.object_ring.get_nodes(account, container, obj)
@@ -213,7 +218,7 @@ class ProxyApp:
     def _container_request(
         self, request: Request, account: str, container: str
     ) -> Response:
-        cluster = self.cluster
+        cluster = self._cluster()
         if request.method == "PUT":
             cluster.accounts.ensure(account)
             created = cluster.containers.create(
@@ -255,7 +260,7 @@ class ProxyApp:
     # -- account path -----------------------------------------------------------
 
     def _account_request(self, request: Request, account: str) -> Response:
-        cluster = self.cluster
+        cluster = self._cluster()
         if request.method == "PUT":
             cluster.accounts.ensure(account)
             return Response(201)
@@ -271,7 +276,7 @@ class ProxyApp:
 
 
 class ProxyServer:
-    """One proxy machine: pipeline of [CatchErrors, auth, extras..., app]."""
+    """One proxy machine: [CatchErrors, auth, copy, extras..., app]."""
 
     def __init__(
         self,
@@ -283,6 +288,7 @@ class ProxyServer:
         self.name = name
         factories: List[MiddlewareFactory] = [CatchErrors]
         factories.append(lambda inner: AuthMiddleware(inner, auth_enabled))
+        factories.append(ServerSideCopy)
         factories.extend(middleware_factories)
         self.pipeline = build_pipeline(app, factories)
 

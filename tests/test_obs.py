@@ -535,8 +535,9 @@ class TestPutPathTracing:
         assert len(storlet_spans) <= max(replicas, 1)
 
     def test_plain_put_without_tracer_stays_unlabelled(self):
+        # Pinned off: "without tracer" must not depend on REPRO_TRACE.
         context = ScoopContext(
-            storage_node_count=2, disks_per_node=1
+            trace=False, storage_node_count=2, disks_per_node=1
         )
         context.upload_csv("c", "o.csv", "a,1\n")
         assert context.tracer.snapshot() == []

@@ -126,3 +126,36 @@ class TestSessionExplain:
         ).explain()
         assert "PrunedFilteredScan" in text
         assert "starts_with" in text
+
+
+class TestContextOwnership:
+    def test_dropped_context_is_freed_without_a_collection(self):
+        """No reference cycle pins the store: dropping the context frees
+        the cluster, the engine and every stored replica by reference
+        counting alone (a cyclic store would sit there, with all its
+        object bodies, until a full collection happened to run)."""
+        import gc
+        import weakref
+
+        from repro.core import ScoopContext
+
+        gc.collect()
+        gc.disable()
+        try:
+            ctx = ScoopContext(trace=False)
+            ctx.upload_csv("c", "o.csv", b"a,1\nb,2\n")
+            ctx.register_csv_table("t", "c", schema=None, format="columnar")
+            ctx.run_query("SELECT * FROM t")
+            server = next(
+                s for s in ctx.cluster.object_servers.values() if s.object_count()
+            )
+            replica = next(
+                obj for store in server.devices.values() for obj in store.values()
+            )
+            watched = [
+                weakref.ref(item) for item in (ctx.cluster, ctx.engine, replica)
+            ]
+            del ctx, server, replica
+            assert [ref() for ref in watched] == [None, None, None]
+        finally:
+            gc.enable()

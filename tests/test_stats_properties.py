@@ -105,6 +105,13 @@ FILTERS = st.recursive(
 CONJUNCTION = st.lists(FILTERS, min_size=1, max_size=3)
 
 
+def _catalog_of(rows):
+    builder = CatalogBuilder(SCHEMA)
+    if rows:
+        builder.add_columns(list(zip(*rows)))
+    return builder
+
+
 def _matching_rows(rows, filters):
     predicate = conjunction_predicate(filters, SCHEMA)
     return [row for row in rows if predicate(row)]
@@ -130,9 +137,7 @@ def test_stripe_with_matching_row_is_never_refuted(rows, filters, stripe_rows):
 @example(rows=[(-0.0, None, None)], filters=[EqualTo("a", 0.0)])
 def test_catalog_with_matching_row_is_never_refuted(rows, filters):
     """Build -> metadata -> decode -> may_match round trip is sound."""
-    builder = CatalogBuilder(SCHEMA)
-    for row in rows:
-        builder.observe(row)
+    builder = _catalog_of(rows)
     catalog = decode_catalog(builder.to_metadata())
     assert catalog is not None, "self-built catalog must decode"
     assert catalog.rows == len(rows)
@@ -146,9 +151,7 @@ def test_catalog_metadata_is_strict_json(rows):
     """The persisted header never carries NaN/Infinity literals."""
     import json
 
-    builder = CatalogBuilder(SCHEMA)
-    for row in rows:
-        builder.observe(row)
+    builder = _catalog_of(rows)
     for value in builder.to_metadata().values():
         decoded = json.loads(
             value,
