@@ -6,7 +6,9 @@ from stripe statistics) and through the row-at-a-time reference kept in
 ``tests/rowwise_reference.py`` (a row tuple per record, a catalog call
 per cell).  The outputs must be byte
 identical and the storlet at least 2x as fast -- so a per-row or
-per-cell loop cannot quietly come back on the ingest path.
+per-cell loop cannot quietly come back on the ingest path.  The stored
+object must also stay under 0.6x its CSV bytes, so the dictionary and
+narrow-int encodings cannot silently stop being chosen.
 
     PYTHONPATH=src python -m pytest benchmarks/test_ingest_smoke.py -q -s
 """
@@ -26,6 +28,8 @@ from tests import rowwise_reference as reference
 SPEC = DatasetSpec(meters=400, intervals=500)
 STRIPE_BYTES = 256 * 1024
 REQUIRED_RATIO = 2.0
+#: Stored RCF1 bytes per CSV byte (1.29 before segments were encoded).
+MAX_STORED_RATIO = 0.6
 
 
 def _column_major(data: bytes):
@@ -83,4 +87,9 @@ def test_column_major_ingest_is_2x_the_row_path_and_identical():
         assert metadata[header] == value, header
     assert ratio >= REQUIRED_RATIO, (
         f"column-major ingest only {ratio:.2f}x the row-at-a-time reference"
+    )
+    stored = len(body) / len(data)
+    print(f"stored:        {stored:.3f} B per CSV byte")
+    assert stored < MAX_STORED_RATIO, (
+        f"RCF1 stores {stored:.3f} B per CSV byte, not under {MAX_STORED_RATIO}"
     )

@@ -121,24 +121,28 @@ class CatalogBuilder:
         self._columns = [_ColumnAccumulator() for _ in schema.fields]
         self._rows = 0
 
-    def add_columns(
-        self,
-        columns: Sequence[Sequence[Any]],
-        stats: Optional[Sequence[Any]] = None,
-    ) -> None:
-        """Fold a run of rows, one schema-typed value vector per column.
+    def add_columns(self, columns: Sequence[Sequence[Any]]) -> None:
+        """Fold a run of rows, one schema-typed value vector per column,
+        computing their statistics here."""
+        stats = [
+            column_stats(column, fld.dtype)
+            for fld, column in zip(self._schema.fields, columns)
+        ]
+        self.add_stripe(len(columns[0]), columns, stats)
 
-        ``stats`` are these vectors' per-column statistics when the
-        caller already has them (the RCF1 encoder's segment metadata, so
-        footer and catalog cannot disagree); else they are computed here.
-        """
-        if stats is None:
-            stats = [
-                column_stats(column, fld.dtype)
-                for fld, column in zip(self._schema.fields, columns)
-            ]
-        self._rows += len(columns[0])
-        for accumulator, entry, column in zip(self._columns, stats, columns):
+    def add_stripe(
+        self,
+        rows: int,
+        values: Sequence[Sequence[Any]],
+        stats: Sequence[Any],
+    ) -> None:
+        """Fold ``rows`` rows given their per-column statistics and, per
+        column, any vector holding the column's distinct values (only
+        the value *set* is read, for the bloom): what the RCF1 encoder
+        hands over per stripe, so no cell is hashed a second time where
+        it already built a dictionary."""
+        self._rows += rows
+        for accumulator, entry, column in zip(self._columns, stats, values):
             accumulator.merge(entry, column)
 
     def to_payload(self) -> dict:

@@ -9,7 +9,7 @@ over footer statistics (:mod:`repro.columnar.pruning`).  The compute
 half -- compile-once batch kernels -- lives in :mod:`repro.sql.kernels`.
 """
 
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import ColumnBatch, DictColumn
 from repro.columnar.layout import (
     MAGIC,
     BlockStreamDecoder,
@@ -17,6 +17,7 @@ from repro.columnar.layout import (
     SegmentMeta,
     StripeMeta,
     decode_block_stream,
+    decode_column,
     decode_footer,
     decode_segment,
     decode_stripe,
@@ -44,10 +45,12 @@ __all__ = [
     "MAGIC",
     "BlockStreamDecoder",
     "ColumnBatch",
+    "DictColumn",
     "ColumnarFooter",
     "SegmentMeta",
     "StripeMeta",
     "decode_block_stream",
+    "decode_column",
     "decode_footer",
     "decode_segment",
     "decode_stripe",

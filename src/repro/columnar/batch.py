@@ -16,9 +16,62 @@ needed at the edge.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence as SequenceABC
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sql.types import Schema
+
+
+class DictColumn(SequenceABC):
+    """A dictionary-coded column vector: ``entries[codes[i]]`` is row ``i``.
+
+    The carrier a decoded RCF1 dictionary segment travels in while the
+    work can stay on the codes: a filter is evaluated once per entry and
+    mapped over ``codes`` (:meth:`translate`), rows are gathered by
+    compressing ``codes`` (:func:`compress_column`), and a storlet block
+    ships entries + codes without expanding either.  ``codes`` is a
+    ``bytes`` of one code per row, so at most 256 entries; ``None``
+    (the NULL cell), when present, is the last entry.  Reads like any
+    other column vector (``len``, indexing, slicing, iteration), so code
+    that does not know the carrier still sees the right cells.
+    """
+
+    __slots__ = ("entries", "codes")
+
+    def __init__(self, entries: List[Any], codes: bytes):
+        self.entries = entries
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DictColumn(self.entries, self.codes[index])
+        return self.entries[self.codes[index]]
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self.entries.__getitem__, self.codes)
+
+    def translate(self, flags: Sequence[bool]) -> bytes:
+        """Map a per-entry verdict over the rows: one 0/1 byte per row."""
+        return self.codes.translate(bytes(flags).ljust(256, b"\0"))
+
+
+def materialize(column: Sequence[Any]) -> Sequence[Any]:
+    """``column`` as a plain vector (a no-op unless dictionary-coded)."""
+    return list(column) if isinstance(column, DictColumn) else column
+
+
+def compress_column(column: Sequence[Any], mask: bytes) -> Sequence[Any]:
+    """The rows of ``column`` whose ``mask`` byte is set, in order; a
+    dictionary-coded column stays coded (only its codes are gathered)."""
+    if isinstance(column, DictColumn):
+        return DictColumn(
+            column.entries, bytes(itertools.compress(column.codes, mask))
+        )
+    return list(itertools.compress(column, mask))
 
 
 class ColumnBatch:

@@ -1,7 +1,6 @@
 """The RCF1 binary columnar object layout (a mini-Parquet).
 
-An RCF1 object is framed exactly like the repo's other self-describing
-binary format (``RPQ1``)::
+An RCF1 object is a run of stripes closed by a self-describing footer::
 
     MAGIC | stripe 0 | stripe 1 | ... | footer JSON | length (8 ASCII) | MAGIC
 
@@ -12,11 +11,18 @@ only those segments.  The footer records, per segment, its absolute
 byte offset and length plus min/max/null statistics used for stripe
 pruning (:mod:`repro.columnar.pruning`).
 
-Segment encoding is typed: ``tag byte | null bitmap | payload``.  INT
-packs non-null values as little-endian int64 (falling back to text for
-arbitrary-precision ints), FLOAT as float64, BOOL is bit-packed, STRING
-is a u32 length array followed by concatenated UTF-8.  The bitmap (bit
-set = NULL) keeps empty strings distinguishable from NULLs.
+Segment encoding is typed: ``tag byte | null bitmap | payload``.  The
+plain encodings: INT packs non-null values as little-endian int64
+(falling back to text for arbitrary-precision ints), FLOAT as float64,
+BOOL is bit-packed, STRING is a u32 length array followed by
+concatenated UTF-8.  The bitmap (bit set = NULL) keeps empty strings
+distinguishable from NULLs.  Two more encodings are chosen per segment
+when they are smaller (:func:`_encode_values`): *dictionary* (distinct
+values in first-appearance order as a nested plain segment, then one
+u8/u16 code per value) and *narrow int* (an int64 base, then unsigned
+1/2/4-byte offsets).  A decoded dictionary segment stays coded
+(:class:`~repro.columnar.batch.DictColumn`) until a plain vector is
+asked for, so filters run once per dictionary entry.
 
 The module also defines the *block stream* codec: the length-prefixed
 batch framing a columnar storlet uses to ship filtered
@@ -33,7 +39,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import ColumnBatch, DictColumn, materialize
 from repro.columnar.stats import column_bounds
 from repro.sql.types import DataType, Schema
 
@@ -44,6 +50,21 @@ ENC_INT64 = 0
 ENC_FLOAT64 = 1
 ENC_TEXT = 2
 ENC_BOOL = 3
+ENC_DICT = 4
+ENC_NARROW_INT = 5
+
+#: Tag -> name, for counters and documentation.
+ENCODING_NAMES = {
+    ENC_INT64: "int64",
+    ENC_FLOAT64: "float64",
+    ENC_TEXT: "text",
+    ENC_BOOL: "bool",
+    ENC_DICT: "dictionary",
+    ENC_NARROW_INT: "narrow_int",
+}
+
+#: Narrow-int offset widths in bytes and their ``struct`` codes.
+_NARROW_WIDTHS = {1: "B", 2: "H", 4: "I"}
 
 # MAGIC prefix + 8-ASCII footer length + trailing MAGIC.
 _FRAME_OVERHEAD = len(MAGIC) + 8 + len(MAGIC)
@@ -186,25 +207,128 @@ def _encode_text(texts: Sequence[str]) -> bytes:
     return struct.pack(f"<{len(texts)}I", *lengths) + blob
 
 
-def _encode_values(
-    values: Sequence[Any], dtype: DataType
-) -> Tuple[bytes, Sequence[Any]]:
-    """One column's segment bytes (tag byte, null bitmap, payload) and
-    its non-null run -- encoding only, no statistics."""
-    bitmap, non_null = _split_nulls(values)
+def _plain_payload(non_null: Sequence[Any], dtype: DataType) -> Tuple[int, bytes]:
+    """``(tag, payload)`` of a non-null run in its dtype's plain encoding."""
     if dtype is DataType.INT:
         try:
-            tag, payload = ENC_INT64, struct.pack(f"<{len(non_null)}q", *non_null)
+            return ENC_INT64, struct.pack(f"<{len(non_null)}q", *non_null)
         except struct.error:  # beyond int64: arbitrary-precision escape hatch
-            tag = ENC_TEXT
-            payload = _encode_text([format(v, "d") for v in non_null])
-    elif dtype is DataType.FLOAT:
-        tag, payload = ENC_FLOAT64, struct.pack(f"<{len(non_null)}d", *non_null)
-    elif dtype is DataType.BOOL:
-        tag, payload = ENC_BOOL, _pack_bits(non_null)
+            return ENC_TEXT, _encode_text([format(v, "d") for v in non_null])
+    if dtype is DataType.FLOAT:
+        return ENC_FLOAT64, struct.pack(f"<{len(non_null)}d", *non_null)
+    if dtype is DataType.BOOL:
+        return ENC_BOOL, _pack_bits(non_null)
+    return ENC_TEXT, _encode_text(non_null)
+
+
+#: The fewest payload bytes one value can take in each plain encoding:
+#: a floor on a dictionary's size that needs no encoding to compute.
+_MIN_VALUE_BYTES = {ENC_INT64: 8, ENC_FLOAT64: 8, ENC_TEXT: 4, ENC_BOOL: 0}
+
+
+def _dictionary_body(count: int, entries: Tuple[int, bytes], codes: bytes) -> bytes:
+    """A dictionary payload: ``u8 code width | u32 entry count | the
+    ``count`` entries as a plain NULL-free segment | codes``; ``entries``
+    is that segment's ``(tag, payload)``."""
+    tag, payload = entries
+    return b"".join(
+        (
+            bytes((1 if count <= 256 else 2,)),
+            struct.pack("<I", count),
+            bytes((tag,)),
+            bytes((count + 7) // 8),
+            payload,
+            codes,
+        )
+    )
+
+
+def _dictionary_payload(
+    non_null: Sequence[Any], dtype: DataType, plain_tag: int, plain: bytes
+) -> Optional[Tuple[bytes, Sequence[Any]]]:
+    """The dictionary payload of a non-null run and its entries, or
+    ``None`` when it cannot be smaller than ``plain`` (the run's plain
+    payload).
+
+    Entries are the distinct values in first-appearance order.  Floats
+    are keyed on their 8-byte image (read back from ``plain``), so
+    ``-0.0`` stays apart from ``0.0`` and NaNs are told apart by their
+    bits, never by object identity.
+    """
+    n = len(non_null)
+    floats = plain_tag == ENC_FLOAT64
+    keys = struct.unpack(f"<{n}q", plain) if floats else non_null
+    index = dict.fromkeys(keys)
+    count = len(index)
+    if count > 1 << 16:
+        return None
+    width = 1 if count <= 256 else 2
+    floor = 6 + (count + 7) // 8 + count * _MIN_VALUE_BYTES[plain_tag] + n * width
+    if floor >= len(plain):
+        return None
+    index = dict(zip(index, itertools.count()))
+    lookup = map(index.__getitem__, keys)
+    codes = bytes(lookup) if width == 1 else struct.pack(f"<{n}H", *lookup)
+    if floats:  # the images *are* the entries' float64 payload
+        packed = struct.pack(f"<{count}q", *index)
+        entries: Sequence[Any] = struct.unpack(f"<{count}d", packed)
+        nested = ENC_FLOAT64, packed
     else:
-        tag, payload = ENC_TEXT, _encode_text(non_null)
-    return bytes((tag,)) + bitmap + payload, non_null
+        entries = list(index)
+        nested = _plain_payload(entries, dtype)
+    return _dictionary_body(count, nested, codes), entries
+
+
+def _narrow_payload(non_null: Sequence[int], limit: int) -> Optional[bytes]:
+    """``u8 offset width | i64 base | offsets`` for an int64 run, or
+    ``None`` when that is not smaller than ``limit`` bytes."""
+    n = len(non_null)
+    if not n:
+        return None
+    base = min(non_null)
+    span = max(non_null) - base
+    for width, code in _NARROW_WIDTHS.items():
+        if span < 1 << 8 * width:
+            break
+    else:
+        return None
+    if 9 + n * width >= limit:
+        return None
+    offsets = non_null if not base else [value - base for value in non_null]
+    return (
+        bytes((width,))
+        + struct.pack("<q", base)
+        + struct.pack(f"<{n}{code}", *offsets)
+    )
+
+
+def _encode_values(
+    values: Sequence[Any], dtype: DataType
+) -> Tuple[bytes, int, Sequence[Any]]:
+    """One column's segment bytes (tag byte, null bitmap, payload), its
+    NULL count and a run holding its distinct non-null values in
+    first-appearance order -- encoding only, no statistics.
+
+    The encoding is chosen here, from the values alone: the plain
+    encoding of the dtype, then dictionary, then narrow int, each later
+    candidate replacing the choice only when strictly smaller (so ties
+    go to plain, then to dictionary).  The run is the dictionary's
+    entries when one was built and the whole non-null run otherwise:
+    either way its bounds are the column's.
+    """
+    bitmap, non_null = _split_nulls(values)
+    plain_tag, plain = _plain_payload(non_null, dtype)
+    tag, payload, distinct = plain_tag, plain, non_null
+    dictionary = _dictionary_payload(non_null, dtype, plain_tag, plain)
+    if dictionary is not None:
+        candidate, distinct = dictionary
+        if len(candidate) < len(plain):
+            tag, payload = ENC_DICT, candidate
+    if plain_tag == ENC_INT64:
+        candidate = _narrow_payload(non_null, len(payload))
+        if candidate is not None:
+            tag, payload = ENC_NARROW_INT, candidate
+    return bytes((tag,)) + bitmap + payload, len(values) - len(non_null), distinct
 
 
 def encode_segment(
@@ -220,65 +344,138 @@ def encode_segment(
     reported through ``has_nan`` instead, which tells the pruner the
     bounds are incomplete.
     """
-    data, non_null = _encode_values(values, dtype)
-    return (data, len(values) - len(non_null)) + column_bounds(non_null, dtype)
+    data, nulls, distinct = _encode_values(values, dtype)
+    return (data, nulls) + column_bounds(distinct, dtype)
 
 
-#: Per-byte popcount table: counting set bitmap bits byte-wise is 8x
-#: fewer iterations than expanding the bitmap row-wise, and the common
-#: all-present segment then skips the per-row expansion entirely.
-_POPCOUNT = [bin(i).count("1") for i in range(256)]
+def _bad_length(what: str) -> ValueError:
+    return ValueError(f"RCF1 segment: {what} payload has the wrong length")
+
+
+def _decode_plain(tag: int, payload: bytes, dtype: DataType, present: int) -> List[Any]:
+    """The ``present`` values of a plain payload; the payload must be
+    exactly as long as they take."""
+    if tag == ENC_INT64 or tag == ENC_FLOAT64:
+        if len(payload) != 8 * present:
+            raise _bad_length("int64" if tag == ENC_INT64 else "float64")
+        code = "q" if tag == ENC_INT64 else "d"
+        return list(struct.unpack(f"<{present}{code}", payload))
+    if tag == ENC_BOOL:
+        if len(payload) != (present + 7) // 8:
+            raise _bad_length("bool")
+        return [bool((payload[i >> 3] >> (i & 7)) & 1) for i in range(present)]
+    if tag != ENC_TEXT:
+        raise ValueError(f"unknown segment encoding tag {tag}")
+    if len(payload) < 4 * present:
+        raise _bad_length("text")
+    lengths = struct.unpack(f"<{present}I", payload[: 4 * present])
+    blob = payload[4 * present :]
+    ends = list(itertools.accumulate(lengths))
+    if len(blob) != (ends[-1] if ends else 0):
+        raise _bad_length("text")
+    try:
+        # ASCII fast path: byte offsets equal character offsets, so
+        # one bulk decode plus str slicing replaces a bytes slice +
+        # UTF-8 decode per value.
+        decoded = blob.decode("ascii")
+    except UnicodeDecodeError:
+        texts = [
+            blob[start:end].decode("utf-8")
+            for start, end in zip([0] + ends[:-1], ends)
+        ]
+    else:
+        texts = [decoded[start:end] for start, end in zip([0] + ends[:-1], ends)]
+    if dtype is DataType.INT:
+        return [int(text) for text in texts]
+    if dtype is DataType.FLOAT:
+        return [float(text) for text in texts]
+    return texts
+
+
+def _decode_dictionary(
+    payload: bytes, dtype: DataType, present: int
+) -> Tuple[List[Any], Sequence[int]]:
+    """``(entries, codes)`` of a dictionary payload, every code checked
+    against the dictionary size."""
+    if len(payload) < 5:
+        raise _bad_length("dictionary")
+    width = payload[0]
+    if width not in (1, 2):
+        raise ValueError(f"RCF1 segment: unknown dictionary code width {width}")
+    (count,) = struct.unpack_from("<I", payload, 1)
+    codes_at = len(payload) - present * width
+    bitmap_end = 6 + (count + 7) // 8
+    if codes_at < bitmap_end or any(payload[6:bitmap_end]):
+        raise _bad_length("dictionary")
+    entries = _decode_plain(payload[5], payload[bitmap_end:codes_at], dtype, count)
+    codes: Sequence[int] = payload[codes_at:]
+    if width == 2:
+        codes = struct.unpack(f"<{present}H", codes)
+        stray = present and max(codes) >= count
+    else:  # whatever is left once every valid code is deleted
+        stray = codes.translate(None, bytes(range(min(count, 256))))
+    if stray:
+        raise ValueError("RCF1 segment: dictionary code beyond the dictionary")
+    return entries, codes
+
+
+def _decode_narrow(payload: bytes, present: int) -> List[int]:
+    """The values of a narrow-int payload (base + unsigned offsets)."""
+    code = _NARROW_WIDTHS.get(payload[0]) if payload else None
+    if code is None:
+        raise ValueError("RCF1 segment: unknown narrow-int offset width")
+    if len(payload) != 9 + present * payload[0]:
+        raise _bad_length("narrow-int")
+    (base,) = struct.unpack_from("<q", payload, 1)
+    offsets = struct.unpack_from(f"<{present}{code}", payload, 9)
+    return [base + offset for offset in offsets] if base else list(offsets)
+
+
+def _scatter(values: Iterable[Any], bitmap: bytes, rows: int, null: Any) -> List[Any]:
+    """Spread a non-null run over ``rows`` cells, ``null`` at set bits."""
+    it = iter(values)
+    return [
+        null if (bitmap[i >> 3] >> (i & 7)) & 1 else next(it) for i in range(rows)
+    ]
+
+
+def decode_column(data: bytes, dtype: DataType, rows: int) -> Sequence[Any]:
+    """Decode one segment into a column vector of length ``rows``.
+
+    A dictionary segment of at most 256 entries (NULL included) comes
+    back as a :class:`~repro.columnar.batch.DictColumn`, still coded;
+    everything else as a plain list.  A segment that is not exactly as
+    long as its encoding says -- torn, or with bytes appended -- raises
+    ``ValueError``.
+    """
+    bitmap_len = (rows + 7) // 8
+    if len(data) < 1 + bitmap_len:
+        raise ValueError("RCF1 segment: shorter than its null bitmap")
+    tag = data[0]
+    bitmap = data[1 : 1 + bitmap_len]
+    payload = data[1 + bitmap_len :]
+    nulls = int.from_bytes(bitmap, "little")
+    if nulls >> rows:
+        raise ValueError("RCF1 segment: null bitmap marks cells beyond the rows")
+    present = rows - nulls.bit_count()
+    if tag == ENC_DICT:
+        entries, codes = _decode_dictionary(payload, dtype, present)
+        if present != rows:
+            codes = _scatter(codes, bitmap, rows, len(entries))
+            entries.append(None)
+        if len(entries) <= 256:
+            return DictColumn(entries, bytes(codes))
+        return list(map(entries.__getitem__, codes))
+    if tag == ENC_NARROW_INT:
+        values: List[Any] = _decode_narrow(payload, present)
+    else:
+        values = _decode_plain(tag, payload, dtype, present)
+    return values if present == rows else _scatter(values, bitmap, rows, None)
 
 
 def decode_segment(data: bytes, dtype: DataType, rows: int) -> List[Any]:
-    """Decode one segment back into a value vector of length ``rows``."""
-    if rows == 0:
-        return []
-    tag = data[0]
-    bitmap_len = (rows + 7) // 8
-    bitmap = data[1 : 1 + bitmap_len]
-    payload = data[1 + bitmap_len :]
-    present = rows - sum(_POPCOUNT[b] for b in bitmap)
-    if tag == ENC_INT64:
-        values: List[Any] = list(struct.unpack(f"<{present}q", payload))
-    elif tag == ENC_FLOAT64:
-        values = list(struct.unpack(f"<{present}d", payload))
-    elif tag == ENC_BOOL:
-        values = [bool((payload[i >> 3] >> (i & 7)) & 1) for i in range(present)]
-    elif tag == ENC_TEXT:
-        lengths = struct.unpack(f"<{present}I", payload[: 4 * present])
-        blob = payload[4 * present :]
-        ends = list(itertools.accumulate(lengths))
-        try:
-            # ASCII fast path: byte offsets equal character offsets, so
-            # one bulk decode plus str slicing replaces a bytes slice +
-            # UTF-8 decode per value.
-            decoded = blob.decode("ascii")
-        except UnicodeDecodeError:
-            texts = [
-                blob[start:end].decode("utf-8")
-                for start, end in zip([0] + ends[:-1], ends)
-            ]
-        else:
-            texts = [
-                decoded[start:end]
-                for start, end in zip([0] + ends[:-1], ends)
-            ]
-        if dtype is DataType.INT:
-            values = [int(text) for text in texts]
-        elif dtype is DataType.FLOAT:
-            values = [float(text) for text in texts]
-        else:
-            values = texts
-    else:
-        raise ValueError(f"unknown segment encoding tag {tag}")
-    if present == rows:
-        return values
-    out: List[Any] = []
-    it = iter(values)
-    for i in range(rows):
-        out.append(None if (bitmap[i >> 3] >> (i & 7)) & 1 else next(it))
-    return out
+    """:func:`decode_column`, materialised: always a plain value list."""
+    return materialize(decode_column(data, dtype, rows))
 
 
 def _row_costs(schema: Schema, columns: Sequence[Sequence[Any]]) -> List[int]:
@@ -307,7 +504,7 @@ def _row_costs(schema: Schema, columns: Sequence[Sequence[Any]]) -> List[int]:
     return [fixed + cost for cost in map(sum, zip(*varying))]
 
 
-StripeObserver = Callable[[Sequence[Sequence[Any]], List[SegmentMeta]], None]
+StripeObserver = Callable[[int, Sequence[Sequence[Any]], List[SegmentMeta]], None]
 
 
 def encode_column_stream(
@@ -332,8 +529,10 @@ def encode_column_stream(
     splits comparable to the row-oriented path and the scheduler's
     speculation window covers the same byte budget either way.
 
-    ``on_stripe`` is called with each stripe's column vectors and the
-    segment statistics just computed from them.
+    ``on_stripe`` is called with each stripe's row count, per column a
+    run holding the column's distinct non-null values (the dictionary
+    entries where the encoder built a dictionary, the non-null run
+    otherwise) and the segment statistics just computed.
     """
     if stripe_rows <= 0:
         raise ValueError(f"stripe_rows must be positive: {stripe_rows}")
@@ -351,19 +550,21 @@ def encode_column_stream(
     def cut(end: int) -> bytes:
         """Encode the first ``end`` pending rows as the next stripe."""
         nonlocal position
-        columns = [vector[:end] for vector in pending]
         parts: List[bytes] = []
+        runs: List[Sequence[Any]] = []
         segments: List[SegmentMeta] = []
-        for fld, vector in zip(schema.fields, columns):
-            data, nulls, low, high, has_nan = encode_segment(vector, fld.dtype)
+        for fld, vector in zip(schema.fields, pending):
+            data, nulls, run = _encode_values(vector[:end], fld.dtype)
+            low, high, has_nan = column_bounds(run, fld.dtype)
             segments.append(
                 SegmentMeta(position, len(data), low, high, nulls, has_nan)
             )
             parts.append(data)
+            runs.append(run)
             position += len(data)
         stripes.append(StripeMeta(rows=end, columns=segments))
         if on_stripe is not None:
-            on_stripe(columns, segments)
+            on_stripe(end, runs, segments)
         return b"".join(parts)
 
     for block in blocks:
@@ -505,24 +706,47 @@ def iter_stripe_batches(
         yield decode_stripe(data, stripe, footer.schema, indices)
 
 
+def _encode_block_column(column: Sequence[Any], dtype: DataType) -> bytes:
+    """One block segment.  A dictionary-coded column ships still coded,
+    its dictionary compacted to the entries the block's rows use."""
+    if not isinstance(column, DictColumn):
+        return _encode_values(column, dtype)[0]
+    codes = column.codes
+    used = sorted(set(codes))
+    entries = [column.entries[code] for code in used]
+    if not used or entries[-1] is None:  # NULLs go back into a bitmap
+        return _encode_values(list(column), dtype)[0]
+    if len(used) != len(column.entries):
+        renumber = bytearray(256)
+        for new, old in enumerate(used):
+            renumber[old] = new
+        codes = codes.translate(renumber)
+    return (
+        bytes((ENC_DICT,))
+        + bytes((len(codes) + 7) // 8)
+        + _dictionary_body(len(entries), _plain_payload(entries, dtype), codes)
+    )
+
+
 def encode_block(batch: ColumnBatch) -> bytes:
     """Frame one batch for the storlet response block stream.
 
     Layout: ``u32 header length | header JSON | segments``, where the
     header carries the batch schema, row count and per-segment lengths
-    -- self-describing, so the reader needs no footer.
+    -- self-describing, so the reader needs no footer.  Segments are
+    RCF1 segments: a plain vector gets the encoding
+    :func:`encode_segment` would choose, a
+    :class:`~repro.columnar.batch.DictColumn` stays a dictionary.
     """
-    segments = []
-    lengths = []
-    for fld, vector in zip(batch.schema.fields, batch.columns):
-        data, _non_null = _encode_values(vector, fld.dtype)
-        segments.append(data)
-        lengths.append(len(data))
+    segments = [
+        _encode_block_column(vector, fld.dtype)
+        for fld, vector in zip(batch.schema.fields, batch.columns)
+    ]
     header = json.dumps(
         {
             "schema": batch.schema.to_header(),
             "rows": len(batch),
-            "lens": lengths,
+            "lens": [len(data) for data in segments],
         },
         separators=(",", ":"),
     ).encode("utf-8")
@@ -537,7 +761,8 @@ class BlockStreamDecoder:
     :meth:`finish` at end of stream -- leftover bytes there mean the
     stream was truncated mid-block, which raises ``ValueError`` so a
     cut-short storlet response cannot silently pass for a complete one.
-    Single-sources the parsing for the sync and async decode paths.
+    This is the client boundary: every segment, dictionary-coded or
+    not, is materialised into a plain value list here.
     """
 
     def __init__(self) -> None:

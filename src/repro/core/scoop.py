@@ -274,6 +274,12 @@ class ScoopContext:
         sized to the split granule give the scheduler as many columnar
         splits to speculate over as the row path has, so early-stopping
         plans (LIMIT) abandon a comparable share of the dataset.
+
+        The target mirrors the source under ``prefix``: a ``.rcf``
+        object there whose source is gone is deleted, so a re-conversion
+        after a source DELETE cannot keep answering with its rows.  Each
+        written object carries its source's name and etag
+        (``x-object-meta-copied-from[-etag]``, stamped by the copy).
         """
         self.client.put_container(target_container)
         self.engine.clear_policies(self.client.account, target_container)
@@ -313,6 +319,16 @@ class ScoopContext:
                 fresh_metadata=True,
             )
             written.append(target_name)
+        # A target named past ``prefix`` (suffix excluded) can only have
+        # come from a source under it; one not just written has none.
+        kept = set(written)
+        for name in self.client.list_objects(target_container, prefix=prefix):
+            if (
+                name.endswith(".rcf")
+                and len(name) - len(".rcf") >= len(prefix)
+                and name not in kept
+            ):
+                self.client.delete_object(target_container, name)
         return written
 
     # -- table registration -----------------------------------------------------

@@ -33,11 +33,11 @@ import json
 from dataclasses import replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import ColumnBatch, materialize
 from repro.columnar.layout import (
     StripeMeta,
     decode_block_stream,
-    decode_segment,
+    decode_column,
 )
 from repro.columnar.pruning import stripe_may_match
 from repro.connector.stocator import (
@@ -53,7 +53,7 @@ from repro.spark.csv_source import _decompress_chunks
 from repro.spark.datasources import PrunedFilteredScan
 from repro.spark.rdd import RDD
 from repro.sql.filters import Filter
-from repro.sql.kernels import SelectionKernel, compile_filters
+from repro.sql.kernels import FilterMask
 from repro.sql.types import Row, Schema
 
 
@@ -101,9 +101,7 @@ class ColumnarScanRDD(RDD[Row]):
                 full_schema.index_of(name) for name in item.references()
             )
         self._needed_with_filters = sorted(set(self._project) | filter_refs)
-        self._selection: Optional[SelectionKernel] = None
-        if self.filters:
-            self._selection = compile_filters(self.filters, full_schema)
+        self._selection = FilterMask(self.filters, full_schema)
 
     def num_partitions(self) -> int:
         return len(self.splits)
@@ -241,26 +239,22 @@ class ColumnarScanRDD(RDD[Row]):
     ) -> Optional[ColumnBatch]:
         """Decode fetched segments into an output batch (None = all rows
         filtered out)."""
-        vectors: List[Optional[list]] = [None] * len(self.full_schema)
+        vectors: List[Optional[Sequence]] = [None] * len(self.full_schema)
         for index, data in zip(needed, pieces):
-            vectors[index] = decode_segment(
+            vectors[index] = decode_column(
                 data, self.full_schema.fields[index].dtype, stripe.rows
             )
         rows = stripe.rows
-        if apply_task_filters and self._selection is not None:
-            picked = self._selection(vectors, rows)
-            if not picked:
+        if apply_task_filters:
+            # The storlet's own selection code, so the fallback stream
+            # is the pushdown stream.
+            columns, rows = self._selection.select(vectors, rows, self._project)
+            if not rows:
                 return None
-            if len(picked) != rows:
-                vectors = [
-                    [column[i] for i in picked] if column is not None else None
-                    for column in vectors
-                ]
-                rows = len(picked)
+        else:
+            columns = [vectors[index] for index in self._project]
         return ColumnBatch(
-            self.output_schema,
-            [vectors[index] for index in self._project],
-            rows,
+            self.output_schema, [materialize(column) for column in columns], rows
         )
 
     @staticmethod

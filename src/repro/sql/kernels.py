@@ -20,11 +20,13 @@ Two compilers live here:
   when.  Fused kernels replicate the interpreter's semantics exactly:
   SQL three-valued logic, Kleene AND/OR, NULL propagation, and
   division-by-zero yielding NULL.
-* :func:`compile_filters` lowers the :class:`repro.sql.filters` source
-  hierarchy (the storlet wire format).  Source-filter evaluation is
-  total by contract (NULL never matches, incomparable never matches),
-  so this compiler always succeeds and is what the columnar storlet
-  runs next to the data.
+* :class:`FilterMask` lowers the :class:`repro.sql.filters` source
+  hierarchy (the storlet wire format) into a byte mask per batch.
+  Source-filter evaluation is total by contract (NULL never matches,
+  incomparable never matches), so this compiler always succeeds and is
+  what the columnar storlet runs next to the data -- once per
+  dictionary entry where a column is dictionary-coded.
+  :func:`compile_filters` is its index-list view.
 
 Kernel calling convention: ``kernel(columns, n) -> vector`` where
 ``columns`` are the scan-schema-aligned input vectors.  Kernels may
@@ -34,8 +36,11 @@ treat result vectors as immutable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+import functools
+import itertools
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.columnar.batch import DictColumn, compress_column
 from repro.sql.expressions import (
     Aggregate,
     Between,
@@ -66,7 +71,8 @@ from repro.sql.types import DataType, Schema
 
 Columns = Sequence[Sequence[Any]]
 VectorKernel = Callable[[Columns, int], Sequence[Any]]
-MaskKernel = Callable[[Columns, int], Sequence[bool]]
+#: ``kernel(columns, n, tally) -> bytes``: one 0/1 byte per row.
+MaskKernel = Callable[[Columns, int, Optional[Dict[str, int]]], bytes]
 SelectionKernel = Callable[[Columns, int], List[int]]
 
 # ---------------------------------------------------------------------------
@@ -506,74 +512,142 @@ def _guarded_check(compare: Callable[[Any, Any], bool], value: Any):
     return check
 
 
+def _cell_mask(index: int, cells: Callable[[Sequence[Any]], Sequence[bool]]) -> MaskKernel:
+    """A one-column filter as a mask kernel.
+
+    ``cells`` maps a value vector to one verdict per value.  Over a
+    dictionary-coded column it runs once per dictionary *entry* and the
+    verdicts are mapped over the codes; over a plain vector once per
+    row.  ``tally`` (when given) counts the evaluations by that domain.
+    """
+
+    def kernel(cols: Columns, n: int, tally: Optional[Dict[str, int]]) -> bytes:
+        column = cols[index]
+        if isinstance(column, DictColumn):
+            if tally is not None:
+                tally["dictionary"] = tally.get("dictionary", 0) + len(column.entries)
+            return column.translate(cells(column.entries))
+        if tally is not None:
+            tally["rows"] = tally.get("rows", 0) + n
+        return bytes(cells(column))
+
+    return kernel
+
+
+def _combine(op: Callable[[int, int], int], left: MaskKernel, right: MaskKernel) -> MaskKernel:
+    """AND / OR two masks as big integers (one C-level pass each)."""
+
+    def kernel(cols: Columns, n: int, tally: Optional[Dict[str, int]]) -> bytes:
+        a = int.from_bytes(left(cols, n, tally), "little")
+        b = int.from_bytes(right(cols, n, tally), "little")
+        return op(a, b).to_bytes(n, "little")
+
+    return kernel
+
+
+#: ``mask.translate(_FLIP)`` negates a 0/1 byte mask.
+_FLIP = bytes((1, 0)) + bytes(254)
+
+
 def _filter_mask(item: Filter, schema: Schema) -> MaskKernel:
-    """Lower one source filter into a boolean mask kernel."""
+    """Lower one source filter into a byte-mask kernel."""
     if isinstance(item, And):
-        left, right = _filter_mask(item.left, schema), _filter_mask(item.right, schema)
-        return lambda cols, n: [
-            a and b for a, b in zip(left(cols, n), right(cols, n))
-        ]
+        return _combine(
+            int.__and__, _filter_mask(item.left, schema), _filter_mask(item.right, schema)
+        )
     if isinstance(item, Or):
-        left, right = _filter_mask(item.left, schema), _filter_mask(item.right, schema)
-        return lambda cols, n: [
-            a or b for a, b in zip(left(cols, n), right(cols, n))
-        ]
+        return _combine(
+            int.__or__, _filter_mask(item.left, schema), _filter_mask(item.right, schema)
+        )
     if isinstance(item, Not):
         child = _filter_mask(item.child, schema)
-        return lambda cols, n: [not v for v in child(cols, n)]
+        return lambda cols, n, tally: child(cols, n, tally).translate(_FLIP)
+    if not isinstance(item, _AttributeFilter):
+        # Unknown filter subclasses: fall back to the row predicate.
+        predicate = item.to_predicate(schema)
+        return lambda cols, n, tally: bytes(
+            bool(predicate(row)) for row in zip(*cols)
+        )
+    index = schema.index_of(item.attribute)
     if isinstance(item, FilterIsNull):
-        index = schema.index_of(item.attribute)
-        return lambda cols, n: [c is None for c in cols[index]]
+        return _cell_mask(index, lambda values: [c is None for c in values])
     if isinstance(item, IsNotNull):
-        index = schema.index_of(item.attribute)
-        return lambda cols, n: [c is not None for c in cols[index]]
+        return _cell_mask(index, lambda values: [c is not None for c in values])
     if isinstance(item, In):
-        index = schema.index_of(item.attribute)
         members = set(item.value)
-        return lambda cols, n: [
-            c is not None and c in members for c in cols[index]
-        ]
+        return _cell_mask(
+            index, lambda values: [c is not None and c in members for c in values]
+        )
     if isinstance(item, LikePattern):
-        index = schema.index_of(item.attribute)
         match = like_pattern_to_regex(item.value).match
-        return lambda cols, n: [
-            c is not None and match(str(c)) is not None for c in cols[index]
-        ]
-    if isinstance(item, _AttributeFilter):
-        index = schema.index_of(item.attribute)
-        check = _guarded_check(item._comparer(), item.value)
-        return lambda cols, n: [
-            c is not None and check(c) for c in cols[index]
-        ]
-    # Unknown filter subclasses: fall back to the row predicate.
-    predicate = item.to_predicate(schema)
-    return lambda cols, n: [predicate(row) for row in zip(*cols)]
+        return _cell_mask(
+            index,
+            lambda values: [
+                c is not None and match(str(c)) is not None for c in values
+            ],
+        )
+    check = _guarded_check(item._comparer(), item.value)
+    return _cell_mask(
+        index, lambda values: [c is not None and check(c) for c in values]
+    )
+
+
+class FilterMask:
+    """A source-filter conjunction lowered to one byte-mask kernel.
+
+    Unlike the expression compiler this never declines: source filters
+    are total by contract (NULL never matches; incomparable values never
+    match), so every shape lowers.  ``mask(columns, n)`` is a ``bytes``
+    of ``n`` 0/1 flags, one per row; :meth:`select` gathers by it.  Both
+    take an optional ``tally`` mapping whose ``"dictionary"`` and
+    ``"rows"`` counts grow by the number of filter evaluations made over
+    dictionary entries and over row cells.
+    """
+
+    def __init__(self, filters: Sequence[Filter], schema: Schema):
+        kernels = [_filter_mask(item, schema) for item in filters]
+        self._kernel: Optional[MaskKernel] = (
+            functools.reduce(functools.partial(_combine, int.__and__), kernels)
+            if kernels
+            else None
+        )
+
+    def mask(
+        self, columns: Columns, n: int, tally: Optional[Dict[str, int]] = None
+    ) -> bytes:
+        """One 0/1 byte per row: does the row pass every filter?"""
+        if self._kernel is None:
+            return b"\x01" * n
+        return self._kernel(columns, n, tally)
+
+    def select(
+        self,
+        columns: Columns,
+        n: int,
+        keep: Sequence[int],
+        tally: Optional[Dict[str, int]] = None,
+    ) -> Tuple[List[Sequence[Any]], int]:
+        """The ``keep`` columns restricted to the passing rows, and how
+        many rows pass.  Columns are gathered with ``itertools.compress``
+        (:func:`~repro.columnar.batch.compress_column`), so a
+        dictionary-coded column stays coded; when every row passes the
+        input vectors are returned as they are."""
+        mask = self.mask(columns, n, tally)
+        kept = mask.count(1)
+        if kept == n:
+            return [columns[index] for index in keep], n
+        if not kept:
+            return [], 0
+        return [compress_column(columns[index], mask) for index in keep], kept
 
 
 def compile_filters(
     filters: Sequence[Filter], schema: Schema
 ) -> SelectionKernel:
-    """AND a source-filter list into one selection-vector kernel.
-
-    Unlike the expression compiler this never declines: source filters
-    are total by contract (NULL never matches; incomparable values never
-    match), so every shape lowers to a kernel.
-    """
-    masks = [_filter_mask(item, schema) for item in filters]
-    if not masks:
-        return lambda cols, n: list(range(n))
-    if len(masks) == 1:
-        single = masks[0]
-        return lambda cols, n: [i for i, v in enumerate(single(cols, n)) if v]
-
-    def selection(cols: Columns, n: int) -> List[int]:
-        combined = masks[0](cols, n)
-        for mask in masks[1:]:
-            values = mask(cols, n)
-            combined = [a and b for a, b in zip(combined, values)]
-        return [i for i, v in enumerate(combined) if v]
-
-    return selection
+    """AND a source-filter list into one selection-vector kernel: the
+    indices of the set bytes of its :class:`FilterMask`."""
+    mask = FilterMask(filters, schema).mask
+    return lambda cols, n: list(itertools.compress(range(n), mask(cols, n)))
 
 
 def compile_group_kernels(

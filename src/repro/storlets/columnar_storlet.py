@@ -8,10 +8,12 @@ Two storlets live here:
   parameter, so the storlet needs no footer access: it skips forward
   through the byte stream, decodes **only the segments the query
   references** (projected columns plus filter columns), runs the
-  compiled filter kernels from :mod:`repro.sql.kernels` per stripe, and
-  emits the surviving rows as a self-describing block stream
-  (:func:`repro.columnar.layout.encode_block`).  Non-referenced column
-  segments are never even decoded.
+  compiled filter mask from :mod:`repro.sql.kernels` per stripe -- once
+  per dictionary entry over a dictionary-coded segment -- gathers the
+  surviving rows by that mask and emits them as a self-describing block
+  stream (:func:`repro.columnar.layout.encode_block`), dictionary-coded
+  columns still coded.  Non-referenced column segments are never even
+  decoded.
 * :class:`CsvToColumnarStorlet` is the PUT-path ETL converter: it parses
   a CSV stream through :class:`repro.csvscan.CsvScan` -- so with the drop
   rule of every CSV scan path -- and re-encodes its column blocks as a
@@ -21,19 +23,22 @@ Two storlets live here:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Dict, Iterator, List
 
 from repro.catalog import CatalogBuilder
 from repro.columnar.batch import ColumnBatch
 from repro.columnar.layout import (
     DEFAULT_STRIPE_ROWS,
-    decode_segment,
+    ENCODING_NAMES,
+    decode_column,
     encode_block,
     encode_column_stream,
 )
 from repro.csvscan import CsvScan
 from repro.sql.filters import filters_from_json
-from repro.sql.kernels import compile_filters
+from repro.obs.metrics import get_registry
+from repro.sql.kernels import FilterMask
 from repro.sql.types import Schema
 from repro.storlets.api import (
     IStorlet,
@@ -105,7 +110,7 @@ class ColumnarStorlet(IStorlet):
         is preserved in the output, as with the CSV storlet).
     ``filters``
         Optional JSON conjunctive filter list
-        (see :mod:`repro.sql.filters`), compiled once into batch kernels
+        (see :mod:`repro.sql.filters`), compiled once into a mask kernel
         and run per stripe.
     ``stripes``
         Required JSON list of stripe descriptors
@@ -145,46 +150,46 @@ class ColumnarStorlet(IStorlet):
         else:
             project = list(range(len(schema)))
 
-        selection = None
+        filters = (
+            filters_from_json(parameters["filters"])
+            if parameters.get("filters")
+            else []
+        )
+        selection = FilterMask(filters, schema)
         referenced = set(project)
-        if parameters.get("filters"):
-            filters = filters_from_json(parameters["filters"])
-            selection = compile_filters(filters, schema)
-            for item in filters:
-                referenced.update(
-                    schema.index_of(name) for name in item.references()
-                )
+        for item in filters:
+            referenced.update(
+                schema.index_of(name) for name in item.references()
+            )
         needed = sorted(referenced)
 
         out_schema = schema.select([schema.names[index] for index in project])
         reader = _SegmentReader(in_stream.iter_chunks(), range_start)
-        counters = {"rows_in": 0, "rows_out": 0}
+        rows_in = rows_out = 0
+        #: Segments decoded, by the encoding their tag byte names.
+        decoded: Counter = Counter()
+        #: Filter evaluations: over ``dictionary`` entries, over ``rows``.
+        evaluations: Counter = Counter()
 
         for stripe in stripes:
             rows = stripe["rows"]
-            counters["rows_in"] += rows
+            rows_in += rows
             segments = stripe["cols"]
             vectors: List = [None] * len(schema)
             for index in needed:
                 offset, length = segments[index]
                 data = reader.read_at(offset, length)
-                vectors[index] = decode_segment(
+                vectors[index] = decode_column(
                     data, schema.fields[index].dtype, rows
                 )
-            if selection is not None:
-                picked = selection(vectors, rows)
-                if not picked:
-                    continue
-                if len(picked) != rows:
-                    vectors = [
-                        [column[i] for i in picked]
-                        if column is not None
-                        else None
-                        for column in vectors
-                    ]
-                    rows = len(picked)
-            counters["rows_out"] += rows
-            batch = ColumnBatch(out_schema, [vectors[i] for i in project], rows)
+                decoded[ENCODING_NAMES[data[0]]] += 1
+            # Filter and gather on the encoded form: a dictionary-coded
+            # column stays coded from the segment to the response block.
+            columns, rows = selection.select(vectors, rows, project, evaluations)
+            if not rows:
+                continue
+            rows_out += rows
+            batch = ColumnBatch(out_schema, columns, rows)
             if rows <= BLOCK_ROWS:
                 yield encode_block(batch)
             else:
@@ -193,13 +198,19 @@ class ColumnarStorlet(IStorlet):
 
         metadata.update(
             {
-                "x-object-meta-storlet-rows-in": str(counters["rows_in"]),
-                "x-object-meta-storlet-rows-out": str(counters["rows_out"]),
+                "x-object-meta-storlet-rows-in": str(rows_in),
+                "x-object-meta-storlet-rows-out": str(rows_out),
             }
         )
+        registry = get_registry()
+        for encoding, count in sorted(decoded.items()):
+            metadata[f"x-object-meta-storlet-segments-{encoding}"] = str(count)
+            registry.inc("storlets.segments_decoded", count, encoding=encoding)
+        for domain, count in sorted(evaluations.items()):
+            metadata[f"x-object-meta-storlet-filter-evals-{domain}"] = str(count)
+            registry.inc("storlets.filter_evaluations", count, domain=domain)
         logger.emit(
-            f"columnarstorlet: {counters['rows_in']} rows in, "
-            f"{counters['rows_out']} rows out"
+            f"columnarstorlet: {rows_in} rows in, {rows_out} rows out"
         )
 
 
@@ -270,7 +281,7 @@ class CsvToColumnarStorlet(IStorlet):
             (block.columns for block in scan.blocks()),
             stripe_rows,
             stripe_bytes,
-            on_stripe=catalog.add_columns,
+            on_stripe=catalog.add_stripe,
         )
         kept = scan.records_in - scan.dropped
         metadata.update(

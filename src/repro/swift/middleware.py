@@ -79,7 +79,10 @@ class ServerSideCopy(BaseMiddleware):
     unreadable source is the response (404, or a faulted read's 503/504)
     and nothing is written.  Content type and user metadata come along
     unless the request sets its own; ``X-Fresh-Metadata: true`` leaves
-    the user metadata behind.
+    the user metadata behind.  The destination is stamped with where it
+    came from (``x-object-meta-copied-from``) and the source's etag as
+    read (``x-object-meta-copied-from-etag``), so a derived object can
+    be told stale once its source is overwritten.
     """
 
     def handle(self, request: Request) -> Response:
@@ -103,6 +106,8 @@ class ServerSideCopy(BaseMiddleware):
                 not fresh and header.startswith("x-object-meta-")
             ):
                 request.headers.setdefault(header, value)
+        request.headers["x-object-meta-copied-from"] = f"{container}/{name}"
+        request.headers["x-object-meta-copied-from-etag"] = found.headers.get("etag", "")
         request.body = found.iter_body()
         response = self.app(request)
         response.headers["x-copied-from"] = f"{container}/{name}"

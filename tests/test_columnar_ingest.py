@@ -33,12 +33,17 @@ from repro.swift.http import chunk_bytes
 from tests import rowwise_reference as reference
 
 _VALUES = {
-    DataType.STRING: st.text(
-        alphabet=st.sampled_from("ab,é漢\U0001f600 "), max_size=6
+    # Few long values (a dictionary pays) or many short ones (it does not).
+    DataType.STRING: st.one_of(
+        st.sampled_from(["Rotterdam", "Milan", "é漢\U0001f600"]),
+        st.text(alphabet=st.sampled_from("ab,é漢\U0001f600 "), max_size=6),
     ),
-    # Beyond int64 on both sides: the text escape hatch.
+    # Close together (narrow int), few and far apart (dictionary), and
+    # beyond int64 on both sides: the text escape hatch.
     DataType.INT: st.one_of(
-        st.integers(-5, 5), st.integers(-(2**70), 2**70)
+        st.integers(-5, 5),
+        st.sampled_from([0, 2**40, -(2**62), 10**30]),
+        st.integers(-(2**70), 2**70),
     ),
     DataType.FLOAT: st.one_of(
         st.sampled_from(
@@ -79,7 +84,7 @@ def column_major(schema, rows, block_rows, stripe_rows, stripe_bytes):
     )
     data = b"".join(
         encode_column_stream(
-            schema, blocks, stripe_rows, stripe_bytes, on_stripe=catalog.add_columns
+            schema, blocks, stripe_rows, stripe_bytes, on_stripe=catalog.add_stripe
         )
     )
     return data, catalog.to_metadata()
@@ -121,6 +126,31 @@ class TestDifferential:
         assert metadata == want_metadata
         # One encoder: the row-taking front is the same thing.
         assert b"".join(encode_stream(schema, rows, stripe_rows, stripe_bytes)) == data
+
+    @pytest.mark.parametrize("distinct", [300, 70_000])
+    def test_wide_dictionaries_across_blockings(self, distinct):
+        """Past 256 distinct values codes take two bytes, past 65 536
+        there is no dictionary; either way one stripe, any blocking."""
+        schema = Schema.of("s", "i:int", "f:float", "n")
+        rows = [
+            (
+                f"value-number-{i % distinct}",
+                (i % distinct) << 33,
+                float(i % distinct) if i else None,
+                None,
+            )
+            for i in range(2 * distinct + 5)
+        ]
+        want_data, want_metadata = row_major(schema, rows, 10**6, None)
+        tags = [
+            want_data[segment.offset]
+            for segment in decode_footer(want_data).stripes[0].columns
+        ]
+        assert tags == ([4, 4, 4, 2] if distinct == 300 else [2, 0, 1, 2])
+        for block_rows in (999, 65_536):
+            assert column_major(schema, rows, block_rows, 10**6, None) == (
+                want_data, want_metadata,
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(table=tables(), stripe_bytes=st.integers(1, 400))

@@ -162,8 +162,9 @@ class TestConversionStaysInTheStore:
         before = ctx.client.stats.requests
         written = ctx.convert_csv_to_columnar("meters", "rcf", METER_SCHEMA)
         assert len(written) == len(sizes) == 3
-        # Container PUT + listing + one copy per object, nothing else.
-        assert ctx.client.stats.requests - before == 2 + len(sizes)
+        # Container PUT + source listing + one copy per object + the
+        # target listing that looks for orphans, nothing else.
+        assert ctx.client.stats.requests - before == 3 + len(sizes)
         copies = [entry for entry in log if entry[1].startswith("/AUTH_scoop/rcf/")]
         assert [(method, sent) for method, _p, sent, _r in copies] == [("PUT", 0)] * 3
         # No object body in either direction: only the listing's names.
@@ -220,3 +221,49 @@ class TestConversionStaysInTheStore:
         assert headers[CATALOG_HEADER].startswith('{"v":1,"rows":2,')
         assert headers["x-object-meta-columnar-rows"] == "2"
         assert headers["content-type"] == "application/octet-stream"
+
+
+class TestShadowFollowsItsSource:
+    """``register_csv_table(format="columnar")`` re-converts into the
+    ``--columnar`` shadow; the shadow must not outlive its sources."""
+
+    SCHEMA = Schema.of("k", "v:int")
+
+    def _count(self, ctx, fmt):
+        ctx.register_csv_table("t", "c", schema=self.SCHEMA, format=fmt)
+        return ctx.sql("SELECT count(*) AS n FROM t").collect()
+
+    def test_deleted_source_takes_its_shadow_rows_along(self):
+        ctx = ScoopContext()
+        ctx.upload_csv("c", "x.csv", "a,1\nb,2\n")
+        ctx.upload_csv("c", "y.csv", "c,3\n")
+        assert self._count(ctx, "columnar") == [(3,)]
+        ctx.client.delete_object("c", "y.csv")
+        assert self._count(ctx, "columnar") == [(2,)]
+        assert self._count(ctx, "csv") == [(2,)]
+        assert ctx.client.list_objects("c--columnar") == ["x.rcf"]
+
+    def test_prune_stays_under_the_prefix_and_off_other_objects(self):
+        ctx = ScoopContext()
+        for name in ("in/a.csv", "in/b.csv", "out/c.csv"):
+            ctx.upload_csv("c", name, "a,1\n")
+        ctx.convert_csv_to_columnar("c", "rcf", self.SCHEMA)
+        ctx.client.put_object("rcf", "in/notes.txt", b"k,1\n")
+        ctx.client.delete_object("c", "in/b.csv")
+        ctx.client.delete_object("c", "out/c.csv")
+        assert ctx.convert_csv_to_columnar("c", "rcf", self.SCHEMA, prefix="in/") == [
+            "in/a.rcf"
+        ]
+        # in/b.rcf lost its source; out/c.rcf did too, but is not under
+        # the prefix this conversion was asked about.
+        assert ctx.client.list_objects("rcf") == [
+            "in/a.rcf", "in/notes.txt", "out/c.rcf",
+        ]
+
+    def test_each_rcf1_object_names_its_source_and_etag(self):
+        ctx = ScoopContext()
+        etag = ctx.upload_csv("c", "x.csv", "a,1\nb,2\n")
+        (name,) = ctx.convert_csv_to_columnar("c", "rcf", self.SCHEMA)
+        headers = ctx.client.head_object("rcf", name)
+        assert headers["x-object-meta-copied-from"] == "c/x.csv"
+        assert headers["x-object-meta-copied-from-etag"] == etag

@@ -9,9 +9,12 @@ caller falls back.  Hypothesis checks that contract against the same
 query/row generators the SQL fuzz suite uses.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import ColumnBatch, DictColumn
+from repro.sql import filters
 from repro.sql.catalyst import Optimizer, build_logical_plan
 from repro.sql.errors import SqlError
 from repro.sql.executor import (
@@ -20,8 +23,9 @@ from repro.sql.executor import (
     execute_query,
 )
 from repro.sql.filters import filters_from_json, filters_to_json
-from repro.sql.kernels import compile_filters, compile_predicate
+from repro.sql.kernels import FilterMask, compile_filters, compile_predicate
 from repro.sql.parser import parse_query
+from repro.sql.types import Schema
 
 from tests.test_sql_fuzz import (
     SCHEMA,
@@ -129,3 +133,127 @@ class TestPredicateKernels:
             if row[code] is not None and row[code] > value
         ]
         assert picked == expected
+
+
+# -- source filters over dictionary-coded columns ------------------------------
+
+_FILTER_SCHEMA = Schema.of("s", "i:int", "f:float")
+_POOLS = {
+    "s": ["Rotterdam", "Milan", "Lyon", "2015-01-03", "", "é"],
+    "i": [-3, 0, 7, 5000, 2**40],
+    "f": [0.0, -0.0, 1.5, float("inf"), float("nan")],
+}
+#: Literals of every kind against every column: an int against a
+#: string column must not match and must not raise.
+_LITERALS = st.one_of(
+    *[st.sampled_from(pool) for pool in _POOLS.values()], st.just("%a%")
+)
+
+
+def _leaf(draw):
+    attribute = draw(st.sampled_from(sorted(_POOLS)))
+    kind = draw(
+        st.sampled_from(
+            [
+                filters.EqualTo, filters.GreaterThan, filters.GreaterThanOrEqual,
+                filters.LessThan, filters.LessThanOrEqual,
+                filters.StringStartsWith, filters.StringEndsWith,
+                filters.StringContains, filters.LikePattern,
+                filters.In, filters.IsNull, filters.IsNotNull,
+            ]
+        )
+    )
+    if kind in (filters.IsNull, filters.IsNotNull):
+        return kind(attribute)
+    if kind is filters.In:
+        return kind(attribute, draw(st.lists(_LITERALS, max_size=3)))
+    if kind in (
+        filters.StringStartsWith, filters.StringEndsWith,
+        filters.StringContains, filters.LikePattern,
+    ):
+        return kind(attribute, draw(st.sampled_from(["R%", "%a%", "Milan", "2015-01-", "_"])))
+    return kind(attribute, draw(_LITERALS))
+
+
+_FILTER_TREES = st.recursive(
+    st.composite(_leaf)(),
+    lambda children: st.one_of(
+        st.builds(filters.And, children, children),
+        st.builds(filters.Or, children, children),
+        st.builds(filters.Not, children),
+    ),
+    max_leaves=6,
+)
+
+
+def _dictionary_twin(pool, positions):
+    """The cells ``pool[p]`` as a decoded dictionary segment carries
+    them: entries in first-appearance order, NULL (if any) last.  Keyed
+    by pool position, so 0.0 / -0.0 and every NaN stay entries of their
+    own, as the byte-keyed encoder keeps them."""
+    used = sorted(dict.fromkeys(positions), key=lambda p: pool[p] is None)
+    codes = {position: code for code, position in enumerate(used)}
+    return DictColumn([pool[p] for p in used], bytes(codes[p] for p in positions))
+
+
+class TestFilterMaskOnDictionaryColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        trees=st.lists(_FILTER_TREES, min_size=1, max_size=3),
+        picks=st.lists(
+            st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=40
+        ),
+        coded=st.sets(st.sampled_from([0, 1, 2])),
+    )
+    def test_mask_equals_the_mask_over_the_materialised_twin(
+        self, trees, picks, coded
+    ):
+        pools = [pool + [None] for pool in _POOLS.values()]
+        positions = [
+            [pick[index] % len(pool) for pick in picks]
+            for index, pool in enumerate(pools)
+        ]
+        plain = [[pool[p] for p in column] for pool, column in zip(pools, positions)]
+        columns = [
+            _dictionary_twin(pools[index], positions[index]) if index in coded else column
+            for index, column in enumerate(plain)
+        ]
+        n = len(picks)
+        compiled = FilterMask(trees, _FILTER_SCHEMA)
+        tally = Counter()
+        mask = compiled.mask(columns, n, tally)
+        assert mask == compiled.mask(plain, n)
+        # ... which is the row predicate's verdict, filter by filter.
+        predicates = [tree.to_predicate(_FILTER_SCHEMA) for tree in trees]
+        assert mask == bytes(
+            all(check(row) for check in predicates) for row in zip(*plain)
+        )
+        assert compile_filters(trees, _FILTER_SCHEMA)(columns, n) == [
+            i for i, flag in enumerate(mask) if flag
+        ]
+        kept, count = compiled.select(columns, n, [2, 0])
+        assert count == mask.count(1)
+        if count:
+            for column, index in zip(kept, (2, 0)):
+                want = [v for v, flag in zip(plain[index], mask) if flag]
+                assert [repr(v) for v in column] == [repr(v) for v in want]
+                if index in coded and count != n:
+                    assert isinstance(column, DictColumn)
+        if not coded:
+            assert tally["dictionary"] == 0
+        if coded == {0, 1, 2}:
+            assert tally["rows"] == 0
+
+    def test_a_plain_dict_counts_the_evaluations(self):
+        compiled = FilterMask(
+            [filters.LikePattern("s", "M%"), filters.LessThan("i", 3)],
+            _FILTER_SCHEMA,
+        )
+        columns = [
+            DictColumn(["Lyon", "Milan"], bytes([0, 1, 1, 0])),
+            [1, 2, 3, 4],
+            [None] * 4,
+        ]
+        tally: dict = {}
+        assert compiled.mask(columns, 4, tally) == bytes([0, 1, 0, 0])
+        assert tally == {"dictionary": 2, "rows": 4}
