@@ -16,14 +16,10 @@ from repro.sql import (
     filters_to_json,
     parse_query,
 )
-from repro.storlets import (
-    CsvStorlet,
-    StorletInputStream,
-    StorletLogger,
-    StorletOutputStream,
-)
+from repro.storlets import CsvStorlet
 from repro.swift.http import DEFAULT_CHUNK_SIZE, chunk_bytes
 from repro.swift.ring import RingBuilder
+from tests.storlet_harness import run_storlet
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +57,7 @@ def test_bench_csv_storlet_filter_throughput(benchmark, meter_csv, chunk_size):
     }
 
     def run():
-        out = StorletOutputStream()
-        CsvStorlet().invoke(
-            [StorletInputStream(chunks)],
-            [out],
-            dict(parameters),
-            StorletLogger("bench"),
-        )
-        return out.bytes_written
+        return len(run_storlet(CsvStorlet(), chunks, dict(parameters)).body)
 
     written = benchmark(run)
     assert written > 0

@@ -30,22 +30,24 @@ def main() -> None:
         ctx.client, "meters", DatasetSpec(meters=50, intervals=1500, objects=4)
     )
     dataset_bytes = ctx.connector.dataset_size("meters")
-    ctx.register_csv_table("largeMeter", "meters", schema=METER_SCHEMA)
     ctx.register_csv_table(
         "largeMeterPlain", "meters", schema=METER_SCHEMA, pushdown=False
     )
-
-    _frame, plain = ctx.run_query(SQL.format("largeMeterPlain"))
-    filter_frame, filtered = ctx.run_query(SQL.format("largeMeter"))
-    (agg_schema, agg_rows), aggregated = ctx.run_aggregation_query(
-        SQL.format("largeMeter"), "meters", METER_SCHEMA
+    ctx.register_csv_table(
+        "largeMeter", "meters", schema=METER_SCHEMA, agg_pushdown=False
+    )
+    ctx.register_csv_table(
+        "largeMeterAgg", "meters", schema=METER_SCHEMA, agg_pushdown=True
     )
 
-    # All three agree.
-    reference = filter_frame.collect()
-    assert len(agg_rows) == len(reference)
-    for got, want in zip(agg_rows, reference):
-        assert got[0] == want[0] and abs(got[1] - want[1]) < 1e-6
+    plain_frame, plain = ctx.run_query(SQL.format("largeMeterPlain"))
+    filter_frame, filtered = ctx.run_query(SQL.format("largeMeter"))
+    agg_frame, aggregated = ctx.run_query(SQL.format("largeMeterAgg"))
+
+    # All three agree exactly: a SUM is the exact sum rounded once,
+    # wherever its pieces were added up.
+    agg_rows = agg_frame.collect()
+    assert agg_rows == filter_frame.collect() == plain_frame.collect()
 
     render_table(
         f"Same query, three ingestion strategies ({dataset_bytes:,} B dataset)",
@@ -70,7 +72,7 @@ def main() -> None:
     )
     print("\nfirst result rows (identical across all three):")
     for row in agg_rows[:4]:
-        print(" ", dict(zip(agg_schema.names, row)))
+        print(" ", dict(zip(agg_frame.schema.names, row)))
 
 
 if __name__ == "__main__":

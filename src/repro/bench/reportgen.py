@@ -61,12 +61,11 @@ _EPILOGUE = """\
 ## Beyond the paper's evaluation (implemented extensions)
 
 * **Aggregation pushdown** (Section IV-A's "partial computation"):
-  mergeable GROUP BY queries return per-range partial states; on the
-  functional rig this moves ~28x fewer bytes than filter pushdown for
-  the same query (`tests/test_agg_pushdown.py`).
-* **Spark-Storlets RDD** (Section VII, ref [13]): Hadoop bypassed,
-  object-aware partitioning by replicas x parallelism, replica-pinned
-  parallel reads (`tests/test_storlet_rdd.py`).
+  mergeable GROUP BY queries return per-range accumulator states, SUM
+  and AVG as exact sums rounded once, so the merged answer `==` the
+  compute-side one; on the functional rig this moves ~33x fewer bytes
+  than filter pushdown for the same query
+  (`examples/aggregation_pushdown.py`, `tests/test_agg_pushdown.py`).
 * **Binary object metadata source** (Section VII's EXIF example): SQL
   over image-like objects' tag headers at <1% of the payload bytes
   (`tests/test_binary_source.py`).

@@ -42,10 +42,9 @@ class PushdownTask:
     #: (the columnar storlet's per-split stripe descriptors travel here).
     extra_parameters: Dict[str, str] = field(default_factory=dict)
     #: Partial GROUP-BY aggregation to run at the store: the serialized
-    #: :class:`~repro.storlets.agg_storlet.AggregationSpec` (v2 tagged
-    #: protocol).  The store returns typed partial group states instead
-    #: of rows -- usually orders of magnitude fewer bytes than even
-    #: filter pushdown.
+    #: :class:`~repro.storlets.agg_storlet.AggregationSpec`.  The store
+    #: returns accumulator states per group instead of rows -- usually
+    #: orders of magnitude fewer bytes than even filter pushdown.
     aggregation: Optional[str] = None
     #: Bound on the storlet-side group hash table; groups beyond it
     #: spill their rows to the compute side (None = storlet default).
@@ -83,7 +82,6 @@ class PushdownTask:
             parameters["filters"] = filters_to_json(self.filters)
         if self.aggregation is not None:
             parameters["aggregation"] = self.aggregation
-            parameters["partials"] = "json"
             if self.max_groups is not None:
                 parameters["max_groups"] = str(self.max_groups)
         parameters.update(self.extra_parameters)

@@ -497,45 +497,6 @@ class ScoopContext:
                 )
         return frame, report
 
-    def run_aggregation_query(
-        self,
-        text: str,
-        container: str,
-        schema: Schema,
-        prefix: str = "",
-        has_header: bool = False,
-    ):
-        """Execute a fully-mergeable GROUP BY query via aggregation
-        pushdown: the store returns partial group states instead of rows.
-
-        Returns ``((schema, rows), QueryRunReport)``.  Raises
-        SqlAnalysisError when the query is not fully mergeable -- fall
-        back to :meth:`run_query` (filter pushdown) in that case.
-        """
-        from repro.core.agg_pushdown import run_aggregation_query
-
-        metrics = self.connector.metrics
-        before = (
-            metrics.requests,
-            metrics.bytes_transferred,
-            metrics.bytes_requested,
-            metrics.pushdown_requests,
-            metrics.pushdown_fallbacks,
-        )
-        result_schema, rows = run_aggregation_query(
-            self.connector, text, schema, container, prefix, has_header
-        )
-        report = QueryRunReport(
-            rows=len(rows),
-            bytes_transferred=metrics.bytes_transferred - before[1],
-            bytes_requested=metrics.bytes_requested - before[2],
-            requests=metrics.requests - before[0],
-            pushdown_requests=metrics.pushdown_requests - before[3],
-            pushdown_fallbacks=metrics.pushdown_fallbacks - before[4],
-        )
-        self._last_report = report
-        return (result_schema, rows), report
-
     def make_adaptive_controller(
         self,
         window_invocations: int = 50,

@@ -8,8 +8,9 @@ Each named plan stresses one leg of the resilience machinery:
 * ``flaky-object`` -- transient replica errors and stalls past the
   request deadline, absorbed by proxy failover plus client retry;
 * ``storlet-crash`` -- persistent sandbox failures of the pushdown
-  filter, absorbed by graceful degradation to plain GETs with
-  compute-side filtering (``pushdown_fallbacks`` must rise);
+  filters (CSV, columnar and aggregating), absorbed by graceful
+  degradation to plain GETs with compute-side filtering
+  (``pushdown_fallbacks`` must rise);
 * ``overload`` -- the QoS stress mix (docs/admission.md): sub-deadline
   stalls that eat the request's deadline budget, one persistently
   failing storage node that trips its circuit breaker, injected 429
@@ -110,6 +111,20 @@ def named_plan(name: str, seed: int = 20170417) -> FaultPlan:
                 ),
                 StorletCrash(
                     storlet="columnarstorlet",
+                    reason="cpu-exhausted",
+                    times=1,
+                    probability=0.3,
+                ),
+                # And on the aggregating storlet: with GROUP-BY pushdown
+                # armed, it is the filter most queries run.
+                StorletCrash(
+                    storlet="aggstorlet",
+                    reason="crash",
+                    times=None,
+                    probability=0.6,
+                ),
+                StorletCrash(
+                    storlet="aggstorlet",
                     reason="cpu-exhausted",
                     times=1,
                     probability=0.3,

@@ -187,7 +187,13 @@ class Process(Event):
                 except BaseException as error:
                     self._target = None
                     self._ok = False
-                    self._value = error
+                    # Keep the generator's frames, drop this one: stored
+                    # whole, the traceback ties the process to its own
+                    # ``_resume`` frame (a cycle) and through ``f_back``
+                    # pins every caller of ``run`` until a cyclic GC.
+                    self._value = error.with_traceback(
+                        error.__traceback__.tb_next
+                    )
                     self._defused = False
                     self.env.schedule(self)
                     break

@@ -12,8 +12,9 @@ builds on (Section III-A):
   Catalyst uses to offload projections and selections;
 * :mod:`repro.spark.csv_source` -- the Spark-CSV relation, extended (as
   in the paper) to push projections/selections down to the object store;
-* :mod:`repro.spark.parquet_source` -- the columnar, compressed baseline
-  of the Fig. 8 comparison;
+* :mod:`repro.spark.columnar_source` -- the relation over RCF1, the
+  encoded columnar format (read with ``pushdown=False`` it is the
+  Parquet-like baseline of the Fig. 8 comparison);
 * :mod:`repro.spark.session` / :mod:`repro.spark.dataframe` -- SQL entry
   points (``session.sql(...)``) and DataFrame results.
 """

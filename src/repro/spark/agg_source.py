@@ -1,14 +1,12 @@
 """The aggregation scan RDD: GROUP BY partials through the scheduler.
 
-The legacy :class:`~repro.core.agg_pushdown.AggregationPushdownRunner`
-looped over splits serially outside the scheduler; this RDD puts the
-same storlet work on the normal partition-task path, so aggregation
-pushdown inherits everything scans already have: bounded thread pools,
-task retry with mid-stream resume, and graceful degradation to
-compute-side work when a storlet fails at runtime.
+The aggregating storlet runs on the normal partition-task path, so
+aggregation pushdown inherits everything scans already have: bounded
+thread pools, task retry with mid-stream resume, and graceful
+degradation to compute-side work when a storlet fails at runtime.
 
-Each partition yields *tagged records* (not rows): typed partial group
-states and spill-to-compute raw rows, in the deterministic order
+Each partition yields *tagged records* (not rows): accumulator states
+per group and spill-to-compute raw rows, in the deterministic order
 :func:`~repro.storlets.agg_storlet.tagged_partial_aggregate` defines.
 The session merges the partition-ordered record stream with
 :func:`~repro.core.agg_pushdown.merge_tagged_records`.
@@ -22,6 +20,7 @@ the scheduler's skip-``emitted`` resume arithmetic sound here too.
 
 from __future__ import annotations
 
+import json
 from typing import Iterator, List
 
 from repro.connector.stocator import (
@@ -29,7 +28,7 @@ from repro.connector.stocator import (
     PushdownError,
     StocatorConnector,
 )
-from repro.core.agg_pushdown import AggregationPlan, decode_tagged_line
+from repro.core.agg_pushdown import AggregationPlan
 from repro.core.pushdown import PushdownTask
 from repro.csvscan import owned_records
 from repro.obs.trace import get_collector
@@ -43,7 +42,7 @@ from repro.storlets.agg_storlet import (
 
 
 class AggregationScanRDD(RDD):
-    """One partition per object split; yields v2 tagged agg records."""
+    """One partition per object split; yields tagged agg records."""
 
     def __init__(
         self,
@@ -118,7 +117,7 @@ class AggregationScanRDD(RDD):
         _headers, chunks = self.connector.open_split_stream(split, self.task)
         for raw_line in owned_records(chunks):
             if raw_line.strip():
-                yield decode_tagged_line(raw_line, split.index)
+                yield self._stamp(json.loads(raw_line), split.index)
 
     # -- degradation: same aggregation, computed from plain reads ----------
 
@@ -130,7 +129,8 @@ class AggregationScanRDD(RDD):
             yield self._stamp(record, split.index)
 
     @staticmethod
-    def _stamp(record: tuple, split_index: int) -> tuple:
-        """Insert the split index after the tag, matching the decoded
-        wire records."""
+    def _stamp(record, split_index: int) -> tuple:
+        """Insert the split index after the tag: the storlet does not
+        know which split it served, and the index is what orders group
+        creation points globally across partitions."""
         return (record[0], split_index, *record[1:])

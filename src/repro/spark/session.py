@@ -183,7 +183,7 @@ class SparkSession:
         builder = getattr(relation, "build_aggregation_scan", None)
         if builder is None:
             return None
-        plan = plan_aggregation_pushdown(query, base_schema, exact_types=True)
+        plan = plan_aggregation_pushdown(query, base_schema)
         if plan is None:
             return None
         rdd = builder(plan)
@@ -287,26 +287,6 @@ def _columnar_provider(
     )
 
 
-def _parquet_provider(
-    session: SparkSession, path: str, options: Dict[str, Any]
-):
-    from repro.spark.parquet_source import ParquetRelation
-
-    connector = options.get("connector")
-    if connector is None:
-        raise SqlAnalysisError(
-            "parquet format needs option('connector', <StocatorConnector>)"
-        )
-    container, _slash, prefix = path.strip("/").partition("/")
-    return ParquetRelation(
-        session.context,
-        connector,
-        container,
-        prefix=prefix,
-        schema=options.get("schema"),
-    )
-
-
 def _truthy(value: Any) -> bool:
     if isinstance(value, str):
         return value.strip().lower() in ("1", "true", "yes", "on")
@@ -315,4 +295,3 @@ def _truthy(value: Any) -> bool:
 
 register_provider("csv", _csv_provider)
 register_provider("columnar", _columnar_provider)
-register_provider("parquet", _parquet_provider)

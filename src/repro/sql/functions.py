@@ -8,7 +8,8 @@ behaves like 1 (the GridPocket queries in Table I all use
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sql.errors import SqlAnalysisError
 
@@ -166,26 +167,150 @@ def scalar_function_names() -> List[str]:
 
 
 class Accumulator:
-    """Incremental state for one aggregate over one group."""
+    """Incremental state for one aggregate over one group.
+
+    The mergeable aggregates (everything but DISTINCT) also expose their
+    state: ``state()`` is JSON-safe and ``merge(state)`` folds in what
+    another accumulator of the same class saw, so a group aggregated in
+    pieces -- per storlet byte range, per partition -- ends in the very
+    state one accumulator fed every row would hold.
+    """
 
     def add(self, value: Any) -> None:
         raise NotImplementedError
 
     def result(self) -> Any:
         raise NotImplementedError
+
+
+#: Pending floats are folded into the partials once this many wait.
+_COMPACT_AT = 64
+#: Finite floats at least this large are summed as the integers they are,
+#: so what ``math.fsum`` sees cannot overflow on the way to a finite sum.
+_HUGE = 2.0**900
 
 
 class SumAccumulator(Accumulator):
+    """SUM as the exact sum of its inputs, rounded once.
+
+    Integers add up in an ``int``; floats wait in ``pending`` and are
+    folded, a batch at a time, into ``partials``: a list with the same
+    exact sum, kept short by compacting it to Shewchuk's non-overlapping
+    expansion (``math.fsum`` semantics).  So the value depends on the
+    multiset of inputs alone -- not on row order, partitioning or where
+    a partial state was merged.
+    Non-finite inputs add the IEEE way (any NaN, or both infinities, is
+    NaN), a finite sum beyond the double range rounds to an infinity,
+    and a zero sum is ``+0.0``.  The result is a float once any input
+    was.
+    """
+
     def __init__(self) -> None:
-        self.total: Any = None
+        #: Non-NULL inputs folded in so far; ``pending`` is counted when
+        #: it is folded.
+        self.count = 0
+        self.ints = 0
+        self.special = 0.0
+        self.partials: List[float] = []
+        self.pending: List[float] = []
 
     def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total = value if self.total is None else self.total + value
+        if value.__class__ is float:
+            pending = self.pending
+            pending.append(value)
+            if len(pending) >= _COMPACT_AT:
+                self._fold()
+        elif value is not None:
+            self.count += 1
+            self.ints += value
+
+    def _head(self) -> float:
+        """The correctly rounded sum of the floats met so far, with
+        ``pending`` moved (uncompacted) behind ``partials``."""
+        floats = self.partials + self.pending
+        if not floats:
+            return 0.0
+        self.count += len(self.pending)
+        self.pending.clear()
+        try:
+            head = math.fsum(floats)
+        except (OverflowError, ValueError):
+            head = math.nan
+        if not math.isfinite(head):
+            # An input is not finite, or the running sum left the double
+            # range: take both kinds out and sum the rest again (a lone
+            # 0.0 stays to say a float was summed).
+            finite = []
+            for value in floats:
+                if not math.isfinite(value):
+                    self.special += value
+                elif abs(value) >= _HUGE:
+                    self.ints += int(value)
+                else:
+                    finite.append(value)
+            floats = finite or [0.0]
+            head = math.fsum(floats)
+        self.partials = floats
+        return head
+
+    def _fold(self) -> None:
+        """Compact ``partials`` (and ``pending``) to the rounded sum
+        followed by what each rounding left over, down to zero."""
+        partials = [self._head()]
+        if self.partials:
+            floats = self.partials
+            while partials[-1]:
+                floats.append(-partials[-1])
+                partials.append(math.fsum(floats))
+            self.partials = partials[:-1] or partials
+
+    def _rounded(self) -> Any:
+        head = self._head()
+        if not self.partials:
+            return self.ints
+        if self.special:
+            return self.special
+        if not self.ints:
+            return head
+        exact = self.ints + sum(map(Fraction, self.partials))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
     def result(self) -> Any:
-        return self.total
+        total = self._rounded()
+        return total if self.count else None
+
+    def state(self) -> list:
+        """The count, then terms whose exact sum is the sum: the integer
+        part and the non-finite part when not zero, and the partials."""
+        self._fold()
+        terms = [self.count]
+        if self.ints:
+            terms.append(self.ints)
+        if self.special:
+            terms.append(self.special)
+        return terms + self.partials
+
+    def merge(self, state: Sequence[Any]) -> None:
+        self.count += state[0]
+        for term in state[1:]:
+            if term.__class__ is float:
+                self.partials.append(term)
+            else:
+                self.ints += term
+        if len(self.partials) >= _COMPACT_AT:
+            self._fold()
+
+
+class AvgAccumulator(SumAccumulator):
+    """AVG as the rounded exact sum over the integer count (so an
+    all-integer average is the exact quotient, rounded once)."""
+
+    def result(self) -> Optional[float]:
+        total = self._rounded()
+        return total / self.count if self.count else None
 
 
 class CountAccumulator(Accumulator):
@@ -198,6 +323,11 @@ class CountAccumulator(Accumulator):
 
     def result(self) -> int:
         return self.count
+
+    state = result
+
+    def merge(self, state: int) -> None:
+        self.count += state
 
 
 class MinAccumulator(Accumulator):
@@ -213,6 +343,9 @@ class MinAccumulator(Accumulator):
     def result(self) -> Any:
         return self.best
 
+    state = result
+    merge = add
+
 
 class MaxAccumulator(Accumulator):
     def __init__(self) -> None:
@@ -227,22 +360,8 @@ class MaxAccumulator(Accumulator):
     def result(self) -> Any:
         return self.best
 
-
-class AvgAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total += value
-        self.count += 1
-
-    def result(self) -> Optional[float]:
-        if self.count == 0:
-            return None
-        return self.total / self.count
+    state = result
+    merge = add
 
 
 class FirstValueAccumulator(Accumulator):
@@ -258,16 +377,20 @@ class FirstValueAccumulator(Accumulator):
     def result(self) -> Any:
         return self.value
 
+    def state(self) -> list:
+        return [self.seen, self.value]
 
-class LastValueAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self.value: Any = None
+    def merge(self, state: Sequence[Any]) -> None:
+        if state[0]:
+            self.add(state[1])
+
+
+class LastValueAccumulator(FirstValueAccumulator):
+    """FIRST_VALUE's state, replaced by every input instead of kept."""
 
     def add(self, value: Any) -> None:
+        self.seen = True
         self.value = value
-
-    def result(self) -> Any:
-        return self.value
 
 
 class DistinctAccumulator(Accumulator):

@@ -27,7 +27,6 @@ from repro.storlets.api import (
     StorletFailure,
     StorletInputStream,
     StorletLogger,
-    StorletOutputStream,
 )
 from repro.storlets.csv_storlet import CsvStorlet
 from repro.storlets.engine import (
@@ -51,6 +50,5 @@ __all__ = [
     "StorletInputStream",
     "StorletLogger",
     "StorletMiddleware",
-    "StorletOutputStream",
     "StorletRequestHeaders",
 ]

@@ -1,8 +1,9 @@
 """The storlet programming interface.
 
-Mirrors the Java ``IStorlet`` interface shown in the paper (Section V-A):
-a storlet implements ``invoke(in_streams, out_streams, parameters,
-logger)`` and transforms the request's data stream.  Streams are
+Follows the Java ``IStorlet`` interface shown in the paper (Section V-A),
+``invoke(in_streams, out_streams, parameters, logger)``, as a Python
+generator: a storlet implements ``process(in_stream, parameters, logger,
+metadata)`` and *yields* the transformed stream.  Streams are
 chunk-iterators so storlets can process objects far larger than memory.
 """
 
@@ -96,86 +97,21 @@ class StorletInputStream:
         return data
 
 
-class StorletOutputStream:
-    """A writable stream; also carries response metadata the storlet may
-    set (real Storlets send metadata out-of-band before the data)."""
-
-    def __init__(self, metadata: Optional[Dict[str, str]] = None):
-        self.metadata: Dict[str, str] = dict(metadata or {})
-        self._chunks: List[bytes] = []
-        self._closed = False
-
-    def write(self, data: bytes) -> None:
-        if self._closed:
-            raise StorletException("write after close")
-        if not isinstance(data, bytes):
-            raise StorletException(
-                f"storlet output must be bytes, got {type(data).__name__}"
-            )
-        if data:
-            self._chunks.append(data)
-
-    def set_metadata(self, metadata: Dict[str, str]) -> None:
-        self.metadata.update(metadata)
-
-    def close(self) -> None:
-        self._closed = True
-
-    def chunks(self) -> List[bytes]:
-        return list(self._chunks)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(len(chunk) for chunk in self._chunks)
-
-
 class IStorlet:
     """Base class for storlets.
 
-    Subclasses override either interface; ``parameters`` arrive as a
-    flat string map decoded from the request's ``X-Storlet-Parameter-*``
-    headers:
-
-    * :meth:`process` -- the streaming interface: consume ``in_stream``
-      and *yield* output chunks.  Chunks flow through the sandbox (and
-      any downstream storlets in the pipeline) as they are produced, so
-      memory stays O(chunk size) regardless of object size.  Metadata
-      the storlet wants to emit goes into the mutable ``metadata`` dict;
-      it must be complete by the time the generator is exhausted.
-    * :meth:`invoke` -- the legacy push interface over explicit
-      input/output streams.  An invoke-only storlet materializes its
-      whole output before the first byte leaves the sandbox, so only
-      genuinely blocking transformations (e.g. full aggregation) should
-      stay on it.
-
-    Each default implementation bridges to the other, so implementing
-    one is enough.
+    Subclasses override :meth:`process`: consume ``in_stream`` and
+    *yield* output chunks (``bytes``).  Chunks flow through the sandbox
+    (and any downstream storlets in the pipeline) as they are produced,
+    so a storlet's memory is whatever state it keeps itself, regardless
+    of object size.  ``parameters`` arrive as a flat string map decoded
+    from the request's ``X-Storlet-Parameter-*`` headers.  Metadata the
+    storlet wants to emit goes into the mutable ``metadata`` dict; it
+    must be complete by the time the generator is exhausted.
     """
 
     #: Stable name used for deployment/invocation headers.
     name = "storlet"
-
-    def invoke(
-        self,
-        in_streams: List[StorletInputStream],
-        out_streams: List[StorletOutputStream],
-        parameters: Dict[str, str],
-        logger: StorletLogger,
-    ) -> None:
-        if type(self).process is IStorlet.process:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither invoke() nor "
-                "process()"
-            )
-        out_stream = out_streams[0]
-        for chunk in self.process(
-            in_streams[0], parameters, logger, out_stream.metadata
-        ):
-            out_stream.write(chunk)
-        out_stream.close()
 
     def process(
         self,
@@ -184,22 +120,9 @@ class IStorlet:
         logger: StorletLogger,
         metadata: Dict[str, str],
     ) -> Iterator[bytes]:
-        if type(self).invoke is IStorlet.invoke:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither invoke() nor "
-                "process()"
-            )
-
-        def bridge() -> Iterator[bytes]:
-            # Legacy storlets push into an output stream; buffer it and
-            # replay the chunks (an invoke-only storlet is blocking by
-            # construction).
-            out_stream = StorletOutputStream()
-            self.invoke([in_stream], [out_stream], parameters, logger)
-            metadata.update(out_stream.metadata)
-            yield from out_stream.chunks()
-
-        return bridge()
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement process()"
+        )
 
     def describe(self) -> Dict[str, Any]:
         """Deployment metadata stored alongside the storlet object."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.csvscan import render_record
 from repro.storlets.api import (
@@ -33,7 +33,6 @@ from repro.storlets.api import (
     StorletException,
     StorletInputStream,
     StorletLogger,
-    StorletOutputStream,
 )
 
 MAGIC = b"IMG1"
@@ -113,14 +112,13 @@ class MetadataExtractorStorlet(IStorlet):
     #: Upper bound on the header bytes we are willing to read.
     HEADER_BUDGET = 256 * 1024
 
-    def invoke(
+    def process(
         self,
-        in_streams: List[StorletInputStream],
-        out_streams: List[StorletOutputStream],
+        in_stream: StorletInputStream,
         parameters: Dict[str, str],
         logger: StorletLogger,
-    ) -> None:
-        in_stream, out_stream = in_streams[0], out_streams[0]
+        metadata: Dict[str, str],
+    ) -> Iterator[bytes]:
         if not parameters.get("tags"):
             raise StorletException("metaextract requires a 'tags' parameter")
         wanted = json.loads(parameters["tags"])
@@ -136,6 +134,5 @@ class MetadataExtractorStorlet(IStorlet):
             for chunk in in_stream.iter_chunks():
                 remaining += len(chunk)
             fields.append(str(remaining))
-        out_stream.write(render_record(fields, ","))
+        yield render_record(fields, ",")
         logger.emit(f"metaextract: {len(wanted)} tags extracted")
-        out_stream.close()

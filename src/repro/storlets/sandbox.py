@@ -28,7 +28,6 @@ from repro.storlets.api import (
     StorletFailure,
     StorletInputStream,
     StorletLogger,
-    StorletOutputStream,
 )
 
 
@@ -114,7 +113,7 @@ class Sandbox:
         self.cost_model = cost_model or CostModel()
         self.memory_overhead = memory_overhead
         # Optional per-invocation resource limits (a real sandbox caps
-        # runaway filters; ours enforces after the fact and errors).
+        # runaway filters; ours checks each chunk as it leaves).
         self.max_output_bytes = max_output_bytes
         self.max_cpu_seconds = max_cpu_seconds
         # Invocation deadline (wall clock): a storlet that runs longer
@@ -131,30 +130,6 @@ class Sandbox:
         # A leaf lock: held only for counter arithmetic, never across a
         # storlet's own code or any I/O (docs/concurrency.md).
         self._lock = threading.Lock()
-
-    def run(
-        self,
-        storlet: IStorlet,
-        in_stream: StorletInputStream,
-        parameters: Dict[str, str],
-        tier: str = "object",
-        scope: str = "",
-    ) -> StorletOutputStream:
-        """Invoke ``storlet`` and drain it; returns its output stream.
-
-        Convenience wrapper over :meth:`run_streaming` for callers that
-        want the materialized result (tests, PUT-path ETL); the
-        accounting still happens chunk by chunk as the stream drains.
-        """
-        invocation = self.run_streaming(
-            storlet, in_stream, parameters, tier, scope=scope
-        )
-        out_stream = StorletOutputStream()
-        for chunk in invocation.chunks():
-            out_stream.write(chunk)
-        out_stream.set_metadata(invocation.metadata)
-        out_stream.close()
-        return out_stream
 
     def run_streaming(
         self,

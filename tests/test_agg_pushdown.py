@@ -1,30 +1,23 @@
-"""Tests for aggregation pushdown: the storlet, the partial-state merge,
-the planner and the end-to-end path."""
+"""Tests for aggregation pushdown: the storlet's tagged protocol, the
+merge of accumulator states, the planner and the end-to-end path."""
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.agg_pushdown import (
+    merge_tagged_records,
     plan_aggregation_pushdown,
-    run_aggregation_query,
 )
-from repro.gridpocket import METER_SCHEMA
+from repro.core import ScoopContext
+from repro.gridpocket import METER_SCHEMA, upload_dataset
 from repro.sql import Schema
-from repro.sql.errors import SqlAnalysisError
 from repro.sql.parser import parse_query
-from repro.storlets import (
-    StorletException,
-    StorletInputStream,
-    StorletLogger,
-    StorletOutputStream,
-)
-from repro.storlets.agg_storlet import (
-    AggregatingStorlet,
-    AggregationSpec,
-    merge_partials,
-)
-from repro.csvscan import parse_record
-from repro.sql.types import DataType
+from repro.storlets import StorletException
+from repro.storlets.agg_storlet import AggregatingStorlet, AggregationSpec
+from tests.conftest import SMALL_SPEC
+from tests.storlet_harness import run_storlet
 
 SCHEMA = Schema.of("vid", "date", "index:float", "city")
 DATA = (
@@ -35,63 +28,67 @@ DATA = (
 )
 
 
-def run_agg(data, spec, extra=None, chunk=33):
-    chunks = [data[i : i + chunk] for i in range(0, len(data), chunk)]
-    out = StorletOutputStream()
+def run_agg(data, spec, extra=None, chunk=33, schema=SCHEMA, split=0):
+    """The storlet's records over ``data``, stamped with ``split`` the
+    way the scan RDD stamps them."""
     parameters = {
-        "schema": SCHEMA.to_header(),
+        "schema": schema.to_header(),
         "aggregation": spec.to_json(),
         **(extra or {}),
     }
-    AggregatingStorlet().invoke(
-        [StorletInputStream(chunks)], [out], parameters, StorletLogger("t")
-    )
+    out = run_storlet(AggregatingStorlet(), data, parameters, chunk_size=chunk)
     return [
-        parse_record(line, ",")
-        for line in out.getvalue().splitlines()
+        (record[0], split, *record[1:])
+        for record in map(json.loads, out.body.splitlines())
     ]
+
+
+def merged(sql, records, schema=SCHEMA):
+    plan = plan_aggregation_pushdown(parse_query(sql), schema)
+    return merge_tagged_records(plan, records, schema)[1]
+
+
+def spec_of(sql, schema=SCHEMA):
+    return plan_aggregation_pushdown(parse_query(sql), schema).spec
 
 
 class TestAggregatingStorlet:
     def test_grouped_sum_and_count(self):
-        spec = AggregationSpec(["vid"], [("sum", "index"), ("count", "*")])
-        partials = run_agg(DATA, spec)
-        merged = dict(
-            (row[0], (float(row[1]), int(row[2]))) for row in partials
-        )
-        assert merged == {"m1": (22.0, 2), "m2": (12.0, 2)}
+        sql = "SELECT vid, sum(index), count(*) FROM t GROUP BY vid"
+        assert merged(sql, run_agg(DATA, spec_of(sql))) == [
+            ("m1", 22.0, 2),
+            ("m2", 12.0, 2),
+        ]
 
     def test_group_by_expression(self):
-        spec = AggregationSpec(
-            ["SUBSTRING(date, 0, 7)"], [("sum", "index")]
+        sql = (
+            "SELECT SUBSTRING(date, 0, 7), sum(index) FROM t "
+            "GROUP BY SUBSTRING(date, 0, 7)"
         )
-        partials = run_agg(DATA, spec)
-        merged = dict((row[0], float(row[1])) for row in partials)
-        assert merged == {"2015-01": 27.0, "2015-02": 7.0}
+        assert merged(sql, run_agg(DATA, spec_of(sql))) == [
+            ("2015-01", 27.0),
+            ("2015-02", 7.0),
+        ]
 
     def test_filters_applied_before_aggregation(self):
         from repro.sql import EqualTo, filters_to_json
 
-        spec = AggregationSpec(["vid"], [("count", "*")])
-        partials = run_agg(
+        sql = "SELECT vid, count(*) FROM t GROUP BY vid"
+        records = run_agg(
             DATA,
-            spec,
+            spec_of(sql),
             extra={"filters": filters_to_json([EqualTo("city", "Paris")])},
         )
-        assert dict((r[0], int(r[1])) for r in partials) == {"m2": 2}
+        assert merged(sql, records) == [("m2", 2)]
 
     def test_unmergeable_aggregate_rejected(self):
         with pytest.raises(StorletException):
             AggregationSpec(["vid"], [("median", "index")])
 
     def test_missing_parameters_raise(self):
-        out = StorletOutputStream()
         with pytest.raises(StorletException):
-            AggregatingStorlet().invoke(
-                [StorletInputStream([DATA])],
-                [out],
-                {"schema": SCHEMA.to_header()},
-                StorletLogger("t"),
+            run_storlet(
+                AggregatingStorlet(), DATA, {"schema": SCHEMA.to_header()}
             )
 
     def test_spec_json_round_trip(self):
@@ -103,52 +100,59 @@ class TestAggregatingStorlet:
         assert restored.aggregates == spec.aggregates
 
 
+G_SCHEMA = Schema.of("g", "x:float")
+
+
+def g_records(sql, *parts):
+    """One storlet run per part of ``(g, x)`` pairs, split-stamped."""
+    spec = spec_of(sql, G_SCHEMA)
+    records = []
+    for split, part in enumerate(parts):
+        data = "".join(
+            f"{g},{'' if x is None else repr(x)}\n" for g, x in part
+        ).encode()
+        records += run_agg(data, spec, schema=G_SCHEMA, split=split)
+    return records
+
+
 class TestMergePartials:
     def test_ranges_merge_to_full_result(self):
-        spec = AggregationSpec(["vid"], [("sum", "index"), ("count", "*")])
-        # Simulate two ranges, each aggregated separately.
-        first = run_agg(DATA[:58], spec)  # first two records
-        second = run_agg(
-            DATA[58:], spec, extra={}
-        )
-        merged = merge_partials(spec, first + second)
-        assert dict((k, (total, n)) for k, total, n in merged) == {
-            "m1": (22.0, 2),
-            "m2": (12.0, 2),
-        }
+        sql = "SELECT vid, sum(index), count(*) FROM t GROUP BY vid"
+        spec = spec_of(sql)
+        # Two ranges, each aggregated separately.
+        records = run_agg(DATA[:58], spec) + run_agg(DATA[58:], spec, split=1)
+        assert merged(sql, records) == [("m1", 22.0, 2), ("m2", 12.0, 2)]
 
     def test_avg_merges_by_sum_and_count(self):
-        spec = AggregationSpec(["vid"], [("avg", "index")])
-        partials = [["m1", "10.0", "2"], ["m1", "20.0", "3"]]
-        merged = merge_partials(spec, partials)
-        assert merged == [("m1", 6.0)]
+        sql = "SELECT g, avg(x) FROM t GROUP BY g"
+        records = g_records(
+            sql,
+            [("m1", 4.0), ("m1", 6.0)],
+            [("m1", 5.0), ("m1", 7.0), ("m1", 8.0)],
+        )
+        assert merged(sql, records, G_SCHEMA) == [("m1", 6.0)]
 
     def test_min_max_merge(self):
-        spec = AggregationSpec(["g"], [("min", "x"), ("max", "x")])
-        partials = [["a", "3.0", "9.0"], ["a", "1.0", "4.0"]]
-        assert merge_partials(spec, partials) == [("a", 1.0, 9.0)]
+        sql = "SELECT g, min(x), max(x) FROM t GROUP BY g"
+        records = g_records(
+            sql, [("a", 3.0), ("a", 9.0)], [("a", 1.0), ("a", 4.0)]
+        )
+        assert merged(sql, records, G_SCHEMA) == [("a", 1.0, 9.0)]
 
     def test_first_value_respects_range_order(self):
-        spec = AggregationSpec(["g"], [("first_value", "x")])
-        partials = [["a", "0", ""], ["a", "1", "early"], ["a", "1", "late"]]
-        assert merge_partials(spec, partials) == [("a", "early")]
+        sql = "SELECT g, first_value(x), last_value(x) FROM t GROUP BY g"
+        records = g_records(
+            sql, [("b", 0.0)], [("a", 1.0), ("a", 2.0)], [("a", 3.0)]
+        )
+        assert merged(sql, records, G_SCHEMA) == [
+            ("b", 0.0, 0.0),
+            ("a", 1.0, 3.0),
+        ]
 
     def test_null_only_groups(self):
-        spec = AggregationSpec(["g"], [("sum", "x")])
-        partials = [["a", ""], ["a", ""]]
-        assert merge_partials(spec, partials) == [("a", None)]
-
-    def test_key_types_parse_keys(self):
-        spec = AggregationSpec(["n"], [("count", "*")])
-        merged = merge_partials(
-            spec, [["7", "2"], ["7", "3"]], key_types=[DataType.INT]
-        )
-        assert merged == [(7, 5)]
-
-    def test_wrong_width_raises(self):
-        spec = AggregationSpec(["g"], [("count", "*")])
-        with pytest.raises(ValueError):
-            merge_partials(spec, [["a", "1", "extra"]])
+        sql = "SELECT g, sum(x), avg(x), count(x) FROM t GROUP BY g"
+        records = g_records(sql, [("a", None)], [("a", None)])
+        assert merged(sql, records, G_SCHEMA) == [("a", None, None, 0)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -164,42 +168,15 @@ class TestMergePartials:
     )
     def test_merge_is_split_invariant(self, values, split_at):
         """Aggregating any prefix/suffix split and merging equals
-        aggregating everything at once."""
-        spec = AggregationSpec(
-            ["g"], [("sum", "x"), ("count", "*"), ("min", "x"), ("max", "x")]
-        )
-        schema = Schema.of("g", "x:float")
-
-        def partials_for(subset):
-            if not subset:
-                return []
-            data = "".join(f"{g},{x!r}\n" for g, x in subset).encode()
-            out = StorletOutputStream()
-            AggregatingStorlet().invoke(
-                [StorletInputStream([data])],
-                [out],
-                {"schema": schema.to_header(), "aggregation": spec.to_json()},
-                StorletLogger("t"),
-            )
-            return [
-                parse_record(line, ",")
-                for line in out.getvalue().splitlines()
-            ]
-
+        aggregating everything at once -- exactly, sums included."""
+        sql = "SELECT g, sum(x), count(*), min(x), max(x) FROM t GROUP BY g"
         split_at = min(split_at, len(values))
-        split_result = merge_partials(
-            spec, partials_for(values[:split_at]) + partials_for(values[split_at:])
+        split_result = merged(
+            sql,
+            g_records(sql, values[:split_at], values[split_at:]),
+            G_SCHEMA,
         )
-        whole_result = merge_partials(spec, partials_for(values))
-        assert {row[0]: row[2] for row in split_result} == {
-            row[0]: row[2] for row in whole_result
-        }  # counts
-        for split_row, whole_row in zip(
-            sorted(split_result), sorted(whole_result)
-        ):
-            assert split_row[1] == pytest.approx(whole_row[1], abs=1e-6)
-            assert split_row[3] == pytest.approx(whole_row[3])
-            assert split_row[4] == pytest.approx(whole_row[4])
+        assert split_result == merged(sql, g_records(sql, values), G_SCHEMA)
 
 
 class TestPlanner:
@@ -259,30 +236,40 @@ class TestPlanner:
 
 
 class TestEndToEnd:
+    @pytest.fixture(scope="class")
+    def scoop(self):
+        """``largeMeter`` answers through filter pushdown, ``aggMeter``
+        (same objects) through GROUP-BY pushdown on the scheduler path."""
+        # Default split size: one split per object, 32 rows per meter
+        # in each (an exact float sum ships its rounding residual too,
+        # so a group state is ~57 B where a rounded one was ~26 B).
+        ctx = ScoopContext()
+        upload_dataset(ctx.client, "meters", SMALL_SPEC)
+        for table, agg_pushdown in (("largeMeter", False), ("aggMeter", True)):
+            ctx.register_csv_table(
+                table, "meters", schema=METER_SCHEMA, format="csv",
+                agg_pushdown=agg_pushdown,
+            )
+        return ctx
+
     def test_matches_filter_pushdown_results(self, scoop):
         sql = (
             "SELECT vid, sum(index) as total, count(*) as n "
             "FROM largeMeter WHERE city LIKE 'Rotterdam' "
             "GROUP BY vid ORDER BY vid"
         )
-        (schema, rows), report = scoop.run_aggregation_query(
-            sql, "meters", METER_SCHEMA
-        )
-        reference = scoop.sql(sql).collect()
-        assert schema.names == ["vid", "total", "n"]
-        assert len(rows) == len(reference)
-        for got, want in zip(rows, reference):
-            assert got[0] == want[0]
-            assert got[1] == pytest.approx(want[1])
-            assert got[2] == want[2]
+        frame, report = scoop.run_query(sql.replace("largeMeter", "aggMeter"))
+        assert report.pushdown_requests > 0
+        assert frame.schema.names == ["vid", "total", "n"]
+        assert frame.collect() == scoop.sql(sql).collect()
 
     def test_transfers_far_less_than_filter_pushdown(self, scoop):
         sql = (
             "SELECT vid, sum(index) as total FROM largeMeter "
             "GROUP BY vid ORDER BY vid"
         )
-        _result, agg_report = scoop.run_aggregation_query(
-            sql, "meters", METER_SCHEMA
+        _frame, agg_report = scoop.run_query(
+            sql.replace("largeMeter", "aggMeter")
         )
         _frame, filter_report = scoop.run_query(sql)
         assert (
@@ -290,20 +277,12 @@ class TestEndToEnd:
             < filter_report.bytes_transferred / 5
         )
 
-    def test_unmergeable_query_raises(self, scoop):
-        with pytest.raises(SqlAnalysisError):
-            scoop.run_aggregation_query(
-                "SELECT vid FROM largeMeter", "meters", METER_SCHEMA
-            )
-
     def test_order_and_limit_applied(self, scoop):
         sql = (
-            "SELECT vid, max(index) as peak FROM largeMeter "
+            "SELECT vid, max(index) as peak FROM aggMeter "
             "GROUP BY vid ORDER BY peak DESC LIMIT 3"
         )
-        (schema, rows), _report = scoop.run_aggregation_query(
-            sql, "meters", METER_SCHEMA
-        )
+        rows = scoop.run_query(sql)[0].collect()
         assert len(rows) == 3
         peaks = [row[1] for row in rows]
         assert peaks == sorted(peaks, reverse=True)

@@ -7,17 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.spark.binary_source import BinaryMetadataRelation
 from repro.sql import Schema
-from repro.storlets import (
-    StorletException,
-    StorletInputStream,
-    StorletLogger,
-    StorletOutputStream,
-)
+from repro.storlets import StorletException
 from repro.storlets.metadata_storlet import (
     MetadataExtractorStorlet,
     decode_tags,
     encode_image,
 )
+from tests.storlet_harness import run_storlet
 
 TAGS = {"camera": "NikonD500", "iso": "400", "width": "4000", "height": "3000"}
 
@@ -73,14 +69,7 @@ class TestImageFormat:
 
 class TestExtractorStorlet:
     def run(self, data, parameters):
-        out = StorletOutputStream()
-        MetadataExtractorStorlet().invoke(
-            [StorletInputStream([data])],
-            [out],
-            parameters,
-            StorletLogger("t"),
-        )
-        return out.getvalue()
+        return run_storlet(MetadataExtractorStorlet(), data, parameters).body
 
     def test_extracts_requested_tags(self):
         data = encode_image(TAGS, payload_size=10_000)

@@ -7,40 +7,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gridpocket import METER_SCHEMA
-from repro.storlets import (
-    StorletException,
-    StorletInputStream,
-    StorletLogger,
-    StorletOutputStream,
-)
+from repro.storlets import StorletException
 from repro.storlets.compress_storlet import (
     CompressStorlet,
     DecompressStorlet,
     decompress_bytes,
 )
+from tests.storlet_harness import run_storlet
 
 
 def run(storlet, data: bytes, parameters=None, chunk=1000):
-    chunks = [data[i : i + chunk] for i in range(0, len(data), chunk)]
-    out = StorletOutputStream()
-    storlet.invoke(
-        [StorletInputStream(chunks)],
-        [out],
-        parameters or {},
-        StorletLogger("t"),
-    )
-    return out
+    return run_storlet(storlet, data, parameters or {}, chunk_size=chunk)
 
 
 class TestCompressStorlet:
     PAYLOAD = b"meter,2015-01-01,1.5,Rotterdam\n" * 500
 
     def test_round_trip(self):
-        compressed = run(CompressStorlet(), self.PAYLOAD).getvalue()
+        compressed = run(CompressStorlet(), self.PAYLOAD).body
         assert decompress_bytes(compressed) == self.PAYLOAD
 
     def test_actually_compresses(self):
-        compressed = run(CompressStorlet(), self.PAYLOAD).getvalue()
+        compressed = run(CompressStorlet(), self.PAYLOAD).body
         assert len(compressed) < len(self.PAYLOAD) / 5
 
     def test_sets_encoding_metadata(self):
@@ -50,8 +38,8 @@ class TestCompressStorlet:
         )
 
     def test_level_parameter(self):
-        fast = run(CompressStorlet(), self.PAYLOAD, {"level": "1"}).getvalue()
-        best = run(CompressStorlet(), self.PAYLOAD, {"level": "9"}).getvalue()
+        fast = run(CompressStorlet(), self.PAYLOAD, {"level": "1"}).body
+        best = run(CompressStorlet(), self.PAYLOAD, {"level": "9"}).body
         assert decompress_bytes(fast) == decompress_bytes(best) == self.PAYLOAD
         assert len(best) <= len(fast)
 
@@ -60,21 +48,21 @@ class TestCompressStorlet:
             run(CompressStorlet(), b"x", {"level": "0"})
 
     def test_empty_input(self):
-        compressed = run(CompressStorlet(), b"").getvalue()
+        compressed = run(CompressStorlet(), b"").body
         assert decompress_bytes(compressed) == b""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.binary(max_size=5000), chunk=st.integers(1, 999))
     def test_round_trip_property(self, data, chunk):
-        compressed = run(CompressStorlet(), data, chunk=chunk).getvalue()
-        expanded = run(DecompressStorlet(), compressed, chunk=chunk).getvalue()
+        compressed = run(CompressStorlet(), data, chunk=chunk).body
+        expanded = run(DecompressStorlet(), compressed, chunk=chunk).body
         assert expanded == data
 
 
 class TestDecompressStorlet:
     def test_decompresses(self):
         data = b"hello world " * 100
-        expanded = run(DecompressStorlet(), zlib.compress(data)).getvalue()
+        expanded = run(DecompressStorlet(), zlib.compress(data)).body
         assert expanded == data
 
     def test_invalid_stream_raises(self):

@@ -13,32 +13,21 @@ from repro.sql import (
     StringStartsWith,
     filters_to_json,
 )
-from repro.storlets import (
-    CsvStorlet,
-    StorletException,
-    StorletInputStream,
-    StorletLogger,
-    StorletOutputStream,
-)
+from repro.storlets import CsvStorlet, StorletException
 from repro.csvscan import owned_records
+from tests.storlet_harness import run_storlet
 
 SCHEMA = Schema.of("vid", "date", "index:float", "city")
 
 
 def invoke(data: bytes, parameters: dict, chunk_size: int = 37) -> bytes:
     """Run the storlet over data split into awkward chunk sizes."""
-    chunks = [
-        data[offset : offset + chunk_size]
-        for offset in range(0, len(data), chunk_size)
-    ]
-    out = StorletOutputStream()
-    CsvStorlet().invoke(
-        [StorletInputStream(chunks)],
-        [out],
+    return run_storlet(
+        CsvStorlet(),
+        data,
         {"schema": SCHEMA.to_header(), **parameters},
-        StorletLogger("test"),
-    )
-    return out.getvalue()
+        chunk_size=chunk_size,
+    ).body
 
 
 SAMPLE = (
@@ -84,28 +73,20 @@ class TestProjectionSelection:
         assert result.splitlines() == [b"m1,10.5", b"m2,3.25"]
 
     def test_rows_metadata_reported(self):
-        out = StorletOutputStream()
-        CsvStorlet().invoke(
-            [StorletInputStream([SAMPLE])],
-            [out],
+        out = run_storlet(
+            CsvStorlet(),
+            SAMPLE,
             {
                 "schema": SCHEMA.to_header(),
                 "filters": filters_to_json([EqualTo("city", "Paris")]),
             },
-            StorletLogger("test"),
         )
         assert out.metadata["x-object-meta-storlet-rows-in"] == "4"
         assert out.metadata["x-object-meta-storlet-rows-out"] == "1"
 
     def test_missing_schema_raises(self):
         with pytest.raises(StorletException):
-            out = StorletOutputStream()
-            CsvStorlet().invoke(
-                [StorletInputStream([SAMPLE])],
-                [out],
-                {},
-                StorletLogger("test"),
-            )
+            run_storlet(CsvStorlet(), SAMPLE, {})
 
     def test_malformed_rows_dropped(self):
         data = SAMPLE + b"broken,row\n" + b"m9,2015-03-01,2.0,Lyon\n"
@@ -123,14 +104,12 @@ class TestProjectionSelection:
         # The drop rule does not depend on a filter being present, and
         # the storlet publishes how many records it cost.
         data = b"m1,2015-01-01,notanumber,Rotterdam\nbroken,row\n" + SAMPLE
-        out = StorletOutputStream()
-        CsvStorlet().invoke(
-            [StorletInputStream([data])],
-            [out],
+        out = run_storlet(
+            CsvStorlet(),
+            data,
             {"schema": SCHEMA.to_header(), "columns": json.dumps(["vid"])},
-            StorletLogger("test"),
         )
-        assert out.getvalue() == b"m1\nm2\nm3\nm4\n"
+        assert out.body == b"m1\nm2\nm3\nm4\n"
         assert out.metadata["x-object-meta-storlet-rows-in"] == "6"
         assert out.metadata["x-object-meta-storlet-rows-out"] == "4"
         assert out.metadata["x-object-meta-storlet-rows-dropped"] == "2"
@@ -241,12 +220,8 @@ class TestQuotedNewlines:
         assert invoke(QUOTED, {}) == QUOTED
 
     def test_rows_in_counts_records_not_newlines(self):
-        out = StorletOutputStream()
-        CsvStorlet().invoke(
-            [StorletInputStream([QUOTED])],
-            [out],
-            {"schema": SCHEMA.to_header()},
-            StorletLogger("test"),
+        out = run_storlet(
+            CsvStorlet(), QUOTED, {"schema": SCHEMA.to_header()}
         )
         assert out.metadata["x-object-meta-storlet-rows-in"] == "4"
         assert out.metadata["x-object-meta-storlet-rows-out"] == "4"

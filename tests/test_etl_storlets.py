@@ -9,20 +9,15 @@ from repro.storlets import (
     CleansingStorlet,
     ColumnSplitStorlet,
     StorletException,
-    StorletInputStream,
-    StorletLogger,
-    StorletOutputStream,
 )
+from tests import storlet_harness
 
 SCHEMA = Schema.of("vid", "date", "index:float")
 
 
 def run_storlet(storlet, data: bytes, parameters: dict) -> tuple:
-    out = StorletOutputStream()
-    storlet.invoke(
-        [StorletInputStream([data])], [out], parameters, StorletLogger("t")
-    )
-    return out.getvalue(), out.metadata
+    out = storlet_harness.run_storlet(storlet, data, parameters)
+    return out.body, out.metadata
 
 
 class TestCleansing:

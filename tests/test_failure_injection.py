@@ -59,9 +59,10 @@ class TestReplicaLoss:
 
 
 class TestMissingFilter:
-    # Both scan storlets: whichever format REPRO_FORMAT selects, the
-    # active data plane loses its pushdown filter.
-    SCAN_STORLETS = ("csvstorlet", "columnarstorlet")
+    # Every scan storlet: whichever format REPRO_FORMAT selects, and
+    # whether or not REPRO_PLACEMENT arms GROUP-BY pushdown, the active
+    # data plane loses its pushdown filter.
+    SCAN_STORLETS = ("csvstorlet", "columnarstorlet", "aggstorlet")
 
     def _undeploy_scan_storlets(self, rig):
         for name in self.SCAN_STORLETS:
@@ -74,6 +75,7 @@ class TestMissingFilter:
 
     def test_redeploy_restores_service(self, rig):
         from repro.storlets import CsvStorlet
+        from repro.storlets.agg_storlet import AggregatingStorlet
         from repro.storlets.columnar_storlet import ColumnarStorlet
 
         baseline = rig.sql(SQL).collect()
@@ -82,6 +84,7 @@ class TestMissingFilter:
             rig.sql(SQL).collect()
         rig.engine.deploy(CsvStorlet(), rig.client)
         rig.engine.deploy(ColumnarStorlet(), rig.client)
+        rig.engine.deploy(AggregatingStorlet(), rig.client)
         assert rig.sql(SQL).collect() == baseline
 
 
@@ -131,8 +134,9 @@ class TestCrashingFilterPipeline:
         class Bomb(IStorlet):
             name = "bomb"
 
-            def invoke(self, ins, outs, parameters, logger):
+            def process(self, in_stream, parameters, logger, metadata):
                 raise RuntimeError("mid-stream failure")
+                yield
 
         rig.engine.deploy(Bomb())
         with pytest.raises(SwiftError):

@@ -5,8 +5,14 @@ executor's ordinary hash aggregation over scan rows): NULL group keys,
 empty inputs, single-group and bounded-cardinality spill, forced
 runtime degradation, named fault plans across execution modes, and a
 Hypothesis property that merging tagged partials over *random*
-row/partition splits reproduces the oracle exactly.
+row/partition splits reproduces the oracle exactly.  SUM and AVG are
+exact sums rounded once, so "identical" holds for the FLOAT measure
+(``power``) as it does for the INT one, with ``==``.
 """
+
+import json
+import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,16 +29,19 @@ from repro.sql.parser import parse_query
 from repro.sql.types import Schema
 from repro.storlets.agg_storlet import tagged_partial_aggregate
 
-SCHEMA = Schema.of("vid", "date", "index:int", "city")
+SCHEMA = Schema.of("vid", "date", "index:int", "city", "power:float")
 
 #: ``city`` is empty every 11th row -- a NULL STRING group key --
 #: and ``index`` is empty every 13th row -- NULL aggregate input.
+#: ``power`` (empty every 17th row) spans nine decades in both signs
+#: with full mantissas, so adding it up in any two orders differs.
 CSV = "\n".join(
-    "v{},2017-04-{:02d},{},{}".format(
+    "v{},2017-04-{:02d},{},{},{}".format(
         i % 7,
         (i % 28) + 1,
         "" if i % 13 == 0 else i % 5,
         "" if i % 11 == 0 else f"city{i % 3}",
+        "" if i % 17 == 0 else repr((i % 19 - 9) * 10.0 ** (i % 9 - 4) / 3),
     )
     for i in range(400)
 ) + "\n"
@@ -65,6 +74,8 @@ def assert_identical(left, right):
 QUERIES = [
     "SELECT vid, COUNT(*), SUM(index), AVG(index) FROM m "
     "GROUP BY vid ORDER BY vid",
+    "SELECT city, SUM(power), AVG(power), MIN(power) FROM m GROUP BY city",
+    "SELECT SUM(power), AVG(power), SUM(index * power) FROM m",
     "SELECT city, COUNT(*), MIN(index), MAX(index) FROM m GROUP BY city",
     "SELECT city, COUNT(index) FROM m GROUP BY city ORDER BY city DESC",
     "SELECT COUNT(*), SUM(index), AVG(index) FROM m",
@@ -114,36 +125,20 @@ class TestGroupByPushdownDifferential:
         assert_identical(rows, self.oracle.run_query(sql)[0].collect())
         assert len(rows) == 1
 
-    def test_float_sum_stays_compute_side_but_correct(self):
-        # Float addition is not associative: merging per-partition
-        # partial sums would group the additions differently from the
-        # sequential oracle and drift in the last ulp, so SUM/AVG over
-        # FLOAT inputs must not plan (COUNT/MIN/MAX still may).
-        float_schema = Schema.of("vid", "date", "index:float", "city")
-        refused = "SELECT vid, SUM(index), AVG(index) FROM m GROUP BY vid"
-        assert plan_aggregation_pushdown(
-            parse_query(refused), float_schema, exact_types=True
-        ) is None
-        allowed = "SELECT vid, COUNT(index), MIN(index) FROM m GROUP BY vid"
-        assert plan_aggregation_pushdown(
-            parse_query(allowed), float_schema, exact_types=True
-        ) is not None
-        # End to end the refused query still answers identically over a
-        # genuinely-float column (ordinary filter pushdown takes over,
-        # so both sides sum sequentially).
-        sql = "SELECT vid, SUM(index) FROM m GROUP BY vid ORDER BY vid"
-        results = {}
-        for agg_pushdown in (True, False):
-            ctx = build_context(agg_pushdown)
-            ctx.register_csv_table(
-                "f", "meters", schema=float_schema, format="csv",
-                agg_pushdown=agg_pushdown,
-            )
-            frame, report = ctx.run_query(sql.replace("m", "f"))
-            results[agg_pushdown] = frame.collect()
-            assert report.pushdown_requests > 0
-        assert_identical(results[True], results[False])
-        assert isinstance(results[True][0][1], float)
+    def test_float_sum_plans_and_is_exact(self):
+        # SUM / AVG are the exact sum rounded once, so per-partition
+        # partial sums merge to the very float the compute side gets
+        # from the rows: FLOAT inputs plan like any other.
+        sql = "SELECT vid, SUM(power), AVG(power) FROM m GROUP BY vid ORDER BY vid"
+        plan = plan_aggregation_pushdown(parse_query(sql), SCHEMA)
+        assert plan is not None
+        assert plan.spec.aggregates == [("sum", "power"), ("avg", "power")]
+        frame_oracle, report_oracle = self.oracle.run_query(sql)
+        frame_push, report_push = self.push.run_query(sql)
+        assert_identical(frame_push.collect(), frame_oracle.collect())
+        assert isinstance(frame_push.collect()[0][1], float)
+        assert report_push.pushdown_requests > 0
+        assert report_push.bytes_transferred < report_oracle.bytes_transferred
 
     def test_having_stays_compute_side_but_correct(self):
         sql = (
@@ -173,8 +168,8 @@ class TestCardinalityOverflow:
         oracle = build_context(False)
         ctx = self._spilling_context(max_groups)
         sql = (
-            "SELECT vid, COUNT(*), SUM(index), AVG(index) FROM m "
-            "GROUP BY vid ORDER BY vid"
+            "SELECT vid, COUNT(*), SUM(index), AVG(index), SUM(power), "
+            "AVG(power) FROM m GROUP BY vid ORDER BY vid"
         )
         frame, report = ctx.run_query(sql)
         assert_identical(frame.collect(), oracle.run_query(sql)[0].collect())
@@ -194,7 +189,8 @@ class TestCardinalityOverflow:
 
 class TestDegradation:
     SQL = (
-        "SELECT vid, COUNT(*), SUM(index) FROM m GROUP BY vid ORDER BY vid"
+        "SELECT vid, COUNT(*), SUM(index), SUM(power) FROM m "
+        "GROUP BY vid ORDER BY vid"
     )
 
     def test_failure_at_open_degrades_identically(self):
@@ -225,12 +221,13 @@ class TestDegradation:
                 return headers, chunks
 
             def broken():
-                for count, chunk in enumerate(chunks):
-                    if count >= 1:
-                        raise PushdownError(
-                            "mid", degradable=True, reason="test-mid"
-                        )
-                    yield chunk
+                # The storlet's records arrive coalesced: cut the first
+                # chunk mid-record so some are emitted and some are not.
+                first = next(iter(chunks))
+                yield first[: len(first) // 2]
+                raise PushdownError(
+                    "mid", degradable=True, reason="test-mid"
+                )
 
             return headers, broken()
 
@@ -252,8 +249,8 @@ class TestDegradation:
 
 class TestFaultPlans:
     SQL = (
-        "SELECT vid, COUNT(*), SUM(index), AVG(index) FROM m "
-        "GROUP BY vid ORDER BY vid"
+        "SELECT vid, COUNT(*), SUM(index), AVG(index), SUM(power), "
+        "AVG(power) FROM m GROUP BY vid ORDER BY vid"
     )
 
     @pytest.fixture(scope="class")
@@ -275,53 +272,61 @@ class TestFaultPlans:
 # Merge associativity: random rows, random partitioning, random spill
 # --------------------------------------------------------------------------
 
-MERGE_SCHEMA = Schema.of("k:int", "v:int")
+MERGE_SCHEMA = Schema.of("k:int", "v:int", "f:float")
 MERGE_SQL = (
-    "SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM t GROUP BY k"
+    "SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v), SUM(f), AVG(f) "
+    "FROM t GROUP BY k"
 )
-MERGE_PLAN = plan_aggregation_pushdown(
-    parse_query(MERGE_SQL), MERGE_SCHEMA, exact_types=True
-)
+MERGE_PLAN = plan_aggregation_pushdown(parse_query(MERGE_SQL), MERGE_SCHEMA)
 
 rows_strategy = st.lists(
     st.tuples(
         st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
-        st.one_of(st.none(), st.integers(min_value=-50, max_value=50)),
+        st.one_of(
+            st.none(),
+            st.integers(min_value=-50, max_value=50),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        ),
+        st.one_of(
+            st.none(),
+            st.sampled_from([0.0, -0.0]),
+            # Magnitudes 1e-8 .. 1e8, either sign, full mantissas.
+            st.builds(
+                lambda mantissa, exponent: mantissa * 10.0**exponent,
+                st.floats(min_value=-10.0, max_value=10.0),
+                st.integers(min_value=-8, max_value=7),
+            ),
+        ),
     ),
     max_size=80,
 )
 
 
 def reference_aggregate(rows):
-    """Independent oracle: accumulator semantics in first-seen order."""
+    """Independent oracle, first-seen order: SUM / AVG from
+    ``fractions.Fraction`` (INT) and ``math.fsum`` (FLOAT)."""
     groups = {}
-    order = []
-    for key, value in rows:
-        if key not in groups:
-            groups[key] = {"count": 0, "sum": None, "total": 0.0,
-                           "n": 0, "min": None, "max": None}
-            order.append(key)
-        state = groups[key]
+    for key, value, number in rows:
+        state = groups.setdefault(key, {"count": 0, "ints": [], "floats": []})
         state["count"] += 1
         if value is not None:
-            state["sum"] = (
-                value if state["sum"] is None else state["sum"] + value
-            )
-            state["total"] += value
-            state["n"] += 1
-            state["min"] = (
-                value if state["min"] is None else min(state["min"], value)
-            )
-            state["max"] = (
-                value if state["max"] is None else max(state["max"], value)
-            )
+            state["ints"].append(value)
+        if number is not None:
+            state["floats"].append(number)
     result = []
-    for key in order:
-        state = groups[key]
-        avg = state["total"] / state["n"] if state["n"] else None
+    for key, state in groups.items():
+        ints, floats = state["ints"], state["floats"]
         result.append(
-            (key, state["count"], state["sum"], avg,
-             state["min"], state["max"])
+            (
+                key,
+                state["count"],
+                sum(ints) if ints else None,
+                float(Fraction(sum(ints), len(ints))) if ints else None,
+                min(ints, default=None),
+                max(ints, default=None),
+                math.fsum(floats) if floats else None,
+                math.fsum(floats) / len(floats) if floats else None,
+            )
         )
     return result
 
@@ -336,8 +341,9 @@ def reference_aggregate(rows):
 def test_merge_equals_oracle_under_random_splits(
     rows, cut_seed, partitions, max_groups
 ):
-    """Partial aggregation per partition + merge == sequential oracle,
-    for every row multiset, partitioning, and spill threshold."""
+    """Partial aggregation per partition + merge == the oracle, for
+    every row multiset, partitioning, and spill threshold -- compared
+    with ``==``, float sums included."""
     import random
 
     rng = random.Random(cut_seed)
@@ -351,6 +357,8 @@ def test_merge_equals_oracle_under_random_splits(
         for record in tagged_partial_aggregate(
             part, MERGE_PLAN.spec, MERGE_SCHEMA, max_groups=max_groups
         ):
+            # Over the wire, as the storlet sends it.
+            record = json.loads(json.dumps(record))
             records.append((record[0], split, *record[1:]))
     _schema, merged = merge_tagged_records(MERGE_PLAN, records, MERGE_SCHEMA)
     # The oracle sees partitions in partition order (the scheduler's
@@ -363,3 +371,61 @@ def test_merge_equals_oracle_under_random_splits(
     for row_merged, row_expected in zip(merged, expected):
         for a, b in zip(row_merged, row_expected):
             assert type(a) is type(b), (a, b)
+
+
+# --------------------------------------------------------------------------
+# One value per multiset: every path answers the pinned results
+# --------------------------------------------------------------------------
+
+EXACT_SCHEMA = Schema.of("vid", "n:int", "x:float")
+
+#: ``vid`` -> its ``(n, x)`` rows, and the pinned ``SUM(n), AVG(n),
+#: SUM(x), AVG(x)`` (as ``repr``: NaN is not ``==`` itself).  ``big`` is
+#: the AVG(INT) case a float accumulator answers 4503599627370496.0 for
+#: in row order, and whose 1 024 x 0.1 drifts when added one by one.
+EXACT_GROUPS = {
+    "big": (
+        [(2**62, 0.1)] + [(255, 0.1)] * 1023,
+        "(4611686018427648769, 4503599627370751.0, 102.4, 0.1)",
+    ),
+    "nan": ([(1, math.nan), (2, 1.0)], "(3, 1.5, nan, nan)"),
+    "inf": ([(1, math.inf), (2, 1.0)], "(3, 1.5, inf, inf)"),
+    "both": ([(1, math.inf), (2, -math.inf)], "(3, 1.5, nan, nan)"),
+    "over": ([(1, 1e308), (2, 1e308)], "(3, 1.5, inf, inf)"),
+    "back": (
+        [(1, 1e308), (2, 1e308), (3, -1e308)],
+        "(6, 2.0, 1e+308, 3.333333333333333e+307)",
+    ),
+    "zero": ([(None, -0.0), (None, -0.0)], "(None, None, 0.0, 0.0)"),
+    "null": ([(None, None)], "(None, None, None, None)"),
+}
+EXACT_SQL = "SELECT vid, SUM(n), AVG(n), SUM(x), AVG(x) FROM e GROUP BY vid"
+
+
+@pytest.mark.parametrize("parallelism", [1, 8])
+@pytest.mark.parametrize(
+    "table_format, agg_pushdown",
+    [("csv", False), ("csv", True), ("columnar", False)],
+)
+def test_pinned_sums_on_every_path(table_format, agg_pushdown, parallelism):
+    ctx = ScoopContext(chunk_size=2048, parallelism=parallelism)
+    lines = [
+        "{},{},{}".format(
+            vid, "" if n is None else n, "" if x is None else repr(x)
+        )
+        for vid, (rows, _pinned) in EXACT_GROUPS.items()
+        for n, x in rows
+    ]
+    # The first object is the one 2**62 row: a float accumulator that
+    # meets it first loses every 255 after it.
+    for number, part in enumerate([lines[:1], lines[1:700], lines[700:]]):
+        ctx.upload_csv("exact", f"part-{number}.csv", "\n".join(part) + "\n")
+    ctx.register_csv_table(
+        "e", "exact", schema=EXACT_SCHEMA, format=table_format,
+        agg_pushdown=agg_pushdown,
+    )
+    frame, report = ctx.run_query(EXACT_SQL)
+    assert {row[0]: repr(row[1:]) for row in frame.collect()} == {
+        vid: pinned for vid, (_rows, pinned) in EXACT_GROUPS.items()
+    }
+    assert (report.pushdown_requests > 0) == agg_pushdown

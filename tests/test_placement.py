@@ -156,7 +156,8 @@ class TestEngine:
 
 
 class TestContextWiring:
-    def test_off_by_default(self):
+    def test_off_by_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
         assert build_context().placement is None
 
     def test_env_var_arms_the_engine(self, monkeypatch):

@@ -139,7 +139,7 @@ class TestDataFrame:
 class TestProviders:
     def test_builtin_formats_registered(self):
         assert "csv" in registered_formats()
-        assert "parquet" in registered_formats()
+        assert "columnar" in registered_formats()
 
     def test_unknown_format_raises(self):
         with pytest.raises(KeyError):

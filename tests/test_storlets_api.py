@@ -7,9 +7,9 @@ from repro.storlets import (
     StorletException,
     StorletInputStream,
     StorletLogger,
-    StorletOutputStream,
 )
 from repro.storlets.sandbox import CostModel, Sandbox
+from tests.storlet_harness import run_sandboxed
 
 
 class TestInputStream:
@@ -38,30 +38,35 @@ class TestInputStream:
         assert stream.metadata == {"x-object-meta-a": "1"}
 
 
-class TestOutputStream:
-    def test_write_collects_chunks(self):
-        out = StorletOutputStream()
-        out.write(b"a")
-        out.write(b"")
-        out.write(b"bc")
-        assert out.chunks() == [b"a", b"bc"]
-        assert out.getvalue() == b"abc"
-        assert out.bytes_written == 3
+class _Emitter(IStorlet):
+    """Yields its ``chunks`` as they are and emits one metadata key."""
 
-    def test_write_after_close_raises(self):
-        out = StorletOutputStream()
-        out.close()
-        with pytest.raises(StorletException):
-            out.write(b"late")
+    name = "emitter"
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+    def process(self, in_stream, parameters, logger, metadata):
+        yield from self.chunks
+        metadata["x-object-meta-k"] = "v"
+
+
+class TestOutputStream:
+    """What leaves a storlet: the sandbox's side of ``process``."""
+
+    def test_write_collects_chunks(self):
+        invocation = Sandbox("n").run_streaming(
+            _Emitter([b"a", b"", b"bc"]), StorletInputStream([]), {}
+        )
+        assert list(invocation.chunks()) == [b"a", b"bc"]
+        assert invocation.bytes_written == 3
 
     def test_non_bytes_rejected(self):
-        out = StorletOutputStream()
         with pytest.raises(StorletException):
-            out.write("text")  # type: ignore[arg-type]
+            run_sandboxed(Sandbox("n"), _Emitter(["text"]), b"", {})
 
     def test_metadata_set(self):
-        out = StorletOutputStream()
-        out.set_metadata({"x-object-meta-k": "v"})
+        out = run_sandboxed(Sandbox("n"), _Emitter([b"x"]), b"", {})
         assert out.metadata["x-object-meta-k"] == "v"
 
 
@@ -76,24 +81,24 @@ class TestLogger:
 class _Doubler(IStorlet):
     name = "doubler"
 
-    def invoke(self, in_streams, out_streams, parameters, logger):
-        data = in_streams[0].read()
-        out_streams[0].write(data * 2)
+    def process(self, in_stream, parameters, logger, metadata):
+        yield in_stream.read() * 2
 
 
 class _Exploder(IStorlet):
     name = "exploder"
 
-    def invoke(self, in_streams, out_streams, parameters, logger):
-        in_streams[0].read()
+    def process(self, in_stream, parameters, logger, metadata):
+        in_stream.read()
         raise ValueError("kaboom")
+        yield
 
 
 class TestSandbox:
     def test_accounting(self):
         sandbox = Sandbox("n")
-        out = sandbox.run(_Doubler(), StorletInputStream([b"xyz"]), {})
-        assert out.getvalue() == b"xyzxyz"
+        out = run_sandboxed(sandbox, _Doubler(), b"xyz", {})
+        assert out.body == b"xyzxyz"
         assert sandbox.stats.invocations == 1
         assert sandbox.stats.bytes_in == 3
         assert sandbox.stats.bytes_out == 6
@@ -101,23 +106,21 @@ class TestSandbox:
 
     def test_records_carry_parameters(self):
         sandbox = Sandbox("n")
-        sandbox.run(
-            _Doubler(), StorletInputStream([b"x"]), {"filters": "[]"}
-        )
+        run_sandboxed(sandbox, _Doubler(), b"x", {"filters": "[]"})
         record = sandbox.records[0]
         assert record.storlet == "doubler"
         assert record.parameters == {"filters": "[]"}
 
     def test_memory_charged_once(self):
         sandbox = Sandbox("n", memory_overhead=1000)
-        sandbox.run(_Doubler(), StorletInputStream([b"x"]), {})
-        sandbox.run(_Doubler(), StorletInputStream([b"y"]), {})
+        run_sandboxed(sandbox, _Doubler(), b"x", {})
+        run_sandboxed(sandbox, _Doubler(), b"y", {})
         assert sandbox.stats.memory_bytes == 1000
 
     def test_crash_wrapped_and_counted(self):
         sandbox = Sandbox("n")
         with pytest.raises(StorletException):
-            sandbox.run(_Exploder(), StorletInputStream([b"x"]), {})
+            run_sandboxed(sandbox, _Exploder(), b"x", {})
         assert sandbox.stats.errors == 1
 
     def test_discard_ratio(self):
@@ -126,11 +129,11 @@ class TestSandbox:
         class Halver(IStorlet):
             name = "halver"
 
-            def invoke(self, ins, outs, parameters, logger):
-                data = ins[0].read()
-                outs[0].write(data[: len(data) // 2])
+            def process(self, in_stream, parameters, logger, metadata):
+                data = in_stream.read()
+                yield data[: len(data) // 2]
 
-        sandbox.run(Halver(), StorletInputStream([b"12345678"]), {})
+        run_sandboxed(sandbox, Halver(), b"12345678", {})
         assert sandbox.stats.discard_ratio() == pytest.approx(0.5)
 
     def test_cost_model_asymmetry(self):
@@ -150,21 +153,19 @@ class TestSandboxLimits:
     def test_output_limit_enforced(self):
         sandbox = Sandbox("n", max_output_bytes=4)
         with pytest.raises(StorletException) as excinfo:
-            sandbox.run(_Doubler(), StorletInputStream([b"abc"]), {})
+            run_sandboxed(sandbox, _Doubler(), b"abc", {})
         assert "output limit" in str(excinfo.value)
         assert sandbox.stats.errors == 1
 
     def test_output_within_limit_passes(self):
         sandbox = Sandbox("n", max_output_bytes=6)
-        out = sandbox.run(_Doubler(), StorletInputStream([b"abc"]), {})
-        assert out.getvalue() == b"abcabc"
+        out = run_sandboxed(sandbox, _Doubler(), b"abc", {})
+        assert out.body == b"abcabc"
 
     def test_cpu_budget_enforced(self):
         sandbox = Sandbox("n", max_cpu_seconds=1e-12)
         with pytest.raises(StorletException) as excinfo:
-            sandbox.run(
-                _Doubler(), StorletInputStream([b"x" * 10_000]), {}
-            )
+            run_sandboxed(sandbox, _Doubler(), b"x" * 10_000, {})
         assert "CPU budget" in str(excinfo.value)
 
     def test_engine_passes_limits_to_sandboxes(self):

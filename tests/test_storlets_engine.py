@@ -21,10 +21,9 @@ class UpperStorlet(IStorlet):
 
     name = "upper"
 
-    def invoke(self, in_streams, out_streams, parameters, logger):
-        for chunk in in_streams[0].iter_chunks():
-            out_streams[0].write(chunk.upper())
-        out_streams[0].close()
+    def process(self, in_stream, parameters, logger, metadata):
+        for chunk in in_stream.iter_chunks():
+            yield chunk.upper()
 
 
 class ReverseLineStorlet(IStorlet):
@@ -32,18 +31,17 @@ class ReverseLineStorlet(IStorlet):
 
     name = "revline"
 
-    def invoke(self, in_streams, out_streams, parameters, logger):
-        data = in_streams[0].read()
-        lines = data.split(b"\n")
-        out_streams[0].write(b"\n".join(line[::-1] for line in lines))
-        out_streams[0].close()
+    def process(self, in_stream, parameters, logger, metadata):
+        lines = in_stream.read().split(b"\n")
+        yield b"\n".join(line[::-1] for line in lines)
 
 
 class BoomStorlet(IStorlet):
     name = "boom"
 
-    def invoke(self, in_streams, out_streams, parameters, logger):
+    def process(self, in_stream, parameters, logger, metadata):
         raise RuntimeError("storlet crashed")
+        yield
 
 
 @pytest.fixture
