@@ -6,19 +6,21 @@ per column.  Batch kernels (:mod:`repro.sql.kernels`) run over these
 vectors with fused list comprehensions instead of per-row closure
 chains.
 
-The scheduler treats batches as opaque -- it only ever touches
-``batch.rows`` and ``len(batch)`` (and only rebuilds a ``RecordBatch``
-when a retry slices a partially-emitted batch).  ``ColumnBatch``
-therefore exposes a lazily materialized ``rows`` tuple so it can flow
-through ``iter_batches`` unchanged, staying columnar until rows are
-needed at the edge.
+The scheduler treats batches as opaque -- it only ever takes
+``len(batch)``, and ``batch.slice`` when a retry resumes inside a batch
+it had partly emitted -- so a ``ColumnBatch`` flows through
+``iter_batches`` as it is, dictionary-coded columns
+(:class:`DictColumn`) still coded.  Rows exist only where they leave:
+``rows`` transposes on first access, for row-oriented consumers and
+for the operators above the kernel pipeline.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence as SequenceABC
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sql.types import Schema
 
@@ -29,12 +31,16 @@ class DictColumn(SequenceABC):
     The carrier a decoded RCF1 dictionary segment travels in while the
     work can stay on the codes: a filter is evaluated once per entry and
     mapped over ``codes`` (:meth:`translate`), rows are gathered by
-    compressing ``codes`` (:func:`compress_column`), and a storlet block
-    ships entries + codes without expanding either.  ``codes`` is a
-    ``bytes`` of one code per row, so at most 256 entries; ``None``
-    (the NULL cell), when present, is the last entry.  Reads like any
-    other column vector (``len``, indexing, slicing, iteration), so code
-    that does not know the carrier still sees the right cells.
+    compressing or indexing ``codes`` (:func:`compress_column`,
+    :func:`take_column`), a storlet block ships entries + codes without
+    expanding either, and the hash aggregate buckets rows by code.
+    ``codes`` is a ``bytes`` of one code per row, so at most 256
+    entries.  A decoded segment's entries are distinct and ``None`` (the
+    NULL cell), when present, is the last; a kernel that maps a column
+    entry by entry keeps the codes, so *its* entries may repeat and hold
+    ``None`` anywhere.  Reads like any other column vector (``len``,
+    indexing, slicing, iteration), so code that does not know the
+    carrier still sees the right cells.
     """
 
     __slots__ = ("entries", "codes")
@@ -72,6 +78,16 @@ def compress_column(column: Sequence[Any], mask: bytes) -> Sequence[Any]:
             column.entries, bytes(itertools.compress(column.codes, mask))
         )
     return list(itertools.compress(column, mask))
+
+
+def take_column(column: Sequence[Any], indices: Sequence[int]) -> Sequence[Any]:
+    """The cells of ``column`` at ``indices``, in that order; a
+    dictionary-coded column stays coded (only its codes are gathered)."""
+    if isinstance(column, DictColumn):
+        return DictColumn(column.entries, bytes(take_column(column.codes, indices)))
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)(column)
+    return tuple(column[index] for index in indices)
 
 
 class ColumnBatch:
@@ -145,7 +161,7 @@ class ColumnBatch:
         """Gather the rows at the given positions, in order."""
         return ColumnBatch(
             self.schema,
-            [[column[i] for i in indices] for column in self.columns],
+            [take_column(column, indices) for column in self.columns],
             len(indices),
         )
 
@@ -162,12 +178,23 @@ class ColumnBatch:
         )
 
 
+def skip_rows(batches: Iterable[ColumnBatch], count: int) -> Iterator[ColumnBatch]:
+    """``batches`` without the first ``count`` rows of the stream: how a
+    degraded scan resumes behind the rows its pushdown twin emitted."""
+    for batch in batches:
+        if count >= len(batch):
+            count -= len(batch)
+            continue
+        yield batch.slice(count) if count else batch
+        count = 0
+
+
 def as_column_batch(batch: Any, schema: Schema) -> ColumnBatch:
     """Coerce a scheduler batch (Record- or ColumnBatch) to columnar.
 
-    Retries in the scheduler may slice a ``ColumnBatch`` back into a
-    ``RecordBatch``; the executor fast path re-transposes those so the
-    kernel pipeline sees a uniform columnar stream.
+    A ``ColumnBatch`` passes through as it is, coded columns still
+    coded; the ``RecordBatch``es of a row-oriented scan are transposed,
+    so the kernel pipeline sees a uniform columnar stream.
     """
     if isinstance(batch, ColumnBatch):
         return batch

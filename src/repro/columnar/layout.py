@@ -673,7 +673,9 @@ def decode_stripe(
 
     ``buffer`` holds object bytes starting at absolute offset
     ``base_offset`` -- either the whole object (``base_offset=0``) or
-    just the ranged read covering the referenced segments.
+    just the ranged read covering the referenced segments.  Columns are
+    as :func:`decode_column` returns them: a dictionary segment stays a
+    :class:`~repro.columnar.batch.DictColumn`.
     """
     if columns is None:
         columns = range(len(schema))
@@ -687,7 +689,7 @@ def decode_stripe(
             raise ValueError(
                 f"segment at {segment.offset} not contained in buffer"
             )
-        vectors.append(decode_segment(data, schema.fields[index].dtype, stripe.rows))
+        vectors.append(decode_column(data, schema.fields[index].dtype, stripe.rows))
         names.append(schema.fields[index].name)
     return ColumnBatch(schema.select(names), vectors, stripe.rows)
 
@@ -761,8 +763,10 @@ class BlockStreamDecoder:
     :meth:`finish` at end of stream -- leftover bytes there mean the
     stream was truncated mid-block, which raises ``ValueError`` so a
     cut-short storlet response cannot silently pass for a complete one.
-    This is the client boundary: every segment, dictionary-coded or
-    not, is materialised into a plain value list here.
+    A batch keeps its columns as :func:`decode_column` returns them, so
+    a dictionary segment the storlet shipped coded reaches the kernels
+    and the hash aggregate still coded; cells are expanded only where
+    rows leave (:attr:`~repro.columnar.batch.ColumnBatch.rows`).
     """
 
     def __init__(self) -> None:
@@ -789,7 +793,7 @@ class BlockStreamDecoder:
             offset = 4 + header_len
             for fld, length in zip(schema.fields, header["lens"]):
                 segment = bytes(buffer[offset : offset + length])
-                vectors.append(decode_segment(segment, fld.dtype, rows))
+                vectors.append(decode_column(segment, fld.dtype, rows))
                 offset += length
             del buffer[:total]
             batches.append(ColumnBatch(schema, vectors, rows))

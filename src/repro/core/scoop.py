@@ -615,6 +615,14 @@ class ScoopContext:
             how many whole objects the catalog refuted so far (each one
             zero GETs), and which (``skipped`` lists
             ``(container, object)``).
+        ``sql``
+            Why queries left the fast path: ``queries`` counts them by
+            executor path (``batch``: kernels over column batches;
+            ``row``: the WHERE clause was not provably total;
+            ``agg_pushdown``: aggregated at the store), and
+            ``kernel_refusals`` lists each expression the kernel
+            compiler refused with its stable ``reason`` code and
+            ``count``.
         """
         if report is None:
             report = self._last_report
@@ -656,6 +664,18 @@ class ScoopContext:
                 "objects_skipped": len(self.connector.catalog_skipped),
                 "skipped": list(self.connector.catalog_skipped),
             },
+        }
+        profile["sql"] = {
+            "queries": {
+                labels["path"]: int(count)
+                for labels, count in self.registry.counter_series("sql.queries")
+            },
+            "kernel_refusals": [
+                {**labels, "count": int(count)}
+                for labels, count in self.registry.counter_series(
+                    "sql.kernel_refusals"
+                )
+            ],
         }
         if self.placement is not None:
             profile["placement"] = self.placement.explain()

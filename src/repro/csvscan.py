@@ -64,6 +64,7 @@ from typing import (
     Union,
 )
 
+from repro.columnar.batch import ColumnBatch, take_column
 from repro.sql.filters import Filter
 from repro.sql.kernels import compile_filters
 from repro.sql.types import Row, Schema
@@ -313,8 +314,8 @@ class CsvScan:
     the module docstring for ownership); ``skip_header`` discards the
     first owned record unseen.  ``filters`` is an optional conjunctive
     source-filter list, compiled once into a selection kernel that
-    :meth:`select` and :meth:`rows` apply.  ``log`` receives one line
-    per dropped record.
+    :meth:`select`, :meth:`batches` and :meth:`rows` apply.  ``log``
+    receives one line per dropped record.
 
     ``records_in`` and ``dropped`` count the records framed and dropped
     so far (the header is neither).
@@ -372,17 +373,30 @@ class CsvScan:
         picked = self._selection(block.columns, block.count)
         return None if len(picked) == block.count else picked
 
-    def rows(self, projection: Optional[Sequence[int]] = None) -> Iterator[Row]:
-        """The typed rows passing the filters, optionally projected to
-        the given column positions."""
+    def batches(
+        self, projection: Optional[Sequence[int]] = None
+    ) -> Iterator[ColumnBatch]:
+        """The typed records passing the filters, a column batch per
+        block that keeps any, optionally projected to the given column
+        positions: a block's typed columns as they are, never a row."""
+        schema = self.schema
+        if projection is not None:
+            schema = Schema([schema.fields[index] for index in projection])
         for block in self.blocks():
-            columns = block.columns
+            columns, count = block.columns, block.count
             if projection is not None:
                 columns = [columns[index] for index in projection]
             picked = self.select(block)
             if picked is not None:
-                columns = [[column[i] for i in picked] for column in columns]
-            yield from zip(*columns)
+                columns = [take_column(column, picked) for column in columns]
+                count = len(picked)
+            if count:
+                yield ColumnBatch(schema, columns, count)
+
+    def rows(self, projection: Optional[Sequence[int]] = None) -> Iterator[Row]:
+        """:meth:`batches`, flattened to typed rows."""
+        for batch in self.batches(projection):
+            yield from batch.rows
 
     # -- the two paths ------------------------------------------------------
 

@@ -232,6 +232,16 @@ class MetricsRegistry:
                 if counter == name
             )
 
+    def counter_series(self, name: str) -> List[Tuple[Dict[str, str], float]]:
+        """Every label set counted under ``name`` with its value,
+        ``(labels, value)`` sorted by labels (deterministic)."""
+        with self._lock:
+            return [
+                (dict(labels), value)
+                for (counter, labels), value in sorted(self._counters.items())
+                if counter == name
+            ]
+
     def gauge_value(self, name: str, **labels: Any) -> Optional[float]:
         """Latest value of one labelled gauge (None if never set)."""
         with self._lock:

@@ -122,7 +122,8 @@ class AggregationScanRDD(RDD):
     # -- degradation: same aggregation, computed from plain reads ----------
 
     def _fallback_records(self, split: ObjectSplit) -> Iterator[tuple]:
-        rows = self._fallback._plain_rows(split, apply_task_filters=True)
+        batches = self._fallback._plain_batches(split, apply_task_filters=True)
+        rows = (row for batch in batches for row in batch.rows)
         for record in tagged_partial_aggregate(
             rows, self.plan.spec, self.full_schema, max_groups=self.max_groups
         ):

@@ -30,6 +30,10 @@ class RecordBatch:
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
 
+    def slice(self, start: int) -> "RecordBatch":
+        """The batch without its first ``start`` rows."""
+        return RecordBatch(self.rows[start:])
+
 
 def batched(
     rows: Iterable[tuple], batch_rows: int = DEFAULT_BATCH_ROWS

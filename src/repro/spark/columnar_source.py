@@ -22,9 +22,10 @@ data plane:
 
 Scan output is columnar end to end: ``compute_batches`` yields
 ``ColumnBatch`` objects that flow through the scheduler untouched (tasks
-only look at ``.rows`` / ``len``), and the SQL executor's kernel fast
-path (:func:`repro.sql.executor.execute_plan_batches`) consumes them
-without ever materializing per-row tuples until the plan's edge.
+only take ``len`` and, resuming a retry, ``slice``), dictionary segments
+still coded, and the SQL executor's kernel fast path
+(:func:`repro.sql.executor.execute_plan_batches`) consumes them without
+ever materializing per-row tuples until the plan's edge.
 """
 
 from __future__ import annotations
@@ -33,23 +34,18 @@ import json
 from dataclasses import replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.columnar.batch import ColumnBatch, materialize
+from repro.columnar.batch import ColumnBatch
 from repro.columnar.layout import (
     StripeMeta,
     decode_block_stream,
     decode_column,
 )
 from repro.columnar.pruning import stripe_may_match
-from repro.connector.stocator import (
-    ColumnarSplit,
-    PushdownError,
-    StocatorConnector,
-)
+from repro.connector.stocator import ColumnarSplit, StocatorConnector
 from repro.core.pushdown import PushdownTask
-from repro.obs.trace import get_collector
 from repro.placement.engine import task_signature
 from repro.spark.batch import DEFAULT_BATCH_ROWS, batched
-from repro.spark.csv_source import _decompress_chunks
+from repro.spark.csv_source import _decompress_chunks, degrading_batches
 from repro.spark.datasources import PrunedFilteredScan
 from repro.spark.rdd import RDD
 from repro.sql.filters import Filter
@@ -65,10 +61,6 @@ class ColumnarScanRDD(RDD[Row]):
     block); ``compute`` flattens those batches to rows for row-oriented
     consumers, so both views describe the same deterministic stream.
     """
-
-    #: The session's executor fast path keys on this marker to consume
-    #: the scan through ``iter_batches`` + compiled kernels.
-    supports_column_batches = True
 
     def __init__(
         self,
@@ -141,36 +133,13 @@ class ColumnarScanRDD(RDD[Row]):
         if self.task is None or self.task.is_noop():
             yield from self._plain_batches(columnar, stripes)
             return
-        emitted = 0
-        try:
-            for batch in self._pushdown_batches(columnar, stripes):
-                emitted += len(batch)
-                yield batch
-            return
-        except PushdownError as error:
-            if not error.degradable:
-                raise
-            degrade_reason = error.reason
-        # Runtime storlet failure (possibly mid-stream): the stored
-        # bytes are intact, so degrade to plain segment reads with the
-        # task's filters applied compute-side.  The fallback row stream
-        # is identical to the pushdown stream, so rows already emitted
-        # before the failure are skipped, not duplicated.
-        self._record_degradation(columnar, degrade_reason, emitted)
-        yield from self._plain_batches(
-            columnar, stripes, apply_task_filters=True, skip_rows=emitted
-        )
-
-    def _record_degradation(
-        self, columnar: ColumnarSplit, reason: str, emitted: int
-    ) -> None:
-        self.connector.metrics.record_fallback()
-        get_collector().record_event(
-            "connector",
-            "pushdown_degraded",
-            split_index=columnar.split.index,
-            reason=reason,
-            rows_before_failure=emitted,
+        # Degradation decodes and selects with the storlet's own code
+        # (see _assemble), so the fallback stream is the pushdown stream.
+        yield from degrading_batches(
+            self.connector,
+            columnar.split.index,
+            lambda: self._pushdown_batches(columnar, stripes),
+            lambda: self._plain_batches(columnar, stripes, apply_task_filters=True),
         )
 
     # -- pushdown path -----------------------------------------------------
@@ -253,28 +222,13 @@ class ColumnarScanRDD(RDD[Row]):
                 return None
         else:
             columns = [vectors[index] for index in self._project]
-        return ColumnBatch(
-            self.output_schema, [materialize(column) for column in columns], rows
-        )
-
-    @staticmethod
-    def _resume_slice(
-        batch: ColumnBatch, skip_rows: int
-    ) -> Tuple[Optional[ColumnBatch], int]:
-        """Drop ``skip_rows`` already-emitted rows from the front of the
-        fallback stream; returns ``(batch or None, remaining_skip)``."""
-        if skip_rows <= 0:
-            return batch, 0
-        if skip_rows >= len(batch):
-            return None, skip_rows - len(batch)
-        return batch.slice(skip_rows), 0
+        return ColumnBatch(self.output_schema, columns, rows)
 
     def _plain_batches(
         self,
         columnar: ColumnarSplit,
         stripes: Sequence[StripeMeta],
         apply_task_filters: bool = False,
-        skip_rows: int = 0,
     ) -> Iterator[ColumnBatch]:
         """Segment-granular ranged reads, one batch per surviving stripe.
 
@@ -291,9 +245,6 @@ class ColumnarScanRDD(RDD[Row]):
                 columnar.split, self._stripe_ranges(stripe, needed)
             )
             batch = self._assemble(stripe, needed, pieces, apply_task_filters)
-            if batch is None:
-                continue
-            batch, skip_rows = self._resume_slice(batch, skip_rows)
             if batch is not None and len(batch):
                 yield batch
 

@@ -11,7 +11,7 @@ happens in the compute cluster (classic ingest-then-compute).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 import zlib
 
@@ -20,19 +20,29 @@ from repro.connector.stocator import (
     PushdownError,
     StocatorConnector,
 )
+from repro.columnar.batch import ColumnBatch, skip_rows
 from repro.core.pushdown import PushdownTask
 from repro.csvscan import CsvScan, parse_record
 from repro.obs.trace import get_collector
 from repro.placement.engine import task_signature
 from repro.sql.filters import Filter
 from repro.sql.types import DataType, Field, Row, Schema
+from repro.spark.batch import DEFAULT_BATCH_ROWS, batched
 from repro.spark.datasources import PrunedFilteredScan
 from repro.spark.rdd import RDD
 from repro.storlets.agg_storlet import DEFAULT_MAX_GROUPS
 
 
 class CsvScanRDD(RDD[Row]):
-    """One partition per object split; rows typed per the output schema."""
+    """One partition per object split; computes typed column batches.
+
+    ``compute_batches`` is the native surface: one
+    :class:`~repro.columnar.batch.ColumnBatch` per block of records the
+    reader (:class:`~repro.csvscan.CsvScan`) typed, columns in the
+    output schema's order.  ``compute`` flattens those batches to rows
+    for row-oriented consumers, so both views describe the same
+    deterministic stream.
+    """
 
     def __init__(
         self,
@@ -59,42 +69,31 @@ class CsvScanRDD(RDD[Row]):
         return len(self.splits)
 
     def compute(self, split_index: int) -> Iterator[Row]:
-        split = self.splits[split_index]
-        if self.task is None or self.task.is_noop():
-            yield from self._plain_rows(split)
-            return
-        emitted = 0
-        try:
-            for row in self._pushdown_rows(split):
-                emitted += 1
-                yield row
-            return
-        except PushdownError as error:
-            if not error.degradable:
-                raise
-            degrade_reason = error.reason
-        # The storlet failed at runtime (possibly mid-stream, since the
-        # sandbox charges its budgets chunk-by-chunk) but the stored
-        # bytes are intact: degrade to a plain ranged GET with the
-        # task's filters applied compute-side.  That makes the fallback
-        # row stream identical to the pushdown stream, so rows already
-        # emitted before the failure are skipped, not duplicated.
-        self.connector.metrics.record_fallback()
-        get_collector().record_event(
-            "connector",
-            "pushdown_degraded",
-            split_index=split.index,
-            reason=degrade_reason,
-            rows_before_failure=emitted,
-        )
-        skipped = 0
-        for row in self._plain_rows(split, apply_task_filters=True):
-            if skipped < emitted:
-                skipped += 1
-                continue
-            yield row
+        for batch in self._batches(self.splits[split_index]):
+            yield from batch.rows
 
-    def _pushdown_rows(self, split: ObjectSplit) -> Iterator[Row]:
+    def compute_batches(
+        self, split_index: int, batch_rows: int = DEFAULT_BATCH_ROWS
+    ) -> Iterator[ColumnBatch]:
+        """Block-sized column batches (``batch_rows`` only shapes the
+        re-chunking of a cached partition, where rows are materialized
+        anyway)."""
+        if self._cache is not None:
+            return batched(self.iterator(split_index), batch_rows)
+        return self._batches(self.splits[split_index])
+
+    def _batches(self, split: ObjectSplit) -> Iterator[ColumnBatch]:
+        if self.task is None or self.task.is_noop():
+            yield from self._plain_batches(split)
+            return
+        yield from degrading_batches(
+            self.connector,
+            split.index,
+            lambda: self._pushdown_batches(split),
+            lambda: self._plain_batches(split, apply_task_filters=True),
+        )
+
+    def _pushdown_batches(self, split: ObjectSplit) -> Iterator[ColumnBatch]:
         """Stream a split through the pushdown storlet, chunk by chunk.
 
         The storlet already aligned records, applied the filters and
@@ -105,18 +104,18 @@ class CsvScanRDD(RDD[Row]):
         _headers, chunks = self.connector.open_split_stream(split, self.task)
         if self.task.compress:
             chunks = _decompress_chunks(chunks)
-        yield from CsvScan(chunks, self.output_schema, self.delimiter).rows()
+        return CsvScan(chunks, self.output_schema, self.delimiter).batches()
 
-    def _plain_rows(
+    def _plain_batches(
         self, split: ObjectSplit, apply_task_filters: bool = False
-    ) -> Iterator[Row]:
+    ) -> Iterator[ColumnBatch]:
         """Read a split without pushdown: plain ranged GET, record
         alignment and projection on the compute side, all streaming.
 
         Used for pushdown-disabled scans and as the graceful-degradation
         path after a runtime storlet failure.  For plain scans WHERE
         filters are NOT applied here; the session executor re-applies
-        the plan's filter nodes over scan rows, so unfiltered rows
+        the plan's filter nodes over the scan, so unfiltered rows
         remain correct.  The degradation path passes
         ``apply_task_filters=True`` so its row stream matches the
         pushdown stream exactly (required for mid-stream resume); the
@@ -132,7 +131,7 @@ class CsvScanRDD(RDD[Row]):
                 for name in self.output_schema.names
             ]
         _headers, chunks = self.connector.open_split_stream(split, task=None)
-        yield from CsvScan(
+        return CsvScan(
             chunks,
             self.full_schema,
             self.delimiter,
@@ -140,7 +139,45 @@ class CsvScanRDD(RDD[Row]):
             range_len=split.length,
             skip_header=self.has_header and split.is_first,
             filters=filters,
-        ).rows(projection)
+        ).batches(projection)
+
+
+def degrading_batches(
+    connector: StocatorConnector,
+    split_index: int,
+    pushdown: Callable[[], Iterable[ColumnBatch]],
+    plain: Callable[[], Iterable[ColumnBatch]],
+) -> Iterator[ColumnBatch]:
+    """``pushdown()``'s batches, degrading to ``plain()``'s when the
+    storlet fails at runtime.
+
+    The failure may come mid-stream (the sandbox charges its budgets
+    chunk by chunk) but the stored bytes are intact: ``plain()`` reads
+    them without the storlet and applies the task's filters
+    compute-side, which makes its row stream identical to the pushdown
+    stream -- so the rows already emitted before the failure are
+    skipped, not duplicated (the batch the failure fell in is sliced).
+    A non-degradable error propagates.
+    """
+    emitted = 0
+    try:
+        for batch in pushdown():
+            emitted += len(batch)
+            yield batch
+        return
+    except PushdownError as error:
+        if not error.degradable:
+            raise
+        degrade_reason = error.reason
+    connector.metrics.record_fallback()
+    get_collector().record_event(
+        "connector",
+        "pushdown_degraded",
+        split_index=split_index,
+        reason=degrade_reason,
+        rows_before_failure=emitted,
+    )
+    yield from skip_rows(plain(), emitted)
 
 
 def _decompress_chunks(chunks: Iterator[bytes]) -> Iterator[bytes]:

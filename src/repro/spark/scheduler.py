@@ -321,7 +321,9 @@ class SparkContext:
         recomputing the partition and discarding the first ``emitted``
         rows.  This is sound because partition computation is
         deterministic (the graceful-degradation path reproduces the
-        pushdown row stream exactly for the same reason).
+        pushdown row stream exactly for the same reason).  Batches are
+        counted by ``len`` and cut with ``slice``: a column batch is
+        never turned into rows here.
         """
         task_id = self._next_task_id()
         emitted = 0
@@ -332,15 +334,14 @@ class SparkContext:
             try:
                 position = 0
                 for batch in rdd.compute_batches(split, batch_rows):
-                    rows = batch.rows
                     start = position
-                    position += len(rows)
+                    position += len(batch)
                     if position <= emitted:
                         continue  # replayed rows from a pre-failure batch
                     if start < emitted:
-                        rows = rows[emitted - start:]
+                        batch = batch.slice(emitted - start)
                     emitted = position
-                    yield RecordBatch(rows) if len(rows) != len(batch) else batch
+                    yield batch
             except Exception as error:
                 duration = time.perf_counter() - started
                 last_error = error

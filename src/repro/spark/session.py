@@ -16,6 +16,7 @@ from repro.core.agg_pushdown import (
     merge_tagged_records,
     plan_aggregation_pushdown,
 )
+from repro.obs.metrics import get_registry
 from repro.sql.catalyst import (
     Optimizer,
     PushdownSpec,
@@ -146,22 +147,25 @@ class SparkSession:
 
         rdd, scan_schema = self._plan_scan(relation, base_schema, spec)
         plan = Optimizer().optimize(build_logical_plan(query, scan_schema))
-        # The scan streams: the executor pulls record batches through the
+        # The scan streams: the executor pulls batches through the
         # scheduler on demand, so non-blocking plans (scan/filter/project/
         # limit) never materialize a partition, and a satisfied LIMIT
         # stops the remaining tasks -- and their GETs -- entirely.
-        if getattr(rdd, "supports_column_batches", False):
-            # Columnar fast path: the scan yields ColumnBatch objects
-            # that flow through the scheduler untouched, and the
-            # executor runs compile-once vectorized kernels over them.
-            # ``None`` means some plan fragment is not provably total
-            # under batch evaluation -- fall through to the row path,
-            # which preserves exact per-row error semantics.
-            result = execute_plan_batches(
-                plan, lambda: self.context.iter_batches(rdd), scan_schema
-            )
-            if result is not None:
-                return result
+        # Every scan is consumed batch-wise: CSV and RCF1 scans yield
+        # ColumnBatch objects that flow through the scheduler untouched
+        # (row-oriented RDDs' batches are transposed), and the executor
+        # runs compile-once vectorized kernels over them.  ``None``
+        # means the WHERE clause is not provably total under batch
+        # evaluation -- the row path then preserves exact per-row error
+        # semantics.
+        result = execute_plan_batches(
+            plan, lambda: self.context.iter_batches(rdd), scan_schema
+        )
+        registry = get_registry()
+        if result is not None:
+            registry.inc("sql.queries", path="batch")
+            return result
+        registry.inc("sql.queries", path="row")
         return execute_plan(
             plan, lambda: self.context.iter_rows(rdd), scan_schema
         )
@@ -189,6 +193,7 @@ class SparkSession:
         rdd = builder(plan)
         if rdd is None:
             return None
+        get_registry().inc("sql.queries", path="agg_pushdown")
         return merge_tagged_records(
             plan, self.context.iter_rows(rdd), base_schema
         )

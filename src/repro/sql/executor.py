@@ -233,18 +233,18 @@ def _analyze_aggregate(node: AggregateNode, input_schema: Schema) -> _AggregateS
     )
 
 
-def _finalize_groups(
-    spec: _AggregateSpec, groups: dict, order: List[Tuple]
-) -> Iterator[Row]:
-    """Turn accumulated groups into output rows (HAVING applied)."""
-    if not order and not spec.group_by:
+def _new_group(spec: _AggregateSpec) -> list:
+    """Fresh state for one group, one accumulator per aggregate."""
+    return [make_accumulator(agg.name, agg.distinct) for agg in spec.aggregates]
+
+
+def _finalize_groups(spec: _AggregateSpec, groups: dict) -> Iterator[Row]:
+    """Turn accumulated groups (a dict in first-seen order) into output
+    rows (HAVING applied)."""
+    if not groups and not spec.group_by:
         # Global aggregate over empty input still yields one row.
-        order.append(())
-        groups[()] = [
-            make_accumulator(agg.name, agg.distinct) for agg in spec.aggregates
-        ]
-    for key in order:
-        accumulators = groups[key]
+        groups[()] = _new_group(spec)
+    for key, accumulators in groups.items():
         post_row = key + tuple(acc.result() for acc in accumulators)
         if spec.having_eval is not None and spec.having_eval(post_row) is not True:
             continue
@@ -260,20 +260,14 @@ def _compile_aggregate(node: AggregateNode, child: Compiled) -> Compiled:
 
     def rows() -> Iterator[Row]:
         groups: dict = {}
-        order: List[Tuple] = []
         for row in child.rows():
             key = tuple(evaluate(row) for evaluate in key_evals)
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = [
-                    make_accumulator(agg.name, agg.distinct)
-                    for agg in spec.aggregates
-                ]
-                groups[key] = accumulators
-                order.append(key)
+                accumulators = groups[key] = _new_group(spec)
             for accumulator, input_eval in zip(accumulators, aggregate_inputs):
                 accumulator.add(input_eval(row))
-        yield from _finalize_groups(spec, groups, order)
+        yield from _finalize_groups(spec, groups)
 
     return Compiled(
         spec.schema,
@@ -443,13 +437,16 @@ def _compile_above(node: LogicalPlan, child: Compiled) -> Compiled:
 def _compile_aggregate_batches(
     node: AggregateNode, batches: Callable[[], Iterator[Any]], scan_schema: Schema
 ) -> Optional[Compiled]:
-    """Vectorized partial aggregation: key/input vectors via kernels,
-    one tight accumulation loop per batch, shared finalization.
+    """Vectorized aggregation: key/input vectors via kernels, then one
+    :meth:`~repro.sql.grouping.GroupTable.add_batch` per batch (rows
+    bucketed by group, each accumulator fed a group at a time); shared
+    finalization.
 
     Returns None when a grouping or input expression is not provably
     total -- the caller then aggregates row-at-a-time instead.
     """
     from repro.sql.expressions import Star
+    from repro.sql.grouping import GroupTable
     from repro.sql.kernels import compile_expression
 
     key_kernels = []
@@ -462,7 +459,7 @@ def _compile_aggregate_batches(
     input_kernels = []
     for aggregate in spec.aggregates:
         if isinstance(aggregate.arg, Star):
-            input_kernels.append(lambda cols, n: [1] * n)
+            input_kernels.append(None)  # the group table counts rows
             continue
         kernel = compile_expression(aggregate.arg, scan_schema)
         if kernel is None:
@@ -470,29 +467,21 @@ def _compile_aggregate_batches(
         input_kernels.append(kernel)
 
     def rows() -> Iterator[Row]:
-        groups: dict = {}
-        order: List[Tuple] = []
+        table = GroupTable(lambda: _new_group(spec))
         for batch in batches():
             n = len(batch)
             if n == 0:
                 continue
             cols = batch.columns
-            key_vectors = [kernel(cols, n) for kernel in key_kernels]
-            input_vectors = [kernel(cols, n) for kernel in input_kernels]
-            keys = list(zip(*key_vectors)) if key_vectors else [()] * n
-            for i in range(n):
-                key = keys[i]
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = [
-                        make_accumulator(agg.name, agg.distinct)
-                        for agg in spec.aggregates
-                    ]
-                    groups[key] = accumulators
-                    order.append(key)
-                for accumulator, vector in zip(accumulators, input_vectors):
-                    accumulator.add(vector[i])
-        yield from _finalize_groups(spec, groups, order)
+            table.add_batch(
+                [kernel(cols, n) for kernel in key_kernels],
+                [
+                    None if kernel is None else kernel(cols, n)
+                    for kernel in input_kernels
+                ],
+                n,
+            )
+        yield from _finalize_groups(spec, table.groups)
 
     return Compiled(
         spec.schema,

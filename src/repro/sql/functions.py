@@ -8,6 +8,7 @@ behaves like 1 (the GridPocket queries in Table I all use
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -174,10 +175,19 @@ class Accumulator:
     another accumulator of the same class saw, so a group aggregated in
     pieces -- per storlet byte range, per partition -- ends in the very
     state one accumulator fed every row would hold.
+
+    ``add_many(values)`` is ``add`` over a list or tuple of inputs, in
+    order; the batch aggregate calls it once per group per batch, so an
+    accumulator that can take a run faster than cell by cell overrides
+    it.  The state it leaves is the one the ``add`` calls would.
     """
 
     def add(self, value: Any) -> None:
         raise NotImplementedError
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        for value in values:
+            self.add(value)
 
     def result(self) -> Any:
         raise NotImplementedError
@@ -223,6 +233,26 @@ class SumAccumulator(Accumulator):
         elif value is not None:
             self.count += 1
             self.ints += value
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        floats = [value for value in values if value.__class__ is float]
+        if len(floats) != len(values):
+            rest = [
+                value
+                for value in values
+                if value is not None and value.__class__ is not float
+            ]
+            self.count += len(rest)
+            self.ints += sum(rest)
+        # Fold where ``add`` would: each time ``_COMPACT_AT`` floats wait.
+        pending = self.pending
+        taken = 0
+        while taken < len(floats):
+            room = _COMPACT_AT - len(pending)
+            pending.extend(floats[taken : taken + room])
+            taken += room
+            if len(pending) >= _COMPACT_AT:
+                self._fold()
 
     def _head(self) -> float:
         """The correctly rounded sum of the floats met so far, with
@@ -321,6 +351,9 @@ class CountAccumulator(Accumulator):
         if value is not None:
             self.count += 1
 
+    def add_many(self, values: Sequence[Any]) -> None:
+        self.count += len(values) - values.count(None)
+
     def result(self) -> int:
         return self.count
 
@@ -330,15 +363,34 @@ class CountAccumulator(Accumulator):
         self.count += state
 
 
+def _nan_free(values: Sequence[Any]) -> Sequence[Any]:
+    """``values`` (no NULL among them) without its NaNs -- the one value
+    that is not equal to itself.  The list itself when it holds none."""
+    if any(map(operator.ne, values, values)):
+        return [value for value in values if value == value]
+    return values
+
+
 class MinAccumulator(Accumulator):
+    """MIN under Spark's total order: NaN is greater than every number
+    and NULL is ignored, so the result depends on the multiset of inputs
+    alone (``<`` against NaN is False either way round)."""
+
     def __init__(self) -> None:
         self.best: Any = None
 
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if self.best is None or value < self.best:
+        best = self.best
+        if best is None or value < best or (best != best and value == value):
             self.best = value
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        present = [value for value in values if value is not None]
+        if present:
+            # Only a run of nothing but NaN has NaN for its minimum.
+            self.add(min(_nan_free(present) or present))
 
     def result(self) -> Any:
         return self.best
@@ -348,14 +400,23 @@ class MinAccumulator(Accumulator):
 
 
 class MaxAccumulator(Accumulator):
+    """MAX under the same total order: any NaN input is the maximum."""
+
     def __init__(self) -> None:
         self.best: Any = None
 
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if self.best is None or value > self.best:
+        best = self.best
+        if best is None or value > best or (value != value and best == best):
             self.best = value
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        present = [value for value in values if value is not None]
+        if present:
+            numbers = _nan_free(present)
+            self.add(max(numbers) if numbers is present else math.nan)
 
     def result(self) -> Any:
         return self.best
@@ -373,6 +434,10 @@ class FirstValueAccumulator(Accumulator):
         if not self.seen:
             self.seen = True
             self.value = value
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        if values:
+            self.add(values[0])
 
     def result(self) -> Any:
         return self.value
@@ -392,6 +457,10 @@ class LastValueAccumulator(FirstValueAccumulator):
         self.seen = True
         self.value = value
 
+    def add_many(self, values: Sequence[Any]) -> None:
+        if values:
+            self.add(values[-1])
+
 
 class DistinctAccumulator(Accumulator):
     """Wraps another accumulator, feeding it each distinct value once."""
@@ -405,6 +474,11 @@ class DistinctAccumulator(Accumulator):
             return
         self.seen.add(value)
         self.inner.add(value)
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        fresh = [value for value in dict.fromkeys(values) if value not in self.seen]
+        self.seen.update(fresh)
+        self.inner.add_many(fresh)
 
     def result(self) -> Any:
         return self.inner.result()

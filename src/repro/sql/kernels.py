@@ -14,12 +14,18 @@ Two compilers live here:
   trees.  They are **partial**: a kernel is produced only when static
   typing over the scan schema proves evaluation can never raise
   (ordered comparisons between provably comparable types, arithmetic
-  over numerics, ...).  Anything unprovable returns ``None`` and the
-  caller stays on the row path -- this is what keeps the fast path
-  byte-identical, including *which* queries raise ``SqlTypeError`` and
-  when.  Fused kernels replicate the interpreter's semantics exactly:
-  SQL three-valued logic, Kleene AND/OR, NULL propagation, and
-  division-by-zero yielding NULL.
+  over numerics, the text functions that are total over any first
+  argument when the rest are integer literals, ...).  Anything
+  unprovable returns ``None`` and the caller stays on the row path --
+  this is what keeps the fast path byte-identical, including *which*
+  queries raise ``SqlTypeError`` and when -- and is counted, with a
+  reason code and the refused sub-expression, in
+  ``sql.kernel_refusals``.  Fused kernels replicate the interpreter's
+  semantics exactly: SQL three-valued logic, Kleene AND/OR, NULL
+  propagation, and division-by-zero yielding NULL.  A kernel that maps
+  one vector cell by cell maps a dictionary-coded vector
+  (:class:`~repro.columnar.batch.DictColumn`) entry by entry and keeps
+  its codes.
 * :class:`FilterMask` lowers the :class:`repro.sql.filters` source
   hierarchy (the storlet wire format) into a byte mask per batch.
   Source-filter evaluation is total by contract (NULL never matches,
@@ -40,7 +46,10 @@ import functools
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.columnar.batch import DictColumn, compress_column
+from repro.columnar.batch import DictColumn, compress_column, take_column
+from repro.obs.metrics import get_registry
+from repro.sql.catalyst import split_conjuncts
+from repro.sql.errors import SqlAnalysisError
 from repro.sql.expressions import (
     Aggregate,
     Between,
@@ -48,6 +57,7 @@ from repro.sql.expressions import (
     CaseWhen,
     Column,
     Expression,
+    FunctionCall,
     InList,
     IsNull,
     Like,
@@ -67,6 +77,7 @@ from repro.sql.filters import (
     _AttributeFilter,
 )
 from repro.sql.filters import IsNull as FilterIsNull
+from repro.sql.functions import lookup_scalar
 from repro.sql.types import DataType, Schema
 
 Columns = Sequence[Sequence[Any]]
@@ -93,13 +104,36 @@ _DTYPE_KIND = {
 
 _ORDERED_OPS = ("<", "<=", ">", ">=")
 
+#: Scalar functions that cannot raise whatever their first argument is,
+#: once the remaining arguments are integer literals -> result kind.
+_TOTAL_FUNCTIONS = {
+    "substring": _STR,
+    "substr": _STR,
+    "upper": _STR,
+    "lower": _STR,
+    "trim": _STR,
+    "length": _NUM,
+}
 
-def _static_kind(expr: Expression, schema: Schema) -> Optional[str]:
-    """The provable value kind of ``expr``, or None if not total.
 
-    ``None`` means "cannot prove this expression never raises"; the
-    caller must then decline to compile.  A returned kind additionally
-    certifies totality of the whole subtree.
+class KernelRefusal(Exception):
+    """Why ``expression`` cannot be proven total: ``reason`` is one of
+    the stable codes ``unknown_column``, ``incomparable_types``,
+    ``non_numeric_arithmetic``, ``function_not_total``, ``not_scalar``
+    and ``unsupported_expression``."""
+
+    def __init__(self, reason: str, expression: Expression):
+        super().__init__(f"{reason}: {expression.to_sql()}")
+        self.reason = reason
+        self.expression = expression
+
+
+def _static_kind(expr: Expression, schema: Schema) -> str:
+    """The provable value kind of ``expr``; certifies that evaluating
+    the whole subtree can never raise.
+
+    Raises :class:`KernelRefusal`, naming the innermost sub-expression
+    the proof fails on, when it cannot.
     """
     if isinstance(expr, Literal):
         if expr.value is None:
@@ -107,13 +141,14 @@ def _static_kind(expr: Expression, schema: Schema) -> Optional[str]:
         return _STR if isinstance(expr.value, str) else _NUM
     if isinstance(expr, Column):
         if expr.name not in schema:
-            return None
+            raise KernelRefusal("unknown_column", expr)
         return _DTYPE_KIND[schema.field(expr.name).dtype]
+    if isinstance(expr, (Star, Aggregate)):
+        # Never scalar-evaluable; the row path rejects these too.
+        raise KernelRefusal("not_scalar", expr)
+    kinds = [_static_kind(child, schema) for child in expr.children()]
     if isinstance(expr, BinaryOp):
-        left = _static_kind(expr.left, schema)
-        right = _static_kind(expr.right, schema)
-        if left is None or right is None:
-            return None
+        left, right = kinds
         if expr.op in ("and", "or"):
             return _NUM
         if expr.op == "||":
@@ -121,51 +156,46 @@ def _static_kind(expr: Expression, schema: Schema) -> Optional[str]:
         if expr.op in ("=", "<>", "!="):
             return _NUM  # Python ==/!= never raise across builtin types
         if expr.op in _ORDERED_OPS:
-            if _NULL in (left, right) or left == right != _ANY:
+            if _NULL in kinds or left == right != _ANY:
                 return _NUM
-            return None
+            raise KernelRefusal("incomparable_types", expr)
         if expr.op in ("+", "-", "*", "/", "%"):
-            if _NULL in (left, right):
+            if _NULL in kinds:
                 return _NULL
             if left == right == _NUM:
                 return _NUM
             if expr.op == "+" and left == right == _STR:
                 return _STR
-            return None
-        return None
-    if isinstance(expr, UnaryOp):
-        inner = _static_kind(expr.operand, schema)
-        if inner is None:
-            return None
+            raise KernelRefusal("non_numeric_arithmetic", expr)
+    elif isinstance(expr, UnaryOp):
         if expr.op == "not":
             return _NUM
         if expr.op == "-":
-            return _NUM if inner in (_NUM, _NULL) else None
-        return None
-    if isinstance(expr, Like):
-        return _NUM if _static_kind(expr.operand, schema) else None
-    if isinstance(expr, InList):
-        kinds = [_static_kind(child, schema) for child in expr.children()]
-        return _NUM if all(kinds) else None
-    if isinstance(expr, Between):
-        kinds = [_static_kind(child, schema) for child in expr.children()]
-        if not all(kinds):
-            return None
+            if kinds[0] in (_NUM, _NULL):
+                return _NUM
+            raise KernelRefusal("non_numeric_arithmetic", expr)
+    elif isinstance(expr, (Like, InList, IsNull)):
+        return _NUM
+    elif isinstance(expr, Between):
         concrete = {kind for kind in kinds if kind != _NULL}
         if concrete <= {_NUM} or concrete <= {_STR}:
             return _NUM
-        return None
-    if isinstance(expr, IsNull):
-        return _NUM if _static_kind(expr.operand, schema) else None
-    if isinstance(expr, CaseWhen):
-        kinds = [_static_kind(child, schema) for child in expr.children()]
-        if not all(kinds):
-            return None
+        raise KernelRefusal("incomparable_types", expr)
+    elif isinstance(expr, CaseWhen):
         concrete = {kind for kind in kinds if kind != _NULL}
         return concrete.pop() if len(concrete) == 1 else _ANY
-    if isinstance(expr, (Star, Aggregate)):
-        return None  # never scalar-evaluable; row path rejects these too
-    return None  # FunctionCall and anything unknown: stay on the row path
+    elif isinstance(expr, FunctionCall):
+        try:
+            lookup_scalar(expr.name, len(expr.args))
+        except SqlAnalysisError:
+            raise KernelRefusal("function_not_total", expr) from None
+        if expr.name in _TOTAL_FUNCTIONS and all(
+            isinstance(arg, Literal) and type(arg.value) is int
+            for arg in expr.args[1:]
+        ):
+            return _NULL if kinds[0] == _NULL else _TOTAL_FUNCTIONS[expr.name]
+        raise KernelRefusal("function_not_total", expr)
+    raise KernelRefusal("unsupported_expression", expr)
 
 
 # ---------------------------------------------------------------------------
@@ -173,38 +203,43 @@ def _static_kind(expr: Expression, schema: Schema) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmp_col_lit(op: str, index: int, v: Any) -> Optional[VectorKernel]:
-    """Fused ``column <op> literal`` comparison over one vector."""
+CellMap = Callable[[Sequence[Any]], List[Any]]
+
+
+def _map_cells(inner: VectorKernel, cells: CellMap) -> VectorKernel:
+    """``cells`` over the vector ``inner`` yields.  ``cells`` maps a
+    value run to one result per value, so over a dictionary-coded
+    vector it runs once per *entry* and the codes are kept: the result
+    is a :class:`DictColumn` whose entries may repeat."""
+
+    def kernel(cols: Columns, n: int) -> Sequence[Any]:
+        values = inner(cols, n)
+        if isinstance(values, DictColumn):
+            return DictColumn(cells(values.entries), values.codes)
+        return cells(values)
+
+    return kernel
+
+
+def _cmp_col_lit(op: str, v: Any) -> Optional[CellMap]:
+    """Fused ``cell <op> literal`` comparison over one vector."""
     if op == "=":
-        return lambda cols, n: [None if c is None else c == v for c in cols[index]]
+        return lambda cells: [None if c is None else c == v for c in cells]
     if op in ("<>", "!="):
-        return lambda cols, n: [None if c is None else c != v for c in cols[index]]
+        return lambda cells: [None if c is None else c != v for c in cells]
     if op == "<":
-        return lambda cols, n: [None if c is None else c < v for c in cols[index]]
+        return lambda cells: [None if c is None else c < v for c in cells]
     if op == "<=":
-        return lambda cols, n: [None if c is None else c <= v for c in cols[index]]
+        return lambda cells: [None if c is None else c <= v for c in cells]
     if op == ">":
-        return lambda cols, n: [None if c is None else c > v for c in cols[index]]
+        return lambda cells: [None if c is None else c > v for c in cells]
     if op == ">=":
-        return lambda cols, n: [None if c is None else c >= v for c in cols[index]]
+        return lambda cells: [None if c is None else c >= v for c in cells]
     return None
 
 
-def _cmp_lit_col(op: str, v: Any, index: int) -> Optional[VectorKernel]:
-    """Fused ``literal <op> column`` comparison over one vector."""
-    if op == "=":
-        return lambda cols, n: [None if c is None else v == c for c in cols[index]]
-    if op in ("<>", "!="):
-        return lambda cols, n: [None if c is None else v != c for c in cols[index]]
-    if op == "<":
-        return lambda cols, n: [None if c is None else v < c for c in cols[index]]
-    if op == "<=":
-        return lambda cols, n: [None if c is None else v <= c for c in cols[index]]
-    if op == ">":
-        return lambda cols, n: [None if c is None else v > c for c in cols[index]]
-    if op == ">=":
-        return lambda cols, n: [None if c is None else v >= c for c in cols[index]]
-    return None
+#: ``literal <op> cell`` is ``cell <mirrored op> literal``.
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _cmp_vec(op: str, lk: VectorKernel, rk: VectorKernel) -> Optional[VectorKernel]:
@@ -283,8 +318,17 @@ def compile_expression(expr: Expression, schema: Schema) -> Optional[VectorKerne
     Compilation succeeds only when :func:`_static_kind` proves the
     expression total over the given scan schema; the produced kernel is
     then value-identical to evaluating ``expr.bind(schema)`` row by row.
+    A refusal is counted in ``sql.kernel_refusals`` under its reason
+    code and the SQL of the sub-expression that was refused.
     """
-    if _static_kind(expr, schema) is None:
+    try:
+        _static_kind(expr, schema)
+    except KernelRefusal as refusal:
+        get_registry().inc(
+            "sql.kernel_refusals",
+            reason=refusal.reason,
+            expression=refusal.expression.to_sql(),
+        )
         return None
     return _compile(expr, schema)
 
@@ -299,37 +343,61 @@ def _compile(expr: Expression, schema: Schema) -> VectorKernel:
         return lambda cols, n: cols[index]
     if isinstance(expr, BinaryOp):
         return _compile_binary(expr, schema)
-    if isinstance(expr, UnaryOp):
-        inner = _compile(expr.operand, schema)
-        if expr.op == "not":
-            return lambda cols, n: [
-                None if v is None else not v for v in inner(cols, n)
-            ]
-        return lambda cols, n: [None if v is None else -v for v in inner(cols, n)]
-    if isinstance(expr, Like):
-        inner = _compile(expr.operand, schema)
-        match = like_pattern_to_regex(expr.pattern).match
-        if expr.negated:
-            return lambda cols, n: [
-                None if v is None else match(str(v)) is None
-                for v in inner(cols, n)
-            ]
-        return lambda cols, n: [
-            None if v is None else match(str(v)) is not None
-            for v in inner(cols, n)
-        ]
     if isinstance(expr, InList):
         return _compile_in_list(expr, schema)
     if isinstance(expr, Between):
         return _compile_between(expr, schema)
-    if isinstance(expr, IsNull):
-        inner = _compile(expr.operand, schema)
-        if expr.negated:
-            return lambda cols, n: [v is not None for v in inner(cols, n)]
-        return lambda cols, n: [v is None for v in inner(cols, n)]
     if isinstance(expr, CaseWhen):
         return _compile_case(expr, schema)
+    # What is left maps its one vector operand cell by cell.
+    if isinstance(expr, FunctionCall):
+        return _map_cells(_compile(expr.args[0], schema), _function_cells(expr, schema))
+    inner = _compile(expr.operand, schema)  # type: ignore[attr-defined]
+    if isinstance(expr, UnaryOp):
+        if expr.op == "not":
+            return _map_cells(
+                inner, lambda cells: [None if v is None else not v for v in cells]
+            )
+        return _map_cells(inner, lambda cells: [None if v is None else -v for v in cells])
+    if isinstance(expr, Like):
+        match = like_pattern_to_regex(expr.pattern).match
+        if expr.negated:
+            return _map_cells(
+                inner,
+                lambda cells: [
+                    None if v is None else match(str(v)) is None for v in cells
+                ],
+            )
+        return _map_cells(
+            inner,
+            lambda cells: [
+                None if v is None else match(str(v)) is not None for v in cells
+            ],
+        )
+    if isinstance(expr, IsNull):
+        if expr.negated:
+            return _map_cells(inner, lambda cells: [v is not None for v in cells])
+        return _map_cells(inner, lambda cells: [v is None for v in cells])
     raise AssertionError(f"unreachable: {type(expr).__name__}")
+
+
+def _function_cells(expr: FunctionCall, schema: Schema) -> CellMap:
+    """One of :data:`_TOTAL_FUNCTIONS` over its first argument's cells,
+    the other arguments being integer literals."""
+    function = lookup_scalar(expr.name, len(expr.args))
+    rest = [arg.value for arg in expr.args[1:]]  # type: ignore[attr-defined]
+    if expr.name in ("substring", "substr") and min(rest) >= 0:
+        # Table I's shape: the slice bounds do not depend on the text.
+        start = max(rest[0] - 1, 0)
+        stop = start + rest[1] if len(rest) > 1 else None
+        if _static_kind(expr.args[0], schema) == _STR:
+            return lambda cells: [
+                None if v is None else v[start:stop] for v in cells
+            ]
+        return lambda cells: [
+            None if v is None else str(v)[start:stop] for v in cells
+        ]
+    return lambda cells: [function(v, *rest) for v in cells]
 
 
 def _compile_binary(expr: BinaryOp, schema: Schema) -> VectorKernel:
@@ -337,19 +405,19 @@ def _compile_binary(expr: BinaryOp, schema: Schema) -> VectorKernel:
     left_kind = _static_kind(expr.left, schema)
     right_kind = _static_kind(expr.right, schema)
     if op not in ("and", "or") and _NULL in (left_kind, right_kind):
-        # One side is the NULL literal: comparisons, arithmetic and
+        # One side is always NULL: comparisons, arithmetic and
         # concatenation all propagate it unconditionally.
         return lambda cols, n: [None] * n
-    # Fused column-vs-literal comparisons: the hot shape of WHERE clauses.
+    # Fused vector-vs-literal comparisons: the hot shape of WHERE clauses.
     if op in ("=", "<>", "!=", *_ORDERED_OPS):
-        if isinstance(expr.left, Column) and isinstance(expr.right, Literal):
-            kernel = _cmp_col_lit(op, schema.index_of(expr.left.name), expr.right.value)
-            if kernel is not None:
-                return kernel
-        if isinstance(expr.left, Literal) and isinstance(expr.right, Column):
-            kernel = _cmp_lit_col(op, expr.left.value, schema.index_of(expr.right.name))
-            if kernel is not None:
-                return kernel
+        if isinstance(expr.right, Literal):
+            cells = _cmp_col_lit(op, expr.right.value)
+            if cells is not None:
+                return _map_cells(_compile(expr.left, schema), cells)
+        if isinstance(expr.left, Literal):
+            cells = _cmp_col_lit(_MIRRORED.get(op, op), expr.left.value)
+            if cells is not None:
+                return _map_cells(_compile(expr.right, schema), cells)
     left = _compile(expr.left, schema)
     right = _compile(expr.right, schema)
     if op == "and":
@@ -383,25 +451,22 @@ def _compile_in_list(expr: InList, schema: Schema) -> VectorKernel:
     if all(isinstance(item, Literal) for item in expr.items):
         members = frozenset(item.value for item in expr.items)  # type: ignore[attr-defined]
         if negated:
-            return lambda cols, n: [
-                None if v is None else v not in members for v in inner(cols, n)
-            ]
-        return lambda cols, n: [
-            None if v is None else v in members for v in inner(cols, n)
-        ]
+            return _map_cells(
+                inner,
+                lambda cells: [None if v is None else v not in members for v in cells],
+            )
+        return _map_cells(
+            inner, lambda cells: [None if v is None else v in members for v in cells]
+        )
     item_kernels = [_compile(item, schema) for item in expr.items]
 
     def kernel(cols: Columns, n: int) -> List[Any]:
-        values = inner(cols, n)
-        item_vectors = [k(cols, n) for k in item_kernels]
-        out: List[Any] = []
-        for i, value in enumerate(values):
-            if value is None:
-                out.append(None)
-                continue
-            result = value in {vector[i] for vector in item_vectors}
-            out.append((not result) if negated else result)
-        return out
+        return [
+            None if value is None else (value in items) is not negated
+            for value, *items in zip(
+                inner(cols, n), *(item(cols, n) for item in item_kernels)
+            )
+        ]
 
     return kernel
 
@@ -414,12 +479,13 @@ def _compile_between(expr: Between, schema: Schema) -> VectorKernel:
         if lo is None or hi is None:
             return lambda cols, n: [None] * n
         if negated:
-            return lambda cols, n: [
-                None if v is None else not lo <= v <= hi for v in inner(cols, n)
-            ]
-        return lambda cols, n: [
-            None if v is None else lo <= v <= hi for v in inner(cols, n)
-        ]
+            return _map_cells(
+                inner,
+                lambda cells: [None if v is None else not lo <= v <= hi for v in cells],
+            )
+        return _map_cells(
+            inner, lambda cells: [None if v is None else lo <= v <= hi for v in cells]
+        )
     low = _compile(expr.low, schema)
     high = _compile(expr.high, schema)
     if negated:
@@ -443,16 +509,14 @@ def _compile_case(expr: CaseWhen, schema: Schema) -> VectorKernel:
     )
 
     def kernel(cols: Columns, n: int) -> List[Any]:
-        evaluated = [(c(cols, n), r(cols, n)) for c, r in branches]
-        fallback = default(cols, n) if default is not None else None
-        out: List[Any] = []
-        for i in range(n):
-            for conditions, results in evaluated:
-                if conditions[i] is True:
-                    out.append(results[i])
-                    break
-            else:
-                out.append(fallback[i] if fallback is not None else None)
+        out = default(cols, n) if default is not None else [None] * n
+        # Last branch first, so the first true condition of a row is the
+        # one whose result stays.
+        for condition, result in reversed(branches):
+            out = [
+                chosen if flag is True else kept
+                for flag, chosen, kept in zip(condition(cols, n), result(cols, n), out)
+            ]
         return out
 
     return kernel
@@ -464,16 +528,55 @@ def compile_predicate(expr: Expression, schema: Schema) -> Optional[SelectionKer
     The kernel returns the indices of rows whose condition evaluates to
     exactly ``True`` (SQL WHERE semantics: NULL and False both drop the
     row), matching the row executor's ``predicate(row) is True`` test.
+
+    Top-level conjuncts run left to right over a narrowing selection, as
+    the row interpreter stops at a row's first false conjunct: each one
+    sees only the rows that passed those before it, gathered from the
+    columns it references.  Every conjunct is proven total on its own,
+    so a skipped evaluation cannot hide an error.  ``a AND b`` is
+    ``True`` exactly when both are neither NULL nor falsy.
     """
-    kernel = compile_expression(expr, schema)
-    if kernel is None:
+    conjuncts = split_conjuncts(expr)
+    kernels = [compile_expression(conjunct, schema) for conjunct in conjuncts]
+    if None in kernels:
         return None
+    if len(kernels) == 1:
+        only = kernels[0]
+        return lambda cols, n: _passing(only(cols, n), n, exact=True)
+    references = [
+        [schema.index_of(name) for name in conjunct.columns()]
+        for conjunct in conjuncts
+    ]
 
     def selection(cols: Columns, n: int) -> List[int]:
-        values = kernel(cols, n)
-        return [i for i, v in enumerate(values) if v is True]
+        picked = _passing(kernels[0](cols, n), n)
+        for kernel, needed in zip(kernels[1:], references[1:]):
+            if not picked:
+                break
+            if len(picked) == n:
+                picked = _passing(kernel(cols, n), n)
+                continue
+            narrowed: List[Optional[Sequence[Any]]] = [None] * len(cols)
+            for index in needed:
+                narrowed[index] = take_column(cols[index], picked)
+            passing = _passing(kernel(narrowed, len(picked)), len(picked))
+            if len(passing) != len(picked):
+                picked = list(take_column(picked, passing))
+        return picked
 
     return selection
+
+
+def _passing(values: Sequence[Any], n: int, exact: bool = False) -> List[int]:
+    """Positions of the ``n`` values that are ``True`` (``exact``) or
+    truthy; judged once per entry of a dictionary-coded vector."""
+    if isinstance(values, DictColumn):
+        entries = values.entries
+        flags = [entry is True for entry in entries] if exact else map(bool, entries)
+        values = values.translate(flags)
+    elif exact:
+        return [index for index, value in enumerate(values) if value is True]
+    return list(itertools.compress(range(n), values))
 
 
 def compile_projection(
@@ -660,7 +763,8 @@ def compile_group_kernels(
     ``group_by`` and ``aggregate_args`` are expression strings in the
     SQL dialect (the :class:`~repro.storlets.agg_storlet.AggregationSpec`
     wire format); an aggregate argument of ``"*"`` means COUNT(*)-style
-    input and lowers to a constant-one vector.  Returns
+    input and has ``None`` for its kernel
+    (:meth:`repro.sql.grouping.GroupTable.add_batch`'s convention).  Returns
     ``(key_kernels, input_kernels)`` when *every* expression compiles
     (same totality proof as :func:`compile_expression`), else ``None``
     so the caller stays on the row path.  Shared by the aggregating
@@ -675,10 +779,10 @@ def compile_group_kernels(
         if kernel is None:
             return None
         key_kernels.append(kernel)
-    input_kernels: List[VectorKernel] = []
+    input_kernels: List[Optional[VectorKernel]] = []
     for text in aggregate_args:
         if text.strip() == "*":
-            input_kernels.append(lambda cols, n: [1] * n)
+            input_kernels.append(None)
             continue
         kernel = compile_expression(parse_expression(text), schema)
         if kernel is None:

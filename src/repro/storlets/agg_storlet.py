@@ -17,8 +17,9 @@ this moves orders of magnitude less data than even filter pushdown.
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.csvscan import CsvScan
 from repro.sql.filters import filters_from_json
@@ -129,72 +130,49 @@ def tagged_partial_aggregate(
     A group either aggregates fully or spills fully within one input
     stream: the table fills in first-seen order, so a key seen before
     the table filled keeps accumulating while a key first seen after
-    spills every one of its rows.  Key and aggregate-input expressions
-    are evaluated through compile-once batch kernels
-    (:func:`repro.sql.kernels.compile_group_kernels`) when every
-    expression provably lowers, else row by row -- both produce
-    value-identical streams.
+    spills every one of its rows.  Rows are taken ``batch_rows`` at a
+    time: key and aggregate-input vectors come from compile-once batch
+    kernels (:func:`repro.sql.kernels.compile_group_kernels`) when every
+    expression provably lowers, else from the bound expressions row by
+    row, and :class:`repro.sql.grouping.GroupTable` -- the batch
+    executor's table, bounded here -- accumulates them a group at a
+    time.  The stream is the one feeding every row to its group's
+    accumulators in turn would produce.
     """
+    from repro.sql.grouping import GroupTable
     from repro.sql.kernels import compile_group_kernels
 
     compiled = compile_group_kernels(
         spec.group_by, [arg for _name, arg in spec.aggregates], schema
     )
-    groups: Dict[Tuple, List[Accumulator]] = {}
-    first_seen: Dict[Tuple, int] = {}
-    ordinal = 0
-
-    def feed(key: Tuple, values: List[Any], row: Tuple):
-        nonlocal ordinal
-        accumulators = groups.get(key)
-        record = None
-        if accumulators is None:
-            if len(groups) >= max_groups:
-                record = ("r", ordinal, tuple(row))
-            else:
-                accumulators = groups[key] = spec.accumulators()
-                first_seen[key] = ordinal
-        if accumulators is not None:
-            for accumulator, value in zip(accumulators, values):
-                accumulator.add(value)
-        ordinal += 1
-        return record
-
     if compiled is None:
         key_evals, input_evals = spec.bind(schema)
-        for row in rows:
-            key = tuple(evaluate(row) for evaluate in key_evals)
-            values = [evaluate(row) for evaluate in input_evals]
-            record = feed(key, values, row)
-            if record is not None:
-                yield record
     else:
         key_kernels, input_kernels = compiled
-        batch: List[Tuple] = []
-        rows_iter = iter(rows)
-        while True:
-            batch.clear()
-            for row in rows_iter:
-                batch.append(tuple(row))
-                if len(batch) >= batch_rows:
-                    break
-            if not batch:
-                break
-            n = len(batch)
+    table = GroupTable(spec.accumulators, max_groups)
+    rows_iter = iter(rows)
+    while batch := [tuple(row) for row in itertools.islice(rows_iter, batch_rows)]:
+        n = len(batch)
+        if compiled is None:
+            key_vectors = [[evaluate(row) for row in batch] for evaluate in key_evals]
+            input_vectors = [
+                [evaluate(row) for row in batch] for evaluate in input_evals
+            ]
+        else:
             columns = list(zip(*batch))
             key_vectors = [kernel(columns, n) for kernel in key_kernels]
-            input_vectors = [kernel(columns, n) for kernel in input_kernels]
-            for i in range(n):
-                key = tuple(vector[i] for vector in key_vectors)
-                values = [vector[i] for vector in input_vectors]
-                record = feed(key, values, batch[i])
-                if record is not None:
-                    yield record
+            input_vectors = [
+                None if kernel is None else kernel(columns, n)
+                for kernel in input_kernels
+            ]
+        first = table.rows
+        for position in table.add_batch(key_vectors, input_vectors, n):
+            yield ("r", first + position, batch[position])
 
-    for key, accumulators in groups.items():
+    for key, accumulators in table.groups.items():
         yield (
             "p",
-            first_seen[key],
+            table.first_seen[key],
             key,
             tuple(accumulator.state() for accumulator in accumulators),
         )

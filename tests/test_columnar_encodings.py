@@ -297,8 +297,11 @@ class TestDictColumn:
         shipped = decode_column(segment, STRING, 5)
         assert shipped.entries == ["b", "d"] and shipped.codes == bytes([1, 0, 1, 1, 0])
         (batch,) = decode_block_stream([block])
-        # The client boundary: plain lists from here on.
-        assert [type(c) for c in batch.columns] == [list, list]
+        # Still coded past the block decoder: cells expand where rows leave.
+        coded, other = batch.columns
+        assert isinstance(coded, DictColumn) and type(other) is list
+        assert (coded.entries, coded.codes) == (shipped.entries, shipped.codes)
+        assert list(coded) == list("dbddb")
         assert batch.rows == tuple(zip("dbddb", plain))
 
     @pytest.mark.parametrize(
@@ -309,7 +312,12 @@ class TestDictColumn:
         schema = METER_SCHEMA.select(["city"])
         block = encode_block(ColumnBatch(schema, [column], len(codes)))
         (batch,) = decode_block_stream([block])
-        assert batch.columns == [list(column)]
+        (decoded,) = batch.columns
+        # NULLs travel in the bitmap, so only a NULL-free block comes
+        # back coded; either way the cells are the column's.
+        assert isinstance(decoded, DictColumn) == (codes == bytes([0, 1]))
+        assert list(decoded) == list(column)
+        assert batch.rows == tuple((cell,) for cell in column)
 
 
 # -- the storlet on the encoded form -------------------------------------------

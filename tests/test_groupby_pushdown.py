@@ -25,6 +25,7 @@ from repro.core.agg_pushdown import (
     plan_aggregation_pushdown,
 )
 from repro.faults import NAMED_PLANS, named_plan
+from repro.sql.executor import execute_query
 from repro.sql.parser import parse_query
 from repro.sql.types import Schema
 from repro.storlets.agg_storlet import tagged_partial_aggregate
@@ -380,26 +381,36 @@ def test_merge_equals_oracle_under_random_splits(
 EXACT_SCHEMA = Schema.of("vid", "n:int", "x:float")
 
 #: ``vid`` -> its ``(n, x)`` rows, and the pinned ``SUM(n), AVG(n),
-#: SUM(x), AVG(x)`` (as ``repr``: NaN is not ``==`` itself).  ``big`` is
-#: the AVG(INT) case a float accumulator answers 4503599627370496.0 for
-#: in row order, and whose 1 024 x 0.1 drifts when added one by one.
+#: SUM(x), AVG(x), MIN(x), MAX(x)`` (as ``repr``: NaN is not ``==``
+#: itself).  ``big`` is the AVG(INT) case a float accumulator answers
+#: 4503599627370496.0 for in row order, and whose 1 024 x 0.1 drifts
+#: when added one by one.  MIN / MAX follow Spark's total order (NaN
+#: above every number, NULL ignored): ``nan`` and ``order`` are the
+#: cases ``<`` against NaN answers by where the NaN sits.
 EXACT_GROUPS = {
     "big": (
         [(2**62, 0.1)] + [(255, 0.1)] * 1023,
-        "(4611686018427648769, 4503599627370751.0, 102.4, 0.1)",
+        "(4611686018427648769, 4503599627370751.0, 102.4, 0.1, 0.1, 0.1)",
     ),
-    "nan": ([(1, math.nan), (2, 1.0)], "(3, 1.5, nan, nan)"),
-    "inf": ([(1, math.inf), (2, 1.0)], "(3, 1.5, inf, inf)"),
-    "both": ([(1, math.inf), (2, -math.inf)], "(3, 1.5, nan, nan)"),
-    "over": ([(1, 1e308), (2, 1e308)], "(3, 1.5, inf, inf)"),
+    "nan": ([(1, math.nan), (2, 1.0)], "(3, 1.5, nan, nan, 1.0, nan)"),
+    "inf": ([(1, math.inf), (2, 1.0)], "(3, 1.5, inf, inf, 1.0, inf)"),
+    "both": ([(1, math.inf), (2, -math.inf)], "(3, 1.5, nan, nan, -inf, inf)"),
+    "over": ([(1, 1e308), (2, 1e308)], "(3, 1.5, inf, inf, 1e+308, 1e+308)"),
     "back": (
         [(1, 1e308), (2, 1e308), (3, -1e308)],
-        "(6, 2.0, 1e+308, 3.333333333333333e+307)",
+        "(6, 2.0, 1e+308, 3.333333333333333e+307, -1e+308, 1e+308)",
     ),
-    "zero": ([(None, -0.0), (None, -0.0)], "(None, None, 0.0, 0.0)"),
-    "null": ([(None, None)], "(None, None, None, None)"),
+    "zero": ([(None, -0.0), (None, -0.0)], "(None, None, 0.0, 0.0, -0.0, -0.0)"),
+    "null": ([(None, None)], "(None, None, None, None, None, None)"),
+    "order": (
+        [(5, 5.0), (None, math.nan), (1, 1.0)],
+        "(6, 3.0, nan, nan, 1.0, nan)",
+    ),
 }
-EXACT_SQL = "SELECT vid, SUM(n), AVG(n), SUM(x), AVG(x) FROM e GROUP BY vid"
+EXACT_SQL = (
+    "SELECT vid, SUM(n), AVG(n), SUM(x), AVG(x), MIN(x), MAX(x) "
+    "FROM e GROUP BY vid"
+)
 
 
 @pytest.mark.parametrize("parallelism", [1, 8])
@@ -425,7 +436,12 @@ def test_pinned_sums_on_every_path(table_format, agg_pushdown, parallelism):
         agg_pushdown=agg_pushdown,
     )
     frame, report = ctx.run_query(EXACT_SQL)
-    assert {row[0]: repr(row[1:]) for row in frame.collect()} == {
-        vid: pinned for vid, (_rows, pinned) in EXACT_GROUPS.items()
-    }
+    pinned = {vid: answer for vid, (_rows, answer) in EXACT_GROUPS.items()}
+    assert {row[0]: repr(row[1:]) for row in frame.collect()} == pinned
     assert (report.pushdown_requests > 0) == agg_pushdown
+    # And the row executor, over the rows of the same table.
+    scan = ctx.session.relation("e").build_scan()
+    _schema, rows = execute_query(
+        EXACT_SQL, EXACT_SCHEMA, ctx.spark_context.iter_rows(scan)
+    )
+    assert {row[0]: repr(row[1:]) for row in rows} == pinned
