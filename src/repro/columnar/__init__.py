@@ -9,7 +9,7 @@ over footer statistics (:mod:`repro.columnar.pruning`).  The compute
 half -- compile-once batch kernels -- lives in :mod:`repro.sql.kernels`.
 """
 
-from repro.columnar.batch import ColumnBatch, DictColumn
+from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn
 from repro.columnar.layout import (
     MAGIC,
     BlockStreamDecoder,
@@ -46,6 +46,7 @@ __all__ = [
     "BlockStreamDecoder",
     "ColumnBatch",
     "DictColumn",
+    "PackedColumn",
     "ColumnarFooter",
     "SegmentMeta",
     "StripeMeta",

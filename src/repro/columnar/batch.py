@@ -10,7 +10,8 @@ The scheduler treats batches as opaque -- it only ever takes
 ``len(batch)``, and ``batch.slice`` when a retry resumes inside a batch
 it had partly emitted -- so a ``ColumnBatch`` flows through
 ``iter_batches`` as it is, dictionary-coded columns
-(:class:`DictColumn`) still coded.  Rows exist only where they leave:
+(:class:`DictColumn`) still coded and fixed-width ones
+(:class:`PackedColumn`) still packed.  Rows exist only where they leave:
 ``rows`` transposes on first access, for row-oriented consumers and
 for the operators above the kernel pipeline.
 """
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
 from collections.abc import Sequence as SequenceABC
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sql.types import Schema
 
@@ -30,10 +32,10 @@ class DictColumn(SequenceABC):
 
     The carrier a decoded RCF1 dictionary segment travels in while the
     work can stay on the codes: a filter is evaluated once per entry and
-    mapped over ``codes`` (:meth:`translate`), rows are gathered by
-    compressing or indexing ``codes`` (:func:`compress_column`,
-    :func:`take_column`), a storlet block ships entries + codes without
-    expanding either, and the hash aggregate buckets rows by code.
+    mapped over ``codes`` (:meth:`translate`), rows are gathered from
+    ``codes`` alone (:func:`compress_columns`, :func:`take_column`), a
+    storlet block ships entries + codes without expanding either, and
+    the hash aggregate buckets rows by code.
     ``codes`` is a ``bytes`` of one code per row, so at most 256
     entries.  A decoded segment's entries are distinct and ``None`` (the
     NULL cell), when present, is the last; a kernel that maps a column
@@ -65,26 +67,125 @@ class DictColumn(SequenceABC):
         return self.codes.translate(bytes(flags).ljust(256, b"\0"))
 
 
+class PackedColumn(SequenceABC):
+    """A NULL-free fixed-width column vector, still packed: row ``i``
+    is ``base + view[i]``.
+
+    The carrier a decoded RCF1 int64, float64 or narrow-int segment
+    travels in: ``view`` is a ``memoryview`` cast (``q`` / ``d``, or the
+    narrow-int offsets as ``B`` / ``H`` / ``I``) over the segment's own
+    payload bytes and ``base`` the narrow-int base (0 otherwise), so
+    decoding copies nothing, a slice is O(1), a filter can work on the
+    bytes and a storlet block ships ``view[a:b].tobytes()``.  The view
+    is always contiguous and never over a buffer that can be resized.
+    Reads like any other column vector, so code that does not know the
+    carrier still sees the right cells -- but cells are boxed when they
+    are read, all of them at once by :meth:`tolist` and iteration:
+    iterate, never index per row.
+    """
+
+    __slots__ = ("view", "base")
+
+    def __init__(self, view: memoryview, base: int = 0):
+        self.view = view
+        self.base = base
+
+    def __len__(self) -> int:
+        return len(self.view)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = self.view[index]
+            if not view.contiguous:  # a stepped slice: repack it
+                view = memoryview(view.tobytes()).cast(view.format)
+            return PackedColumn(view, self.base)
+        return self.view[index] + self.base if self.base else self.view[index]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.tolist())
+
+    def unpacked(self, cells: Sequence[Any]) -> Sequence[Any]:
+        """The values of ``cells`` read from ``view``: narrow-int offsets
+        get the base added, in one comprehension (a third faster than
+        mapping ``base.__add__`` over them)."""
+        if self.base:
+            base = self.base
+            return [base + cell for cell in cells]
+        return cells
+
+    def tolist(self) -> List[Any]:
+        """The cells as a plain vector: one C-level unpacking pass."""
+        return self.unpacked(self.view.tolist())
+
+    def count(self, value: Any) -> int:
+        """Occurrences of ``value``; a packed column holds no NULL."""
+        return 0 if value is None else super().count(value)
+
+
 def materialize(column: Sequence[Any]) -> Sequence[Any]:
-    """``column`` as a plain vector (a no-op unless dictionary-coded)."""
+    """``column`` as a plain vector (a no-op unless it is a carrier)."""
+    if isinstance(column, PackedColumn):
+        return column.tolist()
     return list(column) if isinstance(column, DictColumn) else column
 
 
-def compress_column(column: Sequence[Any], mask: bytes) -> Sequence[Any]:
-    """The rows of ``column`` whose ``mask`` byte is set, in order; a
-    dictionary-coded column stays coded (only its codes are gathered)."""
-    if isinstance(column, DictColumn):
-        return DictColumn(
-            column.entries, bytes(itertools.compress(column.codes, mask))
-        )
-    return list(itertools.compress(column, mask))
+#: ``mask.translate(_DROPPED)``: 0xFF where the mask drops the row.
+_DROPPED = b"\xff\x00" + bytes(254)
+
+
+def compress_columns(
+    columns: Sequence[Sequence[Any]],
+    mask: bytes,
+    tally: Optional[Dict[str, int]] = None,
+) -> List[Sequence[Any]]:
+    """The rows of each of ``columns`` whose ``mask`` byte is set, in
+    order; a carrier stays a carrier (only its codes / packed cells are
+    gathered).
+
+    Two gathers, and ``tally`` (when given) counts the columns by which
+    one ran.  A dictionary-coded column of fewer than 256 entries is
+    gathered by ``mark_delete`` (the dropped rows' codes set to 0xFF
+    with one big-int ``|``, then deleted with ``translate``) and
+    everything else with ``itertools.compress`` -- over a packed column
+    one boxed pass (``struct.pack`` of the kept cells), the gather that
+    still pays for every row.
+    """
+    kept = mask.count(1)
+    dropped: Optional[int] = None  # the mask's 0xFF marks, made on first use
+    gathered: List[Sequence[Any]] = []
+    for column in columns:
+        kind = "compress"
+        if isinstance(column, DictColumn):
+            if len(column.entries) < 256:
+                kind = "mark_delete"
+                if dropped is None:
+                    dropped = int.from_bytes(mask.translate(_DROPPED), "little")
+                marked = int.from_bytes(column.codes, "little") | dropped
+                codes = marked.to_bytes(len(mask), "little").translate(None, b"\xff")
+            else:
+                codes = bytes(itertools.compress(column.codes, mask))
+            column = DictColumn(column.entries, codes)
+        elif isinstance(column, PackedColumn):
+            code = column.view.format
+            raw = struct.pack(f"<{kept}{code}", *itertools.compress(column.view, mask))
+            column = PackedColumn(memoryview(raw).cast(code), column.base)
+        else:
+            column = list(itertools.compress(column, mask))
+        if tally is not None:
+            tally[kind] = tally.get(kind, 0) + 1
+        gathered.append(column)
+    return gathered
 
 
 def take_column(column: Sequence[Any], indices: Sequence[int]) -> Sequence[Any]:
-    """The cells of ``column`` at ``indices``, in that order; a
-    dictionary-coded column stays coded (only its codes are gathered)."""
+    """The cells of ``column`` at ``indices``, in that order.  A
+    dictionary-coded column stays coded (only its codes are gathered); a
+    packed one has just the picked cells boxed and comes back plain --
+    nothing after a take works on the bytes."""
     if isinstance(column, DictColumn):
         return DictColumn(column.entries, bytes(take_column(column.codes, indices)))
+    if isinstance(column, PackedColumn):
+        return column.unpacked(take_column(column.view, indices))
     if len(indices) > 1:
         return operator.itemgetter(*indices)(column)
     return tuple(column[index] for index in indices)

@@ -22,7 +22,10 @@ values in first-appearance order as a nested plain segment, then one
 u8/u16 code per value) and *narrow int* (an int64 base, then unsigned
 1/2/4-byte offsets).  A decoded dictionary segment stays coded
 (:class:`~repro.columnar.batch.DictColumn`) until a plain vector is
-asked for, so filters run once per dictionary entry.
+asked for, so filters run once per dictionary entry; a decoded NULL-free
+int64, float64 or narrow-int segment stays packed
+(:class:`~repro.columnar.batch.PackedColumn`: a typed view of the
+segment's own payload bytes), so a storlet block ships a slice of it.
 
 The module also defines the *block stream* codec: the length-prefixed
 batch framing a columnar storlet uses to ship filtered
@@ -36,10 +39,11 @@ import bisect
 import itertools
 import json
 import struct
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.columnar.batch import ColumnBatch, DictColumn, materialize
+from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn, materialize
 from repro.columnar.stats import column_bounds
 from repro.sql.types import DataType, Schema
 
@@ -65,6 +69,11 @@ ENCODING_NAMES = {
 
 #: Narrow-int offset widths in bytes and their ``struct`` codes.
 _NARROW_WIDTHS = {1: "B", 2: "H", 4: "I"}
+
+#: RCF1 is little-endian and ``memoryview.cast`` native-endian: only on
+#: a little-endian host are a fixed-width payload's bytes a packed
+#: column as they stand.  Elsewhere they decode into a list.
+_LITTLE_ENDIAN_HOST = sys.byteorder == "little"
 
 # MAGIC prefix + 8-ASCII footer length + trailing MAGIC.
 _FRAME_OVERHEAD = len(MAGIC) + 8 + len(MAGIC)
@@ -352,14 +361,33 @@ def _bad_length(what: str) -> ValueError:
     return ValueError(f"RCF1 segment: {what} payload has the wrong length")
 
 
-def _decode_plain(tag: int, payload: bytes, dtype: DataType, present: int) -> List[Any]:
-    """The ``present`` values of a plain payload; the payload must be
-    exactly as long as they take."""
-    if tag == ENC_INT64 or tag == ENC_FLOAT64:
+def _decode_fixed(tag: int, payload: memoryview, present: int) -> Sequence[Any]:
+    """The ``present`` values of an int64, float64 or narrow-int
+    payload, which must be exactly as long as they take: a
+    :class:`~repro.columnar.batch.PackedColumn` over ``payload`` itself
+    (nothing is copied or unpacked), or a list where the host's byte
+    order is not the format's."""
+    if tag == ENC_NARROW_INT:
+        code = _NARROW_WIDTHS.get(payload[0]) if len(payload) else None
+        if code is None:
+            raise ValueError("RCF1 segment: unknown narrow-int offset width")
+        if len(payload) != 9 + present * payload[0]:
+            raise _bad_length("narrow-int")
+        (base,) = struct.unpack_from("<q", payload, 1)
+        payload = payload[9:]
+    else:
         if len(payload) != 8 * present:
-            raise _bad_length("int64" if tag == ENC_INT64 else "float64")
-        code = "q" if tag == ENC_INT64 else "d"
-        return list(struct.unpack(f"<{present}{code}", payload))
+            raise _bad_length(ENCODING_NAMES[tag])
+        code, base = "q" if tag == ENC_INT64 else "d", 0
+    if _LITTLE_ENDIAN_HOST:
+        return PackedColumn(payload.cast(code), base)
+    cells = struct.unpack(f"<{present}{code}", payload)
+    return list(map(base.__add__, cells)) if base else list(cells)
+
+
+def _decode_plain(tag: int, payload: bytes, dtype: DataType, present: int) -> List[Any]:
+    """The ``present`` values of a bool or text payload; the payload
+    must be exactly as long as they take."""
     if tag == ENC_BOOL:
         if len(payload) != (present + 7) // 8:
             raise _bad_length("bool")
@@ -407,7 +435,11 @@ def _decode_dictionary(
     bitmap_end = 6 + (count + 7) // 8
     if codes_at < bitmap_end or any(payload[6:bitmap_end]):
         raise _bad_length("dictionary")
-    entries = _decode_plain(payload[5], payload[bitmap_end:codes_at], dtype, count)
+    if payload[5] in (ENC_INT64, ENC_FLOAT64):
+        nested = memoryview(payload)[bitmap_end:codes_at]
+        entries = materialize(_decode_fixed(payload[5], nested, count))
+    else:
+        entries = _decode_plain(payload[5], payload[bitmap_end:codes_at], dtype, count)
     codes: Sequence[int] = payload[codes_at:]
     if width == 2:
         codes = struct.unpack(f"<{present}H", codes)
@@ -417,18 +449,6 @@ def _decode_dictionary(
     if stray:
         raise ValueError("RCF1 segment: dictionary code beyond the dictionary")
     return entries, codes
-
-
-def _decode_narrow(payload: bytes, present: int) -> List[int]:
-    """The values of a narrow-int payload (base + unsigned offsets)."""
-    code = _NARROW_WIDTHS.get(payload[0]) if payload else None
-    if code is None:
-        raise ValueError("RCF1 segment: unknown narrow-int offset width")
-    if len(payload) != 9 + present * payload[0]:
-        raise _bad_length("narrow-int")
-    (base,) = struct.unpack_from("<q", payload, 1)
-    offsets = struct.unpack_from(f"<{present}{code}", payload, 9)
-    return [base + offset for offset in offsets] if base else list(offsets)
 
 
 def _scatter(values: Iterable[Any], bitmap: bytes, rows: int, null: Any) -> List[Any]:
@@ -443,33 +463,37 @@ def decode_column(data: bytes, dtype: DataType, rows: int) -> Sequence[Any]:
     """Decode one segment into a column vector of length ``rows``.
 
     A dictionary segment of at most 256 entries (NULL included) comes
-    back as a :class:`~repro.columnar.batch.DictColumn`, still coded;
+    back as a :class:`~repro.columnar.batch.DictColumn`, still coded; a
+    NULL-free int64, float64 or narrow-int segment as a
+    :class:`~repro.columnar.batch.PackedColumn` over ``data`` itself;
     everything else as a plain list.  A segment that is not exactly as
     long as its encoding says -- torn, or with bytes appended -- raises
     ``ValueError``.
     """
+    if type(data) is not bytes:
+        # A packed column must never alias a buffer that can be resized.
+        data = bytes(data)
     bitmap_len = (rows + 7) // 8
     if len(data) < 1 + bitmap_len:
         raise ValueError("RCF1 segment: shorter than its null bitmap")
     tag = data[0]
     bitmap = data[1 : 1 + bitmap_len]
-    payload = data[1 + bitmap_len :]
     nulls = int.from_bytes(bitmap, "little")
     if nulls >> rows:
         raise ValueError("RCF1 segment: null bitmap marks cells beyond the rows")
     present = rows - nulls.bit_count()
     if tag == ENC_DICT:
-        entries, codes = _decode_dictionary(payload, dtype, present)
+        entries, codes = _decode_dictionary(data[1 + bitmap_len :], dtype, present)
         if present != rows:
             codes = _scatter(codes, bitmap, rows, len(entries))
             entries.append(None)
         if len(entries) <= 256:
             return DictColumn(entries, bytes(codes))
         return list(map(entries.__getitem__, codes))
-    if tag == ENC_NARROW_INT:
-        values: List[Any] = _decode_narrow(payload, present)
+    if tag in (ENC_INT64, ENC_FLOAT64, ENC_NARROW_INT):
+        values = _decode_fixed(tag, memoryview(data)[1 + bitmap_len :], present)
     else:
-        values = _decode_plain(tag, payload, dtype, present)
+        values = _decode_plain(tag, data[1 + bitmap_len :], dtype, present)
     return values if present == rows else _scatter(values, bitmap, rows, None)
 
 
@@ -708,16 +732,34 @@ def iter_stripe_batches(
         yield decode_stripe(data, stripe, footer.schema, indices)
 
 
-def _encode_block_column(column: Sequence[Any], dtype: DataType) -> bytes:
-    """One block segment.  A dictionary-coded column ships still coded,
-    its dictionary compacted to the entries the block's rows use."""
-    if not isinstance(column, DictColumn):
-        return _encode_values(column, dtype)[0]
+def _carrier_segment(column: Sequence[Any], dtype: DataType) -> Optional[bytes]:
+    """One block segment cut from a carrier's own bytes; ``None`` when
+    ``column`` has no such form (a plain vector, or NULLs to put back
+    into a bitmap).  A packed column ships under the tag, width and base
+    it has; a dictionary-coded one still coded, its dictionary compacted
+    to the entries the block's rows use."""
+    if not isinstance(column, (PackedColumn, DictColumn)):
+        return None
+    bitmap = bytes((len(column) + 7) // 8)
+    if isinstance(column, PackedColumn):
+        view = column.view
+        if view.itemsize == 8:
+            head = bytes((ENC_INT64 if view.format == "q" else ENC_FLOAT64,)) + bitmap
+        else:
+            head = b"".join(
+                (
+                    bytes((ENC_NARROW_INT,)),
+                    bitmap,
+                    bytes((view.itemsize,)),
+                    struct.pack("<q", column.base),
+                )
+            )
+        return head + view.tobytes()
     codes = column.codes
     used = sorted(set(codes))
     entries = [column.entries[code] for code in used]
-    if not used or entries[-1] is None:  # NULLs go back into a bitmap
-        return _encode_values(list(column), dtype)[0]
+    if not used or entries[-1] is None:
+        return None
     if len(used) != len(column.entries):
         renumber = bytearray(256)
         for new, old in enumerate(used):
@@ -725,25 +767,60 @@ def _encode_block_column(column: Sequence[Any], dtype: DataType) -> bytes:
         codes = codes.translate(renumber)
     return (
         bytes((ENC_DICT,))
-        + bytes((len(codes) + 7) // 8)
+        + bitmap
         + _dictionary_body(len(entries), _plain_payload(entries, dtype), codes)
     )
 
 
-def encode_block(batch: ColumnBatch) -> bytes:
+def settle_column(column: Sequence[Any]) -> Sequence[Any]:
+    """A column gathered from part of a stripe, in the form its blocks
+    ship in -- decided here, once, for however many blocks follow.
+
+    A packed column stays as it is while that is what the size rule
+    (:func:`_encode_values`) would make of the gathered values, its
+    dictionary candidate aside (the stripe's writer already found the
+    column not worth one): float64 always, integers as long as their
+    span still needs the offset width they have.  Otherwise -- a
+    narrower width holds now, or so few rows are left that plain int64
+    is no larger -- it goes back to a list, and with it to
+    :func:`_encode_values` per block.  Other columns pass through.
+    """
+    if not isinstance(column, PackedColumn) or column.view.format == "d" or not len(column):
+        return column
+    cells = column.view.tolist()
+    n = len(cells)
+    span = max(cells) - min(cells)
+    width = next((w for w in _NARROW_WIDTHS if span < 1 << 8 * w), 8)
+    if 9 + n * width >= 8 * n:  # offsets that narrow would not be smaller
+        width = 8
+    return column if width == column.view.itemsize else column.tolist()
+
+
+def encode_block(
+    batch: ColumnBatch,
+    shipped: Optional[Dict[str, int]] = None,
+    carried: str = "verbatim",
+) -> bytes:
     """Frame one batch for the storlet response block stream.
 
     Layout: ``u32 header length | header JSON | segments``, where the
     header carries the batch schema, row count and per-segment lengths
     -- self-describing, so the reader needs no footer.  Segments are
-    RCF1 segments: a plain vector gets the encoding
-    :func:`encode_segment` would choose, a
-    :class:`~repro.columnar.batch.DictColumn` stays a dictionary.
+    RCF1 segments: a carrier ships a slice of its own bytes
+    (:func:`_carrier_segment`), a plain vector gets the encoding
+    :func:`encode_segment` would choose.  ``shipped`` (when given)
+    counts the columns by which of the two happened: under ``carried``
+    -- the caller's word for what it did to the carriers it hands over
+    -- or under ``reencoded``.
     """
-    segments = [
-        _encode_block_column(vector, fld.dtype)
-        for fld, vector in zip(batch.schema.fields, batch.columns)
-    ]
+    segments = []
+    for fld, vector in zip(batch.schema.fields, batch.columns):
+        data, how = _carrier_segment(vector, fld.dtype), carried
+        if data is None:
+            data, how = _encode_values(materialize(vector), fld.dtype)[0], "reencoded"
+        if shipped is not None:
+            shipped[how] = shipped.get(how, 0) + 1
+        segments.append(data)
     header = json.dumps(
         {
             "schema": batch.schema.to_header(),
@@ -764,13 +841,20 @@ class BlockStreamDecoder:
     stream was truncated mid-block, which raises ``ValueError`` so a
     cut-short storlet response cannot silently pass for a complete one.
     A batch keeps its columns as :func:`decode_column` returns them, so
-    a dictionary segment the storlet shipped coded reaches the kernels
-    and the hash aggregate still coded; cells are expanded only where
-    rows leave (:attr:`~repro.columnar.batch.ColumnBatch.rows`).
+    a segment the storlet shipped coded or packed reaches the kernels
+    and the hash aggregate as that carrier; cells are expanded only
+    where rows leave (:attr:`~repro.columnar.batch.ColumnBatch.rows`).
+    Each segment is copied out of the buffer before it is decoded: a
+    packed column is a view of the bytes it was decoded from, and the
+    buffer is resized under every block.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        #: The parsed header of the block at the head of the buffer,
+        #: where its segments start and where the block ends -- from the
+        #: chunk that completed the header until the block is consumed.
+        self._pending: Optional[Tuple[dict, int, int]] = None
 
     def push(self, chunk: bytes) -> List[ColumnBatch]:
         """Absorb one chunk; return every batch it completed (often [])."""
@@ -778,24 +862,27 @@ class BlockStreamDecoder:
         batches: List[ColumnBatch] = []
         buffer = self._buffer
         while True:
-            if len(buffer) < 4:
-                break
-            (header_len,) = struct.unpack_from("<I", buffer, 0)
-            if len(buffer) < 4 + header_len:
-                break
-            header = json.loads(bytes(buffer[4 : 4 + header_len]).decode("utf-8"))
-            total = 4 + header_len + sum(header["lens"])
+            if self._pending is None:
+                if len(buffer) < 4:
+                    break
+                (header_len,) = struct.unpack_from("<I", buffer, 0)
+                if len(buffer) < 4 + header_len:
+                    break
+                header = json.loads(bytes(buffer[4 : 4 + header_len]).decode("utf-8"))
+                offset = 4 + header_len
+                self._pending = header, offset, offset + sum(header["lens"])
+            header, offset, total = self._pending
             if len(buffer) < total:
                 break
             schema = Schema.from_header(header["schema"])
             rows = header["rows"]
             vectors = []
-            offset = 4 + header_len
             for fld, length in zip(schema.fields, header["lens"]):
                 segment = bytes(buffer[offset : offset + length])
                 vectors.append(decode_column(segment, fld.dtype, rows))
                 offset += length
             del buffer[:total]
+            self._pending = None
             batches.append(ColumnBatch(schema, vectors, rows))
         return batches
 

@@ -31,7 +31,10 @@ Two compilers live here:
   Source-filter evaluation is total by contract (NULL never matches,
   incomparable never matches), so this compiler always succeeds and is
   what the columnar storlet runs next to the data -- once per
-  dictionary entry where a column is dictionary-coded.
+  dictionary entry where a column is dictionary-coded, and a numeric
+  comparison without a Python frame per row: on the byte planes of a
+  packed narrow-int column (:class:`~repro.columnar.batch.PackedColumn`),
+  in one C-level pass over any other vector.
   :func:`compile_filters` is its index-list view.
 
 Kernel calling convention: ``kernel(columns, n) -> vector`` where
@@ -44,9 +47,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.columnar.batch import DictColumn, compress_column, take_column
+from repro.columnar.batch import DictColumn, PackedColumn, compress_columns, take_column
 from repro.obs.metrics import get_registry
 from repro.sql.catalyst import split_conjuncts
 from repro.sql.errors import SqlAnalysisError
@@ -68,9 +72,14 @@ from repro.sql.expressions import (
 )
 from repro.sql.filters import (
     And,
+    EqualTo,
     Filter,
+    GreaterThan,
+    GreaterThanOrEqual,
     In,
     IsNotNull,
+    LessThan,
+    LessThanOrEqual,
     LikePattern,
     Not,
     Or,
@@ -651,6 +660,92 @@ def _combine(op: Callable[[int, int], int], left: MaskKernel, right: MaskKernel)
 #: ``mask.translate(_FLIP)`` negates a 0/1 byte mask.
 _FLIP = bytes((1, 0)) + bytes(254)
 
+#: Comparison filter -> ``cell <op> value`` as ``judge(value, cell)``
+#: (the mirrored operator, so the literal binds first and
+#: ``functools.partial`` makes a C-level callable of the cell alone).
+_JUDGES: Dict[type, Callable[[Any, Any], bool]] = {
+    EqualTo: operator.eq,
+    LessThan: operator.gt,
+    LessThanOrEqual: operator.ge,
+    GreaterThan: operator.lt,
+    GreaterThanOrEqual: operator.le,
+}
+
+
+def _plane_mask(column: PackedColumn, kind: type, value: int) -> bytes:
+    """``cell <kind> value`` over a packed narrow-int column, judged on
+    the byte planes of its offsets (ByteSlice).
+
+    Plane ``j`` is byte ``j`` of every offset, ``payload[j::width]``.
+    Every ordered comparison is ``offset < bound`` or its negation, and
+    that is decided by the most significant plane where an offset
+    differs from ``bound``: each plane is mapped through two 256-entry
+    tables (its byte below / equal to the bound's) and the verdicts are
+    folded, least significant plane first, as big integers.  A bound
+    outside what the offset width can hold needs no plane at all.
+    """
+    view = column.view
+    n, width = len(view), view.itemsize
+    bound = value - column.base
+    equal = kind is EqualTo
+    if kind in (LessThanOrEqual, GreaterThan):
+        bound += 1  # ``<= v`` is ``< v + 1``
+    if not 0 <= bound < 1 << 8 * width:
+        verdict = b"\x01" if bound > 0 and not equal else b"\x00"
+        mask = verdict * n
+    else:
+        raw = view.tobytes()
+        verdict = int.from_bytes(b"\x01" * n, "little") if equal else 0
+        for j, digit in enumerate(bound.to_bytes(width, "little")):
+            plane = raw[j::width]
+            same = plane.translate(bytes(digit) + b"\x01" + bytes(255 - digit))
+            same = int.from_bytes(same, "little")
+            if equal:
+                verdict &= same
+            else:
+                below = plane.translate(b"\x01" * digit + bytes(256 - digit))
+                verdict = int.from_bytes(below, "little") | (same & verdict)
+        mask = verdict.to_bytes(n, "little")
+    if kind in (GreaterThan, GreaterThanOrEqual):
+        return mask.translate(_FLIP)
+    return mask
+
+
+def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> MaskKernel:
+    """A comparison against an ``int`` or ``float`` as a mask kernel
+    that makes no Python call per row.
+
+    A packed narrow-int column against an ``int`` is judged on its byte
+    planes (:func:`_plane_mask`, tallied under ``planes``); any other
+    vector in one C-level pass, ``bytes(map(judge, cells))`` (``rows_c``)
+    -- which a NULL or an incomparable cell stops with ``TypeError``,
+    and the whole vector then goes to ``slow``, the guarded per-cell
+    check, as a dictionary-coded column does from the start.
+    """
+    kind, value = type(item), item.value
+    judge = functools.partial(_JUDGES[kind], value)
+
+    def kernel(cols: Columns, n: int, tally: Optional[Dict[str, int]]) -> bytes:
+        column = cols[index]
+        if isinstance(column, DictColumn):
+            return slow(cols, n, tally)
+        if (
+            type(value) is int
+            and isinstance(column, PackedColumn)
+            and column.view.itemsize < 8
+        ):
+            domain, mask = "planes", _plane_mask(column, kind, value)
+        else:
+            try:
+                domain, mask = "rows_c", bytes(map(judge, column))
+            except TypeError:
+                return slow(cols, n, tally)
+        if tally is not None:
+            tally[domain] = tally.get(domain, 0) + n
+        return mask
+
+    return kernel
+
 
 def _filter_mask(item: Filter, schema: Schema) -> MaskKernel:
     """Lower one source filter into a byte-mask kernel."""
@@ -690,9 +785,12 @@ def _filter_mask(item: Filter, schema: Schema) -> MaskKernel:
             ],
         )
     check = _guarded_check(item._comparer(), item.value)
-    return _cell_mask(
+    guarded = _cell_mask(
         index, lambda values: [c is not None and check(c) for c in values]
     )
+    if type(item) in _JUDGES and type(item.value) in (int, float):
+        return _comparison_mask(index, item, guarded)
+    return guarded
 
 
 class FilterMask:
@@ -702,9 +800,10 @@ class FilterMask:
     are total by contract (NULL never matches; incomparable values never
     match), so every shape lowers.  ``mask(columns, n)`` is a ``bytes``
     of ``n`` 0/1 flags, one per row; :meth:`select` gathers by it.  Both
-    take an optional ``tally`` mapping whose ``"dictionary"`` and
-    ``"rows"`` counts grow by the number of filter evaluations made over
-    dictionary entries and over row cells.
+    take an optional ``tally`` mapping whose counts grow by the filter
+    evaluations made, by domain: ``"dictionary"`` entries, rows judged
+    on byte ``"planes"``, rows judged in a C-level pass (``"rows_c"``)
+    and row cells judged one Python call each (``"rows"``).
     """
 
     def __init__(self, filters: Sequence[Filter], schema: Schema):
@@ -729,19 +828,22 @@ class FilterMask:
         n: int,
         keep: Sequence[int],
         tally: Optional[Dict[str, int]] = None,
+        gathers: Optional[Dict[str, int]] = None,
     ) -> Tuple[List[Sequence[Any]], int]:
         """The ``keep`` columns restricted to the passing rows, and how
-        many rows pass.  Columns are gathered with ``itertools.compress``
-        (:func:`~repro.columnar.batch.compress_column`), so a
-        dictionary-coded column stays coded; when every row passes the
-        input vectors are returned as they are."""
+        many rows pass.  Columns are gathered by
+        :func:`~repro.columnar.batch.compress_columns` (which counts
+        them in ``gathers``, by kind), so a carrier stays a carrier;
+        when every row passes the input vectors are returned as they
+        are."""
         mask = self.mask(columns, n, tally)
         kept = mask.count(1)
-        if kept == n:
-            return [columns[index] for index in keep], n
         if not kept:
             return [], 0
-        return [compress_column(columns[index], mask) for index in keep], kept
+        wanted = [columns[index] for index in keep]
+        if kept == n:
+            return wanted, n
+        return compress_columns(wanted, mask, gathers), kept
 
 
 def compile_filters(

@@ -9,11 +9,14 @@ Two storlets live here:
   through the byte stream, decodes **only the segments the query
   references** (projected columns plus filter columns), runs the
   compiled filter mask from :mod:`repro.sql.kernels` per stripe -- once
-  per dictionary entry over a dictionary-coded segment -- gathers the
-  surviving rows by that mask and emits them as a self-describing block
-  stream (:func:`repro.columnar.layout.encode_block`), dictionary-coded
-  columns still coded.  Non-referenced column segments are never even
-  decoded.
+  per dictionary entry over a dictionary-coded segment, on the byte
+  planes of a packed narrow-int one -- gathers the surviving rows by
+  that mask and emits them as a self-describing block stream
+  (:func:`repro.columnar.layout.encode_block`).  It moves bytes, not
+  cells: a segment is decoded into a carrier over its own bytes
+  (dictionary-coded or packed), the form a column ships in is settled
+  once per stripe, and a response block is a slice of it.
+  Non-referenced column segments are never even decoded.
 * :class:`CsvToColumnarStorlet` is the PUT-path ETL converter: it parses
   a CSV stream through :class:`repro.csvscan.CsvScan` -- so with the drop
   rule of every CSV scan path -- and re-encodes its column blocks as a
@@ -34,6 +37,7 @@ from repro.columnar.layout import (
     decode_column,
     encode_block,
     encode_column_stream,
+    settle_column,
 )
 from repro.csvscan import CsvScan
 from repro.sql.filters import filters_from_json
@@ -168,8 +172,16 @@ class ColumnarStorlet(IStorlet):
         rows_in = rows_out = 0
         #: Segments decoded, by the encoding their tag byte names.
         decoded: Counter = Counter()
-        #: Filter evaluations: over ``dictionary`` entries, over ``rows``.
+        #: Filter evaluations by domain: ``dictionary`` entries, rows on
+        #: byte ``planes``, rows in a C-level pass (``rows_c``), ``rows``
+        #: one Python call each.
         evaluations: Counter = Counter()
+        #: Column gathers: ``mark_delete``, ``compress``.
+        gathers: Counter = Counter()
+        #: Block columns shipped: cut from a carrier that is the decoded
+        #: segment (``verbatim``) or was gathered and ``settled``, or
+        #: ``reencoded`` from the block's values.
+        shipped: Counter = Counter()
 
         for stripe in stripes:
             rows = stripe["rows"]
@@ -183,18 +195,23 @@ class ColumnarStorlet(IStorlet):
                     data, schema.fields[index].dtype, rows
                 )
                 decoded[ENCODING_NAMES[data[0]]] += 1
-            # Filter and gather on the encoded form: a dictionary-coded
-            # column stays coded from the segment to the response block.
-            columns, rows = selection.select(vectors, rows, project, evaluations)
-            if not rows:
+            # Filter and gather on the encoded form: a carrier stays one
+            # from the segment to the response block.
+            columns, kept = selection.select(
+                vectors, rows, project, evaluations, gathers
+            )
+            if not kept:
                 continue
-            rows_out += rows
-            batch = ColumnBatch(out_schema, columns, rows)
-            if rows <= BLOCK_ROWS:
-                yield encode_block(batch)
-            else:
-                for start in range(0, rows, BLOCK_ROWS):
-                    yield encode_block(batch.slice(start, start + BLOCK_ROWS))
+            rows_out += kept
+            carried = "verbatim"
+            if kept < rows:
+                carried = "settled"
+                columns = [settle_column(column) for column in columns]
+            batch = ColumnBatch(out_schema, columns, kept)
+            for start in range(0, kept, BLOCK_ROWS):
+                yield encode_block(
+                    batch.slice(start, start + BLOCK_ROWS), shipped, carried
+                )
 
         metadata.update(
             {
@@ -202,13 +219,18 @@ class ColumnarStorlet(IStorlet):
                 "x-object-meta-storlet-rows-out": str(rows_out),
             }
         )
+        # Which path each column took: the same counts in the response
+        # metadata and the metrics registry.
         registry = get_registry()
-        for encoding, count in sorted(decoded.items()):
-            metadata[f"x-object-meta-storlet-segments-{encoding}"] = str(count)
-            registry.inc("storlets.segments_decoded", count, encoding=encoding)
-        for domain, count in sorted(evaluations.items()):
-            metadata[f"x-object-meta-storlet-filter-evals-{domain}"] = str(count)
-            registry.inc("storlets.filter_evaluations", count, domain=domain)
+        for series, header, label, counts in (
+            ("segments_decoded", "segments", "encoding", decoded),
+            ("filter_evaluations", "filter-evals", "domain", evaluations),
+            ("gathers", "gathers", "kind", gathers),
+            ("columns_shipped", "columns", "how", shipped),
+        ):
+            for key, count in sorted(counts.items()):
+                metadata[f"x-object-meta-storlet-{header}-{key}"] = str(count)
+                registry.inc(f"storlets.{series}", count, **{label: key})
         logger.emit(
             f"columnarstorlet: {rows_in} rows in, {rows_out} rows out"
         )

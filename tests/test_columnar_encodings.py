@@ -13,7 +13,13 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar.batch import ColumnBatch, DictColumn, compress_column, materialize
+from repro.columnar.batch import (
+    ColumnBatch,
+    DictColumn,
+    PackedColumn,
+    compress_columns,
+    materialize,
+)
 from repro.columnar.layout import (
     ENC_BOOL,
     ENC_DICT,
@@ -281,9 +287,9 @@ class TestDictColumn:
 
     def test_compress_gathers_codes_only(self):
         column = DictColumn(["a", "b"], bytes([0, 1, 1, 0]))
-        kept = compress_column(column, bytes([1, 0, 1, 0]))
+        (kept,) = compress_columns([column], bytes([1, 0, 1, 0]))
         assert kept.entries is column.entries and kept.codes == bytes([0, 1])
-        assert compress_column(["p", "q", "r", "s"], bytes([0, 1, 1, 0])) == ["q", "r"]
+        assert compress_columns([["p", "q", "r", "s"]], bytes([0, 1, 1, 0])) == [["q", "r"]]
 
     def test_a_block_ships_the_surviving_entries_still_coded(self):
         column = DictColumn(["a", "b", "c", "d"], bytes([3, 1, 3, 3, 1]))
@@ -297,9 +303,10 @@ class TestDictColumn:
         shipped = decode_column(segment, STRING, 5)
         assert shipped.entries == ["b", "d"] and shipped.codes == bytes([1, 0, 1, 1, 0])
         (batch,) = decode_block_stream([block])
-        # Still coded past the block decoder: cells expand where rows leave.
+        # Still carriers past the block decoder: cells expand where rows leave.
         coded, other = batch.columns
-        assert isinstance(coded, DictColumn) and type(other) is list
+        assert isinstance(coded, DictColumn) and isinstance(other, PackedColumn)
+        assert (other.view.format, other.base, list(other)) == ("B", 7, plain)
         assert (coded.entries, coded.codes) == (shipped.entries, shipped.codes)
         assert list(coded) == list("dbddb")
         assert batch.rows == tuple(zip("dbddb", plain))
@@ -415,7 +422,9 @@ class TestStorletCounters:
         body = _convert(csv_bytes)
         rows, metadata, footer = _scan(body, [LessThan("index", 1e18)], ["vid"])
         assert len(rows) == footer.rows
-        assert metadata["x-object-meta-storlet-filter-evals-rows"] == str(footer.rows)
+        # One C-level pass per stripe: no Python call per row.
+        assert metadata["x-object-meta-storlet-filter-evals-rows_c"] == str(footer.rows)
+        assert "x-object-meta-storlet-filter-evals-rows" not in metadata
         assert metadata["x-object-meta-storlet-segments-float64"] == str(len(footer.stripes))
 
     def test_the_registry_sees_the_same_counts(self):
@@ -435,6 +444,11 @@ class TestStorletCounters:
             4 * len(columnar.stripes)
             for columnar in relation.splits
         )
+        # The dictionary columns were gathered on their codes, and every
+        # block shipped its four columns one way or another.
+        assert registry.counter_value("storlets.gathers", kind="mark_delete") > 0
+        assert registry.counter_value("storlets.columns_shipped", how="verbatim") == 0
+        assert registry.counter_total("storlets.columns_shipped") % 4 == 0
 
 
 # -- objects written before the two encodings existed ----------------------------

@@ -9,11 +9,14 @@ caller falls back.  Hypothesis checks that contract against the same
 query/row generators the SQL fuzz suite uses.
 """
 
+import struct
+from array import array
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar.batch import ColumnBatch, DictColumn
+from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn
 from repro.sql import filters
 from repro.sql.catalyst import Optimizer, build_logical_plan
 from repro.sql.errors import SqlError
@@ -256,4 +259,137 @@ class TestFilterMaskOnDictionaryColumns:
         ]
         tally: dict = {}
         assert compiled.mask(columns, 4, tally) == bytes([0, 1, 0, 0])
+        assert tally == {"dictionary": 2, "rows_c": 4}
+        # A NULL stops the C-level pass: the vector is judged cell by cell.
+        columns[1] = [1, None, 3, 4]
+        tally = {}
+        assert compiled.mask(columns, 4, tally) == bytes(4)
         assert tally == {"dictionary": 2, "rows": 4}
+
+
+# -- comparisons without a Python frame per row ---------------------------------
+
+_COMPARISONS = [
+    filters.EqualTo, filters.LessThan, filters.LessThanOrEqual,
+    filters.GreaterThan, filters.GreaterThanOrEqual,
+]
+
+
+def _row_by_row(item, schema, index, cells):
+    """``Filter.to_predicate`` over ``cells`` as column ``index``."""
+    check = item.to_predicate(schema)
+    blank = [None] * len(schema)
+    return bytes(
+        bool(check(tuple(blank[:index] + [cell] + blank[index + 1 :])))
+        for cell in cells
+    )
+
+
+def _packed(cells, code, base=0):
+    """``cells`` as the packed column a decoded segment would be."""
+    raw = array(code, [cell - base for cell in cells]).tobytes()
+    return PackedColumn(memoryview(raw).cast(code), base)
+
+
+class TestComparisonMasks:
+    """The C-level pass and its guarded fallback give, byte for byte,
+    the mask of ``Filter.to_predicate`` applied row by row."""
+
+    #: name -> (column, cells, literal, the domain that judges it).
+    CASES = {
+        "plain ints": ("i", [4999, 5000, 5001, -7], 5000, "rows_c"),
+        "a NULL": ("i", [4999, None, 5001], 5000, "rows"),
+        "a str in an INT column": ("i", [4999, "5000", 5001], 5000, "rows"),
+        "NaN cells": ("f", [1.5, float("nan"), -0.0, float("inf")], 1.5, "rows_c"),
+        "a NaN literal": ("f", [1.5, float("nan"), 0.0], float("nan"), "rows_c"),
+        "True in an INT column": ("i", [0, True, 2, False], 1, "rows_c"),
+        "int cells, float literal": ("i", [4999, 5000, 5001], 4999.5, "rows_c"),
+        "float cells, int literal": ("f", [0.5, 1.0, 1.5], 1, "rows_c"),
+        "a literal beyond 2^63": ("i", [0, 2**63 - 1, -(2**63)], 2**63 + 5, "rows_c"),
+        "a literal beyond -2^63": ("i", [0, 2**63 - 1, -(2**63)], -(2**70), "rows_c"),
+        "ints beyond int64": ("i", [10**30, -(10**30), 5], 10**30, "rows_c"),
+        "no rows": ("i", [], 5, "rows_c"),
+        # Not an int or a float literal: the guarded loop, as before.
+        "a bool literal": ("i", [0, 1, 2], True, "rows"),
+        "a str literal": ("s", ["a", "b", None], "b", "rows"),
+    }
+
+    @pytest.mark.parametrize("kind", _COMPARISONS)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_mask_is_the_row_predicate(self, case, kind):
+        name, cells, literal, domain = self.CASES[case]
+        index = _FILTER_SCHEMA.index_of(name)
+        item = filters_from_json(filters_to_json([kind(name, literal)]))[0]
+        columns = [None] * 3
+        columns[index] = cells
+        tally: dict = {}
+        mask = FilterMask([item], _FILTER_SCHEMA).mask(columns, len(cells), tally)
+        assert mask == _row_by_row(item, _FILTER_SCHEMA, index, cells)
+        if kind is filters.EqualTo and domain == "rows" and type(literal) in (int, float):
+            domain = "rows_c"  # ``==`` never raises: no cell stops the pass
+        assert tally == {domain: len(cells)}
+        assert compile_filters([item], _FILTER_SCHEMA)(columns, len(cells)) == [
+            i for i, flag in enumerate(mask) if flag
+        ]
+
+    @pytest.mark.parametrize("kind", _COMPARISONS)
+    @pytest.mark.parametrize(
+        "code, base",
+        [("B", 0), ("B", -5), ("H", 2), ("H", 2**62 + 11), ("I", -(2**63)), ("I", 1000)],
+    )
+    def test_byte_planes_at_every_boundary(self, kind, code, base):
+        """A packed narrow-int column against an int literal: every
+        plane boundary, both ends of the offset range, and beyond."""
+        top = 1 << 8 * struct.calcsize(code)
+        edges = sorted(
+            {0, 1, 2, 254, 255, top - 2, top - 1}
+            | {k * step + d for step in (256, 65536, 1 << 24) for k in (1, 2, 255)
+               for d in (-1, 0, 1) if 0 <= k * step + d < top}
+        )
+        cells = [base + offset for offset in edges]
+        column = _packed(cells, code, base)
+        assert list(column) == cells
+        literals = [base + e for e in (-(2**64), -2, -1, top, top + 1, 2**64)] + cells
+        for literal in literals:
+            item = kind("i", literal)
+            tally: dict = {}
+            mask = FilterMask([item], _FILTER_SCHEMA).mask([None, column, None], len(cells), tally)
+            assert mask == _row_by_row(item, _FILTER_SCHEMA, 1, cells), (literal - base)
+            assert tally == {"planes": len(cells)}
+
+    @pytest.mark.parametrize("kind", _COMPARISONS)
+    def test_eight_byte_columns_and_float_literals_take_the_c_level_pass(self, kind):
+        ints = [-(2**63), -1, 0, 5, 2**63 - 1]
+        floats = [-0.0, 0.0, 1.5, float("nan"), float("-inf"), float("inf")]
+        for name, column, cells, literal in (
+            ("i", _packed(ints, "q"), ints, 5),
+            ("i", _packed(ints, "q"), ints, 4.5),
+            ("f", _packed(floats, "d"), floats, 1.5),
+            ("f", _packed(floats, "d"), floats, 0),
+            ("i", _packed([3, 4, 5, 260], "H", 3), [3, 4, 5, 260], 4.5),
+        ):
+            index = _FILTER_SCHEMA.index_of(name)
+            item = kind(name, literal)
+            columns = [None] * 3
+            columns[index] = column
+            tally: dict = {}
+            mask = FilterMask([item], _FILTER_SCHEMA).mask(columns, len(cells), tally)
+            assert mask == _row_by_row(item, _FILTER_SCHEMA, index, cells)
+            assert tally == {"rows_c": len(cells)}
+
+    def test_a_conjunction_mixes_the_domains(self):
+        compiled = FilterMask(
+            [
+                filters.And(filters.LessThan("i", 300), filters.GreaterThan("f", 0.5)),
+                filters.Not(filters.EqualTo("s", "Lyon")),
+            ],
+            _FILTER_SCHEMA,
+        )
+        columns = [
+            DictColumn(["Lyon", "Milan"], bytes([0, 1, 1, 1])),
+            _packed([7, 299, 300, 8], "H", 7),
+            [1.0, None, 2.0, 0.75],
+        ]
+        tally: dict = {}
+        assert compiled.mask(columns, 4, tally) == bytes([0, 0, 0, 1])
+        assert tally == {"planes": 4, "rows": 4, "dictionary": 2}
