@@ -10,7 +10,10 @@ keeps every fixed-width segment on the list path, as the CSV gate's
 quoted field keeps records off the block path -- must run at no more
 than half the rows/s, with ``==`` rows once the NULL rows are set aside
 -- so per-block re-encoding or a per-row comparison frame cannot quietly
-come back.
+come back.  And a count beside the speed: the packed scans' response
+bytes per shipped row stay under a stated budget and the storlet's
+``dict-entries`` is exactly what the stream-dictionary rule ships -- so
+neither can per-block dictionaries, bitmaps or self-describing headers.
 
     PYTHONPATH=src python -m pytest benchmarks/test_carrier_smoke.py -q -s
 """
@@ -44,6 +47,16 @@ SCANS = {
     "code < 5000": (["vid", "date", "index", "code"], [LessThan("code", 5000)]),
 }
 CODE, INDEX = METER_SCHEMA.index_of("code"), METER_SCHEMA.index_of("index")
+#: name -> response bytes a shipped row may cost.  Unfiltered: a 1 B
+#: city code + a 2 B code offset; filtered: 1 B vid + 1 B date codes +
+#: an 8 B index + a 2 B code offset.  On top, framing (a block header
+#: and each segment's opening, per <= 1 024 rows: < 0.05 B/row) and the
+#: dictionary entries, each once between restarts (the filtered scan's
+#: 5 000 dates over ~500 k rows: < 0.3 B/row).
+BYTES_PER_ROW = {"unfiltered": 3 + 0.05, "code < 5000": 12 + 0.05 + 0.3}
+#: The filtered scan's stream-coded columns (``index`` is float64 or,
+#: from a two-byte-code dictionary stripe, a list).
+CODED = {"unfiltered": ["city"], "code < 5000": ["vid", "date"]}
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +98,25 @@ def _scan(body: bytes, columns, filters):
         )
         best = min(best, time.perf_counter() - start)
     rows = [row for batch in decode_block_stream([blocks]) for row in batch.rows]
-    return best, rows, metadata
+    return best, rows, metadata, len(blocks)
+
+
+def _entries_shipped(values, kept) -> tuple:
+    """``(entries, restarts)`` the stream-dictionary rule makes of one
+    column: per stripe the values of its kept rows not yet in the
+    dictionary are shipped, and the dictionary restarts from the
+    stripe's own when they would take it past 256."""
+    known: set = set()
+    entries = restarts = 0
+    for first in range(0, len(values), DEFAULT_STRIPE_ROWS):
+        stripe = range(first, min(first + DEFAULT_STRIPE_ROWS, len(values)))
+        used = {values[i] for i in stripe if kept[i]}
+        if len(known | used) > 256:
+            known = set()
+            restarts += 1
+        entries += len(used - known)
+        known |= used
+    return entries, restarts
 
 
 def _shipped(metadata: dict) -> dict:
@@ -100,8 +131,8 @@ def _shipped(metadata: dict) -> dict:
 def test_packed_scan_is_2x_the_list_path_and_identical(name, objects):
     columns, filters = SCANS[name]
     packed, twin = objects
-    fast_s, rows, metadata = _scan(packed, columns, filters)
-    slow_s, twin_rows, twin_metadata = _scan(twin, columns, filters)
+    fast_s, rows, metadata, response_bytes = _scan(packed, columns, filters)
+    slow_s, twin_rows, twin_metadata, _ = _scan(twin, columns, filters)
     total = SPEC.total_rows()
     ratio = slow_s / fast_s
     print(f"\n{name}: packed {total / fast_s:,.0f} rows/s")
@@ -118,8 +149,8 @@ def test_packed_scan_is_2x_the_list_path_and_identical(name, objects):
     # known positions; a NULL ``code`` fails the filter, so there the
     # twin lacks them, told by their (vid, date).
     firsts = range(0, total, DEFAULT_STRIPE_ROWS)
+    source = list(MeterDataGenerator(SPEC).rows())
     if filters:
-        source = list(MeterDataGenerator(SPEC).rows())
         nulled = {source[first][:2] for first in firsts}
         assert [row for row in rows if row[:2] not in nulled] == twin_rows
     else:
@@ -129,6 +160,18 @@ def test_packed_scan_is_2x_the_list_path_and_identical(name, objects):
             twin_rows[first] = rows[first]
         assert rows == twin_rows
     assert rows
+    # The counts: exact, repeatable, independent of the host's speed.
+    kept = [all(item.to_predicate(METER_SCHEMA)(row) for item in filters) for row in source]
+    entries = restarts = 0
+    for column in CODED[name]:
+        values = [row[METER_SCHEMA.index_of(column)] for row in source]
+        shipped_entries, restarted = _entries_shipped(values, kept)
+        entries += shipped_entries
+        restarts += restarted
+    print(f"{name}: {response_bytes / len(rows):.4f} B/row, {entries} entries, {restarts} restarts")
+    assert metadata["x-object-meta-storlet-dict-entries"] == str(entries)
+    assert metadata["x-object-meta-storlet-dict-resets"] == str(restarts)
+    assert response_bytes / len(rows) <= BYTES_PER_ROW[name]
     assert ratio >= REQUIRED_RATIO, (
         f"packed segments only {ratio:.2f}x the list path on {name!r}"
     )

@@ -13,6 +13,7 @@ from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn
 from repro.columnar.layout import (
     MAGIC,
     BlockStreamDecoder,
+    BlockStreamEncoder,
     ColumnarFooter,
     SegmentMeta,
     StripeMeta,
@@ -21,7 +22,6 @@ from repro.columnar.layout import (
     decode_footer,
     decode_segment,
     decode_stripe,
-    encode_block,
     encode_column_stream,
     encode_columnar,
     encode_segment,
@@ -44,6 +44,7 @@ __all__ = [
     "filters_may_match",
     "MAGIC",
     "BlockStreamDecoder",
+    "BlockStreamEncoder",
     "ColumnBatch",
     "DictColumn",
     "PackedColumn",
@@ -55,7 +56,6 @@ __all__ = [
     "decode_footer",
     "decode_segment",
     "decode_stripe",
-    "encode_block",
     "encode_column_stream",
     "encode_columnar",
     "encode_segment",

@@ -27,10 +27,21 @@ int64, float64 or narrow-int segment stays packed
 (:class:`~repro.columnar.batch.PackedColumn`: a typed view of the
 segment's own payload bytes), so a storlet block ships a slice of it.
 
-The module also defines the *block stream* codec: the length-prefixed
-batch framing a columnar storlet uses to ship filtered
-:class:`~repro.columnar.batch.ColumnBatch` results over the response
-body without any footer.
+The module also defines the *block stream* codec, the footer-less
+framing a columnar storlet ships filtered
+:class:`~repro.columnar.batch.ColumnBatch` results in.  A response is
+one stateful stream (:class:`BlockStreamEncoder` /
+:class:`BlockStreamDecoder`, one of each per response)::
+
+    u32 length | schema header           the preamble, once
+    u32 rows | u32 segment length per column | segments      per block
+
+A block's segments are RCF1 segments with two wire-only extensions that
+never appear in a stored object: a NULL-free segment sets
+:data:`WIRE_NO_BITMAP` in its tag and ships no bitmap, and a
+dictionary-coded column ships as :data:`ENC_STREAM_DICT` -- codes into
+the column's *stream dictionary* (every entry shipped so far in this
+response) preceded by only the entries not shipped yet.
 """
 
 from __future__ import annotations
@@ -66,6 +77,17 @@ ENCODING_NAMES = {
     ENC_DICT: "dictionary",
     ENC_NARROW_INT: "narrow_int",
 }
+
+#: Wire-only (block stream) tag: ``u16 count | the count entries new to
+#: the column's stream dictionary, as a plain NULL-free ``tag | payload``
+#: (absent when count is 0) | one u8 code per row``.
+ENC_STREAM_DICT = 6
+#: Wire-only tag bits: the segment holds no NULL and ships no bitmap;
+#: the stream dictionary restarts, empty, before this segment's entries.
+WIRE_NO_BITMAP = 0x80
+WIRE_RESET = 0x40
+#: The most entries one-byte codes (a ``DictColumn``'s) can address.
+_STREAM_DICT_LIMIT = 256
 
 #: Narrow-int offset widths in bytes and their ``struct`` codes.
 _NARROW_WIDTHS = {1: "B", 2: "H", 4: "I"}
@@ -235,29 +257,13 @@ def _plain_payload(non_null: Sequence[Any], dtype: DataType) -> Tuple[int, bytes
 _MIN_VALUE_BYTES = {ENC_INT64: 8, ENC_FLOAT64: 8, ENC_TEXT: 4, ENC_BOOL: 0}
 
 
-def _dictionary_body(count: int, entries: Tuple[int, bytes], codes: bytes) -> bytes:
-    """A dictionary payload: ``u8 code width | u32 entry count | the
-    ``count`` entries as a plain NULL-free segment | codes``; ``entries``
-    is that segment's ``(tag, payload)``."""
-    tag, payload = entries
-    return b"".join(
-        (
-            bytes((1 if count <= 256 else 2,)),
-            struct.pack("<I", count),
-            bytes((tag,)),
-            bytes((count + 7) // 8),
-            payload,
-            codes,
-        )
-    )
-
-
 def _dictionary_payload(
     non_null: Sequence[Any], dtype: DataType, plain_tag: int, plain: bytes
 ) -> Optional[Tuple[bytes, Sequence[Any]]]:
     """The dictionary payload of a non-null run and its entries, or
     ``None`` when it cannot be smaller than ``plain`` (the run's plain
-    payload).
+    payload): ``u8 code width | u32 entry count | the entries as a plain
+    NULL-free segment | codes``.
 
     Entries are the distinct values in first-appearance order.  Floats
     are keyed on their 8-byte image (read back from ``plain``), so
@@ -281,11 +287,21 @@ def _dictionary_payload(
     if floats:  # the images *are* the entries' float64 payload
         packed = struct.pack(f"<{count}q", *index)
         entries: Sequence[Any] = struct.unpack(f"<{count}d", packed)
-        nested = ENC_FLOAT64, packed
+        nested_tag = ENC_FLOAT64
     else:
         entries = list(index)
-        nested = _plain_payload(entries, dtype)
-    return _dictionary_body(count, nested, codes), entries
+        nested_tag, packed = _plain_payload(entries, dtype)
+    body = b"".join(
+        (
+            bytes((width,)),
+            struct.pack("<I", count),
+            bytes((nested_tag,)),
+            bytes((count + 7) // 8),
+            packed,
+            codes,
+        )
+    )
+    return body, entries
 
 
 def _narrow_payload(non_null: Sequence[int], limit: int) -> Optional[bytes]:
@@ -313,8 +329,8 @@ def _narrow_payload(non_null: Sequence[int], limit: int) -> Optional[bytes]:
 
 def _encode_values(
     values: Sequence[Any], dtype: DataType
-) -> Tuple[bytes, int, Sequence[Any]]:
-    """One column's segment bytes (tag byte, null bitmap, payload), its
+) -> Tuple[int, bytes, bytes, int, Sequence[Any]]:
+    """One column's segment in its parts (tag, null bitmap, payload), its
     NULL count and a run holding its distinct non-null values in
     first-appearance order -- encoding only, no statistics.
 
@@ -337,7 +353,7 @@ def _encode_values(
         candidate = _narrow_payload(non_null, len(payload))
         if candidate is not None:
             tag, payload = ENC_NARROW_INT, candidate
-    return bytes((tag,)) + bitmap + payload, len(values) - len(non_null), distinct
+    return tag, bitmap, payload, len(values) - len(non_null), distinct
 
 
 def encode_segment(
@@ -353,8 +369,8 @@ def encode_segment(
     reported through ``has_nan`` instead, which tells the pruner the
     bounds are incomplete.
     """
-    data, nulls, distinct = _encode_values(values, dtype)
-    return (data, nulls) + column_bounds(distinct, dtype)
+    tag, bitmap, payload, nulls, distinct = _encode_values(values, dtype)
+    return (bytes((tag,)) + bitmap + payload, nulls) + column_bounds(distinct, dtype)
 
 
 def _bad_length(what: str) -> ValueError:
@@ -459,31 +475,17 @@ def _scatter(values: Iterable[Any], bitmap: bytes, rows: int, null: Any) -> List
     ]
 
 
-def decode_column(data: bytes, dtype: DataType, rows: int) -> Sequence[Any]:
-    """Decode one segment into a column vector of length ``rows``.
-
-    A dictionary segment of at most 256 entries (NULL included) comes
-    back as a :class:`~repro.columnar.batch.DictColumn`, still coded; a
-    NULL-free int64, float64 or narrow-int segment as a
-    :class:`~repro.columnar.batch.PackedColumn` over ``data`` itself;
-    everything else as a plain list.  A segment that is not exactly as
-    long as its encoding says -- torn, or with bytes appended -- raises
-    ``ValueError``.
-    """
-    if type(data) is not bytes:
-        # A packed column must never alias a buffer that can be resized.
-        data = bytes(data)
-    bitmap_len = (rows + 7) // 8
-    if len(data) < 1 + bitmap_len:
-        raise ValueError("RCF1 segment: shorter than its null bitmap")
-    tag = data[0]
-    bitmap = data[1 : 1 + bitmap_len]
+def _decode_values(
+    tag: int, data: bytes, start: int, bitmap: bytes, dtype: DataType, rows: int
+) -> Sequence[Any]:
+    """The ``rows`` cells of the segment ``data`` whose payload starts
+    at ``start``; ``bitmap`` is its null bitmap (empty: no NULL)."""
     nulls = int.from_bytes(bitmap, "little")
     if nulls >> rows:
         raise ValueError("RCF1 segment: null bitmap marks cells beyond the rows")
     present = rows - nulls.bit_count()
     if tag == ENC_DICT:
-        entries, codes = _decode_dictionary(data[1 + bitmap_len :], dtype, present)
+        entries, codes = _decode_dictionary(data[start:], dtype, present)
         if present != rows:
             codes = _scatter(codes, bitmap, rows, len(entries))
             entries.append(None)
@@ -491,10 +493,31 @@ def decode_column(data: bytes, dtype: DataType, rows: int) -> Sequence[Any]:
             return DictColumn(entries, bytes(codes))
         return list(map(entries.__getitem__, codes))
     if tag in (ENC_INT64, ENC_FLOAT64, ENC_NARROW_INT):
-        values = _decode_fixed(tag, memoryview(data)[1 + bitmap_len :], present)
+        values = _decode_fixed(tag, memoryview(data)[start:], present)
     else:
-        values = _decode_plain(tag, data[1 + bitmap_len :], dtype, present)
+        values = _decode_plain(tag, data[start:], dtype, present)
     return values if present == rows else _scatter(values, bitmap, rows, None)
+
+
+def decode_column(data: bytes, dtype: DataType, rows: int) -> Sequence[Any]:
+    """Decode one stored segment into a column vector of length ``rows``.
+
+    A dictionary segment of at most 256 entries (NULL included) comes
+    back as a :class:`~repro.columnar.batch.DictColumn`, still coded; a
+    NULL-free int64, float64 or narrow-int segment as a
+    :class:`~repro.columnar.batch.PackedColumn` over ``data`` itself;
+    everything else as a plain list.  A segment that is not exactly as
+    long as its encoding says -- torn, or with bytes appended -- raises
+    ``ValueError``, and so does a tag that is not one of the six stored
+    encodings (the block stream's wire-only tag and bits included).
+    """
+    if type(data) is not bytes:
+        # A packed column must never alias a buffer that can be resized.
+        data = bytes(data)
+    payload_at = 1 + (rows + 7) // 8
+    if len(data) < payload_at:
+        raise ValueError("RCF1 segment: shorter than its null bitmap")
+    return _decode_values(data[0], data, payload_at, data[1:payload_at], dtype, rows)
 
 
 def decode_segment(data: bytes, dtype: DataType, rows: int) -> List[Any]:
@@ -578,7 +601,8 @@ def encode_column_stream(
         runs: List[Sequence[Any]] = []
         segments: List[SegmentMeta] = []
         for fld, vector in zip(schema.fields, pending):
-            data, nulls, run = _encode_values(vector[:end], fld.dtype)
+            tag, bitmap, payload, nulls, run = _encode_values(vector[:end], fld.dtype)
+            data = bytes((tag,)) + bitmap + payload
             low, high, has_nan = column_bounds(run, fld.dtype)
             segments.append(
                 SegmentMeta(position, len(data), low, high, nulls, has_nan)
@@ -732,46 +756,6 @@ def iter_stripe_batches(
         yield decode_stripe(data, stripe, footer.schema, indices)
 
 
-def _carrier_segment(column: Sequence[Any], dtype: DataType) -> Optional[bytes]:
-    """One block segment cut from a carrier's own bytes; ``None`` when
-    ``column`` has no such form (a plain vector, or NULLs to put back
-    into a bitmap).  A packed column ships under the tag, width and base
-    it has; a dictionary-coded one still coded, its dictionary compacted
-    to the entries the block's rows use."""
-    if not isinstance(column, (PackedColumn, DictColumn)):
-        return None
-    bitmap = bytes((len(column) + 7) // 8)
-    if isinstance(column, PackedColumn):
-        view = column.view
-        if view.itemsize == 8:
-            head = bytes((ENC_INT64 if view.format == "q" else ENC_FLOAT64,)) + bitmap
-        else:
-            head = b"".join(
-                (
-                    bytes((ENC_NARROW_INT,)),
-                    bitmap,
-                    bytes((view.itemsize,)),
-                    struct.pack("<q", column.base),
-                )
-            )
-        return head + view.tobytes()
-    codes = column.codes
-    used = sorted(set(codes))
-    entries = [column.entries[code] for code in used]
-    if not used or entries[-1] is None:
-        return None
-    if len(used) != len(column.entries):
-        renumber = bytearray(256)
-        for new, old in enumerate(used):
-            renumber[old] = new
-        codes = codes.translate(renumber)
-    return (
-        bytes((ENC_DICT,))
-        + bitmap
-        + _dictionary_body(len(entries), _plain_payload(entries, dtype), codes)
-    )
-
-
 def settle_column(column: Sequence[Any]) -> Sequence[Any]:
     """A column gathered from part of a stripe, in the form its blocks
     ship in -- decided here, once, for however many blocks follow.
@@ -796,104 +780,275 @@ def settle_column(column: Sequence[Any]) -> Sequence[Any]:
     return column if width == column.view.itemsize else column.tolist()
 
 
-def encode_block(
-    batch: ColumnBatch,
-    shipped: Optional[Dict[str, int]] = None,
-    carried: str = "verbatim",
-) -> bytes:
-    """Frame one batch for the storlet response block stream.
+#: The tag of a stream-dictionary segment (its rows hold no NULL) and
+#: the segment's opening when it ships no new entry.
+_STREAM_DICT_TAG = ENC_STREAM_DICT | WIRE_NO_BITMAP
+_NO_FRESH_ENTRIES = bytes((_STREAM_DICT_TAG, 0, 0))
 
-    Layout: ``u32 header length | header JSON | segments``, where the
-    header carries the batch schema, row count and per-segment lengths
-    -- self-describing, so the reader needs no footer.  Segments are
-    RCF1 segments: a carrier ships a slice of its own bytes
-    (:func:`_carrier_segment`), a plain vector gets the encoding
-    :func:`encode_segment` would choose.  ``shipped`` (when given)
-    counts the columns by which of the two happened: under ``carried``
-    -- the caller's word for what it did to the carriers it hands over
-    -- or under ``reencoded``.
+
+class BlockStreamEncoder:
+    """The sending side of one response's block stream.
+
+    The stream carries state, so a block does not describe itself: the
+    schema travels once (a preamble in front of the first block -- a
+    response without a block is empty), and each dictionary-coded column
+    has a *stream dictionary* of every entry shipped so far.  The work
+    is per stripe: :meth:`blocks` takes a stripe's selected columns,
+    decides once the form each one ships in, and frames the stripe as
+    ``u32 rows | u32 segment length per column | segments`` blocks,
+    mostly by slicing bytes.
+
+    * a :class:`~repro.columnar.batch.PackedColumn` ships under the tag,
+      width and base it has (after :func:`settle_column`, when the
+      stripe was ``gathered``): ``tag | [width | base] | view[a:b]``;
+    * a :class:`~repro.columnar.batch.DictColumn` whose rows hold no
+      NULL ships as :data:`ENC_STREAM_DICT`.  The entries the stripe
+      uses are looked up in the stream dictionary (floats by their
+      8-byte image, as :func:`_dictionary_payload` keys them), the ones
+      not shipped yet are appended to it and ride on the stripe's first
+      block, and the stripe's codes are mapped to stream codes with one
+      ``translate``: a block's codes are a slice of those.  When the new
+      entries would take the dictionary past the 256 that one-byte codes
+      address, it restarts from this stripe's entries
+      (:data:`WIRE_RESET`);
+    * anything else -- a plain list, a coded column with NULLs -- gets,
+      per block, the encoding :func:`_encode_values` chooses.
+
+    Every NULL-free segment sets :data:`WIRE_NO_BITMAP` and ships no
+    bitmap.  ``shipped`` (when given) counts the block columns by which
+    of the three happened: ``verbatim`` / ``settled`` for a carrier of
+    an untouched / a gathered stripe, ``reencoded``.
     """
-    segments = []
-    for fld, vector in zip(batch.schema.fields, batch.columns):
-        data, how = _carrier_segment(vector, fld.dtype), carried
-        if data is None:
-            data, how = _encode_values(materialize(vector), fld.dtype)[0], "reencoded"
-        if shipped is not None:
-            shipped[how] = shipped.get(how, 0) + 1
-        segments.append(data)
-    header = json.dumps(
-        {
-            "schema": batch.schema.to_header(),
-            "rows": len(batch),
-            "lens": [len(data) for data in segments],
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return struct.pack("<I", len(header)) + header + b"".join(segments)
+
+    def __init__(self, schema: Schema, shipped: Optional[Dict[str, int]] = None):
+        self._dtypes = [fld.dtype for fld in schema.fields]
+        self._shipped = shipped
+        header = schema.to_header().encode("utf-8")
+        #: What goes in front of the next block: the preamble, once.
+        self._preamble = struct.pack("<I", len(header)) + header
+        self._frame = struct.Struct(f"<{1 + len(self._dtypes)}I")
+        #: Per column, the stream dictionary: entry -> stream code.
+        self._dictionaries: List[Dict[Any, int]] = [{} for _ in self._dtypes]
+        #: Stream-dictionary entries shipped and dictionary restarts.
+        self.entries_shipped = 0
+        self.resets = 0
+
+    def blocks(
+        self,
+        columns: Sequence[Sequence[Any]],
+        rows: int,
+        block_rows: int,
+        gathered: bool = False,
+    ) -> Iterator[bytes]:
+        """Frame the next stripe -- ``rows`` rows, one vector per schema
+        column -- as blocks of at most ``block_rows`` rows (one block
+        when it has no row).  ``gathered``: a filter dropped rows of the
+        stripe the carriers were decoded from."""
+        carried = "settled" if gathered else "verbatim"
+        settled = [
+            self._settle(index, settle_column(column) if gathered else column, carried)
+            for index, column in enumerate(columns)
+        ]
+        shipped = self._shipped
+        for start in range(0, max(rows, 1), block_rows):
+            stop = min(start + block_rows, rows)
+            segments = []
+            for (how, opening, head, body), dtype in zip(settled, self._dtypes):
+                if head is not None:  # a slice of the packed cells / mapped codes
+                    segments.append((head if start else opening) + body[start:stop])
+                else:
+                    tag, bitmap, payload, nulls, _ = _encode_values(body[start:stop], dtype)
+                    if nulls:
+                        segments.append(bytes((tag,)) + bitmap + payload)
+                    else:
+                        segments.append(bytes((tag | WIRE_NO_BITMAP,)) + payload)
+                if shipped is not None:
+                    shipped[how] = shipped.get(how, 0) + 1
+            preamble, self._preamble = self._preamble, b""
+            frame = self._frame.pack(stop - start, *map(len, segments))
+            yield b"".join((preamble, frame, *segments))
+
+    def _settle(
+        self, index: int, column: Sequence[Any], carried: str
+    ) -> Tuple[str, Optional[bytes], Optional[bytes], Sequence[Any]]:
+        """How one column of a stripe ships: what it is counted as, what
+        its segment opens with in the stripe's first block and in the
+        later ones (``None``: the body is a plain vector to encode per
+        block) and the body its blocks slice."""
+        if isinstance(column, PackedColumn):
+            view = column.view
+            if view.itemsize == 8:
+                tag = ENC_INT64 if view.format == "q" else ENC_FLOAT64
+                head = bytes((tag | WIRE_NO_BITMAP,))
+            else:
+                head = bytes(
+                    (ENC_NARROW_INT | WIRE_NO_BITMAP, view.itemsize)
+                ) + struct.pack("<q", column.base)
+            return carried, head, head, view
+        if isinstance(column, DictColumn):
+            coded = self._stream_coded(index, column)
+            if coded is not None:
+                opening, codes = coded
+                return carried, opening, _NO_FRESH_ENTRIES, codes
+        return "reencoded", None, None, materialize(column)
+
+    def _stream_coded(
+        self, index: int, column: DictColumn
+    ) -> Optional[Tuple[bytes, bytes]]:
+        """A coded column against the stream dictionary: what its first
+        segment opens with (tag, the entries new to the stream) and one
+        stream code per row -- or ``None`` when a row holds NULL."""
+        used = sorted(set(column.codes))
+        keys: Sequence[Any] = [column.entries[code] for code in used]
+        if None in keys:
+            return None
+        floats = self._dtypes[index] is DataType.FLOAT
+        if floats:
+            keys = struct.unpack(
+                f"<{len(keys)}q", struct.pack(f"<{len(keys)}d", *keys)
+            )
+        known = self._dictionaries[index]
+        fresh = [key for key in dict.fromkeys(keys) if key not in known]
+        tag = _STREAM_DICT_TAG
+        if len(known) + len(fresh) > _STREAM_DICT_LIMIT:
+            known.clear()
+            fresh = list(dict.fromkeys(keys))
+            tag |= WIRE_RESET
+            self.resets += 1
+        known.update(zip(fresh, itertools.count(len(known))))
+        self.entries_shipped += len(fresh)
+        opening = bytes((tag,)) + struct.pack("<H", len(fresh))
+        if floats and fresh:  # the images *are* the float64 payload
+            opening += bytes((ENC_FLOAT64,)) + struct.pack(f"<{len(fresh)}q", *fresh)
+        elif fresh:
+            nested_tag, payload = _plain_payload(fresh, self._dtypes[index])
+            opening += bytes((nested_tag,)) + payload
+        table = bytearray(256)
+        for code, key in zip(used, keys):
+            table[code] = known[key]
+        return opening, column.codes.translate(table)
 
 
 class BlockStreamDecoder:
-    """Incremental push-parser for the block stream framing.
+    """Incremental push-parser for one response's block stream.
 
     Feed chunks with :meth:`push` (any boundaries, 1-byte chunks
     included), collect the batches that completed, and call
     :meth:`finish` at end of stream -- leftover bytes there mean the
     stream was truncated mid-block, which raises ``ValueError`` so a
     cut-short storlet response cannot silently pass for a complete one.
-    A batch keeps its columns as :func:`decode_column` returns them, so
-    a segment the storlet shipped coded or packed reaches the kernels
-    and the hash aggregate as that carrier; cells are expanded only
-    where rows leave (:attr:`~repro.columnar.batch.ColumnBatch.rows`).
-    Each segment is copied out of the buffer before it is decoded: a
-    packed column is a view of the bytes it was decoded from, and the
-    buffer is resized under every block.
+    The decoder is the stream's other half (see
+    :class:`BlockStreamEncoder`) and holds its state -- the schema from
+    the preamble, the entries of each column's stream dictionary -- so
+    it serves one response: a retry or a degradation opens a new
+    response and decodes it with a new decoder.  A dictionary grows by
+    a *new* list, never in place: the ``DictColumn`` of a batch already
+    handed out keeps the entries it was made with.
+
+    Every check :func:`decode_column` makes on a stored segment holds
+    for a wire segment too (exact payload length, no code beyond the
+    dictionary).  Columns stay as they were shipped, so a coded or
+    packed segment reaches the kernels and the hash aggregate as that
+    carrier; cells are expanded only where rows leave
+    (:attr:`~repro.columnar.batch.ColumnBatch.rows`).  Each segment is
+    copied out of the buffer before it is decoded: a packed column is a
+    view of the bytes it was decoded from, and the buffer is resized
+    under every block.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        #: The parsed header of the block at the head of the buffer,
-        #: where its segments start and where the block ends -- from the
-        #: chunk that completed the header until the block is consumed.
-        self._pending: Optional[Tuple[dict, int, int]] = None
+        self._schema: Optional[Schema] = None
+        #: ``struct`` format of a block header, known from the preamble.
+        self._frame = ""
+        #: Per column, the stream dictionary's entries so far.
+        self._entries: List[List[Any]] = []
+        #: The unpacked header of the block at the head of the buffer
+        #: and where the block ends -- from the chunk that completed the
+        #: header until the block is consumed.
+        self._pending: Optional[Tuple[Tuple[int, ...], int]] = None
+        self._blocks = 0
 
     def push(self, chunk: bytes) -> List[ColumnBatch]:
         """Absorb one chunk; return every batch it completed (often [])."""
         self._buffer.extend(chunk)
         batches: List[ColumnBatch] = []
         buffer = self._buffer
+        if self._schema is None:
+            if len(buffer) < 4:
+                return batches
+            (length,) = struct.unpack_from("<I", buffer)
+            if len(buffer) < 4 + length:
+                return batches
+            self._schema = Schema.from_header(bytes(buffer[4 : 4 + length]).decode("utf-8"))
+            self._frame = f"<{1 + len(self._schema)}I"
+            self._entries = [[] for _ in self._schema.fields]
+            del buffer[: 4 + length]
+        schema = self._schema
+        header_len = 4 + 4 * len(schema)
         while True:
             if self._pending is None:
-                if len(buffer) < 4:
+                if len(buffer) < header_len:
                     break
-                (header_len,) = struct.unpack_from("<I", buffer, 0)
-                if len(buffer) < 4 + header_len:
-                    break
-                header = json.loads(bytes(buffer[4 : 4 + header_len]).decode("utf-8"))
-                offset = 4 + header_len
-                self._pending = header, offset, offset + sum(header["lens"])
-            header, offset, total = self._pending
+                header = struct.unpack_from(self._frame, buffer)
+                self._pending = header, header_len + sum(header[1:])
+            header, total = self._pending
             if len(buffer) < total:
                 break
-            schema = Schema.from_header(header["schema"])
-            rows = header["rows"]
+            rows = header[0]
+            offset = header_len
             vectors = []
-            for fld, length in zip(schema.fields, header["lens"]):
+            for index, length in enumerate(header[1:]):
                 segment = bytes(buffer[offset : offset + length])
-                vectors.append(decode_column(segment, fld.dtype, rows))
+                vectors.append(self._decode(index, segment, rows))
                 offset += length
             del buffer[:total]
             self._pending = None
+            self._blocks += 1
             batches.append(ColumnBatch(schema, vectors, rows))
         return batches
 
+    def _decode(self, index: int, data: bytes, rows: int) -> Sequence[Any]:
+        """One wire segment of column ``index``."""
+        if not data:
+            raise ValueError("RCF1 segment: empty")
+        dtype = self._schema.fields[index].dtype
+        tag = data[0]
+        if tag & ~WIRE_RESET != _STREAM_DICT_TAG:
+            if tag & WIRE_NO_BITMAP:
+                return _decode_values(tag ^ WIRE_NO_BITMAP, data, 1, b"", dtype, rows)
+            return decode_column(data, dtype, rows)
+        codes_at = len(data) - rows
+        if codes_at < 3:
+            raise _bad_length("stream-dictionary")
+        (count,) = struct.unpack_from("<H", data, 1)
+        entries = [] if tag & WIRE_RESET else self._entries[index]
+        if not count:
+            if codes_at != 3:
+                raise _bad_length("stream-dictionary")
+        elif codes_at < 4 or len(entries) + count > _STREAM_DICT_LIMIT:
+            raise ValueError("RCF1 segment: stream dictionary entry count out of range")
+        elif data[3] in (ENC_INT64, ENC_FLOAT64):
+            nested = memoryview(data)[4:codes_at]
+            entries = entries + materialize(_decode_fixed(data[3], nested, count))
+        else:
+            entries = entries + _decode_plain(data[3], data[4:codes_at], dtype, count)
+        codes = data[codes_at:]
+        if codes.translate(None, bytes(range(len(entries)))):
+            raise ValueError("RCF1 segment: dictionary code beyond the dictionary")
+        self._entries[index] = entries
+        return DictColumn(entries, codes)
+
     def finish(self) -> None:
-        """Assert end-of-stream fell exactly on a block boundary."""
-        if self._buffer:
+        """Assert end-of-stream fell exactly on a block boundary (the
+        preamble comes with the first block, never alone)."""
+        if self._buffer or (self._schema is not None and not self._blocks):
             raise ValueError("truncated columnar block stream")
 
 
 def decode_block_stream(chunks: Iterable[bytes]) -> Iterator[ColumnBatch]:
-    """Incrementally decode a block stream back into column batches.
+    """Incrementally decode one response's block stream back into
+    column batches.
 
     Tolerates arbitrary chunk boundaries (1-byte chunks included); a
     stream that ends mid-block raises ``ValueError`` so a truncated

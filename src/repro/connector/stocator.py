@@ -529,7 +529,20 @@ class StocatorConnector:
             if end == start:
                 pieces.extend(b"" for _member in members)
                 continue
-            span, extra = self._segment_span(split, start, end)
+            tracer = get_collector()
+            trace_id = tracer.new_trace_id() if tracer.enabled else ""
+            span = tracer.start(
+                "connector",
+                "segment_get",
+                trace_id=trace_id,
+                container=split.container,
+                object=split.name,
+                split_index=split.index,
+                range_start=start,
+                range_length=end - start,
+                pushdown=False,
+            )
+            extra: Dict[str, str] = {TRACE_HEADER: trace_id} if trace_id else {}
             try:
                 response = self.client.get_object_stream(
                     split.container,
@@ -540,7 +553,7 @@ class StocatorConnector:
             except BaseException:
                 # No stream was opened, so _metered() will never finish
                 # the span: close it or it stays on this thread's stack.
-                get_collector().finish(span, status="error")
+                tracer.finish(span, status="error")
                 raise
             self.metrics.record_request(end - start, pushdown=False)
             data = b"".join(
@@ -549,26 +562,6 @@ class StocatorConnector:
             for offset, length in members:
                 pieces.append(data[offset - start : offset - start + length])
         return pieces
-
-    def _segment_span(
-        self, split: ObjectSplit, start: int, end: int
-    ) -> Tuple[Optional[Span], Dict[str, str]]:
-        """Open the connector span + trace header for one segment GET."""
-        tracer = get_collector()
-        trace_id = tracer.new_trace_id() if tracer.enabled else ""
-        span = tracer.start(
-            "connector",
-            "segment_get",
-            trace_id=trace_id,
-            container=split.container,
-            object=split.name,
-            split_index=split.index,
-            range_start=start,
-            range_length=end - start,
-            pushdown=False,
-        )
-        extra: Dict[str, str] = {TRACE_HEADER: trace_id} if trace_id else {}
-        return span, extra
 
     @staticmethod
     def _coalesce_ranges(
@@ -635,11 +628,47 @@ class StocatorConnector:
                         split.container, split.name, headers=headers
                     )
                 except SwiftError as error:
-                    raise self._pushdown_open_error(
-                        error, split, task
+                    failure_reason = (getattr(error, "headers", None) or {}).get(
+                        StorletRequestHeaders.FAILURE
+                    )
+                    # A storlet that failed at runtime on every replica
+                    # left the data intact, so the caller may degrade to
+                    # a plain GET + compute-side filter.
+                    what = (
+                        f"storlet {task.storlet!r} failed ({failure_reason})"
+                        if failure_reason
+                        else "GET failed"
+                    )
+                    raise PushdownError(
+                        f"pushdown {what} for "
+                        f"/{split.container}/{split.name} "
+                        f"bytes {split.start}-{split.end}: {error}",
+                        container=split.container,
+                        name=split.name,
+                        byte_range=(split.start, split.end),
+                        storlet=task.storlet,
+                        reason=failure_reason or f"http-{error.status}",
+                        degradable=bool(failure_reason),
                     ) from error
                 if StorletRequestHeaders.INVOKED not in response.headers:
-                    raise self._not_executed_error(split, task)
+                    # Nothing intercepted the request: the store has no
+                    # storlet engine (or the filter is not deployed).
+                    # Parsing raw data with the pruned schema would
+                    # silently corrupt results, so this is loud and
+                    # non-degradable.
+                    raise PushdownError(
+                        f"pushdown task {task.storlet!r} was not executed "
+                        f"by the object store for "
+                        f"/{split.container}/{split.name}; "
+                        "is the storlet middleware installed and the "
+                        "filter deployed?",
+                        container=split.container,
+                        name=split.name,
+                        byte_range=(split.start, split.end),
+                        storlet=task.storlet,
+                        reason="not-executed",
+                        degradable=False,
+                    )
                 self.metrics.record_request(split.length, pushdown=True)
                 return response.headers, self._metered(
                     response.iter_body(), split, task, span
@@ -674,81 +703,6 @@ class StocatorConnector:
             tracer.finish(span, status="error")
             raise
 
-    def _pushdown_open_error(
-        self, error: SwiftError, split: ObjectSplit, task: PushdownTask
-    ) -> PushdownError:
-        """Translate an open-time store error into a typed
-        :class:`PushdownError`."""
-        failure_reason = (getattr(error, "headers", None) or {}).get(
-            StorletRequestHeaders.FAILURE
-        )
-        if failure_reason:
-            # The storlet itself failed at runtime on every replica;
-            # the data is intact, so the caller may degrade to a plain
-            # GET + compute-side filter.
-            return PushdownError(
-                f"pushdown storlet {task.storlet!r} failed "
-                f"({failure_reason}) for "
-                f"/{split.container}/{split.name} "
-                f"bytes {split.start}-{split.end}: {error}",
-                container=split.container,
-                name=split.name,
-                byte_range=(split.start, split.end),
-                storlet=task.storlet,
-                reason=failure_reason,
-                degradable=True,
-            )
-        return PushdownError(
-            f"pushdown GET failed for "
-            f"/{split.container}/{split.name} "
-            f"bytes {split.start}-{split.end}: {error}",
-            container=split.container,
-            name=split.name,
-            byte_range=(split.start, split.end),
-            storlet=task.storlet,
-            reason=f"http-{error.status}",
-            degradable=False,
-        )
-
-    @staticmethod
-    def _not_executed_error(
-        split: ObjectSplit, task: PushdownTask
-    ) -> PushdownError:
-        """Nothing intercepted the request: the store has no storlet
-        engine (or the filter is not deployed).  Parsing raw data with
-        the pruned schema would silently corrupt results, so this is
-        loud and non-degradable."""
-        return PushdownError(
-            f"pushdown task {task.storlet!r} was not executed "
-            f"by the object store for "
-            f"/{split.container}/{split.name}; "
-            "is the storlet middleware installed and the "
-            "filter deployed?",
-            container=split.container,
-            name=split.name,
-            byte_range=(split.start, split.end),
-            storlet=task.storlet,
-            reason="not-executed",
-            degradable=False,
-        )
-
-    def _midstream_error(
-        self, failure: StorletFailure, split: ObjectSplit, storlet: str
-    ) -> PushdownError:
-        """Translate a mid-stream sandbox failure into the degradable
-        :class:`PushdownError`."""
-        return PushdownError(
-            f"pushdown storlet {storlet!r} failed mid-stream "
-            f"({failure.reason}) for /{split.container}/{split.name} "
-            f"bytes {split.start}-{split.end}: {failure}",
-            container=split.container,
-            name=split.name,
-            byte_range=(split.start, split.end),
-            storlet=storlet,
-            reason=failure.reason,
-            degradable=True,
-        )
-
     def _metered(
         self,
         chunks: Iterable[bytes],
@@ -780,7 +734,17 @@ class StocatorConnector:
                 yield chunk
         except StorletFailure as failure:
             status = "error"
-            raise self._midstream_error(failure, split, storlet) from failure
+            raise PushdownError(
+                f"pushdown storlet {storlet!r} failed mid-stream "
+                f"({failure.reason}) for /{split.container}/{split.name} "
+                f"bytes {split.start}-{split.end}: {failure}",
+                container=split.container,
+                name=split.name,
+                byte_range=(split.start, split.end),
+                storlet=storlet,
+                reason=failure.reason,
+                degradable=True,
+            ) from failure
         except BaseException:
             status = "error"
             raise

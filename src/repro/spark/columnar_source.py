@@ -11,8 +11,9 @@ data plane:
   without pushdown;
 * a pushdown scan sends one storlet GET per split carrying the stripe
   descriptors; the storlet decodes only referenced segments, runs the
-  compiled filter kernels store-side and ships surviving rows back as a
-  self-describing block stream;
+  compiled filter kernels store-side and ships surviving rows back as
+  one block stream per response (decoded by a fresh
+  :class:`~repro.columnar.layout.BlockStreamDecoder` each time);
 * stripe pruning (footer min/max/null stats) runs on the compute side
   for both modes, skipping whole stripes -- and with them their GETs --
   before any byte moves;

@@ -11,12 +11,15 @@ Two storlets live here:
   compiled filter mask from :mod:`repro.sql.kernels` per stripe -- once
   per dictionary entry over a dictionary-coded segment, on the byte
   planes of a packed narrow-int one -- gathers the surviving rows by
-  that mask and emits them as a self-describing block stream
-  (:func:`repro.columnar.layout.encode_block`).  It moves bytes, not
-  cells: a segment is decoded into a carrier over its own bytes
-  (dictionary-coded or packed), the form a column ships in is settled
-  once per stripe, and a response block is a slice of it.
-  Non-referenced column segments are never even decoded.
+  that mask and emits them as one block stream per response
+  (:class:`repro.columnar.layout.BlockStreamEncoder`: the schema once,
+  then blocks whose dictionary columns are codes into a stream
+  dictionary that ships each entry once).  It moves bytes, not cells: a
+  segment is decoded into a carrier over its own bytes (dictionary-coded
+  or packed), the form a column ships in -- and the mapping of its codes
+  to the stream dictionary -- is settled once per stripe, and a response
+  block is a slice of it.  Non-referenced column segments are never even
+  decoded.
 * :class:`CsvToColumnarStorlet` is the PUT-path ETL converter: it parses
   a CSV stream through :class:`repro.csvscan.CsvScan` -- so with the drop
   rule of every CSV scan path -- and re-encodes its column blocks as a
@@ -30,14 +33,12 @@ from collections import Counter
 from typing import Dict, Iterator, List
 
 from repro.catalog import CatalogBuilder
-from repro.columnar.batch import ColumnBatch
 from repro.columnar.layout import (
     DEFAULT_STRIPE_ROWS,
     ENCODING_NAMES,
+    BlockStreamEncoder,
     decode_column,
-    encode_block,
     encode_column_stream,
-    settle_column,
 )
 from repro.csvscan import CsvScan
 from repro.sql.filters import filters_from_json
@@ -182,6 +183,7 @@ class ColumnarStorlet(IStorlet):
         #: segment (``verbatim``) or was gathered and ``settled``, or
         #: ``reencoded`` from the block's values.
         shipped: Counter = Counter()
+        encoder = BlockStreamEncoder(out_schema, shipped)
 
         for stripe in stripes:
             rows = stripe["rows"]
@@ -203,25 +205,22 @@ class ColumnarStorlet(IStorlet):
             if not kept:
                 continue
             rows_out += kept
-            carried = "verbatim"
-            if kept < rows:
-                carried = "settled"
-                columns = [settle_column(column) for column in columns]
-            batch = ColumnBatch(out_schema, columns, kept)
-            for start in range(0, kept, BLOCK_ROWS):
-                yield encode_block(
-                    batch.slice(start, start + BLOCK_ROWS), shipped, carried
-                )
+            yield from encoder.blocks(columns, kept, BLOCK_ROWS, gathered=kept < rows)
 
         metadata.update(
             {
                 "x-object-meta-storlet-rows-in": str(rows_in),
                 "x-object-meta-storlet-rows-out": str(rows_out),
+                "x-object-meta-storlet-dict-entries": str(encoder.entries_shipped),
+                "x-object-meta-storlet-dict-resets": str(encoder.resets),
             }
         )
-        # Which path each column took: the same counts in the response
-        # metadata and the metrics registry.
+        # Which path each column took and what the stream dictionaries
+        # cost: the same counts in the response metadata and the metrics
+        # registry.
         registry = get_registry()
+        registry.inc("storlets.dictionary_entries_shipped", encoder.entries_shipped)
+        registry.inc("storlets.dictionary_resets", encoder.resets)
         for series, header, label, counts in (
             ("segments_decoded", "segments", "encoding", decoded),
             ("filter_evaluations", "filter-evals", "domain", evaluations),

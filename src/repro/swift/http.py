@@ -46,11 +46,7 @@ class HeaderDict(dict):
 
     def __init__(self, items: Optional[Dict[str, Any]] = None, **kwargs: Any):
         super().__init__()
-        if items:
-            for key, value in items.items():
-                self[key] = value
-        for key, value in kwargs.items():
-            self[key] = value
+        self.update(items, **kwargs)
 
     @staticmethod
     def _norm(key: str) -> str:
@@ -78,7 +74,10 @@ class HeaderDict(dict):
         return super().setdefault(self._norm(key), str(default))
 
     def update(self, other=None, **kwargs) -> None:  # type: ignore[override]
-        if other:
+        if isinstance(other, HeaderDict):
+            # Already normal, key and value: no second pass over them.
+            super().update(other)
+        elif other:
             items = other.items() if hasattr(other, "items") else other
             for key, value in items:
                 self[key] = value
@@ -86,9 +85,7 @@ class HeaderDict(dict):
             self[key] = value
 
     def copy(self) -> "HeaderDict":
-        fresh = HeaderDict()
-        fresh.update(self)
-        return fresh
+        return HeaderDict(self)
 
 
 def parse_path(path: str) -> Tuple[str, Optional[str], Optional[str]]:

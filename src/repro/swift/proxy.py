@@ -435,35 +435,6 @@ class SwiftCluster:
         bodies stream lazily *after* release, so an abandoned stream
         (e.g. a satisfied LIMIT) can never leak a slot.
         """
-        index, span, shed = self._begin_request(request)
-        if shed is not None:
-            return shed
-        if not self._acquire_slot(index, span):
-            return self._queue_shed(request, span)
-        slot = self._admission[index]
-        status = "error"
-        http_status = 0
-        try:
-            self._enter_inflight(index)
-            response = self.proxies[index].handle(request)
-            http_status = response.status
-            status = "ok" if response.status < 400 else "error"
-            return response
-        finally:
-            with self._counter_lock:
-                self._inflight[index] -= 1
-            if slot is not None:
-                slot.release()
-            get_collector().finish(
-                span, status=status, http_status=http_status
-            )
-
-    def _begin_request(self, request: Request):
-        """Front half of :meth:`handle_request`: request counters,
-        round-robin proxy choice, stream-cost environ, the proxy span
-        and QoS quota admission.  Returns ``(index, span, shed)`` where
-        a non-``None`` shed response means the request was rejected
-        before competing for a proxy slot."""
         registry = get_registry()
         tracer = get_collector()
         with self._counter_lock:
@@ -481,6 +452,8 @@ class SwiftCluster:
             trace_id=request.headers.get(TRACE_HEADER, ""),
             proxy=f"proxy{index}",
         )
+        # QoS quota admission: a shed request is rejected before it
+        # competes for a proxy slot.
         controller = self._admission_controller
         if controller is not None:
             tenant = request.headers.get(TENANT_HEADER, "") or "anonymous"
@@ -496,41 +469,44 @@ class SwiftCluster:
                     tenant=decision.tenant,
                     shed_reason=decision.reason,
                 )
-                return index, span, self._shed_response(
-                    decision.status, decision
-                )
-        return index, span, None
-
-    def _queue_shed(self, request: Request, span) -> Response:
-        """Typed 503 for a bounded queue that is already full."""
-        self.bump_counter("shed_queue")
-        get_collector().finish(
-            span, status="shed", http_status=503, shed_reason="queue-full"
-        )
-        retry_after = (
-            self.qos.queue_retry_after if self.qos is not None else 1.0
-        )
-        return self._shed_response(
-            503,
-            AdmissionDecision(
-                admitted=False,
-                tenant=request.headers.get(TENANT_HEADER, ""),
-                status=503,
-                retry_after=retry_after,
-                reason="queue-full",
-            ),
-        )
-
-    def _enter_inflight(self, index: int) -> None:
-        """Record one more in-flight request on proxy ``index``,
-        updating the cluster-wide peak."""
-        with self._counter_lock:
-            self._inflight[index] += 1
-            if self._inflight[index] > self.counters["proxy_peak_inflight"]:
-                self.counters["proxy_peak_inflight"] = self._inflight[index]
-                get_registry().set_gauge(
-                    "cluster.proxy_peak_inflight", self._inflight[index]
-                )
+                return self._shed_response(decision.status, decision)
+        if not self._acquire_slot(index, span):
+            # Typed 503 for a bounded queue that is already full.
+            self.bump_counter("shed_queue")
+            tracer.finish(
+                span, status="shed", http_status=503, shed_reason="queue-full"
+            )
+            return self._shed_response(
+                503,
+                AdmissionDecision(
+                    admitted=False,
+                    tenant=request.headers.get(TENANT_HEADER, ""),
+                    status=503,
+                    retry_after=qos.queue_retry_after if qos is not None else 1.0,
+                    reason="queue-full",
+                ),
+            )
+        slot = self._admission[index]
+        status = "error"
+        http_status = 0
+        try:
+            with self._counter_lock:
+                self._inflight[index] += 1
+                if self._inflight[index] > self.counters["proxy_peak_inflight"]:
+                    self.counters["proxy_peak_inflight"] = self._inflight[index]
+                    registry.set_gauge(
+                        "cluster.proxy_peak_inflight", self._inflight[index]
+                    )
+            response = self.proxies[index].handle(request)
+            http_status = response.status
+            status = "ok" if response.status < 400 else "error"
+            return response
+        finally:
+            with self._counter_lock:
+                self._inflight[index] -= 1
+            if slot is not None:
+                slot.release()
+            tracer.finish(span, status=status, http_status=http_status)
 
     def _acquire_slot(self, index: int, span) -> bool:
         """Acquire an in-flight slot on proxy ``index``, queueing when

@@ -7,8 +7,10 @@ that exercise a storlet directly instead of through a GET.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
+from repro.columnar.batch import ColumnBatch
+from repro.columnar.layout import BlockStreamEncoder
 from repro.storlets import IStorlet, StorletInputStream, StorletLogger
 
 
@@ -52,3 +54,21 @@ def run_sandboxed(sandbox, storlet, data, parameters, **kwargs) -> SimpleNamespa
     )
     body = b"".join(invocation.chunks())
     return SimpleNamespace(body=body, metadata=invocation.metadata)
+
+
+def block_stream(
+    batches: Sequence[ColumnBatch],
+    block_rows: int = 1 << 30,
+    encoder: Optional[BlockStreamEncoder] = None,
+) -> bytes:
+    """The block stream of one response that ships ``batches`` -- each
+    standing for a stripe's selected rows, cut every ``block_rows`` --
+    through one encoder, as ``ColumnarStorlet.process`` does."""
+    if not batches:
+        return b""
+    encoder = encoder or BlockStreamEncoder(batches[0].schema)
+    return b"".join(
+        block
+        for batch in batches
+        for block in encoder.blocks(batch.columns, len(batch), block_rows)
+    )

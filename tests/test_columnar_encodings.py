@@ -27,11 +27,11 @@ from repro.columnar.layout import (
     ENC_INT64,
     ENC_NARROW_INT,
     ENC_TEXT,
+    BlockStreamEncoder,
     decode_block_stream,
     decode_column,
     decode_footer,
     decode_segment,
-    encode_block,
     encode_segment,
 )
 from repro.core import ScoopContext
@@ -46,6 +46,7 @@ from repro.storlets.columnar_storlet import ColumnarStorlet, CsvToColumnarStorle
 from repro.swift.http import chunk_bytes
 
 from tests import rowwise_reference as reference
+from tests.storlet_harness import block_stream
 
 STRING, INT, FLOAT, BOOL = (
     DataType.STRING, DataType.INT, DataType.FLOAT, DataType.BOOL,
@@ -292,24 +293,36 @@ class TestDictColumn:
         assert compress_columns([["p", "q", "r", "s"]], bytes([0, 1, 1, 0])) == [["q", "r"]]
 
     def test_a_block_ships_the_surviving_entries_still_coded(self):
-        column = DictColumn(["a", "b", "c", "d"], bytes([3, 1, 3, 3, 1]))
+        column = DictColumn(["Alpha", "Bravo", "Charlie", "Delta"], bytes([3, 1, 3, 3, 1]))
+        later = DictColumn(["Delta", "Echo", "Alpha"], bytes([1, 0, 0]))
         plain = [7, 8, 9, 10, 11]
         schema = METER_SCHEMA.select(["city", "code"])
-        block = encode_block(ColumnBatch(schema, [column, plain], 5))
-        header_len = struct.unpack_from("<I", block)[0]
-        header = json.loads(block[4 : 4 + header_len])
-        segment = block[4 + header_len :][: header["lens"][0]]
-        assert segment[0] == ENC_DICT
-        shipped = decode_column(segment, STRING, 5)
-        assert shipped.entries == ["b", "d"] and shipped.codes == bytes([1, 0, 1, 1, 0])
-        (batch,) = decode_block_stream([block])
+        encoder = BlockStreamEncoder(schema)
+        stream = block_stream(
+            [
+                ColumnBatch(schema, [column, plain], 5),
+                ColumnBatch(schema, [later, plain[:3]], 3),
+            ],
+            encoder=encoder,
+        )
+        first, second = decode_block_stream([stream])
         # Still carriers past the block decoder: cells expand where rows leave.
-        coded, other = batch.columns
+        coded, other = first.columns
         assert isinstance(coded, DictColumn) and isinstance(other, PackedColumn)
         assert (other.view.format, other.base, list(other)) == ("B", 7, plain)
-        assert (coded.entries, coded.codes) == (shipped.entries, shipped.codes)
-        assert list(coded) == list("dbddb")
-        assert batch.rows == tuple(zip("dbddb", plain))
+        assert (coded.entries, coded.codes) == (["Bravo", "Delta"], bytes([1, 0, 1, 1, 0]))
+        assert first.rows == tuple(zip(["Delta", "Bravo", "Delta", "Delta", "Bravo"], plain))
+        # The second block codes into the dictionary the stream has built
+        # and adds the one entry that is new to it ...
+        (again, _other) = second.columns
+        assert isinstance(again, DictColumn)
+        assert (again.entries, again.codes) == (["Bravo", "Delta", "Echo"], bytes([2, 1, 1]))
+        assert coded.entries == ["Bravo", "Delta"]  # ... in a list of its own.
+        # Only entries a shipped row uses are ever sent, each of them once.
+        assert encoder.entries_shipped == 3 and encoder.resets == 0
+        for entry in (b"Bravo", b"Delta", b"Echo"):
+            assert stream.count(entry) == 1
+        assert b"Alpha" not in stream and b"Charlie" not in stream
 
     @pytest.mark.parametrize(
         "codes", [bytes([0, 2, 0, 1]), bytes([2, 2]), bytes([0, 1]), b""]
@@ -317,12 +330,12 @@ class TestDictColumn:
     def test_a_block_with_nulls_or_no_rows_round_trips(self, codes):
         column = DictColumn(["a", "b", None], codes)
         schema = METER_SCHEMA.select(["city"])
-        block = encode_block(ColumnBatch(schema, [column], len(codes)))
+        block = block_stream([ColumnBatch(schema, [column], len(codes))])
         (batch,) = decode_block_stream([block])
         (decoded,) = batch.columns
         # NULLs travel in the bitmap, so only a NULL-free block comes
         # back coded; either way the cells are the column's.
-        assert isinstance(decoded, DictColumn) == (codes == bytes([0, 1]))
+        assert isinstance(decoded, DictColumn) == (2 not in codes)
         assert list(decoded) == list(column)
         assert batch.rows == tuple((cell,) for cell in column)
 

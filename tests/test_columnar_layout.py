@@ -17,7 +17,6 @@ from repro.columnar.layout import (
     decode_block_stream,
     decode_footer,
     decode_segment,
-    encode_block,
     encode_columnar,
     encode_segment,
     encode_stream,
@@ -25,6 +24,8 @@ from repro.columnar.layout import (
     iter_stripe_batches,
 )
 from repro.sql.types import DataType, Schema
+
+from tests.storlet_harness import block_stream
 
 # -- value strategies per column type ---------------------------------------
 
@@ -181,10 +182,11 @@ class TestBlockStream:
             (f"r{i}", i if i % 3 else None, i / 2.0, i % 2 == 0)
             for i in range(300)
         ]
-        stream = encode_block(
-            ColumnBatch.from_rows(schema, tuple(rows[:100]))
-        ) + encode_block(
-            ColumnBatch.from_rows(schema, tuple(rows[100:]))
+        stream = block_stream(
+            [
+                ColumnBatch.from_rows(schema, tuple(rows[:100])),
+                ColumnBatch.from_rows(schema, tuple(rows[100:])),
+            ]
         )
         chunks = [
             stream[i : i + chunk_size]
@@ -200,7 +202,7 @@ class TestBlockStream:
     @settings(max_examples=80, deadline=None)
     @given(batches=batch_lists(), chunk_size=st.integers(1, 97))
     def test_arbitrary_batches_round_trip(self, batches, chunk_size):
-        stream = b"".join(encode_block(batch) for batch in batches)
+        stream = block_stream(batches)
         chunks = [
             stream[i : i + chunk_size]
             for i in range(0, len(stream), chunk_size)
@@ -212,15 +214,13 @@ class TestBlockStream:
 
     def test_truncated_stream_raises(self):
         schema = Schema.of("a")
-        block = encode_block(
-            ColumnBatch.from_rows(schema, (("x",), ("y",)))
-        )
+        block = block_stream([ColumnBatch.from_rows(schema, (("x",), ("y",)))])
         with pytest.raises(ValueError):
             list(decode_block_stream([block[:-1]]))
 
     def test_empty_batch_round_trips(self):
         schema = Schema.of("a", "b:int")
-        block = encode_block(ColumnBatch(schema, [[], []], 0))
+        block = block_stream([ColumnBatch(schema, [[], []], 0)])
         (batch,) = list(decode_block_stream([block]))
         assert len(batch) == 0
         assert batch.schema.to_header() == schema.to_header()

@@ -39,7 +39,6 @@ from repro.columnar.layout import (
     decode_column,
     decode_footer,
     decode_segment,
-    encode_block,
     encode_segment,
     settle_column,
 )
@@ -54,7 +53,7 @@ from repro.storlets import columnar_storlet
 from repro.storlets.columnar_storlet import ColumnarStorlet
 
 from tests import rowwise_reference as reference
-from tests.storlet_harness import run_storlet
+from tests.storlet_harness import block_stream, run_storlet
 from tests.test_columnar_encodings import _SEGMENTS, _bits, _convert
 from tests.test_sql_kernels import _packed
 
@@ -110,7 +109,7 @@ class TestPackedColumn:
         assert list(column[::-1]) == values[::-1]
         # What a stepped slice feeds must still frame as a segment.
         schema = Schema.of("code:int")
-        (shipped,) = decode_block_stream([encode_block(ColumnBatch(schema, [stepped]))])
+        (shipped,) = decode_block_stream([block_stream([ColumnBatch(schema, [stepped])])])
         assert list(shipped.columns[0]) == values[3:200:7]
 
     def test_a_null_bearing_segment_is_a_list(self):
@@ -261,7 +260,7 @@ class TestPortability:
                 assert _bits(column) == _bits(values)
                 # ... and what it re-frames as reads back the same here.
                 name = "i" if dtype is INT else "f"
-                block = encode_block(ColumnBatch(schema.select([name]), [column]))
+                block = block_stream([ColumnBatch(schema.select([name]), [column])])
             (batch,) = decode_block_stream([block])
             assert _bits(batch.columns[0]) == _bits(values)
 
@@ -280,17 +279,16 @@ class TestPortability:
 
     def test_the_block_decoder_copies_each_segment_out_of_its_buffer(self):
         schema = Schema.of("code:int", "index:float")
-        blocks = [
-            encode_block(
+        stream = block_stream(
+            [
                 ColumnBatch(
                     schema,
                     [_packed(list(range(k, k + 300)), "H", k), _packed([k / 3] * 300, "d")],
                 )
-            )
-            for k in (1000, 5000, 9000)
-        ]
+                for k in (1000, 5000, 9000)
+            ]
+        )
         decoder = BlockStreamDecoder()
-        stream = b"".join(blocks)
         batches = []
         # Chunks that straddle blocks: the buffer is cut under live views.
         for start in range(0, len(stream), 1000):
@@ -307,25 +305,30 @@ class TestPortability:
 class TestPendingHeader:
     def test_a_pending_header_is_parsed_once(self, monkeypatch):
         schema = Schema.of("code:int")
-        stream = b"".join(
-            encode_block(ColumnBatch(schema, [list(range(k, k + 50))])) for k in (0, 300)
+        stream = block_stream(
+            [ColumnBatch(schema, [list(range(k, k + 50))]) for k in (0, 300)]
         )
-        parsed = []
-        loads = json.loads
-        monkeypatch.setattr(
-            layout.json, "loads", lambda text: parsed.append(text) or loads(text)
-        )
+        unpacked = []
+        unpack_from = struct.unpack_from
+
+        def spy(fmt, *args):
+            unpacked.append(fmt)
+            return unpack_from(fmt, *args)
+
+        monkeypatch.setattr(layout.struct, "unpack_from", spy)
         decoder = BlockStreamDecoder()
         batches = [b for i in range(len(stream)) for b in decoder.push(stream[i : i + 1])]
         decoder.finish()
-        assert len(parsed) == 2  # once per block, not once per chunk
+        # One column: a block header is rows + one segment length.  It is
+        # unpacked once per block, not once per chunk.
+        assert unpacked.count("<2I") == 2
         assert [list(b.columns[0]) for b in batches] == [
             list(range(50)), list(range(300, 350))
         ]
 
     def test_a_stream_cut_after_the_header_is_still_truncated(self):
         schema = Schema.of("code:int")
-        block = encode_block(ColumnBatch(schema, [list(range(50))]))
+        block = block_stream([ColumnBatch(schema, [list(range(50))])])
         decoder = BlockStreamDecoder()
         assert decoder.push(block[:-1]) == []
         with pytest.raises(ValueError, match="truncated"):
@@ -381,8 +384,10 @@ class TestLedgerQueriesTakeTheIntendedPaths:
             parameters.update(stripes=_stripes(footer), range_start="0")
             result = run_storlet(ColumnarStorlet(), body, parameters, chunk_size=4096)
             blocks = list(decode_block_stream([result.body]))
+            run.response = result.body  # of the last scan
             return result.metadata, blocks, footer
 
+        run.stored = body
         return run
 
     def test_unfiltered_city_and_code_ship_verbatim(self, scan):
@@ -398,6 +403,45 @@ class TestLedgerQueriesTakeTheIntendedPaths:
         for batch in blocks:
             code, city = batch.columns  # base-schema order
             assert isinstance(city, DictColumn) and isinstance(code, PackedColumn)
+
+    def test_unfiltered_city_and_code_cost_what_the_framing_says(self, scan):
+        with mock.patch.object(columnar_storlet, "BLOCK_ROWS", 128):
+            metadata, blocks, footer = scan("SELECT city, code FROM t")
+        stored, response = scan.stored, scan.response
+        # Each distinct city crosses once in the response -- with the
+        # first stripe that uses it -- and the dictionary never restarts.
+        seen, fresh = set(), []
+        for stripe in layout.iter_stripe_batches(stored, ["city"]):
+            new = set(stripe.columns[0]) - seen
+            fresh.append(new)
+            seen |= new
+        assert len(seen) > 5 and len(fresh) > 1
+        assert metadata["x-object-meta-storlet-dict-entries"] == str(len(seen))
+        assert metadata["x-object-meta-storlet-dict-resets"] == "0"
+        assert sorted(blocks[-1].columns[1].entries) == sorted(seen)
+        # To the byte: a preamble, and per block a header, ``code`` as
+        # tag | width | base | two-byte offsets and ``city`` as tag |
+        # entry count | one-byte codes; the entries (tag once a stripe
+        # that brings any, u32 length + text each) -- and no bitmap.
+        rows = [len(batch) for batch in blocks]
+        assert sum(rows) == footer.rows and len(rows) > len(footer.stripes)
+        assert all(batch.columns[0].view.format == "H" for batch in blocks)
+        preamble = 4 + len("code:int,city:string")
+        framing = sum(12 + (1 + 1 + 8 + 2 * n) + (1 + 2 + n) for n in rows)
+        entries = sum(map(bool, fresh)) + sum(4 + len(city.encode()) for city in seen)
+        assert len(response) == preamble + framing + entries
+
+    def test_a_filtered_scan_ships_each_used_entry_once(self, scan):
+        metadata, blocks, _footer = scan("SELECT vid, date, index FROM t WHERE code < 5000")
+        shipped = 0
+        for index, name in enumerate(("vid", "date")):
+            used = {cell for batch in blocks for cell in batch.columns[index]}
+            # Entries only rows that were dropped use are never sent.
+            assert sorted(blocks[-1].columns[index].entries) == sorted(used), name
+            shipped += len(used)
+        assert not any(isinstance(batch.columns[2], DictColumn) for batch in blocks)
+        assert metadata["x-object-meta-storlet-dict-entries"] == str(shipped)
+        assert metadata["x-object-meta-storlet-dict-resets"] == "0"
 
     def test_the_selectivity_filter_runs_on_byte_planes(self, scan):
         metadata, blocks, footer = scan(
@@ -597,9 +641,11 @@ class TestStorletDifferential:
 # -- the per-stripe encoding rule ---------------------------------------------------------
 
 
-def _segment_sizes(block, schema):
-    header_len = struct.unpack_from("<I", block)[0]
-    return json.loads(block[4 : 4 + header_len])["lens"]
+def _segment_sizes(stream, schema):
+    """The segment lengths in the header of a stream's first block."""
+    (preamble,) = struct.unpack_from("<I", stream)
+    _rows, *sizes = struct.unpack_from(f"<{1 + len(schema)}I", stream, 4 + preamble)
+    return sizes
 
 
 class TestSettledEncoding:
@@ -619,8 +665,8 @@ class TestSettledEncoding:
         settled = settle_column(gathered)
         assert list(settled) == want
         schema = Schema.of("i:int")
-        (size,) = _segment_sizes(encode_block(ColumnBatch(schema, [settled])), schema)
-        head = 1 + (len(want) + 7) // 8
+        (size,) = _segment_sizes(block_stream([ColumnBatch(schema, [settled])]), schema)
+        head = 1  # the tag: a NULL-free segment ships no bitmap
         candidates = [head + len(reference._plain(want, INT)[1])]
         narrow = reference._narrow_int(want, INT)
         if narrow is not None:

@@ -97,14 +97,14 @@ class TestSyntheticSelectivityControl:
             # Bytes track rows in text.
             assert report.data_selectivity == pytest.approx(target, abs=0.08)
             return
-        # An encoded RCF1 response carries each block's dictionary
-        # entries beside the codes, and those do not shrink with the
-        # rows: the discarded share of the (already encoded) stored
-        # bytes trails the row share, by more the fewer rows a block
-        # keeps (0.78 for 0.9 on these ~400-row stripes).  So the band is
-        # wider below, and the response must still undercut the text a
-        # CSV pushdown ships for the same rows.
-        assert target - 0.15 <= report.data_selectivity <= target + 0.08
+        # Bytes track rows in an encoded RCF1 response too -- the schema
+        # and each dictionary entry cross once per response, whatever
+        # the rows kept -- measured against the (already encoded) stored
+        # bytes: 0.25 / 0.49 / 0.83 here.  What is left per block (its
+        # header, a narrow-int base) is why 0.9 reads a little low; and
+        # the response must still undercut the text a CSV pushdown ships
+        # for the same rows.
+        assert target - 0.10 <= report.data_selectivity <= target + 0.08
         text = measure_query_selectivity(sql, METER_SCHEMA, spec=SMALL_SPEC)
         assert report.bytes_transferred < text.bytes_kept
 

@@ -76,6 +76,32 @@ class TestHeaderDict:
         clone["a"] = "2"
         assert original["a"] == "1"
 
+    def test_a_copy_of_a_header_dict_is_taken_as_it_is_and_still_normalises(self, monkeypatch):
+        source = HeaderDict({"X_Storlet-Run": 1, "Content-Length": 42})
+        # A HeaderDict is already normal, key and value: copying one
+        # writes no slot through the normalising ``__setitem__``.
+        writes = []
+        setitem = HeaderDict.__setitem__
+        monkeypatch.setattr(
+            HeaderDict,
+            "__setitem__",
+            lambda self, key, value: writes.append(key) or setitem(self, key, value),
+        )
+        copies = [HeaderDict(source), source.copy(), HeaderDict(a="b")]
+        copies[2].update(source, x_extra=7)
+        assert writes == ["a", "x_extra"]
+        for clone in copies[:2]:
+            assert type(clone) is HeaderDict and clone == source and clone is not source
+            assert dict(clone) == {"x-storlet-run": "1", "content-length": "42"}
+        assert dict(copies[2]) == {**source, "a": "b", "x-extra": "7"}
+        # What is written afterwards still lands in the normalised slot.
+        for clone in copies:
+            clone["X_STORLET_RUN"] = 2
+            clone.update({"Content_Length": 0})
+            assert clone["x-storlet-run"] == "2" and clone["content-length"] == "0"
+            assert len(clone) == len(set(clone)) and "X_Storlet_Run" in clone
+        assert dict(source) == {"x-storlet-run": "1", "content-length": "42"}
+
     def test_pop_with_default(self):
         headers = HeaderDict({"a": "1"})
         assert headers.pop("A") == "1"
