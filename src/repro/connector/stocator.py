@@ -477,11 +477,10 @@ class StocatorConnector:
         recorded in :attr:`catalog_skipped` and the
         ``connector.objects_catalog_skipped`` registry counter.
 
-        Sound because the executor re-applies the plan's filter nodes
-        over scan rows and the shared refutation
+        Sound because the shared refutation
         (:mod:`repro.columnar.stats`) never refutes an object holding a
-        matching row: dropping a provably matching-row-free object
-        cannot change query results.
+        row that passes ``filters``, and the scan returns exactly the
+        rows that do: a dropped object would have contributed none.
         """
         if not self.skipping or not filters:
             return list(splits)

@@ -9,8 +9,9 @@ end:
 
 1. :func:`plan_aggregation_pushdown` decides whether a parsed query is
    *fully mergeable* -- every select item is either a grouping
-   expression or a mergeable aggregate, and the WHERE clause converts
-   entirely to source filters;
+   expression or a mergeable aggregate, and the source answers for
+   every WHERE conjunct exactly (all *handled*, see
+   :func:`~repro.sql.catalyst.extract_pushdown`);
 2. each partition task of an
    :class:`~repro.spark.agg_source.AggregationScanRDD` invokes the
    :class:`~repro.storlets.agg_storlet.AggregatingStorlet` with the
@@ -24,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.sql.catalyst import (
-    expression_to_filter,
-    fold_constants,
-    split_conjuncts,
-)
+from repro.sql.catalyst import extract_pushdown, fold_constants
 from repro.sql.executor import _aggregate_type, _NullsFirst, _NullsLast, infer_type
 from repro.sql.expressions import Aggregate, Column, Expression, Star
 from repro.sql.filters import Filter
@@ -51,7 +48,7 @@ class AggregationPlan:
 
 
 def plan_aggregation_pushdown(
-    query: Query, schema: Schema
+    query: Query, schema: Schema, source=None
 ) -> Optional[AggregationPlan]:
     """Compile ``query`` for aggregation pushdown, or None if it is not
     fully mergeable (the caller then falls back to filter pushdown).
@@ -72,15 +69,12 @@ def plan_aggregation_pushdown(
         # survive globally.  Not mergeable.
         return None
 
-    # WHERE must convert entirely to source filters.
-    filters: List[Filter] = []
-    if query.where is not None:
-        folded = fold_constants(query.where)
-        for conjunct in split_conjuncts(folded):
-            converted = expression_to_filter(conjunct)
-            if converted is None:
-                return None
-            filters.append(converted)
+    # The store's partial states are merged as they come: nothing
+    # re-applies WHERE above them, so every conjunct must be handled.
+    pushdown = extract_pushdown(query, schema, source)
+    if pushdown.compute_filter is not None:
+        return None
+    filters = pushdown.filters
 
     group_exprs = [fold_constants(e) for e in query.group_by]
     group_sql = [e.to_sql() for e in group_exprs]

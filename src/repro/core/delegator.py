@@ -64,7 +64,7 @@ class AnalyticsDelegator:
         spec = extract_pushdown(query, schema)
         task = PushdownTask(
             schema=schema,
-            columns=spec.required_columns or None,
+            columns=spec.required_columns,
             filters=spec.filters,
             has_header=has_header,
             delimiter=delimiter,

@@ -622,7 +622,10 @@ class ScoopContext:
             ``agg_pushdown``: aggregated at the store), and
             ``kernel_refusals`` lists each expression the kernel
             compiler refused with its stable ``reason`` code and
-            ``count``.
+            ``count``; ``filters`` counts WHERE conjuncts by what became
+            of them (``handled`` by the source and gone from the plan,
+            ``unhandled``: pushed and re-applied, ``residual``: never
+            pushed).
         """
         if report is None:
             report = self._last_report
@@ -676,6 +679,10 @@ class ScoopContext:
                     "sql.kernel_refusals"
                 )
             ],
+            "filters": {
+                labels["disposition"]: int(count)
+                for labels, count in self.registry.counter_series("sql.filters")
+            },
         }
         if self.placement is not None:
             profile["placement"] = self.placement.explain()

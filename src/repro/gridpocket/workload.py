@@ -144,8 +144,7 @@ def measure_query_selectivity(
     query = parse_query(sql)
     pushdown = extract_pushdown(query, schema)
     predicate = conjunction_predicate(pushdown.filters, schema)
-    columns = pushdown.required_columns or schema.names
-    positions = [schema.index_of(name) for name in columns]
+    positions = [schema.index_of(name) for name in pushdown.required_columns]
 
     rows_total = 0
     rows_kept = 0

@@ -12,7 +12,7 @@ The session merges the partition-ordered record stream with
 :func:`~repro.core.agg_pushdown.merge_tagged_records`.
 
 Degradation reuses :class:`~repro.spark.csv_source.CsvScanRDD`'s plain
-row reader (filters applied compute-side) and runs the *same* bounded
+reader (which filters as the storlet does) and runs the *same* bounded
 partial-aggregation generator over it, so the fallback record stream is
 identical to the pushdown stream by construction -- which is what makes
 the scheduler's skip-``emitted`` resume arithmetic sound here too.
@@ -67,9 +67,9 @@ class AggregationScanRDD(RDD):
         self.delimiter = delimiter
         self.max_groups = max_groups
         # The degradation twin: a plain CSV scan over the same splits
-        # with the task's filters applied compute-side.  Reusing
-        # CsvScanRDD's plain reader keeps the fallback's typed filtered
-        # row stream single-sourced with every other degradation path.
+        # under the task's filters.  Reusing CsvScanRDD's plain reader
+        # keeps the fallback's typed filtered row stream single-sourced
+        # with every other degradation path.
         self._fallback = CsvScanRDD(
             context,
             connector,
@@ -79,6 +79,7 @@ class AggregationScanRDD(RDD):
             task,
             has_header,
             delimiter,
+            filters=task.filters,
         )
 
     def num_partitions(self) -> int:
@@ -122,7 +123,7 @@ class AggregationScanRDD(RDD):
     # -- degradation: same aggregation, computed from plain reads ----------
 
     def _fallback_records(self, split: ObjectSplit) -> Iterator[tuple]:
-        batches = self._fallback._plain_batches(split, apply_task_filters=True)
+        batches = self._fallback._plain_batches(split)
         rows = (row for batch in batches for row in batch.rows)
         for record in tagged_partial_aggregate(
             rows, self.plan.spec, self.full_schema, max_groups=self.max_groups

@@ -144,7 +144,7 @@ class BinaryMetadataRelation(PrunedScan):
             self._schema,
             self.include_size,
         )
-        columns = list(required_columns) or self._schema.names
+        columns = list(required_columns) or [self.count_column(())]
         positions = [self._schema.index_of(name) for name in columns]
         if positions == list(range(len(self._schema))):
             return rdd

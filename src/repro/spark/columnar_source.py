@@ -17,9 +17,11 @@ data plane:
 * stripe pruning (footer min/max/null stats) runs on the compute side
   for both modes, skipping whole stripes -- and with them their GETs --
   before any byte moves;
-* a runtime storlet failure degrades to the plain segment path with the
-  filters applied compute-side, skipping rows already emitted, so the
-  fallback stream is identical to the pushdown stream.
+* the plain path runs the storlet's own selection over the segments it
+  fetched, so every path returns exactly the rows passing the scan's
+  filters, projected (the relation answers for them all,
+  ``unhandled_filters``); a runtime storlet failure degrades to it,
+  skipping rows already emitted.
 
 Scan output is columnar end to end: ``compute_batches`` yields
 ``ColumnBatch`` objects that flow through the scheduler untouched (tasks
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from repro.columnar.batch import ColumnBatch
 from repro.columnar.layout import (
@@ -80,10 +82,10 @@ class ColumnarScanRDD(RDD[Row]):
         self.output_schema = output_schema
         self.full_schema = full_schema
         self.task = task
-        #: Pushdown-extracted filters, used for compute-side stripe
-        #: pruning in every mode (pruning is conservative, and the
-        #: executor re-applies the plan's own filter nodes over plain
-        #: scans, so skipping provably row-free stripes is always sound).
+        #: The selection every path applies (the storlet when ``task``
+        #: travels, ``_assemble`` when it does not), also used for
+        #: compute-side stripe pruning in every mode: a pruned stripe
+        #: holds no row that passes them.
         self.filters = list(filters)
         self._project = [
             full_schema.index_of(name) for name in output_schema.names
@@ -93,7 +95,7 @@ class ColumnarScanRDD(RDD[Row]):
             filter_refs.update(
                 full_schema.index_of(name) for name in item.references()
             )
-        self._needed_with_filters = sorted(set(self._project) | filter_refs)
+        self._needed = sorted(set(self._project) | filter_refs)
         self._selection = FilterMask(self.filters, full_schema)
 
     def num_partitions(self) -> int:
@@ -134,13 +136,13 @@ class ColumnarScanRDD(RDD[Row]):
         if self.task is None or self.task.is_noop():
             yield from self._plain_batches(columnar, stripes)
             return
-        # Degradation decodes and selects with the storlet's own code
+        # The plain path decodes and selects with the storlet's own code
         # (see _assemble), so the fallback stream is the pushdown stream.
         yield from degrading_batches(
             self.connector,
             columnar.split.index,
             lambda: self._pushdown_batches(columnar, stripes),
-            lambda: self._plain_batches(columnar, stripes, apply_task_filters=True),
+            lambda: self._plain_batches(columnar, stripes),
         )
 
     # -- pushdown path -----------------------------------------------------
@@ -192,61 +194,36 @@ class ColumnarScanRDD(RDD[Row]):
 
     # -- plain (segment-granular) path -------------------------------------
 
-    def _stripe_ranges(
-        self, stripe: StripeMeta, needed: Sequence[int]
-    ) -> List[Tuple[int, int]]:
-        return [
-            (stripe.columns[index].offset, stripe.columns[index].length)
-            for index in needed
-        ]
-
     def _assemble(
-        self,
-        stripe: StripeMeta,
-        needed: Sequence[int],
-        pieces: Sequence[bytes],
-        apply_task_filters: bool,
+        self, stripe: StripeMeta, pieces: Sequence[bytes]
     ) -> Optional[ColumnBatch]:
         """Decode fetched segments into an output batch (None = all rows
         filtered out)."""
         vectors: List[Optional[Sequence]] = [None] * len(self.full_schema)
-        for index, data in zip(needed, pieces):
+        for index, data in zip(self._needed, pieces):
             vectors[index] = decode_column(
                 data, self.full_schema.fields[index].dtype, stripe.rows
             )
-        rows = stripe.rows
-        if apply_task_filters:
-            # The storlet's own selection code, so the fallback stream
-            # is the pushdown stream.
-            columns, rows = self._selection.select(vectors, rows, self._project)
-            if not rows:
-                return None
-        else:
-            columns = [vectors[index] for index in self._project]
+        # The storlet's own selection code, so this stream is the
+        # pushdown stream.
+        columns, rows = self._selection.select(vectors, stripe.rows, self._project)
+        if not rows:
+            return None
         return ColumnBatch(self.output_schema, columns, rows)
 
     def _plain_batches(
-        self,
-        columnar: ColumnarSplit,
-        stripes: Sequence[StripeMeta],
-        apply_task_filters: bool = False,
+        self, columnar: ColumnarSplit, stripes: Sequence[StripeMeta]
     ) -> Iterator[ColumnBatch]:
-        """Segment-granular ranged reads, one batch per surviving stripe.
-
-        For plain scans WHERE filters are NOT applied here (the executor
-        re-applies the plan's filter nodes); the degradation path passes
-        ``apply_task_filters=True`` so its stream matches the pushdown
-        stream exactly.
-        """
-        needed = (
-            self._needed_with_filters if apply_task_filters else self._project
-        )
+        """Segment-granular ranged reads of the projected and the
+        filtered columns, one batch per stripe that keeps a row."""
         for stripe in stripes:
-            pieces = self.connector.read_byte_ranges(
-                columnar.split, self._stripe_ranges(stripe, needed)
-            )
-            batch = self._assemble(stripe, needed, pieces, apply_task_filters)
-            if batch is not None and len(batch):
+            ranges = [
+                (stripe.columns[index].offset, stripe.columns[index].length)
+                for index in self._needed
+            ]
+            pieces = self.connector.read_byte_ranges(columnar.split, ranges)
+            batch = self._assemble(stripe, pieces)
+            if batch is not None:
                 yield batch
 
 
@@ -306,10 +283,26 @@ class ColumnarRelation(PrunedFilteredScan):
     def splits(self) -> List[ColumnarSplit]:
         return list(self._splits)
 
+    def unhandled_filters(self, filters: Sequence[Filter]) -> List[Filter]:
+        """None: the columnar storlet and the scan's plain path run the
+        same selection code, so every path returns exactly the passing
+        rows.  A storlet this module does not ship gets no such promise."""
+        return [] if self.storlet_name == "columnarstorlet" else list(filters)
+
+    def count_column(self, filters: Sequence[Filter]) -> str:
+        """The column with the fewest stored bytes, by the footers
+        discovery already read (ties to schema order)."""
+        stored = [0] * len(self._schema)
+        for columnar in self._splits:
+            for stripe in columnar.stripes:
+                for index, segment in enumerate(stripe.columns):
+                    stored[index] += segment.length
+        return self._schema.names[stored.index(min(stored))]
+
     def build_scan_filtered(
         self, required_columns: Sequence[str], filters: Sequence[Filter]
     ) -> RDD:
-        columns = list(required_columns) or self._schema.names
+        columns = list(required_columns) or [self.count_column(filters)]
         output_schema = self._schema.select(columns)
         # Object-level data skipping (see CsvRelation): whole objects
         # the cached catalog refutes are dropped before stripe pruning

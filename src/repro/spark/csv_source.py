@@ -5,8 +5,12 @@ This is the paper's modified Spark-CSV library (Section V-A): a
 byte-range split.  With pushdown enabled, each task's GET request is
 tagged with a :class:`~repro.core.pushdown.PushdownTask` so the CSV
 storlet filters at the storage node and only matching bytes travel;
-with pushdown disabled the full range is ingested and the projection
-happens in the compute cluster (classic ingest-then-compute).
+with pushdown disabled the full range is ingested and the selection and
+projection happen in the scan, on the compute cluster (classic
+ingest-then-compute).  Either way the scan returns exactly the rows
+passing the filters it was given, projected -- which is what lets the
+relation answer for them (``unhandled_filters``) and the planner drop
+them, and the columns only they read, from the plan.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class CsvScanRDD(RDD[Row]):
         task: Optional[PushdownTask],
         has_header: bool,
         delimiter: str,
+        filters: Sequence[Filter] = (),
     ):
         super().__init__(context)
         self.name = "CsvScan"
@@ -64,6 +69,10 @@ class CsvScanRDD(RDD[Row]):
         self.task = task
         self.has_header = has_header
         self.delimiter = delimiter
+        #: The selection every path applies: the storlet when ``task``
+        #: travels, :class:`~repro.csvscan.CsvScan` here when it does not
+        #: (pushdown off, vetoed, placed compute-side, or degraded).
+        self.filters = list(filters)
 
     def num_partitions(self) -> int:
         return len(self.splits)
@@ -90,7 +99,7 @@ class CsvScanRDD(RDD[Row]):
             self.connector,
             split.index,
             lambda: self._pushdown_batches(split),
-            lambda: self._plain_batches(split, apply_task_filters=True),
+            lambda: self._plain_batches(split),
         )
 
     def _pushdown_batches(self, split: ObjectSplit) -> Iterator[ColumnBatch]:
@@ -106,24 +115,16 @@ class CsvScanRDD(RDD[Row]):
             chunks = _decompress_chunks(chunks)
         return CsvScan(chunks, self.output_schema, self.delimiter).batches()
 
-    def _plain_batches(
-        self, split: ObjectSplit, apply_task_filters: bool = False
-    ) -> Iterator[ColumnBatch]:
+    def _plain_batches(self, split: ObjectSplit) -> Iterator[ColumnBatch]:
         """Read a split without pushdown: plain ranged GET, record
-        alignment and projection on the compute side, all streaming.
+        alignment, selection and projection on the compute side, all
+        streaming.
 
         Used for pushdown-disabled scans and as the graceful-degradation
-        path after a runtime storlet failure.  For plain scans WHERE
-        filters are NOT applied here; the session executor re-applies
-        the plan's filter nodes over the scan, so unfiltered rows
-        remain correct.  The degradation path passes
-        ``apply_task_filters=True`` so its row stream matches the
-        pushdown stream exactly (required for mid-stream resume); the
-        executor's re-applied filters are idempotent over it.
+        path after a runtime storlet failure.  The reader applies the
+        scan's filters with the storlet's own code, so this row stream
+        is the pushdown stream (which mid-stream resume requires).
         """
-        filters: Sequence[Filter] = ()
-        if apply_task_filters and self.task is not None:
-            filters = self.task.filters
         projection = None
         if len(self.output_schema) != len(self.full_schema):
             projection = [
@@ -138,7 +139,7 @@ class CsvScanRDD(RDD[Row]):
             range_start=split.start,
             range_len=split.length,
             skip_header=self.has_header and split.is_first,
-            filters=filters,
+            filters=self.filters,
         ).batches(projection)
 
 
@@ -153,10 +154,10 @@ def degrading_batches(
 
     The failure may come mid-stream (the sandbox charges its budgets
     chunk by chunk) but the stored bytes are intact: ``plain()`` reads
-    them without the storlet and applies the task's filters
-    compute-side, which makes its row stream identical to the pushdown
-    stream -- so the rows already emitted before the failure are
-    skipped, not duplicated (the batch the failure fell in is sliced).
+    them without the storlet and selects with the storlet's own code,
+    so its row stream is the pushdown stream -- the rows already
+    emitted before the failure are skipped, not duplicated (the batch
+    the failure fell in is sliced).
     A non-degradable error propagates.
     """
     emitted = 0
@@ -264,10 +265,16 @@ class CsvRelation(PrunedFilteredScan):
     def splits(self) -> List[ObjectSplit]:
         return list(self._splits)
 
+    def unhandled_filters(self, filters: Sequence[Filter]) -> List[Filter]:
+        """None: the CSV storlet and the scan's own reader run the same
+        selection code, so every path returns exactly the passing rows.
+        A storlet this module does not ship gets no such promise."""
+        return [] if self.storlet_name == "csvstorlet" else list(filters)
+
     def build_scan_filtered(
         self, required_columns: Sequence[str], filters: Sequence[Filter]
     ) -> RDD:
-        columns = list(required_columns) or self._schema.names
+        columns = list(required_columns) or [self.count_column(filters)]
         output_schema = self._schema.select(columns)
         # Object-level data skipping: now that the query's filter
         # conjunction is known, drop every split of every object whose
@@ -305,6 +312,7 @@ class CsvRelation(PrunedFilteredScan):
             task,
             self.has_header,
             self.delimiter,
+            filters=filters,
         )
 
     def build_scan_pruned(self, required_columns: Sequence[str]) -> RDD:
@@ -322,7 +330,7 @@ class CsvRelation(PrunedFilteredScan):
 
         Returns the task re-targeted at the chosen tier, or ``None``
         when the engine decides the compute side should do the work
-        (plain ingest; the executor re-applies filters over scan rows).
+        (plain ingest; the scan filters and projects what it reads).
         """
         column_projection = task.columns is not None and len(
             task.columns

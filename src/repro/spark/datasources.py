@@ -9,14 +9,18 @@ PrunedScan takes required columns, PrunedFilteredScan takes required
 columns *and* filters).
 
 A relation advertises the richest flavor it implements; the session's
-planner calls the best one Catalyst's extraction can feed, and
-conservatively re-applies every filter upstream regardless.
+planner calls the best one Catalyst's extraction can feed.  Which
+predicates the planner still evaluates upstream is the relation's to
+say (``unhandled_filters``, as in Spark): by default all of them, and
+only a filter the relation answers for *exactly* leaves the plan -- and
+with it any column nothing else reads.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
+from repro.sql.catalyst import count_column
 from repro.sql.filters import Filter
 from repro.sql.types import Schema
 from repro.spark.rdd import RDD
@@ -31,6 +35,18 @@ class BaseRelation:
     def size_in_bytes(self) -> int:
         """Estimated raw size (drives partition discovery accounting)."""
         return 0
+
+    def unhandled_filters(self, filters: Sequence[Filter]) -> List[Filter]:
+        """The filters the planner must re-apply over this relation's
+        rows.  Default (Spark's own): every one.  A relation omits a
+        filter only if its scan returns *exactly* the rows the filter
+        accepts, on every path it can take."""
+        return list(filters)
+
+    def count_column(self, filters: Sequence[Filter]) -> str:
+        """The column a scan ships when the query reads none
+        (``count(*)``): the cheapest the relation can tell."""
+        return count_column(self.schema(), filters)
 
 
 class TableScan(BaseRelation):
@@ -51,18 +67,15 @@ class PrunedFilteredScan(BaseRelation):
     """Flavor 3: return required columns of rows passing the filters.
 
     The relation may apply the filters *best-effort*: it must not drop a
-    row any filter accepts, but may return rows that fail them (Spark
-    re-evaluates all predicates upstream).
+    row any filter accepts, but may return rows that fail them -- the
+    planner re-evaluates upstream every predicate ``unhandled_filters``
+    does not vouch for.
     """
 
     def build_scan_filtered(
         self, required_columns: Sequence[str], filters: Sequence[Filter]
     ) -> RDD:
         raise NotImplementedError
-
-    def unhandled_filters(self, filters: Sequence[Filter]) -> List[Filter]:
-        """Filters the source cannot evaluate (default: none)."""
-        return []
 
 
 RelationProvider = Callable[..., BaseRelation]

@@ -10,7 +10,8 @@ pushed down over the returned rows.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.agg_pushdown import (
     merge_tagged_records,
@@ -138,15 +139,24 @@ class SparkSession:
     def execute_query_object(self, query: Query) -> Tuple[Schema, List[Row]]:
         relation = self.relation(query.table)
         base_schema = relation.schema()
-        spec = extract_pushdown(query, base_schema)
+        spec = extract_pushdown(query, base_schema, relation)
         self.last_pushdown = spec
+        registry = get_registry()
+        for disposition, count in (
+            ("handled", len(spec.handled)),
+            ("unhandled", len(spec.unhandled)),
+            ("residual", len(spec.conjuncts) - len(spec.filters)),
+        ):
+            if count:
+                registry.inc("sql.filters", count, disposition=disposition)
 
         aggregated = self._try_aggregation_pushdown(query, relation, base_schema)
         if aggregated is not None:
             return aggregated
 
-        rdd, scan_schema = self._plan_scan(relation, base_schema, spec)
-        plan = Optimizer().optimize(build_logical_plan(query, scan_schema))
+        rdd = self._plan_scan(relation, spec)
+        scan_schema = _scan_schema(relation, base_schema, spec)
+        plan = _logical_plan(query, spec, scan_schema)
         # The scan streams: the executor pulls batches through the
         # scheduler on demand, so non-blocking plans (scan/filter/project/
         # limit) never materialize a partition, and a satisfied LIMIT
@@ -161,7 +171,6 @@ class SparkSession:
         result = execute_plan_batches(
             plan, lambda: self.context.iter_batches(rdd), scan_schema
         )
-        registry = get_registry()
         if result is not None:
             registry.inc("sql.queries", path="batch")
             return result
@@ -187,7 +196,7 @@ class SparkSession:
         builder = getattr(relation, "build_aggregation_scan", None)
         if builder is None:
             return None
-        plan = plan_aggregation_pushdown(query, base_schema)
+        plan = plan_aggregation_pushdown(query, base_schema, relation)
         if plan is None:
             return None
         rdd = builder(plan)
@@ -198,23 +207,14 @@ class SparkSession:
             plan, self.context.iter_rows(rdd), base_schema
         )
 
-    def _plan_scan(
-        self, relation: BaseRelation, base_schema: Schema, spec: PushdownSpec
-    ) -> Tuple[RDD, Schema]:
+    def _plan_scan(self, relation: BaseRelation, spec: PushdownSpec) -> RDD:
         """Pick the richest Data Sources API flavor the relation offers."""
-        columns = spec.required_columns or base_schema.names
         if isinstance(relation, PrunedFilteredScan):
-            return (
-                relation.build_scan_filtered(columns, spec.filters),
-                base_schema.select(columns),
-            )
+            return relation.build_scan_filtered(spec.required_columns, spec.filters)
         if isinstance(relation, PrunedScan):
-            return (
-                relation.build_scan_pruned(columns),
-                base_schema.select(columns),
-            )
+            return relation.build_scan_pruned(spec.required_columns)
         if isinstance(relation, TableScan):
-            return relation.build_scan(), base_schema
+            return relation.build_scan()
         raise SqlAnalysisError(
             f"relation {type(relation).__name__} implements no scan flavor"
         )
@@ -222,8 +222,10 @@ class SparkSession:
     def explain_query_object(self, query: Query) -> str:
         relation = self.relation(query.table)
         base_schema = relation.schema()
-        spec = extract_pushdown(query, base_schema)
-        plan = Optimizer().optimize(build_logical_plan(query, base_schema))
+        spec = extract_pushdown(query, base_schema, relation)
+        plan = _logical_plan(
+            query, spec, _scan_schema(relation, base_schema, spec)
+        )
         flavor = (
             "PrunedFilteredScan"
             if isinstance(relation, PrunedFilteredScan)
@@ -236,6 +238,23 @@ class SparkSession:
             f"== Data source ==\n{type(relation).__name__} via {flavor}\n"
             f"== Pushdown ==\n{spec.describe()}"
         )
+
+
+def _scan_schema(
+    relation: BaseRelation, base_schema: Schema, spec: PushdownSpec
+) -> Schema:
+    """The schema of the rows the chosen scan flavor returns."""
+    if isinstance(relation, (PrunedFilteredScan, PrunedScan)):
+        return base_schema.select(spec.required_columns)
+    return base_schema
+
+
+def _logical_plan(query: Query, spec: PushdownSpec, scan_schema: Schema):
+    """The optimized plan over the scan's rows: its FilterNode holds
+    only what the source did not answer for (none, when nothing)."""
+    return Optimizer().optimize(
+        build_logical_plan(replace(query, where=spec.compute_filter), scan_schema)
+    )
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,8 @@ This package provides the equivalent machinery:
   cross the wire to the object store (EqualTo, GreaterThan,
   StringStartsWith, ...), JSON-serializable for HTTP headers.
 * :mod:`repro.sql.catalyst` -- logical plans, rewrite rules, and
-  ``extract_pushdown``: required columns + pushable filters + residual.
+  ``extract_pushdown``: pushed filters, which of them the source answers
+  for (handled), the predicate left to the executor, the columns to ship.
 * :mod:`repro.sql.executor` -- volcano-style physical operators
   (filter, project, hash aggregate, sort, limit).
 """

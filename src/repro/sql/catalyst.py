@@ -9,9 +9,11 @@ Section III-A).  This module provides exactly that:
   (Scan -> Filter -> Aggregate/Project -> Distinct -> Sort -> Limit).
 * :class:`Optimizer` -- rule-based rewrites: constant folding, boolean
   simplification, conjunct splitting and LIKE decomposition.
-* :func:`extract_pushdown` -- the Data-Sources-API handshake: required
-  columns (projection), convertible source filters (selection) and the
-  residual predicate that must still run in the compute cluster.
+* :func:`extract_pushdown` -- the Data-Sources-API handshake: the source
+  filters (selection), which of them the source answers for exactly
+  (*handled*: they leave the plan), the predicate that must still run
+  in the compute cluster, and the columns (projection) that predicate
+  and the rest of the query read.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.sql.expressions import (
     UnaryOp,
 )
 from repro.sql.parser import Query
-from repro.sql.types import Schema
+from repro.sql.types import DataType, Schema
 
 
 # --------------------------------------------------------------------------
@@ -310,22 +312,24 @@ def decompose_like(attribute: str, pattern: str) -> f.Filter:
     return f.LikePattern(attribute, pattern)
 
 
-def expression_to_filter(expression: Expression) -> Optional[f.Filter]:
+def expression_to_filter(
+    expression: Expression, schema: Optional[Schema] = None
+) -> Optional[f.Filter]:
     """Convert one predicate expression to a source filter, or None if it
-    cannot be pushed (references computed values, non-literal operands...)."""
+    cannot be pushed (references computed values, non-literal operands...).
+
+    The filter never rejects a row the expression accepts.  LIKE matches
+    the *text* of a cell, so its cheaper decompositions (``abc`` ->
+    EqualTo compares values) hold only on a STRING column: given the
+    ``schema``, LIKE on any other column stays a general LikePattern.
+    """
     if isinstance(expression, BinaryOp):
-        if expression.op == "and":
-            left = expression_to_filter(expression.left)
-            right = expression_to_filter(expression.right)
-            if left is not None and right is not None:
-                return f.And(left, right)
-            return None
-        if expression.op == "or":
-            left = expression_to_filter(expression.left)
-            right = expression_to_filter(expression.right)
-            if left is not None and right is not None:
-                return f.Or(left, right)
-            return None
+        if expression.op in ("and", "or"):
+            left = expression_to_filter(expression.left, schema)
+            right = expression_to_filter(expression.right, schema)
+            if left is None or right is None:
+                return None
+            return (f.And if expression.op == "and" else f.Or)(left, right)
         if expression.op in _COMPARE_FILTERS or expression.op in ("<>", "!="):
             column, literal, op = _normalize_comparison(expression)
             if column is None:
@@ -335,12 +339,16 @@ def expression_to_filter(expression: Expression) -> Optional[f.Filter]:
             return _COMPARE_FILTERS[op](column, literal)
         return None
     if isinstance(expression, UnaryOp) and expression.op == "not":
-        inner = expression_to_filter(expression.operand)
+        inner = expression_to_filter(expression.operand, schema)
         return f.Not(inner) if inner is not None else None
     if isinstance(expression, Like):
         if not isinstance(expression.operand, Column):
             return None
-        converted = decompose_like(expression.operand.name, expression.pattern)
+        name = expression.operand.name
+        if schema is None or _is_string_column(name, schema):
+            converted = decompose_like(name, expression.pattern)
+        else:
+            converted = f.LikePattern(name, expression.pattern)
         return f.Not(converted) if expression.negated else converted
     if isinstance(expression, InList):
         if not isinstance(expression.operand, Column):
@@ -375,6 +383,10 @@ def expression_to_filter(expression: Expression) -> Optional[f.Filter]:
     return None
 
 
+def _is_string_column(name: str, schema: Schema) -> bool:
+    return name in schema and schema.field(name).dtype is DataType.STRING
+
+
 def _normalize_comparison(expression: BinaryOp):
     """Orient ``column op literal``; returns (name, value, op) or Nones."""
     left, right, op = expression.left, expression.right, expression.op
@@ -390,41 +402,109 @@ def _normalize_comparison(expression: BinaryOp):
 # --------------------------------------------------------------------------
 
 
+#: Why the compute side still evaluates a WHERE conjunct (stable codes).
+#: ``untranslatable`` conjuncts are not pushed at all; the rest are
+#: pushed best-effort and re-applied upstream.
+UNHANDLED_REASONS = (
+    "untranslatable",
+    "not_total",
+    "negation",
+    "text_filter_on_non_string",
+    "source_declined",
+)
+
+
+@dataclass(frozen=True)
+class PushedConjunct:
+    """One top-level WHERE conjunct and what became of it.
+
+    ``filter`` is its source filter (None: not pushed).  ``reason`` is
+    None when the source answers for it -- the conjunct is *handled* and
+    leaves the plan -- else one of :data:`UNHANDLED_REASONS`.
+    """
+
+    conjunct: Expression
+    filter: Optional[f.Filter] = None
+    reason: Optional[str] = None
+
+
 @dataclass
 class PushdownSpec:
     """What the data source is asked to do (projection + selection).
 
-    ``required_columns`` are in base-schema order.  ``filters`` is a
-    conjunctive list the source *may* apply (it must not drop rows the
-    filters keep).  ``residual`` is the predicate part the compute side
-    must still evaluate; Spark conservatively re-applies all filters
-    upstream anyway, and so does our executor.
+    ``filters`` is the conjunctive list the scan is given; it returns
+    exactly the rows passing them.  A filter is *handled* when that is
+    also exactly the rows its conjunct accepts: the conjunct then leaves
+    the plan, and a column only handled filters mention leaves
+    ``required_columns`` (base-schema order, never empty).  Every other
+    conjunct stays in ``compute_filter``, which the executor evaluates
+    over the scan's rows; ``residual`` is the part of it that was never
+    pushed.
     """
 
     required_columns: List[str]
-    filters: List[f.Filter] = field(default_factory=list)
-    residual: Optional[Expression] = None
+    conjuncts: List[PushedConjunct] = field(default_factory=list)
 
     @property
-    def column_count(self) -> int:
-        return len(self.required_columns)
+    def filters(self) -> List[f.Filter]:
+        return [item.filter for item in self.conjuncts if item.filter is not None]
+
+    @property
+    def handled(self) -> List[f.Filter]:
+        return [item.filter for item in self.conjuncts if item.reason is None]
+
+    @property
+    def unhandled(self) -> List[Tuple[f.Filter, str]]:
+        """Pushed best-effort, re-applied upstream: (filter, reason)."""
+        return [
+            (item.filter, item.reason)
+            for item in self.conjuncts
+            if item.filter is not None and item.reason is not None
+        ]
+
+    @property
+    def residual(self) -> Optional[Expression]:
+        return conjoin(
+            [item.conjunct for item in self.conjuncts if item.filter is None]
+        )
+
+    @property
+    def compute_filter(self) -> Optional[Expression]:
+        """residual AND unhandled, in WHERE order: the plan's FilterNode."""
+        return conjoin(
+            [item.conjunct for item in self.conjuncts if item.reason is not None]
+        )
 
     def describe(self) -> str:
         filters = ", ".join(repr(item) for item in self.filters) or "none"
         residual = self.residual.to_sql() if self.residual else "none"
+        handled = ", ".join(repr(item) for item in self.handled)
+        unhandled = ", ".join(
+            (item.conjunct.to_sql() if item.filter is None else repr(item.filter))
+            + f" ({item.reason})"
+            for item in self.conjuncts
+            if item.reason is not None
+        )
         return (
             f"columns=[{', '.join(self.required_columns)}] "
-            f"filters=[{filters}] residual={residual}"
+            f"filters=[{filters}] residual={residual} "
+            f"handled=[{handled}] unhandled=[{unhandled}]"
         )
 
 
 def required_columns(query: Query, schema: Schema) -> List[str]:
     """All base columns the query touches, in schema order."""
+    referenced = _output_references(query, schema)
+    if query.where is not None:
+        referenced |= query.where.columns()
+    return [name for name in schema.names if name.lower() in referenced]
+
+
+def _output_references(query: Query, schema: Schema) -> Set[str]:
+    """Columns referenced anywhere but WHERE (lower-cased)."""
     referenced: Set[str] = set()
     for item in _expand_star(query.items, schema):
         referenced |= item.expression.columns()
-    if query.where is not None:
-        referenced |= query.where.columns()
     for expression in query.group_by:
         referenced |= expression.columns()
     for expression, _ascending in query.order_by:
@@ -432,28 +512,102 @@ def required_columns(query: Query, schema: Schema) -> List[str]:
     # ORDER BY / GROUP BY may also name select aliases; those resolve to
     # the aliased expressions whose base columns are already in the select
     # items' reference set, so filtering against schema names suffices.
-    return [name for name in schema.names if name.lower() in referenced]
+    return referenced
 
 
-def extract_pushdown(query: Query, schema: Schema) -> PushdownSpec:
-    """The PrunedFilteredScan handshake for a query against ``schema``."""
-    columns = required_columns(query, schema)
-    filters: List[f.Filter] = []
-    residual_parts: List[Expression] = []
+def count_column(schema: Schema, filters: Sequence[f.Filter]) -> str:
+    """The column to ship when a query reads none (``count(*)``): one
+    the filters already make the source read, else the first."""
+    referenced: Set[str] = set()
+    for item in filters:
+        referenced |= item.references()
+    names = schema.names
+    return next((name for name in names if name.lower() in referenced), names[0])
+
+
+def _inexact_reason(
+    conjunct: Expression, converted: f.Filter, schema: Schema
+) -> Optional[str]:
+    """Why ``converted`` may answer differently from ``conjunct`` on
+    some row of ``schema`` (None: never).
+
+    A source filter answers False for NULL and for incomparable values.
+    That is the conjunct's own answer-as-WHERE exactly when the conjunct
+    cannot raise (the kernels' totality proof) and no ``Not`` sits in
+    the filter tree (``NOT`` of NULL is NULL; ``Not`` of False is True).
+    """
+    from repro.sql.kernels import proves_total
+
+    if not proves_total(conjunct, schema):
+        return "not_total"
+    if _has_not(converted):
+        return "negation"
+    if any(
+        isinstance(node, Like) and not _is_string_column(node.operand.name, schema)
+        for node in _walk(conjunct)
+    ):
+        return "text_filter_on_non_string"
+    return None
+
+
+def _walk(expression: Expression):
+    yield expression
+    for child in expression.children():
+        yield from _walk(child)
+
+
+def _has_not(item: f.Filter) -> bool:
+    if isinstance(item, f.Not):
+        return True
+    if isinstance(item, (f.And, f.Or)):
+        return _has_not(item.left) or _has_not(item.right)
+    return False
+
+
+def extract_pushdown(query: Query, schema: Schema, source=None) -> PushdownSpec:
+    """The PrunedFilteredScan handshake for a query against ``schema``.
+
+    ``source`` is the relation being asked
+    (:class:`~repro.spark.datasources.BaseRelation`): the filters it
+    returns from ``unhandled_filters`` are ``source_declined``, and it
+    names the column to ship when the query needs none.  Without one,
+    the source is taken to evaluate every filter as
+    :mod:`repro.sql.filters` defines it, as both pushdown storlets do.
+    """
+    conjuncts: List[PushedConjunct] = []
     if query.where is not None:
         folded = fold_constants(query.where)
         for conjunct in split_conjuncts(folded):
-            converted = expression_to_filter(conjunct)
+            converted = expression_to_filter(conjunct, schema)
             known = conjunct.columns() <= {n.lower() for n in schema.names}
-            if converted is not None and known:
-                filters.append(converted)
-            else:
-                residual_parts.append(conjunct)
-    return PushdownSpec(
-        required_columns=columns,
-        filters=filters,
-        residual=conjoin(residual_parts),
-    )
+            if converted is None or not known:
+                conjuncts.append(PushedConjunct(conjunct, None, "untranslatable"))
+                continue
+            reason = _inexact_reason(conjunct, converted, schema)
+            conjuncts.append(PushedConjunct(conjunct, converted, reason))
+    if source is not None:
+        exact = [item.filter for item in conjuncts if item.reason is None]
+        declined = source.unhandled_filters(exact)
+        conjuncts = [
+            PushedConjunct(item.conjunct, item.filter, "source_declined")
+            if item.reason is None and item.filter in declined
+            else item
+            for item in conjuncts
+        ]
+    spec = PushdownSpec([], conjuncts)
+    referenced = _output_references(query, schema)
+    for item in conjuncts:
+        if item.reason is not None:
+            referenced |= item.conjunct.columns()
+    columns = [name for name in schema.names if name.lower() in referenced]
+    if not columns and schema.names:
+        columns = [
+            count_column(schema, spec.handled)
+            if source is None
+            else source.count_column(spec.handled)
+        ]
+    spec.required_columns = columns
+    return spec
 
 
 class Optimizer:

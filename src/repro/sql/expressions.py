@@ -263,7 +263,10 @@ def like_pattern_to_regex(pattern: str) -> "re.Pattern[str]":
             parts.append(".")
         else:
             parts.append(re.escape(ch))
-    return re.compile("^" + "".join(parts) + "$", re.DOTALL)
+    # ``\Z``, not ``$``: ``$`` would also match before a trailing newline,
+    # where the prefix / suffix / equality filters LIKE decomposes into
+    # (:func:`repro.sql.catalyst.decompose_like`) do not.
+    return re.compile("^" + "".join(parts) + r"\Z", re.DOTALL)
 
 
 class Like(Expression):
@@ -360,7 +363,12 @@ class Between(Expression):
             lo, hi = low(row), high(row)
             if value is None or lo is None or hi is None:
                 return None
-            result = lo <= value <= hi
+            try:
+                result = lo <= value <= hi
+            except TypeError as error:
+                raise SqlTypeError(
+                    f"cannot compare {value!r} BETWEEN {lo!r} AND {hi!r}"
+                ) from error
             return (not result) if negated else result
 
         return eval_between

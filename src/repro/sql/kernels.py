@@ -207,6 +207,15 @@ def _static_kind(expr: Expression, schema: Schema) -> str:
     raise KernelRefusal("unsupported_expression", expr)
 
 
+def proves_total(expr: Expression, schema: Schema) -> bool:
+    """Can evaluating ``expr`` over rows of ``schema`` never raise?"""
+    try:
+        _static_kind(expr, schema)
+    except KernelRefusal:
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Fused comparison / arithmetic builders (one comprehension per op).
 # ---------------------------------------------------------------------------

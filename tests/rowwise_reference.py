@@ -20,6 +20,11 @@ rule that picks between encodings.  The bloom rule is the documented one -- a co
 its bloom iff it holds at most ``MAX_BLOOM_KEYS`` distinct canonical
 keys and no unkeyable value -- in its simplest row-wise form: collect
 every key, decide at the end.
+
+The second half of the module is a WHERE evaluated one row and one node
+at a time (``where_value`` over tuple trees, ``where_sql`` to hand the
+same predicate to the stack), sharing nothing with ``repro.sql``: the
+reference of ``tests/test_handled_filters.py``.
 """
 
 import json
@@ -254,3 +259,161 @@ class RowwiseCatalog:
                 payload, separators=(",", ":"), allow_nan=False
             )
         }
+
+
+# ---------------------------------------------------------------------------
+# WHERE, one row and one node at a time.
+#
+# The reference for ``tests/test_handled_filters.py``: a predicate is a
+# tuple tree, rendered to SQL for the stack and judged here in plain
+# Python -- no parser, no expression classes, no filters, no kernels of
+# ``src/``.  The dialect is the repo's, stated where it differs from the
+# standard:
+#
+# * three-valued logic; WHERE keeps a row only when its predicate is
+#   exactly true;
+# * ``=`` / ``<>`` between a number and a string are false / true, an
+#   *ordered* comparison between them is an error (``Incomparable``);
+# * ``IN`` is two-valued once its operand is not NULL: a NULL member
+#   matches nothing and hides nothing (the standard would answer NULL
+#   for a miss), so ``x NOT IN (1, NULL)`` keeps ``x = 2``;
+# * LIKE matches the text of the value (``str``), ``%`` any run, ``_``
+#   any one character, the whole text.
+#
+# Nodes: ("cmp", col, op, literal) -- ("arith", col, addend, op, literal)
+# for ``col + addend op literal`` -- ("like", col, pattern, negated) --
+# ("in", col, literals, negated) -- ("between", col, low, high, negated)
+# -- ("null", col, negated) -- ("not", node) -- ("and" | "or", a, b).
+# ---------------------------------------------------------------------------
+
+
+class Incomparable(Exception):
+    """An ordered comparison or arithmetic between a number and a string."""
+
+
+def sql_literal(value):
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
+def where_sql(node):
+    kind = node[0]
+    if kind == "cmp":
+        _, col, op, literal = node
+        return f"{col} {op} {sql_literal(literal)}"
+    if kind == "arith":
+        _, col, addend, op, literal = node
+        return f"{col} + {sql_literal(addend)} {op} {sql_literal(literal)}"
+    if kind == "like":
+        _, col, pattern, negated = node
+        return f"{col} {'NOT ' if negated else ''}LIKE {sql_literal(pattern)}"
+    if kind == "in":
+        _, col, literals, negated = node
+        members = ", ".join(sql_literal(item) for item in literals)
+        return f"{col} {'NOT ' if negated else ''}IN ({members})"
+    if kind == "between":
+        _, col, low, high, negated = node
+        return (
+            f"{col} {'NOT ' if negated else ''}BETWEEN "
+            f"{sql_literal(low)} AND {sql_literal(high)}"
+        )
+    if kind == "null":
+        _, col, negated = node
+        return f"{col} IS {'NOT ' if negated else ''}NULL"
+    if kind == "not":
+        return f"NOT ({where_sql(node[1])})"
+    return f"({where_sql(node[1])} {kind.upper()} {where_sql(node[2])})"
+
+
+def _is_text(value):
+    return isinstance(value, str)
+
+
+def _compare(op, a, b):
+    if a is None or b is None:
+        return None
+    if op == "=":
+        return a == b
+    if op in ("<>", "!="):
+        return a != b
+    if _is_text(a) != _is_text(b):
+        raise Incomparable(f"{a!r} {op} {b!r}")
+    return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+
+
+def like_matches(text, pattern):
+    """Does the whole of ``text`` match ``pattern``?  Classic two-row
+    dynamic programme over (pattern prefix, text prefix)."""
+    reach = [True] + [False] * len(text)
+    for symbol in pattern:
+        if symbol == "%":
+            for index in range(1, len(text) + 1):
+                reach[index] = reach[index] or reach[index - 1]
+            continue
+        shifted = [False] * (len(text) + 1)
+        for index, char in enumerate(text):
+            if reach[index] and (symbol == "_" or symbol == char):
+                shifted[index + 1] = True
+        reach = shifted
+    return reach[len(text)]
+
+
+def where_value(node, row):
+    """True / False / None for one predicate over ``row`` (a mapping of
+    column name to value).  Every operand is evaluated -- no short
+    circuit -- so an ``Incomparable`` anywhere in the tree surfaces."""
+    kind = node[0]
+    if kind == "cmp":
+        _, col, op, literal = node
+        return _compare(op, row[col], literal)
+    if kind == "arith":
+        _, col, addend, op, literal = node
+        value = row[col]
+        if value is None or addend is None:
+            return None
+        if _is_text(value) != _is_text(addend):
+            raise Incomparable(f"{value!r} + {addend!r}")
+        return _compare(op, value + addend, literal)
+    if kind == "like":
+        _, col, pattern, negated = node
+        if row[col] is None:
+            return None
+        return like_matches(str(row[col]), pattern) is not negated
+    if kind == "in":
+        _, col, literals, negated = node
+        value = row[col]
+        if value is None:
+            return None
+        hit = any(item is not None and value == item for item in literals)
+        return hit is not negated
+    if kind == "between":
+        _, col, low, high, negated = node
+        value = row[col]
+        if value is None or low is None or high is None:
+            return None
+        if not _is_text(value) == _is_text(low) == _is_text(high):
+            raise Incomparable(f"{value!r} BETWEEN {low!r} AND {high!r}")
+        return (low <= value <= high) is not negated
+    if kind == "null":
+        _, col, negated = node
+        return (row[col] is None) is not negated
+    if kind == "not":
+        inner = where_value(node[1], row)
+        return None if inner is None else not inner
+    left, right = where_value(node[1], row), where_value(node[2], row)
+    if kind == "and":
+        if left is False or right is False:
+            return False
+        return None if left is None or right is None else True
+    if left is True or right is True:
+        return True
+    return None if left is None or right is None else False
+
+
+def where_keeps(conjuncts, row):
+    """Does WHERE ``conjuncts[0] AND conjuncts[1] ...`` keep ``row``?"""
+    verdicts = [where_value(node, row) for node in conjuncts]
+    return all(verdict is True for verdict in verdicts)

@@ -155,7 +155,7 @@ class TestDelegator:
         delegator = AnalyticsDelegator()
         task = delegator.make_task(self.QUERY, SCHEMA)
         assert task is not None
-        assert task.columns == ["vid", "city"]
+        assert task.columns == ["vid"]  # city is filtered on, not shipped
         assert task.filters == [EqualTo("city", "Rotterdam")]
 
     def test_noop_query_yields_none(self):
@@ -191,7 +191,7 @@ class TestDelegator:
         assert record.tenant == "acme"
         assert record.pushed_down
         assert record.filter_count == 1
-        assert record.column_count == 2
+        assert record.column_count == 1
 
 
 class TestAdaptiveController:

@@ -450,23 +450,23 @@ class TestLedgerQueriesTakeTheIntendedPaths:
         kept = sum(len(batch) for batch in blocks)
         assert 0 < kept < footer.rows
         assert _counters(metadata, "filter-evals") == {"planes": footer.rows}
-        # Four columns a stripe (the scan re-applies the filter, so code
-        # ships too): vid and date by mark-and-delete (under 256
-        # entries), code and a float64 index in the one boxed pass.
+        # Three columns a stripe (code is filtered on and stays at the
+        # store): vid and date by mark-and-delete (under 256 entries),
+        # a float64 index in the one boxed pass.
         gathers = _counters(metadata, "gathers")
-        assert sum(gathers.values()) == 4 * len(footer.stripes)
-        assert gathers["mark_delete"] >= 2 * len(footer.stripes)
+        assert sum(gathers.values()) == 3 * len(footer.stripes)
+        assert gathers["mark_delete"] == 2 * len(footer.stripes)
         # index is a float64 carrier (settled) where its stripe stored it
         # plain and a list (re-encoded per block) where it stored a
         # two-byte-code dictionary; nothing else is ever re-encoded.
         shipped = _counters(metadata, "columns")
-        assert sum(shipped.values()) == 4 * len(blocks)
-        assert shipped["settled"] >= 3 * len(blocks)
+        assert sum(shipped.values()) == 3 * len(blocks)
+        assert shipped["settled"] >= 2 * len(blocks)
         assert set(shipped) <= {"settled", "reencoded"}
         for batch in blocks:
-            vid, date, _index, code = batch.columns
+            assert batch.schema.names == ["vid", "date", "index"]
+            vid, date, _index = batch.columns
             assert isinstance(vid, DictColumn) and isinstance(date, DictColumn)
-            assert isinstance(code, PackedColumn) and code.view.format == "H"
 
     def test_showgraphcons_filters_on_dictionary_entries(self, scan):
         metadata, blocks, footer = scan(query_by_name("Showgraphcons").sql("t"))
@@ -616,9 +616,7 @@ class TestStorletDifferential:
             degraded = ColumnarScanRDD(
                 None, _ObjectBytes(body), [], out_schema, _DIFF_SCHEMA, None,
                 filters=F.filters_from_json(parameters["filters"]),
-            )._plain_batches(
-                SimpleNamespace(split=None), footer.stripes, apply_task_filters=True
-            )
+            )._plain_batches(SimpleNamespace(split=None), footer.stripes)
             degraded = [row for batch in degraded for row in batch.rows]
         stream = [result.body[i : i + case.chunk] for i in range(0, len(result.body), case.chunk)]
         blocks = list(decode_block_stream(stream))

@@ -136,6 +136,55 @@ class TestParallelTenants:
         assert total == [(SMALL_SPEC.total_rows(),)]
 
 
+class TestFilterOnlyColumnsStayAtTheStore:
+    """The ledger's three queries (``benchmarks/hotpath/workloads.py``):
+    every split's request asks for the columns the query reads above
+    the scan, and for none it only filters on."""
+
+    LEDGER = {
+        "q_selective": (
+            next(q for q in GRIDPOCKET_QUERIES if q.name == "Showgraphcons").sql(
+                "largeMeter"
+            ),
+            ["vid", "date", "index"],  # not city
+        ),
+        "q_half": (
+            synthetic_query(0.5, ["vid", "date", "index"], table="largeMeter"),
+            ["vid", "date", "index"],  # not code
+        ),
+        "q_groupby": (
+            "SELECT city, count(*) AS n, max(code) AS m FROM largeMeter "
+            "GROUP BY city ORDER BY city",
+            ["code", "city"],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LEDGER))
+    def test_response_schema_holds_no_filter_only_column(self, scoop, name):
+        sql, expected = self.LEDGER[name]
+        real = scoop.connector.open_split_stream
+        shipped = []
+
+        def spy(split, task=None):
+            # (With GROUP-BY pushdown armed a response carries group
+            # states, no columns: nothing to pin.)
+            if task is not None and task.aggregation is None:
+                shipped.append(task.pruned_schema().names)
+            return real(split, task)
+
+        scoop.connector.open_split_stream = spy
+        try:
+            rows = scoop.sql(sql).collect()
+        finally:
+            del scoop.connector.open_split_stream
+        relation = scoop.session.relation("largeMeter")
+        assert rows and (shipped or getattr(relation, "agg_pushdown", False))
+        assert all(names == expected for names in shipped), shipped
+        spec = scoop.session.last_pushdown
+        assert spec.compute_filter is None and spec.handled == spec.filters
+        assert scoop.sql(sql.replace("largeMeter", "largeMeterPlain")).collect() == rows
+
+
 class TestSessionExplain:
     def test_explain_shows_handshake(self, scoop):
         text = scoop.sql(
@@ -143,6 +192,9 @@ class TestSessionExplain:
         ).explain()
         assert "PrunedFilteredScan" in text
         assert "starts_with" in text
+        # The source answers for the filter: no Filter node, no city.
+        assert "handled=[{" in text and "unhandled=[]" in text
+        assert "Scan(largeMeter: vid)" in text and "Filter(" not in text
 
 
 class TestContextOwnership:

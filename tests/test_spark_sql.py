@@ -63,8 +63,9 @@ class TestSessionSql:
         session.sql("SELECT vid FROM t WHERE city = 'Paris'").collect()
         spec = session.last_pushdown
         assert spec is not None
-        assert spec.required_columns == ["vid", "city"]
+        assert spec.required_columns == ["vid"]  # city: filter-only
         assert len(spec.filters) == 1
+        assert spec.handled == spec.filters
 
     def test_table_method_validates(self, rig):
         session, _connector, _schema = rig
