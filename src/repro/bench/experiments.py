@@ -33,7 +33,6 @@ from repro.experiments.figures import (
     fig1_ingest_scaling,
     fig5_speedup_grid,
     fig8_crossover,
-    fig8_kernel_microbench,
     fig8_parquet_comparison,
     fig9_resource_usage,
 )
@@ -407,49 +406,6 @@ def _run_fig8(bench: "BenchContext") -> None:
     bench.check("~2.16x faster than Parquet at 90% (paper VI-C)",
                 abs(ratio - 2.16) <= 2.16 * 0.35,
                 f"ratio {ratio:.2f}")
-
-    # Row-vs-columnar: a *measured* (wall-clock) scan microbenchmark,
-    # unlike the modeled points above -- the kernel speedup is the one
-    # claim in this figure the simulator cannot vouch for.  No shipped
-    # scan takes the row side (every scan yields column batches); it is
-    # the reference executor the kernels are held to, and the table
-    # says so.  End-to-end rows/s of the shipped paths are the hotpath
-    # ledger's (``benchmarks/hotpath``), not this table's.
-    microbench_rows = 200_000 if bench.quick else 1_000_000
-    with bench.point(f"kernel microbench ({microbench_rows:,} rows)"):
-        microbench = fig8_kernel_microbench(microbench_rows)
-    bench.add_table(
-        "Fig. 8 addendum -- measured filtered-scan throughput "
-        "(reference row executor vs the batch kernels every scan runs)",
-        ["path", "rows/sec", "seconds"],
-        [
-            ["row executor over per-record CSV parse (reference only)",
-             round(microbench.row_rows_per_sec),
-             round(microbench.row_seconds, 3)],
-            ["batch kernels over RCF1 segments (shipped)",
-             round(microbench.kernel_rows_per_sec),
-             round(microbench.kernel_seconds, 3)],
-        ],
-    )
-    bench.set_result(
-        "kernel_microbench",
-        {
-            "rows": microbench.rows,
-            "row_rows_per_sec": microbench.row_rows_per_sec,
-            "kernel_rows_per_sec": microbench.kernel_rows_per_sec,
-            "speedup": microbench.speedup,
-            "identical": microbench.identical,
-        },
-    )
-    bench.check("kernel path returns the row path's exact rows",
-                microbench.identical, "differential check on the results")
-    bench.check(
-        "kernel path >=5x interpreted rows/sec on the filtered scan",
-        microbench.identical and microbench.speedup >= 5.0,
-        f"measured {microbench.speedup:.2f}x "
-        f"({microbench.kernel_rows_per_sec:,.0f} vs "
-        f"{microbench.row_rows_per_sec:,.0f} rows/s)",
-    )
 
 
 # --------------------------------------------------------------------------

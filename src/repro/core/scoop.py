@@ -616,13 +616,13 @@ class ScoopContext:
             zero GETs), and which (``skipped`` lists
             ``(container, object)``).
         ``sql``
-            Why queries left the fast path: ``queries`` counts them by
-            executor path (``batch``: kernels over column batches;
-            ``row``: the WHERE clause was not provably total;
-            ``agg_pushdown``: aggregated at the store), and
-            ``kernel_refusals`` lists each expression the kernel
-            compiler refused with its stable ``reason`` code and
-            ``count``; ``filters`` counts WHERE conjuncts by what became
+            Which path answered and what ran interpreted: ``queries``
+            counts queries by path (``batch``: kernels over column
+            batches, the one plan pipeline; ``agg_pushdown``:
+            aggregated at the store), and ``kernel_refusals`` lists
+            each expression the fused compiler refused -- it ran as an
+            interpreted kernel, ``bind`` looped over the batch -- with
+            its stable ``reason`` code and ``count``; ``filters`` counts WHERE conjuncts by what became
             of them (``handled`` by the source and gone from the plan,
             ``unhandled``: pushed and re-applied, ``residual``: never
             pushed).

@@ -165,111 +165,6 @@ def fig8_crossover(points: Sequence[Fig8Point]) -> Optional[float]:
     return None
 
 
-@dataclass
-class KernelMicrobench:
-    """Measured row-vs-columnar scan throughput (wall clock, not model).
-
-    Both paths start from encoded object bytes and end at result rows:
-    the row path parses CSV text and interprets the plan row by row;
-    the kernel path decodes only the referenced RCF1 column segments
-    and runs the compile-once batch kernels.  ``identical`` records
-    that both produced the same rows -- a throughput number for a wrong
-    answer would be meaningless.
-    """
-
-    rows: int
-    row_seconds: float
-    kernel_seconds: float
-    identical: bool
-
-    @property
-    def row_rows_per_sec(self) -> float:
-        """Interpreted-path scan throughput."""
-        return self.rows / self.row_seconds
-
-    @property
-    def kernel_rows_per_sec(self) -> float:
-        """Kernel-path scan throughput."""
-        return self.rows / self.kernel_seconds
-
-    @property
-    def speedup(self) -> float:
-        """Kernel throughput over interpreted throughput."""
-        return self.row_seconds / self.kernel_seconds
-
-
-def fig8_kernel_microbench(
-    rows: int = 1_000_000, repeats: int = 2
-) -> KernelMicrobench:
-    """Time the filtered-scan hot path, interpreted vs kernels.
-
-    The query is fig8's shape -- a selective filtered projection -- over
-    ``rows`` synthetic meter rows.  The row path must parse every CSV
-    field of every record before it can evaluate anything; the columnar
-    path decodes only the three referenced column segments (exactly
-    what the connector's segment-granular reads fetch) and evaluates
-    the predicate as compiled per-batch kernels.  Each path runs
-    ``repeats`` times and keeps its best wall time (the standard
-    microbenchmark defense against scheduler noise on shared runners).
-    """
-    import time
-
-    from repro.columnar.layout import encode_columnar, iter_stripe_batches
-    from repro.sql.catalyst import Optimizer, build_logical_plan
-    from repro.sql.executor import execute_plan, execute_plan_batches
-    from repro.sql.parser import parse_query
-    from repro.sql.types import Schema
-    from repro.csvscan import parse_record
-
-    schema = Schema.of("vid", "date", "index:float", "code:int", "city")
-    table = [
-        (f"v{i}", "2024-01-01", i / 10.0, i % 10_000, f"city{i % 5}")
-        for i in range(rows)
-    ]
-    csv_bytes = "".join(
-        ",".join(str(value) for value in row) + "\n" for row in table
-    ).encode("utf-8")
-    rcf = encode_columnar(schema, table)
-
-    sql = "SELECT vid, code FROM t WHERE code > 5000 AND city <> 'city1'"
-    needed = ["vid", "code", "city"]
-    pruned = Schema([schema.field(name) for name in needed])
-    row_plan = Optimizer().optimize(build_logical_plan(parse_query(sql), schema))
-    kernel_plan = Optimizer().optimize(
-        build_logical_plan(parse_query(sql), pruned)
-    )
-
-    def row_source():
-        for line in csv_bytes.splitlines():
-            yield schema.parse_row(parse_record(line, ","))
-
-    def best_of(run):
-        seconds, result = float("inf"), None
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            result = run()
-            seconds = min(seconds, time.perf_counter() - start)
-        return seconds, result
-
-    row_seconds, expected = best_of(
-        lambda: execute_plan(row_plan, row_source, schema)
-    )
-    kernel_seconds, result = best_of(
-        lambda: execute_plan_batches(
-            kernel_plan,
-            lambda: iter_stripe_batches(rcf, columns=needed),
-            pruned,
-        )
-    )
-
-    return KernelMicrobench(
-        rows=rows,
-        row_seconds=row_seconds,
-        kernel_seconds=kernel_seconds,
-        identical=result is not None and result[1] == expected[1],
-    )
-
-
 # --------------------------------------------------------------------------
 # Fig. 9 / Fig. 10 -- resource usage with and without Scoop
 # --------------------------------------------------------------------------

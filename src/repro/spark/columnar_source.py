@@ -26,9 +26,9 @@ data plane:
 Scan output is columnar end to end: ``compute_batches`` yields
 ``ColumnBatch`` objects that flow through the scheduler untouched (tasks
 only take ``len`` and, resuming a retry, ``slice``), dictionary segments
-still coded, and the SQL executor's kernel fast path
-(:func:`repro.sql.executor.execute_plan_batches`) consumes them without
-ever materializing per-row tuples until the plan's edge.
+still coded, and the SQL executor's kernels
+(:func:`repro.sql.executor.execute_plan`) consume them without ever
+materializing per-row tuples until the plan's edge.
 """
 
 from __future__ import annotations

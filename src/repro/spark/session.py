@@ -4,8 +4,9 @@
 together: Catalyst extracts projection and selection filters from the
 query, the planner calls the richest Data Sources API flavor the
 relation supports, the relation's scan RDD issues (possibly tagged)
-parallel GETs, and the executor runs whatever part of the query was not
-pushed down over the returned rows.
+parallel GETs, and the executor -- the one plan pipeline,
+:func:`repro.sql.executor.execute_plan` -- runs whatever part of the
+query was not pushed down over the returned batches.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.sql.catalyst import (
     extract_pushdown,
 )
 from repro.sql.errors import SqlAnalysisError
-from repro.sql.executor import execute_plan, execute_plan_batches
+from repro.sql.executor import execute_plan
 from repro.sql.parser import Query, parse_query
 from repro.sql.types import Row, Schema
 from repro.spark.dataframe import DataFrame
@@ -161,23 +162,12 @@ class SparkSession:
         # scheduler on demand, so non-blocking plans (scan/filter/project/
         # limit) never materialize a partition, and a satisfied LIMIT
         # stops the remaining tasks -- and their GETs -- entirely.
-        # Every scan is consumed batch-wise: CSV and RCF1 scans yield
-        # ColumnBatch objects that flow through the scheduler untouched
-        # (row-oriented RDDs' batches are transposed), and the executor
-        # runs compile-once vectorized kernels over them.  ``None``
-        # means the WHERE clause is not provably total under batch
-        # evaluation -- the row path then preserves exact per-row error
-        # semantics.
-        result = execute_plan_batches(
-            plan, lambda: self.context.iter_batches(rdd), scan_schema
-        )
-        if result is not None:
-            registry.inc("sql.queries", path="batch")
-            return result
-        registry.inc("sql.queries", path="row")
-        return execute_plan(
-            plan, lambda: self.context.iter_rows(rdd), scan_schema
-        )
+        # CSV and RCF1 scans yield ColumnBatch objects that flow through
+        # the scheduler untouched (row-oriented RDDs' batches are
+        # transposed), and the executor runs compile-once kernels over
+        # them.
+        registry.inc("sql.queries", path="batch")
+        return execute_plan(plan, lambda: self.context.iter_batches(rdd), scan_schema)
 
     def _try_aggregation_pushdown(
         self, query: Query, relation: BaseRelation, base_schema: Schema
@@ -190,7 +180,7 @@ class SparkSession:
         expressible as mergeable partial states
         (:func:`~repro.core.agg_pushdown.plan_aggregation_pushdown`
         returns ``None`` otherwise), and any failure to build the scan
-        falls through to the ordinary row path, which computes the same
+        falls through to the ordinary scan, which computes the same
         answer compute-side.
         """
         builder = getattr(relation, "build_aggregation_scan", None)

@@ -17,8 +17,9 @@ This package provides the equivalent machinery:
 * :mod:`repro.sql.catalyst` -- logical plans, rewrite rules, and
   ``extract_pushdown``: pushed filters, which of them the source answers
   for (handled), the predicate left to the executor, the columns to ship.
-* :mod:`repro.sql.executor` -- volcano-style physical operators
-  (filter, project, hash aggregate, sort, limit).
+* :mod:`repro.sql.executor` -- the one plan pipeline: filter, project
+  and hash aggregate as batch kernels (:mod:`repro.sql.kernels`), then
+  distinct, sort, limit.
 """
 
 from repro.sql.catalyst import (

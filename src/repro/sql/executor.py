@@ -1,10 +1,24 @@
-"""Physical execution of logical plans (volcano-style iterators).
+"""Physical execution of logical plans: one pipeline, over batches.
 
-The executor turns a logical plan into nested Python iterators: scan ->
-filter -> hash aggregate / project -> distinct -> sort -> limit.  It is
-used on both sides of the pushdown boundary: the Spark workers run the
-part of the query that was *not* pushed down, and tests use it as the
-reference implementation that pushdown results must match.
+Every plan is Scan -> [Filter] -> (Project | Aggregate) -> [Distinct] ->
+[Sort] -> [Limit] (:func:`repro.sql.catalyst.build_logical_plan`).  The
+scan arrives as ``ColumnBatch``es and the prefix up to the projection or
+the aggregate runs on them as compile-once kernels
+(:mod:`repro.sql.kernels`): a selection vector per batch, then either
+output vectors or one :meth:`~repro.sql.grouping.GroupTable.add_batch`.
+What comes out is rows, and Distinct / Sort / Limit are row operators
+over them.  The same pipeline runs on both sides of the pushdown
+boundary: the Spark workers run the part of the query that was *not*
+pushed down with it.
+
+An expression the kernel compiler cannot prove total still gets a
+kernel -- its own ``bind`` evaluator looped over the batch -- so there is
+no second executor to fall back to.  What such an expression changes is
+*when* its error surfaces: a batch at a time.  A satisfied LIMIT never
+pulls a batch behind it, but a raising row behind the limit in the
+*same* batch raises; and when a filter row and a projection row of one
+batch both raise, which message wins is not pinned (the ``SqlError``
+subclass is).
 
 Aggregation notes: GROUP BY keys may be arbitrary expressions (the
 GridPocket queries group by ``SUBSTRING(date, 0, 7)``); output
@@ -20,6 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
+from repro.columnar.batch import ColumnBatch, as_column_batch
 from repro.sql.catalyst import (
     AggregateNode,
     DistinctNode,
@@ -41,12 +56,22 @@ from repro.sql.expressions import (
     FunctionCall,
     Literal,
     SelectItem,
+    Star,
 )
 from repro.sql.functions import make_accumulator
-from repro.sql.parser import Query, parse_query
+from repro.sql.grouping import GroupTable
+from repro.sql.kernels import (
+    compile_expression,
+    compile_predicate,
+    compile_projection,
+)
+from repro.sql.parser import parse_query
 from repro.sql.types import DataType, Field, Row, Schema
 
-RowSource = Callable[[], Iterable[Row]]
+BatchSource = Callable[[], Iterable[Any]]
+
+#: Rows per batch when :func:`execute_query` chunks in-memory rows.
+_QUERY_BATCH_ROWS = 1024
 
 
 @dataclass
@@ -70,11 +95,13 @@ class Compiled:
 
 
 def execute_plan(
-    plan: LogicalPlan, source: RowSource, scan_schema: Schema
+    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema
 ) -> Tuple[Schema, List[Row]]:
-    """Run ``plan`` over rows from ``source`` (which must match
-    ``scan_schema``); returns the visible output schema and rows."""
-    compiled = _compile(plan, source, scan_schema)
+    """Run ``plan`` over the batches ``batch_source()`` yields
+    (``ColumnBatch``es of ``scan_schema``, or row sequences, which are
+    transposed); returns the visible output schema and rows.  The source
+    is called once and pulled lazily: a satisfied LIMIT stops it."""
+    compiled = _compile(plan, batch_source, scan_schema)
     rows = list(compiled.rows())
     if compiled.hidden:
         rows = [row[: -compiled.hidden] for row in rows]
@@ -84,12 +111,16 @@ def execute_plan(
 def execute_query(
     text: str, schema: Schema, rows: Iterable[Row]
 ) -> Tuple[Schema, List[Row]]:
-    """Parse, optimize and execute SQL over in-memory rows."""
-    query = parse_query(text)
-    plan = Optimizer().optimize(build_logical_plan(query, schema))
-    # A plan's compiled tree calls its source factory exactly once per
-    # execution, so a one-shot iterator is a valid (and lazy) source.
-    return execute_plan(plan, lambda: iter(rows), schema)
+    """Parse, optimize and execute SQL over in-memory rows (chunked
+    lazily into ``ColumnBatch``es)."""
+    plan = Optimizer().optimize(build_logical_plan(parse_query(text), schema))
+
+    def batches() -> Iterator[ColumnBatch]:
+        remaining = iter(rows)
+        while chunk := tuple(itertools.islice(remaining, _QUERY_BATCH_ROWS)):
+            yield ColumnBatch.from_rows(schema, chunk)
+
+    return execute_plan(plan, batches, schema)
 
 
 # --------------------------------------------------------------------------
@@ -97,56 +128,83 @@ def execute_query(
 # --------------------------------------------------------------------------
 
 
-def _compile(plan: LogicalPlan, source: RowSource, scan_schema: Schema) -> Compiled:
-    if isinstance(plan, ScanNode):
-        return Compiled(scan_schema, lambda: iter(source()))
-    if isinstance(plan, FilterNode):
-        return _compile_filter(plan, _compile(plan.child, source, scan_schema))
-    if isinstance(plan, ProjectNode):
-        return _compile_project(plan, _compile(plan.child, source, scan_schema))
-    if isinstance(plan, AggregateNode):
-        return _compile_aggregate(plan, _compile(plan.child, source, scan_schema))
-    if isinstance(plan, DistinctNode):
-        return _compile_distinct(_compile(plan.child, source, scan_schema))
-    if isinstance(plan, SortNode):
-        return _compile_sort(plan, _compile(plan.child, source, scan_schema))
-    if isinstance(plan, LimitNode):
-        return _compile_limit(plan, _compile(plan.child, source, scan_schema))
-    raise SqlAnalysisError(f"unknown plan node {type(plan).__name__}")
+def _linearize(plan: LogicalPlan) -> List[LogicalPlan]:
+    """Flatten the (always linear) plan chain, scan first."""
+    nodes: List[LogicalPlan] = []
+    node = plan
+    while not isinstance(node, ScanNode):
+        nodes.append(node)
+        node = node.child  # type: ignore[attr-defined]
+    nodes.append(node)
+    nodes.reverse()
+    return nodes
 
 
-def _compile_filter(node: FilterNode, child: Compiled) -> Compiled:
-    predicate = node.condition.bind(child.schema)
+def _compile(
+    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema
+) -> Compiled:
+    """Kernels for Scan -> [Filter] -> (Project | Aggregate), the row
+    operators for what sits above."""
+    rest = _linearize(plan)[1:]  # drop the ScanNode
+    selection = None
+    if rest and isinstance(rest[0], FilterNode):
+        selection = compile_predicate(rest.pop(0).condition, scan_schema)
 
-    def rows() -> Iterator[Row]:
-        for row in child.rows():
-            if predicate(row) is True:
-                yield row
+    def filtered_batches() -> Iterator[ColumnBatch]:
+        for batch in batch_source():
+            columnar = as_column_batch(batch, scan_schema)
+            if selection is not None:
+                n = len(columnar)
+                picked = selection(columnar.columns, n)
+                if not picked:
+                    continue
+                if len(picked) != n:
+                    columnar = columnar.take(picked)
+            yield columnar
 
-    return Compiled(child.schema, rows, child.hidden)
+    node = rest.pop(0) if rest else None
+    if isinstance(node, ProjectNode):
+        compiled = _compile_project(node, filtered_batches, scan_schema)
+    elif isinstance(node, AggregateNode):
+        compiled = _compile_aggregate(node, filtered_batches, scan_schema)
+    else:
+        raise SqlAnalysisError(
+            f"expected a projection or an aggregate above the scan, got "
+            f"{type(node).__name__}"
+        )
+    for node in rest:
+        if isinstance(node, DistinctNode):
+            compiled = _compile_distinct(compiled)
+        elif isinstance(node, SortNode):
+            compiled = _compile_sort(node, compiled)
+        elif isinstance(node, LimitNode):
+            compiled = _compile_limit(node, compiled)
+        else:
+            raise SqlAnalysisError(f"unknown plan node {type(node).__name__}")
+    return compiled
 
 
-def _compile_project(node: ProjectNode, child: Compiled) -> Compiled:
+def _compile_project(
+    node: ProjectNode, batches: Callable[[], Iterator[ColumnBatch]], scan_schema: Schema
+) -> Compiled:
     schema = Schema(
         [
-            Field(item.output_name, infer_type(item.expression, child.schema))
+            Field(item.output_name, infer_type(item.expression, scan_schema))
             for item in node.items
         ]
     )
-    evaluators = [item.expression.bind(child.schema) for item in node.items]
+    project = compile_projection([item.expression for item in node.items], scan_schema)
 
     def rows() -> Iterator[Row]:
-        for row in child.rows():
-            yield tuple(evaluate(row) for evaluate in evaluators)
+        for batch in batches():
+            yield from zip(*project(batch.columns, len(batch)))
 
-    return Compiled(schema, rows, 0)
+    return Compiled(schema, rows)
 
 
 @dataclass
 class _AggregateSpec:
-    """The schema-level analysis of one AggregateNode, shared by the
-    row-at-a-time operator and the batch (vectorized) operator so both
-    raise identical analysis errors and produce identical layouts."""
+    """The schema-level analysis of one AggregateNode."""
 
     group_by: List[Expression]
     aggregates: List[Aggregate]
@@ -252,22 +310,40 @@ def _finalize_groups(spec: _AggregateSpec, groups: dict) -> Iterator[Row]:
         yield outputs + key
 
 
-def _compile_aggregate(node: AggregateNode, child: Compiled) -> Compiled:
-    input_schema = child.schema
-    spec = _analyze_aggregate(node, input_schema)
-    key_evals = [expression.bind(input_schema) for expression in node.group_by]
-    aggregate_inputs = [agg.bind_input(input_schema) for agg in spec.aggregates]
+def _compile_aggregate(
+    node: AggregateNode, batches: Callable[[], Iterator[ColumnBatch]], scan_schema: Schema
+) -> Compiled:
+    """Key and input vectors via kernels, then one
+    :meth:`~repro.sql.grouping.GroupTable.add_batch` per batch (rows
+    bucketed by group, each accumulator fed a group at a time)."""
+    key_kernels = [
+        compile_expression(expression, scan_schema) for expression in node.group_by
+    ]
+    spec = _analyze_aggregate(node, scan_schema)
+    # COUNT(*) has no input vector: the group table counts rows.
+    input_kernels = [
+        None
+        if isinstance(aggregate.arg, Star)
+        else compile_expression(aggregate.arg, scan_schema)
+        for aggregate in spec.aggregates
+    ]
 
     def rows() -> Iterator[Row]:
-        groups: dict = {}
-        for row in child.rows():
-            key = tuple(evaluate(row) for evaluate in key_evals)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = groups[key] = _new_group(spec)
-            for accumulator, input_eval in zip(accumulators, aggregate_inputs):
-                accumulator.add(input_eval(row))
-        yield from _finalize_groups(spec, groups)
+        table = GroupTable(lambda: _new_group(spec))
+        for batch in batches():
+            n = len(batch)
+            if n == 0:
+                continue
+            cols = batch.columns
+            table.add_batch(
+                [kernel(cols, n) for kernel in key_kernels],
+                [
+                    None if kernel is None else kernel(cols, n)
+                    for kernel in input_kernels
+                ],
+                n,
+            )
+        yield from _finalize_groups(spec, table.groups)
 
     return Compiled(
         spec.schema,
@@ -399,197 +475,6 @@ def _compile_limit(node: LimitNode, child: Compiled) -> Compiled:
 
 
 # --------------------------------------------------------------------------
-# The columnar (batch-at-a-time) fast path
-# --------------------------------------------------------------------------
-
-BatchSource = Callable[[], Iterable[Any]]
-
-
-def _linearize(plan: LogicalPlan) -> List[LogicalPlan]:
-    """Flatten the (always linear) plan chain, scan first."""
-    nodes: List[LogicalPlan] = []
-    node = plan
-    while not isinstance(node, ScanNode):
-        nodes.append(node)
-        node = node.child  # type: ignore[attr-defined]
-    nodes.append(node)
-    nodes.reverse()
-    return nodes
-
-
-def _compile_above(node: LogicalPlan, child: Compiled) -> Compiled:
-    """Compile one remaining plan node with the row operators."""
-    if isinstance(node, FilterNode):
-        return _compile_filter(node, child)
-    if isinstance(node, ProjectNode):
-        return _compile_project(node, child)
-    if isinstance(node, AggregateNode):
-        return _compile_aggregate(node, child)
-    if isinstance(node, DistinctNode):
-        return _compile_distinct(child)
-    if isinstance(node, SortNode):
-        return _compile_sort(node, child)
-    if isinstance(node, LimitNode):
-        return _compile_limit(node, child)
-    raise SqlAnalysisError(f"unknown plan node {type(node).__name__}")
-
-
-def _compile_aggregate_batches(
-    node: AggregateNode, batches: Callable[[], Iterator[Any]], scan_schema: Schema
-) -> Optional[Compiled]:
-    """Vectorized aggregation: key/input vectors via kernels, then one
-    :meth:`~repro.sql.grouping.GroupTable.add_batch` per batch (rows
-    bucketed by group, each accumulator fed a group at a time); shared
-    finalization.
-
-    Returns None when a grouping or input expression is not provably
-    total -- the caller then aggregates row-at-a-time instead.
-    """
-    from repro.sql.expressions import Star
-    from repro.sql.grouping import GroupTable
-    from repro.sql.kernels import compile_expression
-
-    key_kernels = []
-    for expression in node.group_by:
-        kernel = compile_expression(expression, scan_schema)
-        if kernel is None:
-            return None
-        key_kernels.append(kernel)
-    spec = _analyze_aggregate(node, scan_schema)
-    input_kernels = []
-    for aggregate in spec.aggregates:
-        if isinstance(aggregate.arg, Star):
-            input_kernels.append(None)  # the group table counts rows
-            continue
-        kernel = compile_expression(aggregate.arg, scan_schema)
-        if kernel is None:
-            return None
-        input_kernels.append(kernel)
-
-    def rows() -> Iterator[Row]:
-        table = GroupTable(lambda: _new_group(spec))
-        for batch in batches():
-            n = len(batch)
-            if n == 0:
-                continue
-            cols = batch.columns
-            table.add_batch(
-                [kernel(cols, n) for kernel in key_kernels],
-                [
-                    None if kernel is None else kernel(cols, n)
-                    for kernel in input_kernels
-                ],
-                n,
-            )
-        yield from _finalize_groups(spec, table.groups)
-
-    return Compiled(
-        spec.schema,
-        rows,
-        hidden=len(node.group_by),
-        group_exprs=list(node.group_by),
-    )
-
-
-def compile_plan_batches(
-    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema
-) -> Optional[Compiled]:
-    """Compile a plan against a *batch* source, staying columnar for the
-    maximal Scan -> Filter -> (Project | Aggregate) prefix.
-
-    The prefix runs as compile-once kernels over ``ColumnBatch`` column
-    vectors; any remaining operators (Distinct/Sort/Limit, or a
-    projection/aggregation that did not prove total) reuse the row
-    operators above the kernel pipeline, so results -- including which
-    queries raise and when -- are byte-identical to the row path.
-
-    Returns None when the WHERE predicate cannot be proven total; the
-    caller must then fall back to :func:`execute_plan` over rows.
-    """
-    from repro.columnar.batch import as_column_batch
-    from repro.sql.kernels import compile_predicate, compile_projection
-
-    nodes = _linearize(plan)
-    rest = nodes[1:]  # drop the ScanNode
-    consumed = 0
-    selection = None
-    if rest and isinstance(rest[0], FilterNode):
-        selection = compile_predicate(rest[0].condition, scan_schema)
-        if selection is None:
-            # The predicate could raise; only the row path preserves
-            # exactly *where* in the stream it does.
-            return None
-        consumed = 1
-
-    def filtered_batches() -> Iterator[Any]:
-        for batch in batch_source():
-            columnar = as_column_batch(batch, scan_schema)
-            if selection is not None:
-                n = len(columnar)
-                picked = selection(columnar.columns, n)
-                if not picked:
-                    continue
-                if len(picked) != n:
-                    columnar = columnar.take(picked)
-            yield columnar
-
-    base: Optional[Compiled] = None
-    next_node = rest[consumed] if consumed < len(rest) else None
-    if isinstance(next_node, ProjectNode):
-        project = compile_projection(
-            [item.expression for item in next_node.items], scan_schema
-        )
-        if project is not None:
-            out_schema = Schema(
-                [
-                    Field(item.output_name, infer_type(item.expression, scan_schema))
-                    for item in next_node.items
-                ]
-            )
-
-            def project_rows() -> Iterator[Row]:
-                for batch in filtered_batches():
-                    yield from zip(*project(batch.columns, len(batch)))
-
-            base = Compiled(out_schema, project_rows)
-            consumed += 1
-    elif isinstance(next_node, AggregateNode):
-        base = _compile_aggregate_batches(next_node, filtered_batches, scan_schema)
-        if base is not None:
-            consumed += 1
-
-    if base is None:
-
-        def scan_rows() -> Iterator[Row]:
-            for batch in filtered_batches():
-                yield from batch.rows
-
-        base = Compiled(scan_schema, scan_rows)
-
-    compiled = base
-    for node in rest[consumed:]:
-        compiled = _compile_above(node, compiled)
-    return compiled
-
-
-def execute_plan_batches(
-    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema
-) -> Optional[Tuple[Schema, List[Row]]]:
-    """Run ``plan`` over a batch source via the columnar fast path.
-
-    Returns None when the plan does not compile to kernels (the caller
-    falls back to :func:`execute_plan` over a row source).
-    """
-    compiled = compile_plan_batches(plan, batch_source, scan_schema)
-    if compiled is None:
-        return None
-    rows = list(compiled.rows())
-    if compiled.hidden:
-        rows = [row[: -compiled.hidden] for row in rows]
-    return compiled.visible_schema(), rows
-
-
-# --------------------------------------------------------------------------
 # Output type inference
 # --------------------------------------------------------------------------
 
@@ -641,8 +526,6 @@ def _aggregate_type(aggregate: Aggregate, schema: Schema) -> DataType:
         return DataType.INT
     if aggregate.name == "avg":
         return DataType.FLOAT
-    from repro.sql.expressions import Star
-
     if isinstance(aggregate.arg, Star):
         return DataType.INT
     return infer_type(aggregate.arg, schema)

@@ -322,8 +322,10 @@ class InList(Expression):
             if value is None:
                 return None
             members = {evaluate(row) for evaluate in item_evals}
-            result = value in members
-            return (not result) if negated else result
+            if value in members:
+                return not negated
+            # Not a member -- unless a NULL member was the match.
+            return None if None in members else negated
 
         return eval_in
 
@@ -334,6 +336,19 @@ class InList(Expression):
 
     def _key(self) -> Tuple:
         return (self.operand, tuple(self.items), self.negated)
+
+
+def between_value(value: Any, lo: Any, hi: Any, negated: bool) -> Any:
+    """``value [NOT] BETWEEN lo AND hi``: ``value >= lo AND value <= hi``
+    under Kleene AND, so beside a NULL bound the other comparison still
+    answers False (``10 NOT BETWEEN NULL AND 5`` is True)."""
+    if value is None or (lo is None and hi is None):
+        return None
+    if lo is None:
+        return None if value <= hi else negated
+    if hi is None:
+        return None if value >= lo else negated
+    return (lo <= value <= hi) is not negated
 
 
 class Between(Expression):
@@ -359,17 +374,13 @@ class Between(Expression):
         negated = self.negated
 
         def eval_between(row: Row) -> Any:
-            value = inner(row)
-            lo, hi = low(row), high(row)
-            if value is None or lo is None or hi is None:
-                return None
+            value, lo, hi = inner(row), low(row), high(row)
             try:
-                result = lo <= value <= hi
+                return between_value(value, lo, hi, negated)
             except TypeError as error:
                 raise SqlTypeError(
                     f"cannot compare {value!r} BETWEEN {lo!r} AND {hi!r}"
                 ) from error
-            return (not result) if negated else result
 
         return eval_between
 

@@ -1,7 +1,7 @@
 """The hash aggregate's table: a batch in, a group at a time.
 
-One routine accumulates GROUP BY for the batch executor
-(:func:`repro.sql.executor.execute_plan_batches`) and for the
+One routine accumulates GROUP BY for the executor
+(:func:`repro.sql.executor.execute_plan`) and for the
 aggregating storlet and its compute-side twin
 (:func:`repro.storlets.agg_storlet.tagged_partial_aggregate`).  Per
 batch the rows are bucketed by group once -- the only per-row work --
@@ -12,8 +12,8 @@ Keys stay as they arrive.  A lone dictionary-coded key column
 (:class:`~repro.columnar.batch.DictColumn`) is bucketed by its *codes*:
 entries are hashed once each to fold equal ones (a kernel such as
 ``SUBSTRING`` maps entries and may make them repeat) and a key is
-decoded once per group; any other key list is zipped and hashed as the
-row executor does.  Either way a group's key is the key of its first
+decoded once per group; any other key list is zipped and hashed row by
+row.  Either way a group's key is the key of its first
 row, groups are met in first-row order, and equality is the ``dict``'s,
 so the table ends in the state the row-at-a-time loop would leave.
 """

@@ -1,29 +1,30 @@
 """Compile-once batch kernels for expressions and pushdown filters.
 
-The row path binds each expression node into a per-row closure and pays
-a Python call per node per row.  This module lowers the same ASTs *once
-per query* into kernels that run *per batch*: a kernel takes the input
-column vectors and the row count and returns a result vector, built with
-fused list comprehensions (one bytecode loop per node per batch instead
+``Expression.bind`` turns each expression node into a per-row closure
+and pays a Python call per node per row.  This module lowers the same
+ASTs *once per query* into kernels that run *per batch*: a kernel takes
+the input column vectors and the row count and returns a result vector,
+built with fused list comprehensions (one bytecode loop per node per batch instead
 of a closure chain per row).
 
 Two compilers live here:
 
 * :func:`compile_expression` / :func:`compile_predicate` /
   :func:`compile_projection` lower :class:`repro.sql.expressions`
-  trees.  They are **partial**: a kernel is produced only when static
-  typing over the scan schema proves evaluation can never raise
+  trees, and always return a kernel.  The kernel is **fused** when
+  static typing over the scan schema proves evaluation can never raise
   (ordered comparisons between provably comparable types, arithmetic
   over numerics, the text functions that are total over any first
   argument when the rest are integer literals, ...).  Anything
-  unprovable returns ``None`` and the caller stays on the row path --
-  this is what keeps the fast path byte-identical, including *which*
-  queries raise ``SqlTypeError`` and when -- and is counted, with a
-  reason code and the refused sub-expression, in
-  ``sql.kernel_refusals``.  Fused kernels replicate the interpreter's
-  semantics exactly: SQL three-valued logic, Kleene AND/OR, NULL
-  propagation, and division-by-zero yielding NULL.  A kernel that maps
-  one vector cell by cell maps a dictionary-coded vector
+  unprovable is counted, with a reason code and the refused
+  sub-expression, in ``sql.kernel_refusals`` and runs **interpreted**:
+  the expression's own ``bind`` evaluator looped over the vectors it
+  references, so the same rows raise the same ``SqlTypeError`` -- a
+  batch at a time, which is the one thing a refusal changes besides
+  speed.  Fused kernels replicate the interpreter's semantics exactly:
+  SQL three-valued logic, Kleene AND/OR, NULL propagation, and
+  division-by-zero yielding NULL.  A kernel that maps one vector cell
+  by cell maps a dictionary-coded vector
   (:class:`~repro.columnar.batch.DictColumn`) entry by entry and keeps
   its codes.
 * :class:`FilterMask` lowers the :class:`repro.sql.filters` source
@@ -68,6 +69,7 @@ from repro.sql.expressions import (
     Literal,
     Star,
     UnaryOp,
+    between_value,
     like_pattern_to_regex,
 )
 from repro.sql.filters import (
@@ -153,7 +155,7 @@ def _static_kind(expr: Expression, schema: Schema) -> str:
             raise KernelRefusal("unknown_column", expr)
         return _DTYPE_KIND[schema.field(expr.name).dtype]
     if isinstance(expr, (Star, Aggregate)):
-        # Never scalar-evaluable; the row path rejects these too.
+        # Never scalar-evaluable: ``bind`` rejects these too.
         raise KernelRefusal("not_scalar", expr)
     kinds = [_static_kind(child, schema) for child in expr.children()]
     if isinstance(expr, BinaryOp):
@@ -330,15 +332,9 @@ def _arith_vec(op: str, lk: VectorKernel, rk: VectorKernel) -> Optional[VectorKe
 # ---------------------------------------------------------------------------
 
 
-def compile_expression(expr: Expression, schema: Schema) -> Optional[VectorKernel]:
-    """Lower one expression into a batch kernel, or None to fall back.
-
-    Compilation succeeds only when :func:`_static_kind` proves the
-    expression total over the given scan schema; the produced kernel is
-    then value-identical to evaluating ``expr.bind(schema)`` row by row.
-    A refusal is counted in ``sql.kernel_refusals`` under its reason
-    code and the SQL of the sub-expression that was refused.
-    """
+def _proven(expr: Expression, schema: Schema) -> bool:
+    """:func:`proves_total`, a refusal counted in ``sql.kernel_refusals``
+    under its reason code and the SQL of the refused sub-expression."""
     try:
         _static_kind(expr, schema)
     except KernelRefusal as refusal:
@@ -347,8 +343,37 @@ def compile_expression(expr: Expression, schema: Schema) -> Optional[VectorKerne
             reason=refusal.reason,
             expression=refusal.expression.to_sql(),
         )
-        return None
-    return _compile(expr, schema)
+        return False
+    return True
+
+
+def _interpreted(expr: Expression, schema: Schema) -> VectorKernel:
+    """``expr.bind`` looped over the vectors ``expr`` references: what a
+    refused expression runs as.  Analysis errors (an unknown column, a
+    misplaced aggregate) raise here, at compile time."""
+    names = sorted(expr.columns())
+    evaluate = expr.bind(schema.select(names))
+    indices = [schema.index_of(name) for name in names]
+
+    def kernel(cols: Columns, n: int) -> List[Any]:
+        if not indices:
+            return [evaluate(()) for _ in range(n)]
+        return list(map(evaluate, zip(*[cols[index] for index in indices])))
+
+    return kernel
+
+
+def compile_expression(expr: Expression, schema: Schema) -> VectorKernel:
+    """Lower one expression into a batch kernel.
+
+    The kernel is fused when :func:`_static_kind` proves the expression
+    total over the given scan schema, and is then value-identical to
+    evaluating ``expr.bind(schema)`` row by row; otherwise it *is* that
+    evaluation (:func:`_interpreted`), and the refusal is counted.
+    """
+    if _proven(expr, schema):
+        return _compile(expr, schema)
+    return _interpreted(expr, schema)
 
 
 def _compile(expr: Expression, schema: Schema) -> VectorKernel:
@@ -464,23 +489,30 @@ def _compile_binary(expr: BinaryOp, schema: Schema) -> VectorKernel:
 
 
 def _compile_in_list(expr: InList, schema: Schema) -> VectorKernel:
+    """``x [NOT] IN (...)``: a member answers ``hit``; a non-member
+    ``miss``, which is NULL when the list holds a NULL (``x = NULL``
+    might have been the match)."""
     inner = _compile(expr.operand, schema)
-    negated = expr.negated
+    hit, negated = not expr.negated, expr.negated
     if all(isinstance(item, Literal) for item in expr.items):
-        members = frozenset(item.value for item in expr.items)  # type: ignore[attr-defined]
-        if negated:
-            return _map_cells(
-                inner,
-                lambda cells: [None if v is None else v not in members for v in cells],
-            )
+        values = [item.value for item in expr.items]  # type: ignore[attr-defined]
+        members = frozenset(value for value in values if value is not None)
+        miss = None if None in values else negated
         return _map_cells(
-            inner, lambda cells: [None if v is None else v in members for v in cells]
+            inner,
+            lambda cells: [
+                None if v is None else hit if v in members else miss for v in cells
+            ],
         )
     item_kernels = [_compile(item, schema) for item in expr.items]
 
     def kernel(cols: Columns, n: int) -> List[Any]:
         return [
-            None if value is None else (value in items) is not negated
+            None
+            if value is None
+            else hit
+            if value in items
+            else (None if None in items else negated)
             for value, *items in zip(
                 inner(cols, n), *(item(cols, n) for item in item_kernels)
             )
@@ -490,12 +522,17 @@ def _compile_in_list(expr: InList, schema: Schema) -> VectorKernel:
 
 
 def _compile_between(expr: Between, schema: Schema) -> VectorKernel:
+    """``x >= lo AND x <= hi`` under Kleene AND (then NOT): beside a
+    NULL bound the other comparison still answers False."""
     inner = _compile(expr.operand, schema)
     negated = expr.negated
     if isinstance(expr.low, Literal) and isinstance(expr.high, Literal):
         lo, hi = expr.low.value, expr.high.value
-        if lo is None or hi is None:
-            return lambda cols, n: [None] * n
+        if lo is None or hi is None:  # rare: no comprehension of its own
+            return _map_cells(
+                inner,
+                lambda cells: [between_value(v, lo, hi, negated) for v in cells],
+            )
         if negated:
             return _map_cells(
                 inner,
@@ -506,13 +543,8 @@ def _compile_between(expr: Between, schema: Schema) -> VectorKernel:
         )
     low = _compile(expr.low, schema)
     high = _compile(expr.high, schema)
-    if negated:
-        return lambda cols, n: [
-            None if v is None or lo is None or hi is None else not lo <= v <= hi
-            for v, lo, hi in zip(inner(cols, n), low(cols, n), high(cols, n))
-        ]
     return lambda cols, n: [
-        None if v is None or lo is None or hi is None else lo <= v <= hi
+        between_value(v, lo, hi, negated)
         for v, lo, hi in zip(inner(cols, n), low(cols, n), high(cols, n))
     ]
 
@@ -540,24 +572,29 @@ def _compile_case(expr: CaseWhen, schema: Schema) -> VectorKernel:
     return kernel
 
 
-def compile_predicate(expr: Expression, schema: Schema) -> Optional[SelectionKernel]:
+def compile_predicate(expr: Expression, schema: Schema) -> SelectionKernel:
     """Lower a WHERE condition into a selection-vector kernel.
 
     The kernel returns the indices of rows whose condition evaluates to
     exactly ``True`` (SQL WHERE semantics: NULL and False both drop the
-    row), matching the row executor's ``predicate(row) is True`` test.
+    row).
 
     Top-level conjuncts run left to right over a narrowing selection, as
-    the row interpreter stops at a row's first false conjunct: each one
+    the interpreter stops at a row's first false conjunct: each one
     sees only the rows that passed those before it, gathered from the
     columns it references.  Every conjunct is proven total on its own,
     so a skipped evaluation cannot hide an error.  ``a AND b`` is
-    ``True`` exactly when both are neither NULL nor falsy.
+    ``True`` exactly when both are neither NULL nor falsy.  When any
+    conjunct is refused the condition is interpreted *whole*, so which
+    operand a row's AND / OR / CASE stops at -- and with it whether the
+    row raises -- stays the interpreter's own.
     """
     conjuncts = split_conjuncts(expr)
-    kernels = [compile_expression(conjunct, schema) for conjunct in conjuncts]
-    if None in kernels:
-        return None
+    # A list, not a generator: every refused conjunct is counted.
+    if not all([_proven(conjunct, schema) for conjunct in conjuncts]):
+        whole = _interpreted(expr, schema)
+        return lambda cols, n: _passing(whole(cols, n), n, exact=True)
+    kernels = [_compile(conjunct, schema) for conjunct in conjuncts]
     if len(kernels) == 1:
         only = kernels[0]
         return lambda cols, n: _passing(only(cols, n), n, exact=True)
@@ -599,21 +636,13 @@ def _passing(values: Sequence[Any], n: int, exact: bool = False) -> List[int]:
 
 def compile_projection(
     expressions: Sequence[Expression], schema: Schema
-) -> Optional[Callable[[Columns, int], List[Sequence[Any]]]]:
+) -> Callable[[Columns, int], List[Sequence[Any]]]:
     """Lower a projection list into a kernel producing output vectors.
 
-    Column references pass their input vector through by reference; a
-    ``None`` return means some item is not provably total and the caller
-    must project row-at-a-time instead.
+    Column references pass their input vector through by reference.
     """
     kernels = [compile_expression(item, schema) for item in expressions]
-    if any(kernel is None for kernel in kernels):
-        return None
-
-    def project(cols: Columns, n: int) -> List[Sequence[Any]]:
-        return [kernel(cols, n) for kernel in kernels]  # type: ignore[misc]
-
-    return project
+    return lambda cols, n: [kernel(cols, n) for kernel in kernels]
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +897,7 @@ def compile_group_kernels(
     group_by: Sequence[str],
     aggregate_args: Sequence[str],
     schema: Schema,
-) -> Optional[Sequence[Sequence[VectorKernel]]]:
+) -> Tuple[List[VectorKernel], List[Optional[VectorKernel]]]:
     """Lower a grouped aggregation's expressions into batch kernels.
 
     ``group_by`` and ``aggregate_args`` are expression strings in the
@@ -876,27 +905,20 @@ def compile_group_kernels(
     wire format); an aggregate argument of ``"*"`` means COUNT(*)-style
     input and has ``None`` for its kernel
     (:meth:`repro.sql.grouping.GroupTable.add_batch`'s convention).  Returns
-    ``(key_kernels, input_kernels)`` when *every* expression compiles
-    (same totality proof as :func:`compile_expression`), else ``None``
-    so the caller stays on the row path.  Shared by the aggregating
-    storlet's vectorized path and its compute-side degradation twin,
-    which is what keeps the two streams value-identical.
+    ``(key_kernels, input_kernels)``, each kernel
+    :func:`compile_expression`'s.  Shared by the aggregating storlet and
+    its compute-side degradation twin, which is what keeps the two
+    streams value-identical.
     """
     from repro.sql.parser import parse_expression
 
-    key_kernels: List[VectorKernel] = []
-    for text in group_by:
-        kernel = compile_expression(parse_expression(text), schema)
-        if kernel is None:
-            return None
-        key_kernels.append(kernel)
-    input_kernels: List[Optional[VectorKernel]] = []
-    for text in aggregate_args:
-        if text.strip() == "*":
-            input_kernels.append(None)
-            continue
-        kernel = compile_expression(parse_expression(text), schema)
-        if kernel is None:
-            return None
-        input_kernels.append(kernel)
+    key_kernels = [
+        compile_expression(parse_expression(text), schema) for text in group_by
+    ]
+    input_kernels = [
+        None
+        if text.strip() == "*"
+        else compile_expression(parse_expression(text), schema)
+        for text in aggregate_args
+    ]
     return key_kernels, input_kernels

@@ -132,41 +132,30 @@ def tagged_partial_aggregate(
     the table filled keeps accumulating while a key first seen after
     spills every one of its rows.  Rows are taken ``batch_rows`` at a
     time: key and aggregate-input vectors come from compile-once batch
-    kernels (:func:`repro.sql.kernels.compile_group_kernels`) when every
-    expression provably lowers, else from the bound expressions row by
-    row, and :class:`repro.sql.grouping.GroupTable` -- the batch
-    executor's table, bounded here -- accumulates them a group at a
-    time.  The stream is the one feeding every row to its group's
-    accumulators in turn would produce.
+    kernels (:func:`repro.sql.kernels.compile_group_kernels`) and
+    :class:`repro.sql.grouping.GroupTable` -- the executor's table,
+    bounded here -- accumulates them a group at a time.  The stream is
+    the one feeding every row to its group's accumulators in turn would
+    produce.
     """
     from repro.sql.grouping import GroupTable
     from repro.sql.kernels import compile_group_kernels
 
-    compiled = compile_group_kernels(
+    key_kernels, input_kernels = compile_group_kernels(
         spec.group_by, [arg for _name, arg in spec.aggregates], schema
     )
-    if compiled is None:
-        key_evals, input_evals = spec.bind(schema)
-    else:
-        key_kernels, input_kernels = compiled
     table = GroupTable(spec.accumulators, max_groups)
     rows_iter = iter(rows)
     while batch := [tuple(row) for row in itertools.islice(rows_iter, batch_rows)]:
         n = len(batch)
-        if compiled is None:
-            key_vectors = [[evaluate(row) for row in batch] for evaluate in key_evals]
-            input_vectors = [
-                [evaluate(row) for row in batch] for evaluate in input_evals
-            ]
-        else:
-            columns = list(zip(*batch))
-            key_vectors = [kernel(columns, n) for kernel in key_kernels]
-            input_vectors = [
-                None if kernel is None else kernel(columns, n)
-                for kernel in input_kernels
-            ]
+        columns = list(zip(*batch))
         first = table.rows
-        for position in table.add_batch(key_vectors, input_vectors, n):
+        spilled = table.add_batch(
+            [kernel(columns, n) for kernel in key_kernels],
+            [None if kernel is None else kernel(columns, n) for kernel in input_kernels],
+            n,
+        )
+        for position in spilled:
             yield ("r", first + position, batch[position])
 
     for key, accumulators in table.groups.items():

@@ -274,9 +274,12 @@ class RowwiseCatalog:
 #   exactly true;
 # * ``=`` / ``<>`` between a number and a string are false / true, an
 #   *ordered* comparison between them is an error (``Incomparable``);
-# * ``IN`` is two-valued once its operand is not NULL: a NULL member
-#   matches nothing and hides nothing (the standard would answer NULL
-#   for a miss), so ``x NOT IN (1, NULL)`` keeps ``x = 2``;
+# * ``x IN (...)`` is ``x = a OR x = b OR ...`` under three-valued OR:
+#   a miss beside a NULL member is NULL, so ``x NOT IN (1, NULL)`` keeps
+#   nothing;
+# * ``x BETWEEN lo AND hi`` is ``x >= lo AND x <= hi`` under three-valued
+#   AND: beside a NULL bound the other comparison can still say False,
+#   so ``10 NOT BETWEEN NULL AND 5`` is true;
 # * LIKE matches the text of the value (``str``), ``%`` any run, ``_``
 #   any one character, the whole text.
 #
@@ -384,30 +387,40 @@ def where_value(node, row):
         return like_matches(str(row[col]), pattern) is not negated
     if kind == "in":
         _, col, literals, negated = node
-        value = row[col]
-        if value is None:
-            return None
-        hit = any(item is not None and value == item for item in literals)
-        return hit is not negated
+        verdict = False  # the empty OR
+        for item in literals:
+            verdict = _or(verdict, _compare("=", row[col], item))
+        return _not(verdict) if negated else verdict
     if kind == "between":
         _, col, low, high, negated = node
         value = row[col]
-        if value is None or low is None or high is None:
+        if value is None:
             return None
-        if not _is_text(value) == _is_text(low) == _is_text(high):
+        present = [item for item in (value, low, high) if item is not None]
+        if len({_is_text(item) for item in present}) > 1:
             raise Incomparable(f"{value!r} BETWEEN {low!r} AND {high!r}")
-        return (low <= value <= high) is not negated
+        verdict = _and(_compare(">=", value, low), _compare("<=", value, high))
+        return _not(verdict) if negated else verdict
     if kind == "null":
         _, col, negated = node
         return (row[col] is None) is not negated
     if kind == "not":
-        inner = where_value(node[1], row)
-        return None if inner is None else not inner
+        return _not(where_value(node[1], row))
     left, right = where_value(node[1], row), where_value(node[2], row)
-    if kind == "and":
-        if left is False or right is False:
-            return False
-        return None if left is None or right is None else True
+    return _and(left, right) if kind == "and" else _or(left, right)
+
+
+def _not(verdict):
+    return None if verdict is None else not verdict
+
+
+def _and(left, right):
+    if left is False or right is False:
+        return False
+    return None if left is None or right is None else True
+
+
+def _or(left, right):
     if left is True or right is True:
         return True
     return None if left is None or right is None else False

@@ -2,13 +2,14 @@
 
 One generator feeds three differentials:
 
-* :func:`repro.sql.executor.execute_plan` (row) against
-  :func:`~repro.sql.executor.execute_plan_batches` over the same
-  ``ColumnBatch`` stream -- plain, tuple and dictionary-coded columns,
-  any batch cuts -- compared cell for cell, group order included;
+* :func:`repro.sql.executor.execute_plan` over a ``ColumnBatch`` stream
+  -- plain, tuple and dictionary-coded columns, any batch cuts --
+  against the same rows as one plain batch, and (DISTINCT apart, which
+  it does not speak) against the per-row loop of
+  ``tests/rowwise_aggregate.py`` over the rows a hand-written WHERE
+  keeps -- compared cell for cell, group order included;
 * :func:`repro.storlets.agg_storlet.tagged_partial_aggregate` against
-  the per-row loop it replaced (``tests/rowwise_aggregate.py``), record
-  for record at every spill bound;
+  that same per-row loop, record for record at every spill bound;
 * each accumulator's ``add_many`` against its own ``add``.
 
 Plus the two places a batch can be cut under a consumer: a scheduler
@@ -36,13 +37,15 @@ from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.spark.rdd import RDD
 from repro.spark.scheduler import SparkContext
 from repro.sql.catalyst import Optimizer, build_logical_plan
-from repro.sql.executor import execute_plan, execute_plan_batches
+from repro.sql.errors import SqlTypeError
+from repro.sql.executor import execute_plan
 from repro.sql.functions import make_accumulator
 from repro.sql.grouping import GroupTable
 from repro.sql.parser import parse_query
 from repro.sql.types import Schema
 from repro.storlets.agg_storlet import AggregationSpec, tagged_partial_aggregate
 from tests.rowwise_aggregate import rowwise_tagged_partial_aggregate
+from tests.sqlite_oracle import check_against_sqlite
 
 SCHEMA = Schema.of("k", "d", "w:int", "n:int", "x:float", "m:float")
 
@@ -146,13 +149,21 @@ AGGREGATES = (
         for distinct in ("", "DISTINCT ")
     ]
 )
-WHERES = [
-    "",
-    " WHERE k LIKE 'a%' AND n > 0",
-    " WHERE d LIKE '2015-01-%' AND k IS NOT NULL AND w < 300",
-    " WHERE w >= 0 AND LENGTH(k) < 2",
-    " WHERE x > 0",
-]
+#: WHERE clause -> the rows it keeps, written out by hand over
+#: ``(k, d, w, n, x, m)``.
+WHERES = {
+    "": lambda k, d, w, n, x, m: True,
+    " WHERE k LIKE 'a%' AND n > 0": lambda k, d, w, n, x, m: (
+        k is not None and k.startswith("a") and n is not None and n > 0
+    ),
+    " WHERE d LIKE '2015-01-%' AND k IS NOT NULL AND w < 300": lambda k, d, w, n, x, m: (
+        d is not None and d.startswith("2015-01-") and k is not None and w < 300
+    ),
+    " WHERE w >= 0 AND LENGTH(k) < 2": lambda k, d, w, n, x, m: (
+        w >= 0 and k is not None and len(k) < 2
+    ),
+    " WHERE x > 0": lambda k, d, w, n, x, m: x is not None and x > 0,
+}
 
 shapes = st.fixed_dictionaries(
     {
@@ -176,9 +187,35 @@ def cells(rows):
     return [repr(row) for row in rows]
 
 
-@given(shape=shapes, where=st.sampled_from(WHERES))
+def tagged_spec(shape):
+    """The shape's aggregation as the storlet wire format carries it
+    (which has no DISTINCT)."""
+    aggregates = []
+    for text in shape["aggregates"]:
+        name, _paren, arg = text.partition("(")
+        aggregates.append((name, arg[:-1].replace("DISTINCT ", "")))
+    return AggregationSpec(shape["group_by"], aggregates)
+
+
+def rowwise_answer(rows, spec):
+    """The per-row loop's groups as output rows: keys, then each
+    aggregate's result (its state, merged into a fresh accumulator)."""
+    answer = []
+    groups = list(rowwise_tagged_partial_aggregate(rows, spec, SCHEMA, 10**9))
+    if not groups and not spec.group_by:
+        groups = [("p", 0, (), [acc.state() for acc in spec.accumulators()])]
+    for _tag, _ordinal, key, states in groups:
+        results = []
+        for accumulator, state in zip(spec.accumulators(), states):
+            accumulator.merge(state)
+            results.append(accumulator.result())
+        answer.append(tuple(key) + tuple(results))
+    return answer
+
+
+@given(shape=shapes, where=st.sampled_from(list(WHERES)))
 @settings(max_examples=250, deadline=None)
-def test_batch_executor_equals_row_executor(shape, where):
+def test_batch_executor_equals_the_rowwise_reference(shape, where):
     rows = generate_rows(shape["seed"], shape["size"], shape["groups"])
     batches = make_batches(rows, shape["seed"], shape["pieces"], shape["coded"])
     select = ", ".join(
@@ -188,21 +225,26 @@ def test_batch_executor_equals_row_executor(shape, where):
     sql = f"SELECT {select} FROM t{where}"
     if shape["group_by"]:
         sql += " GROUP BY " + ", ".join(shape["group_by"])
-    plan = Optimizer().optimize(build_logical_plan(parse_query(sql), SCHEMA))
-    # The row executor sees the very cells the batches hold.
+
+    def plan():
+        return Optimizer().optimize(build_logical_plan(parse_query(sql), SCHEMA))
+
+    # Both references see the very cells the batches hold.
     flat = [row for batch in batches for row in batch.rows]
     assert cells(flat) == cells(rows)
-    expected_schema, expected = execute_plan(plan, lambda: iter(flat), SCHEMA)
     previous = get_registry()
     registry = set_registry(MetricsRegistry())
     try:
-        result = execute_plan_batches(plan, lambda: iter(batches), SCHEMA)
+        _schema, result = execute_plan(plan(), lambda: iter(batches), SCHEMA)
     finally:
         set_registry(previous)
-    # Filter, keys and inputs all compiled: this is the batch aggregate.
-    assert result is not None and not registry.counter_series("sql.kernel_refusals"), sql
-    assert result[0] == expected_schema
-    assert cells(result[1]) == cells(expected), sql
+    # Filter, keys and inputs all fused: this is the batch aggregate.
+    assert not registry.counter_series("sql.kernel_refusals"), sql
+    whole = [ColumnBatch.from_rows(SCHEMA, tuple(flat))]
+    assert cells(result) == cells(execute_plan(plan(), lambda: iter(whole), SCHEMA)[1]), sql
+    if "DISTINCT" not in sql:
+        kept = [row for row in flat if WHERES[where](*row)]
+        assert cells(result) == cells(rowwise_answer(kept, tagged_spec(shape))), sql
 
 
 @given(
@@ -213,11 +255,7 @@ def test_batch_executor_equals_row_executor(shape, where):
 @settings(max_examples=250, deadline=None)
 def test_tagged_stream_equals_the_rowwise_loop(shape, max_groups, batch_rows):
     rows = generate_rows(shape["seed"], shape["size"], shape["groups"])
-    aggregates = []
-    for text in shape["aggregates"]:
-        name, _paren, arg = text.partition("(")
-        aggregates.append((name, arg[:-1].replace("DISTINCT ", "")))
-    spec = AggregationSpec(shape["group_by"], aggregates)
+    spec = tagged_spec(shape)
     expected = rowwise_tagged_partial_aggregate(rows, spec, SCHEMA, max_groups)
     stream = tagged_partial_aggregate(
         iter(rows), spec, SCHEMA, max_groups=max_groups, batch_rows=batch_rows
@@ -250,8 +288,8 @@ def test_a_group_keeps_the_key_and_ordinal_of_its_first_row():
 
 
 def test_unprovable_expressions_take_the_same_table():
-    """``FLOOR(x)`` can raise, so the vectors come from the bound
-    expressions row by row -- into the same group table."""
+    """``FLOOR(x)`` can raise, so its kernel is the bound expression
+    looped over the batch -- into the same group table."""
     rows = [(key, None, 0, number, float(number), None) for key, number in
             [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5)]]
     spec = AggregationSpec(["k"], [("sum", "FLOOR(x)"), ("count", "*")])
@@ -459,15 +497,12 @@ def test_table_one_compiles_to_kernels_with_zero_refusals(table_format):
         "largeMeter", "meters", schema=METER_SCHEMA, format=table_format,
         agg_pushdown=False,
     )
+    # Plainly ingested rows, for sqlite to answer over.
+    relation = reference.session.relation("ref")
+    rows = list(reference.spark_context.iter_rows(relation.build_scan()))
     for query in GRIDPOCKET_QUERIES:
         frame, _report = ctx.run_query(query.sql())
-        # The row executor over plainly ingested rows.
-        relation = reference.session.relation("ref")
-        rows = list(reference.spark_context.iter_rows(relation.build_scan()))
-        plan = Optimizer().optimize(
-            build_logical_plan(parse_query(query.sql("ref")), METER_SCHEMA)
-        )
-        assert frame.collect() == execute_plan(plan, lambda: iter(rows), METER_SCHEMA)[1]
+        check_against_sqlite(query.sql("ref"), METER_SCHEMA, rows, frame.collect())
     sql_profile = ctx.explain_profile()["sql"]
     assert sql_profile["queries"] == {"batch": len(GRIDPOCKET_QUERIES)}
     assert sql_profile["kernel_refusals"] == []
@@ -481,7 +516,7 @@ def test_a_refused_key_says_why():
     frame, _report = ctx.run_query(sql)
     assert sum(row[1] for row in frame.collect()) == CSV_SPEC.total_rows()
     sql_profile = ctx.explain_profile()["sql"]
-    # The scan still ran on batches; the aggregate fell to the row operator.
+    # One pipeline: the refused key ran as an interpreted kernel.
     assert sql_profile["queries"] == {"batch": 1}
     assert sql_profile["kernel_refusals"] == [
         {
@@ -490,13 +525,14 @@ def test_a_refused_key_says_why():
             "count": 1,
         }
     ]
-    # An ordered comparison across kinds is refused for the whole plan.
-    with pytest.raises(Exception):
+    # An ordered comparison across kinds is refused, interpreted -- and raises.
+    with pytest.raises(SqlTypeError):
         ctx.run_query("SELECT vid FROM t WHERE vid < code")
     sql_profile = ctx.explain_profile()["sql"]
-    assert sql_profile["queries"] == {"batch": 1, "row": 1}
+    assert sql_profile["queries"] == {"batch": 2}
     assert {
         "reason": "incomparable_types",
         "expression": "(vid < code)",
         "count": 1,
     } in sql_profile["kernel_refusals"]
+    assert len(sql_profile["kernel_refusals"]) == 2

@@ -439,7 +439,7 @@ def test_pinned_sums_on_every_path(table_format, agg_pushdown, parallelism):
     pinned = {vid: answer for vid, (_rows, answer) in EXACT_GROUPS.items()}
     assert {row[0]: repr(row[1:]) for row in frame.collect()} == pinned
     assert (report.pushdown_requests > 0) == agg_pushdown
-    # And the row executor, over the rows of the same table.
+    # And the executor alone, over the rows of the same table.
     scan = ctx.session.relation("e").build_scan()
     _schema, rows = execute_query(
         EXACT_SQL, EXACT_SCHEMA, ctx.spark_context.iter_rows(scan)

@@ -1,12 +1,20 @@
-"""Kernel compiler tests: batch execution must equal row execution.
+"""Kernel compiler tests: one pipeline, two ways to make a kernel.
 
-The compile-once kernels (:mod:`repro.sql.kernels`) and the batch plan
-compiler (:func:`repro.sql.executor.execute_plan_batches`) form the
-columnar fast path.  Its contract is *byte identity* with the row
-interpreter: for any query the fast path either returns exactly the
-rows the row path returns, or declines to compile (``None``) and the
-caller falls back.  Hypothesis checks that contract against the same
-query/row generators the SQL fuzz suite uses.
+The compile-once kernels (:mod:`repro.sql.kernels`) run every plan
+(:func:`repro.sql.executor.execute_plan`).  An expression the compiler
+proves total gets a *fused* kernel; any other gets an *interpreted*
+one, its own ``bind`` evaluator looped over the batch.  Two contracts
+hold the pair together, checked against the query / row generators the
+SQL fuzz and oracle suites use:
+
+* *fused == interpreted*: whatever the fused compiler accepts, it
+  answers cell for cell as the interpreted kernel does -- over plain
+  lists, dictionary-coded and packed columns;
+* *batching independence*: a query's answer does not depend on how the
+  scan was cut into batches (unless it both has a LIMIT and can raise:
+  errors surface a batch at a time).
+
+What the answers *should be* is ``tests/test_sql_oracle.py``'s business.
 """
 
 import struct
@@ -17,25 +25,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.sql import filters
 from repro.sql.catalyst import Optimizer, build_logical_plan
-from repro.sql.errors import SqlError
-from repro.sql.executor import (
-    execute_plan,
-    execute_plan_batches,
-    execute_query,
-)
+from repro.sql.errors import SqlError, SqlTypeError
+from repro.sql.executor import execute_plan, execute_query
 from repro.sql.filters import filters_from_json, filters_to_json
-from repro.sql.kernels import FilterMask, compile_filters, compile_predicate
-from repro.sql.parser import parse_query
+from repro.sql.kernels import (
+    FilterMask,
+    _compile,
+    _interpreted,
+    compile_filters,
+    compile_predicate,
+    proves_total,
+)
+from repro.sql.parser import parse_expression, parse_query
 from repro.sql.types import Schema
 
-from tests.test_sql_fuzz import (
-    SCHEMA,
-    predicate,
-    queries,
-    rows_strategy,
-)
+from tests.test_sql_fuzz import SCHEMA, queries, rows_strategy
+from tests.test_sql_oracle import oracle_queries, predicate, scalar
+from tests.test_sql_oracle import rows as oracle_rows
 
 
 def _batches(rows, batch_rows):
@@ -46,75 +55,87 @@ def _batches(rows, batch_rows):
     ]
 
 
+def _run(sql, batches):
+    """``(outcome, refused)``: the answer (or the ``SqlError`` class
+    raised) over ``batches``, and whether any expression ran interpreted."""
+    previous = get_registry()
+    registry = set_registry(MetricsRegistry())
+    try:
+        plan = Optimizer().optimize(build_logical_plan(parse_query(sql), SCHEMA))
+        schema, rows = execute_plan(plan, lambda: iter(batches), SCHEMA)
+        outcome = (schema.names, rows)
+    except SqlError as error:
+        outcome = type(error)
+    finally:
+        set_registry(previous)
+    return outcome, bool(registry.counter_series("sql.kernel_refusals"))
+
+
 class TestPlanEquivalence:
     @settings(max_examples=150, deadline=None)
-    @given(
-        sql=queries(),
-        rows=rows_strategy,
-        batch_rows=st.sampled_from([1, 3, 7, 1024]),
-    )
-    def test_batch_plan_matches_row_plan(self, sql, rows, batch_rows):
-        plan = Optimizer().optimize(
-            build_logical_plan(parse_query(sql), SCHEMA)
-        )
-        try:
-            expected = execute_plan(plan, lambda: iter(rows), SCHEMA)
-        except SqlError:
-            # The row path raised a defined engine error; the batch
-            # compiler must have declined such a plan (kernels are only
-            # emitted for provably total expressions).
-            batches = _batches(rows, batch_rows)
-            try:
-                result = execute_plan_batches(
-                    plan, lambda: iter(batches), SCHEMA
-                )
-            except SqlError:
-                return
-            assert result is None
-            return
-        batches = _batches(rows, batch_rows)
-        result = execute_plan_batches(plan, lambda: iter(batches), SCHEMA)
-        if result is None:
-            return  # declined to compile: the row fallback covers it
-        assert result[0].names == expected[0].names
-        assert result[1] == expected[1]
+    @given(sql=st.one_of(queries(), oracle_queries()), rows=oracle_rows)
+    def test_answers_do_not_depend_on_the_batch_size(self, sql, rows):
+        whole, refused = _run(sql, _batches(rows, 1024))
+        if refused and parse_query(sql).limit is not None:
+            return  # a raising row behind the limit: batch-granular
+        for batch_rows in (1, 3, 7):
+            assert _run(sql, _batches(rows, batch_rows))[0] == whole, sql
 
     @settings(max_examples=100, deadline=None)
     @given(sql=queries(), rows=rows_strategy)
     def test_batch_path_agrees_with_execute_query(self, sql, rows):
+        """``execute_query`` is ``execute_plan`` over its own chunking."""
         try:
             schema, expected = execute_query(sql, SCHEMA, rows)
-        except SqlError:
+        except SqlError as error:
+            assert _run(sql, _batches(rows, 1024))[0] is type(error)
             return
-        plan = Optimizer().optimize(
-            build_logical_plan(parse_query(sql), SCHEMA)
-        )
-        result = execute_plan_batches(
-            plan, lambda: iter(_batches(rows, 8)), SCHEMA
-        )
-        if result is not None:
-            assert result[1] == expected
+        assert _run(sql, _batches(rows, 1024))[0] == (schema.names, expected)
+
+
+def _coded(values):
+    """``values`` dictionary-coded, entries in first-appearance order."""
+    entries = list(dict.fromkeys(values))
+    codes = {entry: code for code, entry in enumerate(entries)}
+    return DictColumn(entries, bytes(codes[value] for value in values))
+
+
+def _carriers(rows):
+    """``rows`` as the column vectors a scan can deliver: plain lists,
+    every column dictionary-coded, and -- over the rows whose numbers are
+    all there -- the two numeric columns packed."""
+    def transposed(rows):
+        return [list(column) for column in zip(*rows)] or [[] for _ in SCHEMA.names]
+
+    plain = transposed(rows)
+    yield len(rows), plain
+    yield len(rows), [_coded(column) for column in plain]
+    dense = [row for row in rows if row[2] is not None and row[3] is not None]
+    columns = transposed(dense)
+    columns[2] = _packed(columns[2], "d")
+    columns[3] = _packed(columns[3], "q")
+    yield len(dense), columns
 
 
 class TestPredicateKernels:
-    @settings(max_examples=150, deadline=None)
-    @given(where=predicate, rows=rows_strategy)
-    def test_selection_matches_row_filter(self, where, rows):
-        """A compiled WHERE kernel picks exactly the rows the row-path
-        filter keeps (when the row path itself does not raise)."""
-        sql = f"SELECT vid FROM t WHERE {where}"
-        try:
-            _schema, expected = execute_query(sql, SCHEMA, rows)
-        except SqlError:
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.one_of(predicate, scalar), rows=oracle_rows)
+    def test_fused_kernels_equal_the_interpreted_kernel(self, text, rows):
+        """Whatever the fused compiler accepts it answers as the
+        expression's own evaluator does, whatever carries the cells."""
+        expression = parse_expression(text)
+        if not proves_total(expression, SCHEMA):
             return
-        query = parse_query(sql)
-        selection = compile_predicate(query.where, SCHEMA)
-        if selection is None:
-            return
-        batch = ColumnBatch.from_rows(SCHEMA, tuple(rows))
-        picked = selection(batch.columns, len(batch))
-        vid_index = SCHEMA.index_of("vid")
-        assert [(rows[i][vid_index],) for i in picked] == expected
+        fused, interpreted = _compile(expression, SCHEMA), _interpreted(expression, SCHEMA)
+        selection = compile_predicate(expression, SCHEMA)
+        for n, columns in _carriers(rows):
+            expected = interpreted(columns, n)
+            assert [repr(cell) for cell in fused(columns, n)] == [
+                repr(cell) for cell in expected
+            ], text
+            assert selection(columns, n) == [
+                index for index, cell in enumerate(expected) if cell is True
+            ], text
 
     @settings(max_examples=100, deadline=None)
     @given(rows=rows_strategy, value=st.integers(-100, 9999))
@@ -136,6 +157,71 @@ class TestPredicateKernels:
             if row[code] is not None and row[code] > value
         ]
         assert picked == expected
+
+
+# -- what a refusal changes: when an error surfaces ----------------------------
+
+_MIXED = Schema.of("a:int", "s")
+
+
+class _CountingSource:
+    """A batch source that counts the batches pulled from it."""
+
+    def __init__(self, *batches):
+        self.batches = [ColumnBatch.from_rows(_MIXED, tuple(rows)) for rows in batches]
+        self.pulled = 0
+
+    def __call__(self):
+        for batch in self.batches:
+            self.pulled += 1
+            yield batch
+
+
+def _mixed_plan(sql):
+    return Optimizer().optimize(build_logical_plan(parse_query(sql), _MIXED))
+
+
+class TestRefusedExpressionsRunInterpreted:
+    """``s`` is a STRING column, so ``s < 5`` is not provably total: it
+    runs interpreted, and raises for the row that holds text."""
+
+    LIMITED = "SELECT a FROM t WHERE s < 5 LIMIT 1"
+
+    def test_a_raising_row_in_the_next_batch_is_never_reached(self):
+        source = _CountingSource([(1, 3), (2, 4)], [(3, "x")])
+        _schema, rows = execute_plan(_mixed_plan(self.LIMITED), source, _MIXED)
+        assert rows == [(1,)]
+        assert source.pulled == 1
+
+    def test_a_raising_row_in_the_same_batch_raises(self):
+        source = _CountingSource([(1, 3), (2, 4), (3, "x")])
+        with pytest.raises(SqlTypeError):
+            execute_plan(_mixed_plan(self.LIMITED), source, _MIXED)
+
+    def test_the_condition_is_interpreted_whole(self):
+        """A row's AND stops where the interpreter's does: a NULL left
+        operand does not hide what its right operand raises; a False one
+        does -- even though ``a > 0`` alone would have fused."""
+        plan = _mixed_plan("SELECT a FROM t WHERE a > 0 AND s < 5")
+        with pytest.raises(SqlTypeError):
+            execute_plan(plan, _CountingSource([(None, "x")]), _MIXED)
+        plan = _mixed_plan("SELECT a FROM t WHERE a > 0 AND s < 5")
+        _schema, rows = execute_plan(
+            plan, _CountingSource([(-1, "x"), (2, 3), (3, 9)]), _MIXED
+        )
+        assert rows == [(2,)]
+
+    def test_a_refused_projection_and_aggregate_answer_through_kernels(self):
+        sql = "SELECT s + 1, a FROM t WHERE a > 1"
+        _schema, rows = execute_plan(
+            _mixed_plan(sql), _CountingSource([(1, "x"), (2, 3)], [(5, 7)]), _MIXED
+        )
+        assert rows == [(4, 2), (8, 5)]
+        sql = "SELECT s * 2, count(*), sum(s + a) FROM t GROUP BY s * 2"
+        _schema, rows = execute_plan(
+            _mixed_plan(sql), _CountingSource([(1, 3), (2, 3)], [(5, 7)]), _MIXED
+        )
+        assert rows == [(6, 2, 9), (14, 1, 12)]
 
 
 # -- source filters over dictionary-coded columns ------------------------------
