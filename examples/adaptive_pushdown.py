@@ -64,7 +64,7 @@ def main() -> None:
         rows,
     )
     print("decision log (last three):")
-    for record in delegator.log[-3:]:
+    for record in list(delegator.log)[-3:]:
         print(f"  {record.tenant:<12} pushed={record.pushed_down} ({record.reason})")
 
     # -- the selectivity model learning loop ---------------------------------

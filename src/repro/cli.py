@@ -260,7 +260,7 @@ def _add_resilience_options(parser: argparse.ArgumentParser) -> None:
             "cost-based pushdown placement (also: REPRO_PLACEMENT): "
             "adaptive picks the cheapest tier per query from the "
             "calibrated cost model, the fixed choices pin it; unset "
-            "keeps the relation's run_on knob (docs/placement.md)"
+            "runs every task on the object node (docs/placement.md)"
         ),
     )
     group = parser.add_argument_group("resilience")

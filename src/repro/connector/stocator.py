@@ -113,6 +113,14 @@ class ColumnarSplit:
     schema: Schema
     stripes: Tuple[StripeMeta, ...]
 
+    @property
+    def index(self) -> int:
+        return self.split.index
+
+    @property
+    def length(self) -> int:
+        return self.split.length
+
 
 @dataclass
 class TransferMetrics:
@@ -274,33 +282,8 @@ class StocatorConnector:
         ``connector.objects_skipped{reason=...}`` registry counter and
         :attr:`skipped_objects`.
         """
-        registry = self.metrics.registry or get_registry()
         splits: List[ObjectSplit] = []
-        index = 0
-        for name in self.client.list_objects(container, prefix=prefix):
-            headers = self.client.head_object(container, name)
-            # The data-skipping catalog rides the discovery HEAD we just
-            # paid for: cache the decoded entry so per-query consults
-            # cost zero additional requests.
-            self._catalog_cache[(container, name)] = decode_catalog(headers)
-            raw_size = headers.get("content-length")
-            if raw_size is None:
-                reason = "missing-content-length"
-            elif int(raw_size) == 0:
-                reason = "zero-length"
-            else:
-                reason = ""
-            if reason:
-                self.skipped_objects.append((container, name, reason))
-                registry.inc("connector.objects_skipped", reason=reason)
-                logger.warning(
-                    "discover_partitions skipping /%s/%s: %s",
-                    container,
-                    name,
-                    reason,
-                )
-                continue
-            size = int(raw_size)
+        for name, size, _headers in self._discovered_objects(container, prefix):
             starts = list(range(0, size, self.chunk_size))
             if record_aligned and size > self.chunk_size:
                 starts = self._aligned_starts(container, name, size)
@@ -308,11 +291,35 @@ class StocatorConnector:
                 end = starts[position + 1] if position + 1 < len(starts) else size
                 splits.append(
                     ObjectSplit(
-                        container, name, start, end - start, size, index
+                        container, name, start, end - start, size, len(splits)
                     )
                 )
-                index += 1
         return splits
+
+    def _discovered_objects(
+        self, container: str, prefix: str
+    ) -> Iterator[Tuple[str, int, HeaderDict]]:
+        """The one discovery walk -- a listing, then a HEAD per object:
+        ``(name, size, HEAD headers)`` of every object with bytes to
+        split; the others are recorded, counted and logged.  The
+        data-skipping catalog rides the HEAD we just paid for: its
+        decoded entry is cached, so per-query consults cost no request.
+        """
+        registry = self.metrics.registry or get_registry()
+        for name in self.client.list_objects(container, prefix=prefix):
+            headers = self.client.head_object(container, name)
+            self._catalog_cache[(container, name)] = decode_catalog(headers)
+            raw_size = headers.get("content-length")
+            if raw_size is None:
+                reason = "missing-content-length"
+            elif int(raw_size) == 0:
+                reason = "zero-length"
+            else:
+                yield name, int(raw_size), headers
+                continue
+            self.skipped_objects.append((container, name, reason))
+            registry.inc("connector.objects_skipped", reason=reason)
+            logger.warning("discovery skipping /%s/%s: %s", container, name, reason)
 
     def _aligned_starts(
         self, container: str, name: str, size: int
@@ -348,7 +355,7 @@ class StocatorConnector:
     FOOTER_PROBE_BYTES = 8 * 1024
 
     def read_columnar_footer(
-        self, container: str, name: str, object_size: Optional[int] = None
+        self, container: str, name: str, object_size: int
     ) -> ColumnarFooter:
         """Fetch and decode an RCF1 object's footer via tail ranged GETs.
 
@@ -356,12 +363,6 @@ class StocatorConnector:
         ranged reads (probe, then exact) that are neither metered nor
         traced -- the data plane never touches the footer.
         """
-        if object_size is None:
-            object_size = int(
-                self.client.head_object(container, name).get(
-                    "content-length", "0"
-                )
-            )
         probe = min(object_size, self.FOOTER_PROBE_BYTES)
         _headers, tail = self.client.get_object(
             container, name, byte_range=(object_size - probe, object_size - 1)
@@ -387,74 +388,29 @@ class StocatorConnector:
         """Stripe-aligned partition discovery over RCF1 footers.
 
         Consecutive stripes are grouped until a group's byte extent
-        reaches :attr:`chunk_size`, one task per group -- the columnar
-        twin of :meth:`discover_partitions`, with the same skip
-        accounting for empty objects.  Record alignment is free here:
-        stripes never bisect a record by construction.
+        reaches :attr:`chunk_size`, one task per group, over the same
+        walk (and skip accounting) as :meth:`discover_partitions`.
+        Record alignment is free here: stripes never bisect a record by
+        construction.
         """
-        registry = self.metrics.registry or get_registry()
         splits: List[ColumnarSplit] = []
-        index = 0
-        for name in self.client.list_objects(container, prefix=prefix):
-            headers = self.client.head_object(container, name)
-            # Same zero-extra-request catalog caching as the row path.
-            self._catalog_cache[(container, name)] = decode_catalog(headers)
-            raw_size = headers.get("content-length")
-            if raw_size is None:
-                reason = "missing-content-length"
-            elif int(raw_size) == 0:
-                reason = "zero-length"
-            else:
-                reason = ""
-            if reason:
-                self.skipped_objects.append((container, name, reason))
-                registry.inc("connector.objects_skipped", reason=reason)
-                logger.warning(
-                    "discover_columnar_partitions skipping /%s/%s: %s",
-                    container,
-                    name,
-                    reason,
-                )
-                continue
-            size = int(raw_size)
+        for name, size, _headers in self._discovered_objects(container, prefix):
             footer = self.read_columnar_footer(container, name, size)
             group: List[StripeMeta] = []
             for stripe in footer.stripes:
                 group.append(stripe)
-                if stripe.end - group[0].start < self.chunk_size:
+                start = group[0].start
+                if (
+                    stripe.end - start < self.chunk_size
+                    and stripe is not footer.stripes[-1]
+                ):
                     continue
-                splits.append(
-                    self._columnar_split(
-                        container, name, size, footer.schema, group, index
-                    )
+                extent = ObjectSplit(
+                    container, name, start, stripe.end - start, size, len(splits)
                 )
-                index += 1
+                splits.append(ColumnarSplit(extent, footer.schema, tuple(group)))
                 group = []
-            if group:
-                splits.append(
-                    self._columnar_split(
-                        container, name, size, footer.schema, group, index
-                    )
-                )
-                index += 1
         return splits
-
-    @staticmethod
-    def _columnar_split(
-        container: str,
-        name: str,
-        size: int,
-        schema: Schema,
-        group: List[StripeMeta],
-        index: int,
-    ) -> ColumnarSplit:
-        start = group[0].start
-        length = group[-1].end - start
-        return ColumnarSplit(
-            split=ObjectSplit(container, name, start, length, size, index),
-            schema=schema,
-            stripes=tuple(group),
-        )
 
     # -- object-level data skipping ----------------------------------------
 

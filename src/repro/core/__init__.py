@@ -8,7 +8,8 @@ cooperate on data ingestion.
   attached to an object request" describing the work delegated to the
   store (projection columns + selection filters + CSV framing).
 * :class:`~repro.core.delegator.AnalyticsDelegator` -- the compute-side
-  component that tags each partition's GET request with the right task.
+  component that decides, per scan, which task each partition's GET
+  request is tagged with (or none), and records why.
 * :mod:`~repro.core.policies` -- per-tenant/container enforcement and
   the Crystal-style adaptive controller sketched in Section VII.
 * :class:`~repro.core.scoop.ScoopContext` -- the facade wiring a Spark

@@ -12,7 +12,7 @@ filter effectiveness ("approximating the data selectivity").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.pushdown import PushdownTask
@@ -41,6 +41,8 @@ class PushdownDecision:
     reason: str
     storage_cpu: Optional[float] = None
     estimated_selectivity: Optional[float] = None
+    #: ``reason`` without its numbers: a stable code, fit to be counted.
+    code: str = ""
 
 
 class SelectivityModel:
@@ -127,30 +129,31 @@ class AdaptivePushdownController:
         cpu = self.storage_cpu_probe()
         selectivity = self.selectivity_model.estimate(tenant, task)
 
-        def done(push: bool, reason: str) -> PushdownDecision:
-            decision = PushdownDecision(push, reason, cpu, selectivity)
+        def done(push: bool, code: str, reason: str) -> PushdownDecision:
+            decision = PushdownDecision(push, reason, cpu, selectivity, code)
             self.decisions.append(decision)
             return decision
 
         if not policy.pushdown_enabled:
-            return done(False, "pushdown disabled for tenant")
+            return done(False, "tenant_disabled", "pushdown disabled for tenant")
         if selectivity < self.min_selectivity:
             return done(
                 False,
+                "low_selectivity",
                 f"estimated selectivity {selectivity:.2f} below "
                 f"{self.min_selectivity:.2f}",
             )
         if cpu >= self.cpu_ceiling:
             if policy.tenant_class is TenantClass.GOLD:
-                return done(True, f"gold tenant despite cpu {cpu:.2f}")
-            return done(False, f"storage cpu {cpu:.2f} >= ceiling")
+                return done(True, "gold_exempt", f"gold tenant despite cpu {cpu:.2f}")
+            return done(False, "cpu_ceiling", f"storage cpu {cpu:.2f} >= ceiling")
         if cpu >= self.cpu_soft_ceiling:
             if policy.tenant_class is TenantClass.BRONZE:
                 return done(
-                    False, f"bronze tenant shed at cpu {cpu:.2f}"
+                    False, "bronze_shed", f"bronze tenant shed at cpu {cpu:.2f}"
                 )
-            return done(True, f"cpu {cpu:.2f} below hard ceiling")
-        return done(True, f"storage idle (cpu {cpu:.2f})")
+            return done(True, "below_ceiling", f"cpu {cpu:.2f} below hard ceiling")
+        return done(True, "idle", f"storage idle (cpu {cpu:.2f})")
 
     # -- feedback --------------------------------------------------------------
 

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.connector.stocator import StocatorConnector
-from repro.core.delegator import AnalyticsDelegator
 from repro.core.policies import AdaptivePushdownController
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import TraceCollector, set_collector
 from repro.placement.engine import engine_from_environment
-from repro.spark.csv_source import CsvRelation
+from repro.spark.csv_source import CsvRelation, infer_csv_schema
 from repro.spark.dataframe import DataFrame
 from repro.spark.scheduler import SparkContext
 from repro.spark.session import SparkSession
@@ -157,12 +156,11 @@ class ScoopContext:
         )
         self.session = SparkSession(self.spark_context)
         self.controller = controller
-        self.delegator = AnalyticsDelegator(controller)
         self._last_report: Optional[QueryRunReport] = None
         # Cost-based placement (docs/placement.md): ``placement=None``
         # defers to the REPRO_PLACEMENT env var; when neither is set the
-        # engine stays off and the fixed ``run_on`` knob keeps
-        # governing, exactly as before.  With an engine installed,
+        # engine stays off and every task runs on the object node,
+        # exactly as before.  With an engine installed,
         # registered relations consult it per query and ``run_query``
         # feeds actual byte counts back into its estimates.
         self.placement = engine_from_environment(placement)
@@ -341,7 +339,6 @@ class ScoopContext:
         prefix: str = "",
         has_header: bool = False,
         pushdown: bool = True,
-        run_on: str = "object",
         compress_transfer: bool = False,
         tenant: str = "default",
         adaptive: bool = False,
@@ -358,11 +355,14 @@ class ScoopContext:
         Pass ``format="csv"`` to pin the row path regardless of the
         environment.
         """
-        resolved = format or self.default_format
-        if resolved == "columnar":
+        decision = dict(
+            pushdown=pushdown,
+            compress_transfer=compress_transfer,
+            tenant=tenant,
+            adaptive=adaptive,
+        )
+        if (format or self.default_format) == "columnar":
             if schema is None:
-                from repro.spark.csv_source import infer_csv_schema
-
                 schema = infer_csv_schema(
                     self.connector, container, prefix, has_header
                 )
@@ -371,32 +371,18 @@ class ScoopContext:
                 container, shadow, schema, prefix=prefix, has_header=has_header
             )
             return self.register_columnar_table(
-                table,
-                shadow,
-                schema=schema,
-                pushdown=pushdown,
-                run_on=run_on,
-                compress_transfer=compress_transfer,
-                tenant=tenant,
-                adaptive=adaptive,
+                table, shadow, schema=schema, **decision
             )
-        relation = CsvRelation(
-            self.spark_context,
-            self.connector,
+        return self._register(
+            CsvRelation,
+            table,
             container,
             prefix=prefix,
             schema=schema,
             has_header=has_header,
-            pushdown=pushdown,
-            run_on=run_on,
-            compress_transfer=compress_transfer,
-            controller=self.controller if adaptive else None,
-            tenant=tenant,
-            placement=self.placement,
             agg_pushdown=agg_pushdown,
+            **decision,
         )
-        self.session.register_table(table, relation)
-        return relation
 
     def register_columnar_table(
         self,
@@ -405,25 +391,36 @@ class ScoopContext:
         schema: Optional[Schema] = None,
         prefix: str = "",
         pushdown: bool = True,
-        run_on: str = "object",
         compress_transfer: bool = False,
         tenant: str = "default",
         adaptive: bool = False,
     ) -> ColumnarRelation:
         """Register RCF1 columnar data as a SQL table (schema defaults
         to the first object's footer)."""
-        relation = ColumnarRelation(
-            self.spark_context,
-            self.connector,
+        return self._register(
+            ColumnarRelation,
+            table,
             container,
+            adaptive=adaptive,
             prefix=prefix,
             schema=schema,
             pushdown=pushdown,
-            run_on=run_on,
             compress_transfer=compress_transfer,
-            controller=self.controller if adaptive else None,
             tenant=tenant,
+        )
+
+    def _register(
+        self, relation_class, table: str, container: str, adaptive: bool, **options
+    ):
+        """Register a store relation as ``table``; its delegator gets
+        this context's controller (when ``adaptive``) and engine."""
+        relation = relation_class(
+            self.spark_context,
+            self.connector,
+            container,
+            controller=self.controller if adaptive else None,
             placement=self.placement,
+            **options,
         )
         self.session.register_table(table, relation)
         return relation
@@ -530,7 +527,6 @@ class ScoopContext:
             storage_cpu_probe=probe, **controller_kwargs
         )
         self.controller = controller
-        self.delegator = AnalyticsDelegator(controller)
         return controller
 
     # -- observability ---------------------------------------------------------------
@@ -626,6 +622,10 @@ class ScoopContext:
             of them (``handled`` by the source and gone from the plan,
             ``unhandled``: pushed and re-applied, ``residual``: never
             pushed).
+        ``delegation``
+            Why scans did or did not push down: a ``count`` per
+            ``outcome`` (``pushed`` / ``plain``) and ``reason``, the
+            :class:`~repro.core.delegator.DelegationRecord` code.
         """
         if report is None:
             report = self._last_report
@@ -668,22 +668,23 @@ class ScoopContext:
                 "skipped": list(self.connector.catalog_skipped),
             },
         }
+
+        def counted(name: str) -> List[Dict[str, object]]:
+            series = self.registry.counter_series(name)
+            return [{**labels, "count": int(count)} for labels, count in series]
+
         profile["sql"] = {
             "queries": {
                 labels["path"]: int(count)
                 for labels, count in self.registry.counter_series("sql.queries")
             },
-            "kernel_refusals": [
-                {**labels, "count": int(count)}
-                for labels, count in self.registry.counter_series(
-                    "sql.kernel_refusals"
-                )
-            ],
+            "kernel_refusals": counted("sql.kernel_refusals"),
             "filters": {
                 labels["disposition"]: int(count)
                 for labels, count in self.registry.counter_series("sql.filters")
             },
         }
+        profile["delegation"] = counted("core.delegations")
         if self.placement is not None:
             profile["placement"] = self.placement.explain()
         if self.fault_plan is not None:

@@ -17,6 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.delegator import AnalyticsDelegator
 from repro.core.policies import (
     AdaptivePushdownController,
     TenantClass,
@@ -126,12 +127,13 @@ def ablation_adaptive_pushdown(
         controller.set_policy(TenantPolicy("gold", TenantClass.GOLD))
         controller.set_policy(TenantPolicy("silver", TenantClass.SILVER))
         controller.set_policy(TenantPolicy("bronze", TenantClass.BRONZE))
+        delegator = AnalyticsDelegator(controller)
         results.append(
             AdaptiveScenarioResult(
                 storage_cpu=cpu,
-                gold_pushed=controller.decide("gold", task).push_down,
-                silver_pushed=controller.decide("silver", task).push_down,
-                bronze_pushed=controller.decide("bronze", task).push_down,
+                gold_pushed=delegator.delegate(task, "gold") is not None,
+                silver_pushed=delegator.delegate(task, "silver") is not None,
+                bronze_pushed=delegator.delegate(task, "bronze") is not None,
             )
         )
     return results

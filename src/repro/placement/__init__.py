@@ -2,8 +2,8 @@
 
 Scoop's central claim is that the placement of a computation -- object
 node, proxy tier, or compute cluster -- determines ingestion throughput.
-Until this package, placement was a fixed ``run_on`` knob the caller set
-blindly.  Here it becomes a per-query decision: a cost model fed by the
+Until this package, placement was a fixed ``run_on`` field of the task,
+set blindly.  Here it becomes a per-query decision: a cost model fed by the
 perfmodel's calibrated per-tier byte/CPU rates estimates the duration of
 each candidate tier, an engine picks the cheapest, and a feedback loop
 refines the selectivity estimates from the byte counts of actual runs.

@@ -31,8 +31,8 @@ from typing import Dict, List, Optional
 from repro.placement.cost import TIERS, PlacementCostModel, TierEstimate
 
 #: Environment knob: ``adaptive`` | ``object`` | ``proxy`` | ``compute``.
-#: Unset (or empty) leaves placement off -- the fixed ``run_on``
-#: relation knob keeps governing, exactly as before this package.
+#: Unset (or empty) leaves placement off -- every task runs on the
+#: object node, exactly as before this package.
 PLACEMENT_ENV_VAR = "REPRO_PLACEMENT"
 
 
@@ -220,8 +220,8 @@ def engine_from_environment(
 ) -> Optional[PlacementEngine]:
     """Build an engine from an explicit mode or ``REPRO_PLACEMENT``.
 
-    Returns ``None`` when neither is set -- placement stays off and the
-    fixed ``run_on`` knob keeps its historical meaning.
+    Returns ``None`` when neither is set -- placement stays off and
+    every task runs where its ``run_on`` says (the object node).
     """
     if mode is None:
         mode = os.environ.get(PLACEMENT_ENV_VAR, "").strip() or None

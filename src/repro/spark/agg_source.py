@@ -11,38 +11,37 @@ per group and spill-to-compute raw rows, in the deterministic order
 The session merges the partition-ordered record stream with
 :func:`~repro.core.agg_pushdown.merge_tagged_records`.
 
-Degradation reuses :class:`~repro.spark.csv_source.CsvScanRDD`'s plain
-reader (which filters as the storlet does) and runs the *same* bounded
-partial-aggregation generator over it, so the fallback record stream is
-identical to the pushdown stream by construction -- which is what makes
-the scheduler's skip-``emitted`` resume arithmetic sound here too.
+Degradation is the scans' own (:func:`~repro.spark.store_source.degrading`):
+the relation hands in its plain reader, which filters as the storlet
+does, and the *same* bounded partial-aggregation generator runs over
+it, so the fallback record stream is identical to the pushdown stream
+by construction -- which is what makes resuming behind the records
+already emitted sound here too.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator, List
+from itertools import islice
+from typing import Callable, Iterable, Iterator, List
 
-from repro.connector.stocator import (
-    ObjectSplit,
-    PushdownError,
-    StocatorConnector,
-)
+from repro.columnar.batch import ColumnBatch
+from repro.connector.stocator import ObjectSplit, StocatorConnector
 from repro.core.agg_pushdown import AggregationPlan
 from repro.core.pushdown import PushdownTask
 from repro.csvscan import owned_records
-from repro.obs.trace import get_collector
-from repro.sql.types import Schema
-from repro.spark.csv_source import CsvScanRDD
+from repro.spark.batch import rows_from_batches
 from repro.spark.rdd import RDD
-from repro.storlets.agg_storlet import (
-    DEFAULT_MAX_GROUPS,
-    tagged_partial_aggregate,
-)
+from repro.spark.store_source import degrading
+from repro.storlets.agg_storlet import tagged_partial_aggregate
 
 
 class AggregationScanRDD(RDD):
-    """One partition per object split; yields tagged agg records."""
+    """One partition per object split; yields tagged agg records.
+
+    ``plain_batches(split)`` is the relation's pushdown-free reader: the
+    typed rows of ``split`` passing the task's filters, all columns.
+    """
 
     def __init__(
         self,
@@ -50,67 +49,32 @@ class AggregationScanRDD(RDD):
         connector: StocatorConnector,
         splits: List[ObjectSplit],
         plan: AggregationPlan,
-        full_schema: Schema,
         task: PushdownTask,
-        has_header: bool,
-        delimiter: str,
-        max_groups: int = DEFAULT_MAX_GROUPS,
+        plain_batches: Callable[[ObjectSplit], Iterable[ColumnBatch]],
     ):
         super().__init__(context)
         self.name = "AggregationScan"
         self.connector = connector
         self.splits = splits
         self.plan = plan
-        self.full_schema = full_schema
         self.task = task
-        self.has_header = has_header
-        self.delimiter = delimiter
-        self.max_groups = max_groups
-        # The degradation twin: a plain CSV scan over the same splits
-        # under the task's filters.  Reusing CsvScanRDD's plain reader
-        # keeps the fallback's typed filtered row stream single-sourced
-        # with every other degradation path.
-        self._fallback = CsvScanRDD(
-            context,
-            connector,
-            splits,
-            full_schema,
-            full_schema,
-            task,
-            has_header,
-            delimiter,
-            filters=task.filters,
-        )
+        self.plain_batches = plain_batches
 
     def num_partitions(self) -> int:
         return len(self.splits)
 
     def compute(self, split_index: int) -> Iterator[tuple]:
         split = self.splits[split_index]
-        emitted = 0
-        try:
-            for record in self._pushdown_records(split):
-                emitted += 1
-                yield record
-            return
-        except PushdownError as error:
-            if not error.degradable:
-                raise
-            degrade_reason = error.reason
-        self.connector.metrics.record_fallback()
-        get_collector().record_event(
-            "connector",
-            "agg_pushdown_degraded",
-            split_index=split.index,
-            reason=degrade_reason,
-            records_before_failure=emitted,
+        return degrading(
+            self.connector,
+            split.index,
+            lambda: self._pushdown_records(split),
+            lambda: self._fallback_records(split),
+            event="agg_pushdown_degraded",
+            counted="records_before_failure",
+            size=lambda record: 1,
+            skip=lambda records, count: islice(records, count, None),
         )
-        skipped = 0
-        for record in self._fallback_records(split):
-            if skipped < emitted:
-                skipped += 1
-                continue
-            yield record
 
     # -- pushdown: the storlet streams tagged JSON lines -------------------
 
@@ -123,10 +87,9 @@ class AggregationScanRDD(RDD):
     # -- degradation: same aggregation, computed from plain reads ----------
 
     def _fallback_records(self, split: ObjectSplit) -> Iterator[tuple]:
-        batches = self._fallback._plain_batches(split)
-        rows = (row for batch in batches for row in batch.rows)
+        rows = rows_from_batches(self.plain_batches(split))
         for record in tagged_partial_aggregate(
-            rows, self.plan.spec, self.full_schema, max_groups=self.max_groups
+            rows, self.plan.spec, self.task.schema, max_groups=self.task.max_groups
         ):
             yield self._stamp(record, split.index)
 

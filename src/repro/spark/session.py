@@ -29,6 +29,8 @@ from repro.sql.errors import SqlAnalysisError
 from repro.sql.executor import execute_plan
 from repro.sql.parser import Query, parse_query
 from repro.sql.types import Row, Schema
+from repro.spark.columnar_source import ColumnarRelation
+from repro.spark.csv_source import CsvRelation
 from repro.spark.dataframe import DataFrame
 from repro.spark.datasources import (
     BaseRelation,
@@ -252,53 +254,30 @@ def _logical_plan(query: Query, spec: PushdownSpec, scan_schema: Schema):
 # --------------------------------------------------------------------------
 
 
-def _csv_provider(session: SparkSession, path: str, options: Dict[str, Any]):
-    from repro.spark.csv_source import CsvRelation
+def _store_provider(format_name: str, relation_class, read_options=lambda options: {}):
+    """The provider of a :class:`~repro.spark.store_source.StoreRelation`
+    format: ``path`` is ``container[/prefix]``; ``read_options`` maps the
+    reader's options to the keywords only this format takes."""
 
-    connector = options.get("connector")
-    if connector is None:
-        raise SqlAnalysisError(
-            "csv format needs option('connector', <StocatorConnector>)"
+    def provider(session: SparkSession, path: str, options: Dict[str, Any]):
+        connector = options.get("connector")
+        if connector is None:
+            raise SqlAnalysisError(
+                f"{format_name} format needs "
+                "option('connector', <StocatorConnector>)"
+            )
+        container, _slash, prefix = path.strip("/").partition("/")
+        return relation_class(
+            session.context,
+            connector,
+            container,
+            prefix=prefix,
+            schema=options.get("schema"),
+            pushdown=_truthy(options.get("pushdown", True)),
+            **read_options(options),
         )
-    container, _slash, prefix = path.strip("/").partition("/")
-    return CsvRelation(
-        session.context,
-        connector,
-        container,
-        prefix=prefix,
-        schema=options.get("schema"),
-        has_header=_truthy(options.get("header", False)),
-        delimiter=options.get("delimiter", ","),
-        pushdown=_truthy(options.get("pushdown", True)),
-        storlet_name=options.get("storlet", "csvstorlet"),
-        run_on=options.get("run_on", "object"),
-        placement=options.get("placement"),
-        agg_pushdown=options.get("agg_pushdown"),
-    )
 
-
-def _columnar_provider(
-    session: SparkSession, path: str, options: Dict[str, Any]
-):
-    from repro.spark.columnar_source import ColumnarRelation
-
-    connector = options.get("connector")
-    if connector is None:
-        raise SqlAnalysisError(
-            "columnar format needs option('connector', <StocatorConnector>)"
-        )
-    container, _slash, prefix = path.strip("/").partition("/")
-    return ColumnarRelation(
-        session.context,
-        connector,
-        container,
-        prefix=prefix,
-        schema=options.get("schema"),
-        pushdown=_truthy(options.get("pushdown", True)),
-        storlet_name=options.get("storlet", "columnarstorlet"),
-        run_on=options.get("run_on", "object"),
-        placement=options.get("placement"),
-    )
+    return provider
 
 
 def _truthy(value: Any) -> bool:
@@ -307,5 +286,15 @@ def _truthy(value: Any) -> bool:
     return bool(value)
 
 
-register_provider("csv", _csv_provider)
-register_provider("columnar", _columnar_provider)
+register_provider(
+    "csv",
+    _store_provider(
+        "csv",
+        CsvRelation,
+        lambda options: {
+            "has_header": _truthy(options.get("header", False)),
+            "delimiter": options.get("delimiter", ","),
+        },
+    ),
+)
+register_provider("columnar", _store_provider("columnar", ColumnarRelation))

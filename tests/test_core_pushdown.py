@@ -162,7 +162,7 @@ class TestDelegator:
         delegator = AnalyticsDelegator()
         task = delegator.make_task("SELECT * FROM t", SCHEMA)
         assert task is None
-        assert delegator.log[-1].reason == "no-op task"
+        assert delegator.log[-1].reason == "noop"
 
     def test_controller_veto_respected(self):
         controller = AdaptivePushdownController(

@@ -302,15 +302,6 @@ class TestTheClassification:
         assert len(spec.filters) == 2  # still pushed, best effort
         assert spec.compute_filter.to_sql() == "((i < 5) AND (s < 5))"
 
-    def test_a_foreign_storlet_is_not_vouched_for(self):
-        stack = _Stack([("a", 1, 1.0, "b")])
-        relation = stack.ctx.session.relation("csv_pushdown")
-        relation.storlet_name = "someone-elses"
-        text = stack.ctx.session.explain_query_object(
-            parse_query("SELECT k FROM csv_pushdown WHERE i < 5")
-        )
-        assert "(source_declined)" in text and "Filter((i < 5))" in text
-
     def test_the_registry_counts_dispositions_per_query(self):
         stack = _Stack([("a", 1, 1.0, "b")])
         stack.ctx.sql(
