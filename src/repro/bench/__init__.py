@@ -14,11 +14,6 @@ one orchestrator (docs/benchmarking.md):
   ``--check`` drift gate and baseline comparison.
 """
 
-from repro.bench.ab import (
-    compare_point_seconds,
-    render_ab_markdown,
-    write_ab_report,
-)
 from repro.bench.experiments import EXPERIMENTS, Experiment, experiment_names
 from repro.bench.orchestrator import BenchContext, run_experiment, run_suite
 from repro.bench.reportgen import (
@@ -44,9 +39,7 @@ __all__ = [
     "Experiment",
     "SchemaError",
     "check_document",
-    "compare_point_seconds",
     "compare_to_baseline",
-    "render_ab_markdown",
     "experiment_names",
     "generate_markdown",
     "load_results",
@@ -54,6 +47,5 @@ __all__ = [
     "run_suite",
     "validate",
     "validate_result",
-    "write_ab_report",
     "write_report",
 ]

@@ -157,19 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench_run.add_argument(
-        "--ab",
-        nargs=2,
-        type=pathlib.Path,
-        metavar=("A", "B"),
-        default=None,
-        help=(
-            "compare the ungated bench.point_seconds percentiles "
-            "between two existing result directories (same-machine "
-            "A/B) instead of running experiments; writes "
-            "AB_point_seconds.{json,md} to --out-dir"
-        ),
-    )
-    bench_run.add_argument(
         "--baseline",
         type=pathlib.Path,
         default=None,
@@ -431,31 +418,6 @@ def _bench(args) -> int:
         return 0
 
     # bench run
-    if args.ab is not None:
-        from repro.bench import write_ab_report
-
-        dir_a, dir_b = args.ab
-        try:
-            comparison = write_ab_report(dir_a, dir_b, args.out_dir)
-        except FileNotFoundError as error:
-            print(f"A/B compare failed: {error}", file=sys.stderr)
-            return 1
-        for row in comparison["experiments"]:
-            print(
-                f"  {row['experiment']}: p95 "
-                f"{row['p95_a']:.3f}s -> {row['p95_b']:.3f}s "
-                f"({row['p95_delta'] * 100:+.1f}%), mean "
-                f"{row['mean_a']:.3f}s -> {row['mean_b']:.3f}s "
-                f"({row['mean_delta'] * 100:+.1f}%)"
-            )
-        for name in comparison["unpaired"]:
-            print(f"  {name}: present on one side only")
-        print(
-            f"wrote AB_point_seconds.json + .md to {args.out_dir} "
-            f"({len(comparison['experiments'])} experiment(s) compared)"
-        )
-        return 0
-
     if args.figures.strip().lower() == "all":
         names = experiment_names()
     else:

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.simulation import Environment, Event, Interrupt
 
@@ -149,10 +148,6 @@ class FlowNetwork:
             flow.done.fail(error)
             flow.done._defused = True
         self._reallocate()
-
-    @property
-    def active_flows(self) -> List[Flow]:
-        return list(self._flows)
 
     @property
     def completed_count(self) -> int:
@@ -288,10 +283,6 @@ class FlowNetwork:
             flow.rate = 0.0 if rate[flow] is math.inf else rate[flow]
         self._arm_timer()
 
-    @staticmethod
-    def _single_resource(capacity: float, users):  # pragma: no cover
-        return _max_min_single_resource(capacity, users)
-
     def _next_completion_delay(self) -> float:
         delay = math.inf
         for flow in self._flows:
@@ -318,11 +309,6 @@ class FlowNetwork:
             return
         self._advance()
         self._reallocate()
-
-    # -- introspection -----------------------------------------------------
-
-    def utilization_snapshot(self) -> Dict[str, float]:
-        return {name: res.utilization() for name, res in self.resources.items()}
 
 
 def _max_min_single_resource(capacity: float, users) -> Dict[Flow, float]:

@@ -321,18 +321,27 @@ class StocatorConnector:
             registry.inc("connector.objects_skipped", reason=reason)
             logger.warning("discovery skipping /%s/%s: %s", container, name, reason)
 
+    def count_discovery_bytes(self, kind: str, body: bytes) -> None:
+        """Count one control-plane body read (``quote_scan``, ``footer``,
+        ``schema``) as ``connector.discovery_bytes{kind=}`` -- in the
+        registry only: :class:`TransferMetrics` stays query traffic."""
+        registry = self.metrics.registry or get_registry()
+        registry.inc("connector.discovery_bytes", len(body), kind=kind)
+
     def _aligned_starts(
         self, container: str, name: str, size: int
     ) -> List[int]:
         """Quote-safe split starts for one CSV object (control plane).
 
-        The planning read goes straight through the client -- like
-        schema inference, it is discovery work, not query traffic, so it
-        is neither metered nor traced.
+        The planning read -- the *whole object* -- goes straight through
+        the client: like schema inference it is discovery work, not
+        query traffic, so it is counted as discovery bytes and neither
+        metered in :class:`TransferMetrics` nor traced.
         """
         from repro.connector.split_planner import plan_quote_safe_starts
 
         _headers, data = self.client.get_object(container, name)
+        self.count_discovery_bytes("quote_scan", data)
         starts = plan_quote_safe_starts(data, self.chunk_size)
         if starts is None:
             reason = "unterminated-quote"
@@ -360,13 +369,15 @@ class StocatorConnector:
         """Fetch and decode an RCF1 object's footer via tail ranged GETs.
 
         Control-plane traffic, like schema inference: at most two small
-        ranged reads (probe, then exact) that are neither metered nor
-        traced -- the data plane never touches the footer.
+        ranged reads (probe, then exact), counted as discovery bytes and
+        neither metered nor traced -- the data plane never touches the
+        footer.
         """
         probe = min(object_size, self.FOOTER_PROBE_BYTES)
         _headers, tail = self.client.get_object(
             container, name, byte_range=(object_size - probe, object_size - 1)
         )
+        self.count_discovery_bytes("footer", tail)
         footer, needed = footer_from_tail(tail, object_size)
         if footer is None:
             needed = min(needed, object_size)
@@ -375,6 +386,7 @@ class StocatorConnector:
                 name,
                 byte_range=(object_size - needed, object_size - 1),
             )
+            self.count_discovery_bytes("footer", tail)
             footer, _needed = footer_from_tail(tail, object_size)
         if footer is None:
             raise ValueError(
@@ -413,12 +425,6 @@ class StocatorConnector:
         return splits
 
     # -- object-level data skipping ----------------------------------------
-
-    def object_catalog(
-        self, container: str, name: str
-    ) -> Optional[ObjectCatalog]:
-        """The cached catalog entry of one discovered object, if any."""
-        return self._catalog_cache.get((container, name))
 
     def catalog_filter_splits(self, splits, filters: Sequence[Filter]):
         """Drop every split of every object the catalog refutes.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.simulation.events import Event, Process
@@ -74,16 +74,6 @@ class Environment:
         from repro.simulation.events import Process
 
         return Process(self, generator)
-
-    def any_of(self, events) -> "Event":
-        from repro.simulation.events import AnyOf
-
-        return AnyOf(self, list(events))
-
-    def all_of(self, events) -> "Event":
-        from repro.simulation.events import AllOf
-
-        return AllOf(self, list(events))
 
     # -- scheduling ------------------------------------------------------
 

@@ -1,12 +1,13 @@
-"""A mini Apache Spark: RDDs, a DAG scheduler, Spark SQL's data sources.
+"""A mini Apache Spark: RDDs, a task scheduler, Spark SQL's data sources.
 
 The analytics half of Scoop.  Provides the pieces of Spark 1.6 the paper
 builds on (Section III-A):
 
 * :mod:`repro.spark.rdd` -- lazily evaluated, partitioned, lineage-
-  tracked distributed collections with narrow and shuffle dependencies;
-* :mod:`repro.spark.scheduler` -- stages, tasks, round-robin worker
-  placement and per-task metrics;
+  tracked distributed collections with narrow dependencies (no
+  shuffle: GROUP BY is :mod:`repro.sql.grouping`'s);
+* :mod:`repro.spark.scheduler` -- one streaming task runner on a
+  bounded pool, round-robin worker placement, retry, per-task metrics;
 * :mod:`repro.spark.datasources` -- the Data Sources API
   (``TableScan`` / ``PrunedScan`` / ``PrunedFilteredScan``), the contract
   Catalyst uses to offload projections and selections;

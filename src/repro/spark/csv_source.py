@@ -204,6 +204,7 @@ def infer_csv_schema(
     _headers, head = connector.client.get_object(
         container, names[0], byte_range=(0, 256 * 1024)
     )
+    connector.count_discovery_bytes("schema", head)
     lines = head.split(b"\n")
     records = [
         parse_record(line, delimiter)

@@ -32,10 +32,6 @@ class BaseRelation:
     def schema(self) -> Schema:
         raise NotImplementedError
 
-    def size_in_bytes(self) -> int:
-        """Estimated raw size (drives partition discovery accounting)."""
-        return 0
-
     def unhandled_filters(self, filters: Sequence[Filter]) -> List[Filter]:
         """The filters the planner must re-apply over this relation's
         rows.  Default (Spark's own): every one.  A relation omits a

@@ -1,11 +1,11 @@
 """Resilient Distributed Datasets: lazy, partitioned, lineage-tracked.
 
 RDDs here are faithful in structure to Spark's: a partition list, a
-``compute(split)`` method, and a dependency list that is either *narrow*
-(one-to-one on partitions) or *shuffle* (all-to-all through a hash
-partitioner).  Actions submit jobs to the context's DAG scheduler, which
-materializes shuffle stages bottom-up -- so ``reduceByKey`` really runs
-as two stages, like Spark.
+``compute(split)`` method and a list of *narrow* (one-to-one on
+partitions) dependencies.  There is no shuffle -- GROUP BY is the SQL
+executor's (:mod:`repro.sql.grouping`).  Actions are folds over the
+context's one task stream (``SparkContext.iter_batches``), so every
+action retries, places and logs its tasks the way a query does.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 import threading
 from typing import (
-    Any,
     Callable,
-    Dict,
     Generic,
     Iterable,
     Iterator,
@@ -30,35 +28,13 @@ from repro.spark.batch import DEFAULT_BATCH_ROWS, RecordBatch, batched
 T = TypeVar("T")
 U = TypeVar("U")
 K = TypeVar("K")
-V = TypeVar("V")
 
 
-class Dependency:
-    """Base class for RDD dependencies."""
+class NarrowDependency:
+    """Child partition i depends only on parent partition i."""
 
     def __init__(self, parent: "RDD"):
         self.parent = parent
-
-
-class NarrowDependency(Dependency):
-    """Child partition i depends only on parent partition i."""
-
-
-class ShuffleDependency(Dependency):
-    """Child partitions depend on all parent partitions via hashing."""
-
-    _shuffle_ids = itertools.count()
-
-    def __init__(
-        self,
-        parent: "RDD",
-        num_partitions: int,
-        combiner: Optional[Callable[[Any, Any], Any]] = None,
-    ):
-        super().__init__(parent)
-        self.shuffle_id = next(ShuffleDependency._shuffle_ids)
-        self.num_partitions = num_partitions
-        self.combiner = combiner
 
 
 class RDD(Generic[T]):
@@ -66,10 +42,10 @@ class RDD(Generic[T]):
 
     _ids = itertools.count()
 
-    def __init__(self, context, dependencies: Iterable[Dependency] = ()):
+    def __init__(self, context, dependencies: Iterable[NarrowDependency] = ()):
         self.id = next(RDD._ids)
         self.context = context
-        self.dependencies: List[Dependency] = list(dependencies)
+        self.dependencies: List[NarrowDependency] = list(dependencies)
         self._cache: Optional[List[List[T]]] = None
         # Guards the cache slots when concurrent tasks hit the same
         # partition; computation happens outside the lock (it may issue
@@ -98,10 +74,6 @@ class RDD(Generic[T]):
         if self._cache is None:
             self._cache = []
         return self
-
-    @property
-    def is_cached(self) -> bool:
-        return self._cache is not None
 
     def iterator(self, split: int) -> Iterator[T]:
         """Compute or read-from-cache one partition."""
@@ -154,61 +126,32 @@ class RDD(Generic[T]):
     def key_by(self, function: Callable[[T], K]) -> "RDD[Tuple[K, T]]":
         return self.map(lambda item: (function(item), item))
 
-    def reduce_by_key(
-        self,
-        function: Callable[[V, V], V],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD[Tuple[K, V]]":
-        """Two-stage aggregation through a hash shuffle."""
-        partitions = num_partitions or self.num_partitions()
-        return ShuffledRDD(self, partitions, combiner=function)
-
-    def group_by_key(
-        self, num_partitions: Optional[int] = None
-    ) -> "RDD[Tuple[K, List[V]]]":
-        partitions = num_partitions or self.num_partitions()
-        return ShuffledRDD(self, partitions, combiner=None)
-
-    # -- actions (eager) ----------------------------------------------------------
+    # -- actions (eager): folds over the context's task stream -------------------
 
     def collect(self) -> List[T]:
-        chunks = self.context.run_job(self)
-        return [item for chunk in chunks for item in chunk]
+        return list(self.context.iter_rows(self))
 
     def count(self) -> int:
-        chunks = self.context.run_job(self, lambda it: sum(1 for _ in it))
-        return sum(chunks)
+        return sum(len(batch) for batch in self.context.iter_batches(self))
 
     def reduce(self, function: Callable[[T, T], T]) -> T:
-        def reduce_partition(iterator: Iterator[T]) -> List[T]:
-            materialized = list(iterator)
-            if not materialized:
-                return []
-            result = materialized[0]
-            for item in materialized[1:]:
-                result = function(result, item)
-            return [result]
-
-        partials = [
-            item
-            for chunk in self.context.run_job(self, reduce_partition)
-            for item in chunk
-        ]
-        if not partials:
-            raise ValueError("reduce of an empty RDD")
-        result = partials[0]
-        for item in partials[1:]:
+        rows = self.context.iter_rows(self)
+        try:
+            result = next(rows)
+        except StopIteration:
+            raise ValueError("reduce of an empty RDD") from None
+        for item in rows:
             result = function(result, item)
         return result
 
     def take(self, count: int) -> List[T]:
-        taken: List[T] = []
-        for split in range(self.num_partitions()):
-            if len(taken) >= count:
-                break
-            chunk = self.context.run_job(self, list, partitions=[split])[0]
-            taken.extend(chunk[: count - len(taken)])
-        return taken
+        """The first ``count`` rows; closing the stream stops the tasks
+        that have not been needed (and cancels the in-flight ones)."""
+        rows = self.context.iter_rows(self)
+        try:
+            return list(itertools.islice(rows, count))
+        finally:
+            rows.close()
 
     def first(self) -> T:
         items = self.take(1)
@@ -222,11 +165,8 @@ class RDD(Generic[T]):
         """Human-readable ancestry, child first."""
         lines = [f"{self.name}#{self.id}[{self.num_partitions()}]"]
         for dependency in self.dependencies:
-            kind = (
-                "shuffle" if isinstance(dependency, ShuffleDependency) else "narrow"
-            )
             for line in dependency.parent.lineage():
-                lines.append(f"  ({kind}) {line}")
+                lines.append(f"  (narrow) {line}")
         return lines
 
 
@@ -328,38 +268,3 @@ class UnionRDD(RDD[T]):
                 return parent.iterator(split)
             split -= parent.num_partitions()
         raise IndexError("partition index out of range")
-
-
-class ShuffledRDD(RDD[Tuple[K, V]]):
-    """Reads the hash-partitioned output of its parent's shuffle stage."""
-
-    def __init__(
-        self,
-        parent: RDD[Tuple[K, V]],
-        num_partitions: int,
-        combiner: Optional[Callable[[V, V], V]],
-    ):
-        dependency = ShuffleDependency(parent, num_partitions, combiner)
-        super().__init__(parent.context, [dependency])
-        self.dependency = dependency
-        self._num_partitions = num_partitions
-        self.name = "Shuffled"
-
-    def num_partitions(self) -> int:
-        return self._num_partitions
-
-    def compute(self, split: int) -> Iterator[Tuple[K, Any]]:
-        bucket = self.context.shuffle_fetch(self.dependency.shuffle_id, split)
-        if self.dependency.combiner is None:
-            merged: Dict[K, List[V]] = {}
-            for key, value in bucket:
-                merged.setdefault(key, []).append(value)
-        else:
-            combine = self.dependency.combiner
-            merged = {}
-            for key, value in bucket:
-                if key in merged:
-                    merged[key] = combine(merged[key], value)  # type: ignore[assignment]
-                else:
-                    merged[key] = value  # type: ignore[assignment]
-        return iter(merged.items())

@@ -1,26 +1,30 @@
-"""SparkContext + DAG scheduler: stages, tasks, worker placement.
+"""SparkContext + task scheduler: one stage per job, one streaming task runner.
 
-Jobs are split at shuffle boundaries into stages, executed bottom-up;
-each stage's partitions become tasks placed round-robin on the worker
-pool (the paper's testbed ran 25 Spark workers).  Task metrics -- rows
-produced, wall time, worker -- feed the resource-usage analysis.
+A job is one stage: each partition of the RDD becomes a task, placed
+round-robin on the worker pool (the paper's testbed ran 25 Spark
+workers).  There is no shuffle: grouping is the SQL executor's
+(:class:`repro.sql.grouping.GroupTable`), and the paper's pushdown
+contract needs only the scan.  Task metrics -- rows produced, wall
+time, worker -- feed the resource-usage analysis.
+
+Every task runs through :meth:`SparkContext._stream_task`, reached by
+:meth:`SparkContext.iter_batches`; the RDD actions (``collect``,
+``count``, ``take``, ``reduce``) are folds over that stream.  So there
+is one retry loop, one blacklist consult, one task-log writer and one
+thread pool.
 
 Concurrency: ``parallelism`` bounds how many of a stage's tasks run at
 once on a thread pool.  Results are *deterministically ordered* at any
-parallelism: ``run_job`` returns per-partition results in partition
-order, shuffle buckets are committed in map-partition order, and
-``iter_batches`` merges the streams of concurrently running tasks
-strictly in partition order (a task's batches are buffered in a bounded
-queue until its turn).  Consuming a stream early (a satisfied LIMIT)
-cancels the in-flight producers and abandons their GETs, exactly as the
-serial path abandons the remaining tasks.
+parallelism: ``iter_batches`` merges the streams of concurrently
+running tasks strictly in partition order (a task's batches are
+buffered in a bounded queue until its turn), so the first error raised
+is the lowest failing partition's.  Consuming a stream early (a
+satisfied LIMIT, ``take``) cancels the in-flight producers and abandons
+their GETs, exactly as the serial path abandons the remaining tasks.
 
-Lock hierarchy (see docs/concurrency.md): the scheduler's three locks
-(``_shuffle_lock`` > ``_placement_lock``, ``_log_lock``) sit at the top
-of the system; the two leaf locks are only held for list/dict
-arithmetic, while ``_shuffle_lock`` serializes whole shuffle-stage
-materializations (a shuffle is a barrier, so this costs no parallelism
-inside a query).
+Locks (see docs/concurrency.md): the scheduler's three locks
+(``_placement_lock``, ``_log_lock``, ``_id_lock``) are leaves, held for
+list/dict arithmetic only and never across task code.
 """
 
 from __future__ import annotations
@@ -32,26 +36,13 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_collector
 from repro.swift.exceptions import TooManyRequests
 from repro.spark.batch import DEFAULT_BATCH_ROWS, RecordBatch
-from repro.spark.rdd import (
-    NarrowDependency,
-    ParallelCollectionRDD,
-    RDD,
-    ShuffleDependency,
-)
+from repro.spark.rdd import ParallelCollectionRDD, RDD
 
 
 @dataclass
@@ -74,11 +65,10 @@ class StageInfo:
     stage_id: int
     rdd_name: str
     num_tasks: int
-    shuffle_id: Optional[int] = None
 
 
 class SparkContext:
-    """Driver-side state: workers, scheduler, shuffle storage, metrics."""
+    """Driver-side state: workers, scheduler, metrics."""
 
     #: Batches a concurrently running task may compute ahead of the
     #: ordered merge before its producer blocks (bounds memory to
@@ -116,16 +106,10 @@ class SparkContext:
         self._task_ids = itertools.count()
         self._worker_cycle = itertools.cycle(self.workers)
         self._worker_failures: Dict[str, int] = {}
-        # shuffle_id -> reduce partition -> list of (key, value)
-        self._shuffle_store: Dict[int, Dict[int, List[Tuple[Any, Any]]]] = {}
-        self._materialized_shuffles: set = set()
         # Leaf locks: held for arithmetic only, never across task code.
         self._log_lock = threading.Lock()
         self._placement_lock = threading.Lock()
         self._id_lock = threading.Lock()
-        # Serializes shuffle-stage materialization (reentrant: nested
-        # shuffles materialize parents recursively under the same lock).
-        self._shuffle_lock = threading.RLock()
 
     # -- RDD constructors ---------------------------------------------------
 
@@ -135,86 +119,24 @@ class SparkContext:
 
     # -- job execution ----------------------------------------------------------
 
-    def run_job(
-        self,
-        rdd: RDD,
-        function: Callable[[Iterator[Any]], Any] = list,
-        partitions: Optional[List[int]] = None,
-    ) -> List[Any]:
-        """Execute ``function`` over each partition of ``rdd``.
-
-        Parent shuffle stages are materialized first (recursively), then
-        the final stage runs one task per requested partition -- up to
-        :attr:`parallelism` at a time.  The result list is in partition
-        order regardless of completion order, and a failing stage raises
-        the error of its *lowest-numbered* failing partition, so error
-        behavior is deterministic too.
-        """
-        with self._shuffle_lock:
-            self._materialize_parents(rdd)
-        stage_id = self._next_stage_id()
-        targets = (
-            list(range(rdd.num_partitions())) if partitions is None else partitions
-        )
-        with self._log_lock:
-            self.stage_log.append(StageInfo(stage_id, rdd.name, len(targets)))
-        return self._run_stage(stage_id, rdd, targets, function)
-
-    def _run_stage(
-        self,
-        stage_id: int,
-        rdd: RDD,
-        targets: List[int],
-        function: Callable[[Iterator[Any]], Any],
-    ) -> List[Any]:
-        """Run one stage's tasks, serially or on the bounded pool."""
-        if self.parallelism <= 1 or len(targets) <= 1:
-            return [
-                self._run_task(stage_id, rdd, split, function)
-                for split in targets
-            ]
-        results: List[Any] = [None] * len(targets)
-        pool_size = min(self.parallelism, len(targets))
-        with ThreadPoolExecutor(
-            max_workers=pool_size,
-            thread_name_prefix=f"{self.app_name}-stage{stage_id}",
-        ) as pool:
-            futures = [
-                pool.submit(self._run_task, stage_id, rdd, split, function)
-                for split in targets
-            ]
-            # Collect in partition order: the list is ordered and the
-            # first error raised is the lowest partition's, independent
-            # of which task happened to fail first on the wall clock.
-            for index, future in enumerate(futures):
-                results[index] = future.result()
-        return results
-
     def iter_batches(
-        self,
-        rdd: RDD,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
-        partitions: Optional[List[int]] = None,
+        self, rdd: RDD, batch_rows: int = DEFAULT_BATCH_ROWS
     ) -> Iterator[RecordBatch]:
-        """Stream a job's output as bounded record batches.
+        """Run a job: one task per partition, output streamed as
+        bounded record batches.
 
-        The streaming counterpart of :meth:`run_job`: parent shuffle
-        stages are still materialized eagerly (a shuffle is a barrier),
-        but the final stage's tasks yield their batches to the consumer
-        as they are produced instead of collecting whole partitions.
-        With ``parallelism > 1`` up to that many tasks compute
-        concurrently while the consumer receives their batches merged
-        *strictly in partition order* (later partitions buffer up to
-        :attr:`prefetch_batches` batches, then block).  Stopping
-        iteration early (e.g. a satisfied LIMIT) cancels the in-flight
-        tasks and abandons their GETs.
+        The tasks yield their batches to the consumer as they are
+        produced.  With ``parallelism > 1`` up to that many tasks
+        compute concurrently while the consumer receives their batches
+        merged *strictly in partition order* (later partitions buffer
+        up to :attr:`prefetch_batches` batches, then block), so a
+        failing stage raises the error of its *lowest-numbered* failing
+        partition at any parallelism.  Stopping iteration early (e.g. a
+        satisfied LIMIT) cancels the in-flight tasks and abandons their
+        GETs.
         """
-        with self._shuffle_lock:
-            self._materialize_parents(rdd)
         stage_id = self._next_stage_id()
-        targets = (
-            list(range(rdd.num_partitions())) if partitions is None else partitions
-        )
+        targets = list(range(rdd.num_partitions()))
         with self._log_lock:
             self.stage_log.append(StageInfo(stage_id, rdd.name, len(targets)))
         if self.parallelism <= 1 or len(targets) <= 1:
@@ -316,14 +238,14 @@ class SparkContext:
     ) -> Iterator[RecordBatch]:
         """Run one task, yielding batches as the partition streams.
 
-        Retry changes shape under streaming: batches already handed to
-        the consumer cannot be recalled, so a failed attempt resumes by
-        recomputing the partition and discarding the first ``emitted``
-        rows.  This is sound because partition computation is
-        deterministic (the graceful-degradation path reproduces the
-        pushdown row stream exactly for the same reason).  Batches are
-        counted by ``len`` and cut with ``slice``: a column batch is
-        never turned into rows here.
+        Batches already handed to the consumer cannot be recalled, so
+        the attempt after a failed one resumes by recomputing the
+        partition and discarding the first ``emitted`` rows.  This is
+        sound because partition computation is deterministic (the
+        graceful-degradation path reproduces the pushdown row stream
+        exactly for the same reason).  Batches are counted by ``len``
+        and cut with ``slice``: a column batch is never turned into
+        rows here.
         """
         task_id = self._next_task_id()
         emitted = 0
@@ -374,133 +296,6 @@ class SparkContext:
                 )
             )
             return
-        assert last_error is not None
-        raise last_error
-
-    def _materialize_parents(self, rdd: RDD) -> None:
-        # Caller holds _shuffle_lock: one thread materializes a given
-        # shuffle, concurrent jobs over the same lineage wait for it.
-        for dependency in rdd.dependencies:
-            self._materialize_parents(dependency.parent)
-            if isinstance(dependency, ShuffleDependency):
-                self._run_shuffle_stage(dependency)
-
-    def _run_shuffle_stage(self, dependency: ShuffleDependency) -> None:
-        if dependency.shuffle_id in self._materialized_shuffles:
-            return
-        parent = dependency.parent
-        stage_id = self._next_stage_id()
-        with self._log_lock:
-            self.stage_log.append(
-                StageInfo(
-                    stage_id,
-                    parent.name,
-                    parent.num_partitions(),
-                    shuffle_id=dependency.shuffle_id,
-                )
-            )
-        buckets: Dict[int, List[Tuple[Any, Any]]] = {
-            index: [] for index in range(dependency.num_partitions)
-        }
-        combine = dependency.combiner
-
-        def write_shuffle(
-            iterator: Iterator[Tuple[Any, Any]]
-        ) -> List[Tuple[int, Tuple[Any, Any]]]:
-            # Map-side combine before bucketing, like Spark.  Returns
-            # (bucket, pair) tuples instead of mutating the shared
-            # buckets so a retried attempt cannot double-commit its
-            # partial output.
-            if combine is not None:
-                partials: Dict[Any, Any] = {}
-                for key, value in iterator:
-                    if key in partials:
-                        partials[key] = combine(partials[key], value)
-                    else:
-                        partials[key] = value
-                items = partials.items()
-            else:
-                items = list(iterator)  # type: ignore[assignment]
-            return [
-                (hash(key) % dependency.num_partitions, (key, value))
-                for key, value in items
-            ]
-
-        # Map tasks run (possibly concurrently) without touching shared
-        # buckets; their outputs are committed below in map-partition
-        # order, so every bucket's contents are byte-identical to a
-        # serial run at any parallelism.
-        outputs = self._run_stage(
-            stage_id,
-            parent,
-            list(range(parent.num_partitions())),
-            write_shuffle,
-        )
-        for pairs in outputs:
-            for bucket, pair in pairs:
-                buckets[bucket].append(pair)
-        self._shuffle_store[dependency.shuffle_id] = buckets
-        self._materialized_shuffles.add(dependency.shuffle_id)
-
-    def shuffle_fetch(
-        self, shuffle_id: int, partition: int
-    ) -> List[Tuple[Any, Any]]:
-        store = self._shuffle_store.get(shuffle_id)
-        if store is None:
-            raise RuntimeError(
-                f"shuffle {shuffle_id} not materialized before fetch"
-            )
-        return store.get(partition, [])
-
-    def _run_task(
-        self,
-        stage_id: int,
-        rdd: RDD,
-        split: int,
-        function: Callable[[Iterator[Any]], Any],
-    ) -> Any:
-        task_id = self._next_task_id()
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, self.max_task_attempts + 1):
-            worker = self._next_worker()
-            started = time.perf_counter()
-            try:
-                output = function(rdd.iterator(split))
-            except Exception as error:
-                duration = time.perf_counter() - started
-                last_error = error
-                self._record_failure(worker, error)
-                self._log_task(
-                    TaskMetrics(
-                        stage_id=stage_id,
-                        task_id=task_id,
-                        partition=split,
-                        worker=worker,
-                        rows=-1,
-                        duration_seconds=duration,
-                        rdd_name=rdd.name,
-                        attempt=attempt,
-                        status="failed",
-                    )
-                )
-                continue
-            duration = time.perf_counter() - started
-            rows = output if isinstance(output, int) else (
-                len(output) if hasattr(output, "__len__") else -1
-            )
-            self._log_task(
-                TaskMetrics(
-                    stage_id=stage_id,
-                    task_id=task_id,
-                    partition=split,
-                    worker=worker,
-                    rows=rows,
-                    duration_seconds=duration,
-                    rdd_name=rdd.name,
-                    attempt=attempt,
-                )
-            )
-            return output
         assert last_error is not None
         raise last_error
 

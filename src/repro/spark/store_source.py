@@ -213,9 +213,6 @@ class StoreRelation(PrunedFilteredScan):
     def schema(self) -> Schema:
         return self._schema
 
-    def size_in_bytes(self) -> int:
-        return sum(split.length for split in self._splits)
-
     @property
     def splits(self) -> List:
         return list(self._splits)

@@ -9,7 +9,7 @@ propagate None; AND/OR use Kleene logic; WHERE treats None as false).
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.sql.errors import SqlAnalysisError, SqlTypeError
 from repro.sql.types import Row, Schema
@@ -538,12 +538,6 @@ class Aggregate(Expression):
         raise SqlAnalysisError(
             f"aggregate {self.name.upper()} outside an aggregation context"
         )
-
-    def bind_input(self, schema: Schema) -> Evaluator:
-        """Bind the aggregate's input expression (Star yields 1)."""
-        if isinstance(self.arg, Star):
-            return lambda row: 1
-        return self.arg.bind(schema)
 
     def to_sql(self) -> str:
         prefix = "DISTINCT " if self.distinct else ""

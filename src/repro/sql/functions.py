@@ -163,10 +163,6 @@ def lookup_scalar(name: str, arg_count: int) -> Callable:
     return function
 
 
-def scalar_function_names() -> List[str]:
-    return sorted(_SCALARS)
-
-
 class Accumulator:
     """Incremental state for one aggregate over one group.
 

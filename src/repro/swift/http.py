@@ -175,10 +175,6 @@ class Request:
         # the storlet middleware uses it to learn which node it runs on.
         self.environ: Dict[str, Any] = dict(environ or {})
 
-    @property
-    def split_path(self) -> Tuple[str, Optional[str], Optional[str]]:
-        return parse_path(self.path)
-
     def remaining_timeout(self) -> Optional[float]:
         """Remaining deadline budget, or ``None`` for unbudgeted
         requests (no ``X-Request-Timeout`` header)."""

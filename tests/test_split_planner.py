@@ -149,6 +149,28 @@ class TestConnectorAlignment:
         splits = connector.discover_partitions("c", record_aligned=True)
         assert len(splits) == 1
 
+    def test_alignment_reads_are_counted_as_discovery_bytes(self):
+        """The alignment GET reads every object larger than a chunk
+        whole: counted in the registry, never in TransferMetrics."""
+        bodies = [
+            _quoted_csv([(f"id{index}", "x" * width)] * 9)
+            for index, width in enumerate((5, 30))
+        ]
+
+        def quote_scan_bytes(chunk_size):
+            ctx, connector = self._rig(chunk_size=chunk_size)
+            ctx.client.put_container("c")
+            for index, body in enumerate(bodies):
+                ctx.client.put_object("c", f"o{index}.csv", body)
+            connector.discover_partitions("c", record_aligned=True)
+            assert connector.metrics.totals() == (0, 0, 0, 0, 0)
+            return connector.metrics.registry.counter_value(
+                "connector.discovery_bytes", kind="quote_scan"
+            )
+
+        assert quote_scan_bytes(32) == sum(len(body) for body in bodies)
+        assert quote_scan_bytes(max(len(body) for body in bodies)) == 0
+
 
 class TestQuotedCsvEndToEnd:
     SCHEMA = Schema.of("name", "note", "code:int")
