@@ -21,15 +21,11 @@ from typing import Deque, Optional, Union
 
 from repro.core.policies import AdaptivePushdownController
 from repro.core.pushdown import PushdownTask
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import LOG_LENGTH, get_registry
 from repro.placement.engine import PlacementEngine, task_signature
 from repro.sql.catalyst import extract_pushdown
 from repro.sql.parser import Query, parse_query
 from repro.sql.types import Schema
-
-#: Records the in-memory log keeps; the oldest leave first.  (Totals
-#: live in the registry: ``core.delegations{outcome=,reason=}``.)
-LOG_LENGTH = 1024
 
 
 @dataclass

@@ -12,10 +12,12 @@ filter effectiveness ("approximating the data selectivity").
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from repro.core.pushdown import PushdownTask
+from repro.obs.metrics import LOG_LENGTH
 
 
 class TenantClass(enum.Enum):
@@ -112,7 +114,7 @@ class AdaptivePushdownController:
         self.min_selectivity = min_selectivity
         self.selectivity_model = selectivity_model or SelectivityModel()
         self._policies: Dict[str, TenantPolicy] = {}
-        self.decisions: List[PushdownDecision] = []
+        self.decisions: Deque[PushdownDecision] = deque(maxlen=LOG_LENGTH)
 
     # -- configuration -----------------------------------------------------
 
@@ -163,6 +165,8 @@ class AdaptivePushdownController:
         self.selectivity_model.observe(tenant, task, bytes_in, bytes_out)
 
     def shed_rate(self) -> float:
+        """The share of the logged (the latest :data:`LOG_LENGTH`)
+        decisions that shed pushdown."""
         if not self.decisions:
             return 0.0
         return sum(1 for d in self.decisions if not d.push_down) / len(

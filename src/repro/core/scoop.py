@@ -448,9 +448,7 @@ class ScoopContext:
         )
         skipped_before = len(self.connector.catalog_skipped)
         decisions_before = (
-            len(self.placement.decisions)
-            if self.placement is not None
-            else 0
+            self.placement.decision_count if self.placement is not None else 0
         )
         frame = self.session.sql(text)
         rows = frame.collect()
@@ -481,16 +479,15 @@ class ScoopContext:
             # queries take several decisions whose bytes cannot be
             # apportioned from aggregate counters, so those are skipped
             # too.
-            new_decisions = self.placement.decisions[decisions_before:]
             if (
-                len(new_decisions) == 1
+                self.placement.decision_count - decisions_before == 1
                 and report.pushdown_requests > 0
                 and report.pushdown_fallbacks == 0
             ):
                 self.placement.observe_report(
                     report.bytes_requested,
                     report.bytes_transferred,
-                    decision=new_decisions[0],
+                    decision=self.placement.decisions[-1],
                 )
         return frame, report
 

@@ -273,9 +273,7 @@ def groupby_fault_identity(
                 relation = ctx.session.relation("t")
                 builder = relation.build_aggregation_scan
                 relation.build_aggregation_scan = (
-                    lambda agg_plan, _b=builder: _b(
-                        agg_plan, max_groups=max_groups
-                    )
+                    lambda *scan, _b=builder: _b(*scan, max_groups=max_groups)
                 )
             frame, report = ctx.run_query(sql)
             rows = frame.collect()

@@ -42,6 +42,11 @@ SIMULATED_SECONDS_BUCKETS: Tuple[float, ...] = (
     500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 )
 
+#: Entries every in-memory decision or invocation log keeps (the
+#: delegator's, the controller's, the placement engine's, a sandbox's);
+#: the oldest leave first.  Totals live in the registry, not in a log.
+LOG_LENGTH = 1024
+
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((key, str(value)) for key, value in labels.items()))

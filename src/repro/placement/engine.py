@@ -25,9 +25,11 @@ selective the query really is and must not be folded in.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, Optional
 
+from repro.obs.metrics import LOG_LENGTH
 from repro.placement.cost import TIERS, PlacementCostModel, TierEstimate
 
 #: Environment knob: ``adaptive`` | ``object`` | ``proxy`` | ``compute``.
@@ -102,8 +104,10 @@ class PlacementEngine:
         self.smoothing = smoothing
         #: Per-signature refined kept-fraction estimates.
         self.kept_estimates: Dict[str, float] = {}
-        #: Every decision taken, in order (explainability surface).
-        self.decisions: List[PlacementDecision] = []
+        #: The latest :data:`LOG_LENGTH` decisions, in order
+        #: (explainability surface); ``decision_count`` counts them all.
+        self.decisions: Deque[PlacementDecision] = deque(maxlen=LOG_LENGTH)
+        self.decision_count = 0
 
     # -- the decision ------------------------------------------------------
 
@@ -155,6 +159,7 @@ class PlacementEngine:
             estimates=estimates,
         )
         self.decisions.append(decision)
+        self.decision_count += 1
         return decision
 
     # -- the feedback loop -------------------------------------------------

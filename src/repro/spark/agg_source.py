@@ -8,8 +8,9 @@ degradation to compute-side work when a storlet fails at runtime.
 Each partition yields *tagged records* (not rows): accumulator states
 per group and spill-to-compute raw rows, in the deterministic order
 :func:`~repro.storlets.agg_storlet.tagged_partial_aggregate` defines.
-The session merges the partition-ordered record stream with
-:func:`~repro.core.agg_pushdown.merge_tagged_records`.
+The scan is a source like any other: the session hands its
+partition-ordered record stream to the executor, whose Aggregate
+operator folds it in (:meth:`~repro.sql.grouping.GroupTable.add_records`).
 
 Degradation is the scans' own (:func:`~repro.spark.store_source.degrading`):
 the relation hands in its plain reader, which filters as the storlet
@@ -27,13 +28,12 @@ from typing import Callable, Iterable, Iterator, List
 
 from repro.columnar.batch import ColumnBatch
 from repro.connector.stocator import ObjectSplit, StocatorConnector
-from repro.core.agg_pushdown import AggregationPlan
 from repro.core.pushdown import PushdownTask
 from repro.csvscan import owned_records
 from repro.spark.batch import rows_from_batches
 from repro.spark.rdd import RDD
 from repro.spark.store_source import degrading
-from repro.storlets.agg_storlet import tagged_partial_aggregate
+from repro.storlets.agg_storlet import AggregationSpec, tagged_partial_aggregate
 
 
 class AggregationScanRDD(RDD):
@@ -48,7 +48,7 @@ class AggregationScanRDD(RDD):
         context,
         connector: StocatorConnector,
         splits: List[ObjectSplit],
-        plan: AggregationPlan,
+        spec: AggregationSpec,
         task: PushdownTask,
         plain_batches: Callable[[ObjectSplit], Iterable[ColumnBatch]],
     ):
@@ -56,7 +56,7 @@ class AggregationScanRDD(RDD):
         self.name = "AggregationScan"
         self.connector = connector
         self.splits = splits
-        self.plan = plan
+        self.spec = spec
         self.task = task
         self.plain_batches = plain_batches
 
@@ -89,7 +89,7 @@ class AggregationScanRDD(RDD):
     def _fallback_records(self, split: ObjectSplit) -> Iterator[tuple]:
         rows = rows_from_batches(self.plain_batches(split))
         for record in tagged_partial_aggregate(
-            rows, self.plan.spec, self.task.schema, max_groups=self.task.max_groups
+            rows, self.spec, self.task.schema, max_groups=self.task.max_groups
         ):
             yield self._stamp(record, split.index)
 

@@ -28,7 +28,7 @@ from repro.sql.types import DataType, Field, Schema
 from repro.spark.agg_source import AggregationScanRDD
 from repro.spark.rdd import RDD
 from repro.spark.store_source import SplitScanRDD, StoreRelation
-from repro.storlets.agg_storlet import DEFAULT_MAX_GROUPS
+from repro.storlets.agg_storlet import DEFAULT_MAX_GROUPS, AggregationSpec
 
 
 def plain_csv_batches(
@@ -139,12 +139,21 @@ class CsvRelation(StoreRelation):
             agg_pushdown = self.delegator.placement is not None
         self.agg_pushdown = agg_pushdown
 
+    @property
+    def aggregates_at_store(self) -> bool:
+        """Whether this relation offers GROUP-BY pushdown at all (a scan
+        may still be declined by the controller or the engine)."""
+        return self.pushdown and self.agg_pushdown
+
     def build_aggregation_scan(
-        self, plan, max_groups: int = DEFAULT_MAX_GROUPS
+        self,
+        spec: AggregationSpec,
+        filters: Sequence[Filter],
+        max_groups: int = DEFAULT_MAX_GROUPS,
     ) -> Optional[RDD]:
-        """Build the tagged-partial aggregation scan for ``plan`` (an
-        :class:`~repro.core.agg_pushdown.AggregationPlan`), or ``None``
-        when this relation should stay on the ordinary scan path.
+        """Build the tagged-partial aggregation scan running ``spec``
+        over the rows passing ``filters``, or ``None`` when this
+        relation should stay on the ordinary scan path.
 
         GROUP-BY pushdown is gated on ``agg_pushdown`` (which defaults
         to "a placement engine is present") and rides the same decision
@@ -152,16 +161,16 @@ class CsvRelation(StoreRelation):
         pressure, and the placement engine picks the tier -- including
         sending it compute-side, which also returns ``None``.
         """
-        if not (self.pushdown and self.agg_pushdown):
+        if not self.aggregates_at_store:
             self.delegator.decline("agg_pushdown_off", self.tenant, self.container)
             return None
-        splits = self.connector.catalog_filter_splits(self._splits, list(plan.filters))
+        splits = self.connector.catalog_filter_splits(self._splits, list(filters))
         task = self._delegate(
             PushdownTask(
                 schema=self._schema,
-                filters=list(plan.filters),
+                filters=list(filters),
                 storlet="aggstorlet",
-                aggregation=plan.spec.to_json(),
+                aggregation=spec.to_json(),
                 max_groups=max_groups,
                 **self.framing,
             ),
@@ -179,7 +188,7 @@ class CsvRelation(StoreRelation):
             **self.framing,
         )
         return AggregationScanRDD(
-            self.context, self.connector, splits, plan, task, plain_batches
+            self.context, self.connector, splits, spec, task, plain_batches
         )
 
 

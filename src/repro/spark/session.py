@@ -6,7 +6,8 @@ query, the planner calls the richest Data Sources API flavor the
 relation supports, the relation's scan RDD issues (possibly tagged)
 parallel GETs, and the executor -- the one plan pipeline,
 :func:`repro.sql.executor.execute_plan` -- runs whatever part of the
-query was not pushed down over the returned batches.
+query was not pushed down over the returned batches (under GROUP-BY
+pushdown, over the store's partial states).
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.agg_pushdown import (
-    merge_tagged_records,
-    plan_aggregation_pushdown,
-)
+from repro.core.agg_pushdown import plan_aggregation_pushdown
 from repro.obs.metrics import get_registry
 from repro.sql.catalyst import (
+    LogicalPlan,
     Optimizer,
     PushdownSpec,
     build_logical_plan,
@@ -153,13 +152,17 @@ class SparkSession:
             if count:
                 registry.inc("sql.filters", count, disposition=disposition)
 
-        aggregated = self._try_aggregation_pushdown(query, relation, base_schema)
-        if aggregated is not None:
-            return aggregated
-
-        rdd = self._plan_scan(relation, spec)
         scan_schema = _scan_schema(relation, base_schema, spec)
         plan = _logical_plan(query, spec, scan_schema)
+        partials = self._aggregation_scan(relation, plan, spec)
+        if partials is not None:
+            # GROUP-BY pushdown: the same plan, its Aggregate fed the
+            # store's partial states (and spilled rows, all columns).
+            registry.inc("sql.queries", path="agg_pushdown")
+            return execute_plan(
+                plan, lambda: self.context.iter_rows(partials), base_schema, partials=True
+            )
+        rdd = self._plan_scan(relation, spec)
         # The scan streams: the executor pulls batches through the
         # scheduler on demand, so non-blocking plans (scan/filter/project/
         # limit) never materialize a partition, and a satisfied LIMIT
@@ -171,33 +174,25 @@ class SparkSession:
         registry.inc("sql.queries", path="batch")
         return execute_plan(plan, lambda: self.context.iter_batches(rdd), scan_schema)
 
-    def _try_aggregation_pushdown(
-        self, query: Query, relation: BaseRelation, base_schema: Schema
-    ) -> Optional[Tuple[Schema, List[Row]]]:
-        """Run the whole query via GROUP-BY pushdown, when possible.
+    def _aggregation_scan(
+        self, relation: BaseRelation, plan: LogicalPlan, spec: PushdownSpec
+    ) -> Optional[RDD]:
+        """The GROUP-BY pushdown scan for ``plan``, when there is one.
 
-        Three gates, all conservative: the relation must offer
-        ``build_aggregation_scan`` (and not veto it -- the flag, the
-        controller and the placement engine all can), the query must be
-        expressible as mergeable partial states
-        (:func:`~repro.core.agg_pushdown.plan_aggregation_pushdown`
-        returns ``None`` otherwise), and any failure to build the scan
-        falls through to the ordinary scan, which computes the same
+        The relation must offer ``build_aggregation_scan`` (and not
+        decline it -- its switch, the controller and the placement engine
+        all can) and the gate
+        (:func:`~repro.core.agg_pushdown.plan_aggregation_pushdown`) must
+        hand back a spec; otherwise the ordinary scan computes the same
         answer compute-side.
         """
         builder = getattr(relation, "build_aggregation_scan", None)
         if builder is None:
             return None
-        plan = plan_aggregation_pushdown(query, base_schema, relation)
-        if plan is None:
+        aggregation = plan_aggregation_pushdown(plan, spec)
+        if isinstance(aggregation, str):
             return None
-        rdd = builder(plan)
-        if rdd is None:
-            return None
-        get_registry().inc("sql.queries", path="agg_pushdown")
-        return merge_tagged_records(
-            plan, self.context.iter_rows(rdd), base_schema
-        )
+        return builder(aggregation, spec.filters)
 
     def _plan_scan(self, relation: BaseRelation, spec: PushdownSpec) -> RDD:
         """Pick the richest Data Sources API flavor the relation offers."""
@@ -225,10 +220,23 @@ class SparkSession:
             if isinstance(relation, PrunedScan)
             else "TableScan"
         )
+        # What GROUP-BY pushdown makes of the query, asked without
+        # building a scan: no delegation is recorded, no tier chosen.
+        aggregation = plan_aggregation_pushdown(plan, spec)
+        if not isinstance(aggregation, str):
+            if getattr(relation, "aggregates_at_store", False):
+                calls = ", ".join(f"{name}({arg})" for name, arg in aggregation.aggregates)
+                aggregation = (
+                    f"eligible keys=[{', '.join(aggregation.group_by)}] "
+                    f"aggregates=[{calls}]"
+                )
+            else:
+                aggregation = "agg_pushdown_off"
         return (
             f"== Logical plan ==\n{plan.describe()}\n"
             f"== Data source ==\n{type(relation).__name__} via {flavor}\n"
-            f"== Pushdown ==\n{spec.describe()}"
+            f"== Pushdown ==\n{spec.describe()}\n"
+            f"== Aggregation pushdown ==\n{aggregation}"
         )
 
 

@@ -507,6 +507,8 @@ def _output_references(query: Query, schema: Schema) -> Set[str]:
         referenced |= item.expression.columns()
     for expression in query.group_by:
         referenced |= expression.columns()
+    if query.having is not None:
+        referenced |= query.having.columns()
     for expression, _ascending in query.order_by:
         referenced |= expression.columns()
     # ORDER BY / GROUP BY may also name select aliases; those resolve to

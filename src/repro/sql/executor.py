@@ -9,7 +9,11 @@ output vectors or one :meth:`~repro.sql.grouping.GroupTable.add_batch`.
 What comes out is rows, and Distinct / Sort / Limit are row operators
 over them.  The same pipeline runs on both sides of the pushdown
 boundary: the Spark workers run the part of the query that was *not*
-pushed down with it.
+pushed down with it.  A GROUP-BY pushdown scan is one more source: its
+records -- the store's partial group states and the rows its bounded
+table spilled -- fill the Aggregate's table directly
+(:meth:`~repro.sql.grouping.GroupTable.add_records`), and everything
+above the Aggregate runs as for any other query.
 
 An expression the kernel compiler cannot prove total still gets a
 kernel -- its own ``bind`` evaluator looped over the batch -- so there is
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.columnar.batch import ColumnBatch, as_column_batch
 from repro.sql.catalyst import (
@@ -95,13 +99,20 @@ class Compiled:
 
 
 def execute_plan(
-    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema
+    plan: LogicalPlan,
+    batch_source: BatchSource,
+    scan_schema: Schema,
+    partials: bool = False,
 ) -> Tuple[Schema, List[Row]]:
     """Run ``plan`` over the batches ``batch_source()`` yields
     (``ColumnBatch``es of ``scan_schema``, or row sequences, which are
     transposed); returns the visible output schema and rows.  The source
-    is called once and pulled lazily: a satisfied LIMIT stops it."""
-    compiled = _compile(plan, batch_source, scan_schema)
+    is called once and pulled lazily: a satisfied LIMIT stops it.
+
+    With ``partials`` the source yields a GROUP-BY pushdown scan's
+    tagged records instead (spilled rows are rows of ``scan_schema``),
+    and the plan's Aggregate, directly above its scan, merges them."""
+    compiled = _compile(plan, batch_source, scan_schema, partials)
     rows = list(compiled.rows())
     if compiled.hidden:
         rows = [row[: -compiled.hidden] for row in rows]
@@ -141,11 +152,15 @@ def _linearize(plan: LogicalPlan) -> List[LogicalPlan]:
 
 
 def _compile(
-    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema
+    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema, partials: bool
 ) -> Compiled:
     """Kernels for Scan -> [Filter] -> (Project | Aggregate), the row
     operators for what sits above."""
     rest = _linearize(plan)[1:]  # drop the ScanNode
+    if partials and not (rest and isinstance(rest[0], AggregateNode)):
+        raise SqlAnalysisError(
+            "partial aggregate states feed an Aggregate directly above the scan"
+        )
     selection = None
     if rest and isinstance(rest[0], FilterNode):
         selection = compile_predicate(rest.pop(0).condition, scan_schema)
@@ -166,7 +181,8 @@ def _compile(
     if isinstance(node, ProjectNode):
         compiled = _compile_project(node, filtered_batches, scan_schema)
     elif isinstance(node, AggregateNode):
-        compiled = _compile_aggregate(node, filtered_batches, scan_schema)
+        source = batch_source if partials else filtered_batches
+        compiled = _compile_aggregate(node, source, scan_schema, partials)
     else:
         raise SqlAnalysisError(
             f"expected a projection or an aggregate above the scan, got "
@@ -213,26 +229,32 @@ class _AggregateSpec:
     schema: Schema
 
 
+def aggregate_calls(node: AggregateNode) -> List[Aggregate]:
+    """The distinct aggregate calls across all output items, plus any
+    aggregates the HAVING clause references but the items do not.
+    Accumulator ``j`` of every group computes call ``j``: a GROUP-BY
+    pushdown spec ships its states in this order."""
+    expressions = [item.expression for item in node.items]
+    if node.having is not None:
+        expressions.append(node.having)
+    calls: List[Aggregate] = []
+    for expression in expressions:
+        for aggregate in expression.aggregates():
+            if aggregate not in calls:
+                calls.append(aggregate)
+    return calls
+
+
 def _analyze_aggregate(node: AggregateNode, input_schema: Schema) -> _AggregateSpec:
     """Resolve aggregates, post-agg rewrites and output schema."""
-    # Collect the distinct aggregate calls across all output items, plus
-    # any aggregates the HAVING clause references but the items do not.
-    aggregates: List[Aggregate] = []
-    for item in node.items:
-        for aggregate in item.expression.aggregates():
-            if aggregate not in aggregates:
-                aggregates.append(aggregate)
-    if node.having is not None:
-        for aggregate in node.having.aggregates():
-            if aggregate not in aggregates:
-                aggregates.append(aggregate)
+    aggregates = aggregate_calls(node)
 
     # Post-aggregation row layout: [key_0..key_k, agg_0..agg_m].
     post_fields = [
         Field(f"__key_{i}", infer_type(e, input_schema))
         for i, e in enumerate(node.group_by)
     ] + [
-        Field(f"__agg_{j}", _aggregate_type(agg, input_schema))
+        Field(f"__agg_{j}", infer_type(agg, input_schema))
         for j, agg in enumerate(aggregates)
     ]
     post_schema = Schema(post_fields)
@@ -311,11 +333,14 @@ def _finalize_groups(spec: _AggregateSpec, groups: dict) -> Iterator[Row]:
 
 
 def _compile_aggregate(
-    node: AggregateNode, batches: Callable[[], Iterator[ColumnBatch]], scan_schema: Schema
+    node: AggregateNode, source: Callable[[], Iterable], scan_schema: Schema, partials: bool
 ) -> Compiled:
     """Key and input vectors via kernels, then one
     :meth:`~repro.sql.grouping.GroupTable.add_batch` per batch (rows
-    bucketed by group, each accumulator fed a group at a time)."""
+    bucketed by group, each accumulator fed a group at a time).  With
+    ``partials`` the source is a GROUP-BY pushdown scan's records
+    (:meth:`~repro.sql.grouping.GroupTable.add_records`): states merge
+    into the accumulators, spilled rows take the same kernels."""
     key_kernels = [
         compile_expression(expression, scan_schema) for expression in node.group_by
     ]
@@ -328,21 +353,24 @@ def _compile_aggregate(
         for aggregate in spec.aggregates
     ]
 
+    def add(table: GroupTable, cols: Sequence[Sequence[Any]], n: int) -> None:
+        table.add_batch(
+            [kernel(cols, n) for kernel in key_kernels],
+            [None if kernel is None else kernel(cols, n) for kernel in input_kernels],
+            n,
+        )
+
     def rows() -> Iterator[Row]:
         table = GroupTable(lambda: _new_group(spec))
-        for batch in batches():
-            n = len(batch)
-            if n == 0:
-                continue
-            cols = batch.columns
-            table.add_batch(
-                [kernel(cols, n) for kernel in key_kernels],
-                [
-                    None if kernel is None else kernel(cols, n)
-                    for kernel in input_kernels
-                ],
-                n,
+        if partials:
+            table.add_records(
+                source(), lambda spilled: add(table, list(zip(*spilled)), len(spilled))
             )
+        else:
+            for batch in source():
+                n = len(batch)
+                if n:
+                    add(table, batch.columns, n)
         yield from _finalize_groups(spec, table.groups)
 
     return Compiled(
@@ -383,45 +411,6 @@ def _compile_distinct(child: Compiled) -> Compiled:
     return Compiled(child.schema, rows, child.hidden, child.group_exprs)
 
 
-class _NullsLast:
-    """Sort key wrapper ordering None after every value (ascending)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "_NullsLast") -> bool:
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _NullsLast) and self.value == other.value
-
-
-class _NullsFirst:
-    """Sort key wrapper ordering None before every value; used with
-    ``reverse=True`` so that NULLs still land last in DESC order."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "_NullsFirst") -> bool:
-        if self.value is None:
-            return other.value is not None
-        if other.value is None:
-            return False
-        return self.value < other.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _NullsFirst) and self.value == other.value
-
-
 def _compile_sort(node: SortNode, child: Compiled) -> Compiled:
     evaluators: List[Tuple[Callable, bool]] = []
     for expression, ascending in node.order_by:
@@ -430,14 +419,14 @@ def _compile_sort(node: SortNode, child: Compiled) -> Compiled:
     def rows() -> Iterator[Row]:
         materialized = list(child.rows())
         # Stable sorts compose: apply keys right-to-left.  NULLs sort
-        # last in both directions.
+        # last in both directions: the key leads with "is NULL" (ASC) or
+        # "is not NULL" (DESC, reversed), so a NULL is never compared
+        # with a value, and reverse=True keeps ties in order.
         for evaluate, ascending in reversed(evaluators):
-            if ascending:
-                materialized.sort(key=lambda row: _NullsLast(evaluate(row)))
-            else:
-                materialized.sort(
-                    key=lambda row: _NullsFirst(evaluate(row)), reverse=True
-                )
+            materialized.sort(
+                key=lambda row: (((value := evaluate(row)) is None) == ascending, value),
+                reverse=not ascending,
+            )
         return iter(materialized)
 
     return Compiled(child.schema, rows, child.hidden, child.group_exprs)
@@ -497,7 +486,11 @@ def infer_type(expression: Expression, schema: Schema) -> DataType:
             return DataType.FLOAT
         return DataType.STRING
     if isinstance(expression, Aggregate):
-        return _aggregate_type(expression, schema)
+        if expression.name == "avg":
+            return DataType.FLOAT
+        if expression.name == "count" or isinstance(expression.arg, Star):
+            return DataType.INT
+        return infer_type(expression.arg, schema)
     if isinstance(expression, FunctionCall):
         if expression.name in _INT_FUNCTIONS:
             return DataType.INT
@@ -519,13 +512,3 @@ def infer_type(expression: Expression, schema: Schema) -> DataType:
             return DataType.FLOAT
         return DataType.INT
     return DataType.STRING
-
-
-def _aggregate_type(aggregate: Aggregate, schema: Schema) -> DataType:
-    if aggregate.name == "count":
-        return DataType.INT
-    if aggregate.name == "avg":
-        return DataType.FLOAT
-    if isinstance(aggregate.arg, Star):
-        return DataType.INT
-    return infer_type(aggregate.arg, schema)

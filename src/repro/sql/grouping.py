@@ -7,6 +7,10 @@ aggregating storlet and its compute-side twin
 batch the rows are bucketed by group once -- the only per-row work --
 and every accumulator then takes its group's inputs in one
 :meth:`~repro.sql.functions.Accumulator.add_many` call, in row order.
+Under GROUP-BY pushdown the executor's table is filled from the
+storlet's records instead (:meth:`GroupTable.add_records`): their
+states merge into the same accumulators, their spilled rows go through
+:meth:`GroupTable.add_batch`.
 
 Keys stay as they arrive.  A lone dictionary-coded key column
 (:class:`~repro.columnar.batch.DictColumn`) is bucketed by its *codes*:
@@ -27,6 +31,9 @@ from repro.columnar.batch import DictColumn, materialize, take_column
 from repro.sql.functions import Accumulator, CountAccumulator
 
 Key = Tuple[Any, ...]
+
+#: Spilled rows :meth:`GroupTable.add_records` hands its caller at once.
+SPILL_BATCH_ROWS = 512
 
 
 def _folded_codes(column: DictColumn) -> bytes:
@@ -134,3 +141,60 @@ class GroupTable:
                 start = stop
         spilled.sort()
         return spilled
+
+    def add_records(
+        self, records: Iterable[Sequence[Any]], add_rows: Callable[[List[tuple]], None]
+    ) -> None:
+        """Fill the table from a GROUP-BY pushdown scan's tagged records
+        (:class:`~repro.spark.agg_source.AggregationScanRDD`).
+
+        A ``("p", split, first_ordinal, key, states)`` record merges
+        state ``j`` into the group's accumulator ``j``; ``("r", split,
+        ordinal, row)`` rows, which the store's bounded table spilled,
+        go to ``add_rows`` -- the caller's kernels, then
+        :meth:`add_batch` -- up to :data:`SPILL_BATCH_ROWS` at a time,
+        never across a ``p`` record, so every accumulator is fed in
+        stream order.
+
+        The groups end in the order of their creation points, the
+        ``(split, ordinal)`` of the row that created each: first-seen
+        order over the partitions concatenated, as :meth:`add_batch`
+        over the rows themselves leaves it.  Records arrive in partition
+        order, and within a partition a group is one ``p`` record or
+        spilled rows in ordinal order, so a group's first record carries
+        its creation point.
+        """
+        created: Dict[Key, Tuple[int, int]] = {}
+        spilled: List[Tuple[int, int, tuple]] = []
+
+        def flush() -> None:
+            if not spilled:
+                return
+            groups_before, rows_before = len(self.groups), self.rows
+            add_rows([row for _split, _ordinal, row in spilled])
+            for key in itertools.islice(self.groups, groups_before, None):
+                split, ordinal, _row = spilled[self.first_seen[key] - rows_before]
+                created[key] = (split, ordinal)
+            spilled.clear()
+
+        for record in records:
+            tag, split, ordinal, payload = record[:4]
+            if tag == "r":
+                spilled.append((split, ordinal, tuple(payload)))
+                if len(spilled) == SPILL_BATCH_ROWS:
+                    flush()
+                continue
+            if tag != "p":
+                raise ValueError(f"unknown tagged record kind {tag!r}")
+            flush()
+            key = tuple(payload)
+            accumulators = self.groups.get(key)
+            if accumulators is None:
+                accumulators = self.groups[key] = self._new_group()
+                created[key] = (split, ordinal)
+            for accumulator, state in zip(accumulators, record[4]):
+                accumulator.merge(state)
+        flush()
+        self.groups = {
+            key: self.groups[key] for key in sorted(self.groups, key=created.__getitem__)
+        }

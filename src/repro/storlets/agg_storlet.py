@@ -24,7 +24,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from repro.csvscan import CsvScan
 from repro.sql.filters import filters_from_json
 from repro.sql.functions import Accumulator, make_accumulator
-from repro.sql.parser import parse_expression
 from repro.sql.types import Schema
 from repro.storlets.api import (
     IStorlet,
@@ -60,7 +59,10 @@ class AggregationSpec:
     ``group_by`` and aggregate arguments are expression strings in the
     SQL dialect (so ``SUBSTRING(date, 0, 7)`` works); ``aggregates`` is a
     list of ``(function_name, argument_expression)`` pairs where the
-    argument ``"*"`` means COUNT(*)-style input.
+    argument ``"*"`` means COUNT(*)-style input.  A query's spec is cut
+    from its plan's Aggregate
+    (:func:`~repro.core.agg_pushdown.plan_aggregation_pushdown`), one
+    pair per accumulator of the executor's, in the same order.
     """
 
     def __init__(
@@ -88,20 +90,6 @@ class AggregationSpec:
             payload["group_by"],
             [tuple(pair) for pair in payload["aggregates"]],
         )
-
-    # -- binding -----------------------------------------------------------
-
-    def bind(self, schema: Schema):
-        key_evals = [
-            parse_expression(text).bind(schema) for text in self.group_by
-        ]
-        input_evals = []
-        for _name, arg in self.aggregates:
-            if arg.strip() == "*":
-                input_evals.append(lambda row: 1)
-            else:
-                input_evals.append(parse_expression(arg).bind(schema))
-        return key_evals, input_evals
 
     def accumulators(self) -> List[Accumulator]:
         """Fresh state for one group, one accumulator per aggregate."""

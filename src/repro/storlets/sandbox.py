@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import LOG_LENGTH, get_registry
 from repro.obs.trace import get_collector
 from repro.storlets.api import (
     IStorlet,
@@ -124,7 +125,8 @@ class Sandbox:
         # StorletFailure to emulate sandbox crashes / budget exhaustion.
         self.fault_hook = None
         self.stats = SandboxStats()
-        self.records: List[InvocationRecord] = []
+        #: The latest :data:`LOG_LENGTH` invocations.
+        self.records: Deque[InvocationRecord] = deque(maxlen=LOG_LENGTH)
         self._warm = False
         # Guards stats / records / warm-up under concurrent invocations.
         # A leaf lock: held only for counter arithmetic, never across a

@@ -10,14 +10,20 @@ call per aggregate per row.  ``tests/test_batch_aggregate.py`` requires
 the two record streams to be identical, record for record, for every
 generated input, spill bound and batch size.
 
-Only the accumulators themselves (``add``, ``state``) are shared with
-``src/``; the table, the spill rule and the ordinals are this loop's
-own.
+Only the accumulators themselves (``add``, ``state``) and the row
+interpreter (``bind``) are shared with ``src/``; the table, the spill
+rule and the ordinals are this loop's own.
 """
+
+from repro.sql.parser import parse_expression
 
 
 def rowwise_tagged_partial_aggregate(rows, spec, schema, max_groups):
-    key_evals, input_evals = spec.bind(schema)
+    key_evals = [parse_expression(text).bind(schema) for text in spec.group_by]
+    input_evals = [
+        (lambda row: 1) if arg.strip() == "*" else parse_expression(arg).bind(schema)
+        for _name, arg in spec.aggregates
+    ]
     groups = {}
     first_seen = {}
     for ordinal, row in enumerate(rows):

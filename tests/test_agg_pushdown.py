@@ -1,21 +1,20 @@
 """Tests for aggregation pushdown: the storlet's tagged protocol, the
-merge of accumulator states, the planner and the end-to-end path."""
+executor's Aggregate merging accumulator states, the gate and the
+end-to-end path."""
 
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.agg_pushdown import (
-    merge_tagged_records,
-    plan_aggregation_pushdown,
-)
 from repro.core import ScoopContext
 from repro.gridpocket import METER_SCHEMA, upload_dataset
 from repro.sql import Schema
-from repro.sql.parser import parse_query
+from repro.sql.errors import SqlAnalysisError
+from repro.sql.executor import execute_query
 from repro.storlets import StorletException
 from repro.storlets.agg_storlet import AggregatingStorlet, AggregationSpec
+from tests.agg_partials import execute_partials, gate
 from tests.conftest import SMALL_SPEC
 from tests.storlet_harness import run_storlet
 
@@ -26,6 +25,12 @@ DATA = (
     b"m2,2015-01-01,5.0,Paris\n"
     b"m2,2015-02-01,7.0,Paris\n"
 )
+ROWS = [
+    ("m1", "2015-01-01", 10.0, "Rotterdam"),
+    ("m1", "2015-01-02", 12.0, "Rotterdam"),
+    ("m2", "2015-01-01", 5.0, "Paris"),
+    ("m2", "2015-02-01", 7.0, "Paris"),
+]
 
 
 def run_agg(data, spec, extra=None, chunk=33, schema=SCHEMA, split=0):
@@ -44,12 +49,13 @@ def run_agg(data, spec, extra=None, chunk=33, schema=SCHEMA, split=0):
 
 
 def merged(sql, records, schema=SCHEMA):
-    plan = plan_aggregation_pushdown(parse_query(sql), schema)
-    return merge_tagged_records(plan, records, schema)[1]
+    return execute_partials(sql, schema, records)[1]
 
 
 def spec_of(sql, schema=SCHEMA):
-    return plan_aggregation_pushdown(parse_query(sql), schema).spec
+    spec = gate(sql, schema)
+    assert isinstance(spec, AggregationSpec), spec
+    return spec
 
 
 class TestAggregatingStorlet:
@@ -180,23 +186,30 @@ class TestMergePartials:
 
 
 class TestPlanner:
+    """The gate asks one question; everything above the Aggregate --
+    post-aggregate expressions, HAVING, ORDER BY, LIMIT -- is the
+    executor's, on the partials path as on any other."""
+
     def plan(self, sql, schema=METER_SCHEMA):
-        return plan_aggregation_pushdown(parse_query(sql), schema)
+        return gate(sql, schema)
+
+    def identical(self, sql):
+        """The storlet's records over ``DATA`` answer ``sql`` exactly as
+        the executor does over its rows; returns the rows."""
+        rows = merged(sql, run_agg(DATA, spec_of(sql)))
+        assert rows == execute_query(sql, SCHEMA, ROWS)[1]
+        return rows
 
     def test_mergeable_query_planned(self):
-        plan = self.plan(
+        spec = self.plan(
             "SELECT vid, sum(index) as total FROM t "
             "WHERE city LIKE 'Rot%' GROUP BY vid ORDER BY vid LIMIT 5"
         )
-        assert plan is not None
-        assert plan.spec.group_by == ["vid"]
-        assert plan.spec.aggregates == [("sum", "index")]
-        assert len(plan.filters) == 1
-        assert plan.limit == 5
-        assert plan.output_schema.names == ["vid", "total"]
+        assert spec.group_by == ["vid"]
+        assert spec.aggregates == [("sum", "index")]
 
     def test_non_aggregate_query_not_planned(self):
-        assert self.plan("SELECT vid FROM t WHERE code > 5") is None
+        assert self.plan("SELECT vid FROM t WHERE code > 5") == "not_aggregate"
 
     def test_residual_where_not_planned(self):
         assert (
@@ -204,35 +217,39 @@ class TestPlanner:
                 "SELECT vid, sum(index) FROM t "
                 "WHERE SUBSTRING(date, 0, 4) = '2015' GROUP BY vid"
             )
-            is None
+            == "residual_filter"
         )
 
     def test_expression_over_aggregates_not_planned(self):
-        assert (
-            self.plan("SELECT max(index) - min(index) FROM t") is None
-        )
+        sql = "SELECT max(index) - min(index) AS spread FROM t"
+        assert self.plan(sql).aggregates == [("max", "index"), ("min", "index")]
+        assert self.identical(sql) == [(7.0,)]
 
     def test_distinct_aggregate_not_planned(self):
         assert (
             self.plan("SELECT count(DISTINCT vid) FROM t GROUP BY city")
-            is None
+            == "distinct_aggregate"
         )
 
     def test_order_by_alias_resolves(self):
-        plan = self.plan(
-            "SELECT vid, sum(index) as total FROM t GROUP BY vid "
-            "ORDER BY total DESC"
-        )
-        assert plan is not None
-        assert plan.order_by == [(1, False)]
+        sql = "SELECT vid, sum(index) as total FROM t GROUP BY vid ORDER BY total"
+        assert self.identical(sql) == [("m2", 12.0), ("m1", 22.0)]
 
     def test_order_by_unresolvable_not_planned(self):
-        assert (
-            self.plan(
-                "SELECT vid, sum(index) FROM t GROUP BY vid ORDER BY city"
-            )
-            is None
-        )
+        # Planned (the gate does not resolve ORDER BY); the executor
+        # refuses it on the partials path exactly as over rows.
+        sql = "SELECT vid, sum(index) FROM t GROUP BY vid ORDER BY city"
+        records = run_agg(DATA, spec_of(sql))
+        with pytest.raises(SqlAnalysisError):
+            merged(sql, records)
+        with pytest.raises(SqlAnalysisError):
+            execute_query(sql, SCHEMA, ROWS)
+
+    def test_having_and_distinct_take_the_partials_path(self):
+        # HAVING's aggregate ships too, as the last state.
+        sql = "SELECT DISTINCT count(*) AS n FROM t GROUP BY vid HAVING sum(index) > 11"
+        assert self.plan(sql).aggregates == [("count", "*"), ("sum", "index")]
+        assert self.identical(sql) == [(2,)]
 
 
 class TestEndToEnd:

@@ -13,21 +13,22 @@ identically.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from repro.core import ScoopContext
-from repro.core.agg_pushdown import plan_aggregation_pushdown
 from repro.core.delegator import LOG_LENGTH, AnalyticsDelegator
 from repro.core.policies import AdaptivePushdownController
 from repro.core.pushdown import PushdownTask
 from repro.obs.metrics import get_registry
 from repro.placement import PlacementEngine
+from repro.placement.cost import TIERS, PlacementCostModel
 from repro.spark.columnar_source import ColumnarRelation
 from repro.spark.csv_source import CsvRelation
 from repro.sql.filters import LessThan
-from repro.sql.parser import parse_query
 from repro.sql.types import Schema
+from tests.agg_partials import gate
 
 SCHEMA = Schema.of("vid", "n:int", "city")
 CSV = "".join(f"v{i % 7},{i},city{i % 3}\n" for i in range(300))
@@ -68,9 +69,8 @@ def _scan(ctx, kind, controller, engine, task):
     if kind == "csv":
         return relation, relation.build_scan_filtered(SCHEMA.names, filters)
     where = " WHERE n < 100" if filters else ""
-    query = parse_query(f"SELECT city, COUNT(*) FROM t{where} GROUP BY city")
-    plan = plan_aggregation_pushdown(query, SCHEMA, relation)
-    return relation, relation.build_aggregation_scan(plan)
+    spec = gate(f"SELECT city, COUNT(*) FROM t{where} GROUP BY city", SCHEMA, relation)
+    return relation, relation.build_aggregation_scan(spec, filters)
 
 
 def _cell(ctx, kind, controller_name, engine_name, task):
@@ -144,9 +144,8 @@ def test_a_relation_switch_declines_without_asking_anyone(ctx):
     )
     scan = relation.build_scan_filtered(["vid"], [LessThan("n", 100)])
     assert scan.task is None
-    query = parse_query("SELECT city, COUNT(*) FROM t GROUP BY city")
-    plan = plan_aggregation_pushdown(query, SCHEMA, relation)
-    assert relation.build_aggregation_scan(plan) is None
+    spec = gate("SELECT city, COUNT(*) FROM t GROUP BY city", SCHEMA, relation)
+    assert relation.build_aggregation_scan(spec, []) is None
     assert [record.reason for record in relation.delegator.log] == [
         "pushdown_off", "agg_pushdown_off",
     ]
@@ -187,6 +186,78 @@ def test_the_log_is_bounded():
         delegator.delegate(task)
     assert len(delegator.log) == LOG_LENGTH
     assert delegator.pushdown_rate() == 1.0
+
+
+def test_explain_tells_the_aggregation_truth_without_deciding_anything():
+    context = ScoopContext(chunk_size=4096, placement="object")
+    context.upload_csv("meters", "a.csv", CSV)
+    context.register_csv_table("t", "meters", schema=SCHEMA, format="csv")
+    context.register_csv_table(
+        "off", "meters", schema=SCHEMA, format="csv", agg_pushdown=False
+    )
+    engine = context.placement
+
+    def decided():
+        delegations = context.registry.counter_series("core.delegations")
+        return delegations, len(engine.decisions), engine.decision_count
+
+    before = decided()
+    explained = {
+        sql: context.sql(sql).explain().split("== Aggregation pushdown ==\n")[1]
+        for sql in (
+            "SELECT city, COUNT(*), SUM(n) FROM t GROUP BY city HAVING MAX(n) > 5",
+            "SELECT vid FROM t WHERE n < 5",
+            "SELECT city, COUNT(*) FROM t WHERE n <> 5 GROUP BY city",
+            "SELECT city, COUNT(DISTINCT vid) FROM t GROUP BY city",
+            "SELECT city, COUNT(*) FROM off GROUP BY city",
+        )
+    }
+    assert decided() == before
+    assert list(explained.values()) == [
+        "eligible keys=[city] aggregates=[count(*), sum(n), max(n)]",
+        "not_aggregate",
+        "residual_filter",
+        "distinct_aggregate",
+        "agg_pushdown_off",
+    ]
+    # And the eligible one runs that way.
+    context.run_query(next(iter(explained)))
+    assert context.explain_profile()["sql"]["queries"] == {"agg_pushdown": 1}
+
+
+class _StoreFirst(PlacementCostModel):
+    """Prices the object tier cheapest whatever the scan's size, so
+    every query of a kilobyte table pushes down and feeds the loop."""
+
+    def estimate(self, tier, *args, **kwargs):
+        estimate = super().estimate(tier, *args, **kwargs)
+        return replace(estimate, duration=float(TIERS.index(tier)))
+
+
+def test_every_log_stays_bounded_and_the_feedback_loop_still_lands():
+    context = ScoopContext(chunk_size=4096, placement="adaptive", skipping=False)
+    context.upload_csv("meters", "a.csv", CSV)
+    controller = context.make_adaptive_controller()
+    relation = context.register_csv_table(
+        "t", "meters", schema=SCHEMA, format="csv", adaptive=True
+    )
+    engine = context.placement
+    engine.cost_model = _StoreFirst()
+    for _ in range(LOG_LENGTH + 9):
+        context.run_query("SELECT vid FROM t WHERE n < 100")
+    _frame, report = context.run_query("SELECT vid FROM t WHERE n < 50")
+    assert report.pushdown_requests == 1
+    sandboxes = context.engine.all_sandboxes().values()
+    assert len(relation.delegator.log) == LOG_LENGTH
+    assert len(controller.decisions) == LOG_LENGTH
+    assert len(engine.decisions) == LOG_LENGTH
+    assert max(len(sandbox.records) for sandbox in sandboxes) == LOG_LENGTH
+    assert engine.decision_count == LOG_LENGTH + 10
+    # The last query's own decision was fed its bytes back.
+    assert engine.kept_estimates[engine.decisions[-1].signature] == pytest.approx(
+        report.bytes_transferred / report.bytes_requested
+    )
+    assert controller.shed_rate() == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -21,15 +21,12 @@ import pytest
 
 from repro.connector.stocator import PushdownError
 from repro.core import ScoopContext
-from repro.core.agg_pushdown import (
-    merge_tagged_records,
-    plan_aggregation_pushdown,
-)
 from repro.faults import NAMED_PLANS, named_plan
 from repro.sql.executor import execute_query
-from repro.sql.parser import parse_query
 from repro.sql.types import Schema
 from repro.storlets.agg_storlet import tagged_partial_aggregate
+from tests.agg_partials import execute_partials, gate
+from tests.sqlite_oracle import check_against_sqlite
 
 SCHEMA = Schema.of("vid", "date", "index:int", "city", "power:float")
 
@@ -85,6 +82,41 @@ QUERIES = [
     "SELECT vid, COUNT(*) FROM m GROUP BY vid ORDER BY vid DESC LIMIT 3",
 ]
 
+#: What sits above the Aggregate is the executor's on the partials path
+#: too: HAVING (with an aggregate only it names), SELECT DISTINCT and
+#: expressions over aggregates.
+POST_AGGREGATE_QUERIES = [
+    "SELECT vid, COUNT(*) FROM m GROUP BY vid "
+    "HAVING SUM(power) > 0 AND COUNT(*) > 50 ORDER BY vid",
+    "SELECT DISTINCT city, MAX(index) FROM m GROUP BY city, vid ORDER BY city",
+    "SELECT vid, MAX(power) - MIN(power) AS spread, SUM(index) * 2 FROM m "
+    "GROUP BY vid ORDER BY vid",
+]
+
+def assert_post_aggregate_queries(ctx, oracle):
+    """Every POST_AGGREGATE_QUERIES answer of ``ctx`` took the partials
+    path and is the compute side's, and sqlite's."""
+    table_rows, answers = oracle
+    for sql, expected in zip(POST_AGGREGATE_QUERIES, answers):
+        frame, report = ctx.run_query(sql)
+        rows = frame.collect()
+        assert_identical(rows, expected)
+        check_against_sqlite(sql, SCHEMA, table_rows, rows)
+        assert report.pushdown_requests > 0
+    assert ctx.explain_profile()["sql"]["queries"] == {
+        "agg_pushdown": len(POST_AGGREGATE_QUERIES)
+    }
+
+
+@pytest.fixture(scope="module")
+def post_aggregate_oracle():
+    """The table's rows (the parts cut records in two at their seams)
+    and the compute side's answers."""
+    oracle = build_context(False)
+    scan = oracle.session.relation("m").build_scan()
+    table_rows = list(oracle.spark_context.iter_rows(scan))
+    return table_rows, [oracle.run_query(sql)[0].collect() for sql in POST_AGGREGATE_QUERIES]
+
 
 class TestGroupByPushdownDifferential:
     def setup_method(self):
@@ -132,9 +164,7 @@ class TestGroupByPushdownDifferential:
         # partial sums merge to the very float the compute side gets
         # from the rows: FLOAT inputs plan like any other.
         sql = "SELECT vid, SUM(power), AVG(power) FROM m GROUP BY vid ORDER BY vid"
-        plan = plan_aggregation_pushdown(parse_query(sql), SCHEMA)
-        assert plan is not None
-        assert plan.spec.aggregates == [("sum", "power"), ("avg", "power")]
+        assert gate(sql, SCHEMA).aggregates == [("sum", "power"), ("avg", "power")]
         frame_oracle, report_oracle = self.oracle.run_query(sql)
         frame_push, report_push = self.push.run_query(sql)
         assert_identical(frame_push.collect(), frame_oracle.collect())
@@ -143,16 +173,20 @@ class TestGroupByPushdownDifferential:
         assert report_push.bytes_transferred < report_oracle.bytes_transferred
 
     def test_having_stays_compute_side_but_correct(self):
+        """HAVING is pushed and identical: its aggregates ship as states,
+        the executor filters the merged groups."""
         sql = (
             "SELECT vid, COUNT(*) FROM m GROUP BY vid "
-            "HAVING COUNT(*) > 50 ORDER BY vid"
+            "HAVING SUM(power) > 0 AND COUNT(*) > 50 ORDER BY vid"
         )
-        plan = plan_aggregation_pushdown(parse_query(sql), SCHEMA)
-        assert plan is None
-        assert_identical(
-            self.push.run_query(sql)[0].collect(),
-            self.oracle.run_query(sql)[0].collect(),
-        )
+        assert gate(sql, SCHEMA).aggregates == [("count", "*"), ("sum", "power")]
+        frame, report = self.push.run_query(sql)
+        rows = frame.collect()
+        assert_identical(rows, self.oracle.run_query(sql)[0].collect())
+        assert report.pushdown_requests > 0
+        assert 0 < len(rows) < 7
+        # (The registry is process-wide: the oracle's query lands there too.)
+        assert self.push.explain_profile()["sql"]["queries"]["agg_pushdown"] == 1
 
 
 class TestCardinalityOverflow:
@@ -161,7 +195,7 @@ class TestCardinalityOverflow:
         relation = ctx.session.relation("m")
         builder = relation.build_aggregation_scan
         relation.build_aggregation_scan = (
-            lambda plan, _b=builder: _b(plan, max_groups=max_groups)
+            lambda *scan, _b=builder: _b(*scan, max_groups=max_groups)
         )
         return ctx
 
@@ -176,6 +210,10 @@ class TestCardinalityOverflow:
         frame, report = ctx.run_query(sql)
         assert_identical(frame.collect(), oracle.run_query(sql)[0].collect())
         assert report.pushdown_requests > 0
+
+    @pytest.mark.parametrize("max_groups", [1, 2, 4])
+    def test_post_aggregate_operators_under_spill(self, max_groups, post_aggregate_oracle):
+        assert_post_aggregate_queries(self._spilling_context(max_groups), post_aggregate_oracle)
 
     def test_unsorted_group_order_matches_oracle_under_spill(self):
         # No ORDER BY: output order is the oracle's global first-seen
@@ -245,7 +283,7 @@ class TestDegradation:
         k = 3
         ctx = build_context(True, trace=True)
         relation = ctx.session.relation("m")
-        plan = plan_aggregation_pushdown(parse_query(self.SQL), SCHEMA, relation)
+        spec = gate(self.SQL, SCHEMA, relation)
 
         def drained(rdd):
             # The storlet's records crossed JSON (lists), the fallback's
@@ -253,9 +291,9 @@ class TestDegradation:
             parts = [list(rdd.compute(i)) for i in range(rdd.num_partitions())]
             return json.loads(json.dumps(parts))
 
-        want = drained(relation.build_aggregation_scan(plan))
+        want = drained(relation.build_aggregation_scan(spec, []))
         assert len(want[0]) > k
-        scan = relation.build_aggregation_scan(plan)
+        scan = relation.build_aggregation_scan(spec, [])
         plain = list(scan._fallback_records(scan.splits[0]))
         assert json.loads(json.dumps(plain)) == want[0]
         records = scan._pushdown_records
@@ -310,6 +348,15 @@ class TestFaultPlans:
             ctx.run_query(self.SQL)[0].collect(), oracle_rows
         )
 
+    @pytest.mark.parametrize("plan_name", NAMED_PLANS)
+    def test_post_aggregate_operators_under_plan_threads(
+        self, plan_name, post_aggregate_oracle
+    ):
+        seed = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
+        plan = named_plan(plan_name, seed=seed) if plan_name != "none" else None
+        ctx = build_context(True, fault_plan=plan, parallelism=16)
+        assert_post_aggregate_queries(ctx, post_aggregate_oracle)
+
 
 # --------------------------------------------------------------------------
 # Merge associativity: random rows, random partitioning, random spill
@@ -320,7 +367,7 @@ MERGE_SQL = (
     "SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v), SUM(f), AVG(f) "
     "FROM t GROUP BY k"
 )
-MERGE_PLAN = plan_aggregation_pushdown(parse_query(MERGE_SQL), MERGE_SCHEMA)
+MERGE_SPEC = gate(MERGE_SQL, MERGE_SCHEMA)
 
 rows_strategy = st.lists(
     st.tuples(
@@ -398,12 +445,12 @@ def test_merge_equals_oracle_under_random_splits(
     records = []
     for split, part in enumerate(parts):
         for record in tagged_partial_aggregate(
-            part, MERGE_PLAN.spec, MERGE_SCHEMA, max_groups=max_groups
+            part, MERGE_SPEC, MERGE_SCHEMA, max_groups=max_groups
         ):
             # Over the wire, as the storlet sends it.
             record = json.loads(json.dumps(record))
             records.append((record[0], split, *record[1:]))
-    _schema, merged = merge_tagged_records(MERGE_PLAN, records, MERGE_SCHEMA)
+    _schema, merged = execute_partials(MERGE_SQL, MERGE_SCHEMA, records)
     # The oracle sees partitions in partition order (the scheduler's
     # determinism contract), so first-seen order is over the
     # partition-concatenated stream.

@@ -11,15 +11,20 @@ int-vs-float literals, DESC.  The translation and every tolerated
 difference are the dialect table in ``tests/sqlite_oracle.py``.
 """
 
+import json
+import random
 from collections import Counter
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.agg_pushdown import plan_aggregation_pushdown
 from repro.sql import execute_query, extract_pushdown, parse_query
 from repro.sql.errors import SqlError
+from repro.sql.executor import execute_plan
 from repro.sql.filters import conjunction_predicate
+from repro.storlets.agg_storlet import AggregationSpec, tagged_partial_aggregate
 
+from tests.agg_partials import gate, planned
 from tests.sqlite_oracle import check_against_sqlite
 from tests.test_sql_fuzz import (
     NUMERIC_COLUMNS,
@@ -128,8 +133,8 @@ direction = st.sampled_from(["", " DESC"])
 
 
 @st.composite
-def oracle_queries(draw):
-    shape = draw(st.sampled_from(["plain", "distinct", "grouped", "global"]))
+def oracle_queries(draw, shapes=("plain", "distinct", "grouped", "global")):
+    shape = draw(st.sampled_from(shapes))
     where = draw(st.one_of(st.none(), predicate))
     tail = f" WHERE {where}" if where else ""
     if shape in ("plain", "distinct"):
@@ -208,6 +213,58 @@ def test_generated_queries_agree_with_sqlite():
     assert tally["skipped"] <= MAX_SKIPPED_SHARE * tally["examples"], tally
 
 
+MIN_PARTIALS_EXAMPLES = 200
+
+
+def test_the_partials_path_agrees_with_sqlite_and_the_executor():
+    """GROUP BY answered from store-side partial states, as a pushdown
+    scan delivers them: each random partition aggregated by
+    ``tagged_partial_aggregate`` at a random spill bound, the records
+    through JSON, then the plan's own Aggregate -- HAVING, DISTINCT,
+    ORDER BY and LIMIT above it -- equals ``execute_query`` over the
+    partitions' rows, and sqlite."""
+    tally = Counter()
+
+    @settings(max_examples=MIN_PARTIALS_EXAMPLES, deadline=None)
+    @given(
+        sql=oracle_queries(shapes=("grouped", "global")),
+        data=rows,
+        cut_seed=st.integers(0, 2**30),
+        partitions=st.integers(1, 4),
+        max_groups=st.integers(1, 6),
+    )
+    def differential(sql, data, cut_seed, partitions, max_groups):
+        plan, pushdown = planned(sql, SCHEMA)
+        spec = plan_aggregation_pushdown(plan, pushdown)
+        assume(isinstance(spec, AggregationSpec))
+        tally["examples"] += 1
+        rng = random.Random(cut_seed)
+        parts = [[] for _ in range(partitions)]
+        for row in data:
+            parts[rng.randrange(partitions)].append(row)
+        try:
+            _schema, expected = execute_query(sql, SCHEMA, [row for part in parts for row in part])
+        except SqlError:
+            tally["skipped"] += 1
+            return
+        # The store applies the pushed filters (all handled) first.
+        keep = conjunction_predicate(pushdown.filters, SCHEMA)
+        records = []
+        for split, part in enumerate(parts):
+            for record in tagged_partial_aggregate(
+                [row for row in part if keep(row)], spec, SCHEMA, max_groups=max_groups
+            ):
+                record = json.loads(json.dumps(record))
+                records.append((record[0], split, *record[1:]))
+        _schema, ours = execute_plan(plan, lambda: records, SCHEMA, partials=True)
+        assert ours == expected, sql
+        check_against_sqlite(sql, SCHEMA, data, ours)
+
+    differential()
+    assert tally["examples"] >= MIN_PARTIALS_EXAMPLES
+    assert tally["skipped"] <= MAX_SKIPPED_SHARE * tally["examples"], tally
+
+
 def test_pinned_null_semantics():
     for sql in PINNED_QUERIES:
         _schema, ours = execute_query(sql, SCHEMA, PINNED_ROWS)
@@ -255,11 +312,10 @@ def test_pushed_filters_stay_supersets_and_handled_ones_exact(where, data):
 
 def test_a_negated_null_list_or_bound_is_never_pushed_as_exact():
     def plan(where):
-        sql = f"SELECT city, count(*) FROM t WHERE {where} GROUP BY city"
-        return plan_aggregation_pushdown(parse_query(sql), SCHEMA)
+        return gate(f"SELECT city, count(*) FROM t WHERE {where} GROUP BY city", SCHEMA)
 
-    assert plan("code IN (5, NULL)") is not None
-    assert plan("code BETWEEN NULL AND 5") is not None
-    assert plan("code NOT IN (5, NULL)") is None
-    assert plan("code NOT BETWEEN NULL AND 5") is None
-    assert plan("NOT (code IN (5, NULL))") is None
+    assert isinstance(plan("code IN (5, NULL)"), AggregationSpec)
+    assert isinstance(plan("code BETWEEN NULL AND 5"), AggregationSpec)
+    assert plan("code NOT IN (5, NULL)") == "residual_filter"
+    assert plan("code NOT BETWEEN NULL AND 5") == "residual_filter"
+    assert plan("NOT (code IN (5, NULL))") == "residual_filter"
