@@ -37,12 +37,21 @@ owned records at the head of the buffer, capped at :data:`BLOCK_BYTES`.
 A block is *regular* when it holds no ``"`` and no ``\\r``, decodes as
 UTF-8, every record has the schema's width and every cell types (and
 the delimiter is a single character).  A regular block is decoded once,
-split, transposed and typed column-wise
-(:meth:`repro.sql.types.DataType.parse_column`); any other block goes
-record by record through :func:`parse_record` and
-:meth:`repro.sql.types.Schema.parse_row`, which is where records are
-dropped and logged.  Both paths produce the same :class:`RecordBlock`,
-in stream order.
+split and transposed; any other block goes record by record through
+:func:`parse_record` and :meth:`repro.sql.types.Schema.parse_row`, which
+is where records are dropped and logged.  Both paths produce the same
+:class:`RecordBlock`, in stream order.
+
+**Typed on demand.**  A regular block types
+(:meth:`repro.sql.types.DataType.parse_column`) only the columns its
+filters reference and the columns its caller reads -- the projection
+of :meth:`CsvScan.batches`, whatever :meth:`CsvScan.blocks` is told
+(every column unless told fewer).  The other columns still decide
+whether the block is regular, so the drop rule cannot depend on what a
+caller reads: an unread STRING or BOOL cell always types, and an unread
+INT or FLOAT column is validated by :func:`numeric_proof`, a handful of
+C-level passes over the column's joined text; only where the proof
+does not hold is the column parsed for the exact verdict.
 """
 
 from __future__ import annotations
@@ -50,7 +59,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import repeat
+import sys
+from collections import Counter
+from itertools import compress, repeat
 from typing import (
     Any,
     Callable,
@@ -60,14 +71,15 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
 
 from repro.columnar.batch import ColumnBatch, take_column
 from repro.sql.filters import Filter
-from repro.sql.kernels import compile_filters
-from repro.sql.types import Row, Schema
+from repro.sql.kernels import FilterMask
+from repro.sql.types import DataType, Row, Schema
 
 #: Upper bound on the bytes of one block, so a whole-object chunk never
 #: becomes a whole-object list of records.
@@ -285,6 +297,44 @@ def owned_records(
 # Typed scan: blocks of validated records.
 # ---------------------------------------------------------------------------
 
+_DIGITS = b"0123456789"
+_int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def numeric_proof(cells: Sequence[str], fractional: bool) -> bool:
+    """Does ``int()`` -- ``float()`` when ``fractional`` -- accept every
+    non-empty cell of a column?
+
+    Sufficient, not necessary: it holds when the cells joined by
+    ``"\\n"`` are ASCII and hold only digits, ``-`` and (when
+    ``fractional``) ``.``; every ``-`` opens a cell; no cell holds two
+    ``.``; no cell is only ``-``, ``.`` or ``-.``; and no cell is longer
+    than the interpreter's ``int()`` digit limit.  Each step is one
+    C-level ``str`` / ``bytes`` call over the whole column.  Where it
+    does not hold, :meth:`~repro.sql.types.DataType.parse_column` gives
+    the exact verdict.
+    """
+    text = "\n".join(cells)
+    if not text.isascii():
+        return False
+    data = text.encode("ascii")
+    if data.translate(None, _DIGITS + (b"-.\n" if fractional else b"-\n")):
+        return False  # a sign, exponent, space, letter, ...
+    if b"-" in data and (  # a '-' inside a cell, or a bare sign
+        data.count(b"-") != data.count(b"\n-") + data.startswith(b"-")
+        or b"-\n" in data
+        or b"-.\n" in data
+        or data.endswith((b"-", b"-."))
+    ):
+        return False
+    if fractional:
+        return not (
+            b".." in data.translate(None, _DIGITS + b"-")  # two in one cell
+            or b"\n.\n" in b"\n" + data + b"\n"
+        )
+    limit = _int_digits_limit()
+    return not limit or len(data) <= limit or max(map(len, cells)) <= limit
+
 
 class RecordBlock(NamedTuple):
     """The kept records of one block, three aligned images of each.
@@ -293,7 +343,10 @@ class RecordBlock(NamedTuple):
     its raw field in column *c* and ``columns[c][i]`` that field typed
     (so ``columns`` is what :mod:`repro.sql.kernels` run over).  In a
     ``regular`` block no field holds a delimiter, quote or line break,
-    so joining fields renders a record exactly.
+    so joining fields renders a record exactly, and a column its reader
+    does not read and no filter references is ``None`` in ``columns``
+    (its cells were validated, not typed); a block of the
+    record-by-record path types every column.
     """
 
     lines: Sequence[str]
@@ -313,12 +366,18 @@ class CsvScan:
     ``chunks`` is the stream from object offset ``range_start`` on (see
     the module docstring for ownership); ``skip_header`` discards the
     first owned record unseen.  ``filters`` is an optional conjunctive
-    source-filter list, compiled once into a selection kernel that
-    :meth:`select`, :meth:`batches` and :meth:`rows` apply.  ``log``
-    receives one line per dropped record.
+    source-filter list, compiled once into a
+    :class:`~repro.sql.kernels.FilterMask` that :meth:`select`,
+    :meth:`batches` and :meth:`rows` apply.  ``log`` receives one line
+    per dropped record.
 
     ``records_in`` and ``dropped`` count the records framed and dropped
-    so far (the header is neither).
+    so far (the header is neither).  ``evaluations`` counts the filter
+    evaluations by domain (the ``FilterMask`` tally: ``rows_c``,
+    ``rows``, ...) and ``column_checks`` the columns of regular blocks
+    by how they were validated: ``typed``, ``proven`` by
+    :func:`numeric_proof`, or ``parsed`` where the proof did not hold
+    (an unread STRING or BOOL column needs no check and is not counted).
     """
 
     def __init__(
@@ -337,17 +396,27 @@ class CsvScan:
         self.delimiter = delimiter
         self.records_in = 0
         self.dropped = 0
+        self.evaluations: Counter = Counter()
+        self.column_checks: Counter = Counter()
         self._blocks = _owned_blocks(chunks, range_start, range_len)
         self._skip_header = skip_header
-        self._selection = compile_filters(filters, schema) if filters else None
+        self._mask = FilterMask(filters, schema) if filters else None
+        self._filtered = {
+            schema.index_of(name) for item in filters for name in item.references()
+        }
         self._log = log
 
-    def blocks(self) -> Iterator[RecordBlock]:
+    def blocks(self, read: Optional[Iterable[int]] = None) -> Iterator[RecordBlock]:
         """Every block of validated records, unfiltered, in stream order.
 
-        A block may be empty (all dropped, or only the header): a block
-        is yielded for every stretch of input framed.
+        ``read`` names the column positions the caller reads typed
+        (every column when ``None``); a regular block types those and
+        the filters' columns only.  A block may be empty (all dropped,
+        or only the header): a block is yielded for every stretch of
+        input framed.
         """
+        typed = set(range(len(self.schema)) if read is None else read)
+        typed |= self._filtered
         for block in self._blocks:
             if self._skip_header:
                 self._skip_header = False
@@ -358,9 +427,9 @@ class CsvScan:
                 else:
                     block = []  # nothing but the header
             if isinstance(block, bytes):
-                typed = self._regular_block(block)
-                if typed is not None:
-                    yield typed
+                regular = self._regular_block(block, typed)
+                if regular is not None:
+                    yield regular
                     continue
                 block = [line.rstrip(b"\r") for line in block.split(b"\n")]
             yield self._checked_block(block)
@@ -368,21 +437,25 @@ class CsvScan:
     def select(self, block: RecordBlock) -> Optional[List[int]]:
         """Indices of the block's records passing the filters; ``None``
         when every record passes."""
-        if self._selection is None:
+        n = block.count
+        if self._mask is None or not n:
             return None
-        picked = self._selection(block.columns, block.count)
-        return None if len(picked) == block.count else picked
+        mask = self._mask.mask(block.columns, n, self.evaluations)
+        if mask.count(1) == n:
+            return None
+        return list(compress(range(n), mask))
 
     def batches(
         self, projection: Optional[Sequence[int]] = None
     ) -> Iterator[ColumnBatch]:
         """The typed records passing the filters, a column batch per
         block that keeps any, optionally projected to the given column
-        positions: a block's typed columns as they are, never a row."""
+        positions (the only columns typed besides the filters'): a
+        block's typed columns as they are, never a row."""
         schema = self.schema
         if projection is not None:
             schema = Schema([schema.fields[index] for index in projection])
-        for block in self.blocks():
+        for block in self.blocks(projection):
             columns, count = block.columns, block.count
             if projection is not None:
                 columns = [columns[index] for index in projection]
@@ -400,9 +473,12 @@ class CsvScan:
 
     # -- the two paths ------------------------------------------------------
 
-    def _regular_block(self, data: bytes) -> Optional[RecordBlock]:
-        """Type a run of quote-free records column-wise, or ``None`` if
-        the run is not provably regular."""
+    def _regular_block(
+        self, data: bytes, typed: Set[int]
+    ) -> Optional[RecordBlock]:
+        """Type the ``typed`` columns of a run of quote-free records and
+        validate the rest, or ``None`` if the run is not provably
+        regular."""
         delimiter, width = self.delimiter, len(self.schema)
         if b"\r" in data or len(delimiter) != 1:
             return None
@@ -418,13 +494,23 @@ class CsvScan:
         # delimiter could straddle the joints; one character cannot.)
         flat = text.replace("\n", delimiter).split(delimiter)
         texts = [flat[index::width] for index in range(width)]
+        columns: List[Optional[Sequence[Any]]] = [None] * width
+        checks: List[str] = []
         try:
-            columns = [
-                field.dtype.parse_column(column)
-                for field, column in zip(self.schema.fields, texts)
-            ]
+            for index, (field, column) in enumerate(zip(self.schema.fields, texts)):
+                dtype = field.dtype
+                if index in typed:
+                    columns[index] = dtype.parse_column(column)
+                    checks.append("typed")
+                elif dtype is DataType.INT or dtype is DataType.FLOAT:
+                    if numeric_proof(column, dtype is DataType.FLOAT):
+                        checks.append("proven")
+                    else:
+                        dtype.parse_column(column)
+                        checks.append("parsed")
         except ValueError:
             return None
+        self.column_checks.update(checks)
         self.records_in += len(lines)
         return RecordBlock(lines, texts, columns, True)
 

@@ -25,7 +25,7 @@ selective the query really is and must not be folded in.
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
@@ -102,8 +102,10 @@ class PlacementEngine:
         self.prior_kept_fraction = prior_kept_fraction
         #: EWMA weight of a fresh observation in ``observe()``.
         self.smoothing = smoothing
-        #: Per-signature refined kept-fraction estimates.
-        self.kept_estimates: Dict[str, float] = {}
+        #: Refined kept-fraction estimates of the :data:`LOG_LENGTH`
+        #: most recently used signatures, least recent first; an evicted
+        #: signature falls back to the hint or the prior.
+        self.kept_estimates: "OrderedDict[str, float]" = OrderedDict()
         #: The latest :data:`LOG_LENGTH` decisions, in order
         #: (explainability surface); ``decision_count`` counts them all.
         self.decisions: Deque[PlacementDecision] = deque(maxlen=LOG_LENGTH)
@@ -127,7 +129,9 @@ class PlacementEngine:
         else the engine prior.
         """
         kept = self.kept_estimates.get(signature)
-        if kept is None:
+        if kept is not None:
+            self.kept_estimates.move_to_end(signature)
+        else:
             kept = (
                 kept_hint
                 if kept_hint is not None
@@ -175,6 +179,9 @@ class PlacementEngine:
                 self.smoothing * kept + (1.0 - self.smoothing) * previous
             )
         self.kept_estimates[signature] = refined
+        self.kept_estimates.move_to_end(signature)
+        if len(self.kept_estimates) > LOG_LENGTH:
+            self.kept_estimates.popitem(last=False)
         return refined
 
     def observe_report(

@@ -42,7 +42,9 @@ def plain_csv_batches(
 ) -> Iterator[ColumnBatch]:
     """Read a split without pushdown: plain ranged GET, record
     alignment, selection and projection (``columns``, ``None`` = all)
-    on the compute side, all streaming.
+    on the compute side, all streaming.  The reader types only the
+    projected columns and the filters'; the others are validated, so
+    the drop rule is the same whatever is projected.
 
     Used for pushdown-disabled scans and as the graceful-degradation
     path after a runtime storlet failure.  The reader applies the

@@ -419,12 +419,12 @@ def _compile_sort(node: SortNode, child: Compiled) -> Compiled:
     def rows() -> Iterator[Row]:
         materialized = list(child.rows())
         # Stable sorts compose: apply keys right-to-left.  NULLs sort
-        # last in both directions: the key leads with "is NULL" (ASC) or
-        # "is not NULL" (DESC, reversed), so a NULL is never compared
-        # with a value, and reverse=True keeps ties in order.
+        # first under ASC and last under DESC, as in Spark: the key
+        # leads with "is not NULL", so a NULL is never compared with a
+        # value, and reverse=True keeps ties in order.
         for evaluate, ascending in reversed(evaluators):
             materialized.sort(
-                key=lambda row: (((value := evaluate(row)) is None) == ascending, value),
+                key=lambda row: ((value := evaluate(row)) is not None, value),
                 reverse=not ascending,
             )
         return iter(materialized)

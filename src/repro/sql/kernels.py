@@ -31,12 +31,12 @@ Two compilers live here:
   hierarchy (the storlet wire format) into a byte mask per batch.
   Source-filter evaluation is total by contract (NULL never matches,
   incomparable never matches), so this compiler always succeeds and is
-  what the columnar storlet runs next to the data -- once per
-  dictionary entry where a column is dictionary-coded, and a numeric
-  comparison without a Python frame per row: on the byte planes of a
-  packed narrow-int column (:class:`~repro.columnar.batch.PackedColumn`),
-  in one C-level pass over any other vector.
-  :func:`compile_filters` is its index-list view.
+  what both pushdown storlets run next to the data -- once per
+  dictionary entry where a column is dictionary-coded, and a comparison
+  (against a number or a string) or a prefix / suffix / substring test
+  without a Python frame per row: on the byte planes of a packed
+  narrow-int column (:class:`~repro.columnar.batch.PackedColumn`), in
+  one C-level pass over any other vector.
 
 Kernel calling convention: ``kernel(columns, n) -> vector`` where
 ``columns`` are the scan-schema-aligned input vectors.  Kernels may
@@ -85,6 +85,9 @@ from repro.sql.filters import (
     LikePattern,
     Not,
     Or,
+    StringContains,
+    StringEndsWith,
+    StringStartsWith,
     _AttributeFilter,
 )
 from repro.sql.filters import IsNull as FilterIsNull
@@ -709,6 +712,14 @@ _JUDGES: Dict[type, Callable[[Any, Any], bool]] = {
     GreaterThanOrEqual: operator.le,
 }
 
+#: String filter -> the unbound ``str`` method judging ``(cell, value)``,
+#: which raises ``TypeError`` on a cell that is not a ``str``.
+_STR_METHODS: Dict[type, Callable[[str, str], bool]] = {
+    StringStartsWith: str.startswith,
+    StringEndsWith: str.endswith,
+    StringContains: str.__contains__,
+}
+
 
 def _plane_mask(column: PackedColumn, kind: type, value: int) -> bytes:
     """``cell <kind> value`` over a packed narrow-int column, judged on
@@ -750,18 +761,25 @@ def _plane_mask(column: PackedColumn, kind: type, value: int) -> bytes:
 
 
 def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> MaskKernel:
-    """A comparison against an ``int`` or ``float`` as a mask kernel
-    that makes no Python call per row.
+    """A comparison against an ``int``, ``float`` or ``str``, or a
+    string filter against a ``str``, as a mask kernel that makes no
+    Python call per row.
 
     A packed narrow-int column against an ``int`` is judged on its byte
     planes (:func:`_plane_mask`, tallied under ``planes``); any other
-    vector in one C-level pass, ``bytes(map(judge, cells))`` (``rows_c``)
-    -- which a NULL or an incomparable cell stops with ``TypeError``,
-    and the whole vector then goes to ``slow``, the guarded per-cell
-    check, as a dictionary-coded column does from the start.
+    vector in one C-level pass, ``bytes(map(judge, cells))`` or the
+    ``str`` method mapped over the cells (``rows_c``) -- which a NULL or
+    an incomparable (for a string filter: a non-``str``) cell stops with
+    ``TypeError``, and the whole vector then goes to ``slow``, the
+    guarded per-cell check, as a dictionary-coded column does from the
+    start.
     """
     kind, value = type(item), item.value
-    judge = functools.partial(_JUDGES[kind], value)
+    if kind in _STR_METHODS:
+        method = _STR_METHODS[kind]
+        verdicts = lambda column: map(method, column, itertools.repeat(value))
+    else:
+        verdicts = functools.partial(map, functools.partial(_JUDGES[kind], value))
 
     def kernel(cols: Columns, n: int, tally: Optional[Dict[str, int]]) -> bytes:
         column = cols[index]
@@ -775,7 +793,7 @@ def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> Ma
             domain, mask = "planes", _plane_mask(column, kind, value)
         else:
             try:
-                domain, mask = "rows_c", bytes(map(judge, column))
+                domain, mask = "rows_c", bytes(verdicts(column))
             except TypeError:
                 return slow(cols, n, tally)
         if tally is not None:
@@ -826,7 +844,10 @@ def _filter_mask(item: Filter, schema: Schema) -> MaskKernel:
     guarded = _cell_mask(
         index, lambda values: [c is not None and check(c) for c in values]
     )
-    if type(item) in _JUDGES and type(item.value) in (int, float):
+    kind, value_type = type(item), type(item.value)
+    if (kind in _JUDGES and value_type in (int, float, str)) or (
+        kind in _STR_METHODS and value_type is str
+    ):
         return _comparison_mask(index, item, guarded)
     return guarded
 
@@ -882,15 +903,6 @@ class FilterMask:
         if kept == n:
             return wanted, n
         return compress_columns(wanted, mask, gathers), kept
-
-
-def compile_filters(
-    filters: Sequence[Filter], schema: Schema
-) -> SelectionKernel:
-    """AND a source-filter list into one selection-vector kernel: the
-    indices of the set bytes of its :class:`FilterMask`."""
-    mask = FilterMask(filters, schema).mask
-    return lambda cols, n: list(itertools.compress(range(n), mask(cols, n)))
 
 
 def compile_group_kernels(

@@ -9,7 +9,9 @@ chunk-iterators so storlets can process objects far larger than memory.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+from repro.obs.metrics import get_registry
 
 
 class StorletException(Exception):
@@ -95,6 +97,21 @@ class StorletInputStream:
                 self._exhausted = True
         data, self._buffer = self._buffer[:size], self._buffer[size:]
         return data
+
+
+def publish_counts(
+    metadata: Dict[str, str],
+    tallies: Iterable[Tuple[str, str, str, Mapping[str, int]]],
+) -> None:
+    """Publish an invocation's tallies twice: each ``(series, header,
+    label, counts)`` entry as ``x-object-meta-storlet-<header>-<key>``
+    response metadata and as ``storlets.<series>{<label>=<key>}`` in the
+    metrics registry."""
+    registry = get_registry()
+    for series, header, label, counts in tallies:
+        for key, count in sorted(counts.items()):
+            metadata[f"x-object-meta-storlet-{header}-{key}"] = str(count)
+            registry.inc(f"storlets.{series}", count, **{label: key})
 
 
 class IStorlet:

@@ -50,6 +50,7 @@ from repro.storlets.api import (
     StorletException,
     StorletInputStream,
     StorletLogger,
+    publish_counts,
 )
 
 #: Upper bound on rows per emitted block.  Stripes are sized for scan
@@ -221,15 +222,15 @@ class ColumnarStorlet(IStorlet):
         registry = get_registry()
         registry.inc("storlets.dictionary_entries_shipped", encoder.entries_shipped)
         registry.inc("storlets.dictionary_resets", encoder.resets)
-        for series, header, label, counts in (
-            ("segments_decoded", "segments", "encoding", decoded),
-            ("filter_evaluations", "filter-evals", "domain", evaluations),
-            ("gathers", "gathers", "kind", gathers),
-            ("columns_shipped", "columns", "how", shipped),
-        ):
-            for key, count in sorted(counts.items()):
-                metadata[f"x-object-meta-storlet-{header}-{key}"] = str(count)
-                registry.inc(f"storlets.{series}", count, **{label: key})
+        publish_counts(
+            metadata,
+            (
+                ("segments_decoded", "segments", "encoding", decoded),
+                ("filter_evaluations", "filter-evals", "domain", evaluations),
+                ("gathers", "gathers", "kind", gathers),
+                ("columns_shipped", "columns", "how", shipped),
+            ),
+        )
         logger.emit(
             f"columnarstorlet: {rows_in} rows in, {rows_out} rows out"
         )

@@ -8,7 +8,8 @@ outputs the filtered data."
 Record framing, Hadoop byte-range ownership (so that parallel Spark
 tasks cover every record exactly once), typing and the drop rule are
 :mod:`repro.csvscan`'s; this module selects, projects and renders what
-the scan keeps, a block at a time.
+the scan keeps, a block at a time.  It renders raw texts, so the scan
+types only the columns the filters reference.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.storlets.api import (
     StorletException,
     StorletInputStream,
     StorletLogger,
+    publish_counts,
 )
 
 
@@ -102,7 +104,9 @@ class CsvStorlet(IStorlet):
         def output_blocks() -> Iterator[bytes]:
             nonlocal rows_out
             header_pending = skip_header and emit_header
-            for block in scan.blocks():
+            # The output is rendered from the raw texts: no column is
+            # read typed beyond those the filters reference.
+            for block in scan.blocks(()):
                 if header_pending:
                     # The first block exists because a first record --
                     # the header -- did.
@@ -124,6 +128,16 @@ class CsvStorlet(IStorlet):
                 "x-object-meta-storlet-rows-out": str(rows_out),
                 "x-object-meta-storlet-rows-dropped": str(scan.dropped),
             }
+        )
+        # How the filters ran and how each block column was validated:
+        # a predicate that fell to the per-cell path or a numeric column
+        # whose proof failed shows here.
+        publish_counts(
+            metadata,
+            (
+                ("filter_evaluations", "filter-evals", "domain", scan.evaluations),
+                ("csv_columns", "columns", "how", scan.column_checks),
+            ),
         )
         logger.emit(
             f"csvstorlet: {scan.records_in} rows in, {rows_out} rows out, "

@@ -20,7 +20,6 @@ cell compares with ``==``.
                                       divides two integers as integers);
                                       ``x / 0`` and ``x % 0`` are NULL in
                                       both
- T3   NULLs sort last, ASC and DESC   ``ORDER BY k ASC|DESC NULLS LAST``
  T4   LIKE is case-sensitive          ``PRAGMA case_sensitive_like=ON``
  T5   SUM / AVG are exact             sqlite accumulates doubles: a
       (``math.fsum``, rounded once)   *float* cell of a SUM / AVG output
@@ -59,7 +58,6 @@ under ROADMAP item 2, and not generated here:
 * ``ROUND(2.5)`` is 2.0 (banker's rounding); Spark rounds HALF_UP: 3.0;
 * ``FLOOR`` / ``CEIL`` return ints (Spark: bigint for doubles, but
   decimal for decimals);
-* ASC sorts NULLs last (Spark: NULLs first under ASC);
 * ORDER BY on anything but an output column, an alias or a GROUP BY key
   -- a column the SELECT list dropped, a projected expression spelled
   out again -- is an analysis error (Spark resolves it against the
@@ -206,7 +204,7 @@ class _Translation:
             parts.append("HAVING " + self.expression(query.having))
         if query.order_by:
             keys = [
-                f"{self.expression(key)} {'ASC' if ascending else 'DESC'} NULLS LAST"  # T3
+                f"{self.expression(key)} {'ASC' if ascending else 'DESC'}"
                 for key, ascending in query.order_by
             ]
             parts.append("ORDER BY " + ", ".join(keys))

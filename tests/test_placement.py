@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ScoopContext
+from repro.obs.metrics import LOG_LENGTH
 from repro.placement import (
     PlacementCostModel,
     PlacementEngine,
@@ -133,6 +134,27 @@ class TestEngine:
         engine.decide("sig-b", 100e9, kept_hint=0.05, row_filtering=True)
         engine.observe_report(1000.0, 100.0, decision=first)
         assert engine.kept_estimates.keys() == {"sig-a"}
+
+    def test_estimates_keep_the_most_recently_used_signatures(self):
+        engine = PlacementEngine()
+        for index in range(LOG_LENGTH + 10):
+            decision = engine.decide(f"sig-{index}", 100e9, row_filtering=True)
+            engine.observe_report(1000.0, 10.0, decision=decision)
+            if index == 0:
+                first = decision
+        assert len(engine.kept_estimates) == LOG_LENGTH
+        assert "sig-0" not in engine.kept_estimates  # evicted: the prior again
+        assert engine.decide("sig-0", 100e9).kept_fraction == engine.prior_kept_fraction
+        newest = f"sig-{LOG_LENGTH + 9}"
+        assert engine.decide(newest, 100e9, kept_hint=0.9).kept_fraction == (
+            pytest.approx(0.01)
+        )
+        # A decide hit refreshes a signature: the next eviction skips it.
+        oldest = next(iter(engine.kept_estimates))
+        engine.decide(oldest, 100e9)
+        engine.observe_report(1000.0, 10.0, decision=first)  # sig-0 returns
+        assert oldest in engine.kept_estimates
+        assert len(engine.kept_estimates) == LOG_LENGTH
 
     def test_explain_is_json_friendly(self):
         import json

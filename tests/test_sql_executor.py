@@ -135,9 +135,27 @@ class TestSortLimitDistinct:
         paris = [r for r in rows if r[0] == "Paris"]
         assert paris[0][1] > paris[1][1]
 
-    def test_nulls_sort_last(self):
+    def test_ascending_sorts_nulls_first(self):
+        # Spark's (and sqlite's) default: NULLS FIRST under ASC.
         _schema, rows = run("SELECT vid, index FROM t ORDER BY index")
-        assert rows[-1] == ("m3", None)
+        assert rows == [
+            ("m3", None), ("m2", 5.0), ("m2", 7.0), ("m1", 10.0), ("m1", 12.0)
+        ]
+
+    def test_descending_sorts_nulls_last(self):
+        _schema, rows = run("SELECT vid, index FROM t ORDER BY index DESC")
+        assert rows == [
+            ("m1", 12.0), ("m1", 10.0), ("m2", 7.0), ("m2", 5.0), ("m3", None)
+        ]
+
+    def test_null_keys_keep_their_ties_in_order(self):
+        rows = [(f"n{i}", "d", None, "c") for i in range(3)] + ROWS
+        for direction in ("ASC", "DESC"):
+            _schema, out = run(
+                f"SELECT vid, index FROM t ORDER BY index {direction}", rows
+            )
+            nulls = [vid for vid, index in out if index is None]
+            assert nulls == ["n0", "n1", "n2", "m3"]
 
     def test_order_by_alias(self):
         _schema, rows = run(

@@ -35,7 +35,6 @@ from repro.sql.kernels import (
     FilterMask,
     _compile,
     _interpreted,
-    compile_filters,
     compile_predicate,
     proves_total,
 )
@@ -140,16 +139,16 @@ class TestPredicateKernels:
     @settings(max_examples=100, deadline=None)
     @given(rows=rows_strategy, value=st.integers(-100, 9999))
     def test_filter_kernels_match_pushdown_semantics(self, rows, value):
-        """compile_filters mirrors the storlet-side Filter conjunction
-        (NULL never matches), round-tripped through the wire format."""
+        """FilterMask mirrors the storlet-side Filter conjunction (NULL
+        never matches), round-tripped through the wire format."""
         from repro.sql.filters import GreaterThan
 
         filters = filters_from_json(
             filters_to_json([GreaterThan("code", value)])
         )
-        kernel = compile_filters(filters, SCHEMA)
         batch = ColumnBatch.from_rows(SCHEMA, tuple(rows))
-        picked = kernel(batch.columns, len(batch))
+        mask = FilterMask(filters, SCHEMA).mask(batch.columns, len(batch))
+        picked = [i for i, flag in enumerate(mask) if flag]
         code = SCHEMA.index_of("code")
         expected = [
             i
@@ -317,9 +316,6 @@ class TestFilterMaskOnDictionaryColumns:
         assert mask == bytes(
             all(check(row) for check in predicates) for row in zip(*plain)
         )
-        assert compile_filters(trees, _FILTER_SCHEMA)(columns, n) == [
-            i for i, flag in enumerate(mask) if flag
-        ]
         kept, count = compiled.select(columns, n, [2, 0])
         assert count == mask.count(1)
         if count:
@@ -395,9 +391,13 @@ class TestComparisonMasks:
         "a literal beyond -2^63": ("i", [0, 2**63 - 1, -(2**63)], -(2**70), "rows_c"),
         "ints beyond int64": ("i", [10**30, -(10**30), 5], 10**30, "rows_c"),
         "no rows": ("i", [], 5, "rows_c"),
-        # Not an int or a float literal: the guarded loop, as before.
-        "a bool literal": ("i", [0, 1, 2], True, "rows"),
+        # A str literal: the C-level pass over str cells; a NULL or a
+        # number stops it (but not ``==``, which never raises).
         "a str literal": ("s", ["a", "b", None], "b", "rows"),
+        "str cells, str literal": ("s", ["a", "b", "", "ba"], "b", "rows_c"),
+        "int cells, str literal": ("i", [1, 2, 3], "2", "rows"),
+        # Not an int, float or str literal: the guarded loop, as before.
+        "a bool literal": ("i", [0, 1, 2], True, "rows"),
     }
 
     @pytest.mark.parametrize("kind", _COMPARISONS)
@@ -411,12 +411,35 @@ class TestComparisonMasks:
         tally: dict = {}
         mask = FilterMask([item], _FILTER_SCHEMA).mask(columns, len(cells), tally)
         assert mask == _row_by_row(item, _FILTER_SCHEMA, index, cells)
-        if kind is filters.EqualTo and domain == "rows" and type(literal) in (int, float):
+        if kind is filters.EqualTo and domain == "rows" and type(literal) in (int, float, str):
             domain = "rows_c"  # ``==`` never raises: no cell stops the pass
         assert tally == {domain: len(cells)}
-        assert compile_filters([item], _FILTER_SCHEMA)(columns, len(cells)) == [
-            i for i, flag in enumerate(mask) if flag
-        ]
+
+    #: name -> (column, cells, literal, the domain that judges it).
+    STRING_CASES = {
+        "str cells": ("s", ["Rotterdam", "Paris", "", "dam"], "dam", "rows_c"),
+        "an empty literal": ("s", ["Rotterdam", ""], "", "rows_c"),
+        "a NULL": ("s", ["Rotterdam", None, "Paris"], "Rot", "rows"),
+        # ``str(cell)`` is what the row predicate tests: the pass stops.
+        "int cells": ("i", [12, 21, 2], "2", "rows"),
+        "a non-str literal": ("s", ["a1", "b"], 1, "rows"),
+        "no rows": ("s", [], "a", "rows_c"),
+    }
+
+    @pytest.mark.parametrize(
+        "kind", [filters.StringStartsWith, filters.StringEndsWith, filters.StringContains]
+    )
+    @pytest.mark.parametrize("case", list(STRING_CASES))
+    def test_string_filters_are_the_row_predicate(self, case, kind):
+        name, cells, literal, domain = self.STRING_CASES[case]
+        index = _FILTER_SCHEMA.index_of(name)
+        item = filters_from_json(filters_to_json([kind(name, literal)]))[0]
+        columns = [None] * 3
+        columns[index] = cells
+        tally: dict = {}
+        mask = FilterMask([item], _FILTER_SCHEMA).mask(columns, len(cells), tally)
+        assert mask == _row_by_row(item, _FILTER_SCHEMA, index, cells)
+        assert tally == {domain: len(cells)}
 
     @pytest.mark.parametrize("kind", _COMPARISONS)
     @pytest.mark.parametrize(
