@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.pushdown import PushdownTask
 from repro.core.scoop import ScoopContext
+from repro.faults import named_plan
 from repro.sql import GreaterThan, Schema
 from repro.storlets import CsvStorlet
 from repro.storlets.api import StorletInputStream, StorletLogger
@@ -138,12 +139,16 @@ class TestDroppedContextsDoNotPileUp:
     """A dropped context must not be cyclic garbage (docs/data_plane.md):
     its store holds every replica of every object, so benchmarks and
     test suites that build contexts back to back would otherwise carry
-    the dead stores until a full collection happened to run."""
+    the dead stores until a full collection happened to run.  The
+    contexts carry a fault plan: its injector lives in the store it
+    faults, the likeliest place for a cycle."""
 
     def _build_and_drop(self, contexts: int) -> int:
         def drain():
             for _ in range(contexts):
-                context = ScoopContext(trace=False)
+                context = ScoopContext(
+                    trace=False, fault_plan=named_plan("flaky-object")
+                )
                 # ~1 MB built inside the trace, so a pinned store shows.
                 context.upload_csv(
                     "bench", "data.csv", b"vid-0000001,1,Paris\n" * 50_000

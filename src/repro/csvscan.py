@@ -33,14 +33,22 @@ untypable in *any* schema column.  Nothing else drops a record and no
 scan applies a rule of its own.
 
 **Block at a time.**  Input is consumed in *blocks*: the run of complete
-owned records at the head of the buffer, capped at :data:`BLOCK_BYTES`.
-A block is *regular* when it holds no ``"`` and no ``\\r``, decodes as
-UTF-8, every record has the schema's width and every cell types (and
-the delimiter is a single character).  A regular block is decoded once,
+owned records at the head of the buffer.  :data:`BLOCK_BYTES` is the
+store's transfer chunk, and the cap counts from where the newest chunk
+starts in the buffer, so a block is every complete record one refill
+buffered: one block per chunk.  A block is *regular* when it holds no
+``"`` and no ``\\r``, every record has the schema's width, it decodes
+as UTF-8 and every cell types (and the delimiter is a single
+character).  The width test reads the block's *delimiter skeleton*
+(:func:`uniform_width`): with every byte but the delimiter and ``\\n``
+deleted, a regular run of *n* records leaves exactly
+``(d * (width - 1) + "\\n") * n`` less its last newline -- one C-level
+pass, and no string per record.  A regular block is decoded once,
 split and transposed; any other block goes record by record through
 :func:`parse_record` and :meth:`repro.sql.types.Schema.parse_row`, which
 is where records are dropped and logged.  Both paths produce the same
-:class:`RecordBlock`, in stream order.
+:class:`RecordBlock`, in stream order; a regular one holds its text and
+its columns, no per-record image.
 
 **Typed on demand.**  A regular block types
 (:meth:`repro.sql.types.DataType.parse_column`) only the columns its
@@ -61,6 +69,7 @@ import io
 import math
 import sys
 from collections import Counter
+from functools import lru_cache, partial
 from itertools import compress, repeat
 from typing import (
     Any,
@@ -80,10 +89,13 @@ from repro.columnar.batch import ColumnBatch, take_column
 from repro.sql.filters import Filter
 from repro.sql.kernels import FilterMask
 from repro.sql.types import DataType, Row, Schema
+from repro.swift.http import DEFAULT_CHUNK_SIZE
 
-#: Upper bound on the bytes of one block, so a whole-object chunk never
-#: becomes a whole-object list of records.
-BLOCK_BYTES = 16 * 1024
+#: Upper bound on the bytes of one block past the newest chunk's start:
+#: the store's transfer chunk, so a block holds the complete records of
+#: one chunk and a whole-object chunk never becomes a whole-object list
+#: of records.
+BLOCK_BYTES = DEFAULT_CHUNK_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +200,10 @@ def _owned_blocks(
 
     The stream's first byte sits at object offset ``range_start``; the
     logical range covers stream offsets ``[0, range_len]`` (everything,
-    when ``range_len`` is None).  A block spans at most
-    :data:`BLOCK_BYTES` of already buffered input and is either
+    when ``range_len`` is None).  A block ends within
+    :data:`BLOCK_BYTES` of the later of its start and the newest
+    chunk's first byte -- every complete record of a refill, when
+    chunks are no larger -- and is either
 
     * ``bytes`` -- a run of complete quote-free records joined by
       ``\\n`` (no trailing newline), so ``run.split(b"\\n")`` frames it;
@@ -210,10 +224,12 @@ def _owned_blocks(
     # whether scan_pos sits inside a quoted field.
     scan_pos = 0
     in_quotes = False
+    fresh = 0  # buffer[fresh:] is the newest chunk
 
     while True:
+        cap = max(pos, fresh) + BLOCK_BYTES
         if not skipping_first and offset <= range_end:
-            limit = min(len(buffer), pos + BLOCK_BYTES)
+            limit = min(len(buffer), cap)
             quote = buffer.find(b'"', pos, limit)
             end = buffer.rfind(b"\n", pos, limit if quote < 0 else quote)
             if end >= 0:
@@ -230,7 +246,6 @@ def _owned_blocks(
         # No plain run at ``pos``: the scanner frames record after
         # record for as long as they hold quotes and are buffered.
         records: List[bytes] = []
-        cap = pos + BLOCK_BYTES
         while pos < cap:
             newline, scan_pos, in_quotes = find_record_end(
                 buffer, scan_pos, in_quotes
@@ -269,6 +284,7 @@ def _owned_blocks(
             return
         buffer = buffer[pos:] + chunk
         scan_pos -= pos
+        fresh = len(buffer) - len(chunk)
         pos = 0
 
 
@@ -336,20 +352,46 @@ def numeric_proof(cells: Sequence[str], fractional: bool) -> bool:
     return not limit or len(data) <= limit or max(map(len, cells)) <= limit
 
 
-class RecordBlock(NamedTuple):
-    """The kept records of one block, three aligned images of each.
+def uniform_width(data: bytes, delimiter: bytes, width: int) -> bool:
+    """Does every ``\\n``-separated record of ``data`` hold exactly
+    ``width - 1`` ``delimiter`` bytes?
 
-    ``lines[i]`` is record *i*'s text without terminator, ``texts[c][i]``
-    its raw field in column *c* and ``columns[c][i]`` that field typed
-    (so ``columns`` is what :mod:`repro.sql.kernels` run over).  In a
-    ``regular`` block no field holds a delimiter, quote or line break,
-    so joining fields renders a record exactly, and a column its reader
+    ``delimiter`` is one ASCII byte.  One C-level pass deletes every
+    other byte; what is left, the *delimiter skeleton*, must be ``n``
+    copies of ``delimiter * (width - 1) + b"\\n"`` less the last
+    newline.  On UTF-8 text this is the per-record count of the
+    delimiter character exactly: UTF-8 never puts an ASCII byte inside
+    a multi-byte character.
+    """
+    skeleton = data.translate(None, _noise(delimiter))
+    records = skeleton.count(b"\n") + 1
+    return len(skeleton) == width * records - 1 and (
+        skeleton + b"\n" == (delimiter * (width - 1) + b"\n") * records
+    )
+
+
+@lru_cache(maxsize=None)
+def _noise(delimiter: bytes) -> bytes:
+    """Every byte but ``delimiter`` and ``\\n``."""
+    return bytes(byte for byte in range(256) if byte not in delimiter + b"\n")
+
+
+class RecordBlock(NamedTuple):
+    """The kept records of one block.
+
+    ``texts[c][i]`` is record *i*'s raw field in column *c* and
+    ``columns[c][i]`` that field typed (so ``columns`` is what
+    :mod:`repro.sql.kernels` run over).  A ``regular`` block keeps no
+    image per record: its ``text`` is the block's decoded text, records
+    joined by ``\\n``; no field holds a delimiter, quote or line break,
+    so joining fields renders a record exactly; and a column its reader
     does not read and no filter references is ``None`` in ``columns``
-    (its cells were validated, not typed); a block of the
-    record-by-record path types every column.
+    (its cells were validated, not typed).  A block of the
+    record-by-record path types every column and its ``text`` is the
+    list of its records' texts, verbatim.
     """
 
-    lines: Sequence[str]
+    text: Union[str, Sequence[str]]
     texts: Sequence[Sequence[str]]
     columns: Sequence[Sequence[Any]]
     regular: bool
@@ -357,7 +399,12 @@ class RecordBlock(NamedTuple):
     @property
     def count(self) -> int:
         """How many records the block holds."""
-        return len(self.lines)
+        return len(self.texts[0]) if self.texts else 0
+
+    @property
+    def lines(self) -> Sequence[str]:
+        """Each record's text without terminator."""
+        return self.text.split("\n") if self.regular else self.text
 
 
 class CsvScan:
@@ -399,6 +446,11 @@ class CsvScan:
         self.evaluations: Counter = Counter()
         self.column_checks: Counter = Counter()
         self._blocks = _owned_blocks(chunks, range_start, range_len)
+        # Widths are read off the delimiter skeleton for a one-byte
+        # delimiter, else record by record.
+        self._skeleton_delimiter = (
+            delimiter.encode("ascii") if len(delimiter) == 1 and delimiter.isascii() else None
+        )
         self._skip_header = skip_header
         self._mask = FilterMask(filters, schema) if filters else None
         self._filtered = {
@@ -413,26 +465,13 @@ class CsvScan:
         (every column when ``None``); a regular block types those and
         the filters' columns only.  A block may be empty (all dropped,
         or only the header): a block is yielded for every stretch of
-        input framed.
+        input framed.  Nothing here holds a block once it is yielded, so
+        a caller that drops it before asking for the next keeps one
+        block alive, not two.
         """
         typed = set(range(len(self.schema)) if read is None else read)
         typed |= self._filtered
-        for block in self._blocks:
-            if self._skip_header:
-                self._skip_header = False
-                if isinstance(block, list):
-                    block = block[1:]
-                elif b"\n" in block:
-                    block = block.partition(b"\n")[2]
-                else:
-                    block = []  # nothing but the header
-            if isinstance(block, bytes):
-                regular = self._regular_block(block, typed)
-                if regular is not None:
-                    yield regular
-                    continue
-                block = [line.rstrip(b"\r") for line in block.split(b"\n")]
-            yield self._checked_block(block)
+        return map(partial(self._record_block, typed), self._blocks)
 
     def select(self, block: RecordBlock) -> Optional[List[int]]:
         """Indices of the block's records passing the filters; ``None``
@@ -455,7 +494,8 @@ class CsvScan:
         schema = self.schema
         if projection is not None:
             schema = Schema([schema.fields[index] for index in projection])
-        for block in self.blocks(projection):
+
+        def batch(block: RecordBlock) -> Optional[ColumnBatch]:
             columns, count = block.columns, block.count
             if projection is not None:
                 columns = [columns[index] for index in projection]
@@ -463,8 +503,11 @@ class CsvScan:
             if picked is not None:
                 columns = [take_column(column, picked) for column in columns]
                 count = len(picked)
-            if count:
-                yield ColumnBatch(schema, columns, count)
+            return ColumnBatch(schema, columns, count) if count else None
+
+        # Mapped, like the blocks: a block (its texts above all) is gone
+        # once its batch is built.
+        return filter(None, map(batch, self.blocks(projection)))
 
     def rows(self, projection: Optional[Sequence[int]] = None) -> Iterator[Row]:
         """:meth:`batches`, flattened to typed rows."""
@@ -473,6 +516,25 @@ class CsvScan:
 
     # -- the two paths ------------------------------------------------------
 
+    def _record_block(
+        self, typed: Set[int], block: Union[bytes, List[bytes]]
+    ) -> RecordBlock:
+        """One framed block through the regular or the record path."""
+        if self._skip_header:
+            self._skip_header = False
+            if isinstance(block, list):
+                block = block[1:]
+            elif b"\n" in block:
+                block = block.partition(b"\n")[2]
+            else:
+                block = []  # nothing but the header
+        if isinstance(block, bytes):
+            regular = self._regular_block(block, typed)
+            if regular is not None:
+                return regular
+            block = [line.rstrip(b"\r") for line in block.split(b"\n")]
+        return self._checked_block(block)
+
     def _regular_block(
         self, data: bytes, typed: Set[int]
     ) -> Optional[RecordBlock]:
@@ -480,20 +542,27 @@ class CsvScan:
         validate the rest, or ``None`` if the run is not provably
         regular."""
         delimiter, width = self.delimiter, len(self.schema)
+        skeleton_delimiter = self._skeleton_delimiter
         if b"\r" in data or len(delimiter) != 1:
+            return None
+        if skeleton_delimiter is not None and not uniform_width(
+            data, skeleton_delimiter, width
+        ):
             return None
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:
             return None
-        lines = text.split("\n")
-        if set(map(str.count, lines, repeat(delimiter))) != {width - 1}:
+        if skeleton_delimiter is None and set(
+            map(str.count, text.split("\n"), repeat(delimiter))
+        ) != {width - 1}:
             return None
         # Every record has exactly ``width`` fields, so the flat field
         # list is row-major and a stride slice is a column.  (A longer
         # delimiter could straddle the joints; one character cannot.)
         flat = text.replace("\n", delimiter).split(delimiter)
         texts = [flat[index::width] for index in range(width)]
+        del flat  # the fields live on in ``texts``
         columns: List[Optional[Sequence[Any]]] = [None] * width
         checks: List[str] = []
         try:
@@ -511,8 +580,8 @@ class CsvScan:
         except ValueError:
             return None
         self.column_checks.update(checks)
-        self.records_in += len(lines)
-        return RecordBlock(lines, texts, columns, True)
+        self.records_in += len(texts[0])
+        return RecordBlock(text, texts, columns, True)
 
     def _checked_block(self, raw_lines: List[bytes]) -> RecordBlock:
         """Apply the drop rule record by record."""

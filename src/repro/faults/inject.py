@@ -26,6 +26,7 @@ consult sequences (see :mod:`repro.faults.plan`).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, List, Optional
 
 from repro.faults.plan import DeviceLoss, FaultPlan
@@ -44,7 +45,10 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan, cluster: SwiftCluster):
         self.plan = plan
-        self.cluster = cluster
+        # Weak: the cluster's middlewares and the engine's storlet hook
+        # hold the injector, so a strong pointer back would make every
+        # faulted store cyclic garbage (as ``ProxyApp``'s would).
+        self._cluster = weakref.ref(cluster)
         self._lost_devices: set = set()
 
     # -- middleware factories ----------------------------------------------
@@ -109,9 +113,7 @@ class FaultInjector:
                 )
             if status == 504:
                 raise RequestTimeout(f"injected fault: {node} timed out")
-            error = SwiftError(f"injected fault: {node} -> {status}")
-            error.status = status
-            raise error
+            raise _status_error(f"injected fault: {node} -> {status}", status)
         if kind == "stall":
             deadline = _request_deadline(request)
             if deadline is not None and value >= deadline:
@@ -138,14 +140,13 @@ class FaultInjector:
         if status is not None:
             if status == 503:
                 raise ServiceUnavailable("injected fault: proxy unavailable")
-            error = SwiftError(f"injected fault: proxy -> {status}")
-            error.status = status
-            raise error
+            raise _status_error(f"injected fault: proxy -> {status}", status)
 
     def _fire_device_loss(self, loss: DeviceLoss) -> None:
+        cluster = self._cluster()
         device_ids = sorted(
             device_id
-            for server in self.cluster.object_servers.values()
+            for server in cluster.object_servers.values()
             for device_id in server.devices
         )
         if not device_ids:
@@ -154,7 +155,7 @@ class FaultInjector:
         if device_id in self._lost_devices:
             return
         self._lost_devices.add(device_id)
-        self.cluster.fail_device(device_id)
+        cluster.fail_device(device_id)
 
     @property
     def lost_devices(self) -> List[int]:
@@ -176,6 +177,16 @@ def install_fault_plan(
     if engine is not None:
         engine.fault_hook = injector.storlet_hook()
     return injector
+
+
+def _status_error(message: str, status: int) -> SwiftError:
+    """A :class:`SwiftError` with ``status``, built outside the raising
+    frame: an exception in a local of the frame it is raised from is a
+    cycle (exception -> traceback -> frame -> exception) that would pin
+    every frame below it, the store's among them."""
+    error = SwiftError(message)
+    error.status = status
+    return error
 
 
 def _request_scope(node: str, request: Request) -> str:

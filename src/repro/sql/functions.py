@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -75,8 +76,19 @@ def sql_abs(value: Any):
 
 
 @_null_safe
-def sql_round(value: Any, digits: int = 0):
-    return round(float(value), int(digits))
+def sql_round(value: Any, digits: int = 0) -> float:
+    """ROUND HALF_UP on the shortest decimal of ``value`` (Spark's
+    ``BigDecimal(d).setScale(digits, HALF_UP)``; sqlite agrees):
+    ``ROUND(2.5)`` is 3.0, ``ROUND(-2.5)`` -3.0, ``ROUND(2.675, 2)``
+    2.68."""
+    number = float(value)
+    digits = int(digits)
+    if not math.isfinite(number):
+        return number
+    exact = Decimal(repr(number))
+    if exact.as_tuple().exponent >= -digits:
+        return number  # no digit past the one kept
+    return float(exact.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP))
 
 
 @_null_safe

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Optional
 
-from repro.csvscan import CsvScan, RecordBlock, render_record
+from repro.csvscan import BLOCK_BYTES, CsvScan, RecordBlock, render_record
 from repro.sql.filters import filters_from_json
 from repro.sql.types import Schema
 from repro.storlets.api import (
@@ -56,7 +56,7 @@ class CsvStorlet(IStorlet):
 
     name = "csvstorlet"
 
-    OUTPUT_CHUNK = 64 * 1024
+    OUTPUT_CHUNK = BLOCK_BYTES
 
     def process(
         self,
@@ -100,28 +100,29 @@ class CsvStorlet(IStorlet):
             log=logger.emit,
         )
         rows_out = 0
+        header = b""
+        if skip_header and emit_header:
+            names = schema.names
+            if columns is not None:
+                names = [names[index] for index in columns]
+            header = (delimiter.join(names) + "\n").encode("utf-8")
 
-        def output_blocks() -> Iterator[bytes]:
-            nonlocal rows_out
-            header_pending = skip_header and emit_header
-            # The output is rendered from the raw texts: no column is
-            # read typed beyond those the filters reference.
-            for block in scan.blocks(()):
-                if header_pending:
-                    # The first block exists because a first record --
-                    # the header -- did.
-                    header_pending = False
-                    names = schema.names
-                    if columns is not None:
-                        names = [names[index] for index in columns]
-                    yield (delimiter.join(names) + "\n").encode("utf-8")
-                picked = scan.select(block)
-                kept = block.count if picked is None else len(picked)
-                if kept:
-                    rows_out += kept
-                    yield _render_block(block, picked, columns, delimiter)
+        def render(block: RecordBlock) -> bytes:
+            nonlocal rows_out, header
+            # The first block exists because a first record -- the
+            # header -- did.
+            output, header = header, b""
+            picked = scan.select(block)
+            kept = block.count if picked is None else len(picked)
+            if kept:
+                rows_out += kept
+                output += _render_block(block, picked, columns, delimiter)
+            return output
 
-        yield from _coalesce(output_blocks(), self.OUTPUT_CHUNK)
+        # Mapped, so a block is dropped once rendered, before the next is
+        # framed.  The output is rendered from the raw texts: no column
+        # is read typed beyond those the filters reference.
+        yield from _coalesce(map(render, scan.blocks(())), self.OUTPUT_CHUNK)
         metadata.update(
             {
                 "x-object-meta-storlet-rows-in": str(scan.records_in),
@@ -152,21 +153,24 @@ def _render_block(
     delimiter: str,
 ) -> bytes:
     """Serialize the picked records (all, when ``picked`` is None; never
-    none) of a block, projected to ``columns`` (verbatim, when None)."""
-    if columns is None:
-        lines = block.lines
+    none) of a block, projected to ``columns`` (verbatim, when None).
+
+    A regular block renders from its text or its fields, which join to
+    the very same bytes; a record of the record-by-record path keeps its
+    own text (quotes and all) unless it is projected."""
+    if columns is None and not block.regular:
+        lines = block.text
         if picked is not None:
             lines = [lines[i] for i in picked]
-    else:
-        texts = [block.texts[index] for index in columns]
-        if picked is not None:
-            texts = [[column[i] for i in picked] for column in texts]
-        if not block.regular:
-            return b"".join(
-                render_record(fields, delimiter) for fields in zip(*texts)
-            )
-        lines = map(delimiter.join, zip(*texts))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    if columns is None and picked is None:
+        return (block.text + "\n").encode("utf-8")
+    texts = block.texts if columns is None else [block.texts[index] for index in columns]
+    if picked is not None:
+        texts = [[column[i] for i in picked] for column in texts]
+    if not block.regular:
+        return b"".join(render_record(fields, delimiter) for fields in zip(*texts))
+    return ("\n".join(map(delimiter.join, zip(*texts))) + "\n").encode("utf-8")
 
 
 def _coalesce(lines: Iterator[bytes], chunk_size: int) -> Iterator[bytes]:

@@ -96,6 +96,13 @@ class SandboxStats:
 class Sandbox:
     """Executes storlet invocations for one node, with accounting.
 
+    CPU is *charged*, not measured: each chunk in and out costs what
+    :class:`CostModel` says per byte, and that charge is what
+    ``stats.cpu_seconds``, the ``sandbox.cpu_seconds`` counter, the
+    storlet span's ``cpu_seconds``, ``storlet_cpu_seconds`` in
+    ``explain_profile()`` and ``max_cpu_seconds`` see -- so a faster
+    storlet is charged the same.
+
     ``memory_overhead`` models the resident Docker container footprint
     (paper: 4-6% of a 256 GB node, we default to a plain byte count the
     perf model scales).

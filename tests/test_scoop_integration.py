@@ -7,6 +7,7 @@ classic ingest-then-compute path, while moving far fewer bytes.
 
 import pytest
 
+from repro.faults import NAMED_PLANS, named_plan
 from repro.gridpocket import (
     GRIDPOCKET_QUERIES,
     METER_SCHEMA,
@@ -203,6 +204,16 @@ class TestContextOwnership:
         the cluster, the engine and every stored replica by reference
         counting alone (a cyclic store would sit there, with all its
         object bodies, until a full collection happened to run)."""
+        self._assert_freed_without_a_collection()
+
+    @pytest.mark.parametrize("plan", NAMED_PLANS)
+    def test_a_context_with_a_fault_plan_is_freed_without_a_collection(self, plan):
+        """The injector's middlewares and storlet hook live in the store
+        they fault, so they must not hold the store strongly."""
+        self._assert_freed_without_a_collection(fault_plan=named_plan(plan, seed=7))
+
+    @staticmethod
+    def _assert_freed_without_a_collection(**options):
         import gc
         import weakref
 
@@ -211,7 +222,7 @@ class TestContextOwnership:
         gc.collect()
         gc.disable()
         try:
-            ctx = ScoopContext(trace=False)
+            ctx = ScoopContext(trace=False, **options)
             ctx.upload_csv("c", "o.csv", b"a,1\nb,2\n")
             ctx.register_csv_table("t", "c", schema=None, format="columnar")
             ctx.run_query("SELECT * FROM t")

@@ -1,5 +1,7 @@
 """Tests for expression evaluation, NULL semantics and functions."""
 
+import decimal
+import math
 import re
 
 import pytest
@@ -9,6 +11,7 @@ from repro.sql.errors import SqlAnalysisError
 from repro.sql.expressions import like_pattern_to_regex
 from repro.sql.functions import (
     make_accumulator,
+    sql_round,
     sql_substring,
 )
 from repro.sql.parser import parse_expression
@@ -142,6 +145,52 @@ class TestFunctions:
         assert evaluate("ROUND(2.567, 1)", ROW) == 2.6
         assert evaluate("FLOOR(b)", ROW) == 2
         assert evaluate("CEIL(b)", ROW) == 3
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            ("ROUND(2.5)", 3.0),
+            ("ROUND(0.5)", 1.0),
+            ("ROUND(-2.5)", -3.0),
+            ("ROUND(-0.5)", -1.0),
+            ("ROUND(1.5)", 2.0),
+            ("ROUND(2.4999)", 2.0),
+            ("ROUND(2.675, 2)", 2.68),
+            ("ROUND(1.005, 2)", 1.01),
+            ("ROUND(-1.005, 2)", -1.01),
+            ("ROUND(0.125, 2)", 0.13),
+            ("ROUND(2.567, 1)", 2.6),
+            ("ROUND(1234.5, -2)", 1200.0),
+            ("ROUND(a)", 5.0),
+            ("ROUND(b)", 3.0),
+            ("ROUND(7, 2)", 7.0),
+            ("ROUND(NULL, 1)", None),
+        ],
+    )
+    def test_round_is_half_up(self, call, expected):
+        """Spark's ``BigDecimal(d).setScale(n, HALF_UP)`` and sqlite's
+        ``round``, not Python's banker's rounding."""
+        assert evaluate(call, ROW) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-10**6, 10**6).map(lambda n: n / 1000),
+        ),
+        digits=st.integers(-3, 6),
+    )
+    def test_round_is_half_up_on_the_shortest_decimal(self, value, digits):
+        quantum = decimal.Decimal(1).scaleb(-digits)
+        with decimal.localcontext() as context:
+            context.prec = 400
+            expected = float(
+                decimal.Decimal(repr(value)).quantize(quantum, rounding=decimal.ROUND_HALF_UP)
+            )
+        assert sql_round(value, digits) == expected
+        assert sql_round(math.inf, digits) == math.inf
+        assert sql_round(-math.inf, digits) == -math.inf
+        assert math.isnan(sql_round(math.nan, digits))
 
     def test_date_part_functions(self):
         row = (1, 1.0, "2015-03-09 14:20:00", True)

@@ -83,8 +83,16 @@ predicate = st.recursive(
     max_leaves=4,
 )
 
+#: ROUND where sqlite rounds the same (dialect row T10): integers over
+#: small divisors, so every tie is exact and no value sits an ulp off one.
+rounded = st.tuples(
+    st.sampled_from(["code / 4", "(1 - code) / 8", "code / 3", "code"]),
+    st.sampled_from(["", ", 0", ", 1", ", 2"]),
+).map(lambda t: f"ROUND({t[0]}{t[1]})")
+
 scalar = st.one_of(
     scalar_item,
+    rounded,
     st.sampled_from(
         [
             "code / 4",
@@ -104,7 +112,7 @@ scalar = st.one_of(
 aggregate = st.one_of(
     st.tuples(
         st.sampled_from(["sum", "min", "max", "avg", "count"]),
-        st.sampled_from(NUMERIC_COLUMNS + ["code * 2", "index / 2"]),
+        st.sampled_from(NUMERIC_COLUMNS + ["code * 2", "index / 2", "ROUND(code / 8, 2)"]),
     ).map(lambda t: f"{t[0]}({t[1]})"),
     st.sampled_from(
         [
@@ -120,7 +128,7 @@ aggregate = st.one_of(
     ),
 )
 group_key = st.sampled_from(
-    ["vid", "date", "city", "code", "index", "SUBSTRING(date, 0, 7)", "code % 2"]
+    ["vid", "date", "city", "code", "index", "SUBSTRING(date, 0, 7)", "code % 2", "ROUND(code / 4)"]
 )
 having = st.one_of(
     st.sampled_from(
