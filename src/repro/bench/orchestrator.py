@@ -1,11 +1,11 @@
 """Run named experiments with tracing, histograms and JSON capture.
 
 :func:`run_experiment` is the single entry point the CLI and the
-benchmark suite share: it installs a fresh process-global
+benchmark suite share: it builds the run's own
 :class:`~repro.obs.trace.TraceCollector` and
-:class:`~repro.obs.metrics.MetricsRegistry` (restoring the previous
-ones afterwards, the :class:`~repro.core.scoop.ScoopContext` pattern),
-declares the fixed-bucket latency/CPU histograms, opens a root
+:class:`~repro.obs.metrics.MetricsRegistry` (handed to the runner on its
+:class:`BenchContext`; nothing process-wide is touched), declares the
+fixed-bucket latency/CPU histograms, opens a root
 ``bench``-tier span for the experiment and one child span per
 simulation point, and finally assembles a schema-validated result
 document -- optionally written to ``BENCH_<name>.json`` next to a
@@ -27,15 +27,8 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS_SECONDS,
     SIMULATED_SECONDS_BUCKETS,
     MetricsRegistry,
-    get_registry,
-    set_registry,
 )
-from repro.obs.trace import (
-    TraceCollector,
-    get_collector,
-    set_collector,
-    validate_chrome_trace,
-)
+from repro.obs.trace import TraceCollector, validate_chrome_trace
 
 #: Histogram of wall-clock seconds per simulation point.
 POINT_SECONDS = "bench.point_seconds"
@@ -151,33 +144,27 @@ def run_experiment(
     except KeyError:
         known = ", ".join(experiment_names())
         raise KeyError(f"unknown experiment {name!r} (known: {known})")
-    previous_collector = get_collector()
-    previous_registry = get_registry()
-    tracer = set_collector(TraceCollector(enabled=True))
-    registry = set_registry(MetricsRegistry())
+    tracer = TraceCollector(enabled=True)
+    registry = MetricsRegistry()
     registry.declare_histogram(POINT_SECONDS, LATENCY_BUCKETS_SECONDS)
     registry.declare_histogram(POINT_CPU_SECONDS, LATENCY_BUCKETS_SECONDS)
     registry.declare_histogram(SIM_SECONDS, SIMULATED_SECONDS_BUCKETS)
     wall_start = time.perf_counter()
-    try:
-        bench = BenchContext(name, tracer, registry, quick, options=options)
-        with tracer.span(
-            "bench", f"experiment {name}", trace_id=bench.trace_id,
-            mode="quick" if quick else "full",
-        ):
-            experiment.runner(bench)
-        wall_seconds = time.perf_counter() - wall_start
-        chrome = tracer.export_chrome()
-        validate_chrome_trace(chrome)
-        spans = len(tracer.snapshot())
-        histograms = {
-            series: stats.to_dict()
-            for metric in (POINT_SECONDS, POINT_CPU_SECONDS, SIM_SECONDS)
-            for series, stats in registry.histogram_series(metric).items()
-        }
-    finally:
-        set_collector(previous_collector)
-        set_registry(previous_registry)
+    bench = BenchContext(name, tracer, registry, quick, options=options)
+    with tracer.span(
+        "bench", f"experiment {name}", trace_id=bench.trace_id,
+        mode="quick" if quick else "full",
+    ):
+        experiment.runner(bench)
+    wall_seconds = time.perf_counter() - wall_start
+    chrome = tracer.export_chrome()
+    validate_chrome_trace(chrome)
+    spans = len(tracer.snapshot())
+    histograms = {
+        series: stats.to_dict()
+        for metric in (POINT_SECONDS, POINT_CPU_SECONDS, SIM_SECONDS)
+        for series, stats in registry.histogram_series(metric).items()
+    }
 
     document: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import (
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -22,8 +23,8 @@ from repro.core.pushdown import PushdownTask
 from repro.csvscan import owned_records
 from repro.sql.filters import Filter
 from repro.sql.types import Schema
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.trace import TRACE_HEADER, Span, get_collector
+from repro.obs.metrics import LOG_LENGTH, Counted, CounterView
+from repro.obs.trace import TRACE_HEADER, Span
 from repro.storlets.api import StorletFailure
 from repro.storlets.engine import StorletRequestHeaders
 from repro.swift.client import SwiftClient
@@ -122,33 +123,27 @@ class ColumnarSplit:
         return self.split.length
 
 
-@dataclass
-class TransferMetrics:
-    """Bytes that actually crossed the store->compute boundary.
+class TransferMetrics(CounterView):
+    """Bytes that actually crossed the store->compute boundary: a view
+    of the ``connector.*`` counters of the connector's registry.
 
-    Thread-safe: concurrent tasks meter their chunks into one shared
-    instance, so every mutation happens under one internal leaf lock
-    (never held across I/O).  Totals are interleaving-independent --
-    addition commutes -- which is what lets the concurrency tests assert
-    identical metrics at parallelism 1 and 8 for full-drain queries.
+    Totals are interleaving-independent -- addition commutes -- which is
+    what lets the concurrency tests assert identical metrics at
+    parallelism 1 and 8 for full-drain queries.
     """
 
-    requests: int = 0
-    bytes_transferred: int = 0
-    bytes_requested: int = 0
-    pushdown_requests: int = 0
+    prefix = "connector"
+    TOTALS = (
+        "requests", "bytes_transferred", "bytes_requested",
+        "pushdown_requests", "pushdown_fallbacks",
+    )
+    requests = Counted()
+    pushdown_requests = Counted("requests", pushdown=True)
+    bytes_requested = Counted()
+    bytes_transferred = Counted()
     #: Pushdown reads that degraded to a plain GET + compute-side filter
     #: after a runtime storlet failure.
-    pushdown_fallbacks: int = 0
-    #: Mirror target for the unified registry; increments are forwarded
-    #: here so ``MetricsRegistry.snapshot()`` sees connector traffic
-    #: without changing this class's public API.
-    registry: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    pushdown_fallbacks = Counted()
 
     def record(self, transferred: int, requested: int, pushdown: bool) -> None:
         self.record_request(requested, pushdown)
@@ -156,39 +151,19 @@ class TransferMetrics:
 
     def record_request(self, requested: int, pushdown: bool) -> None:
         """Charge one store round-trip covering ``requested`` bytes."""
-        with self._lock:
-            self.requests += 1
-            self.bytes_requested += requested
-            if pushdown:
-                self.pushdown_requests += 1
-        registry = self.registry or get_registry()
-        registry.inc("connector.requests", pushdown=pushdown)
-        registry.inc("connector.bytes_requested", requested)
+        self._registry.inc("connector.requests", pushdown=pushdown)
+        self._registry.inc("connector.bytes_requested", requested)
 
     def record_bytes(self, transferred: int) -> None:
         """Charge bytes as they cross the wire, one chunk at a time."""
-        with self._lock:
-            self.bytes_transferred += transferred
-        (self.registry or get_registry()).inc(
-            "connector.bytes_transferred", transferred
-        )
+        self._registry.inc("connector.bytes_transferred", transferred)
 
     def record_fallback(self) -> None:
-        with self._lock:
-            self.pushdown_fallbacks += 1
-        (self.registry or get_registry()).inc("connector.pushdown_fallbacks")
+        self._registry.inc("connector.pushdown_fallbacks")
 
     def totals(self) -> Tuple[int, int, int, int, int]:
-        """Consistent snapshot of every counter, for cross-run equality
-        assertions."""
-        with self._lock:
-            return (
-                self.requests,
-                self.bytes_transferred,
-                self.bytes_requested,
-                self.pushdown_requests,
-                self.pushdown_fallbacks,
-            )
+        """Every counter, for cross-run equality assertions."""
+        return tuple(getattr(self, name) for name in self.TOTALS)
 
     def savings_ratio(self) -> float:
         """Fraction of requested bytes that did NOT need to travel."""
@@ -197,12 +172,8 @@ class TransferMetrics:
         return 1.0 - self.bytes_transferred / self.bytes_requested
 
     def reset(self) -> None:
-        with self._lock:
-            self.requests = 0
-            self.bytes_transferred = 0
-            self.bytes_requested = 0
-            self.pushdown_requests = 0
-            self.pushdown_fallbacks = 0
+        """Zero every counter of this view (its registry series)."""
+        self._registry.reset(*{getattr(TransferMetrics, name).series for name in self.TOTALS})
 
 
 class StocatorConnector:
@@ -211,6 +182,7 @@ class StocatorConnector:
     ``chunk_size`` plays the part of the HDFS chunk size that drives
     partition discovery -- Section VII notes this is "not adapted to
     object stores", which the chunk-size ablation benchmark explores.
+    The connector counts and traces into its client's telemetry.
     """
 
     def __init__(
@@ -232,7 +204,8 @@ class StocatorConnector:
         # connector (not the storlet) performs record alignment; must be
         # at least the maximum record length.
         self.range_lookahead = range_lookahead
-        self.metrics = TransferMetrics()
+        self.registry, self.tracer = client.registry, client.tracer
+        self.metrics = TransferMetrics(self.registry)
         #: ``(container, name, reason)`` for every object discovery
         #: declined to split (zero-length / missing content-length).
         self.skipped_objects: List[Tuple[str, str, str]] = []
@@ -250,10 +223,10 @@ class StocatorConnector:
         #: Populated even with skipping off, so flipping the knob after
         #: discovery still works and the cost stays zero either way.
         self._catalog_cache: Dict[Tuple[str, str], Optional[ObjectCatalog]] = {}
-        #: ``(container, name)`` for every whole object the catalog
-        #: refuted for some query -- skipped with zero GETs (also
-        #: counted in ``connector.objects_catalog_skipped``).
-        self.catalog_skipped: List[Tuple[str, str]] = []
+        #: ``(container, name)`` of the latest :data:`LOG_LENGTH` whole
+        #: objects the catalog refuted for some query -- skipped with
+        #: zero GETs (all counted in ``connector.objects_catalog_skipped``).
+        self.catalog_skipped: Deque[Tuple[str, str]] = deque(maxlen=LOG_LENGTH)
 
     # -- partition discovery ---------------------------------------------
 
@@ -305,7 +278,7 @@ class StocatorConnector:
         data-skipping catalog rides the HEAD we just paid for: its
         decoded entry is cached, so per-query consults cost no request.
         """
-        registry = self.metrics.registry or get_registry()
+        registry = self.registry
         for name in self.client.list_objects(container, prefix=prefix):
             headers = self.client.head_object(container, name)
             self._catalog_cache[(container, name)] = decode_catalog(headers)
@@ -325,8 +298,7 @@ class StocatorConnector:
         """Count one control-plane body read (``quote_scan``, ``footer``,
         ``schema``) as ``connector.discovery_bytes{kind=}`` -- in the
         registry only: :class:`TransferMetrics` stays query traffic."""
-        registry = self.metrics.registry or get_registry()
-        registry.inc("connector.discovery_bytes", len(body), kind=kind)
+        self.registry.inc("connector.discovery_bytes", len(body), kind=kind)
 
     def _aligned_starts(
         self, container: str, name: str, size: int
@@ -345,9 +317,8 @@ class StocatorConnector:
         starts = plan_quote_safe_starts(data, self.chunk_size)
         if starts is None:
             reason = "unterminated-quote"
-            registry = self.metrics.registry or get_registry()
             self.demoted_objects.append((container, name, reason))
-            registry.inc("connector.splits_demoted", reason=reason)
+            self.registry.inc("connector.splits_demoted", reason=reason)
             logger.warning(
                 "discover_partitions demoting /%s/%s to a single split: %s",
                 container,
@@ -446,7 +417,7 @@ class StocatorConnector:
         """
         if not self.skipping or not filters:
             return list(splits)
-        registry = self.metrics.registry or get_registry()
+        registry = self.registry
         verdicts: Dict[Tuple[str, str], bool] = {}
         kept = []
         for item in splits:
@@ -490,7 +461,7 @@ class StocatorConnector:
             if end == start:
                 pieces.extend(b"" for _member in members)
                 continue
-            tracer = get_collector()
+            tracer = self.tracer
             trace_id = tracer.new_trace_id() if tracer.enabled else ""
             span = tracer.start(
                 "connector",
@@ -561,7 +532,7 @@ class StocatorConnector:
         data.  Bytes are charged to :attr:`metrics` per chunk as the
         stream is consumed, never all at once.
         """
-        tracer = get_collector()
+        tracer = self.tracer
         pushdown = task is not None and not task.is_noop()
         trace_id = tracer.new_trace_id() if tracer.enabled else ""
         span = tracer.start(
@@ -716,7 +687,7 @@ class StocatorConnector:
             close_body(chunks)
             if span is not None:
                 span.bytes_out = consumed
-                get_collector().finish(
+                self.tracer.finish(
                     span, status=None if status == "ok" else status
                 )
 

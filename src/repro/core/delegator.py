@@ -21,7 +21,7 @@ from typing import Deque, Optional, Union
 
 from repro.core.policies import AdaptivePushdownController
 from repro.core.pushdown import PushdownTask
-from repro.obs.metrics import LOG_LENGTH, get_registry
+from repro.obs.metrics import LOG_LENGTH, MetricsRegistry
 from repro.placement.engine import PlacementEngine, task_signature
 from repro.sql.catalyst import extract_pushdown
 from repro.sql.parser import Query, parse_query
@@ -48,15 +48,18 @@ class DelegationRecord:
 
 
 class AnalyticsDelegator:
-    """Decides, per scan, whether and where its pushdown task runs."""
+    """Decides, per scan, whether and where its pushdown task runs, and
+    counts each decision into ``registry`` (private if not given)."""
 
     def __init__(
         self,
         controller: Optional[AdaptivePushdownController] = None,
         placement: Optional[PlacementEngine] = None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         self.controller = controller
         self.placement = placement
+        self.registry = registry or MetricsRegistry()
         self.log: Deque[DelegationRecord] = deque(maxlen=LOG_LENGTH)
 
     def delegate(
@@ -149,7 +152,7 @@ class AnalyticsDelegator:
             record.filter_count = len(task.filters)
         self.log.append(record)
         outcome = "pushed" if record.pushed_down else "plain"
-        get_registry().inc("core.delegations", outcome=outcome, reason=reason)
+        self.registry.inc("core.delegations", outcome=outcome, reason=reason)
         return sent
 
     def pushdown_rate(self) -> float:

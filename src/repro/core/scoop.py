@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.connector.stocator import StocatorConnector
 from repro.core.policies import AdaptivePushdownController
-from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.obs.trace import TraceCollector, set_collector
+from repro.obs import MetricsRegistry, Telemetry, TraceCollector
 from repro.placement.engine import engine_from_environment
 from repro.spark.csv_source import CsvRelation, infer_csv_schema
 from repro.spark.dataframe import DataFrame
@@ -108,16 +108,17 @@ class ScoopContext:
         if parallelism is None:
             parallelism = int(os.environ.get("REPRO_PARALLELISM", "1"))
         self.parallelism = parallelism
-        # Observability: each context installs a fresh span collector
-        # and metrics registry so counters and traces never bleed
-        # between stacks built in the same process (every tier resolves
-        # get_collector()/get_registry() at call time).  ``trace=None``
+        # Observability: one span collector and one metrics registry per
+        # context, handed to the tiers built here (every other tier takes
+        # them from the object it is built with), so counters and traces
+        # never bleed between stacks in one process.  ``trace=None``
         # defers to the REPRO_TRACE env var; True/False force it.
         if trace is None:
             trace = os.environ.get("REPRO_TRACE", "") not in ("", "0")
-        self.tracer = set_collector(TraceCollector(enabled=trace))
-        self.registry = set_registry(MetricsRegistry())
-        self.engine = StorletEngine()
+        self.tracer = TraceCollector(enabled=trace)
+        self.registry = MetricsRegistry()
+        telemetry = Telemetry(self.registry, self.tracer)
+        self.engine = StorletEngine(telemetry=telemetry)
         self.cluster = SwiftCluster(
             storage_node_count=storage_node_count,
             disks_per_node=disks_per_node,
@@ -126,6 +127,7 @@ class ScoopContext:
             proxy_middleware=[self.engine.proxy_middleware()],
             object_middleware=[self.engine.object_middleware()],
             proxy_concurrency=proxy_concurrency,
+            telemetry=telemetry,
         )
         self.client = SwiftClient(
             self.cluster,
@@ -145,14 +147,12 @@ class ScoopContext:
         self.connector = StocatorConnector(
             self.client, chunk_size=chunk_size, skipping=skipping
         )
-        # Pin the connector's mirror target so this context's boundary
-        # counters survive a later context replacing the global registry.
-        self.connector.metrics.registry = self.registry
         self.spark_context = SparkContext(
             "scoop",
             num_workers=num_workers,
             max_task_attempts=max_task_attempts,
             parallelism=parallelism,
+            telemetry=telemetry,
         )
         self.session = SparkSession(self.spark_context)
         self.controller = controller
@@ -195,25 +195,20 @@ class ScoopContext:
         # QoS wiring (docs/admission.md): also installed after the
         # storlet deployments, so control-plane PUTs never bill against
         # tenant quotas.  Brownout reads each storage node's cumulative
-        # sandbox CPU through a lazily-bound gauge.
+        # sandbox CPU seconds from the registry (0.0 until it is warm).
         self.qos = qos
         if qos is not None:
             self.cluster.install_qos(qos, clock=qos_clock)
             if qos.brownout_cpu_watermark is not None:
                 for node_name in self.cluster.object_servers:
                     self.cluster.install_brownout_gauge(
-                        node_name, self._node_cpu_gauge(node_name)
+                        node_name,
+                        partial(
+                            self.registry.counter_value,
+                            "sandbox.cpu_seconds",
+                            node=node_name,
+                        ),
                     )
-
-    def _node_cpu_gauge(self, node_name: str):
-        """A gauge reading ``node_name``'s cumulative storlet CPU
-        seconds (0.0 until its sandbox is warmed)."""
-
-        def gauge() -> float:
-            sandbox = self.engine.all_sandboxes().get(node_name)
-            return sandbox.stats.cpu_seconds if sandbox is not None else 0.0
-
-        return gauge
 
     # -- data management ----------------------------------------------------
 
@@ -446,7 +441,7 @@ class ScoopContext:
             metrics.pushdown_requests,
             metrics.pushdown_fallbacks,
         )
-        skipped_before = len(self.connector.catalog_skipped)
+        skipped_before = self._catalog_skips()
         decisions_before = (
             self.placement.decision_count if self.placement is not None else 0
         )
@@ -459,9 +454,7 @@ class ScoopContext:
             requests=metrics.requests - before[0],
             pushdown_requests=metrics.pushdown_requests - before[3],
             pushdown_fallbacks=metrics.pushdown_fallbacks - before[4],
-            objects_skipped=(
-                len(self.connector.catalog_skipped) - skipped_before
-            ),
+            objects_skipped=self._catalog_skips() - skipped_before,
         )
         self._last_report = report
         if self.placement is not None:
@@ -490,6 +483,10 @@ class ScoopContext:
                     decision=self.placement.decisions[-1],
                 )
         return frame, report
+
+    def _catalog_skips(self) -> int:
+        """Whole objects the catalog refuted so far."""
+        return int(self.registry.counter_total("connector.objects_catalog_skipped"))
 
     def make_adaptive_controller(
         self,
@@ -661,7 +658,7 @@ class ScoopContext:
             "skipped_objects": list(self.connector.skipped_objects),
             "catalog": {
                 "enabled": self.connector.skipping,
-                "objects_skipped": len(self.connector.catalog_skipped),
+                "objects_skipped": self._catalog_skips(),
                 "skipped": list(self.connector.catalog_skipped),
             },
         }

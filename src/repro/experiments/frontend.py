@@ -19,10 +19,10 @@ percentiles over dispatch-to-completion, and byte-verification
 failures (every response is compared against the seeded payload, so
 the capacity claim never trades away correctness).
 
-Per-request client/proxy spans are suppressed during the burst (a
-disabled collector is swapped in and restored afterwards): tens of
-thousands of GETs would otherwise dominate the experiment's committed
-Chrome trace.
+The replay's store is built on its own, so its per-request
+client/proxy spans go to the store's private, disabled collector: tens
+of thousands of GETs never reach the experiment's committed Chrome
+trace.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.aio.gate import AsyncGate
-from repro.obs.trace import TraceCollector, get_collector, set_collector
 from repro.swift.aclient import AsyncSwiftClient
 from repro.swift.client import SwiftClient
 from repro.swift.proxy import SwiftCluster
@@ -119,25 +118,13 @@ def replay_workday_frontend(
         proxy_concurrency=None,
     )
     payload = _seed_payload(cluster, seed, payload_bytes, account)
-
-    # Suppress per-GET spans for the burst; restore the bench collector
-    # afterwards so experiment-level points keep tracing.
-    previous_collector = get_collector()
-    set_collector(TraceCollector(enabled=False))
-    try:
-        if mode == "threads":
-            return _drain_threads(
-                cluster, account, payload, queries, inflight_limit,
-                rtt_seconds,
-            )
-        return asyncio.run(
-            _adrain(
-                cluster, account, payload, queries, inflight_limit,
-                rtt_seconds,
-            )
+    if mode == "threads":
+        return _drain_threads(
+            cluster, account, payload, queries, inflight_limit, rtt_seconds
         )
-    finally:
-        set_collector(previous_collector)
+    return asyncio.run(
+        _adrain(cluster, account, payload, queries, inflight_limit, rtt_seconds)
+    )
 
 
 def _drain_threads(

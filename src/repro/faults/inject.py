@@ -13,7 +13,9 @@ the three layers the resilience machinery defends:
   surfacing as degradable :class:`~repro.storlets.api.StorletFailure`.
 
 All three consult the same :class:`~repro.faults.plan.FaultPlan`, so one
-seed fixes the entire fault sequence.
+seed fixes the entire fault sequence.  The plan keeps the log; the
+injector counts each fault fired into its cluster's registry and traces
+it as an event beside the spans it perturbed.
 
 Every consultation passes a **scope** string naming the logical request
 -- node, method, object path and byte range -- so the plan's seeded
@@ -79,10 +81,25 @@ class FaultInjector:
 
         return _ProxyFaults
 
+    def _consult(self, decision: Callable, *args, **kwargs):
+        """Ask the plan; count and trace every fault the answer fired."""
+        result, fired = self.plan.consult(decision, *args, **kwargs)
+        if fired:
+            cluster = self._cluster()
+            for fault in fired:
+                cluster.registry.inc("faults.injected", kind=fault.kind)
+                cluster.tracer.record_event(
+                    "faults", fault.kind, target=fault.target, detail=fault.detail
+                )
+        return result
+
     def storlet_hook(self) -> Callable[..., None]:
         def hook(storlet: str, node: str, tier: str, scope: str = "") -> None:
-            reason = self.plan.storlet_fault(
-                storlet, node, scope=f"{storlet}@{node}|{scope}"
+            reason = self._consult(
+                self.plan.storlet_fault,
+                storlet,
+                node,
+                scope=f"{storlet}@{node}|{scope}",
             )
             if reason is not None:
                 raise StorletFailure(
@@ -99,8 +116,11 @@ class FaultInjector:
 
     def _apply_object_fault(self, request: Request) -> None:
         node = request.environ.get("swift.node", "object")
-        fault = self.plan.object_fault(
-            node, request.method, scope=_request_scope(node, request)
+        fault = self._consult(
+            self.plan.object_fault,
+            node,
+            request.method,
+            scope=_request_scope(node, request),
         )
         if fault is None:
             return
@@ -132,10 +152,12 @@ class FaultInjector:
             )
 
     def _apply_proxy_fault(self, request: Request) -> None:
-        for loss in self.plan.on_request():
+        for loss in self._consult(self.plan.on_request):
             self._fire_device_loss(loss)
-        status = self.plan.proxy_fault(
-            request.method, scope=_request_scope("proxy", request)
+        status = self._consult(
+            self.plan.proxy_fault,
+            request.method,
+            scope=_request_scope("proxy", request),
         )
         if status is not None:
             if status == 503:

@@ -33,10 +33,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
-
-from repro.obs.metrics import get_registry
-from repro.obs.trace import get_collector
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -269,6 +266,15 @@ class FaultPlan:
                 )
             )
 
+    def consult(
+        self, decision: Callable, *args, **kwargs
+    ) -> Tuple[Any, List[InjectedFault]]:
+        """``decision(*args, **kwargs)`` -- one of this plan's decision
+        points -- and the faults it fired, taken atomically."""
+        with self._lock:
+            mark = len(self.log)
+            return decision(*args, **kwargs), self.log[mark:]
+
     def fired(self, kind: Optional[str] = None) -> int:
         with self._lock:
             if kind is None:
@@ -303,14 +309,6 @@ class FaultPlan:
                 target=target,
                 detail=detail,
             )
-        )
-        # Mirror into the unified observability layer: a counter per
-        # fault kind, and an instantaneous trace event so injections
-        # line up with the spans they perturbed.  Both sinks are leaf
-        # locks, so calling them under the plan lock cannot deadlock.
-        get_registry().inc("faults.injected", kind=kind)
-        get_collector().record_event(
-            "faults", kind, target=target, detail=detail
         )
 
     def __repr__(self) -> str:

@@ -10,28 +10,43 @@ primitives every tier hooks into:
 * :mod:`repro.obs.trace` -- spans propagated via the ``X-Trace-Id``
   header from the Stocator connector down to the object backend, plus
   JSON and Chrome ``trace_event`` exporters;
-* :mod:`repro.obs.metrics` -- a process-wide registry of labelled
-  counters/gauges/histograms that absorbs the ad-hoc counters
-  (``TransferMetrics``, ``ClientStats``, cluster counters, sandbox
-  stats) without changing their public APIs.
+* :mod:`repro.obs.metrics` -- a registry of labelled
+  counters/gauges/histograms, the one writer behind every per-tier
+  counter bundle.
+
+A context owns one of each (:class:`Telemetry`); nothing is process-wide.
 """
+
+from typing import NamedTuple
 
 from repro.obs.metrics import (
     LATENCY_BUCKETS_SECONDS,
     SIMULATED_SECONDS_BUCKETS,
     HistogramStats,
     MetricsRegistry,
-    get_registry,
-    set_registry,
 )
 from repro.obs.trace import (
     TRACE_HEADER,
     Span,
     TraceCollector,
-    get_collector,
-    set_collector,
     validate_chrome_trace,
 )
+
+
+class Telemetry(NamedTuple):
+    """One context's registry and span collector, handed to the tiers
+    the context builds (storlet engine, cluster, Spark context); every
+    other tier takes them from the object it is built with."""
+
+    registry: MetricsRegistry
+    tracer: TraceCollector
+
+    @classmethod
+    def standalone(cls) -> "Telemetry":
+        """A private registry and a disabled collector: what a tier
+        built on its own counts into."""
+        return cls(MetricsRegistry(), TraceCollector())
+
 
 __all__ = [
     "TRACE_HEADER",
@@ -39,11 +54,8 @@ __all__ = [
     "SIMULATED_SECONDS_BUCKETS",
     "HistogramStats",
     "Span",
+    "Telemetry",
     "TraceCollector",
     "MetricsRegistry",
-    "get_collector",
-    "set_collector",
-    "get_registry",
-    "set_registry",
     "validate_chrome_trace",
 ]

@@ -1,15 +1,12 @@
-"""A process-wide registry of labelled counters, gauges and histograms.
+"""A registry of labelled counters, gauges and histograms, one per context.
 
-The repo accumulated one ad-hoc counter bundle per tier --
-:class:`~repro.connector.stocator.TransferMetrics`,
-:class:`~repro.swift.retry.ClientStats`, the cluster's ``counters``
-dict, :class:`~repro.storlets.sandbox.SandboxStats`, scheduler task
-logs -- each with its own locking and snapshot idiom.  The registry
-unifies them under one naming scheme (``tier.metric`` plus labels,
-Prometheus-style) *without replacing them*: the legacy objects keep
-their public APIs (``resilience_summary``/``concurrency_summary`` stay
-byte-identical) and simply mirror their increments here, so one
-``snapshot()`` shows the whole system.
+Every tier counts here under one naming scheme (``tier.metric`` plus
+labels, Prometheus-style).  A :class:`~repro.core.scoop.ScoopContext`
+hands its registry to its tiers at construction
+(:class:`~repro.obs.Telemetry`); a tier built on its own gets a private
+one.  The registry is the only writer: the per-tier bundles
+(``TransferMetrics``, ``ClientStats``, the cluster's ``counters``,
+``SandboxStats``) are views of its series (:class:`CounterView`).
 
 Thread-safety: one leaf lock guards all three maps; it is held for
 dict arithmetic only, never across I/O (docs/concurrency.md).
@@ -228,13 +225,15 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get((name, _label_key(labels)), 0.0)
 
-    def counter_total(self, name: str) -> float:
-        """Sum of a counter across all label sets."""
+    def counter_total(self, name: str, **labels: Any) -> float:
+        """Sum of a counter across all label sets (those carrying
+        ``labels``)."""
+        wanted = set(_label_key(labels))
         with self._lock:
             return sum(
                 value
-                for (counter, _labels), value in self._counters.items()
-                if counter == name
+                for (counter, key), value in self._counters.items()
+                if counter == name and (not wanted or wanted <= set(key))
             )
 
     def counter_series(self, name: str) -> List[Tuple[Dict[str, str], float]]:
@@ -297,12 +296,13 @@ class MetricsRegistry:
                 },
             }
 
-    def reset(self) -> None:
-        """Clear every series (declared bucket layouts survive)."""
+    def reset(self, *names: str) -> None:
+        """Clear every series of ``names`` -- of every name when none is
+        given (declared bucket layouts survive)."""
         with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+            for series in (self._counters, self._gauges, self._histograms):
+                for key in [key for key in series if not names or key[0] in names]:
+                    del series[key]
 
 
 def _render(name: str, labels: LabelKey) -> str:
@@ -312,17 +312,32 @@ def _render(name: str, labels: LabelKey) -> str:
     return f"{name}{{{rendered}}}"
 
 
-_registry = MetricsRegistry()
+class CounterView:
+    """A read-only bundle of one tier's counters: each :class:`Counted`
+    attribute reads ``registry`` (a view holds no count of its own),
+    narrowed to the view's ``labels``."""
+
+    #: Series of a :class:`Counted` attribute ``x``: ``<prefix>.x``.
+    prefix = ""
+
+    def __init__(self, registry: MetricsRegistry, **labels: Any):
+        self._registry = registry
+        self._labels = labels
 
 
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (tiers built without an
-    explicit registry mirror into this one)."""
-    return _registry
+class Counted:
+    """A :class:`CounterView` attribute: ``cast`` of the counter
+    ``<prefix>.<series or attribute name>`` summed over its label sets
+    carrying the view's and these ``labels``."""
 
+    def __init__(self, series: str = "", cast: type = int, **labels: Any):
+        self.series, self.cast, self.labels = series, cast, labels
 
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process-wide default; returns it."""
-    global _registry
-    _registry = registry
-    return registry
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.series = f"{owner.prefix}.{self.series or name}"
+
+    def __get__(self, view: Optional[CounterView], owner: type = None) -> Any:
+        if view is None:
+            return self
+        labels = {**view._labels, **self.labels}
+        return self.cast(view._registry.counter_total(self.series, **labels))

@@ -32,17 +32,18 @@ Design constraints (shared with the chaos suite, docs/observability.md):
   traces (anonymous spans, which carry no trace id, count
   individually).  Overflow is *counted*, never silent.
 
-The collector is process-global (like :mod:`logging`): tiers call
-:func:`get_collector` and record only when it is enabled, which costs a
-single attribute check on the hot path.  Enable it with the
-``REPRO_TRACE=1`` environment variable, ``ScoopContext(trace=True)`` or
-:meth:`TraceCollector.enable`.
+One collector per context: a :class:`~repro.core.scoop.ScoopContext`
+hands its collector to every tier at construction
+(:class:`~repro.obs.Telemetry`), and a tier built on its own gets a
+private, disabled one.  Tiers record only when their collector is
+enabled, which costs a single attribute check on the hot path.  Enable
+it with ``ScoopContext(trace=True)``, the ``REPRO_TRACE=1`` environment
+variable (read by the context) or :meth:`TraceCollector.enable`.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -436,20 +437,3 @@ class _SpanContext:
         self._collector.finish(
             self.span, status="error" if exc_type is not None else None
         )
-
-
-_collector = TraceCollector(
-    enabled=os.environ.get("REPRO_TRACE", "") not in ("", "0")
-)
-
-
-def get_collector() -> TraceCollector:
-    """The process-wide collector every tier records into."""
-    return _collector
-
-
-def set_collector(collector: TraceCollector) -> TraceCollector:
-    """Install ``collector`` as the process-wide sink; returns it."""
-    global _collector
-    _collector = collector
-    return collector

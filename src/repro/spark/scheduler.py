@@ -38,8 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.obs.metrics import get_registry
-from repro.obs.trace import get_collector
+from repro.obs import Telemetry
 from repro.swift.exceptions import TooManyRequests
 from repro.spark.batch import DEFAULT_BATCH_ROWS, RecordBatch
 from repro.spark.rdd import ParallelCollectionRDD, RDD
@@ -68,7 +67,8 @@ class StageInfo:
 
 
 class SparkContext:
-    """Driver-side state: workers, scheduler, metrics."""
+    """Driver-side state: workers, scheduler, metrics.  The scheduler
+    and all built on it count into ``telemetry`` (private if not given)."""
 
     #: Batches a concurrently running task may compute ahead of the
     #: ordered merge before its producer blocks (bounds memory to
@@ -82,6 +82,7 @@ class SparkContext:
         max_task_attempts: int = 3,
         blacklist_after: int = 2,
         parallelism: int = 1,
+        telemetry: Optional[Telemetry] = None,
     ):
         if num_workers < 1:
             raise ValueError("need at least one worker")
@@ -90,6 +91,7 @@ class SparkContext:
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1: {parallelism}")
         self.app_name = app_name
+        self.registry, self.tracer = telemetry or Telemetry.standalone()
         self.workers = [f"worker{i}" for i in range(num_workers)]
         # Bounded retry: a task is re-run on a different worker up to
         # ``max_task_attempts`` times; workers accumulating
@@ -330,12 +332,12 @@ class SparkContext:
     def _log_task(self, metrics: TaskMetrics) -> None:
         with self._log_lock:
             self.task_log.append(metrics)
-        registry = get_registry()
+        registry = self.registry
         registry.inc("scheduler.tasks", status=metrics.status)
         registry.observe("scheduler.task_seconds", metrics.duration_seconds)
         if metrics.rows >= 0:
             registry.inc("scheduler.rows", metrics.rows)
-        get_collector().record_complete(
+        self.tracer.record_complete(
             "scheduler",
             f"task:{metrics.rdd_name}",
             metrics.duration_seconds,

@@ -16,7 +16,6 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.agg_pushdown import plan_aggregation_pushdown
-from repro.obs.metrics import get_registry
 from repro.sql.catalyst import (
     LogicalPlan,
     Optimizer,
@@ -143,7 +142,7 @@ class SparkSession:
         base_schema = relation.schema()
         spec = extract_pushdown(query, base_schema, relation)
         self.last_pushdown = spec
-        registry = get_registry()
+        registry = self.context.registry
         for disposition, count in (
             ("handled", len(spec.handled)),
             ("unhandled", len(spec.unhandled)),
@@ -160,7 +159,11 @@ class SparkSession:
             # store's partial states (and spilled rows, all columns).
             registry.inc("sql.queries", path="agg_pushdown")
             return execute_plan(
-                plan, lambda: self.context.iter_rows(partials), base_schema, partials=True
+                plan,
+                lambda: self.context.iter_rows(partials),
+                base_schema,
+                partials=True,
+                registry=registry,
             )
         rdd = self._plan_scan(relation, spec)
         # The scan streams: the executor pulls batches through the
@@ -172,7 +175,9 @@ class SparkSession:
         # transposed), and the executor runs compile-once kernels over
         # them.
         registry.inc("sql.queries", path="batch")
-        return execute_plan(plan, lambda: self.context.iter_batches(rdd), scan_schema)
+        return execute_plan(
+            plan, lambda: self.context.iter_batches(rdd), scan_schema, registry=registry
+        )
 
     def _aggregation_scan(
         self, relation: BaseRelation, plan: LogicalPlan, spec: PushdownSpec

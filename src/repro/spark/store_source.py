@@ -23,7 +23,6 @@ from repro.columnar.batch import ColumnBatch, skip_rows
 from repro.connector.stocator import PushdownError, StocatorConnector
 from repro.core.delegator import AnalyticsDelegator
 from repro.core.pushdown import PushdownTask
-from repro.obs.trace import get_collector
 from repro.spark.batch import DEFAULT_BATCH_ROWS, batched, rows_from_batches
 from repro.spark.datasources import PrunedFilteredScan
 from repro.spark.rdd import RDD
@@ -64,7 +63,7 @@ def degrading(
             raise
         degrade_reason = error.reason
     connector.metrics.record_fallback()
-    get_collector().record_event(
+    connector.tracer.record_event(
         "connector",
         event,
         split_index=split_index,
@@ -208,7 +207,7 @@ class StoreRelation(PrunedFilteredScan):
         self.tenant = tenant
         # Takes every scan's pushdown decision: the controller
         # (Section VII) may veto it, the placement engine picks its tier.
-        self.delegator = AnalyticsDelegator(controller, placement)
+        self.delegator = AnalyticsDelegator(controller, placement, context.registry)
 
     def schema(self) -> Schema:
         return self._schema

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.columnar.batch import ColumnBatch, as_column_batch
+from repro.obs.metrics import MetricsRegistry
 from repro.sql.catalyst import (
     AggregateNode,
     DistinctNode,
@@ -103,6 +104,7 @@ def execute_plan(
     batch_source: BatchSource,
     scan_schema: Schema,
     partials: bool = False,
+    registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[Schema, List[Row]]:
     """Run ``plan`` over the batches ``batch_source()`` yields
     (``ColumnBatch``es of ``scan_schema``, or row sequences, which are
@@ -111,8 +113,10 @@ def execute_plan(
 
     With ``partials`` the source yields a GROUP-BY pushdown scan's
     tagged records instead (spilled rows are rows of ``scan_schema``),
-    and the plan's Aggregate, directly above its scan, merges them."""
-    compiled = _compile(plan, batch_source, scan_schema, partials)
+    and the plan's Aggregate, directly above its scan, merges them.
+    Expressions the kernel compiler refuses are counted in ``registry``
+    (``sql.kernel_refusals``)."""
+    compiled = _compile(plan, batch_source, scan_schema, partials, registry)
     rows = list(compiled.rows())
     if compiled.hidden:
         rows = [row[: -compiled.hidden] for row in rows]
@@ -152,7 +156,8 @@ def _linearize(plan: LogicalPlan) -> List[LogicalPlan]:
 
 
 def _compile(
-    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema, partials: bool
+    plan: LogicalPlan, batch_source: BatchSource, scan_schema: Schema, partials: bool,
+    registry: Optional[MetricsRegistry],
 ) -> Compiled:
     """Kernels for Scan -> [Filter] -> (Project | Aggregate), the row
     operators for what sits above."""
@@ -163,7 +168,7 @@ def _compile(
         )
     selection = None
     if rest and isinstance(rest[0], FilterNode):
-        selection = compile_predicate(rest.pop(0).condition, scan_schema)
+        selection = compile_predicate(rest.pop(0).condition, scan_schema, registry)
 
     def filtered_batches() -> Iterator[ColumnBatch]:
         for batch in batch_source():
@@ -179,10 +184,10 @@ def _compile(
 
     node = rest.pop(0) if rest else None
     if isinstance(node, ProjectNode):
-        compiled = _compile_project(node, filtered_batches, scan_schema)
+        compiled = _compile_project(node, filtered_batches, scan_schema, registry)
     elif isinstance(node, AggregateNode):
         source = batch_source if partials else filtered_batches
-        compiled = _compile_aggregate(node, source, scan_schema, partials)
+        compiled = _compile_aggregate(node, source, scan_schema, partials, registry)
     else:
         raise SqlAnalysisError(
             f"expected a projection or an aggregate above the scan, got "
@@ -201,7 +206,8 @@ def _compile(
 
 
 def _compile_project(
-    node: ProjectNode, batches: Callable[[], Iterator[ColumnBatch]], scan_schema: Schema
+    node: ProjectNode, batches: Callable[[], Iterator[ColumnBatch]], scan_schema: Schema,
+    registry: Optional[MetricsRegistry],
 ) -> Compiled:
     schema = Schema(
         [
@@ -209,7 +215,8 @@ def _compile_project(
             for item in node.items
         ]
     )
-    project = compile_projection([item.expression for item in node.items], scan_schema)
+    expressions = [item.expression for item in node.items]
+    project = compile_projection(expressions, scan_schema, registry)
 
     def rows() -> Iterator[Row]:
         for batch in batches():
@@ -333,7 +340,8 @@ def _finalize_groups(spec: _AggregateSpec, groups: dict) -> Iterator[Row]:
 
 
 def _compile_aggregate(
-    node: AggregateNode, source: Callable[[], Iterable], scan_schema: Schema, partials: bool
+    node: AggregateNode, source: Callable[[], Iterable], scan_schema: Schema, partials: bool,
+    registry: Optional[MetricsRegistry],
 ) -> Compiled:
     """Key and input vectors via kernels, then one
     :meth:`~repro.sql.grouping.GroupTable.add_batch` per batch (rows
@@ -341,15 +349,13 @@ def _compile_aggregate(
     ``partials`` the source is a GROUP-BY pushdown scan's records
     (:meth:`~repro.sql.grouping.GroupTable.add_records`): states merge
     into the accumulators, spilled rows take the same kernels."""
-    key_kernels = [
-        compile_expression(expression, scan_schema) for expression in node.group_by
-    ]
+    key_kernels = [compile_expression(key, scan_schema, registry) for key in node.group_by]
     spec = _analyze_aggregate(node, scan_schema)
     # COUNT(*) has no input vector: the group table counts rows.
     input_kernels = [
         None
         if isinstance(aggregate.arg, Star)
-        else compile_expression(aggregate.arg, scan_schema)
+        else compile_expression(aggregate.arg, scan_schema, registry)
         for aggregate in spec.aggregates
     ]
 

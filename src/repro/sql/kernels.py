@@ -52,7 +52,7 @@ import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.batch import DictColumn, PackedColumn, compress_columns, take_column
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.sql.catalyst import split_conjuncts
 from repro.sql.errors import SqlAnalysisError
 from repro.sql.expressions import (
@@ -335,17 +335,20 @@ def _arith_vec(op: str, lk: VectorKernel, rk: VectorKernel) -> Optional[VectorKe
 # ---------------------------------------------------------------------------
 
 
-def _proven(expr: Expression, schema: Schema) -> bool:
-    """:func:`proves_total`, a refusal counted in ``sql.kernel_refusals``
-    under its reason code and the SQL of the refused sub-expression."""
+def _proven(
+    expr: Expression, schema: Schema, registry: Optional[MetricsRegistry]
+) -> bool:
+    """:func:`proves_total`, a refusal counted in ``registry`` (if any)
+    as ``sql.kernel_refusals{reason=,expression=}``."""
     try:
         _static_kind(expr, schema)
     except KernelRefusal as refusal:
-        get_registry().inc(
-            "sql.kernel_refusals",
-            reason=refusal.reason,
-            expression=refusal.expression.to_sql(),
-        )
+        if registry is not None:
+            registry.inc(
+                "sql.kernel_refusals",
+                reason=refusal.reason,
+                expression=refusal.expression.to_sql(),
+            )
         return False
     return True
 
@@ -366,7 +369,9 @@ def _interpreted(expr: Expression, schema: Schema) -> VectorKernel:
     return kernel
 
 
-def compile_expression(expr: Expression, schema: Schema) -> VectorKernel:
+def compile_expression(
+    expr: Expression, schema: Schema, registry: Optional[MetricsRegistry] = None
+) -> VectorKernel:
     """Lower one expression into a batch kernel.
 
     The kernel is fused when :func:`_static_kind` proves the expression
@@ -374,7 +379,7 @@ def compile_expression(expr: Expression, schema: Schema) -> VectorKernel:
     evaluating ``expr.bind(schema)`` row by row; otherwise it *is* that
     evaluation (:func:`_interpreted`), and the refusal is counted.
     """
-    if _proven(expr, schema):
+    if _proven(expr, schema, registry):
         return _compile(expr, schema)
     return _interpreted(expr, schema)
 
@@ -575,7 +580,9 @@ def _compile_case(expr: CaseWhen, schema: Schema) -> VectorKernel:
     return kernel
 
 
-def compile_predicate(expr: Expression, schema: Schema) -> SelectionKernel:
+def compile_predicate(
+    expr: Expression, schema: Schema, registry: Optional[MetricsRegistry] = None
+) -> SelectionKernel:
     """Lower a WHERE condition into a selection-vector kernel.
 
     The kernel returns the indices of rows whose condition evaluates to
@@ -594,7 +601,7 @@ def compile_predicate(expr: Expression, schema: Schema) -> SelectionKernel:
     """
     conjuncts = split_conjuncts(expr)
     # A list, not a generator: every refused conjunct is counted.
-    if not all([_proven(conjunct, schema) for conjunct in conjuncts]):
+    if not all([_proven(conjunct, schema, registry) for conjunct in conjuncts]):
         whole = _interpreted(expr, schema)
         return lambda cols, n: _passing(whole(cols, n), n, exact=True)
     kernels = [_compile(conjunct, schema) for conjunct in conjuncts]
@@ -638,13 +645,15 @@ def _passing(values: Sequence[Any], n: int, exact: bool = False) -> List[int]:
 
 
 def compile_projection(
-    expressions: Sequence[Expression], schema: Schema
+    expressions: Sequence[Expression],
+    schema: Schema,
+    registry: Optional[MetricsRegistry] = None,
 ) -> Callable[[Columns, int], List[Sequence[Any]]]:
     """Lower a projection list into a kernel producing output vectors.
 
     Column references pass their input vector through by reference.
     """
-    kernels = [compile_expression(item, schema) for item in expressions]
+    kernels = [compile_expression(item, schema, registry) for item in expressions]
     return lambda cols, n: [kernel(cols, n) for kernel in kernels]
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.obs.metrics import get_registry
-
 
 class StorletException(Exception):
     """Raised by storlets on unrecoverable invocation errors."""
@@ -100,18 +98,13 @@ class StorletInputStream:
 
 
 def publish_counts(
-    metadata: Dict[str, str],
-    tallies: Iterable[Tuple[str, str, str, Mapping[str, int]]],
+    metadata: Dict[str, str], tallies: Mapping[str, Mapping[str, int]]
 ) -> None:
-    """Publish an invocation's tallies twice: each ``(series, header,
-    label, counts)`` entry as ``x-object-meta-storlet-<header>-<key>``
-    response metadata and as ``storlets.<series>{<label>=<key>}`` in the
-    metrics registry."""
-    registry = get_registry()
-    for series, header, label, counts in tallies:
+    """Publish an invocation's tallies as response metadata: each count
+    of ``tallies[header]`` as ``x-object-meta-storlet-<header>-<key>``."""
+    for header, counts in tallies.items():
         for key, count in sorted(counts.items()):
             metadata[f"x-object-meta-storlet-{header}-{key}"] = str(count)
-            registry.inc(f"storlets.{series}", count, **{label: key})
 
 
 class IStorlet:
@@ -125,10 +118,18 @@ class IStorlet:
     from the request's ``X-Storlet-Parameter-*`` headers.  Metadata the
     storlet wants to emit goes into the mutable ``metadata`` dict; it
     must be complete by the time the generator is exhausted.
+
+    A storlet counts nothing itself: the sandbox folds the tallies it
+    declares in :attr:`tallies` from its metadata once the stream drains.
     """
 
     #: Stable name used for deployment/invocation headers.
     name = "storlet"
+    #: ``(series, header, label)`` per published tally family: the
+    #: ``x-object-meta-storlet-<header>-<key>`` counts are folded into
+    #: ``storlets.<series>{<label>=<key>}`` (``label`` None: the one
+    #: ``x-object-meta-storlet-<header>`` count, unlabelled).
+    tallies: Tuple[Tuple[str, str, Optional[str]], ...] = ()
 
     def process(
         self,

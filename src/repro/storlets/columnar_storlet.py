@@ -42,7 +42,6 @@ from repro.columnar.layout import (
 )
 from repro.csvscan import CsvScan
 from repro.sql.filters import filters_from_json
-from repro.obs.metrics import get_registry
 from repro.sql.kernels import FilterMask
 from repro.sql.types import Schema
 from repro.storlets.api import (
@@ -129,6 +128,14 @@ class ColumnarStorlet(IStorlet):
     """
 
     name = "columnarstorlet"
+    tallies = (
+        ("segments_decoded", "segments", "encoding"),
+        ("filter_evaluations", "filter-evals", "domain"),
+        ("gathers", "gathers", "kind"),
+        ("columns_shipped", "columns", "how"),
+        ("dictionary_entries_shipped", "dict-entries", None),
+        ("dictionary_resets", "dict-resets", None),
+    )
 
     def process(
         self,
@@ -216,20 +223,15 @@ class ColumnarStorlet(IStorlet):
                 "x-object-meta-storlet-dict-resets": str(encoder.resets),
             }
         )
-        # Which path each column took and what the stream dictionaries
-        # cost: the same counts in the response metadata and the metrics
-        # registry.
-        registry = get_registry()
-        registry.inc("storlets.dictionary_entries_shipped", encoder.entries_shipped)
-        registry.inc("storlets.dictionary_resets", encoder.resets)
+        # Which path each column took.
         publish_counts(
             metadata,
-            (
-                ("segments_decoded", "segments", "encoding", decoded),
-                ("filter_evaluations", "filter-evals", "domain", evaluations),
-                ("gathers", "gathers", "kind", gathers),
-                ("columns_shipped", "columns", "how", shipped),
-            ),
+            {
+                "segments": decoded,
+                "filter-evals": evaluations,
+                "gathers": gathers,
+                "columns": shipped,
+            },
         )
         logger.emit(
             f"columnarstorlet: {rows_in} rows in, {rows_out} rows out"

@@ -55,6 +55,10 @@ class CsvStorlet(IStorlet):
     """
 
     name = "csvstorlet"
+    tallies = (
+        ("filter_evaluations", "filter-evals", "domain"),
+        ("csv_columns", "columns", "how"),
+    )
 
     OUTPUT_CHUNK = BLOCK_BYTES
 
@@ -135,10 +139,7 @@ class CsvStorlet(IStorlet):
         # whose proof failed shows here.
         publish_counts(
             metadata,
-            (
-                ("filter_evaluations", "filter-evals", "domain", scan.evaluations),
-                ("csv_columns", "columns", "how", scan.column_checks),
-            ),
+            {"filter-evals": scan.evaluations, "columns": scan.column_checks},
         )
         logger.emit(
             f"csvstorlet: {scan.records_in} rows in, {rows_out} rows out, "

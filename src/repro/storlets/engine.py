@@ -21,6 +21,7 @@ from repro.storlets.api import (
     StorletFailure,
     StorletInputStream,
 )
+from repro.obs import Telemetry
 from repro.obs.trace import TRACE_HEADER
 from repro.qos.budget import budgeted_chunks
 from repro.storlets.sandbox import CostModel, Sandbox
@@ -84,7 +85,8 @@ class StorletPolicy:
 
 
 class StorletEngine:
-    """Registry + sandboxes + policies."""
+    """Deployed storlets + sandboxes + policies.  Every sandbox counts
+    into ``telemetry`` (private if not given)."""
 
     STORLET_CONTAINER = "storlet"
 
@@ -94,8 +96,10 @@ class StorletEngine:
         max_output_bytes: Optional[int] = None,
         max_cpu_seconds: Optional[float] = None,
         max_wall_seconds: Optional[float] = None,
+        telemetry: Optional[Telemetry] = None,
     ):
-        self._registry: Dict[str, IStorlet] = {}
+        self.telemetry = telemetry or Telemetry.standalone()
+        self._deployed: Dict[str, IStorlet] = {}
         self._sandboxes: Dict[str, Sandbox] = {}
         self._policies: Dict[Tuple[str, str], List[StorletPolicy]] = {}
         self._cost_model = cost_model or CostModel()
@@ -115,7 +119,7 @@ class StorletEngine:
     def deploy(self, storlet: IStorlet, client=None) -> None:
         """Register a storlet; if a Swift client is given, also store its
         descriptor as a regular object (the Storlets deployment model)."""
-        self._registry[storlet.name] = storlet
+        self._deployed[storlet.name] = storlet
         if client is not None:
             client.put_container(self.STORLET_CONTAINER)
             client.put_object(
@@ -126,16 +130,16 @@ class StorletEngine:
             )
 
     def undeploy(self, name: str) -> None:
-        self._registry.pop(name, None)
+        self._deployed.pop(name, None)
 
     def get(self, name: str) -> IStorlet:
-        storlet = self._registry.get(name)
+        storlet = self._deployed.get(name)
         if storlet is None:
             raise StorletException(f"storlet not deployed: {name!r}")
         return storlet
 
     def deployed(self) -> List[str]:
-        return sorted(self._registry)
+        return sorted(self._deployed)
 
     # -- sandboxes ------------------------------------------------------------
 
@@ -149,6 +153,7 @@ class StorletEngine:
                     max_output_bytes=self._max_output_bytes,
                     max_cpu_seconds=self._max_cpu_seconds,
                     max_wall_seconds=self._max_wall_seconds,
+                    telemetry=self.telemetry,
                 )
                 self._sandboxes[node] = sandbox
         # Re-applied on every lookup so a hook installed after sandboxes

@@ -15,14 +15,13 @@ resource-usage experiments (Fig. 9/10) can charge them to nodes:
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, Optional
 
-from repro.obs.metrics import LOG_LENGTH, get_registry
-from repro.obs.trace import get_collector
+from repro.obs import Telemetry
+from repro.obs.metrics import LOG_LENGTH, Counted, CounterView
 from repro.storlets.api import (
     IStorlet,
     StorletException,
@@ -76,16 +75,22 @@ class InvocationRecord:
     parameters: Dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
-class SandboxStats:
-    """Aggregated accounting for one node's sandbox."""
+class SandboxStats(CounterView):
+    """Aggregated accounting for one node's sandbox, a view of the
+    ``sandbox.*{node=}`` series of its registry."""
 
-    invocations: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
-    cpu_seconds: float = 0.0
-    memory_bytes: int = 0
-    errors: int = 0
+    prefix = "sandbox"
+    #: Invocations whose stream drained.
+    invocations = Counted()
+    bytes_in = Counted()
+    bytes_out = Counted()
+    cpu_seconds = Counted(cast=float)
+    errors = Counted()
+
+    @property
+    def memory_bytes(self) -> int:
+        """The warm container's footprint (0 until first invoked)."""
+        return int(self._registry.gauge_value("sandbox.memory_bytes", **self._labels) or 0)
 
     def discard_ratio(self) -> float:
         if self.bytes_in == 0:
@@ -97,11 +102,15 @@ class Sandbox:
     """Executes storlet invocations for one node, with accounting.
 
     CPU is *charged*, not measured: each chunk in and out costs what
-    :class:`CostModel` says per byte, and that charge is what
-    ``stats.cpu_seconds``, the ``sandbox.cpu_seconds`` counter, the
+    :class:`CostModel` says per byte, and that charge is what the
+    ``sandbox.cpu_seconds`` counter (``stats.cpu_seconds``), the
     storlet span's ``cpu_seconds``, ``storlet_cpu_seconds`` in
     ``explain_profile()`` and ``max_cpu_seconds`` see -- so a faster
     storlet is charged the same.
+
+    The sandbox counts into ``telemetry`` (private if not given): bytes
+    and CPU per chunk as they flow, an invocation and the tallies its
+    storlet published (:attr:`IStorlet.tallies`) once it drains.
 
     ``memory_overhead`` models the resident Docker container footprint
     (paper: 4-6% of a 256 GB node, we default to a plain byte count the
@@ -116,8 +125,10 @@ class Sandbox:
         max_output_bytes: Optional[int] = None,
         max_cpu_seconds: Optional[float] = None,
         max_wall_seconds: Optional[float] = None,
+        telemetry: Optional[Telemetry] = None,
     ):
         self.node = node
+        self.registry, self.tracer = telemetry or Telemetry.standalone()
         self.cost_model = cost_model or CostModel()
         self.memory_overhead = memory_overhead
         # Optional per-invocation resource limits (a real sandbox caps
@@ -131,14 +142,23 @@ class Sandbox:
         # (set by the chaos framework via the engine); may raise
         # StorletFailure to emulate sandbox crashes / budget exhaustion.
         self.fault_hook = None
-        self.stats = SandboxStats()
+        self.stats = SandboxStats(self.registry, node=node)
         #: The latest :data:`LOG_LENGTH` invocations.
         self.records: Deque[InvocationRecord] = deque(maxlen=LOG_LENGTH)
-        self._warm = False
-        # Guards stats / records / warm-up under concurrent invocations.
-        # A leaf lock: held only for counter arithmetic, never across a
-        # storlet's own code or any I/O (docs/concurrency.md).
-        self._lock = threading.Lock()
+
+    def _count(self, name: str, amount: float = 1) -> None:
+        self.registry.inc(f"sandbox.{name}", amount, node=self.node)
+
+    def _fold_tallies(self, storlet: IStorlet, metadata: Dict[str, str]) -> None:
+        """Count the tallies ``storlet`` published into ``metadata``."""
+        for series, header, label in storlet.tallies:
+            prefix = f"x-object-meta-storlet-{header}"
+            for key, value in metadata.items():
+                if label is None and key == prefix:
+                    self.registry.inc(f"storlets.{series}", int(value))
+                elif label is not None and key.startswith(prefix + "-"):
+                    labels = {label: key[len(prefix) + 1 :]}
+                    self.registry.inc(f"storlets.{series}", int(value), **labels)
 
     def run_streaming(
         self,
@@ -153,22 +173,22 @@ class Sandbox:
 
         Returns a :class:`StreamingInvocation` whose :meth:`chunks`
         iterator pulls input through the storlet on demand.  ``bytes_in``
-        / ``bytes_out`` / CPU seconds are charged to :attr:`stats` per
-        chunk *as the stream flows*, and the output/CPU limits are
-        enforced mid-stream, so accounting stays honest for objects that
-        are never materialized.  The invocation counts as completed (and
-        its :class:`InvocationRecord` is appended) only once the stream
-        is fully drained; failures surface as exceptions from the chunk
-        iterator.
+        / ``bytes_out`` / CPU seconds are counted per chunk *as the
+        stream flows*, and the output/CPU limits are enforced mid-stream,
+        so accounting stays honest for objects that are never
+        materialized.  The invocation counts as completed (with its
+        storlet's tallies, and its :class:`InvocationRecord` appended)
+        only once the stream is fully drained; failures surface as
+        exceptions from the chunk iterator.
 
         The first invocation "warms" the sandbox (container start),
         charging the memory overhead permanently -- matching the
         near-constant 4-6% memory the paper measured on storage nodes.
         """
-        with self._lock:
-            if not self._warm:
-                self._warm = True
-                self.stats.memory_bytes += self.memory_overhead
+        # Idempotent, so racing first invocations need no lock.
+        self.registry.set_gauge(
+            "sandbox.memory_bytes", self.memory_overhead, node=self.node
+        )
 
         # Fault injection fires at invocation start, before any data
         # flows -- so a failed pushdown never streams partial output.
@@ -178,9 +198,7 @@ class Sandbox:
             try:
                 self.fault_hook(storlet.name, self.node, tier, scope)
             except StorletException:
-                with self._lock:
-                    self.stats.errors += 1
-                get_registry().inc("sandbox.errors", node=self.node)
+                self._count("errors")
                 raise
 
         logger = StorletLogger(storlet.name)
@@ -194,8 +212,7 @@ class Sandbox:
                 bytes_in, bytes_out, filtered, projected
             )
             invocation.cpu_seconds += cost
-            with self._lock:
-                self.stats.cpu_seconds += cost
+            self._count("cpu_seconds", cost)
             if (
                 self.max_cpu_seconds is not None
                 and invocation.cpu_seconds > self.max_cpu_seconds
@@ -212,8 +229,7 @@ class Sandbox:
         def metered_input():
             for chunk in in_stream.iter_chunks():
                 invocation.bytes_read += len(chunk)
-                with self._lock:
-                    self.stats.bytes_in += len(chunk)
+                self._count("bytes_in", len(chunk))
                 charge(len(chunk), 0)
                 yield chunk
 
@@ -222,7 +238,7 @@ class Sandbox:
             # start and finish both happen on the *consumer's* thread and
             # the collector's per-thread parenting stack stays sound even
             # when the stream is drained far from where it was built.
-            tracer = get_collector()
+            tracer = self.tracer
             span = tracer.start(
                 "storlet",
                 storlet.name,
@@ -251,8 +267,7 @@ class Sandbox:
                         if not chunk:
                             continue
                         invocation.bytes_written += len(chunk)
-                        with self._lock:
-                            self.stats.bytes_out += len(chunk)
+                        self._count("bytes_out", len(chunk))
                         if (
                             self.max_output_bytes is not None
                             and invocation.bytes_written
@@ -270,28 +285,23 @@ class Sandbox:
                         charge(0, len(chunk))
                         yield chunk
                 except StorletException:
-                    with self._lock:
-                        self.stats.errors += 1
-                    get_registry().inc("sandbox.errors", node=self.node)
+                    self._count("errors")
                     raise
                 except Exception as error:
-                    with self._lock:
-                        self.stats.errors += 1
-                    get_registry().inc("sandbox.errors", node=self.node)
+                    self._count("errors")
                     raise StorletFailure(
                         f"{storlet.name} failed: {error}",
                         storlet=storlet.name,
                         node=self.node,
                         reason="crash",
                     ) from error
+                self._fold_tallies(storlet, invocation.metadata)
                 wall = time.perf_counter() - started
                 if (
                     self.max_wall_seconds is not None
                     and wall > self.max_wall_seconds
                 ):
-                    with self._lock:
-                        self.stats.errors += 1
-                    get_registry().inc("sandbox.errors", node=self.node)
+                    self._count("errors")
                     raise StorletFailure(
                         f"{storlet.name} missed the invocation deadline: "
                         f"{wall:.4f} > {self.max_wall_seconds} seconds",
@@ -299,35 +309,19 @@ class Sandbox:
                         node=self.node,
                         reason="deadline",
                     )
-                with self._lock:
-                    self.stats.invocations += 1
-                    self.records.append(
-                        InvocationRecord(
-                            storlet=storlet.name,
-                            node=self.node,
-                            tier=tier,
-                            bytes_in=invocation.bytes_read,
-                            bytes_out=invocation.bytes_written,
-                            cpu_seconds=invocation.cpu_seconds,
-                            wall_seconds=wall,
-                            parameters=dict(parameters),
-                        )
+                self.records.append(
+                    InvocationRecord(
+                        storlet=storlet.name,
+                        node=self.node,
+                        tier=tier,
+                        bytes_in=invocation.bytes_read,
+                        bytes_out=invocation.bytes_written,
+                        cpu_seconds=invocation.cpu_seconds,
+                        wall_seconds=wall,
+                        parameters=dict(parameters),
                     )
-                registry = get_registry()
-                registry.inc("sandbox.invocations", node=self.node)
-                registry.inc(
-                    "sandbox.bytes_in", invocation.bytes_read, node=self.node
                 )
-                registry.inc(
-                    "sandbox.bytes_out",
-                    invocation.bytes_written,
-                    node=self.node,
-                )
-                registry.inc(
-                    "sandbox.cpu_seconds",
-                    invocation.cpu_seconds,
-                    node=self.node,
-                )
+                self._count("invocations")
             except GeneratorExit:
                 # The consumer abandoned the stream (e.g. a satisfied
                 # LIMIT) -- not a failure.

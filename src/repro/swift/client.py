@@ -5,8 +5,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.metrics import get_registry
-from repro.obs.trace import TRACE_HEADER, get_collector
+from repro.obs.trace import TRACE_HEADER
 from repro.swift.exceptions import (
     AuthError,
     BadRequest,
@@ -94,6 +93,8 @@ class SwiftClient:
     per-request deadline travels with the request as
     ``X-Request-Timeout``.  ``sleeper`` (e.g. ``time.sleep``) makes the
     backoff real; by default it is only recorded in :attr:`stats`.
+    The client counts into and traces to its cluster's registry and
+    collector; :attr:`stats` is a view of the first.
 
     The client is thread-safe: concurrent tasks share one instance.
     ``max_connections`` models a bounded HTTP connection pool -- at most
@@ -119,9 +120,8 @@ class SwiftClient:
         self.tenant = tenant
         self.retry_policy = retry_policy or RetryPolicy()
         self._sleeper = sleeper
-        self.stats = ClientStats()
-        # Leaf lock guarding stats arithmetic (docs/concurrency.md).
-        self._stats_lock = threading.Lock()
+        self.registry, self.tracer = cluster.registry, cluster.tracer
+        self.stats = ClientStats(self.registry)
         self._pool = (
             threading.Semaphore(max_connections)
             if max_connections is not None
@@ -183,18 +183,17 @@ class SwiftClient:
         return merged, body
 
     def _start_span(self, method: str, path: str, merged: HeaderDict):
-        return get_collector().start(
+        return self.tracer.start(
             "client",
             f"{method} {path}",
             trace_id=merged.get(TRACE_HEADER, ""),
         )
 
-    @staticmethod
     def _finish_span(
-        span, attempts: int, response: Optional[Response]
+        self, span, attempts: int, response: Optional[Response]
     ) -> None:
         status = response.status if response is not None else 0
-        get_collector().finish(
+        self.tracer.finish(
             span,
             status="ok" if 0 < status < 400 else "error",
             attempts=attempts,
@@ -211,16 +210,11 @@ class SwiftClient:
         before the next attempt -- the abandoned response is closed and
         the retry counted here.
         """
-        policy = self.retry_policy
-        registry = get_registry()
-        with self._stats_lock:
-            self.stats.requests += 1
+        policy, registry = self.retry_policy, self.registry
         registry.inc("client.requests", method=method)
         if not policy.retryable(response.status):
             return None
         if attempt + 1 >= policy.max_attempts:
-            with self._stats_lock:
-                self.stats.exhausted += 1
             registry.inc("client.exhausted")
             return None
         # A retryable response is about to be abandoned; if it carried
@@ -232,12 +226,7 @@ class SwiftClient:
         # backoff, clamped to the cap.
         pacing = policy.server_pacing(response.headers.get("retry-after"))
         delay = pacing if pacing is not None else policy.delay(attempt)
-        with self._stats_lock:
-            self.stats.retries += 1
-            self.stats.backoff_seconds += delay
-            self.stats.delays.append(delay)
-            if pacing is not None:
-                self.stats.retry_after_honored += 1
+        self.stats.delays.append(delay)
         if pacing is not None:
             registry.inc("client.retry_after_honored")
         registry.inc("client.retries")
@@ -245,9 +234,7 @@ class SwiftClient:
         return delay
 
     def _count_pool_wait(self) -> None:
-        with self._stats_lock:
-            self.stats.pool_waits += 1
-        get_registry().inc("client.pool_waits")
+        self.registry.inc("client.pool_waits")
 
     def _dispatch(self, request: Request) -> Response:
         """Send one attempt through the bounded connection pool.
@@ -359,7 +346,7 @@ class SwiftClient:
         # ids for the GET path), so give each PUT its own trace id; the
         # proxy, ETL storlet sandbox and object tiers all read it from
         # the header and attach their spans to the same request.
-        tracer = get_collector()
+        tracer = self.tracer
         if tracer.enabled and not merged.get(TRACE_HEADER):
             merged[TRACE_HEADER] = tracer.new_trace_id()
         if isinstance(data, str):

@@ -15,10 +15,12 @@ import itertools
 import threading
 import time
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.obs.metrics import get_registry
-from repro.obs.trace import TRACE_HEADER, get_collector
+from repro.obs import Telemetry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TRACE_HEADER
 from repro.qos.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -298,13 +300,44 @@ class ProxyServer:
         return self.pipeline(request)
 
 
+class ClusterCounters(Mapping):
+    """How often the data path worked around a fault or queued, by name:
+    a view of the registry's ``cluster.<name>`` counters
+    (``proxy_peak_inflight``: the high-water gauge of one proxy's
+    requests in flight).  The admission and QoS counts are timing- or
+    clock-dependent: never in ``resilience_summary()``."""
+
+    NAMES = (
+        "requests", "get_failovers", "put_degraded", "proxy_queue_waits",
+        "proxy_peak_inflight", "shed_quota", "shed_queue",
+        "breaker_rejections", "brownout_demotions",
+    )
+
+    def __init__(self, registry: MetricsRegistry):
+        self._registry = registry
+
+    def __getitem__(self, name: str) -> int:
+        if name not in self.NAMES:
+            raise KeyError(name)
+        if name == "proxy_peak_inflight":
+            return int(self._registry.gauge_value(f"cluster.{name}") or 0)
+        return int(self._registry.counter_value(f"cluster.{name}"))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.NAMES)
+
+    def __len__(self) -> int:
+        return len(self.NAMES)
+
+
 class SwiftCluster:
     """The assembled object store.
 
     Parameters mirror the paper's testbed defaults at miniature scale:
     ``storage_node_count`` machines with ``disks_per_node`` ring devices
     each, 3-replica object ring, ``proxy_count`` proxies behind a
-    round-robin dispatcher.
+    round-robin dispatcher.  The store counts into and traces to
+    ``telemetry`` (private when not given); its clients too.
     """
 
     def __init__(
@@ -320,6 +353,7 @@ class SwiftCluster:
         proxy_concurrency: Optional[int] = 8,
         qos: Optional[QosConfig] = None,
         qos_clock: Optional[Callable[[], float]] = None,
+        telemetry: Optional[Telemetry] = None,
     ):
         if storage_node_count < 1:
             raise ValueError("need at least one storage node")
@@ -349,32 +383,13 @@ class SwiftCluster:
         #: requests routed to them 503 (triggering replica failover) and
         #: the replicator neither reads from nor resurrects data on them.
         self.failed_devices: Set[int] = set()
-        #: Resilience observability: how often the data path had to work
-        #: around a fault.
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "get_failovers": 0,
-            "put_degraded": 0,
-            # Admission-control observability: requests that found their
-            # proxy saturated and had to queue, and the highest number of
-            # requests ever in flight on one proxy.  Timing-dependent by
-            # nature -- useful for workload analysis, excluded from the
-            # determinism assertions.
-            "proxy_queue_waits": 0,
-            "proxy_peak_inflight": 0,
-            # QoS observability (docs/admission.md).  Quota sheds are
-            # clock-driven and queue sheds timing-dependent, so these
-            # live in ``qos_summary()``, never in the determinism-
-            # asserted ``resilience_summary()``.
-            "shed_quota": 0,
-            "shed_queue": 0,
-            "breaker_rejections": 0,
-            "brownout_demotions": 0,
-        }
-        # Guards the counters dict and the proxy round-robin cursor.  A
-        # leaf lock in the system hierarchy (docs/concurrency.md): held
-        # for arithmetic only, never while handling a request.
-        self._counter_lock = threading.Lock()
+        self.registry, self.tracer = telemetry or Telemetry.standalone()
+        self.counters = ClusterCounters(self.registry)
+        # Guards the proxy round-robin cursor, in-flight counts and queue
+        # depths.  A leaf lock in the system hierarchy
+        # (docs/concurrency.md): held for arithmetic only, never while
+        # handling a request.
+        self._proxy_lock = threading.Lock()
         #: Per-proxy cap on concurrently admitted requests (None = no
         #: cap).  Models the paper's over-subscribed proxies: requests
         #: beyond the cap wait in the load balancer's queue instead of
@@ -435,10 +450,8 @@ class SwiftCluster:
         bodies stream lazily *after* release, so an abandoned stream
         (e.g. a satisfied LIMIT) can never leak a slot.
         """
-        registry = get_registry()
-        tracer = get_collector()
-        with self._counter_lock:
-            self.counters["requests"] += 1
+        registry, tracer = self.registry, self.tracer
+        with self._proxy_lock:
             index = next(self._proxy_cycle)
         registry.inc("cluster.requests")
         qos = self.qos
@@ -490,19 +503,16 @@ class SwiftCluster:
         status = "error"
         http_status = 0
         try:
-            with self._counter_lock:
+            with self._proxy_lock:
                 self._inflight[index] += 1
                 if self._inflight[index] > self.counters["proxy_peak_inflight"]:
-                    self.counters["proxy_peak_inflight"] = self._inflight[index]
-                    registry.set_gauge(
-                        "cluster.proxy_peak_inflight", self._inflight[index]
-                    )
+                    registry.set_gauge("cluster.proxy_peak_inflight", self._inflight[index])
             response = self.proxies[index].handle(request)
             http_status = response.status
             status = "ok" if response.status < 400 else "error"
             return response
         finally:
-            with self._counter_lock:
+            with self._proxy_lock:
                 self._inflight[index] -= 1
             if slot is not None:
                 slot.release()
@@ -519,19 +529,17 @@ class SwiftCluster:
             self.qos.max_queue_depth if self.qos is not None else None
         )
         if depth_cap is not None:
-            with self._counter_lock:
+            with self._proxy_lock:
                 if self._queue_depth[index] >= depth_cap:
                     return False
                 self._queue_depth[index] += 1
-        with self._counter_lock:
-            self.counters["proxy_queue_waits"] += 1
-        get_registry().inc("cluster.proxy_queue_waits")
+        self.registry.inc("cluster.proxy_queue_waits")
         wait_start = time.perf_counter()
         try:
             slot.acquire()
         finally:
             if depth_cap is not None:
-                with self._counter_lock:
+                with self._proxy_lock:
                     self._queue_depth[index] -= 1
         span.attributes["admission_wait"] = time.perf_counter() - wait_start
         return True
@@ -566,10 +574,8 @@ class SwiftCluster:
         )
 
     def bump_counter(self, name: str, amount: int = 1) -> None:
-        """Atomically increment a resilience counter."""
-        with self._counter_lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
-        get_registry().inc(f"cluster.{name}", amount)
+        """Count ``amount`` more under ``counters[name]``."""
+        self.registry.inc(f"cluster.{name}", amount)
 
     def send_to_device(self, device: Device, request: Request) -> Response:
         """Route a replica request into the owning node's object pipeline.
@@ -581,7 +587,7 @@ class SwiftCluster:
         Backend-health failures are 503/504 and 5xx responses; a 404 is
         a healthy node answering truthfully.
         """
-        tracer = get_collector()
+        tracer = self.tracer
         span = tracer.start(
             "object",
             f"{request.method} {request.path}",
@@ -716,7 +722,7 @@ class SwiftCluster:
         if cpu_seconds < qos.brownout_cpu_watermark:
             return None
         self.bump_counter("brownout_demotions")
-        tracer = get_collector()
+        tracer = self.tracer
         span = tracer.start(
             "qos",
             f"brownout {request.path}",
@@ -744,13 +750,15 @@ class SwiftCluster:
         """QoS observability: shed/breaker/brownout counters and the
         per-tenant admission ledgers.  Timing/clock-dependent -- kept
         out of the determinism-asserted ``resilience_summary()``."""
-        with self._counter_lock:
-            summary: Dict[str, object] = {
-                "shed_quota": self.counters["shed_quota"],
-                "shed_queue": self.counters["shed_queue"],
-                "breaker_rejections": self.counters["breaker_rejections"],
-                "brownout_demotions": self.counters["brownout_demotions"],
-            }
+        summary: Dict[str, object] = {
+            name: self.counters[name]
+            for name in (
+                "shed_quota",
+                "shed_queue",
+                "breaker_rejections",
+                "brownout_demotions",
+            )
+        }
         if self._admission_controller is not None:
             summary["tenants"] = self._admission_controller.summary()
         if self._breakers is not None:

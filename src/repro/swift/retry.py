@@ -10,7 +10,7 @@ produces the same retry schedule every time, which the chaos suite
 asserts.
 
 The functional layer never sleeps for real by default: the client
-*records* the backoff it would have waited (``ClientStats``) so tests
+*counts* the backoff it would have waited (``ClientStats``) so tests
 run at full speed while the simulated timing stays observable.  Pass a
 ``sleeper`` (e.g. ``time.sleep``) to the client for wall-clock pacing.
 """
@@ -18,8 +18,11 @@ run at full speed while the simulated timing stays observable.  Pass a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, FrozenSet, List, Optional
+
+from repro.obs.metrics import LOG_LENGTH, Counted, CounterView, MetricsRegistry
 
 #: Statuses worth retrying from the client: the tenant was shed by
 #: admission control (429), the store said "not now" (503) or a replica
@@ -102,35 +105,29 @@ class RetryPolicy:
         return min(self.backoff_cap, seconds)
 
 
-@dataclass
-class ClientStats:
-    """Counters the resilience loop maintains per client."""
+class ClientStats(CounterView):
+    """The resilience loop's counters, a view of the ``client.*``
+    counters of the client's registry (clients sharing a cluster share
+    them), plus the log of backoff delays taken."""
 
-    requests: int = 0
-    retries: int = 0
+    prefix = "client"
+    requests = Counted()
+    retries = Counted()
     #: Backoff the client would have slept (virtual unless a sleeper is
     #: installed); lets tests assert the schedule without waiting it out.
-    backoff_seconds: float = 0.0
-    #: Final responses that were still a retryable error after the
-    #: attempt budget ran out.
-    exhausted: int = 0
-    #: Attempts that found the client's connection pool empty and had to
-    #: wait for a slot (timing-dependent; excluded from determinism
-    #: assertions).
-    pool_waits: int = 0
-    #: Retries whose delay came from a server ``Retry-After`` header
-    #: instead of the computed backoff schedule.
-    retry_after_honored: int = 0
-    #: Every backoff delay actually consumed, in order -- the retry
-    #: schedule as taken, for ``explain_profile()``.  Deliberately not
-    #: part of ``resilience_summary`` (fingerprints stay unchanged).
-    delays: List[float] = field(default_factory=list)
+    backoff_seconds = Counted(cast=float)
+    #: Final responses still a retryable error after the last attempt.
+    exhausted = Counted()
+    #: Attempts that found the connection pool empty and waited for a
+    #: slot (timing-dependent; excluded from determinism assertions).
+    pool_waits = Counted()
+    #: Retries paced by a server ``Retry-After`` header.
+    retry_after_honored = Counted()
 
-    def reset(self) -> None:
-        self.requests = 0
-        self.retries = 0
-        self.backoff_seconds = 0.0
-        self.exhausted = 0
-        self.pool_waits = 0
-        self.retry_after_honored = 0
-        self.delays.clear()
+    def __init__(self, registry: MetricsRegistry):
+        super().__init__(registry)
+        #: The latest :data:`LOG_LENGTH` backoff delays consumed, in
+        #: order -- the retry schedule as taken, for
+        #: ``explain_profile()``.  Deliberately not part of
+        #: ``resilience_summary`` (fingerprints stay unchanged).
+        self.delays: Deque[float] = deque(maxlen=LOG_LENGTH)

@@ -33,7 +33,7 @@ from repro.core import ScoopContext
 from repro.gridpocket import DatasetSpec, METER_SCHEMA
 from repro.gridpocket.generator import MeterDataGenerator
 from repro.gridpocket.queries import GRIDPOCKET_QUERIES
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.spark.rdd import RDD
 from repro.spark.scheduler import SparkContext
 from repro.sql.catalyst import Optimizer, build_logical_plan
@@ -232,12 +232,8 @@ def test_batch_executor_equals_the_rowwise_reference(shape, where):
     # Both references see the very cells the batches hold.
     flat = [row for batch in batches for row in batch.rows]
     assert cells(flat) == cells(rows)
-    previous = get_registry()
-    registry = set_registry(MetricsRegistry())
-    try:
-        _schema, result = execute_plan(plan(), lambda: iter(batches), SCHEMA)
-    finally:
-        set_registry(previous)
+    registry = MetricsRegistry()
+    _schema, result = execute_plan(plan(), lambda: iter(batches), SCHEMA, registry=registry)
     # Filter, keys and inputs all fused: this is the batch aggregate.
     assert not registry.counter_series("sql.kernel_refusals"), sql
     whole = [ColumnBatch.from_rows(SCHEMA, tuple(flat))]

@@ -23,7 +23,7 @@ from repro.bench import (
 )
 from repro.bench.experiments import EXPERIMENTS, experiment_names
 from repro.cli import main
-from repro.obs import get_collector, get_registry, validate_chrome_trace
+from repro.obs import validate_chrome_trace
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -132,13 +132,6 @@ class TestOrchestrator:
         assert sim_series["count"] == 6
         # Simulated durations are deterministic: p99 ~ the 50 GB run.
         assert sim_series["p99"] == pytest.approx(44.2, rel=0.01)
-
-    def test_run_restores_previous_collectors(self):
-        before_collector = get_collector()
-        before_registry = get_registry()
-        run_experiment("fig1", quick=True)
-        assert get_collector() is before_collector
-        assert get_registry() is before_registry
 
     def test_no_out_dir_touches_no_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

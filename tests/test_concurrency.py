@@ -19,6 +19,7 @@ from repro.connector.stocator import TransferMetrics
 from repro.core import ScoopContext
 from repro.faults import named_plan
 from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
+from repro.obs.metrics import MetricsRegistry
 from repro.spark.scheduler import SparkContext
 
 # 16 objects -> a 16-partition scan, the shape the acceptance criteria
@@ -119,7 +120,7 @@ class TestSchedulerParallelism:
 
 class TestSharedTierThreadSafety:
     def test_transfer_metrics_survive_a_hammering(self):
-        metrics = TransferMetrics()
+        metrics = TransferMetrics(MetricsRegistry())
 
         def work():
             for _ in range(1000):

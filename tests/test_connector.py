@@ -186,16 +186,13 @@ class TestMissingEngineFailure:
 
 class TestSkippedObjects:
     """Partition discovery must surface objects it cannot split --
-    counted, logged, and mirrored into the metrics registry -- instead
-    of silently dropping them."""
+    counted in the connector's registry and logged -- instead of
+    silently dropping them."""
 
     def test_zero_length_object_counted_and_logged(self, rig, caplog):
         import logging
 
-        from repro.obs.metrics import MetricsRegistry
-
         connector, client = rig
-        connector.metrics.registry = MetricsRegistry()
         client.put_object("c", "empty", b"")
         client.put_object("c", "data", b"x" * 10)
         with caplog.at_level(logging.WARNING, logger="repro.connector"):
@@ -203,7 +200,7 @@ class TestSkippedObjects:
         assert [s.name for s in splits] == ["data"]
         assert connector.skipped_objects == [("c", "empty", "zero-length")]
         assert (
-            connector.metrics.registry.counter_value(
+            connector.registry.counter_value(
                 "connector.objects_skipped", reason="zero-length"
             )
             == 1
@@ -211,10 +208,7 @@ class TestSkippedObjects:
         assert "empty" in caplog.text and "zero-length" in caplog.text
 
     def test_missing_content_length_counted(self, rig, monkeypatch):
-        from repro.obs.metrics import MetricsRegistry
-
         connector, client = rig
-        connector.metrics.registry = MetricsRegistry()
         client.put_object("c", "weird", b"x" * 5)
         client.put_object("c", "data", b"x" * 10)
         real_head = client.head_object
@@ -232,7 +226,7 @@ class TestSkippedObjects:
             ("c", "weird", "missing-content-length")
         ]
         assert (
-            connector.metrics.registry.counter_value(
+            connector.registry.counter_value(
                 "connector.objects_skipped", reason="missing-content-length"
             )
             == 1

@@ -21,7 +21,6 @@ from repro.core import ScoopContext
 from repro.core.delegator import LOG_LENGTH, AnalyticsDelegator
 from repro.core.policies import AdaptivePushdownController
 from repro.core.pushdown import PushdownTask
-from repro.obs.metrics import get_registry
 from repro.placement import PlacementEngine
 from repro.placement.cost import TIERS, PlacementCostModel
 from repro.spark.columnar_source import ColumnarRelation
@@ -175,7 +174,7 @@ def test_every_query_leaves_a_record_and_the_profile_counts_them():
     }
     assert counted == {
         (labels["outcome"], labels["reason"]): count
-        for labels, count in get_registry().counter_series("core.delegations")
+        for labels, count in context.registry.counter_series("core.delegations")
     }
 
 
@@ -291,7 +290,7 @@ def test_both_discoveries_walk_a_container_alike():
         connector.skipped_objects.clear()
         connector._catalog_cache.clear()
         requests = context.client.stats.requests
-        skipped = dict(_skip_counts())
+        skipped = dict(_skip_counts(context))
         splits = discover()
         return (
             len(splits),
@@ -300,7 +299,7 @@ def test_both_discoveries_walk_a_container_alike():
             sorted(connector._catalog_cache),
             {
                 reason: count - skipped.get(reason, 0)
-                for reason, count in _skip_counts()
+                for reason, count in _skip_counts(context)
             },
         )
 
@@ -318,10 +317,10 @@ def test_both_discoveries_walk_a_container_alike():
     )
 
 
-def _skip_counts():
+def _skip_counts(context):
     return [
         (labels["reason"], count)
-        for labels, count in get_registry().counter_series(
+        for labels, count in context.registry.counter_series(
             "connector.objects_skipped"
         )
     ]

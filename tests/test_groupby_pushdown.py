@@ -185,7 +185,6 @@ class TestGroupByPushdownDifferential:
         assert_identical(rows, self.oracle.run_query(sql)[0].collect())
         assert report.pushdown_requests > 0
         assert 0 < len(rows) < 7
-        # (The registry is process-wide: the oracle's query lands there too.)
         assert self.push.explain_profile()["sql"]["queries"]["agg_pushdown"] == 1
 
 

@@ -30,7 +30,6 @@ from repro.core.policies import (
 )
 from repro.faults import named_plan
 from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
-from repro.obs.metrics import get_registry
 from repro.sql.catalyst import (
     UNHANDLED_REASONS,
     FilterNode,
@@ -307,10 +306,9 @@ class TestTheClassification:
         stack.ctx.sql(
             "SELECT k FROM csv_pushdown WHERE i < 5 AND i <> 3 AND s <> 'q' AND i + 1 > 0"
         ).collect()
-        # (The registry is process-wide: the stack's last context holds it.)
         counted = {
             labels["disposition"]: count
-            for labels, count in get_registry().counter_series("sql.filters")
+            for labels, count in stack.ctx.registry.counter_series("sql.filters")
         }
         assert counted == {"handled": 1, "unhandled": 2, "residual": 1}
         text = stack.ctx.session.explain_query_object(

@@ -4,6 +4,7 @@ an injected fault plan whose per-tier byte totals reconcile exactly
 with the legacy counters (TransferMetrics / resilience_summary)."""
 
 import json
+import threading
 
 import pytest
 
@@ -11,7 +12,9 @@ from repro.core import ScoopContext
 from repro.faults import named_plan
 from repro.obs import MetricsRegistry, TraceCollector
 from repro.sql import Schema
+from repro.swift.client import SwiftClient
 from repro.swift.exceptions import NotFound
+from repro.swift.proxy import SwiftCluster
 
 
 class TestTraceCollector:
@@ -559,3 +562,157 @@ class TestTraceDisabledByDefault:
         context.run_query("SELECT k FROM t WHERE v > 1")
         assert context.tracer.snapshot() == []
         assert context.explain_profile()["tiers"] == {}
+
+
+# -- one registry and one tracer per context ----------------------------------
+
+AB_SCHEMA = Schema.of("vid", "n:int", "city")
+AB_ROWS = "".join(f"v{i},{i},{'Paris' if i % 2 else 'Lyon'}\n" for i in range(300))
+#: Full-drain queries: their request and byte counts are exact at any
+#: parallelism.
+AB_QUERIES = (
+    "SELECT vid FROM t WHERE n < 100",
+    "SELECT city, COUNT(*) FROM t GROUP BY city",
+    "SELECT * FROM t WHERE city = 'Paris'",
+)
+
+
+def _ab_context(upload=True, **kwargs):
+    options = dict(chunk_size=1024, placement="object", skipping=False)
+    options.update(kwargs)
+    context = ScoopContext(**options)
+    if upload:
+        context.upload_csv("meters", "a.csv", AB_ROWS)
+    return context
+
+
+def _register(context):
+    context.register_csv_table("t", "meters", schema=AB_SCHEMA, format="csv")
+
+
+def _snapshot(context) -> str:
+    return json.dumps(context.registry.snapshot(), sort_keys=True)
+
+
+def _counts(context):
+    """Every deterministic count a full-drain workload leaves."""
+    profile = context.explain_profile()
+    return (
+        context.connector.metrics.totals(),
+        context.client.stats.requests,
+        profile["sql"],
+        profile["delegation"],
+        {
+            node: (row["invocations"], row["bytes_in"], row["bytes_out"])
+            for node, row in context.sandbox_summary().items()
+        },
+    )
+
+
+class TestOneRegistryPerContext:
+    def test_a_query_counts_in_its_own_context_only(self):
+        """Build A, upload, build B, then register and query on A."""
+        a = _ab_context()
+        b = _ab_context(upload=False)
+        before = _snapshot(b)
+        _register(a)
+        a.run_query("SELECT vid FROM t WHERE n < 100")
+        assert _snapshot(b) == before
+        assert b.registry.counter_total("sandbox.invocations") == 0
+        profile = a.explain_profile()
+        assert profile["sql"]["queries"] == {"batch": 1}
+        assert profile["sql"]["filters"] == {"handled": 1}
+        assert [entry["reason"] for entry in profile["delegation"]] == ["placed:object"]
+        assert a.registry.counter_total("client.requests") == a.client.stats.requests
+        assert a.registry.counter_total("sandbox.invocations") > 0
+
+    def test_interleaved_contexts_at_parallelism_8_keep_their_own_counts(self):
+        def built():
+            context = _ab_context(parallelism=8)
+            _register(context)
+            return context
+
+        alone = built()
+        for sql in AB_QUERIES:
+            alone.run_query(sql)
+        pair = [built(), built()]
+        barrier = threading.Barrier(len(pair))
+
+        def work(context):
+            for sql in AB_QUERIES:
+                barrier.wait(timeout=30)
+                context.run_query(sql)
+
+        threads = [threading.Thread(target=work, args=(ctx,)) for ctx in pair]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for context in pair:
+            assert _counts(context) == _counts(alone)
+            assert context.registry.counter_total("client.requests") == (
+                context.client.stats.requests
+            )
+
+    def test_a_traced_context_beside_an_untraced_one(self):
+        traced = _ab_context(trace=True)
+        untraced = _ab_context(trace=False)
+        for context in (traced, untraced):
+            _register(context)
+        traced.run_query(AB_QUERIES[0])
+        recorded = len(traced.tracer.snapshot())
+        assert recorded > 0
+        untraced.run_query(AB_QUERIES[0])
+        assert untraced.tracer.snapshot() == []
+        assert len(traced.tracer.snapshot()) == recorded
+        traced.run_query(AB_QUERIES[0])
+        assert len(traced.tracer.snapshot()) > recorded
+
+    def test_a_bare_cluster_and_client_count_into_their_own_registry(self):
+        cluster = SwiftCluster(storage_node_count=2, disks_per_node=1)
+        other = SwiftCluster(storage_node_count=2, disks_per_node=1)
+        client = SwiftClient(cluster, "AUTH_bare")
+        client.put_container("c")
+        client.put_object("c", "o", b"payload")
+        assert client.get_object("c", "o")[1] == b"payload"
+        assert client.registry is cluster.registry
+        assert client.stats.requests == 4
+        assert cluster.registry.counter_total("client.requests") == 4
+        assert cluster.counters["requests"] == 4
+        assert other.registry.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+        assert not cluster.tracer.enabled
+
+
+class TestOneBookForTheSandbox:
+    """``sandbox_summary()`` and the registry's ``sandbox.*`` series are
+    one count: bytes and charged CPU as they flow, invocations on
+    drain -- including streams a LIMIT abandons and invocations a
+    fault kills."""
+
+    @pytest.mark.parametrize("plan", [None, "storlet-crash"])
+    def test_sandbox_summary_is_the_registry(self, plan):
+        context = _ab_context(
+            upload=False,
+            chunk_size=1 << 20,
+            fault_plan=named_plan(plan) if plan else None,
+        )
+        rows = "".join(f"v{i:06d},{i},Paris\n" for i in range(20000))
+        context.upload_csv("meters", "a.csv", rows)
+        _register(context)
+        context.run_query("SELECT vid FROM t WHERE n >= 0 LIMIT 5")
+        context.run_query("SELECT vid FROM t WHERE n < 100")
+        summary = context.sandbox_summary()
+        assert sum(row["bytes_in"] for row in summary.values()) > 0
+        for node, row in summary.items():
+            for name in ("invocations", "bytes_in", "bytes_out", "cpu_seconds"):
+                counted = context.registry.counter_value(f"sandbox.{name}", node=node)
+                assert row[name] == counted, (node, name)
+        assert context.storage_cpu_seconds() == pytest.approx(
+            sum(
+                context.registry.counter_value("sandbox.cpu_seconds", node=node)
+                for node in summary
+                if node.startswith("storage")
+            )
+        )

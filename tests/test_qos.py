@@ -430,7 +430,7 @@ class TestClientHonorsRetryAfter:
             policed.head_container("c")
         stats = policed.stats
         assert stats.retry_after_honored == 2
-        assert stats.delays[-2:] == [1.0, 1.0]
+        assert list(stats.delays)[-2:] == [1.0, 1.0]
         assert stats.exhausted == 1
 
     def test_malformed_retry_after_falls_back_to_backoff(self):

@@ -101,7 +101,7 @@ class TestZeroBasedAttempts:
         response = client.request("GET", "/AUTH_retry/c/o")
         assert response.status == 503
         assert client.stats.requests - before == policy.max_attempts
-        assert client.stats.delays == policy.schedule()
+        assert list(client.stats.delays) == policy.schedule()
         assert client.stats.delays[0] == policy.delay(0)
         assert client.stats.backoff_seconds == pytest.approx(
             sum(policy.schedule())

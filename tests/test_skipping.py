@@ -15,6 +15,7 @@ import pytest
 from repro.catalog import CATALOG_HEADER
 from repro.core.scoop import ScoopContext
 from repro.faults import NAMED_PLANS, named_plan
+from repro.obs.metrics import LOG_LENGTH
 from repro.sql.types import Schema
 from repro.swift.retry import RetryPolicy
 
@@ -97,6 +98,25 @@ class TestSkipCounts:
         assert report_armed.requests < report_off.requests
         assert report_armed.objects_skipped == 1
 
+    def test_the_skip_log_stays_bounded_and_reports_stay_exact(self):
+        """Refuted objects are logged per query; the log keeps the
+        latest ``LOG_LENGTH`` and each report still counts its own."""
+        ctx = _context("csv", skipping=True)
+        ctx.upload_csv(
+            "data", "part-002.csv", _csv_body("village", offset=2000),
+            etl_schema=SCHEMA,
+        )
+        ctx.register_csv_table("t", "data", schema=SCHEMA, format="csv")
+        queries = LOG_LENGTH + 10
+        skipped = [
+            ctx.run_query("SELECT vid FROM t WHERE code > 5000")[1].objects_skipped
+            for _ in range(queries)
+        ]
+        assert skipped == [3] * queries
+        assert len(ctx.connector.catalog_skipped) == LOG_LENGTH
+        assert ctx.explain_profile()["catalog"]["objects_skipped"] == 3 * queries
+        assert ctx.client.stats.delays.maxlen == LOG_LENGTH
+
     def test_disabled_by_default_and_counts_zero(self, monkeypatch, baseline):
         monkeypatch.delenv("REPRO_SKIPPING", raising=False)
         ctx = _context("csv")
@@ -104,7 +124,7 @@ class TestSkipCounts:
             "SELECT vid, index FROM t WHERE code > 5000"
         )
         assert report.objects_skipped == 0
-        assert ctx.connector.catalog_skipped == []
+        assert list(ctx.connector.catalog_skipped) == []
 
     def test_env_var_arms_the_catalog(self, monkeypatch, baseline):
         monkeypatch.setenv("REPRO_SKIPPING", "1")
@@ -208,7 +228,7 @@ class TestStaleness:
         )
         assert report.rows == 0
         assert report.objects_skipped == 1
-        assert ctx.connector.catalog_skipped == [("data", "part-001.csv")]
+        assert list(ctx.connector.catalog_skipped) == [("data", "part-001.csv")]
 
     @pytest.mark.parametrize("plan", NAMED_PLANS)
     def test_degradation_is_identical_under_faults(self, baseline, plan):

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.connector.split_planner import plan_quote_safe_starts
 from repro.core.scoop import ScoopContext
-from repro.obs.metrics import MetricsRegistry
 from repro.sql.types import Schema
 from repro.csvscan import parse_record
 
@@ -107,9 +106,7 @@ class TestPlanner:
 class TestConnectorAlignment:
     def _rig(self, chunk_size=32):
         ctx = ScoopContext(chunk_size=chunk_size)
-        connector = ctx.connector
-        connector.metrics.registry = MetricsRegistry()
-        return ctx, connector
+        return ctx, ctx.connector
 
     def test_aligned_discovery_splits_quoted_object(self):
         ctx, connector = self._rig()
@@ -134,7 +131,7 @@ class TestConnectorAlignment:
             ("c", "bad.csv", "unterminated-quote")
         ]
         assert (
-            connector.metrics.registry.counter_value(
+            connector.registry.counter_value(
                 "connector.splits_demoted", reason="unterminated-quote"
             )
             == 1
@@ -164,7 +161,7 @@ class TestConnectorAlignment:
                 ctx.client.put_object("c", f"o{index}.csv", body)
             connector.discover_partitions("c", record_aligned=True)
             assert connector.metrics.totals() == (0, 0, 0, 0, 0)
-            return connector.metrics.registry.counter_value(
+            return connector.registry.counter_value(
                 "connector.discovery_bytes", kind="quote_scan"
             )
 

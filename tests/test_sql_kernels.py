@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.sql import filters
 from repro.sql.catalyst import Optimizer, build_logical_plan
 from repro.sql.errors import SqlError, SqlTypeError
@@ -57,16 +57,13 @@ def _batches(rows, batch_rows):
 def _run(sql, batches):
     """``(outcome, refused)``: the answer (or the ``SqlError`` class
     raised) over ``batches``, and whether any expression ran interpreted."""
-    previous = get_registry()
-    registry = set_registry(MetricsRegistry())
+    registry = MetricsRegistry()
     try:
         plan = Optimizer().optimize(build_logical_plan(parse_query(sql), SCHEMA))
-        schema, rows = execute_plan(plan, lambda: iter(batches), SCHEMA)
+        schema, rows = execute_plan(plan, lambda: iter(batches), SCHEMA, registry=registry)
         outcome = (schema.names, rows)
     except SqlError as error:
         outcome = type(error)
-    finally:
-        set_registry(previous)
     return outcome, bool(registry.counter_series("sql.kernel_refusals"))
 
 
