@@ -606,13 +606,15 @@ class ScoopContext:
             zero GETs), and which (``skipped`` lists
             ``(container, object)``).
         ``sql``
-            Which path answered and what ran interpreted: ``queries``
+            Which path answered and what ran guarded: ``queries``
             counts queries by path (``batch``: kernels over column
             batches, the one plan pipeline; ``agg_pushdown``:
             aggregated at the store), and ``kernel_refusals`` lists
-            each expression the fused compiler refused -- it ran as an
-            interpreted kernel, ``bind`` looped over the batch -- with
-            its stable ``reason`` code and ``count``; ``filters`` counts WHERE conjuncts by what became
+            each expression over the scan with an operation the kernel
+            compiler could not prove total -- its kernel ran that
+            operation guarded, one call per row -- with its stable
+            ``reason`` code, innermost refused sub-expression and
+            ``count``; ``filters`` counts WHERE conjuncts by what became
             of them (``handled`` by the source and gone from the plan,
             ``unhandled``: pushed and re-applied, ``residual``: never
             pushed).

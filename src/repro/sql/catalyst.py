@@ -255,9 +255,12 @@ def _is_literal(expression: Expression, value) -> bool:
 
 
 def _evaluate_constant(expression: Expression) -> Expression:
-    empty_schema = Schema([])
+    """A column-free expression folded to its value: its kernel over a
+    batch of one row (unfolded when that raises)."""
+    from repro.sql.kernels import compile_expression
+
     try:
-        return Literal(expression.bind(empty_schema)(()))
+        return Literal(compile_expression(expression, Schema([]))([], 1)[0])
     except Exception:
         return expression
 

@@ -7,7 +7,9 @@ the aggregate runs on them as compile-once kernels
 (:mod:`repro.sql.kernels`): a selection vector per batch, then either
 output vectors or one :meth:`~repro.sql.grouping.GroupTable.add_batch`.
 What comes out is rows, and Distinct / Sort / Limit are row operators
-over them.  The same pipeline runs on both sides of the pushdown
+over them; HAVING and the outputs above an aggregate run as kernels
+over the finalized groups' columns, sort keys over the rows a sort
+materialized.  The same pipeline runs on both sides of the pushdown
 boundary: the Spark workers run the part of the query that was *not*
 pushed down with it.  A GROUP-BY pushdown scan is one more source: its
 records -- the store's partial group states and the rows its bounded
@@ -16,13 +18,13 @@ table spilled -- fill the Aggregate's table directly
 above the Aggregate runs as for any other query.
 
 An expression the kernel compiler cannot prove total still gets a
-kernel -- its own ``bind`` evaluator looped over the batch -- so there is
-no second executor to fall back to.  What such an expression changes is
-*when* its error surfaces: a batch at a time.  A satisfied LIMIT never
-pulls a batch behind it, but a raising row behind the limit in the
-*same* batch raises; and when a filter row and a projection row of one
-batch both raise, which message wins is not pinned (the ``SqlError``
-subclass is).
+kernel -- the unproven operations guarded, one call per row -- so there
+is no second evaluator to fall back to.  What such an expression
+changes is *when* its error surfaces: a batch at a time.  A satisfied
+LIMIT never pulls a batch behind it, but a raising row behind the limit
+in the *same* batch raises; and when a filter row and a projection row
+of one batch both raise, which message wins is not pinned (the
+``SqlError`` subclass is).
 
 Aggregation notes: GROUP BY keys may be arbitrary expressions (the
 GridPocket queries group by ``SUBSTRING(date, 0, 7)``); output
@@ -38,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.columnar.batch import ColumnBatch, as_column_batch
+from repro.columnar.batch import ColumnBatch, as_column_batch, take_column
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.catalyst import (
     AggregateNode,
@@ -60,15 +62,16 @@ from repro.sql.expressions import (
     Expression,
     FunctionCall,
     Literal,
-    SelectItem,
     Star,
 )
 from repro.sql.functions import make_accumulator
 from repro.sql.grouping import GroupTable
 from repro.sql.kernels import (
+    VectorKernel,
     compile_expression,
     compile_predicate,
     compile_projection,
+    compile_untyped,
 )
 from repro.sql.parser import parse_query
 from repro.sql.types import DataType, Field, Row, Schema
@@ -114,8 +117,9 @@ def execute_plan(
     With ``partials`` the source yields a GROUP-BY pushdown scan's
     tagged records instead (spilled rows are rows of ``scan_schema``),
     and the plan's Aggregate, directly above its scan, merges them.
-    Expressions the kernel compiler refuses are counted in ``registry``
-    (``sql.kernel_refusals``)."""
+    Every expression over the scan that has an operation the kernel
+    compiler cannot prove total -- it runs guarded -- is counted in
+    ``registry`` (``sql.kernel_refusals``)."""
     compiled = _compile(plan, batch_source, scan_schema, partials, registry)
     rows = list(compiled.rows())
     if compiled.hidden:
@@ -231,8 +235,8 @@ class _AggregateSpec:
 
     group_by: List[Expression]
     aggregates: List[Aggregate]
-    output_evals: List[Callable]
-    having_eval: Optional[Callable]
+    outputs: List[VectorKernel]
+    having: Optional[VectorKernel]
     schema: Schema
 
 
@@ -256,49 +260,26 @@ def _analyze_aggregate(node: AggregateNode, input_schema: Schema) -> _AggregateS
     """Resolve aggregates, post-agg rewrites and output schema."""
     aggregates = aggregate_calls(node)
 
-    # Post-aggregation row layout: [key_0..key_k, agg_0..agg_m].
-    post_fields = [
-        Field(f"__key_{i}", infer_type(e, input_schema))
-        for i, e in enumerate(node.group_by)
-    ] + [
-        Field(f"__agg_{j}", infer_type(agg, input_schema))
-        for j, agg in enumerate(aggregates)
-    ]
-    post_schema = Schema(post_fields)
+    # Post-aggregation columns: [key_0..key_k, agg_0..agg_m].
+    post_schema = Schema(
+        [Field(f"__key_{i}") for i in range(len(node.group_by))]
+        + [Field(f"__agg_{j}") for j in range(len(aggregates))]
+    )
 
-    rewritten_items = [
-        SelectItem(
-            _rewrite_post_agg(item.expression, node.group_by, aggregates),
-            item.alias,
-        )
+    def post_kernel(expression: Expression, complaint: str) -> VectorKernel:
+        rewritten = _rewrite_post_agg(expression, node.group_by, aggregates)
+        leftover = rewritten.columns() - {name.lower() for name in post_schema.names}
+        if leftover:
+            raise SqlAnalysisError(complaint.format(sorted(leftover), rewritten.to_sql()))
+        return compile_untyped(rewritten, post_schema)
+
+    outputs = [
+        post_kernel(item.expression, "column(s) {} are neither grouped nor aggregated in {!r}")
         for item in node.items
     ]
-    for item in rewritten_items:
-        leftover = item.expression.columns() - {
-            field.name.lower() for field in post_fields
-        }
-        if leftover:
-            raise SqlAnalysisError(
-                f"column(s) {sorted(leftover)} are neither grouped nor "
-                f"aggregated in {item.to_sql()!r}"
-            )
-    output_evals = [
-        item.expression.bind(post_schema) for item in rewritten_items
-    ]
-
-    having_eval = None
+    having = None
     if node.having is not None:
-        rewritten_having = _rewrite_post_agg(
-            node.having, node.group_by, aggregates
-        )
-        leftover = rewritten_having.columns() - {
-            field.name.lower() for field in post_fields
-        }
-        if leftover:
-            raise SqlAnalysisError(
-                f"HAVING references non-grouped column(s) {sorted(leftover)}"
-            )
-        having_eval = rewritten_having.bind(post_schema)
+        having = post_kernel(node.having, "HAVING references non-grouped column(s) {}")
     visible_fields = [
         Field(
             node.items[i].output_name,
@@ -314,8 +295,8 @@ def _analyze_aggregate(node: AggregateNode, input_schema: Schema) -> _AggregateS
     return _AggregateSpec(
         group_by=list(node.group_by),
         aggregates=aggregates,
-        output_evals=output_evals,
-        having_eval=having_eval,
+        outputs=outputs,
+        having=having,
         schema=schema,
     )
 
@@ -327,16 +308,23 @@ def _new_group(spec: _AggregateSpec) -> list:
 
 def _finalize_groups(spec: _AggregateSpec, groups: dict) -> Iterator[Row]:
     """Turn accumulated groups (a dict in first-seen order) into output
-    rows (HAVING applied)."""
+    rows: HAVING and the outputs run as kernels over the groups'
+    columns, the outputs only over the groups HAVING keeps."""
     if not groups and not spec.group_by:
         # Global aggregate over empty input still yields one row.
         groups[()] = _new_group(spec)
-    for key, accumulators in groups.items():
-        post_row = key + tuple(acc.result() for acc in accumulators)
-        if spec.having_eval is not None and spec.having_eval(post_row) is not True:
-            continue
-        outputs = tuple(evaluate(post_row) for evaluate in spec.output_evals)
-        yield outputs + key
+    posts = [
+        key + tuple(accumulator.result() for accumulator in accumulators)
+        for key, accumulators in groups.items()
+    ]
+    columns, n = list(zip(*posts)), len(posts)
+    if spec.having is not None and n:
+        kept = [row for row, verdict in enumerate(spec.having(columns, n)) if verdict is True]
+        columns = [take_column(column, kept) for column in columns]
+        n = len(kept)
+    if n:
+        keys = columns[: len(spec.group_by)]
+        yield from zip(*[kernel(columns, n) for kernel in spec.outputs], *keys)
 
 
 def _compile_aggregate(
@@ -418,48 +406,48 @@ def _compile_distinct(child: Compiled) -> Compiled:
 
 
 def _compile_sort(node: SortNode, child: Compiled) -> Compiled:
-    evaluators: List[Tuple[Callable, bool]] = []
-    for expression, ascending in node.order_by:
-        evaluators.append((_resolve_sort_key(expression, child), ascending))
+    keys = [
+        (_resolve_sort_key(expression, child), ascending)
+        for expression, ascending in node.order_by
+    ]
 
     def rows() -> Iterator[Row]:
         materialized = list(child.rows())
+        if not materialized:
+            return iter(())
+        columns, n = list(zip(*materialized)), len(materialized)
+        vectors = [kernel(columns, n) for kernel, _ascending in keys]
+        order = list(range(n))
         # Stable sorts compose: apply keys right-to-left.  NULLs sort
         # first under ASC and last under DESC, as in Spark: the key
         # leads with "is not NULL", so a NULL is never compared with a
         # value, and reverse=True keeps ties in order.
-        for evaluate, ascending in reversed(evaluators):
-            materialized.sort(
-                key=lambda row: ((value := evaluate(row)) is not None, value),
+        for vector, (_kernel, ascending) in reversed(list(zip(vectors, keys))):
+            order.sort(
+                key=lambda row: ((value := vector[row]) is not None, value),
                 reverse=not ascending,
             )
-        return iter(materialized)
+        return (materialized[row] for row in order)
 
     return Compiled(child.schema, rows, child.hidden, child.group_exprs)
 
 
-def _resolve_sort_key(expression: Expression, child: Compiled) -> Callable:
-    """Bind an ORDER BY expression against the child's full schema.
+def _resolve_sort_key(expression: Expression, child: Compiled) -> VectorKernel:
+    """Compile an ORDER BY expression against the child's full schema.
 
-    Resolution order: output column / alias name, then hidden group key
-    (for aggregates, any expression textually equal to a GROUP BY key has
-    been exposed as ``__group_i``), then a direct bind (projection over
-    base columns).
+    Resolution order: hidden group key (for aggregates, any expression
+    textually equal to a GROUP BY key has been exposed as
+    ``__group_i``), then output column / alias names.
     """
-    if child.group_exprs:
-        for index, group_expression in enumerate(child.group_exprs):
-            if expression == group_expression:
-                return Column(f"__group_{index}").bind(child.schema)
-    if isinstance(expression, Column) and expression.name in child.schema:
-        return expression.bind(child.schema)
+    if child.group_exprs and expression in child.group_exprs:
+        expression = Column(f"__group_{child.group_exprs.index(expression)}")
     try:
-        return expression.bind(child.schema)
+        return compile_untyped(expression, child.schema)
     except SqlAnalysisError:
-        pass
-    raise SqlAnalysisError(
-        f"cannot resolve ORDER BY expression {expression.to_sql()!r} "
-        f"against columns {child.visible_schema().names}"
-    )
+        raise SqlAnalysisError(
+            f"cannot resolve ORDER BY expression {expression.to_sql()!r} "
+            f"against columns {child.visible_schema().names}"
+        ) from None
 
 
 def _compile_limit(node: LimitNode, child: Compiled) -> Compiled:

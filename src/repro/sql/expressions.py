@@ -1,20 +1,20 @@
-"""Expression trees: construction, schema binding and evaluation.
+"""Expression trees: construction, inspection and SQL text.
 
-Every expression can ``bind(schema)`` itself into a plain Python closure
-``row -> value`` so that per-row evaluation costs no tree walking.  NULL
-handling follows SQL three-valued logic where it matters (comparisons
-propagate None; AND/OR use Kleene logic; WHERE treats None as false).
+A node knows its children, the columns and aggregates it references and
+how to print itself; it does not evaluate.  Evaluation is
+:mod:`repro.sql.kernels`' alone: every expression compiles to one batch
+kernel, fused where an operation is proven total and guarded where it is
+not, and a row is a batch of one.  NULL handling follows SQL
+three-valued logic there (comparisons propagate None; AND/OR use Kleene
+logic; WHERE treats None as false).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
-from repro.sql.errors import SqlAnalysisError, SqlTypeError
-from repro.sql.types import Row, Schema
-
-Evaluator = Callable[[Row], Any]
+from repro.sql.errors import SqlAnalysisError
 
 
 class Expression:
@@ -22,9 +22,6 @@ class Expression:
 
     def children(self) -> Sequence["Expression"]:
         return ()
-
-    def bind(self, schema: Schema) -> Evaluator:
-        raise NotImplementedError
 
     def columns(self) -> Set[str]:
         found: Set[str] = set()
@@ -61,10 +58,6 @@ class Literal(Expression):
     def __init__(self, value: Any):
         self.value = value
 
-    def bind(self, schema: Schema) -> Evaluator:
-        value = self.value
-        return lambda row: value
-
     def to_sql(self) -> str:
         if self.value is None:
             return "NULL"
@@ -83,10 +76,6 @@ class Column(Expression):
     def __init__(self, name: str):
         self.name = name
 
-    def bind(self, schema: Schema) -> Evaluator:
-        index = schema.index_of(self.name)
-        return lambda row: row[index]
-
     def columns(self) -> Set[str]:
         return {self.name.lower()}
 
@@ -100,32 +89,11 @@ class Column(Expression):
 class Star(Expression):
     """``*`` -- only valid as a select item or inside COUNT(*)."""
 
-    def bind(self, schema: Schema) -> Evaluator:
-        raise SqlAnalysisError("'*' cannot be evaluated as a scalar")
-
     def to_sql(self) -> str:
         return "*"
 
     def _key(self) -> Tuple:
         return ()
-
-
-_ARITHMETIC = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-}
-_COMPARISON = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 class BinaryOp(Expression):
@@ -136,79 +104,6 @@ class BinaryOp(Expression):
 
     def children(self) -> Sequence[Expression]:
         return (self.left, self.right)
-
-    def bind(self, schema: Schema) -> Evaluator:
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
-        op = self.op
-        if op == "and":
-
-            def eval_and(row: Row) -> Any:
-                a = left(row)
-                if a is False:
-                    return False
-                b = right(row)
-                if b is False:
-                    return False
-                if a is None or b is None:
-                    return None
-                return bool(a) and bool(b)
-
-            return eval_and
-        if op == "or":
-
-            def eval_or(row: Row) -> Any:
-                a = left(row)
-                if a is True:
-                    return True
-                b = right(row)
-                if b is True:
-                    return True
-                if a is None or b is None:
-                    return None
-                return bool(a) or bool(b)
-
-            return eval_or
-        if op == "||":
-
-            def eval_concat(row: Row) -> Any:
-                a, b = left(row), right(row)
-                if a is None or b is None:
-                    return None
-                return str(a) + str(b)
-
-            return eval_concat
-        if op in _COMPARISON:
-            compare = _COMPARISON[op]
-
-            def eval_compare(row: Row) -> Any:
-                a, b = left(row), right(row)
-                if a is None or b is None:
-                    return None
-                try:
-                    return compare(a, b)
-                except TypeError as error:
-                    raise SqlTypeError(
-                        f"cannot compare {a!r} {op} {b!r}"
-                    ) from error
-
-            return eval_compare
-        if op in _ARITHMETIC:
-            compute = _ARITHMETIC[op]
-
-            def eval_arith(row: Row) -> Any:
-                a, b = left(row), right(row)
-                if a is None or b is None:
-                    return None
-                try:
-                    return compute(a, b)
-                except TypeError as error:
-                    raise SqlTypeError(f"cannot apply {a!r} {op} {b!r}") from error
-                except ZeroDivisionError:
-                    return None
-
-            return eval_arith
-        raise SqlAnalysisError(f"unknown operator {op!r}")
 
     def to_sql(self) -> str:
         op = self.op.upper() if self.op in ("and", "or") else self.op
@@ -225,26 +120,6 @@ class UnaryOp(Expression):
 
     def children(self) -> Sequence[Expression]:
         return (self.operand,)
-
-    def bind(self, schema: Schema) -> Evaluator:
-        inner = self.operand.bind(schema)
-        if self.op == "not":
-
-            def eval_not(row: Row) -> Any:
-                value = inner(row)
-                if value is None:
-                    return None
-                return not value
-
-            return eval_not
-        if self.op == "-":
-
-            def eval_neg(row: Row) -> Any:
-                value = inner(row)
-                return None if value is None else -value
-
-            return eval_neg
-        raise SqlAnalysisError(f"unknown unary operator {self.op!r}")
 
     def to_sql(self) -> str:
         return f"({self.op.upper()} {self.operand.to_sql()})"
@@ -278,20 +153,6 @@ class Like(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.operand,)
 
-    def bind(self, schema: Schema) -> Evaluator:
-        inner = self.operand.bind(schema)
-        regex = like_pattern_to_regex(self.pattern)
-        negated = self.negated
-
-        def eval_like(row: Row) -> Any:
-            value = inner(row)
-            if value is None:
-                return None
-            matched = regex.match(str(value)) is not None
-            return (not matched) if negated else matched
-
-        return eval_like
-
     def to_sql(self) -> str:
         negation = " NOT" if self.negated else ""
         escaped = self.pattern.replace("'", "''")
@@ -312,23 +173,6 @@ class InList(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.operand, *self.items)
 
-    def bind(self, schema: Schema) -> Evaluator:
-        inner = self.operand.bind(schema)
-        item_evals = [item.bind(schema) for item in self.items]
-        negated = self.negated
-
-        def eval_in(row: Row) -> Any:
-            value = inner(row)
-            if value is None:
-                return None
-            members = {evaluate(row) for evaluate in item_evals}
-            if value in members:
-                return not negated
-            # Not a member -- unless a NULL member was the match.
-            return None if None in members else negated
-
-        return eval_in
-
     def to_sql(self) -> str:
         negation = " NOT" if self.negated else ""
         items = ", ".join(item.to_sql() for item in self.items)
@@ -336,19 +180,6 @@ class InList(Expression):
 
     def _key(self) -> Tuple:
         return (self.operand, tuple(self.items), self.negated)
-
-
-def between_value(value: Any, lo: Any, hi: Any, negated: bool) -> Any:
-    """``value [NOT] BETWEEN lo AND hi``: ``value >= lo AND value <= hi``
-    under Kleene AND, so beside a NULL bound the other comparison still
-    answers False (``10 NOT BETWEEN NULL AND 5`` is True)."""
-    if value is None or (lo is None and hi is None):
-        return None
-    if lo is None:
-        return None if value <= hi else negated
-    if hi is None:
-        return None if value >= lo else negated
-    return (lo <= value <= hi) is not negated
 
 
 class Between(Expression):
@@ -366,23 +197,6 @@ class Between(Expression):
 
     def children(self) -> Sequence[Expression]:
         return (self.operand, self.low, self.high)
-
-    def bind(self, schema: Schema) -> Evaluator:
-        inner = self.operand.bind(schema)
-        low = self.low.bind(schema)
-        high = self.high.bind(schema)
-        negated = self.negated
-
-        def eval_between(row: Row) -> Any:
-            value, lo, hi = inner(row), low(row), high(row)
-            try:
-                return between_value(value, lo, hi, negated)
-            except TypeError as error:
-                raise SqlTypeError(
-                    f"cannot compare {value!r} BETWEEN {lo!r} AND {hi!r}"
-                ) from error
-
-        return eval_between
 
     def to_sql(self) -> str:
         negation = " NOT" if self.negated else ""
@@ -402,16 +216,6 @@ class IsNull(Expression):
 
     def children(self) -> Sequence[Expression]:
         return (self.operand,)
-
-    def bind(self, schema: Schema) -> Evaluator:
-        inner = self.operand.bind(schema)
-        negated = self.negated
-
-        def eval_is_null(row: Row) -> Any:
-            result = inner(row) is None
-            return (not result) if negated else result
-
-        return eval_is_null
 
     def to_sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
@@ -438,23 +242,6 @@ class CaseWhen(Expression):
             kids.append(self.otherwise)
         return kids
 
-    def bind(self, schema: Schema) -> Evaluator:
-        bound = [
-            (condition.bind(schema), result.bind(schema))
-            for condition, result in self.branches
-        ]
-        default = (
-            self.otherwise.bind(schema) if self.otherwise is not None else None
-        )
-
-        def eval_case(row: Row) -> Any:
-            for condition, result in bound:
-                if condition(row) is True:
-                    return result(row)
-            return default(row) if default is not None else None
-
-        return eval_case
-
     def to_sql(self) -> str:
         parts = ["CASE"]
         for condition, result in self.branches:
@@ -477,17 +264,6 @@ class FunctionCall(Expression):
 
     def children(self) -> Sequence[Expression]:
         return tuple(self.args)
-
-    def bind(self, schema: Schema) -> Evaluator:
-        from repro.sql.functions import lookup_scalar
-
-        function = lookup_scalar(self.name, len(self.args))
-        arg_evals = [arg.bind(schema) for arg in self.args]
-
-        def eval_call(row: Row) -> Any:
-            return function(*[evaluate(row) for evaluate in arg_evals])
-
-        return eval_call
 
     def to_sql(self) -> str:
         args = ", ".join(arg.to_sql() for arg in self.args)
@@ -533,11 +309,6 @@ class Aggregate(Expression):
         if isinstance(self.arg, Star):
             return set()
         return self.arg.columns()
-
-    def bind(self, schema: Schema) -> Evaluator:
-        raise SqlAnalysisError(
-            f"aggregate {self.name.upper()} outside an aggregation context"
-        )
 
     def to_sql(self) -> str:
         prefix = "DISTINCT " if self.distinct else ""

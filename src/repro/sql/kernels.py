@@ -1,30 +1,32 @@
 """Compile-once batch kernels for expressions and pushdown filters.
 
-``Expression.bind`` turns each expression node into a per-row closure
-and pays a Python call per node per row.  This module lowers the same
-ASTs *once per query* into kernels that run *per batch*: a kernel takes
-the input column vectors and the row count and returns a result vector,
-built with fused list comprehensions (one bytecode loop per node per batch instead
-of a closure chain per row).
+This module is the SQL engine's one evaluator.  It lowers ASTs *once
+per query* into kernels that run *per batch*: a kernel takes the input
+column vectors and the row count and returns a result vector, built
+with list comprehensions (one bytecode loop per node per batch); a
+single row is a batch of one.
 
 Two compilers live here:
 
 * :func:`compile_expression` / :func:`compile_predicate` /
-  :func:`compile_projection` lower :class:`repro.sql.expressions`
-  trees, and always return a kernel.  The kernel is **fused** when
-  static typing over the scan schema proves evaluation can never raise
-  (ordered comparisons between provably comparable types, arithmetic
-  over numerics, the text functions that are total over any first
-  argument when the rest are integer literals, ...).  Anything
-  unprovable is counted, with a reason code and the refused
-  sub-expression, in ``sql.kernel_refusals`` and runs **interpreted**:
-  the expression's own ``bind`` evaluator looped over the vectors it
-  references, so the same rows raise the same ``SqlTypeError`` -- a
-  batch at a time, which is the one thing a refusal changes besides
-  speed.  Fused kernels replicate the interpreter's semantics exactly:
-  SQL three-valued logic, Kleene AND/OR, NULL propagation, and
-  division-by-zero yielding NULL.  A kernel that maps one vector cell
-  by cell maps a dictionary-coded vector
+  :func:`compile_projection` (and :func:`compile_untyped`, for cells of
+  no declared type) lower :class:`repro.sql.expressions` trees, node by
+  node.  A node is **fused** when static typing proves its own
+  operation total over the kinds of its operands (ordered comparisons
+  between comparable kinds, arithmetic over numerics, the text
+  functions that are total over any first argument when the rest are
+  integer literals, ...), and **guarded** otherwise: one call per row
+  that keeps NULL propagation, yields NULL for division by zero and
+  raises any other failure as ``SqlTypeError`` -- a batch at a time,
+  which is the one thing a refusal changes besides speed.  Inside AND,
+  OR, CASE and IN an operand that is not proven total runs only on the
+  rows it can decide, so a row stops, and raises, where row-at-a-time
+  evaluation would.  An expression over the scan with a guarded node is
+  counted, with a reason code and the innermost refused sub-expression,
+  in ``sql.kernel_refusals``.  Semantics are SQL's three-valued logic:
+  Kleene AND/OR, NULL propagation, division by zero yielding NULL, and
+  ``%`` taking the dividend's sign.  A fused kernel that maps one
+  vector cell by cell maps a dictionary-coded vector
   (:class:`~repro.columnar.batch.DictColumn`) entry by entry and keeps
   its codes.
 * :class:`FilterMask` lowers the :class:`repro.sql.filters` source
@@ -48,13 +50,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.columnar.batch import DictColumn, PackedColumn, compress_columns, take_column
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.catalyst import split_conjuncts
-from repro.sql.errors import SqlAnalysisError
+from repro.sql.errors import SqlAnalysisError, SqlTypeError
 from repro.sql.expressions import (
     Aggregate,
     Between,
@@ -69,7 +72,6 @@ from repro.sql.expressions import (
     Literal,
     Star,
     UnaryOp,
-    between_value,
     like_pattern_to_regex,
 )
 from repro.sql.filters import (
@@ -101,13 +103,13 @@ MaskKernel = Callable[[Columns, int, Optional[Dict[str, int]]], bytes]
 SelectionKernel = Callable[[Columns, int], List[int]]
 
 # ---------------------------------------------------------------------------
-# Static typing: prove an expression total before fusing it.
+# Static typing: prove an operation total before fusing it.
 # ---------------------------------------------------------------------------
 
 _NUM = "num"  # int / float / bool -- mutually order-comparable in Python
 _STR = "str"
 _NULL = "null"  # the literal NULL: every operation on it yields NULL
-_ANY = "any"
+_ANY = "any"  # unproven: a guarded result, or a column of no declared type
 
 _DTYPE_KIND = {
     DataType.INT: _NUM,
@@ -131,10 +133,10 @@ _TOTAL_FUNCTIONS = {
 
 
 class KernelRefusal(Exception):
-    """Why ``expression`` cannot be proven total: ``reason`` is one of
-    the stable codes ``unknown_column``, ``incomparable_types``,
-    ``non_numeric_arithmetic``, ``function_not_total``, ``not_scalar``
-    and ``unsupported_expression``."""
+    """Why ``expression``'s own operation cannot be proven total over
+    the kinds of its operands: ``reason`` is one of the stable codes
+    ``incomparable_types``, ``non_numeric_arithmetic`` and
+    ``function_not_total``."""
 
     def __init__(self, reason: str, expression: Expression):
         super().__init__(f"{reason}: {expression.to_sql()}")
@@ -142,33 +144,19 @@ class KernelRefusal(Exception):
         self.expression = expression
 
 
-def _static_kind(expr: Expression, schema: Schema) -> str:
-    """The provable value kind of ``expr``; certifies that evaluating
-    the whole subtree can never raise.
+def _node_kind(expr: Expression, kinds: List[str]) -> str:
+    """The provable value kind of ``expr`` whose children have
+    ``kinds``; certifies that its own operation can never raise.
 
-    Raises :class:`KernelRefusal`, naming the innermost sub-expression
-    the proof fails on, when it cannot.
+    Raises :class:`KernelRefusal` when it cannot, and
+    :class:`SqlAnalysisError` for what cannot be evaluated at all.
     """
-    if isinstance(expr, Literal):
-        if expr.value is None:
-            return _NULL
-        return _STR if isinstance(expr.value, str) else _NUM
-    if isinstance(expr, Column):
-        if expr.name not in schema:
-            raise KernelRefusal("unknown_column", expr)
-        return _DTYPE_KIND[schema.field(expr.name).dtype]
-    if isinstance(expr, (Star, Aggregate)):
-        # Never scalar-evaluable: ``bind`` rejects these too.
-        raise KernelRefusal("not_scalar", expr)
-    kinds = [_static_kind(child, schema) for child in expr.children()]
     if isinstance(expr, BinaryOp):
         left, right = kinds
-        if expr.op in ("and", "or"):
-            return _NUM
+        if expr.op in ("and", "or", "=", "<>", "!="):
+            return _NUM  # Python ==/!= never raise across builtin types
         if expr.op == "||":
             return _STR
-        if expr.op in ("=", "<>", "!="):
-            return _NUM  # Python ==/!= never raise across builtin types
         if expr.op in _ORDERED_OPS:
             if _NULL in kinds or left == right != _ANY:
                 return _NUM
@@ -181,44 +169,42 @@ def _static_kind(expr: Expression, schema: Schema) -> str:
             if expr.op == "+" and left == right == _STR:
                 return _STR
             raise KernelRefusal("non_numeric_arithmetic", expr)
-    elif isinstance(expr, UnaryOp):
+        raise SqlAnalysisError(f"unknown operator {expr.op!r}")
+    if isinstance(expr, UnaryOp):
         if expr.op == "not":
             return _NUM
-        if expr.op == "-":
-            if kinds[0] in (_NUM, _NULL):
-                return _NUM
-            raise KernelRefusal("non_numeric_arithmetic", expr)
-    elif isinstance(expr, (Like, InList, IsNull)):
+        if expr.op != "-":
+            raise SqlAnalysisError(f"unknown unary operator {expr.op!r}")
+        if kinds[0] in (_NUM, _NULL):
+            return _NUM
+        raise KernelRefusal("non_numeric_arithmetic", expr)
+    if isinstance(expr, (Like, InList, IsNull)):
         return _NUM
-    elif isinstance(expr, Between):
+    if isinstance(expr, Between):
         concrete = {kind for kind in kinds if kind != _NULL}
         if concrete <= {_NUM} or concrete <= {_STR}:
             return _NUM
         raise KernelRefusal("incomparable_types", expr)
-    elif isinstance(expr, CaseWhen):
+    if isinstance(expr, CaseWhen):
         concrete = {kind for kind in kinds if kind != _NULL}
         return concrete.pop() if len(concrete) == 1 else _ANY
-    elif isinstance(expr, FunctionCall):
-        try:
-            lookup_scalar(expr.name, len(expr.args))
-        except SqlAnalysisError:
-            raise KernelRefusal("function_not_total", expr) from None
+    if isinstance(expr, FunctionCall):
+        lookup_scalar(expr.name, len(expr.args))  # an unknown name or arity raises
         if expr.name in _TOTAL_FUNCTIONS and all(
             isinstance(arg, Literal) and type(arg.value) is int
             for arg in expr.args[1:]
         ):
             return _NULL if kinds[0] == _NULL else _TOTAL_FUNCTIONS[expr.name]
         raise KernelRefusal("function_not_total", expr)
-    raise KernelRefusal("unsupported_expression", expr)
+    raise SqlAnalysisError(f"cannot evaluate {expr.to_sql()}")
 
 
 def proves_total(expr: Expression, schema: Schema) -> bool:
     """Can evaluating ``expr`` over rows of ``schema`` never raise?"""
     try:
-        _static_kind(expr, schema)
-    except KernelRefusal:
+        return _lower(expr, schema, True, []).total
+    except SqlAnalysisError:
         return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +286,16 @@ def _cmp_vec(op: str, lk: VectorKernel, rk: VectorKernel) -> Optional[VectorKern
     return None
 
 
+def _modulo(a: Any, b: Any) -> Any:
+    """``a % b`` with the sign of the dividend, as in Spark and sqlite:
+    ``-7 % 3`` is -1, ``7 % -3`` is 1, ``-7.5 % 2`` is -1.5.  Raises
+    ``ZeroDivisionError`` when ``b`` is 0 (SQL: NULL)."""
+    remainder = a % b
+    if isinstance(a, float) or isinstance(b, float):
+        return math.fmod(a, b) if math.isfinite(a) else remainder
+    return remainder - b if remainder and (a < 0) != (b < 0) else remainder
+
+
 def _arith_vec(op: str, lk: VectorKernel, rk: VectorKernel) -> Optional[VectorKernel]:
     """Generic vector-vector arithmetic; division by zero yields NULL."""
     if op == "+":
@@ -324,10 +320,111 @@ def _arith_vec(op: str, lk: VectorKernel, rk: VectorKernel) -> Optional[VectorKe
         ]
     if op == "%":
         return lambda cols, n: [
-            None if a is None or b is None or b == 0 else a % b
+            None if a is None or b is None or b == 0 else _modulo(a, b)
             for a, b in zip(lk(cols, n), rk(cols, n))
         ]
     return None
+
+
+# ---------------------------------------------------------------------------
+# Guarded evaluation: an operation that is not proven total.
+# ---------------------------------------------------------------------------
+
+#: The binary operators a refusal can leave unproven -> one cell pair's
+#: function.
+_GUARDED_BINARY: Dict[str, Callable[[Any, Any], Any]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": _modulo,
+}
+
+
+def _between(value: Any, lo: Any, hi: Any, negated: bool) -> Any:
+    """``value [NOT] BETWEEN lo AND hi``: ``value >= lo AND value <= hi``
+    under Kleene AND, so beside a NULL bound the other comparison still
+    answers False (``10 NOT BETWEEN NULL AND 5`` is True)."""
+    if value is None or (lo is None and hi is None):
+        return None
+    if lo is None:
+        return None if value <= hi else negated
+    if hi is None:
+        return None if value >= lo else negated
+    return (lo <= value <= hi) is not negated
+
+
+def _guarded(expr: Expression, inputs: List[VectorKernel]) -> VectorKernel:
+    """``expr``'s own operation, not proven total, as one call per row
+    over its operands' vectors.  NULL propagates (a scalar function and
+    BETWEEN judge it themselves), division by zero yields NULL, and any
+    other failure is a :class:`SqlTypeError` naming the operator and the
+    operands: the one place where a row's failure becomes an error.  A
+    dictionary-coded operand is read row by row, so no entry that no
+    row holds is evaluated."""
+    # ``strict``: any NULL operand answers NULL before ``cell`` runs.
+    if isinstance(expr, FunctionCall):
+        name, strict = expr.name.upper(), False
+        cell = lookup_scalar(expr.name, len(expr.args))
+    elif isinstance(expr, Between):
+        name, strict, negated = "BETWEEN", False, expr.negated
+        cell = lambda v, lo, hi: _between(v, lo, hi, negated)
+    elif isinstance(expr, UnaryOp):
+        name, strict, cell = "-", True, operator.neg
+    else:
+        name, strict = expr.op, True  # type: ignore[attr-defined]
+        cell = _GUARDED_BINARY[name]
+
+    def apply(*values: Any) -> Any:
+        if strict and None in values:
+            return None
+        try:
+            return cell(*values)
+        except ZeroDivisionError:
+            return None
+        except (TypeError, ValueError, ArithmeticError) as error:
+            operands = ", ".join(map(repr, values))
+            raise SqlTypeError(f"cannot apply {name} to {operands}") from error
+
+    return lambda cols, n: list(map(apply, *[kernel(cols, n) for kernel in inputs]))
+
+
+Reach = Callable[[Columns, int, List[int]], Sequence[Any]]
+
+
+def _narrowed(cols: Columns, needed: Sequence[int], rows: List[int]) -> List[Any]:
+    """The columns at ``needed`` gathered to ``rows``; the others None."""
+    narrowed: List[Any] = [None] * len(cols)
+    for index in needed:
+        narrowed[index] = take_column(cols[index], rows)
+    return narrowed
+
+
+def _reach(node: Expression, lowered: "_Lowered", schema: Schema) -> Reach:
+    """``(cols, n, rows) -> vector``: an operand evaluated where its
+    parent reaches it, ``rows``.  A proven operand runs over the whole
+    batch (it cannot raise, so the rows it did not need cost only
+    time); one that is not runs on ``rows`` alone, the columns ``node``
+    reads gathered to them, and its cells are spread back over all
+    ``n`` rows, NULL elsewhere."""
+    kernel = lowered.kernel
+    if lowered.total:
+        return lambda cols, n, rows: kernel(cols, n)
+    needed = [schema.index_of(name) for name in node.columns()]
+
+    def run(cols: Columns, n: int, rows: List[int]) -> Sequence[Any]:
+        if len(rows) == n:
+            return kernel(cols, n)
+        out: List[Any] = [None] * n
+        for row, value in zip(rows, kernel(_narrowed(cols, needed, rows), len(rows))):
+            out[row] = value
+        return out
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -335,75 +432,101 @@ def _arith_vec(op: str, lk: VectorKernel, rk: VectorKernel) -> Optional[VectorKe
 # ---------------------------------------------------------------------------
 
 
-def _proven(
-    expr: Expression, schema: Schema, registry: Optional[MetricsRegistry]
-) -> bool:
-    """:func:`proves_total`, a refusal counted in ``registry`` (if any)
-    as ``sql.kernel_refusals{reason=,expression=}``."""
+class _Lowered(NamedTuple):
+    """One compiled sub-expression."""
+
+    kernel: VectorKernel
+    kind: str
+    total: bool  # can evaluating the whole subtree never raise?
+
+
+def _lower(
+    expr: Expression, schema: Schema, typed: bool, refusals: List[KernelRefusal]
+) -> _Lowered:
+    """Compile ``expr`` bottom-up: each node fused when its own
+    operation is proven total over its children's kinds, guarded
+    (:func:`_guarded`, the refusal appended to ``refusals``) when it is
+    not.  A column has its declared type's kind when ``typed``, none
+    otherwise."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        kind = _NULL if value is None else _STR if isinstance(value, str) else _NUM
+        return _Lowered(lambda cols, n: [value] * n, kind, True)
+    if isinstance(expr, Column):
+        index = schema.index_of(expr.name)
+        kind = _DTYPE_KIND[schema.fields[index].dtype] if typed else _ANY
+        return _Lowered(lambda cols, n: cols[index], kind, True)
+    if isinstance(expr, Star):
+        raise SqlAnalysisError("'*' cannot be evaluated as a scalar")
+    if isinstance(expr, Aggregate):
+        raise SqlAnalysisError(
+            f"aggregate {expr.name.upper()} outside an aggregation context"
+        )
+    children = [_lower(child, schema, typed, refusals) for child in expr.children()]
     try:
-        _static_kind(expr, schema)
+        kind = _node_kind(expr, [child.kind for child in children])
     except KernelRefusal as refusal:
-        if registry is not None:
-            registry.inc(
-                "sql.kernel_refusals",
-                reason=refusal.reason,
-                expression=refusal.expression.to_sql(),
-            )
-        return False
-    return True
+        refusals.append(refusal)
+        return _Lowered(_guarded(expr, [child.kernel for child in children]), _ANY, False)
+    total = all(child.total for child in children)
+    return _Lowered(_fused(expr, children, schema), kind, total)
 
 
-def _interpreted(expr: Expression, schema: Schema) -> VectorKernel:
-    """``expr.bind`` looped over the vectors ``expr`` references: what a
-    refused expression runs as.  Analysis errors (an unknown column, a
-    misplaced aggregate) raise here, at compile time."""
-    names = sorted(expr.columns())
-    evaluate = expr.bind(schema.select(names))
-    indices = [schema.index_of(name) for name in names]
-
-    def kernel(cols: Columns, n: int) -> List[Any]:
-        if not indices:
-            return [evaluate(()) for _ in range(n)]
-        return list(map(evaluate, zip(*[cols[index] for index in indices])))
-
-    return kernel
+def _lowered(
+    expr: Expression, schema: Schema, registry: Optional[MetricsRegistry]
+) -> _Lowered:
+    """:func:`_lower` over the scan schema's types; a refused expression
+    is counted in ``registry`` (if any) as
+    ``sql.kernel_refusals{reason=,expression=}``, naming the innermost
+    refused node."""
+    refusals: List[KernelRefusal] = []
+    lowered = _lower(expr, schema, True, refusals)
+    if refusals and registry is not None:
+        registry.inc(
+            "sql.kernel_refusals",
+            reason=refusals[0].reason,
+            expression=refusals[0].expression.to_sql(),
+        )
+    return lowered
 
 
 def compile_expression(
     expr: Expression, schema: Schema, registry: Optional[MetricsRegistry] = None
 ) -> VectorKernel:
-    """Lower one expression into a batch kernel.
+    """Lower one expression into a batch kernel over the scan schema.
 
-    The kernel is fused when :func:`_static_kind` proves the expression
-    total over the given scan schema, and is then value-identical to
-    evaluating ``expr.bind(schema)`` row by row; otherwise it *is* that
-    evaluation (:func:`_interpreted`), and the refusal is counted.
+    Each node is fused when its own operation is proven total over the
+    kinds its operands have, and guarded otherwise; an expression with a
+    guarded node is counted as refused.  Analysis errors (an unknown
+    column or function, ``*``, an aggregate outside an aggregation)
+    raise here, at compile time.
     """
-    if _proven(expr, schema, registry):
-        return _compile(expr, schema)
-    return _interpreted(expr, schema)
+    return _lowered(expr, schema, registry).kernel
 
 
-def _compile(expr: Expression, schema: Schema) -> VectorKernel:
-    """Recursive kernel builder (totality already proven by the caller)."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda cols, n: [value] * n
-    if isinstance(expr, Column):
-        index = schema.index_of(expr.name)
-        return lambda cols, n: cols[index]
+def compile_untyped(expr: Expression, schema: Schema) -> VectorKernel:
+    """:func:`compile_expression` over cells whose types ``schema`` does
+    not declare -- an aggregate's finalized groups, the rows a sort
+    materialized.  No column has a kind, so only the operations total
+    over any value fuse; nothing is counted."""
+    return _lower(expr, schema, False, []).kernel
+
+
+def _fused(expr: Expression, children: List[_Lowered], schema: Schema) -> VectorKernel:
+    """``expr``'s own operation, proven total, over its children's
+    kernels (which need not be)."""
     if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, schema)
+        return _fused_binary(expr, children[0], children[1], schema)
     if isinstance(expr, InList):
-        return _compile_in_list(expr, schema)
+        return _fused_in_list(expr, children, schema)
     if isinstance(expr, Between):
-        return _compile_between(expr, schema)
+        return _fused_between(expr, *[child.kernel for child in children])
     if isinstance(expr, CaseWhen):
-        return _compile_case(expr, schema)
+        return _fused_case(expr, children, schema)
     # What is left maps its one vector operand cell by cell.
+    inner = children[0].kernel
     if isinstance(expr, FunctionCall):
-        return _map_cells(_compile(expr.args[0], schema), _function_cells(expr, schema))
-    inner = _compile(expr.operand, schema)  # type: ignore[attr-defined]
+        return _map_cells(inner, _function_cells(expr, children[0].kind))
     if isinstance(expr, UnaryOp):
         if expr.op == "not":
             return _map_cells(
@@ -432,7 +555,7 @@ def _compile(expr: Expression, schema: Schema) -> VectorKernel:
     raise AssertionError(f"unreachable: {type(expr).__name__}")
 
 
-def _function_cells(expr: FunctionCall, schema: Schema) -> CellMap:
+def _function_cells(expr: FunctionCall, first_kind: str) -> CellMap:
     """One of :data:`_TOTAL_FUNCTIONS` over its first argument's cells,
     the other arguments being integer literals."""
     function = lookup_scalar(expr.name, len(expr.args))
@@ -441,7 +564,7 @@ def _function_cells(expr: FunctionCall, schema: Schema) -> CellMap:
         # Table I's shape: the slice bounds do not depend on the text.
         start = max(rest[0] - 1, 0)
         stop = start + rest[1] if len(rest) > 1 else None
-        if _static_kind(expr.args[0], schema) == _STR:
+        if first_kind == _STR:
             return lambda cells: [
                 None if v is None else v[start:stop] for v in cells
             ]
@@ -451,56 +574,83 @@ def _function_cells(expr: FunctionCall, schema: Schema) -> CellMap:
     return lambda cells: [function(v, *rest) for v in cells]
 
 
-def _compile_binary(expr: BinaryOp, schema: Schema) -> VectorKernel:
+def _fused_binary(
+    expr: BinaryOp, left: _Lowered, right: _Lowered, schema: Schema
+) -> VectorKernel:
     op = expr.op
-    left_kind = _static_kind(expr.left, schema)
-    right_kind = _static_kind(expr.right, schema)
-    if op not in ("and", "or") and _NULL in (left_kind, right_kind):
+    if op in ("and", "or"):
+        return _kleene(expr, left, right, schema)
+    null = _NULL in (left.kind, right.kind)
+    if null and left.total and right.total:
         # One side is always NULL: comparisons, arithmetic and
         # concatenation all propagate it unconditionally.
         return lambda cols, n: [None] * n
     # Fused vector-vs-literal comparisons: the hot shape of WHERE clauses.
-    if op in ("=", "<>", "!=", *_ORDERED_OPS):
+    if op in ("=", "<>", "!=", *_ORDERED_OPS) and not null:
         if isinstance(expr.right, Literal):
             cells = _cmp_col_lit(op, expr.right.value)
             if cells is not None:
-                return _map_cells(_compile(expr.left, schema), cells)
+                return _map_cells(left.kernel, cells)
         if isinstance(expr.left, Literal):
             cells = _cmp_col_lit(_MIRRORED.get(op, op), expr.left.value)
             if cells is not None:
-                return _map_cells(_compile(expr.right, schema), cells)
-    left = _compile(expr.left, schema)
-    right = _compile(expr.right, schema)
-    if op == "and":
-        return lambda cols, n: [
-            False
-            if a is False or b is False
-            else (None if a is None or b is None else bool(a) and bool(b))
-            for a, b in zip(left(cols, n), right(cols, n))
-        ]
-    if op == "or":
-        return lambda cols, n: [
-            True
-            if a is True or b is True
-            else (None if a is None or b is None else bool(a) or bool(b))
-            for a, b in zip(left(cols, n), right(cols, n))
-        ]
+                return _map_cells(right.kernel, cells)
+    lk, rk = left.kernel, right.kernel
     if op == "||":
         return lambda cols, n: [
             None if a is None or b is None else str(a) + str(b)
-            for a, b in zip(left(cols, n), right(cols, n))
+            for a, b in zip(lk(cols, n), rk(cols, n))
         ]
-    kernel = _cmp_vec(op, left, right) or _arith_vec(op, left, right)
+    kernel = _cmp_vec(op, lk, rk) or _arith_vec(op, lk, rk)
     if kernel is None:
         raise AssertionError(f"unreachable operator {op!r}")
     return kernel
 
 
-def _compile_in_list(expr: InList, schema: Schema) -> VectorKernel:
+def _kleene(expr: BinaryOp, left: _Lowered, right: _Lowered, schema: Schema) -> VectorKernel:
+    """Kleene AND / OR.  A right operand that is not proven total runs
+    only on the rows the left one leaves undecided -- not False for AND
+    (NULL included), not True for OR."""
+    if expr.op == "and":
+
+        def combine(a: Sequence[Any], b: Sequence[Any]) -> List[Any]:
+            return [
+                False
+                if x is False or y is False
+                else (None if x is None or y is None else bool(x) and bool(y))
+                for x, y in zip(a, b)
+            ]
+
+    else:
+
+        def combine(a: Sequence[Any], b: Sequence[Any]) -> List[Any]:
+            return [
+                True
+                if x is True or y is True
+                else (None if x is None or y is None else bool(x) or bool(y))
+                for x, y in zip(a, b)
+            ]
+
+    lk, rk = left.kernel, right.kernel
+    if right.total:
+        return lambda cols, n: combine(lk(cols, n), rk(cols, n))
+    reach, decided = _reach(expr.right, right, schema), expr.op == "or"
+
+    def kernel(cols: Columns, n: int) -> List[Any]:
+        a = lk(cols, n)
+        undecided = [row for row, value in enumerate(a) if value is not decided]
+        return combine(a, reach(cols, n, undecided))
+
+    return kernel
+
+
+def _fused_in_list(expr: InList, children: List[_Lowered], schema: Schema) -> VectorKernel:
     """``x [NOT] IN (...)``: a member answers ``hit``; a non-member
     ``miss``, which is NULL when the list holds a NULL (``x = NULL``
-    might have been the match)."""
-    inner = _compile(expr.operand, schema)
+    might have been the match).  A NULL ``x`` answers NULL before any
+    item is evaluated, so an item that is not proven total runs only on
+    the other rows."""
+    inner = children[0].kernel
     hit, negated = not expr.negated, expr.negated
     if all(isinstance(item, Literal) for item in expr.items):
         values = [item.value for item in expr.items]  # type: ignore[attr-defined]
@@ -512,34 +662,36 @@ def _compile_in_list(expr: InList, schema: Schema) -> VectorKernel:
                 None if v is None else hit if v in members else miss for v in cells
             ],
         )
-    item_kernels = [_compile(item, schema) for item in expr.items]
+    reaches = [_reach(node, item, schema) for node, item in zip(expr.items, children[1:])]
+    proven = all(item.total for item in children[1:])
 
     def kernel(cols: Columns, n: int) -> List[Any]:
+        operands = inner(cols, n)
+        rows = [] if proven else [row for row, v in enumerate(operands) if v is not None]
         return [
             None
             if value is None
             else hit
             if value in items
             else (None if None in items else negated)
-            for value, *items in zip(
-                inner(cols, n), *(item(cols, n) for item in item_kernels)
-            )
+            for value, *items in zip(operands, *(reach(cols, n, rows) for reach in reaches))
         ]
 
     return kernel
 
 
-def _compile_between(expr: Between, schema: Schema) -> VectorKernel:
+def _fused_between(
+    expr: Between, inner: VectorKernel, low: VectorKernel, high: VectorKernel
+) -> VectorKernel:
     """``x >= lo AND x <= hi`` under Kleene AND (then NOT): beside a
     NULL bound the other comparison still answers False."""
-    inner = _compile(expr.operand, schema)
     negated = expr.negated
     if isinstance(expr.low, Literal) and isinstance(expr.high, Literal):
         lo, hi = expr.low.value, expr.high.value
         if lo is None or hi is None:  # rare: no comprehension of its own
             return _map_cells(
                 inner,
-                lambda cells: [between_value(v, lo, hi, negated) for v in cells],
+                lambda cells: [_between(v, lo, hi, negated) for v in cells],
             )
         if negated:
             return _map_cells(
@@ -549,35 +701,56 @@ def _compile_between(expr: Between, schema: Schema) -> VectorKernel:
         return _map_cells(
             inner, lambda cells: [None if v is None else lo <= v <= hi for v in cells]
         )
-    low = _compile(expr.low, schema)
-    high = _compile(expr.high, schema)
     return lambda cols, n: [
-        between_value(v, lo, hi, negated)
+        _between(v, lo, hi, negated)
         for v, lo, hi in zip(inner(cols, n), low(cols, n), high(cols, n))
     ]
 
 
-def _compile_case(expr: CaseWhen, schema: Schema) -> VectorKernel:
-    branches = [
-        (_compile(condition, schema), _compile(result, schema))
-        for condition, result in expr.branches
-    ]
-    default = (
-        _compile(expr.otherwise, schema) if expr.otherwise is not None else None
-    )
+def _fused_case(expr: CaseWhen, children: List[_Lowered], schema: Schema) -> VectorKernel:
+    """The first branch whose condition is True answers.  When every
+    part is proven total each runs over the whole batch; otherwise a
+    condition runs only on the rows no earlier branch took, a result on
+    the rows its branch took and ELSE on the rest."""
+    count = 2 * len(expr.branches)
+    if all(child.total for child in children):
+        kernels = [child.kernel for child in children]
+        branches = list(zip(kernels[0:count:2], kernels[1:count:2]))
+        default = kernels[count] if expr.otherwise is not None else None
 
-    def kernel(cols: Columns, n: int) -> List[Any]:
-        out = default(cols, n) if default is not None else [None] * n
-        # Last branch first, so the first true condition of a row is the
-        # one whose result stays.
-        for condition, result in reversed(branches):
-            out = [
-                chosen if flag is True else kept
-                for flag, chosen, kept in zip(condition(cols, n), result(cols, n), out)
-            ]
+        def kernel(cols: Columns, n: int) -> List[Any]:
+            out = default(cols, n) if default is not None else [None] * n
+            # Last branch first, so the first true condition of a row is
+            # the one whose result stays.
+            for condition, result in reversed(branches):
+                out = [
+                    chosen if flag is True else kept
+                    for flag, chosen, kept in zip(condition(cols, n), result(cols, n), out)
+                ]
+            return out
+
+        return kernel
+    reaches = [
+        _reach(node, child, schema) for node, child in zip(expr.children(), children)
+    ]
+
+    def short_circuit(cols: Columns, n: int) -> List[Any]:
+        out: List[Any] = [None] * n
+        undecided = list(range(n))
+        for condition, result in zip(reaches[0:count:2], reaches[1:count:2]):
+            flags = condition(cols, n, undecided)
+            taken = [row for row in undecided if flags[row] is True]
+            values = result(cols, n, taken)
+            for row in taken:
+                out[row] = values[row]
+            undecided = [row for row in undecided if flags[row] is not True]
+        if expr.otherwise is not None:
+            values = reaches[count](cols, n, undecided)
+            for row in undecided:
+                out[row] = values[row]
         return out
 
-    return kernel
+    return short_circuit
 
 
 def compile_predicate(
@@ -587,24 +760,23 @@ def compile_predicate(
 
     The kernel returns the indices of rows whose condition evaluates to
     exactly ``True`` (SQL WHERE semantics: NULL and False both drop the
-    row).
+    row).  Every refused conjunct is counted.
 
-    Top-level conjuncts run left to right over a narrowing selection, as
-    the interpreter stops at a row's first false conjunct: each one
-    sees only the rows that passed those before it, gathered from the
-    columns it references.  Every conjunct is proven total on its own,
-    so a skipped evaluation cannot hide an error.  ``a AND b`` is
-    ``True`` exactly when both are neither NULL nor falsy.  When any
-    conjunct is refused the condition is interpreted *whole*, so which
-    operand a row's AND / OR / CASE stops at -- and with it whether the
-    row raises -- stays the interpreter's own.
+    While every top-level conjunct is proven total they run left to
+    right over a narrowing selection: each one sees only the rows that
+    passed those before it, gathered from the columns it references (a
+    skipped evaluation cannot hide an error).  ``a AND b`` is ``True``
+    exactly when both are neither NULL nor falsy.  A conjunct that is
+    not proven total must also run on the rows an earlier conjunct left
+    NULL -- a row's AND stops only at False -- so the condition then
+    runs as the one kernel of its AND tree, whose nodes apply that rule.
     """
     conjuncts = split_conjuncts(expr)
-    # A list, not a generator: every refused conjunct is counted.
-    if not all([_proven(conjunct, schema, registry) for conjunct in conjuncts]):
-        whole = _interpreted(expr, schema)
+    lowered = [_lowered(conjunct, schema, registry) for conjunct in conjuncts]
+    if not all(item.total for item in lowered):
+        whole = _lower(expr, schema, True, []).kernel
         return lambda cols, n: _passing(whole(cols, n), n, exact=True)
-    kernels = [_compile(conjunct, schema) for conjunct in conjuncts]
+    kernels = [item.kernel for item in lowered]
     if len(kernels) == 1:
         only = kernels[0]
         return lambda cols, n: _passing(only(cols, n), n, exact=True)
@@ -621,10 +793,7 @@ def compile_predicate(
             if len(picked) == n:
                 picked = _passing(kernel(cols, n), n)
                 continue
-            narrowed: List[Optional[Sequence[Any]]] = [None] * len(cols)
-            for index in needed:
-                narrowed[index] = take_column(cols[index], picked)
-            passing = _passing(kernel(narrowed, len(picked)), len(picked))
+            passing = _passing(kernel(_narrowed(cols, needed, picked), len(picked)), len(picked))
             if len(passing) != len(picked):
                 picked = list(take_column(picked, passing))
         return picked

@@ -55,11 +55,9 @@ tie (sqlite rounds ``x + 0.5`` in binary, or prints 15 digits first,
 so ``round(0.49999999999999994)`` is 1.0 there), so ``ROUND`` is
 generated over integer columns divided by small integers only.
 
-**Open** deviations from Spark SQL (sqlite agrees with Spark on the
-first; the rest are Spark's own rules).  Left as they are, recorded
-under ROADMAP item 2, and not generated here:
+**Open** deviations from Spark SQL (Spark's own rules).  Left as they
+are, recorded under ROADMAP item 4(a), and not generated here:
 
-* ``-7 % 3`` is 2 (Python's floored modulo); Spark and sqlite answer -1;
 * ``FLOOR`` / ``CEIL`` return ints (Spark: bigint for doubles, but
   decimal for decimals);
 * ORDER BY on anything but an output column, an alias or a GROUP BY key

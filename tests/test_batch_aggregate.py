@@ -6,7 +6,7 @@ One generator feeds three differentials:
   -- plain, tuple and dictionary-coded columns, any batch cuts --
   against the same rows as one plain batch, and (DISTINCT apart, which
   it does not speak) against the per-row loop of
-  ``tests/rowwise_aggregate.py`` over the rows a hand-written WHERE
+  ``tests/row_at_a_time.py`` over the rows a hand-written WHERE
   keeps -- compared cell for cell, group order included;
 * :func:`repro.storlets.agg_storlet.tagged_partial_aggregate` against
   that same per-row loop, record for record at every spill bound;
@@ -44,7 +44,7 @@ from repro.sql.grouping import GroupTable
 from repro.sql.parser import parse_query
 from repro.sql.types import Schema
 from repro.storlets.agg_storlet import AggregationSpec, tagged_partial_aggregate
-from tests.rowwise_aggregate import rowwise_tagged_partial_aggregate
+from tests.row_at_a_time import rowwise_tagged_partial_aggregate
 from tests.sqlite_oracle import check_against_sqlite
 
 SCHEMA = Schema.of("k", "d", "w:int", "n:int", "x:float", "m:float")

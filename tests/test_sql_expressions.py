@@ -14,14 +14,15 @@ from repro.sql.functions import (
     sql_round,
     sql_substring,
 )
-from repro.sql.parser import parse_expression
 from repro.sql.types import Schema
+
+from tests.row_at_a_time import row_evaluator
 
 SCHEMA = Schema.of("a:int", "b:float", "s", "flag:bool")
 
 
 def evaluate(text, row):
-    return parse_expression(text).bind(SCHEMA)(row)
+    return row_evaluator(text, SCHEMA)(row)
 
 
 ROW = (5, 2.5, "hello", True)
@@ -44,6 +45,26 @@ class TestArithmetic:
 
     def test_null_propagates_through_arithmetic(self):
         assert evaluate("a + 1", (None, 1.0, "x", True)) is None
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("7 % 3", 1),
+            ("-7 % 3", -1),
+            ("7 % -3", 1),
+            ("-7 % -3", -1),
+            ("-6 % 3", 0),
+            ("-a % 3", -2),
+            ("7.5 % 2", 1.5),
+            ("-7.5 % 2", -1.5),
+            ("-7 % 2.5", -2.0),
+            ("a % 0", None),
+            ("b % 0.0", None),
+        ],
+    )
+    def test_modulo_takes_the_sign_of_the_dividend(self, text, expected):
+        """As in Spark and sqlite, not Python's floored ``%``."""
+        assert repr(evaluate(text, ROW)) == repr(expected)
 
     def test_string_concat_operator(self):
         assert evaluate("s || '!'", ROW) == "hello!"
@@ -205,15 +226,15 @@ class TestFunctions:
 
     def test_unknown_function_raises(self):
         with pytest.raises(SqlAnalysisError):
-            parse_expression("NOPE(a)").bind(SCHEMA)
+            row_evaluator("NOPE(a)", SCHEMA)
 
     def test_wrong_arity_raises(self):
         with pytest.raises(SqlAnalysisError):
-            parse_expression("UPPER(a, b)").bind(SCHEMA)
+            row_evaluator("UPPER(a, b)", SCHEMA)
 
     def test_unknown_column_raises(self):
         with pytest.raises(SqlAnalysisError):
-            parse_expression("missing + 1").bind(SCHEMA)
+            row_evaluator("missing + 1", SCHEMA)
 
 
 class TestAccumulators:

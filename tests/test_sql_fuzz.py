@@ -15,6 +15,8 @@ from repro.sql import Schema, execute_query, parse_query
 from repro.sql.catalyst import extract_pushdown
 from repro.sql.errors import SqlError
 
+from tests.row_at_a_time import row_evaluator
+
 SCHEMA = Schema.of("vid", "date", "index:float", "code:int", "city")
 
 COLUMNS = ["vid", "date", "index", "code", "city"]
@@ -175,7 +177,7 @@ class TestQueryFuzz:
             return
         spec = extract_pushdown(query, SCHEMA)
         pushdown_predicate = conjunction_predicate(spec.filters, SCHEMA)
-        where = query.where.bind(SCHEMA)
+        where = row_evaluator(query.where, SCHEMA)
         for row in rows:
             try:
                 full = where(row) is True

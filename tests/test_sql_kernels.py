@@ -1,15 +1,16 @@
-"""Kernel compiler tests: one pipeline, two ways to make a kernel.
+"""Kernel compiler tests: one evaluator, checked for independence.
 
-The compile-once kernels (:mod:`repro.sql.kernels`) run every plan
-(:func:`repro.sql.executor.execute_plan`).  An expression the compiler
-proves total gets a *fused* kernel; any other gets an *interpreted*
-one, its own ``bind`` evaluator looped over the batch.  Two contracts
-hold the pair together, checked against the query / row generators the
-SQL fuzz and oracle suites use:
+The compile-once kernels (:mod:`repro.sql.kernels`) are the only
+evaluator: they run every plan (:func:`repro.sql.executor.execute_plan`)
+and a single row is a batch of one.  Each node of an expression is
+*fused* where its operation is proven total and *guarded* -- one call
+per row, a failure raised as ``SqlTypeError`` -- where it is not.  Two
+contracts are checked against the query / row generators the SQL fuzz
+and oracle suites use:
 
-* *fused == interpreted*: whatever the fused compiler accepts, it
-  answers cell for cell as the interpreted kernel does -- over plain
-  lists, dictionary-coded and packed columns;
+* *carrier independence*: an expression's cells, proven or not, are
+  the same over plain lists, dictionary-coded and packed columns and
+  the same rows one per batch -- or every case raises ``SqlTypeError``;
 * *batching independence*: a query's answer does not depend on how the
   scan was cut into batches (unless it both has a LIMIT and can raise:
   errors surface a batch at a time).
@@ -31,16 +32,11 @@ from repro.sql.catalyst import Optimizer, build_logical_plan
 from repro.sql.errors import SqlError, SqlTypeError
 from repro.sql.executor import execute_plan, execute_query
 from repro.sql.filters import filters_from_json, filters_to_json
-from repro.sql.kernels import (
-    FilterMask,
-    _compile,
-    _interpreted,
-    compile_predicate,
-    proves_total,
-)
+from repro.sql.kernels import FilterMask, compile_expression, compile_predicate
 from repro.sql.parser import parse_expression, parse_query
 from repro.sql.types import Schema
 
+from tests.row_at_a_time import row_evaluator
 from tests.test_sql_fuzz import SCHEMA, queries, rows_strategy
 from tests.test_sql_oracle import oracle_queries, predicate, scalar
 from tests.test_sql_oracle import rows as oracle_rows
@@ -113,25 +109,36 @@ def _carriers(rows):
     yield len(dense), columns
 
 
+def _outcome(evaluate):
+    """What ``evaluate()`` answers -- its cells, by ``repr`` (1, 1.0 and
+    True apart) -- or ``SqlTypeError`` if it raised one."""
+    try:
+        return [repr(cell) for cell in evaluate()]
+    except SqlTypeError:
+        return SqlTypeError
+
+
 class TestPredicateKernels:
     @settings(max_examples=200, deadline=None)
     @given(text=st.one_of(predicate, scalar), rows=oracle_rows)
-    def test_fused_kernels_equal_the_interpreted_kernel(self, text, rows):
-        """Whatever the fused compiler accepts it answers as the
-        expression's own evaluator does, whatever carries the cells."""
+    def test_cells_do_not_depend_on_the_carrier_or_the_batch(self, text, rows):
+        """Proven or not, an expression's kernel answers each carrier's
+        rows as those rows one per batch do, and its selection keeps the
+        rows whose cell is True; where one row raises, all of it raises
+        ``SqlTypeError``."""
         expression = parse_expression(text)
-        if not proves_total(expression, SCHEMA):
-            return
-        fused, interpreted = _compile(expression, SCHEMA), _interpreted(expression, SCHEMA)
+        kernel = compile_expression(expression, SCHEMA)
         selection = compile_predicate(expression, SCHEMA)
+        one_row = row_evaluator(expression, SCHEMA)
         for n, columns in _carriers(rows):
-            expected = interpreted(columns, n)
-            assert [repr(cell) for cell in fused(columns, n)] == [
-                repr(cell) for cell in expected
-            ], text
-            assert selection(columns, n) == [
-                index for index, cell in enumerate(expected) if cell is True
-            ], text
+            held = list(zip(*columns))  # the cells as this carrier reads them
+            expected = _outcome(lambda: [one_row(row) for row in held])
+            assert _outcome(lambda: kernel(columns, n)) == expected, text
+            assert _outcome(lambda: selection(columns, n)) == (
+                expected
+                if expected is SqlTypeError
+                else [repr(row) for row, cell in enumerate(expected) if cell == "True"]
+            ), text
 
     @settings(max_examples=100, deadline=None)
     @given(rows=rows_strategy, value=st.integers(-100, 9999))
@@ -179,7 +186,7 @@ def _mixed_plan(sql):
 
 class TestRefusedExpressionsRunInterpreted:
     """``s`` is a STRING column, so ``s < 5`` is not provably total: it
-    runs interpreted, and raises for the row that holds text."""
+    runs guarded, and raises for the row that holds text."""
 
     LIMITED = "SELECT a FROM t WHERE s < 5 LIMIT 1"
 
@@ -194,10 +201,10 @@ class TestRefusedExpressionsRunInterpreted:
         with pytest.raises(SqlTypeError):
             execute_plan(_mixed_plan(self.LIMITED), source, _MIXED)
 
-    def test_the_condition_is_interpreted_whole(self):
-        """A row's AND stops where the interpreter's does: a NULL left
-        operand does not hide what its right operand raises; a False one
-        does -- even though ``a > 0`` alone would have fused."""
+    def test_the_condition_stops_at_false(self):
+        """A row's AND stops only at False: a NULL left operand does not
+        hide what its right operand raises; a False one does -- even
+        though ``a > 0`` alone would have fused."""
         plan = _mixed_plan("SELECT a FROM t WHERE a > 0 AND s < 5")
         with pytest.raises(SqlTypeError):
             execute_plan(plan, _CountingSource([(None, "x")]), _MIXED)
@@ -218,6 +225,34 @@ class TestRefusedExpressionsRunInterpreted:
             _mixed_plan(sql), _CountingSource([(1, 3), (2, 3)], [(5, 7)]), _MIXED
         )
         assert rows == [(6, 2, 9), (14, 1, 12)]
+
+
+class TestEveryRowFailureIsASqlTypeError:
+    """Over the text cell ``'x'`` of the STRING column ``s``, every
+    operator that cannot take it raises ``SqlTypeError`` naming itself
+    and the operands -- in a projection, a WHERE, a HAVING, a sort key
+    -- and never a raw Python error."""
+
+    @pytest.mark.parametrize(
+        "sql, operator",
+        [
+            ("SELECT -s FROM t", "-"),
+            ("SELECT ABS(s) FROM t", "ABS"),
+            ("SELECT FLOOR(s) FROM t", "FLOOR"),
+            ("SELECT YEAR(s) FROM t", "YEAR"),
+            ("SELECT INT(s) FROM t", "INT"),
+            ("SELECT s < 5 FROM t", "<"),
+            ("SELECT a FROM t WHERE s BETWEEN 1 AND 5", "BETWEEN"),
+            ("SELECT a FROM t WHERE a > 0 AND s % 2 = 1", "%"),
+            ("SELECT s, count(*) FROM t GROUP BY s HAVING -s < 0", "-"),
+            ("SELECT s FROM t ORDER BY CEIL(s)", "CEIL"),
+        ],
+    )
+    def test_a_text_cell(self, sql, operator):
+        with pytest.raises(SqlTypeError) as raised:
+            execute_plan(_mixed_plan(sql), _CountingSource([(1, "x")]), _MIXED)
+        assert f"cannot apply {operator} to " in str(raised.value)
+        assert "'x'" in str(raised.value)
 
 
 # -- source filters over dictionary-coded columns ------------------------------

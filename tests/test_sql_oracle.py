@@ -25,6 +25,7 @@ from repro.sql.filters import conjunction_predicate
 from repro.storlets.agg_storlet import AggregationSpec, tagged_partial_aggregate
 
 from tests.agg_partials import gate, planned
+from tests.row_at_a_time import row_evaluator
 from tests.sqlite_oracle import check_against_sqlite
 from tests.test_sql_fuzz import (
     NUMERIC_COLUMNS,
@@ -98,6 +99,7 @@ scalar = st.one_of(
             "code / 4",
             "index / code",
             "code % 3",
+            "(1 - code) % 3",
             "index + code",
             "code > 2",
             "UPPER(city)",
@@ -306,8 +308,8 @@ def test_pushed_filters_stay_supersets_and_handled_ones_exact(where, data):
     spec = extract_pushdown(query, SCHEMA)
     pushed = conjunction_predicate(spec.filters, SCHEMA)
     handled = conjunction_predicate(spec.handled, SCHEMA)
-    accepts = query.where.bind(SCHEMA)
-    remaining = spec.compute_filter.bind(SCHEMA) if spec.compute_filter else None
+    accepts = row_evaluator(query.where, SCHEMA)
+    remaining = row_evaluator(spec.compute_filter, SCHEMA) if spec.compute_filter else None
     for row in data:
         try:
             kept = accepts(row) is True
