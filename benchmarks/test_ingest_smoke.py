@@ -1,12 +1,13 @@
 """Ingest throughput gate: column-major CSV -> RCF1 vs the row-wise reference.
 
 Converts 200 k meter rows through ``CsvToColumnarStorlet.process`` (the
-column-major encoder fed ``CsvScan`` blocks, the object catalog merged
-from stripe statistics) and through the row-at-a-time reference kept in
-``tests/rowwise_reference.py`` (a row tuple per record, a catalog call
-per cell).  The outputs must be byte
-identical and the storlet at least 2x as fast -- so a per-row or
-per-cell loop cannot quietly come back on the ingest path.  The stored
+column-major encoder fed the validated text of ``CsvScan`` blocks, the
+object catalog merged from stripe statistics) and through the
+row-at-a-time reference kept in ``tests/rowwise_reference.py`` (a row
+tuple per record, a catalog call per cell).  The outputs must be byte
+identical and the storlet at least ``REQUIRED_RATIO`` times as fast --
+so a per-row or per-cell loop cannot quietly come back on the ingest
+path.  The stored
 object must also stay under 0.6x its CSV bytes, so the dictionary and
 narrow-int encodings cannot silently stop being chosen.
 
@@ -27,7 +28,9 @@ from tests import rowwise_reference as reference
 
 SPEC = DatasetSpec(meters=400, intervals=500)
 STRIPE_BYTES = 256 * 1024
-REQUIRED_RATIO = 2.0
+#: 2.0 until the converter typed distinct texts; five runs then read
+#: 6.32-7.34x, and this leaves 30 % below the slowest.
+REQUIRED_RATIO = 4.8
 #: Stored RCF1 bytes per CSV byte (1.29 before segments were encoded).
 MAX_STORED_RATIO = 0.6
 
@@ -73,7 +76,7 @@ def _best_of(call, data: bytes, repeats: int = 3):
     return best, result
 
 
-def test_column_major_ingest_is_2x_the_row_path_and_identical():
+def test_column_major_ingest_outruns_the_row_path_and_is_identical():
     data = b"".join(MeterDataGenerator(SPEC).csv_lines())
     rows = SPEC.total_rows()
     fast_s, (body, metadata) = _best_of(_column_major, data)

@@ -49,10 +49,36 @@ CATALOG_VERSION = 1
 #: past it the bloom would saturate into uselessness anyway.
 MAX_BLOOM_KEYS = 256
 
+#: Integers within this magnitude have distinct float images, so
+#: distinct ones have distinct canonical keys.
+_EXACT_FLOAT_INT = 1 << 53
+
+
+def _keys_injective(values: Set[Any]) -> bool:
+    """Do distinct members of ``values`` have distinct canonical keys
+    (those that have one)?  True for strings, floats and numbers within
+    +/-2**53; a larger integer can share its float image with another.
+    (A NaN can make ``min`` / ``max`` read wrong, but a NaN has no key
+    and turns the bloom off whatever this says.)"""
+    kinds = set(map(type, values))
+    if kinds <= {str, float}:
+        return True
+    return (
+        kinds <= {int, bool, float}
+        and -_EXACT_FLOAT_INT <= min(values)
+        and max(values) <= _EXACT_FLOAT_INT
+    )
+
 
 class _ColumnAccumulator:
     """One column's running catalog entry: the merge of the statistics
-    of every vector folded so far, plus its distinct bloom keys."""
+    of every vector folded so far, plus its distinct bloom keys.
+
+    A value is keyed only the first time the object shows it.  Once the
+    column's distinct values pass the cap and their keys are provably
+    injective (:func:`_keys_injective`), the bloom is off without
+    keying another one: that many values make that many keys.
+    """
 
     def __init__(self) -> None:
         self.nulls = 0
@@ -62,6 +88,11 @@ class _ColumnAccumulator:
         #: Distinct canonical keys, or ``None`` once the bloom is off
         #: (more than the cap, or an unkeyable value was seen).
         self.keys: Optional[Set[bytes]] = set()
+        #: The distinct non-null values keyed so far, while the bloom is on.
+        self.seen: Optional[Set[Any]] = set()
+        #: False once ``seen`` holds values :func:`_keys_injective`
+        #: cannot vouch for.
+        self.injective = True
 
     def merge(self, stats: Any, values: Sequence[Any]) -> None:
         """Fold one vector given its statistics (anything carrying
@@ -77,15 +108,20 @@ class _ColumnAccumulator:
             return
         # Keyed from the value *set*: whether the bloom survives depends
         # on the column's content, never on its row order.
-        distinct = set(values)
-        distinct.discard(None)
-        for value in distinct:
-            key = canonical_bloom_key(value)
-            if key is not None:
-                self.keys.add(key)
-            if key is None or len(self.keys) > MAX_BLOOM_KEYS:
-                self.keys = None
+        fresh = set(values)
+        fresh.discard(None)
+        fresh -= self.seen
+        if not fresh:
+            return
+        self.seen |= fresh
+        if len(self.seen) > MAX_BLOOM_KEYS and self.injective:
+            self.injective = _keys_injective(self.seen)
+            if self.injective:
+                self.keys = self.seen = None
                 return
+        self.keys.update(map(canonical_bloom_key, fresh))
+        if None in self.keys or len(self.keys) > MAX_BLOOM_KEYS:
+            self.keys = self.seen = None
 
     def to_payload(self) -> dict:
         """This column's catalog document fragment."""
@@ -98,7 +134,7 @@ class _ColumnAccumulator:
             entry["nan"] = True
         if self.keys:
             bloom = BloomFilter()
-            for key in sorted(self.keys):
+            for key in self.keys:
                 bloom.add_key(key)
             entry["bloom"] = bloom.to_hex()
             entry["bb"] = bloom.bits

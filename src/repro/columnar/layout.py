@@ -52,7 +52,18 @@ import json
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn, materialize
 from repro.columnar.stats import column_bounds
@@ -203,15 +214,29 @@ class ColumnarFooter:
         )
 
 
-def _split_nulls(values: Sequence[Any]) -> Tuple[bytes, Sequence[Any]]:
-    """The null bitmap (bit set = NULL) and the non-null run of a column."""
+class TextBlock(NamedTuple):
+    """A block of CSV fields the drop rule has validated, one text
+    vector per schema column: a cell is its field's text, ``""`` a NULL.
+
+    :func:`encode_column_stream` takes these or typed value vectors and
+    tells them apart by this type; where a column's texts repeat, a
+    text cell is typed only as one of its distinct texts
+    (:func:`_encode_texts`).
+    """
+
+    texts: Sequence[Sequence[str]]
+
+
+def _split_nulls(values: Sequence[Any], null: Any = None) -> Tuple[bytes, Sequence[Any]]:
+    """The null bitmap (bit set = NULL) and the non-null run of a column
+    whose NULL cells are ``null`` (``""`` in a text vector)."""
     n = len(values)
-    if not values.count(None):
+    if not values.count(null):
         return bytes((n + 7) // 8), values
     bitmap = bytearray((n + 7) // 8)
     non_null: List[Any] = []
     for i, value in enumerate(values):
-        if value is None:
+        if value == null:
             bitmap[i >> 3] |= 1 << (i & 7)
         else:
             non_null.append(value)
@@ -238,6 +263,14 @@ def _encode_text(texts: Sequence[str]) -> bytes:
     return struct.pack(f"<{len(texts)}I", *lengths) + blob
 
 
+def _text_size(texts: Sequence[str]) -> int:
+    """``len(_encode_text(texts))``, without packing it."""
+    joined = "".join(texts)
+    return 4 * len(texts) + (
+        len(joined) if joined.isascii() else len(joined.encode("utf-8"))
+    )
+
+
 def _plain_payload(non_null: Sequence[Any], dtype: DataType) -> Tuple[int, bytes]:
     """``(tag, payload)`` of a non-null run in its dtype's plain encoding."""
     if dtype is DataType.INT:
@@ -257,13 +290,36 @@ def _plain_payload(non_null: Sequence[Any], dtype: DataType) -> Tuple[int, bytes
 _MIN_VALUE_BYTES = {ENC_INT64: 8, ENC_FLOAT64: 8, ENC_TEXT: 4, ENC_BOOL: 0}
 
 
+def _dictionary_floor(count: int, n: int, plain_tag: int) -> Tuple[int, int]:
+    """The code width of a dictionary of ``count`` entries over ``n``
+    values, and a floor on its payload's size."""
+    width = 1 if count <= 256 else 2
+    return width, 6 + (count + 7) // 8 + count * _MIN_VALUE_BYTES[plain_tag] + n * width
+
+
+def _dictionary_body(
+    width: int, count: int, nested_tag: int, nested: bytes, codes: Iterable[int], n: int
+) -> bytes:
+    """``u8 code width | u32 entry count | the entries as a plain
+    NULL-free segment | codes``."""
+    return b"".join(
+        (
+            bytes((width,)),
+            struct.pack("<I", count),
+            bytes((nested_tag,)),
+            bytes((count + 7) // 8),
+            nested,
+            bytes(codes) if width == 1 else struct.pack(f"<{n}H", *codes),
+        )
+    )
+
+
 def _dictionary_payload(
-    non_null: Sequence[Any], dtype: DataType, plain_tag: int, plain: bytes
+    non_null: Sequence[Any], dtype: DataType, plain_tag: int, plain: Optional[bytes], limit: int
 ) -> Optional[Tuple[bytes, Sequence[Any]]]:
     """The dictionary payload of a non-null run and its entries, or
-    ``None`` when it cannot be smaller than ``plain`` (the run's plain
-    payload): ``u8 code width | u32 entry count | the entries as a plain
-    NULL-free segment | codes``.
+    ``None`` when it cannot be smaller than ``limit`` bytes (the run's
+    plain payload; ``plain`` is that payload where it was packed).
 
     Entries are the distinct values in first-appearance order.  Floats
     are keyed on their 8-byte image (read back from ``plain``), so
@@ -277,53 +333,37 @@ def _dictionary_payload(
     count = len(index)
     if count > 1 << 16:
         return None
-    width = 1 if count <= 256 else 2
-    floor = 6 + (count + 7) // 8 + count * _MIN_VALUE_BYTES[plain_tag] + n * width
-    if floor >= len(plain):
+    width, floor = _dictionary_floor(count, n, plain_tag)
+    if floor >= limit:
         return None
     index = dict(zip(index, itertools.count()))
-    lookup = map(index.__getitem__, keys)
-    codes = bytes(lookup) if width == 1 else struct.pack(f"<{n}H", *lookup)
+    codes = map(index.__getitem__, keys)
     if floats:  # the images *are* the entries' float64 payload
-        packed = struct.pack(f"<{count}q", *index)
+        nested_tag, packed = ENC_FLOAT64, struct.pack(f"<{count}q", *index)
         entries: Sequence[Any] = struct.unpack(f"<{count}d", packed)
-        nested_tag = ENC_FLOAT64
     else:
         entries = list(index)
         nested_tag, packed = _plain_payload(entries, dtype)
-    body = b"".join(
-        (
-            bytes((width,)),
-            struct.pack("<I", count),
-            bytes((nested_tag,)),
-            bytes((count + 7) // 8),
-            packed,
-            codes,
-        )
-    )
-    return body, entries
+    return _dictionary_body(width, count, nested_tag, packed, codes, n), entries
 
 
-def _narrow_payload(non_null: Sequence[int], limit: int) -> Optional[bytes]:
-    """``u8 offset width | i64 base | offsets`` for an int64 run, or
-    ``None`` when that is not smaller than ``limit`` bytes."""
-    n = len(non_null)
-    if not n:
-        return None
-    base = min(non_null)
-    span = max(non_null) - base
-    for width, code in _NARROW_WIDTHS.items():
+def _narrow_width(span: int, n: int, limit: int) -> Optional[int]:
+    """The offset width of a narrow-int payload of ``n`` values spanning
+    ``span``, or ``None`` when none holds the span or the payload would
+    not be smaller than ``limit`` bytes."""
+    for width in _NARROW_WIDTHS:
         if span < 1 << 8 * width:
-            break
-    else:
-        return None
-    if 9 + n * width >= limit:
-        return None
+            return width if 9 + n * width < limit else None
+    return None
+
+
+def _narrow_payload(non_null: Sequence[int], base: int, width: int) -> bytes:
+    """``u8 offset width | i64 base | offsets`` for an int64 run."""
     offsets = non_null if not base else [value - base for value in non_null]
     return (
         bytes((width,))
         + struct.pack("<q", base)
-        + struct.pack(f"<{n}{code}", *offsets)
+        + struct.pack(f"<{len(non_null)}{_NARROW_WIDTHS[width]}", *offsets)
     )
 
 
@@ -337,23 +377,136 @@ def _encode_values(
     The encoding is chosen here, from the values alone: the plain
     encoding of the dtype, then dictionary, then narrow int, each later
     candidate replacing the choice only when strictly smaller (so ties
-    go to plain, then to dictionary).  The run is the dictionary's
-    entries when one was built and the whole non-null run otherwise:
-    either way its bounds are the column's.
+    go to plain, then to dictionary).  A plain text payload is sized
+    (:func:`_text_size`) and packed only once it is chosen.  The run is
+    the dictionary's entries when one was built and the whole non-null
+    run otherwise: either way its bounds are the column's.
     """
     bitmap, non_null = _split_nulls(values)
-    plain_tag, plain = _plain_payload(non_null, dtype)
+    plain: Optional[bytes] = None
+    if dtype is DataType.STRING:
+        plain_tag, size = ENC_TEXT, _text_size(non_null)
+    else:
+        plain_tag, plain = _plain_payload(non_null, dtype)
+        size = len(plain)
     tag, payload, distinct = plain_tag, plain, non_null
-    dictionary = _dictionary_payload(non_null, dtype, plain_tag, plain)
+    dictionary = _dictionary_payload(non_null, dtype, plain_tag, plain, size)
     if dictionary is not None:
         candidate, distinct = dictionary
-        if len(candidate) < len(plain):
-            tag, payload = ENC_DICT, candidate
-    if plain_tag == ENC_INT64:
-        candidate = _narrow_payload(non_null, len(payload))
-        if candidate is not None:
-            tag, payload = ENC_NARROW_INT, candidate
+        if len(candidate) < size:
+            tag, payload, size = ENC_DICT, candidate, len(candidate)
+    if plain_tag == ENC_INT64 and non_null:
+        base = min(non_null)
+        width = _narrow_width(max(non_null) - base, len(non_null), size)
+        if width is not None:
+            tag, payload = ENC_NARROW_INT, _narrow_payload(non_null, base, width)
+    if payload is None:
+        payload = _encode_text(non_null)
     return tag, bitmap, payload, len(values) - len(non_null), distinct
+
+
+#: How many evenly spaced cells of a text vector tell whether its texts
+#: repeat (:func:`_encode_texts`).
+_SAMPLE_CELLS = 256
+
+
+def _encode_texts(
+    texts: Sequence[str], dtype: DataType
+) -> Tuple[int, bytes, bytes, int, Sequence[Any]]:
+    """:func:`_encode_values` over a text vector (see :class:`TextBlock`):
+    the same segment, built from the column's distinct texts.
+
+    Only the distinct texts are typed.  Texts of one value are one
+    dictionary entry -- a FLOAT's by its 8-byte image, as
+    :func:`_dictionary_payload` keys it, so ``-0.0`` stays apart from
+    ``0.0``; an INT's by value, so ``007`` and ``7`` are one -- and every
+    size is computed from the entries, so a cell is typed only for the
+    plain or narrow-int payload, once that is chosen.  The run returned
+    is the entries.
+
+    Keying the texts pays only where they repeat.  A column whose cells
+    are nearly all distinct -- nine in ten of :data:`_SAMPLE_CELLS`
+    evenly spaced ones -- is typed cell by cell and encoded as typed
+    values: the same segment either way.
+    """
+    step = max(1, len(texts) // _SAMPLE_CELLS)
+    sample = texts[::step]
+    if 10 * len(set(sample)) > 9 * len(sample):
+        return _encode_values(dtype.parse_column(texts), dtype)
+    spellings = dict.fromkeys(texts)
+    if "" in spellings:
+        del spellings[""]
+        bitmap, non_null = _split_nulls(texts, "")
+    else:
+        bitmap, non_null = bytes((len(texts) + 7) // 8), texts
+    n = len(non_null)
+    spellings = list(spellings)
+    values = dtype.parse_column(spellings)
+    floats = dtype is DataType.FLOAT
+    keys = (
+        struct.unpack(f"<{len(values)}q", struct.pack(f"<{len(values)}d", *values))
+        if floats
+        else values
+    )
+    index = dict.fromkeys(keys)
+    count = len(index)
+    merged = count < len(spellings)
+    entries: Sequence[Any] = values
+    if merged:
+        entries = (
+            struct.unpack(f"<{count}d", struct.pack(f"<{count}q", *index))
+            if floats
+            else list(index)
+        )
+
+    def cells() -> Sequence[Any]:
+        """Every non-null cell, typed."""
+        if len(spellings) == n:  # no text repeats: the spellings are the cells
+            return values
+        return list(map(dict(zip(spellings, values)).__getitem__, non_null))
+
+    plain: Optional[bytes] = None
+    if dtype is DataType.STRING:
+        plain_tag, size = ENC_TEXT, _text_size(non_null)
+    elif dtype is DataType.BOOL:
+        plain_tag, size = ENC_BOOL, (n + 7) // 8
+    elif floats:
+        plain_tag, size = ENC_FLOAT64, 8 * n
+    elif not n or (-(1 << 63) <= min(entries) and max(entries) < 1 << 63):
+        plain_tag, size = ENC_INT64, 8 * n
+    else:  # beyond int64: the text escape hatch, packed now
+        plain_tag, plain = _plain_payload(cells(), dtype)
+        size = len(plain)
+    tag, payload = plain_tag, plain
+    if count <= 1 << 16:
+        width, floor = _dictionary_floor(count, n, plain_tag)
+        if floor < size:
+            if floats:
+                nested_tag, nested = ENC_FLOAT64, struct.pack(f"<{count}q", *index)
+            else:
+                nested_tag, nested = _plain_payload(entries, dtype)
+            candidate = 6 + (count + 7) // 8 + len(nested) + n * width
+            if candidate < size:
+                if merged:
+                    code = dict(zip(index, itertools.count()))
+                    code_of = dict(zip(spellings, map(code.__getitem__, keys)))
+                else:
+                    code_of = dict(zip(spellings, itertools.count()))
+                codes = map(code_of.__getitem__, non_null)
+                tag, size = ENC_DICT, candidate
+                payload = _dictionary_body(width, count, nested_tag, nested, codes, n)
+    if plain_tag == ENC_INT64 and n:
+        base = min(entries)
+        width = _narrow_width(max(entries) - base, n, size)
+        if width is not None:
+            tag, payload = ENC_NARROW_INT, _narrow_payload(cells(), base, width)
+    if payload is None:  # plain, and not packed yet
+        payload = (
+            _encode_text(non_null)
+            if plain_tag == ENC_TEXT
+            else _plain_payload(cells(), dtype)[1]
+        )
+    return tag, bitmap, payload, len(texts) - n, entries
 
 
 def encode_segment(
@@ -525,22 +678,23 @@ def decode_segment(data: bytes, dtype: DataType, rows: int) -> List[Any]:
     return materialize(decode_column(data, dtype, rows))
 
 
-def _row_costs(schema: Schema, columns: Sequence[Sequence[Any]]) -> List[int]:
+def _row_costs(schema: Schema, columns: Sequence[Sequence[Any]], null: Any = None) -> List[int]:
     """Approximate encoded size of each row of a block, column-wise.
 
     A row costs 1 (null-bitmap + framing amortization) plus, per
     non-NULL cell, 8 in an INT or FLOAT column, 1 in a BOOL column and
     4 + the text length in a STRING column: near enough to size stripes
-    by, and -- deciding where they are cut -- part of the output.
+    by, and -- deciding where they are cut -- part of the output.  A
+    NULL cell is ``null`` (``""`` in a text vector).
     """
     fixed = 1  # what every row costs: the 1 plus the NULL-free columns
     varying: List[Iterable[int]] = []
     for fld, column in zip(schema.fields, columns):
         text = fld.dtype is DataType.STRING
         width = 4 if text else 1 if fld.dtype is DataType.BOOL else 8
-        if None in column:
+        if null in column:
             varying.append(
-                [0 if v is None else width + (len(v) if text else 0) for v in column]
+                [0 if v == null else width + (len(v) if text else 0) for v in column]
             )
         else:
             fixed += width
@@ -551,35 +705,60 @@ def _row_costs(schema: Schema, columns: Sequence[Sequence[Any]]) -> List[int]:
     return [fixed + cost for cost in map(sum, zip(*varying))]
 
 
+def _block_cost(schema: Schema, columns: Sequence[Sequence[Any]], null: Any = None) -> int:
+    """``sum(_row_costs(schema, columns, null))``, a few C-level passes
+    per column."""
+    rows = len(columns[0])
+    cost = rows
+    for fld, column in zip(schema.fields, columns):
+        if null is None:
+            nulls, texts = column.count(None), filter(None, column)
+        else:  # a text cell is falsy only when NULL, and "" adds no length
+            nulls, texts = (0 if all(column) else column.count(null)), column
+        if fld.dtype is DataType.STRING:
+            cost += 4 * (rows - nulls) + len("".join(texts))
+        else:
+            cost += (rows - nulls) * (1 if fld.dtype is DataType.BOOL else 8)
+    return cost
+
+
 StripeObserver = Callable[[int, Sequence[Sequence[Any]], List[SegmentMeta]], None]
 
 
 def encode_column_stream(
     schema: Schema,
-    blocks: Iterable[Sequence[Sequence[Any]]],
+    blocks: Iterable[Any],
     stripe_rows: int = DEFAULT_STRIPE_ROWS,
     stripe_bytes: Optional[int] = None,
     on_stripe: Optional[StripeObserver] = None,
 ) -> Iterator[bytes]:
     """Stream-encode column blocks into RCF1 chunks (one per stripe).
 
-    A block is one value vector per schema column, all of one length;
-    blocks are concatenated and re-cut into stripes, so the output does
-    not depend on how the input was blocked.  Memory stays O(stripe)
-    regardless of input size, which is what lets the CSV-to-columnar ETL
-    storlet convert objects at PUT time without materializing them.
+    A block is one typed value vector per schema column, all of one
+    length, or a :class:`TextBlock` of validated CSV fields -- every
+    block of one stream the same kind.  Either way the segments are
+    the same bytes (:func:`_encode_values` / :func:`_encode_texts`);
+    from text, a column whose texts repeat types only its distinct
+    ones.  Blocks are concatenated and re-cut into stripes, so the
+    output does not depend on how the input was blocked.  Memory stays
+    O(stripe) regardless of input size, which is what lets the
+    CSV-to-columnar ETL storlet convert objects at PUT time without
+    materializing them.
 
     A stripe ends after ``stripe_rows`` rows or, with ``stripe_bytes``,
     with the first row at which its summed row cost (:func:`_row_costs`)
     reaches the budget.  Writers size stripes to the reader's split
     granule this way, so partition discovery over the footer yields
     splits comparable to the row-oriented path and the scheduler's
-    speculation window covers the same byte budget either way.
+    speculation window covers the same byte budget either way.  The
+    cost is summed per block (:func:`_block_cost`) and expanded to one
+    cost per row only in the block where a cut falls.
 
     ``on_stripe`` is called with each stripe's row count, per column a
     run holding the column's distinct non-null values (the dictionary
-    entries where the encoder built a dictionary, the non-null run
-    otherwise) and the segment statistics just computed.
+    entries where the encoder built a dictionary -- from text, where it
+    keyed the texts -- the non-null run otherwise) and the segment
+    statistics just computed.
     """
     if stripe_rows <= 0:
         raise ValueError(f"stripe_rows must be positive: {stripe_rows}")
@@ -589,10 +768,13 @@ def encode_column_stream(
     position = len(MAGIC)
     stripes: List[StripeMeta] = []
     pending: List[List[Any]] = [[] for _ in schema.fields]
-    # Under a byte budget: the running row-cost total after each pending
-    # row, and that total at the start of the pending rows.
-    totals: List[int] = []
-    spent = 0
+    # Under a byte budget: ``[rows, summed row cost]`` of each block
+    # (or the rest of one) among the pending rows, in order.
+    sums: List[List[int]] = []
+    # The segment encoder and NULL cell of the stream's kind of block,
+    # settled by its first.
+    encode: Optional[Callable[..., Tuple[int, bytes, bytes, int, Sequence[Any]]]] = None
+    null: Any = None
 
     def cut(end: int) -> bytes:
         """Encode the first ``end`` pending rows as the next stripe."""
@@ -601,7 +783,7 @@ def encode_column_stream(
         runs: List[Sequence[Any]] = []
         segments: List[SegmentMeta] = []
         for fld, vector in zip(schema.fields, pending):
-            tag, bitmap, payload, nulls, run = _encode_values(vector[:end], fld.dtype)
+            tag, bitmap, payload, nulls, run = encode(vector[:end], fld.dtype)
             data = bytes((tag,)) + bitmap + payload
             low, high, has_nan = column_bounds(run, fld.dtype)
             segments.append(
@@ -615,27 +797,48 @@ def encode_column_stream(
             on_stripe(end, runs, segments)
         return b"".join(parts)
 
+    def budget_end() -> int:
+        """One past the first pending row at which the summed row cost
+        reaches ``stripe_bytes``; past the pending rows when none does."""
+        spent = start = 0
+        for rows, cost in sums:
+            if spent + cost >= stripe_bytes:
+                costs = _row_costs(
+                    schema, [vector[start : start + rows] for vector in pending], null
+                )
+                running = list(itertools.accumulate(costs, initial=spent))
+                return start + bisect.bisect_left(running, stripe_bytes)
+            spent += cost
+            start += rows
+        return start + 1
+
     for block in blocks:
-        if not len(block[0]):
+        texts = isinstance(block, TextBlock)
+        columns = block.texts if texts else block
+        if not len(columns[0]):
             continue
-        for vector, column in zip(pending, block):
+        if encode is None:
+            encode, null = (_encode_texts, "") if texts else (_encode_values, None)
+        elif texts != (encode is _encode_texts):
+            raise TypeError("a stream's blocks must be all text or all typed")
+        for vector, column in zip(pending, columns):
             vector.extend(column)
         if stripe_bytes is not None:
-            costs = _row_costs(schema, block)
-            costs[0] += totals[-1] if totals else spent
-            totals.extend(itertools.accumulate(costs))
+            sums.append([len(columns[0]), _block_cost(schema, columns, null)])
         while True:
             end = stripe_rows
             if stripe_bytes is not None:
-                end = min(end, bisect.bisect_left(totals, spent + stripe_bytes) + 1)
+                end = min(end, budget_end())
             if end > len(pending[0]):
                 break
             yield cut(end)
             for vector in pending:
                 del vector[:end]
-            if totals:
-                spent = totals[end - 1]
-                del totals[:end]
+            while sums and end >= sums[0][0]:
+                end -= sums.pop(0)[0]
+            if sums and end:  # the cut fell inside this block: re-sum its rest
+                rest = sums[0][0] - end
+                sums[0] = [rest, _block_cost(schema, [v[:rest] for v in pending], null)]
     if pending[0]:
         yield cut(len(pending[0]))
     footer = ColumnarFooter(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.sql.filters import (
@@ -128,6 +129,13 @@ def canonical_bloom_key(value: Any) -> Optional[bytes]:
     return None
 
 
+@lru_cache(maxsize=8)
+def _seeded_states(hashes: int) -> Tuple[Any, ...]:
+    """One blake2b state per probe index, fed that index's byte: never
+    updated, only copied."""
+    return tuple(hashlib.blake2b(bytes([index]), digest_size=8) for index in range(hashes))
+
+
 class BloomFilter:
     """A tiny fixed-size bloom filter over canonical value keys.
 
@@ -149,12 +157,14 @@ class BloomFilter:
         self._payload = payload
 
     def _positions(self, key: bytes) -> List[int]:
+        """Probe ``index`` is ``blake2b(bytes([index]) + key)``, 8 bytes
+        read big-endian, modulo :attr:`bits` -- hashed from a state
+        seeded with the index byte once per process."""
         positions = []
-        for index in range(self.hashes):
-            digest = hashlib.blake2b(
-                bytes([index]) + key, digest_size=8
-            ).digest()
-            positions.append(int.from_bytes(digest, "big") % self.bits)
+        for seeded in _seeded_states(self.hashes):
+            state = seeded.copy()
+            state.update(key)
+            positions.append(int.from_bytes(state.digest(), "big") % self.bits)
         return positions
 
     def add_key(self, key: bytes) -> None:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.sql.filters import Filter, filters_from_json, filters_to_json
 from repro.sql.types import Schema
+from repro.storlets.api import has_header
 from repro.storlets.engine import StorletRequestHeaders
 
 
@@ -118,7 +119,7 @@ class PushdownTask:
             schema=schema,
             columns=columns,
             filters=filters,
-            has_header=parameters.get("has_header", "false") == "true",
+            has_header=has_header(parameters),
             delimiter=parameters.get("delimiter", ","),
             storlet=storlet,
             run_on=run_on,

@@ -30,6 +30,7 @@ from repro.storlets.api import (
     StorletException,
     StorletInputStream,
     StorletLogger,
+    has_header,
 )
 from repro.storlets.csv_storlet import _coalesce
 
@@ -192,7 +193,6 @@ class AggregatingStorlet(IStorlet):
 
         range_start = int(parameters.get("range_start", 0))
         range_len_text = parameters.get("range_len")
-        has_header = parameters.get("has_header", "false") == "true"
         filters = ()
         if parameters.get("filters"):
             filters = filters_from_json(parameters["filters"])
@@ -202,7 +202,7 @@ class AggregatingStorlet(IStorlet):
             parameters.get("delimiter", ","),
             range_start=range_start,
             range_len=int(range_len_text) if range_len_text else None,
-            skip_header=has_header and range_start == 0,
+            skip_header=has_header(parameters) and range_start == 0,
             filters=filters,
         ).rows()
 

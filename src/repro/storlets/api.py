@@ -97,6 +97,13 @@ class StorletInputStream:
         return data
 
 
+def has_header(parameters: Mapping[str, str]) -> bool:
+    """The ``has_header`` parameter of every storlet that reads CSV:
+    ``"true"`` in any case says the object's first line is a header;
+    absent, or anything else, says it is not."""
+    return parameters.get("has_header", "false").lower() == "true"
+
+
 def publish_counts(
     metadata: Dict[str, str], tallies: Mapping[str, Mapping[str, int]]
 ) -> None:

@@ -22,8 +22,9 @@ Two storlets live here:
   decoded.
 * :class:`CsvToColumnarStorlet` is the PUT-path ETL converter: it parses
   a CSV stream through :class:`repro.csvscan.CsvScan` -- so with the drop
-  rule of every CSV scan path -- and re-encodes its column blocks as a
-  streaming RCF1 object, O(stripe) memory, no row tuple in between.
+  rule of every CSV scan path -- and re-encodes the validated text of its
+  blocks as a streaming RCF1 object, O(stripe) memory, no row tuple in
+  between: a column's distinct texts are typed, not its cells.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.columnar.layout import (
     DEFAULT_STRIPE_ROWS,
     ENCODING_NAMES,
     BlockStreamEncoder,
+    TextBlock,
     decode_column,
     encode_column_stream,
 )
@@ -49,6 +51,7 @@ from repro.storlets.api import (
     StorletException,
     StorletInputStream,
     StorletLogger,
+    has_header,
     publish_counts,
 )
 
@@ -246,8 +249,8 @@ class CsvToColumnarStorlet(IStorlet):
     ``schema``
         Required column layout of the incoming CSV.
     ``has_header``
-        "true" if the first line is a header (validated and dropped --
-        the schema travels in the footer instead).
+        "true" if the first line is a header (dropped unparsed -- the
+        schema travels in the footer instead); absent, it is not.
     ``delimiter``
         Field delimiter, default ``,``.
     ``stripe_rows``
@@ -262,10 +265,18 @@ class CsvToColumnarStorlet(IStorlet):
     The drop rule is the CSV scan path's own (:mod:`repro.csvscan`:
     unframeable, wrong-width and untypable records are logged and
     dropped), so a query over the converted object returns
-    byte-identical rows to the same query over the original CSV.
+    byte-identical rows to the same query over the original CSV.  The
+    scan types no column: it validates the blocks, and the encoder
+    types each stripe column's distinct texts
+    (:class:`~repro.columnar.layout.TextBlock`).  How the scan
+    validated each block column -- ``proven`` by the numeric proof or
+    ``parsed`` where it did not hold -- is published as
+    ``x-object-meta-storlet-csv-columns-<how>`` and persists on the
+    stored object.
     """
 
     name = "csv2columnar"
+    tallies = (("csv_columns", "csv-columns", "how"),)
 
     def process(
         self,
@@ -282,7 +293,6 @@ class CsvToColumnarStorlet(IStorlet):
             )
         schema = Schema.from_header(schema_text)
         delimiter = parameters.get("delimiter", ",")
-        has_header = parameters.get("has_header", "true").lower() == "true"
         stripe_rows = int(parameters.get("stripe_rows", DEFAULT_STRIPE_ROWS))
         stripe_bytes = (
             int(parameters["stripe_bytes"])
@@ -293,7 +303,7 @@ class CsvToColumnarStorlet(IStorlet):
             in_stream.iter_chunks(),
             schema,
             delimiter,
-            skip_header=has_header,
+            skip_header=has_header(parameters),
             log=logger.emit,
         )
         # The data-skipping catalog is the merge of the statistics of
@@ -302,7 +312,7 @@ class CsvToColumnarStorlet(IStorlet):
         catalog = CatalogBuilder(schema)
         yield from encode_column_stream(
             schema,
-            (block.columns for block in scan.blocks()),
+            (TextBlock(block.texts) for block in scan.blocks(())),
             stripe_rows,
             stripe_bytes,
             on_stripe=catalog.add_stripe,
@@ -316,6 +326,7 @@ class CsvToColumnarStorlet(IStorlet):
             }
         )
         metadata.update(catalog.to_metadata())
+        publish_counts(metadata, {"csv-columns": scan.column_checks})
         logger.emit(
             f"csv2columnar: {kept} rows encoded, {scan.dropped} dropped"
         )

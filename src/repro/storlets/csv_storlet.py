@@ -25,6 +25,7 @@ from repro.storlets.api import (
     StorletException,
     StorletInputStream,
     StorletLogger,
+    has_header,
     publish_counts,
 )
 
@@ -89,9 +90,8 @@ class CsvStorlet(IStorlet):
         range_start = int(parameters.get("range_start", 0))
         range_len_text = parameters.get("range_len")
         range_len = int(range_len_text) if range_len_text is not None else None
-        has_header = parameters.get("has_header", "false").lower() == "true"
         emit_header = parameters.get("emit_header", "false").lower() == "true"
-        skip_header = has_header and range_start == 0
+        skip_header = has_header(parameters) and range_start == 0
 
         scan = CsvScan(
             in_stream.iter_chunks(),

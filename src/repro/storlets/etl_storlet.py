@@ -20,6 +20,7 @@ from repro.storlets.api import (
     StorletException,
     StorletInputStream,
     StorletLogger,
+    has_header,
 )
 from repro.storlets.csv_storlet import _coalesce
 
@@ -61,7 +62,7 @@ class CleansingStorlet(IStorlet):
         delimiter = parameters.get("delimiter", ",")
         trim = parameters.get("trim", "true").lower() == "true"
         drop_empty = parameters.get("drop_empty", "true").lower() == "true"
-        has_header = parameters.get("has_header", "false").lower() == "true"
+        headed = has_header(parameters)
 
         counters = {"kept": 0, "dropped": 0}
         # Per-object skipping stats over the typed image of exactly the
@@ -78,7 +79,7 @@ class CleansingStorlet(IStorlet):
         def output_lines() -> Iterator[bytes]:
             first = True
             for raw_line in owned_records(in_stream.iter_chunks()):
-                if first and has_header:
+                if first and headed:
                     first = False
                     yield raw_line + b"\n"
                     continue
@@ -160,7 +161,7 @@ class ColumnSplitStorlet(IStorlet):
         separator = parameters.get("separator", " ")
         parts = int(parameters.get("parts", "2"))
         delimiter = parameters.get("delimiter", ",")
-        has_header = parameters.get("has_header", "false").lower() == "true"
+        headed = has_header(parameters)
         header_names: Optional[List[str]] = None
         if parameters.get("header_names"):
             header_names = json.loads(parameters["header_names"])
@@ -174,7 +175,7 @@ class ColumnSplitStorlet(IStorlet):
                 if fields is None or column >= len(fields):
                     yield raw_line + b"\n"
                     continue
-                if first and has_header:
+                if first and headed:
                     first = False
                     replacement = header_names or [
                         f"{fields[column]}_{i}" for i in range(parts)

@@ -1,15 +1,24 @@
 """Tests for storlet streams, logger and sandbox accounting details."""
 
+import json
+
 import pytest
 
+from repro.columnar.layout import iter_stripe_batches
+from repro.core.pushdown import PushdownTask
+from repro.sql.types import Schema
 from repro.storlets import (
     IStorlet,
     StorletException,
     StorletInputStream,
     StorletLogger,
 )
+from repro.storlets.agg_storlet import AggregatingStorlet, AggregationSpec
+from repro.storlets.api import has_header
+from repro.storlets.columnar_storlet import CsvToColumnarStorlet
+from repro.storlets.csv_storlet import CsvStorlet
 from repro.storlets.sandbox import CostModel, Sandbox
-from tests.storlet_harness import run_sandboxed
+from tests.storlet_harness import run_sandboxed, run_storlet
 
 
 class TestInputStream:
@@ -174,3 +183,49 @@ class TestSandboxLimits:
         engine = StorletEngine(max_output_bytes=123)
         sandbox = engine.sandbox_for("storage0")
         assert sandbox.max_output_bytes == 123
+
+
+class TestHasHeader:
+    """Every CSV-reading storlet parses ``has_header`` one way: ``true``
+    in any case, and a header only when asked for."""
+
+    SCHEMA = Schema.of("vid", "city")
+    HEADER = b"vid,city\n"
+    BODY = b"m1,Paris\nm2,Rome\nm1,Milan\n"
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(None, False), ("false", False), ("true", True), ("True", True), ("TRUE", True), ("yes", False)],
+    )
+    def test_one_parse_with_a_false_default(self, value, expected):
+        parameters = {} if value is None else {"has_header": value}
+        assert has_header(parameters) is expected
+        task = PushdownTask.from_parameters({"schema": self.SCHEMA.to_header(), **parameters})
+        assert task.has_header is expected
+
+    def test_a_headerless_object_converted_without_the_parameter_keeps_its_first_record(self):
+        out = run_storlet(
+            CsvToColumnarStorlet(), self.BODY, {"schema": self.SCHEMA.to_header()}
+        )
+        rows = [row for batch in iter_stripe_batches(out.body) for row in batch.rows]
+        assert rows == [("m1", "Paris"), ("m2", "Rome"), ("m1", "Milan")]
+        assert out.metadata["x-object-meta-columnar-rows"] == "3"
+
+    def test_capitalised_true_skips_the_header_in_the_aggregating_storlet(self):
+        """An all-STRING header types, so only skipping keeps it out of
+        the groups -- in the aggregating storlet as in the CSV storlet."""
+        spec = AggregationSpec(["vid"], [("count", "*")])
+        parameters = {
+            "schema": self.SCHEMA.to_header(),
+            "aggregation": spec.to_json(),
+            "has_header": "True",
+        }
+        out = run_storlet(AggregatingStorlet(), self.HEADER + self.BODY, parameters)
+        groups = [json.loads(line)[2] for line in out.body.splitlines()]
+        assert sorted(groups) == [["m1"], ["m2"]]
+        csv = run_storlet(
+            CsvStorlet(),
+            self.HEADER + self.BODY,
+            {"schema": self.SCHEMA.to_header(), "has_header": "True"},
+        )
+        assert csv.body == self.BODY
