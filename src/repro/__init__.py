@@ -23,12 +23,7 @@ Quickstart::
     print(frame.show(), report.data_selectivity)
 """
 
-from repro.core import (
-    AdaptivePushdownController,
-    AnalyticsDelegator,
-    PushdownTask,
-    ScoopContext,
-)
+from repro.core import AnalyticsDelegator, PushdownTask, ScoopContext
 from repro.spark import SparkContext, SparkSession
 from repro.sql import Schema
 from repro.swift import SwiftClient, SwiftCluster
@@ -36,7 +31,6 @@ from repro.swift import SwiftClient, SwiftCluster
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptivePushdownController",
     "AnalyticsDelegator",
     "PushdownTask",
     "Schema",

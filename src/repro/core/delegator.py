@@ -8,9 +8,9 @@ one decision per scan, taken in one place: a relation
 query asks for and :meth:`AnalyticsDelegator.delegate` answers with the
 task every partition's GET will carry -- or ``None``, and the scan
 ingests plainly.  The delegator holds what can change the answer, the
-adaptive controller (Section VII) and the placement engine
-(:mod:`repro.placement`), and records why each scan did or did not
-push down.
+placement engine (:mod:`repro.placement`, which also holds the Section
+VII tenant/CPU veto), and records why each scan did or did not push
+down.
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Union
 
-from repro.core.policies import AdaptivePushdownController
 from repro.core.pushdown import PushdownTask
 from repro.obs.metrics import LOG_LENGTH, MetricsRegistry
-from repro.placement.engine import PlacementEngine, task_signature
+from repro.placement.engine import (
+    PlacementDecision,
+    PlacementEngine,
+    task_signature,
+)
 from repro.sql.catalyst import extract_pushdown
 from repro.sql.parser import Query, parse_query
 from repro.sql.types import Schema
@@ -33,8 +36,8 @@ class DelegationRecord:
     """One scan's pushdown decision.
 
     ``reason`` is a stable code: ``static`` (nobody to ask), ``noop``
-    (the task discards nothing), ``controller:<code>`` (the controller's
-    verdict, :attr:`~repro.core.policies.PushdownDecision.code`),
+    (the task discards nothing), ``veto:<code>`` (the engine's veto,
+    :attr:`~repro.placement.engine.PlacementDecision.veto`),
     ``placed:object|proxy|compute`` (the engine's tier), or the switch a
     relation declined by (``pushdown_off``, ``agg_pushdown_off``).
     """
@@ -53,11 +56,9 @@ class AnalyticsDelegator:
 
     def __init__(
         self,
-        controller: Optional[AdaptivePushdownController] = None,
         placement: Optional[PlacementEngine] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
-        self.controller = controller
         self.placement = placement
         self.registry = registry or MetricsRegistry()
         self.log: Deque[DelegationRecord] = deque(maxlen=LOG_LENGTH)
@@ -73,31 +74,30 @@ class AnalyticsDelegator:
         """The task to send -- re-targeted at the tier chosen for it --
         or ``None`` for a plain scan.
 
-        A no-op task is never sent and never put to the controller (it
-        costs the store nothing), but it still meets the placement
-        engine, whose decision log counts every scan; everything else
-        asks the controller first and, allowed, the engine.
+        A no-op task is never sent (it costs the store nothing), but it
+        still meets the placement engine, whose decision log counts
+        every scan.
         """
         noop = task.is_noop()
-        reason = "noop" if noop else "static"
-        if self.controller is not None and not noop:
-            verdict = self.controller.decide(tenant, task)
-            reason = f"controller:{verdict.code}"
-            if not verdict.push_down:
-                return self._record(tenant, container, None, reason, task)
-        if self.placement is not None:
-            tier = self._place(task, container, prefix, input_bytes)
-            if not noop:
-                reason = f"placed:{tier}"
-            if tier == "compute":
-                return self._record(tenant, container, None, reason, task)
-            task.run_on = tier
-        return self._record(tenant, container, None if noop else task, reason, task)
+        if self.placement is None:
+            reason = "noop" if noop else "static"
+            return self._record(tenant, container, None if noop else task, reason, task)
+        decision = self._place(task, tenant, container, prefix, input_bytes)
+        if noop:
+            reason = "noop"
+        elif decision.veto is not None:
+            reason = f"veto:{decision.veto}"
+        else:
+            reason = f"placed:{decision.tier}"
+        if noop or decision.tier == "compute":
+            return self._record(tenant, container, None, reason, task)
+        task.run_on = decision.tier
+        return self._record(tenant, container, task, reason, task)
 
     def _place(
-        self, task: PushdownTask, container: str, prefix: str, input_bytes: int
-    ) -> str:
-        """The tier the placement engine picks for ``task``."""
+        self, task: PushdownTask, tenant: str, container: str, prefix: str, input_bytes: int
+    ) -> PlacementDecision:
+        """The placement engine's decision on ``task``."""
         width = len(task.schema)
         column_projection = task.columns is not None and len(task.columns) < width
         kept = 1.0
@@ -112,7 +112,8 @@ class AnalyticsDelegator:
             row_filtering=bool(task.filters),
             column_projection=column_projection,
             aggregation=task.aggregation is not None,
-        ).tier
+            tenant=tenant,
+        )
 
     def decline(self, reason: str, tenant: str, container: str) -> None:
         """Record a scan whose relation built no task at all: one of

@@ -25,7 +25,6 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.connector.stocator import StocatorConnector
-from repro.core.policies import AdaptivePushdownController
 from repro.obs import MetricsRegistry, Telemetry, TraceCollector
 from repro.placement.engine import engine_from_environment
 from repro.spark.csv_source import CsvRelation, infer_csv_schema
@@ -46,6 +45,10 @@ from repro.storlets.etl_storlet import CleansingStorlet, ColumnSplitStorlet
 from repro.swift.client import SwiftClient
 from repro.swift.proxy import SwiftCluster
 from repro.swift.retry import RetryPolicy
+
+#: Storlet invocations :meth:`ScoopContext.storage_cpu_utilization`
+#: looks back over.
+CPU_WINDOW_INVOCATIONS = 50
 
 
 @dataclass
@@ -84,7 +87,6 @@ class ScoopContext:
         replica_count: int = 3,
         num_workers: int = 4,
         chunk_size: int = 1 * 2**20,
-        controller: Optional[AdaptivePushdownController] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan=None,
         max_task_attempts: int = 3,
@@ -155,14 +157,15 @@ class ScoopContext:
             telemetry=telemetry,
         )
         self.session = SparkSession(self.spark_context)
-        self.controller = controller
         self._last_report: Optional[QueryRunReport] = None
         # Cost-based placement (docs/placement.md): ``placement=None``
         # defers to the REPRO_PLACEMENT env var; when neither is set the
         # engine stays off and every task runs on the object node,
         # exactly as before.  With an engine installed,
         # registered relations consult it per query and ``run_query``
-        # feeds actual byte counts back into its estimates.
+        # feeds actual byte counts back into its estimates.  Its storage
+        # CPU input stays unwired: opt in with ``ctx.placement.storage_cpu
+        # = ctx.storage_cpu_utilization``.
         self.placement = engine_from_environment(placement)
 
         # Table format resolution: ``REPRO_FORMAT=columnar`` makes
@@ -336,7 +339,6 @@ class ScoopContext:
         pushdown: bool = True,
         compress_transfer: bool = False,
         tenant: str = "default",
-        adaptive: bool = False,
         format: Optional[str] = None,
         agg_pushdown: Optional[bool] = None,
     ):
@@ -354,7 +356,6 @@ class ScoopContext:
             pushdown=pushdown,
             compress_transfer=compress_transfer,
             tenant=tenant,
-            adaptive=adaptive,
         )
         if (format or self.default_format) == "columnar":
             if schema is None:
@@ -388,7 +389,6 @@ class ScoopContext:
         pushdown: bool = True,
         compress_transfer: bool = False,
         tenant: str = "default",
-        adaptive: bool = False,
     ) -> ColumnarRelation:
         """Register RCF1 columnar data as a SQL table (schema defaults
         to the first object's footer)."""
@@ -396,7 +396,6 @@ class ScoopContext:
             ColumnarRelation,
             table,
             container,
-            adaptive=adaptive,
             prefix=prefix,
             schema=schema,
             pushdown=pushdown,
@@ -404,16 +403,13 @@ class ScoopContext:
             tenant=tenant,
         )
 
-    def _register(
-        self, relation_class, table: str, container: str, adaptive: bool, **options
-    ):
+    def _register(self, relation_class, table: str, container: str, **options):
         """Register a store relation as ``table``; its delegator gets
-        this context's controller (when ``adaptive``) and engine."""
+        this context's placement engine."""
         relation = relation_class(
             self.spark_context,
             self.connector,
             container,
-            controller=self.controller if adaptive else None,
             placement=self.placement,
             **options,
         )
@@ -462,7 +458,7 @@ class ScoopContext:
             # run refines the engine's estimate for the same query shape.
             # Attribution is explicit -- only the decision(s) this very
             # query produced are candidates, so a run that made no
-            # decision (controller veto, pushdown off) can never pollute
+            # decision (pushdown off) can never pollute
             # an earlier query's signature.  The byte counts carry a
             # selectivity signal only when pushdown actually executed on
             # a storage tier with no plain-ingest fallbacks mixed in;
@@ -488,40 +484,27 @@ class ScoopContext:
         """Whole objects the catalog refuted so far."""
         return int(self.registry.counter_total("connector.objects_catalog_skipped"))
 
-    def make_adaptive_controller(
-        self,
-        window_invocations: int = 50,
-        **controller_kwargs,
-    ) -> AdaptivePushdownController:
-        """Build a Crystal-style controller probed from this context's
-        own storlet sandboxes and install it.
+    def storage_cpu_utilization(self) -> float:
+        """Current storage CPU pressure in ``[0, 1]``, for the placement
+        engine's ``storage_cpu`` input.
 
-        The probe estimates current storage CPU pressure from the CPU
-        seconds the last ``window_invocations`` storlet invocations on
-        storage nodes consumed, relative to what those nodes could have
-        delivered over the same wall-clock span.
+        The CPU seconds the last :data:`CPU_WINDOW_INVOCATIONS` storlet
+        invocations on storage nodes were charged, relative to what
+        those nodes could have delivered over the same wall-clock span.
+        The charge is the sandbox's byte-proportional model, so a faster
+        machine reads higher for the same work.
         """
-
-        def probe() -> float:
-            records = []
-            for node, sandbox in self.engine.all_sandboxes().items():
-                if node.startswith("storage"):
-                    records.extend(sandbox.records)
-            if not records:
-                return 0.0
-            recent = records[-window_invocations:]
-            cpu = sum(record.cpu_seconds for record in recent)
-            wall = sum(record.wall_seconds for record in recent)
-            if wall <= 0:
-                return 0.0
-            node_count = max(1, len(self.cluster.object_servers))
-            return min(1.0, cpu / (wall * node_count))
-
-        controller = AdaptivePushdownController(
-            storage_cpu_probe=probe, **controller_kwargs
-        )
-        self.controller = controller
-        return controller
+        records = []
+        for node, sandbox in self.engine.all_sandboxes().items():
+            if node.startswith("storage"):
+                records.extend(sandbox.records)
+        recent = records[-CPU_WINDOW_INVOCATIONS:]
+        cpu = sum(record.cpu_seconds for record in recent)
+        wall = sum(record.wall_seconds for record in recent)
+        if wall <= 0:
+            return 0.0
+        node_count = max(1, len(self.cluster.object_servers))
+        return min(1.0, cpu / (wall * node_count))
 
     # -- observability ---------------------------------------------------------------
 
@@ -574,9 +557,7 @@ class ScoopContext:
         return summary
 
     def explain_profile(
-        self,
-        report: Optional[QueryRunReport] = None,
-        predicted_selectivity: Optional[float] = None,
+        self, report: Optional[QueryRunReport] = None
     ) -> Dict[str, object]:
         """Where the bytes went, tier by tier, for the work so far.
 
@@ -589,9 +570,9 @@ class ScoopContext:
         ``selectivity``
             ``achieved`` is the fraction of requested bytes the store
             discarded (for ``report`` -- defaulting to the last
-            ``run_query`` -- and cumulatively); ``predicted`` is the
-            adaptive controller's latest online estimate when one is
-            installed, or the explicit override.
+            ``run_query`` -- and cumulatively); ``predicted`` is
+            ``1 - kept_fraction`` of the placement engine's latest
+            decision (``None`` without one).
         ``storlet_cpu_seconds``
             CPU charged to storage-node sandboxes.
         ``retry``
@@ -625,14 +606,9 @@ class ScoopContext:
         """
         if report is None:
             report = self._last_report
-        if (
-            predicted_selectivity is None
-            and self.controller is not None
-            and self.controller.decisions
-        ):
-            predicted_selectivity = self.controller.decisions[
-                -1
-            ].estimated_selectivity
+        predicted = None
+        if self.placement is not None and self.placement.decisions:
+            predicted = 1.0 - self.placement.decisions[-1].kept_fraction
         metrics = self.connector.metrics
         cumulative = 0.0
         if metrics.bytes_requested > 0:
@@ -649,7 +625,7 @@ class ScoopContext:
                     report.data_selectivity if report is not None else None
                 ),
                 "achieved_cumulative": cumulative,
-                "predicted": predicted_selectivity,
+                "predicted": predicted,
             },
             "storlet_cpu_seconds": self.storage_cpu_seconds(),
             "retry": {

@@ -8,7 +8,7 @@
   adapted to object stores"; this sweep shows the fixed-latency /
   parallelism trade-off.
 * **Adaptive pushdown** (Section VII): gold/bronze tenants under
-  storage-CPU pressure, via the Crystal-style controller.
+  storage-CPU pressure, via the placement engine's veto ladder.
 """
 
 from __future__ import annotations
@@ -18,14 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.delegator import AnalyticsDelegator
-from repro.core.policies import (
-    AdaptivePushdownController,
-    TenantClass,
-    TenantPolicy,
-)
 from repro.core.pushdown import PushdownTask
 from repro.perfmodel.model import IngestSimulation, SelectivityProfile
 from repro.perfmodel.parameters import DATASETS, PerfParameters
+from repro.placement.engine import PlacementEngine, TenantClass, TenantPolicy
 from repro.sql.filters import StringStartsWith
 from repro.sql.types import Schema
 
@@ -121,13 +117,10 @@ def ablation_adaptive_pushdown(
     )
     results = []
     for cpu in cpu_levels:
-        controller = AdaptivePushdownController(
-            storage_cpu_probe=lambda level=cpu: level
-        )
-        controller.set_policy(TenantPolicy("gold", TenantClass.GOLD))
-        controller.set_policy(TenantPolicy("silver", TenantClass.SILVER))
-        controller.set_policy(TenantPolicy("bronze", TenantClass.BRONZE))
-        delegator = AnalyticsDelegator(controller)
+        engine = PlacementEngine(mode="object", storage_cpu=lambda level=cpu: level)
+        for tenant_class in TenantClass:
+            engine.set_policy(TenantPolicy(tenant_class.value, tenant_class))
+        delegator = AnalyticsDelegator(engine)
         results.append(
             AdaptiveScenarioResult(
                 storage_cpu=cpu,

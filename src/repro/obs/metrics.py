@@ -40,7 +40,7 @@ SIMULATED_SECONDS_BUCKETS: Tuple[float, ...] = (
 )
 
 #: Entries every in-memory decision or invocation log keeps (the
-#: delegator's, the controller's, the placement engine's, a sandbox's);
+#: delegator's, the placement engine's, a sandbox's);
 #: the oldest leave first.  Totals live in the registry, not in a log.
 LOG_LENGTH = 1024
 

@@ -144,7 +144,7 @@ class CsvRelation(StoreRelation):
     @property
     def aggregates_at_store(self) -> bool:
         """Whether this relation offers GROUP-BY pushdown at all (a scan
-        may still be declined by the controller or the engine)."""
+        may still be declined by the placement engine)."""
         return self.pushdown and self.agg_pushdown
 
     def build_aggregation_scan(
@@ -159,9 +159,9 @@ class CsvRelation(StoreRelation):
 
         GROUP-BY pushdown is gated on ``agg_pushdown`` (which defaults
         to "a placement engine is present") and rides the same decision
-        as filter pushdown: the controller can veto it under storage
-        pressure, and the placement engine picks the tier -- including
-        sending it compute-side, which also returns ``None``.
+        as filter pushdown: the placement engine can veto it under
+        storage pressure, or picks the tier -- including sending it
+        compute-side, which also returns ``None``.
         """
         if not self.aggregates_at_store:
             self.delegator.decline("agg_pushdown_off", self.tenant, self.container)

@@ -185,8 +185,7 @@ class SparkSession:
         """The GROUP-BY pushdown scan for ``plan``, when there is one.
 
         The relation must offer ``build_aggregation_scan`` (and not
-        decline it -- its switch, the controller and the placement engine
-        all can) and the gate
+        decline it -- its switch and the placement engine both can) and the gate
         (:func:`~repro.core.agg_pushdown.plan_aggregation_pushdown`) must
         hand back a spec; otherwise the ordinary scan computes the same
         answer compute-side.

@@ -192,7 +192,6 @@ class StoreRelation(PrunedFilteredScan):
         splits: List,
         pushdown: bool = True,
         compress_transfer: bool = False,
-        controller=None,
         tenant: str = "default",
         placement=None,
     ):
@@ -205,9 +204,9 @@ class StoreRelation(PrunedFilteredScan):
         self.pushdown = pushdown
         self.compress_transfer = compress_transfer
         self.tenant = tenant
-        # Takes every scan's pushdown decision: the controller
-        # (Section VII) may veto it, the placement engine picks its tier.
-        self.delegator = AnalyticsDelegator(controller, placement, context.registry)
+        # Takes every scan's pushdown decision: the placement engine may
+        # veto it (Section VII) or picks its tier.
+        self.delegator = AnalyticsDelegator(placement, context.registry)
 
     def schema(self) -> Schema:
         return self._schema

@@ -1,14 +1,16 @@
-"""Tests for PushdownTask, the delegator and the adaptive controller."""
+"""Tests for PushdownTask, the delegator and the placement engine's
+tenant/CPU veto ladder (the paper's Section VII adaptive pushdown)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    AdaptivePushdownController,
-    AnalyticsDelegator,
-    PushdownTask,
+from repro.core import AnalyticsDelegator, PushdownTask
+from repro.placement import (
+    PlacementEngine,
+    TenantClass,
+    TenantPolicy,
+    task_signature,
 )
-from repro.core.policies import SelectivityModel, TenantClass, TenantPolicy
 from repro.sql import EqualTo, Schema, StringStartsWith
 from repro.storlets.engine import StorletRequestHeaders
 
@@ -148,6 +150,14 @@ class TestPushdownTask:
         assert restored.compress is compress
 
 
+def _engine(cpu, *policies, mode="object", **options):
+    """An engine reading a fixed storage CPU, with ``policies`` set."""
+    engine = PlacementEngine(mode=mode, storage_cpu=lambda: cpu, **options)
+    for policy in policies:
+        engine.set_policy(policy)
+    return engine
+
+
 class TestDelegator:
     QUERY = "SELECT vid FROM t WHERE city LIKE 'Rotterdam'"
 
@@ -165,24 +175,22 @@ class TestDelegator:
         assert delegator.log[-1].reason == "noop"
 
     def test_controller_veto_respected(self):
-        controller = AdaptivePushdownController(
-            storage_cpu_probe=lambda: 0.99
-        )
-        controller.set_policy(TenantPolicy("t1", TenantClass.BRONZE))
-        delegator = AnalyticsDelegator(controller)
+        engine = _engine(0.99, TenantPolicy("t1", TenantClass.BRONZE))
+        delegator = AnalyticsDelegator(engine)
         task = delegator.make_task(self.QUERY, SCHEMA, tenant="t1")
         assert task is None
         assert delegator.pushdown_rate() == 0.0
+        assert delegator.log[-1].reason == "veto:cpu_ceiling"
+        assert engine.decisions[-1].tier == "compute"
 
     def test_gold_tenant_keeps_service_under_pressure(self):
-        controller = AdaptivePushdownController(
-            storage_cpu_probe=lambda: 0.99
-        )
-        controller.set_policy(TenantPolicy("vip", TenantClass.GOLD))
-        delegator = AnalyticsDelegator(controller)
+        engine = _engine(0.99, TenantPolicy("vip", TenantClass.GOLD))
+        delegator = AnalyticsDelegator(engine)
         task = delegator.make_task(self.QUERY, SCHEMA, tenant="vip")
         assert task is not None
         assert delegator.pushdown_rate() == 1.0
+        assert delegator.log[-1].reason == "placed:object"
+        assert "gold_exempt" in engine.decisions[-1].reason
 
     def test_log_records_details(self):
         delegator = AnalyticsDelegator()
@@ -195,6 +203,8 @@ class TestDelegator:
 
 
 class TestAdaptiveController:
+    """The engine's veto ladder, rule by rule, in every tenant class."""
+
     def make_task(self):
         return PushdownTask(
             schema=SCHEMA,
@@ -202,97 +212,113 @@ class TestAdaptiveController:
             filters=[StringStartsWith("date", "2015")],
         )
 
+    def decide(self, engine, tenant, task=None):
+        task = task or self.make_task()
+        return engine.decide(
+            task_signature("c", "", task), 1e6, kept_hint=0.5, tenant=tenant
+        )
+
     def test_idle_storage_everyone_pushes(self):
-        controller = AdaptivePushdownController(storage_cpu_probe=lambda: 0.1)
+        engine = _engine(0.1)
         for tenant_class in TenantClass:
-            controller.set_policy(TenantPolicy("t", tenant_class))
-            assert controller.decide("t", self.make_task()).push_down
+            engine.set_policy(TenantPolicy("t", tenant_class))
+            decision = self.decide(engine, "t")
+            assert decision.veto is None and decision.tier == "object"
+            assert "idle" in decision.reason
 
     def test_soft_ceiling_sheds_bronze_first(self):
-        controller = AdaptivePushdownController(storage_cpu_probe=lambda: 0.7)
-        controller.set_policy(TenantPolicy("b", TenantClass.BRONZE))
-        controller.set_policy(TenantPolicy("s", TenantClass.SILVER))
-        assert not controller.decide("b", self.make_task()).push_down
-        assert controller.decide("s", self.make_task()).push_down
+        engine = _engine(
+            0.7,
+            TenantPolicy("b", TenantClass.BRONZE),
+            TenantPolicy("s", TenantClass.SILVER),
+        )
+        assert self.decide(engine, "b").veto == "bronze_shed"
+        silver = self.decide(engine, "s")
+        assert silver.veto is None and "below_ceiling" in silver.reason
 
     def test_hard_ceiling_spares_only_gold(self):
-        controller = AdaptivePushdownController(storage_cpu_probe=lambda: 0.9)
-        controller.set_policy(TenantPolicy("g", TenantClass.GOLD))
-        controller.set_policy(TenantPolicy("s", TenantClass.SILVER))
-        assert controller.decide("g", self.make_task()).push_down
-        assert not controller.decide("s", self.make_task()).push_down
+        engine = _engine(
+            0.9,
+            TenantPolicy("g", TenantClass.GOLD),
+            TenantPolicy("s", TenantClass.SILVER),
+        )
+        assert self.decide(engine, "g").veto is None
+        assert self.decide(engine, "s").veto == "cpu_ceiling"
 
     def test_disabled_tenant_never_pushes(self):
-        controller = AdaptivePushdownController(storage_cpu_probe=lambda: 0.0)
-        controller.set_policy(
-            TenantPolicy("off", pushdown_enabled=False)
-        )
-        assert not controller.decide("off", self.make_task()).push_down
+        engine = _engine(0.0, TenantPolicy("off", pushdown_enabled=False))
+        decision = self.decide(engine, "off")
+        assert decision.veto == "tenant_disabled"
+        assert decision.tier == "compute"
+        # Ahead of every CPU rule: even a gold tenant can be switched off.
+        engine.set_policy(TenantPolicy("off", TenantClass.GOLD, False))
+        assert self.decide(engine, "off").veto == "tenant_disabled"
 
     def test_low_selectivity_not_worth_pushing(self):
-        model = SelectivityModel(prior=0.01)
-        controller = AdaptivePushdownController(
-            storage_cpu_probe=lambda: 0.0, selectivity_model=model
-        )
-        decision = controller.decide("t", self.make_task())
-        assert not decision.push_down
+        engine = _engine(0.0, mode="adaptive", prior_kept_fraction=0.99)
+        task = self.make_task()
+        decision = engine.decide(task_signature("c", "", task), 1e6, tenant="t")
+        assert decision.veto == "low_selectivity"
+        assert decision.tier == "compute"
         assert "selectivity" in decision.reason
+        # A fixed mode pins its tier: the rule is adaptive-only.
+        fixed = _engine(0.0, prior_kept_fraction=0.99)
+        assert fixed.decide("sig", 1e6, tenant="t").veto is None
+        # Partials travel, not rows: a full-width GROUP BY is selective.
+        grouped = engine.decide("agg", 1e6, kept_hint=1.0, aggregation=True)
+        assert grouped.veto is None
 
     def test_selectivity_model_learns_from_observations(self):
-        model = SelectivityModel(prior=0.01, smoothing=1.0)
-        controller = AdaptivePushdownController(
-            storage_cpu_probe=lambda: 0.0, selectivity_model=model
-        )
+        engine = _engine(0.0, mode="adaptive", smoothing=1.0)
         task = self.make_task()
-        assert not controller.decide("t", task).push_down
-        # Observe a highly selective invocation: 95% discarded.
-        controller.observe_invocation("t", task, bytes_in=1000, bytes_out=50)
-        assert controller.decide("t", task).push_down
+        signature = task_signature("c", "", task)
+        assert self.decide(engine, "t", task).veto is None
+        # Observe a filter that discards almost nothing: 2% discarded.
+        engine.observe(signature, 0.98)
+        assert self.decide(engine, "t", task).veto == "low_selectivity"
+        # ... then a highly selective run: 95% discarded.
+        engine.observe(signature, 0.05)
+        assert self.decide(engine, "t", task).veto is None
 
     def test_shed_rate(self):
-        controller = AdaptivePushdownController(storage_cpu_probe=lambda: 0.9)
-        controller.set_policy(TenantPolicy("b", TenantClass.BRONZE))
-        controller.decide("b", self.make_task())
-        controller.set_policy(TenantPolicy("g", TenantClass.GOLD))
-        controller.decide("g", self.make_task())
-        assert controller.shed_rate() == pytest.approx(0.5)
+        engine = _engine(0.9, TenantPolicy("b", TenantClass.BRONZE))
+        delegator = AnalyticsDelegator(engine)
+        delegator.delegate(self.make_task(), "b")
+        engine.set_policy(TenantPolicy("g", TenantClass.GOLD))
+        delegator.delegate(self.make_task(), "g")
+        assert delegator.pushdown_rate() == pytest.approx(0.5)
+        assert [record.reason for record in delegator.log] == [
+            "veto:cpu_ceiling", "placed:object",
+        ]
 
-    def test_invalid_ceilings_raise(self):
-        with pytest.raises(ValueError):
-            AdaptivePushdownController(
-                cpu_soft_ceiling=0.9, cpu_ceiling=0.5
-            )
+    def test_vetoed_decision_feeds_nothing_back(self):
+        engine = _engine(0.99)
+        decision = self.decide(engine, "t")
+        assert decision.veto == "cpu_ceiling"
+        assert engine.observe_report(1000, 50, decision=decision) is None
+        assert not engine.kept_estimates
 
     def test_signature_distinguishes_tasks(self):
         task_a = self.make_task()
         task_b = PushdownTask(schema=SCHEMA, columns=["city"])
-        assert SelectivityModel.signature(
-            "t", task_a
-        ) != SelectivityModel.signature("t", task_b)
+        assert task_signature("c", "", task_a) != task_signature("c", "", task_b)
 
 
 class TestAdaptiveRelationIntegration:
-    """Section VII end to end: the relation consults the controller and
+    """Section VII end to end: the relation consults the engine and
     transparently falls back to plain ingest when vetoed."""
 
     def _rig(self, cpu_level):
         from repro.core import ScoopContext
-        from repro.core.policies import TenantPolicy
         from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
 
-        controller = AdaptivePushdownController(
-            storage_cpu_probe=lambda: cpu_level
-        )
-        controller.set_policy(
-            TenantPolicy("acme", TenantClass.BRONZE)
-        )
-        ctx = ScoopContext(chunk_size=64 * 1024, controller=controller)
+        ctx = ScoopContext(chunk_size=64 * 1024, placement="object")
+        ctx.placement.storage_cpu = lambda: cpu_level
+        ctx.placement.set_policy(TenantPolicy("acme", TenantClass.BRONZE))
         upload_dataset(
             ctx.client, "m", DatasetSpec(meters=10, intervals=50, objects=2)
         )
-        ctx.register_csv_table(
-            "t", "m", schema=METER_SCHEMA, tenant="acme", adaptive=True
-        )
+        ctx.register_csv_table("t", "m", schema=METER_SCHEMA, tenant="acme")
         return ctx
 
     SQL = "SELECT vid FROM t WHERE city LIKE 'Paris' ORDER BY vid"
@@ -307,6 +333,8 @@ class TestAdaptiveRelationIntegration:
         _frame, report = ctx.run_query(self.SQL)
         assert report.pushdown_requests == 0
         assert report.requests > 0
+        delegations = ctx.explain_profile()["delegation"]
+        assert [entry["reason"] for entry in delegations] == ["veto:cpu_ceiling"]
 
     def test_results_identical_either_way(self):
         fast = self._rig(cpu_level=0.1)
@@ -321,13 +349,17 @@ class TestLiveControllerProbe:
         from repro.core import ScoopContext
         from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
 
-        ctx = ScoopContext(chunk_size=64 * 1024)
-        controller = ctx.make_adaptive_controller()
-        assert ctx.controller is controller
-        assert controller.storage_cpu_probe() == 0.0  # nothing ran yet
+        ctx = ScoopContext(chunk_size=64 * 1024, placement="object")
+        # Not wired by default: a context's engine reads an idle store.
+        assert ctx.placement.storage_cpu is None
+        ctx.placement.storage_cpu = ctx.storage_cpu_utilization
+        assert ctx.storage_cpu_utilization() == 0.0  # nothing ran yet
         upload_dataset(
             ctx.client, "m", DatasetSpec(meters=10, intervals=40, objects=1)
         )
         ctx.register_csv_table("t", "m", schema=METER_SCHEMA)
         ctx.sql("SELECT vid FROM t WHERE city = 'Paris'").collect()
-        assert controller.storage_cpu_probe() > 0.0
+        assert ctx.storage_cpu_utilization() > 0.0
+        # The engine read it: its next decision names the reading.
+        ctx.sql("SELECT vid FROM t WHERE city = 'Rome'").collect()
+        assert "storage cpu" in ctx.placement.decisions[-1].reason

@@ -3,13 +3,14 @@
 Every scan of data in a container -- CSV, RCF1, and the CSV GROUP-BY
 task -- takes its pushdown decision in
 :meth:`repro.core.delegator.AnalyticsDelegator.delegate`.  The table
-below drives all three through every combination of controller, engine
-and task and pins what comes out (the task the scan carries, the
-record's reason code) *and who was asked* (how many decisions the
-controller and the engine logged): a no-op task skips the controller
-but still meets the engine, a vetoed task never reaches the engine, the
-aggregation task is never a no-op.  CSV and RCF1 must fill every cell
-identically.
+below drives all three through every combination of engine, the
+engine's storage CPU input and task and pins what comes out (the task
+the scan carries, the record's reason code) *and who was asked* (how
+many decisions the engine logged): a no-op task still meets the engine
+but is never sent, a vetoed task is a compute decision, the aggregation
+task is never a no-op.  A CPU input needs an engine to read it, so the
+CPU axis only varies where there is one.  CSV and RCF1 must fill every
+cell identically.
 """
 
 import itertools
@@ -19,7 +20,6 @@ import pytest
 
 from repro.core import ScoopContext
 from repro.core.delegator import LOG_LENGTH, AnalyticsDelegator
-from repro.core.policies import AdaptivePushdownController
 from repro.core.pushdown import PushdownTask
 from repro.placement import PlacementEngine
 from repro.placement.cost import TIERS, PlacementCostModel
@@ -33,9 +33,21 @@ SCHEMA = Schema.of("vid", "n:int", "city")
 CSV = "".join(f"v{i % 7},{i},city{i % 3}\n" for i in range(300))
 
 KINDS = ("csv", "columnar", "groupby")
-CONTROLLERS = ("none", "allow", "veto")
+#: The engine's storage CPU input: unwired, an idle store, a saturated one.
+CPUS = {"none": None, "allow": 0.0, "veto": 0.99}
 ENGINES = ("none", "object", "proxy", "compute", "adaptive")
 TASKS = ("noop", "filtering")
+
+
+def _rows(*axes):
+    """Every combination, less a CPU input with no engine to read it
+    (the CPU, engine and task axes come last)."""
+    rows = []
+    for row in itertools.product(*axes):
+        *_, cpu, engine, _task = row
+        if cpu == "none" or engine != "none":
+            rows.append(row)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +58,18 @@ def ctx():
     return context
 
 
-def _controller(name):
-    if name == "none":
+def _engine(cpu, mode):
+    if mode == "none":
         return None
-    cpu = 0.0 if name == "allow" else 0.99
-    return AdaptivePushdownController(storage_cpu_probe=lambda: cpu)
+    level = CPUS[cpu]
+    return PlacementEngine(
+        mode=mode, storage_cpu=None if level is None else lambda: level
+    )
 
 
-def _scan(ctx, kind, controller, engine, task):
+def _scan(ctx, kind, engine, task):
     """Build the relation of one cell and the scan its query gets."""
-    options = dict(schema=SCHEMA, controller=controller, placement=engine)
+    options = dict(schema=SCHEMA, placement=engine)
     filters = [LessThan("n", 100)] if task == "filtering" else []
     if kind == "columnar":
         relation = ColumnarRelation(
@@ -72,13 +86,12 @@ def _scan(ctx, kind, controller, engine, task):
     return relation, relation.build_aggregation_scan(spec, filters)
 
 
-def _cell(ctx, kind, controller_name, engine_name, task):
-    """``(carried, reason, controller decisions, engine decisions)``:
-    ``carried`` is the tier of the task the scan carries, ``None`` for a
-    plain scan (for GROUP BY: no aggregation scan at all)."""
-    controller = _controller(controller_name)
-    engine = None if engine_name == "none" else PlacementEngine(mode=engine_name)
-    relation, scan = _scan(ctx, kind, controller, engine, task)
+def _cell(ctx, kind, cpu, engine_name, task):
+    """``(carried, reason, engine decisions)``: ``carried`` is the tier
+    of the task the scan carries, ``None`` for a plain scan (for GROUP
+    BY: no aggregation scan at all)."""
+    engine = _engine(cpu, engine_name)
+    relation, scan = _scan(ctx, kind, engine, task)
     carried = None
     if scan is not None and scan.task is not None:
         carried = scan.task.run_on
@@ -87,59 +100,49 @@ def _cell(ctx, kind, controller_name, engine_name, task):
     return (
         carried,
         record.reason,
-        len(controller.decisions) if controller else 0,
         len(engine.decisions) if engine else 0,
     ), engine
 
 
-def _expected(kind, controller, engine, task, adaptive_tier):
-    """The decision table, written out: who is asked, in which order."""
+def _expected(kind, cpu, engine, task, adaptive_tier):
+    """The decision table, written out: who is asked, and what wins."""
     noop = task == "noop" and kind != "groupby"  # aggregation always reduces
-    asked_controller = controller != "none" and not noop
-    vetoed = asked_controller and controller == "veto"
-    asked_engine = engine != "none" and not vetoed
+    asked_engine = engine != "none"
     tier = adaptive_tier if engine == "adaptive" else engine
-    if vetoed:
-        carried, reason = None, "controller:cpu_ceiling"
-    elif noop:
+    if noop:
         carried, reason = None, "noop"
-    elif asked_engine:
-        carried, reason = (None if tier == "compute" else tier), f"placed:{tier}"
-    elif asked_controller:
-        carried, reason = "object", "controller:idle"
-    else:
+    elif not asked_engine:
         carried, reason = "object", "static"
-    return carried, reason, int(asked_controller), int(asked_engine)
+    elif cpu == "veto":
+        carried, reason = None, "veto:cpu_ceiling"
+    else:
+        carried, reason = (None if tier == "compute" else tier), f"placed:{tier}"
+    return carried, reason, int(asked_engine)
 
 
 @pytest.mark.parametrize(
-    "kind,controller,engine,task",
-    list(itertools.product(KINDS, CONTROLLERS, ENGINES, TASKS)),
+    "kind,cpu,engine,task", _rows(KINDS, CPUS, ENGINES, TASKS)
 )
-def test_decision_table(ctx, kind, controller, engine, task):
-    got, used_engine = _cell(ctx, kind, controller, engine, task)
+def test_decision_table(ctx, kind, cpu, engine, task):
+    got, used_engine = _cell(ctx, kind, cpu, engine, task)
     adaptive_tier = None
     if used_engine is not None and used_engine.decisions:
         adaptive_tier = used_engine.decisions[-1].tier
-    assert got == _expected(kind, controller, engine, task, adaptive_tier)
+    assert got == _expected(kind, cpu, engine, task, adaptive_tier)
 
 
-@pytest.mark.parametrize(
-    "controller,engine,task",
-    list(itertools.product(CONTROLLERS, ENGINES, TASKS)),
-)
-def test_csv_and_rcf1_fill_every_cell_identically(ctx, controller, engine, task):
-    csv, _ = _cell(ctx, "csv", controller, engine, task)
-    columnar, _ = _cell(ctx, "columnar", controller, engine, task)
+@pytest.mark.parametrize("cpu,engine,task", _rows(CPUS, ENGINES, TASKS))
+def test_csv_and_rcf1_fill_every_cell_identically(ctx, cpu, engine, task):
+    csv, _ = _cell(ctx, "csv", cpu, engine, task)
+    columnar, _ = _cell(ctx, "columnar", cpu, engine, task)
     assert csv == columnar
 
 
 def test_a_relation_switch_declines_without_asking_anyone(ctx):
-    controller = _controller("veto")
-    engine = PlacementEngine(mode="object")
+    engine = _engine("veto", "object")
     relation = CsvRelation(
         ctx.spark_context, ctx.connector, "meters", schema=SCHEMA,
-        pushdown=False, controller=controller, placement=engine,
+        pushdown=False, placement=engine,
     )
     scan = relation.build_scan_filtered(["vid"], [LessThan("n", 100)])
     assert scan.task is None
@@ -148,7 +151,7 @@ def test_a_relation_switch_declines_without_asking_anyone(ctx):
     assert [record.reason for record in relation.delegator.log] == [
         "pushdown_off", "agg_pushdown_off",
     ]
-    assert not controller.decisions and not engine.decisions
+    assert not engine.decisions
 
 
 def test_every_query_leaves_a_record_and_the_profile_counts_them():
@@ -236,10 +239,7 @@ class _StoreFirst(PlacementCostModel):
 def test_every_log_stays_bounded_and_the_feedback_loop_still_lands():
     context = ScoopContext(chunk_size=4096, placement="adaptive", skipping=False)
     context.upload_csv("meters", "a.csv", CSV)
-    controller = context.make_adaptive_controller()
-    relation = context.register_csv_table(
-        "t", "meters", schema=SCHEMA, format="csv", adaptive=True
-    )
+    relation = context.register_csv_table("t", "meters", schema=SCHEMA, format="csv")
     engine = context.placement
     engine.cost_model = _StoreFirst()
     for _ in range(LOG_LENGTH + 9):
@@ -248,7 +248,6 @@ def test_every_log_stays_bounded_and_the_feedback_loop_still_lands():
     assert report.pushdown_requests == 1
     sandboxes = context.engine.all_sandboxes().values()
     assert len(relation.delegator.log) == LOG_LENGTH
-    assert len(controller.decisions) == LOG_LENGTH
     assert len(engine.decisions) == LOG_LENGTH
     assert max(len(sandbox.records) for sandbox in sandboxes) == LOG_LENGTH
     assert engine.decision_count == LOG_LENGTH + 10
@@ -256,7 +255,42 @@ def test_every_log_stays_bounded_and_the_feedback_loop_still_lands():
     assert engine.kept_estimates[engine.decisions[-1].signature] == pytest.approx(
         report.bytes_transferred / report.bytes_requested
     )
-    assert controller.shed_rate() == 0.0
+    assert relation.delegator.pushdown_rate() == 1.0
+
+
+def test_a_learned_estimate_vetoes_a_filter_that_keeps_everything():
+    """The loop lands in the decision: the first run pushes down and
+    measures that its filter keeps every byte, so the second run of the
+    same query is a plain scan, vetoed as not worth the storage CPU."""
+    context = ScoopContext(chunk_size=4096, placement="adaptive", skipping=False)
+    context.upload_csv("meters", "a.csv", CSV)
+    relation = context.register_csv_table("t", "meters", schema=SCHEMA, format="csv")
+    context.placement.cost_model = _StoreFirst()
+    sql = "SELECT vid, n, city FROM t WHERE n >= 0"
+    pushed, pushed_report = context.run_query(sql)
+    assert context.explain_profile()["selectivity"]["predicted"] == 0.5  # the hint
+    plain, plain_report = context.run_query(sql)
+    assert [record.reason for record in relation.delegator.log] == [
+        "placed:object", "veto:low_selectivity",
+    ]
+    assert pushed_report.pushdown_requests > 0
+    assert plain_report.pushdown_requests == 0
+    assert len(plain.collect()) == 300
+    assert plain.collect() == pushed.collect()
+    assert context.explain_profile()["selectivity"]["predicted"] == 0.0
+
+
+def test_conjunct_order_refines_one_estimate():
+    context = ScoopContext(chunk_size=4096, placement="object", skipping=False)
+    context.upload_csv("meters", "a.csv", CSV)
+    context.register_csv_table("t", "meters", schema=SCHEMA)
+    for where in ("n < 100 AND city = 'city1'", "city = 'city1' AND n < 100"):
+        _frame, report = context.run_query(f"SELECT vid FROM t WHERE {where}")
+        assert report.pushdown_requests > 0
+    engine = context.placement
+    first, second = engine.decisions
+    assert first.signature == second.signature
+    assert list(engine.kept_estimates) == [first.signature]
 
 
 # --------------------------------------------------------------------------

@@ -62,6 +62,22 @@ class TestDetection:
         )
         assert self._check(tmp_path, body) == []
 
+    def test_missing_repo_path_is_reported(self, tmp_path):
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "test_ablations.py").write_text("")
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "scoop.py").write_text("")
+        body = (
+            "`benchmarks/test_ablations.py::test_workday_queueing` and "
+            "`repro/scoop.py:12` and `benchmarks/test_*.py` exist;\n"
+            "`benchmarks/test_ablation_staging.py` does not; "
+            "`tests/<name>.py` and `python tools/x.py` are no paths\n"
+            "```\n`examples/fenced.py`\n```\n"
+        )
+        assert self._check(tmp_path, body) == [
+            ("`benchmarks/test_ablation_staging.py`", "no such path")
+        ]
+
     def test_same_file_fragment(self, tmp_path):
         assert self._check(tmp_path, "# Here\n[x](#here)") == []
         assert self._check(tmp_path, "[x](#gone)") == [

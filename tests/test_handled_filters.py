@@ -4,7 +4,7 @@ The planner drops a WHERE conjunct from the plan (and a column only it
 reads from the projection) when the relation answers for it, so nothing
 upstream re-decides it.  That is only sound if the scan returns exactly
 the passing rows whichever way it reads them: through the storlet, with
-``pushdown=False``, after a controller veto, placed compute-side, or
+``pushdown=False``, after a placement veto, placed compute-side, or
 degraded mid-stream behind rows already emitted.  This module holds the
 differential that says so, against the row-at-a-time WHERE reference in
 ``tests/rowwise_reference.py``, plus the byte counts of ``count(*)`` and
@@ -23,13 +23,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.columnar import encode_columnar
 from repro.connector.stocator import PushdownError
 from repro.core import ScoopContext
-from repro.core.policies import (
-    AdaptivePushdownController,
-    TenantClass,
-    TenantPolicy,
-)
 from repro.faults import named_plan
 from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
+from repro.placement import TenantClass, TenantPolicy
 from repro.sql.catalyst import (
     UNHANDLED_REASONS,
     FilterNode,
@@ -102,10 +98,13 @@ def _csv_bytes(rows):
     return sink.getvalue().encode("utf-8")
 
 
-def _vetoing_controller():
-    controller = AdaptivePushdownController(storage_cpu_probe=lambda: 0.99)
-    controller.set_policy(TenantPolicy("shed", TenantClass.BRONZE))
-    return controller
+def _vetoing_context(**options):
+    """A context whose engine reads a saturated store and sheds the
+    bronze tenant ``shed``."""
+    ctx = ScoopContext(placement="object", **options)
+    ctx.placement.storage_cpu = lambda: 0.99
+    ctx.placement.set_policy(TenantPolicy("shed", TenantClass.BRONZE))
+    return ctx
 
 
 class _CutEveryResponse:
@@ -135,20 +134,17 @@ class _CutEveryResponse:
 
 class _Stack:
     """The same rows as two CSV and two RCF1 objects, one table per
-    format and path.  ``compute`` lives in a second context because the
-    placement engine is a constructor argument."""
+    format and path.  ``compute`` and ``veto`` live in contexts of their
+    own because the placement engine is a constructor argument."""
 
     def __init__(self, rows, parallelism=None):
         rows = [(k, *row) for k, row in enumerate(rows)]
         half = len(rows) // 2
         self.rows = rows
-        self.ctx = ScoopContext(
-            chunk_size=48 * 1024,
-            controller=_vetoing_controller(),
-            parallelism=parallelism,
-        )
+        self.ctx = ScoopContext(chunk_size=48 * 1024, parallelism=parallelism)
+        self.vetoed = _vetoing_context(chunk_size=48 * 1024, parallelism=parallelism)
         self.placed = ScoopContext(chunk_size=48 * 1024, placement="compute")
-        for ctx in (self.ctx, self.placed):
+        for ctx in (self.ctx, self.vetoed, self.placed):
             ctx.client.put_container("csv")
             ctx.client.put_container("rcf")
             for name, part in (("a", rows[:half]), ("b", rows[half:])):
@@ -157,7 +153,7 @@ class _Stack:
         for mode, ctx, options in (
             ("pushdown", self.ctx, {}),
             ("plain", self.ctx, {"pushdown": False}),
-            ("veto", self.ctx, {"adaptive": True, "tenant": "shed"}),
+            ("veto", self.vetoed, {"tenant": "shed"}),
             ("compute", self.placed, {}),
         ):
             ctx.register_csv_table(
@@ -177,6 +173,8 @@ class _Stack:
         """The query's rows under one path, or the error class it raised."""
         if mode == "compute":
             ctx, table = self.placed, f"{fmt}_compute"
+        elif mode == "veto":
+            ctx, table = self.vetoed, f"{fmt}_veto"
         elif mode == "degrade":
             ctx, table = self.ctx, f"{fmt}_pushdown"
         else:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Check intra-repo markdown links in README.md and docs/.
+"""Check intra-repo links and paths in README.md, DESIGN.md and docs/.
 
 Stdlib-only (this repo has no dependencies, and CI should not need
 any to lint docs).  For every markdown file checked, each inline link
@@ -9,13 +9,19 @@ repository; when the target carries a ``#heading`` fragment and points
 at a markdown file, the heading must exist in that file (GitHub slug
 rules: lowercase, punctuation stripped, spaces to hyphens).
 
+Each back-ticked repo path -- a one-word code span starting with one of
+:data:`PATH_ROOTS` -- must exist too, relative to the repository root
+(``repro/`` under ``src/``).  A ``:line`` or ``::test`` suffix is
+dropped and a ``*`` glob must match something; spans holding a
+placeholder (``<``, ``{``) are not paths and are skipped.
+
 Usage::
 
     python tools/check_links.py [files...]
 
-With no arguments, checks ``README.md`` and every ``docs/*.md``
-relative to the repository root (the parent of this script's
-directory).  Exits non-zero listing every broken link.
+With no arguments, checks ``README.md``, ``DESIGN.md`` and every
+``docs/*.md`` relative to the repository root (the parent of this
+script's directory).  Exits non-zero listing every broken link.
 """
 
 from __future__ import annotations
@@ -35,6 +41,15 @@ EXTERNAL = ("http://", "https://", "mailto:")
 
 #: Fenced code blocks, where link-looking text is code, not a link.
 FENCE_RE = re.compile(r"^(```|~~~)")
+
+#: One-word inline code spans.
+CODE_RE = re.compile(r"`([^`\s]+)`")
+
+#: Top-level names that make a code span a repo path.
+PATH_ROOTS = ("src/", "repro/", "tests/", "benchmarks/", "examples/", "tools/")
+
+#: A trailing ``:123`` / ``:12-20`` line reference or ``::test`` id.
+SUFFIX_RE = re.compile(r"(::.*|:\d+(-\d+)?)$")
 
 
 def github_slug(heading: str) -> str:
@@ -62,17 +77,40 @@ def heading_slugs(markdown: str) -> List[str]:
     return slugs
 
 
-def iter_links(markdown: str) -> Iterable[str]:
-    """Every inline link target outside fenced code blocks."""
+def _prose_lines(markdown: str) -> Iterable[str]:
+    """Every line outside fenced code blocks."""
     in_fence = False
     for line in markdown.splitlines():
         if FENCE_RE.match(line):
             in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+        elif not in_fence:
+            yield line
+
+
+def iter_links(markdown: str) -> Iterable[str]:
+    """Every inline link target outside fenced code blocks."""
+    for line in _prose_lines(markdown):
         for match in LINK_RE.finditer(line):
             yield match.group(1)
+
+
+def iter_repo_paths(markdown: str) -> Iterable[str]:
+    """Every back-ticked repo path outside fenced code blocks."""
+    for line in _prose_lines(markdown):
+        for match in CODE_RE.finditer(line):
+            span = match.group(1)
+            if span.startswith(PATH_ROOTS) and not any(c in span for c in "<{"):
+                yield span
+
+
+def repo_path_exists(span: str, root: pathlib.Path) -> bool:
+    """Whether the repo path a code span names exists under ``root``."""
+    name = SUFFIX_RE.sub("", span)
+    if name.startswith("repro/"):
+        name = "src/" + name
+    if "*" in name:
+        return any(root.glob(name))
+    return (root / name).exists()
 
 
 def check_file(path: pathlib.Path, root: pathlib.Path) -> List[Tuple[str, str]]:
@@ -102,12 +140,17 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> List[Tuple[str, str]]:
             slugs = heading_slugs(resolved.read_text(encoding="utf-8"))
             if fragment not in slugs:
                 problems.append((target, f"no heading #{fragment}"))
+    for span in iter_repo_paths(path.read_text(encoding="utf-8")):
+        if not repo_path_exists(span, root):
+            problems.append((f"`{span}`", "no such path"))
     return problems
 
 
 def default_files(root: pathlib.Path) -> List[pathlib.Path]:
-    """README.md plus every page under docs/."""
-    return [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    """README.md, DESIGN.md and every page under docs/."""
+    return [root / "README.md", root / "DESIGN.md"] + sorted(
+        (root / "docs").glob("*.md")
+    )
 
 
 def main(argv: List[str]) -> int:
