@@ -43,7 +43,6 @@ from repro.experiments.gridpocket_runs import (
     fig7_total_batch_seconds,
     table1_selectivities,
 )
-from repro.experiments.frontend import replay_workday_frontend
 from repro.experiments.placement import (
     EXECUTION_MODES,
     PLACEMENT_MODES,
@@ -727,81 +726,6 @@ def _run_workday(bench: "BenchContext") -> None:
         f"{len(mt.tenant_summary)} tenants "
         f"({'exhaustive' if mt.audit_exhaustive else 'windowed'} audit, "
         f"{mt.audit_pairs} pairs)",
-    )
-
-    # Front-end concurrency sweep (docs/async.md): the same burst of
-    # queries drains through the threaded front end at its pool cap and
-    # through the event-loop core at the cap and at 10x, measuring the
-    # in-flight capacity one process sustains and the latency the rest
-    # of the burst pays.  Every response is byte-verified.
-    base_limit = 32 if bench.quick else 100
-    sweep = []
-    for mode, limit in (
-        ("threads", base_limit),
-        ("async", base_limit),
-        ("async", base_limit * 10),
-    ):
-        with bench.point(f"frontend burst ({mode}, {limit} in flight)"):
-            sweep.append(
-                replay_workday_frontend(
-                    mode, queries=arrivals, inflight_limit=limit
-                )
-            )
-    threaded, async_parity, async_10x = sweep
-    bench.add_table(
-        f"Front-end concurrency sweep -- {arrivals} queries, "
-        "threaded pool vs event loop",
-        ["front end", "in-flight limit", "peak in-flight", "p50 (s)",
-         "p99 (s)", "drain (s)"],
-        [
-            [f"{r.mode}@{r.inflight_limit}", r.inflight_limit,
-             r.peak_inflight, round(r.p50_seconds, 3),
-             round(r.p99_seconds, 3), round(r.wall_seconds, 2)]
-            for r in sweep
-        ],
-    )
-    bench.set_result(
-        "frontend",
-        {
-            "queries": arrivals,
-            "points": [
-                {
-                    "mode": r.mode,
-                    "inflight_limit": r.inflight_limit,
-                    "dispatched": r.dispatched,
-                    "completed": r.completed,
-                    "byte_errors": r.byte_errors,
-                    "peak_inflight": r.peak_inflight,
-                    "p50_seconds": r.p50_seconds,
-                    "p99_seconds": r.p99_seconds,
-                    "wall_seconds": r.wall_seconds,
-                }
-                for r in sweep
-            ],
-        },
-    )
-    bench.set_headline(
-        "frontend_async_peak_inflight", async_10x.peak_inflight
-    )
-    bench.set_headline(
-        "frontend_async_p99_seconds", async_10x.p99_seconds
-    )
-    bench.check(
-        "async front end sustains 10x the threaded in-flight capacity",
-        async_10x.peak_inflight >= 10 * threaded.peak_inflight,
-        f"{async_10x.peak_inflight} vs {threaded.peak_inflight} in flight",
-    )
-    bench.check(
-        "async p99 at 10x concurrency stays within the threaded baseline",
-        0.0 < async_10x.p99_seconds <= threaded.p99_seconds,
-        f"{async_10x.p99_seconds:.3f} s vs {threaded.p99_seconds:.3f} s "
-        f"(parity point {async_parity.p99_seconds:.3f} s)",
-    )
-    bench.check(
-        "every front-end response byte-identical",
-        sum(r.byte_errors for r in sweep) == 0
-        and all(r.completed == r.dispatched for r in sweep),
-        f"{sum(r.completed for r in sweep)} responses verified",
     )
 
 

@@ -140,8 +140,22 @@ class SwiftClient:
         body: Union[bytes, Iterable[bytes], None] = None,
         params: Optional[Dict[str, str]] = None,
     ) -> Response:
-        merged, body = self._prepare(headers, body)
-        span = self._start_span(method, path, merged)
+        merged = HeaderDict(headers or {})
+        merged.setdefault("x-auth-token", f"token-{self.account}")
+        if self.tenant:
+            merged.setdefault("x-scoop-tenant", self.tenant)
+        if self.retry_policy.request_timeout is not None:
+            merged.setdefault(
+                "x-request-timeout", str(self.retry_policy.request_timeout)
+            )
+        # A retry must be able to resend the body; materialize iterators.
+        if body is not None and not isinstance(body, bytes):
+            body = collect_body(body)
+        span = self.tracer.start(
+            "client",
+            f"{method} {path}",
+            trace_id=merged.get(TRACE_HEADER, ""),
+        )
         attempts = 0
         response: Optional[Response] = None
         try:
@@ -157,48 +171,13 @@ class SwiftClient:
             assert response is not None  # max_attempts >= 1
             return response
         finally:
-            self._finish_span(span, attempts, response)
-
-    # The helpers below are the request path minus its two waits (pool
-    # slot, backoff sleep): the front-door shim (repro.swift.aclient)
-    # awaits those and calls these, so nothing here is written twice.
-
-    def _prepare(
-        self,
-        headers: Optional[Dict[str, str]],
-        body: Union[bytes, Iterable[bytes], None],
-    ) -> Tuple[HeaderDict, Optional[bytes]]:
-        """Account token, tenant and deadline headers; a resendable body."""
-        merged = HeaderDict(headers or {})
-        merged.setdefault("x-auth-token", f"token-{self.account}")
-        if self.tenant:
-            merged.setdefault("x-scoop-tenant", self.tenant)
-        if self.retry_policy.request_timeout is not None:
-            merged.setdefault(
-                "x-request-timeout", str(self.retry_policy.request_timeout)
+            status = response.status if response is not None else 0
+            self.tracer.finish(
+                span,
+                status="ok" if 0 < status < 400 else "error",
+                attempts=attempts,
+                http_status=status,
             )
-        # A retry must be able to resend the body; materialize iterators.
-        if body is not None and not isinstance(body, bytes):
-            body = collect_body(body)
-        return merged, body
-
-    def _start_span(self, method: str, path: str, merged: HeaderDict):
-        return self.tracer.start(
-            "client",
-            f"{method} {path}",
-            trace_id=merged.get(TRACE_HEADER, ""),
-        )
-
-    def _finish_span(
-        self, span, attempts: int, response: Optional[Response]
-    ) -> None:
-        status = response.status if response is not None else 0
-        self.tracer.finish(
-            span,
-            status="ok" if 0 < status < 400 else "error",
-            attempts=attempts,
-            http_status=status,
-        )
 
     def _after_attempt(
         self, method: str, attempt: int, response: Response
@@ -233,9 +212,6 @@ class SwiftClient:
         registry.inc("client.backoff_seconds", delay)
         return delay
 
-    def _count_pool_wait(self) -> None:
-        self.registry.inc("client.pool_waits")
-
     def _dispatch(self, request: Request) -> Response:
         """Send one attempt through the bounded connection pool.
 
@@ -248,7 +224,7 @@ class SwiftClient:
         if self._pool is None:
             return self.cluster.handle_request(request)
         if not self._pool.acquire(blocking=False):
-            self._count_pool_wait()
+            self.registry.inc("client.pool_waits")
             self._pool.acquire()
         try:
             response = self.cluster.handle_request(request)

@@ -7,12 +7,15 @@ classic ingest-then-compute path, while moving far fewer bytes.
 
 import pytest
 
+from repro.core import ScoopContext
 from repro.faults import NAMED_PLANS, named_plan
 from repro.gridpocket import (
     GRIDPOCKET_QUERIES,
     METER_SCHEMA,
+    DatasetSpec,
     measure_query_selectivity,
     synthetic_query,
+    upload_dataset,
 )
 
 
@@ -217,8 +220,6 @@ class TestContextOwnership:
         import gc
         import weakref
 
-        from repro.core import ScoopContext
-
         gc.collect()
         gc.disable()
         try:
@@ -239,3 +240,27 @@ class TestContextOwnership:
             assert [ref() for ref in watched] == [None, None, None]
         finally:
             gc.enable()
+
+
+class TestAsyncModeKeyword:
+    def test_async_mode_is_inert(self):
+        """``benchmarks/hotpath`` still passes ``async_mode``; it must
+        select nothing -- same rows, same REST operations."""
+
+        def run(async_mode):
+            ctx = ScoopContext(chunk_size=32 * 1024, parallelism=4,
+                               async_mode=async_mode)
+            upload_dataset(ctx.client, "meters",
+                           DatasetSpec(meters=8, intervals=48, objects=3))
+            ctx.register_csv_table("largeMeter", "meters",
+                                   schema=METER_SCHEMA)
+            frame, _report = ctx.run_query(
+                "SELECT vid, sum(index) as total FROM largeMeter "
+                "WHERE date LIKE '2015-01%' GROUP BY vid ORDER BY vid"
+            )
+            return frame.collect(), ctx.client.stats.requests
+
+        rows_on, requests_on = run(True)
+        rows_off, requests_off = run(False)
+        assert rows_on and rows_on == rows_off
+        assert requests_on == requests_off

@@ -9,7 +9,7 @@ from repro.swift import (
     SwiftCluster,
     SwiftError,
 )
-from repro.swift.http import Request
+from repro.swift.http import Request, close_body
 from repro.swift.middleware import RequestLogger
 
 
@@ -252,3 +252,49 @@ class TestProxyDispatch:
         # No storlets installed: just confirm requests succeeded via
         # multiple proxies (environ is internal; we assert via balance).
         assert len(swift.proxies) >= 2
+
+
+def _slot_free(client):
+    """Probe the client's pool semaphore without blocking."""
+    if client._pool.acquire(blocking=False):
+        client._pool.release()
+        return True
+    return False
+
+
+@pytest.fixture
+def small_store():
+    cluster = SwiftCluster(storage_node_count=2, disks_per_node=1)
+    seeder = SwiftClient(cluster, "AUTH_pool")
+    seeder.put_container("c")
+    seeder.put_object("c", "o", b"x" * (256 * 1024))
+    return cluster
+
+
+class TestSyncPooledBody:
+    def test_streamed_get_holds_slot_until_exhausted(self, small_store):
+        client = SwiftClient(cluster=small_store, account="AUTH_pool",
+                             max_connections=1)
+        response = client.get_object_stream("c", "o")
+        assert not _slot_free(client)
+        consumed = b"".join(response.body)
+        assert consumed == b"x" * (256 * 1024)
+        assert _slot_free(client)
+
+    def test_closing_a_partial_stream_frees_the_slot(self, small_store):
+        client = SwiftClient(cluster=small_store, account="AUTH_pool",
+                             max_connections=1)
+        response = client.get_object_stream("c", "o")
+        stream = iter(response.body)
+        first = next(stream)
+        assert first and not _slot_free(client)
+        close_body(response.body)
+        assert _slot_free(client)
+        del stream
+
+    def test_materialized_get_releases_on_return(self, small_store):
+        client = SwiftClient(cluster=small_store, account="AUTH_pool",
+                             max_connections=1)
+        _headers, body = client.get_object("c", "o")
+        assert len(body) == 256 * 1024
+        assert _slot_free(client)
