@@ -10,6 +10,10 @@ three ways and compares what crossed the store-to-compute boundary:
 2. filter pushdown (matching rows travel),
 3. aggregation pushdown (only per-range partial group states travel).
 
+It then runs the query over the same data converted to RCF1, with and
+without aggregation pushdown: the columnar storlet runs the same
+partial-aggregation stage over its stripes.
+
 Run:  python examples/aggregation_pushdown.py
 """
 
@@ -39,18 +43,27 @@ def main() -> None:
     ctx.register_csv_table(
         "largeMeterAgg", "meters", schema=METER_SCHEMA, agg_pushdown=True
     )
+    for table, agg_pushdown in (("rcfMeter", False), ("rcfMeterAgg", True)):
+        ctx.register_csv_table(
+            table, "meters", schema=METER_SCHEMA, format="columnar",
+            agg_pushdown=agg_pushdown,
+        )
 
     plain_frame, plain = ctx.run_query(SQL.format("largeMeterPlain"))
     filter_frame, filtered = ctx.run_query(SQL.format("largeMeter"))
     agg_frame, aggregated = ctx.run_query(SQL.format("largeMeterAgg"))
+    rcf_frame, rcf = ctx.run_query(SQL.format("rcfMeter"))
+    rcf_agg_frame, rcf_aggregated = ctx.run_query(SQL.format("rcfMeterAgg"))
 
-    # All three agree exactly: a SUM is the exact sum rounded once,
+    # All five agree exactly: a SUM is the exact sum rounded once,
     # wherever its pieces were added up.
     agg_rows = agg_frame.collect()
     assert agg_rows == filter_frame.collect() == plain_frame.collect()
+    assert agg_rows == rcf_frame.collect() == rcf_agg_frame.collect()
+    assert rcf_aggregated.bytes_transferred < rcf.bytes_transferred
 
     render_table(
-        f"Same query, three ingestion strategies ({dataset_bytes:,} B dataset)",
+        f"Same query, five ingestion strategies ({dataset_bytes:,} B dataset)",
         ["strategy", "bytes over the wire", "% of dataset"],
         [
             [
@@ -68,9 +81,19 @@ def main() -> None:
                 f"{aggregated.bytes_transferred:,}",
                 f"{aggregated.bytes_transferred / dataset_bytes * 100:.2f}%",
             ],
+            [
+                "RCF1, filter pushdown",
+                f"{rcf.bytes_transferred:,}",
+                f"{rcf.bytes_transferred / dataset_bytes * 100:.2f}%",
+            ],
+            [
+                "RCF1, aggregation pushdown",
+                f"{rcf_aggregated.bytes_transferred:,}",
+                f"{rcf_aggregated.bytes_transferred / dataset_bytes * 100:.2f}%",
+            ],
         ],
     )
-    print("\nfirst result rows (identical across all three):")
+    print("\nfirst result rows (identical across all five):")
     for row in agg_rows[:4]:
         print(" ", dict(zip(agg_frame.schema.names, row)))
 

@@ -10,11 +10,12 @@ the pushdown-task definition.  Here that is a scan, not a second engine:
    optimized plan -- is every aggregate mergeable and not DISTINCT, and
    does the source answer for every WHERE conjunct exactly (all
    *handled*, see :func:`~repro.sql.catalyst.extract_pushdown`)? -- and
-   answers with the :class:`~repro.storlets.agg_storlet.AggregationSpec`
+   answers with the :class:`~repro.storlets.aggregation.AggregationSpec`
    the store runs, or a stable refusal code;
 2. each partition task of an
-   :class:`~repro.spark.agg_source.AggregationScanRDD` invokes the
-   :class:`~repro.storlets.agg_storlet.AggregatingStorlet` with it;
+   :class:`~repro.spark.store_source.AggregationScanRDD` invokes the
+   format's own storlet with it, which runs partial aggregation over
+   the batches its scan keeps;
 3. the scan's records are a source the executor's Aggregate operator
    folds in (:meth:`~repro.sql.grouping.GroupTable.add_records`), and
    HAVING, post-aggregate expressions, DISTINCT, ORDER BY and LIMIT run
@@ -28,7 +29,7 @@ from typing import Union
 from repro.sql.catalyst import AggregateNode, LogicalPlan, PushdownSpec
 from repro.sql.executor import aggregate_calls
 from repro.sql.expressions import Star
-from repro.storlets.agg_storlet import MERGEABLE_AGGREGATES, AggregationSpec
+from repro.storlets.aggregation import MERGEABLE_AGGREGATES, AggregationSpec
 
 
 def plan_aggregation_pushdown(

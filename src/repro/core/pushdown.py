@@ -43,12 +43,12 @@ class PushdownTask:
     #: (the columnar storlet's per-split stripe descriptors travel here).
     extra_parameters: Dict[str, str] = field(default_factory=dict)
     #: Partial GROUP-BY aggregation to run at the store: the serialized
-    #: :class:`~repro.storlets.agg_storlet.AggregationSpec`.  The store
-    #: returns accumulator states per group instead of rows -- usually
-    #: orders of magnitude fewer bytes than even filter pushdown.
+    #: :class:`~repro.storlets.aggregation.AggregationSpec`.  The
+    #: storlet returns accumulator states per group instead of rows --
+    #: usually orders of magnitude fewer bytes than even filter pushdown.
     aggregation: Optional[str] = None
-    #: Bound on the storlet-side group hash table; groups beyond it
-    #: spill their rows to the compute side (None = storlet default).
+    #: Bound on the storlet-side group hash table; a row of a group
+    #: beyond it ships its states alone (None = storlet default).
     max_groups: Optional[int] = None
 
     def is_noop(self) -> bool:

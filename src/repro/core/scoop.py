@@ -33,7 +33,6 @@ from repro.spark.scheduler import SparkContext
 from repro.spark.session import SparkSession
 from repro.sql.types import Schema
 from repro.spark.columnar_source import ColumnarRelation
-from repro.storlets.agg_storlet import AggregatingStorlet
 from repro.storlets.columnar_storlet import (
     ColumnarStorlet,
     CsvToColumnarStorlet,
@@ -178,7 +177,6 @@ class ScoopContext:
         self.engine.deploy(CsvStorlet(), self.client)
         self.engine.deploy(ColumnarStorlet(), self.client)
         self.engine.deploy(CsvToColumnarStorlet(), self.client)
-        self.engine.deploy(AggregatingStorlet(), self.client)
         self.engine.deploy(CleansingStorlet(), self.client)
         self.engine.deploy(ColumnSplitStorlet(), self.client)
         self.engine.deploy(CompressStorlet(), self.client)
@@ -356,6 +354,7 @@ class ScoopContext:
             pushdown=pushdown,
             compress_transfer=compress_transfer,
             tenant=tenant,
+            agg_pushdown=agg_pushdown,
         )
         if (format or self.default_format) == "columnar":
             if schema is None:
@@ -366,8 +365,8 @@ class ScoopContext:
             self.convert_csv_to_columnar(
                 container, shadow, schema, prefix=prefix, has_header=has_header
             )
-            return self.register_columnar_table(
-                table, shadow, schema=schema, **decision
+            return self._register(
+                ColumnarRelation, table, shadow, schema=schema, **decision
             )
         return self._register(
             CsvRelation,
@@ -376,7 +375,6 @@ class ScoopContext:
             prefix=prefix,
             schema=schema,
             has_header=has_header,
-            agg_pushdown=agg_pushdown,
             **decision,
         )
 

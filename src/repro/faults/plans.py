@@ -115,20 +115,6 @@ def named_plan(name: str, seed: int = 20170417) -> FaultPlan:
                     times=1,
                     probability=0.3,
                 ),
-                # And on the aggregating storlet: with GROUP-BY pushdown
-                # armed, it is the filter most queries run.
-                StorletCrash(
-                    storlet="aggstorlet",
-                    reason="crash",
-                    times=None,
-                    probability=0.6,
-                ),
-                StorletCrash(
-                    storlet="aggstorlet",
-                    reason="cpu-exhausted",
-                    times=1,
-                    probability=0.3,
-                ),
             ),
         )
     if name == "overload":

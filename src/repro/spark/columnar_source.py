@@ -120,13 +120,18 @@ class ColumnarScanRDD(SplitScanRDD):
             return batch
         return batch.select(self.output_schema.names)
 
+    def _pushdown_response(
+        self, columnar: ColumnarSplit, stripes: Sequence[StripeMeta]
+    ) -> Iterator[bytes]:
+        """One storlet GET for the split, naming its stripes."""
+        return self._open_pushdown(columnar.split, self._split_task(stripes))
+
     def _pushdown_batches(
         self, columnar: ColumnarSplit, stripes: Sequence[StripeMeta]
     ) -> Iterator[ColumnBatch]:
-        """One storlet GET for the split; blocks decode incrementally as
-        response chunks arrive, so a LIMIT can abandon the stream."""
-        chunks = self._open_pushdown(columnar.split, self._split_task(stripes))
-        for batch in decode_block_stream(chunks):
+        """Blocks decode incrementally as response chunks arrive, so a
+        LIMIT can abandon the stream."""
+        for batch in decode_block_stream(self._pushdown_response(columnar, stripes)):
             yield self._reorder(batch)
 
     # -- plain (segment-granular) path -------------------------------------

@@ -10,60 +10,18 @@ projection happen in the scan, on the compute cluster (classic
 ingest-then-compute).  The relation, the decision and the scan skeleton
 are :mod:`repro.spark.store_source`'s; this module supplies what is CSV:
 record-aligned discovery, the framing (header, delimiter), the two
-readers, schema inference -- and the GROUP-BY task, which only the CSV
-side of the store can run.
+readers and schema inference.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.connector.stocator import ObjectSplit, StocatorConnector
 from repro.columnar.batch import ColumnBatch
-from repro.core.pushdown import PushdownTask
 from repro.csvscan import CsvScan, parse_record
-from repro.sql.filters import Filter
 from repro.sql.types import DataType, Field, Schema
-from repro.spark.agg_source import AggregationScanRDD
-from repro.spark.rdd import RDD
 from repro.spark.store_source import SplitScanRDD, StoreRelation
-from repro.storlets.agg_storlet import DEFAULT_MAX_GROUPS, AggregationSpec
-
-
-def plain_csv_batches(
-    connector: StocatorConnector,
-    split: ObjectSplit,
-    schema: Schema,
-    has_header: bool,
-    delimiter: str,
-    filters: Sequence[Filter],
-    columns: Optional[Sequence[str]] = None,
-) -> Iterator[ColumnBatch]:
-    """Read a split without pushdown: plain ranged GET, record
-    alignment, selection and projection (``columns``, ``None`` = all)
-    on the compute side, all streaming.  The reader types only the
-    projected columns and the filters'; the others are validated, so
-    the drop rule is the same whatever is projected.
-
-    Used for pushdown-disabled scans and as the graceful-degradation
-    path after a runtime storlet failure.  The reader applies the
-    filters with the storlet's own code, so this row stream is the
-    pushdown stream (which mid-stream resume requires).
-    """
-    projection = None
-    if columns is not None:
-        projection = [schema.index_of(name) for name in columns]
-    _headers, chunks = connector.open_split_stream(split, task=None)
-    return CsvScan(
-        chunks,
-        schema,
-        delimiter,
-        range_start=split.start,
-        range_len=split.length,
-        skip_header=has_header and split.is_first,
-        filters=filters,
-    ).batches(projection)
 
 
 class CsvScanRDD(SplitScanRDD):
@@ -81,22 +39,31 @@ class CsvScanRDD(SplitScanRDD):
         projected the columns, so parsing uses the output schema and no
         header or split-ownership handling is needed.
         """
-        chunks = self._open_pushdown(split, self.task)
+        chunks = self._pushdown_response(split)
         return CsvScan(chunks, self.output_schema, self.delimiter).batches()
 
     def _plain_batches(self, split: ObjectSplit) -> Iterator[ColumnBatch]:
-        columns = None
-        if len(self.output_schema) != len(self.full_schema):
-            columns = self.output_schema.names
-        return plain_csv_batches(
-            self.connector,
-            split,
-            self.full_schema,
-            self.has_header,
+        """Read a split without pushdown: plain ranged GET, record
+        alignment, selection and projection on the compute side, all
+        streaming.  The reader types only the projected columns and the
+        filters'; the others are validated, so the drop rule is the same
+        whatever is projected.  It applies the filters with the
+        storlet's own code, so this row stream is the pushdown stream
+        (which mid-stream resume requires)."""
+        schema = self.full_schema
+        projection = None
+        if len(self.output_schema) != len(schema):
+            projection = [schema.index_of(name) for name in self.output_schema.names]
+        _headers, chunks = self.connector.open_split_stream(split, task=None)
+        return CsvScan(
+            chunks,
+            schema,
             self.delimiter,
-            self.filters,
-            columns,
-        )
+            range_start=split.start,
+            range_len=split.length,
+            skip_header=self.has_header and split.is_first,
+            filters=self.filters,
+        ).batches(projection)
 
 
 class CsvRelation(StoreRelation):
@@ -114,7 +81,6 @@ class CsvRelation(StoreRelation):
         schema: Optional[Schema] = None,
         has_header: bool = False,
         delimiter: str = ",",
-        agg_pushdown: Optional[bool] = None,
         **decision,
     ):
         self.framing = {"has_header": has_header, "delimiter": delimiter}
@@ -133,64 +99,6 @@ class CsvRelation(StoreRelation):
         )
         super().__init__(
             context, connector, container, prefix, schema, splits, **decision
-        )
-        # GROUP-BY pushdown defaults to following the placement engine's
-        # presence, since partial aggregation is only worth planning
-        # when placement is a decision.
-        if agg_pushdown is None:
-            agg_pushdown = self.delegator.placement is not None
-        self.agg_pushdown = agg_pushdown
-
-    @property
-    def aggregates_at_store(self) -> bool:
-        """Whether this relation offers GROUP-BY pushdown at all (a scan
-        may still be declined by the placement engine)."""
-        return self.pushdown and self.agg_pushdown
-
-    def build_aggregation_scan(
-        self,
-        spec: AggregationSpec,
-        filters: Sequence[Filter],
-        max_groups: int = DEFAULT_MAX_GROUPS,
-    ) -> Optional[RDD]:
-        """Build the tagged-partial aggregation scan running ``spec``
-        over the rows passing ``filters``, or ``None`` when this
-        relation should stay on the ordinary scan path.
-
-        GROUP-BY pushdown is gated on ``agg_pushdown`` (which defaults
-        to "a placement engine is present") and rides the same decision
-        as filter pushdown: the placement engine can veto it under
-        storage pressure, or picks the tier -- including sending it
-        compute-side, which also returns ``None``.
-        """
-        if not self.aggregates_at_store:
-            self.delegator.decline("agg_pushdown_off", self.tenant, self.container)
-            return None
-        splits = self.connector.catalog_filter_splits(self._splits, list(filters))
-        task = self._delegate(
-            PushdownTask(
-                schema=self._schema,
-                filters=list(filters),
-                storlet="aggstorlet",
-                aggregation=spec.to_json(),
-                max_groups=max_groups,
-                **self.framing,
-            ),
-            splits,
-        )
-        if task is None:
-            return None
-        # Degradation reads the split plainly under the task's filters:
-        # the typed, filtered row stream every other degraded scan sees.
-        plain_batches = partial(
-            plain_csv_batches,
-            self.connector,
-            schema=self._schema,
-            filters=task.filters,
-            **self.framing,
-        )
-        return AggregationScanRDD(
-            self.context, self.connector, splits, spec, task, plain_batches
         )
 
 

@@ -156,7 +156,7 @@ class SparkSession:
         partials = self._aggregation_scan(relation, plan, spec)
         if partials is not None:
             # GROUP-BY pushdown: the same plan, its Aggregate fed the
-            # store's partial states (and spilled rows, all columns).
+            # store's partial states.
             registry.inc("sql.queries", path="agg_pushdown")
             return execute_plan(
                 plan,

@@ -12,22 +12,35 @@ degrades the partition to the plain read, resumed behind what was
 already emitted.  A format (:mod:`repro.spark.csv_source`,
 :mod:`repro.spark.columnar_source`) supplies how its objects split,
 which storlet serves it and the two readers.
+
+GROUP-BY pushdown is the same scan with one more stage
+(:class:`AggregationScanRDD`): the task carries an ``aggregation``, the
+format's storlet runs partial aggregation over the batches it keeps, and
+a degraded partition runs the same stage over the plain reader's.
 """
 
 from __future__ import annotations
 
+import json
 import zlib
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.columnar.batch import ColumnBatch, skip_rows
 from repro.connector.stocator import PushdownError, StocatorConnector
 from repro.core.delegator import AnalyticsDelegator
 from repro.core.pushdown import PushdownTask
+from repro.csvscan import owned_records
 from repro.spark.batch import DEFAULT_BATCH_ROWS, batched, rows_from_batches
 from repro.spark.datasources import PrunedFilteredScan
 from repro.spark.rdd import RDD
 from repro.sql.filters import Filter
 from repro.sql.types import Row, Schema
+from repro.storlets.aggregation import (
+    DEFAULT_MAX_GROUPS,
+    AggregationSpec,
+    partial_aggregate,
+)
 
 
 def degrading(
@@ -98,7 +111,8 @@ class SplitScanRDD(RDD[Row]):
     A format implements ``_pushdown_batches`` and ``_plain_batches``,
     which must yield the same rows -- exactly those passing ``filters``,
     projected -- and may narrow what they are given of a split by
-    overriding ``_reader_args``.
+    overriding ``_reader_args`` and what its GET carries by overriding
+    ``_pushdown_response``.
     """
 
     def __init__(
@@ -160,6 +174,11 @@ class SplitScanRDD(RDD[Row]):
         nothing of it can hold a passing row."""
         return (split,)
 
+    def _pushdown_response(self, split, *_rest) -> Iterator[bytes]:
+        """The response chunks of the storlet GET for the readers'
+        arguments: ``split``'s GET tagged with :attr:`task`."""
+        return self._open_pushdown(split, self.task)
+
     def _open_pushdown(self, split, task: PushdownTask) -> Iterator[bytes]:
         """The response chunks of ``split``'s GET tagged with ``task``,
         inflated when the task had them compressed."""
@@ -167,12 +186,76 @@ class SplitScanRDD(RDD[Row]):
         return _decompress_chunks(chunks) if task.compress else chunks
 
 
+class AggregationScanRDD(RDD):
+    """A scan's partitions through partial aggregation: yields
+    ``(split, ordinal, key, states)`` records
+    (:func:`~repro.storlets.aggregation.partial_aggregate`'s, stamped
+    with the split index -- the storlet does not know which split it
+    served, and the index is what orders group creation points across
+    partitions).  The session hands the record stream to the executor,
+    whose Aggregate merges it
+    (:meth:`~repro.sql.grouping.GroupTable.add_records`).
+
+    ``scan`` is the format's scan RDD, its task carrying the
+    aggregation: a partition reads through the scan's own hooks, so
+    pruning, the per-split task and the plain reader are the scan's.
+    The storlet runs the stage over the batches its scan keeps; a
+    degraded partition runs it over the plain reader's, which are the
+    same rows, so the record stream is the same -- which is what makes
+    resuming behind the records already emitted sound here too.
+    """
+
+    def __init__(self, scan: SplitScanRDD, spec: AggregationSpec):
+        super().__init__(scan.context)
+        self.name = "AggregationScan"
+        self.scan = scan
+        self.spec = spec
+        self.splits = scan.splits
+        self.task = scan.task
+
+    def num_partitions(self) -> int:
+        return len(self.splits)
+
+    def compute(self, split_index: int) -> Iterator[tuple]:
+        args = self.scan._reader_args(self.splits[split_index])
+        if args is None:
+            return iter(())
+        return degrading(
+            self.scan.connector,
+            args[0].index,
+            lambda: self._pushdown_records(*args),
+            lambda: self._fallback_records(*args),
+            event="agg_pushdown_degraded",
+            counted="records_before_failure",
+            size=lambda record: 1,
+            skip=lambda records, count: islice(records, count, None),
+        )
+
+    def _pushdown_records(self, split, *rest) -> Iterator[tuple]:
+        for raw_line in owned_records(self.scan._pushdown_response(split, *rest)):
+            if raw_line.strip():
+                yield (split.index, *json.loads(raw_line))
+
+    def _fallback_records(self, split, *rest) -> Iterator[tuple]:
+        scan = self.scan
+        for record in partial_aggregate(
+            scan._plain_batches(split, *rest),
+            self.spec,
+            scan.output_schema,
+            self.task.max_groups,
+        ):
+            yield (split.index, *record)
+
+
 class StoreRelation(PrunedFilteredScan):
     """Data in an object-store container, optionally pushdown-enabled.
 
     A format sets :attr:`storlet` and :attr:`scan_rdd` (and
     :attr:`framing`, if it has any) and discovers its splits and, unless
-    given, its schema in ``__init__``.
+    given, its schema in ``__init__``.  GROUP-BY pushdown
+    (``agg_pushdown``) defaults to following the placement engine's
+    presence, since partial aggregation is only worth planning when
+    placement is a decision.
     """
 
     #: The storlet serving this format's filter / projection task.
@@ -194,6 +277,7 @@ class StoreRelation(PrunedFilteredScan):
         compress_transfer: bool = False,
         tenant: str = "default",
         placement=None,
+        agg_pushdown: Optional[bool] = None,
     ):
         self.context = context
         self.connector = connector
@@ -207,6 +291,9 @@ class StoreRelation(PrunedFilteredScan):
         # Takes every scan's pushdown decision: the placement engine may
         # veto it (Section VII) or picks its tier.
         self.delegator = AnalyticsDelegator(placement, context.registry)
+        if agg_pushdown is None:
+            agg_pushdown = self.delegator.placement is not None
+        self.agg_pushdown = agg_pushdown
 
     def schema(self) -> Schema:
         return self._schema
@@ -250,6 +337,15 @@ class StoreRelation(PrunedFilteredScan):
             )
         else:
             self.delegator.decline("pushdown_off", self.tenant, self.container)
+        return self._scan(splits, columns, task, filters)
+
+    def _scan(
+        self,
+        splits: List,
+        columns: Sequence[str],
+        task: Optional[PushdownTask],
+        filters: Sequence[Filter],
+    ) -> "SplitScanRDD":
         return self.scan_rdd(
             self.context,
             self.connector,
@@ -260,6 +356,50 @@ class StoreRelation(PrunedFilteredScan):
             filters=filters,
             **self.framing,
         )
+
+    @property
+    def aggregates_at_store(self) -> bool:
+        """Whether this relation offers GROUP-BY pushdown at all (a scan
+        may still be declined by the placement engine)."""
+        return self.pushdown and self.agg_pushdown
+
+    def build_aggregation_scan(
+        self,
+        spec: AggregationSpec,
+        filters: Sequence[Filter],
+        max_groups: int = DEFAULT_MAX_GROUPS,
+    ) -> Optional[RDD]:
+        """The partial-aggregation scan running ``spec`` over the rows
+        passing ``filters``, or ``None`` when this relation should stay
+        on the ordinary scan path.
+
+        GROUP-BY pushdown is gated on ``agg_pushdown`` and rides the
+        same decision as filter pushdown: the placement engine can veto
+        it under storage pressure, or picks the tier -- including
+        sending it compute-side, which also returns ``None``.  The scan
+        reads the columns the spec references (the cheapest one for a
+        global ``COUNT(*)``), skipping and pruning as any scan does.
+        """
+        if not self.aggregates_at_store:
+            self.delegator.decline("agg_pushdown_off", self.tenant, self.container)
+            return None
+        columns = spec.columns(self._schema) or [self.count_column(filters)]
+        splits = self.connector.catalog_filter_splits(self._splits, list(filters))
+        task = self._delegate(
+            PushdownTask(
+                schema=self._schema,
+                columns=columns,
+                filters=list(filters),
+                storlet=self.storlet,
+                aggregation=spec.to_json(),
+                max_groups=max_groups,
+                **self.framing,
+            ),
+            splits,
+        )
+        if task is None:
+            return None
+        return AggregationScanRDD(self._scan(splits, columns, task, filters), spec)
 
     def build_scan_pruned(self, required_columns: Sequence[str]) -> RDD:
         return self.build_scan_filtered(required_columns, [])

@@ -12,10 +12,9 @@ over the finalized groups' columns, sort keys over the rows a sort
 materialized.  The same pipeline runs on both sides of the pushdown
 boundary: the Spark workers run the part of the query that was *not*
 pushed down with it.  A GROUP-BY pushdown scan is one more source: its
-records -- the store's partial group states and the rows its bounded
-table spilled -- fill the Aggregate's table directly
-(:meth:`~repro.sql.grouping.GroupTable.add_records`), and everything
-above the Aggregate runs as for any other query.
+records -- the store's partial group states -- fill the Aggregate's
+table directly (:meth:`~repro.sql.grouping.GroupTable.add_records`),
+and everything above the Aggregate runs as for any other query.
 
 An expression the kernel compiler cannot prove total still gets a
 kernel -- the unproven operations guarded, one call per row -- so there
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.columnar.batch import ColumnBatch, as_column_batch, take_column
 from repro.obs.metrics import MetricsRegistry
@@ -115,8 +114,8 @@ def execute_plan(
     is called once and pulled lazily: a satisfied LIMIT stops it.
 
     With ``partials`` the source yields a GROUP-BY pushdown scan's
-    tagged records instead (spilled rows are rows of ``scan_schema``),
-    and the plan's Aggregate, directly above its scan, merges them.
+    records instead, and the plan's Aggregate, directly above its scan,
+    merges them.
     Every expression over the scan that has an operation the kernel
     compiler cannot prove total -- it runs guarded -- is counted in
     ``registry`` (``sql.kernel_refusals``)."""
@@ -336,7 +335,7 @@ def _compile_aggregate(
     bucketed by group, each accumulator fed a group at a time).  With
     ``partials`` the source is a GROUP-BY pushdown scan's records
     (:meth:`~repro.sql.grouping.GroupTable.add_records`): states merge
-    into the accumulators, spilled rows take the same kernels."""
+    into the accumulators."""
     key_kernels = [compile_expression(key, scan_schema, registry) for key in node.group_by]
     spec = _analyze_aggregate(node, scan_schema)
     # COUNT(*) has no input vector: the group table counts rows.
@@ -347,24 +346,19 @@ def _compile_aggregate(
         for aggregate in spec.aggregates
     ]
 
-    def add(table: GroupTable, cols: Sequence[Sequence[Any]], n: int) -> None:
-        table.add_batch(
-            [kernel(cols, n) for kernel in key_kernels],
-            [None if kernel is None else kernel(cols, n) for kernel in input_kernels],
-            n,
-        )
-
     def rows() -> Iterator[Row]:
         table = GroupTable(lambda: _new_group(spec))
         if partials:
-            table.add_records(
-                source(), lambda spilled: add(table, list(zip(*spilled)), len(spilled))
-            )
+            table.add_records(source())
         else:
             for batch in source():
-                n = len(batch)
+                n, columns = len(batch), batch.columns
                 if n:
-                    add(table, batch.columns, n)
+                    table.add_batch(
+                        [kernel(columns, n) for kernel in key_kernels],
+                        [None if kernel is None else kernel(columns, n) for kernel in input_kernels],
+                        n,
+                    )
         yield from _finalize_groups(spec, table.groups)
 
     return Compiled(

@@ -1,16 +1,15 @@
 """The hash aggregate's table: a batch in, a group at a time.
 
 One routine accumulates GROUP BY for the executor
-(:func:`repro.sql.executor.execute_plan`) and for the
-aggregating storlet and its compute-side twin
-(:func:`repro.storlets.agg_storlet.tagged_partial_aggregate`).  Per
+(:func:`repro.sql.executor.execute_plan`) and for the partial
+aggregation GROUP-BY pushdown runs at the store and in its compute-side
+fallback (:func:`repro.storlets.aggregation.partial_aggregate`).  Per
 batch the rows are bucketed by group once -- the only per-row work --
 and every accumulator then takes its group's inputs in one
 :meth:`~repro.sql.functions.Accumulator.add_many` call, in row order.
 Under GROUP-BY pushdown the executor's table is filled from the
-storlet's records instead (:meth:`GroupTable.add_records`): their
-states merge into the same accumulators, their spilled rows go through
-:meth:`GroupTable.add_batch`.
+stage's records instead (:meth:`GroupTable.add_records`): their states
+merge into the same accumulators.
 
 Keys stay as they arrive.  A lone dictionary-coded key column
 (:class:`~repro.columnar.batch.DictColumn`) is bucketed by its *codes*:
@@ -31,9 +30,6 @@ from repro.columnar.batch import DictColumn, materialize, take_column
 from repro.sql.functions import Accumulator, CountAccumulator
 
 Key = Tuple[Any, ...]
-
-#: Spilled rows :meth:`GroupTable.add_records` hands its caller at once.
-SPILL_BATCH_ROWS = 512
 
 
 def _folded_codes(column: DictColumn) -> bytes:
@@ -72,7 +68,7 @@ class GroupTable:
     ``new_group`` makes one group's fresh accumulator list.  With
     ``max_groups`` the table is bounded: a key first met while the table
     is full is not admitted and :meth:`add_batch` hands its rows back
-    (the storlet's spill-to-compute).  ``first_seen[key]`` is the
+    (partial aggregation ships each of them alone).  ``first_seen[key]`` is the
     ordinal, over every row fed so far, of the row that created the
     group.
     """
@@ -142,59 +138,30 @@ class GroupTable:
         spilled.sort()
         return spilled
 
-    def add_records(
-        self, records: Iterable[Sequence[Any]], add_rows: Callable[[List[tuple]], None]
-    ) -> None:
-        """Fill the table from a GROUP-BY pushdown scan's tagged records
-        (:class:`~repro.spark.agg_source.AggregationScanRDD`).
-
-        A ``("p", split, first_ordinal, key, states)`` record merges
-        state ``j`` into the group's accumulator ``j``; ``("r", split,
-        ordinal, row)`` rows, which the store's bounded table spilled,
-        go to ``add_rows`` -- the caller's kernels, then
-        :meth:`add_batch` -- up to :data:`SPILL_BATCH_ROWS` at a time,
-        never across a ``p`` record, so every accumulator is fed in
-        stream order.
+    def add_records(self, records: Iterable[Sequence[Any]]) -> None:
+        """Fill the table from a GROUP-BY pushdown scan's records
+        (:class:`~repro.spark.store_source.AggregationScanRDD`): each
+        ``(split, ordinal, key, states)`` merges state ``j`` into the
+        group's accumulator ``j``.
 
         The groups end in the order of their creation points, the
         ``(split, ordinal)`` of the row that created each: first-seen
         order over the partitions concatenated, as :meth:`add_batch`
         over the rows themselves leaves it.  Records arrive in partition
-        order, and within a partition a group is one ``p`` record or
-        spilled rows in ordinal order, so a group's first record carries
-        its creation point.
+        order, and within a partition a key is one record or one record
+        per spilled row in ordinal order, so a key's first record
+        carries its creation point -- and every accumulator merges in
+        row order.
         """
         created: Dict[Key, Tuple[int, int]] = {}
-        spilled: List[Tuple[int, int, tuple]] = []
-
-        def flush() -> None:
-            if not spilled:
-                return
-            groups_before, rows_before = len(self.groups), self.rows
-            add_rows([row for _split, _ordinal, row in spilled])
-            for key in itertools.islice(self.groups, groups_before, None):
-                split, ordinal, _row = spilled[self.first_seen[key] - rows_before]
-                created[key] = (split, ordinal)
-            spilled.clear()
-
-        for record in records:
-            tag, split, ordinal, payload = record[:4]
-            if tag == "r":
-                spilled.append((split, ordinal, tuple(payload)))
-                if len(spilled) == SPILL_BATCH_ROWS:
-                    flush()
-                continue
-            if tag != "p":
-                raise ValueError(f"unknown tagged record kind {tag!r}")
-            flush()
-            key = tuple(payload)
+        for split, ordinal, key, states in records:
+            key = tuple(key)
             accumulators = self.groups.get(key)
             if accumulators is None:
                 accumulators = self.groups[key] = self._new_group()
                 created[key] = (split, ordinal)
-            for accumulator, state in zip(accumulators, record[4]):
+            for accumulator, state in zip(accumulators, states):
                 accumulator.merge(state)
-        flush()
         self.groups = {
             key: self.groups[key] for key in sorted(self.groups, key=created.__getitem__)
         }

@@ -1081,34 +1081,3 @@ class FilterMask:
         if kept == n:
             return wanted, n
         return compress_columns(wanted, mask, gathers), kept
-
-
-def compile_group_kernels(
-    group_by: Sequence[str],
-    aggregate_args: Sequence[str],
-    schema: Schema,
-) -> Tuple[List[VectorKernel], List[Optional[VectorKernel]]]:
-    """Lower a grouped aggregation's expressions into batch kernels.
-
-    ``group_by`` and ``aggregate_args`` are expression strings in the
-    SQL dialect (the :class:`~repro.storlets.agg_storlet.AggregationSpec`
-    wire format); an aggregate argument of ``"*"`` means COUNT(*)-style
-    input and has ``None`` for its kernel
-    (:meth:`repro.sql.grouping.GroupTable.add_batch`'s convention).  Returns
-    ``(key_kernels, input_kernels)``, each kernel
-    :func:`compile_expression`'s.  Shared by the aggregating storlet and
-    its compute-side degradation twin, which is what keeps the two
-    streams value-identical.
-    """
-    from repro.sql.parser import parse_expression
-
-    key_kernels = [
-        compile_expression(parse_expression(text), schema) for text in group_by
-    ]
-    input_kernels = [
-        None
-        if text.strip() == "*"
-        else compile_expression(parse_expression(text), schema)
-        for text in aggregate_args
-    ]
-    return key_kernels, input_kernels

@@ -19,7 +19,9 @@ Two storlets live here:
   or packed), the form a column ships in -- and the mapping of its codes
   to the stream dictionary -- is settled once per stripe, and a response
   block is a slice of it.  Non-referenced column segments are never even
-  decoded.
+  decoded.  A task carrying an ``aggregation`` is answered by partial
+  aggregation over each stripe's selected columns instead
+  (:mod:`repro.storlets.aggregation`).
 * :class:`CsvToColumnarStorlet` is the PUT-path ETL converter: it parses
   a CSV stream through :class:`repro.csvscan.CsvScan` -- so with the drop
   rule of every CSV scan path -- and re-encodes the validated text of its
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.catalog import CatalogBuilder
+from repro.columnar.batch import ColumnBatch
 from repro.columnar.layout import (
     DEFAULT_STRIPE_ROWS,
     ENCODING_NAMES,
@@ -42,10 +45,11 @@ from repro.columnar.layout import (
     decode_column,
     encode_column_stream,
 )
-from repro.csvscan import CsvScan
+from repro.csvscan import BLOCK_BYTES, CsvScan
 from repro.sql.filters import filters_from_json
 from repro.sql.kernels import FilterMask
 from repro.sql.types import Schema
+from repro.storlets.aggregation import partial_lines
 from repro.storlets.api import (
     IStorlet,
     StorletException,
@@ -54,6 +58,7 @@ from repro.storlets.api import (
     has_header,
     publish_counts,
 )
+from repro.storlets.csv_storlet import _coalesce
 
 #: Upper bound on rows per emitted block.  Stripes are sized for scan
 #: throughput (hundreds of KiB), but the *response* must stream at a
@@ -128,6 +133,10 @@ class ColumnarStorlet(IStorlet):
     ``range_start`` / ``range_len``
         Logical byte range of this invocation (set by the middleware
         from ``X-Storlet-Range``).
+    ``aggregation`` / ``max_groups``
+        Optional :class:`~repro.storlets.aggregation.AggregationSpec`
+        JSON (and its group bound): answer with the partial-aggregation
+        records of the selected rows instead of the rows.
     """
 
     name = "columnarstorlet"
@@ -196,27 +205,40 @@ class ColumnarStorlet(IStorlet):
         shipped: Counter = Counter()
         encoder = BlockStreamEncoder(out_schema, shipped)
 
-        for stripe in stripes:
-            rows = stripe["rows"]
-            rows_in += rows
-            segments = stripe["cols"]
-            vectors: List = [None] * len(schema)
-            for index in needed:
-                offset, length = segments[index]
-                data = reader.read_at(offset, length)
-                vectors[index] = decode_column(
-                    data, schema.fields[index].dtype, rows
+        def selected() -> Iterator[Tuple[ColumnBatch, bool]]:
+            """Each stripe's surviving rows, and whether any was cut."""
+            nonlocal rows_in, rows_out
+            for stripe in stripes:
+                rows = stripe["rows"]
+                rows_in += rows
+                segments = stripe["cols"]
+                vectors: List = [None] * len(schema)
+                for index in needed:
+                    offset, length = segments[index]
+                    data = reader.read_at(offset, length)
+                    vectors[index] = decode_column(
+                        data, schema.fields[index].dtype, rows
+                    )
+                    decoded[ENCODING_NAMES[data[0]]] += 1
+                # Filter and gather on the encoded form: a carrier stays
+                # one from the segment to the response block.
+                columns, kept = selection.select(
+                    vectors, rows, project, evaluations, gathers
                 )
-                decoded[ENCODING_NAMES[data[0]]] += 1
-            # Filter and gather on the encoded form: a carrier stays one
-            # from the segment to the response block.
-            columns, kept = selection.select(
-                vectors, rows, project, evaluations, gathers
+                if kept:
+                    rows_out += kept
+                    yield ColumnBatch(out_schema, columns, kept), kept < rows
+
+        if parameters.get("aggregation"):
+            batches = (batch for batch, _gathered in selected())
+            yield from _coalesce(
+                partial_lines(batches, parameters, out_schema), BLOCK_BYTES
             )
-            if not kept:
-                continue
-            rows_out += kept
-            yield from encoder.blocks(columns, kept, BLOCK_ROWS, gathered=kept < rows)
+        else:
+            for batch, gathered in selected():
+                yield from encoder.blocks(
+                    batch.columns, len(batch), BLOCK_ROWS, gathered=gathered
+                )
 
         metadata.update(
             {

@@ -9,7 +9,9 @@ Record framing, Hadoop byte-range ownership (so that parallel Spark
 tasks cover every record exactly once), typing and the drop rule are
 :mod:`repro.csvscan`'s; this module selects, projects and renders what
 the scan keeps, a block at a time.  It renders raw texts, so the scan
-types only the columns the filters reference.
+types only the columns the filters reference.  A task carrying an
+``aggregation`` is answered by partial aggregation over the scan's
+batches instead (:mod:`repro.storlets.aggregation`).
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Optional
 
+from repro.columnar.batch import ColumnBatch
 from repro.csvscan import BLOCK_BYTES, CsvScan, RecordBlock, render_record
 from repro.sql.filters import filters_from_json
 from repro.sql.types import Schema
+from repro.storlets.aggregation import partial_lines
 from repro.storlets.api import (
     IStorlet,
     StorletException,
@@ -53,6 +57,10 @@ class CsvStorlet(IStorlet):
         "true" to emit the projected header line when covering offset 0.
     ``delimiter``
         Field delimiter, default ``,``.
+    ``aggregation`` / ``max_groups``
+        Optional :class:`~repro.storlets.aggregation.AggregationSpec`
+        JSON (and its group bound): answer with the partial-aggregation
+        records of the projected, filtered rows instead of the rows.
     """
 
     name = "csvstorlet"
@@ -123,10 +131,25 @@ class CsvStorlet(IStorlet):
                 output += _render_block(block, picked, columns, delimiter)
             return output
 
-        # Mapped, so a block is dropped once rendered, before the next is
-        # framed.  The output is rendered from the raw texts: no column
-        # is read typed beyond those the filters reference.
-        yield from _coalesce(map(render, scan.blocks(())), self.OUTPUT_CHUNK)
+        if parameters.get("aggregation"):
+
+            def counted(batch: ColumnBatch) -> ColumnBatch:
+                nonlocal rows_out
+                rows_out += len(batch)
+                return batch
+
+            # The projected columns and the filters' are the typed ones.
+            out_schema = schema
+            if columns is not None:
+                out_schema = schema.select([schema.names[index] for index in columns])
+            output = partial_lines(map(counted, scan.batches(columns)), parameters, out_schema)
+        else:
+            # Mapped, so a block is dropped once rendered, before the
+            # next is framed.  The output is rendered from the raw
+            # texts: no column is read typed beyond those the filters
+            # reference.
+            output = map(render, scan.blocks(()))
+        yield from _coalesce(output, self.OUTPUT_CHUNK)
         metadata.update(
             {
                 "x-object-meta-storlet-rows-in": str(scan.records_in),

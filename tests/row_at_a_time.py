@@ -7,20 +7,21 @@ one -- so a test that reasons row by row judges with the very
 operators the engine runs, and a batch answer can be compared with the
 same rows taken one at a time.
 
-:func:`rowwise_tagged_partial_aggregate` is partial aggregation fed one
-row at a time.  The production
-:func:`repro.storlets.agg_storlet.tagged_partial_aggregate` takes its
-input a batch at a time and accumulates a group at a time
-(:class:`repro.sql.grouping.GroupTable`, ``Accumulator.add_many``).
-This is the loop it replaced, kept as the differential oracle: every
-row is evaluated through :func:`row_evaluator`, looked up in the
-bounded table and fed to its group's accumulators with ``add``, one
-call per aggregate per row.  ``tests/test_batch_aggregate.py`` requires
-the two record streams to be identical, record for record, for every
-generated input, spill bound and batch size.  Only the accumulators
-themselves (``add``, ``state``) and the expression kernels are shared
-with ``src/``; the table, the spill rule and the ordinals are this
-loop's own.
+:func:`rowwise_partial_aggregate` is partial aggregation fed one row at
+a time.  The production :func:`repro.storlets.aggregation.partial_aggregate`
+takes the reader's ``ColumnBatch``es as they come and accumulates a
+group at a time (:class:`repro.sql.grouping.GroupTable`,
+``Accumulator.add_many``).  This is the loop it replaced, kept as the
+differential oracle: every row is evaluated through
+:func:`row_evaluator`, looked up in the bounded table and fed to its
+group's accumulators with ``add``, one call per aggregate per row; a
+row whose key the full table does not hold leaves at once as its own
+record, the states of fresh accumulators fed that row alone.
+``tests/test_batch_aggregate.py`` requires the two record streams to be
+identical, record for record, for every generated input, spill bound
+and batch cut.  Only the accumulators themselves (``add``, ``state``)
+and the expression kernels are shared with ``src/``; the table, the
+spill rule and the ordinals are this loop's own.
 """
 
 from repro.sql.kernels import compile_expression
@@ -38,7 +39,7 @@ def row_evaluator(expression, schema):
     return lambda row: kernel([[cell] for cell in row], 1)[0]
 
 
-def rowwise_tagged_partial_aggregate(rows, spec, schema, max_groups):
+def rowwise_partial_aggregate(rows, spec, schema, max_groups):
     key_evals = [row_evaluator(text, schema) for text in spec.group_by]
     input_evals = [
         (lambda row: 1) if arg.strip() == "*" else row_evaluator(arg, schema)
@@ -49,17 +50,19 @@ def rowwise_tagged_partial_aggregate(rows, spec, schema, max_groups):
     for ordinal, row in enumerate(rows):
         key = tuple(evaluate(row) for evaluate in key_evals)
         accumulators = groups.get(key)
+        if accumulators is None and len(groups) >= max_groups:
+            alone = spec.accumulators()
+            for accumulator, evaluate in zip(alone, input_evals):
+                accumulator.add(evaluate(row))
+            yield (ordinal, key, tuple(accumulator.state() for accumulator in alone))
+            continue
         if accumulators is None:
-            if len(groups) >= max_groups:
-                yield ("r", ordinal, tuple(row))
-                continue
             accumulators = groups[key] = spec.accumulators()
             first_seen[key] = ordinal
         for accumulator, evaluate in zip(accumulators, input_evals):
             accumulator.add(evaluate(row))
     for key, accumulators in groups.items():
         yield (
-            "p",
             first_seen[key],
             key,
             tuple(accumulator.state() for accumulator in accumulators),

@@ -1,6 +1,6 @@
-"""Tests for aggregation pushdown: the storlet's tagged protocol, the
-executor's Aggregate merging accumulator states, the gate and the
-end-to-end path."""
+"""Tests for aggregation pushdown: the ``aggregation`` parameter of both
+scan storlets, the executor's Aggregate merging accumulator states, the
+gate and the end-to-end path."""
 
 import json
 
@@ -12,8 +12,10 @@ from repro.gridpocket import METER_SCHEMA, upload_dataset
 from repro.sql import Schema
 from repro.sql.errors import SqlAnalysisError
 from repro.sql.executor import execute_query
-from repro.storlets import StorletException
-from repro.storlets.agg_storlet import AggregatingStorlet, AggregationSpec
+from repro.columnar.layout import decode_footer
+from repro.storlets import CsvStorlet, StorletException
+from repro.storlets.aggregation import AggregationSpec
+from repro.storlets.columnar_storlet import ColumnarStorlet, CsvToColumnarStorlet
 from tests.agg_partials import execute_partials, gate
 from tests.conftest import SMALL_SPEC
 from tests.storlet_harness import run_storlet
@@ -33,19 +35,35 @@ ROWS = [
 ]
 
 
-def run_agg(data, spec, extra=None, chunk=33, schema=SCHEMA, split=0):
-    """The storlet's records over ``data``, stamped with ``split`` the
-    way the scan RDD stamps them."""
+def as_rcf1(data, schema):
+    """``data`` converted to RCF1 (three rows a stripe) and the stripe
+    descriptors a split's task carries."""
+    body = run_storlet(
+        CsvToColumnarStorlet(), data, {"schema": schema.to_header(), "stripe_rows": "3"}
+    ).body
+    stripes = [
+        {"rows": stripe.rows, "cols": [[c.offset, c.length] for c in stripe.columns]}
+        for stripe in decode_footer(body).stripes
+    ]
+    return body, {"stripes": json.dumps(stripes), "range_start": "0"}
+
+
+def run_agg(data, spec, extra=None, chunk=33, schema=SCHEMA, split=0, fmt="csv"):
+    """The records of the ``fmt`` storlet asked for ``spec`` over the
+    CSV ``data`` (converted to RCF1 first for ``columnar``), stamped
+    with ``split`` the way the scan RDD stamps them."""
     parameters = {
         "schema": schema.to_header(),
         "aggregation": spec.to_json(),
         **(extra or {}),
     }
-    out = run_storlet(AggregatingStorlet(), data, parameters, chunk_size=chunk)
-    return [
-        (record[0], split, *record[1:])
-        for record in map(json.loads, out.body.splitlines())
-    ]
+    storlet = CsvStorlet()
+    if fmt == "columnar":
+        data, stripes = as_rcf1(data, schema)
+        parameters.update(stripes)
+        storlet = ColumnarStorlet()
+    out = run_storlet(storlet, data, parameters, chunk_size=chunk)
+    return [(split, *record) for record in map(json.loads, out.body.splitlines())]
 
 
 def merged(sql, records, schema=SCHEMA):
@@ -58,25 +76,29 @@ def spec_of(sql, schema=SCHEMA):
     return spec
 
 
-class TestAggregatingStorlet:
-    def test_grouped_sum_and_count(self):
+@pytest.mark.parametrize("fmt", ["csv", "columnar"])
+class TestAggregationParameter:
+    """Both scan storlets answer a task carrying ``aggregation`` with
+    partial-aggregation records of the rows their scan keeps."""
+
+    def test_grouped_sum_and_count(self, fmt):
         sql = "SELECT vid, sum(index), count(*) FROM t GROUP BY vid"
-        assert merged(sql, run_agg(DATA, spec_of(sql))) == [
+        assert merged(sql, run_agg(DATA, spec_of(sql), fmt=fmt)) == [
             ("m1", 22.0, 2),
             ("m2", 12.0, 2),
         ]
 
-    def test_group_by_expression(self):
+    def test_group_by_expression(self, fmt):
         sql = (
             "SELECT SUBSTRING(date, 0, 7), sum(index) FROM t "
             "GROUP BY SUBSTRING(date, 0, 7)"
         )
-        assert merged(sql, run_agg(DATA, spec_of(sql))) == [
+        assert merged(sql, run_agg(DATA, spec_of(sql), fmt=fmt)) == [
             ("2015-01", 27.0),
             ("2015-02", 7.0),
         ]
 
-    def test_filters_applied_before_aggregation(self):
+    def test_filters_applied_before_aggregation(self, fmt):
         from repro.sql import EqualTo, filters_to_json
 
         sql = "SELECT vid, count(*) FROM t GROUP BY vid"
@@ -84,26 +106,47 @@ class TestAggregatingStorlet:
             DATA,
             spec_of(sql),
             extra={"filters": filters_to_json([EqualTo("city", "Paris")])},
+            fmt=fmt,
         )
         assert merged(sql, records) == [("m2", 2)]
 
-    def test_unmergeable_aggregate_rejected(self):
+    def test_projected_to_the_columns_the_spec_reads(self, fmt):
+        """The task names the columns the keys and arguments read; the
+        spec compiles against them alone."""
+        sql = "SELECT city, max(index) FROM t GROUP BY city"
+        records = run_agg(
+            DATA, spec_of(sql), extra={"columns": json.dumps(["index", "city"])}, fmt=fmt
+        )
+        assert merged(sql, records) == [("Rotterdam", 12.0), ("Paris", 7.0)]
+
+    def test_unmergeable_aggregate_rejected(self, fmt):
         with pytest.raises(StorletException):
             AggregationSpec(["vid"], [("median", "index")])
-
-    def test_missing_parameters_raise(self):
+        unmergeable = json.dumps({"group_by": ["vid"], "aggregates": [["median", "index"]]})
         with pytest.raises(StorletException):
-            run_storlet(
-                AggregatingStorlet(), DATA, {"schema": SCHEMA.to_header()}
-            )
+            run_agg(DATA, spec_of("SELECT count(*) FROM t"), fmt=fmt,
+                    extra={"aggregation": unmergeable})
 
-    def test_spec_json_round_trip(self):
-        spec = AggregationSpec(
-            ["vid", "city"], [("sum", "index"), ("avg", "index")]
-        )
-        restored = AggregationSpec.from_json(spec.to_json())
-        assert restored.group_by == spec.group_by
-        assert restored.aggregates == spec.aggregates
+    def test_missing_parameters_raise(self, fmt):
+        storlet = CsvStorlet() if fmt == "csv" else ColumnarStorlet()
+        aggregation = spec_of("SELECT count(*) FROM t").to_json()
+        with pytest.raises(StorletException):
+            run_storlet(storlet, DATA, {"aggregation": aggregation})
+        if fmt == "columnar":
+            with pytest.raises(StorletException):
+                run_storlet(storlet, DATA, {"schema": SCHEMA.to_header(),
+                                            "aggregation": aggregation})
+
+
+def test_spec_json_round_trip():
+    spec = AggregationSpec(
+        ["vid", "city"], [("sum", "index"), ("avg", "index")]
+    )
+    restored = AggregationSpec.from_json(spec.to_json())
+    assert restored.group_by == spec.group_by
+    assert restored.aggregates == spec.aggregates
+    assert spec.columns(SCHEMA) == ["vid", "index", "city"]
+    assert AggregationSpec([], [("count", "*")]).columns(SCHEMA) == []
 
 
 G_SCHEMA = Schema.of("g", "x:float")

@@ -8,8 +8,9 @@ One generator feeds three differentials:
   it does not speak) against the per-row loop of
   ``tests/row_at_a_time.py`` over the rows a hand-written WHERE
   keeps -- compared cell for cell, group order included;
-* :func:`repro.storlets.agg_storlet.tagged_partial_aggregate` against
-  that same per-row loop, record for record at every spill bound;
+* :func:`repro.storlets.aggregation.partial_aggregate` against that
+  same per-row loop, record for record at every spill bound and batch
+  cut (dictionary-coded columns included);
 * each accumulator's ``add_many`` against its own ``add``.
 
 Plus the two places a batch can be cut under a consumer: a scheduler
@@ -43,8 +44,8 @@ from repro.sql.functions import make_accumulator
 from repro.sql.grouping import GroupTable
 from repro.sql.parser import parse_query
 from repro.sql.types import Schema
-from repro.storlets.agg_storlet import AggregationSpec, tagged_partial_aggregate
-from tests.row_at_a_time import rowwise_tagged_partial_aggregate
+from repro.storlets.aggregation import AggregationSpec, partial_aggregate
+from tests.row_at_a_time import rowwise_partial_aggregate
 from tests.sqlite_oracle import check_against_sqlite
 
 SCHEMA = Schema.of("k", "d", "w:int", "n:int", "x:float", "m:float")
@@ -187,7 +188,7 @@ def cells(rows):
     return [repr(row) for row in rows]
 
 
-def tagged_spec(shape):
+def wire_spec(shape):
     """The shape's aggregation as the storlet wire format carries it
     (which has no DISTINCT)."""
     aggregates = []
@@ -201,10 +202,10 @@ def rowwise_answer(rows, spec):
     """The per-row loop's groups as output rows: keys, then each
     aggregate's result (its state, merged into a fresh accumulator)."""
     answer = []
-    groups = list(rowwise_tagged_partial_aggregate(rows, spec, SCHEMA, 10**9))
+    groups = list(rowwise_partial_aggregate(rows, spec, SCHEMA, 10**9))
     if not groups and not spec.group_by:
-        groups = [("p", 0, (), [acc.state() for acc in spec.accumulators()])]
-    for _tag, _ordinal, key, states in groups:
+        groups = [(0, (), [acc.state() for acc in spec.accumulators()])]
+    for _ordinal, key, states in groups:
         results = []
         for accumulator, state in zip(spec.accumulators(), states):
             accumulator.merge(state)
@@ -240,22 +241,42 @@ def test_batch_executor_equals_the_rowwise_reference(shape, where):
     assert cells(result) == cells(execute_plan(plan(), lambda: iter(whole), SCHEMA)[1]), sql
     if "DISTINCT" not in sql:
         kept = [row for row in flat if WHERES[where](*row)]
-        assert cells(result) == cells(rowwise_answer(kept, tagged_spec(shape))), sql
+        assert cells(result) == cells(rowwise_answer(kept, wire_spec(shape))), sql
+
+
+def cut_batches(rows, size: int, coded: bool, rng):
+    """``rows`` as ColumnBatches of ``size`` rows each (the last may be
+    shorter); with ``coded``, every column that fits is a DictColumn."""
+    batches = []
+    for start in range(0, len(rows), size):
+        chunk = rows[start : start + size]
+        columns = []
+        for values in zip(*chunk):
+            column = code_column(values, rng) if coded else None
+            columns.append(list(values) if column is None else column)
+        batches.append(ColumnBatch(SCHEMA, columns, len(chunk)))
+    return batches
+
+
+#: Rows per batch a reader hands the stage: one row, two, and a stripe's
+#: worth (the columnar storlet's response block bound).
+BATCH_CUTS = [1, 2, 1024]
 
 
 @given(
     shape=shapes,
     max_groups=st.sampled_from([1, 3, 10**9]),
-    batch_rows=st.sampled_from([1, 5, 64, 512]),
+    batch_rows=st.sampled_from(BATCH_CUTS),
 )
 @settings(max_examples=250, deadline=None)
 def test_tagged_stream_equals_the_rowwise_loop(shape, max_groups, batch_rows):
     rows = generate_rows(shape["seed"], shape["size"], shape["groups"])
-    spec = tagged_spec(shape)
-    expected = rowwise_tagged_partial_aggregate(rows, spec, SCHEMA, max_groups)
-    stream = tagged_partial_aggregate(
-        iter(rows), spec, SCHEMA, max_groups=max_groups, batch_rows=batch_rows
-    )
+    batches = cut_batches(rows, batch_rows, shape["coded"], random.Random(shape["seed"]))
+    # The reference sees the very cells the batches hold.
+    flat = [row for batch in batches for row in batch.rows]
+    spec = wire_spec(shape)
+    expected = rowwise_partial_aggregate(flat, spec, SCHEMA, max_groups)
+    stream = partial_aggregate(iter(batches), spec, SCHEMA, max_groups)
     # As the storlet sends them: one JSON line per record.
     assert [json.dumps(record) for record in stream] == [
         json.dumps(record) for record in expected
@@ -289,10 +310,11 @@ def test_unprovable_expressions_take_the_same_table():
     rows = [(key, None, 0, number, float(number), None) for key, number in
             [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5)]]
     spec = AggregationSpec(["k"], [("sum", "FLOOR(x)"), ("count", "*")])
+    batches = [ColumnBatch.from_rows(SCHEMA, rows[start : start + 2]) for start in range(0, 5, 2)]
     for max_groups in (1, 2, 10):
-        assert list(
-            tagged_partial_aggregate(rows, spec, SCHEMA, max_groups, batch_rows=2)
-        ) == list(rowwise_tagged_partial_aggregate(rows, spec, SCHEMA, max_groups))
+        assert list(partial_aggregate(batches, spec, SCHEMA, max_groups)) == list(
+            rowwise_partial_aggregate(rows, spec, SCHEMA, max_groups)
+        )
 
 
 VALUES = st.lists(

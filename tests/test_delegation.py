@@ -1,16 +1,16 @@
 """The one pushdown decision, cell by cell, and the one discovery walk.
 
-Every scan of data in a container -- CSV, RCF1, and the CSV GROUP-BY
-task -- takes its pushdown decision in
+Every scan of data in a container -- CSV, RCF1, and the GROUP-BY task
+over either -- takes its pushdown decision in
 :meth:`repro.core.delegator.AnalyticsDelegator.delegate`.  The table
-below drives all three through every combination of engine, the
+below drives all four through every combination of engine, the
 engine's storage CPU input and task and pins what comes out (the task
 the scan carries, the record's reason code) *and who was asked* (how
 many decisions the engine logged): a no-op task still meets the engine
 but is never sent, a vetoed task is a compute decision, the aggregation
 task is never a no-op.  A CPU input needs an engine to read it, so the
 CPU axis only varies where there is one.  CSV and RCF1 must fill every
-cell identically.
+cell identically, scans and GROUP-BY tasks alike.
 """
 
 import itertools
@@ -32,7 +32,7 @@ from tests.agg_partials import gate
 SCHEMA = Schema.of("vid", "n:int", "city")
 CSV = "".join(f"v{i % 7},{i},city{i % 3}\n" for i in range(300))
 
-KINDS = ("csv", "columnar", "groupby")
+KINDS = ("csv", "columnar", "groupby", "groupby_columnar")
 #: The engine's storage CPU input: unwired, an idle store, a saturated one.
 CPUS = {"none": None, "allow": 0.0, "veto": 0.99}
 ENGINES = ("none", "object", "proxy", "compute", "adaptive")
@@ -69,17 +69,15 @@ def _engine(cpu, mode):
 
 def _scan(ctx, kind, engine, task):
     """Build the relation of one cell and the scan its query gets."""
-    options = dict(schema=SCHEMA, placement=engine)
+    options = dict(schema=SCHEMA, placement=engine, agg_pushdown=True)
     filters = [LessThan("n", 100)] if task == "filtering" else []
-    if kind == "columnar":
+    if kind.endswith("columnar"):
         relation = ColumnarRelation(
             ctx.spark_context, ctx.connector, "meters-rcf", **options
         )
-        return relation, relation.build_scan_filtered(SCHEMA.names, filters)
-    relation = CsvRelation(
-        ctx.spark_context, ctx.connector, "meters", agg_pushdown=True, **options
-    )
-    if kind == "csv":
+    else:
+        relation = CsvRelation(ctx.spark_context, ctx.connector, "meters", **options)
+    if not kind.startswith("groupby"):
         return relation, relation.build_scan_filtered(SCHEMA.names, filters)
     where = " WHERE n < 100" if filters else ""
     spec = gate(f"SELECT city, COUNT(*) FROM t{where} GROUP BY city", SCHEMA, relation)
@@ -106,7 +104,7 @@ def _cell(ctx, kind, cpu, engine_name, task):
 
 def _expected(kind, cpu, engine, task, adaptive_tier):
     """The decision table, written out: who is asked, and what wins."""
-    noop = task == "noop" and kind != "groupby"  # aggregation always reduces
+    noop = task == "noop" and not kind.startswith("groupby")  # aggregation always reduces
     asked_engine = engine != "none"
     tier = adaptive_tier if engine == "adaptive" else engine
     if noop:
@@ -135,6 +133,13 @@ def test_decision_table(ctx, kind, cpu, engine, task):
 def test_csv_and_rcf1_fill_every_cell_identically(ctx, cpu, engine, task):
     csv, _ = _cell(ctx, "csv", cpu, engine, task)
     columnar, _ = _cell(ctx, "columnar", cpu, engine, task)
+    assert csv == columnar
+
+
+@pytest.mark.parametrize("cpu,engine,task", _rows(CPUS, ENGINES, TASKS))
+def test_csv_and_rcf1_group_by_fill_every_cell_identically(ctx, cpu, engine, task):
+    csv, _ = _cell(ctx, "groupby", cpu, engine, task)
+    columnar, _ = _cell(ctx, "groupby_columnar", cpu, engine, task)
     assert csv == columnar
 
 

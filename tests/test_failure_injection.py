@@ -59,14 +59,21 @@ class TestReplicaLoss:
 
 
 class TestMissingFilter:
-    # Every scan storlet: whichever format REPRO_FORMAT selects, and
-    # whether or not REPRO_PLACEMENT arms GROUP-BY pushdown, the active
-    # data plane loses its pushdown filter.
-    SCAN_STORLETS = ("csvstorlet", "columnarstorlet", "aggstorlet")
+    # Every scan storlet: whichever format REPRO_FORMAT selects, the
+    # active data plane loses its pushdown filter -- and with it the
+    # GROUP-BY pushdown, an ``aggregation`` task of the same storlet.
+    SCAN_STORLETS = ("csvstorlet", "columnarstorlet")
 
     def _undeploy_scan_storlets(self, rig):
         for name in self.SCAN_STORLETS:
             rig.engine.undeploy(name)
+
+    def _redeploy_scan_storlets(self, rig):
+        from repro.storlets import CsvStorlet
+        from repro.storlets.columnar_storlet import ColumnarStorlet
+
+        rig.engine.deploy(CsvStorlet(), rig.client)
+        rig.engine.deploy(ColumnarStorlet(), rig.client)
 
     def test_undeployed_storlet_fails_loudly(self, rig):
         self._undeploy_scan_storlets(rig)
@@ -74,18 +81,26 @@ class TestMissingFilter:
             rig.sql(SQL).collect()
 
     def test_redeploy_restores_service(self, rig):
-        from repro.storlets import CsvStorlet
-        from repro.storlets.agg_storlet import AggregatingStorlet
-        from repro.storlets.columnar_storlet import ColumnarStorlet
-
         baseline = rig.sql(SQL).collect()
         self._undeploy_scan_storlets(rig)
         with pytest.raises(SwiftError):
             rig.sql(SQL).collect()
-        rig.engine.deploy(CsvStorlet(), rig.client)
-        rig.engine.deploy(ColumnarStorlet(), rig.client)
-        rig.engine.deploy(AggregatingStorlet(), rig.client)
+        self._redeploy_scan_storlets(rig)
         assert rig.sql(SQL).collect() == baseline
+
+    @pytest.mark.parametrize("table_format", ["csv", "columnar"])
+    def test_an_aggregation_task_fails_loudly_and_recovers(self, rig, table_format):
+        rig.register_csv_table(
+            "agg", "meters", schema=METER_SCHEMA, format=table_format, agg_pushdown=True
+        )
+        sql = SQL.replace("FROM t", "FROM agg")
+        baseline = rig.sql(sql).collect()
+        assert rig.explain_profile()["sql"]["queries"] == {"agg_pushdown": 1}
+        self._undeploy_scan_storlets(rig)
+        with pytest.raises(SwiftError):
+            rig.sql(sql).collect()
+        self._redeploy_scan_storlets(rig)
+        assert rig.sql(sql).collect() == baseline
 
 
 class TestCorruption:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import (
+    NAMED_PLANS,
     DeviceLoss,
     FaultPlan,
     FlakyObjectServer,
@@ -252,6 +253,17 @@ class TestNamedPlans:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             named_plan("meteor-strike")
+
+    def test_every_storlet_rule_names_a_deployed_storlet(self):
+        """A crash rule for a storlet nobody deploys matches nothing and
+        silently weakens its plan."""
+        from repro.core import ScoopContext
+
+        deployed = set(ScoopContext().engine.deployed())
+        for name in NAMED_PLANS:
+            for rule in named_plan(name, seed=5).faults:
+                if isinstance(rule, StorletCrash) and rule.storlet is not None:
+                    assert rule.storlet in deployed, (name, rule.storlet)
 
 
 class TestDesAdapter:

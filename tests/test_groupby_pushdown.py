@@ -4,8 +4,10 @@ Every test here is differential against the compute-side oracle (the
 executor's ordinary hash aggregation over scan rows): NULL group keys,
 empty inputs, single-group and bounded-cardinality spill, forced
 runtime degradation, named fault plans across execution modes, and a
-Hypothesis property that merging tagged partials over *random*
-row/partition splits reproduces the oracle exactly.  SUM and AVG are
+Hypothesis property that merging partials over *random* row/partition
+splits reproduces the oracle exactly.  The scheduler-path classes run
+on CSV and, through their ``Columnar`` subclasses, on RCF1: one stage
+over each format's own scan batches, the same answers.  SUM and AVG are
 exact sums rounded once, so "identical" holds for the FLOAT measure
 (``power``) as it does for the INT one, with ``==``.
 """
@@ -19,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.columnar.batch import ColumnBatch
 from repro.connector.stocator import PushdownError
 from repro.core import ScoopContext
 from repro.faults import NAMED_PLANS, named_plan
 from repro.sql.executor import execute_query
 from repro.sql.types import Schema
-from repro.storlets.agg_storlet import tagged_partial_aggregate
+from repro.storlets.aggregation import partial_aggregate
 from tests.agg_partials import execute_partials, gate
 from tests.sqlite_oracle import check_against_sqlite
 
@@ -46,18 +49,15 @@ CSV = "\n".join(
 ) + "\n"
 
 
-def build_context(agg_pushdown, data=CSV, parts=3, **context_kwargs):
+def build_context(agg_pushdown, data=CSV, parts=3, format=None, **context_kwargs):
     ctx = ScoopContext(chunk_size=4096, **context_kwargs)
     step = max(1, len(data) // parts)
     cuts = [data[i : i + step] for i in range(0, len(data), step)]
     for number, body in enumerate(part for part in cuts if part):
         ctx.upload_csv("meters", f"part-{number:02d}.csv", body)
     ctx.upload_csv("meters", "empty.csv", "")
-    # Pinned to the CSV row path: GROUP-BY aggregation pushdown is a
-    # CSV-relation feature (the columnar path has its own kernels), so
-    # a REPRO_FORMAT=columnar CI run must not flip these tables.
     ctx.register_csv_table(
-        "m", "meters", schema=SCHEMA, format="csv", agg_pushdown=agg_pushdown
+        "m", "meters", schema=SCHEMA, format=format, agg_pushdown=agg_pushdown
     )
     return ctx
 
@@ -95,14 +95,16 @@ POST_AGGREGATE_QUERIES = [
 
 def assert_post_aggregate_queries(ctx, oracle):
     """Every POST_AGGREGATE_QUERIES answer of ``ctx`` took the partials
-    path and is the compute side's, and sqlite's."""
+    path -- its aggregation task left for the store, answered there or
+    degraded under a fault plan -- and is the compute side's, and
+    sqlite's."""
     table_rows, answers = oracle
     for sql, expected in zip(POST_AGGREGATE_QUERIES, answers):
         frame, report = ctx.run_query(sql)
         rows = frame.collect()
         assert_identical(rows, expected)
         check_against_sqlite(sql, SCHEMA, table_rows, rows)
-        assert report.pushdown_requests > 0
+        assert report.pushdown_requests + report.pushdown_fallbacks > 0
     assert ctx.explain_profile()["sql"]["queries"] == {
         "agg_pushdown": len(POST_AGGREGATE_QUERIES)
     }
@@ -119,9 +121,11 @@ def post_aggregate_oracle():
 
 
 class TestGroupByPushdownDifferential:
+    FORMAT = "csv"
+
     def setup_method(self):
-        self.oracle = build_context(False)
-        self.push = build_context(True)
+        self.oracle = build_context(False, format=self.FORMAT)
+        self.push = build_context(True, format=self.FORMAT)
 
     def test_queries_byte_identical_and_cheaper(self):
         for sql in QUERIES:
@@ -188,9 +192,15 @@ class TestGroupByPushdownDifferential:
         assert self.push.explain_profile()["sql"]["queries"]["agg_pushdown"] == 1
 
 
+class TestGroupByPushdownDifferentialColumnar(TestGroupByPushdownDifferential):
+    FORMAT = "columnar"
+
+
 class TestCardinalityOverflow:
+    FORMAT = "csv"
+
     def _spilling_context(self, max_groups):
-        ctx = build_context(True)
+        ctx = build_context(True, format=self.FORMAT)
         relation = ctx.session.relation("m")
         builder = relation.build_aggregation_scan
         relation.build_aggregation_scan = (
@@ -226,7 +236,12 @@ class TestCardinalityOverflow:
         )
 
 
+class TestCardinalityOverflowColumnar(TestCardinalityOverflow):
+    FORMAT = "columnar"
+
+
 class TestDegradation:
+    FORMAT = "csv"
     SQL = (
         "SELECT vid, COUNT(*), SUM(index), SUM(power) FROM m "
         "GROUP BY vid ORDER BY vid"
@@ -234,7 +249,7 @@ class TestDegradation:
 
     def test_failure_at_open_degrades_identically(self):
         oracle = build_context(False).run_query(self.SQL)[0].collect()
-        ctx = build_context(True)
+        ctx = build_context(True, format=self.FORMAT)
         original = ctx.connector.open_split_stream
 
         def failing(split, task=None):
@@ -251,7 +266,7 @@ class TestDegradation:
 
     def test_mid_stream_failure_resumes_identically(self):
         oracle = build_context(False).run_query(self.SQL)[0].collect()
-        ctx = build_context(True)
+        ctx = build_context(True, format=self.FORMAT)
         original = ctx.connector.open_split_stream
 
         def midstream(split, task=None):
@@ -280,7 +295,7 @@ class TestDegradation:
         plain stream starts with the same ``k``: they are skipped, so
         nothing arrives twice and nothing is lost."""
         k = 3
-        ctx = build_context(True, trace=True)
+        ctx = build_context(True, format=self.FORMAT, trace=True)
         relation = ctx.session.relation("m")
         spec = gate(self.SQL, SCHEMA, relation)
 
@@ -293,12 +308,12 @@ class TestDegradation:
         want = drained(relation.build_aggregation_scan(spec, []))
         assert len(want[0]) > k
         scan = relation.build_aggregation_scan(spec, [])
-        plain = list(scan._fallback_records(scan.splits[0]))
+        plain = list(scan._fallback_records(*scan.scan._reader_args(scan.splits[0])))
         assert json.loads(json.dumps(plain)) == want[0]
         records = scan._pushdown_records
 
-        def failing(split):
-            for number, record in enumerate(records(split)):
+        def failing(split, *rest):
+            for number, record in enumerate(records(split, *rest)):
                 if split.index == 0 and number == k:
                     raise PushdownError("mid", degradable=True, reason="test-k")
                 yield record
@@ -316,7 +331,7 @@ class TestDegradation:
         ]
 
     def test_non_degradable_error_propagates(self):
-        ctx = build_context(True)
+        ctx = build_context(True, format=self.FORMAT)
 
         def fatal(split, task=None):
             raise PushdownError("gone", degradable=False, reason="fatal")
@@ -326,7 +341,12 @@ class TestDegradation:
             ctx.sql(self.SQL).collect()
 
 
+class TestDegradationColumnar(TestDegradation):
+    FORMAT = "columnar"
+
+
 class TestFaultPlans:
+    FORMAT = "csv"
     SQL = (
         "SELECT vid, COUNT(*), SUM(index), AVG(index), SUM(power), "
         "AVG(power) FROM m GROUP BY vid ORDER BY vid"
@@ -342,10 +362,22 @@ class TestFaultPlans:
         plan = (
             named_plan(plan_name, seed=seed) if plan_name != "none" else None
         )
-        ctx = build_context(True, fault_plan=plan, parallelism=16)
+        ctx = build_context(True, format=self.FORMAT, fault_plan=plan, parallelism=16)
         assert_identical(
             ctx.run_query(self.SQL)[0].collect(), oracle_rows
         )
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    @pytest.mark.parametrize("plan_name", NAMED_PLANS)
+    def test_identical_under_plan_at_parallelism(self, plan_name, parallelism, oracle_rows):
+        seed = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
+        plan = named_plan(plan_name, seed=seed) if plan_name != "none" else None
+        ctx = build_context(
+            True, format=self.FORMAT, fault_plan=plan, parallelism=parallelism
+        )
+        frame, report = ctx.run_query(self.SQL)
+        assert_identical(frame.collect(), oracle_rows)
+        assert report.pushdown_requests + report.pushdown_fallbacks > 0
 
     @pytest.mark.parametrize("plan_name", NAMED_PLANS)
     def test_post_aggregate_operators_under_plan_threads(
@@ -353,8 +385,12 @@ class TestFaultPlans:
     ):
         seed = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
         plan = named_plan(plan_name, seed=seed) if plan_name != "none" else None
-        ctx = build_context(True, fault_plan=plan, parallelism=16)
+        ctx = build_context(True, format=self.FORMAT, fault_plan=plan, parallelism=16)
         assert_post_aggregate_queries(ctx, post_aggregate_oracle)
+
+
+class TestFaultPlansColumnar(TestFaultPlans):
+    FORMAT = "columnar"
 
 
 # --------------------------------------------------------------------------
@@ -443,12 +479,10 @@ def test_merge_equals_oracle_under_random_splits(
     ]
     records = []
     for split, part in enumerate(parts):
-        for record in tagged_partial_aggregate(
-            part, MERGE_SPEC, MERGE_SCHEMA, max_groups=max_groups
-        ):
+        batches = [ColumnBatch.from_rows(MERGE_SCHEMA, part)]
+        for record in partial_aggregate(batches, MERGE_SPEC, MERGE_SCHEMA, max_groups):
             # Over the wire, as the storlet sends it.
-            record = json.loads(json.dumps(record))
-            records.append((record[0], split, *record[1:]))
+            records.append((split, *json.loads(json.dumps(record))))
     _schema, merged = execute_partials(MERGE_SQL, MERGE_SCHEMA, records)
     # The oracle sees partitions in partition order (the scheduler's
     # determinism contract), so first-seen order is over the
@@ -504,7 +538,7 @@ EXACT_SQL = (
 @pytest.mark.parametrize("parallelism", [1, 8])
 @pytest.mark.parametrize(
     "table_format, agg_pushdown",
-    [("csv", False), ("csv", True), ("columnar", False)],
+    [("csv", False), ("csv", True), ("columnar", False), ("columnar", True)],
 )
 def test_pinned_sums_on_every_path(table_format, agg_pushdown, parallelism):
     ctx = ScoopContext(chunk_size=2048, parallelism=parallelism)
@@ -533,3 +567,44 @@ def test_pinned_sums_on_every_path(table_format, agg_pushdown, parallelism):
         EXACT_SQL, EXACT_SCHEMA, ctx.spark_context.iter_rows(scan)
     )
     assert {row[0]: repr(row[1:]) for row in rows} == pinned
+
+
+# --------------------------------------------------------------------------
+# RCF1 honours the flag: the same option, the same stage, fewer bytes
+# --------------------------------------------------------------------------
+
+
+def test_rcf1_registered_through_register_csv_table_pushes_group_by_down():
+    """``register_csv_table(format="columnar", agg_pushdown=True)``
+    registers a relation that aggregates at the store: on one
+    40 000-row GridPocket object it moves a fraction of what RCF1
+    without aggregation pushdown moves, says so in ``explain()`` and in
+    ``sql.queries``, and answers exactly as CSV with the flag on and off
+    and RCF1 with it off."""
+    from repro.gridpocket import METER_SCHEMA, DatasetSpec, upload_dataset
+
+    ctx = ScoopContext(chunk_size=256 * 1024)
+    upload_dataset(ctx.client, "meters", DatasetSpec(meters=200, intervals=200))
+    for table, table_format, agg_pushdown in (
+        ("csv_off", "csv", False),
+        ("csv_on", "csv", True),
+        ("rcf_off", "columnar", False),
+        ("rcf_on", "columnar", True),
+    ):
+        ctx.register_csv_table(
+            table, "meters", schema=METER_SCHEMA, format=table_format,
+            agg_pushdown=agg_pushdown,
+        )
+    sql = "SELECT city, COUNT(*), SUM(index), MAX(code) FROM {} GROUP BY city"
+    answers, moved = {}, {}
+    for table in ("csv_off", "csv_on", "rcf_off", "rcf_on"):
+        frame, report = ctx.run_query(sql.format(table))
+        answers[table], moved[table] = frame.collect(), report.bytes_transferred
+    for table in ("csv_on", "rcf_off", "rcf_on"):
+        assert_identical(answers[table], answers["csv_off"])
+    assert moved["rcf_on"] < moved["rcf_off"] / 10
+    assert ctx.explain_profile()["sql"]["queries"] == {"agg_pushdown": 2, "batch": 2}
+    explained = ctx.sql(sql.format("rcf_on")).explain()
+    assert explained.endswith(
+        "eligible keys=[city] aggregates=[count(*), sum(index), max(code)]"
+    )

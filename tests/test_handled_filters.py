@@ -365,7 +365,9 @@ def meters():
     ctx.register_csv_table(
         "csv_t", "meters", schema=METER_SCHEMA, format="csv", agg_pushdown=False
     )
-    ctx.register_csv_table("rcf_t", "meters", schema=METER_SCHEMA, format="columnar")
+    ctx.register_csv_table(
+        "rcf_t", "meters", schema=METER_SCHEMA, format="columnar", agg_pushdown=False
+    )
     return ctx
 
 

@@ -17,12 +17,13 @@ from collections import Counter
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.columnar.batch import ColumnBatch
 from repro.core.agg_pushdown import plan_aggregation_pushdown
 from repro.sql import execute_query, extract_pushdown, parse_query
 from repro.sql.errors import SqlError
 from repro.sql.executor import execute_plan
 from repro.sql.filters import conjunction_predicate
-from repro.storlets.agg_storlet import AggregationSpec, tagged_partial_aggregate
+from repro.storlets.aggregation import AggregationSpec, partial_aggregate
 
 from tests.agg_partials import gate, planned
 from tests.row_at_a_time import row_evaluator
@@ -229,7 +230,7 @@ MIN_PARTIALS_EXAMPLES = 200
 def test_the_partials_path_agrees_with_sqlite_and_the_executor():
     """GROUP BY answered from store-side partial states, as a pushdown
     scan delivers them: each random partition aggregated by
-    ``tagged_partial_aggregate`` at a random spill bound, the records
+    ``partial_aggregate`` at a random spill bound, the records
     through JSON, then the plan's own Aggregate -- HAVING, DISTINCT,
     ORDER BY and LIMIT above it -- equals ``execute_query`` over the
     partitions' rows, and sqlite."""
@@ -261,11 +262,9 @@ def test_the_partials_path_agrees_with_sqlite_and_the_executor():
         keep = conjunction_predicate(pushdown.filters, SCHEMA)
         records = []
         for split, part in enumerate(parts):
-            for record in tagged_partial_aggregate(
-                [row for row in part if keep(row)], spec, SCHEMA, max_groups=max_groups
-            ):
-                record = json.loads(json.dumps(record))
-                records.append((record[0], split, *record[1:]))
+            kept = ColumnBatch.from_rows(SCHEMA, [row for row in part if keep(row)])
+            for record in partial_aggregate([kept], spec, SCHEMA, max_groups):
+                records.append((split, *json.loads(json.dumps(record))))
         _schema, ours = execute_plan(plan, lambda: records, SCHEMA, partials=True)
         assert ours == expected, sql
         check_against_sqlite(sql, SCHEMA, data, ours)

@@ -13,7 +13,7 @@ from repro.storlets import (
     StorletInputStream,
     StorletLogger,
 )
-from repro.storlets.agg_storlet import AggregatingStorlet, AggregationSpec
+from repro.storlets.aggregation import AggregationSpec
 from repro.storlets.api import has_header
 from repro.storlets.columnar_storlet import CsvToColumnarStorlet
 from repro.storlets.csv_storlet import CsvStorlet
@@ -213,15 +213,15 @@ class TestHasHeader:
 
     def test_capitalised_true_skips_the_header_in_the_aggregating_storlet(self):
         """An all-STRING header types, so only skipping keeps it out of
-        the groups -- in the aggregating storlet as in the CSV storlet."""
+        the groups -- with an ``aggregation`` task as without one."""
         spec = AggregationSpec(["vid"], [("count", "*")])
         parameters = {
             "schema": self.SCHEMA.to_header(),
             "aggregation": spec.to_json(),
             "has_header": "True",
         }
-        out = run_storlet(AggregatingStorlet(), self.HEADER + self.BODY, parameters)
-        groups = [json.loads(line)[2] for line in out.body.splitlines()]
+        out = run_storlet(CsvStorlet(), self.HEADER + self.BODY, parameters)
+        groups = [json.loads(line)[1] for line in out.body.splitlines()]
         assert sorted(groups) == [["m1"], ["m2"]]
         csv = run_storlet(
             CsvStorlet(),
