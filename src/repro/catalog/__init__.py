@@ -3,9 +3,9 @@
 The PUT-path ETL storlets compute per-object, per-column statistics
 while the object streams through them and persist the result as one
 Swift user-metadata header on the stored object
-(:data:`~repro.catalog.metadata.CATALOG_HEADER`).  At query time the
-connector already HEADs every candidate object during partition
-discovery; the catalog rides those same responses, so consulting it
+(:data:`~repro.catalog.metadata.CATALOG_HEADER`).  Partition discovery
+already makes one request per candidate object (its footer, planning
+or HEAD request); the catalog rides that response, so consulting it
 against the query's filter conjunction and skipping whole objects costs
 **zero additional requests** -- a refuted object is never GET at all.
 

@@ -16,11 +16,17 @@ field forward to the next record start, where the scanner's
 closes (an unterminated quote running through EOF) cannot be aligned at
 all and is demoted to a single split by the caller, with a counted,
 logged reason.
+
+:func:`plan_read_ends` uses the same bytes to say where each planned
+split's plain read must stop: at the end of the last record the split
+owns, which is the record crossing (or starting at) the next split's
+start.  A plain read then ends exactly where its records do -- no
+lookahead guess, and a record of any length is read whole.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.csvscan import find_record_end
 
@@ -64,3 +70,28 @@ def plan_quote_safe_starts(
         if boundary < size and boundary > starts[-1]:
             starts.append(boundary)
     return starts
+
+
+def plan_read_ends(data: bytes, starts: Sequence[int]) -> List[int]:
+    """Inclusive last byte each split of ``starts`` must read.
+
+    A split owns every record starting at or before the next split's
+    start (:mod:`repro.csvscan`'s ownership rule), so its read ends at
+    the terminator of the record crossing that start.  A split whose
+    discarded first record already runs past that start owns nothing,
+    and reading its own range is what shows it.  Every planned start
+    sits outside quotes, so the quote-aware scan starts there with
+    ``in_quotes=False``; a last record without terminator runs to the
+    object's end, as the last split always does.
+    """
+    last = len(data) - 1
+    ends = []
+    for start, boundary in zip(starts, starts[1:]):
+        newline, _pos, _quotes = find_record_end(data, boundary, False)
+        if start > 0:
+            first, _pos, _quotes = find_record_end(data, start, False)
+            if first == newline:
+                newline = boundary - 1
+        ends.append(newline if newline >= 0 else last)
+    ends.append(last)
+    return ends

@@ -19,6 +19,7 @@ from typing import (
 
 from repro.catalog import ObjectCatalog, decode_catalog
 from repro.columnar.layout import ColumnarFooter, StripeMeta, footer_from_tail
+from repro.connector.split_planner import plan_quote_safe_starts, plan_read_ends
 from repro.core.pushdown import PushdownTask
 from repro.csvscan import owned_records
 from repro.sql.filters import Filter
@@ -32,6 +33,13 @@ from repro.swift.exceptions import RangeNotSatisfiable, SwiftError
 from repro.swift.http import HeaderDict, close_body
 
 logger = logging.getLogger("repro.connector")
+
+#: Bytes a plain read of a split planned without a scan (no
+#: :attr:`ObjectSplit.read_end`) fetches past the split end at a time.
+#: Records up to this long cost no extra request; a longer one crossing
+#: the end costs one more ranged GET per such stretch, and only while
+#: the reader still pulls.
+RANGE_LOOKAHEAD = 8 * 1024
 
 
 class PushdownError(SwiftError):
@@ -82,6 +90,10 @@ class ObjectSplit:
     length: int
     object_size: int
     index: int
+    #: Inclusive last byte a plain read of the split needs: the end of
+    #: the last record it owns, when discovery's planning scan saw it;
+    #: ``None`` when the split was planned without reading the object.
+    read_end: Optional[int] = None
 
     @property
     def end(self) -> int:
@@ -189,25 +201,16 @@ class StocatorConnector:
         self,
         client: SwiftClient,
         chunk_size: int = 1 * 2**20,
-        range_lookahead: int = 8 * 1024,
         skipping: Optional[bool] = None,
     ):
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        if range_lookahead <= 0:
-            raise ValueError(
-                f"range_lookahead must be positive: {range_lookahead}"
-            )
         self.client = client
         self.chunk_size = chunk_size
-        # Bytes fetched past a split to finish its last record when the
-        # connector (not the storlet) performs record alignment; must be
-        # at least the maximum record length.
-        self.range_lookahead = range_lookahead
         self.registry, self.tracer = client.registry, client.tracer
         self.metrics = TransferMetrics(self.registry)
         #: ``(container, name, reason)`` for every object discovery
-        #: declined to split (zero-length / missing content-length).
+        #: declined to split (zero-length / no size in the listing).
         self.skipped_objects: List[Tuple[str, str, str]] = []
         #: ``(container, name, reason)`` for every object quote-aware
         #: planning demoted to a single split (no silent caps: demotions
@@ -218,8 +221,9 @@ class StocatorConnector:
         if skipping is None:
             skipping = os.environ.get("REPRO_SKIPPING", "") not in ("", "0")
         self.skipping = bool(skipping)
-        #: Catalog entries decoded from discovery HEAD responses, keyed
-        #: by ``(container, name)``; ``None`` = no (usable) entry.
+        #: Catalog entries decoded from the headers of discovery's one
+        #: read per object, keyed by ``(container, name)``; ``None`` = no
+        #: (usable) entry.
         #: Populated even with skipping off, so flipping the knob after
         #: discovery still works and the cost stays zero either way.
         self._catalog_cache: Dict[Tuple[str, str], Optional[ObjectCatalog]] = {}
@@ -247,52 +251,73 @@ class StocatorConnector:
         -- counted in :attr:`demoted_objects` and the
         ``connector.splits_demoted{reason=...}`` registry counter, and
         logged.  Boundaries of unquoted data are byte-identical to the
-        plain chunk arithmetic.
+        plain chunk arithmetic.  The same planning read gives every
+        split its :attr:`ObjectSplit.read_end`, so a plain read stops at
+        the end of the last record the split owns.
 
-        Objects that yield no split -- zero-length objects, or HEAD
-        responses missing ``content-length`` entirely -- are *counted and
-        logged* rather than silently dropped (no silent caps): see the
+        One request per object after the sized listing: the planning
+        GET of a record-aligned object larger than a chunk, else a HEAD,
+        whose headers carry the object's catalog.  Objects that yield
+        no split -- zero-length, or listed without a size -- cost no
+        request and are *counted and logged* rather than silently
+        dropped (no silent caps): see the
         ``connector.objects_skipped{reason=...}`` registry counter and
         :attr:`skipped_objects`.
         """
         splits: List[ObjectSplit] = []
-        for name, size, _headers in self._discovered_objects(container, prefix):
-            starts = list(range(0, size, self.chunk_size))
+        for name, size in self._discovered_objects(container, prefix):
             if record_aligned and size > self.chunk_size:
-                starts = self._aligned_starts(container, name, size)
-            for position, start in enumerate(starts):
-                end = starts[position + 1] if position + 1 < len(starts) else size
+                starts, ends = self._aligned_plan(container, name)
+            else:
+                self._discovery_request("head")
+                self._cache_catalog(
+                    container, name, self.client.head_object(container, name)
+                )
+                starts = list(range(0, size, self.chunk_size))
+                ends: List[Optional[int]] = [None] * len(starts)
+            bounds = starts[1:] + [size]
+            for start, end, read_end in zip(starts, bounds, ends):
                 splits.append(
                     ObjectSplit(
-                        container, name, start, end - start, size, len(splits)
+                        container, name, start, end - start, size, len(splits),
+                        read_end,
                     )
                 )
         return splits
 
     def _discovered_objects(
         self, container: str, prefix: str
-    ) -> Iterator[Tuple[str, int, HeaderDict]]:
-        """The one discovery walk -- a listing, then a HEAD per object:
-        ``(name, size, HEAD headers)`` of every object with bytes to
-        split; the others are recorded, counted and logged.  The
-        data-skipping catalog rides the HEAD we just paid for: its
-        decoded entry is cached, so per-query consults cost no request.
+    ) -> Iterator[Tuple[str, int]]:
+        """The one discovery walk's first request, the sized listing:
+        ``(name, size)`` of every object with bytes to split; the others
+        are recorded, counted and logged, and cost nothing more.  Each
+        caller then makes the one read its format needs per object and
+        caches the catalog its headers carry, so per-query consults cost
+        no request.
         """
         registry = self.registry
-        for name in self.client.list_objects(container, prefix=prefix):
-            headers = self.client.head_object(container, name)
-            self._catalog_cache[(container, name)] = decode_catalog(headers)
-            raw_size = headers.get("content-length")
-            if raw_size is None:
-                reason = "missing-content-length"
-            elif int(raw_size) == 0:
+        self._discovery_request("listing")
+        for entry in self.client.list_objects_sized(container, prefix=prefix):
+            name, size = entry["name"], entry.get("bytes")
+            if size is None:
+                reason = "missing-size"
+            elif int(size) == 0:
                 reason = "zero-length"
             else:
-                yield name, int(raw_size), headers
+                yield name, int(size)
                 continue
             self.skipped_objects.append((container, name, reason))
             registry.inc("connector.objects_skipped", reason=reason)
             logger.warning("discovery skipping /%s/%s: %s", container, name, reason)
+
+    def _cache_catalog(self, container: str, name: str, headers: HeaderDict) -> None:
+        self._catalog_cache[(container, name)] = decode_catalog(headers)
+
+    def _discovery_request(self, kind: str) -> None:
+        """Count one discovery round-trip (``listing``, ``footer``,
+        ``plan``, ``head``) as ``connector.discovery_requests{kind=}`` --
+        in the registry only, like :meth:`count_discovery_bytes`."""
+        self.registry.inc("connector.discovery_requests", kind=kind)
 
     def count_discovery_bytes(self, kind: str, body: bytes) -> None:
         """Count one control-plane body read (``quote_scan``, ``footer``,
@@ -300,20 +325,23 @@ class StocatorConnector:
         registry only: :class:`TransferMetrics` stays query traffic."""
         self.registry.inc("connector.discovery_bytes", len(body), kind=kind)
 
-    def _aligned_starts(
-        self, container: str, name: str, size: int
-    ) -> List[int]:
-        """Quote-safe split starts for one CSV object (control plane).
+    def _aligned_plan(
+        self, container: str, name: str
+    ) -> Tuple[List[int], List[Optional[int]]]:
+        """Quote-safe split starts and exact read ends for one CSV
+        object (control plane).
 
         The planning read -- the *whole object* -- goes straight through
         the client: like schema inference it is discovery work, not
         query traffic, so it is counted as discovery bytes and neither
-        metered in :class:`TransferMetrics` nor traced.
+        metered in :class:`TransferMetrics` nor traced.  It is the
+        object's one discovery request, so the catalog comes from its
+        headers.
         """
-        from repro.connector.split_planner import plan_quote_safe_starts
-
-        _headers, data = self.client.get_object(container, name)
+        self._discovery_request("plan")
+        headers, data = self.client.get_object(container, name)
         self.count_discovery_bytes("quote_scan", data)
+        self._cache_catalog(container, name, headers)
         starts = plan_quote_safe_starts(data, self.chunk_size)
         if starts is None:
             reason = "unterminated-quote"
@@ -325,45 +353,50 @@ class StocatorConnector:
                 name,
                 reason,
             )
-            return [0]
-        return starts
+            starts = [0]
+        return starts, plan_read_ends(data, starts)
 
     # -- columnar discovery ------------------------------------------------
 
-    #: First tail read when fetching an RCF1 footer; a second, exactly
-    #: sized read follows only when the footer is longer than this.
+    #: Suffix read when fetching an RCF1 footer; a second, exactly sized
+    #: read follows only when the footer is longer than this.
     FOOTER_PROBE_BYTES = 8 * 1024
 
     def read_columnar_footer(
-        self, container: str, name: str, object_size: int
-    ) -> ColumnarFooter:
-        """Fetch and decode an RCF1 object's footer via tail ranged GETs.
+        self, container: str, name: str
+    ) -> Tuple[ColumnarFooter, int, HeaderDict]:
+        """Fetch and decode an RCF1 object's footer with suffix-range GETs.
 
-        Control-plane traffic, like schema inference: at most two small
-        ranged reads (probe, then exact), counted as discovery bytes and
-        neither metered nor traced -- the data plane never touches the
-        footer.
+        Returns ``(footer, object size, headers)``.  The probe asks for
+        the last :attr:`FOOTER_PROBE_BYTES` (``bytes=-n``), so no size
+        is needed up front: the response's ``content-range`` gives it,
+        and its headers carry the catalog and etag -- one request per
+        object in the common case.  Control-plane traffic, like schema
+        inference: counted as discovery bytes and neither metered nor
+        traced -- the data plane never touches the footer.
         """
-        probe = min(object_size, self.FOOTER_PROBE_BYTES)
-        _headers, tail = self.client.get_object(
-            container, name, byte_range=(object_size - probe, object_size - 1)
-        )
-        self.count_discovery_bytes("footer", tail)
-        footer, needed = footer_from_tail(tail, object_size)
+        headers, tail = self._footer_read(container, name, self.FOOTER_PROBE_BYTES)
+        total = headers.get("content-range", "").rpartition("/")[2]
+        size = int(total or headers["content-length"])
+        footer, needed = footer_from_tail(tail, size)
         if footer is None:
-            needed = min(needed, object_size)
-            _headers, tail = self.client.get_object(
-                container,
-                name,
-                byte_range=(object_size - needed, object_size - 1),
-            )
-            self.count_discovery_bytes("footer", tail)
-            footer, _needed = footer_from_tail(tail, object_size)
+            _headers, tail = self._footer_read(container, name, needed)
+            footer, _needed = footer_from_tail(tail, size)
         if footer is None:
             raise ValueError(
                 f"/{container}/{name}: footer longer than the object"
             )
-        return footer
+        return footer, size, headers
+
+    def _footer_read(
+        self, container: str, name: str, suffix: int
+    ) -> Tuple[HeaderDict, bytes]:
+        self._discovery_request("footer")
+        headers, tail = self.client.get_object(
+            container, name, headers={"range": f"bytes=-{suffix}"}
+        )
+        self.count_discovery_bytes("footer", tail)
+        return headers, tail
 
     def discover_columnar_partitions(
         self, container: str, prefix: str = ""
@@ -372,13 +405,14 @@ class StocatorConnector:
 
         Consecutive stripes are grouped until a group's byte extent
         reaches :attr:`chunk_size`, one task per group, over the same
-        walk (and skip accounting) as :meth:`discover_partitions`.
-        Record alignment is free here: stripes never bisect a record by
-        construction.
+        walk (and skip accounting) as :meth:`discover_partitions`; the
+        footer read is the object's one request.  Record alignment is
+        free here: stripes never bisect a record by construction.
         """
         splits: List[ColumnarSplit] = []
-        for name, size, _headers in self._discovered_objects(container, prefix):
-            footer = self.read_columnar_footer(container, name, size)
+        for name, _listed in self._discovered_objects(container, prefix):
+            footer, size, headers = self.read_columnar_footer(container, name)
+            self._cache_catalog(container, name, headers)
             group: List[StripeMeta] = []
             for stripe in footer.stripes:
                 group.append(stripe)
@@ -404,10 +438,10 @@ class StocatorConnector:
         conjunction is finally known) with the splits discovery
         produced; accepts both :class:`ObjectSplit` and
         :class:`ColumnarSplit` sequences.  Consults only the entries
-        cached from discovery HEADs, so a skipped object costs **zero
-        GETs** -- and an object without a usable entry (absent,
-        unparseable, version-mismatched) is never skipped.  Skips are
-        recorded in :attr:`catalog_skipped` and the
+        cached from discovery's one read per object, so a skipped
+        object costs **zero GETs** -- and an object without a usable
+        entry (absent, unparseable, version-mismatched) is never
+        skipped.  Skips are recorded in :attr:`catalog_skipped` and the
         ``connector.objects_catalog_skipped`` registry counter.
 
         Sound because the shared refutation
@@ -522,9 +556,13 @@ class StocatorConnector:
 
         With a pushdown task: one storlet GET streams the already
         filtered, record-aligned data for the split.  Without: the raw
-        byte range (plus lookahead) streams through and the caller
-        aligns records client-side with :mod:`repro.csvscan`
-        (:meth:`read_split_records` for raw records).
+        bytes stream through and the caller aligns records client-side
+        with :mod:`repro.csvscan` (:meth:`read_split_records` for raw
+        records).  A plain read ends at :attr:`ObjectSplit.read_end`,
+        the end of the split's last owned record, when discovery planned
+        it; otherwise it asks for :data:`RANGE_LOOKAHEAD` bytes past the
+        split and reads on in further ranged GETs of that size while the
+        reader still pulls and the object continues.
 
         Configuration and replica-exhaustion failures surface *at open
         time* (the proxy tries every replica before answering), so
@@ -606,7 +644,10 @@ class StocatorConnector:
                     response.iter_body(), split, task, span
                 )
 
-            end = min(split.end + self.range_lookahead, split.object_size - 1)
+            last = split.object_size - 1
+            end = split.read_end
+            if end is None:
+                end = min(split.end + RANGE_LOOKAHEAD, last)
             extra: Dict[str, str] = (
                 {TRACE_HEADER: trace_id} if trace_id else {}
             )
@@ -622,9 +663,10 @@ class StocatorConnector:
                 tracer.finish(span, status="range-not-satisfiable")
                 return HeaderDict(), iter(())
             self.metrics.record_request(split.length, pushdown=False)
-            return response.headers, self._metered(
-                response.iter_body(), split, None, span
-            )
+            chunks = response.iter_body()
+            if split.read_end is None and end < last:
+                chunks = self._read_on(split, chunks, end, extra)
+            return response.headers, self._metered(chunks, split, None, span)
         except PushdownError as error:
             tracer.finish(span, status="error", reason=error.reason)
             raise
@@ -634,6 +676,35 @@ class StocatorConnector:
             # _metered() will never finish the span.
             tracer.finish(span, status="error")
             raise
+
+    def _read_on(
+        self,
+        split: ObjectSplit,
+        chunks: Iterable[bytes],
+        end: int,
+        headers: Dict[str, str],
+    ) -> Iterator[bytes]:
+        """``chunks``, then the object past ``end`` in
+        :data:`RANGE_LOOKAHEAD`-byte ranged GETs, each made only when
+        the reader pulls past the previous one: a split planned without
+        a scan does not know where its last record ends, so it reads on
+        until the reader has that record whole."""
+        last = split.object_size - 1
+        try:
+            yield from chunks
+            while end < last:
+                start, end = end + 1, min(end + RANGE_LOOKAHEAD, last)
+                close_body(chunks)
+                chunks = self.client.get_object_stream(
+                    split.container,
+                    split.name,
+                    byte_range=(start, end),
+                    headers=headers,
+                ).iter_body()
+                self.metrics.record_request(0, pushdown=False)
+                yield from chunks
+        finally:
+            close_body(chunks)
 
     def _metered(
         self,
@@ -708,10 +779,10 @@ class StocatorConnector:
         The line-level view of :mod:`repro.csvscan`, so the Hadoop split
         ownership rule is the storlet's own: skip the partial first
         record unless the split starts the object; own every record
-        starting before the split end; finish the last owned record
-        from the lookahead bytes.  Chunks are pulled from the store on
-        demand: once the first record past the split completes, no
-        further lookahead bytes cross the wire.
+        starting at or before the split end; read on to finish the last
+        owned record.  Chunks are pulled from the store on demand: once
+        the next record is known to start past the split, no further
+        bytes cross the wire.
         """
         _headers, chunks = self.open_split_stream(split, task=None)
         return owned_records(chunks, split.start, split.length)
@@ -730,11 +801,8 @@ class StocatorConnector:
         return self.client.put_object(container, name, data, headers=headers)
 
     def dataset_size(self, container: str, prefix: str = "") -> int:
-        total = 0
-        for name in self.client.list_objects(container, prefix=prefix):
-            total += int(
-                self.client.head_object(container, name).get(
-                    "content-length", "0"
-                )
-            )
-        return total
+        """Total bytes of the matching objects: one sized listing."""
+        return sum(
+            int(entry.get("bytes", 0))
+            for entry in self.client.list_objects_sized(container, prefix=prefix)
+        )

@@ -16,10 +16,11 @@ every record exactly once:
 * consequently a range also owns a record starting *exactly at its end
   boundary* (stream offset == ``range_len``), because the next range
   will discard it (Hadoop's ``pos <= end`` loop);
-* the caller supplies lookahead bytes past the range end so the last
-  owned record can be completed; chunks are pulled only while no
-  complete record is buffered, and never after a record starting past
-  the range end has been seen.
+* the caller's stream runs on past the range end so the last owned
+  record can be completed; chunks are pulled only while no complete
+  record is buffered, and never once the next record is known to start
+  past the range end -- a stream cut at the last owned record's
+  terminator is read to its end and not one chunk further.
 
 Framing is quote-aware (RFC 4180): a ``\\n`` between an odd number of
 double quotes is inside a quoted field and does not end the record; the
@@ -227,8 +228,12 @@ def _owned_blocks(
     fresh = 0  # buffer[fresh:] is the newest chunk
 
     while True:
+        if offset > range_end:
+            # The next record starts past the range: the range is done,
+            # and not one more byte is pulled to frame that record.
+            return
         cap = max(pos, fresh) + BLOCK_BYTES
-        if not skipping_first and offset <= range_end:
+        if not skipping_first:
             limit = min(len(buffer), cap)
             quote = buffer.find(b'"', pos, limit)
             end = buffer.rfind(b"\n", pos, limit if quote < 0 else quote)
@@ -246,28 +251,20 @@ def _owned_blocks(
         # No plain run at ``pos``: the scanner frames record after
         # record for as long as they hold quotes and are buffered.
         records: List[bytes] = []
-        while pos < cap:
+        while pos < cap and offset <= range_end:
             newline, scan_pos, in_quotes = find_record_end(
                 buffer, scan_pos, in_quotes
             )
             if newline < 0:
                 break
             line = buffer[pos:newline]
-            line_start = offset
             offset += newline + 1 - pos
             scan_pos = pos = newline + 1
             if skipping_first:
                 # Everything up to the first record boundary belongs to
-                # the previous range (it finishes this record via its
-                # lookahead).
+                # the previous range (it reads on to finish this record).
                 skipping_first = False
                 break
-            if line_start > range_end:
-                # A range is only known to be finished once the first
-                # record past it is complete.
-                if records:
-                    yield records
-                return
             records.append(line.rstrip(b"\r"))
             if b'"' not in line:
                 break  # a plain run may start here
@@ -275,11 +272,15 @@ def _owned_blocks(
             yield records
         if newline >= 0:
             continue
+        if skipping_first and offset + scan_pos - pos >= range_end:
+            # The discarded first record runs past the range end, so
+            # the next record starts past it too: nothing here is owned.
+            return
         try:
             chunk = pull()
         except StopIteration:
             # Trailing record without newline at end of object.
-            if pos < len(buffer) and not skipping_first and offset <= range_end:
+            if pos < len(buffer) and not skipping_first:
                 yield [buffer[pos:]]
             return
         buffer = buffer[pos:] + chunk

@@ -11,7 +11,7 @@ that is Storlet-aware".
 from __future__ import annotations
 
 import json
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.connector.stocator import StocatorConnector
 from repro.csvscan import parse_record
@@ -27,14 +27,18 @@ SIZE_COLUMN = "payload_bytes"
 
 
 class MetadataScanRDD(RDD[Row]):
-    """One partition per binary object; each invokes the extractor."""
+    """One partition per binary object; each invokes the extractor.
+
+    ``objects`` is ``(name, size)`` per object, from the relation's
+    sized listing, so a partition makes one request: the extractor GET.
+    """
 
     def __init__(
         self,
         context,
         connector: StocatorConnector,
         container: str,
-        names: List[str],
+        objects: List[Tuple[str, int]],
         tag_columns: List[str],
         output_schema: Schema,
         include_size: bool,
@@ -44,17 +48,17 @@ class MetadataScanRDD(RDD[Row]):
         self.name = "MetadataScan"
         self.connector = connector
         self.container = container
-        self.names = names
+        self.objects = objects
         self.tag_columns = tag_columns
         self.output_schema = output_schema
         self.include_size = include_size
         self.storlet_name = storlet_name
 
     def num_partitions(self) -> int:
-        return len(self.names)
+        return len(self.objects)
 
     def compute(self, split: int) -> Iterator[Row]:
-        object_name = self.names[split]
+        object_name, object_size = self.objects[split]
         headers = {
             StorletRequestHeaders.RUN: self.storlet_name,
             StorletRequestHeaders.RUN_ON: "object",
@@ -74,11 +78,6 @@ class MetadataScanRDD(RDD[Row]):
                 f"metadata extraction was not executed for "
                 f"/{self.container}/{object_name}"
             )
-        object_size = int(
-            self.connector.client.head_object(
-                self.container, object_name
-            ).get("content-length", "0")
-        )
         self.connector.metrics.record(len(body), object_size, pushdown=True)
 
         line = body.rstrip(b"\n")
@@ -122,7 +121,10 @@ class BinaryMetadataRelation(PrunedScan):
         self.prefix = prefix
         self.tag_schema = tag_schema
         self.include_size = include_size
-        self._names = connector.client.list_objects(container, prefix=prefix)
+        self._objects = [
+            (entry["name"], int(entry["bytes"]))
+            for entry in connector.client.list_objects_sized(container, prefix=prefix)
+        ]
         fields = [Field(NAME_COLUMN, DataType.STRING)]
         fields.extend(tag_schema.fields)
         if include_size:
@@ -139,7 +141,7 @@ class BinaryMetadataRelation(PrunedScan):
             self.context,
             self.connector,
             self.container,
-            list(self._names),
+            list(self._objects),
             self.tag_schema.names,
             self._schema,
             self.include_size,

@@ -12,6 +12,7 @@ stores, and a set of proxies behind a round-robin "load balancer".
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
 import weakref
@@ -235,12 +236,20 @@ class ProxyApp:
                 marker=request.params.get("marker", ""),
                 limit=int(request.params.get("limit", 10000)),
             )
-            listing = "\n".join(record.name for record in records)
-            return Response(
-                200,
-                headers={"x-container-object-count": str(len(records))},
-                body=listing.encode("utf-8"),
-            )
+            headers = HeaderDict({"x-container-object-count": str(len(records))})
+            if request.params.get("format") == "json":
+                # Swift's sized listing: what a reader needs to plan
+                # reads without a HEAD per object.
+                headers["content-type"] = "application/json"
+                listing = json.dumps(
+                    [
+                        {"name": record.name, "bytes": record.size, "hash": record.etag}
+                        for record in records
+                    ]
+                )
+            else:
+                listing = "\n".join(record.name for record in records)
+            return Response(200, headers=headers, body=listing.encode("utf-8"))
         if request.method == "HEAD":
             record = cluster.containers.get(account, container)
             headers = HeaderDict(

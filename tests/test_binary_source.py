@@ -160,6 +160,22 @@ class TestBinaryMetadataRelation:
         ).collect()
         assert [size for (size,) in rows] == [50_000, 51_000, 52_000, 53_000]
 
+    def test_one_request_per_object(self, photo_rig):
+        """The relation learns every size from one sized listing when it
+        is created; a scan then makes only the extractor GET per object
+        and still charges each object's full size as requested."""
+        requests = photo_rig.client.stats.requests
+        self.register(photo_rig)
+        assert photo_rig.client.stats.requests - requests == 1
+        photo_rig.connector.metrics.reset()
+        requests = photo_rig.client.stats.requests
+        photo_rig.session.sql("SELECT camera FROM photos").collect()
+        assert photo_rig.client.stats.requests - requests == 4
+        assert photo_rig.connector.metrics.bytes_requested == sum(
+            len(photo_rig.client.get_object("photos", name)[1])
+            for name in photo_rig.client.list_objects("photos")
+        )
+
     def test_payload_never_crosses_the_wire(self, photo_rig):
         self.register(photo_rig)
         photo_rig.connector.metrics.reset()

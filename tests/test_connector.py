@@ -73,7 +73,10 @@ class TestPartitionDiscovery:
         connector, client = rig
         client.put_object("c", "a", b"x" * 70)
         client.put_object("c", "b", b"y" * 30)
+        requests = client.stats.requests
         assert connector.dataset_size("c") == 100
+        # One sized listing, however many objects.
+        assert client.stats.requests - requests == 1
 
 
 class TestSplitReads:
@@ -207,27 +210,29 @@ class TestSkippedObjects:
         )
         assert "empty" in caplog.text and "zero-length" in caplog.text
 
-    def test_missing_content_length_counted(self, rig, monkeypatch):
+    def test_listing_entry_without_size_counted(self, rig, monkeypatch):
         connector, client = rig
         client.put_object("c", "weird", b"x" * 5)
         client.put_object("c", "data", b"x" * 10)
-        real_head = client.head_object
+        real_listing = client.list_objects_sized
 
-        def headless(container, name):
-            headers = real_head(container, name)
-            if name == "weird":
-                del headers["content-length"]
-            return headers
+        def sizeless(container, **kwargs):
+            entries = real_listing(container, **kwargs)
+            for entry in entries:
+                if entry["name"] == "weird":
+                    del entry["bytes"]
+            return entries
 
-        monkeypatch.setattr(client, "head_object", headless)
+        monkeypatch.setattr(client, "list_objects_sized", sizeless)
+        requests = client.stats.requests
         splits = connector.discover_partitions("c")
         assert [s.name for s in splits] == ["data"]
-        assert connector.skipped_objects == [
-            ("c", "weird", "missing-content-length")
-        ]
+        # The listing and one HEAD, for "data": a skipped object costs none.
+        assert client.stats.requests - requests == 2
+        assert connector.skipped_objects == [("c", "weird", "missing-size")]
         assert (
             connector.registry.counter_value(
-                "connector.objects_skipped", reason="missing-content-length"
+                "connector.objects_skipped", reason="missing-size"
             )
             == 1
         )

@@ -299,30 +299,32 @@ def test_conjunct_order_refines_one_estimate():
 
 
 # --------------------------------------------------------------------------
-# The discovery walk: both formats list, HEAD, cache and skip alike
+# The discovery walk: both formats list, read once, cache and skip alike
 # --------------------------------------------------------------------------
 
 
 def test_both_discoveries_walk_a_container_alike():
     """One container holding an RCF1 object, an empty object and an
-    object whose HEAD lacks ``content-length``.  The request counts are
-    the parent commit's: one listing and one HEAD per object, plus the
-    one footer read only RCF1 discovery makes."""
+    object the sized listing names without a size.  Both walks make the
+    listing and then one request per object with bytes -- a HEAD for a
+    one-chunk CSV object, the footer read for RCF1 -- and the skipped
+    objects cost none."""
     context = ScoopContext(chunk_size=4096, skipping=False)
     context.upload_csv("src", "a.csv", "".join(f"v{i},{i}\n" for i in range(50)))
     context.convert_csv_to_columnar("src", "mixed", Schema.of("vid", "n:int"))
     context.engine.clear_policies(context.client.account, "mixed")
     context.client.put_object("mixed", "empty.rcf", b"")
-    context.client.put_object("mixed", "headless.rcf", b"not a footer")
-    head_object = context.client.head_object
+    context.client.put_object("mixed", "sizeless.rcf", b"not a footer")
+    listing = context.client.list_objects_sized
 
-    def head_without_length(container, name):
-        headers = head_object(container, name)
-        if name == "headless.rcf":
-            del headers["content-length"]
-        return headers
+    def listing_without_size(container, **kwargs):
+        entries = listing(container, **kwargs)
+        for entry in entries:
+            if entry["name"] == "sizeless.rcf":
+                del entry["bytes"]
+        return entries
 
-    context.client.head_object = head_without_length
+    context.client.list_objects_sized = listing_without_size
     connector = context.connector
 
     def walk(discover):
@@ -330,10 +332,16 @@ def test_both_discoveries_walk_a_container_alike():
         connector._catalog_cache.clear()
         requests = context.client.stats.requests
         skipped = dict(_skip_counts(context))
+        kinds = dict(_request_kinds(context))
         splits = discover()
         return (
             len(splits),
             context.client.stats.requests - requests,
+            {
+                kind: count - kinds.get(kind, 0)
+                for kind, count in _request_kinds(context)
+                if count != kinds.get(kind, 0)
+            },
             list(connector.skipped_objects),
             sorted(connector._catalog_cache),
             {
@@ -345,15 +353,26 @@ def test_both_discoveries_walk_a_container_alike():
     csv = walk(lambda: connector.discover_partitions("mixed", record_aligned=True))
     columnar = walk(lambda: connector.discover_columnar_partitions("mixed"))
     assert csv[0] == columnar[0] == 1
-    assert (csv[1], columnar[1]) == (4, 5)
-    assert csv[2:] == columnar[2:] == (
+    assert (csv[1], columnar[1]) == (2, 2)
+    assert csv[2] == {"listing": 1, "head": 1}
+    assert columnar[2] == {"listing": 1, "footer": 1}
+    assert csv[3:] == columnar[3:] == (
         [
             ("mixed", "empty.rcf", "zero-length"),
-            ("mixed", "headless.rcf", "missing-content-length"),
+            ("mixed", "sizeless.rcf", "missing-size"),
         ],
-        [("mixed", "a.rcf"), ("mixed", "empty.rcf"), ("mixed", "headless.rcf")],
-        {"zero-length": 1, "missing-content-length": 1},
+        [("mixed", "a.rcf")],
+        {"zero-length": 1, "missing-size": 1},
     )
+
+
+def _request_kinds(context):
+    return [
+        (labels["kind"], count)
+        for labels, count in context.registry.counter_series(
+            "connector.discovery_requests"
+        )
+    ]
 
 
 def _skip_counts(context):

@@ -1,6 +1,6 @@
 """End-to-end tests for the object-level data-skipping catalog.
 
-The catalog rides the discovery HEADs the connector already issues, so
+The catalog rides the one request per object discovery already makes, so
 arming it costs zero extra requests; at selective predicates it drops
 whole objects with zero GETs.  The governing contract is the same as
 stripe pruning: byte-identical results with the catalog on or off, at
