@@ -622,15 +622,20 @@ def _generate(args) -> int:
     from repro.gridpocket import DatasetSpec, METER_SCHEMA
     from repro.gridpocket.generator import MeterDataGenerator
 
-    spec = DatasetSpec(
-        meters=args.meters,
-        intervals=args.intervals,
-        interval_minutes=args.interval_minutes,
-        objects=args.objects,
-        seed=args.seed,
-    )
+    try:
+        spec = DatasetSpec(
+            meters=args.meters,
+            intervals=args.intervals,
+            interval_minutes=args.interval_minutes,
+            objects=args.objects,
+            seed=args.seed,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     args.out_dir.mkdir(parents=True, exist_ok=True)
     total = 0
+    started = time.perf_counter()
     for name, data in MeterDataGenerator(spec).csv_objects():
         target = args.out_dir / name
         if args.header:
@@ -639,7 +644,11 @@ def _generate(args) -> int:
         target.write_bytes(data)
         total += len(data)
         print(f"  wrote {target} ({len(data):,} bytes)")
-    print(f"{spec.total_rows():,} rows, {total:,} bytes total")
+    elapsed = time.perf_counter() - started
+    print(
+        f"{spec.total_rows():,} rows, {total:,} bytes total in {elapsed:.2f} s "
+        f"({spec.total_rows() / max(elapsed, 1e-9):,.0f} rows/s with writes)"
+    )
     return 0
 
 

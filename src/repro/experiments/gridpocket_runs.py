@@ -18,7 +18,7 @@ from repro.gridpocket.generator import DatasetSpec, METER_SCHEMA, MeterDataGener
 from repro.gridpocket.queries import GRIDPOCKET_QUERIES, GridPocketQuery
 from repro.gridpocket.workload import (
     SelectivityMeasurement,
-    measure_query_selectivity,
+    measure_selectivities,
 )
 from repro.perfmodel.model import IngestSimulation, SelectivityProfile
 from repro.perfmodel.parameters import DATASETS, PerfParameters
@@ -70,13 +70,13 @@ def table1_selectivities(
             spec.objects,
         )
     )
-    results = []
-    for query in GRIDPOCKET_QUERIES:
-        measured = measure_query_selectivity(
-            query.sql("largeMeter"), METER_SCHEMA, rows
-        )
-        results.append(Table1Row(query=query, measured=measured))
-    return results
+    measured = measure_selectivities(
+        [query.sql("largeMeter") for query in GRIDPOCKET_QUERIES], METER_SCHEMA, rows
+    )
+    return [
+        Table1Row(query=query, measured=measurement)
+        for query, measurement in zip(GRIDPOCKET_QUERIES, measured)
+    ]
 
 
 @dataclass

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 from repro.sql.types import Row, Schema
 
@@ -89,6 +90,17 @@ class DatasetSpec:
     seed: int = 20170417  # ICDE'17 week, for determinism
     objects: int = 4  # CSV objects the rows are spread over
 
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("meters", 0),
+            ("intervals", 0),
+            ("objects", 1),
+            ("interval_minutes", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"DatasetSpec.{name} must be >= {least}, got {value}")
+
     def total_rows(self) -> int:
         return self.meters * self.intervals
 
@@ -123,64 +135,108 @@ class MeterDataGenerator:
             )
         return profiles
 
-    @staticmethod
-    def _code(vid: str, interval: int) -> int:
-        """Uniform status code in [0, 10000), deterministic per reading."""
-        digest = hashlib.md5(f"{vid}:{interval}".encode()).digest()
-        return int.from_bytes(digest[:4], "big") % 10000
+    def _intervals(
+        self,
+    ) -> Iterator[Tuple[str, List[float], List[float], List[float], List[int]]]:
+        """The one reading loop: per interval, its stamp and every meter's
+        rounded ``index`` / ``sumHC`` / ``sumHP`` and ``code``, in meter
+        order.
 
-    def rows(self) -> Iterator[Row]:
-        """Typed rows in reading order."""
+        A reading's consumption is ``base_load * uniform(0.5, 1.5)`` from
+        ``Random(seed + 1)``, drawn meter by meter; ``uniform(0.5, 1.5)``
+        is ``0.5 + 1.0 * random()``, written here without the no-op
+        multiply.  ``code`` is the first four bytes of
+        ``md5(f"{vid}:{interval}")`` mod 10000: each meter's ``b"<vid>:"``
+        is hashed once and copied per reading.  Only one of the two
+        running sums moves per interval, so the other's rounded list is
+        yielded again as the same object.
+        """
         start = datetime.datetime.fromisoformat(self.spec.start)
-        indexes = [0.0] * len(self.profiles)
-        hc = [0.0] * len(self.profiles)
-        hp = [0.0] * len(self.profiles)
-        rng = random.Random(self.spec.seed + 1)
+        draw = random.Random(self.spec.seed + 1).random
+        loads = [profile.base_load for profile in self.profiles]
+        prefixes = [
+            hashlib.md5(f"{profile.vid}:".encode()) for profile in self.profiles
+        ]
+        from_bytes = int.from_bytes
+        indexes = [0.0] * len(loads)
+        sums_hc = [0.0] * len(loads)
+        sums_hp = [0.0] * len(loads)
+        rounded_hc = rounded_hp = [0.0] * len(loads)
         for interval in range(self.spec.intervals):
             moment = start + interval * self.INTERVAL
             stamp = moment.strftime("%Y-%m-%d %H:%M:%S")
-            off_peak = moment.hour < 7 or moment.hour >= 22
-            for position, profile in enumerate(self.profiles):
-                consumption = profile.base_load * rng.uniform(0.5, 1.5)
-                indexes[position] += consumption
-                if off_peak:
-                    hc[position] += consumption
-                else:
-                    hp[position] += consumption
-                yield (
+            consumptions = [load * (0.5 + draw()) for load in loads]
+            indexes = [total + used for total, used in zip(indexes, consumptions)]
+            if moment.hour < 7 or moment.hour >= 22:
+                sums_hc = [total + used for total, used in zip(sums_hc, consumptions)]
+                rounded_hc = [round(total, 3) for total in sums_hc]
+            else:
+                sums_hp = [total + used for total, used in zip(sums_hp, consumptions)]
+                rounded_hp = [round(total, 3) for total in sums_hp]
+            suffix = str(interval).encode()
+            codes = []
+            for prefix in prefixes:
+                digest = prefix.copy()
+                digest.update(suffix)
+                codes.append(from_bytes(digest.digest()[:4], "big") % 10000)
+            yield (
+                stamp,
+                [round(total, 3) for total in indexes],
+                rounded_hc,
+                rounded_hp,
+                codes,
+            )
+
+    def rows(self) -> Iterator[Row]:
+        """Typed rows in reading order."""
+        for stamp, indexes, sums_hc, sums_hp, codes in self._intervals():
+            yield from [
+                (
                     profile.vid,
                     stamp,
-                    round(indexes[position], 3),
-                    round(hc[position], 3),
-                    round(hp[position], 3),
-                    self._code(profile.vid, interval),
+                    index,
+                    hc,
+                    hp,
+                    code,
                     profile.city,
                     profile.state,
                     profile.lat,
                     profile.long,
                 )
+                for profile, index, hc, hp, code in zip(
+                    self.profiles, indexes, sums_hc, sums_hp, codes
+                )
+            ]
 
     def csv_lines(self) -> Iterator[bytes]:
-        """Rows rendered as CSV lines (no header), newline-terminated."""
-        for row in self.rows():
-            yield (
-                ",".join(METER_SCHEMA.render_row(row)) + "\n"
-            ).encode("utf-8")
+        """Rows rendered as CSV lines (no header), newline-terminated.
+
+        Each line is its row's cells as ``METER_SCHEMA`` renders them
+        (floats as ``repr``, the rest as ``str``), comma-separated.  The
+        meter's own columns are rendered once per meter.
+        """
+        heads = [f"{profile.vid}," for profile in self.profiles]
+        tails = [
+            f",{profile.city},{profile.state},{profile.lat!r},{profile.long!r}\n"
+            for profile in self.profiles
+        ]
+        for stamp, indexes, sums_hc, sums_hp, codes in self._intervals():
+            yield from [
+                f"{head}{stamp},{index!r},{hc!r},{hp!r},{code}{tail}".encode()
+                for head, index, hc, hp, code, tail in zip(
+                    heads, indexes, sums_hc, sums_hp, codes, tails
+                )
+            ]
 
     def csv_objects(self) -> Iterator[Tuple[str, bytes]]:
         """``(object_name, data)`` pairs splitting the dataset evenly."""
         total = self.spec.total_rows()
         per_object = max(1, (total + self.spec.objects - 1) // self.spec.objects)
-        buffer: List[bytes] = []
-        object_index = 0
-        for line in self.csv_lines():
-            buffer.append(line)
-            if len(buffer) >= per_object:
-                yield f"meter-{object_index:04d}.csv", b"".join(buffer)
-                buffer = []
-                object_index += 1
-        if buffer:
-            yield f"meter-{object_index:04d}.csv", b"".join(buffer)
+        lines = self.csv_lines()
+        for object_index in range((total + per_object - 1) // per_object):
+            yield f"meter-{object_index:04d}.csv", b"".join(
+                itertools.islice(lines, per_object)
+            )
 
 
 def upload_dataset(client, container: str, spec: DatasetSpec) -> Dict[str, int]:

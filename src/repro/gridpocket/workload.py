@@ -11,8 +11,9 @@ the target.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.gridpocket.generator import METER_SCHEMA, DatasetSpec, MeterDataGenerator
 from repro.sql.catalyst import extract_pushdown
@@ -136,26 +137,42 @@ def measure_query_selectivity(
     in the experiment harness: the *actual* filters and projection that
     Catalyst would push down are evaluated over real generated rows.
     """
+    return measure_selectivities([sql], schema, rows, spec)[0]
+
+
+def measure_selectivities(
+    sqls: Sequence[str],
+    schema: Schema = METER_SCHEMA,
+    rows: Optional[Sequence[Row]] = None,
+    spec: Optional[DatasetSpec] = None,
+) -> List[SelectivityMeasurement]:
+    """:func:`measure_query_selectivity` of several queries over one sample.
+
+    A row's bytes are its rendered CSV cells plus one delimiter (or the
+    newline) each.  The cells are rendered once per sample, column by
+    column, and every query sums the widths of the rows it keeps.
+    """
     if rows is None:
         generator = MeterDataGenerator(
             spec or DatasetSpec(meters=50, intervals=144)
         )
         rows = list(generator.rows())
-    query = parse_query(sql)
-    pushdown = extract_pushdown(query, schema)
-    predicate = conjunction_predicate(pushdown.filters, schema)
-    positions = [schema.index_of(name) for name in pushdown.required_columns]
-
-    rows_total = 0
-    rows_kept = 0
-    bytes_total = 0
-    bytes_kept = 0
-    for row in rows:
-        rendered = schema.render_row(row)
-        row_bytes = sum(len(text) + 1 for text in rendered)
-        rows_total += 1
-        bytes_total += row_bytes
-        if predicate(row):
-            rows_kept += 1
-            bytes_kept += sum(len(rendered[i]) + 1 for i in positions)
-    return SelectivityMeasurement(rows_total, rows_kept, bytes_total, bytes_kept)
+    widths = [
+        [len(text) + 1 for text in map(f.dtype.render, column)]
+        for f, column in zip(schema.fields, zip(*rows))
+    ]
+    bytes_total = sum(map(sum, widths))
+    measurements = []
+    for sql in sqls:
+        pushdown = extract_pushdown(parse_query(sql), schema)
+        predicate = conjunction_predicate(pushdown.filters, schema)
+        kept = list(itertools.compress(range(len(rows)), map(predicate, rows)))
+        bytes_kept = sum(
+            widths[schema.index_of(name)][position]
+            for name in pushdown.required_columns
+            for position in kept
+        )
+        measurements.append(
+            SelectivityMeasurement(len(rows), len(kept), bytes_total, bytes_kept)
+        )
+    return measurements

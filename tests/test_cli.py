@@ -86,6 +86,25 @@ class TestGenerate:
         ).read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--objects", "0", "objects"),
+            ("--objects", "-2", "objects"),
+            ("--interval-minutes", "0", "interval_minutes"),
+            ("--meters", "-1", "meters"),
+            ("--intervals", "-1", "intervals"),
+        ],
+    )
+    def test_invalid_shape_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        code = main(["generate", str(tmp_path / "data"), flag, value])
+        assert code == 2
+        assert f"DatasetSpec.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+
 class TestQueries:
     def test_lists_all_seven(self, capsys):
         assert main(["queries"]) == 0

@@ -13,7 +13,30 @@ from repro.gridpocket import (
     synthetic_query,
 )
 from repro.gridpocket.queries import query_by_name
-from repro.gridpocket.workload import column_byte_weights
+from repro.gridpocket.workload import (
+    SelectivityMeasurement,
+    column_byte_weights,
+    measure_selectivities,
+)
+from repro.sql.catalyst import extract_pushdown
+from repro.sql.filters import conjunction_predicate
+from repro.sql.parser import parse_query
+
+
+def reference_measurement(sql, rows):
+    """Row-at-a-time selectivity: render every row, count its bytes."""
+    pushdown = extract_pushdown(parse_query(sql), METER_SCHEMA)
+    predicate = conjunction_predicate(pushdown.filters, METER_SCHEMA)
+    positions = [METER_SCHEMA.index_of(name) for name in pushdown.required_columns]
+    counts = [0, 0, 0, 0]
+    for row in rows:
+        rendered = METER_SCHEMA.render_row(row)
+        counts[0] += 1
+        counts[2] += sum(len(text) + 1 for text in rendered)
+        if predicate(row):
+            counts[1] += 1
+            counts[3] += sum(len(rendered[i]) + 1 for i in positions)
+    return SelectivityMeasurement(*counts)
 
 
 class TestGenerator:
@@ -169,6 +192,24 @@ class TestSyntheticWorkload:
         assert measurement.data_selectivity == pytest.approx(
             expected, abs=0.01
         )
+
+    def test_shared_widths_match_row_at_a_time_counts(self):
+        spec = DatasetSpec(
+            meters=12, intervals=400, interval_minutes=1440, start="2014-06-01"
+        )
+        rows = list(MeterDataGenerator(spec).rows())
+        sqls = [query.sql("largeMeter") for query in GRIDPOCKET_QUERIES] + [
+            synthetic_query(0.5, columns=["vid", "code"]),
+            synthetic_query(0.0),
+        ]
+        measured = measure_selectivities(sqls, METER_SCHEMA, rows)
+        assert measured == [reference_measurement(sql, rows) for sql in sqls]
+        assert any(m.rows_kept for m in measured[:7])
+
+    def test_empty_sample_measures_zero(self):
+        assert measure_selectivities(["SELECT vid FROM t"], METER_SCHEMA, []) == [
+            SelectivityMeasurement(0, 0, 0, 0)
+        ]
 
     @settings(max_examples=20, deadline=None)
     @given(target=st.floats(min_value=0.0, max_value=0.99))
