@@ -49,13 +49,15 @@ SCANS = {
 CODE, INDEX = METER_SCHEMA.index_of("code"), METER_SCHEMA.index_of("index")
 #: name -> response bytes a shipped row may cost.  Unfiltered: a 1 B
 #: city code + a 2 B code offset; filtered: 1 B vid + 1 B date codes +
-#: an 8 B index + a 2 B code offset.  On top, framing (a block header
-#: and each segment's opening, per <= 1 024 rows: < 0.05 B/row) and the
-#: dictionary entries, each once between restarts (the filtered scan's
-#: 5 000 dates over ~500 k rows: < 0.3 B/row).
-BYTES_PER_ROW = {"unfiltered": 3 + 0.05, "code < 5000": 12 + 0.05 + 0.3}
-#: The filtered scan's stream-coded columns (``index`` is float64 or,
-#: from a two-byte-code dictionary stripe, a list).
+#: a 4 B decimal index (thousandths; four-byte offsets in 237 of 245
+#: stripes, two-byte in the rest) + a 2 B code offset.  On top, framing
+#: (a block header and each segment's opening, per <= 1 024 rows:
+#: < 0.05 B/row) and the dictionary entries, each once between restarts
+#: (the filtered scan's 5 000 dates over ~500 k rows: < 0.3 B/row).
+#: Measured: 3.02 and 8.23 B/row (12.28 while ``index`` was float64).
+BYTES_PER_ROW = {"unfiltered": 3 + 0.05, "code < 5000": 8 + 0.05 + 0.3}
+#: The filtered scan's stream-coded columns (``index`` is a decimal
+#: carrier).
 CODED = {"unfiltered": ["city"], "code < 5000": ["vid", "date"]}
 
 
@@ -139,8 +141,8 @@ def test_packed_scan_is_2x_the_list_path_and_identical(name, objects):
     print(f"{name}: lists  {total / slow_s:,.0f} rows/s")
     print(f"{name}: ratio  {ratio:.2f}x")
     # The twin really is the list path, and the object really is not
-    # (bar the odd stripe that stores ``index`` as a two-byte-code
-    # dictionary, which decodes into a list on either side).
+    # (it allows the odd stripe whose ``index`` decodes into a list on
+    # either side; with ``index`` decimal in every stripe there is none).
     shipped, twin_shipped = _shipped(metadata), _shipped(twin_metadata)
     assert shipped["reencoded"] * 100 <= sum(shipped.values())
     assert twin_shipped["reencoded"] * 4 >= sum(twin_shipped.values())

@@ -16,14 +16,16 @@ plain encodings: INT packs non-null values as little-endian int64
 (falling back to text for arbitrary-precision ints), FLOAT as float64,
 BOOL is bit-packed, STRING is a u32 length array followed by
 concatenated UTF-8.  The bitmap (bit set = NULL) keeps empty strings
-distinguishable from NULLs.  Two more encodings are chosen per segment
-when they are smaller (:func:`_encode_values`): *dictionary* (distinct
-values in first-appearance order as a nested plain segment, then one
-u8/u16 code per value) and *narrow int* (an int64 base, then unsigned
-1/2/4-byte offsets).  A decoded dictionary segment stays coded
-(:class:`~repro.columnar.batch.DictColumn`) until a plain vector is
-asked for, so filters run once per dictionary entry; a decoded NULL-free
-int64, float64 or narrow-int segment stays packed
+distinguishable from NULLs.  Three more encodings are chosen per
+segment when they are smaller (:func:`_encode_values`): *dictionary*
+(distinct values in first-appearance order as a nested plain segment,
+then one u8/u16 code per value), *narrow int* (an int64 base, then
+unsigned 1/2/4-byte offsets) and *decimal* (a FLOAT run whose every
+value is exactly ``k / 10**e``: the exponent ``e``, then the scaled
+integers ``k`` as a narrow-int payload).  A decoded dictionary segment
+stays coded (:class:`~repro.columnar.batch.DictColumn`) until a plain
+vector is asked for, so filters run once per dictionary entry; a decoded
+NULL-free int64, float64, narrow-int or decimal segment stays packed
 (:class:`~repro.columnar.batch.PackedColumn`: a typed view of the
 segment's own payload bytes), so a storlet block ships a slice of it.
 
@@ -49,6 +51,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import math
+import operator
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -65,7 +69,15 @@ from typing import (
     Tuple,
 )
 
-from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn, materialize
+from repro.columnar.batch import (
+    DECIMAL_SCALES,
+    ColumnBatch,
+    DictColumn,
+    PackedColumn,
+    decimal_cells,
+    materialize,
+    offset_cells,
+)
 from repro.columnar.stats import column_bounds
 from repro.sql.types import DataType, Schema
 
@@ -78,6 +90,7 @@ ENC_TEXT = 2
 ENC_BOOL = 3
 ENC_DICT = 4
 ENC_NARROW_INT = 5
+ENC_DECIMAL = 7
 
 #: Tag -> name, for counters and documentation.
 ENCODING_NAMES = {
@@ -87,6 +100,7 @@ ENCODING_NAMES = {
     ENC_BOOL: "bool",
     ENC_DICT: "dictionary",
     ENC_NARROW_INT: "narrow_int",
+    ENC_DECIMAL: "decimal",
 }
 
 #: Wire-only (block stream) tag: ``u16 count | the count entries new to
@@ -102,6 +116,15 @@ _STREAM_DICT_LIMIT = 256
 
 #: Narrow-int offset widths in bytes and their ``struct`` codes.
 _NARROW_WIDTHS = {1: "B", 2: "H", 4: "I"}
+
+#: The largest exponent of a decimal segment, and the bound on the
+#: magnitude of its scaled integers (every one an exact float64).
+_MAX_EXPONENT = len(DECIMAL_SCALES) - 1
+_EXACT = 1 << 53
+#: How many evenly spaced values of a run pick the exponent its decimal
+#: check starts from (:func:`_decimal_run`).
+_DECIMAL_SAMPLE = 64
+_round = float.__round__
 
 #: RCF1 is little-endian and ``memoryview.cast`` native-endian: only on
 #: a little-endian host are a fixed-width payload's bytes a packed
@@ -357,14 +380,96 @@ def _narrow_width(span: int, n: int, limit: int) -> Optional[int]:
     return None
 
 
-def _narrow_payload(non_null: Sequence[int], base: int, width: int) -> bytes:
-    """``u8 offset width | i64 base | offsets`` for an int64 run."""
-    offsets = non_null if not base else [value - base for value in non_null]
+def _offsets_payload(width: int, base: int, offsets: Iterable[int], n: int) -> bytes:
+    """``u8 offset width | i64 base | n offsets``."""
     return (
         bytes((width,))
         + struct.pack("<q", base)
-        + struct.pack(f"<{len(non_null)}{_NARROW_WIDTHS[width]}", *offsets)
+        + struct.pack(f"<{n}{_NARROW_WIDTHS[width]}", *offsets)
     )
+
+
+def _narrow_payload(non_null: Sequence[int], base: int, width: int) -> bytes:
+    """A narrow-int payload for an int64 run."""
+    offsets = non_null if not base else [value - base for value in non_null]
+    return _offsets_payload(width, base, offsets, len(non_null))
+
+
+def _decimal_run(values: Sequence[Any]) -> Optional[Tuple[int, List[int], int, int]]:
+    """``(e, scaled, low, high)``: the smallest exponent ``e`` at which
+    every value of a FLOAT run is the decimal cell (:func:`decimal_cells`)
+    of its scaled integer ``k = round(value * 10**e)``, the run's ``k``s
+    and their least and greatest -- or ``None`` when no ``e`` up to
+    :data:`_MAX_EXPONENT` holds them all.
+
+    A value is held bit for bit: by ``==``, and a ``-0.0`` (which
+    ``==`` takes for the ``0.0`` that ``k = 0`` decodes to) never.  Nor
+    are NaN and +/-inf, nor a ``k`` of ``2**53`` or more in magnitude
+    (which only grows with ``e``).  The answer depends on the values
+    alone, not on their order or repeats: the exponent is the smallest
+    that holds an evenly spaced sample, the whole run is then checked at
+    it once and, should a value miss, the search goes on from the next
+    exponent with that value in the sample.
+    """
+    if type(values) is not list:
+        values = list(values)
+    step = max(1, len(values) // _DECIMAL_SAMPLE)
+    sample = values[::step] if step > 1 else values
+    probe = sample
+    exponent = 0
+    while exponent <= _MAX_EXPONENT:
+        scale = DECIMAL_SCALES[exponent]
+        try:  # ``round`` without its special-method lookup: twice as fast
+            scaled = [_round(value * scale) for value in probe]
+        except (ValueError, OverflowError, TypeError):
+            return None  # NaN, +/-inf: a decimal at no exponent
+        low, high = (min(scaled), max(scaled)) if scaled else (0, 0)
+        if not -_EXACT < low <= high < _EXACT:
+            return None
+        cells = decimal_cells(scaled, exponent)
+        if cells == probe:
+            if probe is not values:
+                probe = values  # the sample holds: check the run once, in full
+                continue
+            if low <= 0 <= high and 0 in scaled:
+                zeros = itertools.compress(values, map(operator.not_, scaled))
+                if -1.0 in map(math.copysign, itertools.repeat(1.0), zeros):
+                    return None  # a -0.0
+            return exponent, scaled, low, high
+        if probe is values and sample is not values:
+            missed = map(operator.ne, cells, probe)
+            sample = [*sample, values[next(itertools.compress(itertools.count(), missed))]]
+        probe = sample
+        exponent += 1
+    return None
+
+
+class _Decimal(NamedTuple):
+    """A decimal payload in its parts: its size, and ``scaled`` one
+    ``k`` per entry it was built from."""
+
+    size: int
+    exponent: int
+    base: int
+    width: int
+    scaled: List[int]
+
+
+def _decimal_candidate(entries: Sequence[Any], n: int, limit: int) -> Optional[_Decimal]:
+    """The decimal payload of ``n`` FLOAT values whose distinct values
+    are ``entries``, or ``None`` when there is none or it would not be
+    smaller than ``limit`` bytes.  The check is skipped when not even
+    one-byte offsets would be."""
+    if 10 + n >= limit:
+        return None
+    run = _decimal_run(entries)
+    if run is None:
+        return None
+    exponent, scaled, base, high = run
+    width = _narrow_width(high - base, n, limit - 1)
+    if width is None:
+        return None
+    return _Decimal(10 + n * width, exponent, base, width, scaled)
 
 
 def _encode_values(
@@ -375,34 +480,55 @@ def _encode_values(
     first-appearance order -- encoding only, no statistics.
 
     The encoding is chosen here, from the values alone: the plain
-    encoding of the dtype, then dictionary, then narrow int, each later
-    candidate replacing the choice only when strictly smaller (so ties
-    go to plain, then to dictionary).  A plain text payload is sized
-    (:func:`_text_size`) and packed only once it is chosen.  The run is
-    the dictionary's entries when one was built and the whole non-null
-    run otherwise: either way its bounds are the column's.
+    encoding of the dtype, then dictionary, then narrow int (an INT
+    run) or decimal (a FLOAT run), each later candidate replacing the
+    choice only when strictly smaller (so ties go to plain, then to
+    dictionary).  A FLOAT run's decimal candidate is built first: where
+    it is no larger than a dictionary's floor, no dictionary is keyed
+    and no float64 packed.  A plain payload is packed only once it is
+    chosen.  The run is the dictionary's entries when one was built and
+    the whole non-null run otherwise: either way its bounds are the
+    column's.
     """
     bitmap, non_null = _split_nulls(values)
+    n = len(non_null)
     plain: Optional[bytes] = None
+    decimal = None
     if dtype is DataType.STRING:
         plain_tag, size = ENC_TEXT, _text_size(non_null)
+    elif dtype is DataType.FLOAT:
+        plain_tag, size = ENC_FLOAT64, 8 * n
+        decimal = _decimal_candidate(non_null, n, size)
     else:
         plain_tag, plain = _plain_payload(non_null, dtype)
         size = len(plain)
     tag, payload, distinct = plain_tag, plain, non_null
-    dictionary = _dictionary_payload(non_null, dtype, plain_tag, plain, size)
-    if dictionary is not None:
-        candidate, distinct = dictionary
-        if len(candidate) < size:
-            tag, payload, size = ENC_DICT, candidate, len(candidate)
-    if plain_tag == ENC_INT64 and non_null:
+    # A dictionary is taken over the decimal when no larger than it.  Its
+    # entries cost 8 bytes each, so the distinct scaled integers among
+    # the first ``limit / 8`` may already price it out.
+    limit = size if decimal is None else min(size, decimal.size + 1)
+    if decimal is None or _dictionary_floor(
+        len(set(decimal.scaled[: limit // 8 + 1])), n, plain_tag
+    )[1] < limit:
+        if plain_tag == ENC_FLOAT64:
+            plain = _plain_payload(non_null, dtype)[1]
+        dictionary = _dictionary_payload(non_null, dtype, plain_tag, plain, limit)
+        if dictionary is not None:
+            candidate, entries = dictionary
+            if len(candidate) < limit:
+                tag, payload, size, distinct = ENC_DICT, candidate, len(candidate), entries
+                decimal = None
+    if decimal is not None:
+        payload = _narrow_payload(decimal.scaled, decimal.base, decimal.width)
+        tag, payload = ENC_DECIMAL, bytes((decimal.exponent,)) + payload
+    elif plain_tag == ENC_INT64 and non_null:
         base = min(non_null)
-        width = _narrow_width(max(non_null) - base, len(non_null), size)
+        width = _narrow_width(max(non_null) - base, n, size)
         if width is not None:
             tag, payload = ENC_NARROW_INT, _narrow_payload(non_null, base, width)
     if payload is None:
-        payload = _encode_text(non_null)
-    return tag, bitmap, payload, len(values) - len(non_null), distinct
+        payload = plain if plain is not None else _plain_payload(non_null, dtype)[1]
+    return tag, bitmap, payload, len(values) - n, distinct
 
 
 #: How many evenly spaced cells of a text vector tell whether its texts
@@ -420,9 +546,10 @@ def _encode_texts(
     dictionary entry -- a FLOAT's by its 8-byte image, as
     :func:`_dictionary_payload` keys it, so ``-0.0`` stays apart from
     ``0.0``; an INT's by value, so ``007`` and ``7`` are one -- and every
-    size is computed from the entries, so a cell is typed only for the
-    plain or narrow-int payload, once that is chosen.  The run returned
-    is the entries.
+    size is computed from the entries, the decimal check runs over them,
+    and a cell is typed only for the plain or narrow-int payload, once
+    that is chosen (a decimal one maps each text to its scaled integer).
+    The run returned is the entries.
 
     Keying the texts pays only where they repeat.  A column whose cells
     are nearly all distinct -- nine in ten of :data:`_SAMPLE_CELLS`
@@ -465,37 +592,49 @@ def _encode_texts(
             return values
         return list(map(dict(zip(spellings, values)).__getitem__, non_null))
 
+    def of_texts(per_entry: Iterable[Any]) -> Dict[str, Any]:
+        """Each spelling's item of ``per_entry`` (one per entry)."""
+        if merged:
+            of_key = dict(zip(index, per_entry))
+            return dict(zip(spellings, map(of_key.__getitem__, keys)))
+        return dict(zip(spellings, per_entry))
+
     plain: Optional[bytes] = None
+    decimal = None
     if dtype is DataType.STRING:
         plain_tag, size = ENC_TEXT, _text_size(non_null)
     elif dtype is DataType.BOOL:
         plain_tag, size = ENC_BOOL, (n + 7) // 8
     elif floats:
         plain_tag, size = ENC_FLOAT64, 8 * n
+        decimal = _decimal_candidate(entries, n, size)
     elif not n or (-(1 << 63) <= min(entries) and max(entries) < 1 << 63):
         plain_tag, size = ENC_INT64, 8 * n
     else:  # beyond int64: the text escape hatch, packed now
         plain_tag, plain = _plain_payload(cells(), dtype)
         size = len(plain)
     tag, payload = plain_tag, plain
+    limit = size if decimal is None else min(size, decimal.size + 1)
     if count <= 1 << 16:
         width, floor = _dictionary_floor(count, n, plain_tag)
-        if floor < size:
+        if floor < limit:
             if floats:
                 nested_tag, nested = ENC_FLOAT64, struct.pack(f"<{count}q", *index)
             else:
                 nested_tag, nested = _plain_payload(entries, dtype)
             candidate = 6 + (count + 7) // 8 + len(nested) + n * width
-            if candidate < size:
-                if merged:
-                    code = dict(zip(index, itertools.count()))
-                    code_of = dict(zip(spellings, map(code.__getitem__, keys)))
-                else:
-                    code_of = dict(zip(spellings, itertools.count()))
-                codes = map(code_of.__getitem__, non_null)
-                tag, size = ENC_DICT, candidate
+            if candidate < limit:
+                codes = map(of_texts(itertools.count()).__getitem__, non_null)
+                tag, size, decimal = ENC_DICT, candidate, None
                 payload = _dictionary_body(width, count, nested_tag, nested, codes, n)
-    if plain_tag == ENC_INT64 and n:
+    if decimal is not None:
+        base = decimal.base
+        offsets = of_texts([k - base for k in decimal.scaled] if base else decimal.scaled)
+        tag = ENC_DECIMAL
+        payload = bytes((decimal.exponent,)) + _offsets_payload(
+            decimal.width, base, map(offsets.__getitem__, non_null), n
+        )
+    elif plain_tag == ENC_INT64 and n:
         base = min(entries)
         width = _narrow_width(max(entries) - base, n, size)
         if width is not None:
@@ -530,18 +669,27 @@ def _bad_length(what: str) -> ValueError:
     return ValueError(f"RCF1 segment: {what} payload has the wrong length")
 
 
+#: The tags whose NULL-free payload decodes into a packed column.
+_FIXED_TAGS = (ENC_INT64, ENC_FLOAT64, ENC_NARROW_INT, ENC_DECIMAL)
+
+
 def _decode_fixed(tag: int, payload: memoryview, present: int) -> Sequence[Any]:
-    """The ``present`` values of an int64, float64 or narrow-int
-    payload, which must be exactly as long as they take: a
+    """The ``present`` values of an int64, float64, narrow-int or
+    decimal payload, which must be exactly as long as they take: a
     :class:`~repro.columnar.batch.PackedColumn` over ``payload`` itself
     (nothing is copied or unpacked), or a list where the host's byte
     order is not the format's."""
-    if tag == ENC_NARROW_INT:
+    exponent: Optional[int] = None
+    if tag == ENC_DECIMAL:
+        if not len(payload) or payload[0] > _MAX_EXPONENT:
+            raise ValueError("RCF1 segment: decimal exponent out of range")
+        exponent, payload = payload[0], payload[1:]
+    if tag in (ENC_NARROW_INT, ENC_DECIMAL):
         code = _NARROW_WIDTHS.get(payload[0]) if len(payload) else None
         if code is None:
             raise ValueError("RCF1 segment: unknown narrow-int offset width")
         if len(payload) != 9 + present * payload[0]:
-            raise _bad_length("narrow-int")
+            raise _bad_length(ENCODING_NAMES[tag])
         (base,) = struct.unpack_from("<q", payload, 1)
         payload = payload[9:]
     else:
@@ -549,9 +697,9 @@ def _decode_fixed(tag: int, payload: memoryview, present: int) -> Sequence[Any]:
             raise _bad_length(ENCODING_NAMES[tag])
         code, base = "q" if tag == ENC_INT64 else "d", 0
     if _LITTLE_ENDIAN_HOST:
-        return PackedColumn(payload.cast(code), base)
+        return PackedColumn(payload.cast(code), base, exponent)
     cells = struct.unpack(f"<{present}{code}", payload)
-    return list(map(base.__add__, cells)) if base else list(cells)
+    return list(offset_cells(cells, base, exponent))
 
 
 def _decode_plain(tag: int, payload: bytes, dtype: DataType, present: int) -> List[Any]:
@@ -645,7 +793,7 @@ def _decode_values(
         if len(entries) <= 256:
             return DictColumn(entries, bytes(codes))
         return list(map(entries.__getitem__, codes))
-    if tag in (ENC_INT64, ENC_FLOAT64, ENC_NARROW_INT):
+    if tag in _FIXED_TAGS:
         values = _decode_fixed(tag, memoryview(data)[start:], present)
     else:
         values = _decode_plain(tag, data[start:], dtype, present)
@@ -657,12 +805,14 @@ def decode_column(data: bytes, dtype: DataType, rows: int) -> Sequence[Any]:
 
     A dictionary segment of at most 256 entries (NULL included) comes
     back as a :class:`~repro.columnar.batch.DictColumn`, still coded; a
-    NULL-free int64, float64 or narrow-int segment as a
+    NULL-free int64, float64, narrow-int or decimal segment as a
     :class:`~repro.columnar.batch.PackedColumn` over ``data`` itself;
     everything else as a plain list.  A segment that is not exactly as
     long as its encoding says -- torn, or with bytes appended -- raises
-    ``ValueError``, and so does a tag that is not one of the six stored
-    encodings (the block stream's wire-only tag and bits included).
+    ``ValueError``, and so do a decimal exponent past 15, an offset
+    width that is not 1, 2 or 4 and a tag that is not one of the seven
+    stored encodings (the block stream's wire-only tag and bits
+    included).
     """
     if type(data) is not bytes:
         # A packed column must never alias a buffer that can be resized.
@@ -966,11 +1116,13 @@ def settle_column(column: Sequence[Any]) -> Sequence[Any]:
     A packed column stays as it is while that is what the size rule
     (:func:`_encode_values`) would make of the gathered values, its
     dictionary candidate aside (the stripe's writer already found the
-    column not worth one): float64 always, integers as long as their
-    span still needs the offset width they have.  Otherwise -- a
-    narrower width holds now, or so few rows are left that plain int64
-    is no larger -- it goes back to a list, and with it to
-    :func:`_encode_values` per block.  Other columns pass through.
+    column not worth one): float64 always, narrow-int and decimal
+    offsets as long as their span still needs the width they have (the
+    exponent a decimal's gathered values might do with is not sought).
+    Otherwise -- a narrower width holds now, or so few rows are left
+    that plain int64 / float64 is no larger -- it goes back to a list,
+    and with it to :func:`_encode_values` per block.  Other columns pass
+    through.
     """
     if not isinstance(column, PackedColumn) or column.view.format == "d" or not len(column):
         return column
@@ -978,7 +1130,8 @@ def settle_column(column: Sequence[Any]) -> Sequence[Any]:
     n = len(cells)
     span = max(cells) - min(cells)
     width = next((w for w in _NARROW_WIDTHS if span < 1 << 8 * w), 8)
-    if 9 + n * width >= 8 * n:  # offsets that narrow would not be smaller
+    opening = 9 if column.exponent is None else 10  # a decimal's exponent byte
+    if opening + n * width >= 8 * n:  # offsets that narrow would not be smaller
         width = 8
     return column if width == column.view.itemsize else column.tolist()
 
@@ -1002,8 +1155,9 @@ class BlockStreamEncoder:
     mostly by slicing bytes.
 
     * a :class:`~repro.columnar.batch.PackedColumn` ships under the tag,
-      width and base it has (after :func:`settle_column`, when the
-      stripe was ``gathered``): ``tag | [width | base] | view[a:b]``;
+      exponent, width and base it has (after :func:`settle_column`, when
+      the stripe was ``gathered``): ``tag | [[exponent |] width | base] |
+      view[a:b]``;
     * a :class:`~repro.columnar.batch.DictColumn` whose rows hold no
       NULL ships as :data:`ENC_STREAM_DICT`.  The entries the stripe
       uses are looked up in the stream dictionary (floats by their
@@ -1084,9 +1238,11 @@ class BlockStreamEncoder:
                 tag = ENC_INT64 if view.format == "q" else ENC_FLOAT64
                 head = bytes((tag | WIRE_NO_BITMAP,))
             else:
-                head = bytes(
-                    (ENC_NARROW_INT | WIRE_NO_BITMAP, view.itemsize)
-                ) + struct.pack("<q", column.base)
+                if column.exponent is None:
+                    opening: Tuple[int, ...] = (ENC_NARROW_INT | WIRE_NO_BITMAP,)
+                else:
+                    opening = (ENC_DECIMAL | WIRE_NO_BITMAP, column.exponent)
+                head = bytes(opening + (view.itemsize,)) + struct.pack("<q", column.base)
             return carried, head, head, view
         if isinstance(column, DictColumn):
             coded = self._stream_coded(index, column)

@@ -945,8 +945,9 @@ def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> Ma
 
     A packed narrow-int column against an ``int`` is judged on its byte
     planes (:func:`_plane_mask`, tallied under ``planes``); any other
-    vector in one C-level pass, ``bytes(map(judge, cells))`` or the
-    ``str`` method mapped over the cells (``rows_c``) -- which a NULL or
+    vector (a decimal one's cells divided out first) in one C-level
+    pass, ``bytes(map(judge, cells))`` or the ``str`` method mapped
+    over the cells (``rows_c``) -- which a NULL or
     an incomparable (for a string filter: a non-``str``) cell stops with
     ``TypeError``, and the whole vector then goes to ``slow``, the
     guarded per-cell check, as a dictionary-coded column does from the
@@ -967,6 +968,7 @@ def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> Ma
             type(value) is int
             and isinstance(column, PackedColumn)
             and column.view.itemsize < 8
+            and column.exponent is None
         ):
             domain, mask = "planes", _plane_mask(column, kind, value)
         else:

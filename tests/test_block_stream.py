@@ -21,6 +21,7 @@ from repro.columnar.layout import (
     ENC_DICT,
     ENC_NARROW_INT,
     ENC_STREAM_DICT,
+    ENCODING_NAMES,
     ENC_TEXT,
     WIRE_NO_BITMAP,
     WIRE_RESET,
@@ -402,7 +403,7 @@ class TestStoredObjectsAreUntouched:
         for stripe in footer.stripes:
             for fld, segment in zip(footer.schema.fields, stripe.columns):
                 data = body[segment.offset : segment.offset + segment.length]
-                assert data[0] <= ENC_NARROW_INT  # tags 0-5, no wire bit
+                assert data[0] in ENCODING_NAMES  # stored tags, no wire bit
                 decode_column(data, fld.dtype, stripe.rows)
                 bare = data[:1] + data[1 + (stripe.rows + 7) // 8 :]
                 for tag in (data[0] | WIRE_NO_BITMAP, data[0] | WIRE_RESET):

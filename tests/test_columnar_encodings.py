@@ -22,6 +22,7 @@ from repro.columnar.batch import (
 )
 from repro.columnar.layout import (
     ENC_BOOL,
+    ENC_DECIMAL,
     ENC_DICT,
     ENC_FLOAT64,
     ENC_INT64,
@@ -40,7 +41,7 @@ from repro.gridpocket import DatasetSpec, METER_SCHEMA, MeterDataGenerator
 from repro.gridpocket.queries import query_by_name
 from repro.gridpocket.workload import synthetic_query
 from repro.sql.filters import LessThan, LikePattern, filters_to_json
-from repro.sql.types import DataType
+from repro.sql.types import DataType, Schema
 from repro.storlets.api import StorletInputStream, StorletLogger
 from repro.storlets.columnar_storlet import ColumnarStorlet, CsvToColumnarStorlet
 from repro.swift.http import chunk_bytes
@@ -78,7 +79,7 @@ class TestSizeRule:
             ([0, 2**40] * 200, INT, ENC_DICT),
             # ... and offsets past four bytes have no narrow form at all.
             ([-(2**62), 2**62, 7], INT, ENC_INT64),
-            ([0.5, 0.25] * 100, FLOAT, ENC_DICT),
+            ([1 / 3, 2 / 3] * 100, FLOAT, ENC_DICT),
             ([i / 7 for i in range(100)], FLOAT, ENC_FLOAT64),
             # One bit a value: nothing is smaller.
             ([True, False] * 100, BOOL, ENC_BOOL),
@@ -87,6 +88,9 @@ class TestSizeRule:
             ([None] * 50, INT, ENC_INT64),
             ([None] * 50, STRING, ENC_TEXT),
             ([], FLOAT, ENC_FLOAT64),
+            # Hundredths: one-byte scaled integers beat 1-byte codes.
+            ([0.5, 0.25] * 100, FLOAT, ENC_DECIMAL),
+            ([0.353, 12.07, -4.5, 1e-3], FLOAT, ENC_DECIMAL),
         ],
     )
     def test_smallest_encoding_wins(self, values, dtype, tag):
@@ -200,6 +204,14 @@ _SEGMENTS = st.one_of(
         ),
     ),
     st.tuples(st.just(BOOL), st.lists(st.one_of(st.none(), st.booleans()), max_size=40)),
+    # Thousandths: decimal segments (tag 7).
+    st.tuples(
+        st.just(FLOAT),
+        st.lists(
+            st.one_of(st.none(), st.integers(-(10**6), 10**6).map(lambda k: k / 1000)),
+            max_size=40,
+        ),
+    ),
 )
 
 
@@ -359,12 +371,12 @@ def _ledger_queries(table):
     }
 
 
-def _convert(csv_bytes):
+def _convert(csv_bytes, schema=METER_SCHEMA):
     return b"".join(
         CsvToColumnarStorlet().process(
             StorletInputStream(chunk_bytes(csv_bytes, 4096)),
             {
-                "schema": METER_SCHEMA.to_header(),
+                "schema": schema.to_header(),
                 "has_header": "false",
                 "stripe_bytes": str(STRIPE_BYTES),
             },
@@ -374,7 +386,7 @@ def _convert(csv_bytes):
     )
 
 
-def _scan(body, filters, columns):
+def _scan(body, filters, columns, schema=METER_SCHEMA):
     """Run the columnar storlet over a whole object; ``(rows, metadata)``."""
     footer = decode_footer(body)
     stripes = [
@@ -385,7 +397,7 @@ def _scan(body, filters, columns):
     chunks = ColumnarStorlet().process(
         StorletInputStream(chunk_bytes(body, 4096)),
         {
-            "schema": METER_SCHEMA.to_header(),
+            "schema": schema.to_header(),
             "columns": json.dumps(columns),
             "filters": filters_to_json(filters),
             "stripes": json.dumps(stripes),
@@ -433,9 +445,28 @@ class TestStorletCounters:
     def test_a_filter_over_a_plain_segment_counts_rows(self):
         (_name, csv_bytes), _other = MeterDataGenerator(SPEC).csv_objects()
         body = _convert(csv_bytes)
-        rows, metadata, footer = _scan(body, [LessThan("index", 1e18)], ["vid"])
+        # A float literal against the narrow-int ``code``: no byte planes,
+        # the cells are judged as they stand.
+        rows, metadata, footer = _scan(body, [LessThan("code", 1e18)], ["vid"])
         assert len(rows) == footer.rows
         # One C-level pass per stripe: no Python call per row.
+        assert metadata["x-object-meta-storlet-filter-evals-rows_c"] == str(footer.rows)
+        assert "x-object-meta-storlet-filter-evals-rows" not in metadata
+        assert metadata["x-object-meta-storlet-segments-narrow_int"] == str(len(footer.stripes))
+        # The decimal ``index`` is judged on its divided-out cells, never
+        # on the byte planes of its scaled offsets.
+        rows, metadata, footer = _scan(body, [LessThan("index", 1e18)], ["vid"])
+        assert len(rows) == footer.rows
+        assert metadata["x-object-meta-storlet-filter-evals-rows_c"] == str(footer.rows)
+        assert "x-object-meta-storlet-filter-evals-planes" not in metadata
+        assert metadata["x-object-meta-storlet-segments-decimal"] == str(len(footer.stripes))
+        # A FLOAT column that is not decimal stays a float64 segment,
+        # and its filter takes the same C-level pass.
+        schema = Schema.of("id:int", "ratio:float")
+        csv_bytes = "".join(f"{i},{i / 7!r}\n" for i in range(3000)).encode()
+        body = _convert(csv_bytes, schema)
+        rows, metadata, footer = _scan(body, [LessThan("ratio", 1e18)], ["id"], schema)
+        assert rows == [(i,) for i in range(3000)] and len(footer.stripes) > 1
         assert metadata["x-object-meta-storlet-filter-evals-rows_c"] == str(footer.rows)
         assert "x-object-meta-storlet-filter-evals-rows" not in metadata
         assert metadata["x-object-meta-storlet-segments-float64"] == str(len(footer.stripes))
@@ -464,16 +495,17 @@ class TestStorletCounters:
         assert registry.counter_total("storlets.columns_shipped") % 4 == 0
 
 
-# -- objects written before the two encodings existed ----------------------------
+# -- objects written before the three encodings existed ----------------------------
 
 
 class TestPlainOnlyObjectsStillAnswer:
     def test_ledger_queries_over_a_parent_commit_object(self, monkeypatch):
-        """The reference with both candidates switched off is the
+        """The reference with all three candidates switched off is the
         encoder as it was: tags 0-3 only.  Such objects must read, and
         answer the three ledger queries as the CSV does."""
         monkeypatch.setattr(reference, "_dictionary", lambda values, dtype: None)
         monkeypatch.setattr(reference, "_narrow_int", lambda values, dtype: None)
+        monkeypatch.setattr(reference, "_decimal", lambda values, dtype: None)
         ctx = ScoopContext(chunk_size=STRIPE_BYTES)
         ctx.client.put_container("old")
         for name, data in MeterDataGenerator(SPEC).csv_objects():

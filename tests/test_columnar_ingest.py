@@ -144,7 +144,7 @@ class TestDifferential:
             (
                 f"value-number-{i % distinct}",
                 (i % distinct) << 33,
-                float(i % distinct) if i else None,
+                (i % distinct) / 7 if i else None,
                 None,
             )
             for i in range(2 * distinct + 5)

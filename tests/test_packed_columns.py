@@ -1,6 +1,6 @@
 """Fixed-width segments stay packed (docs/columnar.md).
 
-A NULL-free int64, float64 or narrow-int segment decodes into a
+A NULL-free int64, float64, narrow-int or decimal segment decodes into a
 :class:`~repro.columnar.batch.PackedColumn` over its own payload bytes;
 the columnar storlet compares on the byte planes, gathers by
 mark-and-delete / one boxed pass, settles the response encoding once per
@@ -249,7 +249,9 @@ class TestPortability:
             ([-(2**63), 2**63 - 1, 0, 1], INT),
             ([0.0, -0.0, float("nan"), float("inf"), 1.5, 2.5], FLOAT),
             ([0, 2**40] * 200, INT),  # a dictionary of int64 entries
-            ([0.5, 0.25] * 100, FLOAT),  # ... of float64 entries
+            ([1 / 3, 2 / 3] * 100, FLOAT),  # ... of float64 entries
+            ([0.5, 0.25] * 100, FLOAT),  # decimal, one-byte offsets
+            ([k / 1000 for k in range(-300, 70_000, 7)], FLOAT),  # ... four-byte
         ]
         schema = Schema.of("i:int", "f:float")
         for values, dtype in cases:
@@ -452,12 +454,12 @@ class TestLedgerQueriesTakeTheIntendedPaths:
         assert _counters(metadata, "filter-evals") == {"planes": footer.rows}
         # Three columns a stripe (code is filtered on and stays at the
         # store): vid and date by mark-and-delete (under 256 entries),
-        # a float64 index in the one boxed pass.
+        # the decimal index in the one boxed pass.
         gathers = _counters(metadata, "gathers")
         assert sum(gathers.values()) == 3 * len(footer.stripes)
         assert gathers["mark_delete"] == 2 * len(footer.stripes)
-        # index is a float64 carrier (settled) where its stripe stored it
-        # plain and a list (re-encoded per block) where it stored a
+        # index is a decimal carrier (settled) where its stripe stored it
+        # so and a list (re-encoded per block) where it stored a
         # two-byte-code dictionary; nothing else is ever re-encoded.
         shipped = _counters(metadata, "columns")
         assert sum(shipped.values()) == 3 * len(blocks)
