@@ -34,7 +34,7 @@ def test_fig9_resource_usage_with_and_without_scoop(benchmark):
 
 def _scaled(series, factor=1e-9):
     """GB/s view of a bytes/s series (for the ASCII chart)."""
-    from repro.cluster.metrics import ResourceSeries
+    from repro.perfmodel.flow import ResourceSeries
 
     scaled = ResourceSeries(series.name)
     scaled.times = list(series.times)

@@ -70,11 +70,13 @@ def _row_at_a_time(data: bytes):
 
 
 def _best_of(call, data: bytes, repeats: int = 3):
+    """Best of ``repeats`` calls, timed by process CPU, which other
+    load on the host does not inflate the way it does wall time."""
     best, result = float("inf"), None
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         result = call(data)
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
     return best, result
 
 

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from repro.cluster import FlowNetwork
 from repro.gridpocket import DatasetSpec, METER_SCHEMA, MeterDataGenerator
-from repro.simulation import Environment
+from repro.perfmodel.flow import FlowNetwork
+from repro.perfmodel.kernel import Environment
 from repro.sql import (
     EqualTo,
     StringStartsWith,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.metrics import ResourceSeries
+from repro.perfmodel.flow import ResourceSeries
 from repro.perfmodel.model import IngestSimulation, RunResult, SelectivityProfile
 from repro.perfmodel.parameters import DATASETS, PerfParameters
 

@@ -12,15 +12,16 @@ exactly:
   :class:`~repro.swift.proxy.SwiftCluster` as proxy/object middleware
   and a storlet sandbox hook;
 * :mod:`repro.faults.plans` -- the named plans the chaos suite and the
-  CLI share;
-* :mod:`repro.faults.des` -- deriving an equivalent fault timeline for
-  the discrete-event perf model from the same seed.
+  CLI share.
+
+Faults act on the functional stack only; the perf model
+(:mod:`repro.perfmodel`, a fair-share fluid model over aggregated
+cluster resources) replays fault-free runs.
 
 Same seed + same plan => same fault sequence, same retry counters, same
 query results.  That invariant is what the chaos tests assert.
 """
 
-from repro.faults.des import FaultEvent, fault_timeline, schedule_faults
 from repro.faults.inject import FaultInjector, install_fault_plan
 from repro.faults.plan import (
     DeviceLoss,
@@ -35,7 +36,6 @@ from repro.faults.plans import NAMED_PLANS, all_plans, named_plan
 
 __all__ = [
     "DeviceLoss",
-    "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "FlakyObjectServer",
@@ -45,8 +45,6 @@ __all__ = [
     "SlowObjectServer",
     "StorletCrash",
     "all_plans",
-    "fault_timeline",
     "install_fault_plan",
     "named_plan",
-    "schedule_faults",
 ]

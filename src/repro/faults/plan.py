@@ -131,10 +131,8 @@ class FaultPlan:
 
     The plan is consulted by the injection middleware/hooks at three
     points -- object-server requests, proxy requests and storlet
-    invocations -- and by the DES adapter
-    (:func:`repro.faults.des.fault_timeline`) to derive an equivalent
-    simulated fault schedule from the same seed.  All decision points are
-    thread-safe; see the module docstring for the determinism argument.
+    invocations.  All decision points are thread-safe; see the module
+    docstring for the determinism argument.
     """
 
     def __init__(self, seed: int = 20170417, faults: Tuple[FaultRule, ...] = ()):

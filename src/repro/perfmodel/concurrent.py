@@ -10,28 +10,13 @@ tenant's pushdown brings to its *neighbours* is measurable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.cluster.flow import FlowNetwork, FlowResource
-from repro.cluster.metrics import ResourceSeries
-from repro.perfmodel.model import IngestSimulation, SelectivityProfile
+from repro.perfmodel.flow import FlowNetwork, ResourceSeries
+from repro.perfmodel.kernel import Environment
+from repro.perfmodel.model import IngestSimulation, JobSpec, SelectivityProfile
 from repro.perfmodel.parameters import PerfParameters
-from repro.simulation import Environment
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One tenant's query in a concurrent scenario."""
-
-    name: str
-    mode: str
-    dataset_bytes: float
-    profile: SelectivityProfile = field(
-        default_factory=lambda: SelectivityProfile(0.0)
-    )
-    start_time: float = 0.0
 
 
 @dataclass
@@ -62,7 +47,11 @@ class ConcurrentRunResult:
 
 
 class ConcurrentIngestSimulation(IngestSimulation):
-    """Runs several jobs against one shared resource model."""
+    """Runs several jobs against one shared resource model.
+
+    Each job is the single-query replay's job; only the pools (and the
+    clock) are shared, under max-min fairness.
+    """
 
     def run_concurrent(
         self, specs: Sequence[JobSpec]
@@ -72,126 +61,29 @@ class ConcurrentIngestSimulation(IngestSimulation):
         for spec in specs:
             if spec.mode not in self.MODES:
                 raise ValueError(f"unknown mode {spec.mode!r} in {spec.name}")
-        params = self.params
-        testbed = params.testbed
-        node = testbed.node_spec
 
         env = Environment()
         network = FlowNetwork(env)
-        resources = {
-            "storage_disk": network.add_resource(
-                "storage.disk",
-                testbed.storage_count
-                * testbed.storage_disks_in_ring
-                * node.disk_bandwidth,
-            ),
-            "storage_cpu": network.add_resource(
-                "storage.cpu", params.total_storage_cores()
-            ),
-            "storage_nic": network.add_resource(
-                "storage.nic", testbed.storage_count * node.nic_bandwidth
-            ),
-            "proxy_cpu": network.add_resource(
-                "proxy.cpu", testbed.proxy_count * node.cores
-            ),
-            "proxy_nic": network.add_resource(
-                "proxy.nic", testbed.proxy_count * node.nic_bandwidth
-            ),
-            "lb": network.add_resource("lb.link", testbed.lb_bandwidth),
-            "worker_nic": network.add_resource(
-                "worker.nic", testbed.worker_count * node.nic_bandwidth
-            ),
-            "worker_cpu": network.add_resource(
-                "worker.cpu", params.total_worker_cores()
-            ),
-        }
+        resources = self._resources(network)
         lb = resources["lb"]
         lb_series = ResourceSeries("lb.utilization")
-
-        def sampler():
-            while True:
-                lb_series.record(env.now, lb.utilization())
-                yield env.timeout(params.metrics_interval)
-
-        sampler_process = env.process(sampler())
-
-        results: List[JobResult] = []
-        done_events = []
-
-        for spec in specs:
-            done = env.event()
-            done_events.append(done)
-            env.process(self._job(env, network, resources, spec, done, results))
+        self._start_sampler(env, lambda now: lb_series.record(now, lb.utilization()))
+        tenants = [
+            env.process(self._job(env, network, resources, spec))
+            for spec in specs
+        ]
 
         def all_done():
-            for event in done_events:
-                yield event
+            for tenant in tenants:
+                yield tenant
 
-        finished = env.process(all_done())
-        env.run(until=finished)
-        sampler_process.interrupt("done")
-        env.run()
+        env.run(until=env.process(all_done()))
+        results = [
+            JobResult(spec.name, spec.mode, spec.start_time, tenant.value)
+            for spec, tenant in zip(specs, tenants)
+        ]
         results.sort(key=lambda r: r.name)
         return ConcurrentRunResult(jobs=results, lb_utilization=lb_series)
-
-    # -- one job as a process ----------------------------------------------
-
-    def _job(self, env, network, resources, spec: JobSpec, done, results):
-        params = self.params
-        weights, scan_factor = self._task_weights(
-            spec.mode, spec.profile, resources
-        )
-        scanned_total = spec.dataset_bytes * scan_factor
-        task_count = max(1, math.ceil(scanned_total / params.chunk_size))
-        # Tenants share the slot pool; give each job an equal static share
-        # (the scheduler-level fairness the paper's multi-tenant compute
-        # cluster would provide).
-        slots = max(1, params.total_slots())
-        stream_rate = (
-            params.storlet_stream_rate
-            if spec.mode.startswith("pushdown")
-            else params.plain_stream_rate
-        )
-        streams = network.add_resource(
-            f"streams.{spec.name}", min(slots, task_count) * stream_rate
-        )
-        weights = dict(weights)
-        weights[streams] = 1.0
-
-        macro_count = min(params.max_macro_flows, task_count)
-        chunk = scanned_total / task_count
-        latency = params.task_fixed_latency
-        if spec.mode.startswith("pushdown"):
-            latency += params.storlet_task_extra_latency
-
-        if spec.start_time > 0:
-            yield env.timeout(spec.start_time)
-        yield env.timeout(params.job_fixed_overhead)
-
-        def macro_flow(index: int):
-            for wave_tasks in self._wave_split(
-                task_count, slots, macro_count, index
-            ):
-                if wave_tasks == 0:
-                    continue
-                yield env.timeout(latency)
-                flow = network.start_flow(
-                    wave_tasks * chunk, weights, label=f"{spec.name}#{index}"
-                )
-                yield flow.done
-
-        flows = [env.process(macro_flow(i)) for i in range(macro_count)]
-        for process in flows:
-            yield process
-        results.append(
-            JobResult(
-                name=spec.name,
-                mode=spec.mode,
-                start_time=spec.start_time,
-                finish_time=env.now,
-            )
-        )
-        done.succeed()
 
 
 @dataclass

@@ -20,15 +20,20 @@ is exact for piecewise-constant fluid models.
 This is the timing engine behind every Scoop experiment: the superlinear
 speedups in Fig. 5/6 of the paper fall out of the bottleneck moving from
 the load-balancer link to storage-node CPUs as data selectivity grows.
+
+:class:`ResourceSeries` holds what a replay samples from the resources
+(throughput, utilization, memory) at a fixed virtual-time interval.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.simulation import Environment, Event, Interrupt
+from repro.perfmodel.kernel import Environment, Event, Interrupt
 
 _EPSILON = 1e-12
 
@@ -97,7 +102,6 @@ class FlowNetwork:
         self._flows: Set[Flow] = set()
         self._last_update = env.now
         self._timer: Optional[object] = None  # the sleeping watcher Process
-        self._completed_count = 0
 
     # -- topology --------------------------------------------------------
 
@@ -107,9 +111,6 @@ class FlowNetwork:
         resource = FlowResource(name, capacity)
         self.resources[name] = resource
         return resource
-
-    def resource(self, name: str) -> FlowResource:
-        return self.resources[name]
 
     # -- flow lifecycle ----------------------------------------------------
 
@@ -137,22 +138,6 @@ class FlowNetwork:
         self._reallocate()
         return flow
 
-    def cancel_flow(self, flow: Flow) -> None:
-        """Abort a flow in flight; its ``done`` event fails with Interrupt."""
-        if flow not in self._flows:
-            return
-        self._advance()
-        self._remove(flow)
-        if not flow.done.triggered:
-            error = Interrupt("flow cancelled")
-            flow.done.fail(error)
-            flow.done._defused = True
-        self._reallocate()
-
-    @property
-    def completed_count(self) -> int:
-        return self._completed_count
-
     # -- allocation engine -------------------------------------------------
 
     def _advance(self) -> None:
@@ -179,7 +164,6 @@ class FlowNetwork:
         for flow in finished:
             flow.remaining = 0.0
             self._remove(flow)
-            self._completed_count += 1
             flow.done.succeed(flow)
 
     def _remove(self, flow: Flow) -> None:
@@ -329,3 +313,44 @@ def _max_min_single_resource(capacity: float, users) -> Dict[Flow, float]:
         allocation[flow] = granted
         remaining -= granted
     return allocation
+
+
+@dataclass
+class ResourceSeries:
+    """One sampled time series: (time, value) pairs plus summary stats.
+
+    A replay records into it from one thread on the virtual clock;
+    appends still take a lock, so a series shared between threads can
+    never tear its parallel times/values lists.
+    """
+
+    name: str
+    times: List[float] = field(default_factory=list)
+    values: List[float] = field(default_factory=list)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def record(self, time: float, value: float) -> None:
+        with self._lock:
+            self.times.append(time)
+            self.values.append(value)
+
+    def mean(self) -> float:
+        if not self.values:
+            return 0.0
+        return sum(self.values) / len(self.values)
+
+    def peak(self) -> float:
+        return max(self.values, default=0.0)
+
+    def integral(self) -> float:
+        """Trapezoidal integral of the series (e.g. CPU-seconds burnt)."""
+        total = 0.0
+        for i in range(1, len(self.times)):
+            dt = self.times[i] - self.times[i - 1]
+            total += dt * (self.values[i] + self.values[i - 1]) / 2
+        return total
+
+    def __len__(self) -> int:
+        return len(self.values)

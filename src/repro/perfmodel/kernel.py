@@ -1,12 +1,155 @@
-"""Events, timeouts, processes and interrupts for the DES kernel."""
+"""Event loop, virtual clock and processes for the fluid-flow replay.
+
+A small, dependency-free discrete-event kernel in the style of SimPy:
+:class:`Environment` owns the clock and the pending-event heap, and
+processes are Python generators that ``yield`` :class:`Event` instances
+(a :class:`Timeout`, a flow's ``done`` event, another :class:`Process`).
+The perf model's jobs, macro-flows, samplers and the flow network's
+completion timer all run on it, so a replay is deterministic virtual time.
+"""
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Any, Callable, Generator, List, Optional
 
-from repro.simulation.core import Environment, SimulationError, ensure_generator
-
 PENDING = object()
+
+
+class SimulationError(Exception):
+    """Raised for illegal kernel operations (negative delays, reuse...)."""
+
+
+class StopSimulation(Exception):
+    """Internal signal used by :meth:`Environment.run` with an until-event."""
+
+
+class Environment:
+    """A discrete-event simulation environment.
+
+    The environment owns the virtual clock and the pending-event heap.
+    Processes are plain generator functions that yield :class:`Event`
+    instances; the environment resumes them when the yielded event fires.
+
+    Example
+    -------
+    >>> env = Environment()
+    >>> log = []
+    >>> def proc(env):
+    ...     yield env.timeout(3)
+    ...     log.append(env.now)
+    >>> _ = env.process(proc(env))
+    >>> env.run()
+    >>> log
+    [3]
+    """
+
+    def __init__(self, initial_time: float = 0.0):
+        self._now = float(initial_time)
+        self._queue: list[tuple[float, int, int, "Event"]] = []
+        self._eid = itertools.count()
+        self._active_process: Optional["Process"] = None
+
+    @property
+    def now(self) -> float:
+        """Current virtual time."""
+        return self._now
+
+    # -- event construction helpers -------------------------------------
+
+    def event(self) -> "Event":
+        """Create a fresh, untriggered event bound to this environment."""
+        return Event(self)
+
+    def timeout(self, delay: float, value: Any = None) -> "Event":
+        """Create an event that fires ``delay`` time units from now."""
+        return Timeout(self, delay, value)
+
+    def process(self, generator: Generator) -> "Process":
+        """Start a new process running ``generator`` and return it."""
+        return Process(self, generator)
+
+    # -- scheduling ------------------------------------------------------
+
+    def schedule(self, event: "Event", delay: float = 0.0, priority: int = 1) -> None:
+        """Place a triggered event on the heap, ``delay`` units from now.
+
+        ``priority`` breaks ties at equal times: lower runs first.  The
+        kernel uses priority 0 for process resumptions that must precede
+        ordinary events scheduled at the same instant (e.g. interrupts).
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        heapq.heappush(
+            self._queue, (self._now + delay, priority, next(self._eid), event)
+        )
+
+    def step(self) -> None:
+        """Process the single next event.
+
+        Raises :class:`SimulationError` when the queue is empty.
+        """
+        if not self._queue:
+            raise SimulationError("step() on an empty schedule")
+        when, _prio, _eid, event = heapq.heappop(self._queue)
+        self._now = when
+        event._run_callbacks()
+
+    def run(self, until: Optional[float] = None) -> Any:
+        """Run until the schedule drains, time ``until`` passes, or an
+        until-event fires.
+
+        ``until`` may be a number (stop when the clock would pass it) or an
+        :class:`Event` (stop when it fires and return its value; raise if
+        the schedule drains first).
+        """
+        until_event: Optional[Event] = None
+        until_time = float("inf")
+        if until is None:
+            pass
+        elif isinstance(until, Event):
+            until_event = until
+            if until_event.triggered and until_event.processed:
+                return until_event.value
+            until_event.callbacks.append(self._stop_on_event)
+        else:
+            until_time = float(until)
+            if until_time < self._now:
+                raise SimulationError(
+                    f"until={until_time} lies in the past (now={self._now})"
+                )
+
+        try:
+            while self._queue:
+                if self._queue[0][0] > until_time:
+                    self._now = until_time
+                    return None
+                self.step()
+        except StopSimulation as stop:
+            return stop.args[0]
+
+        if until_event is not None:
+            raise SimulationError("schedule drained before the until-event fired")
+        if until_time != float("inf"):
+            self._now = until_time
+        return None
+
+    @staticmethod
+    def _stop_on_event(event: "Event") -> None:
+        if event.failed:
+            raise event.value
+        raise StopSimulation(event.value)
+
+
+def ensure_generator(candidate: Any) -> Generator:
+    """Validate that ``candidate`` is a generator; helpful error otherwise."""
+    if not hasattr(candidate, "send") or not hasattr(candidate, "throw"):
+        raise SimulationError(
+            "process() expects a generator (did you forget to call the "
+            f"generator function?): {candidate!r}"
+        )
+    return candidate
 
 
 class Interrupt(Exception):
@@ -80,12 +223,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def _run_callbacks(self) -> None:
         if self._processed:
             return
@@ -99,14 +236,6 @@ class Event:
             "triggered" if self.triggered else "pending"
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-    # -- composition -----------------------------------------------------
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
 
 
 class Timeout(Event):
@@ -146,16 +275,11 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._value is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        if self is self.env.active_process:
+        if self is self.env._active_process:
             raise SimulationError("a process cannot interrupt itself")
         interrupt_event = Event(self.env)
         interrupt_event._ok = False
@@ -219,55 +343,3 @@ class Process(Event):
             self.env._active_process = None
             if self._target is not None and event is self._target:
                 self._target = None
-
-
-class Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite events."""
-
-    def __init__(self, env: Environment, events: List[Event]):
-        super().__init__(env)
-        self._events = events
-        self._pending = 0
-        for event in events:
-            if event.env is not env:
-                raise SimulationError("events from mixed environments")
-        for event in events:
-            if event.processed:
-                self._check(event)
-            else:
-                self._pending += 1
-                event.callbacks.append(self._check)
-        if not events and not self.triggered:
-            self.succeed(dict())
-
-    def _satisfied(self, fired: int, total: int) -> bool:
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.failed:
-            event._defused = True
-            self.fail(event._value)
-            return
-        # Count events that have actually fired (callbacks run) -- a
-        # Timeout is "triggered" from creation but fires later.
-        fired = sum(1 for ev in self._events if ev.processed and ev.ok)
-        if self._satisfied(fired, len(self._events)):
-            self.succeed(
-                {ev: ev._value for ev in self._events if ev.processed and ev.ok}
-            )
-
-
-class AnyOf(Condition):
-    """Fires when any constituent event fires."""
-
-    def _satisfied(self, fired: int, total: int) -> bool:
-        return fired >= 1 or total == 0
-
-
-class AllOf(Condition):
-    """Fires when all constituent events have fired."""
-
-    def _satisfied(self, fired: int, total: int) -> bool:
-        return fired == total

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.flow import FlowNetwork, FlowResource
-from repro.cluster.metrics import ResourceSeries
+from repro.perfmodel.flow import FlowNetwork, FlowResource, ResourceSeries
+from repro.perfmodel.kernel import Environment
 from repro.perfmodel.parameters import PerfParameters
-from repro.simulation import Environment
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,19 @@ class SelectivityProfile:
     @classmethod
     def mixed(cls, selectivity: float) -> "SelectivityProfile":
         return cls(selectivity, row_filtering=True, column_projection=True)
+
+
+@dataclass(frozen=True)
+class JobSpec:
+    """One query to replay; in a concurrent scenario, one tenant's."""
+
+    name: str
+    mode: str
+    dataset_bytes: float
+    profile: SelectivityProfile = field(
+        default_factory=lambda: SelectivityProfile(0.0)
+    )
+    start_time: float = 0.0
 
 
 @dataclass
@@ -105,69 +117,13 @@ class IngestSimulation:
             raise ValueError(f"mode must be one of {self.MODES}: {mode!r}")
         profile = profile or SelectivityProfile(0.0)
         params = self.params
-        spec = params.testbed
-        node = spec.node_spec
+        testbed = params.testbed
+        job = JobSpec("query", mode, dataset_bytes, profile)
+        scanned_total, task_count = self._scan_plan(job)
 
         env = Environment()
         network = FlowNetwork(env)
-        storage_disk = network.add_resource(
-            "storage.disk",
-            spec.storage_count * spec.storage_disks_in_ring * node.disk_bandwidth,
-        )
-        storage_cpu = network.add_resource(
-            "storage.cpu", params.total_storage_cores()
-        )
-        storage_nic = network.add_resource(
-            "storage.nic", spec.storage_count * node.nic_bandwidth
-        )
-        proxy_cpu = network.add_resource(
-            "proxy.cpu", spec.proxy_count * node.cores
-        )
-        proxy_nic = network.add_resource(
-            "proxy.nic", spec.proxy_count * node.nic_bandwidth
-        )
-        lb = network.add_resource("lb.link", spec.lb_bandwidth)
-        worker_nic = network.add_resource(
-            "worker.nic", spec.worker_count * node.nic_bandwidth
-        )
-        worker_cpu = network.add_resource(
-            "worker.cpu", params.total_worker_cores()
-        )
-
-        weights, scan_bytes_factor = self._task_weights(
-            mode,
-            profile,
-            {
-                "storage_disk": storage_disk,
-                "storage_cpu": storage_cpu,
-                "storage_nic": storage_nic,
-                "proxy_cpu": proxy_cpu,
-                "proxy_nic": proxy_nic,
-                "lb": lb,
-                "worker_nic": worker_nic,
-                "worker_cpu": worker_cpu,
-            },
-        )
-
-        scanned_total = dataset_bytes * scan_bytes_factor
-        task_count = max(1, math.ceil(scanned_total / params.chunk_size))
-        slots = params.total_slots()
-        # Per-stream ceiling: N concurrent single-threaded tasks cannot
-        # scan/transfer faster than N x the per-stream rate, however much
-        # aggregate capacity the pools have.  This is what penalizes
-        # oversized chunks in the partition-size ablation.
-        stream_rate = (
-            params.storlet_stream_rate
-            if mode.startswith("pushdown")
-            else params.plain_stream_rate
-        )
-        streams = network.add_resource(
-            "streams.cap", min(slots, task_count) * stream_rate
-        )
-        weights[streams] = 1.0
-        wave_count = math.ceil(task_count / slots)
-        macro_count = min(params.max_macro_flows, task_count)
-        kept = self._kept_fraction(mode, profile)
+        resources = self._resources(network)
 
         # -- memory accounting (sampled, not flow-modelled) -----------------
         memory_state = {
@@ -179,12 +135,19 @@ class IngestSimulation:
                 else 0.0
             ),
         }
-        worker_memory_total = (
-            spec.worker_count * node.memory_bytes
-        )
+        worker_memory_total = testbed.worker_count * testbed.node_spec.memory_bytes
         buffered_bytes_per_task = (
-            (scanned_total / task_count) * kept * params.worker_buffer_fraction
+            (scanned_total / task_count)
+            * self._kept_fraction(mode, profile)
+            * params.worker_buffer_fraction
         )
+
+        def on_wave(wave_task_count: int) -> None:
+            memory_state["worker"] = min(
+                0.95,
+                memory_state["worker"]
+                + wave_task_count * buffered_bytes_per_task / worker_memory_total,
+            )
 
         series: Dict[str, ResourceSeries] = {
             key: ResourceSeries(key)
@@ -198,70 +161,30 @@ class IngestSimulation:
                 "proxy.nic.throughput",
             )
         }
+        lb = resources["lb"]
+        storage_cpu = resources["storage_cpu"]
+        worker_cpu = resources["worker_cpu"]
+        proxy_nic = resources["proxy_nic"]
 
-        def sampler():
-            while True:
-                now = env.now
-                series["lb.throughput"].record(now, lb.throughput())
-                series["lb.utilization"].record(now, lb.utilization())
-                series["storage.cpu"].record(now, storage_cpu.utilization())
-                series["worker.cpu"].record(now, worker_cpu.utilization())
-                series["worker.memory"].record(now, memory_state["worker"])
-                series["storage.memory"].record(now, memory_state["storage"])
-                series["proxy.nic.throughput"].record(
-                    now, proxy_nic.throughput()
-                )
-                yield env.timeout(params.metrics_interval)
+        def sample(now: float) -> None:
+            series["lb.throughput"].record(now, lb.throughput())
+            series["lb.utilization"].record(now, lb.utilization())
+            series["storage.cpu"].record(now, storage_cpu.utilization())
+            series["worker.cpu"].record(now, worker_cpu.utilization())
+            series["worker.memory"].record(now, memory_state["worker"])
+            series["storage.memory"].record(now, memory_state["storage"])
+            series["proxy.nic.throughput"].record(now, proxy_nic.throughput())
 
-        sampler_process = env.process(sampler())
+        self._start_sampler(env, sample)
 
-        done_event = env.event()
-
-        def macro_flow(flow_index: int):
-            """One macro-flow: its share of every wave's tasks."""
-            tasks_for_me = [
-                wave_tasks
-                for wave_tasks in self._wave_split(
-                    task_count, slots, macro_count, flow_index
-                )
-            ]
-            chunk = scanned_total / task_count
-            latency = params.task_fixed_latency
-            if mode.startswith("pushdown"):
-                latency += params.storlet_task_extra_latency
-            for wave_task_count in tasks_for_me:
-                if wave_task_count == 0:
-                    continue
-                yield env.timeout(latency)
-                flow = network.start_flow(
-                    wave_task_count * chunk, weights, label=f"f{flow_index}"
-                )
-                yield flow.done
-                memory_state["worker"] = min(
-                    0.95,
-                    memory_state["worker"]
-                    + wave_task_count
-                    * buffered_bytes_per_task
-                    / worker_memory_total,
-                )
-
-        def job():
-            yield env.timeout(params.job_fixed_overhead)
-            flows = [
-                env.process(macro_flow(index)) for index in range(macro_count)
-            ]
-            for process in flows:
-                yield process
+        def query():
+            yield from self._job(env, network, resources, job, on_wave)
             # Release buffered memory shortly after the job completes.
             yield env.timeout(1.0)
             memory_state["worker"] = params.worker_baseline_memory
-            done_event.succeed(env.now)
+            return env.now
 
-        env.process(job())
-        duration = env.run(until=done_event)
-        sampler_process.interrupt("done")
-        env.run()
-
+        duration = env.run(until=env.process(query()))
         return RunResult(
             mode=mode,
             dataset_bytes=dataset_bytes,
@@ -269,7 +192,7 @@ class IngestSimulation:
             bytes_over_lb=scanned_total * self._lb_fraction(mode, profile),
             series=series,
             task_count=task_count,
-            wave_count=wave_count,
+            wave_count=math.ceil(task_count / max(1, params.total_slots())),
         )
 
     def speedup(
@@ -284,46 +207,155 @@ class IngestSimulation:
         accelerated = self.run(mode, dataset_bytes, profile)
         return baseline.duration / accelerated.duration
 
+    # -- one replay: the shared pools, each job, the sampler --------------------
+
+    def _resources(self, network: FlowNetwork) -> Dict[str, FlowResource]:
+        """The eight aggregated cluster pools every job's flows share."""
+        params = self.params
+        spec = params.testbed
+        node = spec.node_spec
+        return {
+            "storage_disk": network.add_resource(
+                "storage.disk",
+                spec.storage_count * spec.storage_disks_in_ring * node.disk_bandwidth,
+            ),
+            "storage_cpu": network.add_resource(
+                "storage.cpu", params.total_storage_cores()
+            ),
+            "storage_nic": network.add_resource(
+                "storage.nic", spec.storage_count * node.nic_bandwidth
+            ),
+            "proxy_cpu": network.add_resource(
+                "proxy.cpu", spec.proxy_count * node.cores
+            ),
+            "proxy_nic": network.add_resource(
+                "proxy.nic", spec.proxy_count * node.nic_bandwidth
+            ),
+            "lb": network.add_resource("lb.link", spec.lb_bandwidth),
+            "worker_nic": network.add_resource(
+                "worker.nic", spec.worker_count * node.nic_bandwidth
+            ),
+            "worker_cpu": network.add_resource(
+                "worker.cpu", params.total_worker_cores()
+            ),
+        }
+
+    def _job(
+        self,
+        env: Environment,
+        network: FlowNetwork,
+        resources: Dict[str, FlowResource],
+        job: JobSpec,
+        on_wave: Optional[Callable[[int], None]] = None,
+    ):
+        """One job as a process body; returns its finish time.
+
+        After ``start_time`` and the job overhead, the tasks run in waves
+        of at most ``total_slots()``, grouped into at most
+        ``max_macro_flows`` macro-flows; ``on_wave(tasks)`` runs after
+        each macro-flow's share of a wave lands.
+        """
+        params = self.params
+        weights = self._task_weights(job.mode, job.profile, resources)
+        scanned_total, task_count = self._scan_plan(job)
+        slots = max(1, params.total_slots())
+        pushdown = job.mode.startswith("pushdown")
+        # Per-stream ceiling: N concurrent single-threaded tasks cannot
+        # scan/transfer faster than N x the per-stream rate, however much
+        # aggregate capacity the pools have.  This is what penalizes
+        # oversized chunks in the partition-size ablation.
+        stream_rate = (
+            params.storlet_stream_rate if pushdown else params.plain_stream_rate
+        )
+        streams = network.add_resource(
+            f"streams.{job.name}", min(slots, task_count) * stream_rate
+        )
+        weights[streams] = 1.0
+        macro_count = min(params.max_macro_flows, task_count)
+        chunk = scanned_total / task_count
+        latency = params.task_fixed_latency
+        if pushdown:
+            latency += params.storlet_task_extra_latency
+
+        def macro_flow(index: int):
+            """One macro-flow: its share of every wave's tasks."""
+            for wave_tasks in self._wave_split(
+                task_count, slots, macro_count, index
+            ):
+                if wave_tasks == 0:
+                    continue
+                yield env.timeout(latency)
+                flow = network.start_flow(
+                    wave_tasks * chunk, weights, label=f"{job.name}#{index}"
+                )
+                yield flow.done
+                if on_wave is not None:
+                    on_wave(wave_tasks)
+
+        if job.start_time > 0:
+            yield env.timeout(job.start_time)
+        yield env.timeout(params.job_fixed_overhead)
+        flows = [env.process(macro_flow(index)) for index in range(macro_count)]
+        for process in flows:
+            yield process
+        return env.now
+
+    def _start_sampler(
+        self, env: Environment, sample: Callable[[float], None]
+    ) -> None:
+        """Call ``sample(now)`` at time 0 and every ``metrics_interval``."""
+
+        def sampler():
+            while True:
+                sample(env.now)
+                yield env.timeout(self.params.metrics_interval)
+
+        env.process(sampler())
+
     # -- internals ------------------------------------------------------------
+
+    def _scan_plan(self, job: JobSpec) -> Tuple[float, int]:
+        """Bytes the job scans and the number of tasks they split into.
+
+        Parquet scans the compressed bytes; every other mode the CSV.
+        """
+        scanned = job.dataset_bytes * (
+            self.params.parquet_compression_ratio if job.mode == "parquet" else 1.0
+        )
+        return scanned, max(1, math.ceil(scanned / self.params.chunk_size))
 
     def _task_weights(
         self,
         mode: str,
         profile: SelectivityProfile,
         resources: Dict[str, FlowResource],
-    ):
-        """Per-scanned-byte weights and the scan-bytes/dataset-bytes ratio."""
+    ) -> Dict[FlowResource, float]:
+        """Per-scanned-byte weights on each pool."""
         params = self.params
         kept = profile.kept_fraction
         if mode == "plain":
-            return (
-                {
-                    resources["storage_disk"]: 1.0,
-                    resources["storage_cpu"]: params.storage_relay_cost,
-                    resources["storage_nic"]: 1.0,
-                    resources["proxy_nic"]: 2.0,  # in + out of the proxy
-                    resources["lb"]: 1.0,
-                    resources["worker_nic"]: 1.0,
-                    resources["worker_cpu"]: params.spark_parse_cost,
-                },
-                1.0,
-            )
+            return {
+                resources["storage_disk"]: 1.0,
+                resources["storage_cpu"]: params.storage_relay_cost,
+                resources["storage_nic"]: 1.0,
+                resources["proxy_nic"]: 2.0,  # in + out of the proxy
+                resources["lb"]: 1.0,
+                resources["worker_nic"]: 1.0,
+                resources["worker_cpu"]: params.spark_parse_cost,
+            }
         if mode == "pushdown":
             storlet = params.storlet_cost(
                 profile.row_filtering, profile.column_projection
             ) + kept * params.storlet_output_cost
-            return (
-                {
-                    resources["storage_disk"]: 1.0,
-                    resources["storage_cpu"]: storlet,
-                    resources["storage_nic"]: kept,
-                    resources["proxy_nic"]: 2.0 * kept,
-                    resources["lb"]: kept,
-                    resources["worker_nic"]: kept,
-                    resources["worker_cpu"]: kept * params.spark_post_cost,
-                },
-                1.0,
-            )
+            return {
+                resources["storage_disk"]: 1.0,
+                resources["storage_cpu"]: storlet,
+                resources["storage_nic"]: kept,
+                resources["proxy_nic"]: 2.0 * kept,
+                resources["lb"]: kept,
+                resources["worker_nic"]: kept,
+                resources["worker_cpu"]: kept * params.spark_post_cost,
+            }
         if mode == "pushdown_compressed":
             # Filter at the store, then compress the filtered output
             # before it crosses the network (Section VI-C).
@@ -336,52 +368,43 @@ class IngestSimulation:
                 + kept * params.compress_cost
             )
             wire = kept * ratio
-            return (
-                {
-                    resources["storage_disk"]: 1.0,
-                    resources["storage_cpu"]: storlet,
-                    resources["storage_nic"]: wire,
-                    resources["proxy_nic"]: 2.0 * wire,
-                    resources["lb"]: wire,
-                    resources["worker_nic"]: wire,
-                    resources["worker_cpu"]: wire * params.decompress_cost
-                    + kept * params.spark_post_cost,
-                },
-                1.0,
-            )
+            return {
+                resources["storage_disk"]: 1.0,
+                resources["storage_cpu"]: storlet,
+                resources["storage_nic"]: wire,
+                resources["proxy_nic"]: 2.0 * wire,
+                resources["lb"]: wire,
+                resources["worker_nic"]: wire,
+                resources["worker_cpu"]: wire * params.decompress_cost
+                + kept * params.spark_post_cost,
+            }
         if mode == "pushdown_proxy":
             # Staging ablation: the full object crosses the storage NIC to
             # the proxy, whose small CPU pool runs the storlet.
             storlet = params.storlet_cost(
                 profile.row_filtering, profile.column_projection
             ) + kept * params.storlet_output_cost
-            return (
-                {
-                    resources["storage_disk"]: 1.0,
-                    resources["storage_cpu"]: params.storage_relay_cost,
-                    resources["storage_nic"]: 1.0,
-                    resources["proxy_nic"]: 1.0 + kept,
-                    resources["proxy_cpu"]: storlet,
-                    resources["lb"]: kept,
-                    resources["worker_nic"]: kept,
-                    resources["worker_cpu"]: kept * params.spark_post_cost,
-                },
-                1.0,
-            )
+            return {
+                resources["storage_disk"]: 1.0,
+                resources["storage_cpu"]: params.storage_relay_cost,
+                resources["storage_nic"]: 1.0,
+                resources["proxy_nic"]: 1.0 + kept,
+                resources["proxy_cpu"]: storlet,
+                resources["lb"]: kept,
+                resources["worker_nic"]: kept,
+                resources["worker_cpu"]: kept * params.spark_post_cost,
+            }
         if mode == "parquet":
-            # Scanned bytes = compressed bytes; whole object travels.
-            return (
-                {
-                    resources["storage_disk"]: 1.0,
-                    resources["storage_cpu"]: params.storage_relay_cost,
-                    resources["storage_nic"]: 1.0,
-                    resources["proxy_nic"]: 2.0,
-                    resources["lb"]: 1.0,
-                    resources["worker_nic"]: 1.0,
-                    resources["worker_cpu"]: params.parquet_decode_cost,
-                },
-                params.parquet_compression_ratio,
-            )
+            # The whole compressed object travels.
+            return {
+                resources["storage_disk"]: 1.0,
+                resources["storage_cpu"]: params.storage_relay_cost,
+                resources["storage_nic"]: 1.0,
+                resources["proxy_nic"]: 2.0,
+                resources["lb"]: 1.0,
+                resources["worker_nic"]: 1.0,
+                resources["worker_cpu"]: params.parquet_decode_cost,
+            }
         raise ValueError(f"unknown mode {mode!r}")
 
     def _kept_fraction(self, mode: str, profile: SelectivityProfile) -> float:

@@ -22,9 +22,46 @@ anchors rather than guessed:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
-from repro.cluster.topology import OSIC_SPEC, TestbedSpec
+
+@dataclass(frozen=True)
+class NodeSpec:
+    """Hardware description of one machine.
+
+    Defaults correspond to the paper's OSIC servers: HP DL380 Gen9,
+    2x 12-core Intel E5-2680 v3, 256 GB RAM, 12x 600 GB 15K SAS disks,
+    dual 10 GbE bonded NICs.
+    """
+
+    cores: int = 24
+    memory_bytes: float = 256 * 2**30
+    nic_bandwidth: float = 2 * 10e9 / 8  # 2x10 Gbps bond, in bytes/s
+    disk_bandwidth: float = 180e6  # 15K SAS sequential read, bytes/s
+
+
+@dataclass(frozen=True)
+class TestbedSpec:
+    """Counts and link speeds for a disaggregated testbed.
+
+    Section VI ("Platform"): 6 Swift proxy/metadata servers, 29 object
+    servers (10 data disks each in the object ring), 25 Spark workers,
+    and one HAProxy load balancer whose 10 Gbps link carries every byte
+    from the storage cluster to the compute cluster (Fig. 9c shows it
+    saturating during plain ingest).
+    """
+
+    __test__ = False  # not a pytest test class despite the name
+
+    proxy_count: int = 6
+    storage_count: int = 29
+    worker_count: int = 25
+    lb_bandwidth: float = 10e9 / 8  # HAProxy machine: one 10 Gbps link
+    storage_disks_in_ring: int = 10
+    node_spec: NodeSpec = field(default_factory=NodeSpec)
+
+
+OSIC_SPEC = TestbedSpec()
 
 
 @dataclass(frozen=True)

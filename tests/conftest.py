@@ -7,14 +7,8 @@ import pytest
 from repro.core import ScoopContext
 from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
 from repro.gridpocket.generator import MeterDataGenerator
-from repro.simulation import Environment
 from repro.sql.types import Schema
 from repro.swift import SwiftClient, SwiftCluster
-
-
-@pytest.fixture
-def env() -> Environment:
-    return Environment()
 
 
 @pytest.fixture

@@ -1,68 +1,9 @@
-"""Tests for nodes, the testbed topology and the metrics collector."""
+"""Tests for the testbed constants and the sampled resource series."""
 
 import pytest
 
-from repro.cluster import (
-    FlowNetwork,
-    MetricsCollector,
-    Node,
-    NodeSpec,
-    OSIC_SPEC,
-    ResourceSeries,
-    Testbed,
-    TestbedSpec,
-)
-from repro.simulation import Environment
-
-
-class TestNode:
-    def make_node(self, env):
-        network = FlowNetwork(env)
-        return Node(network, "n0", NodeSpec(cores=4, disk_count=2))
-
-    def test_resources_registered(self, env):
-        node = self.make_node(env)
-        assert node.cpu.capacity == 4
-        assert len(node.disks) == 2
-        assert node.network.resource("n0.cpu") is node.cpu
-
-    def test_disk_wraps_around(self, env):
-        node = self.make_node(env)
-        assert node.disk(0) is node.disk(2)
-
-    def test_memory_allocation_and_free(self, env):
-        node = self.make_node(env)
-        node.allocate_memory(1024)
-        assert node.memory_used == 1024
-        node.free_memory(500)
-        assert node.memory_used == 524
-
-    def test_memory_over_allocation_raises(self, env):
-        node = self.make_node(env)
-        with pytest.raises(MemoryError):
-            node.allocate_memory(node.spec.memory_bytes + 1)
-
-    def test_negative_allocation_raises(self, env):
-        node = self.make_node(env)
-        with pytest.raises(ValueError):
-            node.allocate_memory(-1)
-
-    def test_baseline_memory_floor(self, env):
-        node = self.make_node(env)
-        node.set_baseline_memory(2048)
-        node.free_memory(10_000)
-        assert node.memory_used == 2048
-
-    def test_memory_fraction(self, env):
-        node = self.make_node(env)
-        node.allocate_memory(node.spec.memory_bytes / 2)
-        assert node.memory_fraction == pytest.approx(0.5)
-
-    def test_cpu_utilization_tracks_flows(self, env):
-        network = FlowNetwork(env)
-        node = Node(network, "n0", NodeSpec(cores=2))
-        network.start_flow(1000, {node.cpu: 1.0})
-        assert node.cpu_utilization() == pytest.approx(1.0)
+from repro.perfmodel.flow import ResourceSeries
+from repro.perfmodel.parameters import OSIC_SPEC
 
 
 class TestTestbed:
@@ -73,26 +14,6 @@ class TestTestbed:
         assert OSIC_SPEC.lb_bandwidth == pytest.approx(10e9 / 8)
         assert OSIC_SPEC.node_spec.cores == 24
 
-    def test_testbed_instantiates_all_nodes(self, env):
-        testbed = Testbed(env, TestbedSpec(2, 3, 4))
-        assert len(testbed.proxies) == 2
-        assert len(testbed.storage_nodes) == 3
-        assert len(testbed.workers) == 4
-        assert len(testbed.all_nodes()) == 9
-
-    def test_placement_helpers_wrap(self, env):
-        testbed = Testbed(env, TestbedSpec(2, 3, 4))
-        assert testbed.proxy_for(0) is testbed.proxy_for(2)
-        assert testbed.storage_for(1) is testbed.storage_for(4)
-        assert testbed.worker_for(3) is testbed.worker_for(7)
-
-    def test_scaled_spec(self):
-        half = OSIC_SPEC.scaled(0.5)
-        assert half.storage_count == 14 or half.storage_count == 15
-        assert half.lb_bandwidth == pytest.approx(OSIC_SPEC.lb_bandwidth / 2)
-        tiny = OSIC_SPEC.scaled(0.01)
-        assert tiny.proxy_count >= 1
-
 
 class TestResourceSeries:
     def test_statistics(self):
@@ -101,7 +22,6 @@ class TestResourceSeries:
             series.record(time, value)
         assert series.mean() == pytest.approx(3.0)
         assert series.peak() == 5.0
-        assert series.mean_over(1, 2) == pytest.approx(4.0)
         assert len(series) == 3
 
     def test_integral_trapezoidal(self):
@@ -115,57 +35,3 @@ class TestResourceSeries:
         assert series.mean() == 0.0
         assert series.peak() == 0.0
         assert series.integral() == 0.0
-
-
-class TestMetricsCollector:
-    def test_sampling_during_flows(self, env):
-        network = FlowNetwork(env)
-        node = Node(network, "n0", NodeSpec(cores=2, nic_bandwidth=100))
-        collector = MetricsCollector(env, interval=1.0)
-        collector.watch_nodes("workers", [node])
-        collector.watch_resource("nic", node.nic_out)
-        collector.start()
-
-        def job():
-            flow = network.start_flow(
-                500, {node.nic_out: 1.0, node.cpu: 0.01}
-            )
-            yield flow.done
-
-        env.process(job())
-        env.run(until=10)
-        collector.stop()
-        nic_series = collector.get("nic.throughput")
-        assert nic_series.peak() == pytest.approx(100.0)
-        cpu_series = collector.get("workers.cpu")
-        assert cpu_series.peak() > 0
-
-    def test_invalid_interval_raises(self, env):
-        with pytest.raises(ValueError):
-            MetricsCollector(env, interval=0)
-
-    def test_double_start_raises(self, env):
-        collector = MetricsCollector(env)
-        collector.start()
-        with pytest.raises(RuntimeError):
-            collector.start()
-
-    def test_summary_shape(self, env):
-        network = FlowNetwork(env)
-        node = Node(network, "n0", NodeSpec())
-        collector = MetricsCollector(env)
-        collector.watch_nodes("g", [node])
-        collector.sample_once()
-        summary = collector.summary()
-        assert "g.cpu" in summary
-        mean, peak = summary["g.cpu"]
-        assert mean == 0.0 and peak == 0.0
-
-    def test_memory_sampled(self, env):
-        network = FlowNetwork(env)
-        node = Node(network, "n0", NodeSpec(memory_bytes=1000))
-        node.allocate_memory(250)
-        collector = MetricsCollector(env)
-        collector.watch_nodes("g", [node])
-        collector.sample_once()
-        assert collector.get("g.memory").peak() == pytest.approx(0.25)

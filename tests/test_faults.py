@@ -10,12 +10,9 @@ from repro.faults import (
     FlakyProxy,
     SlowObjectServer,
     StorletCrash,
-    fault_timeline,
     install_fault_plan,
     named_plan,
-    schedule_faults,
 )
-from repro.simulation.core import Environment
 from repro.swift import RetryPolicy, SwiftClient, SwiftCluster
 from repro.swift.exceptions import SwiftError
 
@@ -265,36 +262,3 @@ class TestNamedPlans:
                 if isinstance(rule, StorletCrash) and rule.storlet is not None:
                     assert rule.storlet in deployed, (name, rule.storlet)
 
-
-class TestDesAdapter:
-    def test_timeline_is_deterministic(self):
-        plan = named_plan("flaky-object", seed=11)
-        first = fault_timeline(plan, horizon=100.0)
-        second = fault_timeline(named_plan("flaky-object", seed=11), 100.0)
-        assert first == second
-        assert all(event.time < 100.0 for event in first)
-
-    def test_timeline_respects_rule_budgets(self):
-        plan = FaultPlan(
-            seed=2, faults=(FlakyObjectServer(times=2, probability=1.0),)
-        )
-        events = fault_timeline(plan, horizon=10_000.0, mean_interval=1.0)
-        assert len(events) == 2
-
-    def test_schedule_faults_delivers_in_order(self):
-        plan = named_plan("flaky-object", seed=13)
-        timeline = fault_timeline(plan, horizon=200.0)
-        env = Environment()
-        seen = []
-        schedule_faults(
-            env, plan, horizon=200.0, on_fault=lambda e: seen.append(e)
-        )
-        env.run()
-        assert seen == timeline
-
-    def test_device_loss_maps_threshold_to_clock(self):
-        plan = FaultPlan(faults=(DeviceLoss(device_index=2, at_request=7),))
-        events = fault_timeline(plan, horizon=50.0)
-        assert len(events) == 1
-        assert events[0].time == 7.0
-        assert events[0].kind == "device-loss"

@@ -1,12 +1,10 @@
 """Tests for the max-min fair flow network (the timing engine)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import FlowNetwork
-from repro.simulation import Environment
+from repro.perfmodel.flow import FlowNetwork
+from repro.perfmodel.kernel import Environment
 
 
 def run_flows(flow_specs, resources):
@@ -120,38 +118,6 @@ class TestAllocation:
             network.add_resource("x", 2)
 
 
-class TestCancel:
-    def test_cancel_releases_capacity(self):
-        env = Environment()
-        network = FlowNetwork(env)
-        link = network.add_resource("l", 100)
-        finish = {}
-
-        def launch(label, size):
-            flow = network.start_flow(size, {link: 1.0}, label)
-            yield flow.done
-            finish[label] = env.now
-
-        def canceller():
-            flow = network.start_flow(1000, {link: 1.0}, "victim")
-            yield env.timeout(1)
-            network.cancel_flow(flow)
-
-        env.process(launch("a", 100))
-        env.process(canceller())
-        env.run()
-        # a shares for 1s (50 done), then full speed: 50/100 => +0.5s.
-        assert finish["a"] == pytest.approx(1.5)
-
-    def test_cancel_unknown_flow_is_noop(self):
-        env = Environment()
-        network = FlowNetwork(env)
-        link = network.add_resource("l", 100)
-        flow = network.start_flow(10, {link: 1.0})
-        env.run()
-        network.cancel_flow(flow)  # already completed: no error
-
-
 class TestIntrospection:
     def test_utilization_full_under_contention(self):
         env = Environment()
@@ -161,15 +127,6 @@ class TestIntrospection:
         network.start_flow(1000, {link: 1.0})
         assert link.utilization() == pytest.approx(1.0)
         assert link.throughput() == pytest.approx(100.0)
-
-    def test_completed_count(self):
-        env = Environment()
-        network = FlowNetwork(env)
-        link = network.add_resource("l", 100)
-        for _ in range(3):
-            network.start_flow(10, {link: 1.0})
-        env.run()
-        assert network.completed_count == 3
 
 
 class TestConservationProperty:

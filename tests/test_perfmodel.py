@@ -2,6 +2,8 @@
 must hold as invariants of the simulation."""
 
 import dataclasses
+import hashlib
+import struct
 
 import pytest
 
@@ -10,6 +12,11 @@ from repro.perfmodel import (
     IngestSimulation,
     PerfParameters,
     SelectivityProfile,
+)
+from repro.perfmodel.concurrent import (
+    ConcurrentIngestSimulation,
+    JobSpec,
+    neighbour_impact,
 )
 
 
@@ -222,3 +229,130 @@ class TestParameterSensitivity:
         slow = IngestSimulation(base).run("plain", LARGE).duration
         fast = IngestSimulation(fat).run("plain", LARGE).duration
         assert fast < slow / 2
+
+
+def _series_digest(series, value_text=repr) -> str:
+    """16 hex digits of SHA-256 over each series' name, times and values."""
+    digest = hashlib.sha256()
+    for name in sorted(series):
+        sampled = series[name]
+        digest.update(name.encode())
+        digest.update(struct.pack(f"<{len(sampled.times)}d", *sampled.times))
+        digest.update(" ".join(map(value_text, sampled.values)).encode())
+    return digest.hexdigest()[:16]
+
+
+MEDIUM = DATASETS["medium"].size_bytes
+
+GOLDEN_PROFILES = {
+    "none": SelectivityProfile(0.0),
+    "mixed80": SelectivityProfile.mixed(0.8),
+    "rows99": SelectivityProfile.rows(0.99),
+}
+
+#: (mode, profile) -> (duration, bytes_over_lb, task_count, wave_count,
+#: series digest): recorded values the replay must reproduce bit for bit.
+GOLDEN_RUNS = {
+    ("plain", "mixed80"): (
+        404.40000000000003, 500000000000.0, 3907, 7, "54f1d4c6be0c6616",
+    ),
+    ("plain", "none"): (
+        404.40000000000003, 500000000000.0, 3907, 7, "54f1d4c6be0c6616",
+    ),
+    ("plain", "rows99"): (
+        404.40000000000003, 500000000000.0, 3907, 7, "54f1d4c6be0c6616",
+    ),
+    ("pushdown", "mixed80"): (
+        84.28, 99999999999.99998, 3907, 7, "e8464d8f17d9c20c",
+    ),
+    ("pushdown", "none"): (
+        404.56, 500000000000.0, 3907, 7, "92c659c7079fa24e",
+    ),
+    ("pushdown", "rows99"): (
+        14.866307668621113, 5000000000.000005, 3907, 7, "d03d681bd1a56f39",
+    ),
+    ("pushdown_proxy", "mixed80"): (
+        84.28, 99999999999.99998, 3907, 7, "aaa670aebd6e6b58",
+    ),
+    ("pushdown_proxy", "none"): (
+        404.56, 500000000000.0, 3907, 7, "a5826ddc12daa406",
+    ),
+    ("pushdown_proxy", "rows99"): (
+        42.33159229872309, 5000000000.000005, 3907, 7, "92c8fc9d89fc4e27",
+    ),
+    ("pushdown_compressed", "mixed80"): (
+        28.45668799590478, 29999999999.999992, 3907, 7, "91782e426be16b98",
+    ),
+    ("pushdown_compressed", "none"): (
+        124.4442807780906, 150000000000.0, 3907, 7, "df5e6e19eb35099d",
+    ),
+    ("pushdown_compressed", "rows99"): (
+        14.866307668621113, 1500000000.0000014, 3907, 7, "120d2c88bd5ff64d",
+    ),
+    ("parquet", "mixed80"): (
+        132.4, 160000000000.0, 1250, 3, "dc4dee3b582cf5c1",
+    ),
+    ("parquet", "none"): (
+        132.4, 160000000000.0, 1250, 3, "dc4dee3b582cf5c1",
+    ),
+    ("parquet", "rows99"): (
+        132.4, 160000000000.0, 1250, 3, "dc4dee3b582cf5c1",
+    ),
+}
+
+
+class TestGoldenReplay:
+    """The replay's outputs, pinned exactly.
+
+    A change to the kernel's event order, the flow allocation or the
+    job loop shows here as a changed value.
+    """
+
+    @pytest.mark.parametrize("mode", IngestSimulation.MODES)
+    @pytest.mark.parametrize("profile", sorted(GOLDEN_PROFILES))
+    def test_single_run(self, sim, mode, profile):
+        result = sim.run(mode, MEDIUM, GOLDEN_PROFILES[profile])
+        observed = (
+            result.duration,
+            result.bytes_over_lb,
+            result.task_count,
+            result.wave_count,
+            _series_digest(result.series),
+        )
+        assert observed == GOLDEN_RUNS[mode, profile]
+
+    def test_staggered_two_tenants(self):
+        outcome = ConcurrentIngestSimulation().run_concurrent(
+            [
+                JobSpec("early", "plain", MEDIUM),
+                JobSpec(
+                    "late",
+                    "pushdown",
+                    MEDIUM,
+                    SelectivityProfile.mixed(0.9),
+                    start_time=40.0,
+                ),
+            ]
+        )
+        finishes = [(job.name, job.finish_time) for job in outcome.jobs]
+        assert finishes == [
+            ("early", 443.40000000000003),
+            ("late", 126.87469820172149),
+        ]
+        # A utilization sample sums over a set of flows whose iteration
+        # order follows object addresses, so its last bits vary from
+        # process to process; twelve significant digits do not.
+        digest = _series_digest(
+            {"lb": outcome.lb_utilization}, lambda value: f"{value:.12g}"
+        )
+        assert digest == "99ca9f793f3a6bc6"
+
+    def test_neighbour_impact(self):
+        observed = [
+            (r.foreground_mode, r.foreground_duration, r.background_duration)
+            for r in neighbour_impact(MEDIUM, MEDIUM, 0.99)
+        ]
+        assert observed == [
+            ("plain", 803.4000000000001, 803.4000000000001),
+            ("pushdown", 28.010118525038386, 414.85506792058516),
+        ]

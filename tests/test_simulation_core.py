@@ -1,16 +1,9 @@
-"""Unit tests for the DES kernel: environment, events, processes."""
+"""Unit tests for the perf model's event kernel: environment, events,
+processes."""
 
 import pytest
 
-from repro.simulation import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from repro.perfmodel.kernel import Environment, Interrupt, SimulationError
 
 
 class TestEnvironment:
@@ -39,15 +32,6 @@ class TestEnvironment:
     def test_step_empty_raises(self):
         with pytest.raises(SimulationError):
             Environment().step()
-
-    def test_peek_reports_next_event_time(self):
-        env = Environment()
-        env.timeout(3)
-        env.timeout(1)
-        assert env.peek() == 1
-
-    def test_peek_empty_is_infinite(self):
-        assert Environment().peek() == float("inf")
 
     def test_events_fire_in_time_order(self):
         env = Environment()
@@ -254,64 +238,3 @@ class TestProcess:
         env.run()
         assert seen == [(3, "early")]
 
-
-class TestConditions:
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        times = []
-
-        def proc(env):
-            yield AnyOf(env, [env.timeout(5), env.timeout(2)])
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [2]
-
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-        times = []
-
-        def proc(env):
-            yield AllOf(env, [env.timeout(5), env.timeout(2)])
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [5]
-
-    def test_or_operator(self):
-        env = Environment()
-        times = []
-
-        def proc(env):
-            yield env.timeout(4) | env.timeout(1)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [1]
-
-    def test_and_operator(self):
-        env = Environment()
-        times = []
-
-        def proc(env):
-            yield env.timeout(4) & env.timeout(1)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [4]
-
-    def test_empty_all_of_fires_immediately(self):
-        env = Environment()
-        times = []
-
-        def proc(env):
-            yield AllOf(env, [])
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [0]
