@@ -37,6 +37,8 @@ from repro.storlets.api import StorletInputStream, StorletLogger
 from repro.storlets.columnar_storlet import ColumnarStorlet
 from repro.swift.http import DEFAULT_CHUNK_SIZE, chunk_bytes
 
+from tests.row_at_a_time import filter_judge
+
 #: 200 meters: ``vid`` fits one-byte dictionary codes, as on the ledger.
 SPEC = DatasetSpec(meters=200, intervals=5000)
 REQUIRED_RATIO = 2.0
@@ -163,7 +165,7 @@ def test_packed_scan_is_2x_the_list_path_and_identical(name, objects):
         assert rows == twin_rows
     assert rows
     # The counts: exact, repeatable, independent of the host's speed.
-    kept = [all(item.to_predicate(METER_SCHEMA)(row) for item in filters) for row in source]
+    kept = list(map(filter_judge(filters, METER_SCHEMA), source))
     entries = restarts = 0
     for column in CODED[name]:
         values = [row[METER_SCHEMA.index_of(column)] for row in source]

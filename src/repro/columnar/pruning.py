@@ -11,7 +11,7 @@ shared with the object-level data-skipping catalog
 :class:`~repro.columnar.layout.SegmentMeta` entries into
 :class:`~repro.columnar.stats.ColumnStats` evidence.  The analysis is
 *conservative* in the same direction as filter evaluation itself
-(:mod:`repro.sql.filters`): it may answer ``True`` for a stripe with no
+(:class:`repro.sql.kernels.FilterMask`): it may answer ``True`` for a stripe with no
 matching rows, but never ``False`` for one that has them.  Bounds that
 are absent, non-finite (stale footers from a pre-fix encoder), or
 flagged incomplete by ``has_nan`` refute nothing.

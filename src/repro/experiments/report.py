@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from typing import Any, Sequence
 
 
 def render_table(

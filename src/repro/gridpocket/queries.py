@@ -9,7 +9,7 @@ values our Table-I reproduction compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.gridpocket.generator import METER_SCHEMA, DatasetSpec, MeterDataGenerator
 from repro.sql.catalyst import extract_pushdown
-from repro.sql.filters import conjunction_predicate
+from repro.sql.kernels import FilterMask
 from repro.sql.parser import parse_query
 from repro.sql.types import Row, Schema
 
@@ -157,16 +157,17 @@ def measure_selectivities(
             spec or DatasetSpec(meters=50, intervals=144)
         )
         rows = list(generator.rows())
+    columns = list(zip(*rows)) or [()] * len(schema)
     widths = [
         [len(text) + 1 for text in map(f.dtype.render, column)]
-        for f, column in zip(schema.fields, zip(*rows))
+        for f, column in zip(schema.fields, columns)
     ]
     bytes_total = sum(map(sum, widths))
     measurements = []
     for sql in sqls:
         pushdown = extract_pushdown(parse_query(sql), schema)
-        predicate = conjunction_predicate(pushdown.filters, schema)
-        kept = list(itertools.compress(range(len(rows)), map(predicate, rows)))
+        mask = FilterMask(pushdown.filters, schema).mask(columns, len(rows))
+        kept = list(itertools.compress(range(len(rows)), mask))
         bytes_kept = sum(
             widths[schema.index_of(name)][position]
             for name in pushdown.required_columns

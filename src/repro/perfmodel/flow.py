@@ -31,7 +31,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.perfmodel.kernel import Environment, Event, Interrupt
 
@@ -50,7 +50,9 @@ class FlowResource:
             raise ValueError(f"capacity must be positive: {capacity!r}")
         self.name = name
         self.capacity = float(capacity)
-        self.flows: Set["Flow"] = set()
+        #: The flows crossing this resource, in arrival order (a dict,
+        #: not a set: sums and tie-breaks must not follow memory layout).
+        self.flows: Dict["Flow", None] = {}
 
     def utilization(self) -> float:
         """Fraction of capacity currently consumed (0..1)."""
@@ -99,7 +101,7 @@ class FlowNetwork:
     def __init__(self, env: Environment):
         self.env = env
         self.resources: Dict[str, FlowResource] = {}
-        self._flows: Set[Flow] = set()
+        self._flows: Dict[Flow, None] = {}  # arrival order, as FlowResource.flows
         self._last_update = env.now
         self._timer: Optional[object] = None  # the sleeping watcher Process
 
@@ -132,9 +134,9 @@ class FlowNetwork:
             flow.done.succeed(flow)
             return flow
         self._advance()
-        self._flows.add(flow)
+        self._flows[flow] = None
         for resource in flow.weights:
-            resource.flows.add(flow)
+            resource.flows[flow] = None
         self._reallocate()
         return flow
 
@@ -167,9 +169,9 @@ class FlowNetwork:
             flow.done.succeed(flow)
 
     def _remove(self, flow: Flow) -> None:
-        self._flows.discard(flow)
+        del self._flows[flow]
         for resource in flow.weights:
-            resource.flows.discard(flow)
+            del resource.flows[flow]
         flow.rate = 0.0
 
     #: Fixed-point iteration controls for rate allocation.
@@ -305,8 +307,9 @@ def _max_min_single_resource(capacity: float, users) -> Dict[Flow, float]:
     """
     allocation: Dict[Flow, float] = {}
     remaining = capacity
-    # Ascending by demand; inf (backlogged) flows come last.
-    ordered = sorted(users, key=lambda item: item[2])
+    # Ascending by demand; inf (backlogged) flows come last, and flows of
+    # equal demand newest first, whatever order ``users`` came in.
+    ordered = sorted(users, key=lambda item: (item[2], -item[0].id))
     for position, (flow, _weight, demand) in enumerate(ordered):
         fair = remaining / (len(ordered) - position)
         granted = fair if demand is math.inf else min(demand, fair)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.sql.expressions import SelectItem, Star
-from repro.sql.lexer import TokenType, tokenize
-from repro.sql.parser import Query, _Parser, parse_expression, parse_query
+from repro.sql.lexer import tokenize
+from repro.sql.parser import Query, _Parser, parse_expression
 from repro.sql.types import Row, Schema
 
 

@@ -411,7 +411,6 @@ def _normalize_comparison(expression: BinaryOp):
 UNHANDLED_REASONS = (
     "untranslatable",
     "not_total",
-    "negation",
     "text_filter_on_non_string",
     "source_declined",
 )
@@ -530,23 +529,20 @@ def count_column(schema: Schema, filters: Sequence[f.Filter]) -> str:
     return next((name for name in names if name.lower() in referenced), names[0])
 
 
-def _inexact_reason(
-    conjunct: Expression, converted: f.Filter, schema: Schema
-) -> Optional[str]:
-    """Why ``converted`` may answer differently from ``conjunct`` on
+def _inexact_reason(conjunct: Expression, schema: Schema) -> Optional[str]:
+    """Why ``conjunct``'s source filter may answer differently from it on
     some row of ``schema`` (None: never).
 
-    A source filter answers False for NULL and for incomparable values.
-    That is the conjunct's own answer-as-WHERE exactly when the conjunct
-    cannot raise (the kernels' totality proof) and no ``Not`` sits in
-    the filter tree (``NOT`` of NULL is NULL; ``Not`` of False is True).
+    A source filter is True where its conjunct is, under three-valued
+    logic, except where the conjunct raises: there the filter's leaf is
+    neither True nor False.  So the filter is exact when the conjunct
+    cannot raise (the kernels' totality proof) -- ``Not`` included, as
+    it is SQL's NOT -- and every ``LIKE`` reads a STRING column.
     """
     from repro.sql.kernels import proves_total
 
     if not proves_total(conjunct, schema):
         return "not_total"
-    if _has_not(converted):
-        return "negation"
     if any(
         isinstance(node, Like) and not _is_string_column(node.operand.name, schema)
         for node in _walk(conjunct)
@@ -559,14 +555,6 @@ def _walk(expression: Expression):
     yield expression
     for child in expression.children():
         yield from _walk(child)
-
-
-def _has_not(item: f.Filter) -> bool:
-    if isinstance(item, f.Not):
-        return True
-    if isinstance(item, (f.And, f.Or)):
-        return _has_not(item.left) or _has_not(item.right)
-    return False
 
 
 def extract_pushdown(query: Query, schema: Schema, source=None) -> PushdownSpec:
@@ -588,7 +576,7 @@ def extract_pushdown(query: Query, schema: Schema, source=None) -> PushdownSpec:
             if converted is None or not known:
                 conjuncts.append(PushedConjunct(conjunct, None, "untranslatable"))
                 continue
-            reason = _inexact_reason(conjunct, converted, schema)
+            reason = _inexact_reason(conjunct, schema)
             conjuncts.append(PushedConjunct(conjunct, converted, reason))
     if source is not None:
         exact = [item.filter for item in conjuncts if item.reason is None]

@@ -6,20 +6,21 @@ hierarchy -- the representation Catalyst hands to a
 further: serialized to JSON, attached as request metadata to the object
 GET, and evaluated by the CSV storlet next to the disk.
 
-Evaluation here is *conservative* (NULL never matches), matching Spark's
-contract that a data source may only drop rows the filter definitely
-rejects.
+A filter means what its SQL conjunct means: a row passes where the
+filter is True under three-valued logic.  A leaf on a NULL cell, a NULL
+literal or an incomparable value is neither True nor False and passes
+in neither polarity, and ``Not`` is SQL's NOT (``Not(EqualTo(c, v))``
+is ``c <> v``: a NULL ``c`` passes neither).  This module holds the
+classes and their wire format only; the one evaluator is
+:class:`repro.sql.kernels.FilterMask`, which every scan runs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Sequence, Set
 
 from repro.sql.errors import SqlError
-from repro.sql.types import Row, Schema
-
-Predicate = Callable[[Row], bool]
 
 
 class Filter:
@@ -28,9 +29,6 @@ class Filter:
     op = "filter"
 
     def references(self) -> Set[str]:
-        raise NotImplementedError
-
-    def to_predicate(self, schema: Schema) -> Predicate:
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, Any]:
@@ -59,80 +57,37 @@ class _AttributeFilter(Filter):
     def to_dict(self) -> Dict[str, Any]:
         return {"op": self.op, "attr": self.attribute, "value": self.value}
 
-    def _comparer(self) -> Callable[[Any, Any], bool]:
-        raise NotImplementedError
-
-    def to_predicate(self, schema: Schema) -> Predicate:
-        index = schema.index_of(self.attribute)
-        value = self.value
-        compare = self._comparer()
-
-        def predicate(row: Row) -> bool:
-            cell = row[index]
-            if cell is None:
-                return False
-            try:
-                return compare(cell, value)
-            except TypeError:
-                return False
-
-        return predicate
-
 
 class EqualTo(_AttributeFilter):
     op = "eq"
-
-    def _comparer(self):
-        return lambda a, b: a == b
 
 
 class GreaterThan(_AttributeFilter):
     op = "gt"
 
-    def _comparer(self):
-        return lambda a, b: a > b
-
 
 class GreaterThanOrEqual(_AttributeFilter):
     op = "gte"
-
-    def _comparer(self):
-        return lambda a, b: a >= b
 
 
 class LessThan(_AttributeFilter):
     op = "lt"
 
-    def _comparer(self):
-        return lambda a, b: a < b
-
 
 class LessThanOrEqual(_AttributeFilter):
     op = "lte"
-
-    def _comparer(self):
-        return lambda a, b: a <= b
 
 
 class StringStartsWith(_AttributeFilter):
     op = "starts_with"
 
-    def _comparer(self):
-        return lambda a, b: str(a).startswith(b)
-
 
 class StringEndsWith(_AttributeFilter):
     op = "ends_with"
 
-    def _comparer(self):
-        return lambda a, b: str(a).endswith(b)
-
 
 class StringContains(_AttributeFilter):
     op = "contains"
-
-    def _comparer(self):
-        return lambda a, b: b in str(a)
 
 
 class In(_AttributeFilter):
@@ -141,16 +96,6 @@ class In(_AttributeFilter):
     def __init__(self, attribute: str, values: Sequence[Any]):
         super().__init__(attribute, list(values))
 
-    def to_predicate(self, schema: Schema) -> Predicate:
-        index = schema.index_of(self.attribute)
-        members = set(self.value)
-
-        def predicate(row: Row) -> bool:
-            cell = row[index]
-            return cell is not None and cell in members
-
-        return predicate
-
 
 class IsNull(_AttributeFilter):
     op = "is_null"
@@ -158,20 +103,12 @@ class IsNull(_AttributeFilter):
     def __init__(self, attribute: str):
         super().__init__(attribute, None)
 
-    def to_predicate(self, schema: Schema) -> Predicate:
-        index = schema.index_of(self.attribute)
-        return lambda row: row[index] is None
-
 
 class IsNotNull(_AttributeFilter):
     op = "is_not_null"
 
     def __init__(self, attribute: str):
         super().__init__(attribute, None)
-
-    def to_predicate(self, schema: Schema) -> Predicate:
-        index = schema.index_of(self.attribute)
-        return lambda row: row[index] is not None
 
 
 class LikePattern(_AttributeFilter):
@@ -184,63 +121,31 @@ class LikePattern(_AttributeFilter):
 
     op = "like"
 
-    def to_predicate(self, schema: Schema) -> Predicate:
-        from repro.sql.expressions import like_pattern_to_regex
 
-        index = schema.index_of(self.attribute)
-        regex = like_pattern_to_regex(self.value)
+class _Junction(Filter):
+    """Two filters joined by ``op``."""
 
-        def predicate(row: Row) -> bool:
-            cell = row[index]
-            return cell is not None and regex.match(str(cell)) is not None
+    def __init__(self, left: Filter, right: Filter):
+        self.left = left
+        self.right = right
 
-        return predicate
+    def references(self) -> Set[str]:
+        return self.left.references() | self.right.references()
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "op": self.op,
+            "left": self.left.to_dict(),
+            "right": self.right.to_dict(),
+        }
 
 
-class And(Filter):
+class And(_Junction):
     op = "and"
 
-    def __init__(self, left: Filter, right: Filter):
-        self.left = left
-        self.right = right
 
-    def references(self) -> Set[str]:
-        return self.left.references() | self.right.references()
-
-    def to_predicate(self, schema: Schema) -> Predicate:
-        left = self.left.to_predicate(schema)
-        right = self.right.to_predicate(schema)
-        return lambda row: left(row) and right(row)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.op,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-
-class Or(Filter):
+class Or(_Junction):
     op = "or"
-
-    def __init__(self, left: Filter, right: Filter):
-        self.left = left
-        self.right = right
-
-    def references(self) -> Set[str]:
-        return self.left.references() | self.right.references()
-
-    def to_predicate(self, schema: Schema) -> Predicate:
-        left = self.left.to_predicate(schema)
-        right = self.right.to_predicate(schema)
-        return lambda row: left(row) or right(row)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.op,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
 
 
 class Not(Filter):
@@ -251,10 +156,6 @@ class Not(Filter):
 
     def references(self) -> Set[str]:
         return self.child.references()
-
-    def to_predicate(self, schema: Schema) -> Predicate:
-        child = self.child.to_predicate(schema)
-        return lambda row: not child(row)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"op": self.op, "child": self.child.to_dict()}
@@ -311,16 +212,3 @@ def filters_from_json(text: str) -> List[Filter]:
         raise SqlError("filter payload must be a JSON list")
     return [filter_from_dict(item) for item in payload]
 
-
-def conjunction_predicate(
-    filters: Sequence[Filter], schema: Schema
-) -> Predicate:
-    """AND together a filter list into one row predicate."""
-    predicates = [item.to_predicate(schema) for item in filters]
-    if not predicates:
-        return lambda row: True
-
-    def predicate(row: Row) -> bool:
-        return all(check(row) for check in predicates)
-
-    return predicate

@@ -30,15 +30,21 @@ Two compilers live here:
   (:class:`~repro.columnar.batch.DictColumn`) entry by entry and keeps
   its codes.
 * :class:`FilterMask` lowers the :class:`repro.sql.filters` source
-  hierarchy (the storlet wire format) into a byte mask per batch.
-  Source-filter evaluation is total by contract (NULL never matches,
-  incomparable never matches), so this compiler always succeeds and is
-  what both pushdown storlets run next to the data -- once per
-  dictionary entry where a column is dictionary-coded, and a comparison
-  (against a number or a string) or a prefix / suffix / substring test
-  without a Python frame per row: on the byte planes of a packed
-  narrow-int column (:class:`~repro.columnar.batch.PackedColumn`), in
-  one C-level pass over any other vector.
+  hierarchy (the storlet wire format) into a byte mask per batch.  It
+  is the one evaluator of a pushed filter: both pushdown storlets run
+  it next to the data and both plain reads run it at the compute side.
+  A row passes where the filter is True under SQL's three-valued
+  logic, ``Not`` being SQL's NOT: a leaf on a NULL cell, a NULL
+  literal or an incomparable cell is neither True nor False, so it
+  passes in neither polarity.  That makes the compiler total (it always
+  succeeds and never raises) and a pushed filter exactly its SQL
+  conjunct wherever that conjunct cannot raise.  It judges once per
+  dictionary entry where a column is dictionary-coded, and a
+  comparison (against a number or a string) or a prefix / suffix /
+  substring test without a Python frame per row: on the byte planes of
+  a packed narrow-int column
+  (:class:`~repro.columnar.batch.PackedColumn`), in one C-level pass
+  over any other vector.
 
 Kernel calling convention: ``kernel(columns, n) -> vector`` where
 ``columns`` are the scan-schema-aligned input vectors.  Kernels may
@@ -827,20 +833,9 @@ def compile_projection(
 
 
 # ---------------------------------------------------------------------------
-# Source-filter compiler (always total): what the columnar storlet runs.
+# Source-filter compiler (always total): what the storlets and the plain
+# reads run.
 # ---------------------------------------------------------------------------
-
-
-def _guarded_check(compare: Callable[[Any, Any], bool], value: Any):
-    """Per-element comparer with the interpreter's TypeError-is-False rule."""
-
-    def check(cell: Any) -> bool:
-        try:
-            return compare(cell, value)
-        except TypeError:
-            return False
-
-    return check
 
 
 def _cell_mask(index: int, cells: Callable[[Sequence[Any]], Sequence[bool]]) -> MaskKernel:
@@ -863,6 +858,11 @@ def _cell_mask(index: int, cells: Callable[[Sequence[Any]], Sequence[bool]]) -> 
         return bytes(cells(column))
 
     return kernel
+
+
+def _no_cell(values: Sequence[Any]) -> bytes:
+    """The verdicts of a leaf that is never True: all 0."""
+    return bytes(len(values))
 
 
 def _combine(op: Callable[[int, int], int], left: MaskKernel, right: MaskKernel) -> MaskKernel:
@@ -897,6 +897,32 @@ _STR_METHODS: Dict[type, Callable[[str, str], bool]] = {
     StringEndsWith: str.endswith,
     StringContains: str.__contains__,
 }
+
+
+def _guarded_check(item: _AttributeFilter, negated: bool) -> Callable[[Any], bool]:
+    """``cell -> bool``: is ``item`` (``Not(item)`` when ``negated``)
+    True of the cell?  A comparison judges by :data:`_JUDGES`, a string
+    filter by :data:`_STR_METHODS` over the text of any cell,
+    ``str(cell)``.  A NULL cell, and a cell the judge raises
+    ``TypeError`` on (incomparable; a string filter's non-``str``
+    literal), is True in neither polarity."""
+    value = item.value
+    method = _STR_METHODS.get(type(item))
+    judge = (
+        (lambda cell: method(str(cell), value))
+        if method is not None
+        else functools.partial(_JUDGES[type(item)], value)
+    )
+
+    def check(cell: Any) -> bool:
+        if cell is None:
+            return False
+        try:
+            return judge(cell) is not negated
+        except TypeError:
+            return False
+
+    return check
 
 
 def _plane_mask(column: PackedColumn, kind: type, value: int) -> bytes:
@@ -938,7 +964,9 @@ def _plane_mask(column: PackedColumn, kind: type, value: int) -> bytes:
     return mask
 
 
-def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> MaskKernel:
+def _comparison_mask(
+    index: int, item: _AttributeFilter, negated: bool, slow: MaskKernel
+) -> MaskKernel:
     """A comparison against an ``int``, ``float`` or ``str``, or a
     string filter against a ``str``, as a mask kernel that makes no
     Python call per row.
@@ -951,7 +979,10 @@ def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> Ma
     an incomparable (for a string filter: a non-``str``) cell stops with
     ``TypeError``, and the whole vector then goes to ``slow``, the
     guarded per-cell check, as a dictionary-coded column does from the
-    start.
+    start.  Under ``negated`` the mask is flipped: exact, because a
+    carrier holds no NULL and the pass admits none -- ``==`` is the one
+    judge a NULL does not stop, so a vector holding one goes to
+    ``slow`` first.
     """
     kind, value = type(item), item.value
     if kind in _STR_METHODS:
@@ -959,14 +990,18 @@ def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> Ma
         verdicts = lambda column: map(method, column, itertools.repeat(value))
     else:
         verdicts = functools.partial(map, functools.partial(_JUDGES[kind], value))
+    unequal = negated and kind is EqualTo
 
     def kernel(cols: Columns, n: int, tally: Optional[Dict[str, int]]) -> bytes:
         column = cols[index]
-        if isinstance(column, DictColumn):
+        packed = isinstance(column, PackedColumn)
+        if isinstance(column, DictColumn) or (
+            unequal and not packed and None in column
+        ):
             return slow(cols, n, tally)
         if (
             type(value) is int
-            and isinstance(column, PackedColumn)
+            and packed
             and column.view.itemsize < 8
             and column.exponent is None
         ):
@@ -978,66 +1013,73 @@ def _comparison_mask(index: int, item: _AttributeFilter, slow: MaskKernel) -> Ma
                 return slow(cols, n, tally)
         if tally is not None:
             tally[domain] = tally.get(domain, 0) + n
-        return mask
+        return mask.translate(_FLIP) if negated else mask
 
     return kernel
 
 
-def _filter_mask(item: Filter, schema: Schema) -> MaskKernel:
-    """Lower one source filter into a byte-mask kernel."""
-    if isinstance(item, And):
-        return _combine(
-            int.__and__, _filter_mask(item.left, schema), _filter_mask(item.right, schema)
-        )
-    if isinstance(item, Or):
-        return _combine(
-            int.__or__, _filter_mask(item.left, schema), _filter_mask(item.right, schema)
-        )
+def _filter_mask(item: Filter, schema: Schema, negated: bool = False) -> MaskKernel:
+    """Lower one source filter -- ``Not(item)`` when ``negated`` -- into
+    a byte-mask kernel: a row passes where the filter is True under
+    SQL's three-valued logic.
+
+    ``Not`` flips ``negated`` on its way down; under it ``And`` and
+    ``Or`` swap (De Morgan, exact under Kleene logic), ``IsNull`` and
+    ``IsNotNull`` swap, and every other leaf answers
+    ``cell is not None and not P(cell)``.  A leaf that is neither True
+    nor False -- a NULL cell, a NULL literal, an incomparable cell, a
+    non-member of an ``In`` list holding NULL -- passes in neither
+    polarity.
+    """
     if isinstance(item, Not):
-        child = _filter_mask(item.child, schema)
-        return lambda cols, n, tally: child(cols, n, tally).translate(_FLIP)
-    if not isinstance(item, _AttributeFilter):
-        # Unknown filter subclasses: fall back to the row predicate.
-        predicate = item.to_predicate(schema)
-        return lambda cols, n, tally: bytes(
-            bool(predicate(row)) for row in zip(*cols)
+        return _filter_mask(item.child, schema, not negated)
+    if isinstance(item, (And, Or)):
+        either = isinstance(item, Or) is not negated
+        return _combine(
+            int.__or__ if either else int.__and__,
+            _filter_mask(item.left, schema, negated),
+            _filter_mask(item.right, schema, negated),
         )
     index = schema.index_of(item.attribute)
-    if isinstance(item, FilterIsNull):
-        return _cell_mask(index, lambda values: [c is None for c in values])
-    if isinstance(item, IsNotNull):
-        return _cell_mask(index, lambda values: [c is not None for c in values])
+    if isinstance(item, (FilterIsNull, IsNotNull)):
+        null = isinstance(item, FilterIsNull) is not negated
+        return _cell_mask(index, lambda values: [(c is None) is null for c in values])
     if isinstance(item, In):
         members = set(item.value)
+        if negated and None in members:
+            return _cell_mask(index, _no_cell)
         return _cell_mask(
-            index, lambda values: [c is not None and c in members for c in values]
+            index,
+            lambda values: [
+                c is not None and (c in members) is not negated for c in values
+            ],
         )
     if isinstance(item, LikePattern):
         match = like_pattern_to_regex(item.value).match
         return _cell_mask(
             index,
             lambda values: [
-                c is not None and match(str(c)) is not None for c in values
+                c is not None and (match(str(c)) is None) is negated for c in values
             ],
         )
-    check = _guarded_check(item._comparer(), item.value)
-    guarded = _cell_mask(
-        index, lambda values: [c is not None and check(c) for c in values]
-    )
+    if item.value is None:
+        return _cell_mask(index, _no_cell)
+    check = _guarded_check(item, negated)
+    guarded = _cell_mask(index, lambda values: list(map(check, values)))
     kind, value_type = type(item), type(item.value)
     if (kind in _JUDGES and value_type in (int, float, str)) or (
         kind in _STR_METHODS and value_type is str
     ):
-        return _comparison_mask(index, item, guarded)
+        return _comparison_mask(index, item, negated, guarded)
     return guarded
 
 
 class FilterMask:
     """A source-filter conjunction lowered to one byte-mask kernel.
 
-    Unlike the expression compiler this never declines: source filters
-    are total by contract (NULL never matches; incomparable values never
-    match), so every shape lowers.  ``mask(columns, n)`` is a ``bytes``
+    Unlike the expression compiler this never declines: a leaf that is
+    neither True nor False (a NULL cell, a NULL literal, an incomparable
+    value) passes in neither polarity, so every shape lowers.  ``mask(columns, n)`` is a ``bytes``
     of ``n`` 0/1 flags, one per row; :meth:`select` gathers by it.  Both
     take an optional ``tally`` mapping whose counts grow by the filter
     evaluations made, by domain: ``"dictionary"`` entries, rows judged

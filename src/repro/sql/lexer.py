@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.sql.errors import SqlParseError
 

@@ -18,7 +18,7 @@ import hashlib
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.qos.budget import budgeted_chunks
 from repro.swift.exceptions import (
@@ -33,7 +33,6 @@ from repro.swift.http import (
     Response,
     chunk_bytes,
     chunk_bytes_range,
-    collect_body,
     parse_range,
 )
 

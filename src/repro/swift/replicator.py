@@ -16,7 +16,7 @@ devices the ring assigns:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.swift.backend import StoredObject
 from repro.swift.http import parse_path

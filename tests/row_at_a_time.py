@@ -22,9 +22,23 @@ identical, record for record, for every generated input, spill bound
 and batch cut.  Only the accumulators themselves (``add``, ``state``)
 and the expression kernels are shared with ``src/``; the table, the
 spill rule and the ordinals are this loop's own.
+
+:func:`filter_judge` is the per-row reference for a pushed filter (the
+wire format, :mod:`repro.sql.filters`), which every scan evaluates with
+:class:`repro.sql.kernels.FilterMask`.  It shares no code with that
+compiler: each leaf is read as the SQL it stands for through
+:func:`row_evaluator` (a string filter as the text test of ``str(cell)``),
+a leaf that is NULL or raises is unknown, and the tree is judged under
+Kleene logic -- so ``Not`` is SQL's NOT and an unknown leaf passes in
+neither polarity.
 """
 
-from repro.sql.kernels import compile_expression
+import operator
+
+from repro.sql import filters as wire
+from repro.sql.errors import SqlError
+from repro.sql.expressions import BinaryOp, Column, InList, IsNull, Like, Literal
+from repro.sql.kernels import FilterMask, compile_expression
 from repro.sql.parser import parse_expression
 
 
@@ -37,6 +51,82 @@ def row_evaluator(expression, schema):
         expression = parse_expression(expression)
     kernel = compile_expression(expression, schema)
     return lambda row: kernel([[cell] for cell in row], 1)[0]
+
+
+_COMPARISONS = {
+    wire.EqualTo: "=",
+    wire.LessThan: "<",
+    wire.LessThanOrEqual: "<=",
+    wire.GreaterThan: ">",
+    wire.GreaterThanOrEqual: ">=",
+}
+_TEXT_TESTS = {
+    wire.StringStartsWith: str.startswith,
+    wire.StringEndsWith: str.endswith,
+    wire.StringContains: operator.contains,
+}
+
+
+def _leaf_value(item, schema):
+    """``row -> value`` of one leaf filter, as the SQL it stands for."""
+    column = Column(item.attribute)
+    if type(item) in _TEXT_TESTS:
+        read, test, value = row_evaluator(column, schema), _TEXT_TESTS[type(item)], item.value
+
+        def text(row):
+            cell = read(row)
+            return None if cell is None else test(str(cell), value)
+
+        return text
+    if isinstance(item, wire.In):
+        expression = InList(column, [Literal(value) for value in item.value])
+    elif isinstance(item, (wire.IsNull, wire.IsNotNull)):
+        expression = IsNull(column, negated=isinstance(item, wire.IsNotNull))
+    elif isinstance(item, wire.LikePattern):
+        expression = Like(column, item.value)
+    else:
+        expression = BinaryOp(_COMPARISONS[type(item)], column, Literal(item.value))
+    return row_evaluator(expression, schema)
+
+
+def _truth(item, schema):
+    """``row -> True | False | None``: ``item`` under Kleene logic."""
+    if isinstance(item, wire.Not):
+        child = _truth(item.child, schema)
+        return lambda row: _not(child(row))
+    if isinstance(item, (wire.And, wire.Or)):
+        left, right = _truth(item.left, schema), _truth(item.right, schema)
+        decides = isinstance(item, wire.Or)  # the operand value that decides
+
+        def junction(row):
+            values = (left(row), right(row))
+            if decides in values:
+                return decides
+            return None if None in values else not decides
+
+        return junction
+    value_of = _leaf_value(item, schema)
+
+    def leaf(row):
+        try:
+            value = value_of(row)
+        except (SqlError, TypeError):
+            return None
+        return None if value is None else bool(value)
+
+    return leaf
+
+
+def _not(value):
+    return None if value is None else not value
+
+
+def filter_judge(filters, schema):
+    """``row -> bool``: does a row of ``schema`` pass every wire filter
+    in ``filters``?  True only where each is True; see the module
+    docstring."""
+    truths = [_truth(item, schema) for item in filters]
+    return lambda row: all(truth(row) is True for truth in truths)
 
 
 def rowwise_partial_aggregate(rows, spec, schema, max_groups):
@@ -67,3 +157,11 @@ def rowwise_partial_aggregate(rows, spec, schema, max_groups):
             key,
             tuple(accumulator.state() for accumulator in accumulators),
         )
+
+
+def shipped_mask(filters, schema, rows):
+    """The mask :class:`~repro.sql.kernels.FilterMask` -- what every
+    scan runs, not a reference -- gives ``rows`` of ``schema``: one 0/1
+    byte per row, for a differential to hold to :func:`filter_judge`."""
+    columns = list(zip(*rows)) or [()] * len(schema)
+    return FilterMask(filters, schema).mask(columns, len(rows))

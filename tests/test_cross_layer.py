@@ -9,7 +9,7 @@ reproductions no longer describe the implemented system.
 
 import pytest
 
-from repro.gridpocket import METER_SCHEMA, synthetic_query
+from repro.gridpocket import synthetic_query
 from repro.perfmodel import IngestSimulation, SelectivityProfile
 
 

@@ -214,7 +214,8 @@ def test_explain_tells_the_aggregation_truth_without_deciding_anything():
         for sql in (
             "SELECT city, COUNT(*), SUM(n) FROM t GROUP BY city HAVING MAX(n) > 5",
             "SELECT vid FROM t WHERE n < 5",
-            "SELECT city, COUNT(*) FROM t WHERE n <> 5 GROUP BY city",
+            # An untranslatable conjunct stays above the scan.
+            "SELECT city, COUNT(*) FROM t WHERE n + 1 <> 5 GROUP BY city",
             "SELECT city, COUNT(DISTINCT vid) FROM t GROUP BY city",
             "SELECT city, COUNT(*) FROM off GROUP BY city",
         )

@@ -19,14 +19,15 @@ from repro.gridpocket.workload import (
     measure_selectivities,
 )
 from repro.sql.catalyst import extract_pushdown
-from repro.sql.filters import conjunction_predicate
 from repro.sql.parser import parse_query
+
+from tests.row_at_a_time import filter_judge
 
 
 def reference_measurement(sql, rows):
     """Row-at-a-time selectivity: render every row, count its bytes."""
     pushdown = extract_pushdown(parse_query(sql), METER_SCHEMA)
-    predicate = conjunction_predicate(pushdown.filters, METER_SCHEMA)
+    predicate = filter_judge(pushdown.filters, METER_SCHEMA)
     positions = [METER_SCHEMA.index_of(name) for name in pushdown.required_columns]
     counts = [0, 0, 0, 0]
     for row in rows:

@@ -15,6 +15,7 @@ the fault-plan matrix the CI ``chaos`` job runs under every seed
 import csv
 import io
 import os
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -41,6 +42,7 @@ from repro.swift.http import close_body
 from repro.swift.retry import RetryPolicy
 
 from tests.rowwise_reference import Incomparable, where_keeps, where_sql
+from tests.sqlite_oracle import check_against_sqlite
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "20170417"))
 
@@ -252,10 +254,10 @@ class TestEveryPathAnswersForTheFiltersItWasGiven:
         assert spec.required_columns == [
             name for name in SCHEMA.names if name in referenced
         ]
-        # The reasons a translated conjunct can carry here are the three
+        # The reasons a translated conjunct can carry here are the two
         # inexactness codes; the source declined nothing.
         assert {reason for _filter, reason in spec.unhandled} <= {
-            "not_total", "negation", "text_filter_on_non_string"
+            "not_total", "text_filter_on_non_string"
         }
 
 
@@ -272,9 +274,14 @@ class TestTheClassification:
             ("i + 1 > 3", "untranslatable"),
             ("s < 5", "not_total"),
             ("i BETWEEN 1 AND 'x'", "not_total"),
-            ("i <> 3", "negation"),
-            ("NOT (i < 3)", "negation"),
-            ("s NOT LIKE 'a%'", "negation"),
+            # A pushed Not is SQL's NOT: a negation is as exact as what
+            # it negates.
+            ("i <> 3", None),
+            ("NOT (i < 3)", None),
+            ("s NOT LIKE 'a%'", None),
+            ("i NOT IN (1, NULL)", None),
+            ("i NOT BETWEEN 1 AND 5", None),
+            ("NOT (s < 5)", "not_total"),
             ("i LIKE '5'", "text_filter_on_non_string"),
             ("f LIKE '1%' OR s = 'a'", "text_filter_on_non_string"),
         ],
@@ -308,12 +315,53 @@ class TestTheClassification:
             labels["disposition"]: count
             for labels, count in stack.ctx.registry.counter_series("sql.filters")
         }
-        assert counted == {"handled": 1, "unhandled": 2, "residual": 1}
+        assert counted == {"handled": 3, "residual": 1}
         text = stack.ctx.session.explain_query_object(
-            parse_query("SELECT k FROM csv_pushdown WHERE i < 5 AND i <> 3")
+            parse_query("SELECT k FROM csv_pushdown WHERE i < 5 AND i <> 3 AND s < 5")
         )
-        assert "Scan(csv_pushdown: k, i)" in text
-        assert "Filter((i <> 3))" in text and "(i < 5)" not in text.split("== Pushdown")[0]
+        plan = text.split("== Pushdown")[0]
+        assert "Scan(csv_pushdown: k, s)" in plan
+        assert "Filter((s < 5))" in plan and "(i <> 3)" not in plan
+
+
+class TestANegationIsHandled:
+    """``i <> 3`` on a table with NULLs in ``i``: the storlet answers for
+    it (NULL passes neither ``=`` nor ``<>``), so the plan keeps no
+    filter and the scan ships ``k`` alone."""
+
+    ROWS = [
+        ("a", 1, 1.0, "x"), ("b", None, 2.0, "y"), ("c", 3, None, "z"),
+        (None, 4, 0.5, None), ("e", None, 1.5, "w"), ("f", 3, 2.5, "v"),
+        ("g", 7, 0.0, "u"), ("h", None, None, "t"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "columnar"])
+    def test_i_ne_3_equals_sqlite_and_ships_less(self, fmt):
+        stack = _Stack(self.ROWS)
+        stored = stack.reference_rows(fmt)
+        for mode in ("pushdown", "plain"):
+            ours = stack.run(fmt, mode, "k", "i <> 3")
+            check_against_sqlite("SELECT k FROM t WHERE i <> 3", SCHEMA, stored, ours)
+            assert ours == [(0,), (3,), (6,)]
+        ctx, table = stack.ctx, f"{fmt}_pushdown"
+
+        def moved(sql):
+            frame, report = ctx.run_query(sql)
+            frame.collect()
+            return report.bytes_transferred
+
+        def dispositions():
+            series = ctx.registry.counter_series("sql.filters")
+            return Counter({labels["disposition"]: count for labels, count in series})
+
+        before = dispositions()
+        handled = moved(f"SELECT k FROM {table} WHERE i <> 3")
+        assert ctx.session.last_pushdown.compute_filter is None
+        assert dispositions() - before == Counter(handled=1)
+        # What an inexact ``<>`` would cost: the NULL rows kept and ``i``
+        # shipped for the plan to filter again.
+        superset = moved(f"SELECT k, i FROM {table} WHERE i <> 3 OR i IS NULL")
+        assert handled < superset
 
 
 class TestWhereAnUnhandledConjunctRaises:

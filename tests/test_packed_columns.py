@@ -6,7 +6,8 @@ the columnar storlet compares on the byte planes, gathers by
 mark-and-delete / one boxed pass, settles the response encoding once per
 stripe and ships slices.  These tests hold that whole path equal, cell
 for cell, to the row-at-a-time reference (``tests/rowwise_reference.py``
-writes the object, ``Filter.to_predicate`` selects the rows), pin which
+writes the object, ``tests.row_at_a_time.filter_judge`` selects the
+rows), pin which
 path each of the ledger's queries takes, and keep the carrier from
 aliasing a buffer that moves or a host whose byte order is not RCF1's.
 """
@@ -53,6 +54,7 @@ from repro.storlets import columnar_storlet
 from repro.storlets.columnar_storlet import ColumnarStorlet
 
 from tests import rowwise_reference as reference
+from tests.row_at_a_time import filter_judge
 from tests.storlet_harness import block_stream, run_storlet
 from tests.test_columnar_encodings import _SEGMENTS, _bits, _convert
 from tests.test_sql_kernels import _packed
@@ -624,12 +626,8 @@ class TestStorletDifferential:
         blocks = list(decode_block_stream(stream))
         assert all(0 < len(batch) <= case.block_rows for batch in blocks)
         got = [row for batch in blocks for row in batch.rows]
-        checks = [item.to_predicate(_DIFF_SCHEMA) for item in case.filters]
-        want = [
-            tuple(row[i] for i in project)
-            for row in case.rows
-            if all(check(row) for check in checks)
-        ]
+        passes = filter_judge(case.filters, _DIFF_SCHEMA)
+        want = [tuple(row[i] for i in project) for row in case.rows if passes(row)]
         assert _row_bits(got) == _row_bits(want)
         # The degradation stream is the pushdown stream, block cuts aside.
         assert _row_bits(degraded) == _row_bits(want)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.swift.ring import Device, Ring, RingBuilder, hash_path
+from repro.swift.ring import Device, RingBuilder, hash_path
 
 
 def build_ring(nodes=4, disks=2, part_power=8, replicas=3, weights=None):

@@ -6,7 +6,6 @@ from repro.connector import StocatorConnector
 from repro.spark import SparkContext, SparkSession
 from repro.spark.csv_source import CsvRelation, infer_csv_schema
 from repro.spark.datasources import (
-    BaseRelation,
     TableScan,
     lookup_provider,
     register_provider,

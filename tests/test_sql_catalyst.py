@@ -21,7 +21,7 @@ from repro.sql.catalyst import (
     split_conjuncts,
 )
 from repro.sql.errors import SqlAnalysisError
-from repro.sql.expressions import BinaryOp, Column, Literal
+from repro.sql.expressions import Literal
 from repro.sql.parser import parse_expression, parse_query
 from repro.sql.types import Schema
 

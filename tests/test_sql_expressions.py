@@ -2,7 +2,6 @@
 
 import decimal
 import math
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -1,5 +1,11 @@
-"""Tests for source filters: semantics, serialization, composition."""
+"""Tests for source filters: semantics, serialization, composition.
 
+The semantics are those of :class:`repro.sql.kernels.FilterMask`, the one
+evaluator every scan runs, each answer also held to the per-row
+reference ``tests.row_at_a_time.filter_judge``.
+"""
+
+import itertools
 import json
 
 import pytest
@@ -7,13 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sql import filters as f
 from repro.sql.errors import SqlError
-from repro.sql.filters import (
-    conjunction_predicate,
-    filter_from_dict,
-    filters_from_json,
-    filters_to_json,
-)
+from repro.sql.filters import filter_from_dict, filters_from_json, filters_to_json
 from repro.sql.types import Schema
+
+from tests.row_at_a_time import filter_judge, shipped_mask
 
 SCHEMA = Schema.of("name", "age:int", "city")
 ROWS = [
@@ -24,9 +27,11 @@ ROWS = [
 ]
 
 
-def keep(filter_obj):
-    predicate = filter_obj.to_predicate(SCHEMA)
-    return [row for row in ROWS if predicate(row)]
+def keep(*filters):
+    """The rows passing every filter, by the shipped evaluator."""
+    mask = shipped_mask(filters, SCHEMA, ROWS)
+    assert mask == bytes(map(filter_judge(filters, SCHEMA), ROWS))
+    return list(itertools.compress(ROWS, mask))
 
 
 class TestSemantics:
@@ -69,23 +74,32 @@ class TestSemantics:
         negated = f.Not(f.EqualTo("city", "Rotterdam"))
         assert keep(negated) == [ROWS[1], ROWS[3]]
 
+    def test_not_is_sql_not(self):
+        # NOT of NULL is NULL: carol (age NULL) passes neither polarity.
+        assert keep(f.Not(f.GreaterThan("age", 25))) == [ROWS[1]]
+        assert keep(f.Not(f.EqualTo("name", "alice"))) == [ROWS[1], ROWS[2]]
+        assert keep(f.Not(f.IsNull("age"))) == keep(f.IsNotNull("age"))
+        # NOT (a AND b) under Kleene logic: carol's NULL AND True is
+        # NULL, so she passes neither it nor its negation.
+        both = f.And(f.GreaterThan("age", 25), f.EqualTo("city", "Rotterdam"))
+        assert keep(both) == [ROWS[0]]
+        assert keep(f.Not(both)) == [ROWS[1], ROWS[3]]
+
     def test_incomparable_types_never_match(self):
-        # age vs string comparison must not blow up, just not match.
+        # age vs string comparison must not blow up, just not match --
+        # in either polarity.
         assert keep(f.GreaterThan("age", "not-a-number")) == []
+        assert keep(f.Not(f.GreaterThan("age", "not-a-number"))) == []
 
     def test_references(self):
         composite = f.And(f.EqualTo("a", 1), f.Not(f.IsNull("b")))
         assert composite.references() == {"a", "b"}
 
     def test_conjunction_predicate_empty_accepts_all(self):
-        predicate = conjunction_predicate([], SCHEMA)
-        assert all(predicate(row) for row in ROWS)
+        assert keep() == ROWS
 
     def test_conjunction_predicate_ands(self):
-        predicate = conjunction_predicate(
-            [f.EqualTo("city", "Rotterdam"), f.IsNotNull("age")], SCHEMA
-        )
-        assert [row for row in ROWS if predicate(row)] == [ROWS[0]]
+        assert keep(f.EqualTo("city", "Rotterdam"), f.IsNotNull("age")) == [ROWS[0]]
 
 
 class TestSerialization:
@@ -153,7 +167,5 @@ class TestSerialization:
             value = str(value)
         original = op_class(attr, value)
         restored = filters_from_json(filters_to_json([original]))[0]
-        original_pred = original.to_predicate(SCHEMA)
-        restored_pred = restored.to_predicate(SCHEMA)
-        for row in ROWS:
-            assert original_pred(row) == restored_pred(row)
+        assert keep(original) == keep(restored)
+        assert keep(f.Not(original)) == keep(f.Not(restored))

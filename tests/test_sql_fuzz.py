@@ -8,14 +8,13 @@ Two invariants:
    raises a *defined* engine error -- never an arbitrary crash.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sql import Schema, execute_query, parse_query
 from repro.sql.catalyst import extract_pushdown
 from repro.sql.errors import SqlError
 
-from tests.row_at_a_time import row_evaluator
+from tests.row_at_a_time import filter_judge, row_evaluator, shipped_mask
 
 SCHEMA = Schema.of("vid", "date", "index:float", "code:int", "city")
 
@@ -169,22 +168,23 @@ class TestQueryFuzz:
     @given(sql=queries(), rows=rows_strategy)
     def test_pushdown_filters_sound(self, sql, rows):
         """Rows the pushdown filters keep are a superset of rows the
-        full WHERE clause keeps (the Spark conservativeness contract)."""
-        from repro.sql.filters import conjunction_predicate
-
+        full WHERE clause keeps (the Spark conservativeness contract),
+        judged on what the scans run: ``FilterMask``, itself held to the
+        per-row reference."""
         query = parse_query(sql)
         if query.where is None:
             return
         spec = extract_pushdown(query, SCHEMA)
-        pushdown_predicate = conjunction_predicate(spec.filters, SCHEMA)
+        mask = shipped_mask(spec.filters, SCHEMA, rows)
+        assert mask == bytes(map(filter_judge(spec.filters, SCHEMA), rows)), sql
         where = row_evaluator(query.where, SCHEMA)
-        for row in rows:
+        for row, passes in zip(rows, mask):
             try:
                 full = where(row) is True
             except SqlError:
                 return
             if full:
-                assert pushdown_predicate(row), (
+                assert passes, (
                     "pushdown dropped a row the query needs: "
                     f"{row} under {sql}"
                 )

@@ -36,7 +36,7 @@ from repro.sql.kernels import FilterMask, compile_expression, compile_predicate
 from repro.sql.parser import parse_expression, parse_query
 from repro.sql.types import Schema
 
-from tests.row_at_a_time import row_evaluator
+from tests.row_at_a_time import filter_judge, row_evaluator
 from tests.test_sql_fuzz import SCHEMA, queries, rows_strategy
 from tests.test_sql_oracle import oracle_queries, predicate, scalar
 from tests.test_sql_oracle import rows as oracle_rows
@@ -343,11 +343,9 @@ class TestFilterMaskOnDictionaryColumns:
         tally = Counter()
         mask = compiled.mask(columns, n, tally)
         assert mask == compiled.mask(plain, n)
-        # ... which is the row predicate's verdict, filter by filter.
-        predicates = [tree.to_predicate(_FILTER_SCHEMA) for tree in trees]
-        assert mask == bytes(
-            all(check(row) for check in predicates) for row in zip(*plain)
-        )
+        # ... which is the per-row reference's verdict.
+        judge = filter_judge(trees, _FILTER_SCHEMA)
+        assert mask == bytes(map(judge, zip(*plain)))
         kept, count = compiled.select(columns, n, [2, 0])
         assert count == mask.count(1)
         if count:
@@ -390,8 +388,8 @@ _COMPARISONS = [
 
 
 def _row_by_row(item, schema, index, cells):
-    """``Filter.to_predicate`` over ``cells`` as column ``index``."""
-    check = item.to_predicate(schema)
+    """The per-row reference over ``cells`` as column ``index``."""
+    check = filter_judge([item], schema)
     blank = [None] * len(schema)
     return bytes(
         bool(check(tuple(blank[:index] + [cell] + blank[index + 1 :])))
@@ -407,7 +405,7 @@ def _packed(cells, code, base=0):
 
 class TestComparisonMasks:
     """The C-level pass and its guarded fallback give, byte for byte,
-    the mask of ``Filter.to_predicate`` applied row by row."""
+    the mask of the per-row reference (``filter_judge``)."""
 
     #: name -> (column, cells, literal, the domain that judges it).
     CASES = {
@@ -452,7 +450,7 @@ class TestComparisonMasks:
         "str cells": ("s", ["Rotterdam", "Paris", "", "dam"], "dam", "rows_c"),
         "an empty literal": ("s", ["Rotterdam", ""], "", "rows_c"),
         "a NULL": ("s", ["Rotterdam", None, "Paris"], "Rot", "rows"),
-        # ``str(cell)`` is what the row predicate tests: the pass stops.
+        # ``str(cell)`` is what the reference tests: the pass stops.
         "int cells": ("i", [12, 21, 2], "2", "rows"),
         "a non-str literal": ("s", ["a1", "b"], 1, "rows"),
         "no rows": ("s", [], "a", "rows_c"),
@@ -492,11 +490,12 @@ class TestComparisonMasks:
         assert list(column) == cells
         literals = [base + e for e in (-(2**64), -2, -1, top, top + 1, 2**64)] + cells
         for literal in literals:
-            item = kind("i", literal)
-            tally: dict = {}
-            mask = FilterMask([item], _FILTER_SCHEMA).mask([None, column, None], len(cells), tally)
-            assert mask == _row_by_row(item, _FILTER_SCHEMA, 1, cells), (literal - base)
-            assert tally == {"planes": len(cells)}
+            # A carrier holds no NULL: a flipped plane mask is exact.
+            for item in (kind("i", literal), filters.Not(kind("i", literal))):
+                tally: dict = {}
+                mask = FilterMask([item], _FILTER_SCHEMA).mask([None, column, None], len(cells), tally)
+                assert mask == _row_by_row(item, _FILTER_SCHEMA, 1, cells), (literal - base)
+                assert tally == {"planes": len(cells)}
 
     @pytest.mark.parametrize("kind", _COMPARISONS)
     def test_eight_byte_columns_and_float_literals_take_the_c_level_pass(self, kind):
@@ -518,6 +517,25 @@ class TestComparisonMasks:
             assert mask == _row_by_row(item, _FILTER_SCHEMA, index, cells)
             assert tally == {"rows_c": len(cells)}
 
+    @pytest.mark.parametrize("kind", _COMPARISONS)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_a_negated_mask_is_the_reference(self, case, kind):
+        """``Not`` over every case: NULL, NaN and an incomparable cell
+        pass in neither polarity, in the domain that judged the leaf --
+        but for ``<>``, whose C-level pass a NULL does not stop, so a
+        vector holding one is judged cell by cell."""
+        name, cells, literal, domain = self.CASES[case]
+        index = _FILTER_SCHEMA.index_of(name)
+        item = filters.Not(kind(name, literal))
+        columns = [None] * 3
+        columns[index] = cells
+        tally: dict = {}
+        mask = FilterMask([item], _FILTER_SCHEMA).mask(columns, len(cells), tally)
+        assert mask == _row_by_row(item, _FILTER_SCHEMA, index, cells)
+        if kind is filters.EqualTo and None not in cells and type(literal) in (int, float, str):
+            domain = "rows_c"
+        assert tally == {domain: len(cells)}
+
     def test_a_conjunction_mixes_the_domains(self):
         compiled = FilterMask(
             [
@@ -534,3 +552,49 @@ class TestComparisonMasks:
         tally: dict = {}
         assert compiled.mask(columns, 4, tally) == bytes([0, 0, 0, 1])
         assert tally == {"planes": 4, "rows": 4, "dictionary": 2}
+
+
+class TestNegationIsSqlNot:
+    """The corners of ``Not`` pinned by hand: what SQL's NOT keeps, and
+    the per-row reference agreeing."""
+
+    COLUMNS = [
+        ["a", None, "b", "c"],
+        [1, None, 3, "x"],
+        [1.0, None, float("nan"), 2.0],
+    ]
+
+    def _kept(self, item):
+        mask = FilterMask([item], _FILTER_SCHEMA).mask(self.COLUMNS, 4)
+        assert mask == bytes(map(filter_judge([item], _FILTER_SCHEMA), zip(*self.COLUMNS)))
+        return [row for row, flag in enumerate(mask) if flag]
+
+    def test_a_null_literal_passes_neither_polarity(self):
+        assert self._kept(filters.EqualTo("i", None)) == []
+        assert self._kept(filters.Not(filters.EqualTo("i", None))) == []
+        assert self._kept(filters.Not(filters.LessThan("f", None))) == []
+
+    def test_a_negated_list_holding_null_keeps_nothing(self):
+        assert self._kept(filters.In("i", [1, None])) == [0]
+        assert self._kept(filters.Not(filters.In("i", [1, None]))) == []
+        assert self._kept(filters.Not(filters.In("i", [1]))) == [2, 3]
+
+    def test_not_below_nan(self):
+        # ``f < nan`` is False on every number, so NOT keeps them all;
+        # the NULL row stays out.
+        assert self._kept(filters.LessThan("f", float("nan"))) == []
+        assert self._kept(filters.Not(filters.LessThan("f", float("nan")))) == [0, 2, 3]
+
+    def test_a_negated_incomparable_leaf_keeps_nothing_of_it(self):
+        # "x" in an INT column cannot be ordered against 2.
+        assert self._kept(filters.LessThan("i", 2)) == [0]
+        assert self._kept(filters.Not(filters.LessThan("i", 2))) == [2]
+        assert self._kept(filters.Not(filters.StringStartsWith("s", 1))) == []
+
+    def test_de_morgan_and_double_negation(self):
+        both = filters.And(filters.GreaterThan("i", 0), filters.GreaterThan("f", 1.5))
+        assert self._kept(filters.Not(both)) == [0, 2]
+        assert self._kept(filters.Not(filters.Not(both))) == self._kept(both) == []
+        either = filters.Or(filters.IsNull("i"), filters.EqualTo("s", "c"))
+        assert self._kept(either) == [1, 3]
+        assert self._kept(filters.Not(either)) == [0, 2]

@@ -11,6 +11,7 @@ int-vs-float literals, DESC.  The translation and every tolerated
 difference are the dialect table in ``tests/sqlite_oracle.py``.
 """
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -22,11 +23,10 @@ from repro.core.agg_pushdown import plan_aggregation_pushdown
 from repro.sql import execute_query, extract_pushdown, parse_query
 from repro.sql.errors import SqlError
 from repro.sql.executor import execute_plan
-from repro.sql.filters import conjunction_predicate
 from repro.storlets.aggregation import AggregationSpec, partial_aggregate
 
 from tests.agg_partials import gate, planned
-from tests.row_at_a_time import row_evaluator
+from tests.row_at_a_time import filter_judge, row_evaluator, shipped_mask
 from tests.sqlite_oracle import check_against_sqlite
 from tests.test_sql_fuzz import (
     NUMERIC_COLUMNS,
@@ -54,6 +54,7 @@ rows = st.one_of(small_rows, rows_strategy)
 
 number = st.one_of(st.sampled_from(SMALL_NUMBERS), number_literal)
 number_or_null = st.one_of(st.just("NULL"), number)
+string_or_null = st.sampled_from(["'m1'", "'Paris'", "'2015-01-01'", "NULL"])
 negation = st.sampled_from(["", "NOT "])
 
 null_aware = st.one_of(
@@ -63,8 +64,7 @@ null_aware = st.one_of(
     ).map(lambda t: f"{t[0]} {t[1]}IN ({', '.join(t[2])})"),
     st.tuples(
         st.sampled_from(STRING_COLUMNS), negation,
-        st.lists(st.sampled_from(["'m1'", "'Paris'", "'2015-01-01'", "NULL"]),
-                 min_size=1, max_size=3),
+        st.lists(string_or_null, min_size=1, max_size=3),
     ).map(lambda t: f"{t[0]} {t[1]}IN ({', '.join(t[2])})"),
     st.tuples(
         st.sampled_from(NUMERIC_COLUMNS), negation, number_or_null, number_or_null
@@ -73,6 +73,17 @@ null_aware = st.one_of(
         lambda t: f"CASE WHEN {t[0]} < {t[1]} THEN code ELSE index END >= {t[2]}"
     ),
     st.sampled_from(NUMERIC_COLUMNS).map(lambda c: f"{c} IS NULL"),
+    # Negations over the values the rows hold (NULL among them).
+    st.tuples(st.sampled_from(NUMERIC_COLUMNS), number_or_null).map(
+        lambda t: f"{t[0]} <> {t[1]}"
+    ),
+    st.tuples(st.sampled_from(STRING_COLUMNS), string_or_null).map(
+        lambda t: f"{t[0]} <> {t[1]}"
+    ),
+    st.tuples(
+        st.sampled_from(STRING_COLUMNS), negation,
+        st.sampled_from(["'m%'", "'%1'", "'%ari%'", "'P_ris'", "'Paris'", "'2015-01-%'"]),
+    ).map(lambda t: f"{t[0]} {t[1]}LIKE {t[2]}"),
 )
 
 predicate = st.recursive(
@@ -259,10 +270,10 @@ def test_the_partials_path_agrees_with_sqlite_and_the_executor():
             tally["skipped"] += 1
             return
         # The store applies the pushed filters (all handled) first.
-        keep = conjunction_predicate(pushdown.filters, SCHEMA)
         records = []
         for split, part in enumerate(parts):
-            kept = ColumnBatch.from_rows(SCHEMA, [row for row in part if keep(row)])
+            mask = shipped_mask(pushdown.filters, SCHEMA, part)
+            kept = ColumnBatch.from_rows(SCHEMA, list(itertools.compress(part, mask)))
             for record in partial_aggregate([kept], spec, SCHEMA, max_groups):
                 records.append((split, *json.loads(json.dumps(record))))
         _schema, ours = execute_plan(plan, lambda: records, SCHEMA, partials=True)
@@ -300,31 +311,44 @@ def test_three_valued_in_and_between_by_hand():
 @settings(max_examples=200, deadline=None)
 @given(where=predicate, data=rows)
 def test_pushed_filters_stay_supersets_and_handled_ones_exact(where, data):
-    """The corrected NULL rules keep the pushdown handshake: the pushed
+    """The pushdown handshake, judged on what the scans run
+    (``FilterMask``, itself held to the per-row reference): the pushed
     filters never drop a row WHERE keeps, and the handled ones plus the
-    plan's remaining filter keep exactly WHERE's rows."""
+    plan's remaining filter keep exactly WHERE's rows -- negations
+    included, which are handled wherever the conjunct cannot raise."""
     query = parse_query(f"SELECT vid FROM t WHERE {where}")
     spec = extract_pushdown(query, SCHEMA)
-    pushed = conjunction_predicate(spec.filters, SCHEMA)
-    handled = conjunction_predicate(spec.handled, SCHEMA)
+    pushed = shipped_mask(spec.filters, SCHEMA, data)
+    handled = shipped_mask(spec.handled, SCHEMA, data)
+    assert pushed == bytes(map(filter_judge(spec.filters, SCHEMA), data)), where
+    assert handled == bytes(map(filter_judge(spec.handled, SCHEMA), data)), where
     accepts = row_evaluator(query.where, SCHEMA)
     remaining = row_evaluator(spec.compute_filter, SCHEMA) if spec.compute_filter else None
-    for row in data:
+    for row, passes, answered in zip(data, pushed, handled):
         try:
             kept = accepts(row) is True
             rest = remaining is None or remaining(row) is True
         except SqlError:
             return
-        assert pushed(row) or not kept, (where, row)
-        assert kept == (bool(handled(row)) and rest), (where, row)
+        assert passes or not kept, (where, row)
+        assert kept == (bool(answered) and rest), (where, row)
 
 
-def test_a_negated_null_list_or_bound_is_never_pushed_as_exact():
+def test_a_negated_null_list_or_bound_is_pushed_as_exact():
+    """A pushed ``Not`` is SQL's NOT, so a negated NULL list or bound is
+    handled and GROUP BY pushes down over it (nothing above the merged
+    partials re-applies WHERE); the partials property above holds the
+    answers to sqlite."""
     def plan(where):
         return gate(f"SELECT city, count(*) FROM t WHERE {where} GROUP BY city", SCHEMA)
 
-    assert isinstance(plan("code IN (5, NULL)"), AggregationSpec)
-    assert isinstance(plan("code BETWEEN NULL AND 5"), AggregationSpec)
-    assert plan("code NOT IN (5, NULL)") == "residual_filter"
-    assert plan("code NOT BETWEEN NULL AND 5") == "residual_filter"
-    assert plan("NOT (code IN (5, NULL))") == "residual_filter"
+    for where in (
+        "code IN (5, NULL)",
+        "code BETWEEN NULL AND 5",
+        "code NOT IN (5, NULL)",
+        "code NOT BETWEEN NULL AND 5",
+        "NOT (code IN (5, NULL))",
+        "code <> 5",
+        "city NOT LIKE 'P%'",
+    ):
+        assert isinstance(plan(where), AggregationSpec), where

@@ -3,13 +3,15 @@
 One soundness contract backs both pruning tiers (stripe pruning inside
 an RCF1 object and the object-level data-skipping catalog): a stripe or
 object containing at least one row that satisfies the filter conjunction
-is NEVER refuted.  The row-level truth oracle is
-:func:`repro.sql.filters.conjunction_predicate` -- exactly what the
-executor re-applies over surviving splits -- so these properties are the
+is NEVER refuted.  The row-level truth is
+:class:`repro.sql.kernels.FilterMask` -- exactly what every scan runs
+over the surviving splits, held here to the per-row reference
+``tests.row_at_a_time.filter_judge`` -- so these properties are the
 end-to-end byte-identity argument in miniature: anything the stats
-analysis drops, the oracle would have dropped anyway.
+analysis drops, the scan would have dropped anyway.
 """
 
+import itertools
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -31,9 +33,10 @@ from repro.sql.filters import (
     Not,
     Or,
     StringStartsWith,
-    conjunction_predicate,
 )
 from repro.sql.types import Schema
+
+from tests.row_at_a_time import filter_judge, shipped_mask
 
 SCHEMA = Schema.of("a:float", "b:int", "c")
 
@@ -113,8 +116,9 @@ def _catalog_of(rows):
 
 
 def _matching_rows(rows, filters):
-    predicate = conjunction_predicate(filters, SCHEMA)
-    return [row for row in rows if predicate(row)]
+    mask = shipped_mask(filters, SCHEMA, rows)
+    assert mask == bytes(map(filter_judge(filters, SCHEMA), rows)), filters
+    return list(itertools.compress(rows, mask))
 
 
 @settings(max_examples=120, deadline=None)

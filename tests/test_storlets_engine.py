@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.storlets import (
-    CsvStorlet,
     IStorlet,
     StorletEngine,
     StorletException,

@@ -1,7 +1,5 @@
 """Tests for the WSGI-style middleware composition primitives."""
 
-import pytest
-
 from repro.swift.exceptions import NotFound
 from repro.swift.http import Request, Response
 from repro.swift.middleware import (

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.swift import (
-    NotFound,
-    RangeNotSatisfiable,
-    SwiftClient,
-    SwiftCluster,
-    SwiftError,
-)
+from repro.swift import RangeNotSatisfiable, SwiftClient, SwiftCluster, SwiftError
 from repro.swift.http import Request, close_body
 from repro.swift.middleware import RequestLogger
 
