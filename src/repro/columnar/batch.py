@@ -1,19 +1,19 @@
 """Column-oriented record batches for the vectorized fast path.
 
-A :class:`ColumnBatch` holds the same rows as a
-:class:`repro.spark.batch.RecordBatch` but transposed: one Python list
-per column.  Batch kernels (:mod:`repro.sql.kernels`) run over these
+A :class:`ColumnBatch` is a bounded slice of rows held column-major:
+one vector per column.  It is the one unit that moves above the
+connector.  Batch kernels (:mod:`repro.sql.kernels`) run over these
 vectors with fused list comprehensions instead of per-row closure
 chains.
 
 The scheduler treats batches as opaque -- it only ever takes
-``len(batch)``, and ``batch.slice`` when a retry resumes inside a batch
-it had partly emitted -- so a ``ColumnBatch`` flows through
+``len(batch)``, and ``batch[start:]`` when a retry resumes inside a
+batch it had partly emitted -- so a ``ColumnBatch`` flows through
 ``iter_batches`` as it is, dictionary-coded columns
 (:class:`DictColumn`) still coded and fixed-width ones
 (:class:`PackedColumn`) still packed.  Rows exist only where they leave:
-``rows`` transposes on first access, for row-oriented consumers and
-for the operators above the kernel pipeline.
+``rows`` transposes on first access, for the operators above the kernel
+pipeline.
 """
 
 from __future__ import annotations
@@ -299,12 +299,14 @@ class ColumnBatch:
             len(indices),
         )
 
-    def slice(self, start: int, stop: Optional[int] = None) -> "ColumnBatch":
-        """A contiguous sub-batch ``[start:stop]``."""
-        if stop is None:
-            stop = self._row_count
-        start = max(0, min(start, self._row_count))
-        stop = max(start, min(stop, self._row_count))
+    def __getitem__(self, rows: slice) -> "ColumnBatch":
+        """``batch[start:stop]``: the contiguous sub-batch, bounds taken
+        as a list takes them (the scheduler cuts a list of aggregation
+        records the same way)."""
+        start, stop, step = rows.indices(self._row_count)
+        if step != 1:
+            raise ValueError("a column batch slices contiguously")
+        stop = max(start, stop)
         return ColumnBatch(
             self.schema,
             [column[start:stop] for column in self.columns],
@@ -319,17 +321,5 @@ def skip_rows(batches: Iterable[ColumnBatch], count: int) -> Iterator[ColumnBatc
         if count >= len(batch):
             count -= len(batch)
             continue
-        yield batch.slice(count) if count else batch
+        yield batch[count:] if count else batch
         count = 0
-
-
-def as_column_batch(batch: Any, schema: Schema) -> ColumnBatch:
-    """Coerce a scheduler batch (Record- or ColumnBatch) to columnar.
-
-    A ``ColumnBatch`` passes through as it is, coded columns still
-    coded; the ``RecordBatch``es of a row-oriented scan are transposed,
-    so the kernel pipeline sees a uniform columnar stream.
-    """
-    if isinstance(batch, ColumnBatch):
-        return batch
-    return ColumnBatch.from_rows(schema, batch.rows)

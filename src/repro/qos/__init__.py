@@ -29,8 +29,6 @@ from repro.qos.admission import (
 from repro.qos.budget import (
     STREAM_COST_ENV_KEY,
     budgeted_chunks,
-    charge_timeout,
-    remaining_timeout,
 )
 
 __all__ = [
@@ -44,6 +42,4 @@ __all__ = [
     "VirtualClock",
     "STREAM_COST_ENV_KEY",
     "budgeted_chunks",
-    "charge_timeout",
-    "remaining_timeout",
 ]

@@ -23,7 +23,7 @@ doomed stream was cut.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 #: Header carrying the remaining deadline budget, in (simulated) seconds.
 TIMEOUT_HEADER = "x-request-timeout"
@@ -38,22 +38,6 @@ STREAM_COST_ENV_KEY = "qos.stream_seconds_per_mb"
 STREAM_BYTES_ENV_KEY = "qos.stream_bytes"
 
 _MB = 1024 * 1024
-
-
-def remaining_timeout(request) -> Optional[float]:
-    """Remaining deadline budget of ``request`` (None when unbudgeted)."""
-    return request.remaining_timeout()
-
-
-def charge_timeout(request, seconds: float, tier: str = "unknown") -> Optional[float]:
-    """Charge ``seconds`` against the request's budget.
-
-    Returns the new remaining budget, or ``None`` when the request
-    carries no deadline.  Raises
-    :class:`repro.swift.exceptions.RequestTimeout` when the charge
-    exhausts the budget.
-    """
-    return request.charge_timeout(seconds, tier)
 
 
 def budgeted_chunks(

@@ -1,11 +1,14 @@
-"""A mini Apache Spark: RDDs, a task scheduler, Spark SQL's data sources.
+"""A mini Apache Spark: scan RDDs, a task scheduler, Spark SQL's data sources.
 
 The analytics half of Scoop.  Provides the pieces of Spark 1.6 the paper
-builds on (Section III-A):
+builds on (Section III-A), cut to what the query path runs.  Above the
+connector one batch type moves, :class:`~repro.columnar.batch.ColumnBatch`
+(a GROUP-BY pushdown scan hands on lists of partial-aggregation records
+instead):
 
-* :mod:`repro.spark.rdd` -- lazily evaluated, partitioned, lineage-
-  tracked distributed collections with narrow dependencies (no
-  shuffle: GROUP BY is :mod:`repro.sql.grouping`'s);
+* :mod:`repro.spark.rdd` -- a scan's partitions, each computed lazily as
+  a stream of batches (no transformation algebra or shuffle: GROUP BY
+  is :mod:`repro.sql.grouping`'s);
 * :mod:`repro.spark.scheduler` -- one streaming task runner on a
   bounded pool, round-robin worker placement, retry, per-task metrics;
 * :mod:`repro.spark.datasources` -- the Data Sources API
@@ -16,8 +19,10 @@ builds on (Section III-A):
 * :mod:`repro.spark.columnar_source` -- the relation over RCF1, the
   encoded columnar format (read with ``pushdown=False`` it is the
   Parquet-like baseline of the Fig. 8 comparison);
-* :mod:`repro.spark.session` / :mod:`repro.spark.dataframe` -- SQL entry
-  points (``session.sql(...)``) and DataFrame results.
+* :mod:`repro.spark.binary_source` -- SQL over binary objects' metadata;
+* :mod:`repro.spark.session` / :mod:`repro.spark.dataframe` -- the SQL
+  entry point (``session.sql(...)``; a relation becomes a table through
+  ``session.register_table``) and DataFrame results.
 """
 
 from repro.spark.dataframe import DataFrame

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from typing import Iterator, List, Sequence, Tuple
 
+from repro.columnar.batch import ColumnBatch
 from repro.connector.stocator import StocatorConnector
 from repro.csvscan import parse_record
-from repro.sql.types import DataType, Field, Row, Schema
+from repro.sql.types import DataType, Field, Schema
 from repro.spark.datasources import PrunedScan
 from repro.spark.rdd import RDD
 from repro.storlets.engine import StorletRequestHeaders
@@ -26,11 +27,14 @@ NAME_COLUMN = "object_name"
 SIZE_COLUMN = "payload_bytes"
 
 
-class MetadataScanRDD(RDD[Row]):
-    """One partition per binary object; each invokes the extractor.
+class MetadataScanRDD(RDD):
+    """One partition per binary object; each invokes the extractor and
+    yields one single-row ``ColumnBatch`` of ``columns``.
 
     ``objects`` is ``(name, size)`` per object, from the relation's
     sized listing, so a partition makes one request: the extractor GET.
+    The extractor always returns every declared tag (the header is
+    tiny); ``columns`` prunes when the row is typed.
     """
 
     def __init__(
@@ -40,7 +44,8 @@ class MetadataScanRDD(RDD[Row]):
         container: str,
         objects: List[Tuple[str, int]],
         tag_columns: List[str],
-        output_schema: Schema,
+        schema: Schema,
+        columns: Sequence[str],
         include_size: bool,
         storlet_name: str = "metaextract",
     ):
@@ -50,14 +55,16 @@ class MetadataScanRDD(RDD[Row]):
         self.container = container
         self.objects = objects
         self.tag_columns = tag_columns
-        self.output_schema = output_schema
+        self.schema = schema
+        self.output_schema = schema.select(columns)
+        self._positions = [schema.index_of(name) for name in columns]
         self.include_size = include_size
         self.storlet_name = storlet_name
 
     def num_partitions(self) -> int:
         return len(self.objects)
 
-    def compute(self, split: int) -> Iterator[Row]:
+    def compute_batches(self, split: int) -> Iterator[ColumnBatch]:
         object_name, object_size = self.objects[split]
         headers = {
             StorletRequestHeaders.RUN: self.storlet_name,
@@ -83,18 +90,17 @@ class MetadataScanRDD(RDD[Row]):
         line = body.rstrip(b"\n")
         fields = parse_record(line, ",") if line else None
         if fields is None:
-            return iter(())
-        values: List[object] = [object_name]
-        cursor = 0
-        for name in self.output_schema.names[1:]:
-            dtype = self.output_schema.field(name).dtype
+            return
+        row: List[object] = [object_name]
+        for cursor, field in enumerate(self.schema.fields[1:]):
             text = fields[cursor] if cursor < len(fields) else ""
             try:
-                values.append(dtype.parse(text))
+                row.append(field.dtype.parse(text))
             except (ValueError, TypeError):
-                values.append(None)
-            cursor += 1
-        return iter([tuple(values)])
+                row.append(None)
+        yield ColumnBatch(
+            self.output_schema, [[row[position]] for position in self._positions], 1
+        )
 
 
 class BinaryMetadataRelation(PrunedScan):
@@ -135,23 +141,15 @@ class BinaryMetadataRelation(PrunedScan):
         return self._schema
 
     def build_scan_pruned(self, required_columns: Sequence[str]) -> RDD:
-        # The extractor always returns the declared tags (the header is
-        # tiny); pruning happens when typing the output rows.
-        rdd = MetadataScanRDD(
+        return MetadataScanRDD(
             self.context,
             self.connector,
             self.container,
             list(self._objects),
             self.tag_schema.names,
             self._schema,
+            list(required_columns) or [self.count_column(())],
             self.include_size,
-        )
-        columns = list(required_columns) or [self.count_column(())]
-        positions = [self._schema.index_of(name) for name in columns]
-        if positions == list(range(len(self._schema))):
-            return rdd
-        return rdd.map(
-            lambda row: tuple(row[position] for position in positions)
         )
 
     def build_scan(self) -> RDD:

@@ -18,7 +18,7 @@ with it any column nothing else reads.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.sql.catalyst import count_column
 from repro.sql.filters import Filter
@@ -72,27 +72,3 @@ class PrunedFilteredScan(BaseRelation):
         self, required_columns: Sequence[str], filters: Sequence[Filter]
     ) -> RDD:
         raise NotImplementedError
-
-
-RelationProvider = Callable[..., BaseRelation]
-
-_PROVIDERS: Dict[str, RelationProvider] = {}
-
-
-def register_provider(format_name: str, provider: RelationProvider) -> None:
-    """Register a data source format (like META-INF service registration)."""
-    _PROVIDERS[format_name.lower()] = provider
-
-
-def lookup_provider(format_name: str) -> RelationProvider:
-    provider = _PROVIDERS.get(format_name.lower())
-    if provider is None:
-        raise KeyError(
-            f"unknown data source format {format_name!r}; "
-            f"registered: {sorted(_PROVIDERS)}"
-        )
-    return provider
-
-
-def registered_formats() -> List[str]:
-    return sorted(_PROVIDERS)

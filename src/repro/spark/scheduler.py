@@ -8,9 +8,8 @@ contract needs only the scan.  Task metrics -- rows produced, wall
 time, worker -- feed the resource-usage analysis.
 
 Every task runs through :meth:`SparkContext._stream_task`, reached by
-:meth:`SparkContext.iter_batches`; the RDD actions (``collect``,
-``count``, ``take``, ``reduce``) are folds over that stream.  So there
-is one retry loop, one blacklist consult, one task-log writer and one
+:meth:`SparkContext.iter_batches`, the one way a job runs.  So there is
+one retry loop, one blacklist consult, one task-log writer and one
 thread pool.
 
 Concurrency: ``parallelism`` bounds how many of a stage's tasks run at
@@ -19,7 +18,7 @@ parallelism: ``iter_batches`` merges the streams of concurrently
 running tasks strictly in partition order (a task's batches are
 buffered in a bounded queue until its turn), so the first error raised
 is the lowest failing partition's.  Consuming a stream early (a
-satisfied LIMIT, ``take``) cancels the in-flight producers and abandons
+satisfied LIMIT) cancels the in-flight producers and abandons
 their GETs, exactly as the serial path abandons the remaining tasks.
 
 Locks (see docs/concurrency.md): the scheduler's three locks
@@ -36,12 +35,11 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sized
 
 from repro.obs import Telemetry
 from repro.swift.exceptions import TooManyRequests
-from repro.spark.batch import DEFAULT_BATCH_ROWS, RecordBatch
-from repro.spark.rdd import ParallelCollectionRDD, RDD
+from repro.spark.rdd import RDD
 
 
 @dataclass
@@ -113,19 +111,11 @@ class SparkContext:
         self._placement_lock = threading.Lock()
         self._id_lock = threading.Lock()
 
-    # -- RDD constructors ---------------------------------------------------
-
-    def parallelize(self, data: List[Any], num_partitions: int = 0) -> RDD:
-        partitions = num_partitions or len(self.workers)
-        return ParallelCollectionRDD(self, list(data), max(1, partitions))
-
     # -- job execution ----------------------------------------------------------
 
-    def iter_batches(
-        self, rdd: RDD, batch_rows: int = DEFAULT_BATCH_ROWS
-    ) -> Iterator[RecordBatch]:
-        """Run a job: one task per partition, output streamed as
-        bounded record batches.
+    def iter_batches(self, rdd: RDD) -> Iterator[Sized]:
+        """Run a job: one task per partition, output streamed as the
+        batches the partitions compute.
 
         The tasks yield their batches to the consumer as they are
         produced.  With ``parallelism > 1`` up to that many tasks
@@ -143,19 +133,13 @@ class SparkContext:
             self.stage_log.append(StageInfo(stage_id, rdd.name, len(targets)))
         if self.parallelism <= 1 or len(targets) <= 1:
             for split in targets:
-                yield from self._stream_task(stage_id, rdd, split, batch_rows)
+                yield from self._stream_task(stage_id, rdd, split)
             return
-        yield from self._iter_batches_parallel(
-            stage_id, rdd, targets, batch_rows
-        )
+        yield from self._iter_batches_parallel(stage_id, rdd, targets)
 
     def _iter_batches_parallel(
-        self,
-        stage_id: int,
-        rdd: RDD,
-        targets: List[int],
-        batch_rows: int,
-    ) -> Iterator[RecordBatch]:
+        self, stage_id: int, rdd: RDD, targets: List[int]
+    ) -> Iterator[Sized]:
         """Ordered streaming merge over a sliding window of producers.
 
         A window of up to :attr:`parallelism` partition tasks runs
@@ -179,7 +163,7 @@ class SparkContext:
 
         def produce(split: int, out_queue: "queue_module.Queue") -> None:
             try:
-                stream = self._stream_task(stage_id, rdd, split, batch_rows)
+                stream = self._stream_task(stage_id, rdd, split)
                 try:
                     for batch in stream:
                         if not offer(out_queue, ("batch", batch)):
@@ -228,16 +212,7 @@ class SparkContext:
             cancel.set()
             pool.shutdown(wait=True)
 
-    def iter_rows(
-        self, rdd: RDD, batch_rows: int = DEFAULT_BATCH_ROWS
-    ) -> Iterator[Any]:
-        """Stream a job's output row by row (see :meth:`iter_batches`)."""
-        for batch in self.iter_batches(rdd, batch_rows):
-            yield from batch.rows
-
-    def _stream_task(
-        self, stage_id: int, rdd: RDD, split: int, batch_rows: int
-    ) -> Iterator[RecordBatch]:
+    def _stream_task(self, stage_id: int, rdd: RDD, split: int) -> Iterator[Sized]:
         """Run one task, yielding batches as the partition streams.
 
         Batches already handed to the consumer cannot be recalled, so
@@ -245,9 +220,11 @@ class SparkContext:
         partition and discarding the first ``emitted`` rows.  This is
         sound because partition computation is deterministic (the
         graceful-degradation path reproduces the pushdown row stream
-        exactly for the same reason).  Batches are counted by ``len``
-        and cut with ``slice``: a column batch is never turned into
-        rows here.
+        exactly for the same reason) -- not its cut into batches, so the
+        batch the resume point falls in is cut there.  Batches are
+        counted with ``len`` and cut with ``batch[start:]``, which a
+        ``ColumnBatch`` and a list of aggregation records both support:
+        a column batch is never turned into rows here.
         """
         task_id = self._next_task_id()
         emitted = 0
@@ -257,13 +234,13 @@ class SparkContext:
             started = time.perf_counter()
             try:
                 position = 0
-                for batch in rdd.compute_batches(split, batch_rows):
+                for batch in rdd.compute_batches(split):
                     start = position
                     position += len(batch)
                     if position <= emitted:
                         continue  # replayed rows from a pre-failure batch
                     if start < emitted:
-                        batch = batch.slice(emitted - start)
+                        batch = batch[emitted - start :]
                     emitted = position
                     yield batch
             except Exception as error:

@@ -13,7 +13,8 @@ pushdown, over the store's partial states).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.agg_pushdown import plan_aggregation_pushdown
 from repro.sql.catalyst import (
@@ -27,49 +28,15 @@ from repro.sql.errors import SqlAnalysisError
 from repro.sql.executor import execute_plan
 from repro.sql.parser import Query, parse_query
 from repro.sql.types import Row, Schema
-from repro.spark.columnar_source import ColumnarRelation
-from repro.spark.csv_source import CsvRelation
 from repro.spark.dataframe import DataFrame
 from repro.spark.datasources import (
     BaseRelation,
     PrunedFilteredScan,
     PrunedScan,
     TableScan,
-    lookup_provider,
-    register_provider,
 )
 from repro.spark.rdd import RDD
 from repro.spark.scheduler import SparkContext
-
-
-class DataFrameReader:
-    """``session.read.format("csv").option(...).load(container)``."""
-
-    def __init__(self, session: "SparkSession"):
-        self.session = session
-        self._format = "csv"
-        self._options: Dict[str, Any] = {}
-
-    def format(self, format_name: str) -> "DataFrameReader":
-        self._format = format_name
-        return self
-
-    def option(self, key: str, value: Any) -> "DataFrameReader":
-        self._options[key] = value
-        return self
-
-    def options(self, **kwargs: Any) -> "DataFrameReader":
-        self._options.update(kwargs)
-        return self
-
-    def load(self, path: str) -> DataFrame:
-        provider = lookup_provider(self._format)
-        relation = provider(
-            self.session, path, dict(self._options)
-        )
-        name = f"__{self._format}_{path.strip('/').replace('/', '_')}"
-        self.session.register_table(name, relation)
-        return DataFrame(self.session, name)
 
 
 class SparkSession:
@@ -103,10 +70,6 @@ class SparkSession:
     @property
     def parallelism(self) -> int:
         return self.context.parallelism
-
-    @property
-    def read(self) -> DataFrameReader:
-        return DataFrameReader(self)
 
     # -- catalog -----------------------------------------------------------
 
@@ -160,7 +123,7 @@ class SparkSession:
             registry.inc("sql.queries", path="agg_pushdown")
             return execute_plan(
                 plan,
-                lambda: self.context.iter_rows(partials),
+                lambda: chain.from_iterable(self.context.iter_batches(partials)),
                 base_schema,
                 partials=True,
                 registry=registry,
@@ -170,10 +133,9 @@ class SparkSession:
         # scheduler on demand, so non-blocking plans (scan/filter/project/
         # limit) never materialize a partition, and a satisfied LIMIT
         # stops the remaining tasks -- and their GETs -- entirely.
-        # CSV and RCF1 scans yield ColumnBatch objects that flow through
-        # the scheduler untouched (row-oriented RDDs' batches are
-        # transposed), and the executor runs compile-once kernels over
-        # them.
+        # Every scan yields ColumnBatch objects that flow through the
+        # scheduler untouched, and the executor runs compile-once
+        # kernels over them.
         registry.inc("sql.queries", path="batch")
         return execute_plan(
             plan, lambda: self.context.iter_batches(rdd), scan_schema, registry=registry
@@ -259,54 +221,3 @@ def _logical_plan(query: Query, spec: PushdownSpec, scan_schema: Schema):
     return Optimizer().optimize(
         build_logical_plan(replace(query, where=spec.compute_filter), scan_schema)
     )
-
-
-# --------------------------------------------------------------------------
-# Built-in providers
-# --------------------------------------------------------------------------
-
-
-def _store_provider(format_name: str, relation_class, read_options=lambda options: {}):
-    """The provider of a :class:`~repro.spark.store_source.StoreRelation`
-    format: ``path`` is ``container[/prefix]``; ``read_options`` maps the
-    reader's options to the keywords only this format takes."""
-
-    def provider(session: SparkSession, path: str, options: Dict[str, Any]):
-        connector = options.get("connector")
-        if connector is None:
-            raise SqlAnalysisError(
-                f"{format_name} format needs "
-                "option('connector', <StocatorConnector>)"
-            )
-        container, _slash, prefix = path.strip("/").partition("/")
-        return relation_class(
-            session.context,
-            connector,
-            container,
-            prefix=prefix,
-            schema=options.get("schema"),
-            pushdown=_truthy(options.get("pushdown", True)),
-            **read_options(options),
-        )
-
-    return provider
-
-
-def _truthy(value: Any) -> bool:
-    if isinstance(value, str):
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return bool(value)
-
-
-register_provider(
-    "csv",
-    _store_provider(
-        "csv",
-        CsvRelation,
-        lambda options: {
-            "has_header": _truthy(options.get("header", False)),
-            "delimiter": options.get("delimiter", ","),
-        },
-    ),
-)
-register_provider("columnar", _store_provider("columnar", ColumnarRelation))

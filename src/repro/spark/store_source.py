@@ -31,16 +31,19 @@ from repro.connector.stocator import PushdownError, StocatorConnector
 from repro.core.delegator import AnalyticsDelegator
 from repro.core.pushdown import PushdownTask
 from repro.csvscan import owned_records
-from repro.spark.batch import DEFAULT_BATCH_ROWS, batched, rows_from_batches
 from repro.spark.datasources import PrunedFilteredScan
 from repro.spark.rdd import RDD
 from repro.sql.filters import Filter
-from repro.sql.types import Row, Schema
+from repro.sql.types import Schema
 from repro.storlets.aggregation import (
     DEFAULT_MAX_GROUPS,
     AggregationSpec,
     partial_aggregate,
 )
+
+
+#: Records per list an aggregation partition hands the scheduler.
+_RECORDS_PER_BATCH = 1024
 
 
 def degrading(
@@ -99,14 +102,10 @@ def _decompress_chunks(chunks: Iterator[bytes]) -> Iterator[bytes]:
         yield tail
 
 
-class SplitScanRDD(RDD[Row]):
-    """One partition per split; computes typed column batches.
-
-    ``compute_batches`` is the native surface (one
+class SplitScanRDD(RDD):
+    """One partition per split; computes typed column batches (one
     :class:`~repro.columnar.batch.ColumnBatch` per block the reader
-    produced, columns in the output schema's order); ``compute``
-    flattens those batches to rows for row-oriented consumers, so both
-    views describe the same deterministic stream.
+    produced, columns in the output schema's order).
 
     A format implements ``_pushdown_batches`` and ``_plain_batches``,
     which must yield the same rows -- exactly those passing ``filters``,
@@ -141,20 +140,7 @@ class SplitScanRDD(RDD[Row]):
     def num_partitions(self) -> int:
         return len(self.splits)
 
-    def compute(self, split_index: int) -> Iterator[Row]:
-        return rows_from_batches(self._batches(split_index))
-
-    def compute_batches(
-        self, split_index: int, batch_rows: int = DEFAULT_BATCH_ROWS
-    ) -> Iterator[ColumnBatch]:
-        """Reader-sized column batches (``batch_rows`` only shapes the
-        re-chunking of a cached partition, where rows are materialized
-        anyway)."""
-        if self._cache is not None:
-            return batched(self.iterator(split_index), batch_rows)
-        return self._batches(split_index)
-
-    def _batches(self, split_index: int) -> Iterator[ColumnBatch]:
+    def compute_batches(self, split_index: int) -> Iterator[ColumnBatch]:
         split = self.splits[split_index]
         args = self._reader_args(split)
         if args is None:
@@ -187,7 +173,7 @@ class SplitScanRDD(RDD[Row]):
 
 
 class AggregationScanRDD(RDD):
-    """A scan's partitions through partial aggregation: yields
+    """A scan's partitions through partial aggregation: yields lists of
     ``(split, ordinal, key, states)`` records
     (:func:`~repro.storlets.aggregation.partial_aggregate`'s, stamped
     with the split index -- the storlet does not know which split it
@@ -216,11 +202,11 @@ class AggregationScanRDD(RDD):
     def num_partitions(self) -> int:
         return len(self.splits)
 
-    def compute(self, split_index: int) -> Iterator[tuple]:
+    def compute_batches(self, split_index: int) -> Iterator[List[tuple]]:
         args = self.scan._reader_args(self.splits[split_index])
         if args is None:
             return iter(())
-        return degrading(
+        records = degrading(
             self.scan.connector,
             args[0].index,
             lambda: self._pushdown_records(*args),
@@ -230,6 +216,7 @@ class AggregationScanRDD(RDD):
             size=lambda record: 1,
             skip=lambda records, count: islice(records, count, None),
         )
+        return iter(lambda: list(islice(records, _RECORDS_PER_BATCH)), [])
 
     def _pushdown_records(self, split, *rest) -> Iterator[tuple]:
         for raw_line in owned_records(self.scan._pushdown_response(split, *rest)):

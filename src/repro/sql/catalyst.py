@@ -411,7 +411,6 @@ def _normalize_comparison(expression: BinaryOp):
 UNHANDLED_REASONS = (
     "untranslatable",
     "not_total",
-    "text_filter_on_non_string",
     "source_declined",
 )
 
@@ -537,24 +536,12 @@ def _inexact_reason(conjunct: Expression, schema: Schema) -> Optional[str]:
     logic, except where the conjunct raises: there the filter's leaf is
     neither True nor False.  So the filter is exact when the conjunct
     cannot raise (the kernels' totality proof) -- ``Not`` included, as
-    it is SQL's NOT -- and every ``LIKE`` reads a STRING column.
+    it is SQL's NOT.  A ``LIKE`` on a non-STRING column is exact too: the
+    filter and the executor both match the text of the typed cell.
     """
     from repro.sql.kernels import proves_total
 
-    if not proves_total(conjunct, schema):
-        return "not_total"
-    if any(
-        isinstance(node, Like) and not _is_string_column(node.operand.name, schema)
-        for node in _walk(conjunct)
-    ):
-        return "text_filter_on_non_string"
-    return None
-
-
-def _walk(expression: Expression):
-    yield expression
-    for child in expression.children():
-        yield from _walk(child)
+    return None if proves_total(conjunct, schema) else "not_total"
 
 
 def extract_pushdown(query: Query, schema: Schema, source=None) -> PushdownSpec:

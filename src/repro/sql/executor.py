@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.columnar.batch import ColumnBatch, as_column_batch, take_column
+from repro.columnar.batch import ColumnBatch, take_column
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.catalyst import (
     AggregateNode,
@@ -108,9 +108,9 @@ def execute_plan(
     partials: bool = False,
     registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[Schema, List[Row]]:
-    """Run ``plan`` over the batches ``batch_source()`` yields
-    (``ColumnBatch``es of ``scan_schema``, or row sequences, which are
-    transposed); returns the visible output schema and rows.  The source
+    """Run ``plan`` over the ``ColumnBatch``es of ``scan_schema`` that
+    ``batch_source()`` yields; returns the visible output schema and
+    rows.  The source
     is called once and pulled lazily: a satisfied LIMIT stops it.
 
     With ``partials`` the source yields a GROUP-BY pushdown scan's
@@ -175,15 +175,14 @@ def _compile(
 
     def filtered_batches() -> Iterator[ColumnBatch]:
         for batch in batch_source():
-            columnar = as_column_batch(batch, scan_schema)
             if selection is not None:
-                n = len(columnar)
-                picked = selection(columnar.columns, n)
+                n = len(batch)
+                picked = selection(batch.columns, n)
                 if not picked:
                     continue
                 if len(picked) != n:
-                    columnar = columnar.take(picked)
-            yield columnar
+                    batch = batch.take(picked)
+            yield batch
 
     node = rest.pop(0) if rest else None
     if isinstance(node, ProjectNode):

@@ -35,7 +35,6 @@ from repro.gridpocket import DatasetSpec, METER_SCHEMA
 from repro.gridpocket.generator import MeterDataGenerator
 from repro.gridpocket.queries import GRIDPOCKET_QUERIES
 from repro.obs.metrics import MetricsRegistry
-from repro.spark.rdd import RDD
 from repro.spark.scheduler import SparkContext
 from repro.sql.catalyst import Optimizer, build_logical_plan
 from repro.sql.errors import SqlTypeError
@@ -45,6 +44,7 @@ from repro.sql.grouping import GroupTable
 from repro.sql.parser import parse_query
 from repro.sql.types import Schema
 from repro.storlets.aggregation import AggregationSpec, partial_aggregate
+from tests.fake_rdd import FakeRDD
 from tests.row_at_a_time import rowwise_partial_aggregate
 from tests.sqlite_oracle import check_against_sqlite
 
@@ -400,38 +400,26 @@ class SpyBatch(ColumnBatch):
         return ColumnBatch.rows.fget(self)
 
 
-class RecutRDD(RDD):
-    """One partition of ``total`` rows ``(i, "v<i>")``.  The first
-    attempt yields them cut by ``first_cuts`` and then fails; every
-    later one cuts them by ``replay_cuts``."""
+RECUT_SCHEMA = Schema.of("i:int", "v")
 
-    SCHEMA = Schema.of("i:int", "v")
 
-    def __init__(self, context, total, first_cuts, replay_cuts, touched):
-        super().__init__(context)
-        self.total = total
-        self.cuts = [first_cuts, replay_cuts]
-        self.touched = touched
-        self.attempts = 0
+def spy_batch(touched):
+    """A carrier for :class:`~tests.fake_rdd.FakeRDD`: the values ``i``
+    as rows ``(i, "v<i>")``, ``v`` dictionary-coded, in a
+    :class:`SpyBatch` reporting to ``touched``."""
 
-    def num_partitions(self):
-        return 1
+    def carrier(ids):
+        values = DictColumn([f"v{i}" for i in ids], bytes(range(len(ids))))
+        batch = SpyBatch(RECUT_SCHEMA, [ids, values], len(ids))
+        batch.touched = touched
+        return batch
 
-    def compute_batches(self, split, batch_rows=0):
-        self.attempts += 1
-        first = self.attempts == 1
-        start = 0
-        for size in self.cuts[0 if first else 1]:
-            stop = start + size
-            ids = list(range(start, stop))
-            values = DictColumn([f"v{i}" for i in ids], bytes(range(size)))
-            batch = SpyBatch(self.SCHEMA, [ids, values], size)
-            batch.touched = self.touched
-            yield batch
-            start = stop
-        if first:
-            raise RuntimeError("worker lost mid-partition")
-        assert start == self.total
+    return carrier
+
+
+def fail_after_seven(split, attempt, done):
+    if attempt == 1 and done == 7:
+        raise RuntimeError("worker lost mid-partition")
 
 
 @pytest.mark.parametrize("parallelism", [1, 8])
@@ -440,13 +428,19 @@ def test_retry_resumes_inside_a_column_batch(parallelism):
     touched = []
     # 7 rows are out when the fault lands; the replay's second batch
     # (rows 5..9) straddles that point.
-    rdd = RecutRDD(context, 15, first_cuts=[4, 3], replay_cuts=[5, 5, 5], touched=touched)
+    rdd = FakeRDD(
+        context,
+        [list(range(15))],
+        cut=lambda attempt: [4, 3, 8] if attempt == 1 else [5, 5, 5],
+        carrier=spy_batch(touched),
+        hook=fail_after_seven,
+    )
     batches = list(context.iter_batches(rdd))
     assert [len(batch) for batch in batches] == [4, 3, 3, 5]
     assert all(isinstance(batch.columns[1], DictColumn) for batch in batches)
     rows = [row for batch in batches for row in zip(*batch.columns)]
     assert rows == [(i, f"v{i}") for i in range(15)]
-    # Counted with len, cut with slice: never turned into rows.
+    # Counted with len, cut with batch[start:]: never turned into rows.
     assert touched == []
     assert context.task_retries() == 1
 
@@ -517,7 +511,11 @@ def test_table_one_compiles_to_kernels_with_zero_refusals(table_format):
     )
     # Plainly ingested rows, for sqlite to answer over.
     relation = reference.session.relation("ref")
-    rows = list(reference.spark_context.iter_rows(relation.build_scan()))
+    rows = [
+        row
+        for batch in reference.spark_context.iter_batches(relation.build_scan())
+        for row in batch
+    ]
     for query in GRIDPOCKET_QUERIES:
         frame, _report = ctx.run_query(query.sql())
         check_against_sqlite(query.sql("ref"), METER_SCHEMA, rows, frame.collect())

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.columnar.batch import ColumnBatch
 from repro.spark.binary_source import BinaryMetadataRelation
 from repro.sql import Schema
 from repro.storlets import StorletException
@@ -152,6 +153,19 @@ class TestBinaryMetadataRelation:
             "GROUP BY camera ORDER BY camera"
         ).collect()
         assert rows == [("CanonR5", 1), ("NikonD500", 2), ("SonyA7", 1)]
+
+    def test_the_scan_hands_the_scheduler_column_batches(self, photo_rig):
+        relation = self.register(photo_rig)
+        scan = relation.build_scan_pruned(["camera", "iso"])
+        batches = list(photo_rig.spark_context.iter_batches(scan))
+        assert all(
+            type(batch) is ColumnBatch and batch.schema.names == ["camera", "iso"]
+            for batch in batches
+        )
+        assert [len(batch) for batch in batches] == [1, 1, 1, 1]
+        assert sorted(row for batch in batches for row in batch) == [
+            ("CanonR5", 200), ("NikonD500", 100), ("NikonD500", 300), ("SonyA7", 400)
+        ]
 
     def test_payload_size_column(self, photo_rig):
         self.register(photo_rig)

@@ -22,6 +22,8 @@ from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
 from repro.obs.metrics import MetricsRegistry
 from repro.spark.scheduler import SparkContext
 
+from tests.fake_rdd import FakeRDD, rows_of, split_evenly
+
 # 16 objects -> a 16-partition scan, the shape the acceptance criteria
 # names (small payloads keep the matrix of stacks fast to build).
 SPEC_16 = DatasetSpec(meters=24, intervals=32, objects=16)
@@ -45,15 +47,14 @@ class TestSchedulerParallelism:
     def test_run_job_results_stay_in_partition_order(self):
         data = list(range(200))
 
-        def partition_lists(parallelism):
+        def partition_rows(parallelism):
             sc = SparkContext(parallelism=parallelism)
-            rdd = sc.parallelize(data, 16)
-            return rdd.map_partitions(lambda it: [list(it)]).collect()
+            rdd = FakeRDD(sc, split_evenly(data, 16), cut=3)
+            return [batch.rows for batch in sc.iter_batches(rdd)]
 
-        got = partition_lists(8)
-        assert got == partition_lists(1)
-        assert len(got) == 16
-        assert [row for part in got for row in part] == data
+        got = partition_rows(8)
+        assert got == partition_rows(1)
+        assert rows_of(got) == [(value,) for value in data]
 
     def test_tasks_really_run_concurrently(self):
         # All 8 tasks must be in flight at once to pass the barrier; a
@@ -61,36 +62,32 @@ class TestSchedulerParallelism:
         sc = SparkContext(parallelism=8, max_task_attempts=1)
         barrier = threading.Barrier(8)
 
-        def rendezvous(iterator):
-            barrier.wait(timeout=10.0)
-            return list(iterator)
+        def rendezvous(split, attempt, done):
+            if not done:
+                barrier.wait(timeout=10.0)
 
-        rdd = sc.parallelize(list(range(8)), 8).map_partitions(rendezvous)
-        assert rdd.collect() == list(range(8))
+        rdd = FakeRDD(sc, split_evenly(list(range(8)), 8), hook=rendezvous)
+        assert rows_of(sc.iter_batches(rdd)) == [(value,) for value in range(8)]
 
     def test_failure_raises_lowest_partition_error(self):
         # Partition 9 may *finish failing* first on the wall clock, but
         # the error surfaced must be partition 4's -- the same one a
         # serial run hits.
-        def explode(iterator):
-            value = next(iterator)
-            if value >= 4:
-                raise ValueError(f"partition {value}")
-            return [value]
+        def explode(split, attempt, done):
+            if split >= 4:
+                raise ValueError(f"partition {split}")
 
         for parallelism in (1, 8):
             sc = SparkContext(parallelism=parallelism, max_task_attempts=1)
-            rdd = sc.parallelize(list(range(16)), 16).map_partitions(explode)
+            rdd = FakeRDD(sc, split_evenly(list(range(16)), 16), hook=explode)
             with pytest.raises(ValueError, match="partition 4"):
-                rdd.collect()
+                rows_of(sc.iter_batches(rdd))
 
     def test_iter_batches_merges_in_partition_order(self):
         data = list(range(500))
         sc = SparkContext(parallelism=8)
-        rows = []
-        for batch in sc.iter_batches(sc.parallelize(data, 16), batch_rows=7):
-            rows.extend(batch.rows)
-        assert rows == data
+        rdd = FakeRDD(sc, split_evenly(data, 16), cut=7)
+        assert rows_of(sc.iter_batches(rdd)) == [(value,) for value in data]
 
     def test_early_exit_cancels_inflight_producers(self):
         # A consumer abandoning the stream (satisfied LIMIT) must not
@@ -98,18 +95,18 @@ class TestSchedulerParallelism:
         sc = SparkContext(parallelism=8)
         before = threading.active_count()
         stream = sc.iter_batches(
-            sc.parallelize(list(range(2000)), 16), batch_rows=5
+            FakeRDD(sc, split_evenly(list(range(2000)), 16), cut=5)
         )
         first = next(stream)
         stream.close()
-        assert list(first.rows) == list(range(5))
+        assert first.rows == tuple((value,) for value in range(5))
         # close() joins the pool, so no stage threads may survive it.
         assert threading.active_count() == before
 
     def test_task_log_records_every_partition(self):
         for parallelism in (1, 8):
             sc = SparkContext(parallelism=parallelism)
-            sc.parallelize(list(range(64)), 16).map_partitions(list).collect()
+            rows_of(sc.iter_batches(FakeRDD(sc, split_evenly(list(range(64)), 16))))
             by_partition = sorted(
                 metrics.partition
                 for metrics in sc.task_log

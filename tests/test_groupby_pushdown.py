@@ -116,7 +116,7 @@ def post_aggregate_oracle():
     and the compute side's answers."""
     oracle = build_context(False)
     scan = oracle.session.relation("m").build_scan()
-    table_rows = list(oracle.spark_context.iter_rows(scan))
+    table_rows = [row for batch in oracle.spark_context.iter_batches(scan) for row in batch]
     return table_rows, [oracle.run_query(sql)[0].collect() for sql in POST_AGGREGATE_QUERIES]
 
 
@@ -302,7 +302,10 @@ class TestDegradation:
         def drained(rdd):
             # The storlet's records crossed JSON (lists), the fallback's
             # did not (tuples): compare them in JSON's shape.
-            parts = [list(rdd.compute(i)) for i in range(rdd.num_partitions())]
+            parts = [
+                [record for batch in rdd.compute_batches(i) for record in batch]
+                for i in range(rdd.num_partitions())
+            ]
             return json.loads(json.dumps(parts))
 
         want = drained(relation.build_aggregation_scan(spec, []))
@@ -563,9 +566,8 @@ def test_pinned_sums_on_every_path(table_format, agg_pushdown, parallelism):
     assert (report.pushdown_requests > 0) == agg_pushdown
     # And the executor alone, over the rows of the same table.
     scan = ctx.session.relation("e").build_scan()
-    _schema, rows = execute_query(
-        EXACT_SQL, EXACT_SCHEMA, ctx.spark_context.iter_rows(scan)
-    )
+    table_rows = [row for batch in ctx.spark_context.iter_batches(scan) for row in batch]
+    _schema, rows = execute_query(EXACT_SQL, EXACT_SCHEMA, table_rows)
     assert {row[0]: repr(row[1:]) for row in rows} == pinned
 
 

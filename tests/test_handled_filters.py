@@ -41,6 +41,7 @@ from repro.spark.session import _logical_plan
 from repro.swift.http import close_body
 from repro.swift.retry import RetryPolicy
 
+from tests.row_at_a_time import row_evaluator
 from tests.rowwise_reference import Incomparable, where_keeps, where_sql
 from tests.sqlite_oracle import check_against_sqlite
 
@@ -254,11 +255,9 @@ class TestEveryPathAnswersForTheFiltersItWasGiven:
         assert spec.required_columns == [
             name for name in SCHEMA.names if name in referenced
         ]
-        # The reasons a translated conjunct can carry here are the two
-        # inexactness codes; the source declined nothing.
-        assert {reason for _filter, reason in spec.unhandled} <= {
-            "not_total", "text_filter_on_non_string"
-        }
+        # The reason a translated conjunct can carry here is the one
+        # inexactness code; the source declined nothing.
+        assert {reason for _filter, reason in spec.unhandled} <= {"not_total"}
 
 
 class TestTheClassification:
@@ -282,8 +281,9 @@ class TestTheClassification:
             ("i NOT IN (1, NULL)", None),
             ("i NOT BETWEEN 1 AND 5", None),
             ("NOT (s < 5)", "not_total"),
-            ("i LIKE '5'", "text_filter_on_non_string"),
-            ("f LIKE '1%' OR s = 'a'", "text_filter_on_non_string"),
+            # LIKE matches the typed cell's text on both sides.
+            ("i LIKE '5'", None),
+            ("f LIKE '1%' OR s = 'a'", None),
         ],
     )
     def test_reason_codes(self, where, reason):
@@ -362,6 +362,65 @@ class TestANegationIsHandled:
         # shipped for the plan to filter again.
         superset = moved(f"SELECT k, i FROM {table} WHERE i <> 3 OR i IS NULL")
         assert handled < superset
+
+
+class TestALikeOnANonStringColumnIsHandled:
+    """``i LIKE '5%'`` and ``f LIKE '1%'`` match the text of the *typed*
+    cell on the source's side as on the executor's: stored ``05`` is the
+    int 5 and matches, ``+3`` is 3, ``1.50`` is 1.5, ``1e0`` is 1.0.  So
+    the source answers for such a LIKE on every path: the plan keeps no
+    filter and the scan ships ``k`` alone."""
+
+    TEXT = (
+        b"0,a,05,1.50,x\n1,b,+3,10,y\n2,c,5,+1.5,z\n3,d,50,0.1,w\n"
+        b"4,e,,1e0,v\n5,f,15,,u\n6,g,-5,01.0,t\n"
+    )
+    #: The same rows typed, as the reference judges them.
+    ROWS = [
+        (0, "a", 5, 1.5, "x"), (1, "b", 3, 10.0, "y"), (2, "c", 5, 1.5, "z"),
+        (3, "d", 50, 0.1, "w"), (4, "e", None, 1.0, "v"), (5, "f", 15, None, "u"),
+        (6, "g", -5, 1.0, "t"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        ctx = ScoopContext(chunk_size=48 * 1024)
+        ctx.client.put_container("csv")
+        ctx.client.put_object("csv", "a.csv", self.TEXT)
+        options = {"schema": SCHEMA, "agg_pushdown": False}
+        ctx.register_csv_table("csv_pushdown", "csv", format="csv", **options)
+        ctx.register_csv_table("csv_plain", "csv", format="csv", pushdown=False, **options)
+        # RCF1 converted in the store from the same text.
+        ctx.register_csv_table("columnar_pushdown", "csv", format="columnar", **options)
+        ctx.register_columnar_table(
+            "columnar_plain", "csv--columnar", schema=SCHEMA, pushdown=False
+        )
+        return ctx
+
+    @pytest.mark.parametrize("fmt", ["csv", "columnar"])
+    @pytest.mark.parametrize(
+        "column, where, keeps",
+        [("i", "i LIKE '5%'", [0, 2, 3]), ("f", "f LIKE '1%'", [0, 1, 2, 4, 6])],
+    )
+    def test_like_on_the_typed_text(self, ctx, fmt, column, where, keeps):
+        judge = row_evaluator(where, SCHEMA)
+        expected = [(row[0],) for row in self.ROWS if judge(row) is True]
+        assert expected == [(k,) for k in keeps]
+        for mode in ("pushdown", "plain"):
+            table = f"{fmt}_{mode}"
+            frame, report = ctx.run_query(f"SELECT k FROM {table} WHERE {where}")
+            ours = frame.collect()
+            assert ours == expected, (table, where)
+            assert ctx.session.last_pushdown.compute_filter is None
+            if column == "i":
+                # sqlite renders bools and floats differently: INT only.
+                check_against_sqlite(f"SELECT k FROM t WHERE {where}", SCHEMA, self.ROWS, ours)
+            if mode == "pushdown":
+                wider, with_column = ctx.run_query(
+                    f"SELECT k, {column} FROM {table} WHERE {where}"
+                )
+                assert [row[:1] for row in wider.collect()] == expected
+                assert report.bytes_transferred < with_column.bytes_transferred
 
 
 class TestWhereAnUnhandledConjunctRaises:

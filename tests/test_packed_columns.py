@@ -148,7 +148,7 @@ class TestPackedColumn:
         rows = tuple(zip("ab" * 10, range(500, 520), [i / 4 for i in range(20)]))
         assert batch.rows == rows
         for start in range(21):
-            resumed = batch.slice(start)
+            resumed = batch[start:]
             assert resumed.rows == rows[start:]
             assert all(
                 isinstance(column, (DictColumn, PackedColumn))
@@ -157,7 +157,8 @@ class TestPackedColumn:
             assert [b.rows for b in skip_rows([batch], start)] == (
                 [rows[start:]] if start < 20 else []
             )
-            assert batch.slice(start, start + 3).rows == rows[start : start + 3]
+            assert batch[start : start + 3].rows == rows[start : start + 3]
+            assert batch[-3:].rows == rows[-3:]
         assert batch.take([19, 0, 7]).rows == (rows[19], rows[0], rows[7])
 
 

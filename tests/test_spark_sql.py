@@ -5,16 +5,13 @@ import pytest
 from repro.connector import StocatorConnector
 from repro.spark import SparkContext, SparkSession
 from repro.spark.csv_source import CsvRelation, infer_csv_schema
-from repro.spark.datasources import (
-    TableScan,
-    lookup_provider,
-    register_provider,
-    registered_formats,
-)
+from repro.spark.datasources import TableScan
 from repro.sql import Schema
 from repro.sql.errors import SqlAnalysisError
 from repro.sql.types import DataType
 from repro.swift import SwiftClient, SwiftCluster
+
+from tests.fake_rdd import SCHEMA, FakeRDD
 
 
 @pytest.fixture
@@ -136,50 +133,22 @@ class TestDataFrame:
         assert connector.metrics.requests == requests_after_first
 
 
-class TestProviders:
-    def test_builtin_formats_registered(self):
-        assert "csv" in registered_formats()
-        assert "columnar" in registered_formats()
-
-    def test_unknown_format_raises(self):
-        with pytest.raises(KeyError):
-            lookup_provider("avro")
-
-    def test_reader_loads_csv(self, rig):
-        _session, connector, schema = rig
-        session = SparkSession(SparkContext("t2", 2))
-        frame = (
-            session.read.format("csv")
-            .option("connector", connector)
-            .option("schema", schema)
-            .load("/data")
-        )
-        assert frame.count() == 3
-
-    def test_reader_requires_connector(self):
-        session = SparkSession(SparkContext("t3", 2))
-        with pytest.raises(SqlAnalysisError):
-            session.read.format("csv").load("/data")
-
-    def test_custom_provider(self):
+class TestRegisterTable:
+    def test_a_table_scan_relation_answers_sql(self):
         class OneRowRelation(TableScan):
             def __init__(self, context):
                 self.context = context
 
             def schema(self):
-                return Schema.of("x:int")
+                return SCHEMA
 
             def build_scan(self):
-                return self.context.parallelize([(42,)], 1)
+                return FakeRDD(self.context, [[42]])
 
-        register_provider(
-            "onerow", lambda session, path, options: OneRowRelation(
-                session.context
-            )
-        )
         session = SparkSession(SparkContext("t4", 1))
-        frame = session.read.format("onerow").load("/whatever")
-        assert frame.collect() == [(42,)]
+        session.register_table("one", OneRowRelation(session.context))
+        assert session.sql("SELECT i FROM one").collect() == [(42,)]
+        assert "OneRowRelation via TableScan" in session.sql("SELECT i FROM one").explain()
 
 
 class TestSchemaInference:
