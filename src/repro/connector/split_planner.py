@@ -17,11 +17,11 @@ closes (an unterminated quote running through EOF) cannot be aligned at
 all and is demoted to a single split by the caller, with a counted,
 logged reason.
 
-:func:`plan_read_ends` uses the same bytes to say where each planned
-split's plain read must stop: at the end of the last record the split
+:func:`plan_read_ends` uses the same bytes to say where every read of
+each planned split must stop: at the end of the last record the split
 owns, which is the record crossing (or starting at) the next split's
-start.  A plain read then ends exactly where its records do -- no
-lookahead guess, and a record of any length is read whole.
+start.  Plain and pushdown reads then end exactly where the split's
+records do, and a record of any length is read whole.
 """
 
 from __future__ import annotations

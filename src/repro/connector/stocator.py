@@ -34,13 +34,6 @@ from repro.swift.http import HeaderDict, close_body
 
 logger = logging.getLogger("repro.connector")
 
-#: Bytes a plain read of a split planned without a scan (no
-#: :attr:`ObjectSplit.read_end`) fetches past the split end at a time.
-#: Records up to this long cost no extra request; a longer one crossing
-#: the end costs one more ranged GET per such stretch, and only while
-#: the reader still pulls.
-RANGE_LOOKAHEAD = 8 * 1024
-
 
 class PushdownError(SwiftError):
     """A pushdown GET did not produce filtered data.
@@ -80,6 +73,17 @@ class PushdownError(SwiftError):
         self.degradable = degradable
 
 
+def _pushdown_error(
+    message: str, split: "ObjectSplit", storlet: str, reason: str, degradable: bool
+) -> PushdownError:
+    """A :class:`PushdownError` for ``storlet``'s read of ``split``."""
+    return PushdownError(
+        f"{message} for /{split.container}/{split.name} bytes {split.start}-{split.end}",
+        container=split.container, name=split.name, byte_range=(split.start, split.end),
+        storlet=storlet, reason=reason, degradable=degradable,
+    )
+
+
 @dataclass(frozen=True)
 class ObjectSplit:
     """One byte range of one object, handled by one analytics task."""
@@ -90,10 +94,10 @@ class ObjectSplit:
     length: int
     object_size: int
     index: int
-    #: Inclusive last byte a plain read of the split needs: the end of
-    #: the last record it owns, when discovery's planning scan saw it;
-    #: ``None`` when the split was planned without reading the object.
-    read_end: Optional[int] = None
+    #: Inclusive last byte any read of the split asks the store for:
+    #: the end of the last record it owns (CSV), or of its last stripe
+    #: (RCF1), as discovery planned it.
+    read_end: int
 
     @property
     def end(self) -> int:
@@ -235,46 +239,49 @@ class StocatorConnector:
     # -- partition discovery ---------------------------------------------
 
     def discover_partitions(
-        self, container: str, prefix: str = "", record_aligned: bool = False
+        self, container: str, prefix: str = "", record_aligned: bool = True
     ) -> List[ObjectSplit]:
-        """Split every matching object into chunk-size byte ranges.
+        """Split every matching CSV object into chunk-size byte ranges.
 
         Mirrors Hadoop RDD partition discovery: total size divided by the
         chunk size, one task per split.  Happens before any query is
         known (paper Section V-B).
 
-        With ``record_aligned`` (the CSV relation's default) each
-        object's boundaries are checked against its quoting: a boundary
-        that would land inside a quoted field slides forward to the next
-        record start (see :mod:`repro.connector.split_planner`), and an
-        object whose quoting never closes is demoted to a single split
-        -- counted in :attr:`demoted_objects` and the
+        An object larger than a chunk is planned from its bytes: a
+        boundary inside a quoted field slides forward to the next record
+        start (see :mod:`repro.connector.split_planner`), and an object
+        whose quoting never closes is demoted to a single split --
+        counted in :attr:`demoted_objects` and the
         ``connector.splits_demoted{reason=...}`` registry counter, and
         logged.  Boundaries of unquoted data are byte-identical to the
         plain chunk arithmetic.  The same planning read gives every
-        split its :attr:`ObjectSplit.read_end`, so a plain read stops at
-        the end of the last record the split owns.
+        split its :attr:`ObjectSplit.read_end`, so every read of a split
+        stops at the end of the last record it owns.
 
         One request per object after the sized listing: the planning
-        GET of a record-aligned object larger than a chunk, else a HEAD,
-        whose headers carry the object's catalog.  Objects that yield
-        no split -- zero-length, or listed without a size -- cost no
-        request and are *counted and logged* rather than silently
-        dropped (no silent caps): see the
-        ``connector.objects_skipped{reason=...}`` registry counter and
-        :attr:`skipped_objects`.
+        GET of an object larger than a chunk, else a HEAD (its one
+        split reads to the object's end), whose headers carry the
+        object's catalog.  Objects that yield no split -- zero-length,
+        or listed without a size -- cost no request and are *counted
+        and logged* rather than silently dropped (no silent caps): see
+        the ``connector.objects_skipped{reason=...}`` registry counter
+        and :attr:`skipped_objects`.
         """
+        # Discovery has one mode.  The keyword stays because callers
+        # outside the package spell that mode out; a split planned
+        # without its read end would have no rule for where reads stop.
+        if not record_aligned:
+            raise ValueError("CSV discovery always plans record-aligned splits")
         splits: List[ObjectSplit] = []
         for name, size in self._discovered_objects(container, prefix):
-            if record_aligned and size > self.chunk_size:
+            if size > self.chunk_size:
                 starts, ends = self._aligned_plan(container, name)
             else:
                 self._discovery_request("head")
                 self._cache_catalog(
                     container, name, self.client.head_object(container, name)
                 )
-                starts = list(range(0, size, self.chunk_size))
-                ends: List[Optional[int]] = [None] * len(starts)
+                starts, ends = [0], [size - 1]
             bounds = starts[1:] + [size]
             for start, end, read_end in zip(starts, bounds, ends):
                 splits.append(
@@ -327,7 +334,7 @@ class StocatorConnector:
 
     def _aligned_plan(
         self, container: str, name: str
-    ) -> Tuple[List[int], List[Optional[int]]]:
+    ) -> Tuple[List[int], List[int]]:
         """Quote-safe split starts and exact read ends for one CSV
         object (control plane).
 
@@ -407,7 +414,8 @@ class StocatorConnector:
         reaches :attr:`chunk_size`, one task per group, over the same
         walk (and skip accounting) as :meth:`discover_partitions`; the
         footer read is the object's one request.  Record alignment is
-        free here: stripes never bisect a record by construction.
+        free here: stripes never bisect a record by construction, so a
+        split's read end is its last stripe's last byte.
         """
         splits: List[ColumnarSplit] = []
         for name, _listed in self._discovered_objects(container, prefix):
@@ -423,7 +431,8 @@ class StocatorConnector:
                 ):
                     continue
                 extent = ObjectSplit(
-                    container, name, start, stripe.end - start, size, len(splits)
+                    container, name, start, stripe.end - start, size, len(splits),
+                    stripe.end - 1,
                 )
                 splits.append(ColumnarSplit(extent, footer.schema, tuple(group)))
                 group = []
@@ -474,7 +483,41 @@ class StocatorConnector:
                 kept.append(item)
         return kept
 
-    # -- segment-granular reads --------------------------------------------
+    # -- reads -------------------------------------------------------------
+
+    def open_split_stream(
+        self, split: ObjectSplit, task: Optional[PushdownTask] = None
+    ) -> Tuple[HeaderDict, Iterator[bytes]]:
+        """Open a split read as ``(headers, chunk iterator)``.
+
+        Either way the store is asked for ``[split.start,
+        split.read_end]``: through the end of the last record the split
+        owns, however long that record is.  With a pushdown task the GET
+        also carries the task and the split's logical range
+        (``X-Storlet-Range``), and the storlet streams back the already
+        filtered, record-aligned data.  Without, the raw bytes stream
+        through and the caller aligns records client-side with
+        :mod:`repro.csvscan` (:meth:`read_split_records` for raw
+        records); a range past the object's end reads as no bytes.
+
+        Configuration and replica-exhaustion failures surface *at open
+        time* (the proxy tries every replica before answering), so
+        callers can still degrade to a plain read before consuming any
+        data.  Bytes are charged to :attr:`metrics` per chunk as the
+        stream is consumed, never all at once.
+        """
+        extent = (split.start, split.read_end, split.length)
+        if task is None or task.is_noop():
+            try:
+                return self._get(split, "plain_get", *extent)
+            except RangeNotSatisfiable:
+                self.metrics.record_request(split.length, pushdown=False)
+                return HeaderDict(), iter(())
+        headers: Dict[str, str] = {
+            StorletRequestHeaders.RANGE: f"bytes={split.start}-{split.end}"
+        }
+        task.apply_to_headers(headers)
+        return self._get(split, "pushdown_get", *extent, headers, task)
 
     def read_byte_ranges(
         self, split: ObjectSplit, ranges: Sequence[Tuple[int, int]]
@@ -495,36 +538,10 @@ class StocatorConnector:
             if end == start:
                 pieces.extend(b"" for _member in members)
                 continue
-            tracer = self.tracer
-            trace_id = tracer.new_trace_id() if tracer.enabled else ""
-            span = tracer.start(
-                "connector",
-                "segment_get",
-                trace_id=trace_id,
-                container=split.container,
-                object=split.name,
-                split_index=split.index,
-                range_start=start,
-                range_length=end - start,
-                pushdown=False,
+            _headers, chunks = self._get(
+                split, "segment_get", start, end - 1, end - start
             )
-            extra: Dict[str, str] = {TRACE_HEADER: trace_id} if trace_id else {}
-            try:
-                response = self.client.get_object_stream(
-                    split.container,
-                    split.name,
-                    byte_range=(start, end - 1),
-                    headers=extra,
-                )
-            except BaseException:
-                # No stream was opened, so _metered() will never finish
-                # the span: close it or it stays on this thread's stack.
-                tracer.finish(span, status="error")
-                raise
-            self.metrics.record_request(end - start, pushdown=False)
-            data = b"".join(
-                self._metered(response.iter_body(), split, None, span)
-            )
+            data = b"".join(chunks)
             for offset, length in members:
                 pieces.append(data[offset - start : offset - start + length])
         return pieces
@@ -547,171 +564,81 @@ class StocatorConnector:
                 groups.append((offset, offset + length, [(offset, length)]))
         return groups
 
-    # -- split reads --------------------------------------------------------
-
-    def open_split_stream(
-        self, split: ObjectSplit, task: Optional[PushdownTask] = None
+    def _get(
+        self,
+        split: ObjectSplit,
+        operation: str,
+        first: int,
+        last: int,
+        requested: int,
+        headers: Optional[Dict[str, str]] = None,
+        task: Optional[PushdownTask] = None,
     ) -> Tuple[HeaderDict, Iterator[bytes]]:
-        """Open a split read as ``(headers, chunk iterator)``.
+        """The one GET of the data plane: bytes ``[first, last]`` of
+        ``split``'s object, charged as one request for ``requested``
+        bytes and traced as a connector ``operation`` span that stays
+        open while the body streams.
 
-        With a pushdown task: one storlet GET streams the already
-        filtered, record-aligned data for the split.  Without: the raw
-        bytes stream through and the caller aligns records client-side
-        with :mod:`repro.csvscan` (:meth:`read_split_records` for raw
-        records).  A plain read ends at :attr:`ObjectSplit.read_end`,
-        the end of the split's last owned record, when discovery planned
-        it; otherwise it asks for :data:`RANGE_LOOKAHEAD` bytes past the
-        split and reads on in further ranged GETs of that size while the
-        reader still pulls and the object continues.
-
-        Configuration and replica-exhaustion failures surface *at open
-        time* (the proxy tries every replica before answering), so
-        callers can still degrade to a plain read before consuming any
-        data.  Bytes are charged to :attr:`metrics` per chunk as the
-        stream is consumed, never all at once.
+        With ``task`` it is a pushdown GET (``headers`` carry the task),
+        and a failed one raises :class:`PushdownError`: degradable when
+        a storlet failed at runtime on every replica, which left the
+        data intact for a plain re-read and a compute-side filter.
         """
         tracer = self.tracer
-        pushdown = task is not None and not task.is_noop()
         trace_id = tracer.new_trace_id() if tracer.enabled else ""
         span = tracer.start(
-            "connector",
-            "pushdown_get" if pushdown else "plain_get",
-            trace_id=trace_id,
-            container=split.container,
-            object=split.name,
-            split_index=split.index,
-            range_start=split.start,
-            range_length=split.length,
-            pushdown=pushdown,
+            "connector", operation, trace_id=trace_id, container=split.container,
+            object=split.name, split_index=split.index, range_start=first,
+            range_length=requested, pushdown=task is not None,
         )
+        headers = dict(headers or {})
+        if trace_id:
+            headers[TRACE_HEADER] = trace_id
         try:
-            if pushdown:
-                headers: Dict[str, str] = {}
-                task.apply_to_headers(headers)
-                headers[StorletRequestHeaders.RANGE] = (
-                    f"bytes={split.start}-{split.end}"
-                )
-                if trace_id:
-                    headers[TRACE_HEADER] = trace_id
-                try:
-                    response = self.client.get_object_stream(
-                        split.container, split.name, headers=headers
-                    )
-                except SwiftError as error:
-                    failure_reason = (getattr(error, "headers", None) or {}).get(
-                        StorletRequestHeaders.FAILURE
-                    )
-                    # A storlet that failed at runtime on every replica
-                    # left the data intact, so the caller may degrade to
-                    # a plain GET + compute-side filter.
-                    what = (
-                        f"storlet {task.storlet!r} failed ({failure_reason})"
-                        if failure_reason
-                        else "GET failed"
-                    )
-                    raise PushdownError(
-                        f"pushdown {what} for "
-                        f"/{split.container}/{split.name} "
-                        f"bytes {split.start}-{split.end}: {error}",
-                        container=split.container,
-                        name=split.name,
-                        byte_range=(split.start, split.end),
-                        storlet=task.storlet,
-                        reason=failure_reason or f"http-{error.status}",
-                        degradable=bool(failure_reason),
-                    ) from error
-                if StorletRequestHeaders.INVOKED not in response.headers:
-                    # Nothing intercepted the request: the store has no
-                    # storlet engine (or the filter is not deployed).
-                    # Parsing raw data with the pruned schema would
-                    # silently corrupt results, so this is loud and
-                    # non-degradable.
-                    raise PushdownError(
-                        f"pushdown task {task.storlet!r} was not executed "
-                        f"by the object store for "
-                        f"/{split.container}/{split.name}; "
-                        "is the storlet middleware installed and the "
-                        "filter deployed?",
-                        container=split.container,
-                        name=split.name,
-                        byte_range=(split.start, split.end),
-                        storlet=task.storlet,
-                        reason="not-executed",
-                        degradable=False,
-                    )
-                self.metrics.record_request(split.length, pushdown=True)
-                return response.headers, self._metered(
-                    response.iter_body(), split, task, span
-                )
-
-            last = split.object_size - 1
-            end = split.read_end
-            if end is None:
-                end = min(split.end + RANGE_LOOKAHEAD, last)
-            extra: Dict[str, str] = (
-                {TRACE_HEADER: trace_id} if trace_id else {}
-            )
             try:
                 response = self.client.get_object_stream(
-                    split.container,
-                    split.name,
-                    byte_range=(split.start, end),
-                    headers=extra,
+                    split.container, split.name, byte_range=(first, last), headers=headers
                 )
-            except RangeNotSatisfiable:
-                self.metrics.record_request(split.length, pushdown=False)
-                tracer.finish(span, status="range-not-satisfiable")
-                return HeaderDict(), iter(())
-            self.metrics.record_request(split.length, pushdown=False)
-            chunks = response.iter_body()
-            if split.read_end is None and end < last:
-                chunks = self._read_on(split, chunks, end, extra)
-            return response.headers, self._metered(chunks, split, None, span)
+            except SwiftError as error:
+                if task is None:
+                    raise
+                reason = (error.headers or {}).get(StorletRequestHeaders.FAILURE)
+                what = f"storlet {task.storlet!r} failed ({reason})" if reason else "GET failed"
+                raise _pushdown_error(
+                    f"pushdown {what}: {error}", split, task.storlet,
+                    reason or f"http-{error.status}", degradable=bool(reason),
+                ) from error
+            if task is not None and StorletRequestHeaders.INVOKED not in response.headers:
+                # Nothing intercepted the request: no storlet engine, or
+                # the filter is not deployed.  Parsing raw data with the
+                # pruned schema would silently corrupt results.
+                close_body(response.body)
+                raise _pushdown_error(
+                    f"pushdown task {task.storlet!r} was not executed by the "
+                    "object store (is the storlet middleware installed and "
+                    "the filter deployed?)",
+                    split, task.storlet, "not-executed", degradable=False,
+                )
+        except RangeNotSatisfiable:
+            tracer.finish(span, status="range-not-satisfiable")
+            raise
         except PushdownError as error:
             tracer.finish(span, status="error", reason=error.reason)
             raise
         except BaseException:
-            # Same for any other open-time failure (e.g. the object was
-            # deleted after discovery): no stream was handed out, so
-            # _metered() will never finish the span.
+            # No stream was handed out (e.g. the object was deleted after
+            # discovery), so _metered() will never finish the span.
             tracer.finish(span, status="error")
             raise
-
-    def _read_on(
-        self,
-        split: ObjectSplit,
-        chunks: Iterable[bytes],
-        end: int,
-        headers: Dict[str, str],
-    ) -> Iterator[bytes]:
-        """``chunks``, then the object past ``end`` in
-        :data:`RANGE_LOOKAHEAD`-byte ranged GETs, each made only when
-        the reader pulls past the previous one: a split planned without
-        a scan does not know where its last record ends, so it reads on
-        until the reader has that record whole."""
-        last = split.object_size - 1
-        try:
-            yield from chunks
-            while end < last:
-                start, end = end + 1, min(end + RANGE_LOOKAHEAD, last)
-                close_body(chunks)
-                chunks = self.client.get_object_stream(
-                    split.container,
-                    split.name,
-                    byte_range=(start, end),
-                    headers=headers,
-                ).iter_body()
-                self.metrics.record_request(0, pushdown=False)
-                yield from chunks
-        finally:
-            close_body(chunks)
+        self.metrics.record_request(requested, pushdown=task is not None)
+        return response.headers, self._metered(response.iter_body(), split, task, span)
 
     def _metered(
         self,
         chunks: Iterable[bytes],
         split: ObjectSplit,
         task: Optional[PushdownTask],
-        span: Optional[Span] = None,
+        span: Span,
     ) -> Iterator[bytes]:
         """Charge transferred bytes chunk-by-chunk as they are consumed.
 
@@ -737,16 +664,10 @@ class StocatorConnector:
                 yield chunk
         except StorletFailure as failure:
             status = "error"
-            raise PushdownError(
+            raise _pushdown_error(
                 f"pushdown storlet {storlet!r} failed mid-stream "
-                f"({failure.reason}) for /{split.container}/{split.name} "
-                f"bytes {split.start}-{split.end}: {failure}",
-                container=split.container,
-                name=split.name,
-                byte_range=(split.start, split.end),
-                storlet=storlet,
-                reason=failure.reason,
-                degradable=True,
+                f"({failure.reason}): {failure}",
+                split, storlet, failure.reason, degradable=True,
             ) from failure
         except BaseException:
             status = "error"
@@ -756,22 +677,8 @@ class StocatorConnector:
             # underlying stream too, releasing its pool slot *now*
             # rather than whenever the chunk iterator is collected.
             close_body(chunks)
-            if span is not None:
-                span.bytes_out = consumed
-                self.tracer.finish(
-                    span, status=None if status == "ok" else status
-                )
-
-    def read_split_raw(
-        self, split: ObjectSplit, task: Optional[PushdownTask] = None
-    ) -> bytes:
-        """Fetch a split's data fully materialized.
-
-        Convenience wrapper over :meth:`open_split_stream` for callers
-        that need the whole payload at once (e.g. aggregation partials).
-        """
-        _headers, chunks = self.open_split_stream(split, task)
-        return b"".join(chunks)
+            span.bytes_out = consumed
+            self.tracer.finish(span, status=None if status == "ok" else status)
 
     def read_split_records(self, split: ObjectSplit) -> Iterator[bytes]:
         """Plain (no pushdown) read yielding the records the split owns.
@@ -779,10 +686,10 @@ class StocatorConnector:
         The line-level view of :mod:`repro.csvscan`, so the Hadoop split
         ownership rule is the storlet's own: skip the partial first
         record unless the split starts the object; own every record
-        starting at or before the split end; read on to finish the last
-        owned record.  Chunks are pulled from the store on demand: once
-        the next record is known to start past the split, no further
-        bytes cross the wire.
+        starting at or before the split end, the last of which ends the
+        GET.  Chunks are pulled from the store on demand: once the next
+        record is known to start past the split, no further bytes cross
+        the wire.
         """
         _headers, chunks = self.open_split_stream(split, task=None)
         return owned_records(chunks, split.start, split.length)

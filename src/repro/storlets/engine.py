@@ -5,7 +5,9 @@ extended: it keeps the registry of deployed storlets, owns one sandbox
 per machine, and provides the WSGI middleware that intercepts object
 requests on either tier.  The middleware implements the paper's three
 extensions -- pipelining, staging (proxy vs object node) and byte-range
-execution with record lookahead.
+execution: a storlet runs over its logical range (``X-Storlet-Range``)
+and reads on, within the request's own ``Range``, to finish the record
+crossing the range end.
 """
 
 from __future__ import annotations
@@ -213,10 +215,6 @@ class StorletMiddleware:
     *before* replication fan-out, so ETL transformations are applied once.
     """
 
-    #: Bytes fetched beyond the requested range so the storlet can finish
-    #: the record straddling the range end.
-    RANGE_LOOKAHEAD = 64 * 1024
-
     def __init__(self, app: App, engine: StorletEngine, tier: str):
         if tier not in ("proxy", "object"):
             raise ValueError(f"tier must be proxy|object: {tier!r}")
@@ -327,12 +325,22 @@ class StorletMiddleware:
         )
         if storlet_range is not None:
             start, end = _parse_byte_range(storlet_range)
-            # Extend the physical read so the record straddling ``end``
-            # can be completed; tell the storlet its logical range.
-            request = request.copy()
-            request.headers["range"] = (
-                f"bytes={start}-{end + self.RANGE_LOOKAHEAD}"
-            )
+            # The storlet is told its logical range; the physical read is
+            # the request's own Range (the connector asks for the split
+            # through its last owned record), which must start where the
+            # logical range does.  Without one it runs to the object's
+            # end: the backend streams lazily and the storlet stops
+            # pulling at its last owned record.
+            physical = request.headers.get("range")
+            if physical is None:
+                request = request.copy()
+                request.headers["range"] = f"bytes={start}-"
+            elif not physical.strip().startswith(f"bytes={start}-"):
+                return Response(
+                    400,
+                    body=f"range {physical!r} does not start at storlet "
+                    f"range {storlet_range!r}".encode("utf-8"),
+                )
             parameters["range_start"] = str(start)
             parameters["range_len"] = str(end - start + 1)
 

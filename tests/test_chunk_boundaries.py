@@ -364,7 +364,7 @@ class TestReaderMatchesReference:
             expected_records, expected_rows = reference_scan(
                 data, start, end - start
             )
-            stream = data[start:]  # a ranged GET serves lookahead to EOF
+            stream = data[start:]  # a storlet GET without Range reads to EOF
             scan = CsvScan(
                 _chunks(stream, chunk_size),
                 READER_SCHEMA,

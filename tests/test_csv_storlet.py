@@ -187,7 +187,7 @@ class TestRangeSemantics:
     def test_record_straddling_range_end_completed(self):
         first_len = len(b"m1,2015-01-01,10.5,Rotterdam\n")
         # Range ends inside record 2: record 2 starts inside the range,
-        # so it is owned and must be completed via lookahead bytes.
+        # so it is owned and must be completed from the bytes past the range.
         result = invoke(
             SAMPLE, {"range_start": "0", "range_len": str(first_len + 3)}
         )
@@ -256,7 +256,7 @@ class TestQuotedNewlines:
 
     def test_range_end_inside_multiline_record_completes_it(self):
         # The third record starts before the range end, so it is owned
-        # and must be completed from lookahead -- including the part of
+        # and must be completed from past the range -- including the part of
         # its quoted field past the range boundary.
         start_of_m3 = QUOTED.index(b"m3")
         result = invoke(

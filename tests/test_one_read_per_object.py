@@ -6,16 +6,15 @@ makes the one read each object's format needs: the suffix-range footer
 GET of an RCF1 object, the planning GET of a record-aligned CSV object
 larger than a chunk, a HEAD otherwise -- and nothing for an empty
 object.  The catalog comes from that read's headers.  The planning GET
-also says where each split's last owned record ends, so a plain read
-asks for exactly those bytes, however long the record; a split planned
-without it reads on in further ranged GETs while its reader pulls.
+also says where each split's last owned record ends, so every read of
+a split -- plain or pushdown -- asks for exactly those bytes, however
+long the record.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.connector import StocatorConnector
-from repro.connector.stocator import RANGE_LOOKAHEAD
 from repro.core.scoop import ScoopContext
 from repro.sql.types import Schema
 from repro.swift import SwiftClient, SwiftCluster
@@ -36,10 +35,20 @@ def _long_record_csv(note_len, tail_len):
     )
 
 
-def _context(data, pushdown):
+def _long_record_rows(note_len, tail_len):
+    """The rows of :func:`_long_record_csv`, as sqlite3 reads them."""
+    return [
+        (100, "y" * note_len, "z" * tail_len) if i == 100 else (i, f"note{i}", f"tail{i}")
+        for i in range(200)
+    ]
+
+
+def _context(data, pushdown, agg_pushdown=False):
     ctx = ScoopContext(chunk_size=4096)
     ctx.upload_csv("c", "t.csv", data)
-    ctx.register_csv_table("t", "c", schema=SCHEMA, pushdown=pushdown, format="csv")
+    ctx.register_csv_table(
+        "t", "c", schema=SCHEMA, pushdown=pushdown, format="csv", agg_pushdown=agg_pushdown
+    )
     return ctx
 
 
@@ -208,12 +217,16 @@ class TestExactReadEnds:
             split.read_end - split.start + 1 for split in splits
         )
 
-    @pytest.mark.parametrize("note_len, tail_len", [(3000, 9000), (20000, 5)])
+    @pytest.mark.parametrize(
+        "note_len, tail_len", [(3000, 9000), (20000, 5), (3000, 100000), (100000, 5)]
+    )
     def test_long_records_read_whole_on_both_paths(self, note_len, tail_len):
-        """The two truncation repros: while a plain read fetched a fixed
+        """The truncation repros: while a plain read fetched a fixed
         8 KiB past its split, a longer record crossing the boundary came
         back cut (``length`` 7613, not 9000) or was dropped (199 rows,
-        not 200) on the plain path only."""
+        not 200) on the plain path; while the storlet read a fixed
+        64 KiB past its range, a record longer than that did the same
+        under pushdown (64 957, not 100 000)."""
         data = _long_record_csv(note_len, tail_len)
         answers = []
         for pushdown in (False, True):
@@ -226,76 +239,70 @@ class TestExactReadEnds:
             )
         assert answers[0] == answers[1]
         assert answers[0] == ([(99, 6), (100, tail_len), (101, 7)], 200)
+        check_against_sqlite(
+            REPRO_SQL, SCHEMA, _long_record_rows(note_len, tail_len), answers[0][0]
+        )
 
-
-class TestReadingOn:
-    """A split planned without a scan reads ``RANGE_LOOKAHEAD`` bytes
-    past its end, then further ranged GETs of that size while its reader
-    still pulls."""
-
-    def _rig(self, data, chunk_size):
-        client = SwiftClient(SwiftCluster(storage_node_count=2, disks_per_node=1))
-        client.put_container("c")
-        client.put_object("c", "t.csv", data)
-        connector = StocatorConnector(client, chunk_size=chunk_size)
-        return connector, connector.discover_partitions("c")
-
-    def _records(self, connector, splits):
-        return [
-            record for split in splits for record in connector.read_split_records(split)
+    def test_a_long_record_aggregates_whole_under_group_by_pushdown(self):
+        """The storlet's partial aggregation sees the long record too: at
+        a fixed 64 KiB past the range it read ``(199, 19800)``."""
+        sql = "SELECT count(*) AS n, sum(id) AS s FROM t"
+        data = _long_record_csv(100000, 5)
+        answers = [
+            _context(data, pushdown, agg_pushdown).sql(sql).collect()
+            for pushdown, agg_pushdown in ((False, False), (True, False), (True, True))
         ]
+        assert answers == [[(200, 19900)]] * 3
+        check_against_sqlite(sql, SCHEMA, _long_record_rows(100000, 5), answers[0])
 
-    def test_short_records_cost_one_request_per_split(self):
-        data = "".join(f"{i},n{i},t{i}\n" for i in range(400)).encode()
-        connector, splits = self._rig(data, 512)
-        assert all(split.read_end is None for split in splits)
-        assert self._records(connector, splits) == data.rstrip(b"\n").split(b"\n")
-        assert connector.metrics.requests == len(splits)
+    def test_unplanned_discovery_is_refused(self):
+        ctx = _context("1,a,b\n", pushdown=False)
+        with pytest.raises(ValueError):
+            ctx.connector.discover_partitions("c", "", False)
 
-    def test_a_long_record_is_read_whole_with_more_ranged_gets(self):
-        long = b"100," + b"y" * (3 * RANGE_LOOKAHEAD) + b",z"
-        lines = [f"{i},n{i},t{i}".encode() for i in range(200)]
-        lines[100] = long
-        data = b"\n".join(lines) + b"\n"
-        connector, splits = self._rig(data, 1024)
-        records = self._records(connector, splits)
-        assert records == lines
-        # Only the split owning the long record reads on, one window at
-        # a time up to its terminator; the splits inside it see their
-        # first record outrun their range and stop there.
-        start = data.index(long)
-        owner = next(s for s in splits if s.start < start <= s.start + s.length)
-        short = start + len(long) - (owner.end + RANGE_LOOKAHEAD)
-        extra = -(-short // RANGE_LOOKAHEAD)
-        assert extra >= 2
-        assert connector.metrics.requests == len(splits) + extra
 
-    def test_a_reader_that_stops_pulling_stops_the_gets(self):
-        long = b"0," + b"y" * (4 * RANGE_LOOKAHEAD) + b",z\n"
-        connector, splits = self._rig(long + b"1,a,b\n", 64)
-        _headers, chunks = connector.open_split_stream(splits[0])
-        next(iter(chunks))
-        chunks.close()
-        assert connector.metrics.requests == 1
+class TestStorageSideReads:
+    """A pushdown GET asks the store for the split's planned range, so
+    the storlets read exactly the bytes the plain reads would move."""
 
-    def test_an_unplanned_stream_ends_with_the_object(self):
-        data = b"0,a,b\n1," + b"y" * RANGE_LOOKAHEAD
-        connector, splits = self._rig(data, 16)
-        assert self._records(connector, splits) == [b"0,a,b", b"1," + b"y" * RANGE_LOOKAHEAD]
+    def _storlet_bytes_in(self, ctx, sql):
+        before = ctx.engine.total_bytes()[0]
+        ctx.sql(sql).collect()
+        return ctx.engine.total_bytes()[0] - before
+
+    def test_a_csv_pushdown_scan_reads_the_planned_ranges(self):
+        ctx = ScoopContext(chunk_size=256 * 1024, skipping=False)
+        ctx.upload_csv(
+            "c", "t.csv", "".join(f"{i},note-{i:07d},tail-{i % 97}\n" for i in range(60000))
+        )
+        ctx.register_csv_table("t", "c", schema=SCHEMA, pushdown=True, format="csv")
+        splits = ctx.connector.discover_partitions("c", record_aligned=True)
+        assert len(splits) > 4
+        planned = sum(split.read_end - split.start + 1 for split in splits)
+        assert self._storlet_bytes_in(ctx, "SELECT id FROM t WHERE id < 10") == planned
+
+    def test_an_rcf1_pushdown_scan_reads_no_byte_past_its_stripes(self):
+        ctx = _rcf_context(3)
+        ctx.register_columnar_table("t", "rcf", schema=RCF_SCHEMA, pushdown=True)
+        splits = [columnar.split for columnar in ctx.connector.discover_columnar_partitions("rcf")]
+        extents = sum(split.length for split in splits)
+        # Both columns are read, so every stripe byte is needed.
+        assert self._storlet_bytes_in(ctx, "SELECT vid, n FROM t WHERE n >= 0") == extents
+        assert all(split.read_end == split.end for split in splits)
 
 
 # --------------------------------------------------------------------------
-# The differential: plain == pushdown == sqlite, both discovery modes
+# The differential: plain == pushdown == sqlite
 # --------------------------------------------------------------------------
 
 CHUNK = 4096
 
 
 @st.composite
-def _records(draw, quoted):
-    """Rows and the CSV lines that carry them, from 1 B to 3 chunks; a
-    bare line of the wrong width stands in for a short broken record,
-    which every path drops."""
+def _records(draw):
+    """Rows and the CSV lines that carry them, from 1 B to 3 chunks,
+    some quoting a newline; a bare line of the wrong width stands in
+    for a short broken record, which every path drops."""
     rows, lines = [], []
     for ident in range(draw(st.integers(1, 24))):
         kind = draw(st.sampled_from(["short", "long", "huge", "broken"]))
@@ -305,12 +312,12 @@ def _records(draw, quoted):
         size = {
             "short": (0, 40),
             "long": (40, CHUNK),
-            "huge": (RANGE_LOOKAHEAD, 3 * CHUNK - 64),
+            "huge": (2 * CHUNK, 3 * CHUNK - 64),
         }[kind]
         note_len = draw(st.integers(*size))
         note = draw(st.sampled_from("abyz")) * note_len
         tail = draw(st.sampled_from(["", "t", "tail"]))
-        if quoted and draw(st.booleans()):
+        if draw(st.booleans()):
             note = note[: note_len // 2] + "\n,\"" + note[note_len // 2 :]
             text_note = '"' + note.replace('"', '""') + '"'
         else:
@@ -320,36 +327,27 @@ def _records(draw, quoted):
     return rows, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
-def _sql_answers(data, aligned, parallelism, sql):
-    """The answer of ``sql`` read plainly and with pushdown, over splits
-    discovered with or without the record-aligned planning scan."""
+def _sql_answers(data, parallelism, sql):
+    """The answer of ``sql`` read plainly and with pushdown."""
     answers = []
     for pushdown in (False, True):
         ctx = ScoopContext(chunk_size=CHUNK, parallelism=parallelism, skipping=False)
         ctx.upload_csv("c", "t.csv", data)
-        discover = ctx.connector.discover_partitions
-        ctx.connector.discover_partitions = (
-            lambda container, prefix="", record_aligned=True: discover(
-                container, prefix, record_aligned=aligned
-            )
-        )
         ctx.register_csv_table("t", "c", schema=SCHEMA, pushdown=pushdown, format="csv")
         answers.append(ctx.sql(sql).collect())
     return answers
 
 
 @pytest.mark.parametrize("parallelism", [1, 8])
-@pytest.mark.parametrize("aligned", [True, False])
 @settings(
     max_examples=12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(data=st.data())
-def test_plain_equals_pushdown_equals_sqlite(aligned, parallelism, data):
-    # A quoted newline only frames from a record-aligned start.
-    rows, text = data.draw(_records(quoted=aligned))
+def test_plain_equals_pushdown_equals_sqlite(parallelism, data):
+    rows, text = data.draw(_records())
     sql = "SELECT id, length(note) AS n, note, tail FROM t WHERE id >= 1"
-    plain, pushed = _sql_answers(text, aligned, parallelism, sql)
+    plain, pushed = _sql_answers(text, parallelism, sql)
     assert sorted(plain) == sorted(pushed)
     check_against_sqlite(sql, SCHEMA, rows, plain)

@@ -59,8 +59,8 @@ class TestReplicaEquivalence:
     ):
         """A storlet range GET pinned to replica ``i`` returns the same
         bytes as the primary -- the record-alignment rule (skip the
-        partial first record, finish the last owned record from the
-        lookahead) must not depend on which replica serves the read."""
+        partial first record, read on to finish the last owned record)
+        must not depend on which replica serves the read."""
         client = build_stack()
         start = int(start_fraction * len(CSV_BODY))
         end = min(start + length - 1, len(CSV_BODY) - 1)

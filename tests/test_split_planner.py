@@ -93,9 +93,9 @@ class TestPlanner:
         bounds = starts + [len(data)]
         recovered = []
         for start, end in zip(bounds, bounds[1:]):
-            # The real ranged GET streams from the split start to end of
-            # object (the tail past range_len is the lookahead that
-            # finishes a straddling record).
+            # The widest read a split can get streams from its start to
+            # the end of the object (a storlet GET without Range);
+            # ownership, not the stream's end, decides the records.
             recovered.extend(
                 owned_records([data[start:]], start, end - start)
             )

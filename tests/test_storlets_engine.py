@@ -12,7 +12,7 @@ from repro.storlets import (
     StorletRequestHeaders,
 )
 from repro.storlets.engine import StorletPolicy
-from repro.swift import SwiftClient, SwiftCluster
+from repro.swift import SwiftClient, SwiftCluster, SwiftError
 
 
 class UpperStorlet(IStorlet):
@@ -59,6 +59,33 @@ def stack():
     engine.deploy(BoomStorlet())
     client.put_container("c")
     return engine, cluster, client
+
+
+class TestByteRanges:
+    """``X-Storlet-Range`` is the storlet's logical range; the physical
+    read is the request's own ``Range``, else the object from the
+    logical start on."""
+
+    RANGED = {StorletRequestHeaders.RUN: "upper", StorletRequestHeaders.RANGE: "bytes=2-4"}
+
+    def test_the_request_range_bounds_the_read(self, stack):
+        _engine, _cluster, client = stack
+        client.put_object("c", "o", b"hello world")
+        _headers, body = client.get_object("c", "o", headers=self.RANGED, byte_range=(2, 6))
+        assert body == b"LLO W"
+
+    def test_without_a_range_the_read_runs_to_the_object_end(self, stack):
+        _engine, _cluster, client = stack
+        client.put_object("c", "o", b"hello world")
+        _headers, body = client.get_object("c", "o", headers=self.RANGED)
+        assert body == b"LLO WORLD"
+
+    def test_a_range_starting_elsewhere_is_refused(self, stack):
+        _engine, _cluster, client = stack
+        client.put_object("c", "o", b"hello world")
+        with pytest.raises(SwiftError) as excinfo:
+            client.get_object("c", "o", headers=self.RANGED, byte_range=(0, 6))
+        assert excinfo.value.status == 400
 
 
 class TestDeployment:
