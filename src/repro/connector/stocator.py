@@ -1,4 +1,13 @@
-"""Partition discovery, split reads and pushdown injection."""
+"""Partition discovery, split reads and pushdown injection.
+
+The connector is the one place that maps analytics partitions to object
+bytes.  Discovery decides where records are: a CSV split starts at a
+record start and ends where the next one starts
+(:mod:`repro.connector.split_planner`), an RCF1 split covers whole
+stripes.  Every read of a split -- plain or pushdown -- asks the store
+for exactly ``[start, end]``, and every reader frames the bytes it is
+handed.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +28,7 @@ from typing import (
 
 from repro.catalog import ObjectCatalog, decode_catalog
 from repro.columnar.layout import ColumnarFooter, StripeMeta, footer_from_tail
-from repro.connector.split_planner import plan_quote_safe_starts, plan_read_ends
+from repro.connector.split_planner import plan_split_starts
 from repro.core.pushdown import PushdownTask
 from repro.csvscan import owned_records
 from repro.sql.filters import Filter
@@ -86,7 +95,9 @@ def _pushdown_error(
 
 @dataclass(frozen=True)
 class ObjectSplit:
-    """One byte range of one object, handled by one analytics task."""
+    """One byte range of one object, handled by one analytics task:
+    whole records (CSV) or whole stripes (RCF1), as discovery planned
+    it, and exactly the bytes every read of the split asks for."""
 
     container: str
     name: str
@@ -94,10 +105,6 @@ class ObjectSplit:
     length: int
     object_size: int
     index: int
-    #: Inclusive last byte any read of the split asks the store for:
-    #: the end of the last record it owns (CSV), or of its last stripe
-    #: (RCF1), as discovery planned it.
-    read_end: int
 
     @property
     def end(self) -> int:
@@ -107,10 +114,6 @@ class ObjectSplit:
     @property
     def is_first(self) -> bool:
         return self.start == 0
-
-    @property
-    def is_last(self) -> bool:
-        return self.start + self.length >= self.object_size
 
 
 @dataclass(frozen=True)
@@ -216,10 +219,6 @@ class StocatorConnector:
         #: ``(container, name, reason)`` for every object discovery
         #: declined to split (zero-length / no size in the listing).
         self.skipped_objects: List[Tuple[str, str, str]] = []
-        #: ``(container, name, reason)`` for every object quote-aware
-        #: planning demoted to a single split (no silent caps: demotions
-        #: are counted here and in ``connector.splits_demoted``).
-        self.demoted_objects: List[Tuple[str, str, str]] = []
         # Object-level data-skipping catalog: ``skipping=None`` defers
         # to the REPRO_SKIPPING env var; True/False force it.
         if skipping is None:
@@ -241,53 +240,45 @@ class StocatorConnector:
     def discover_partitions(
         self, container: str, prefix: str = "", record_aligned: bool = True
     ) -> List[ObjectSplit]:
-        """Split every matching CSV object into chunk-size byte ranges.
+        """Split every matching CSV object into record-aligned byte ranges.
 
-        Mirrors Hadoop RDD partition discovery: total size divided by the
-        chunk size, one task per split.  Happens before any query is
-        known (paper Section V-B).
-
-        An object larger than a chunk is planned from its bytes: a
-        boundary inside a quoted field slides forward to the next record
-        start (see :mod:`repro.connector.split_planner`), and an object
-        whose quoting never closes is demoted to a single split --
-        counted in :attr:`demoted_objects` and the
-        ``connector.splits_demoted{reason=...}`` registry counter, and
-        logged.  Boundaries of unquoted data are byte-identical to the
-        plain chunk arithmetic.  The same planning read gives every
-        split its :attr:`ObjectSplit.read_end`, so every read of a split
-        stops at the end of the last record it owns.
+        Mirrors Hadoop RDD partition discovery -- about one task per
+        chunk of the object -- but an object larger than a chunk is
+        planned from its bytes: each split starts at the first record
+        start at or after a chunk grid point
+        (:mod:`repro.connector.split_planner`), so the splits tile the
+        object record by record and no reader decides which records a
+        split owns.  Happens before any query is known (paper Section
+        V-B).
 
         One request per object after the sized listing: the planning
         GET of an object larger than a chunk, else a HEAD (its one
-        split reads to the object's end), whose headers carry the
-        object's catalog.  Objects that yield no split -- zero-length,
+        split is the whole object), whose headers carry the object's
+        catalog.  Objects that yield no split -- zero-length,
         or listed without a size -- cost no request and are *counted
         and logged* rather than silently dropped (no silent caps): see
         the ``connector.objects_skipped{reason=...}`` registry counter
         and :attr:`skipped_objects`.
         """
         # Discovery has one mode.  The keyword stays because callers
-        # outside the package spell that mode out; a split planned
-        # without its read end would have no rule for where reads stop.
+        # outside the package spell that mode out; a split cut at a bare
+        # grid point would leave its readers to decide record ownership.
         if not record_aligned:
             raise ValueError("CSV discovery always plans record-aligned splits")
         splits: List[ObjectSplit] = []
         for name, size in self._discovered_objects(container, prefix):
             if size > self.chunk_size:
-                starts, ends = self._aligned_plan(container, name)
+                starts = self._planned_starts(container, name)
             else:
                 self._discovery_request("head")
                 self._cache_catalog(
                     container, name, self.client.head_object(container, name)
                 )
-                starts, ends = [0], [size - 1]
-            bounds = starts[1:] + [size]
-            for start, end, read_end in zip(starts, bounds, ends):
+                starts = [0]
+            for start, following in zip(starts, starts[1:] + [size]):
                 splits.append(
                     ObjectSplit(
-                        container, name, start, end - start, size, len(splits),
-                        read_end,
+                        container, name, start, following - start, size, len(splits)
                     )
                 )
         return splits
@@ -332,11 +323,8 @@ class StocatorConnector:
         registry only: :class:`TransferMetrics` stays query traffic."""
         self.registry.inc("connector.discovery_bytes", len(body), kind=kind)
 
-    def _aligned_plan(
-        self, container: str, name: str
-    ) -> Tuple[List[int], List[int]]:
-        """Quote-safe split starts and exact read ends for one CSV
-        object (control plane).
+    def _planned_starts(self, container: str, name: str) -> List[int]:
+        """Record-aligned split starts of one CSV object (control plane).
 
         The planning read -- the *whole object* -- goes straight through
         the client: like schema inference it is discovery work, not
@@ -349,19 +337,7 @@ class StocatorConnector:
         headers, data = self.client.get_object(container, name)
         self.count_discovery_bytes("quote_scan", data)
         self._cache_catalog(container, name, headers)
-        starts = plan_quote_safe_starts(data, self.chunk_size)
-        if starts is None:
-            reason = "unterminated-quote"
-            self.demoted_objects.append((container, name, reason))
-            self.registry.inc("connector.splits_demoted", reason=reason)
-            logger.warning(
-                "discover_partitions demoting /%s/%s to a single split: %s",
-                container,
-                name,
-                reason,
-            )
-            starts = [0]
-        return starts, plan_read_ends(data, starts)
+        return plan_split_starts(data, self.chunk_size)
 
     # -- columnar discovery ------------------------------------------------
 
@@ -414,8 +390,7 @@ class StocatorConnector:
         reaches :attr:`chunk_size`, one task per group, over the same
         walk (and skip accounting) as :meth:`discover_partitions`; the
         footer read is the object's one request.  Record alignment is
-        free here: stripes never bisect a record by construction, so a
-        split's read end is its last stripe's last byte.
+        free here: stripes never bisect a record by construction.
         """
         splits: List[ColumnarSplit] = []
         for name, _listed in self._discovered_objects(container, prefix):
@@ -431,8 +406,7 @@ class StocatorConnector:
                 ):
                     continue
                 extent = ObjectSplit(
-                    container, name, start, stripe.end - start, size, len(splits),
-                    stripe.end - 1,
+                    container, name, start, stripe.end - start, size, len(splits)
                 )
                 splits.append(ColumnarSplit(extent, footer.schema, tuple(group)))
                 group = []
@@ -490,13 +464,11 @@ class StocatorConnector:
     ) -> Tuple[HeaderDict, Iterator[bytes]]:
         """Open a split read as ``(headers, chunk iterator)``.
 
-        Either way the store is asked for ``[split.start,
-        split.read_end]``: through the end of the last record the split
-        owns, however long that record is.  With a pushdown task the GET
-        also carries the task and the split's logical range
-        (``X-Storlet-Range``), and the storlet streams back the already
-        filtered, record-aligned data.  Without, the raw bytes stream
-        through and the caller aligns records client-side with
+        Either way the store is asked for ``[split.start, split.end]``,
+        the split's whole records.  With a pushdown task the GET also
+        carries the task and the same range as ``X-Storlet-Range``, and
+        the storlet streams back the already filtered data.  Without,
+        the raw bytes stream through and the caller frames them with
         :mod:`repro.csvscan` (:meth:`read_split_records` for raw
         records); a range past the object's end reads as no bytes.
 
@@ -506,7 +478,7 @@ class StocatorConnector:
         data.  Bytes are charged to :attr:`metrics` per chunk as the
         stream is consumed, never all at once.
         """
-        extent = (split.start, split.read_end, split.length)
+        extent = (split.start, split.end)
         if task is None or task.is_noop():
             try:
                 return self._get(split, "plain_get", *extent)
@@ -538,9 +510,7 @@ class StocatorConnector:
             if end == start:
                 pieces.extend(b"" for _member in members)
                 continue
-            _headers, chunks = self._get(
-                split, "segment_get", start, end - 1, end - start
-            )
+            _headers, chunks = self._get(split, "segment_get", start, end - 1)
             data = b"".join(chunks)
             for offset, length in members:
                 pieces.append(data[offset - start : offset - start + length])
@@ -570,14 +540,13 @@ class StocatorConnector:
         operation: str,
         first: int,
         last: int,
-        requested: int,
         headers: Optional[Dict[str, str]] = None,
         task: Optional[PushdownTask] = None,
     ) -> Tuple[HeaderDict, Iterator[bytes]]:
         """The one GET of the data plane: bytes ``[first, last]`` of
-        ``split``'s object, charged as one request for ``requested``
-        bytes and traced as a connector ``operation`` span that stays
-        open while the body streams.
+        ``split``'s object, charged as one request for those bytes and
+        traced as a connector ``operation`` span that stays open while
+        the body streams.
 
         With ``task`` it is a pushdown GET (``headers`` carry the task),
         and a failed one raises :class:`PushdownError`: degradable when
@@ -585,6 +554,7 @@ class StocatorConnector:
         data intact for a plain re-read and a compute-side filter.
         """
         tracer = self.tracer
+        requested = last - first + 1
         trace_id = tracer.new_trace_id() if tracer.enabled else ""
         span = tracer.start(
             "connector", operation, trace_id=trace_id, container=split.container,
@@ -681,18 +651,14 @@ class StocatorConnector:
             self.tracer.finish(span, status=None if status == "ok" else status)
 
     def read_split_records(self, split: ObjectSplit) -> Iterator[bytes]:
-        """Plain (no pushdown) read yielding the records the split owns.
+        """Plain (no pushdown) read yielding the split's records.
 
-        The line-level view of :mod:`repro.csvscan`, so the Hadoop split
-        ownership rule is the storlet's own: skip the partial first
-        record unless the split starts the object; own every record
-        starting at or before the split end, the last of which ends the
-        GET.  Chunks are pulled from the store on demand: once the next
-        record is known to start past the split, no further bytes cross
-        the wire.
+        The line-level view of :mod:`repro.csvscan`, the storlet's own
+        framing, over the split's bytes.  Chunks are pulled from the
+        store on demand.
         """
         _headers, chunks = self.open_split_stream(split, task=None)
-        return owned_records(chunks, split.start, split.length)
+        return owned_records(chunks)
 
     # -- uploads -----------------------------------------------------------------
 

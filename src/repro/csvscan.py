@@ -1,32 +1,23 @@
-"""The CSV record reader: framing, ownership, typing and the drop rule.
+"""The CSV record reader: framing, typing and the drop rule.
 
 Every tier that reads CSV -- the pushdown storlets next to the disk, the
 connector's plain split reads, the Spark CSV source re-parsing what the
 storlet let through -- goes through this module, so they cannot disagree
-about which bytes form a record, which range owns it, or whether it is
-kept.
+about which bytes form a record or whether it is kept.
 
-**Framing and ownership** (:func:`owned_records`, :class:`CsvScan`)
-follow Hadoop's ``LineRecordReader`` so that parallel ranged reads cover
-every record exactly once:
-
-* a range with ``range_start > 0`` unconditionally discards its first
-  line -- it cannot know whether it starts on a boundary, and the
-  previous range reads through to finish that record;
-* consequently a range also owns a record starting *exactly at its end
-  boundary* (stream offset == ``range_len``), because the next range
-  will discard it (Hadoop's ``pos <= end`` loop);
-* the caller's stream runs on past the range end so the last owned
-  record can be completed; chunks are pulled only while no complete
-  record is buffered, and never once the next record is known to start
-  past the range end -- a stream cut at the last owned record's
-  terminator is read to its end and not one chunk further.
+**Framing** (:func:`owned_records`, :class:`CsvScan`): a stream is read
+as the records it holds, from its first byte to its last.  Which records
+a split holds is decided once, at discovery: every CSV split starts at a
+record start and ends where the next split starts
+(:mod:`repro.connector.split_planner`), so parallel split reads cover
+every record exactly once and a scan always starts outside quotes.
+Chunks are pulled only while no complete record is buffered.
 
 Framing is quote-aware (RFC 4180): a ``\\n`` between an odd number of
 double quotes is inside a quoted field and does not end the record; the
-quote parity carries across chunk refills.  Range boundaries are planned
-quote-safe at discovery time (:mod:`repro.connector.split_planner`), so
-a scan always starts outside quotes.
+quote parity carries across chunk refills.  A last record without
+terminator -- an unterminated quote included -- is read to the stream's
+end.
 
 **The drop rule** (:class:`CsvScan`): a record is dropped iff it is
 unframeable (not UTF-8, or malformed quoting), of the wrong width, or
@@ -34,7 +25,7 @@ untypable in *any* schema column.  Nothing else drops a record and no
 scan applies a rule of its own.
 
 **Block at a time.**  Input is consumed in *blocks*: the run of complete
-owned records at the head of the buffer.  :data:`BLOCK_BYTES` is the
+records at the head of the buffer.  :data:`BLOCK_BYTES` is the
 store's transfer chunk, and the cap counts from where the newest chunk
 starts in the buffer, so a block is every complete record one refill
 buffered: one block per chunk.  A block is *regular* when it holds no
@@ -67,7 +58,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import sys
 from collections import Counter
 from functools import lru_cache, partial
@@ -123,22 +113,20 @@ def render_record(fields: Sequence[str], delimiter: str) -> bytes:
     """Serialize fields as one newline-terminated record, quoting only
     when necessary.
 
-    A field containing a newline (or carriage return) must be re-quoted
-    too, else the emitted record is unframeable downstream.
+    A field containing a newline or a carriage return is quoted too,
+    else the emitted record is unframeable downstream (a bare ``\\r``
+    before the terminator would be stripped as part of it).
     """
-    if any(
-        delimiter in field
-        or '"' in field
-        or "\n" in field
-        or "\r" in field
-        for field in fields
-    ):
-        sink = io.StringIO()
-        csv.writer(sink, delimiter=delimiter, lineterminator="\n").writerow(
-            fields
-        )
-        return sink.getvalue().encode("utf-8")
-    return (delimiter.join(fields) + "\n").encode("utf-8")
+    text = delimiter.join(_quoted(field, delimiter) for field in fields)
+    return (text + "\n").encode("utf-8")
+
+
+def _quoted(field: str, delimiter: str) -> str:
+    """One field as RFC 4180 writes it: quoted, with ``""`` escapes,
+    when it holds the delimiter, a quote or a line break."""
+    if delimiter in field or '"' in field or "\n" in field or "\r" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 def typed_record(
@@ -153,7 +141,7 @@ def typed_record(
 
 
 # ---------------------------------------------------------------------------
-# Framing and ownership.
+# Framing.
 # ---------------------------------------------------------------------------
 
 
@@ -194,32 +182,25 @@ def find_record_end(
         in_quotes = True
 
 
-def _owned_blocks(
-    chunks: Iterable[bytes], range_start: int, range_len: Optional[int]
-) -> Iterator[Union[bytes, List[bytes]]]:
-    """Frame the owned records of a chunk stream, a block at a time.
+def _framed_blocks(chunks: Iterable[bytes]) -> Iterator[Union[bytes, List[bytes]]]:
+    """Frame the records of a chunk stream, a block at a time.
 
-    The stream's first byte sits at object offset ``range_start``; the
-    logical range covers stream offsets ``[0, range_len]`` (everything,
-    when ``range_len`` is None).  A block ends within
-    :data:`BLOCK_BYTES` of the later of its start and the newest
-    chunk's first byte -- every complete record of a refill, when
-    chunks are no larger -- and is either
+    The stream's first byte starts a record, outside quotes.  A block
+    ends within :data:`BLOCK_BYTES` of the later of its start and the
+    newest chunk's first byte -- every complete record of a refill,
+    when chunks are no larger -- and is either
 
     * ``bytes`` -- a run of complete quote-free records joined by
       ``\\n`` (no trailing newline), so ``run.split(b"\\n")`` frames it;
       carriage returns are still in place; or
     * a ``list`` of records framed one by one by the quote-aware
       scanner and stripped of trailing carriage returns: records that
-      hold a quote or outgrow the block cap, and the object's
+      hold a quote or outgrow the block cap, and the stream's
       unterminated tail (passed through as is).
     """
     pull = iter(chunks).__next__
     buffer = b""
     pos = 0  # buffer[pos:] is unconsumed; a record starts at buffer[pos]
-    offset = 0  # stream offset of buffer[pos]
-    skipping_first = range_start > 0
-    range_end = math.inf if range_len is None else range_len
     # Quote-scan state of the record at ``pos``, kept across refills:
     # everything before scan_pos is classified, and in_quotes says
     # whether scan_pos sits inside a quoted field.
@@ -228,43 +209,26 @@ def _owned_blocks(
     fresh = 0  # buffer[fresh:] is the newest chunk
 
     while True:
-        if offset > range_end:
-            # The next record starts past the range: the range is done,
-            # and not one more byte is pulled to frame that record.
-            return
         cap = max(pos, fresh) + BLOCK_BYTES
-        if not skipping_first:
-            limit = min(len(buffer), cap)
-            quote = buffer.find(b'"', pos, limit)
-            end = buffer.rfind(b"\n", pos, limit if quote < 0 else quote)
-            if end >= 0:
-                if offset + (end - pos) > range_end:
-                    # Records of this run may start past the range end:
-                    # keep up to the terminator of the last one starting
-                    # at or before it.
-                    end = buffer.find(b"\n", pos + (range_end - offset))
-                yield buffer[pos:end]
-                offset += end + 1 - pos
-                scan_pos = pos = end + 1
-                continue
+        limit = min(len(buffer), cap)
+        quote = buffer.find(b'"', pos, limit)
+        end = buffer.rfind(b"\n", pos, limit if quote < 0 else quote)
+        if end >= 0:
+            yield buffer[pos:end]
+            scan_pos = pos = end + 1
+            continue
 
         # No plain run at ``pos``: the scanner frames record after
         # record for as long as they hold quotes and are buffered.
         records: List[bytes] = []
-        while pos < cap and offset <= range_end:
+        while pos < cap:
             newline, scan_pos, in_quotes = find_record_end(
                 buffer, scan_pos, in_quotes
             )
             if newline < 0:
                 break
             line = buffer[pos:newline]
-            offset += newline + 1 - pos
             scan_pos = pos = newline + 1
-            if skipping_first:
-                # Everything up to the first record boundary belongs to
-                # the previous range (it reads on to finish this record).
-                skipping_first = False
-                break
             records.append(line.rstrip(b"\r"))
             if b'"' not in line:
                 break  # a plain run may start here
@@ -272,15 +236,11 @@ def _owned_blocks(
             yield records
         if newline >= 0:
             continue
-        if skipping_first and offset + scan_pos - pos >= range_end:
-            # The discarded first record runs past the range end, so
-            # the next record starts past it too: nothing here is owned.
-            return
         try:
             chunk = pull()
         except StopIteration:
-            # Trailing record without newline at end of object.
-            if pos < len(buffer) and not skipping_first:
+            # Trailing record without newline at end of the stream.
+            if pos < len(buffer):
                 yield [buffer[pos:]]
             return
         buffer = buffer[pos:] + chunk
@@ -289,18 +249,14 @@ def _owned_blocks(
         pos = 0
 
 
-def owned_records(
-    chunks: Iterable[bytes],
-    range_start: int = 0,
-    range_len: Optional[int] = None,
-) -> Iterator[bytes]:
-    """The line-level view: each owned record as bytes, unparsed.
+def owned_records(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The line-level view: each record of the stream as bytes, unparsed.
 
     Records come without their terminator and without trailing carriage
     returns.  For callers that own their record format -- JSON partials,
-    ETL rewrites -- or only need framing and ownership.
+    ETL rewrites -- or only need framing.
     """
-    for block in _owned_blocks(chunks, range_start, range_len):
+    for block in _framed_blocks(chunks):
         if isinstance(block, list):
             yield from block
         elif b"\r" in block:
@@ -409,12 +365,12 @@ class RecordBlock(NamedTuple):
 
 
 class CsvScan:
-    """One pass over the records a byte range of a CSV stream owns.
+    """One pass over the records of a CSV stream.
 
-    ``chunks`` is the stream from object offset ``range_start`` on (see
-    the module docstring for ownership); ``skip_header`` discards the
-    first owned record unseen.  ``filters`` is an optional conjunctive
-    source-filter list, compiled once into a
+    ``chunks`` is the stream, starting at a record start (a planned
+    split, a whole object, a storlet's output); ``skip_header``
+    discards its first record unseen.  ``filters`` is an optional
+    conjunctive source-filter list, compiled once into a
     :class:`~repro.sql.kernels.FilterMask` that :meth:`select`,
     :meth:`batches` and :meth:`rows` apply.  ``log`` receives one line
     per dropped record.
@@ -434,8 +390,6 @@ class CsvScan:
         schema: Schema,
         delimiter: str = ",",
         *,
-        range_start: int = 0,
-        range_len: Optional[int] = None,
         skip_header: bool = False,
         filters: Sequence[Filter] = (),
         log: Optional[Callable[[str], None]] = None,
@@ -446,7 +400,7 @@ class CsvScan:
         self.dropped = 0
         self.evaluations: Counter = Counter()
         self.column_checks: Counter = Counter()
-        self._blocks = _owned_blocks(chunks, range_start, range_len)
+        self._blocks = _framed_blocks(chunks)
         # Widths are read off the delimiter skeleton for a one-byte
         # delimiter, else record by record.
         self._skeleton_delimiter = (

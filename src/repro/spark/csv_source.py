@@ -35,16 +35,16 @@ class CsvScanRDD(SplitScanRDD):
     def _pushdown_batches(self, split: ObjectSplit) -> Iterator[ColumnBatch]:
         """Stream a split through the pushdown storlet, chunk by chunk.
 
-        The storlet already aligned records, applied the filters and
-        projected the columns, so parsing uses the output schema and no
-        header or split-ownership handling is needed.
+        The storlet already applied the filters and projected the
+        columns, so parsing uses the output schema and no header
+        handling is needed.
         """
         chunks = self._pushdown_response(split)
         return CsvScan(chunks, self.output_schema, self.delimiter).batches()
 
     def _plain_batches(self, split: ObjectSplit) -> Iterator[ColumnBatch]:
-        """Read a split without pushdown: plain ranged GET, record
-        alignment, selection and projection on the compute side, all
+        """Read a split without pushdown: plain ranged GET of the split's
+        records, selection and projection on the compute side, all
         streaming.  The reader types only the projected columns and the
         filters'; the others are validated, so the drop rule is the same
         whatever is projected.  It applies the filters with the
@@ -59,8 +59,6 @@ class CsvScanRDD(SplitScanRDD):
             chunks,
             schema,
             self.delimiter,
-            range_start=split.start,
-            range_len=split.length,
             skip_header=self.has_header and split.is_first,
             filters=self.filters,
         ).batches(projection)
@@ -89,11 +87,9 @@ class CsvRelation(StoreRelation):
                 connector, container, prefix, has_header, delimiter
             )
         # Partition discovery happens at relation creation, before any
-        # query is specified (paper Section V-B).  Record alignment
-        # slides any split boundary that would land inside a quoted
-        # field to the next record start (demoting an object whose
-        # quoting never closes to a single split), so parallel ranged
-        # reads of quoted CSV frame correctly.
+        # query is specified (paper Section V-B).  Every split starts at
+        # a record start, quoted fields and all, so parallel ranged reads
+        # frame exactly their own records.
         splits = connector.discover_partitions(
             container, prefix, record_aligned=True
         )

@@ -12,9 +12,9 @@ contributed for Scoop:
   the object (storage) tier, the latter avoiding whole-object transfers
   to proxies and exploiting the larger storage-node pool;
 * **byte ranges** -- storlets can be invoked on a byte range of an
-  object and read on through the last record they own (the request's
-  ``Range`` ends there), matching how Spark tasks address object
-  partitions.
+  object (``X-Storlet-Range``), matching how Spark tasks address object
+  partitions; discovery plans each range to hold whole records, so a
+  storlet reads exactly its range.
 
 The flagship pushdown filter is :class:`~repro.storlets.csv_storlet.CsvStorlet`,
 which applies SQL projections and selections to CSV streams next to the

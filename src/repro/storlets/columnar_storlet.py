@@ -130,9 +130,10 @@ class ColumnarStorlet(IStorlet):
         ``{"rows": n, "cols": [[abs_offset, length], ...]}`` lifted from
         the object footer by the connector (stats-pruned stripes are
         simply absent from the list).
-    ``range_start`` / ``range_len``
-        Logical byte range of this invocation (set by the middleware
-        from ``X-Storlet-Range``).
+    ``range_start``
+        Object offset of the first byte this invocation reads (set by
+        the middleware from ``X-Storlet-Range``), which places the
+        stripes' absolute segment offsets in the stream.
     ``aggregation`` / ``max_groups``
         Optional :class:`~repro.storlets.aggregation.AggregationSpec`
         JSON (and its group bound): answer with the partial-aggregation

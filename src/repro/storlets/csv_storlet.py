@@ -5,11 +5,11 @@ This is the proof-of-concept filter the paper contributes (Section V-A):
 with the projection and selection filters as extracted by Catalyst, and
 outputs the filtered data."
 
-Record framing, Hadoop byte-range ownership (so that parallel Spark
-tasks cover every record exactly once), typing and the drop rule are
-:mod:`repro.csvscan`'s; this module selects, projects and renders what
-the scan keeps, a block at a time.  It renders raw texts, so the scan
-types only the columns the filters reference.  A task carrying an
+Record framing, typing and the drop rule are :mod:`repro.csvscan`'s; the
+byte range a task reads holds whole records, as discovery planned it, so
+the storlet frames every byte it is handed.  This module selects,
+projects and renders what the scan keeps, a block at a time.  It renders
+raw texts, so the scan types only the columns the filters reference.  A task carrying an
 ``aggregation`` is answered by partial aggregation over the scan's
 batches instead (:mod:`repro.storlets.aggregation`).
 """
@@ -47,9 +47,9 @@ class CsvStorlet(IStorlet):
     ``filters``
         Optional JSON conjunctive filter list
         (see :mod:`repro.sql.filters`).
-    ``range_start`` / ``range_len``
-        Logical byte range of this invocation (set by the middleware
-        from ``X-Storlet-Range``).
+    ``range_start``
+        Object offset of the first byte this invocation reads (set by
+        the middleware from ``X-Storlet-Range``).
     ``has_header``
         "true" if the object's first line is a header (skipped when this
         invocation covers offset 0).
@@ -96,8 +96,6 @@ class CsvStorlet(IStorlet):
             filters = filters_from_json(parameters["filters"])
 
         range_start = int(parameters.get("range_start", 0))
-        range_len_text = parameters.get("range_len")
-        range_len = int(range_len_text) if range_len_text is not None else None
         emit_header = parameters.get("emit_header", "false").lower() == "true"
         skip_header = has_header(parameters) and range_start == 0
 
@@ -105,8 +103,6 @@ class CsvStorlet(IStorlet):
             in_stream.iter_chunks(),
             schema,
             delimiter,
-            range_start=range_start,
-            range_len=range_len,
             skip_header=skip_header,
             filters=filters,
             log=logger.emit,
@@ -181,13 +177,16 @@ def _render_block(
 
     A regular block renders from its text or its fields, which join to
     the very same bytes; a record of the record-by-record path keeps its
-    own text (quotes and all) unless it is projected."""
+    own text (quotes and all) unless it is projected or its text would
+    not frame back to itself once terminated: an object's last record
+    with a quote that never closes, or a trailing carriage return."""
     if columns is None and not block.regular:
         lines = block.text
         if picked is not None:
             lines = [lines[i] for i in picked]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if columns is None and picked is None:
+        if all(line.count('"') % 2 == 0 and not line.endswith("\r") for line in lines):
+            return ("\n".join(lines) + "\n").encode("utf-8")
+    if block.regular and columns is None and picked is None:
         return (block.text + "\n").encode("utf-8")
     texts = block.texts if columns is None else [block.texts[index] for index in columns]
     if picked is not None:

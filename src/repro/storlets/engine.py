@@ -5,9 +5,9 @@ extended: it keeps the registry of deployed storlets, owns one sandbox
 per machine, and provides the WSGI middleware that intercepts object
 requests on either tier.  The middleware implements the paper's three
 extensions -- pipelining, staging (proxy vs object node) and byte-range
-execution: a storlet runs over its logical range (``X-Storlet-Range``)
-and reads on, within the request's own ``Range``, to finish the record
-crossing the range end.
+execution: a storlet runs over exactly the bytes ``X-Storlet-Range``
+names.  The connector plans every range to hold whole records (or whole
+stripes), so the storlet frames what it is handed and reads no further.
 """
 
 from __future__ import annotations
@@ -325,24 +325,21 @@ class StorletMiddleware:
         )
         if storlet_range is not None:
             start, end = _parse_byte_range(storlet_range)
-            # The storlet is told its logical range; the physical read is
-            # the request's own Range (the connector asks for the split
-            # through its last owned record), which must start where the
-            # logical range does.  Without one it runs to the object's
-            # end: the backend streams lazily and the storlet stops
-            # pulling at its last owned record.
+            # The storlet range is the read: a request without a Range
+            # gets it as its Range, and one asking for other bytes is
+            # refused.  The storlet is told where its bytes start (a
+            # header sits at offset 0; RCF1 segment offsets are absolute).
             physical = request.headers.get("range")
             if physical is None:
                 request = request.copy()
-                request.headers["range"] = f"bytes={start}-"
-            elif not physical.strip().startswith(f"bytes={start}-"):
+                request.headers["range"] = f"bytes={start}-{end}"
+            elif physical.strip() != f"bytes={start}-{end}":
                 return Response(
                     400,
-                    body=f"range {physical!r} does not start at storlet "
-                    f"range {storlet_range!r}".encode("utf-8"),
+                    body=f"range {physical!r} is not storlet range "
+                    f"{storlet_range!r}".encode("utf-8"),
                 )
             parameters["range_start"] = str(start)
-            parameters["range_len"] = str(end - start + 1)
 
         response = self.app(request)
         if not response.ok:

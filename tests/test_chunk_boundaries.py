@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import csvscan
 from repro.connector import StocatorConnector
+from repro.connector.split_planner import plan_split_starts
 from repro.core.scoop import ScoopContext
 from repro.csvscan import CsvScan, owned_records
 from repro.sql import GreaterThan, Schema
@@ -250,14 +251,12 @@ def reference_records(data):
     return records
 
 
-def reference_scan(data, start=0, length=None):
-    """``(records, typed rows)`` of the range at object offset ``start``,
-    by Hadoop's ownership rule as arithmetic on whole-object offsets."""
+def reference_scan(data, start=0, end=None):
+    """``(records, typed rows)`` of the records starting in object
+    offsets ``[start, end)`` (to the object's end when ``end`` is None)."""
     owned, rows = [], []
     for offset, raw in reference_records(data):
-        if start and offset <= start:
-            continue  # the previous range finishes (or owns) this one
-        if length is not None and offset > start + length:
+        if offset < start or (end is not None and offset >= end):
             continue
         owned.append(raw)
         try:
@@ -332,51 +331,46 @@ def block_cap(size):
 
 
 class TestReaderMatchesReference:
-    """The block reader (fast path, per-record path, block cap, chunk
-    refills, range ownership) against code that has none of those."""
+    """The split planner and the block reader (fast path, per-record
+    path, block cap, chunk refills) against code that has none of
+    those."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         data=CSV_BYTES,
-        cuts=st.lists(st.integers(1, 600), max_size=5),
+        plan_chunk=st.integers(1, 120),
         chunk_size=st.sampled_from([1, 7, 64 * 1024, None]),
         block_bytes=st.sampled_from([16, 100, csvscan.BLOCK_BYTES]),
     )
     # Two wrong widths that average to the right one, typable if misread.
     @example(
-        data=b"x,1\n7,2,3,4.5\n", cuts=[], chunk_size=None, block_bytes=100
+        data=b"x,1\n7,2,3,4.5\n", plan_chunk=120, chunk_size=None, block_bytes=100
     )
-    # A quoted record batched by the scanner, then an unowned tail.
+    # A quoted record batched by the scanner, then an unterminated tail.
     @example(
-        data=b'k,"6",1.5\na,1,2.5', cuts=[1], chunk_size=None, block_bytes=16
+        data=b'k,"6",1.5\na,1,2.5', plan_chunk=1, chunk_size=None, block_bytes=16
     )
     def test_every_tiling_every_chunking(
-        self, data, cuts, chunk_size, block_bytes
+        self, data, plan_chunk, chunk_size, block_bytes
     ):
-        # Split planning only ever cuts outside quoted fields.
-        cuts = sorted({
-            cut for cut in cuts
-            if cut < len(data) and data.count(b'"', 0, cut) % 2 == 0
-        })
-        bounds = [0, *cuts, len(data)]
+        # The planner's rule on the reference's record offsets: for each
+        # grid point, the first record start at or after it.
+        offsets = [offset for offset, _raw in reference_records(data)]
+        expected_starts = [0]
+        for point in range(plan_chunk, len(data), plan_chunk):
+            later = [offset for offset in offsets if offset >= point]
+            if later and later[0] != expected_starts[-1]:
+                expected_starts.append(later[0])
+        starts = plan_split_starts(data, plan_chunk)
+        assert starts == expected_starts
+        bounds = [*starts, len(data)]
         tiled_records, tiled_rows = [], []
         for start, end in zip(bounds, bounds[1:]):
-            expected_records, expected_rows = reference_scan(
-                data, start, end - start
-            )
-            stream = data[start:]  # a storlet GET without Range reads to EOF
-            scan = CsvScan(
-                _chunks(stream, chunk_size),
-                READER_SCHEMA,
-                range_start=start,
-                range_len=end - start,
-            )
+            expected_records, expected_rows = reference_scan(data, start, end)
+            stream = data[start:end]  # the split's bytes, as served
+            scan = CsvScan(_chunks(stream, chunk_size), READER_SCHEMA)
             with block_cap(block_bytes):
-                records = list(
-                    owned_records(
-                        _chunks(stream, chunk_size), start, end - start
-                    )
-                )
+                records = list(owned_records(_chunks(stream, chunk_size)))
                 rows = list(scan.rows())
             assert records == expected_records
             assert repr(rows) == repr(expected_rows)  # nan-safe, -0.0-exact
@@ -384,7 +378,7 @@ class TestReaderMatchesReference:
             assert scan.dropped == len(records) - len(rows)
             tiled_records += records
             tiled_rows += rows
-        # Every record is owned by exactly one range.
+        # Every record is read by exactly one split.
         whole_records, whole_rows = reference_scan(data)
         assert tiled_records == whole_records
         assert repr(tiled_rows) == repr(whole_rows)

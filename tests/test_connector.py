@@ -27,10 +27,16 @@ def rig():
     return connector, client
 
 
+def _records(size):
+    """``size`` bytes of 10-byte records: every chunk grid point of the
+    rig (multiples of 100) is a record start."""
+    return b"xxxxxxxxx\n" * (size // 10)
+
+
 class TestPartitionDiscovery:
     def test_splits_cover_object_exactly(self, rig):
         connector, client = rig
-        client.put_object("c", "o", b"x" * 250)
+        client.put_object("c", "o", _records(250))
         splits = connector.discover_partitions("c")
         assert [s.length for s in splits] == [100, 100, 50]
         assert [s.start for s in splits] == [0, 100, 200]
@@ -38,8 +44,8 @@ class TestPartitionDiscovery:
 
     def test_multiple_objects_indexed_sequentially(self, rig):
         connector, client = rig
-        client.put_object("c", "a", b"x" * 150)
-        client.put_object("c", "b", b"x" * 90)
+        client.put_object("c", "a", _records(150))
+        client.put_object("c", "b", _records(90))
         splits = connector.discover_partitions("c")
         assert [s.index for s in splits] == [0, 1, 2]
         assert [s.name for s in splits] == ["a", "a", "b"]
@@ -58,11 +64,11 @@ class TestPartitionDiscovery:
 
     def test_split_properties(self, rig):
         connector, client = rig
-        client.put_object("c", "o", b"x" * 250)
+        client.put_object("c", "o", _records(250))
         first, middle, last = connector.discover_partitions("c")
-        assert first.is_first and not first.is_last
-        assert not middle.is_first and not middle.is_last
-        assert last.is_last and last.end == 249
+        assert first.is_first and first.end + 1 == middle.start
+        assert not middle.is_first and middle.end + 1 == last.start
+        assert not last.is_first and last.end == 249
 
     def test_invalid_chunk_size_raises(self, rig):
         _connector, client = rig
@@ -101,11 +107,8 @@ class TestSplitReads:
         )
         assert connector.metrics.bytes_requested == len(self.DATA)
         assert connector.metrics.pushdown_requests == 0
-        # Plain reads move each split through its last owned record.
-        assert connector.metrics.bytes_transferred == sum(
-            split.read_end - split.start + 1
-            for split in connector.discover_partitions("c")
-        )
+        # The splits tile the object, so plain reads move it once.
+        assert connector.metrics.bytes_transferred == len(self.DATA)
 
     def test_pushdown_read_transfers_less(self, rig):
         connector, client = rig

@@ -109,8 +109,6 @@ def test_a_plain_split_reads_one_regular_block_per_chunk():
         scan = CsvScan(
             (chunks.append(chunk) or chunk for chunk in stream),
             METER_SCHEMA,
-            range_start=split.start,
-            range_len=split.length,
         )
         regular = sum(block.regular for block in scan.blocks())
         assert max(map(len, chunks)) == DEFAULT_CHUNK_SIZE

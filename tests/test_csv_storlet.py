@@ -1,5 +1,6 @@
 """Tests for the CSV pushdown storlet: projection, selection, byte
-ranges and the critical range-coverage invariant."""
+ranges and the critical coverage invariant: the storlet outputs of an
+object's planned splits make up the whole-object output."""
 
 import json
 
@@ -13,8 +14,9 @@ from repro.sql import (
     StringStartsWith,
     filters_to_json,
 )
+from repro.connector.split_planner import plan_split_starts
 from repro.storlets import CsvStorlet, StorletException
-from repro.csvscan import owned_records
+from repro.csvscan import CsvScan, owned_records
 from tests.storlet_harness import run_storlet
 
 SCHEMA = Schema.of("vid", "date", "index:float", "city")
@@ -158,47 +160,66 @@ class TestHeaderHandling:
         assert lines[1] == b"m1,Rotterdam"
 
     def test_header_not_skipped_on_later_ranges(self):
-        # range_start > 0: first (partial) line skipped as usual, no
-        # header logic applies.
+        # range_start > 0: the range starts at a later record, which is
+        # data, not the header.
+        start = SAMPLE.index(b"m2")
         result = invoke(
-            SAMPLE,
-            {
-                "has_header": "true",
-                "range_start": "5",
-                "range_len": str(len(SAMPLE) - 5),
-            },
+            SAMPLE[start:], {"has_header": "true", "range_start": str(start)}
         )
-        assert not result.startswith(b"m1")
+        assert result == SAMPLE[start:]
+
+
+def planned_ranges(data: bytes, chunk_size: int):
+    """``(start, end)`` (end exclusive) of every split discovery plans
+    for ``data`` at ``chunk_size``."""
+    starts = plan_split_starts(data, chunk_size)
+    return list(zip(starts, starts[1:] + [len(data)]))
+
+
+def invoke_range(data: bytes, start: int, end: int, parameters=None) -> bytes:
+    """The storlet over bytes ``[start, end)``, as the middleware hands
+    them over for ``X-Storlet-Range: bytes=start-(end - 1)``."""
+    return invoke(data[start:end], {**(parameters or {}), "range_start": str(start)})
 
 
 class TestRangeSemantics:
+    """A chunk grid point becomes a range at discovery, at the first
+    record start at or after it; the storlet then frames exactly the
+    bytes of its range."""
+
     def test_range_skips_partial_first_record(self):
-        # Start mid-record: that record belongs to the previous range.
-        result = invoke(
-            SAMPLE, {"range_start": "3", "range_len": str(len(SAMPLE) - 3)}
-        )
-        assert result.splitlines()[0].startswith(b"m2")
+        # Grid point 3 lands inside m1: its range starts at m2.
+        start, end = planned_ranges(SAMPLE, 3)[1]
+        assert start == SAMPLE.index(b"m2")
+        assert invoke_range(SAMPLE, start, end).splitlines() == [
+            b"m2,2015-01-02,3.25,Paris"
+        ]
 
     def test_range_zero_keeps_first_record(self):
-        result = invoke(SAMPLE, {"range_start": "0", "range_len": "5"})
-        # Range covers only part of record 1, which starts at offset 0.
-        assert result.splitlines() == [b"m1,2015-01-01,10.5,Rotterdam"]
+        # Grid point 5 lands inside m1, which starts at offset 0: the
+        # first range holds m1 whole.
+        start, end = planned_ranges(SAMPLE, 5)[0]
+        assert invoke_range(SAMPLE, start, end).splitlines() == [
+            b"m1,2015-01-01,10.5,Rotterdam"
+        ]
 
     def test_record_straddling_range_end_completed(self):
         first_len = len(b"m1,2015-01-01,10.5,Rotterdam\n")
-        # Range ends inside record 2: record 2 starts inside the range,
-        # so it is owned and must be completed from the bytes past the range.
-        result = invoke(
-            SAMPLE, {"range_start": "0", "range_len": str(first_len + 3)}
-        )
-        assert result.splitlines() == [
+        # Grid point inside record 2: record 2 starts before it, so the
+        # first range runs through record 2's end.
+        start, end = planned_ranges(SAMPLE, first_len + 3)[0]
+        assert invoke_range(SAMPLE, start, end).splitlines() == [
             b"m1,2015-01-01,10.5,Rotterdam",
             b"m2,2015-01-02,3.25,Paris",
         ]
 
     def test_empty_range_in_middle_of_record_yields_nothing(self):
-        result = invoke(SAMPLE, {"range_start": "3", "range_len": "2"})
-        assert result == b""
+        # Grid points 2, 4, ... 28 all land inside m1: they merge onto
+        # m2's start, so no range starts in the middle of a record.
+        starts = [start for start, _end in planned_ranges(SAMPLE, 2)]
+        assert starts[:2] == [0, SAMPLE.index(b"m2")]
+        # A grid point inside the last record adds no range at all.
+        assert planned_ranges(SAMPLE, len(SAMPLE) - 3) == [(0, len(SAMPLE))]
 
 
 QUOTED = (
@@ -255,15 +276,14 @@ class TestQuotedNewlines:
         assert invoke(data, {"filters": filters}) == data
 
     def test_range_end_inside_multiline_record_completes_it(self):
-        # The third record starts before the range end, so it is owned
-        # and must be completed from past the range -- including the part of
-        # its quoted field past the range boundary.
-        start_of_m3 = QUOTED.index(b"m3")
-        result = invoke(
-            QUOTED,
-            {"range_start": "0", "range_len": str(start_of_m3 + 4)},
-        )
-        assert result == QUOTED[: QUOTED.index(b"m4")]
+        # The grid point follows m3's quoted newline: quote-aware, it
+        # slides to m4, so the first range holds m3 whole -- including
+        # the part of its quoted field past the grid point.
+        point = QUOTED.index(b"lin,City")
+        assert QUOTED[point - 1 : point] == b"\n"
+        (start, end), following = planned_ranges(QUOTED, point)
+        assert following == (QUOTED.index(b"m4"), len(QUOTED))
+        assert invoke_range(QUOTED, start, end) == QUOTED[: QUOTED.index(b"m4")]
 
 
 class TestQuotedNewlinePushdownIdentity:
@@ -282,11 +302,9 @@ class TestQuotedNewlinePushdownIdentity:
             proxy_count=1,
             replica_count=1,
             num_workers=2,
-            # Each object is smaller than one split, so every split is
-            # object-aligned and no *range* boundary can bisect a quoted
-            # field (the documented unrecoverable case); chunk-boundary
-            # refills inside quoted fields are covered by the unit tests.
-            chunk_size=512,
+            # Several splits per object: grid points land inside quoted
+            # fields, and discovery moves each to the next record start.
+            chunk_size=128,
         )
         for part in range(4):
             rows = []
@@ -334,67 +352,96 @@ class TestQuotedNewlinePushdownIdentity:
         assert len(push) == 40
 
 
-class TestCoverageProperty:
-    """The invariant the whole pushdown correctness rests on: splitting
-    an object into arbitrary contiguous ranges and concatenating the
-    storlet outputs reproduces exactly the full-object output."""
+COVERAGE_SCHEMA = Schema.of("vid:int", "note", "city")
 
-    @settings(max_examples=60, deadline=None)
+#: Note texts: quoted newlines and delimiters, ``""`` escapes, CRLF
+#: inside quotes, non-ASCII.
+NOTES = st.text(alphabet=st.sampled_from(list('ab,"\n\r\u00e9')), max_size=10)
+
+
+@st.composite
+def csv_objects(draw):
+    """``(object, has_header, chunk_size)``: a CSV object with quoted
+    newlines, ``""`` escapes, CRLF or LF terminators, records longer
+    than the chunk, an optional header and an optional last record
+    whose quote never closes."""
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    has_header = draw(st.booleans())
+    lines = ["vid,note,city"] if has_header else []
+    for vid in range(draw(st.integers(0, 16))):
+        note = draw(NOTES) + "x" * draw(st.sampled_from([0, 0, 90]))
+        if any(byte in note for byte in ',"\n\r'):
+            note = '"' + note.replace('"', '""') + '"'
+        lines.append(f"{vid},{note},{draw(st.sampled_from(['Paris', 'Lyon']))}")
+    text = "".join(line + terminator for line in lines)
+    if draw(st.booleans()):
+        text += '99,"never closed' + draw(NOTES).replace('"', "")
+    return text.encode("utf-8"), has_header, draw(st.integers(1, 64))
+
+
+class TestCoverageProperty:
+    """The invariant the whole pushdown correctness rests on: the
+    planner tiles an object record by record, and concatenating what
+    every reader makes of each planned split -- the storlet's output,
+    the typed scan, the raw records -- reproduces exactly what it makes
+    of the whole object."""
+
+    @settings(max_examples=150, deadline=None)
     @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=99),
-                st.sampled_from(["2015-01-01", "2015-02-02", "2016-01-01"]),
-                st.floats(min_value=0, max_value=100, allow_nan=False),
-                st.sampled_from(["Rotterdam", "Paris", "Berlin"]),
-            ),
-            min_size=0,
-            max_size=30,
-        ),
-        cut_points=st.lists(
-            st.integers(min_value=1, max_value=10_000),
-            min_size=0,
-            max_size=6,
-        ),
+        drawn=csv_objects(),
         use_filter=st.booleans(),
         use_columns=st.booleans(),
     )
-    def test_union_of_ranges_equals_full_scan(
-        self, rows, cut_points, use_filter, use_columns
-    ):
-        data = b"".join(
-            f"m{vid},{date},{index!r},{city}\n".encode()
-            for vid, date, index, city in rows
-        )
-        parameters = {}
+    def test_union_of_ranges_equals_full_scan(self, drawn, use_filter, use_columns):
+        data, has_header, chunk_size = drawn
+        starts = plan_split_starts(data, chunk_size)
+        # The planner's invariants: ascending starts, each 0 or right
+        # after a newline outside quotes, together tiling the object.
+        assert starts[0] == 0
+        assert starts == sorted(set(starts))
+        assert all(start < len(data) or start == 0 for start in starts)
+        for start in starts[1:]:
+            assert data[start - 1 : start] == b"\n"
+            assert data.count(b'"', 0, start) % 2 == 0
+
+        parameters = {
+            "schema": COVERAGE_SCHEMA.to_header(),
+            "has_header": str(has_header).lower(),
+            "emit_header": "true",
+        }
         if use_filter:
-            parameters["filters"] = filters_to_json(
-                [StringStartsWith("date", "2015")]
-            )
+            parameters["filters"] = filters_to_json([EqualTo("city", "Paris")])
         if use_columns:
-            parameters["columns"] = json.dumps(["vid", "city"])
+            parameters["columns"] = json.dumps(["vid", "note"])
 
-        full = invoke(data, dict(parameters))
-
-        size = len(data)
-        cuts = sorted({c for c in cut_points if c < size})
-        bounds = [0] + cuts + [size]
-        pieces = []
-        for start, end in zip(bounds, bounds[1:]):
-            piece = invoke(
-                data[start:],  # stream starts at range_start, as served
-                {
-                    **parameters,
-                    "range_start": str(start),
-                    "range_len": str(end - start),
-                },
+        def scan(stream, first):
+            return list(
+                CsvScan(
+                    [stream], COVERAGE_SCHEMA, skip_header=has_header and first
+                ).rows()
             )
-            pieces.append(piece)
-        assert b"".join(pieces) == full
+
+        pieces, rows, records = [], [], []
+        for start, end in planned_ranges(data, chunk_size):
+            piece = data[start:end]
+            pieces.append(invoke_range(data, start, end, parameters))
+            rows += scan(piece, start == 0)
+            records += owned_records([piece])
+        whole = b"".join(pieces)
+        assert whole == invoke(data, dict(parameters))
+        assert rows == scan(data, True)
+        assert records == list(owned_records([data]))
+        # What the storlet ships frames back, on the compute side, to
+        # the rows a plain read filters and projects.
+        kept = [row for row in rows if not use_filter or row[2] == "Paris"]
+        names = ["vid", "note"] if use_columns else COVERAGE_SCHEMA.names
+        shipped = CsvScan([whole], COVERAGE_SCHEMA.select(names), skip_header=has_header)
+        assert list(shipped.rows()) == [row[: len(names)] for row in kept]
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.binary(max_size=400), start=st.integers(0, 400))
-    def test_owned_lines_never_crashes_on_garbage(self, data, start):
-        lines = list(owned_records([data] if data else [], start))
-        for line in lines:
-            assert b"\n" not in line
+    @given(data=st.binary(max_size=400), chunk_size=st.integers(1, 64))
+    def test_owned_lines_never_crashes_on_garbage(self, data, chunk_size):
+        records = []
+        for start, end in planned_ranges(data, chunk_size):
+            records += owned_records([data[start:end]])
+        assert records == list(owned_records([data] if data else []))

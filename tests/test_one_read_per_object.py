@@ -1,14 +1,14 @@
-"""Discovery makes one request per object; plain split reads stop at the
-record end.
+"""Discovery makes one request per object; a CSV split is exactly its
+records.
 
 Partition discovery (paper Section V-B) reads one sized listing, then
 makes the one read each object's format needs: the suffix-range footer
 GET of an RCF1 object, the planning GET of a record-aligned CSV object
 larger than a chunk, a HEAD otherwise -- and nothing for an empty
 object.  The catalog comes from that read's headers.  The planning GET
-also says where each split's last owned record ends, so every read of
-a split -- plain or pushdown -- asks for exactly those bytes, however
-long the record.
+also says where records start, so every CSV split starts at one and
+ends where the next split starts, and every read of a split -- plain or
+pushdown -- asks for exactly those bytes, however long the record.
 """
 
 import pytest
@@ -194,43 +194,42 @@ class TestExactReadEnds:
         ctx = _context(_long_record_csv(3000, 9000), pushdown=False)
         data = ctx.client.get_object("c", "t.csv")[1]
         splits = ctx.connector.discover_partitions("c", record_aligned=True)
-        assert len(splits) > 2
-        owning_nothing = 0
+        # Grid points inside the long record merge onto the record after
+        # it: two splits, not one per chunk.
+        assert [split.start for split in splits] == [0, data.index(b"101,")]
         for split, following in zip(splits, splits[1:]):
-            if data.find(b"\n", split.start, following.start) < 0:
-                # Inside the long record: the split's own range shows it
-                # owns no record.
-                assert split.read_end == split.end
-                owning_nothing += 1
-                continue
-            # The terminator of the record crossing the next start.
-            assert split.read_end == data.index(b"\n", following.start)
-        assert owning_nothing == 2
-        assert splits[-1].read_end == len(data) - 1
+            # The terminator of its last record, right before the next.
+            assert split.end + 1 == following.start
+            assert data[split.end : split.end + 1] == b"\n"
+        assert splits[-1].end == len(data) - 1
 
     def test_a_plain_scan_moves_only_the_bytes_its_records_need(self):
-        ctx = _context(_long_record_csv(3000, 9000), pushdown=False)
-        splits = ctx.connector.discover_partitions("c", record_aligned=True)
+        data = _long_record_csv(3000, 9000)
+        ctx = _context(data, pushdown=False)
         _frame, report = ctx.run_query("SELECT id FROM t")
-        assert report.requests == len(splits)
-        assert report.bytes_transferred == sum(
-            split.read_end - split.start + 1 for split in splits
-        )
+        assert report.requests == 2
+        assert report.bytes_transferred == len(data)
 
-    @pytest.mark.parametrize(
-        "note_len, tail_len", [(3000, 9000), (20000, 5), (3000, 100000), (100000, 5)]
-    )
+    #: Splits (and GETs) of each long-record object: grid points inside
+    #: the long record merge onto the record after it.
+    SPLITS = {(3000, 9000): 2, (20000, 5): 2, (3000, 100000): 3, (100000, 5): 3}
+
+    @pytest.mark.parametrize("note_len, tail_len", list(SPLITS))
     def test_long_records_read_whole_on_both_paths(self, note_len, tail_len):
         """The truncation repros: while a plain read fetched a fixed
         8 KiB past its split, a longer record crossing the boundary came
         back cut (``length`` 7613, not 9000) or was dropped (199 rows,
         not 200) on the plain path; while the storlet read a fixed
         64 KiB past its range, a record longer than that did the same
-        under pushdown (64 957, not 100 000)."""
+        under pushdown (64 957, not 100 000).  A split per chunk grid
+        point made 4, 6, 27 and 26 splits of these objects."""
         data = _long_record_csv(note_len, tail_len)
         answers = []
         for pushdown in (False, True):
             ctx = _context(data, pushdown)
+            _frame, report = ctx.run_query("SELECT id FROM t WHERE id >= 0")
+            assert report.requests == self.SPLITS[note_len, tail_len]
+            assert (report.pushdown_requests > 0) == pushdown
             answers.append(
                 (
                     ctx.sql(REPRO_SQL).collect(),
@@ -263,7 +262,8 @@ class TestExactReadEnds:
 
 class TestStorageSideReads:
     """A pushdown GET asks the store for the split's planned range, so
-    the storlets read exactly the bytes the plain reads would move."""
+    the storlets read exactly the bytes the plain reads would move: the
+    object, once."""
 
     def _storlet_bytes_in(self, ctx, sql):
         before = ctx.engine.total_bytes()[0]
@@ -277,32 +277,37 @@ class TestStorageSideReads:
         )
         ctx.register_csv_table("t", "c", schema=SCHEMA, pushdown=True, format="csv")
         splits = ctx.connector.discover_partitions("c", record_aligned=True)
-        assert len(splits) > 4
-        planned = sum(split.read_end - split.start + 1 for split in splits)
-        assert self._storlet_bytes_in(ctx, "SELECT id FROM t WHERE id < 10") == planned
+        assert len(splits) == 7
+        assert self._storlet_bytes_in(ctx, "SELECT id FROM t WHERE id < 10") == 1_602_700
 
     def test_an_rcf1_pushdown_scan_reads_no_byte_past_its_stripes(self):
         ctx = _rcf_context(3)
         ctx.register_columnar_table("t", "rcf", schema=RCF_SCHEMA, pushdown=True)
-        splits = [columnar.split for columnar in ctx.connector.discover_columnar_partitions("rcf")]
-        extents = sum(split.length for split in splits)
+        columnar = ctx.connector.discover_columnar_partitions("rcf")
+        extents = sum(item.split.length for item in columnar)
         # Both columns are read, so every stripe byte is needed.
         assert self._storlet_bytes_in(ctx, "SELECT vid, n FROM t WHERE n >= 0") == extents
-        assert all(split.read_end == split.end for split in splits)
+        assert all(item.split.end + 1 == item.stripes[-1].end for item in columnar)
 
 
 # --------------------------------------------------------------------------
-# The differential: plain == pushdown == sqlite
+# The differential: plain == filter pushdown == GROUP-BY pushdown == sqlite
 # --------------------------------------------------------------------------
 
 CHUNK = 4096
 
+#: Planning chunk sizes: a "long" record outgrows the first two, a "huge"
+#: one all three.
+CHUNKS = [64, 512, CHUNK]
+
 
 @st.composite
 def _records(draw):
-    """Rows and the CSV lines that carry them, from 1 B to 3 chunks,
-    some quoting a newline; a bare line of the wrong width stands in
-    for a short broken record, which every path drops."""
+    """Rows and the CSV text that carries them, from 1 B to 3 chunks,
+    some quoting a newline, LF or CRLF terminated; a bare line of the
+    wrong width stands in for a short broken record, which every path
+    drops, and the object may end in a record whose quote never
+    closes."""
     rows, lines = [], []
     for ident in range(draw(st.integers(1, 24))):
         kind = draw(st.sampled_from(["short", "long", "huge", "broken"]))
@@ -324,17 +329,41 @@ def _records(draw):
             text_note = note
         rows.append((ident, note or None, tail or None))  # "" reads as NULL
         lines.append(f"{ident},{text_note},{tail}")
-    return rows, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    text = terminator.join(lines) + draw(st.sampled_from(["", terminator]))
+    if draw(st.booleans()):
+        # The quote opening the last field never closes: the field runs
+        # to the object's end, newlines and all.
+        ident = len(rows) + 100
+        open_tail = draw(st.text(alphabet=st.sampled_from(list("ab,\n")), max_size=80))
+        if text and not text.endswith("\n"):
+            text += terminator
+        text += f'{ident},n,"{open_tail}'
+        rows.append((ident, "n", open_tail or None))
+    return rows, text
 
 
-def _sql_answers(data, parallelism, sql):
-    """The answer of ``sql`` read plainly and with pushdown."""
+FILTER_SQL = "SELECT id, length(note) AS n, note, tail FROM t WHERE id >= 1"
+GROUP_SQL = (
+    "SELECT tail, count(*) AS c, sum(id) AS s, max(length(note)) AS m "
+    "FROM t WHERE id >= 1 GROUP BY tail"
+)
+
+
+def _sql_answers(data, parallelism, chunk_size):
+    """The answers of both queries read plainly, then with filter and
+    GROUP-BY pushdown."""
     answers = []
     for pushdown in (False, True):
-        ctx = ScoopContext(chunk_size=CHUNK, parallelism=parallelism, skipping=False)
+        ctx = ScoopContext(chunk_size=chunk_size, parallelism=parallelism, skipping=False)
         ctx.upload_csv("c", "t.csv", data)
-        ctx.register_csv_table("t", "c", schema=SCHEMA, pushdown=pushdown, format="csv")
-        answers.append(ctx.sql(sql).collect())
+        ctx.register_csv_table(
+            "t", "c", schema=SCHEMA, pushdown=pushdown, format="csv", agg_pushdown=pushdown
+        )
+        answers.append([ctx.sql(FILTER_SQL).collect(), ctx.sql(GROUP_SQL).collect()])
+        assert ctx.explain_profile()["sql"]["queries"] == (
+            {"batch": 1, "agg_pushdown": 1} if pushdown else {"batch": 2}
+        )
     return answers
 
 
@@ -347,7 +376,9 @@ def _sql_answers(data, parallelism, sql):
 @given(data=st.data())
 def test_plain_equals_pushdown_equals_sqlite(parallelism, data):
     rows, text = data.draw(_records())
-    sql = "SELECT id, length(note) AS n, note, tail FROM t WHERE id >= 1"
-    plain, pushed = _sql_answers(text, parallelism, sql)
+    chunk_size = data.draw(st.sampled_from(CHUNKS))
+    (plain, plain_groups), (pushed, pushed_groups) = _sql_answers(text, parallelism, chunk_size)
     assert sorted(plain) == sorted(pushed)
-    check_against_sqlite(sql, SCHEMA, rows, plain)
+    check_against_sqlite(FILTER_SQL, SCHEMA, rows, plain)
+    check_against_sqlite(GROUP_SQL, SCHEMA, rows, plain_groups)
+    check_against_sqlite(GROUP_SQL, SCHEMA, rows, pushed_groups)

@@ -58,9 +58,8 @@ class TestReplicaEquivalence:
         self, start_fraction, length, replica_index
     ):
         """A storlet range GET pinned to replica ``i`` returns the same
-        bytes as the primary -- the record-alignment rule (skip the
-        partial first record, read on to finish the last owned record)
-        must not depend on which replica serves the read."""
+        bytes as the primary -- the storlet frames exactly the range it
+        is handed, whichever replica serves it."""
         client = build_stack()
         start = int(start_fraction * len(CSV_BODY))
         end = min(start + length - 1, len(CSV_BODY) - 1)

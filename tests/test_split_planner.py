@@ -1,19 +1,17 @@
-"""Quote-aware split planning: boundaries never bisect a quoted field.
+"""Record-aligned split planning: every CSV split starts at a record start.
 
-Covers the planner in isolation (grid identity for unquoted data,
-sliding for quoted data, ``None`` for unterminated quotes), the
-connector's record-aligned discovery (demotion counters and logging),
-and the end-to-end invariant the planner exists for: a quoted CSV whose
+Covers the planner in isolation (grid points on record starts are kept,
+the others slide to the next record start, quoted newlines included, and
+an unterminated quote ends the splits), the connector's discovery, and
+the end-to-end invariant the planner exists for: a quoted CSV whose
 records span chunk boundaries scans to exactly the same rows at any
 chunk size, pushdown or plain.
 """
 
-import logging
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.connector.split_planner import plan_quote_safe_starts
+from repro.connector.split_planner import plan_split_starts
 from repro.core.scoop import ScoopContext
 from repro.sql.types import Schema
 from repro.csvscan import parse_record
@@ -30,8 +28,9 @@ def _quoted_csv(rows):
 
 class TestPlanner:
     def test_unquoted_data_keeps_the_exact_grid(self):
+        # Every grid point is a record start here, so each one is kept.
         data = b"a,b\n" * 100
-        assert plan_quote_safe_starts(data, 64) == list(
+        assert plan_split_starts(data, 64) == list(
             range(0, len(data), 64)
         )
 
@@ -39,29 +38,31 @@ class TestPlanner:
         rows = [(f"name{i}", "x,y\nz" * 10) for i in range(50)]
         data = _quoted_csv(rows)
         chunk = 97
-        starts = plan_quote_safe_starts(data, chunk)
-        assert starts is not None and starts[0] == 0
+        starts = plan_split_starts(data, chunk)
+        assert starts[0] == 0
         assert starts == sorted(set(starts))
-        # No planned start sits inside a quoted field: the quote parity
-        # before each boundary is even (grid boundaries are only kept
-        # when that already holds; slid ones land on record starts).
+        # Every planned start follows a newline outside quoted fields:
+        # the quote parity before it is even.
         for start in starts[1:]:
+            assert data[start - 1 : start] == b"\n"
             assert data.count(b'"', 0, start) % 2 == 0
         # At least one grid point needed sliding for this data.
         grid = set(range(0, len(data), chunk))
         assert any(start not in grid for start in starts)
 
-    def test_unterminated_quote_returns_none(self):
-        data = b'a,b\nc,"never closed...\nmore\nmore'
-        assert plan_quote_safe_starts(data, 8) is None
+    def test_an_unterminated_quote_ends_the_splits(self):
+        # Grid points inside the quote that never closes have no record
+        # start after them: the split holding the quote runs to the end.
+        data = b"a,b\n" * 10 + b'c,"never closed...\nmore\nmore'
+        assert plan_split_starts(data, 8) == [0, 8, 16, 24, 32, 40]
+        assert plan_split_starts(b'a,b\nc,"never closed...\nmore', 8) == [0]
 
     def test_quote_closing_after_boundary_is_aligned(self):
         # One long quoted field spanning several grid points: all of
         # them collapse onto the single next record start.
         body = '"short","' + "x" * 300 + '"\n"a","b"\n'
         data = body.encode()
-        starts = plan_quote_safe_starts(data, 64)
-        assert starts is not None
+        starts = plan_split_starts(data, 64)
         assert starts[0] == 0
         for start in starts[1:]:
             assert data[start - 1 : start] == b"\n"
@@ -83,22 +84,16 @@ class TestPlanner:
         chunk=st.integers(4, 64),
     )
     def test_every_split_parses_cleanly(self, rows, chunk):
-        """Property: scanning each planned split with the storlet's own
-        record scanner recovers every record exactly once."""
+        """Property: scanning each planned split's bytes with the
+        storlet's own record scanner recovers every record exactly once."""
         data = _quoted_csv(rows)
-        starts = plan_quote_safe_starts(data, chunk)
-        assert starts is not None  # _quoted_csv always closes its quotes
+        starts = plan_split_starts(data, chunk)
         from repro.csvscan import owned_records
 
         bounds = starts + [len(data)]
         recovered = []
         for start, end in zip(bounds, bounds[1:]):
-            # The widest read a split can get streams from its start to
-            # the end of the object (a storlet GET without Range);
-            # ownership, not the stream's end, decides the records.
-            recovered.extend(
-                owned_records([data[start:]], start, end - start)
-            )
+            recovered.extend(owned_records([data[start:end]]))
         parsed = [tuple(parse_record(line, ",")) for line in recovered]
         assert parsed == [tuple(row) for row in rows]
 
@@ -115,28 +110,30 @@ class TestConnectorAlignment:
         ctx.client.put_object("c", "q.csv", _quoted_csv(rows))
         splits = connector.discover_partitions("c", record_aligned=True)
         assert len(splits) > 1
-        assert connector.demoted_objects == []
-
-    def test_unterminated_quote_demotes_with_counter(self, caplog):
-        ctx, connector = self._rig()
-        ctx.client.put_container("c")
-        ctx.client.put_object(
-            "c", "bad.csv", b'a,"never closed\n' + b"x" * 200
-        )
-        with caplog.at_level(logging.WARNING, logger="repro.connector"):
-            splits = connector.discover_partitions("c", record_aligned=True)
-        assert len(splits) == 1
-        assert splits[0].start == 0
-        assert connector.demoted_objects == [
-            ("c", "bad.csv", "unterminated-quote")
+        assert [split.start for split in splits[1:]] == [
+            split.end + 1 for split in splits[:-1]
         ]
-        assert (
-            connector.registry.counter_value(
-                "connector.splits_demoted", reason="unterminated-quote"
-            )
-            == 1
-        )
-        assert "bad.csv" in caplog.text
+        assert splits[-1].end == splits[-1].object_size - 1
+
+    def test_an_unterminated_quote_ends_the_splits_there(self):
+        """The split holding a quote that never closes runs to the
+        object's end, and the rows equal the whole-object scan."""
+        schema = Schema.of("k", "v")
+        data = "".join(f"k{i},v{i}\n" for i in range(20)) + 'k,"never closed\n' + "x" * 200
+        quote = data.index('"')
+        answers = []
+        for chunk_size, pushdown in ((32, False), (32, True), (1 << 20, False)):
+            ctx = ScoopContext(chunk_size=chunk_size)
+            ctx.upload_csv("c", "bad.csv", data)
+            ctx.register_csv_table("t", "c", schema=schema, pushdown=pushdown, format="csv")
+            splits = ctx.connector.discover_partitions("c", record_aligned=True)
+            assert splits[-1].start <= quote <= splits[-1].end == len(data) - 1
+            frame, report = ctx.run_query("SELECT k, v FROM t WHERE k <> 'none'")
+            assert (report.pushdown_requests > 0) == pushdown
+            answers.append(frame.collect())
+        assert len(answers[0]) == 21
+        assert answers[0][-1] == ("k", "never closed\n" + "x" * 200)
+        assert answers[0] == answers[1] == answers[2]
 
     def test_small_objects_take_no_alignment_read(self):
         """Objects within one chunk never need the alignment GET."""

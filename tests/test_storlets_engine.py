@@ -62,29 +62,36 @@ def stack():
 
 
 class TestByteRanges:
-    """``X-Storlet-Range`` is the storlet's logical range; the physical
-    read is the request's own ``Range``, else the object from the
-    logical start on."""
+    """``X-Storlet-Range`` is the range the storlet reads: a request
+    without ``Range`` reads exactly it, and a ``Range`` naming other
+    bytes is refused."""
 
     RANGED = {StorletRequestHeaders.RUN: "upper", StorletRequestHeaders.RANGE: "bytes=2-4"}
 
     def test_the_request_range_bounds_the_read(self, stack):
         _engine, _cluster, client = stack
         client.put_object("c", "o", b"hello world")
-        _headers, body = client.get_object("c", "o", headers=self.RANGED, byte_range=(2, 6))
-        assert body == b"LLO W"
+        _headers, body = client.get_object("c", "o", headers=self.RANGED, byte_range=(2, 4))
+        assert body == b"LLO"
 
-    def test_without_a_range_the_read_runs_to_the_object_end(self, stack):
+    def test_a_storlet_range_without_a_range_reads_exactly_that_range(self, stack):
         _engine, _cluster, client = stack
         client.put_object("c", "o", b"hello world")
         _headers, body = client.get_object("c", "o", headers=self.RANGED)
-        assert body == b"LLO WORLD"
+        assert body == b"LLO"
 
     def test_a_range_starting_elsewhere_is_refused(self, stack):
         _engine, _cluster, client = stack
         client.put_object("c", "o", b"hello world")
         with pytest.raises(SwiftError) as excinfo:
             client.get_object("c", "o", headers=self.RANGED, byte_range=(0, 6))
+        assert excinfo.value.status == 400
+
+    def test_a_range_ending_elsewhere_is_refused(self, stack):
+        _engine, _cluster, client = stack
+        client.put_object("c", "o", b"hello world")
+        with pytest.raises(SwiftError) as excinfo:
+            client.get_object("c", "o", headers=self.RANGED, byte_range=(2, 6))
         assert excinfo.value.status == 400
 
 
