@@ -3,7 +3,7 @@
 A catalog entry is one JSON document stored under the
 :data:`CATALOG_HEADER` user-metadata header of the object it describes::
 
-    {"v": 1, "rows": N, "cols": {
+    {"v": 2, "rows": N, "cols": {
         "<column>": {"min": ..., "max": ..., "nulls": n,
                      "nan": true,            # only when bounds incomplete
                      "bloom": "<hex>", "bb": bits, "bh": hashes}}}
@@ -23,6 +23,7 @@ catalog can therefore only cost a wasted GET, never a missing row.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Dict, Mapping, Optional, Sequence, Set
 
@@ -41,13 +42,17 @@ from repro.sql.types import Schema
 #: The Swift user-metadata header carrying one object's catalog entry.
 CATALOG_HEADER = "x-object-meta-scoop-catalog"
 
-#: Bump on any change a decoder of this version could misread.
-CATALOG_VERSION = 1
+#: Bump on any change a decoder of this version could misread (2: the
+#: bloom's probe positions come from one digest per key).
+CATALOG_VERSION = 2
 
 #: Distinct-key cap per column: the bloom is kept iff the column holds
 #: at most this many distinct canonical keys (and no unkeyable value);
 #: past it the bloom would saturate into uselessness anyway.
 MAX_BLOOM_KEYS = 256
+
+#: How many leading values of a long run are read first for the cap.
+_PREFIX = 2 * MAX_BLOOM_KEYS + 1
 
 #: Integers within this magnitude have distinct float images, so
 #: distinct ones have distinct canonical keys.
@@ -106,6 +111,15 @@ class _ColumnAccumulator:
                 self.max_value = stats.max_value
         if self.keys is None:
             return
+        # A long run that shows more than the cap in its first
+        # 2 * cap + 1 values, provably as many keys, turns the bloom off
+        # without reading the rest: the run has at least those values.
+        if self.injective and len(values) > _PREFIX:
+            prefix = self.seen.union(itertools.islice(values, _PREFIX))
+            prefix.discard(None)
+            if len(prefix) > MAX_BLOOM_KEYS and _keys_injective(prefix):
+                self.keys = self.seen = None
+                return
         # Keyed from the value *set*: whether the bloom survives depends
         # on the column's content, never on its row order.
         fresh = set(values)
@@ -133,9 +147,7 @@ class _ColumnAccumulator:
         if self.has_nan:
             entry["nan"] = True
         if self.keys:
-            bloom = BloomFilter()
-            for key in self.keys:
-                bloom.add_key(key)
+            bloom = BloomFilter.of_keys(self.keys)
             entry["bloom"] = bloom.to_hex()
             entry["bb"] = bloom.bits
             entry["bh"] = bloom.hashes

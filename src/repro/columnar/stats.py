@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.sql.filters import (
     And,
@@ -58,6 +58,8 @@ from repro.sql.types import DataType
 #: merely useless (all-maybe), never unsound.
 DEFAULT_BLOOM_BITS = 1024
 DEFAULT_BLOOM_HASHES = 4
+#: One blake2b digest (64 bytes at most) feeds every probe position.
+MAX_BLOOM_HASHES = 8
 
 
 def is_non_finite(value: Any) -> bool:
@@ -129,18 +131,20 @@ def canonical_bloom_key(value: Any) -> Optional[bytes]:
     return None
 
 
-@lru_cache(maxsize=8)
-def _seeded_states(hashes: int) -> Tuple[Any, ...]:
-    """One blake2b state per probe index, fed that index's byte: never
-    updated, only copied."""
-    return tuple(hashlib.blake2b(bytes([index]), digest_size=8) for index in range(hashes))
+def bloom_positions(key: bytes, bits: int, hashes: int) -> List[int]:
+    """The bit positions of one canonical key: one ``8 * hashes``-byte
+    blake2b digest of the key, read as ``hashes`` big-endian 8-byte
+    words, each modulo ``bits``.  Build and probe both call this."""
+    digest = hashlib.blake2b(key, digest_size=8 * hashes).digest()
+    return [word % bits for word in struct.unpack(f">{hashes}Q", digest)]
 
 
 class BloomFilter:
     """A tiny fixed-size bloom filter over canonical value keys.
 
-    Deterministic (blake2b-based) so build and probe agree across
-    processes; serialized as hex for transport inside catalog metadata.
+    Deterministic (blake2b-based, :func:`bloom_positions`) so build and
+    probe agree across processes; serialized as hex for transport
+    inside catalog metadata.
     """
 
     def __init__(
@@ -149,28 +153,30 @@ class BloomFilter:
         hashes: int = DEFAULT_BLOOM_HASHES,
         payload: int = 0,
     ):
-        """Create a filter of ``bits`` positions probed ``hashes`` times."""
-        if bits <= 0 or hashes <= 0:
-            raise ValueError("bloom bits and hashes must be positive")
+        """Create a filter of ``bits`` positions probed ``hashes`` times
+        (at most :data:`MAX_BLOOM_HASHES`: one digest feeds them all)."""
+        if bits <= 0 or not 0 < hashes <= MAX_BLOOM_HASHES:
+            raise ValueError(
+                "bloom bits must be positive and hashes in "
+                f"1..{MAX_BLOOM_HASHES}"
+            )
         self.bits = bits
         self.hashes = hashes
         self._payload = payload
 
-    def _positions(self, key: bytes) -> List[int]:
-        """Probe ``index`` is ``blake2b(bytes([index]) + key)``, 8 bytes
-        read big-endian, modulo :attr:`bits` -- hashed from a state
-        seeded with the index byte once per process."""
-        positions = []
-        for seeded in _seeded_states(self.hashes):
-            state = seeded.copy()
-            state.update(key)
-            positions.append(int.from_bytes(state.digest(), "big") % self.bits)
-        return positions
-
-    def add_key(self, key: bytes) -> None:
-        """Insert one canonical key."""
-        for position in self._positions(key):
-            self._payload |= 1 << position
+    @classmethod
+    def of_keys(
+        cls,
+        keys: Iterable[bytes],
+        bits: int = DEFAULT_BLOOM_BITS,
+        hashes: int = DEFAULT_BLOOM_HASHES,
+    ) -> "BloomFilter":
+        """The filter holding ``keys``: their distinct positions are
+        gathered first, and the payload is set from them once."""
+        positions: Set[int] = set()
+        for key in keys:
+            positions.update(bloom_positions(key, bits, hashes))
+        return cls(bits, hashes, sum(1 << position for position in positions))
 
     def may_contain(self, value: Any) -> bool:
         """Whether ``value`` could be present (``False`` is definitive)."""
@@ -179,7 +185,7 @@ class BloomFilter:
             return True
         return all(
             (self._payload >> position) & 1
-            for position in self._positions(key)
+            for position in bloom_positions(key, self.bits, self.hashes)
         )
 
     def to_hex(self) -> str:

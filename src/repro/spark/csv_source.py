@@ -19,7 +19,7 @@ from typing import Iterator, List, Optional
 
 from repro.connector.stocator import ObjectSplit, StocatorConnector
 from repro.columnar.batch import ColumnBatch
-from repro.csvscan import CsvScan, parse_record
+from repro.csvscan import CsvScan, owned_records, parse_record
 from repro.sql.types import DataType, Field, Schema
 from repro.spark.store_source import SplitScanRDD, StoreRelation
 
@@ -116,11 +116,15 @@ def infer_csv_schema(
         raise ValueError(
             f"cannot infer schema: no objects under /{container}/{prefix}"
         )
-    _headers, head = connector.client.get_object(
+    headers, head = connector.client.get_object(
         container, names[0], byte_range=(0, 256 * 1024)
     )
     connector.count_discovery_bytes("schema", head)
-    lines = head.split(b"\n")
+    # Framed like a scan frames it: a quoted field may hold newlines.
+    lines = list(owned_records([head]))
+    size = headers.get("content-range", "").rpartition("/")[2]
+    if size and len(head) < int(size):
+        lines.pop()  # the head stops inside its last record
     records = [
         parse_record(line, delimiter)
         for line in lines[: sample_rows + 1]

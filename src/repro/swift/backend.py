@@ -46,6 +46,12 @@ def next_timestamp() -> float:
 
 USER_META_PREFIX = "x-object-meta-"
 
+#: Request environ key of ``(body, md5 hex of body)``: the proxy hashes
+#: a PUT body once for all its replicas.  An object server takes the
+#: hash only for that very ``bytes`` object (immutable, so the same
+#: bytes); any other body -- one a middleware rewrote -- it hashes itself.
+BODY_ETAG_ENV_KEY = "swift.body_etag"
+
 
 @dataclass
 class StoredObject:
@@ -101,7 +107,11 @@ class ObjectServer:
     def PUT(self, request: Request) -> Response:
         store = self._store_for(request)
         data = request.body_bytes()
-        etag = hashlib.md5(data).hexdigest()
+        hashed = request.environ.get(BODY_ETAG_ENV_KEY)
+        if hashed is not None and hashed[0] is data:
+            etag = hashed[1]
+        else:
+            etag = hashlib.md5(data).hexdigest()
         metadata = HeaderDict(
             {
                 key: value

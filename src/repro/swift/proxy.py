@@ -11,6 +11,7 @@ stores, and a set of proxies behind a round-robin "load balancer".
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import threading
@@ -30,9 +31,11 @@ from repro.qos.admission import (
 )
 from repro.qos.budget import STREAM_COST_ENV_KEY
 from repro.swift.backend import (
+    BODY_ETAG_ENV_KEY,
     AccountStore,
     ContainerStore,
     ObjectServer,
+    next_timestamp,
 )
 from repro.swift.exceptions import (
     AuthError,
@@ -103,11 +106,14 @@ class ProxyApp:
 
         if request.method == "PUT":
             data = request.body_bytes()
+            # One hash of the body for all replicas.
+            request.environ[BODY_ETAG_ENV_KEY] = (
+                data,
+                hashlib.md5(data).hexdigest(),
+            )
             # One timestamp for all replicas, assigned at the proxy (as
             # in real Swift); otherwise replicas would differ and the
             # replicator would see phantom staleness.
-            from repro.swift.backend import next_timestamp
-
             request.headers.setdefault(
                 "x-timestamp", f"{next_timestamp():.9f}"
             )

@@ -284,9 +284,7 @@ class RowwiseCatalog:
                 entry["nan"] = True
             keys = column["keys"]
             if keys and None not in keys and len(keys) <= MAX_BLOOM_KEYS:
-                bloom = BloomFilter()
-                for key in sorted(keys):
-                    bloom.add_key(key)
+                bloom = BloomFilter.of_keys(sorted(keys))
                 entry.update(bloom=bloom.to_hex(), bb=bloom.bits, bh=bloom.hashes)
             cols[name] = entry
         payload = {"v": CATALOG_VERSION, "rows": self.rows, "cols": cols}

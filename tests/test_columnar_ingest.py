@@ -254,29 +254,47 @@ class TestBloomCap:
         _data, metadata = column_major(schema, rows, 50, 97, None)
         assert "bloom" in json.loads(metadata[CATALOG_HEADER])["cols"]["a"]
 
-    def test_past_the_cap_huge_ints_keep_their_bloom_by_key_count(self):
-        """300 distinct ints near 2**60 share a few float images: more
+    @pytest.mark.parametrize(
+        "count,stripe_rows", [(300, 100), (600, 600)], ids=["300", "600"]
+    )
+    def test_past_the_cap_huge_ints_keep_their_bloom_by_key_count(
+        self, count, stripe_rows
+    ):
+        """Distinct ints near 2**60 share a few float images: more
         values than the cap, few keys -- the bloom stays, as the
-        reference keeps it."""
+        reference keeps it.  A 600-row stripe is long enough for the
+        prefix rule, whose prefix is not provably injective."""
         schema = Schema.of("k:int")
-        rows = [(2**60 + k,) for k in range(300)]
-        _data, metadata = column_major(schema, rows, 64, 100, None)
-        assert metadata == row_major(schema, rows, 100, None)[1]
+        rows = [(2**60 + k,) for k in range(count)]
+        _data, metadata = column_major(schema, rows, 64, stripe_rows, None)
+        assert metadata == row_major(schema, rows, stripe_rows, None)[1]
         assert "bloom" in json.loads(metadata[CATALOG_HEADER])["cols"]["k"]
+
+    def test_a_long_run_of_distinct_floats_drops_the_bloom_from_its_prefix(self):
+        """More than 2 * cap distinct floats in one stripe: the prefix
+        alone shows more than the cap, and the bloom is off, as the
+        reference drops it."""
+        schema = Schema.of("x:float", "k:int")
+        rows = [(i / 7, i % 3) for i in range(2 * MAX_BLOOM_KEYS + 100)]
+        _data, metadata = column_major(schema, rows, 64, len(rows), None)
+        assert metadata == row_major(schema, rows, len(rows), None)[1]
+        cols = json.loads(metadata[CATALOG_HEADER])["cols"]
+        assert "bloom" not in cols["x"] and "bloom" in cols["k"]
 
 
 class TestBloomFormat:
     """The catalog's bloom bits, computed here with ``hashlib`` alone:
-    probe ``i`` of a key sets bit ``blake2b(bytes([i]) + key, 8 bytes)``
-    read big-endian, modulo the width."""
+    a key's ``8 * hashes``-byte blake2b digest, read as 8-byte
+    big-endian words, sets bit ``word % bits`` for each word."""
 
     @staticmethod
     def _hex(keys, bits=1024, hashes=4):
         payload = 0
         for key in keys:
+            digest = hashlib.blake2b(key, digest_size=8 * hashes).digest()
             for index in range(hashes):
-                digest = hashlib.blake2b(bytes([index]) + key, digest_size=8).digest()
-                payload |= 1 << (int.from_bytes(digest, "big") % bits)
+                word = digest[8 * index : 8 * index + 8]
+                payload |= 1 << (int.from_bytes(word, "big") % bits)
         return format(payload, f"0{bits // 4}x")
 
     @pytest.mark.parametrize(
@@ -290,12 +308,14 @@ class TestBloomFormat:
     )
     def test_bits_are_blake2b_of_index_byte_and_key(self, values):
         keys = [canonical_bloom_key(value) for value in values]
-        for bits, hashes in ((1024, 4), (64, 3)):
-            bloom = BloomFilter(bits=bits, hashes=hashes)
-            for key in keys:
-                bloom.add_key(key)
+        for bits, hashes in ((1024, 4), (64, 3), (100, 8)):
+            bloom = BloomFilter.of_keys(keys, bits=bits, hashes=hashes)
             assert bloom.to_hex() == self._hex(keys, bits, hashes)
             assert all(bloom.may_contain(value) for value in values)
+
+    def test_one_digest_bounds_the_hash_count(self):
+        with pytest.raises(ValueError):
+            BloomFilter(hashes=9)
 
     def test_catalog_document_carries_those_bits(self):
         schema = Schema.of("s", "n:float")

@@ -218,7 +218,7 @@ class TestConversionStaysInTheStore:
         (name,) = ctx.convert_csv_to_columnar("raw", "rcf", schema)
         headers = ctx.client.head_object("rcf", name)
         assert not [key for key in headers if "etl" in key]
-        assert headers[CATALOG_HEADER].startswith('{"v":1,"rows":2,')
+        assert headers[CATALOG_HEADER].startswith('{"v":2,"rows":2,')
         assert headers["x-object-meta-columnar-rows"] == "2"
         assert headers["content-type"] == "application/octet-stream"
 

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.catalog import CATALOG_HEADER
+from repro.catalog import CATALOG_HEADER, CATALOG_VERSION
 from repro.core.scoop import ScoopContext
 from repro.faults import NAMED_PLANS, named_plan
 from repro.obs.metrics import LOG_LENGTH
@@ -196,7 +196,16 @@ class TestStaleness:
             ("wrong-shape", {"scoop-catalog": json.dumps([1, 2, 3])}),
             (
                 "truncated",
-                {"scoop-catalog": json.dumps({"v": 1, "rows": "many"})},
+                {
+                    "scoop-catalog": json.dumps(
+                        {"v": CATALOG_VERSION, "rows": "many"}
+                    )
+                },
+            ),
+            # Version 1 probed other bits; an empty object would skip.
+            (
+                "version-1",
+                {"scoop-catalog": json.dumps({"v": 1, "rows": 0, "cols": {}})},
             ),
         ],
     )
@@ -272,7 +281,7 @@ class TestStorletEmission:
         for name in names:
             headers = ctx.client.head_object("data--columnar", name)
             payload = json.loads(headers[CATALOG_HEADER])
-            assert payload["v"] == 1
+            assert payload["v"] == 2
             assert payload["rows"] == 400
             assert set(payload["cols"]) == {
                 "vid", "date", "index", "code", "city",

@@ -172,6 +172,39 @@ class TestSchemaInference:
         assert schema.names == ["_c0", "_c1", "_c2", "_c3"]
         assert schema.field("_c2").dtype is DataType.FLOAT
 
+    def test_quoted_newlines_are_framed_as_the_scan_frames_them(self, rig):
+        session, connector, _schema = rig
+        connector.client.put_container("notes")
+        body = b"".join(
+            b'%d,"note %d\nb,c",%d\n' % (i, i, 2 * i) for i in range(5)
+        )
+        connector.client.put_object("notes", "n.csv", body)
+        schema = infer_csv_schema(connector, "notes")
+        assert [fld.dtype for fld in schema.fields] == [
+            DataType.INT, DataType.STRING, DataType.INT,
+        ]
+        session.register_table(
+            "notes", CsvRelation(session.context, connector, "notes")
+        )
+        rows = session.sql("SELECT * FROM notes").collect()
+        assert sorted(rows) == [(i, f"note {i}\nb,c", 2 * i) for i in range(5)]
+
+    def test_a_head_cut_inside_a_record_drops_the_fragment(self, rig):
+        """The sampled head stops inside the last record's ``1e5``: its
+        fragment ``1e`` is no FLOAT, and is not sampled."""
+        _session, connector, _schema = rig
+        connector.client.put_container("long")
+        head_bytes = 256 * 1024 + 1
+        body = (b"f" * 2614 + b",1,2.5\n") * 100
+        tail = b",7,1e5\n"
+        body += b"y" * (head_bytes - len(body) - tail.index(b"5")) + tail
+        assert body[:head_bytes].endswith(b",7,1e")
+        connector.client.put_object("long", "l.csv", body)
+        schema = infer_csv_schema(connector, "long")
+        assert [fld.dtype for fld in schema.fields] == [
+            DataType.STRING, DataType.INT, DataType.FLOAT,
+        ]
+
     def test_empty_container_raises(self, rig):
         _session, connector, _schema = rig
         connector.client.put_container("void")

@@ -1,5 +1,7 @@
 """Integration tests for the object store: proxy + backend + client."""
 
+import hashlib
+
 import pytest
 
 from repro.swift import RangeNotSatisfiable, SwiftClient, SwiftCluster, SwiftError
@@ -232,6 +234,55 @@ class TestMiddleware:
         # PUT fans out to every replica through the object pipeline.
         put_count = sum(1 for entry in log if entry[0] == "PUT")
         assert put_count == swift.object_ring.replica_count
+
+
+def _replicas(swift, container, obj):
+    """Each device's stored replica of one object, by device id."""
+    _part, devices = swift.object_ring.get_nodes("AUTH_test", container, obj)
+    path = f"/AUTH_test/{container}/{obj}"
+    return {
+        device.id: swift.object_servers[device.node].devices[device.id][path]
+        for device in devices
+    }
+
+
+class TestOneHashPerPut:
+    """The proxy hashes a PUT body once; a replica whose body was
+    rewritten on its way down hashes its own bytes."""
+
+    def test_every_replica_stores_the_md5_of_the_body(self, swift, client):
+        client.put_container("c")
+        data = bytes(range(256)) * 40
+        etag = client.put_object("c", "o", data)
+        replicas = _replicas(swift, "c", "o")
+        assert len(replicas) == swift.object_ring.replica_count
+        assert etag == hashlib.md5(data).hexdigest()
+        assert {(r.data, r.etag) for r in replicas.values()} == {(data, etag)}
+
+    def test_a_rewritten_replica_stores_the_md5_of_its_own_bytes(
+        self, swift, client
+    ):
+        rewritten = []
+
+        def rewrite_one(app):
+            def middleware(request):
+                if request.method == "PUT" and not rewritten:
+                    rewritten.append(request.environ["swift.device"])
+                    request.body = b"rewritten " + request.body_bytes()
+                return app(request)
+
+            return middleware
+
+        client.put_container("c")
+        swift.install_object_middleware(rewrite_one)
+        data = b"payload" * 100
+        client.put_object("c", "o", data)
+        replicas = _replicas(swift, "c", "o")
+        assert rewritten and rewritten[0] in replicas
+        for device_id, replica in replicas.items():
+            expected = b"rewritten " + data if device_id in rewritten else data
+            assert replica.data == expected
+            assert replica.etag == hashlib.md5(expected).hexdigest()
 
 
 class TestProxyDispatch:
