@@ -43,7 +43,8 @@ never appear in a stored object: a NULL-free segment sets
 :data:`WIRE_NO_BITMAP` in its tag and ships no bitmap, and a
 dictionary-coded column ships as :data:`ENC_STREAM_DICT` -- codes into
 the column's *stream dictionary* (every entry shipped so far in this
-response) preceded by only the entries not shipped yet.
+response), each in the fewest of 1, 2, 4 or 8 bits that address it,
+preceded by only the entries not shipped yet.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ ENCODING_NAMES = {
 
 #: Wire-only (block stream) tag: ``u16 count | the count entries new to
 #: the column's stream dictionary, as a plain NULL-free ``tag | payload``
-#: (absent when count is 0) | one u8 code per row``.
+#: (absent when count is 0) | one code per row``, each code in the
+#: fewest of 1, 2, 4 or 8 bits that address the dictionary with the new
+#: entries in (:func:`_code_bits`), packed LSB-first within a byte, the
+#: last byte's unused bits zero.
 ENC_STREAM_DICT = 6
 #: Wire-only tag bits: the segment holds no NULL and ships no bitmap;
 #: the stream dictionary restarts, empty, before this segment's entries.
@@ -113,6 +117,19 @@ WIRE_NO_BITMAP = 0x80
 WIRE_RESET = 0x40
 #: The most entries one-byte codes (a ``DictColumn``'s) can address.
 _STREAM_DICT_LIMIT = 256
+#: Per stream-code width under a byte, one ``(pack, unpack)`` translate
+#: table pair per bit field: field ``j`` of byte ``i`` holds code
+#: ``i * (8 // bits) + j``, at bit ``j * bits``.
+_CODE_FIELDS = {
+    bits: [
+        (
+            bytes((code << shift) & 0xFF for code in range(256)),
+            bytes((byte >> shift) & ((1 << bits) - 1) for byte in range(256)),
+        )
+        for shift in range(0, 8, bits)
+    ]
+    for bits in (1, 2, 4)
+}
 
 #: Narrow-int offset widths in bytes and their ``struct`` codes.
 _NARROW_WIDTHS = {1: "B", 2: "H", 4: "I"}
@@ -1142,6 +1159,41 @@ _STREAM_DICT_TAG = ENC_STREAM_DICT | WIRE_NO_BITMAP
 _NO_FRESH_ENTRIES = bytes((_STREAM_DICT_TAG, 0, 0))
 
 
+def _code_bits(entries: int) -> int:
+    """The bits a stream code takes: the fewest of 1, 2, 4 or 8 that
+    address a dictionary of ``entries`` (at most 256) entries."""
+    return 1 if entries <= 2 else 2 if entries <= 4 else 4 if entries <= 16 else 8
+
+
+def _pack_codes(codes: bytes, bits: int) -> bytes:
+    """One-byte ``codes``, each below ``1 << bits``, at ``bits`` bits
+    each: LSB-first within a byte, the last byte's unused bits zero.
+    Each bit field is one ``translate`` of every ``8 // bits``-th code,
+    and the fields' disjoint bits are OR-ed as one integer."""
+    if bits == 8:
+        return codes
+    per = 8 // bits
+    packed = 0
+    for field, (shift, _unshift) in enumerate(_CODE_FIELDS[bits]):
+        packed |= int.from_bytes(codes[field::per].translate(shift), "little")
+    return packed.to_bytes(-(-len(codes) // per), "little")
+
+
+def _unpack_codes(packed: bytes, bits: int, rows: int) -> bytes:
+    """The ``rows`` one-byte codes :func:`_pack_codes` made ``packed``
+    of; ``ValueError`` when the last byte's unused bits are not zero."""
+    if bits == 8:
+        return packed
+    per = 8 // bits
+    codes = bytearray(len(packed) * per)
+    for field, (_shift, unshift) in enumerate(_CODE_FIELDS[bits]):
+        codes[field::per] = packed.translate(unshift)
+    if any(codes[rows:]):
+        raise ValueError("RCF1 segment: stream-dictionary code padding is not zero")
+    del codes[rows:]
+    return bytes(codes)
+
+
 class BlockStreamEncoder:
     """The sending side of one response's block stream.
 
@@ -1164,17 +1216,19 @@ class BlockStreamEncoder:
       8-byte image, as :func:`_dictionary_payload` keys them), the ones
       not shipped yet are appended to it and ride on the stripe's first
       block, and the stripe's codes are mapped to stream codes with one
-      ``translate``: a block's codes are a slice of those.  When the new
-      entries would take the dictionary past the 256 that one-byte codes
-      address, it restarts from this stripe's entries
-      (:data:`WIRE_RESET`);
+      ``translate``: a block's codes are a slice of those, packed at the
+      fewest of 1, 2, 4 or 8 bits that address the dictionary with the
+      stripe's entries in.  When the new entries would take the
+      dictionary past the 256 that one-byte codes address, it restarts
+      from this stripe's entries (:data:`WIRE_RESET`);
     * anything else -- a plain list, a coded column with NULLs -- gets,
       per block, the encoding :func:`_encode_values` chooses.
 
     Every NULL-free segment sets :data:`WIRE_NO_BITMAP` and ships no
     bitmap.  ``shipped`` (when given) counts the block columns by which
     of the three happened: ``verbatim`` / ``settled`` for a carrier of
-    an untouched / a gathered stripe, ``reencoded``.
+    an untouched / a gathered stripe, ``reencoded``; :attr:`code_bits`
+    counts the stream-dictionary segments by the width of their codes.
     """
 
     def __init__(self, schema: Schema, shipped: Optional[Dict[str, int]] = None):
@@ -1189,6 +1243,8 @@ class BlockStreamEncoder:
         #: Stream-dictionary entries shipped and dictionary restarts.
         self.entries_shipped = 0
         self.resets = 0
+        #: Stream-dictionary segments shipped, by code width in bits.
+        self.code_bits: Dict[int, int] = {}
 
     def blocks(
         self,
@@ -1206,13 +1262,17 @@ class BlockStreamEncoder:
             self._settle(index, settle_column(column) if gathered else column, carried)
             for index, column in enumerate(columns)
         ]
-        shipped = self._shipped
+        shipped, code_bits = self._shipped, self.code_bits
         for start in range(0, max(rows, 1), block_rows):
             stop = min(start + block_rows, rows)
             segments = []
-            for (how, opening, head, body), dtype in zip(settled, self._dtypes):
+            for (how, opening, head, body, bits), dtype in zip(settled, self._dtypes):
                 if head is not None:  # a slice of the packed cells / mapped codes
-                    segments.append((head if start else opening) + body[start:stop])
+                    cut = body[start:stop]
+                    if bits:
+                        cut = _pack_codes(cut, bits)
+                        code_bits[bits] = code_bits.get(bits, 0) + 1
+                    segments.append((head if start else opening) + cut)
                 else:
                     tag, bitmap, payload, nulls, _ = _encode_values(body[start:stop], dtype)
                     if nulls:
@@ -1227,11 +1287,12 @@ class BlockStreamEncoder:
 
     def _settle(
         self, index: int, column: Sequence[Any], carried: str
-    ) -> Tuple[str, Optional[bytes], Optional[bytes], Sequence[Any]]:
+    ) -> Tuple[str, Optional[bytes], Optional[bytes], Sequence[Any], int]:
         """How one column of a stripe ships: what it is counted as, what
         its segment opens with in the stripe's first block and in the
         later ones (``None``: the body is a plain vector to encode per
-        block) and the body its blocks slice."""
+        block), the body its blocks slice and the bits its stream codes
+        are packed in (0: the body holds no stream code)."""
         if isinstance(column, PackedColumn):
             view = column.view
             if view.itemsize == 8:
@@ -1243,20 +1304,22 @@ class BlockStreamEncoder:
                 else:
                     opening = (ENC_DECIMAL | WIRE_NO_BITMAP, column.exponent)
                 head = bytes(opening + (view.itemsize,)) + struct.pack("<q", column.base)
-            return carried, head, head, view
+            return carried, head, head, view, 0
         if isinstance(column, DictColumn):
             coded = self._stream_coded(index, column)
             if coded is not None:
                 opening, codes = coded
-                return carried, opening, _NO_FRESH_ENTRIES, codes
-        return "reencoded", None, None, materialize(column)
+                bits = _code_bits(len(self._dictionaries[index]))
+                return carried, opening, _NO_FRESH_ENTRIES, codes, bits
+        return "reencoded", None, None, materialize(column), 0
 
     def _stream_coded(
         self, index: int, column: DictColumn
     ) -> Optional[Tuple[bytes, bytes]]:
         """A coded column against the stream dictionary: what its first
         segment opens with (tag, the entries new to the stream) and one
-        stream code per row -- or ``None`` when a row holds NULL."""
+        stream code per row, a byte each -- or ``None`` when a row holds
+        NULL."""
         used = sorted(set(column.codes))
         keys: Sequence[Any] = [column.entries[code] for code in used]
         if None in keys:
@@ -1377,22 +1440,28 @@ class BlockStreamDecoder:
             if tag & WIRE_NO_BITMAP:
                 return _decode_values(tag ^ WIRE_NO_BITMAP, data, 1, b"", dtype, rows)
             return decode_column(data, dtype, rows)
-        codes_at = len(data) - rows
-        if codes_at < 3:
+        if len(data) < 3:
             raise _bad_length("stream-dictionary")
         (count,) = struct.unpack_from("<H", data, 1)
         entries = [] if tag & WIRE_RESET else self._entries[index]
+        size = len(entries) + count
+        if size > _STREAM_DICT_LIMIT:
+            raise ValueError("RCF1 segment: stream dictionary entry count out of range")
+        bits = _code_bits(size)
+        codes_at = len(data) - (rows * bits + 7) // 8
+        if codes_at < 3:
+            raise _bad_length("stream-dictionary")
         if not count:
             if codes_at != 3:
                 raise _bad_length("stream-dictionary")
-        elif codes_at < 4 or len(entries) + count > _STREAM_DICT_LIMIT:
+        elif codes_at < 4:
             raise ValueError("RCF1 segment: stream dictionary entry count out of range")
         elif data[3] in (ENC_INT64, ENC_FLOAT64):
             nested = memoryview(data)[4:codes_at]
             entries = entries + materialize(_decode_fixed(data[3], nested, count))
         else:
             entries = entries + _decode_plain(data[3], data[4:codes_at], dtype, count)
-        codes = data[codes_at:]
+        codes = _unpack_codes(data[codes_at:], bits, rows)
         if codes.translate(None, bytes(range(len(entries)))):
             raise ValueError("RCF1 segment: dictionary code beyond the dictionary")
         self._entries[index] = entries

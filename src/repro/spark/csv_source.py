@@ -106,24 +106,30 @@ def infer_csv_schema(
     delimiter: str = ",",
     sample_rows: int = 100,
 ) -> Schema:
-    """Infer column names/types from the first object's head.
+    """Infer column names/types from the head of the first object that
+    is not empty (one sized listing finds it).
 
     Names come from the header line when present (``_c<i>`` otherwise);
     a type is INT/FLOAT only if every sampled value parses as one.
     """
-    names = connector.client.list_objects(container, prefix=prefix, limit=1)
-    if not names:
+    listing = connector.client.list_objects_sized(container, prefix=prefix)
+    if not listing:
         raise ValueError(
             f"cannot infer schema: no objects under /{container}/{prefix}"
         )
-    headers, head = connector.client.get_object(
-        container, names[0], byte_range=(0, 256 * 1024)
+    sample = next((entry for entry in listing if entry["bytes"]), None)
+    if sample is None:
+        raise ValueError(
+            f"cannot infer schema: every object under /{container}/{prefix} is empty"
+        )
+    name = sample["name"]
+    _headers, head = connector.client.get_object(
+        container, name, byte_range=(0, 256 * 1024)
     )
     connector.count_discovery_bytes("schema", head)
     # Framed like a scan frames it: a quoted field may hold newlines.
     lines = list(owned_records([head]))
-    size = headers.get("content-range", "").rpartition("/")[2]
-    if size and len(head) < int(size):
+    if len(head) < sample["bytes"]:
         lines.pop()  # the head stops inside its last record
     records = [
         parse_record(line, delimiter)
@@ -132,7 +138,7 @@ def infer_csv_schema(
     ]
     records = [record for record in records if record]
     if not records:
-        raise ValueError(f"cannot infer schema: /{container}/{names[0]} empty")
+        raise ValueError(f"cannot infer schema: /{container}/{name} empty")
     if has_header:
         header, records = records[0], records[1:]
     else:

@@ -13,14 +13,15 @@ Two storlets live here:
   planes of a packed narrow-int one -- gathers the surviving rows by
   that mask and emits them as one block stream per response
   (:class:`repro.columnar.layout.BlockStreamEncoder`: the schema once,
-  then blocks whose dictionary columns are codes into a stream
-  dictionary that ships each entry once).  It moves bytes, not cells: a
-  segment is decoded into a carrier over its own bytes (dictionary-coded
-  or packed), the form a column ships in -- and the mapping of its codes
-  to the stream dictionary -- is settled once per stripe, and a response
-  block is a slice of it.  Non-referenced column segments are never even
-  decoded.  A task carrying an ``aggregation`` is answered by partial
-  aggregation over each stripe's selected columns instead
+  then blocks whose dictionary columns are codes -- at the bits it
+  needs -- into a stream dictionary that ships each entry once).  It
+  moves bytes, not cells: a segment is decoded into a carrier over its
+  own bytes (dictionary-coded or packed), the form a column ships in --
+  and the mapping of its codes to the stream dictionary -- is settled
+  once per stripe, and a response block is a slice of it.
+  Non-referenced column segments are never even decoded.  A task
+  carrying an ``aggregation`` is answered by partial aggregation over
+  each stripe's selected columns instead
   (:mod:`repro.storlets.aggregation`).
 * :class:`CsvToColumnarStorlet` is the PUT-path ETL converter: it parses
   a CSV stream through :class:`repro.csvscan.CsvScan` -- so with the drop
@@ -148,6 +149,7 @@ class ColumnarStorlet(IStorlet):
         ("columns_shipped", "columns", "how"),
         ("dictionary_entries_shipped", "dict-entries", None),
         ("dictionary_resets", "dict-resets", None),
+        ("stream_code_bits", "code-bits", "bits"),
     )
 
     def process(
@@ -249,7 +251,7 @@ class ColumnarStorlet(IStorlet):
                 "x-object-meta-storlet-dict-resets": str(encoder.resets),
             }
         )
-        # Which path each column took.
+        # Which path each column took, and the width of its stream codes.
         publish_counts(
             metadata,
             {
@@ -257,6 +259,7 @@ class ColumnarStorlet(IStorlet):
                 "filter-evals": evaluations,
                 "gathers": gathers,
                 "columns": shipped,
+                "code-bits": encoder.code_bits,
             },
         )
         logger.emit(

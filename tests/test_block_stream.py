@@ -2,7 +2,8 @@
 
 ``BlockStreamEncoder`` / ``BlockStreamDecoder`` carry the schema once,
 a stream dictionary per coded column (each entry shipped once, the
-dictionary restarted past 256) and no bitmap for a NULL-free segment.
+dictionary restarted past 256, each code in the fewest of 1, 2, 4 or 8
+bits that address it) and no bitmap for a NULL-free segment.
 These tests hold the pair to ``==`` rows over arbitrary batches and
 chunkings, pin what state a decoder may and may not share with the
 batches it returned, check that a cut or corrupted stream raises rather
@@ -11,11 +12,13 @@ under every named fault plan and a response cut mid-block.
 """
 
 import struct
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.columnar import layout
 from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn
 from repro.columnar.layout import (
     ENC_DICT,
@@ -260,14 +263,16 @@ class TestFraming:
         rows, first, second = struct.unpack_from("<3I", stream, at)
         assert rows == 4
         coded = stream[at + 12 : at + 12 + first]
-        # tag | u16 new entries | their plain segment, no bitmap | codes
+        # tag | u16 new entries | their plain segment, no bitmap | codes:
+        # two entries take 1-bit codes, LSB first -- 0, 1, 0, 1 in one
+        # byte whose four unused bits are zero.
         assert coded == (
             bytes((ENC_STREAM_DICT | WIRE_NO_BITMAP,))
             + struct.pack("<H", 2)
             + bytes((ENC_TEXT,))
             + struct.pack("<2I", 2, 2)
             + b"aabb"
-            + bytes([0, 1, 0, 1])
+            + bytes([0b00001010])
         )
         packed = stream[at + 12 + first : at + 12 + first + second]
         # tag | width | base | offsets: the stored segment less its bitmap.
@@ -277,13 +282,14 @@ class TestFraming:
         rows, first, second = struct.unpack_from("<3I", stream, at)
         assert rows == 3
         coded = stream[at + 12 : at + 12 + first]
+        # One new entry makes three: 2-bit codes 2, 1, 1 in one byte.
         assert coded == (
             bytes((ENC_STREAM_DICT | WIRE_NO_BITMAP,))
             + struct.pack("<H", 1)
             + bytes((ENC_TEXT,))
             + struct.pack("<I", 2)
             + b"cc"
-            + bytes([2, 1, 1])
+            + bytes([0b00010110])
         )
         # A column with a NULL is the stored segment, bitmap and all.
         nulls = stream[at + 12 + first :]
@@ -331,6 +337,7 @@ class TestFraming:
         _rows, first, second = struct.unpack_from("<3I", stream, at)
         coded, packed = at + 12, at + 12 + first
         later = packed + second + 12  # the second block's coded segment
+        (later_first,) = struct.unpack_from("<I", stream, later - 8)
 
         def add(offset, delta):
             (value,) = struct.unpack_from("<I", corrupt, offset)
@@ -364,9 +371,10 @@ class TestFraming:
         elif what == "nested tag":
             corrupt[coded + 3] = ENC_DICT
         elif what == "stray code":
-            corrupt[packed - 1] = 0xFF
+            corrupt[packed - 1] = 0xFF  # 1-bit codes: the padding bits set
         elif what == "code past the dictionary":
-            corrupt[packed - 1] = 2  # two entries so far: codes 0 and 1
+            # Three entries so far, 2-bit codes 2, 1, 1: the first becomes 3.
+            corrupt[later + later_first - 1] = 0b00010111
         elif what == "later reset":
             # The dictionary restarts from the one new entry: the codes
             # for the two earlier ones now point past it.
@@ -393,6 +401,135 @@ class TestFraming:
             decoder.push(stream)
             decoder.finish()
         assert [b.rows for b in decode_block_stream([stream])] == [b.rows for b in batches]
+
+
+def _width(entries):
+    """The bits a stream code takes in a dictionary of ``entries``."""
+    return next(bits for bits in (1, 2, 4, 8) if entries <= 1 << bits)
+
+
+#: The schema of :func:`_coded_stripes`: two coded columns.
+CODED = Schema.of("s", "t")
+
+
+@st.composite
+def _coded_stripes(draw):
+    """Stripes of two coded string columns, each stripe a window of one
+    of two 300-entry pools: the stream dictionaries grow across the 2 /
+    4 / 16-entry widths as windows move and, with a stripe that uses a
+    full 256 entries somewhere, restart."""
+    stripes = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.sampled_from([0, 1, 3, 8, 9, 17, 100, 300]))
+        columns = []
+        for _column in CODED.fields:
+            count = draw(st.sampled_from([1, 2, 3, 4, 5, 16, 17, 100, 200, 256]))
+            base = draw(st.sampled_from([0, 1000])) + draw(st.integers(0, 300 - count))
+            entries = _wide_entries(DataType.STRING, base, count)
+            if draw(st.booleans()):  # as many entries used as rows allow
+                codes = [k % count for k in range(n)]
+            else:
+                codes = draw(st.lists(st.integers(0, count - 1), min_size=n, max_size=n))
+            columns.append(DictColumn(entries, bytes(codes)))
+        stripes.append(ColumnBatch(CODED, columns, n))
+    if draw(st.booleans()):
+        full = DictColumn(_wide_entries(DataType.STRING, 1000, 256), bytes(range(256)))
+        at = draw(st.integers(0, len(stripes)))
+        stripes.insert(at, ColumnBatch(CODED, [full, full], 256))
+    return stripes
+
+
+class TestPackedCodes:
+    """Stream codes ship at the fewest of 1, 2, 4 or 8 bits that address
+    their dictionary, LSB first, the last byte zero-padded."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stripes=_coded_stripes(),
+        block_rows=st.sampled_from([1, 3, 7, 8, 64, 1024]),
+        chunk=st.sampled_from([1, 2, 5, 13, 4096, 1 << 30]),
+    )
+    def test_the_decoded_codes_are_the_encoders(self, stripes, block_rows, chunk):
+        encoder = BlockStreamEncoder(CODED)
+        packed = []
+        real = layout._pack_codes
+        with mock.patch.object(
+            layout, "_pack_codes", lambda codes, bits: packed.append(codes) or real(codes, bits)
+        ):
+            stream = block_stream(stripes, block_rows, encoder)
+        decoder = BlockStreamDecoder()
+        decoded = [
+            batch
+            for start in range(0, len(stream), chunk)
+            for batch in decoder.push(stream[start : start + chunk])
+        ]
+        decoder.finish()
+        # Blocks come column by column: the codes each column was packed
+        # from are the codes its segments decode into.
+        assert [bytes(column.codes) for b in decoded for column in b.columns] == packed
+        assert [row for b in decoded for row in b.rows] == [
+            row for stripe in stripes for row in stripe.rows
+        ]
+        widths = Counter(
+            _width(len(column.entries)) for b in decoded for column in b.columns
+        )
+        assert encoder.code_bits == dict(widths)
+
+    def test_the_width_follows_the_dictionary_as_it_grows(self):
+        schema = Schema.of("s")
+        windows = [(0, n) for n in (1, 2, 3, 4, 5, 16, 17, 256)] + [(1000, 10), (1000, 3)]
+        stripes = [
+            ColumnBatch(
+                schema, [DictColumn(_wide_entries(DataType.STRING, base, n), bytes(range(n)))]
+            )
+            for base, n in windows
+        ]
+        encoder = BlockStreamEncoder(schema)
+        stream = block_stream(stripes, 1 << 30, encoder)
+        decoded = list(decode_block_stream([stream]))
+        # Ten new entries would take 256 past the limit: the dictionary
+        # restarts from them, and its codes narrow again.
+        sizes = [len(batch.columns[0].entries) for batch in decoded]
+        assert sizes == [1, 2, 3, 4, 5, 16, 17, 256, 10, 10] and encoder.resets == 1
+        assert encoder.code_bits == {1: 2, 2: 2, 4: 4, 8: 2}
+        # The last stripe brings no entry: its segment is the opening and
+        # three 4-bit codes 0, 1, 2 in two bytes, the last nibble zero.
+        tail = bytes((ENC_STREAM_DICT | WIRE_NO_BITMAP, 0, 0, 0x10, 0x02))
+        assert stream.endswith(struct.pack("<2I", 3, len(tail)) + tail)
+
+    def _stream(self, size, rows=5):
+        """The stream of one stripe, ``rows`` codes into ``size`` entries."""
+        codes = bytes(k % size for k in range(rows))
+        column = DictColumn(_wide_entries(DataType.STRING, 0, size), codes)
+        return bytearray(block_stream([ColumnBatch(Schema.of("s"), [column])]))
+
+    @pytest.mark.parametrize("size, bits", [(2, 1), (3, 2), (5, 4)])
+    def test_nonzero_padding_bits_are_rejected(self, size, bits):
+        corrupt = self._stream(size)
+        assert 5 * bits % 8  # the last byte has unused bits
+        corrupt[-1] |= 0x80
+        with pytest.raises(ValueError, match="padding"):
+            list(decode_block_stream([bytes(corrupt)]))
+
+    @pytest.mark.parametrize("size, code", [(3, 3), (5, 5), (5, 15), (17, 17), (17, 255)])
+    def test_a_packed_code_past_the_dictionary_is_rejected(self, size, code):
+        rows = max(size, 5)  # every entry used, so every one shipped
+        corrupt = self._stream(size, rows)
+        bits = _width(size)
+        first = len(corrupt) - (rows * bits + 7) // 8  # the codes end the stream
+        corrupt[first] = corrupt[first] & ~((1 << bits) - 1) & 0xFF | code
+        with pytest.raises(ValueError, match="beyond the dictionary"):
+            list(decode_block_stream([bytes(corrupt)]))
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 17])
+    def test_truncated_packed_codes_are_rejected(self, size):
+        corrupt = self._stream(size, rows=max(size, 9))
+        header = 4 + len(Schema.of("s").to_header())
+        (_rows, length) = struct.unpack_from("<2I", corrupt, header)
+        del corrupt[-1]
+        struct.pack_into("<I", corrupt, header + 4, length - 1)
+        with pytest.raises(ValueError):
+            list(decode_block_stream([bytes(corrupt)]))
 
 
 class TestStoredObjectsAreUntouched:
@@ -556,3 +693,21 @@ class TestTheStorletSaysWhatItsDictionariesCost:
         shipped = ctx.registry.counter_value("storlets.dictionary_entries_shipped")
         assert cities <= shipped <= cities * responses
         assert ctx.registry.counter_value("storlets.dictionary_resets") == 0
+
+    def test_every_city_segment_ships_at_the_width_its_dictionary_needs(self, small_blocks):
+        # 200 meters, as in the ledger corpus, live in all 13 cities, and
+        # every response's dictionary holds 5 to 16 of them: 4-bit codes
+        # throughout.
+        ctx = ScoopContext(chunk_size=16 * 1024)
+        spec = DatasetSpec(meters=200, intervals=10, objects=2, seed=5)
+        for name, data in MeterDataGenerator(spec).csv_objects():
+            ctx.upload_csv("meters", name, data)
+        ctx.register_csv_table("t", "meters", schema=METER_SCHEMA, format="columnar")
+        rows = ctx.sql("SELECT city, code FROM t").collect()
+        assert len({city for city, _code in rows}) == 13
+        blocks = ctx.registry.counter_value("storlets.columns_shipped", how="verbatim") / 2
+        widths = {
+            bits: ctx.registry.counter_value("storlets.stream_code_bits", bits=str(bits))
+            for bits in (1, 2, 4, 8)
+        }
+        assert blocks > 2 and widths == {1: 0, 2: 0, 4: blocks, 8: 0}

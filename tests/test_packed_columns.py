@@ -426,15 +426,34 @@ class TestLedgerQueriesTakeTheIntendedPaths:
         assert sorted(blocks[-1].columns[1].entries) == sorted(seen)
         # To the byte: a preamble, and per block a header, ``code`` as
         # tag | width | base | two-byte offsets and ``city`` as tag |
-        # entry count | one-byte codes; the entries (tag once a stripe
-        # that brings any, u32 length + text each) -- and no bitmap.
+        # entry count | codes at the bits the stripe's dictionary needs
+        # (up to 16 entries: 4), the last byte padded; the entries (tag
+        # once a stripe that brings any, u32 length + text each) -- and
+        # no bitmap.
         rows = [len(batch) for batch in blocks]
         assert sum(rows) == footer.rows and len(rows) > len(footer.stripes)
         assert all(batch.columns[0].view.format == "H" for batch in blocks)
+        sizes = [len(set().union(*fresh[: k + 1])) for k in range(len(fresh))]
+        assert sizes[0] > 4 and sizes[-1] <= 16  # every city code takes 4 bits
         preamble = 4 + len("code:int,city:string")
-        framing = sum(12 + (1 + 1 + 8 + 2 * n) + (1 + 2 + n) for n in rows)
+        framing = sum(12 + (1 + 1 + 8 + 2 * n) + (1 + 2 + (4 * n + 7) // 8) for n in rows)
         entries = sum(map(bool, fresh)) + sum(4 + len(city.encode()) for city in seen)
         assert len(response) == preamble + framing + entries
+
+    def test_each_city_segment_ships_at_the_width_its_dictionary_needs(self, scan):
+        with mock.patch.object(columnar_storlet, "BLOCK_ROWS", 100):
+            metadata, blocks, footer = scan("SELECT city, code FROM t")
+        # A stripe's blocks take the fewest of 1, 2, 4, 8 bits that
+        # address every city shipped up to and with that stripe.
+        seen, want = set(), Counter()
+        for stripe, rows in zip(
+            layout.iter_stripe_batches(scan.stored, ["city"]), (s.rows for s in footer.stripes)
+        ):
+            seen |= set(stripe.columns[0])
+            bits = next(b for b in (1, 2, 4, 8) if len(seen) <= 1 << b)
+            want[str(bits)] += -(-rows // 100)
+        assert sum(want.values()) == len(blocks)
+        assert _counters(metadata, "code-bits") == want == {"4": len(blocks)}
 
     def test_a_filtered_scan_ships_each_used_entry_once(self, scan):
         metadata, blocks, _footer = scan("SELECT vid, date, index FROM t WHERE code < 5000")

@@ -211,6 +211,27 @@ class TestSchemaInference:
         with pytest.raises(ValueError):
             infer_csv_schema(connector, "void")
 
+    def test_an_empty_first_object_is_passed_over(self, rig):
+        _session, connector, _schema = rig
+        connector.client.put_container("sparse")
+        connector.client.put_object("sparse", "a.csv", b"")
+        connector.client.put_object("sparse", "b.csv", b"1,x\n2,y\n")
+        registry = connector.client.registry
+        gets = registry.counter_total("client.requests")
+        schema = infer_csv_schema(connector, "sparse")
+        assert schema.names == ["_c0", "_c1"]
+        assert [fld.dtype for fld in schema.fields] == [DataType.INT, DataType.STRING]
+        # One listing, one ranged GET of the object that has bytes.
+        assert registry.counter_total("client.requests") - gets == 2
+
+    def test_only_empty_objects_raise(self, rig):
+        _session, connector, _schema = rig
+        connector.client.put_container("hollow")
+        for name in ("a.csv", "b.csv"):
+            connector.client.put_object("hollow", name, b"")
+        with pytest.raises(ValueError, match="cannot infer schema: .* empty"):
+            infer_csv_schema(connector, "hollow")
+
 
 class TestFluentGroupBy:
     def test_group_by_agg(self, rig):
