@@ -52,12 +52,27 @@ caller reads: an unread STRING or BOOL cell always types, and an unread
 INT or FLOAT column is validated by :func:`numeric_proof`, a handful of
 C-level passes over the column's joined text; only where the proof
 does not hold is the column parsed for the exact verdict.
+
+**Filter before you split.**  A conjunct whose verdict needs a literal
+in a STRING cell -- ``EqualTo``, ``StringStartsWith``, ``StringEndsWith``
+or ``StringContains`` with a non-empty ``str``, or a ``LikePattern``'s
+longest run between ``%`` / ``_`` -- gives the scan a *needle*: in a
+quote-free record a STRING cell's text is a substring of the record's
+bytes, so a record whose bytes do not hold the needle fails the
+conjunct whatever its width or typing.  A quote-free block is narrowed
+to the records that hold it (:class:`_Needle`) before it is split,
+proven and typed; a record ruled out so is counted in
+:attr:`CsvScan.ruled_out`, never in ``dropped``.  A quoted block is
+never narrowed: ``a,"Rotter"dam,b`` reads as ``Rotterdam`` without its
+bytes holding it.  The output -- rows, bytes, order -- is the same
+either way; only which records the drop rule judges changes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 import sys
 from collections import Counter
 from functools import lru_cache, partial
@@ -77,7 +92,15 @@ from typing import (
 )
 
 from repro.columnar.batch import ColumnBatch, take_column
-from repro.sql.filters import Filter
+from repro.sql.filters import (
+    And,
+    EqualTo,
+    Filter,
+    LikePattern,
+    StringContains,
+    StringEndsWith,
+    StringStartsWith,
+)
 from repro.sql.kernels import FilterMask
 from repro.sql.types import DataType, Row, Schema
 from repro.swift.http import DEFAULT_CHUNK_SIZE
@@ -333,6 +356,117 @@ def _noise(delimiter: bytes) -> bytes:
     return bytes(byte for byte in range(256) if byte not in delimiter + b"\n")
 
 
+# ---------------------------------------------------------------------------
+# Filter before you split: needles.
+# ---------------------------------------------------------------------------
+
+#: Filters whose ``str`` value a passing STRING cell holds verbatim.
+_LITERAL_FILTERS = (EqualTo, StringStartsWith, StringEndsWith, StringContains)
+
+#: A needle's density is judged every this many hits.
+_DENSITY_CHECK = 32
+
+#: The most blocks a needle found dense sits out.
+_MAX_REST = 64
+
+
+def _conjuncts(filters: Iterable[Filter]) -> Iterator[Filter]:
+    """The conjuncts of a conjunctive filter list, ``And`` flattened."""
+    for item in filters:
+        if isinstance(item, And):
+            yield from _conjuncts((item.left, item.right))
+        else:
+            yield item
+
+
+def _needle_literal(item: Filter, schema: Schema, delimiter: str) -> Optional[bytes]:
+    """The UTF-8 bytes every quote-free record passing ``item`` holds,
+    or ``None`` when ``item`` names none.
+
+    Only a STRING cell's text is its value (``int("5_000")`` or
+    ``str(7)`` is not in the raw text), and a literal holding a line
+    break, a quote or the delimiter is never inside a quote-free cell.
+    """
+    if isinstance(item, _LITERAL_FILTERS):
+        literal = item.value
+    elif isinstance(item, LikePattern) and isinstance(item.value, str):
+        # The dialect has no escape character: every % and _ is a wildcard.
+        literal = max(re.split("[%_]", item.value), key=len)
+    else:
+        return None
+    if (
+        not isinstance(literal, str)
+        or not literal
+        or schema.field(item.attribute).dtype is not DataType.STRING
+        or any(char in literal for char in ("\n", "\r", '"', delimiter))
+    ):
+        return None
+    try:
+        return literal.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: no needle
+        return None
+
+
+class _Needle:
+    """A literal every record passing one conjunct holds, and how dense
+    it has been in the records searched for it.
+
+    ``held`` / ``seen`` count the records that held it among those
+    searched; ``misses`` the blocks in a row it was found dense in; it
+    is not searched again before block number ``resume``.
+    """
+
+    __slots__ = ("literal", "held", "seen", "misses", "resume")
+
+    def __init__(self, literal: bytes):
+        self.literal = literal
+        self.held = self.seen = self.misses = self.resume = 0
+
+    def density(self) -> float:
+        """The share of searched records that held it (0 before any)."""
+        return self.held / self.seen if self.seen else 0.0
+
+    def narrow(self, data: bytes, number: int) -> Optional[Tuple[List[bytes], int]]:
+        """The records of the quote-free run ``data`` that hold the
+        literal and how many records ``data`` holds, or ``None`` if the
+        literal is *dense*: more than a quarter of the records read so
+        far hold it, judged every :data:`_DENSITY_CHECK` hits.  A dense
+        literal sits out the next blocks -- one, then three, seven, ...
+        up to :data:`_MAX_REST` -- after block ``number``.
+
+        Each hit costs a few C-level calls: the literal's next
+        occurrence and the newlines around it; the newlines between hits
+        are counted, never split.
+        """
+        literal = self.literal
+        find, rfind, count = data.find, data.rfind, data.count
+        kept: List[bytes] = []
+        counted = newlines = 0  # data[:counted] holds ``newlines``
+        check = _DENSITY_CHECK
+        hit = find(literal)
+        while hit >= 0:
+            end = find(b"\n", hit)
+            if end < 0:
+                end = len(data)
+            kept.append(data[rfind(b"\n", 0, hit) + 1 : end])
+            check -= 1
+            if not check:
+                newlines += count(b"\n", counted, end)
+                counted, check = end, _DENSITY_CHECK
+                if 4 * len(kept) > newlines + 1:
+                    self.held += len(kept)
+                    self.seen += newlines + 1
+                    self.misses += 1
+                    self.resume = number + 1 + min((1 << self.misses) - 1, _MAX_REST)
+                    return None
+            hit = find(literal, end)
+        records = newlines + count(b"\n", counted) + 1
+        self.held += len(kept)
+        self.seen += records
+        self.misses = 0
+        return kept, records
+
+
 class RecordBlock(NamedTuple):
     """The kept records of one block.
 
@@ -375,8 +509,11 @@ class CsvScan:
     :meth:`batches` and :meth:`rows` apply.  ``log`` receives one line
     per dropped record.
 
-    ``records_in`` and ``dropped`` count the records framed and dropped
-    so far (the header is neither).  ``evaluations`` counts the filter
+    ``records_in`` counts the records framed so far (the header is not
+    one), ``ruled_out`` those of them a needle ruled out unread (see the
+    module docstring) and ``dropped`` those the drop rule dropped among
+    the rest: a malformed record a needle rules out is never judged.
+    ``evaluations`` counts the filter
     evaluations by domain (the ``FilterMask`` tally: ``rows_c``,
     ``rows``, ...) and ``column_checks`` the columns of regular blocks
     by how they were validated: ``typed``, ``proven`` by
@@ -397,6 +534,7 @@ class CsvScan:
         self.schema = schema
         self.delimiter = delimiter
         self.records_in = 0
+        self.ruled_out = 0
         self.dropped = 0
         self.evaluations: Counter = Counter()
         self.column_checks: Counter = Counter()
@@ -411,6 +549,9 @@ class CsvScan:
         self._filtered = {
             schema.index_of(name) for item in filters for name in item.references()
         }
+        literals = (_needle_literal(item, schema, delimiter) for item in _conjuncts(filters))
+        self._needles = [_Needle(literal) for literal in dict.fromkeys(literals) if literal]
+        self._narrowed_blocks = 0  # quote-free blocks offered to the needles
         self._log = log
 
     def blocks(self, read: Optional[Iterable[int]] = None) -> Iterator[RecordBlock]:
@@ -483,12 +624,39 @@ class CsvScan:
                 block = block.partition(b"\n")[2]
             else:
                 block = []  # nothing but the header
+        if isinstance(block, bytes) and self._needles:
+            block = self._narrowed(block)
         if isinstance(block, bytes):
             regular = self._regular_block(block, typed)
             if regular is not None:
                 return regular
             block = [line.rstrip(b"\r") for line in block.split(b"\n")]
         return self._checked_block(block)
+
+    def _narrowed(self, data: bytes) -> Union[bytes, List[bytes]]:
+        """The records of a quote-free run that hold a needle, joined by
+        ``\\n`` (``[]`` when none does, ``data`` itself when every record
+        does or every needle is dense or resting).
+
+        The needle searched is the one least dense so far (filter order
+        breaks ties); one found dense gives way to the next.
+        """
+        number = self._narrowed_blocks
+        self._narrowed_blocks += 1
+        for needle in sorted(self._needles, key=_Needle.density):
+            if needle.resume > number:
+                continue
+            found = needle.narrow(data, number)
+            if found is None:
+                continue
+            kept, records = found
+            ruled_out = records - len(kept)
+            self.records_in += ruled_out
+            self.ruled_out += ruled_out
+            if not ruled_out:
+                return data
+            return b"\n".join(kept) if kept else []
+        return data
 
     def _regular_block(
         self, data: bytes, typed: Set[int]

@@ -67,6 +67,7 @@ class CsvStorlet(IStorlet):
     tallies = (
         ("filter_evaluations", "filter-evals", "domain"),
         ("csv_columns", "columns", "how"),
+        ("rows_ruled_out", "rows-ruled-out", None),
     )
 
     OUTPUT_CHUNK = BLOCK_BYTES
@@ -151,6 +152,7 @@ class CsvStorlet(IStorlet):
                 "x-object-meta-storlet-rows-in": str(scan.records_in),
                 "x-object-meta-storlet-rows-out": str(rows_out),
                 "x-object-meta-storlet-rows-dropped": str(scan.dropped),
+                "x-object-meta-storlet-rows-ruled-out": str(scan.ruled_out),
             }
         )
         # How the filters ran and how each block column was validated:
@@ -162,7 +164,7 @@ class CsvStorlet(IStorlet):
         )
         logger.emit(
             f"csvstorlet: {scan.records_in} rows in, {rows_out} rows out, "
-            f"{scan.dropped} dropped"
+            f"{scan.dropped} dropped, {scan.ruled_out} ruled out"
         )
 
 

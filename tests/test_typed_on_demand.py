@@ -258,20 +258,24 @@ class TestColumnChecks:
 def _corrupted_meter_lines():
     """1 800 meter records.  Among the first 600, every 7th has an
     untypable ``sumHC`` and every 11th an untypable ``code`` -- columns
-    Showgraphcons never reads; among the last 600, every 5th has a
-    ``lat`` that types but is off the proof.  The middle stays regular."""
+    Showgraphcons never reads; among the last 600, every 5th and every
+    Rotterdam record (the ones Showgraphcons reads past its needle) has
+    a ``lat`` that types but is off the proof.  The middle stays
+    regular."""
     lines = [
         line.decode().rstrip("\n").split(",")
         for line in MeterDataGenerator(DatasetSpec(meters=30, intervals=60)).csv_lines()
     ]
     schema = METER_SCHEMA
-    sumhc, code, lat = (schema.index_of(name) for name in ("sumHC", "code", "lat"))
+    sumhc, code, lat, city = (
+        schema.index_of(name) for name in ("sumHC", "code", "lat", "city")
+    )
     for number, fields in enumerate(lines):
         if number < 600 and number % 7 == 3:
             fields[sumhc] = "0.1.2"
         if number < 600 and number % 11 == 5:
             fields[code] = "x"
-        if number >= 1200 and number % 5 == 1:
+        if number >= 1200 and (number % 5 == 1 or fields[city] == "Rotterdam"):
             fields[lat] = " " + fields[lat]
     return lines
 
@@ -309,8 +313,24 @@ def test_a_malformed_unread_cell_drops_its_record_end_to_end():
         want, want_metadata, want_log = _run_storlet(data, parameters)
     assert (output, log) == (want, want_log)
     assert _without_column_checks(metadata) == _without_column_checks(want_metadata)
-    assert metadata["x-object-meta-storlet-rows-dropped"] == str(
-        len(lines) - len(well_formed)
+    # A record whose bytes lack ``Rotterdam`` fails ``city = 'Rotterdam'``
+    # whatever its cells: it is ruled out unread, so only the malformed
+    # records that hold it are judged and dropped.
+    def holds(fields):
+        return "Rotterdam" in ",".join(fields)
+
+    def malformed(fields):
+        try:
+            METER_SCHEMA.parse_row(fields)
+        except ValueError:
+            return True
+        return False
+
+    malformed_holding = sum(malformed(fields) and holds(fields) for fields in lines)
+    assert 0 < malformed_holding < len(lines) - len(well_formed)
+    assert metadata["x-object-meta-storlet-rows-dropped"] == str(malformed_holding)
+    assert metadata["x-object-meta-storlet-rows-ruled-out"] == str(
+        sum(not holds(fields) for fields in lines)
     )
     # The padded ``lat`` cells type but are off the proof: visible.
     assert int(metadata.get("x-object-meta-storlet-columns-parsed", 0)) > 0
