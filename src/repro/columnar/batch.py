@@ -142,6 +142,17 @@ class PackedColumn(SequenceABC):
     def __iter__(self) -> Iterator[Any]:
         return iter(self.tolist())
 
+    @property
+    def kind(self) -> str:
+        """What a cell is: ``"float"`` (a float64 view, NaN and -0.0
+        among its cells), ``"decimal"`` or ``"int"`` (int64 or narrow
+        int).  An int or decimal cell never falls as its offset grows,
+        so the least and greatest offsets read the least and greatest
+        cells."""
+        if self.exponent is not None:
+            return "decimal"
+        return "float" if self.view.format == "d" else "int"
+
     def unpacked(self, cells: Sequence[Any]) -> Sequence[Any]:
         """The values of ``cells`` read from ``view`` (:func:`offset_cells`)."""
         return offset_cells(cells, self.base, self.exponent)

@@ -596,7 +596,10 @@ class ScoopContext:
             ``count``; ``filters`` counts WHERE conjuncts by what became
             of them (``handled`` by the source and gone from the plan,
             ``unhandled``: pushed and re-applied, ``residual``: never
-            pushed).
+            pushed); ``aggregate_inputs`` counts the vectors batches fed
+            the hash aggregate by how it read them (``offsets``: a packed
+            column reduced on its raw offsets, ``materialized``: as
+            cells).
         ``delegation``
             Why scans did or did not push down: a ``count`` per
             ``outcome`` (``pushed`` / ``plain``) and ``reason``, the
@@ -652,6 +655,10 @@ class ScoopContext:
             "filters": {
                 labels["disposition"]: int(count)
                 for labels, count in self.registry.counter_series("sql.filters")
+            },
+            "aggregate_inputs": {
+                labels["how"]: int(count)
+                for labels, count in self.registry.counter_series("sql.aggregate_inputs")
             },
         }
         profile["delegation"] = counted("core.delegations")

@@ -118,7 +118,9 @@ def execute_plan(
     merges them.
     Every expression over the scan that has an operation the kernel
     compiler cannot prove total -- it runs guarded -- is counted in
-    ``registry`` (``sql.kernel_refusals``)."""
+    ``registry`` (``sql.kernel_refusals``), and so is each aggregate
+    input a batch fed, by how the group table read it
+    (``sql.aggregate_inputs{how=}``)."""
     compiled = _compile(plan, batch_source, scan_schema, partials, registry)
     rows = list(compiled.rows())
     if compiled.hidden:
@@ -358,6 +360,10 @@ def _compile_aggregate(
                         [None if kernel is None else kernel(columns, n) for kernel in input_kernels],
                         n,
                     )
+            if registry is not None:
+                for how, count in table.inputs.items():
+                    if count:
+                        registry.inc("sql.aggregate_inputs", count, how=how)
         yield from _finalize_groups(spec, table.groups)
 
     return Compiled(

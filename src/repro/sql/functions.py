@@ -11,7 +11,7 @@ import math
 import operator
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.sql.errors import SqlAnalysisError
 
@@ -188,7 +188,16 @@ class Accumulator:
     order; the batch aggregate calls it once per group per batch, so an
     accumulator that can take a run faster than cell by cell overrides
     it.  The state it leaves is the one the ``add`` calls would.
+
+    ``add_offsets(offsets, column)`` is ``add_many`` over the cells
+    ``offsets`` stand for in a packed column
+    (:class:`~repro.columnar.batch.PackedColumn`), reduced without
+    unpacking them; the batch aggregate calls it only for a column whose
+    ``kind`` is in ``offset_kinds``.
     """
+
+    #: The packed column kinds :meth:`add_offsets` reduces exactly.
+    offset_kinds: FrozenSet[str] = frozenset()
 
     def add(self, value: Any) -> None:
         raise NotImplementedError
@@ -196,6 +205,9 @@ class Accumulator:
     def add_many(self, values: Sequence[Any]) -> None:
         for value in values:
             self.add(value)
+
+    def add_offsets(self, offsets: Sequence[int], column: Any) -> None:
+        raise NotImplementedError
 
     def result(self) -> Any:
         raise NotImplementedError
@@ -261,6 +273,15 @@ class SumAccumulator(Accumulator):
             taken += room
             if len(pending) >= _COMPACT_AT:
                 self._fold()
+
+    #: An int cell is ``base + offset``: ``n`` of them sum exactly
+    #: without a cell made.
+    offset_kinds = frozenset({"int"})
+
+    def add_offsets(self, offsets: Sequence[int], column: Any) -> None:
+        n = len(offsets)
+        self.count += n
+        self.ints += sum(offsets) + column.base * n
 
     def _head(self) -> float:
         """The correctly rounded sum of the floats met so far, with
@@ -362,6 +383,12 @@ class CountAccumulator(Accumulator):
     def add_many(self, values: Sequence[Any]) -> None:
         self.count += len(values) - values.count(None)
 
+    #: A packed column holds no NULL.
+    offset_kinds = frozenset({"int", "decimal"})
+
+    def add_offsets(self, offsets: Sequence[int], column: Any) -> None:
+        self.count += len(offsets)
+
     def result(self) -> int:
         return self.count
 
@@ -400,6 +427,13 @@ class MinAccumulator(Accumulator):
             # Only a run of nothing but NaN has NaN for its minimum.
             self.add(min(_nan_free(present) or present))
 
+    #: The least offset reads the least cell (no NaN, no -0.0).
+    offset_kinds = frozenset({"int", "decimal"})
+
+    def add_offsets(self, offsets: Sequence[int], column: Any) -> None:
+        if offsets:
+            self.add(column.unpacked((min(offsets),))[0])
+
     def result(self) -> Any:
         return self.best
 
@@ -425,6 +459,12 @@ class MaxAccumulator(Accumulator):
         if present:
             numbers = _nan_free(present)
             self.add(max(numbers) if numbers is present else math.nan)
+
+    offset_kinds = frozenset({"int", "decimal"})
+
+    def add_offsets(self, offsets: Sequence[int], column: Any) -> None:
+        if offsets:
+            self.add(column.unpacked((max(offsets),))[0])
 
     def result(self) -> Any:
         return self.best

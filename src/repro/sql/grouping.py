@@ -11,6 +11,20 @@ Under GROUP-BY pushdown the executor's table is filled from the
 stage's records instead (:meth:`GroupTable.add_records`): their states
 merge into the same accumulators.
 
+A packed column (:class:`~repro.columnar.batch.PackedColumn`, an RCF1
+carrier) is fed where it stands when the accumulator reading it can
+reduce its raw offsets (``Accumulator.offset_kinds``, settled once per
+table): the offsets are gathered in group order and MIN / MAX take one
+``min`` / ``max`` over a group's offsets and unpack that one cell,
+COUNT takes their number and SUM / AVG over an int column add
+``sum(offsets) + base * n``.  That is exact: a carrier holds no NULL,
+an int cell is ``base + offset`` and a decimal cell
+``(base + offset) / 10**e`` never falls as its offset grows, so the
+least offset is the least cell (and neither holds NaN or -0.0).  A
+float64 view, SUM / AVG of decimals (summed as the floats they are),
+DISTINCT and every other aggregate read cells, and each input is
+counted by how it was read (:attr:`GroupTable.inputs`).
+
 Keys stay as they arrive.  A lone dictionary-coded key column
 (:class:`~repro.columnar.batch.DictColumn`) is bucketed by its *codes*:
 entries are hashed once each to fold equal ones (a kernel such as
@@ -26,7 +40,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.columnar.batch import DictColumn, materialize, take_column
+from repro.columnar.batch import DictColumn, PackedColumn, materialize, take_column
 from repro.sql.functions import Accumulator, CountAccumulator
 
 Key = Tuple[Any, ...]
@@ -81,8 +95,14 @@ class GroupTable:
         self.groups: Dict[Key, List[Accumulator]] = {}
         self.first_seen: Dict[Key, int] = {}
         self.rows = 0
+        #: Aggregate inputs fed so far, by how they were read: ``offsets``
+        #: (a packed column reduced on its raw offsets) or
+        #: ``materialized`` (as cells).
+        self.inputs: Dict[str, int] = {"offsets": 0, "materialized": 0}
         self._new_group = new_group
         self._max_groups = max_groups
+        # Which packed column kinds each aggregate reduces on offsets.
+        self._offset_kinds = [accumulator.offset_kinds for accumulator in new_group()]
 
     def add_batch(
         self,
@@ -119,17 +139,26 @@ class GroupTable:
             order = list(
                 itertools.chain.from_iterable(positions for _, positions in admitted)
             )
-        for index, vector in enumerate(input_vectors):
-            if vector is not None:
-                vector = materialize(vector)
+        for index, column in enumerate(input_vectors):
+            offsets = (
+                column.__class__ is PackedColumn and column.kind in self._offset_kinds[index]
+            )
+            cells = None
+            if column is not None:
+                self.inputs["offsets" if offsets else "materialized"] += 1
+                cells = column.view if offsets else materialize(column)
                 if not whole:
-                    vector = take_column(vector, order)
+                    cells = take_column(cells, order)
+                elif offsets:
+                    cells = cells.tolist()
             start = 0
             for accumulators, positions in admitted:
                 accumulator = accumulators[index]
                 stop = start + len(positions)
-                if vector is not None:
-                    accumulator.add_many(vector[start:stop])
+                if offsets:
+                    accumulator.add_offsets(cells[start:stop], column)
+                elif cells is not None:
+                    accumulator.add_many(cells[start:stop])
                 elif accumulator.__class__ is CountAccumulator:
                     accumulator.merge(stop - start)  # COUNT(*) is the bucket size
                 else:

@@ -15,7 +15,9 @@ One generator feeds three differentials:
 
 Plus the two places a batch can be cut under a consumer: a scheduler
 retry resuming inside a ``ColumnBatch`` and a CSV scan degrading after
-the storlet died inside a block.
+the storlet died inside a block; and RCF1 carriers reduced on their raw
+offsets, against their own cells and, over a stored table, against
+sqlite.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar.batch import ColumnBatch, DictColumn
+from repro.columnar import layout
+from repro.columnar.batch import ColumnBatch, DictColumn, PackedColumn, materialize
 from repro.connector.stocator import PushdownError
 from repro.core import ScoopContext
 from repro.gridpocket import DatasetSpec, METER_SCHEMA
@@ -386,6 +390,172 @@ def test_min_max_do_not_depend_on_order_or_cuts(values, cut, seed):
         assert repr(reduced_then_merged.result()) == repr(expected)
 
 
+# -- packed columns reduced on their offsets ----------------------------------
+
+AGGREGATES = ["min", "max", "count", "count(*)", "sum", "avg"]
+
+
+@st.composite
+def carriers(draw):
+    """A NULL-free packed column of any kind."""
+    kind = draw(st.sampled_from(["narrow", "decimal", "int64", "float64"]))
+    size = draw(st.integers(1, 60))
+    if kind == "int64":
+        code, base, exponent = "q", 0, None
+        raw = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size))
+    elif kind == "float64":
+        code, base, exponent = "d", 0, None
+        raw = draw(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                ),
+                min_size=size,
+                max_size=size,
+            )
+        )
+    else:
+        code = draw(st.sampled_from("BHI"))
+        base = draw(st.sampled_from([0, 1, 37, -1, -(10**6), 2**40, -(2**40)]))
+        exponent = draw(st.integers(0, 4)) if kind == "decimal" else None
+        high = 2 ** (8 * struct.calcsize(code)) - 1
+        raw = draw(st.lists(st.integers(0, high), min_size=size, max_size=size))
+    view = memoryview(struct.pack(f"<{size}{code}", *raw)).cast(code)
+    return PackedColumn(view, base, exponent)
+
+
+@given(
+    column=carriers(),
+    key_seed=st.integers(0, 2**30),
+    coded=st.booleans(),
+    max_groups=st.sampled_from([None, 1, 2]),
+    cut_seed=st.integers(0, 2**30),
+)
+@settings(max_examples=300, deadline=None)
+def test_packed_inputs_leave_the_state_their_cells_would(
+    column, key_seed, coded, max_groups, cut_seed
+):
+    """A packed column fed as it stands -- MIN / MAX / COUNT / SUM / AVG
+    reduce int and decimal offsets -- leaves the groups, ``first_seen``
+    and accumulator states its materialized cells leave, DISTINCT forms
+    and float64 views (which read cells) included."""
+    n = len(column)
+    rng = random.Random(key_seed)
+    entries = ["a", None, "b", "c"][: rng.randrange(1, 5)]
+    codes = bytes(rng.randrange(len(entries)) for _ in range(n))
+    keys = DictColumn(entries, codes) if coded else [entries[code] for code in codes]
+    aggregates = [(name, distinct) for name in AGGREGATES for distinct in (False, True)]
+
+    def new_group():
+        return [
+            make_accumulator(name.replace("(*)", ""), distinct)
+            for name, distinct in aggregates
+        ]
+
+    packed, plain = GroupTable(new_group, max_groups), GroupTable(new_group, max_groups)
+    cells = materialize(column)
+    cuts = random.Random(cut_seed)
+    start = 0
+    while start < n:
+        stop = min(n, start + cuts.randrange(1, 25))
+        spilled = [
+            table.add_batch(
+                [keys[start:stop]],
+                [None if name == "count(*)" else vector for name, _ in aggregates],
+                stop - start,
+            )
+            for table, vector in ((packed, column[start:stop]), (plain, cells[start:stop]))
+        ]
+        assert spilled[0] == spilled[1]
+        start = stop
+    assert list(packed.groups) == list(plain.groups)
+    assert packed.first_seen == plain.first_seen
+    for key, accumulators in packed.groups.items():
+        for (name, distinct), ours, theirs in zip(
+            aggregates, accumulators, plain.groups[key]
+        ):
+            assert repr(ours.result()) == repr(theirs.result()), (name, distinct)
+            if not distinct:
+                assert repr(ours.state()) == repr(theirs.state()), name
+    assert (packed.inputs["offsets"] > 0) == (column.kind != "float")
+    assert plain.inputs["offsets"] == 0
+
+
+PACKED_SCHEMA = Schema.of("k", "a:int", "b:int", "c:float", "d:float")
+
+
+def packed_rows():
+    """Rows whose RCF1 columns land in each packed segment tag: ``a``
+    narrow int over a negative base, ``b`` int64, ``c`` decimal with
+    negative cells, ``d`` float64.  No NULL, so every segment is a
+    carrier."""
+    rng = random.Random(46)
+    return [
+        (
+            rng.choice(["north", "south", "east", "west", "up"]),
+            rng.randrange(-70000, -10000),
+            rng.randrange(-(2**50), 2**50),
+            rng.randrange(-100000, 100000) / 100,
+            rng.uniform(-1000, 1000),
+        )
+        for _ in range(600)
+    ]
+
+
+@pytest.fixture(scope="module")
+def packed_objects():
+    lines = [",".join(map(repr, row)).replace("'", "") + "\n" for row in packed_rows()]
+    half = len(lines) // 2
+    return [
+        ("part-0.csv", "".join(lines[:half]).encode()),
+        ("part-1.csv", "".join(lines[half:]).encode()),
+    ]
+
+
+@pytest.mark.parametrize("agg_pushdown", [False, True])
+def test_packed_aggregates_agree_with_sqlite(packed_objects, agg_pushdown):
+    ctx = ScoopContext(chunk_size=8 * 1024, skipping=False)
+    for name, data in packed_objects:
+        ctx.upload_csv("packed", name, data)
+    ctx.register_csv_table(
+        "t", "packed", schema=PACKED_SCHEMA, format="columnar", agg_pushdown=agg_pushdown
+    )
+    tags = {name: set() for name in PACKED_SCHEMA.names}
+    for name in ctx.client.list_objects("packed--columnar"):
+        _headers, body = ctx.client.get_object("packed--columnar", name)
+        for stripe in layout.decode_footer(body).stripes:
+            for field, segment in zip(PACKED_SCHEMA.fields, stripe.columns):
+                tags[field.name].add(body[segment.offset])
+    assert tags["a"] == {layout.ENC_NARROW_INT}
+    assert tags["b"] == {layout.ENC_INT64}
+    assert tags["c"] == {layout.ENC_DECIMAL}
+    assert tags["d"] == {layout.ENC_FLOAT64}
+    for x in ("a", "b", "c", "d"):
+        for i in ("a", "b"):
+            sql = (
+                f"SELECT k, min({x}), max({x}), count({x}), sum({i}), avg({i}) "
+                "FROM t GROUP BY k"
+            )
+            frame, _report = ctx.run_query(sql)
+            check_against_sqlite(sql, PACKED_SCHEMA, packed_rows(), frame.collect())
+    sql_profile = ctx.explain_profile()["sql"]
+    if agg_pushdown:
+        # The store aggregated: the executor merged states, read no input.
+        assert sql_profile["queries"] == {"agg_pushdown": 8}
+        assert sql_profile["aggregate_inputs"] == {}
+    else:
+        # Per batch, of the 8 queries' 40 inputs only MIN / MAX / COUNT
+        # of the float64 column ``d`` (3 inputs in 2 queries) read cells.
+        assert sql_profile["queries"] == {"batch": 8}
+        batches = sql_profile["aggregate_inputs"]["materialized"] // 6
+        assert batches > 0
+        assert sql_profile["aggregate_inputs"] == {
+            "offsets": 34 * batches,
+            "materialized": 6 * batches,
+        }
+
+
 # -- a scheduler retry that resumes inside a ColumnBatch ----------------------
 
 
@@ -552,3 +722,25 @@ def test_a_refused_key_says_why():
         "count": 1,
     } in sql_profile["kernel_refusals"]
     assert len(sql_profile["kernel_refusals"]) == 2
+
+
+@pytest.mark.parametrize("table_format", ["csv", "columnar"])
+@pytest.mark.parametrize("pushdown", [False, True])
+def test_aggregate_inputs_say_how_they_were_read(table_format, pushdown):
+    """The ledger's ``q_groupby``: MAX(code) reduces an RCF1 carrier on
+    its offsets, a CSV scan's plain vector is read as cells."""
+    ctx = csv_context(1)
+    ctx.register_csv_table(
+        "t", "meters", schema=METER_SCHEMA, format=table_format, pushdown=pushdown,
+        agg_pushdown=False,
+    )
+    frame, _report = ctx.run_query(
+        "SELECT city, count(*) AS n, max(code) AS m FROM t GROUP BY city ORDER BY city"
+    )
+    assert sum(row[1] for row in frame.collect()) == CSV_SPEC.total_rows()
+    inputs = ctx.explain_profile()["sql"]["aggregate_inputs"]
+    how = "offsets" if table_format == "columnar" else "materialized"
+    assert list(inputs) == [how] and inputs[how] > 0
+    assert ctx.registry.counter_series("sql.aggregate_inputs") == [
+        ({"how": how}, inputs[how])
+    ]

@@ -130,8 +130,6 @@ class TestColumnSplit:
 
 class TestEndToEndEtlPolicy:
     def test_cleansing_enforced_on_upload(self, fresh_scoop):
-        from repro.gridpocket import METER_SCHEMA
-
         schema = Schema.of("vid", "date", "index:float")
         fresh_scoop.upload_csv(
             "raw",
