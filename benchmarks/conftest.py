@@ -1,47 +1,24 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared helpers for the benchmark suite.
 
-Each ``test_fig*`` / ``test_table*`` module regenerates one table or
-figure of the paper's evaluation by running the named experiment
-through the ``repro.bench`` orchestrator (the same code path as
-``python -m repro bench``): pytest-benchmark tracks the regeneration
-cost, the familiar ASCII tables are printed from the captured result
-document, and every recorded check must pass.
+``test_paper_experiments.py`` runs every experiment of the
+``repro.bench`` registry through :func:`run_bench` -- the same code path
+as ``python -m repro bench`` -- so pytest-benchmark tracks each
+regeneration's cost, the registry's tables are printed from the captured
+result document, and every recorded check must pass.
 """
 
-from __future__ import annotations
 
-import pytest
-
-from repro.experiments.gridpocket_runs import table1_selectivities
-from repro.perfmodel import IngestSimulation
-
-
-@pytest.fixture(scope="session")
-def simulation() -> IngestSimulation:
-    return IngestSimulation()
-
-
-@pytest.fixture(scope="session")
-def table1_rows():
-    """Functional Table-I selectivity measurements (cached: ~10 s)."""
-    return table1_selectivities()
-
-
-def run_once(benchmark, function, *args, **kwargs):
-    """Benchmark an experiment that is too slow for repeated rounds."""
-    return benchmark.pedantic(
-        function, args=args, kwargs=kwargs, rounds=1, iterations=1
-    )
-
-
-def run_bench(benchmark, name: str, quick: bool = False):
-    """Run one named experiment through the orchestrator, print its
-    tables, and assert every recorded check passed; returns the
-    result document."""
+def run_bench(benchmark, name: str) -> None:
+    """Run one named experiment once through the orchestrator, print its
+    tables, and assert every recorded check passed."""
+    # Imported here: ``pytest benchmarks/hotpath`` loads this file too,
+    # and the ledger imports nothing of repro.bench.
     from repro.bench import run_experiment
     from repro.bench.reportgen import render_document_tables
 
-    document = run_once(benchmark, run_experiment, name, quick=quick)
+    document = benchmark.pedantic(
+        run_experiment, args=(name,), rounds=1, iterations=1
+    )
     render_document_tables(document)
     failed = [
         f"{check['name']}: {check['detail']}"
@@ -49,4 +26,3 @@ def run_bench(benchmark, name: str, quick: bool = False):
         if not check["passed"]
     ]
     assert not failed, f"{name} checks failed: {failed}"
-    return document

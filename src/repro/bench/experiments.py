@@ -1,15 +1,18 @@
 """The named-experiment registry behind ``repro bench``.
 
 One entry per evaluation artifact of the paper (Figs. 1 and 5-10,
-Table I, the ablation set, the workday replay).  Each runner drives the
-same :mod:`repro.experiments` functions the benchmark suite uses, but
-through a :class:`~repro.bench.orchestrator.BenchContext`: every
-simulation point is wrapped in a ``bench``-tier trace span and timed
-into the fixed-bucket latency/CPU histograms, results land in tables
-and a machine-readable ``headline``, and the suite's assertions become
-recorded pass/fail ``checks`` instead of bare ``assert`` statements --
-so a failing expectation is visible in ``BENCH_<name>.json`` and in the
-generated EXPERIMENTS.md rather than only in a pytest traceback.
+Table I, the ablation set, data skipping, placement, the workday
+replay), and the one place each is run, tabled and checked:
+``python -m repro bench`` and the benchmark suite's one parametrized
+test both run these entries.  Each runner drives the
+:mod:`repro.experiments` functions through a
+:class:`~repro.bench.orchestrator.BenchContext`: every simulation point
+is wrapped in a ``bench``-tier trace span and timed into the
+fixed-bucket latency/CPU histograms, results land in tables and a
+machine-readable ``headline``, and each expectation is a recorded
+pass/fail ``check`` -- so a failing one is visible in
+``BENCH_<name>.json`` and in the generated EXPERIMENTS.md rather than
+only in a pytest traceback.
 
 ``quick`` mode shrinks only the expensive functional stages (the
 Table-I sample, the concurrent-simulation replays); the pure

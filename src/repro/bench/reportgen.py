@@ -22,10 +22,11 @@ from __future__ import annotations
 import difflib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
 from repro.bench.experiments import EXPERIMENTS, experiment_names
 from repro.bench.schema import SchemaError, validate_result
+from repro.experiments.report import render_table
 
 #: Values the paper itself reports, rendered as paper-vs-measured rows
 #: with a delta and a verdict (|delta| within the stated band -> pass).
@@ -293,13 +294,8 @@ def compare_to_baseline(
     return regressions
 
 
-def render_document_tables(
-    document: Dict[str, Any], renderer: Optional[Any] = None
-) -> None:
-    """Print every table of one result document via ``renderer`` (the
-    benchmark suite passes :func:`repro.experiments.report.render_table`
-    to keep its familiar ASCII output)."""
-    if renderer is None:
-        from repro.experiments.report import render_table as renderer
+def render_document_tables(document: Dict[str, Any]) -> None:
+    """Print every table of one result document as an ASCII table
+    (``repro bench run`` and the benchmark suite both print this)."""
     for table in document["tables"]:
-        renderer(table["title"], table["headers"], table["rows"])
+        render_table(table["title"], table["headers"], table["rows"])

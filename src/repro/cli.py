@@ -7,8 +7,6 @@ Commands:
     and without pushdown, print results + ingest savings.
 ``generate``
     Write a synthetic GridPocket dataset as CSV files to a directory.
-``experiment``
-    Regenerate one (or all) of the paper's tables/figures and print it.
 ``queries``
     List the seven Table-I GridPocket queries.
 ``chaos``
@@ -18,10 +16,11 @@ Commands:
     Run one traced pushdown query and export every tier's spans as
     JSON or Chrome ``trace_event`` format (chrome://tracing, Perfetto).
 ``bench``
-    Run the paper's evaluation artifacts as named experiments
-    (``BENCH_<name>.json`` + a Chrome trace each), regenerate
-    EXPERIMENTS.md from the measured JSON, or gate drift/regressions
-    (docs/benchmarking.md).
+    Run the paper's evaluation artifacts as named experiments and print
+    each one's tables (``BENCH_<name>.json`` + a Chrome trace each),
+    regenerate EXPERIMENTS.md from the measured JSON, or gate
+    drift/regressions (docs/benchmarking.md).  This is the one command
+    that runs a table or figure of the paper.
 """
 
 from __future__ import annotations
@@ -31,21 +30,6 @@ import pathlib
 import sys
 import time
 from typing import List, Optional
-
-EXPERIMENT_NAMES = (
-    "fig1",
-    "table1",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "staging",
-    "chunks",
-    "compression",
-    "adaptive",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,13 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=20170417)
     generate.add_argument(
         "--header", action="store_true", help="prepend a header line"
-    )
-
-    experiment = commands.add_parser(
-        "experiment", help="regenerate a table/figure of the paper"
-    )
-    experiment.add_argument(
-        "name", choices=EXPERIMENT_NAMES + ("all",), help="which artifact"
     )
 
     commands.add_parser("queries", help="list the Table-I queries")
@@ -367,8 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _demo(args)
     if args.command == "generate":
         return _generate(args)
-    if args.command == "experiment":
-        return _experiment(args)
     if args.command == "queries":
         return _queries()
     if args.command == "chaos":
@@ -390,6 +365,7 @@ def _bench(args) -> int:
         write_report,
     )
     from repro.bench.experiments import EXPERIMENTS
+    from repro.bench.reportgen import render_document_tables
 
     if args.bench_command == "list":
         for name in experiment_names():
@@ -429,7 +405,8 @@ def _bench(args) -> int:
     mode = "quick" if args.quick else "full"
 
     def progress(name, document):
-        """Print a one-line summary as each experiment completes."""
+        """Print a one-line summary and the tables of each experiment
+        as it completes."""
         checks = document["checks"]
         passed = sum(1 for check in checks if check["passed"])
         wall = document["timing"]["wall_seconds"]
@@ -437,6 +414,7 @@ def _bench(args) -> int:
             f"  {name}: {passed}/{len(checks)} checks, "
             f"{document['trace']['spans']} spans, {wall:.2f}s"
         )
+        render_document_tables(document)
 
     options = {}
     if args.arrivals is not None:
@@ -650,123 +628,6 @@ def _generate(args) -> int:
         f"({spec.total_rows() / max(elapsed, 1e-9):,.0f} rows/s with writes)"
     )
     return 0
-
-
-def _experiment(args) -> int:
-    from repro import experiments as exp
-
-    chosen = EXPERIMENT_NAMES if args.name == "all" else (args.name,)
-    for name in chosen:
-        _run_experiment(exp, name)
-    return 0
-
-
-def _run_experiment(exp, name: str) -> None:
-    if name == "fig1":
-        points = exp.fig1_ingest_scaling()
-        exp.render_table(
-            "Fig. 1 -- ingest-then-compute vs dataset size",
-            ["GB", "seconds"],
-            [[p.dataset_gb, p.query_seconds] for p in points],
-        )
-    elif name == "table1":
-        exp.render_table(
-            "Table I -- GridPocket query selectivities",
-            ["query", "col", "row", "data", "paper data"],
-            [row.as_row() for row in exp.table1_selectivities()],
-        )
-    elif name == "fig5":
-        points = exp.fig5_speedup_grid()
-        exp.render_table(
-            "Fig. 5 -- S_Q vs selectivity",
-            ["dataset", "type", "selectivity", "S_Q"],
-            [
-                [p.dataset, p.selectivity_type, p.selectivity, p.speedup]
-                for p in points
-            ],
-        )
-    elif name == "fig6":
-        points = exp.fig6_high_selectivity()
-        exp.render_table(
-            "Fig. 6 -- S_Q at high selectivity",
-            ["dataset", "selectivity", "S_Q"],
-            [[p.dataset, p.selectivity, p.speedup] for p in points],
-        )
-    elif name == "fig7":
-        rows = exp.fig7_gridpocket_speedups()
-        exp.render_table(
-            "Fig. 7 -- GridPocket query speedups",
-            ["query", "dataset", "sel", "plain s", "scoop s", "S_Q"],
-            [r.as_row() for r in rows],
-        )
-    elif name == "fig8":
-        points = exp.fig8_parquet_comparison()
-        exp.render_table(
-            "Fig. 8 -- Scoop vs Parquet",
-            ["selectivity", "scoop", "parquet"],
-            [
-                [p.selectivity, p.scoop_speedup, p.parquet_speedup]
-                for p in points
-            ],
-        )
-    elif name == "fig9":
-        summary = exp.fig9_resource_usage().summary()
-        exp.render_table(
-            "Fig. 9 -- resource usage (3TB, 99% selectivity)",
-            ["metric", "value"],
-            sorted(summary.items()),
-        )
-    elif name == "fig10":
-        plain, pushdown = exp.fig10_storage_cpu()
-        exp.render_table(
-            "Fig. 10 -- storage CPU",
-            ["series", "mean", "peak"],
-            [
-                ["plain", plain.mean(), plain.peak()],
-                ["scoop", pushdown.mean(), pushdown.peak()],
-            ],
-        )
-    elif name == "staging":
-        exp.render_table(
-            "Ablation -- staging",
-            ["selectivity", "object s", "proxy s"],
-            [
-                [r.selectivity, r.object_node_seconds, r.proxy_seconds]
-                for r in exp.ablation_staging()
-            ],
-        )
-    elif name == "chunks":
-        exp.render_table(
-            "Ablation -- chunk size",
-            ["chunk MB", "tasks", "seconds"],
-            [
-                [r.chunk_mb, r.task_count, r.pushdown_seconds]
-                for r in exp.ablation_chunk_size()
-            ],
-        )
-    elif name == "compression":
-        exp.render_table(
-            "Ablation -- filter + compression",
-            ["selectivity", "pushdown", "pushdown+zlib", "parquet"],
-            [
-                [
-                    r.selectivity,
-                    r.pushdown_speedup,
-                    r.compressed_speedup,
-                    r.parquet_speedup,
-                ]
-                for r in exp.ablation_filter_plus_compression()
-            ],
-        )
-    elif name == "adaptive":
-        exp.render_table(
-            "Ablation -- adaptive pushdown",
-            ["storage cpu", "gold", "silver", "bronze"],
-            [
-                [s.storage_cpu, s.gold_pushed, s.silver_pushed, s.bronze_pushed]
-                for s in exp.ablation_adaptive_pushdown()
-            ],
-        )
 
 
 def _queries() -> int:

@@ -1,9 +1,11 @@
-"""Experiment harness: one reproduction per table/figure of the paper.
+"""The functions behind each table/figure of the paper's evaluation.
 
-Every public function regenerates the rows/series of one evaluation
-artifact and returns structured results; ``render_*`` helpers print the
-same tables the benchmark suite emits.  The per-experiment index lives
-in DESIGN.md; paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+Every public function but :func:`render_table`, the one ASCII table
+renderer, computes the rows/series of one evaluation artifact and
+returns structured results.  The bench registry
+(:mod:`repro.bench.experiments`) is the one place a figure is run,
+tabled and checked: ``python -m repro bench --figures <name>`` prints
+its tables.  Paper-vs-measured numbers are recorded in EXPERIMENTS.md.
 """
 
 from repro.experiments.figures import (
@@ -12,10 +14,8 @@ from repro.experiments.figures import (
     Fig8Point,
     fig1_ingest_scaling,
     fig5_speedup_grid,
-    fig6_high_selectivity,
     fig8_parquet_comparison,
     fig9_resource_usage,
-    fig10_storage_cpu,
 )
 from repro.experiments.gridpocket_runs import (
     Fig7Row,
@@ -30,11 +30,7 @@ from repro.experiments.ablations import (
     ablation_staging,
 )
 from repro.experiments.report import render_table
-from repro.experiments.workday import (
-    WorkdayResult,
-    simulate_workday,
-    workday_comparison,
-)
+from repro.experiments.workday import WorkdayResult, simulate_workday
 
 __all__ = [
     "Fig1Point",
@@ -48,14 +44,11 @@ __all__ = [
     "ablation_staging",
     "fig1_ingest_scaling",
     "fig5_speedup_grid",
-    "fig6_high_selectivity",
     "fig7_gridpocket_speedups",
     "fig8_parquet_comparison",
     "fig9_resource_usage",
-    "fig10_storage_cpu",
     "render_table",
     "simulate_workday",
-    "workday_comparison",
     "WorkdayResult",
     "table1_selectivities",
 ]

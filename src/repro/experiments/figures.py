@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.perfmodel.flow import ResourceSeries
 from repro.perfmodel.model import IngestSimulation, RunResult, SelectivityProfile
 from repro.perfmodel.parameters import DATASETS, PerfParameters
 
@@ -73,7 +72,8 @@ def fig5_speedup_grid(
 
     Paper findings encoded here: superlinear growth with selectivity,
     S_Q ~ 1 at zero selectivity, row > column/mixed at high selectivity,
-    larger datasets see larger speedups.
+    larger datasets see larger speedups.  Fig. 6 is the same grid at
+    90-99.99% mixed selectivity (up to ~31x on 3 TB).
     """
     simulation = IngestSimulation(params)
     plain_cache: Dict[str, float] = {}
@@ -100,20 +100,6 @@ def fig5_speedup_grid(
                     )
                 )
     return points
-
-
-def fig6_high_selectivity(
-    selectivities: Sequence[float] = (0.9, 0.95, 0.99, 0.999, 0.9999),
-    datasets: Sequence[str] = ("small", "medium", "large"),
-    params: Optional[PerfParameters] = None,
-) -> List[Fig5Point]:
-    """S_Q in the very-high-selectivity regime (up to ~31x on 3 TB)."""
-    return fig5_speedup_grid(
-        selectivities=selectivities,
-        selectivity_types=("mixed",),
-        datasets=datasets,
-        params=params,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +195,9 @@ def fig9_resource_usage(
     params: Optional[PerfParameters] = None,
 ) -> ResourceUsageResult:
     """Compute-cluster CPU/memory/network while running a ~99%-selectivity
-    query (ShowGraphHCHP in the paper) with and without Scoop."""
+    query (ShowGraphHCHP in the paper) with and without Scoop.  Each
+    run's ``storage.cpu`` series is Fig. 10: storage nodes idle
+    (~1.25%) under plain Swift, working under Scoop."""
     simulation = IngestSimulation(params)
     scale = DATASETS[dataset]
     profile = SelectivityProfile.mixed(data_selectivity)
@@ -217,15 +205,3 @@ def fig9_resource_usage(
     pushdown = simulation.run("pushdown", scale.size_bytes, profile)
     return ResourceUsageResult(plain=plain, pushdown=pushdown)
 
-
-def fig10_storage_cpu(
-    dataset: str = "large",
-    data_selectivity: float = 0.99,
-    params: Optional[PerfParameters] = None,
-) -> Tuple[ResourceSeries, ResourceSeries]:
-    """Storage-node CPU series: plain (idle, ~1.25%) vs Scoop (working)."""
-    result = fig9_resource_usage(dataset, data_selectivity, params)
-    return (
-        result.plain.series["storage.cpu"],
-        result.pushdown.series["storage.cpu"],
-    )

@@ -434,18 +434,3 @@ def simulate_multitenant_workday(
         audit_pairs=audit_pairs,
     )
 
-
-def workday_comparison(
-    inter_arrival_seconds: float = 120.0,
-    dataset: str = "medium",
-    params: Optional[PerfParameters] = None,
-    table1: Optional[List[Table1Row]] = None,
-) -> Sequence[WorkdayResult]:
-    """The workday executed plainly vs with Scoop."""
-    table1 = table1 or table1_selectivities()
-    return [
-        simulate_workday(
-            mode, inter_arrival_seconds, dataset, params, table1
-        )
-        for mode in ("plain", "pushdown")
-    ]

@@ -234,7 +234,11 @@ class TestBenchCli:
         assert code == 0
         assert (tmp_path / "BENCH_fig1.json").exists()
         assert (tmp_path / "trace_fig1.json").exists()
-        assert "1/1 checks" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "1/1 checks" in out
+        # The run prints the experiment's tables, title and headers.
+        assert "== Fig. 1 -- ingest-then-compute query time vs dataset size ==" in out
+        assert "| dataset (GB) |" in out
 
     def test_bare_bench_normalizes_to_run(self, tmp_path):
         code = main(

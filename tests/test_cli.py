@@ -12,10 +12,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig99"])
-
     def test_generate_defaults(self):
         args = build_parser().parse_args(["generate", "/tmp/x"])
         assert args.meters == 100
@@ -116,18 +112,6 @@ class TestQueries:
             "ShowGraphHCHP",
         ):
             assert name in out
-
-
-class TestExperiment:
-    def test_fig1_prints_table(self, capsys):
-        assert main(["experiment", "fig1"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig. 1" in out
-        assert "GB" in out
-
-    def test_adaptive_prints_table(self, capsys):
-        assert main(["experiment", "adaptive"]) == 0
-        assert "adaptive" in capsys.readouterr().out.lower()
 
 
 class TestDemo:
