@@ -23,7 +23,7 @@ from repro.core.scoop import ScoopContext
 from repro.faults import named_plan
 from repro.sql import GreaterThan, Schema
 from repro.storlets import CsvStorlet
-from repro.storlets.api import StorletInputStream, StorletLogger
+from repro.storlets.api import IStorlet, StorletInputStream, StorletLogger
 from repro.swift.http import DEFAULT_CHUNK_SIZE
 
 SCHEMA = Schema.from_header("vid:string,index:int,city:string")
@@ -33,7 +33,7 @@ OBJECT_BYTES = 8 * 2**20
 
 #: The guarantee under test: a generous multiple of the 64 KiB transfer
 #: chunk covering every tier's bounded state (record buffers, coalesce
-#: buffers and their per-object overhead, zlib windows, parse scratch),
+#: buffers and their per-object overhead, parse scratch),
 #: yet 4x below the object size.  Measured peaks sit around 1.1-1.3 MiB
 #: and, crucially, do not move when the object doubles.
 PEAK_CEILING = min(32 * DEFAULT_CHUNK_SIZE, OBJECT_BYTES // 4)
@@ -55,6 +55,15 @@ def scoop():
         index += 1
     context.upload_csv("bench", "data.csv", "".join(rows))
     return context
+
+
+class PassThrough(IStorlet):
+    """A pipeline stage that forwards its input as it arrives."""
+
+    name = "passthrough"
+
+    def process(self, in_stream, parameters, logger, metadata):
+        yield from in_stream.iter_chunks()
 
 
 def traced_peak(drain) -> int:
@@ -119,13 +128,15 @@ class TestStreamingPeakMemory:
         assert traced_peak(drain) < PEAK_CEILING
 
     def test_two_storlet_pipeline_is_o_chunk_size(self, scoop):
-        """csvstorlet,zlibcompress pipelined: compress-after-filter."""
+        """csvstorlet,passthrough pipelined: a second stage downstream
+        of the filter, fed chunk by chunk."""
+        scoop.engine.deploy(PassThrough(), scoop.client)
         split = scoop.connector.discover_partitions("bench")[0]
         task = PushdownTask(
             schema=SCHEMA,
             columns=["vid"],
             filters=[GreaterThan("index", 10.0)],
-            compress=True,
+            storlet=f"csvstorlet,{PassThrough.name}",
         )
 
         def drain():

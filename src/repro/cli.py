@@ -26,6 +26,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import sys
 import time
@@ -403,6 +404,22 @@ def _bench(args) -> int:
             if token.strip()
         ]
     mode = "quick" if args.quick else "full"
+    if args.quick:
+        # A quick document must not replace a full-mode one: the
+        # committed results/ are full mode, and `bench report --check`
+        # gates EXPERIMENTS.md against them.
+        kept = [
+            path.name
+            for path in (args.out_dir / f"BENCH_{name}.json" for name in names)
+            if path.is_file() and _document_mode(path) == "full"
+        ]
+        if kept:
+            print(
+                f"error: {args.out_dir} holds full-mode {', '.join(kept)}; "
+                "a quick run needs another --out-dir",
+                file=sys.stderr,
+            )
+            return 2
 
     def progress(name, document):
         """Print a one-line summary and the tables of each experiment
@@ -458,6 +475,15 @@ def _bench(args) -> int:
     load_results(args.out_dir)
     print(f"captured {len(documents)} BENCH document(s) in {args.out_dir}")
     return 1 if failed else 0
+
+
+def _document_mode(path: pathlib.Path) -> Optional[str]:
+    """The ``mode`` a ``BENCH_<name>.json`` file records (None when it
+    is not a readable document)."""
+    try:
+        return json.loads(path.read_text()).get("mode")
+    except (ValueError, AttributeError):
+        return None
 
 
 def _demo(args) -> int:
@@ -539,8 +565,6 @@ def _chaos(args) -> int:
 
 
 def _trace(args) -> int:
-    import json
-
     from repro.gridpocket import DatasetSpec, METER_SCHEMA, upload_dataset
 
     ctx = _resilience_context(args, trace=True)

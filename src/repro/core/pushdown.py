@@ -36,9 +36,6 @@ class PushdownTask:
     delimiter: str = ","
     storlet: str = "csvstorlet"
     run_on: str = "object"
-    #: Pipeline a zlib compression storlet after the filter, so the
-    #: filtered data crosses the network compressed (Section VI-C).
-    compress: bool = False
     #: Storlet-specific parameters merged verbatim into the request
     #: (the columnar storlet's per-split stripe descriptors travel here).
     extra_parameters: Dict[str, str] = field(default_factory=dict)
@@ -53,7 +50,7 @@ class PushdownTask:
 
     def is_noop(self) -> bool:
         """True when the task would not reduce the transfer at all."""
-        if self.compress or self.aggregation is not None:
+        if self.aggregation is not None:
             return False
         return not self.filters and (
             self.columns is None or len(self.columns) == len(self.schema)
@@ -90,10 +87,7 @@ class PushdownTask:
 
     def apply_to_headers(self, headers: Dict[str, str]) -> None:
         """Tag a GET request with this task (the delegator's core move)."""
-        pipeline = self.storlet
-        if self.compress:
-            pipeline += ",zlibcompress"
-        headers[StorletRequestHeaders.RUN] = pipeline
+        headers[StorletRequestHeaders.RUN] = self.storlet
         headers[StorletRequestHeaders.RUN_ON] = self.run_on
         StorletRequestHeaders.set_parameters(headers, self.to_parameters())
 
@@ -103,7 +97,6 @@ class PushdownTask:
         parameters: Dict[str, str],
         storlet: str = "csvstorlet",
         run_on: str = "object",
-        compress: bool = False,
     ) -> "PushdownTask":
         schema = Schema.from_header(parameters["schema"])
         columns = None
@@ -123,7 +116,6 @@ class PushdownTask:
             delimiter=parameters.get("delimiter", ","),
             storlet=storlet,
             run_on=run_on,
-            compress=compress,
             aggregation=parameters.get("aggregation"),
             max_groups=max_groups,
         )
@@ -133,23 +125,15 @@ class PushdownTask:
         """Decode the task a request was tagged with -- the exact inverse
         of :meth:`apply_to_headers`.
 
-        ``run_on`` and ``compress`` live in the storlet headers (the
-        run-on header and the ``,zlibcompress`` pipeline suffix), not in
-        the parameters, so decoding only the parameters used to lose
-        them; this reads all three header groups.
+        ``storlet`` and ``run_on`` live in the storlet headers (the run
+        and run-on headers), not in the parameters, so decoding only the
+        parameters would lose them; this reads all three header groups.
         """
         lowered = {key.lower(): value for key, value in headers.items()}
-        pipeline = lowered.get(StorletRequestHeaders.RUN, "")
-        names = [name.strip() for name in pipeline.split(",") if name.strip()]
-        compress = "zlibcompress" in names
-        storlet = next(
-            (name for name in names if name != "zlibcompress"), "csvstorlet"
-        )
+        storlet = lowered.get(StorletRequestHeaders.RUN, "").strip() or "csvstorlet"
         run_on = lowered.get(StorletRequestHeaders.RUN_ON, "object")
         parameters = StorletRequestHeaders.parameters_from(lowered)
-        return cls.from_parameters(
-            parameters, storlet=storlet, run_on=run_on, compress=compress
-        )
+        return cls.from_parameters(parameters, storlet=storlet, run_on=run_on)
 
     def describe(self) -> str:
         columns = "*" if self.columns is None else ",".join(self.columns)

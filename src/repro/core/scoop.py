@@ -37,7 +37,6 @@ from repro.storlets.columnar_storlet import (
     ColumnarStorlet,
     CsvToColumnarStorlet,
 )
-from repro.storlets.compress_storlet import CompressStorlet, DecompressStorlet
 from repro.storlets.csv_storlet import CsvStorlet
 from repro.storlets.engine import StorletEngine, StorletPolicy
 from repro.storlets.etl_storlet import CleansingStorlet, ColumnSplitStorlet
@@ -88,9 +87,7 @@ class ScoopContext:
         chunk_size: int = 1 * 2**20,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan=None,
-        max_task_attempts: int = 3,
         parallelism: Optional[int] = None,
-        proxy_concurrency: Optional[int] = 8,
         trace: Optional[bool] = None,
         qos=None,
         qos_clock=None,
@@ -127,7 +124,6 @@ class ScoopContext:
             replica_count=replica_count,
             proxy_middleware=[self.engine.proxy_middleware()],
             object_middleware=[self.engine.object_middleware()],
-            proxy_concurrency=proxy_concurrency,
             telemetry=telemetry,
         )
         self.client = SwiftClient(
@@ -151,7 +147,6 @@ class ScoopContext:
         self.spark_context = SparkContext(
             "scoop",
             num_workers=num_workers,
-            max_task_attempts=max_task_attempts,
             parallelism=parallelism,
             telemetry=telemetry,
         )
@@ -179,8 +174,6 @@ class ScoopContext:
         self.engine.deploy(CsvToColumnarStorlet(), self.client)
         self.engine.deploy(CleansingStorlet(), self.client)
         self.engine.deploy(ColumnSplitStorlet(), self.client)
-        self.engine.deploy(CompressStorlet(), self.client)
-        self.engine.deploy(DecompressStorlet(), self.client)
 
         # Chaos wiring: installed after deployment so the control-plane
         # PUTs above run fault-free and every plan sees the same start.
@@ -335,7 +328,6 @@ class ScoopContext:
         prefix: str = "",
         has_header: bool = False,
         pushdown: bool = True,
-        compress_transfer: bool = False,
         tenant: str = "default",
         format: Optional[str] = None,
         agg_pushdown: Optional[bool] = None,
@@ -352,7 +344,6 @@ class ScoopContext:
         """
         decision = dict(
             pushdown=pushdown,
-            compress_transfer=compress_transfer,
             tenant=tenant,
             agg_pushdown=agg_pushdown,
         )
@@ -385,7 +376,6 @@ class ScoopContext:
         schema: Optional[Schema] = None,
         prefix: str = "",
         pushdown: bool = True,
-        compress_transfer: bool = False,
         tenant: str = "default",
     ) -> ColumnarRelation:
         """Register RCF1 columnar data as a SQL table (schema defaults
@@ -397,7 +387,6 @@ class ScoopContext:
             prefix=prefix,
             schema=schema,
             pushdown=pushdown,
-            compress_transfer=compress_transfer,
             tenant=tenant,
         )
 

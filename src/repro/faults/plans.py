@@ -4,7 +4,7 @@ Each named plan stresses one leg of the resilience machinery:
 
 * ``none`` -- the fault-free control run;
 * ``device-loss`` -- permanent disk failures mid-workload, absorbed by
-  replica failover and later repaired by the replicator;
+  replica failover (a PUT lands on the surviving replicas);
 * ``flaky-object`` -- transient replica errors and stalls past the
   request deadline, absorbed by proxy failover plus client retry;
 * ``storlet-crash`` -- persistent sandbox failures of the pushdown

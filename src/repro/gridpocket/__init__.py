@@ -26,8 +26,7 @@ from repro.gridpocket.generator import (
 from repro.gridpocket.queries import GRIDPOCKET_QUERIES, GridPocketQuery
 from repro.gridpocket.workload import (
     SelectivityMeasurement,
-    columns_for_byte_fraction,
-    measure_query_selectivity,
+    measure_selectivities,
     synthetic_query,
 )
 
@@ -38,8 +37,7 @@ __all__ = [
     "METER_SCHEMA",
     "MeterDataGenerator",
     "SelectivityMeasurement",
-    "columns_for_byte_fraction",
-    "measure_query_selectivity",
+    "measure_selectivities",
     "synthetic_query",
     "upload_dataset",
 ]

@@ -4,16 +4,16 @@
 fractions of data selectivity.  In particular, we executed specific
 experiments to analyze the impact of row, column and mixed data
 selectivity" (paper Section VI).  The generator's uniform ``code``
-column gives exact row-selectivity control; column selectivity is
-controlled by choosing a projection whose byte share of a row matches
-the target.
+column gives exact row-selectivity control; a projection sets column
+selectivity, and :func:`measure_selectivities` measures what a query's
+pushdown keeps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.gridpocket.generator import METER_SCHEMA, DatasetSpec, MeterDataGenerator
 from repro.sql.catalyst import extract_pushdown
@@ -42,54 +42,6 @@ def synthetic_query(
         threshold = int(round((1.0 - row_selectivity) * 10000))
         sql += f" WHERE code < {threshold}"
     return sql
-
-
-def column_byte_weights(
-    spec: Optional[DatasetSpec] = None, sample_rows: int = 500
-) -> Dict[str, float]:
-    """Mean byte share of each column in rendered CSV rows."""
-    generator = MeterDataGenerator(spec or DatasetSpec(meters=20, intervals=30))
-    totals = {name: 0 for name in METER_SCHEMA.names}
-    sampled = 0
-    for row in generator.rows():
-        rendered = METER_SCHEMA.render_row(row)
-        for name, text in zip(METER_SCHEMA.names, rendered):
-            totals[name] += len(text) + 1  # +1 for the delimiter/newline
-        sampled += 1
-        if sampled >= sample_rows:
-            break
-    grand_total = sum(totals.values())
-    return {name: count / grand_total for name, count in totals.items()}
-
-
-def columns_for_byte_fraction(
-    target_fraction: float,
-    weights: Optional[Dict[str, float]] = None,
-    mandatory: Sequence[str] = ("vid",),
-) -> List[str]:
-    """A projection keeping roughly ``target_fraction`` of row bytes.
-
-    Greedy: start from the mandatory columns, add the column that brings
-    the kept fraction closest to the target until no addition improves.
-    """
-    if weights is None:
-        weights = column_byte_weights()
-    chosen = list(mandatory)
-    kept = sum(weights[name] for name in chosen)
-    remaining = [name for name in METER_SCHEMA.names if name not in chosen]
-    while remaining:
-        best = min(
-            remaining, key=lambda name: abs(kept + weights[name] - target_fraction)
-        )
-        if abs(kept + weights[best] - target_fraction) >= abs(
-            kept - target_fraction
-        ):
-            break
-        chosen.append(best)
-        kept += weights[best]
-        remaining.remove(best)
-    # Preserve schema order for a well-formed projection.
-    return [name for name in METER_SCHEMA.names if name in chosen]
 
 
 @dataclass
@@ -125,29 +77,18 @@ class SelectivityMeasurement:
         return max(0.0, 1.0 - kept_fraction)
 
 
-def measure_query_selectivity(
-    sql: str,
-    schema: Schema = METER_SCHEMA,
-    rows: Optional[Sequence[Row]] = None,
-    spec: Optional[DatasetSpec] = None,
-) -> SelectivityMeasurement:
-    """Apply a query's pushdown spec to sample rows, counting bytes.
-
-    This is the functional ground truth behind every selectivity number
-    in the experiment harness: the *actual* filters and projection that
-    Catalyst would push down are evaluated over real generated rows.
-    """
-    return measure_selectivities([sql], schema, rows, spec)[0]
-
-
 def measure_selectivities(
     sqls: Sequence[str],
     schema: Schema = METER_SCHEMA,
     rows: Optional[Sequence[Row]] = None,
     spec: Optional[DatasetSpec] = None,
 ) -> List[SelectivityMeasurement]:
-    """:func:`measure_query_selectivity` of several queries over one sample.
+    """Apply each query's pushdown spec to one sample of rows, counting
+    bytes.
 
+    This is the functional ground truth behind every selectivity number
+    in the experiment harness: the *actual* filters and projection that
+    Catalyst would push down are evaluated over real generated rows.
     A row's bytes are its rendered CSV cells plus one delimiter (or the
     newline) each.  The cells are rendered once per sample, column by
     column, and every query sums the widths of the rows it keeps.

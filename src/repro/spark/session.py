@@ -94,10 +94,6 @@ class SparkSession:
         query = parse_query(text)
         return DataFrame(self, query.table, query)
 
-    def table(self, name: str) -> DataFrame:
-        self.relation(name)  # validate
-        return DataFrame(self, name)
-
     # -- the planner -----------------------------------------------------------------
 
     def execute_query_object(self, query: Query) -> Tuple[Schema, List[Row]]:

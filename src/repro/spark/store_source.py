@@ -22,7 +22,6 @@ a degraded partition runs the same stage over the plain reader's.
 from __future__ import annotations
 
 import json
-import zlib
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -89,19 +88,6 @@ def degrading(
     yield from skip(plain(), emitted)
 
 
-def _decompress_chunks(chunks: Iterator[bytes]) -> Iterator[bytes]:
-    """Streaming inverse of the compress-after-filter storlet: expand a
-    zlib stream chunk-by-chunk without materializing either side."""
-    decompressor = zlib.decompressobj()
-    for chunk in chunks:
-        data = decompressor.decompress(chunk)
-        if data:
-            yield data
-    tail = decompressor.flush()
-    if tail:
-        yield tail
-
-
 class SplitScanRDD(RDD):
     """One partition per split; computes typed column batches (one
     :class:`~repro.columnar.batch.ColumnBatch` per block the reader
@@ -166,10 +152,8 @@ class SplitScanRDD(RDD):
         return self._open_pushdown(split, self.task)
 
     def _open_pushdown(self, split, task: PushdownTask) -> Iterator[bytes]:
-        """The response chunks of ``split``'s GET tagged with ``task``,
-        inflated when the task had them compressed."""
-        _headers, chunks = self.connector.open_split_stream(split, task)
-        return _decompress_chunks(chunks) if task.compress else chunks
+        """The response chunks of ``split``'s GET tagged with ``task``."""
+        return self.connector.open_split_stream(split, task)[1]
 
 
 class AggregationScanRDD(RDD):
@@ -261,7 +245,6 @@ class StoreRelation(PrunedFilteredScan):
         schema: Schema,
         splits: List,
         pushdown: bool = True,
-        compress_transfer: bool = False,
         tenant: str = "default",
         placement=None,
         agg_pushdown: Optional[bool] = None,
@@ -273,7 +256,6 @@ class StoreRelation(PrunedFilteredScan):
         self._schema = schema
         self._splits = splits
         self.pushdown = pushdown
-        self.compress_transfer = compress_transfer
         self.tenant = tenant
         # Takes every scan's pushdown decision: the placement engine may
         # veto it (Section VII) or picks its tier.
@@ -317,7 +299,6 @@ class StoreRelation(PrunedFilteredScan):
                     columns=columns,
                     filters=list(filters),
                     storlet=self.storlet,
-                    compress=self.compress_transfer,
                     **self.framing,
                 ),
                 splits,
@@ -387,9 +368,3 @@ class StoreRelation(PrunedFilteredScan):
         if task is None:
             return None
         return AggregationScanRDD(self._scan(splits, columns, task, filters), spec)
-
-    def build_scan_pruned(self, required_columns: Sequence[str]) -> RDD:
-        return self.build_scan_filtered(required_columns, [])
-
-    def build_scan(self) -> RDD:
-        return self.build_scan_filtered(self._schema.names, [])

@@ -203,22 +203,6 @@ class ObjectServer:
         del store[request.path]
         return Response(204)
 
-    def POST(self, request: Request) -> Response:
-        """Update user metadata (Swift POST-to-object semantics)."""
-        store = self._store_for(request)
-        stored = store.get(request.path)
-        if stored is None:
-            raise NotFound(f"object not found: {request.path}")
-        stored.metadata = HeaderDict(
-            {
-                key: value
-                for key, value in request.headers.items()
-                if key.startswith(USER_META_PREFIX)
-            }
-        )
-        stored.timestamp = next_timestamp()
-        return Response(202)
-
     @staticmethod
     def _object_headers(stored: StoredObject) -> HeaderDict:
         headers = HeaderDict(

@@ -417,13 +417,3 @@ class SwiftClient:
 
     def delete_object(self, container: str, obj: str) -> None:
         self._checked(self.request("DELETE", self._path(container, obj)))
-
-    def post_object(
-        self, container: str, obj: str, metadata: Dict[str, str]
-    ) -> None:
-        headers = {
-            f"x-object-meta-{key}": value for key, value in metadata.items()
-        }
-        self._checked(
-            self.request("POST", self._path(container, obj), headers)
-        )

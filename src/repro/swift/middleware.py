@@ -10,7 +10,7 @@ mechanism, without the store knowing anything about pushdown filters.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 from repro.obs.trace import TRACE_HEADER
 from repro.swift.exceptions import BadRequest, SwiftError
@@ -143,26 +143,6 @@ class DeadlineBudget(BaseMiddleware):
         return make
 
 
-class RequestLogger(BaseMiddleware):
-    """Records ``(method, path, status)`` tuples; useful in tests."""
-
-    def __init__(self, app: App, log: List[tuple] | None = None):
-        super().__init__(app)
-        self.log: List[tuple] = log if log is not None else []
-
-    def handle(self, request: Request) -> Response:
-        response = self.app(request)
-        self.log.append((request.method, request.path, response.status))
-        return response
-
-    @classmethod
-    def factory(cls, log: List[tuple]) -> MiddlewareFactory:
-        def make(app: App) -> App:
-            return cls(app, log)
-
-        return make
-
-
 __all__ = [
     "App",
     "MiddlewareFactory",
@@ -171,5 +151,4 @@ __all__ = [
     "CatchErrors",
     "ServerSideCopy",
     "DeadlineBudget",
-    "RequestLogger",
 ]

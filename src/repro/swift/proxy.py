@@ -53,11 +53,17 @@ from repro.swift.middleware import (
     ServerSideCopy,
     build_pipeline,
 )
+from repro.swift.ring import Device, Ring, RingBuilder
 
 #: Header naming the tenant a request bills against (set by the client
 #: from ``SwiftClient(tenant=...)``); absent = the anonymous tenant.
 TENANT_HEADER = "x-scoop-tenant"
-from repro.swift.ring import Device, Ring, RingBuilder
+
+#: Per-proxy cap on concurrently admitted requests.  Models the paper's
+#: over-subscribed proxies: requests beyond the cap wait in the load
+#: balancer's queue instead of being dispatched, so heavy traffic shows
+#: up as queueing, not as unbounded concurrency inside one proxy.
+PROXY_CONCURRENCY = 8
 
 
 class AuthMiddleware:
@@ -112,14 +118,14 @@ class ProxyApp:
                 hashlib.md5(data).hexdigest(),
             )
             # One timestamp for all replicas, assigned at the proxy (as
-            # in real Swift); otherwise replicas would differ and the
-            # replicator would see phantom staleness.
+            # in real Swift), so every replica of one PUT is the same
+            # version.
             request.headers.setdefault(
                 "x-timestamp", f"{next_timestamp():.9f}"
             )
             # Write to every reachable replica; a failed device does not
-            # abort the PUT as long as at least one replica lands (the
-            # replicator restores the others later).
+            # abort the PUT as long as at least one replica lands (reads
+            # fail over to it).
             response: Optional[Response] = None
             stored = 0
             for device in devices:
@@ -196,19 +202,6 @@ class ProxyApp:
             cluster.containers.remove_object(account, container, obj)
             return Response(204)
 
-        if request.method == "POST":
-            responses = []
-            for device in devices:
-                try:
-                    responses.append(
-                        cluster.send_to_device(device, request.copy())
-                    )
-                except NotFound:
-                    continue
-            if not responses:
-                raise NotFound(f"object not found: {request.path}")
-            return responses[0]
-
         raise BadRequest(f"unsupported object method: {request.method}")
 
     def _replica_order(
@@ -263,12 +256,6 @@ class ProxyApp:
             )
             headers.update(record.metadata)
             return Response(204, headers)
-        if request.method == "POST":
-            record = cluster.containers.get(account, container)
-            for header, value in request.headers.items():
-                if header.startswith("x-container-meta-"):
-                    record.metadata[header] = value
-            return Response(204)
         if request.method == "DELETE":
             cluster.containers.delete(account, container)
             return Response(204)
@@ -365,7 +352,6 @@ class SwiftCluster:
         auth_enabled: bool = False,
         proxy_middleware: Sequence[MiddlewareFactory] = (),
         object_middleware: Sequence[MiddlewareFactory] = (),
-        proxy_concurrency: Optional[int] = 8,
         qos: Optional[QosConfig] = None,
         qos_clock: Optional[Callable[[], float]] = None,
         telemetry: Optional[Telemetry] = None,
@@ -389,14 +375,12 @@ class SwiftCluster:
                 device_ids.append(device.id)
             self.object_servers[node_name] = ObjectServer(node_name, device_ids)
         builder.rebalance()
-        self.ring_builder = builder
         self.object_ring: Ring = builder.get_ring()
 
         self.containers = ContainerStore()
         self.accounts = AccountStore()
         #: Devices administratively failed via :meth:`fail_device`:
-        #: requests routed to them 503 (triggering replica failover) and
-        #: the replicator neither reads from nor resurrects data on them.
+        #: requests routed to them 503, triggering replica failover.
         self.failed_devices: Set[int] = set()
         self.registry, self.tracer = telemetry or Telemetry.standalone()
         self.counters = ClusterCounters(self.registry)
@@ -405,12 +389,6 @@ class SwiftCluster:
         # (docs/concurrency.md): held for arithmetic only, never while
         # handling a request.
         self._proxy_lock = threading.Lock()
-        #: Per-proxy cap on concurrently admitted requests (None = no
-        #: cap).  Models the paper's over-subscribed proxies: requests
-        #: beyond the cap wait in the load balancer's queue instead of
-        #: being dispatched, so heavy traffic shows up as queueing, not
-        #: as unbounded concurrency inside one proxy.
-        self.proxy_concurrency = proxy_concurrency
         self._object_middleware = list(object_middleware)
         self._object_pipelines: Dict[str, App] = {
             name: build_pipeline(server, self._object_middleware)
@@ -445,10 +423,8 @@ class SwiftCluster:
             for i in range(self._proxy_count)
         ]
         self._proxy_cycle = itertools.cycle(range(len(self.proxies)))
-        limit = self.proxy_concurrency
-        self._admission: List[Optional[threading.Semaphore]] = [
-            threading.Semaphore(limit) if limit is not None else None
-            for _ in self.proxies
+        self._admission: List[threading.Semaphore] = [
+            threading.Semaphore(PROXY_CONCURRENCY) for _ in self.proxies
         ]
         self._inflight: List[int] = [0 for _ in self.proxies]
         self._queue_depth: List[int] = [0 for _ in self.proxies]
@@ -458,7 +434,7 @@ class SwiftCluster:
     def handle_request(self, request: Request) -> Response:
         """Entry through the load balancer: round-robin over proxies.
 
-        Admission control: at most :attr:`proxy_concurrency` requests
+        Admission control: at most :data:`PROXY_CONCURRENCY` requests
         are in flight per proxy; the rest wait here, modeling the
         over-subscription the paper measured instead of ignoring it.
         The slot covers the synchronous handle phase only -- response
@@ -529,8 +505,7 @@ class SwiftCluster:
         finally:
             with self._proxy_lock:
                 self._inflight[index] -= 1
-            if slot is not None:
-                slot.release()
+            slot.release()
             tracer.finish(span, status=status, http_status=http_status)
 
     def _acquire_slot(self, index: int, span) -> bool:
@@ -538,7 +513,7 @@ class SwiftCluster:
         the proxy is saturated.  Returns ``False`` (shed) when QoS
         bounds the queue and it is already full."""
         slot = self._admission[index]
-        if slot is None or slot.acquire(blocking=False):
+        if slot.acquire(blocking=False):
             return True
         depth_cap = (
             self.qos.max_queue_depth if self.qos is not None else None
@@ -782,45 +757,13 @@ class SwiftCluster:
 
     # -- administration ----------------------------------------------------------
 
-    def refresh_ring(self) -> None:
-        """Adopt the ring builder's current assignment (after add/remove
-        device + rebalance); run the replicator afterwards to move data."""
-        self.object_ring = self.ring_builder.get_ring()
-
-    def add_storage_node(
-        self, disks: int = 2, zone: Optional[int] = None
-    ) -> str:
-        """Provision a new object server with ``disks`` ring devices.
-
-        The caller must rebalance + :meth:`refresh_ring` + replicate to
-        actually move partitions onto it.
-        """
-        node_name = f"storage{len(self.object_servers)}"
-        if zone is None:
-            zone = len(self.object_servers)
-        device_ids = []
-        for disk in range(disks):
-            device = self.ring_builder.add_device(
-                zone=zone, weight=1.0, node=node_name, disk=disk
-            )
-            device_ids.append(device.id)
-        server = ObjectServer(node_name, device_ids)
-        self.object_servers[node_name] = server
-        self._object_pipelines[node_name] = build_pipeline(
-            server, self._object_middleware
-        )
-        return node_name
-
     def fail_device(self, device_id: int) -> None:
-        """Simulate a disk loss: wipe the store, drop the device from the
-        builder and mark it failed (rebalance + refresh + replicate to
-        recover).  Until the ring is refreshed, requests routed to the
-        dead device 503 and fail over to surviving replicas; the
-        replicator will not resurrect data onto it."""
+        """Simulate a disk loss: wipe the store and mark the device
+        failed.  Requests routed to the dead device 503 and fail over to
+        the surviving replicas; a PUT lands on the surviving ones."""
         for server in self.object_servers.values():
             if device_id in server.devices:
                 server.devices[device_id].clear()
-        self.ring_builder.remove_device(device_id)
         self.failed_devices.add(device_id)
 
     def install_object_middleware(self, factory: MiddlewareFactory) -> None:

@@ -78,22 +78,6 @@ class Ring:
         part = self.get_part(account, container, obj)
         return part, self.get_part_devices(part)
 
-    def partitions_for_device(self, device_id: int) -> List[Tuple[int, int]]:
-        """All ``(replica_index, partition)`` pairs assigned to a device."""
-        assigned = []
-        for replica, row in enumerate(self._replica2part2dev):
-            for part, dev_id in enumerate(row):
-                if dev_id == device_id:
-                    assigned.append((replica, part))
-        return assigned
-
-    def device_partition_counts(self) -> Dict[int, int]:
-        counts = {dev_id: 0 for dev_id in self.devices}
-        for row in self._replica2part2dev:
-            for dev_id in row:
-                counts[dev_id] += 1
-        return counts
-
 
 class RingBuilder:
     """Builds and rebalances a :class:`Ring`.
@@ -136,12 +120,6 @@ class RingBuilder:
         if device_id not in self.devices:
             raise KeyError(f"no such device: {device_id}")
         del self.devices[device_id]
-
-    def set_weight(self, device_id: int, weight: float) -> None:
-        old = self.devices[device_id]
-        self.devices[device_id] = Device(
-            old.id, old.zone, weight, old.node, old.disk, old.meta
-        )
 
     # -- balancing -------------------------------------------------------------
 

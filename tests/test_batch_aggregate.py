@@ -683,7 +683,9 @@ def test_table_one_compiles_to_kernels_with_zero_refusals(table_format):
     relation = reference.session.relation("ref")
     rows = [
         row
-        for batch in reference.spark_context.iter_batches(relation.build_scan())
+        for batch in reference.spark_context.iter_batches(
+            relation.build_scan_filtered(relation.schema().names, [])
+        )
         for row in batch
     ]
     for query in GRIDPOCKET_QUERIES:

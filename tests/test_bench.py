@@ -248,6 +248,22 @@ class TestBenchCli:
         assert code == 0
         assert (tmp_path / "BENCH_fig1.json").exists()
 
+    def test_quick_run_refuses_to_replace_a_full_mode_document(
+        self, tmp_path, capsys
+    ):
+        seeded = tmp_path / "BENCH_fig1.json"
+        seeded.write_text(json.dumps(_fixture_document(), indent=2) + "\n")
+        before = seeded.read_bytes()
+        code = main(
+            ["bench", "--figures", "fig1,fig5", "--quick",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "BENCH_fig1.json" in capsys.readouterr().err
+        assert seeded.read_bytes() == before
+        # Refused before running anything: no experiment wrote a file.
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH_fig1.json"]
+
     def test_bench_unknown_figure_exits_2(self, tmp_path, capsys):
         code = main(
             ["bench", "--figures", "nope", "--out-dir", str(tmp_path)]

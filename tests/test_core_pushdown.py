@@ -60,21 +60,12 @@ class TestPushdownTask:
         task = PushdownTask(schema=SCHEMA, columns=["vid"])
         assert "csvstorlet" in task.describe()
 
-    def test_from_parameters_keeps_run_on_and_compress(self):
-        task = PushdownTask(
-            schema=SCHEMA,
-            columns=["vid"],
-            run_on="proxy",
-            compress=True,
-        )
+    def test_from_parameters_keeps_run_on(self):
+        task = PushdownTask(schema=SCHEMA, columns=["vid"], run_on="proxy")
         restored = PushdownTask.from_parameters(
-            task.to_parameters(),
-            storlet=task.storlet,
-            run_on=task.run_on,
-            compress=task.compress,
+            task.to_parameters(), storlet=task.storlet, run_on=task.run_on
         )
         assert restored.run_on == "proxy"
-        assert restored.compress is True
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -114,13 +105,12 @@ class TestPushdownTask:
         has_header=st.booleans(),
         delimiter=st.sampled_from([",", ";", "|", "\t"]),
         run_on=st.sampled_from(["object", "proxy"]),
-        compress=st.booleans(),
     )
     def test_header_round_trip_property(
-        self, columns, filters, has_header, delimiter, run_on, compress
+        self, columns, filters, has_header, delimiter, run_on
     ):
         """apply_to_headers -> from_headers is lossless, including the
-        run_on/compress flags that live outside the parameter headers."""
+        storlet and run_on that live outside the parameter headers."""
         task = PushdownTask(
             schema=SCHEMA,
             columns=columns,
@@ -128,7 +118,6 @@ class TestPushdownTask:
             has_header=has_header,
             delimiter=delimiter,
             run_on=run_on,
-            compress=compress,
         )
         headers = {}
         task.apply_to_headers(headers)
@@ -147,7 +136,6 @@ class TestPushdownTask:
         assert restored.delimiter == delimiter
         assert restored.storlet == task.storlet
         assert restored.run_on == run_on
-        assert restored.compress is compress
 
 
 def _engine(cpu, *policies, mode="object", **options):

@@ -14,6 +14,7 @@ from repro.experiments import (
     simulate_workday,
     table1_selectivities,
 )
+from repro.bench.experiments import _FIG8_SELECTIVITIES
 from repro.experiments.figures import fig8_crossover
 from repro.experiments.gridpocket_runs import fig7_total_batch_seconds
 
@@ -105,9 +106,8 @@ class TestFig7:
 
 class TestFig8:
     def test_crossover_in_expected_band(self):
-        points = fig8_parquet_comparison(
-            selectivities=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9)
-        )
+        # The registry's grid, so this reads the crossover its check reads.
+        points = fig8_parquet_comparison(selectivities=_FIG8_SELECTIVITIES)
         crossover = fig8_crossover(points)
         assert crossover is not None
         assert 0.4 <= crossover <= 0.8

@@ -8,16 +8,11 @@ from repro.gridpocket import (
     GRIDPOCKET_QUERIES,
     METER_SCHEMA,
     MeterDataGenerator,
-    columns_for_byte_fraction,
-    measure_query_selectivity,
+    measure_selectivities,
     synthetic_query,
 )
 from repro.gridpocket.queries import query_by_name
-from repro.gridpocket.workload import (
-    SelectivityMeasurement,
-    column_byte_weights,
-    measure_selectivities,
-)
+from repro.gridpocket.workload import SelectivityMeasurement
 from repro.sql.catalyst import extract_pushdown
 from repro.sql.parser import parse_query
 
@@ -157,32 +152,15 @@ class TestSyntheticWorkload:
 
     @pytest.mark.parametrize("target", [0.1, 0.5, 0.95])
     def test_measured_row_selectivity_tracks_target(self, target):
-        measurement = measure_query_selectivity(
-            synthetic_query(target),
+        (measurement,) = measure_selectivities(
+            [synthetic_query(target)],
             spec=DatasetSpec(meters=40, intervals=80),
         )
         assert measurement.row_selectivity == pytest.approx(target, abs=0.05)
 
-    def test_byte_weights_sum_to_one(self):
-        weights = column_byte_weights()
-        assert sum(weights.values()) == pytest.approx(1.0)
-        assert set(weights) == set(METER_SCHEMA.names)
-
-    def test_columns_for_byte_fraction_hits_target(self):
-        weights = column_byte_weights()
-        for target in (0.2, 0.5, 0.8):
-            chosen = columns_for_byte_fraction(target, weights)
-            kept = sum(weights[name] for name in chosen)
-            assert kept == pytest.approx(target, abs=0.15)
-
-    def test_columns_for_byte_fraction_schema_order(self):
-        chosen = columns_for_byte_fraction(0.6)
-        positions = [METER_SCHEMA.index_of(name) for name in chosen]
-        assert positions == sorted(positions)
-
     def test_measurement_components_consistent(self):
-        measurement = measure_query_selectivity(
-            synthetic_query(0.5, columns=["vid", "code"]),
+        (measurement,) = measure_selectivities(
+            [synthetic_query(0.5, columns=["vid", "code"])],
             spec=DatasetSpec(meters=20, intervals=40),
         )
         # data selectivity combines row and column effects:
@@ -215,8 +193,8 @@ class TestSyntheticWorkload:
     @settings(max_examples=20, deadline=None)
     @given(target=st.floats(min_value=0.0, max_value=0.99))
     def test_row_selectivity_property(self, target):
-        measurement = measure_query_selectivity(
-            synthetic_query(target),
+        (measurement,) = measure_selectivities(
+            [synthetic_query(target)],
             spec=DatasetSpec(meters=30, intervals=50),
         )
         assert abs(measurement.row_selectivity - target) < 0.1

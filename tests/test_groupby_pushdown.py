@@ -115,7 +115,8 @@ def post_aggregate_oracle():
     """The table's rows (the parts cut records in two at their seams)
     and the compute side's answers."""
     oracle = build_context(False)
-    scan = oracle.session.relation("m").build_scan()
+    relation = oracle.session.relation("m")
+    scan = relation.build_scan_filtered(relation.schema().names, [])
     table_rows = [row for batch in oracle.spark_context.iter_batches(scan) for row in batch]
     return table_rows, [oracle.run_query(sql)[0].collect() for sql in POST_AGGREGATE_QUERIES]
 
@@ -565,7 +566,8 @@ def test_pinned_sums_on_every_path(table_format, agg_pushdown, parallelism):
     assert {row[0]: repr(row[1:]) for row in frame.collect()} == pinned
     assert (report.pushdown_requests > 0) == agg_pushdown
     # And the executor alone, over the rows of the same table.
-    scan = ctx.session.relation("e").build_scan()
+    relation = ctx.session.relation("e")
+    scan = relation.build_scan_filtered(relation.schema().names, [])
     table_rows = [row for batch in ctx.spark_context.iter_batches(scan) for row in batch]
     _schema, rows = execute_query(EXACT_SQL, EXACT_SCHEMA, table_rows)
     assert {row[0]: repr(row[1:]) for row in rows} == pinned

@@ -518,7 +518,6 @@ class TestCountStarShipsOneColumn:
         for table in ("csv_t", "rcf_t"):
             relation = meters.session.relation(table)
             assert len(relation.build_scan_filtered([], []).output_schema) == 1
-            assert len(relation.build_scan_pruned([]).output_schema) == 1
         spec = extract_pushdown(parse_query("SELECT count(*) FROM t"), METER_SCHEMA)
         assert spec.required_columns == ["vid"]
 

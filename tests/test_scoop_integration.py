@@ -13,7 +13,7 @@ from repro.gridpocket import (
     GRIDPOCKET_QUERIES,
     METER_SCHEMA,
     DatasetSpec,
-    measure_query_selectivity,
+    measure_selectivities,
     synthetic_query,
     upload_dataset,
 )
@@ -40,7 +40,7 @@ class TestGridPocketQueriesEquivalence:
         # The small test dataset covers January 2015, so every non-UKR
         # query has matches.
         frame = scoop.sql(query.sql("largeMeter"))
-        assert frame.count() > 0
+        assert len(frame.collect()) > 0
 
 
 class TestIngestSavings:
@@ -65,7 +65,7 @@ class TestIngestSavings:
 
         sql = synthetic_query(0.7, columns=["vid", "code"])
         _frame, report = scoop.run_query(sql)
-        measured = measure_query_selectivity(sql, METER_SCHEMA, spec=SMALL_SPEC)
+        (measured,) = measure_selectivities([sql], METER_SCHEMA, spec=SMALL_SPEC)
         assert report.data_selectivity == pytest.approx(
             measured.data_selectivity, abs=0.05
         )
@@ -115,7 +115,7 @@ class TestSyntheticSelectivityControl:
         # response undercuts the text a CSV pushdown ships for the same
         # rows.
         assert report.data_selectivity == pytest.approx(target, abs=0.12)
-        text = measure_query_selectivity(sql, METER_SCHEMA, spec=SMALL_SPEC)
+        (text,) = measure_selectivities([sql], METER_SCHEMA, spec=SMALL_SPEC)
         assert report.bytes_transferred < text.bytes_kept
 
     def test_column_projection_reduces_bytes(self, scoop):

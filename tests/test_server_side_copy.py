@@ -202,19 +202,20 @@ class TestConversionStaysInTheStore:
         assert _stored(faulty, "rcf") == _stored(healthy, "rcf")
 
     def test_source_metadata_never_lands_on_the_rcf1_object(self):
-        """A cleansed source carries its own catalog and ETL counters;
-        the copy asks for fresh metadata, so the RCF1 object has only
-        what its own storlet computed."""
+        """A source carries its own catalog and ETL counters (a stale
+        catalog here); the copy asks for fresh metadata, so the RCF1
+        object has only what its own storlet computed."""
         schema = Schema.of("vid", "index:float")
         ctx = ScoopContext()
-        ctx.upload_csv(
-            "raw", "a.csv", "m1, 1.5\n\nm2,2.5\nbroken\n", etl_schema=schema
+        ctx.client.put_container("raw")
+        ctx.client.put_object(
+            "raw",
+            "a.csv",
+            b"m1,1.5\nm2,2.5\n",
+            headers={CATALOG_HEADER: "stale", "x-object-meta-etl-kept": "2"},
         )
         source = ctx.client.head_object("raw", "a.csv")
         assert source["x-object-meta-etl-kept"] == "2"
-        ctx.client.post_object(
-            "raw", "a.csv", {"scoop-catalog": "stale", "etl-kept": "2"}
-        )
         (name,) = ctx.convert_csv_to_columnar("raw", "rcf", schema)
         headers = ctx.client.head_object("rcf", name)
         assert not [key for key in headers if "etl" in key]

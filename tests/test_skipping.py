@@ -170,20 +170,33 @@ class TestByteIdentity:
 class TestStaleness:
     """Absent or unparseable catalog entries refute nothing."""
 
-    def _armed_context(self, mutate):
+    def _armed_context(self, planted):
+        """``planted`` maps an object name to the user metadata it is
+        PUT with, in place of the catalog the cleansing policy would
+        compute; the other objects go through the policy."""
         ctx = ScoopContext(
             chunk_size=16 * 1024,
             retry_policy=RetryPolicy(seed=7),
             skipping=True,
         )
-        ctx.upload_csv("data", "part-000.csv", _csv_body(), etl_schema=SCHEMA)
-        ctx.upload_csv(
-            "data", "part-001.csv", _csv_body("town", offset=1000),
-            etl_schema=SCHEMA,
-        )
-        # Corrupt BEFORE registration: the connector snapshots catalogs
-        # from the discovery HEADs, which happen at register time.
-        mutate(ctx.client)
+        bodies = {
+            "part-000.csv": _csv_body(),
+            "part-001.csv": _csv_body("town", offset=1000),
+        }
+        # Planted before any policy exists, so nothing recomputes it.
+        ctx.client.put_container("data")
+        for name, metadata in planted.items():
+            ctx.client.put_object(
+                "data",
+                name,
+                bodies[name],
+                headers={f"x-object-meta-{key}": value for key, value in metadata.items()},
+            )
+            present = CATALOG_HEADER in ctx.client.head_object("data", name)
+            assert present == bool(metadata), (name, metadata)
+        for name, body in bodies.items():
+            if name not in planted:
+                ctx.upload_csv("data", name, body, etl_schema=SCHEMA)
         ctx.register_csv_table("t", "data", schema=SCHEMA, format="csv")
         return ctx
 
@@ -210,14 +223,9 @@ class TestStaleness:
         ],
     )
     def test_degraded_catalog_never_skips(self, baseline, label, metadata):
-        def mutate(client):
-            for name in ("part-000.csv", "part-001.csv"):
-                client.post_object("data", name, metadata)
-                headers = client.head_object("data", name)
-                present = CATALOG_HEADER in headers
-                assert present == bool(metadata), label
-
-        ctx = self._armed_context(mutate)
+        ctx = self._armed_context(
+            {"part-000.csv": metadata, "part-001.csv": metadata}
+        )
         _frame, report = ctx.run_query(
             "SELECT vid, index FROM t WHERE code > 5000"
         )
@@ -228,10 +236,7 @@ class TestStaleness:
     def test_half_stale_still_skips_the_healthy_object(self, baseline):
         """One corrupt entry disables skipping for that object only."""
 
-        def mutate(client):
-            client.post_object("data", "part-000.csv", {"scoop-catalog": "x"})
-
-        ctx = self._armed_context(mutate)
+        ctx = self._armed_context({"part-000.csv": {"scoop-catalog": "x"}})
         _frame, report = ctx.run_query(
             "SELECT vid, index FROM t WHERE code > 5000"
         )
@@ -247,8 +252,8 @@ class TestStaleness:
             fault_plan=named_plan(plan, seed=7) if plan != "none" else None,
             skipping=True,
         )
-        # Garbage catalogs attached at PUT time (a metadata POST is not
-        # replica-tolerant under device loss, a PUT is).
+        # Garbage catalogs attached at PUT time, which is
+        # replica-tolerant under device loss.
         ctx.client.put_container("data")
         for name, body in (
             ("part-000.csv", _csv_body()),

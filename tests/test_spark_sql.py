@@ -63,58 +63,17 @@ class TestSessionSql:
         assert len(spec.filters) == 1
         assert spec.handled == spec.filters
 
-    def test_table_method_validates(self, rig):
-        session, _connector, _schema = rig
-        assert session.table("t").count() == 3
-        with pytest.raises(SqlAnalysisError):
-            session.table("ghost")
-
 
 class TestDataFrame:
-    def test_fluent_select_where(self, rig):
-        session, _connector, _schema = rig
-        frame = (
-            session.table("t")
-            .select("vid", "index")
-            .where("index > 5")
-            .order_by("index desc")
-        )
-        assert frame.collect() == [("m1", 10.5), ("m3", 7.5)]
-
-    def test_where_merges_conjunctively(self, rig):
-        session, _connector, _schema = rig
-        frame = (
-            session.table("t")
-            .where("city = 'Rotterdam'")
-            .where("index > 8")
-            .select("vid")
-        )
-        assert frame.collect() == [("m1",)]
-
-    def test_limit(self, rig):
-        session, _connector, _schema = rig
-        assert session.table("t").limit(2).count() == 2
-
-    def test_to_dicts(self, rig):
-        session, _connector, _schema = rig
-        dicts = session.table("t").select("vid", "city").limit(1).to_dicts()
-        assert dicts == [{"vid": "m1", "city": "Rotterdam"}]
-
     def test_show_renders_table(self, rig):
         session, _connector, _schema = rig
-        rendered = session.table("t").select("vid").show()
+        rendered = session.sql("SELECT vid FROM t").show()
         assert "vid" in rendered and "m1" in rendered
 
     def test_show_truncates(self, rig):
         session, _connector, _schema = rig
-        rendered = session.table("t").show(limit=1)
+        rendered = session.sql("SELECT * FROM t").show(limit=1)
         assert "showing 1 of 3 rows" in rendered
-
-    def test_iteration_and_len(self, rig):
-        session, _connector, _schema = rig
-        frame = session.table("t").select("vid")
-        assert len(frame) == 3
-        assert list(frame) == [("m1",), ("m2",), ("m3",)]
 
     def test_explain_mentions_pushdown(self, rig):
         session, _connector, _schema = rig
@@ -126,7 +85,7 @@ class TestDataFrame:
 
     def test_result_cached_per_frame(self, rig):
         session, connector, _schema = rig
-        frame = session.table("t").select("vid")
+        frame = session.sql("SELECT vid FROM t")
         frame.collect()
         requests_after_first = connector.metrics.requests
         frame.collect()
@@ -231,40 +190,3 @@ class TestSchemaInference:
             connector.client.put_object("hollow", name, b"")
         with pytest.raises(ValueError, match="cannot infer schema: .* empty"):
             infer_csv_schema(connector, "hollow")
-
-
-class TestFluentGroupBy:
-    def test_group_by_agg(self, rig):
-        session, _connector, _schema = rig
-        frame = (
-            session.table("t")
-            .group_by("city")
-            .agg("sum(index) AS total", "count(*) AS n")
-            .order_by("city")
-        )
-        assert frame.schema.names == ["city", "total", "n"]
-        assert frame.collect() == [("Paris", 3.0, 1), ("Rotterdam", 18.0, 2)]
-
-    def test_group_by_expression_key(self, rig):
-        session, _connector, _schema = rig
-        frame = (
-            session.table("t")
-            .group_by("SUBSTRING(date, 0, 7)")
-            .agg("count(*) AS n")
-        )
-        assert sorted(frame.collect()) == [("2015-01", 2), ("2015-02", 1)]
-
-    def test_group_by_respects_where(self, rig):
-        session, _connector, _schema = rig
-        frame = (
-            session.table("t")
-            .where("city = 'Rotterdam'")
-            .group_by("city")
-            .agg("max(index) AS peak")
-        )
-        assert frame.collect() == [("Rotterdam", 10.5)]
-
-    def test_agg_requires_single_item_per_string(self, rig):
-        session, _connector, _schema = rig
-        with pytest.raises(ValueError):
-            session.table("t").group_by("city").agg("sum(index), count(*)")

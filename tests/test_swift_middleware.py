@@ -5,7 +5,6 @@ from repro.swift.http import Request, Response
 from repro.swift.middleware import (
     BaseMiddleware,
     CatchErrors,
-    RequestLogger,
     build_pipeline,
 )
 
@@ -69,17 +68,3 @@ class TestCatchErrors:
     def test_success_passes_through(self):
         response = CatchErrors(echo_app)(Request("GET", "/a/b/c"))
         assert response.status == 200
-
-
-class TestRequestLogger:
-    def test_records_method_path_status(self):
-        log = []
-        pipeline = build_pipeline(echo_app, [RequestLogger.factory(log)])
-        pipeline(Request("PUT", "/x/y/z"))
-        pipeline(Request("GET", "/x"))
-        assert log == [("PUT", "/x/y/z", 200), ("GET", "/x", 200)]
-
-    def test_default_log_list(self):
-        logger = RequestLogger(echo_app)
-        logger(Request("GET", "/a"))
-        assert logger.log == [("GET", "/a", 200)]
